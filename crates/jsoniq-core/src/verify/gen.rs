@@ -5,8 +5,9 @@
 //! reproducible offline (the `rand` shim is deterministic). The grammar stays
 //! inside the translator's supported dialect — each shape mirrors one of the
 //! ADL query skeletons (scalar filter-project, array iteration, group-by
-//! histogram, nested count / existential sub-FLWOR) so a divergence flagged by
-//! the oracle is an engine bug, not a dialect gap.
+//! histogram, nested count / existential sub-FLWOR, a `let`-bound nested
+//! sequence read twice) so a divergence flagged by the oracle is an engine
+//! bug, not a dialect gap.
 
 use rand::{Rng, StdRng};
 
@@ -102,10 +103,10 @@ fn event_scalar(rng: &mut StdRng, s: &GenSchema) -> String {
     }
 }
 
-/// Generates one random query. Five shapes, all drawn from the ADL skeletons.
+/// Generates one random query. Six shapes, all drawn from the ADL skeletons.
 pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
     let c = &s.collection;
-    match rng.gen_range(0..5u32) {
+    match rng.gen_range(0..6u32) {
         // Scalar filter + project over whole events.
         0 => format!(
             r#"for $e in collection("{c}") where {} return {}"#,
@@ -135,6 +136,20 @@ pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
             let (arr, members) = pick(rng, &s.arrays);
             format!(
                 r#"for $e in collection("{c}") where count(for $x in $e.{arr}[] where {} return $x) ge {} return $e.{}"#,
+                element_pred(rng, members),
+                rng.gen_range(1..3),
+                s.event_field,
+            )
+        }
+        // A `let`-bound nested sequence read by two sub-FLWORs (ADL Q6
+        // skeleton): the JOIN-based strategy repeats the upstream query once
+        // per read, so the plan has duplicate subtrees for the engine to share.
+        4 => {
+            let (arr, members) = pick(rng, &s.arrays);
+            let field = pick(rng, members);
+            let agg = if rng.gen_bool(0.5) { "max" } else { "min" };
+            format!(
+                r#"for $e in collection("{c}") let $xs := (for $x in $e.{arr}[] where {} return $x.{field}) let $m := {agg}(for $y in $xs return $y) where count(for $y in $xs return $y) ge {} return {{"id": $e.{}, "m": $m}}"#,
                 element_pred(rng, members),
                 rng.gen_range(1..3),
                 s.event_field,

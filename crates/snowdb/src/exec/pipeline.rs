@@ -1,8 +1,5 @@
-//! Morsel-parallel batched execution.
-//!
-//! The serial executor in [`super`] materializes every operator's full result
-//! as one [`Chunk`]. This module replaces that at query time with a
-//! partition-parallel physical pipeline:
+//! Morsel-parallel batched execution: the partition-parallel physical
+//! pipeline every query runs on.
 //!
 //! - every operator produces an ordered list of batches (≤ [`BATCH_ROWS`]
 //!   rows each) instead of one whole-table chunk;
@@ -20,7 +17,8 @@
 //!
 //! # Determinism contract
 //!
-//! Parallel execution must be *byte-identical* to serial execution:
+//! Execution with any worker count must be *byte-identical* to execution with
+//! one (rows in order, batch by batch):
 //!
 //! - all merges happen in partition/batch index order (the dispatcher hands
 //!   out indices, results are reassembled sorted by index);
@@ -35,7 +33,32 @@
 //! - when several batches fail, the error with the lowest batch index wins —
 //!   the one serial execution would have reported;
 //! - volatile expressions outside projections (a `SEQ8()` in a filter or join
-//!   condition) fall back to the serial reference implementation.
+//!   condition) evaluate serially, batch after batch.
+//!
+//! # Shared subplans
+//!
+//! An optimized plan is a DAG ([`crate::optimize::share`]): a subtree several
+//! parents read is lowered once and owns a [`SharedSlot`]. Its first site in
+//! plan order executes it and publishes the batches; every other site takes a
+//! copy from the slot, waiting — with governor checkpoints, so cancellation
+//! and deadlines stay prompt — if the result is not there yet. The last
+//! reader takes the stored batches themselves, which frees the slot. A
+//! failure is published like a result: every reader gets the same typed
+//! error. Scan statistics, governor budgets and operator metrics are charged
+//! where the work happens, at the producing site, once. This rests on the
+//! contract above: the output of a subtree is a function of the subtree
+//! alone (`SEQ8()` restarts in every projection), so reading one result twice
+//! equals computing it twice.
+//!
+//! Today [`execute_physical`] walks an operator's children one after the
+//! other on the calling thread (parallelism is inside operators, over
+//! batches), and the producing site is the first in that order: a reader
+//! always finds the result published and never waits. The waiting path is
+//! kept, and driven by this module's unit tests from hand-spawned threads,
+//! because the slot's contract must not depend on that schedule — a join
+//! that runs its two sides concurrently would put a reader ahead of its
+//! producer — and because a reader that could hang or miss a cancellation
+//! there would only be found when that lands.
 //!
 //! # Vectorized execution
 //!
@@ -57,10 +80,13 @@
 //! `EXPLAIN ANALYZE`).
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::error::{Result, SnowError};
-use crate::plan::physical::PhysNode;
+use crate::govern::QueryGovernor;
+use crate::plan::physical::{PhysNode, SharedSite};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
 use crate::sql::JoinKind;
 use crate::storage::morsel::try_parallel_indexed_governed;
@@ -80,10 +106,21 @@ pub const BATCH_ROWS: usize = 4096;
 
 /// Executes a physical plan to completion, returning the ordered batch list.
 ///
-/// Scan statistics accumulate into `ctx.stats` exactly as under the serial
-/// executor (per-worker stats are summed, so `bytes_scanned` and partition
-/// counts are identical for any thread count).
+/// Scan statistics accumulate into `ctx.stats`: per-worker stats are summed,
+/// so `bytes_scanned` and partition counts are identical for any thread
+/// count. At a site of a shared subtree this returns the site's copy of the
+/// subtree's one result (see the module docs).
 pub fn execute_physical(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
+    match &p.shared {
+        None => execute_op(p, ctx),
+        Some(SharedSite { slot, producer }) => {
+            let gov = ctx.gov.clone();
+            slot.get(*producer, &gov, || execute_op(p, ctx))
+        }
+    }
+}
+
+fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     match &p.logical.kind {
         NodeKind::Values => {
             p.metrics.add_output(1, 1);
@@ -101,13 +138,105 @@ pub fn execute_physical(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk
                 }
             }
         }
-        NodeKind::Flatten { expr, outer, .. } => exec_flatten(p, expr, *outer, ctx),
+        NodeKind::Flatten { expr, outer, emit, .. } => exec_flatten(p, expr, *outer, emit, ctx),
         NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, groups, aggs, ctx),
         NodeKind::Join { kind, on, .. } => exec_join(p, *kind, on, ctx),
         NodeKind::Sort { keys, .. } => exec_sort(p, keys, ctx),
         NodeKind::Limit { n, .. } => exec_limit(p, *n, ctx),
         NodeKind::UnionAll { .. } => exec_union(p, ctx),
         NodeKind::Distinct { .. } => exec_distinct(p, ctx),
+    }
+}
+
+/// The one result of a shared subtree (see the module docs).
+#[derive(Debug, Default)]
+pub struct SharedSlot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+    /// Sites lowered for the subtree, the producing one included.
+    sites: AtomicUsize,
+}
+
+#[derive(Debug, Default)]
+enum SlotState {
+    #[default]
+    Empty,
+    Running,
+    /// `unread` sites, the producing one included, have yet to take their
+    /// copy.
+    Done { result: Result<Vec<Chunk>>, unread: usize },
+}
+
+/// Operator name a slot reports to the governor and in errors.
+const SLOT_OP: &str = "Shared";
+
+/// How long a waiting reader sleeps between governor checkpoints.
+const SLOT_POLL: Duration = Duration::from_millis(10);
+
+impl SharedSlot {
+    /// Registers one more site of the subtree (called while lowering).
+    pub(crate) fn add_site(&self) {
+        self.sites.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The state is only ever replaced whole, so it is valid even if a
+    /// holder of the lock panicked.
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn publish(&self, result: Result<Vec<Chunk>>) {
+        let unread = self.sites.load(Ordering::Relaxed);
+        *self.lock() = SlotState::Done { result, unread };
+        self.ready.notify_all();
+    }
+
+    /// Returns this site's copy of the result: runs `produce` at the producing
+    /// site, waits for it at the others.
+    fn get(
+        &self,
+        producer: bool,
+        gov: &QueryGovernor,
+        produce: impl FnOnce() -> Result<Vec<Chunk>>,
+    ) -> Result<Vec<Chunk>> {
+        /// Publishes a failure if the producing site unwinds, so that no
+        /// reader waits for a result that will never come.
+        struct Abandon<'a>(&'a SharedSlot);
+        impl Drop for Abandon<'_> {
+            fn drop(&mut self) {
+                self.0.publish(Err(SnowError::internal(SLOT_OP, "the producing site panicked")));
+            }
+        }
+
+        gov.slot_checkpoint(SLOT_OP)?;
+        let mut state = self.lock();
+        if producer && matches!(*state, SlotState::Empty) {
+            *state = SlotState::Running;
+            drop(state);
+            let abandon = Abandon(self);
+            let result = produce();
+            std::mem::forget(abandon);
+            self.publish(result);
+            state = self.lock();
+        }
+        loop {
+            if let SlotState::Done { result, unread } = &mut *state {
+                *unread = unread.saturating_sub(1);
+                if *unread > 0 {
+                    return result.clone();
+                }
+                let SlotState::Done { result, .. } = std::mem::take(&mut *state) else {
+                    unreachable!("matched just above")
+                };
+                return result;
+            }
+            gov.slot_checkpoint(SLOT_OP)?;
+            state = self
+                .ready
+                .wait_timeout(state, SLOT_POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 }
 
@@ -217,13 +346,17 @@ fn row_bases(batches: &[Chunk]) -> Vec<usize> {
 /// Walks a `Filter`/`Project` chain down to a `Scan`, returning the scan node
 /// and the stages bottom-up, or `None` when the chain is broken. Volatile
 /// projections are excluded: they need the global row index for `SEQ8()`,
-/// which a streaming fused stage does not know.
+/// which a streaming fused stage does not know. A shared node below `p` ends
+/// the chain too: its batches must reach its slot, not only this reader.
 fn fused_chain<'b, 'a>(
     p: &'b PhysNode<'a>,
 ) -> Option<(&'b PhysNode<'a>, Vec<&'b PhysNode<'a>>)> {
     let mut stages = Vec::new();
     let mut cur = p;
     loop {
+        if cur.shared.is_some() && !std::ptr::eq(cur, p) {
+            return None;
+        }
         match &cur.logical.kind {
             NodeKind::Filter { pred, .. } if !pred.is_volatile() => {
                 stages.push(cur);
@@ -407,10 +540,9 @@ fn filter_batch(
 }
 
 /// Projects one batch. `seq_base` is the global index of the batch's first
-/// row: setting the counter to `base + r` before each row reproduces the
-/// serial per-projection-site `SEQ8()` numbering (the serial executor holds
-/// the counter at `r` when row `r` starts; see `NodeKind::Project` in
-/// [`super::execute`]).
+/// row: setting the counter to `base + r` before each row numbers rows per
+/// projection site from zero in row order — the first `SEQ8()` call of row
+/// `r` yields `r` — whatever the batching.
 fn project_batch(
     exprs: &[PExpr],
     inp: &Chunk,
@@ -521,8 +653,7 @@ fn exec_project(
     let bases = row_bases(&input);
     // Volatile projections parallelize too: each batch knows its global row
     // base, so SEQ8 ids are assigned exactly as in serial row order. The
-    // per-worker context leaves the caller's counter untouched, mirroring the
-    // serial executor's save/restore.
+    // per-worker context leaves the caller's counter untouched.
     let gov = ctx.gov.clone();
     let vectorize = ctx.vectorize;
     let encode = ctx.encode;
@@ -546,21 +677,19 @@ fn exec_project(
 
 /// Flattens one batch. `row_base` is the global index of the batch's first
 /// row; the emitted `SEQ` column carries `row_base + r`, the parent row's
-/// index in the whole flatten input, as in the serial executor.
+/// index in the whole flatten input. `emit` says which of the five appended
+/// columns (VALUE, INDEX, KEY, SEQ, THIS) are read; the rest come out as
+/// all-NULL columns.
 fn flatten_batch(
     expr: &PExpr,
     outer: bool,
+    emit: &[bool; 5],
     inp: &Chunk,
     ctx: &mut ExecCtx,
     row_base: i64,
     cell: Option<&OpMetricsCell>,
 ) -> Result<Chunk> {
-    let in_arity = inp.cols.len();
-    let mut out = Chunk::empty(in_arity + 5);
-    // The flatten source evaluates vectorized when possible; the emit loop is
-    // per-row either way (output cardinality is data-dependent), but input
-    // columns pass through typed via `push_from` and the `SEQ` column stays a
-    // typed Int column.
+    // The flatten source evaluates vectorized when possible.
     let vec_src = if ctx.vectorize && !expr.is_volatile() {
         eval_vec_counted(expr, inp, cell)
     } else {
@@ -573,6 +702,15 @@ fn flatten_batch(
             cell.add_fallback(inp.rows as u64);
         }
     }
+    // One pass over the source fixes the output cardinality: `repeat[j]` is
+    // the input row behind output row `j`. The appended columns fill in the
+    // same pass; every input column is then one typed gather.
+    let [want_value, want_index, want_key, want_seq, want_this] = *emit;
+    let mut repeat: Vec<usize> = Vec::new();
+    let mut value = ColumnVec::new();
+    let mut index = ColumnVec::new();
+    let mut key = ColumnVec::new();
+    let mut this = ColumnVec::new();
     for r in 0..inp.rows {
         let v = match &vec_src {
             Some(col) => col.get(r),
@@ -581,46 +719,65 @@ fn flatten_batch(
                 eval(expr, RowView::new(&parts), ctx)?
             }
         };
-        let emit = |out: &mut Chunk,
-                    value: Variant,
-                    index: Variant,
-                    key: Variant,
-                    this: Variant| {
-            for (i, col) in out.cols.iter_mut().enumerate().take(in_arity) {
-                col.push_from(&inp.cols[i], r);
-            }
-            out.cols[in_arity].push(value);
-            out.cols[in_arity + 1].push(index);
-            out.cols[in_arity + 2].push(key);
-            out.cols[in_arity + 3].push(Variant::Int(row_base + r as i64));
-            out.cols[in_arity + 4].push(this);
-            out.rows += 1;
-        };
+        let before = repeat.len();
         match &v {
             Variant::Array(items) if !items.is_empty() => {
                 for (i, item) in items.iter().enumerate() {
-                    emit(&mut out, item.clone(), Variant::Int(i as i64), Variant::Null, v.clone());
+                    repeat.push(r);
+                    if want_value {
+                        value.push(item.clone());
+                    }
+                    if want_index {
+                        index.push(Variant::Int(i as i64));
+                    }
                 }
+                key.push_nulls(items.len());
             }
             Variant::Object(obj) if !obj.is_empty() => {
                 for (k, val) in obj.iter() {
-                    emit(&mut out, val.clone(), Variant::Null, Variant::from(k), v.clone());
+                    repeat.push(r);
+                    if want_value {
+                        value.push(val.clone());
+                    }
+                    if want_key {
+                        key.push(Variant::from(k));
+                    }
                 }
+                index.push_nulls(obj.len());
             }
-            _ => {
-                if outer {
-                    emit(&mut out, Variant::Null, Variant::Null, Variant::Null, v.clone());
-                }
+            _ if outer => {
+                repeat.push(r);
+                value.push_null();
+                index.push_null();
+                key.push_null();
+            }
+            _ => {}
+        }
+        if want_this {
+            for _ in before..repeat.len() {
+                this.push(v.clone());
             }
         }
     }
-    Ok(out)
+    let n = repeat.len();
+    let mut cols: Vec<ColumnVec> = inp.cols.iter().map(|c| c.gather(&repeat)).collect();
+    let mut seq = ColumnVec::new();
+    if want_seq {
+        for &r in &repeat {
+            seq.push(Variant::Int(row_base + r as i64));
+        }
+    }
+    for (col, wanted) in [value, index, key, seq, this].into_iter().zip(emit) {
+        cols.push(if *wanted { col } else { ColumnVec::Null(n) });
+    }
+    Ok(Chunk { cols, rows: n })
 }
 
 fn exec_flatten(
     p: &PhysNode<'_>,
     expr: &PExpr,
     outer: bool,
+    emit: &[bool; 5],
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
@@ -630,7 +787,8 @@ fn exec_flatten(
         for (bi, c) in input.iter().enumerate() {
             ctx.gov.checkpoint("Flatten")?;
             let start = Instant::now();
-            let f = flatten_batch(expr, outer, c, ctx, bases[bi] as i64, Some(&p.metrics))?;
+            let f =
+                flatten_batch(expr, outer, emit, c, ctx, bases[bi] as i64, Some(&p.metrics))?;
             p.metrics.record_batch(c.rows as u64, f.rows as u64, start.elapsed());
             charge_batch(p, ctx, "Flatten", &f)?;
             if f.rows > 0 {
@@ -653,6 +811,7 @@ fn exec_flatten(
             let out = flatten_batch(
                 expr,
                 outer,
+                emit,
                 &input[bi],
                 &mut wctx,
                 bases[bi] as i64,
@@ -1076,8 +1235,7 @@ fn exec_join(
     p.metrics.peak(l_rows + r_rows);
     let start = Instant::now();
 
-    // The build side is materialized whole for O(1) row addressing — same
-    // memory shape as the serial executor.
+    // The build side is materialized whole for O(1) row addressing.
     let r = concat_batches(r_batches, ra);
     charge_batch(p, ctx, "Join", &r)?;
 
@@ -1308,9 +1466,8 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         )?
     };
 
-    // Global merge: a stable sort over (batch, row) in input order applies
-    // the exact comparator of the serial executor, so the permutation — and
-    // therefore tie order — is identical.
+    // Global merge: one stable sort over (batch, row) in input order, so the
+    // permutation — and therefore tie order — does not depend on batching.
     let mut order: Vec<(u32, u32)> = Vec::with_capacity(in_rows);
     for (bi, c) in input.iter().enumerate() {
         for r in 0..c.rows {
@@ -1443,8 +1600,7 @@ fn exec_distinct(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let in_rows = total_rows(&input) as u64;
     p.metrics.add_rows_in(in_rows);
     p.metrics.peak(in_rows);
-    // One hash set over the batches in input order: first occurrence wins,
-    // as in the serial executor.
+    // One hash set over the batches in input order: first occurrence wins.
     let arity = batches_arity(&input, &p.children[0]);
     let mut seen = std::collections::HashSet::new();
     let mut out: Vec<Chunk> = Vec::new();
@@ -1470,4 +1626,134 @@ fn exec_distinct(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     p.metrics.add_output(out_rows, out.len() as u64);
     p.metrics.add_busy(start.elapsed());
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::plan::physical::lower;
+    use crate::storage::{ColumnDef, ColumnType};
+    use crate::Database;
+
+    /// A self-join over a duplicated subquery whose rows divide by
+    /// `a - fail_at` (so the subquery fails at that row, or never).
+    fn self_join_db(fail_at: i64) -> (Database, String) {
+        let db = Database::new();
+        db.load_table_with_partition_rows(
+            "t",
+            vec![ColumnDef::new("A", ColumnType::Int)],
+            (0..64).map(|i| vec![Variant::Int(i)]),
+            8,
+        )
+        .unwrap();
+        let sub = format!("(SELECT a, 100 / (a - {fail_at}) AS q, SEQ8() AS rid FROM t)");
+        (db, format!("SELECT x.q, y.q FROM {sub} x JOIN {sub} y ON x.rid = y.rid"))
+    }
+
+    /// The producing and a reading site of the plan's one shared subtree.
+    fn sites<'b, 'a>(p: &'b PhysNode<'a>) -> (&'b PhysNode<'a>, &'b PhysNode<'a>) {
+        fn find<'b, 'a>(p: &'b PhysNode<'a>, producer: bool) -> Option<&'b PhysNode<'a>> {
+            if p.shared.as_ref().is_some_and(|s| s.producer == producer) {
+                return Some(p);
+            }
+            p.children.iter().find_map(|c| find(c, producer))
+        }
+        (find(p, true).expect("a producing site"), find(p, false).expect("a reading site"))
+    }
+
+    #[test]
+    fn readers_get_the_producers_batches() {
+        let (db, sql) = self_join_db(-1);
+        let plan = db.compile(&sql).unwrap();
+        let phys = lower(&plan, 2);
+        let (producer, reader) = sites(&phys);
+        assert!(reader.children.is_empty(), "a reading site owns no operators");
+        let mut ctx = ExecCtx::default();
+        let produced = execute_physical(producer, &mut ctx).unwrap();
+        let scanned = ctx.stats.bytes_scanned;
+        let read = execute_physical(reader, &mut ctx).unwrap();
+        assert_eq!(ctx.stats.bytes_scanned, scanned, "reading a slot scans nothing");
+        assert_eq!(total_rows(&produced), 64);
+        let rows = |batches: Vec<Chunk>| -> Vec<Vec<Variant>> {
+            batches.into_iter().flat_map(Chunk::into_rows).collect()
+        };
+        assert_eq!(rows(produced), rows(read));
+        assert_eq!(reader.metrics.snapshot(reader.op_name(), 1, Vec::new()).rows_out, 0);
+    }
+
+    #[test]
+    fn a_failure_reaches_every_site_as_the_same_typed_error() {
+        // Rows 19 and 43 both divide by zero in different batches; the error
+        // every site reports is the one of the lowest batch, as without
+        // sharing.
+        let (db, sql) = self_join_db(19);
+        let sql = sql.replace("(a - 19)", "((a - 19) * (a - 43))");
+        let unshared = db.query_with(&sql, &crate::QueryOptions { optimize: false, ..Default::default() });
+        let plan = db.compile(&sql).unwrap();
+        for threads in [1, 2, 8] {
+            let phys = lower(&plan, threads);
+            let (producer, reader) = sites(&phys);
+            let mut ctx = ExecCtx::default();
+            let first = execute_physical(producer, &mut ctx).unwrap_err();
+            let second = execute_physical(reader, &mut ctx).unwrap_err();
+            assert_eq!(first.to_string(), second.to_string());
+            assert_eq!(first.to_string(), unshared.as_ref().unwrap_err().to_string());
+        }
+    }
+
+    #[test]
+    fn cancelling_a_waiting_reader_is_prompt_and_typed() {
+        let (db, sql) = self_join_db(-1);
+        let plan = db.compile(&sql).unwrap();
+        let phys = lower(&plan, 2);
+        let (_, reader) = sites(&phys);
+        let gov = Arc::new(QueryGovernor::unbounded());
+        // Nobody produces: the reader waits until the governor trips.
+        let err = std::thread::scope(|s| {
+            let waiting = s.spawn(|| {
+                let mut ctx = ExecCtx::with_governor(gov.clone());
+                execute_physical(reader, &mut ctx)
+            });
+            gov.cancel();
+            waiting.join().expect("the reader must not panic").unwrap_err()
+        });
+        assert!(matches!(&err, SnowError::Cancelled { op } if op == SLOT_OP), "{err:?}");
+    }
+
+    #[test]
+    fn a_budget_trip_at_the_producer_wakes_a_waiting_reader() {
+        let (db, sql) = self_join_db(-1);
+        let plan = db.compile(&sql).unwrap();
+        let phys = lower(&plan, 2);
+        let (producer, reader) = sites(&phys);
+        let gov = Arc::new(QueryGovernor::unbounded().with_memory_limit(64));
+        let (read, produced) = std::thread::scope(|s| {
+            let waiting = s.spawn(|| {
+                let mut ctx = ExecCtx::with_governor(gov.clone());
+                execute_physical(reader, &mut ctx)
+            });
+            let mut ctx = ExecCtx::with_governor(gov.clone());
+            let produced = execute_physical(producer, &mut ctx);
+            (waiting.join().expect("the reader must not panic"), produced)
+        });
+        let (read, produced) = (read.unwrap_err(), produced.unwrap_err());
+        assert!(matches!(produced, SnowError::ResourceExhausted(_)), "{produced:?}");
+        assert_eq!(read.to_string(), produced.to_string());
+    }
+
+    #[test]
+    fn a_panicking_producer_fails_its_readers() {
+        let slot = SharedSlot::default();
+        slot.add_site();
+        slot.add_site();
+        let gov = QueryGovernor::unbounded();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.get(true, &gov, || panic!("{}: producer", crate::govern::chaos::CHAOS_PANIC_MARKER))
+        }));
+        assert!(unwound.is_err());
+        let err = slot.get(false, &gov, || unreachable!("readers never produce")).unwrap_err();
+        assert!(matches!(err, SnowError::Internal(_)), "{err:?}");
+    }
 }

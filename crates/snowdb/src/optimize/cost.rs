@@ -24,6 +24,13 @@
 //! it, which is what orients big-probe/small-build), and a join without
 //! equi-keys charges the full `|L|·|R|` nested-loop work — exactly the term
 //! that makes cross products prohibitively expensive for the reorderer.
+//!
+//! A shared subtree ([`Node::share`]) is executed once, so it is costed once:
+//! the first site in plan order carries its cost, every later site
+//! contributes its rows and statistics at zero cost. (The join reorderer runs
+//! before share ids exist and compares orders of one set of relations, each
+//! appearing once per candidate, so a repeated relation adds the same
+//! constant to every candidate.)
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,19 +64,27 @@ pub struct Est {
 
 /// Walks a plan and records `(rows, cost)` per node, keyed by node address —
 /// the lookup EXPLAIN uses to annotate operator lines. The map is only valid
-/// for the lifetime of the borrowed plan.
+/// for the lifetime of the borrowed plan. Later sites of a shared subtree are
+/// not walked and have no entry.
 pub fn estimate_map(node: &Node) -> HashMap<usize, (f64, f64)> {
     let mut map = HashMap::new();
-    estimate_into(node, &mut Some(&mut map));
+    estimate_into(node, &mut Some(&mut map), &mut HashMap::new());
     map
 }
 
 /// Estimates a plan node (no per-node map).
 pub fn estimate(node: &Node) -> Est {
-    estimate_into(node, &mut None)
+    estimate_into(node, &mut None, &mut HashMap::new())
 }
 
-fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>) -> Est {
+fn estimate_into(
+    node: &Node,
+    map: &mut Option<&mut HashMap<usize, (f64, f64)>>,
+    shared: &mut HashMap<u32, Est>,
+) -> Est {
+    if let Some(first) = node.share.and_then(|id| shared.get(&id)) {
+        return Est { cost: 0.0, ..first.clone() };
+    }
     let est = match &node.kind {
         NodeKind::Values => Est { rows: 1.0, cost: 1.0, cols: Vec::new() },
         NodeKind::Scan { table, .. } => {
@@ -84,7 +99,7 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             }
         }
         NodeKind::Filter { input, pred } => {
-            let in_est = estimate_into(input, map);
+            let in_est = estimate_into(input, map, shared);
             let sel = pred_selectivity(pred, &in_est.cols);
             Est {
                 rows: in_est.rows * sel,
@@ -93,7 +108,7 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             }
         }
         NodeKind::Project { input, exprs } => {
-            let in_est = estimate_into(input, map);
+            let in_est = estimate_into(input, map, shared);
             let cols = exprs
                 .iter()
                 .map(|e| match e {
@@ -103,8 +118,8 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
                 .collect();
             Est { rows: in_est.rows, cost: in_est.cost + in_est.rows, cols }
         }
-        NodeKind::Flatten { input, expr, outer } => {
-            let in_est = estimate_into(input, map);
+        NodeKind::Flatten { input, expr, outer, .. } => {
+            let in_est = estimate_into(input, map, shared);
             let fanout = flatten_fanout(expr, &in_est.cols, *outer);
             let rows = in_est.rows * fanout;
             // Flatten appends VALUE/INDEX/KEY/SEQ/THIS columns with no
@@ -114,12 +129,12 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             Est { rows, cost: in_est.cost + rows.max(in_est.rows), cols }
         }
         NodeKind::Join { left, right, kind, on } => {
-            let l = estimate_into(left, map);
-            let r = estimate_into(right, map);
+            let l = estimate_into(left, map, shared);
+            let r = estimate_into(right, map, shared);
             join_estimate(&l, &r, *kind, on.as_ref(), left.arity())
         }
         NodeKind::Aggregate { input, groups, .. } => {
-            let in_est = estimate_into(input, map);
+            let in_est = estimate_into(input, map, shared);
             let rows = if groups.is_empty() {
                 1.0
             } else {
@@ -143,7 +158,7 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             }
         }
         NodeKind::Sort { input, .. } => {
-            let in_est = estimate_into(input, map);
+            let in_est = estimate_into(input, map, shared);
             let n = in_est.rows.max(1.0);
             Est {
                 rows: in_est.rows,
@@ -152,7 +167,7 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             }
         }
         NodeKind::Limit { input, n } => {
-            let in_est = estimate_into(input, map);
+            let in_est = estimate_into(input, map, shared);
             Est {
                 rows: in_est.rows.min(*n as f64),
                 cost: in_est.cost,
@@ -160,7 +175,7 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             }
         }
         NodeKind::Distinct { input } => {
-            let in_est = estimate_into(input, map);
+            let in_est = estimate_into(input, map, shared);
             // No whole-row NDV statistic: assume moderate duplication.
             Est {
                 rows: (in_est.rows / 2.0).max(in_est.rows.min(1.0)),
@@ -169,8 +184,8 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
             }
         }
         NodeKind::UnionAll { left, right } => {
-            let l = estimate_into(left, map);
-            let r = estimate_into(right, map);
+            let l = estimate_into(left, map, shared);
+            let r = estimate_into(right, map, shared);
             // Column stats survive only when both branches agree; merging
             // them keeps NDV/null fractions usable above the union.
             let cols = l
@@ -191,6 +206,9 @@ fn estimate_into(node: &Node, map: &mut Option<&mut HashMap<usize, (f64, f64)>>)
     };
     if let Some(m) = map {
         m.insert(node as *const Node as usize, (est.rows, est.cost));
+    }
+    if let Some(id) = node.share {
+        shared.insert(id, est.clone());
     }
     est
 }
@@ -397,14 +415,10 @@ mod tests {
     }
 
     fn scan(t: &Arc<crate::storage::Table>) -> Node {
-        Node {
-            kind: NodeKind::Scan {
-                table: t.clone(),
-                pushed: Vec::new(),
-                materialize: vec![true; 2],
-            },
-            fields: vec![Field::bare("K"), Field::bare("V")],
-        }
+        Node::new(
+            NodeKind::Scan { table: t.clone(), pushed: Vec::new(), materialize: vec![true; 2] },
+            vec![Field::bare("K"), Field::bare("V")],
+        )
     }
 
     #[test]
@@ -418,8 +432,8 @@ mod tests {
     #[test]
     fn filter_applies_stats_selectivity() {
         let t = table(1000, 10);
-        let plan = Node {
-            kind: NodeKind::Filter {
+        let plan = Node::new(
+            NodeKind::Filter {
                 input: Box::new(scan(&t)),
                 pred: PExpr::Binary {
                     left: Box::new(PExpr::Col(0)),
@@ -427,8 +441,8 @@ mod tests {
                     right: Box::new(PExpr::Lit(Variant::Int(3))),
                 },
             },
-            fields: vec![Field::bare("K"), Field::bare("V")],
-        };
+            vec![Field::bare("K"), Field::bare("V")],
+        );
         let est = estimate(&plan);
         // K has 10 distinct values → ~1/10 of 1000 rows.
         assert!((est.rows - 100.0).abs() < 5.0, "est {}", est.rows);
@@ -438,8 +452,8 @@ mod tests {
     fn equi_join_beats_cross_join_cost() {
         let big = table(2000, 400);
         let small = table(50, 50);
-        let equi = Node {
-            kind: NodeKind::Join {
+        let equi = Node::new(
+            NodeKind::Join {
                 left: Box::new(scan(&big)),
                 right: Box::new(scan(&small)),
                 kind: JoinKind::Inner,
@@ -449,27 +463,17 @@ mod tests {
                     right: Box::new(PExpr::Col(2)),
                 }),
             },
-            fields: vec![
-                Field::bare("K"),
-                Field::bare("V"),
-                Field::bare("K2"),
-                Field::bare("V2"),
-            ],
-        };
-        let cross = Node {
-            kind: NodeKind::Join {
+            vec![Field::bare("K"), Field::bare("V"), Field::bare("K2"), Field::bare("V2")],
+        );
+        let cross = Node::new(
+            NodeKind::Join {
                 left: Box::new(scan(&big)),
                 right: Box::new(scan(&small)),
                 kind: JoinKind::Cross,
                 on: None,
             },
-            fields: vec![
-                Field::bare("K"),
-                Field::bare("V"),
-                Field::bare("K2"),
-                Field::bare("V2"),
-            ],
-        };
+            vec![Field::bare("K"), Field::bare("V"), Field::bare("K2"), Field::bare("V2")],
+        );
         let e = estimate(&equi);
         let c = estimate(&cross);
         assert!(e.cost < c.cost, "equi {} !< cross {}", e.cost, c.cost);
@@ -480,10 +484,10 @@ mod tests {
     #[test]
     fn estimate_map_covers_every_node() {
         let t = table(100, 10);
-        let plan = Node {
-            kind: NodeKind::Limit { input: Box::new(scan(&t)), n: 7 },
-            fields: vec![Field::bare("K"), Field::bare("V")],
-        };
+        let plan = Node::new(
+            NodeKind::Limit { input: Box::new(scan(&t)), n: 7 },
+            vec![Field::bare("K"), Field::bare("V")],
+        );
         let map = estimate_map(&plan);
         assert_eq!(map.len(), 2);
         let (rows, _) = map[&(&plan as *const Node as usize)];

@@ -45,7 +45,7 @@ pub fn reorder_joins(node: Node) -> Node {
     // relations are visited), so volatile or erroring ON predicates never
     // move.
     if !cluster_eligible(&node) {
-        return map_children(node, reorder_joins);
+        return node.map_inputs(reorder_joins);
     }
 
     // Flatten the maximal Inner/Cross cluster rooted here.
@@ -108,39 +108,6 @@ fn conjuncts_ref<'a>(e: &'a PExpr, out: &mut Vec<&'a PExpr>) {
     }
 }
 
-/// Applies `f` to every child of `node`, preserving the node itself.
-fn map_children(node: Node, f: fn(Node) -> Node) -> Node {
-    let fields = node.fields;
-    let kind = match node.kind {
-        NodeKind::Project { input, exprs } => {
-            NodeKind::Project { input: Box::new(f(*input)), exprs }
-        }
-        NodeKind::Filter { input, pred } => {
-            NodeKind::Filter { input: Box::new(f(*input)), pred }
-        }
-        NodeKind::Flatten { input, expr, outer } => {
-            NodeKind::Flatten { input: Box::new(f(*input)), expr, outer }
-        }
-        NodeKind::Aggregate { input, groups, aggs } => {
-            NodeKind::Aggregate { input: Box::new(f(*input)), groups, aggs }
-        }
-        NodeKind::Join { left, right, kind, on } => NodeKind::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            kind,
-            on,
-        },
-        NodeKind::Sort { input, keys } => NodeKind::Sort { input: Box::new(f(*input)), keys },
-        NodeKind::Limit { input, n } => NodeKind::Limit { input: Box::new(f(*input)), n },
-        NodeKind::Distinct { input } => NodeKind::Distinct { input: Box::new(f(*input)) },
-        NodeKind::UnionAll { left, right } => {
-            NodeKind::UnionAll { left: Box::new(f(*left)), right: Box::new(f(*right)) }
-        }
-        leaf @ (NodeKind::Scan { .. } | NodeKind::Values) => leaf,
-    };
-    Node { kind, fields }
-}
-
 /// Recursively flattens `Inner`/`Cross` joins into `rels` (each child
 /// recursively reordered) and pools `ON` conjuncts into `preds`, rebased by
 /// `base` into the cluster's concatenated column space. Left-to-right DFS
@@ -164,7 +131,7 @@ fn flatten_cluster(node: Node, base: usize, rels: &mut Vec<Node>, preds: &mut Ve
                 }
             }
         }
-        kind => rels.push(reorder_joins(Node { kind, fields: node.fields })),
+        kind => rels.push(reorder_joins(Node::new(kind, node.fields))),
     }
 }
 
@@ -320,15 +287,10 @@ fn assemble(
             .chain(rels[j].fields.iter())
             .cloned()
             .collect();
-        plan = Node {
-            kind: NodeKind::Join {
-                left: Box::new(plan),
-                right: Box::new(rels[j].clone()),
-                kind,
-                on,
-            },
+        plan = Node::new(
+            NodeKind::Join { left: Box::new(plan), right: Box::new(rels[j].clone()), kind, on },
             fields,
-        };
+        );
     }
     // During greedy search `order` is a prefix, so predicates spanning
     // unplaced relations legitimately stay unused; the final assembly over
@@ -364,11 +326,8 @@ fn build_ordered(
 
     let identity = (0..total).all(|i| colmap.get(&i) == Some(&i));
     if identity {
-        return Node { kind: plan.kind, fields };
+        return Node::new(plan.kind, fields);
     }
     let exprs: Vec<PExpr> = (0..total).map(|i| PExpr::Col(colmap[&i])).collect();
-    Node {
-        kind: NodeKind::Project { input: Box::new(plan), exprs },
-        fields,
-    }
+    Node::new(NodeKind::Project { input: Box::new(plan), exprs }, fields)
 }

@@ -11,9 +11,14 @@
 //!    per-column statistics persisted in the catalog (NDV sketches,
 //!    histograms, null fractions), so raw SSB star joins and JSONiq
 //!    successive-`for` cross joins become selectivity-ordered hash joins;
-//! 4. **projection pruning** — scans materialize only the table columns the
-//!    query actually consumes, which both speeds execution and makes the
-//!    bytes-scanned metric reflect real column usage (paper §V-E).
+//! 4. **dead-column elimination** ([`narrow`]) — every operator keeps only
+//!    the columns something above it reads: projections and aggregates drop
+//!    dead expressions, identity projections disappear, and scans materialize
+//!    only the table columns the query consumes, which both speeds execution
+//!    and makes the bytes-scanned metric reflect real column usage (paper
+//!    §V-E);
+//! 5. **subplan sharing** ([`share`]) — structurally identical subtrees with
+//!    more than one reader get a share id and are executed once.
 //!
 //! Because the translation layer emits one SQL query per JSONiq query, these
 //! passes see the *whole* program — the end-to-end optimizer visibility the
@@ -21,10 +26,12 @@
 
 pub mod cost;
 pub mod join_order;
+pub mod narrow;
+pub mod share;
 
 use crate::error::Result;
 use crate::exec::{eval, ExecCtx, RowView};
-use crate::plan::{FuncId, Node, NodeKind, PExpr, PStep, ScanPredicate};
+use crate::plan::{Field, FuncId, Node, NodeKind, PExpr, PStep, ScanPredicate};
 use crate::sql::{BinOp, JoinKind};
 use crate::variant::Variant;
 
@@ -41,7 +48,10 @@ pub fn optimize(mut node: Node) -> Result<Node> {
     // keeps plans normalized without a full fixpoint loop.
     fold_node(&mut node)?;
     node = merge_projects(node);
-    prune_projection(&mut node);
+    node = narrow::narrow(node);
+    // Sharing goes last so it fingerprints final shapes and never stands
+    // between a subtree and a rewrite.
+    share::mark_shared(&mut node);
     Ok(node)
 }
 
@@ -51,85 +61,49 @@ pub fn optimize(mut node: Node) -> Result<Node> {
 ///
 /// The dataframe layer emits one `SELECT *, expr AS c` wrapper per
 /// transformation, so translated queries arrive as dozens of stacked
-/// projections; each one re-materializes every column at execution. Merging is
-/// only applied when it cannot grow the plan: every non-trivial inner
-/// expression must be referenced at most once by the outer projection (column
-/// references and literals substitute freely). Volatile expressions (`SEQ8`)
-/// merge safely under the same single-reference rule because projections
-/// preserve row count and `SEQ8` numbers rows per projection.
+/// projections; each one re-materializes every column at execution.
 fn merge_projects(node: Node) -> Node {
-    let fields = node.fields;
-    let kind = match node.kind {
-        NodeKind::Project { input, exprs } => {
-            let input = merge_projects(*input);
-            if let NodeKind::Project { input: inner_in, exprs: inner_exprs } = input.kind {
-                let mut refs = vec![0usize; inner_exprs.len()];
-                for e in &exprs {
-                    let mut cols = Vec::new();
-                    e.collect_cols(&mut cols);
-                    for c in cols {
-                        refs[c] += 1;
-                    }
-                }
-                let growth_ok = inner_exprs.iter().zip(&refs).all(|(ie, &r)| {
-                    matches!(ie, PExpr::Col(_) | PExpr::Lit(_)) || r <= 1
-                });
-                // Two volatile (SEQ8) expressions merged into one projection
-                // would share a per-row counter and change values; keep such
-                // projections separate.
-                let volatile_clash = exprs.iter().any(PExpr::is_volatile)
-                    && inner_exprs.iter().any(PExpr::is_volatile);
-                let mergeable = growth_ok && !volatile_clash;
-                if mergeable {
-                    let merged: Vec<PExpr> =
-                        exprs.iter().map(|e| e.substitute(&inner_exprs)).collect();
-                    return merge_projects(Node {
-                        kind: NodeKind::Project { input: inner_in, exprs: merged },
-                        fields,
-                    });
-                }
-                NodeKind::Project {
-                    input: Box::new(Node {
-                        kind: NodeKind::Project { input: inner_in, exprs: inner_exprs },
-                        fields: input.fields,
-                    }),
-                    exprs,
-                }
-            } else {
-                NodeKind::Project { input: Box::new(input), exprs }
+    let Node { kind, fields, share } = node.map_inputs(merge_projects);
+    let kind = match kind {
+        NodeKind::Project { mut input, mut exprs } => {
+            while let NodeKind::Project { exprs: inner, .. } = &input.kind {
+                let Some(merged) = merged_exprs(&exprs, inner) else { break };
+                exprs = merged;
+                let NodeKind::Project { input: below, .. } = input.kind else { unreachable!() };
+                input = below;
             }
+            NodeKind::Project { input, exprs }
         }
-        NodeKind::Filter { input, pred } => {
-            NodeKind::Filter { input: Box::new(merge_projects(*input)), pred }
-        }
-        NodeKind::Flatten { input, expr, outer } => {
-            NodeKind::Flatten { input: Box::new(merge_projects(*input)), expr, outer }
-        }
-        NodeKind::Aggregate { input, groups, aggs } => {
-            NodeKind::Aggregate { input: Box::new(merge_projects(*input)), groups, aggs }
-        }
-        NodeKind::Join { left, right, kind, on } => NodeKind::Join {
-            left: Box::new(merge_projects(*left)),
-            right: Box::new(merge_projects(*right)),
-            kind,
-            on,
-        },
-        NodeKind::Sort { input, keys } => {
-            NodeKind::Sort { input: Box::new(merge_projects(*input)), keys }
-        }
-        NodeKind::Limit { input, n } => {
-            NodeKind::Limit { input: Box::new(merge_projects(*input)), n }
-        }
-        NodeKind::Distinct { input } => {
-            NodeKind::Distinct { input: Box::new(merge_projects(*input)) }
-        }
-        NodeKind::UnionAll { left, right } => NodeKind::UnionAll {
-            left: Box::new(merge_projects(*left)),
-            right: Box::new(merge_projects(*right)),
-        },
-        leaf @ (NodeKind::Scan { .. } | NodeKind::Values) => leaf,
+        other => other,
     };
-    Node { kind, fields }
+    Node { kind, fields, share }
+}
+
+/// The expressions of `Project outer (Project inner (x))` as one projection
+/// over `x`, or `None` when merging could grow the plan or change values.
+/// Every non-trivial inner expression must be referenced at most once by the
+/// outer projection (column references and literals substitute freely).
+/// Volatile expressions (`SEQ8`) merge safely under the same single-reference
+/// rule because projections preserve row count and `SEQ8` numbers rows per
+/// projection.
+fn merged_exprs(outer: &[PExpr], inner: &[PExpr]) -> Option<Vec<PExpr>> {
+    let mut refs = vec![0usize; inner.len()];
+    let mut cols = Vec::new();
+    for e in outer {
+        e.collect_cols(&mut cols);
+    }
+    for c in cols {
+        refs[c] += 1;
+    }
+    let growth_ok = inner
+        .iter()
+        .zip(&refs)
+        .all(|(ie, &r)| matches!(ie, PExpr::Col(_) | PExpr::Lit(_)) || r <= 1);
+    // Two volatile (SEQ8) expressions merged into one projection would share
+    // a per-row counter and change values; keep such projections separate.
+    let volatile_clash =
+        outer.iter().any(PExpr::is_volatile) && inner.iter().any(PExpr::is_volatile);
+    (growth_ok && !volatile_clash).then(|| outer.iter().map(|e| e.substitute(inner)).collect())
 }
 
 // ---- constant folding ------------------------------------------------------
@@ -223,7 +197,7 @@ fn fold_expr(e: &mut PExpr) -> Result<()> {
         PExpr::Path { base, steps } => {
             fold_expr(base)?;
             for s in steps {
-                if let crate::plan::PStep::IndexExpr(x) = s {
+                if let PStep::IndexExpr(x) = s {
                     fold_expr(x)?;
                 }
             }
@@ -338,44 +312,16 @@ fn null_sensitive(e: &PExpr) -> bool {
 }
 
 fn pushdown(node: Node) -> Node {
-    let fields = node.fields;
-    let kind = match node.kind {
-        NodeKind::Filter { input, pred } => {
-            let input = Box::new(pushdown(*input));
-            return push_filter(*input, pred, fields);
-        }
-        NodeKind::Project { input, exprs } => {
-            NodeKind::Project { input: Box::new(pushdown(*input)), exprs }
-        }
-        NodeKind::Flatten { input, expr, outer } => {
-            NodeKind::Flatten { input: Box::new(pushdown(*input)), expr, outer }
-        }
-        NodeKind::Aggregate { input, groups, aggs } => {
-            NodeKind::Aggregate { input: Box::new(pushdown(*input)), groups, aggs }
-        }
-        NodeKind::Join { left, right, kind, on } => NodeKind::Join {
-            left: Box::new(pushdown(*left)),
-            right: Box::new(pushdown(*right)),
-            kind,
-            on,
-        },
-        NodeKind::Sort { input, keys } => {
-            NodeKind::Sort { input: Box::new(pushdown(*input)), keys }
-        }
-        NodeKind::Limit { input, n } => NodeKind::Limit { input: Box::new(pushdown(*input)), n },
-        NodeKind::Distinct { input } => NodeKind::Distinct { input: Box::new(pushdown(*input)) },
-        NodeKind::UnionAll { left, right } => NodeKind::UnionAll {
-            left: Box::new(pushdown(*left)),
-            right: Box::new(pushdown(*right)),
-        },
-        leaf @ (NodeKind::Scan { .. } | NodeKind::Values) => leaf,
-    };
-    Node { kind, fields }
+    let node = node.map_inputs(pushdown);
+    match node.kind {
+        NodeKind::Filter { input, pred } => push_filter(*input, pred, node.fields),
+        _ => node,
+    }
 }
 
 /// Pushes the predicate as deep as is sound, rebuilding the filter above
 /// whatever could not move.
-fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Node {
+fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
     let mut parts = Vec::new();
     conjuncts(pred, &mut parts);
 
@@ -391,10 +337,7 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Nod
             // right side kept the unfiltered numbering, associating lepton
             // matches with the wrong jets.)
             if exprs.iter().any(PExpr::is_volatile) {
-                let proj = Node {
-                    kind: NodeKind::Project { input: pin, exprs },
-                    fields: fields.clone(),
-                };
+                let proj = Node::new(NodeKind::Project { input: pin, exprs }, fields.clone());
                 return wrap_filter(proj, parts, fields);
             }
             // Substitute projection expressions into the predicate and move it
@@ -405,12 +348,9 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Nod
             if let Some(mp) = conjoin(movable) {
                 below = push_filter(below, mp, inner_fields);
             }
-            Node {
-                kind: NodeKind::Project { input: Box::new(below), exprs },
-                fields,
-            }
+            Node::new(NodeKind::Project { input: Box::new(below), exprs }, fields)
         }
-        NodeKind::Flatten { input: fin, expr, outer } => {
+        NodeKind::Flatten { input: fin, expr, outer, emit } => {
             let in_arity = fin.arity();
             let mut movable = Vec::new();
             let mut stuck = Vec::new();
@@ -451,10 +391,10 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Nod
             if let Some(mp) = conjoin(movable) {
                 below = push_filter(below, mp, inner_fields);
             }
-            let fl = Node {
-                kind: NodeKind::Flatten { input: Box::new(below), expr, outer },
-                fields: fields.clone(),
-            };
+            let fl = Node::new(
+                NodeKind::Flatten { input: Box::new(below), expr, outer, emit },
+                fields.clone(),
+            );
             wrap_filter(fl, stuck, fields)
         }
         NodeKind::Join { left, right, kind, on } => {
@@ -514,10 +454,10 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Nod
                 all.extend(into_on);
                 (JoinKind::Inner, conjoin(all))
             };
-            let j = Node {
-                kind: NodeKind::Join { left: Box::new(l), right: Box::new(r), kind, on },
-                fields: fields.clone(),
-            };
+            let j = Node::new(
+                NodeKind::Join { left: Box::new(l), right: Box::new(r), kind, on },
+                fields.clone(),
+            );
             wrap_filter(j, stuck, fields)
         }
         NodeKind::UnionAll { left, right } => {
@@ -526,10 +466,7 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Nod
             let pred = conjoin(parts).expect("at least one conjunct");
             let l = push_filter(*left, pred.clone(), lf);
             let r = push_filter(*right, pred, rf);
-            Node {
-                kind: NodeKind::UnionAll { left: Box::new(l), right: Box::new(r) },
-                fields,
-            }
+            Node::new(NodeKind::UnionAll { left: Box::new(l), right: Box::new(r) }, fields)
         }
         NodeKind::Filter { input: fin, pred: inner } => {
             // Merge adjacent filters and retry.
@@ -546,26 +483,20 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<crate::plan::Field>) -> Nod
                     pushed.push(sp);
                 }
             }
-            let scan = Node {
-                kind: NodeKind::Scan { table, pushed, materialize },
-                fields: fields.clone(),
-            };
+            let scan = Node::new(NodeKind::Scan { table, pushed, materialize }, fields.clone());
             wrap_filter(scan, parts, fields)
         }
         other => {
             // Sort/Limit/Aggregate/Distinct/Values: keep the filter in place.
-            let node = Node { kind: other, fields: input.fields };
+            let node = Node::new(other, input.fields);
             wrap_filter(node, parts, fields)
         }
     }
 }
 
-fn wrap_filter(node: Node, parts: Vec<PExpr>, fields: Vec<crate::plan::Field>) -> Node {
+fn wrap_filter(node: Node, parts: Vec<PExpr>, fields: Vec<Field>) -> Node {
     match conjoin(parts) {
-        Some(pred) => Node {
-            kind: NodeKind::Filter { input: Box::new(node), pred },
-            fields,
-        },
+        Some(pred) => Node::new(NodeKind::Filter { input: Box::new(node), pred }, fields),
         None => node,
     }
 }
@@ -620,103 +551,4 @@ fn scan_predicate(p: &PExpr) -> Option<ScanPredicate> {
         }
         _ => None,
     }
-}
-
-// ---- projection pruning ----------------------------------------------------
-
-/// Marks, per scan, the table columns the plan above actually consumes.
-fn prune_projection(node: &mut Node) {
-    let all: Vec<usize> = (0..node.arity()).collect();
-    mark(node, &all);
-}
-
-fn mark(node: &mut Node, required: &[usize]) {
-    match &mut node.kind {
-        NodeKind::Values => {}
-        NodeKind::Scan { materialize, pushed, .. } => {
-            for m in materialize.iter_mut() {
-                *m = false;
-            }
-            for &c in required {
-                materialize[c] = true;
-            }
-            // Pruning predicates read zone maps, not column data, but keep the
-            // column materialized for the exact filter above.
-            for p in pushed {
-                materialize[p.col] = true;
-            }
-        }
-        NodeKind::Project { input, exprs } => {
-            let mut need = Vec::new();
-            for &i in required {
-                exprs[i].collect_cols(&mut need);
-            }
-            dedup(&mut need);
-            mark(input, &need);
-        }
-        NodeKind::Filter { input, pred } => {
-            let mut need = required.to_vec();
-            pred.collect_cols(&mut need);
-            dedup(&mut need);
-            mark(input, &need);
-        }
-        NodeKind::Flatten { input, expr, .. } => {
-            let in_arity = input.arity();
-            let mut need: Vec<usize> =
-                required.iter().copied().filter(|&c| c < in_arity).collect();
-            expr.collect_cols(&mut need);
-            dedup(&mut need);
-            mark(input, &need);
-        }
-        NodeKind::Aggregate { input, groups, aggs } => {
-            let mut need = Vec::new();
-            for g in groups.iter() {
-                g.collect_cols(&mut need);
-            }
-            for a in aggs.iter() {
-                if let Some(e) = &a.arg {
-                    e.collect_cols(&mut need);
-                }
-            }
-            dedup(&mut need);
-            mark(input, &need);
-        }
-        NodeKind::Join { left, right, on, .. } => {
-            let la = left.arity();
-            let mut need = required.to_vec();
-            if let Some(e) = on {
-                e.collect_cols(&mut need);
-            }
-            let mut lneed: Vec<usize> = need.iter().copied().filter(|&c| c < la).collect();
-            let mut rneed: Vec<usize> =
-                need.iter().copied().filter(|&c| c >= la).map(|c| c - la).collect();
-            dedup(&mut lneed);
-            dedup(&mut rneed);
-            mark(left, &lneed);
-            mark(right, &rneed);
-        }
-        NodeKind::Sort { input, keys } => {
-            let mut need = required.to_vec();
-            for k in keys.iter() {
-                k.expr.collect_cols(&mut need);
-            }
-            dedup(&mut need);
-            mark(input, &need);
-        }
-        NodeKind::Limit { input, .. } => mark(input, required),
-        NodeKind::Distinct { input } => {
-            // DISTINCT compares whole rows, so everything is required.
-            let all: Vec<usize> = (0..input.arity()).collect();
-            mark(input, &all);
-        }
-        NodeKind::UnionAll { left, right } => {
-            mark(left, required);
-            mark(right, required);
-        }
-    }
-}
-
-fn dedup(v: &mut Vec<usize>) {
-    v.sort_unstable();
-    v.dedup();
 }

@@ -52,11 +52,11 @@ impl<'a> Binder<'a> {
                 keys.push(SortKey { expr, desc: item.desc, nulls_first: item.nulls_first });
             }
             let fields = node.fields.clone();
-            node = Node { kind: NodeKind::Sort { input: Box::new(node), keys }, fields };
+            node = Node::new(NodeKind::Sort { input: Box::new(node), keys }, fields);
         }
         if let Some(n) = q.limit {
             let fields = node.fields.clone();
-            node = Node { kind: NodeKind::Limit { input: Box::new(node), n }, fields };
+            node = Node::new(NodeKind::Limit { input: Box::new(node), n }, fields);
         }
         Ok(node)
     }
@@ -107,10 +107,10 @@ impl<'a> Binder<'a> {
                     )));
                 }
                 let fields = left.fields.clone();
-                Ok(Node {
-                    kind: NodeKind::UnionAll { left: Box::new(left), right: Box::new(right) },
+                Ok(Node::new(
+                    NodeKind::UnionAll { left: Box::new(left), right: Box::new(right) },
                     fields,
-                })
+                ))
             }
         }
     }
@@ -119,7 +119,7 @@ impl<'a> Binder<'a> {
         // FROM
         let mut node = match &s.from {
             Some(from) => self.bind_from_clause(from)?,
-            None => Node { kind: NodeKind::Values, fields: Vec::new() },
+            None => Node::new(NodeKind::Values, Vec::new()),
         };
 
         // WHERE
@@ -129,7 +129,7 @@ impl<'a> Binder<'a> {
             }
             let bound = bind_expr(pred, &node.fields, None)?;
             let fields = node.fields.clone();
-            node = Node { kind: NodeKind::Filter { input: Box::new(node), pred: bound }, fields };
+            node = Node::new(NodeKind::Filter { input: Box::new(node), pred: bound }, fields);
         }
 
         let has_aggs = !s.group_by.is_empty()
@@ -147,7 +147,7 @@ impl<'a> Binder<'a> {
 
         if s.distinct {
             let fields = node.fields.clone();
-            node = Node { kind: NodeKind::Distinct { input: Box::new(node) }, fields };
+            node = Node::new(NodeKind::Distinct { input: Box::new(node) }, fields);
         }
         Ok(node)
     }
@@ -186,10 +186,7 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        Ok(Node {
-            kind: NodeKind::Project { input: Box::new(input), exprs },
-            fields,
-        })
+        Ok(Node::new(NodeKind::Project { input: Box::new(input), exprs }, fields))
     }
 
     fn aggregate_select(&self, s: &Select, input: Node) -> Result<Node> {
@@ -244,18 +241,13 @@ impl<'a> Binder<'a> {
             agg_fields.push(Field::bare(format!("$A{i}")));
         }
         let aggs = ctx.aggs;
-        let mut node = Node {
-            kind: NodeKind::Aggregate { input: Box::new(input), groups, aggs },
-            fields: agg_fields,
-        };
+        let mut node =
+            Node::new(NodeKind::Aggregate { input: Box::new(input), groups, aggs }, agg_fields);
         if let Some(h) = having {
             let fields = node.fields.clone();
-            node = Node { kind: NodeKind::Filter { input: Box::new(node), pred: h }, fields };
+            node = Node::new(NodeKind::Filter { input: Box::new(node), pred: h }, fields);
         }
-        Ok(Node {
-            kind: NodeKind::Project { input: Box::new(node), exprs: out_exprs },
-            fields: out_fields,
-        })
+        Ok(Node::new(NodeKind::Project { input: Box::new(node), exprs: out_exprs }, out_fields))
     }
 
     fn bind_from_clause(&self, from: &crate::sql::FromClause) -> Result<Node> {
@@ -268,25 +260,30 @@ impl<'a> Binder<'a> {
                     for name in FLATTEN_FIELDS {
                         fields.push(Field::new(Some(alias), name));
                     }
-                    node = Node {
-                        kind: NodeKind::Flatten { input: Box::new(node), expr, outer: *outer },
+                    node = Node::new(
+                        NodeKind::Flatten {
+                            input: Box::new(node),
+                            expr,
+                            outer: *outer,
+                            emit: [true; 5],
+                        },
                         fields,
-                    };
+                    );
                 }
                 FromItem::Join { kind, factor, on } => {
                     let right = self.table_factor(factor)?;
                     let mut fields = node.fields.clone();
                     fields.extend(right.fields.iter().cloned());
                     let bound_on = on.as_ref().map(|e| bind_expr(e, &fields, None)).transpose()?;
-                    node = Node {
-                        kind: NodeKind::Join {
+                    node = Node::new(
+                        NodeKind::Join {
                             left: Box::new(node),
                             right: Box::new(right),
                             kind: *kind,
                             on: bound_on,
                         },
                         fields,
-                    };
+                    );
                 }
             }
         }
@@ -309,14 +306,10 @@ impl<'a> Binder<'a> {
                     .map(|c| Field::new(Some(&qualifier), c.name.clone()))
                     .collect();
                 let n = table.schema().len();
-                Ok(Node {
-                    kind: NodeKind::Scan {
-                        table,
-                        pushed: Vec::new(),
-                        materialize: vec![true; n],
-                    },
+                Ok(Node::new(
+                    NodeKind::Scan { table, pushed: Vec::new(), materialize: vec![true; n] },
                     fields,
-                })
+                ))
             }
             TableFactor::Derived { query, alias } => {
                 let mut node = self.query(query)?;

@@ -1,8 +1,7 @@
 //! Plan rendering for `EXPLAIN`, `EXPLAIN ANALYZE`, and debugging.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
-
-use std::collections::HashMap;
 
 use super::{AggExpr, AggKind, CastType, Node, NodeKind, PExpr, PStep};
 use crate::exec::metrics::OpMetrics;
@@ -10,11 +9,13 @@ use crate::optimize::cost;
 use crate::sql::{BinOp, JoinKind, UnaryOp};
 
 /// Renders a bound plan as an indented operator tree, each line annotated
-/// with the cost model's estimated output rows and cumulative cost.
+/// with the cost model's estimated output rows and cumulative cost. A shared
+/// subtree is printed once, tagged `[shared #k]`, and as `-> shared #k`
+/// wherever else it is read; its cost is counted at the tagged site only.
 pub fn explain(node: &Node) -> String {
     let ests = cost::estimate_map(node);
     let mut out = String::new();
-    walk(node, 0, None, &ests, &mut out);
+    walk(node, 0, None, &ests, &mut HashSet::new(), &mut out);
     out
 }
 
@@ -22,11 +23,12 @@ pub fn explain(node: &Node) -> String {
 /// `EXPLAIN ANALYZE` body. The metrics tree mirrors the plan shape (it is the
 /// snapshot of the physical plan lowered from `node`), so the two are walked
 /// in lockstep. Estimated rows print next to measured ones so estimation
-/// error is visible per operator.
+/// error is visible per operator. A shared subtree carries its metrics at the
+/// site that executed it — the tagged one.
 pub fn explain_analyze(node: &Node, metrics: &OpMetrics) -> String {
     let ests = cost::estimate_map(node);
     let mut out = String::new();
-    walk(node, 0, Some(metrics), &ests, &mut out);
+    walk(node, 0, Some(metrics), &ests, &mut HashSet::new(), &mut out);
     out
 }
 
@@ -41,9 +43,17 @@ fn walk(
     depth: usize,
     metrics: Option<&OpMetrics>,
     ests: &HashMap<usize, (f64, f64)>,
+    printed: &mut HashSet<u32>,
     out: &mut String,
 ) {
     indent(depth, out);
+    if let Some(id) = node.share {
+        if !printed.insert(id) {
+            let _ = writeln!(out, "-> shared #{id}");
+            return;
+        }
+        let _ = write!(out, "[shared #{id}] ");
+    }
     out.push_str(&node_line(node));
     if let Some(&(rows, c)) = ests.get(&(node as *const Node as usize)) {
         let _ = write!(out, "  (est_rows={rows:.0} cost={c:.0})");
@@ -53,7 +63,7 @@ fn walk(
     }
     out.push('\n');
     for (i, child) in node.kind.inputs().into_iter().enumerate() {
-        walk(child, depth + 1, metrics.and_then(|m| m.children.get(i)), ests, out);
+        walk(child, depth + 1, metrics.and_then(|m| m.children.get(i)), ests, printed, out);
     }
 }
 
@@ -92,13 +102,22 @@ fn node_line(node: &Node) -> String {
         NodeKind::Filter { pred, .. } => {
             let _ = write!(out, "Filter {}", expr_str(pred));
         }
-        NodeKind::Flatten { expr, outer, .. } => {
+        NodeKind::Flatten { expr, outer, emit, .. } => {
             let _ = write!(
                 out,
                 "Flatten{} input={}",
                 if *outer { " OUTER" } else { "" },
                 expr_str(expr)
             );
+            if emit != &[true; 5] {
+                let read: Vec<&str> = super::binder::FLATTEN_FIELDS
+                    .into_iter()
+                    .zip(emit)
+                    .filter(|(_, &e)| e)
+                    .map(|(c, _)| c)
+                    .collect();
+                let _ = write!(out, " emit=[{}]", read.join(", "));
+            }
         }
         NodeKind::Aggregate { groups, aggs, .. } => {
             let g: Vec<String> = groups.iter().map(expr_str).collect();

@@ -237,84 +237,75 @@ pub enum PExpr {
 }
 
 impl PExpr {
-    /// Collects the column indices referenced by this expression.
-    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+    /// Calls `f` on this expression and every sub-expression, pre-order.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
+        f(self);
         match self {
-            PExpr::Col(i) => out.push(*i),
-            PExpr::Lit(_) => {}
-            PExpr::Unary { expr, .. } | PExpr::Not(expr) | PExpr::IsNull { expr, .. } => {
-                expr.collect_cols(out)
-            }
+            PExpr::Col(_) | PExpr::Lit(_) => {}
+            PExpr::Unary { expr, .. }
+            | PExpr::Not(expr)
+            | PExpr::IsNull { expr, .. }
+            | PExpr::Cast { expr, .. } => expr.visit(f),
             PExpr::Binary { left, right, .. } => {
-                left.collect_cols(out);
-                right.collect_cols(out);
+                left.visit(f);
+                right.visit(f);
             }
             PExpr::InList { expr, list, .. } => {
-                expr.collect_cols(out);
+                expr.visit(f);
                 for e in list {
-                    e.collect_cols(out);
+                    e.visit(f);
                 }
             }
             PExpr::Case { operand, branches, else_expr } => {
                 if let Some(o) = operand {
-                    o.collect_cols(out);
+                    o.visit(f);
                 }
                 for (c, v) in branches {
-                    c.collect_cols(out);
-                    v.collect_cols(out);
+                    c.visit(f);
+                    v.visit(f);
                 }
                 if let Some(e) = else_expr {
-                    e.collect_cols(out);
+                    e.visit(f);
                 }
             }
             PExpr::Func { args, .. } => {
                 for a in args {
-                    a.collect_cols(out);
+                    a.visit(f);
                 }
             }
-            PExpr::Cast { expr, .. } => expr.collect_cols(out),
             PExpr::Path { base, steps } => {
-                base.collect_cols(out);
+                base.visit(f);
                 for s in steps {
                     if let PStep::IndexExpr(e) = s {
-                        e.collect_cols(out);
+                        e.visit(f);
                     }
                 }
             }
             PExpr::Like { expr, pattern, .. } => {
-                expr.collect_cols(out);
-                pattern.collect_cols(out);
+                expr.visit(f);
+                pattern.visit(f);
             }
         }
     }
 
+    /// Collects the column indices referenced by this expression.
+    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+        self.visit(&mut |e| {
+            if let PExpr::Col(i) = e {
+                out.push(*i);
+            }
+        });
+    }
+
     /// True when the expression contains a volatile function.
     pub fn is_volatile(&self) -> bool {
-        match self {
-            PExpr::Col(_) | PExpr::Lit(_) => false,
-            PExpr::Unary { expr, .. } | PExpr::Not(expr) | PExpr::IsNull { expr, .. } => {
-                expr.is_volatile()
+        let mut volatile = false;
+        self.visit(&mut |e| {
+            if let PExpr::Func { f, .. } = e {
+                volatile |= f.is_volatile();
             }
-            PExpr::Binary { left, right, .. } => left.is_volatile() || right.is_volatile(),
-            PExpr::InList { expr, list, .. } => {
-                expr.is_volatile() || list.iter().any(PExpr::is_volatile)
-            }
-            PExpr::Case { operand, branches, else_expr } => {
-                operand.as_deref().is_some_and(PExpr::is_volatile)
-                    || branches.iter().any(|(c, v)| c.is_volatile() || v.is_volatile())
-                    || else_expr.as_deref().is_some_and(PExpr::is_volatile)
-            }
-            PExpr::Func { f, args } => f.is_volatile() || args.iter().any(PExpr::is_volatile),
-            PExpr::Cast { expr, .. } => expr.is_volatile(),
-            PExpr::Path { base, steps } => {
-                base.is_volatile()
-                    || steps.iter().any(|s| match s {
-                        PStep::IndexExpr(e) => e.is_volatile(),
-                        _ => false,
-                    })
-            }
-            PExpr::Like { expr, pattern, .. } => expr.is_volatile() || pattern.is_volatile(),
-        }
+        });
+        volatile
     }
 
     /// Rewrites column references through a substitution table mapping the
@@ -395,10 +386,20 @@ pub struct SortKey {
 }
 
 /// A bound plan node together with its output schema.
+///
+/// Bound plans are trees. The optimizer's last pass
+/// ([`crate::optimize::share`]) turns the optimized plan into a DAG without
+/// changing this type: structurally identical subtrees that more than one
+/// parent reads carry the same `share` id, and everything downstream
+/// (lowering, execution, `EXPLAIN`, costing) treats the first occurrence in
+/// plan order as the subtree and every later one as a reference to its result.
 #[derive(Clone, Debug)]
 pub struct Node {
     pub kind: NodeKind,
     pub fields: Vec<Field>,
+    /// Share class of this subtree; `None` on raw bound plans and on subtrees
+    /// with a single reader.
+    pub share: Option<u32>,
 }
 
 /// Plan operators.
@@ -416,7 +417,9 @@ pub enum NodeKind {
     Project { input: Box<Node>, exprs: Vec<PExpr> },
     Filter { input: Box<Node>, pred: PExpr },
     /// `LATERAL FLATTEN`: appends VALUE, INDEX, KEY, SEQ, THIS columns.
-    Flatten { input: Box<Node>, expr: PExpr, outer: bool },
+    /// `emit[k]` is false for an appended column nothing reads; it is then
+    /// produced as all-NULL.
+    Flatten { input: Box<Node>, expr: PExpr, outer: bool, emit: [bool; 5] },
     Aggregate { input: Box<Node>, groups: Vec<PExpr>, aggs: Vec<AggExpr> },
     Join {
         left: Box<Node>,
@@ -448,29 +451,75 @@ impl NodeKind {
             }
         }
     }
-}
 
-impl Node {
-    /// Number of output columns.
-    pub fn arity(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Counts plan nodes, a rough complexity metric used in tests and the
-    /// compile-time experiment.
-    pub fn node_count(&self) -> usize {
-        1 + match &self.kind {
-            NodeKind::Scan { .. } | NodeKind::Values => 0,
+    /// Mutable access to the operator's input nodes, in order.
+    pub fn inputs_mut(&mut self) -> Vec<&mut Node> {
+        match self {
+            NodeKind::Scan { .. } | NodeKind::Values => Vec::new(),
             NodeKind::Project { input, .. }
             | NodeKind::Filter { input, .. }
             | NodeKind::Flatten { input, .. }
             | NodeKind::Aggregate { input, .. }
             | NodeKind::Sort { input, .. }
             | NodeKind::Limit { input, .. }
-            | NodeKind::Distinct { input } => input.node_count(),
+            | NodeKind::Distinct { input } => vec![input],
             NodeKind::Join { left, right, .. } | NodeKind::UnionAll { left, right } => {
-                left.node_count() + right.node_count()
+                vec![left, right]
             }
         }
+    }
+}
+
+impl Node {
+    /// A node read by a single parent.
+    pub fn new(kind: NodeKind, fields: Vec<Field>) -> Node {
+        Node { kind, fields, share: None }
+    }
+
+    /// Rebuilds the node with `f` applied to each of its inputs.
+    pub fn map_inputs(self, f: fn(Node) -> Node) -> Node {
+        let b = |n: Box<Node>| Box::new(f(*n));
+        let kind = match self.kind {
+            leaf @ (NodeKind::Scan { .. } | NodeKind::Values) => leaf,
+            NodeKind::Project { input, exprs } => NodeKind::Project { input: b(input), exprs },
+            NodeKind::Filter { input, pred } => NodeKind::Filter { input: b(input), pred },
+            NodeKind::Flatten { input, expr, outer, emit } => {
+                NodeKind::Flatten { input: b(input), expr, outer, emit }
+            }
+            NodeKind::Aggregate { input, groups, aggs } => {
+                NodeKind::Aggregate { input: b(input), groups, aggs }
+            }
+            NodeKind::Join { left, right, kind, on } => {
+                NodeKind::Join { left: b(left), right: b(right), kind, on }
+            }
+            NodeKind::Sort { input, keys } => NodeKind::Sort { input: b(input), keys },
+            NodeKind::Limit { input, n } => NodeKind::Limit { input: b(input), n },
+            NodeKind::UnionAll { left, right } => {
+                NodeKind::UnionAll { left: b(left), right: b(right) }
+            }
+            NodeKind::Distinct { input } => NodeKind::Distinct { input: b(input) },
+        };
+        Node { kind, fields: self.fields, share: self.share }
+    }
+
+    /// Number of output columns.
+    pub fn arity(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// Counts plan nodes, a rough complexity metric used in tests and the
+    /// compile-time experiment. A shared subtree counts once; each further
+    /// reference to it counts as one node.
+    pub fn node_count(&self) -> usize {
+        fn count(node: &Node, seen: &mut Vec<u32>) -> usize {
+            if let Some(id) = node.share {
+                if seen.contains(&id) {
+                    return 1;
+                }
+                seen.push(id);
+            }
+            1 + node.kind.inputs().into_iter().map(|c| count(c, seen)).sum::<usize>()
+        }
+        count(self, &mut Vec::new())
     }
 }

@@ -10,8 +10,18 @@
 //! The physical tree borrows the logical plan rather than copying it: operator
 //! semantics stay defined in one place and lowering stays cheap enough to run
 //! per query.
+//!
+//! Subtrees the optimizer marked shared ([`Node::share`]) are lowered once:
+//! the first site of a class in plan order gets the operator subtree and
+//! produces the class's [`SharedSlot`]; every later site is a childless
+//! reader of that slot. The physical plan is therefore the DAG itself —
+//! [`PhysNode::op_count`] and the metrics tree see each shared operator once.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::exec::metrics::{OpMetrics, OpMetricsCell};
+use crate::exec::pipeline::SharedSlot;
 use crate::plan::{Node, NodeKind};
 
 /// One operator of the physical plan.
@@ -19,7 +29,8 @@ use crate::plan::{Node, NodeKind};
 pub struct PhysNode<'a> {
     /// The logical operator this node executes.
     pub logical: &'a Node,
-    /// Children in the same order as the logical node's inputs.
+    /// Children in the same order as the logical node's inputs (none for a
+    /// reader of a shared result).
     pub children: Vec<PhysNode<'a>>,
     /// True when the operator must materialize its entire input before
     /// emitting output (aggregate, join, sort, distinct).
@@ -29,13 +40,43 @@ pub struct PhysNode<'a> {
     pub parallelism: usize,
     /// Concurrent metric counters, snapshotted after execution.
     pub metrics: OpMetricsCell,
+    /// The result slot of a shared subtree, and this site's part in it.
+    pub shared: Option<SharedSite>,
+}
+
+/// One site of a shared subtree in the physical plan.
+#[derive(Debug)]
+pub struct SharedSite {
+    pub slot: Arc<SharedSlot>,
+    /// True at the one site that owns the operator subtree and executes it.
+    pub producer: bool,
 }
 
 /// Lowers a logical plan for execution with `threads` workers.
 pub fn lower(plan: &Node, threads: usize) -> PhysNode<'_> {
-    let threads = threads.max(1);
-    let children = plan.kind.inputs().into_iter().map(|c| lower(c, threads)).collect();
+    lower_node(plan, threads.max(1), &mut HashMap::new())
+}
+
+fn lower_node<'a>(
+    plan: &'a Node,
+    threads: usize,
+    slots: &mut HashMap<u32, Arc<SharedSlot>>,
+) -> PhysNode<'a> {
+    let shared = plan.share.map(|id| {
+        let producer = !slots.contains_key(&id);
+        let slot = slots.entry(id).or_default().clone();
+        slot.add_site();
+        SharedSite { slot, producer }
+    });
+    let reader = shared.as_ref().is_some_and(|site| !site.producer);
+    let children = if reader {
+        Vec::new()
+    } else {
+        plan.kind.inputs().into_iter().map(|c| lower_node(c, threads, slots)).collect()
+    };
     let (breaker, parallelism) = match &plan.kind {
+        // Reading a slot is one hand-over of finished batches.
+        _ if reader => (false, 1),
         // Scans parallelize across micro-partitions (the morsel unit), so a
         // table with fewer partitions than workers caps the useful degree.
         NodeKind::Scan { table, .. } => {
@@ -59,12 +100,22 @@ pub fn lower(plan: &Node, threads: usize) -> PhysNode<'_> {
             (true, 1)
         }
     };
-    PhysNode { logical: plan, children, breaker, parallelism, metrics: OpMetricsCell::default() }
+    PhysNode {
+        logical: plan,
+        children,
+        breaker,
+        parallelism,
+        metrics: OpMetricsCell::default(),
+        shared,
+    }
 }
 
 impl PhysNode<'_> {
     /// Short operator label used in metrics and `EXPLAIN ANALYZE`.
     pub fn op_name(&self) -> String {
+        if let Some(SharedSite { producer: false, .. }) = &self.shared {
+            return format!("Shared #{}", self.logical.share.unwrap_or_default());
+        }
         match &self.logical.kind {
             NodeKind::Scan { table, .. } => format!("Scan {}", table.name()),
             NodeKind::Values => "Values".into(),

@@ -86,11 +86,14 @@ fn ssb_db(lineorders: usize) -> Arc<Database> {
 }
 
 /// Translates the corpus to SQL as `(tag, sql)` pairs.
-fn corpus_sql(db: &Arc<Database>, queries: Vec<(String, String)>) -> Vec<(String, String)> {
+fn corpus_sql(
+    db: &Arc<Database>,
+    queries: Vec<(String, String, NestedStrategy)>,
+) -> Vec<(String, String)> {
     queries
         .into_iter()
-        .map(|(id, jsoniq)| {
-            let df = translate_query(db.clone(), &jsoniq, NestedStrategy::FlagColumn)
+        .map(|(id, jsoniq, strategy)| {
+            let df = translate_query(db.clone(), &jsoniq, strategy)
                 .unwrap_or_else(|e| panic!("{id} fails to translate: {e}"));
             (id, df.sql().to_string())
         })
@@ -99,21 +102,40 @@ fn corpus_sql(db: &Arc<Database>, queries: Vec<(String, String)>) -> Vec<(String
 
 /// The tentpole soundness sweep: the whole ADL + SSB corpus, every query
 /// under a distinct slice of the seeded-schedule budget, four worker threads
-/// (the racy regime).
+/// (the racy regime). ADL Q6 is in the corpus twice: flag-column like the
+/// rest, and JOIN-based as in the paper — that plan reads one shared upstream
+/// from several sites, which puts the shared-slot checkpoints in the
+/// schedules' reach.
 #[test]
 fn chaos_corpus_is_sound() {
     install_chaos_hook();
     let budget = schedule_budget();
 
     let adl = adl_db(80);
-    let mut corpus: Vec<(Arc<Database>, String, String)> =
-        corpus_sql(&adl, adl::queries::queries("hep").into_iter().map(|q| (q.id.to_string(), q.jsoniq)).collect())
-            .into_iter()
-            .map(|(id, sql)| (adl.clone(), format!("adl {id}"), sql))
-            .collect();
+    let adl_queries = adl::queries::queries("hep")
+        .into_iter()
+        .flat_map(|q| {
+            let join = q
+                .join_based
+                .then(|| (format!("{} join", q.id), q.jsoniq.clone(), NestedStrategy::JoinBased));
+            std::iter::once((q.id.to_string(), q.jsoniq, NestedStrategy::FlagColumn)).chain(join)
+        })
+        .collect();
+    let mut corpus: Vec<(Arc<Database>, String, String)> = corpus_sql(&adl, adl_queries)
+        .into_iter()
+        .map(|(id, sql)| (adl.clone(), format!("adl {id}"), sql))
+        .collect();
+    assert!(
+        corpus.iter().any(|(db, _, sql)| db.explain(sql).unwrap().contains("-> shared #")),
+        "the corpus must exercise shared subplans"
+    );
     let ssb = ssb_db(600);
+    let ssb_queries = ssb::queries()
+        .into_iter()
+        .map(|q| (q.id.to_string(), q.jsoniq, NestedStrategy::FlagColumn))
+        .collect();
     corpus.extend(
-        corpus_sql(&ssb, ssb::queries().into_iter().map(|q| (q.id.to_string(), q.jsoniq)).collect())
+        corpus_sql(&ssb, ssb_queries)
             .into_iter()
             .map(|(id, sql)| (ssb.clone(), format!("ssb {id}"), sql)),
     );

@@ -492,3 +492,257 @@ fn null_presence_predicates_prune_partitions() {
         "the all-null partition must be pruned for IS NOT NULL"
     );
 }
+
+// ---- dead-column elimination ------------------------------------------------
+//
+// Structural contract of `optimize::narrow`: what is dropped, what must stay,
+// and that column renumbering composes through every operator. Result
+// equivalence with the raw plan is asserted alongside; the verification
+// lattice covers it at corpus scale.
+
+fn find<'a>(node: &'a Node, pred: &dyn Fn(&Node) -> bool) -> Option<&'a Node> {
+    if pred(node) {
+        return Some(node);
+    }
+    node.kind.inputs().into_iter().find_map(|n| find(n, pred))
+}
+
+/// Rows of the optimized plan, checked against the raw plan's.
+fn agreed_rows(db: &Database, sql: &str) -> Vec<Vec<Variant>> {
+    let optimized = db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let raw = db.query_with(sql, &QueryOptions { optimize: false, ..Default::default() }).unwrap();
+    assert_eq!(optimized.rows, raw.rows, "optimized and raw plans disagree on {sql}");
+    assert_eq!(optimized.columns, raw.columns, "column names changed for {sql}");
+    optimized.rows
+}
+
+#[test]
+fn dead_expressions_go_unless_they_can_raise() {
+    let db = two_tables();
+    // The SEQ8 filter pins the inner projection in place (nothing merges
+    // across it), so what survives in it is narrowing's doing.
+    let inner_exprs = |dead: &str| {
+        let sql = format!(
+            "SELECT i FROM (SELECT id AS i, {dead} AS d, SEQ8() AS s FROM a) WHERE s >= 0"
+        );
+        let plan = db.compile(&sql).unwrap();
+        agreed_rows(&db, &sql);
+        let inner = find(&plan, &|n| {
+            matches!(&n.kind, NodeKind::Project { exprs, .. } if exprs.iter().any(|e| e.is_volatile()))
+        })
+        .unwrap_or_else(|| panic!("no SEQ8 projection in {plan:?}"));
+        inner.arity()
+    };
+    assert_eq!(inner_exprs("x + 1"), 2, "a dead error-free expression is dropped");
+    assert_eq!(inner_exprs("x"), 2, "a dead pass-through column is dropped");
+    assert_eq!(inner_exprs("10 / (x + 1)"), 3, "a dead division could raise and stays");
+    assert_eq!(inner_exprs("x::VARCHAR"), 3, "a dead cast could raise and stays");
+}
+
+#[test]
+fn dead_aggregates_go_unless_they_can_raise() {
+    let db = two_tables();
+    let aggs_left = |sql: &str| {
+        agreed_rows(&db, sql);
+        let plan = db.compile(sql).unwrap();
+        match &find(&plan, &|n| matches!(n.kind, NodeKind::Aggregate { .. })).unwrap().kind {
+            NodeKind::Aggregate { groups, aggs, .. } => (groups.len(), aggs.len()),
+            _ => unreachable!(),
+        }
+    };
+    // Flag-column shape: group by a row id, drag the other columns along in
+    // ANY_VALUE, read one of them.
+    assert_eq!(
+        aggs_left(
+            "SELECT g, c FROM (SELECT x AS g, COUNT(*) AS c, ANY_VALUE(id) AS v, MAX(id) AS m, \
+             ARRAY_AGG(id) AS l FROM a GROUP BY x)"
+        ),
+        (1, 1)
+    );
+    // SUM, AVG and the boolean aggregates reject values of the wrong type in
+    // the fold itself, whatever their argument: dead or not, they stay.
+    for dead in ["SUM(id)", "AVG(id)", "BOOLAND_AGG(id > 3)", "BOOLOR_AGG(id > 3)"] {
+        let sql = format!("SELECT g FROM (SELECT x AS g, {dead} AS d FROM a GROUP BY x)");
+        assert_eq!(aggs_left(&sql), (1, 1), "{dead} could raise and stays");
+    }
+    assert_eq!(
+        aggs_left("SELECT g FROM (SELECT x AS g, MIN(100 / (id + 1)) AS m FROM a GROUP BY x)"),
+        (1, 1),
+        "an aggregate whose argument could raise stays"
+    );
+    // Group keys decide the rows: a dead key stays.
+    assert_eq!(
+        aggs_left("SELECT c FROM (SELECT x AS g, id % 2 AS h, COUNT(*) AS c FROM a GROUP BY x, id % 2)"),
+        (2, 1)
+    );
+}
+
+/// The error a dead aggregate's fold raises is the query's error with the
+/// optimizer on as with it off.
+#[test]
+fn a_dead_aggregate_that_raises_still_raises() {
+    let db = Database::new();
+    db.load_table(
+        "t",
+        vec![ColumnDef::new("K", ColumnType::Int), ColumnDef::new("V", ColumnType::Variant)],
+        (0..8).map(|i| vec![Variant::Int(i % 2), Variant::str(format!("s{i}"))]),
+    )
+    .unwrap();
+    for dead in ["SUM(v)", "AVG(v)", "BOOLAND_AGG(v)", "BOOLOR_AGG(v)"] {
+        let sql = format!("SELECT k FROM (SELECT k, {dead} AS d FROM t GROUP BY k)");
+        let raw = db
+            .query_with(&sql, &QueryOptions { optimize: false, ..Default::default() })
+            .expect_err("the raw plan raises");
+        let optimized = db.query(&sql).expect_err("the optimized plan raises too");
+        assert_eq!(optimized.to_string(), raw.to_string(), "{sql}");
+    }
+    // The same shape over an aggregate that accepts any value drops it.
+    let sql = "SELECT k FROM (SELECT k, MAX(v) AS d FROM t GROUP BY k) ORDER BY k";
+    assert_eq!(agreed_rows(&db, sql), vec![vec![Variant::Int(0)], vec![Variant::Int(1)]]);
+}
+
+#[test]
+fn identity_projections_vanish_and_names_survive() {
+    let db = two_tables();
+    let plan = db.compile("SELECT i, j FROM (SELECT id AS i, x AS j FROM (SELECT id, x FROM a))").unwrap();
+    assert!(matches!(plan.kind, NodeKind::Scan { .. }), "only the scan is left: {plan:?}");
+    let r = db.query("SELECT i, j FROM (SELECT id AS i, x AS j FROM (SELECT id, x FROM a))").unwrap();
+    assert_eq!(r.columns, vec!["I".to_string(), "J".to_string()]);
+    assert_eq!(r.rows.len(), 1000);
+    // A reordering projection is not the identity.
+    let plan = db.compile("SELECT x, id FROM a").unwrap();
+    assert!(matches!(plan.kind, NodeKind::Project { .. }));
+}
+
+#[test]
+fn narrowing_composes_through_joins_unions_and_distinct() {
+    let db = two_tables();
+
+    // Join: each side keeps its key and the one column read above it.
+    let sql = "SELECT s.y, r.x FROM (SELECT id, x, x + 1 AS d FROM a WHERE x > 3) r \
+               JOIN (SELECT id, y, y * 2 AS e, id + y AS f FROM b) s ON r.id = s.id ORDER BY 1, 2";
+    assert_eq!(agreed_rows(&db, sql).len(), 764);
+    let plan = db.compile(sql).unwrap();
+    let join = find(&plan, &|n| matches!(n.kind, NodeKind::Join { .. })).unwrap();
+    assert_eq!(join.arity(), 4, "id, x | id, y: {plan:?}");
+
+    // UNION ALL: both branches are cut to the same single column even though
+    // the filtered branch reads another one below.
+    let sql = "SELECT i FROM (SELECT id AS i, x AS v FROM a WHERE x > 3 \
+               UNION ALL SELECT id, y FROM b) ORDER BY 1";
+    assert_eq!(agreed_rows(&db, sql).len(), 1764);
+    let plan = db.compile(sql).unwrap();
+    let union = find(&plan, &|n| matches!(n.kind, NodeKind::UnionAll { .. })).unwrap();
+    assert_eq!(union.arity(), 1);
+    assert!(union.kind.inputs().iter().all(|side| side.arity() == 1), "{plan:?}");
+
+    // DISTINCT compares whole rows: the unread column must survive below it.
+    let sql = "SELECT m FROM (SELECT DISTINCT id % 5 AS m, x % 3 AS n FROM a) ORDER BY 1";
+    assert_eq!(agreed_rows(&db, sql).len(), 15);
+    let plan = db.compile(sql).unwrap();
+    let distinct = find(&plan, &|n| matches!(n.kind, NodeKind::Distinct { .. })).unwrap();
+    assert_eq!(distinct.kind.inputs()[0].arity(), 2);
+}
+
+#[test]
+fn flatten_emits_only_the_columns_read() {
+    let db = Database::new();
+    db.load_table_with_partition_rows(
+        "t",
+        vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("V", ColumnType::Variant)],
+        (0..24).map(|i| {
+            let v = match i % 3 {
+                0 => Variant::array((0..(i % 4)).map(Variant::Int).collect::<Vec<_>>()),
+                1 => snowdb::variant::parse_json(&format!(r#"{{"a": {i}, "b": [{i}]}}"#)).unwrap(),
+                _ => Variant::Null,
+            };
+            vec![Variant::Int(i), v]
+        }),
+        8,
+    )
+    .unwrap();
+    let emitted = |sql: &str| {
+        agreed_rows(&db, sql);
+        let plan = db.compile(sql).unwrap();
+        match find(&plan, &|n| matches!(n.kind, NodeKind::Flatten { .. })).unwrap().kind {
+            NodeKind::Flatten { emit, .. } => emit,
+            _ => unreachable!(),
+        }
+    };
+    // VALUE, INDEX, KEY, SEQ, THIS.
+    assert_eq!(
+        emitted("SELECT id, f.value FROM t, LATERAL FLATTEN(INPUT => v, OUTER => TRUE) f"),
+        [true, false, false, false, false]
+    );
+    assert_eq!(
+        emitted("SELECT f.key, f.seq, f.this FROM t, LATERAL FLATTEN(INPUT => v) f WHERE f.index IS NULL"),
+        [false, true, true, true, true]
+    );
+    assert_eq!(
+        emitted("SELECT COUNT(*) FROM t, LATERAL FLATTEN(INPUT => v) f"),
+        [false; 5]
+    );
+    assert_eq!(
+        emitted("SELECT * FROM t, LATERAL FLATTEN(INPUT => v, OUTER => TRUE) f"),
+        [true; 5]
+    );
+}
+
+// ---- shared subplans ---------------------------------------------------------
+
+fn share_ids(node: &Node) -> Vec<u32> {
+    let mut out = Vec::new();
+    walk(node, &mut |n| out.extend(n.share));
+    out
+}
+
+#[test]
+fn time_travel_and_clones_are_never_unified_with_their_source() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (k INT)").unwrap(); // v1
+    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap(); // v2
+    db.execute("UPDATE t SET k = k * 10 WHERE k > 1").unwrap(); // v3
+    db.execute("CREATE TABLE c CLONE t").unwrap();
+    db.execute("DELETE FROM c WHERE k = 30").unwrap();
+
+    let join = |right: &str| {
+        format!(
+            "SELECT x.k, y.k FROM (SELECT k FROM t WHERE k > 0) x \
+             JOIN (SELECT k FROM {right} WHERE k > 0) y ON x.k >= y.k ORDER BY 1, 2"
+        )
+    };
+    // The same snapshot twice is one subtree read twice...
+    let same = join("t");
+    assert_eq!(share_ids(&db.compile(&same).unwrap()), vec![1, 1]);
+    assert_eq!(agreed_rows(&db, &same).len(), 6);
+    // ...but the table's past and a diverged clone are different tables.
+    for (right, rows) in [("t AT(VERSION => 2)", 7), ("c", 5)] {
+        let sql = join(right);
+        let plan = db.compile(&sql).unwrap();
+        assert!(share_ids(&plan).is_empty(), "{right} unified with t:\n{plan:?}");
+        assert_eq!(agreed_rows(&db, &sql).len(), rows, "{right}");
+    }
+}
+
+#[test]
+fn generated_q6_scans_at_most_twice_the_handwritten_bytes() {
+    use jsoniq_core::snowflake::{translate_query, NestedStrategy};
+    let db = std::sync::Arc::new(Database::new());
+    adl::load_into(&db, "hep", &adl::AdlConfig { events: 512, seed: 42, partition_rows: 64 });
+    let q6 = adl::queries::queries("hep").into_iter().find(|q| q.id == "q6").unwrap();
+    assert!(q6.join_based);
+    let generated = translate_query(db.clone(), &q6.jsoniq, NestedStrategy::JoinBased)
+        .unwrap()
+        .sql()
+        .to_string();
+    let scanned = |sql: &str| db.query(sql).unwrap().profile.scan.bytes_scanned;
+    let (gen, hand) = (scanned(&generated), scanned(&q6.handwritten_sql));
+    assert!(gen <= 2 * hand, "generated q6 scans {gen} bytes, handwritten {hand}");
+    // The JOIN-based translation names its upstream four times; it runs once.
+    let plan = db.compile(&generated).unwrap();
+    let mut scans = Vec::new();
+    find_scans(&plan, &mut scans);
+    assert!(scans.len() > 1, "the plan tree still repeats the upstream");
+    let rendered = db.explain(&generated).unwrap();
+    assert_eq!(rendered.matches("Scan HEP").count(), 1, "{rendered}");
+}

@@ -231,3 +231,53 @@ fn empty_partitions_are_survived_by_every_operator() {
     let (rows, _) = assert_thread_invariant(&db, "SELECT ID FROM ties WHERE ID < 0 LIMIT 3");
     assert!(rows.is_empty());
 }
+
+/// ADL Q6/Q7 shape: an upstream query numbered with `SEQ8()`, left-joined on
+/// that number with an aggregate over a flatten of *the same upstream*. The
+/// optimizer executes the upstream once and both sites read it; rows must be
+/// identical with the optimizer on and off at every thread count, `SEQ8()`
+/// numbering included.
+#[test]
+fn shared_upstream_self_join_matches_unshared_execution() {
+    use snowdb::QueryOptions;
+    let db = Database::new();
+    db.load_table_with_partition_rows(
+        "events",
+        vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("V", ColumnType::Variant)],
+        (0..200).map(|i| {
+            let arr: Vec<Variant> = (0..(i % 5)).map(|j| Variant::Int(i * 10 + j)).collect();
+            vec![Variant::Int(i), Variant::Array(arr.into())]
+        }),
+        16,
+    )
+    .unwrap();
+    let upstream = "(SELECT *, SEQ8() AS rid FROM (SELECT id, v FROM events WHERE id % 3 <> 0))";
+    let sql = format!(
+        "SELECT u.id, u.rid, a.n, a.top FROM {upstream} u LEFT OUTER JOIN ( \
+           SELECT rid, COUNT(*) AS n, MAX(f.value) AS top \
+           FROM {upstream} w, LATERAL FLATTEN(INPUT => w.v) f GROUP BY rid) a \
+         ON u.rid = a.rid ORDER BY u.id"
+    );
+    let run = |optimize: bool, threads: usize| {
+        let opts = QueryOptions { optimize, threads: Some(threads), ..Default::default() };
+        db.query_with(&sql, &opts).unwrap_or_else(|e| panic!("optimize={optimize}: {e}"))
+    };
+    let baseline = run(false, 1);
+    assert_eq!(baseline.rows.len(), 133);
+    assert_eq!(baseline.rows[4][1], Variant::Int(4), "rid numbers the filtered upstream");
+    for threads in [1, 2, 8] {
+        let raw = run(false, threads);
+        let shared = run(true, threads);
+        assert_eq!(raw.rows, baseline.rows, "raw plan differs at threads={threads}");
+        assert_eq!(shared.rows, baseline.rows, "shared plan differs at threads={threads}");
+        // The upstream is scanned once instead of twice: a count, exact at
+        // every thread count.
+        assert_eq!(
+            shared.profile.scan.bytes_scanned * 2,
+            raw.profile.scan.bytes_scanned,
+            "threads={threads}"
+        );
+    }
+    let plan = db.explain(&sql).unwrap();
+    assert!(plan.contains("[shared #1]") && plan.contains("-> shared #1"), "{plan}");
+}

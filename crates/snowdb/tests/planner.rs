@@ -242,3 +242,38 @@ fn random_join_queries_agree_with_unoptimized_oracle() {
         );
     }
 }
+
+/// `EXPLAIN`'s cost line describes the work the executor does: a subtree two
+/// parents read is executed once, so it is costed once — at its first site —
+/// and printed once.
+#[test]
+fn a_shared_subtree_is_costed_and_printed_once() {
+    use snowdb::optimize::cost::estimate;
+    fn unshare(node: &mut Node) {
+        node.share = None;
+        for input in node.kind.inputs_mut() {
+            unshare(input);
+        }
+    }
+    let db = ssb_db();
+    let sub = "(SELECT lo_custkey AS k, SEQ8() AS rid FROM lineorder WHERE lo_discount > 3)";
+    let sql = format!("SELECT COUNT(*) FROM {sub} a JOIN {sub} b ON a.rid = b.rid");
+    let plan = db.compile(&sql).unwrap();
+    let NodeKind::Join { left, right, .. } = &plan.kind.inputs()[0].kind else {
+        panic!("expected Aggregate over Join:\n{plan:?}");
+    };
+    assert!(left.share.is_some() && left.share == right.share, "{plan:?}");
+
+    let mut as_tree = plan.clone();
+    unshare(&mut as_tree);
+    let (shared, tree, sub_cost) =
+        (estimate(&plan).cost, estimate(&as_tree).cost, estimate(left).cost);
+    assert!(sub_cost > 0.0);
+    assert!(
+        (tree - shared - sub_cost).abs() < 1e-6,
+        "as a tree {tree}, shared {shared}, the subtree alone {sub_cost}"
+    );
+    let rendered = db.explain(&sql).unwrap();
+    assert_eq!(rendered.matches("Scan LINEORDER").count(), 1, "{rendered}");
+    assert_eq!(rendered.matches("-> shared #1").count(), 1, "{rendered}");
+}
