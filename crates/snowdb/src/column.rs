@@ -1,11 +1,13 @@
-//! Typed column vectors for execution batches.
+//! The one in-memory column type, from partition file to pipeline.
 //!
-//! Storage already shreds declared columns into typed vectors
-//! ([`ColumnData`]); before this module the executor un-did that work at the
-//! scan boundary by boxing every cell into a [`Variant`]. [`ColumnVec`] keeps
-//! the shredded representation flowing through the whole pipeline: a batch
-//! column is a dense typed vector plus a validity bitmap, and only genuinely
-//! mixed data pays for boxed `Variant` storage.
+//! A declared column is shredded once, when [`TableBuilder`] pushes a row
+//! into its open partition, and stays shredded: the sealed
+//! [`MicroPartition`], the SNPT codec, the buffer cache and every execution
+//! batch hold the same [`ColumnVec`] — a dense typed vector plus a validity
+//! [`Bitmap`], a dictionary or run-length encoding of one, or boxed
+//! [`Variant`]s for genuinely mixed and nested data. A scan hands the
+//! executor [`ColumnVec::slice`]s of the stored column; nothing is converted
+//! in between.
 //!
 //! ## Adaptivity contract
 //!
@@ -13,16 +15,37 @@
 //! commits to the type of the first non-null value pushed into it. When a
 //! later value does not match the committed type the column *promotes* to
 //! [`ColumnVec::Var`] — values are re-boxed, never coerced, so
-//! `col.push(v); col.get(col.len() - 1)` always returns exactly `v`. This
-//! mirrors the storage-side rule of [`ColumnData::push`] but is stricter: the
-//! executor never cross-promotes Int↔Float, because expression semantics
-//! (e.g. `TYPEOF`, integer overflow promotion) can observe the difference.
+//! `col.push(v); col.get(col.len() - 1)` always returns exactly `v`.
+//! [`ColumnVec::push`] never cross-promotes Int↔Float, because expression
+//! semantics (e.g. `TYPEOF`, integer overflow promotion) can observe the
+//! difference; the lossless Int↔Float shredding of *declared* columns is an
+//! ingest rule and lives with [`TableBuilder`].
+//!
+//! ## Two byte estimates
+//!
+//! [`ColumnVec::estimated_size`] is exact over the values (it walks strings
+//! and variants) and is taken once per sealed or decoded column: it is what
+//! `bytes_scanned` reports for memory partitions and what the buffer cache
+//! and the governor charge for a block. [`ColumnVec::approx_bytes`] is O(1)
+//! per column and is what the governor charges for every batch in flight.
+//!
+//! [`TableBuilder`]: crate::storage::TableBuilder
+//! [`MicroPartition`]: crate::storage::MicroPartition
 
 use std::sync::Arc;
 
-use crate::storage::encode::{run_index, NULL_CODE};
-use crate::storage::ColumnData;
 use crate::variant::{Key, Variant};
+
+/// Sentinel dictionary code marking a NULL row. Dictionaries are bounded by
+/// the partition row count, so the sentinel can never collide with a real
+/// code.
+pub const NULL_CODE: u32 = u32::MAX;
+
+/// Index of the run covering row `i` (rows `ends[r-1]..ends[r]` belong to
+/// run `r`).
+pub(crate) fn run_index(ends: &[u32], i: usize) -> usize {
+    ends.partition_point(|&e| e as usize <= i)
+}
 
 /// Validity bitmap: bit `i` set means row `i` holds a value (not NULL).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -88,20 +111,61 @@ impl Bitmap {
             return;
         }
         self.blocks.truncate(n.div_ceil(64));
-        if !n.is_multiple_of(64) {
-            let last = self.blocks.len() - 1;
-            self.blocks[last] &= (1u64 << (n % 64)) - 1;
-        }
         self.len = n;
+        self.clear_tail();
     }
 
-    /// Splits off the bits at `at..` into a new bitmap. Batches are at most a
-    /// few thousand bits, so the bit-at-a-time copy is not a hot path.
-    pub fn split_off(&mut self, at: usize) -> Bitmap {
-        let mut tail = Bitmap::new();
-        for i in at..self.len {
-            tail.push(self.get(i));
+    /// Copies bits `lo..hi` into a new bitmap, a word at a time: each output
+    /// word is two shifted input words (one when `lo` is 64-aligned, which
+    /// is every scan batch).
+    pub fn slice(&self, lo: usize, hi: usize) -> Bitmap {
+        debug_assert!(lo <= hi && hi <= self.len);
+        let len = hi - lo;
+        let (first, shift) = (lo / 64, lo % 64);
+        let blocks = (first..first + len.div_ceil(64))
+            .map(|w| {
+                let low = self.blocks[w] >> shift;
+                match self.blocks.get(w + 1) {
+                    Some(next) if shift != 0 => low | next << (64 - shift),
+                    _ => low,
+                }
+            })
+            .collect();
+        let mut out = Bitmap { blocks, len };
+        out.clear_tail();
+        out
+    }
+
+    /// Rebuilds a bitmap of `len` bits from its on-disk form: bit `i` is bit
+    /// `i % 8` of byte `i / 8`. `bytes` must hold `len.div_ceil(8)` bytes;
+    /// stray bits past `len` in the last byte are dropped.
+    pub fn from_le_bytes(bytes: &[u8], len: usize) -> Bitmap {
+        debug_assert_eq!(bytes.len(), len.div_ceil(8));
+        let blocks = bytes
+            .chunks(8)
+            .map(|c| {
+                let mut word = [0u8; 8];
+                word[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        let mut out = Bitmap { blocks, len };
+        out.clear_tail();
+        out
+    }
+
+    /// Zeroes the bits past `len` in the last block, which `count_valid`
+    /// relies on.
+    fn clear_tail(&mut self) {
+        if !self.len.is_multiple_of(64) {
+            let last = self.blocks.len() - 1;
+            self.blocks[last] &= (1u64 << (self.len % 64)) - 1;
         }
+    }
+
+    /// Splits off the bits at `at..` into a new bitmap.
+    pub fn split_off(&mut self, at: usize) -> Bitmap {
+        let tail = self.slice(at, self.len);
         self.truncate(at);
         tail
     }
@@ -114,9 +178,10 @@ impl Bitmap {
     }
 }
 
-/// One column of an execution batch: a typed vector with a validity bitmap,
-/// or boxed variants for mixed/nested data. Fields are public so vectorized
-/// kernels can match on the representation directly.
+/// One column of a sealed partition, a cached block or an execution batch: a
+/// typed vector with a validity bitmap, an encoding of one, or boxed variants
+/// for mixed/nested data. Fields are public so vectorized kernels and the
+/// SNPT codec can match on the representation directly.
 #[derive(Clone, Debug)]
 pub enum ColumnVec {
     /// An untyped run of NULLs — the state of a column before any non-null
@@ -129,14 +194,15 @@ pub enum ColumnVec {
     /// Strings use the `Option` niche directly; the `Arc` payload makes
     /// copies cheap.
     Str(Vec<Option<Arc<str>>>),
-    /// Dictionary-encoded strings flowing straight off an encoded partition
-    /// block: `codes[i]` indexes the shared dictionary,
-    /// [`NULL_CODE`] marks a NULL row. Kernels compare/hash the codes and
-    /// defer string materialization to project/sort/result boundaries.
+    /// Dictionary-encoded strings, built at seal time: `codes[i]` indexes the
+    /// dictionary, [`NULL_CODE`] marks a NULL row. The dictionary is
+    /// `Arc`-shared by every batch sliced from the column. Kernels
+    /// compare/hash the codes and defer string materialization to
+    /// project/sort/result boundaries.
     DictStr { codes: Vec<u32>, dict: Arc<Vec<Arc<str>>> },
-    /// Run-length runs off an encoded partition block: run `r` covers rows
-    /// `ends[r-1]..ends[r]` (local to this batch) and `values` holds one row
-    /// per run.
+    /// Run-length-encoded ints or bools, built at seal time: run `r` covers
+    /// rows `ends[r-1]..ends[r]` and holds row `r` of `values` (a NULL run is
+    /// a null value row).
     Runs { ends: Vec<u32>, values: Box<ColumnVec> },
     /// Boxed fallback for mixed types and nested values.
     Var(Vec<Variant>),
@@ -693,99 +759,38 @@ impl ColumnVec {
         }
     }
 
-    /// Materializes rows `lo..hi` of a storage column without boxing: typed
-    /// storage vectors land in the matching typed representation. This is the
-    /// scan boundary that used to un-shred every batch.
-    ///
-    /// `encode` controls what happens to encoded storage blocks: `true` keeps
-    /// them encoded (codes are sliced, the dictionary `Arc` is shared, runs
-    /// are re-based) so kernels can execute on the encoding; `false` decodes
-    /// eagerly at the scan — the reference behaviour the encoded path must
-    /// match bit for bit.
-    pub fn from_column_data(
-        data: &ColumnData,
-        lo: usize,
-        hi: usize,
-        encode: bool,
-    ) -> ColumnVec {
-        match data {
-            ColumnData::Int(v) => {
-                let mut vals = Vec::with_capacity(hi - lo);
-                let mut valid = Bitmap::new();
-                for x in &v[lo..hi] {
-                    vals.push(x.unwrap_or(0));
-                    valid.push(x.is_some());
-                }
-                ColumnVec::Int { vals, valid }
+    /// Copies rows `lo..hi` into a new column of the same representation —
+    /// the scan boundary. Values are slice-copied, the validity bitmap is
+    /// copied a word at a time, a dictionary stays shared through its `Arc`,
+    /// and runs are cut to the range with their ends re-based to `lo`.
+    pub fn slice(&self, lo: usize, hi: usize) -> ColumnVec {
+        match self {
+            ColumnVec::Null(_) => ColumnVec::Null(hi - lo),
+            ColumnVec::Int { vals, valid } => {
+                ColumnVec::Int { vals: vals[lo..hi].to_vec(), valid: valid.slice(lo, hi) }
             }
-            ColumnData::Float(v) => {
-                let mut vals = Vec::with_capacity(hi - lo);
-                let mut valid = Bitmap::new();
-                for x in &v[lo..hi] {
-                    vals.push(x.unwrap_or(0.0));
-                    valid.push(x.is_some());
-                }
-                ColumnVec::Float { vals, valid }
+            ColumnVec::Float { vals, valid } => {
+                ColumnVec::Float { vals: vals[lo..hi].to_vec(), valid: valid.slice(lo, hi) }
             }
-            ColumnData::Bool(v) => {
-                let mut vals = Vec::with_capacity(hi - lo);
-                let mut valid = Bitmap::new();
-                for x in &v[lo..hi] {
-                    vals.push(x.unwrap_or(false));
-                    valid.push(x.is_some());
-                }
-                ColumnVec::Bool { vals, valid }
+            ColumnVec::Bool { vals, valid } => {
+                ColumnVec::Bool { vals: vals[lo..hi].to_vec(), valid: valid.slice(lo, hi) }
             }
-            ColumnData::Str(v) => ColumnVec::Str(v[lo..hi].to_vec()),
-            ColumnData::DictStr { codes, dict } => {
-                if encode {
-                    ColumnVec::DictStr { codes: codes[lo..hi].to_vec(), dict: dict.clone() }
-                } else {
-                    ColumnVec::Str(
-                        codes[lo..hi]
-                            .iter()
-                            .map(|&c| {
-                                (c != NULL_CODE).then(|| dict[c as usize].clone())
-                            })
-                            .collect(),
-                    )
-                }
+            ColumnVec::Str(v) => ColumnVec::Str(v[lo..hi].to_vec()),
+            ColumnVec::DictStr { codes, dict } => {
+                ColumnVec::DictStr { codes: codes[lo..hi].to_vec(), dict: dict.clone() }
             }
-            ColumnData::Runs { ends, values } => {
+            ColumnVec::Runs { ends, values } => {
                 let lo_r = run_index(ends, lo);
-                if encode {
-                    let hi_r =
-                        if hi == lo { lo_r } else { run_index(ends, hi - 1) + 1 };
-                    let new_ends: Vec<u32> = ends[lo_r..hi_r]
+                let hi_r = if hi == lo { lo_r } else { run_index(ends, hi - 1) + 1 };
+                ColumnVec::Runs {
+                    ends: ends[lo_r..hi_r]
                         .iter()
                         .map(|&e| (e as usize).min(hi) as u32 - lo as u32)
-                        .collect();
-                    let vals =
-                        ColumnVec::from_column_data(values, lo_r, hi_r, encode);
-                    ColumnVec::Runs { ends: new_ends, values: Box::new(vals) }
-                } else {
-                    // Decode run-by-run: one boxed value per run, typed rows.
-                    let mut out = ColumnVec::new();
-                    let mut row = lo;
-                    for (r, &e) in ends.iter().enumerate().skip(lo_r) {
-                        if row >= hi {
-                            break;
-                        }
-                        let end = (e as usize).min(hi);
-                        let v = values.get(r);
-                        if v.is_null() {
-                            out.push_nulls(end - row);
-                        } else {
-                            for _ in row..end {
-                                out.push(v.clone());
-                            }
-                        }
-                        row = end;
-                    }
-                    out
+                        .collect(),
+                    values: Box::new(values.slice(lo_r, hi_r)),
                 }
             }
-            ColumnData::Variant(v) => ColumnVec::Var(v[lo..hi].to_vec()),
+            ColumnVec::Var(v) => ColumnVec::Var(v[lo..hi].to_vec()),
         }
     }
 
@@ -847,6 +852,30 @@ impl ColumnVec {
         match self {
             ColumnVec::Var(v) => v,
             other => (0..other.len()).map(|i| other.get(i)).collect(),
+        }
+    }
+
+    /// Byte size of the column *as held*, exact over its values: scan
+    /// accounting for memory partitions, micro-partition sizing, and what the
+    /// buffer cache and the governor charge for a decoded block. Encoded
+    /// columns charge their encoded size — codes plus the shared dictionary,
+    /// or run offsets plus run values — never the materialized estimate.
+    pub fn estimated_size(&self) -> u64 {
+        match self {
+            ColumnVec::Null(n) => *n as u64,
+            ColumnVec::Int { vals, .. } => vals.len() as u64 * 8,
+            ColumnVec::Float { vals, .. } => vals.len() as u64 * 8,
+            ColumnVec::Bool { vals, .. } => vals.len() as u64,
+            ColumnVec::Str(v) => {
+                v.iter().map(|s| s.as_ref().map_or(1, |s| s.len() as u64 + 2)).sum()
+            }
+            ColumnVec::DictStr { codes, dict } => {
+                codes.len() as u64 * 4 + dict.iter().map(|s| s.len() as u64 + 2).sum::<u64>()
+            }
+            ColumnVec::Runs { ends, values } => {
+                ends.len() as u64 * 4 + values.estimated_size()
+            }
+            ColumnVec::Var(v) => v.iter().map(Variant::estimated_size).sum(),
         }
     }
 
@@ -971,36 +1000,95 @@ mod tests {
     }
 
     #[test]
-    fn from_column_data_stays_typed() {
-        let data = ColumnData::Float(vec![Some(1.5), None, Some(2.5), Some(3.5)]);
-        let c = ColumnVec::from_column_data(&data, 1, 4, true);
+    fn bitmap_slice_at_word_boundaries() {
+        let mut b = Bitmap::new();
+        for i in 0..200 {
+            b.push(i % 3 == 0 || i % 7 == 0);
+        }
+        let cuts = [0, 1, 63, 64, 65, 127, 128, 129, 200];
+        for &lo in &cuts {
+            for &hi in cuts.iter().filter(|&&hi| hi >= lo) {
+                let s = b.slice(lo, hi);
+                assert_eq!(s.len(), hi - lo, "{lo}..{hi}");
+                let mut bitwise = Bitmap::new();
+                for i in lo..hi {
+                    bitwise.push(b.get(i));
+                }
+                // Equal as values, tail bits included: `count_valid` and
+                // later pushes rely on a clean last block.
+                assert_eq!(s, bitwise, "{lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_from_le_bytes_matches_pushes_and_drops_stray_bits() {
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
+            let mut pushed = Bitmap::new();
+            let mut bytes = vec![0u8; len.div_ceil(8)];
+            for i in 0..len {
+                let bit = i % 5 != 1;
+                pushed.push(bit);
+                bytes[i / 8] |= u8::from(bit) << (i % 8);
+            }
+            assert_eq!(Bitmap::from_le_bytes(&bytes, len), pushed, "len {len}");
+            if !len.is_multiple_of(8) {
+                *bytes.last_mut().unwrap() |= !0u8 << (len % 8);
+                assert_eq!(Bitmap::from_le_bytes(&bytes, len), pushed, "stray, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_index_finds_covering_run() {
+        let ends = vec![3u32, 5, 9];
+        assert_eq!(run_index(&ends, 0), 0);
+        assert_eq!(run_index(&ends, 2), 0);
+        assert_eq!(run_index(&ends, 3), 1);
+        assert_eq!(run_index(&ends, 4), 1);
+        assert_eq!(run_index(&ends, 8), 2);
+    }
+
+    #[test]
+    fn slice_stays_typed() {
+        let data = ColumnVec::from_variants(vec![
+            Variant::Float(1.5),
+            Variant::Null,
+            Variant::Float(2.5),
+            Variant::Float(3.5),
+        ]);
+        let c = data.slice(1, 4);
         assert!(matches!(c, ColumnVec::Float { .. }));
         assert_eq!(c.len(), 3);
         assert!(c.is_null_at(0));
         assert_eq!(c.get(2), Variant::Float(3.5));
     }
 
-    fn dict_data() -> ColumnData {
+    fn dict_data() -> ColumnVec {
         let dict: Vec<Arc<str>> = vec![Arc::from("a"), Arc::from("b")];
-        ColumnData::DictStr {
+        ColumnVec::DictStr {
             codes: vec![0, 1, NULL_CODE, 0, 1, 1],
             dict: Arc::new(dict),
         }
     }
 
-    fn runs_data() -> ColumnData {
-        ColumnData::Runs {
+    fn runs_data() -> ColumnVec {
+        ColumnVec::Runs {
             ends: vec![3, 5, 9],
-            values: Box::new(ColumnData::Int(vec![Some(7), None, Some(9)])),
+            values: Box::new(ColumnVec::from_variants(vec![
+                Variant::Int(7),
+                Variant::Null,
+                Variant::Int(9),
+            ])),
         }
     }
 
     #[test]
-    fn from_column_data_keeps_or_decodes_encodings() {
+    fn slice_keeps_encodings_and_decodes_equal() {
         let d = dict_data();
-        let enc = ColumnVec::from_column_data(&d, 1, 5, true);
+        let enc = d.slice(1, 5);
         assert!(matches!(enc, ColumnVec::DictStr { .. }));
-        let dec = ColumnVec::from_column_data(&d, 1, 5, false);
+        let dec = d.slice(1, 5).decoded();
         assert!(matches!(dec, ColumnVec::Str(_)));
         for i in 0..4 {
             assert_eq!(enc.get(i), dec.get(i), "row {i}");
@@ -1009,10 +1097,10 @@ mod tests {
         }
 
         let r = runs_data();
-        let enc = ColumnVec::from_column_data(&r, 2, 8, true);
+        let enc = r.slice(2, 8);
         assert!(matches!(enc, ColumnVec::Runs { .. }));
         assert_eq!(enc.len(), 6);
-        let dec = ColumnVec::from_column_data(&r, 2, 8, false);
+        let dec = r.slice(2, 8).decoded();
         assert!(matches!(dec, ColumnVec::Int { .. }));
         for i in 0..6 {
             assert_eq!(enc.get(i), dec.get(i), "row {i}");
@@ -1022,14 +1110,14 @@ mod tests {
 
     #[test]
     fn encoded_columns_decode_on_mutation_and_stay_equal() {
-        let mut c = ColumnVec::from_column_data(&dict_data(), 0, 6, true);
+        let mut c = dict_data().slice(0, 6);
         c.push(Variant::str("z"));
         assert!(matches!(c, ColumnVec::Str(_)));
         assert_eq!(c.get(1), Variant::str("b"));
         assert_eq!(c.get(6), Variant::str("z"));
         assert!(c.is_null_at(2));
 
-        let mut r = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+        let mut r = runs_data().slice(0, 9);
         r.push(Variant::Int(42));
         assert!(matches!(r, ColumnVec::Int { .. }));
         assert_eq!(r.get(0), Variant::Int(7));
@@ -1040,7 +1128,7 @@ mod tests {
     #[test]
     fn encoded_split_truncate_gather_match_decoded() {
         for at in 0..=9 {
-            let mut enc = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+            let mut enc = runs_data().slice(0, 9);
             let mut dec = enc.decoded();
             let enc_tail = enc.split_off(at);
             let dec_tail = dec.split_off(at);
@@ -1054,7 +1142,7 @@ mod tests {
             }
         }
         for n in 0..=9 {
-            let mut enc = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+            let mut enc = runs_data().slice(0, 9);
             let dec = enc.decoded();
             enc.truncate(n);
             assert_eq!(enc.len(), n, "truncate {n}");
@@ -1062,7 +1150,7 @@ mod tests {
                 assert_eq!(enc.get(i), dec.get(i), "row {i} after truncate {n}");
             }
         }
-        let enc = ColumnVec::from_column_data(&dict_data(), 0, 6, true);
+        let enc = dict_data().slice(0, 6);
         let g = enc.gather(&[5, 2, 0]);
         assert!(matches!(g, ColumnVec::DictStr { .. }));
         assert_eq!(g.get(0), Variant::str("b"));
@@ -1070,7 +1158,7 @@ mod tests {
         let go = enc.gather_opt(&[Some(1), None]);
         assert_eq!(go.get(0), Variant::str("b"));
         assert!(go.is_null_at(1));
-        let r = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+        let r = runs_data().slice(0, 9);
         let rg = r.gather(&[8, 4, 0]);
         assert!(matches!(rg, ColumnVec::Int { .. }));
         assert_eq!(rg.get(0), Variant::Int(9));
@@ -1081,8 +1169,8 @@ mod tests {
     #[test]
     fn dict_append_shares_dictionary_and_push_from_stays_on_codes() {
         let data = dict_data();
-        let mut a = ColumnVec::from_column_data(&data, 0, 3, true);
-        let b = ColumnVec::from_column_data(&data, 3, 6, true);
+        let mut a = data.slice(0, 3);
+        let b = data.slice(3, 6);
         // Same dict Arc: append stays on codes.
         a.append(b.clone());
         assert!(matches!(a, ColumnVec::DictStr { .. }));
@@ -1097,7 +1185,7 @@ mod tests {
         assert_eq!(dst.get(1), Variant::str("a"));
         // approx_bytes charges the encoded footprint, not materialized
         // strings.
-        let enc = ColumnVec::from_column_data(&dict_data(), 0, 6, true);
+        let enc = dict_data().slice(0, 6);
         assert!(enc.approx_bytes() < enc.decoded().approx_bytes());
     }
 

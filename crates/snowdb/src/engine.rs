@@ -400,18 +400,11 @@ impl Database {
         Ok(())
     }
 
-    /// Removes a table; returns whether it existed. Infallible legacy shim
-    /// over [`Database::drop_table_checked`]; a failed persistent-catalog
-    /// commit reports `false` and leaves the table in place.
-    pub fn drop_table(&self, name: &str) -> bool {
-        self.drop_table_checked(name).unwrap_or(false)
-    }
-
-    /// Removes a table, committing the drop to the persistent catalog when a
-    /// store is attached. The in-memory catalog only changes after the commit
-    /// succeeds, so a failed commit leaves both views consistent. Drops are
-    /// idempotent and never conflict.
-    pub fn drop_table_checked(&self, name: &str) -> Result<bool> {
+    /// Removes a table and returns whether it existed, committing the drop to
+    /// the persistent catalog when a store is attached. The in-memory catalog
+    /// only changes after the commit succeeds, so a failed commit leaves both
+    /// views consistent. Drops are idempotent and never conflict.
+    pub fn drop_table(&self, name: &str) -> Result<bool> {
         let upper = name.to_ascii_uppercase();
         let base = self.snapshot();
         if base.table(&upper).is_none() {
@@ -777,7 +770,7 @@ impl Database {
                 self.autocommit_dml(&stmt, &self.session_params())
             }
             Statement::DropTable { name, if_exists } => {
-                let existed = self.drop_table_checked(&name)?;
+                let existed = self.drop_table(&name)?;
                 if !existed && !if_exists {
                     return Err(SnowError::Catalog(format!("table '{name}' does not exist")));
                 }
@@ -1069,7 +1062,7 @@ impl Database {
         schema: &[ColumnDef],
         pred: Option<&PExpr>,
         gov: &QueryGovernor,
-    ) -> Result<(Vec<bool>, Vec<Arc<crate::storage::ColumnData>>)> {
+    ) -> Result<(Vec<bool>, Vec<Arc<crate::exec::ColumnVec>>)> {
         let rows = part.row_count();
         let mut cols = Vec::with_capacity(schema.len());
         for i in 0..schema.len() {
@@ -1095,16 +1088,10 @@ impl Database {
 
     fn partition_chunk(
         &self,
-        cols: &[Arc<crate::storage::ColumnData>],
+        cols: &[Arc<crate::exec::ColumnVec>],
         rows: usize,
     ) -> crate::exec::Chunk {
-        crate::exec::Chunk {
-            cols: cols
-                .iter()
-                .map(|c| crate::exec::ColumnVec::from_column_data(c, 0, rows, false))
-                .collect(),
-            rows,
-        }
+        crate::exec::Chunk { cols: cols.iter().map(|c| c.decoded()).collect(), rows }
     }
 
     /// Seals rows into fresh partitions through the standard builder path

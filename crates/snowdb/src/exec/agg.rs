@@ -2,11 +2,10 @@
 
 use std::collections::HashSet;
 
+use crate::column::ColumnVec;
 use crate::error::{Result, SnowError};
 use crate::plan::AggKind;
 use crate::variant::{cmp_variants, Key, Variant};
-
-use super::column::ColumnVec;
 
 /// True when [`Accumulator::update_column`] reproduces the serial row fold
 /// exactly for this column representation — same values *and* same errors.
@@ -53,7 +52,7 @@ fn count_valid(col: &ColumnVec) -> i64 {
         // Encoded columns count without materializing: codes against the
         // NULL sentinel, runs by their lengths.
         ColumnVec::DictStr { codes, .. } => {
-            codes.iter().filter(|&&c| c != crate::storage::NULL_CODE).count() as i64
+            codes.iter().filter(|&&c| c != crate::column::NULL_CODE).count() as i64
         }
         ColumnVec::Runs { ends, values } => {
             let mut n = 0i64;

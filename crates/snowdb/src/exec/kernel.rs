@@ -29,12 +29,11 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 use crate::plan::{PExpr, PStep};
 use crate::sql::{BinOp, UnaryOp};
-use crate::storage::NULL_CODE;
 use crate::variant::{cmp_f64, cmp_i64_f64, Variant};
 
-use super::column::{Bitmap, ColumnVec};
 use super::metrics::OpMetricsCell;
 use super::Chunk;
 

@@ -2,13 +2,12 @@
 //! [`pipeline`] that runs physical plans.
 
 pub mod agg;
-pub mod column;
 pub mod expr;
 pub mod kernel;
 pub mod metrics;
 pub mod pipeline;
 
-pub use column::{Bitmap, ColumnVec};
+pub use crate::column::{Bitmap, ColumnVec};
 pub use expr::{eval, truth, RowView};
 
 use std::collections::HashMap;

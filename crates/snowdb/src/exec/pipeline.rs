@@ -81,9 +81,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::column::ColumnVec;
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
 use crate::plan::physical::{PhysNode, SharedSite};
@@ -93,7 +94,6 @@ use crate::storage::morsel::try_parallel_indexed_governed;
 use crate::variant::{Key, Variant};
 
 use super::agg::{column_eligible, Accumulator};
-use super::column::ColumnVec;
 use super::kernel::{eval_vec, eval_vec_counted, mask_keep};
 use super::metrics::OpMetricsCell;
 use super::{
@@ -444,8 +444,7 @@ fn exec_scan(
             // in-memory partitions hand back shared column vectors, disk
             // partitions lazily read exactly the projected blocks (through
             // the buffer cache), so skipped columns cost zero file bytes.
-            let mut data: Vec<Option<std::sync::Arc<crate::storage::ColumnData>>> =
-                vec![None; arity];
+            let mut data: Vec<Option<Arc<ColumnVec>>> = vec![None; arity];
             for (i, m) in materialize.iter().enumerate() {
                 if *m {
                     let read = part.read_column_governed(i, &wctx.gov, &op)?;
@@ -464,21 +463,22 @@ fn exec_scan(
                 wctx.gov.checkpoint(&op)?;
                 let start = Instant::now();
                 let hi = (lo + BATCH_ROWS).min(n);
-                // Shredded storage columns transfer into typed ColumnVecs
-                // directly — values are never boxed into per-row Variants on
-                // the way into the pipeline.
-                let mut cols: Vec<ColumnVec> = Vec::with_capacity(arity);
-                for src in data.iter().take(arity) {
-                    if let Some(data) = src {
-                        cols.push(ColumnVec::from_column_data(data, lo, hi, encode));
-                    } else {
-                        // Unreferenced columns are never read; fill with nulls
-                        // to keep positional addressing intact.
-                        let mut col = ColumnVec::new();
-                        col.push_nulls(hi - lo);
-                        cols.push(col);
-                    }
-                }
+                // A batch is a slice of the stored columns: encoded blocks
+                // stay encoded for the kernels unless the query runs decoded
+                // — the reference the encoded path must match bit for bit.
+                // Unreferenced columns are never read; a NULL run keeps
+                // positional addressing intact.
+                let cols: Vec<ColumnVec> = data
+                    .iter()
+                    .map(|src| {
+                        let Some(col) = src else { return ColumnVec::Null(hi - lo) };
+                        let mut col = col.slice(lo, hi);
+                        if !encode {
+                            col.decode_in_place();
+                        }
+                        col
+                    })
+                    .collect();
                 let mut chunk = Chunk { cols, rows: hi - lo };
                 scan.metrics.record_batch(0, chunk.rows as u64, start.elapsed());
                 charge_batch(scan, &wctx, &op, &chunk)?;
@@ -1024,7 +1024,7 @@ impl AggState {
             if let ColumnVec::DictStr { codes, dict } = &gcols[0] {
                 let mut memo: Vec<Option<usize>> = vec![None; dict.len() + 1];
                 for (r, &code) in codes.iter().enumerate().take(inp.rows) {
-                    let mi = if code == crate::storage::NULL_CODE {
+                    let mi = if code == crate::column::NULL_CODE {
                         dict.len()
                     } else {
                         code as usize

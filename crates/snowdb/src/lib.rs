@@ -31,6 +31,7 @@
 //!   transactions with snapshot isolation on top.
 
 pub mod catalog;
+pub mod column;
 pub mod engine;
 pub mod error;
 pub mod exec;

@@ -82,7 +82,9 @@ fn merge_projects(node: Node) -> Node {
 /// The expressions of `Project outer (Project inner (x))` as one projection
 /// over `x`, or `None` when merging could grow the plan or change values.
 /// Every non-trivial inner expression must be referenced at most once by the
-/// outer projection (column references and literals substitute freely).
+/// outer projection (column references and literals substitute freely), and
+/// one the outer projection never references must be [`error_free`]: merging
+/// drops it, and with it the error the unmerged plan raises.
 /// Volatile expressions (`SEQ8`) merge safely under the same single-reference
 /// rule because projections preserve row count and `SEQ8` numbers rows per
 /// projection.
@@ -95,15 +97,16 @@ fn merged_exprs(outer: &[PExpr], inner: &[PExpr]) -> Option<Vec<PExpr>> {
     for c in cols {
         refs[c] += 1;
     }
-    let growth_ok = inner
-        .iter()
-        .zip(&refs)
-        .all(|(ie, &r)| matches!(ie, PExpr::Col(_) | PExpr::Lit(_)) || r <= 1);
+    let mergeable = inner.iter().zip(&refs).all(|(ie, &r)| match r {
+        0 => error_free(ie),
+        1 => true,
+        _ => matches!(ie, PExpr::Col(_) | PExpr::Lit(_)),
+    });
     // Two volatile (SEQ8) expressions merged into one projection would share
     // a per-row counter and change values; keep such projections separate.
     let volatile_clash =
         outer.iter().any(PExpr::is_volatile) && inner.iter().any(PExpr::is_volatile);
-    (growth_ok && !volatile_clash).then(|| outer.iter().map(|e| e.substitute(inner)).collect())
+    (mergeable && !volatile_clash).then(|| outer.iter().map(|e| e.substitute(inner)).collect())
 }
 
 // ---- constant folding ------------------------------------------------------

@@ -1,13 +1,12 @@
-//! Seal-time column encodings shared by storage and execution.
+//! Seal-time column encodings.
 //!
 //! Micro-partitions encode columns when they are sealed: low-cardinality
-//! string columns become dictionaries ([`ColumnData::DictStr`]), repetitive
-//! int/bool columns become run-length runs ([`ColumnData::Runs`]). The encoded
-//! representation is what the partition file writes (per-block encoding ids in
-//! the footer), what the buffer cache holds, and what the scan hands to the
-//! executor — [`ColumnVec`](crate::exec::column::ColumnVec) carries matching
-//! `DictStr`/`Runs` variants so kernels can evaluate filters and group keys
-//! directly on dictionary codes.
+//! string columns become dictionaries ([`ColumnVec::DictStr`]), repetitive
+//! int/bool columns become run-length runs ([`ColumnVec::Runs`]). The encoded
+//! column is what the partition file writes (per-block encoding ids in the
+//! footer), what the buffer cache holds, and what the scan slices for the
+//! executor, whose kernels evaluate filters and group keys directly on
+//! dictionary codes.
 //!
 //! ## Policy
 //!
@@ -29,12 +28,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use super::ColumnData;
-
-/// Sentinel dictionary code marking a NULL row. Dictionaries are bounded by
-/// the partition row count, so the sentinel can never collide with a real
-/// code.
-pub const NULL_CODE: u32 = u32::MAX;
+use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 
 /// Process-wide ingest-encoding override: 0 = follow the environment,
 /// 1 = forced off, 2 = forced on.
@@ -71,27 +65,26 @@ pub fn ingest_encoding_enabled() -> bool {
 }
 
 /// Applies the encode-if-smaller policy to one sealed column.
-pub(crate) fn encode_column(col: ColumnData) -> ColumnData {
-    match col {
-        ColumnData::Str(vals) => match dict_encode(&vals) {
-            Some(enc) => enc,
-            None => ColumnData::Str(vals),
-        },
-        ColumnData::Int(vals) => match rle_encode_int(&vals) {
-            Some(enc) => enc,
-            None => ColumnData::Int(vals),
-        },
-        ColumnData::Bool(vals) => match rle_encode_bool(&vals) {
-            Some(enc) => enc,
-            None => ColumnData::Bool(vals),
-        },
-        other => other,
+pub(crate) fn encode_column(col: ColumnVec) -> ColumnVec {
+    let runs = match &col {
+        ColumnVec::Str(vals) => return dict_encode(vals).unwrap_or(col),
+        // Encoded estimate per run: 4 bytes of offset plus the value (8 for
+        // an int, 1 for a bool), against 8 or 1 bytes per plain row.
+        ColumnVec::Int { vals, valid } => rle_encode(vals, valid, 12, 8)
+            .map(|(ends, vals, valid)| (ends, ColumnVec::Int { vals, valid })),
+        ColumnVec::Bool { vals, valid } => rle_encode(vals, valid, 5, 1)
+            .map(|(ends, vals, valid)| (ends, ColumnVec::Bool { vals, valid })),
+        _ => None,
+    };
+    match runs {
+        Some((ends, values)) => ColumnVec::Runs { ends, values: Box::new(values) },
+        None => col,
     }
 }
 
 /// Dictionary-encodes a string column in first-appearance order, or `None`
 /// when the dictionary would not be smaller than the plain column.
-pub(crate) fn dict_encode(vals: &[Option<Arc<str>>]) -> Option<ColumnData> {
+pub(crate) fn dict_encode(vals: &[Option<Arc<str>>]) -> Option<ColumnVec> {
     if vals.len() >= NULL_CODE as usize {
         return None;
     }
@@ -123,53 +116,37 @@ pub(crate) fn dict_encode(vals: &[Option<Arc<str>>]) -> Option<ColumnData> {
     let dict_bytes: u64 = dict.iter().map(|s| s.len() as u64 + 2).sum();
     let encoded_bytes = codes.len() as u64 * 4 + dict_bytes;
     (encoded_bytes < plain_bytes)
-        .then(|| ColumnData::DictStr { codes, dict: Arc::new(dict) })
+        .then(|| ColumnVec::DictStr { codes, dict: Arc::new(dict) })
 }
 
-/// Cumulative run ends over a slice of optional values (NULL is its own run
-/// value). Returns `None` when the column is too long for `u32` offsets.
-fn run_ends<T: PartialEq>(vals: &[Option<T>]) -> Option<(Vec<u32>, Vec<usize>)> {
+/// Run-length-encodes a typed column (NULL is its own run value): cumulative
+/// run ends plus one value and validity bit per run. `None` when the column
+/// is too long for `u32` offsets or `run_bytes` per run would not undercut
+/// `row_bytes` per plain row.
+fn rle_encode<T: Copy + PartialEq>(
+    vals: &[T],
+    valid: &Bitmap,
+    run_bytes: u64,
+    row_bytes: u64,
+) -> Option<(Vec<u32>, Vec<T>, Bitmap)> {
     if vals.len() >= u32::MAX as usize {
         return None;
     }
+    // A NULL row's slot in `vals` is a placeholder, not part of its value.
+    let cell = |i: usize| valid.get(i).then(|| vals[i]);
     let mut ends: Vec<u32> = Vec::new();
-    let mut starts: Vec<usize> = Vec::new();
-    for (i, v) in vals.iter().enumerate() {
-        if i == 0 || vals[i - 1] != *v {
-            starts.push(i);
+    let mut run_vals: Vec<T> = Vec::new();
+    let mut run_valid = Bitmap::new();
+    for (i, &v) in vals.iter().enumerate() {
+        if i == 0 || cell(i - 1) != cell(i) {
             ends.push(0);
+            run_vals.push(v);
+            run_valid.push(valid.get(i));
         }
         *ends.last_mut().expect("run exists for every row") = i as u32 + 1;
     }
-    Some((ends, starts))
-}
-
-/// Run-length-encodes an int column, or `None` when runs would not be
-/// smaller (encoded estimate: 4 bytes of offset + 8 bytes of value per run).
-pub(crate) fn rle_encode_int(vals: &[Option<i64>]) -> Option<ColumnData> {
-    let (ends, starts) = run_ends(vals)?;
-    if ends.len() as u64 * 12 >= vals.len() as u64 * 8 {
-        return None;
-    }
-    let values: Vec<Option<i64>> = starts.iter().map(|&s| vals[s]).collect();
-    Some(ColumnData::Runs { ends, values: Box::new(ColumnData::Int(values)) })
-}
-
-/// Run-length-encodes a bool column, or `None` when runs would not be
-/// smaller (encoded estimate: 4 bytes of offset + 1 byte of value per run).
-pub(crate) fn rle_encode_bool(vals: &[Option<bool>]) -> Option<ColumnData> {
-    let (ends, starts) = run_ends(vals)?;
-    if ends.len() as u64 * 5 >= vals.len() as u64 {
-        return None;
-    }
-    let values: Vec<Option<bool>> = starts.iter().map(|&s| vals[s]).collect();
-    Some(ColumnData::Runs { ends, values: Box::new(ColumnData::Bool(values)) })
-}
-
-/// Index of the run covering row `i` (rows `ends[r-1]..ends[r]` belong to
-/// run `r`).
-pub(crate) fn run_index(ends: &[u32], i: usize) -> usize {
-    ends.partition_point(|&e| e as usize <= i)
+    (ends.len() as u64 * run_bytes < vals.len() as u64 * row_bytes)
+        .then_some((ends, run_vals, run_valid))
 }
 
 #[cfg(test)]
@@ -187,7 +164,7 @@ mod tests {
             .map(|i| if i % 7 == 0 { None } else { s(["red", "green", "blue"][i % 3]) })
             .collect();
         let enc = dict_encode(&vals).expect("low cardinality must encode");
-        let ColumnData::DictStr { codes, dict } = &enc else {
+        let ColumnVec::DictStr { codes, dict } = &enc else {
             panic!("expected DictStr")
         };
         assert_eq!(codes.len(), 100);
@@ -197,7 +174,7 @@ mod tests {
         }
         // Encoded estimate must undercut the plain estimate (satellite: the
         // governor charges what is actually held).
-        assert!(enc.estimated_size() < ColumnData::Str(vals).estimated_size());
+        assert!(enc.estimated_size() < ColumnVec::Str(vals).estimated_size());
     }
 
     #[test]
@@ -209,31 +186,24 @@ mod tests {
 
     #[test]
     fn rle_encode_roundtrips_and_declines() {
-        let vals: Vec<Option<i64>> =
-            (0..100).map(|i| if i < 50 { Some(1) } else { None }).collect();
-        let enc = rle_encode_int(&vals).expect("two runs must encode");
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(enc.get(i), v.map_or(Variant::Null, Variant::Int));
+        let cells: Vec<Variant> =
+            (0..100).map(|i| if i < 50 { Variant::Int(1) } else { Variant::Null }).collect();
+        let plain = ColumnVec::from_variants(cells.clone());
+        let enc = encode_column(plain.clone());
+        assert!(matches!(&enc, ColumnVec::Runs { ends, .. } if ends == &[50, 100]));
+        for (i, v) in cells.iter().enumerate() {
+            assert_eq!(enc.get(i), *v);
         }
-        assert!(enc.estimated_size() < ColumnData::Int(vals).estimated_size());
+        assert!(enc.estimated_size() < plain.estimated_size());
 
-        let unique: Vec<Option<i64>> = (0..100).map(|i| Some(i)).collect();
-        assert!(rle_encode_int(&unique).is_none());
+        let unique = ColumnVec::from_variants((0..100).map(Variant::Int).collect());
+        assert!(matches!(encode_column(unique), ColumnVec::Int { .. }));
 
-        let bools: Vec<Option<bool>> = (0..100).map(|i| Some(i < 30)).collect();
-        let enc = rle_encode_bool(&bools).expect("two runs must encode");
+        let bools = ColumnVec::from_variants((0..100).map(|i| Variant::Bool(i < 30)).collect());
+        let enc = encode_column(bools);
+        assert!(matches!(enc, ColumnVec::Runs { .. }));
         assert_eq!(enc.get(29), Variant::Bool(true));
         assert_eq!(enc.get(30), Variant::Bool(false));
-    }
-
-    #[test]
-    fn run_index_finds_covering_run() {
-        let ends = vec![3u32, 5, 9];
-        assert_eq!(run_index(&ends, 0), 0);
-        assert_eq!(run_index(&ends, 2), 0);
-        assert_eq!(run_index(&ends, 3), 1);
-        assert_eq!(run_index(&ends, 4), 1);
-        assert_eq!(run_index(&ends, 8), 2);
     }
 
     #[test]

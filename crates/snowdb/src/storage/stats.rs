@@ -22,7 +22,8 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use super::{ColumnData, ScanSource};
+use super::ScanSource;
+use crate::column::ColumnVec;
 use crate::variant::{cmp_variants, Variant};
 
 /// Sketch size: distinct counts up to `KMV_K` are exact; beyond, the estimate
@@ -183,7 +184,7 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Computes statistics for a sealed column. One sort of the non-null
     /// values per column per partition — seal-time work, never query-time.
-    pub fn build(col: &ColumnData) -> ColumnStats {
+    pub fn build(col: &ColumnVec) -> ColumnStats {
         let rows = col.len() as u64;
         let mut nulls = 0u64;
         let mut ndv = KmvSketch::new();
@@ -302,9 +303,8 @@ fn sample_bounds(sorted: &[Variant]) -> Vec<Variant> {
 }
 
 /// Lazily-aggregated statistics for a whole table: the per-partition records
-/// merged column-wise. A column aggregates only when **every** partition
-/// carries statistics for it (files written before format v3 do not); absent
-/// entries make the estimator fall back to heuristics.
+/// merged column-wise. A table without partitions has no statistics; the
+/// estimator then falls back to heuristics.
 #[derive(Clone, Debug)]
 pub struct TableStats {
     /// Total table rows.
@@ -321,18 +321,13 @@ impl TableStats {
         let mut columns = Vec::with_capacity(arity);
         for i in 0..arity {
             let mut acc: Option<ColumnStats> = None;
-            let mut complete = true;
             for p in partitions {
-                match (p.column_stats(i), &mut acc) {
-                    (Some(s), Some(a)) => a.merge(s),
-                    (Some(s), None) => acc = Some(s.clone()),
-                    (None, _) => {
-                        complete = false;
-                        break;
-                    }
+                match &mut acc {
+                    Some(a) => a.merge(p.column_stats(i)),
+                    None => acc = Some(p.column_stats(i).clone()),
                 }
             }
-            columns.push(if complete { acc.map(Arc::new) } else { None });
+            columns.push(acc.map(Arc::new));
         }
         TableStats { rows, columns }
     }
@@ -341,14 +336,9 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::ColumnType;
 
-    fn int_column(vals: impl IntoIterator<Item = i64>) -> ColumnData {
-        let mut c = ColumnData::empty(ColumnType::Int);
-        for v in vals {
-            c.push(&Variant::Int(v));
-        }
-        c
+    fn int_column(vals: impl IntoIterator<Item = i64>) -> ColumnVec {
+        ColumnVec::from_variants(vals.into_iter().map(Variant::Int).collect())
     }
 
     #[test]
@@ -414,8 +404,8 @@ mod tests {
     #[test]
     fn column_stats_counts_and_histogram() {
         let mut c = int_column(0..100);
-        c.push(&Variant::Null);
-        c.push(&Variant::Null);
+        c.push(Variant::Null);
+        c.push(Variant::Null);
         let s = ColumnStats::build(&c);
         assert_eq!(s.rows, 102);
         assert_eq!(s.nulls, 2);
@@ -450,11 +440,12 @@ mod tests {
 
     #[test]
     fn array_fanout_tracked_for_variant_columns() {
-        let mut c = ColumnData::empty(ColumnType::Variant);
-        c.push(&Variant::array(vec![Variant::Int(1), Variant::Int(2)]));
-        c.push(&Variant::array(vec![Variant::Int(3)]));
-        c.push(&Variant::array(Vec::new()));
-        c.push(&Variant::Int(9)); // non-array cell
+        let c = ColumnVec::Var(vec![
+            Variant::array(vec![Variant::Int(1), Variant::Int(2)]),
+            Variant::array(vec![Variant::Int(3)]),
+            Variant::array(Vec::new()),
+            Variant::Int(9), // non-array cell
+        ]);
         let s = ColumnStats::build(&c);
         assert_eq!(s.array_cells, 3);
         assert_eq!(s.array_elems, 3);

@@ -1,11 +1,13 @@
 //! Tables and micro-partitions.
 
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use super::stats::{ColumnStats, TableStats};
-use super::{ColumnData, ColumnType, ScanSource, ZoneMap};
+use super::{ColumnType, ScanSource, ZoneMap};
+use crate::column::{Bitmap, ColumnVec};
 use crate::error::{Result, SnowError};
-use crate::variant::Variant;
+use crate::variant::{cmp_variants, Variant};
 
 /// Default number of rows per micro-partition.
 ///
@@ -29,12 +31,11 @@ impl ColumnDef {
 
 /// One immutable horizontal shard of a table, resident in memory.
 ///
-/// Columns are individually `Arc`-shared so a scan can hand a column to an
-/// operator without copying, and so the disk path can cache decoded blocks
-/// under the same representation.
+/// Columns are individually `Arc`-shared: a scan slices batches out of the
+/// shared column, and the disk path caches decoded blocks as the same type.
 #[derive(Clone, Debug)]
 pub struct MicroPartition {
-    columns: Vec<Arc<ColumnData>>,
+    columns: Vec<Arc<ColumnVec>>,
     zone_maps: Vec<Option<ZoneMap>>,
     stats: Vec<ColumnStats>,
     column_bytes: Vec<u64>,
@@ -42,7 +43,7 @@ pub struct MicroPartition {
 }
 
 impl MicroPartition {
-    pub(crate) fn seal(columns: Vec<ColumnData>) -> MicroPartition {
+    pub(crate) fn seal(columns: Vec<ColumnVec>) -> MicroPartition {
         // Seal-time encoding: each column independently picks the smaller of
         // its plain and encoded representations (dictionary for strings, runs
         // for ints/bools). Everything downstream — zone maps, byte
@@ -61,7 +62,7 @@ impl MicroPartition {
 
     /// Seals pre-shared columns (used by the store when rewriting a table's
     /// partitions without copying the data).
-    pub(crate) fn from_arc_columns(columns: Vec<Arc<ColumnData>>) -> MicroPartition {
+    pub(crate) fn from_arc_columns(columns: Vec<Arc<ColumnVec>>) -> MicroPartition {
         let row_count = columns.first().map_or(0, |c| c.len());
         debug_assert!(columns.iter().all(|c| c.len() == row_count));
         let zone_maps = columns.iter().map(|c| ZoneMap::build(c)).collect();
@@ -78,12 +79,12 @@ impl MicroPartition {
     }
 
     /// Column data by position.
-    pub fn column(&self, i: usize) -> &ColumnData {
+    pub fn column(&self, i: usize) -> &ColumnVec {
         self.columns[i].as_ref()
     }
 
     /// Shared handle to column `i`.
-    pub fn column_arc(&self, i: usize) -> Arc<ColumnData> {
+    pub fn column_arc(&self, i: usize) -> Arc<ColumnVec> {
         self.columns[i].clone()
     }
 
@@ -92,10 +93,9 @@ impl MicroPartition {
         self.zone_maps[i].as_ref()
     }
 
-    /// Optimizer statistics for column `i` (always present for sealed
-    /// in-memory partitions).
-    pub fn column_stats(&self, i: usize) -> Option<&ColumnStats> {
-        self.stats.get(i)
+    /// Optimizer statistics for column `i`.
+    pub fn column_stats(&self, i: usize) -> &ColumnStats {
+        &self.stats[i]
     }
 
     /// Estimated bytes of column `i`.
@@ -197,6 +197,45 @@ impl PartitionSink for MemSink {
     }
 }
 
+/// The empty open-partition column for a declared type: already committed to
+/// the type, so an all-NULL column still seals (and persists) as that type.
+fn empty_column(ty: ColumnType) -> ColumnVec {
+    match ty {
+        ColumnType::Int => ColumnVec::Int { vals: Vec::new(), valid: Bitmap::new() },
+        ColumnType::Float => ColumnVec::Float { vals: Vec::new(), valid: Bitmap::new() },
+        ColumnType::Bool => ColumnVec::Bool { vals: Vec::new(), valid: Bitmap::new() },
+        ColumnType::Str => ColumnVec::Str(Vec::new()),
+        ColumnType::Variant => ColumnVec::Var(Vec::new()),
+    }
+}
+
+/// The ingest rule for declared columns, on top of [`ColumnVec::push`]: a
+/// number shreds into the other numeric type when the conversion is
+/// *lossless* (an integral double into an `Int` column, an integer a double
+/// holds exactly into a `Float` column). Everything else is `push`'s own
+/// contract: a value of the column's type or NULL is stored natively, and any
+/// other value promotes the **whole column** to boxed variants — Snowflake's
+/// "lowest common type" columnarization falling back to VARIANT storage when a
+/// micro-partition's values drift. Nothing is truncated or nulled out: the
+/// cell read back always equals the value pushed.
+fn push_declared(col: &mut ColumnVec, v: &Variant) {
+    match (&*col, v) {
+        (ColumnVec::Int { .. }, Variant::Float(f))
+            if f.fract() == 0.0
+                && *f >= -9_223_372_036_854_775_808.0
+                && *f < 9_223_372_036_854_775_808.0 =>
+        {
+            col.push(Variant::Int(*f as i64))
+        }
+        (ColumnVec::Float { .. }, Variant::Int(i))
+            if cmp_variants(&Variant::Float(*i as f64), v) == Ordering::Equal =>
+        {
+            col.push(Variant::Float(*i as f64))
+        }
+        _ => col.push(v.clone()),
+    }
+}
+
 /// Accumulates rows and seals them into micro-partitions.
 pub struct TableBuilder {
     name: String,
@@ -204,7 +243,7 @@ pub struct TableBuilder {
     partition_rows: usize,
     sink: Box<dyn PartitionSink>,
     sealed: Vec<Arc<ScanSource>>,
-    open: Vec<ColumnData>,
+    open: Vec<ColumnVec>,
     open_rows: usize,
     total_rows: usize,
 }
@@ -232,7 +271,7 @@ impl TableBuilder {
         sink: Box<dyn PartitionSink>,
     ) -> TableBuilder {
         assert!(partition_rows > 0, "partition size must be positive");
-        let open = schema.iter().map(|c| ColumnData::empty(c.ty)).collect();
+        let open = schema.iter().map(|c| empty_column(c.ty)).collect();
         TableBuilder {
             name: name.into(),
             schema,
@@ -256,7 +295,7 @@ impl TableBuilder {
             )));
         }
         for (col, v) in self.open.iter_mut().zip(row) {
-            col.push(v);
+            push_declared(col, v);
         }
         self.open_rows += 1;
         self.total_rows += 1;
@@ -272,7 +311,7 @@ impl TableBuilder {
         }
         let cols = std::mem::replace(
             &mut self.open,
-            self.schema.iter().map(|c| ColumnData::empty(c.ty)).collect(),
+            self.schema.iter().map(|c| empty_column(c.ty)).collect(),
         );
         self.sealed.push(self.sink.flush(MicroPartition::seal(cols))?);
         self.open_rows = 0;
@@ -299,6 +338,47 @@ mod tests {
 
     fn int_col(name: &str) -> ColumnDef {
         ColumnDef::new(name, ColumnType::Int)
+    }
+
+    fn pushed(ty: ColumnType, vals: &[Variant]) -> ColumnVec {
+        let mut c = empty_column(ty);
+        for v in vals {
+            push_declared(&mut c, v);
+        }
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(c.get(i), *v, "row {i} of {vals:?} in a {ty:?} column");
+        }
+        c
+    }
+
+    #[test]
+    fn declared_columns_shred_losslessly_or_promote() {
+        use crate::storage::stored_type;
+        let int = ColumnType::Int;
+        // Null and an integral double shred into the Int column.
+        let c = pushed(int, &[Variant::Int(5), Variant::Null, Variant::Float(7.0)]);
+        assert!(matches!(c.get(2), Variant::Int(7)));
+        assert_eq!(stored_type(&c), int);
+        // A drifting value promotes the column; every value is kept exactly.
+        let c = pushed(int, &[Variant::Int(5), Variant::str("oops"), Variant::Int(6)]);
+        assert_eq!(stored_type(&c), ColumnType::Variant);
+        // Non-integral, out-of-range (2^63) and NaN doubles promote an Int
+        // column instead of truncating, saturating or nulling.
+        for f in [7.5, 9.223372036854776e18, f64::NAN] {
+            let mut c = empty_column(int);
+            push_declared(&mut c, &Variant::Float(f));
+            assert_eq!(stored_type(&c), ColumnType::Variant, "{f}");
+            assert!(matches!(c.get(0), Variant::Float(g) if g.to_bits() == f.to_bits()));
+        }
+        // An integer above 2^53 does not fit a double exactly: a Float column
+        // promotes rather than rounds it, while a small one shreds.
+        let c = pushed(ColumnType::Float, &[Variant::Int((1i64 << 53) + 1)]);
+        assert_eq!(stored_type(&c), ColumnType::Variant);
+        let c = pushed(ColumnType::Float, &[Variant::Int(42)]);
+        assert!(matches!(c.get(0), Variant::Float(f) if f == 42.0));
+        // An all-NULL column keeps its declared type.
+        let c = pushed(ColumnType::Bool, &[Variant::Null, Variant::Null]);
+        assert_eq!(stored_type(&c), ColumnType::Bool);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Shared LRU buffer cache over in-memory column blocks.
+//! Shared LRU buffer cache over decoded column blocks.
 //!
 //! One cache per [`Store`](super::Store), shared by every query against the
 //! database — the analogue of a warehouse's local SSD cache in the paper's
 //! Snowflake deployment. Entries are whole column blocks keyed by
-//! `(partition file id, column index)`, held in their in-memory
-//! representation — dictionary- and run-length-coded blocks stay *encoded*,
-//! so a compressed column occupies proportionally less cache. A hit returns
-//! the shared `Arc<ColumnData>` with **zero file I/O**, which is why a warm
-//! disk scan reports `bytes_scanned = 0`.
+//! `(partition file id, column index)`, held as the [`ColumnVec`] the
+//! executor slices its batches from — dictionary- and run-length-coded
+//! blocks stay *encoded*, so a compressed column occupies proportionally less
+//! cache. A hit returns the shared `Arc<ColumnVec>` with **zero file I/O**,
+//! which is why a warm disk scan reports `bytes_scanned = 0`. An entry is
+//! charged its [`ColumnVec::estimated_size`], taken once when the block is
+//! decoded.
 //!
 //! Interaction with the query governor: the cache itself is capacity-bounded
 //! (in-memory bytes, LRU eviction), and each *miss* additionally
@@ -22,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::storage::ColumnData;
+use crate::column::ColumnVec;
 
 /// Default cache capacity: 64 MiB of in-memory column data.
 pub const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
@@ -51,7 +53,7 @@ pub struct CacheStats {
 }
 
 struct Entry {
-    data: Arc<ColumnData>,
+    data: Arc<ColumnVec>,
     bytes: u64,
     /// Last-touch tick; smallest tick is the LRU victim.
     tick: u64,
@@ -106,7 +108,7 @@ impl BufferCache {
     }
 
     /// Looks up a block, bumping its recency on a hit.
-    pub fn get(&self, key: BlockKey) -> Option<Arc<ColumnData>> {
+    pub fn get(&self, key: BlockKey) -> Option<Arc<ColumnVec>> {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -127,7 +129,7 @@ impl BufferCache {
     /// larger than the whole capacity are *not* cached (they would evict
     /// everything for a single-use entry); they still flow to the caller.
     /// Returns the number of evictions performed.
-    pub fn insert(&self, key: BlockKey, data: Arc<ColumnData>, bytes: u64) -> u64 {
+    pub fn insert(&self, key: BlockKey, data: Arc<ColumnVec>, bytes: u64) -> u64 {
         let capacity = self.capacity();
         if bytes > capacity {
             return 0;
@@ -189,8 +191,8 @@ fn evict_to_fit(inner: &mut Inner, capacity: u64, incoming: u64) -> u64 {
 mod tests {
     use super::*;
 
-    fn block(n: i64) -> Arc<ColumnData> {
-        Arc::new(ColumnData::Int(vec![Some(n)]))
+    fn block(n: i64) -> Arc<ColumnVec> {
+        Arc::new(ColumnVec::from_variants(vec![crate::Variant::Int(n)]))
     }
 
     #[test]

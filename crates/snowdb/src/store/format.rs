@@ -29,21 +29,25 @@
 //! - `Variant`— per row a tagged tree (null / bool / int / float / str /
 //!   array / object), depth-guarded on decode.
 //!
-//! Version 2 adds a per-column *encoding id* to the footer and two encoded
+//! The footer also records a per-column *encoding id* for the two encoded
 //! block layouts chosen at partition-build time (see
 //! [`crate::storage::encode`]):
 //! - `DictStr` — varint dictionary length, `varint len + bytes` per entry,
 //!   then per row `varint code + 1` (`0` marks NULL);
 //! - `RleInt`/`RleBool` — varint run count, varint length per run, then the
-//!   per-run values as a plain `Int`/`Bool` block of `runs` rows.
+//!   per-run values as a plain `Int`/`Bool` block of `runs` rows;
 //!
-//! Version 3 adds per-column optimizer statistics to the footer — NDV (KMV)
-//! sketch hashes, null counts, equi-depth histogram bounds, and array
-//! fan-out counters — so cost-based planning over a reopened database is a
-//! metadata-only read, like zone-map pruning. Files written by versions 1
-//! and 2 remain readable and simply report no statistics.
+//! and per-column optimizer statistics — NDV (KMV) sketch hashes, null
+//! counts, equi-depth histogram bounds, and array fan-out counters — so
+//! cost-based planning over a reopened database is a metadata-only read, like
+//! zone-map pruning.
 //!
-//! Version 1 files (no encoding ids, all blocks plain) remain readable.
+//! Blocks decode straight into [`ColumnVec`], the column type the buffer
+//! cache holds and the executor slices: a validity bitmap on disk becomes the
+//! column's [`Bitmap`] words, encoded blocks stay encoded.
+//!
+//! This is format version 3, the only one ever written to a database that
+//! still exists; the reader accepts no other.
 //!
 //! Every decode path is cursor-based and returns a typed
 //! [`SnowError::Storage`] on truncation, bad magic, unsupported version,
@@ -55,19 +59,16 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::storage::stats::{ColumnStats, KmvSketch};
-use crate::storage::{ColumnData, ColumnDef, ColumnType, MicroPartition, ZoneMap};
+use crate::storage::{stored_type, ColumnDef, ColumnType, MicroPartition, ZoneMap};
 use crate::variant::{Object, Variant};
 
 /// File magic, present both in the 8-byte header and the 4-byte trailer.
 pub const MAGIC: [u8; 4] = *b"SNPT";
-/// Current format version (v3 = per-column optimizer statistics; v2 =
-/// per-column encoding ids); readers accept every version from
-/// [`MIN_FORMAT_VERSION`] up and reject anything else with a typed error.
+/// The format version; readers reject any other with a typed error.
 pub const FORMAT_VERSION: u16 = 3;
-/// Oldest version the reader still understands (v1 = all blocks plain).
-pub const MIN_FORMAT_VERSION: u16 = 1;
 /// Fixed byte length of the header (`magic + version + padding`).
 pub const HEADER_LEN: u64 = 8;
 /// Fixed byte length of the trailer (`footer crc + footer len + magic`).
@@ -81,7 +82,7 @@ pub const MAX_VARIANT_DEPTH: usize = 512;
 /// bytes represent it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockEncoding {
-    /// The v1 layouts: one value per row.
+    /// One value per row.
     Plain,
     /// Dictionary-coded strings.
     DictStr,
@@ -112,10 +113,10 @@ impl BlockEncoding {
     }
 
     /// The encoding a column's in-memory representation writes as.
-    fn of(col: &ColumnData) -> BlockEncoding {
+    fn of(col: &ColumnVec) -> BlockEncoding {
         match col {
-            ColumnData::DictStr { .. } => BlockEncoding::DictStr,
-            ColumnData::Runs { values, .. } => match values.column_type() {
+            ColumnVec::DictStr { .. } => BlockEncoding::DictStr,
+            ColumnVec::Runs { values, .. } => match stored_type(values) {
                 ColumnType::Int => BlockEncoding::RleInt,
                 ColumnType::Bool => BlockEncoding::RleBool,
                 // Runs only ever wrap int/bool values; anything else writes
@@ -132,8 +133,7 @@ impl BlockEncoding {
 pub struct ColumnMeta {
     pub name: String,
     pub ty: ColumnType,
-    /// How the block bytes are encoded (always [`BlockEncoding::Plain`] for
-    /// v1 files).
+    /// How the block bytes are encoded.
     pub encoding: BlockEncoding,
     /// Absolute byte offset of the block from the start of the file.
     pub offset: u64,
@@ -144,8 +144,8 @@ pub struct ColumnMeta {
     pub crc: u32,
     /// Zone map, when the column type supports one.
     pub zone_map: Option<ZoneMap>,
-    /// Optimizer statistics (format v3+); `None` when the file predates v3.
-    pub stats: Option<ColumnStats>,
+    /// Optimizer statistics.
+    pub stats: ColumnStats,
 }
 
 /// Decoded footer of a partition file.
@@ -327,18 +327,9 @@ impl<'a> Cur<'a> {
     }
 }
 
-struct Bitmap<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Bitmap<'a> {
-    fn read(cur: &mut Cur<'a>, rows: usize) -> Result<Bitmap<'a>> {
-        Ok(Bitmap { bytes: cur.take(rows.div_ceil(8))? })
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.bytes[i / 8] >> (i % 8) & 1 == 1
-    }
+/// Reads the bitmap of `rows` bits at the cursor.
+fn read_bitmap(cur: &mut Cur<'_>, rows: usize) -> Result<Bitmap> {
+    Ok(Bitmap::from_le_bytes(cur.take(rows.div_ceil(8))?, rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -436,38 +427,48 @@ fn decode_variant(cur: &mut Cur<'_>, depth: usize) -> Result<Variant> {
 // Column block encoding.
 // ---------------------------------------------------------------------------
 
+/// Appends a column's validity bitmap.
+fn put_validity(out: &mut Vec<u8>, valid: &Bitmap) {
+    put_bitmap(out, (0..valid.len()).map(|i| valid.get(i)));
+}
+
 /// Appends the encoded block for `col` to `out`.
-pub fn encode_column(col: &ColumnData, out: &mut Vec<u8>) {
+pub fn encode_column(col: &ColumnVec, out: &mut Vec<u8>) {
     match col {
-        ColumnData::Int(v) => {
-            put_bitmap(out, v.iter().map(Option::is_some));
-            for x in v.iter().flatten() {
-                put_varint(out, zigzag(*x));
+        ColumnVec::Int { vals, valid } => {
+            put_validity(out, valid);
+            for (i, x) in vals.iter().enumerate() {
+                if valid.get(i) {
+                    put_varint(out, zigzag(*x));
+                }
             }
         }
-        ColumnData::Float(v) => {
-            put_bitmap(out, v.iter().map(Option::is_some));
-            for x in v.iter().flatten() {
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
+        ColumnVec::Float { vals, valid } => {
+            put_validity(out, valid);
+            for (i, x) in vals.iter().enumerate() {
+                if valid.get(i) {
+                    out.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
             }
         }
-        ColumnData::Bool(v) => {
-            put_bitmap(out, v.iter().map(Option::is_some));
-            put_bitmap(out, v.iter().map(|b| b.unwrap_or(false)));
+        ColumnVec::Bool { vals, valid } => {
+            put_validity(out, valid);
+            put_bitmap(out, vals.iter().enumerate().map(|(i, &b)| b && valid.get(i)));
         }
-        ColumnData::Str(v) => {
+        ColumnVec::Str(v) => {
             put_bitmap(out, v.iter().map(Option::is_some));
             for s in v.iter().flatten() {
                 put_varint(out, s.len() as u64);
                 out.extend_from_slice(s.as_bytes());
             }
         }
-        ColumnData::Variant(v) => {
+        ColumnVec::Var(v) => {
             for val in v {
                 encode_variant(val, out);
             }
         }
-        ColumnData::DictStr { codes, dict } => {
+        ColumnVec::Null(n) => out.extend(std::iter::repeat_n(VTAG_NULL, *n)),
+        ColumnVec::DictStr { codes, dict } => {
             put_varint(out, dict.len() as u64);
             for s in dict.iter() {
                 put_varint(out, s.len() as u64);
@@ -476,14 +477,14 @@ pub fn encode_column(col: &ColumnData, out: &mut Vec<u8>) {
             // Per row: code + 1, with 0 marking NULL — codes are dense and
             // small, so the varint usually costs one byte.
             for &c in codes {
-                if c == crate::storage::NULL_CODE {
+                if c == NULL_CODE {
                     put_varint(out, 0);
                 } else {
                     put_varint(out, u64::from(c) + 1);
                 }
             }
         }
-        ColumnData::Runs { ends, values } => match values.column_type() {
+        ColumnVec::Runs { ends, values } => match stored_type(values) {
             ColumnType::Int | ColumnType::Bool => {
                 put_varint(out, ends.len() as u64);
                 let mut start = 0u32;
@@ -501,47 +502,44 @@ pub fn encode_column(col: &ColumnData, out: &mut Vec<u8>) {
 }
 
 /// Decodes a plain (one value per row) block body from the cursor.
-fn decode_plain(ty: ColumnType, rows: usize, cur: &mut Cur<'_>) -> Result<ColumnData> {
+fn decode_plain(ty: ColumnType, rows: usize, cur: &mut Cur<'_>) -> Result<ColumnVec> {
     Ok(match ty {
         ColumnType::Int => {
-            let valid = Bitmap::read(cur, rows)?;
-            let mut v = Vec::with_capacity(rows);
+            let valid = read_bitmap(cur, rows)?;
+            let mut vals = Vec::with_capacity(rows);
             for i in 0..rows {
-                v.push(if valid.get(i) { Some(unzigzag(cur.varint()?)) } else { None });
+                vals.push(if valid.get(i) { unzigzag(cur.varint()?) } else { 0 });
             }
-            ColumnData::Int(v)
+            ColumnVec::Int { vals, valid }
         }
         ColumnType::Float => {
-            let valid = Bitmap::read(cur, rows)?;
-            let mut v = Vec::with_capacity(rows);
+            let valid = read_bitmap(cur, rows)?;
+            let mut vals = Vec::with_capacity(rows);
             for i in 0..rows {
-                v.push(if valid.get(i) { Some(f64::from_bits(cur.u64()?)) } else { None });
+                vals.push(if valid.get(i) { f64::from_bits(cur.u64()?) } else { 0.0 });
             }
-            ColumnData::Float(v)
+            ColumnVec::Float { vals, valid }
         }
         ColumnType::Bool => {
-            let valid = Bitmap::read(cur, rows)?;
-            let vals = Bitmap::read(cur, rows)?;
-            let mut v = Vec::with_capacity(rows);
-            for i in 0..rows {
-                v.push(valid.get(i).then(|| vals.get(i)));
-            }
-            ColumnData::Bool(v)
+            let valid = read_bitmap(cur, rows)?;
+            let bits = read_bitmap(cur, rows)?;
+            let vals = (0..rows).map(|i| valid.get(i) && bits.get(i)).collect();
+            ColumnVec::Bool { vals, valid }
         }
         ColumnType::Str => {
-            let valid = Bitmap::read(cur, rows)?;
+            let valid = read_bitmap(cur, rows)?;
             let mut v = Vec::with_capacity(rows);
             for i in 0..rows {
                 v.push(if valid.get(i) { Some(decode_str(cur)?) } else { None });
             }
-            ColumnData::Str(v)
+            ColumnVec::Str(v)
         }
         ColumnType::Variant => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(decode_variant(cur, 0)?);
             }
-            ColumnData::Variant(v)
+            ColumnVec::Var(v)
         }
     })
 }
@@ -555,7 +553,7 @@ pub fn decode_column(
     encoding: BlockEncoding,
     rows: usize,
     bytes: &[u8],
-) -> Result<ColumnData> {
+) -> Result<ColumnVec> {
     let mut cur = Cur::new(bytes);
     let col = match encoding {
         BlockEncoding::Plain => decode_plain(ty, rows, &mut cur)?,
@@ -567,7 +565,7 @@ pub fn decode_column(
                 )));
             }
             let dict_len = cur.varlen()?;
-            if dict_len >= crate::storage::NULL_CODE as usize {
+            if dict_len >= NULL_CODE as usize {
                 return Err(storage(format!("dictionary length {dict_len} out of range")));
             }
             let mut dict = Vec::with_capacity(dict_len.min(4096));
@@ -578,7 +576,7 @@ pub fn decode_column(
             for _ in 0..rows {
                 let raw = cur.varint()?;
                 if raw == 0 {
-                    codes.push(crate::storage::NULL_CODE);
+                    codes.push(NULL_CODE);
                 } else if (raw - 1) < dict_len as u64 {
                     codes.push((raw - 1) as u32);
                 } else {
@@ -588,7 +586,7 @@ pub fn decode_column(
                     )));
                 }
             }
-            ColumnData::DictStr { codes, dict: Arc::new(dict) }
+            ColumnVec::DictStr { codes, dict: Arc::new(dict) }
         }
         BlockEncoding::RleInt | BlockEncoding::RleBool => {
             let vty = if encoding == BlockEncoding::RleInt {
@@ -630,7 +628,7 @@ pub fn decode_column(
                 )));
             }
             let values = decode_plain(vty, run_count, &mut cur)?;
-            ColumnData::Runs { ends, values: Box::new(values) }
+            ColumnVec::Runs { ends, values: Box::new(values) }
         }
     };
     cur.done()?;
@@ -662,7 +660,7 @@ fn ty_from_tag(tag: u8) -> Result<ColumnType> {
     }
 }
 
-fn encode_footer(meta: &PartitionMeta, version: u16) -> Vec<u8> {
+fn encode_footer(meta: &PartitionMeta) -> Vec<u8> {
     let mut out = Vec::new();
     put_varint(&mut out, meta.row_count as u64);
     put_varint(&mut out, meta.columns.len() as u64);
@@ -670,11 +668,7 @@ fn encode_footer(meta: &PartitionMeta, version: u16) -> Vec<u8> {
         put_varint(&mut out, c.name.len() as u64);
         out.extend_from_slice(c.name.as_bytes());
         out.push(ty_tag(c.ty));
-        if version >= 2 {
-            out.push(c.encoding.tag());
-        } else {
-            debug_assert_eq!(c.encoding, BlockEncoding::Plain, "v1 footers are plain-only");
-        }
+        out.push(c.encoding.tag());
         put_varint(&mut out, c.offset);
         put_varint(&mut out, c.len);
         out.extend_from_slice(&c.crc.to_le_bytes());
@@ -687,31 +681,25 @@ fn encode_footer(meta: &PartitionMeta, version: u16) -> Vec<u8> {
                 put_varint(&mut out, zm.null_count as u64);
             }
         }
-        if version >= 3 {
-            match &c.stats {
-                None => out.push(0),
-                Some(s) => {
-                    out.push(1);
-                    put_varint(&mut out, s.rows);
-                    put_varint(&mut out, s.nulls);
-                    put_varint(&mut out, s.ndv.hashes().len() as u64);
-                    for &h in s.ndv.hashes() {
-                        out.extend_from_slice(&h.to_le_bytes());
-                    }
-                    put_varint(&mut out, s.histogram.len() as u64);
-                    for b in &s.histogram {
-                        encode_variant(b, &mut out);
-                    }
-                    put_varint(&mut out, s.array_cells);
-                    put_varint(&mut out, s.array_elems);
-                }
-            }
+        let s = &c.stats;
+        out.push(1); // statistics present
+        put_varint(&mut out, s.rows);
+        put_varint(&mut out, s.nulls);
+        put_varint(&mut out, s.ndv.hashes().len() as u64);
+        for &h in s.ndv.hashes() {
+            out.extend_from_slice(&h.to_le_bytes());
         }
+        put_varint(&mut out, s.histogram.len() as u64);
+        for b in &s.histogram {
+            encode_variant(b, &mut out);
+        }
+        put_varint(&mut out, s.array_cells);
+        put_varint(&mut out, s.array_elems);
     }
     out
 }
 
-fn decode_footer(bytes: &[u8], version: u16) -> Result<PartitionMeta> {
+fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
     let mut cur = Cur::new(bytes);
     let row_count = cur.varlen()?;
     let col_count = cur.varlen()?;
@@ -719,12 +707,7 @@ fn decode_footer(bytes: &[u8], version: u16) -> Result<PartitionMeta> {
     for _ in 0..col_count {
         let name = decode_str(&mut cur)?.to_string();
         let ty = ty_from_tag(cur.u8()?)?;
-        // v1 footers carry no encoding id: every block is plain.
-        let encoding = if version >= 2 {
-            BlockEncoding::from_tag(cur.u8()?)?
-        } else {
-            BlockEncoding::Plain
-        };
+        let encoding = BlockEncoding::from_tag(cur.u8()?)?;
         let offset = cur.varint()?;
         let len = cur.varint()?;
         let crc = cur.u32()?;
@@ -738,50 +721,43 @@ fn decode_footer(bytes: &[u8], version: u16) -> Result<PartitionMeta> {
             }
             f => return Err(storage(format!("bad zone-map flag {f}"))),
         };
-        // v1/v2 footers carry no statistics block.
-        let stats = if version >= 3 {
-            match cur.u8()? {
-                0 => None,
-                1 => {
-                    let rows = cur.varint()?;
-                    let nulls = cur.varint()?;
-                    let hash_count = cur.varlen()?;
-                    if hash_count > crate::storage::stats::KMV_K {
-                        return Err(storage(format!(
-                            "NDV sketch holds {hash_count} hashes (max {})",
-                            crate::storage::stats::KMV_K
-                        )));
-                    }
-                    let mut hashes = Vec::with_capacity(hash_count);
-                    for _ in 0..hash_count {
-                        hashes.push(cur.u64()?);
-                    }
-                    let bound_count = cur.varlen()?;
-                    if bound_count > crate::storage::stats::HISTOGRAM_BOUNDS {
-                        return Err(storage(format!(
-                            "histogram holds {bound_count} bounds (max {})",
-                            crate::storage::stats::HISTOGRAM_BOUNDS
-                        )));
-                    }
-                    let mut histogram = Vec::with_capacity(bound_count);
-                    for _ in 0..bound_count {
-                        histogram.push(decode_variant(&mut cur, 0)?);
-                    }
-                    let array_cells = cur.varint()?;
-                    let array_elems = cur.varint()?;
-                    Some(ColumnStats {
-                        rows,
-                        nulls,
-                        ndv: KmvSketch::from_hashes(hashes),
-                        histogram,
-                        array_cells,
-                        array_elems,
-                    })
-                }
-                f => return Err(storage(format!("bad column-stats flag {f}"))),
-            }
-        } else {
-            None
+        let flag = cur.u8()?;
+        if flag != 1 {
+            return Err(storage(format!("bad column-stats flag {flag}")));
+        }
+        let rows = cur.varint()?;
+        let nulls = cur.varint()?;
+        let hash_count = cur.varlen()?;
+        if hash_count > crate::storage::stats::KMV_K {
+            return Err(storage(format!(
+                "NDV sketch holds {hash_count} hashes (max {})",
+                crate::storage::stats::KMV_K
+            )));
+        }
+        let mut hashes = Vec::with_capacity(hash_count);
+        for _ in 0..hash_count {
+            hashes.push(cur.u64()?);
+        }
+        let bound_count = cur.varlen()?;
+        if bound_count > crate::storage::stats::HISTOGRAM_BOUNDS {
+            return Err(storage(format!(
+                "histogram holds {bound_count} bounds (max {})",
+                crate::storage::stats::HISTOGRAM_BOUNDS
+            )));
+        }
+        let mut histogram = Vec::with_capacity(bound_count);
+        for _ in 0..bound_count {
+            histogram.push(decode_variant(&mut cur, 0)?);
+        }
+        let array_cells = cur.varint()?;
+        let array_elems = cur.varint()?;
+        let stats = ColumnStats {
+            rows,
+            nulls,
+            ndv: KmvSketch::from_hashes(hashes),
+            histogram,
+            array_cells,
+            array_elems,
         };
         columns.push(ColumnMeta { name, ty, encoding, offset, len, crc, zone_map, stats });
     }
@@ -818,18 +794,18 @@ pub fn write_partition(
         // Variant storage, and the decoder keys off this footer field.
         columns.push(ColumnMeta {
             name: def.name.clone(),
-            ty: part.column(i).column_type(),
+            ty: stored_type(part.column(i)),
             encoding: BlockEncoding::of(part.column(i)),
             offset,
             len,
             crc,
             zone_map: part.zone_map(i).cloned(),
-            stats: part.column_stats(i).cloned(),
+            stats: part.column_stats(i).clone(),
         });
     }
     let meta = PartitionMeta { row_count: part.row_count(), columns };
 
-    let footer = encode_footer(&meta, FORMAT_VERSION);
+    let footer = encode_footer(&meta);
     buf.extend_from_slice(&footer);
     buf.extend_from_slice(&crc32(&footer).to_le_bytes());
     buf.extend_from_slice(&(footer.len() as u32).to_le_bytes());
@@ -860,9 +836,9 @@ pub fn read_footer(path: &Path) -> Result<PartitionMeta> {
         return Err(storage(format!("{}: bad magic (not a partition file)", path.display())));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(storage(format!(
-            "{}: unsupported format version {version} (expected {MIN_FORMAT_VERSION}..={FORMAT_VERSION})",
+            "{}: unsupported format version {version} (expected {FORMAT_VERSION})",
             path.display()
         )));
     }
@@ -892,7 +868,7 @@ pub fn read_footer(path: &Path) -> Result<PartitionMeta> {
         return Err(storage(format!("{}: footer checksum mismatch", path.display())));
     }
 
-    let meta = decode_footer(&footer, version).map_err(|e| with_path(path, e))?;
+    let meta = decode_footer(&footer).map_err(|e| with_path(path, e))?;
     for c in &meta.columns {
         if c.offset < HEADER_LEN || c.offset + c.len > footer_end - footer_len {
             return Err(storage(format!(
@@ -909,7 +885,7 @@ pub fn read_footer(path: &Path) -> Result<PartitionMeta> {
 
 /// Reads, CRC-checks, and decodes one column block. This is the *only* data
 /// I/O a disk scan performs, and it reads exactly `meta.len` bytes.
-pub fn read_column(path: &Path, meta: &ColumnMeta, rows: usize) -> Result<ColumnData> {
+pub fn read_column(path: &Path, meta: &ColumnMeta, rows: usize) -> Result<ColumnVec> {
     let mut f = std::fs::File::open(path).map_err(|e| io_err(path, "open", e))?;
     let mut block = vec![0u8; meta.len as usize];
     f.seek(SeekFrom::Start(meta.offset))
@@ -1067,11 +1043,18 @@ mod tests {
         let err = read_footer(&path).unwrap_err();
         assert!(matches!(err, SnowError::Storage(ref m) if m.contains("magic")), "{err}");
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 0xFE;
-        std::fs::write(&path, &bad_version).unwrap();
-        let err = read_footer(&path).unwrap_err();
-        assert!(matches!(err, SnowError::Storage(ref m) if m.contains("version")), "{err}");
+        // Anything but the current version is refused, the two retired
+        // generations included.
+        for version in [0xFE, 1, 2] {
+            let mut bad_version = good.clone();
+            bad_version[4] = version;
+            std::fs::write(&path, &bad_version).unwrap();
+            let err = read_footer(&path).unwrap_err();
+            assert!(
+                matches!(err, SnowError::Storage(ref m) if m.contains("unsupported format version")),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1162,115 +1145,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_readable() {
-        // Write a version-1 file by hand: plain blocks, v1 footer (no
-        // encoding ids), version 1 in the header.
-        let (schema, part) = sample_partition();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 2]);
-        let mut columns = Vec::new();
-        for (i, def) in schema.iter().enumerate() {
-            let offset = buf.len() as u64;
-            let plain = part.column(i).decoded();
-            encode_column(&plain, &mut buf);
-            let len = buf.len() as u64 - offset;
-            columns.push(ColumnMeta {
-                name: def.name.clone(),
-                ty: plain.column_type(),
-                encoding: BlockEncoding::Plain,
-                offset,
-                len,
-                crc: crc32(&buf[offset as usize..]),
-                zone_map: part.zone_map(i).cloned(),
-                stats: None,
-            });
-        }
-        let meta = PartitionMeta { row_count: part.row_count(), columns };
-        let footer = encode_footer(&meta, 1);
-        buf.extend_from_slice(&footer);
-        buf.extend_from_slice(&crc32(&footer).to_le_bytes());
-        buf.extend_from_slice(&(footer.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&MAGIC);
-        let path = temp_path("v1");
-        std::fs::write(&path, &buf).unwrap();
-
-        let read = read_footer(&path).unwrap();
-        assert_eq!(read.row_count, part.row_count());
-        for (i, cm) in read.columns.iter().enumerate() {
-            assert_eq!(cm.encoding, BlockEncoding::Plain);
-            let col = read_column(&path, cm, read.row_count).unwrap();
-            for r in 0..read.row_count {
-                assert_eq!(col.get(r), part.column(i).get(r), "col {i} row {r}");
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_files_remain_readable_without_stats() {
-        // Write a version-2 file by hand: v2 footer (encoding ids, no stats
-        // block), version 2 in the header — the layout every pre-v3 database
-        // on disk has.
-        let (schema, part) = sample_partition();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&2u16.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 2]);
-        let mut columns = Vec::new();
-        for (i, def) in schema.iter().enumerate() {
-            let offset = buf.len() as u64;
-            encode_column(part.column(i), &mut buf);
-            let len = buf.len() as u64 - offset;
-            columns.push(ColumnMeta {
-                name: def.name.clone(),
-                ty: part.column(i).column_type(),
-                encoding: BlockEncoding::of(part.column(i)),
-                offset,
-                len,
-                crc: crc32(&buf[offset as usize..]),
-                zone_map: part.zone_map(i).cloned(),
-                stats: None,
-            });
-        }
-        let meta = PartitionMeta { row_count: part.row_count(), columns };
-        let footer = encode_footer(&meta, 2);
-        buf.extend_from_slice(&footer);
-        buf.extend_from_slice(&crc32(&footer).to_le_bytes());
-        buf.extend_from_slice(&(footer.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&MAGIC);
-        let path = temp_path("v2");
-        std::fs::write(&path, &buf).unwrap();
-
-        let read = read_footer(&path).unwrap();
-        assert_eq!(read.row_count, part.row_count());
-        for (i, cm) in read.columns.iter().enumerate() {
-            // Zone maps survive, stats are absent (the reader must not
-            // misparse the footer as v3).
-            assert_eq!(cm.zone_map.is_some(), part.zone_map(i).is_some());
-            assert!(cm.stats.is_none());
-            let col = read_column(&path, cm, read.row_count).unwrap();
-            for r in 0..read.row_count {
-                assert_eq!(col.get(r), part.column(i).get(r), "col {i} row {r}");
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn column_stats_roundtrip_through_v3_footer() {
         let (schema, part) = sample_partition();
         let path = temp_path("stats");
         write_partition(&path, &schema, &part).unwrap();
         let footer = read_footer(&path).unwrap();
         for (i, cm) in footer.columns.iter().enumerate() {
-            let expect = part.column_stats(i).expect("sealed partitions carry stats");
-            let got = cm.stats.as_ref().expect("v3 footer carries stats");
-            assert_eq!(got, expect, "col {i} stats diverge after roundtrip");
+            assert_eq!(&cm.stats, part.column_stats(i), "col {i} stats diverge after roundtrip");
         }
         // The Variant column's array fan-out counters survive persistence.
-        let v = footer.columns[4].stats.as_ref().unwrap();
+        let v = &footer.columns[4].stats;
         assert_eq!(v.rows, 13);
         assert_eq!(v.array_cells, 0); // top-level values are objects
         std::fs::remove_file(&path).ok();

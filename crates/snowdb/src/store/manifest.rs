@@ -42,9 +42,8 @@ use crate::variant::{parse_json, to_json, Object, Variant};
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Name of the commit-in-progress temp file.
 pub const MANIFEST_TMP: &str = "MANIFEST.tmp";
-/// Manifest serialization format version. Format 2 added version retention
-/// (`retention` + `history`); format-1 manifests are still read (empty
-/// history, default retention) but every write is format 2.
+/// Manifest serialization format version (2 = with version retention:
+/// `retention` + `history`); readers accept exactly this one.
 pub const MANIFEST_FORMAT: i64 = 2;
 /// Default number of committed versions retained (current + 7 historical).
 pub const DEFAULT_RETENTION: u64 = 8;
@@ -188,7 +187,7 @@ fn tables_from_json(list: &[Variant]) -> Result<BTreeMap<String, TableManifest>>
 }
 
 impl Manifest {
-    /// Renders the manifest as canonical JSON text (always format 2).
+    /// Renders the manifest as canonical JSON text.
     pub fn to_json_text(&self) -> String {
         let mut root = Object::new();
         root.insert("format", Variant::Int(MANIFEST_FORMAT));
@@ -211,15 +210,13 @@ impl Manifest {
     }
 
     /// Parses manifest JSON; every malformation is a typed `Storage` error.
-    /// Accepts format 1 (pre-retention) manifests: they read back with an
-    /// empty history and the default retention.
     pub fn from_json_text(text: &str) -> Result<Manifest> {
         let v = parse_json(text).map_err(|e| storage(format!("manifest is not valid JSON: {e}")))?;
         let root = v.as_object().ok_or_else(|| storage("manifest root is not an object"))?;
         let format = field_int(root, "format")?;
-        if format != 1 && format != MANIFEST_FORMAT {
+        if format != MANIFEST_FORMAT {
             return Err(storage(format!(
-                "unsupported manifest format {format} (expected 1..={MANIFEST_FORMAT})"
+                "unsupported manifest format {format} (expected {MANIFEST_FORMAT})"
             )));
         }
         let version = u64::try_from(field_int(root, "version")?)
@@ -231,39 +228,34 @@ impl Manifest {
             .and_then(Variant::as_array)
             .ok_or_else(|| storage("manifest 'tables' is not an array"))?;
         let tables = tables_from_json(list)?;
-        let (retention, history) = if format == 1 {
-            (DEFAULT_RETENTION, Vec::new())
-        } else {
-            let retention = u64::try_from(field_int(root, "retention")?)
-                .ok()
-                .filter(|&r| r >= 1)
-                .ok_or_else(|| storage("manifest retention must be ≥ 1"))?;
-            let mut history = Vec::new();
-            let mut prev: Option<u64> = None;
-            for rec in root
-                .get("history")
-                .and_then(Variant::as_array)
-                .ok_or_else(|| storage("manifest 'history' is not an array"))?
-            {
-                let obj = rec
-                    .as_object()
-                    .ok_or_else(|| storage("history entry is not an object"))?;
-                let hv = u64::try_from(field_int(obj, "version")?)
-                    .map_err(|_| storage("history version is negative"))?;
-                if hv >= version || prev.is_some_and(|p| hv <= p) {
-                    return Err(storage(format!(
-                        "history version {hv} out of order (current {version})"
-                    )));
-                }
-                prev = Some(hv);
-                let list = obj
-                    .get("tables")
-                    .and_then(Variant::as_array)
-                    .ok_or_else(|| storage("history 'tables' is not an array"))?;
-                history.push(VersionRecord { version: hv, tables: tables_from_json(list)? });
+        let retention = u64::try_from(field_int(root, "retention")?)
+            .ok()
+            .filter(|&r| r >= 1)
+            .ok_or_else(|| storage("manifest retention must be ≥ 1"))?;
+        let mut history = Vec::new();
+        let mut prev: Option<u64> = None;
+        for rec in root
+            .get("history")
+            .and_then(Variant::as_array)
+            .ok_or_else(|| storage("manifest 'history' is not an array"))?
+        {
+            let obj = rec
+                .as_object()
+                .ok_or_else(|| storage("history entry is not an object"))?;
+            let hv = u64::try_from(field_int(obj, "version")?)
+                .map_err(|_| storage("history version is negative"))?;
+            if hv >= version || prev.is_some_and(|p| hv <= p) {
+                return Err(storage(format!(
+                    "history version {hv} out of order (current {version})"
+                )));
             }
-            (retention, history)
-        };
+            prev = Some(hv);
+            let list = obj
+                .get("tables")
+                .and_then(Variant::as_array)
+                .ok_or_else(|| storage("history 'tables' is not an array"))?;
+            history.push(VersionRecord { version: hv, tables: tables_from_json(list)? });
+        }
         Ok(Manifest { version, next_file, retention, tables, history })
     }
 
@@ -459,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_history_roundtrips_and_v1_reads_compat() {
+    fn manifest_history_roundtrips() {
         let mut m = sample();
         m.retention = 3;
         m.archive_current();
@@ -473,12 +465,6 @@ mod tests {
         assert_eq!(back.tables_at(42).unwrap().len(), 1);
         assert!(back.tables_at(40).is_none());
         assert_eq!(back.retained_versions(), vec![41, 42]);
-        // A format-1 manifest (no retention/history fields) still reads.
-        let v1 = "{\"format\": 1, \"version\": 5, \"next_file\": 2, \"tables\": []}";
-        let old = Manifest::from_json_text(v1).unwrap();
-        assert_eq!(old.version, 5);
-        assert_eq!(old.retention, DEFAULT_RETENTION);
-        assert!(old.history.is_empty());
     }
 
     #[test]
@@ -504,11 +490,13 @@ mod tests {
             "not json at all",
             "[1,2,3]",
             "{\"format\": 99, \"version\": 1, \"next_file\": 0, \"tables\": []}",
-            "{\"format\": 1, \"version\": 1, \"next_file\": 0, \"tables\": 3}",
-            "{\"format\": 1, \"version\": 1, \"next_file\": 0, \"tables\": \
+            // The retired pre-retention format.
+            "{\"format\": 1, \"version\": 5, \"next_file\": 2, \"tables\": []}",
+            "{\"format\": 2, \"version\": 1, \"next_file\": 0, \"tables\": 3}",
+            "{\"format\": 2, \"version\": 1, \"next_file\": 0, \"tables\": \
              [{\"name\": \"t\", \"columns\": [{\"name\": \"a\", \"type\": \"NOPE\"}], \"partitions\": []}]}",
             // Path traversal in a partition file name is rejected.
-            "{\"format\": 1, \"version\": 1, \"next_file\": 0, \"tables\": \
+            "{\"format\": 2, \"version\": 1, \"next_file\": 0, \"tables\": \
              [{\"name\": \"t\", \"columns\": [], \"partitions\": [{\"file\": \"../evil\", \"rows\": 1}]}]}",
         ] {
             let err = Manifest::from_json_text(bad).unwrap_err();

@@ -100,10 +100,9 @@ impl DiskPartition {
         self.meta.columns[i].zone_map.as_ref()
     }
 
-    /// Optimizer statistics from the footer (format v3+; `None` for files
-    /// written by older versions). Metadata-only, like `zone_map`.
-    pub fn column_stats(&self, i: usize) -> Option<&crate::storage::ColumnStats> {
-        self.meta.columns[i].stats.as_ref()
+    /// Optimizer statistics from the footer. Metadata-only, like `zone_map`.
+    pub fn column_stats(&self, i: usize) -> &crate::storage::ColumnStats {
+        &self.meta.columns[i].stats
     }
 
     /// Exact encoded length of column `i`'s block — the I/O cost of reading

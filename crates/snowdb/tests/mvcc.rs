@@ -456,7 +456,7 @@ fn lock_refuses_live_foreign_writer_but_allows_read_only() {
         Err(SnowError::Storage(m)) => assert!(m.contains("read-only"), "{m}"),
         other => panic!("expected read-only refusal, got {other:?}"),
     }
-    match ro.drop_table_checked("t") {
+    match ro.drop_table("t") {
         Err(SnowError::Storage(m)) => assert!(m.contains("read-only"), "{m}"),
         other => panic!("expected read-only refusal, got {other:?}"),
     }

@@ -577,8 +577,8 @@ fn dead_aggregates_go_unless_they_can_raise() {
     );
 }
 
-/// The error a dead aggregate's fold raises is the query's error with the
-/// optimizer on as with it off.
+/// The error a dead aggregate's fold or a dead expression raises is the
+/// query's error with the optimizer on as with it off.
 #[test]
 fn a_dead_aggregate_that_raises_still_raises() {
     let db = Database::new();
@@ -588,8 +588,12 @@ fn a_dead_aggregate_that_raises_still_raises() {
         (0..8).map(|i| vec![Variant::Int(i % 2), Variant::str(format!("s{i}"))]),
     )
     .unwrap();
-    for dead in ["SUM(v)", "AVG(v)", "BOOLAND_AGG(v)", "BOOLOR_AGG(v)"] {
-        let sql = format!("SELECT k FROM (SELECT k, {dead} AS d FROM t GROUP BY k)");
+    let dead_aggregates = ["SUM(v)", "AVG(v)", "BOOLAND_AGG(v)", "BOOLOR_AGG(v)"]
+        .map(|dead| format!("SELECT k FROM (SELECT k, {dead} AS d FROM t GROUP BY k)"));
+    // Nothing pins the inner projection here: merging it into the outer one
+    // must not drop the division by the zero in `k`.
+    let dead_expression = "SELECT k FROM (SELECT k, 1 / k AS boom FROM t)".to_string();
+    for sql in dead_aggregates.into_iter().chain([dead_expression]) {
         let raw = db
             .query_with(&sql, &QueryOptions { optimize: false, ..Default::default() })
             .expect_err("the raw plan raises");

@@ -199,6 +199,91 @@ proptest! {
         }
     }
 
+    /// One column type from ingest to scan: cells pushed through
+    /// `TableBuilder` — NULL-dense, all-NULL, with lossless Int↔Float drift
+    /// or with drift that breaks the declared type — sealed with encoding on
+    /// and off and written to an SNPT file come back from `read_column`
+    /// equal to the input, and every `slice(lo, hi)` of the column read
+    /// (empty and non-64-aligned ranges included) holds those cells, encoded
+    /// or decoded.
+    #[test]
+    fn stored_columns_slice_back_to_the_input_cells(
+        cells in prop::collection::vec((arb_cell(), arb_str_cell()), 1..200),
+        drift in 0usize..4,
+        run_len in 1usize..40,
+        cuts in prop::collection::vec((0usize..201, 0usize..201), 1..6),
+    ) {
+        use snowdb::storage::TableBuilder;
+        use snowdb::store::format;
+        // What the two numeric columns are fed: only ints and NULLs, ints
+        // and integral doubles (each shreds into the other's column while it
+        // is exactly representable there), anything at all, or only NULLs.
+        let tame = |v: &Variant| match (drift, v) {
+            (0, Variant::Int(_)) | (1, Variant::Int(_)) | (2, _) => v.clone(),
+            (1, Variant::Float(f)) => Variant::Float(f.trunc()),
+            _ => Variant::Null,
+        };
+        let schema = vec![
+            ColumnDef::new("I", ColumnType::Int),
+            ColumnDef::new("F", ColumnType::Float),
+            ColumnDef::new("S", ColumnType::Str),
+            ColumnDef::new("R", ColumnType::Int),
+            ColumnDef::new("B", ColumnType::Bool),
+            ColumnDef::new("V", ColumnType::Variant),
+        ];
+        let rows: Vec<Vec<Variant>> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, (c, s))| {
+                // Runs of `run_len` rows cycling NULL, 1, 2 (NULL, true, false).
+                let r = (i / run_len % 3) as i64;
+                let run = if r == 0 { Variant::Null } else { Variant::Int(r) };
+                let flag = if r == 0 { Variant::Null } else { Variant::Bool(r == 1) };
+                vec![tame(c), tame(c), s.clone(), run, flag, c.clone()]
+            })
+            .collect();
+        let n = rows.len();
+        for encode in [true, false] {
+            snowdb::storage::set_ingest_encoding(Some(encode));
+            let mut b = TableBuilder::with_partition_rows("t", schema.clone(), n);
+            for row in &rows {
+                b.push_row(row).unwrap();
+            }
+            let table = b.finish().unwrap();
+            snowdb::storage::set_ingest_encoding(None);
+            let path = std::env::temp_dir()
+                .join(format!("snowdb-property-{}-slice.part", std::process::id()));
+            format::write_partition(&path, &schema, table.partitions()[0].as_mem().unwrap())
+                .unwrap();
+            let footer = format::read_footer(&path).unwrap();
+            for (c, meta) in footer.columns.iter().enumerate() {
+                let col = format::read_column(&path, meta, footer.row_count).unwrap();
+                prop_assert_eq!(col.len(), n);
+                for (r, row) in rows.iter().enumerate() {
+                    prop_assert_eq!(&col.get(r), &row[c], "column {} row {}", c, r);
+                }
+                let plain = col.decoded();
+                for &(x, y) in &cuts {
+                    let (lo, hi) = (x.min(y).min(n), x.max(y).min(n));
+                    let slice = col.slice(lo, hi);
+                    let decoded = plain.slice(lo, hi);
+                    prop_assert_eq!(slice.len(), hi - lo);
+                    prop_assert_eq!(decoded.len(), hi - lo);
+                    prop_assert_eq!(decoded.is_encoded(), false);
+                    for i in 0..hi - lo {
+                        let cell = slice.get(i);
+                        prop_assert_eq!(&cell, &rows[lo + i][c], "column {} {}..{} row {}", c, lo, hi, i);
+                        // Encoded or not, down to the numeric type.
+                        prop_assert_eq!(format!("{cell:?}"), format!("{:?}", decoded.get(i)));
+                        prop_assert_eq!(format!("{cell:?}"), format!("{:?}", slice.decoded().get(i)));
+                        prop_assert_eq!(slice.is_null_at(i), cell.is_null());
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     /// JSON serialization round-trips every representable value.
     #[test]
     fn json_roundtrip(v in arb_variant()) {

@@ -291,7 +291,7 @@ fn fuzzed_garbage_never_panics_the_server() {
                 (state & 0xFF) as u8
             })
             .collect();
-        if state % 3 == 0 {
+        if state.is_multiple_of(3) {
             // Raw bytes, not even a frame.
             let _ = s.write_all(&bytes);
         } else {
@@ -601,7 +601,7 @@ fn schedule_budget() -> usize {
 fn seeded_soak_admission_schedules() {
     let schedules = schedule_budget();
     for i in 0..schedules {
-        let seed = 0xA5EED_0000u64 + i as u64;
+        let seed = 0xA_5EED_0000u64 + i as u64;
         run_soak_schedule(seed);
     }
 }

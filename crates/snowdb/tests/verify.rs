@@ -362,7 +362,7 @@ fn verify_float_group_keys_at_i64_boundary() {
 
 /// Drifting ingest: a column declared Int that later receives fractional,
 /// out-of-range, or non-numeric values must promote to Variant and preserve
-/// every value exactly — the old `ColumnData::push` silently truncated 7.5 to
+/// every value exactly — ingest once silently truncated 7.5 to
 /// 7 and stored strings as NULL, so results depended on partition layout.
 #[test]
 fn verify_drifting_column_ingest_promotes_not_truncates() {

@@ -1,0 +1,111 @@
+//! Tier-1 smoke for the storage path: one table with every column
+//! representation — typed with NULLs, dictionary strings, run-length ints and
+//! bools, unique strings, VARIANT — goes through seal, the SNPT codec, the
+//! buffer cache and the scan. The deep suites (persist, chaos, lattice) live
+//! in `crates/snowdb/tests` and run with `cargo test --workspace`.
+
+use snowdb::storage::{set_ingest_encoding, ColumnDef, ColumnType, TableBuilder};
+use snowdb::store::format;
+use snowdb::variant::parse_json;
+use snowdb::{Database, Variant};
+
+const ROWS: i64 = 300;
+
+fn schema() -> Vec<ColumnDef> {
+    vec![
+        ColumnDef::new("ID", ColumnType::Int),
+        ColumnDef::new("F", ColumnType::Float),
+        ColumnDef::new("FLAG", ColumnType::Bool),
+        ColumnDef::new("COLOR", ColumnType::Str),
+        ColumnDef::new("BUCKET", ColumnType::Int),
+        ColumnDef::new("NOTE", ColumnType::Str),
+        ColumnDef::new("V", ColumnType::Variant),
+        ColumnDef::new("NOTHING", ColumnType::Int),
+    ]
+}
+
+fn row(i: i64) -> Vec<Variant> {
+    let null_every = |n: i64, v: Variant| if i % n == 0 { Variant::Null } else { v };
+    vec![
+        null_every(4, Variant::Int(i * 37 - 1000)),
+        null_every(9, Variant::Float(i as f64 * 0.25 - 3.0)),
+        // Long runs, a NULL run among them.
+        if (100..140).contains(&i) { Variant::Null } else { Variant::Bool(i < 200) },
+        null_every(11, Variant::str(["red", "green", "blue"][(i % 3) as usize])),
+        Variant::Int(i / 50),
+        null_every(5, Variant::str(format!("note-{i}"))),
+        parse_json(&format!(
+            "{{\"a\": [{i}, null, {{\"deep\": \"x{i}\"}}], \"b\": {}}}",
+            i as f64 * 0.5
+        ))
+        .unwrap(),
+        Variant::Null,
+    ]
+}
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("snowq-store-smoke-{}-{tag}", std::process::id()))
+}
+
+/// FNV-1a, 64 bit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The SNPT bytes written for the fixed table are pinned: length, CRC32 and
+/// FNV-1a of the file as written when storage still held its own column enum
+/// (commit 0addaf9). Changing the in-memory column type must not move a byte
+/// on disk.
+#[test]
+fn partition_file_bytes_are_pinned() {
+    set_ingest_encoding(Some(true));
+    let mut b = TableBuilder::with_partition_rows("t", schema(), 512);
+    for i in 0..ROWS {
+        b.push_row(&row(i)).unwrap();
+    }
+    let table = b.finish().unwrap();
+    let part = table.partitions()[0].as_mem().unwrap();
+    let path = temp_path("pin.part");
+    let meta = format::write_partition(&path, &schema(), part).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    use format::BlockEncoding::{DictStr, Plain, RleBool, RleInt};
+    let encodings: Vec<_> = meta.columns.iter().map(|c| c.encoding).collect();
+    assert_eq!(encodings, [Plain, Plain, RleBool, DictStr, RleInt, Plain, Plain, RleInt]);
+    assert_eq!(
+        (bytes.len(), format::crc32(&bytes), fnv64(&bytes)),
+        (17_635, 2_623_668_094, 15_729_032_716_072_743_314),
+        "SNPT bytes moved"
+    );
+}
+
+#[test]
+fn persisted_table_reopens_and_answers() {
+    set_ingest_encoding(Some(true));
+    let dir = temp_path("db");
+    std::fs::remove_dir_all(&dir).ok();
+    let mem = Database::new();
+    mem.load_table_with_partition_rows("t", schema(), (0..ROWS).map(row), 128).unwrap();
+    mem.persist_to(&dir).unwrap();
+
+    let disk = Database::open(&dir).unwrap();
+    for sql in [
+        "SELECT id, f, flag, color, bucket, note, v, nothing FROM t ORDER BY note, bucket, f",
+        "SELECT color, COUNT(*), SUM(id), MIN(f) FROM t WHERE flag GROUP BY color ORDER BY color",
+        "SELECT bucket, COUNT(nothing), COUNT(flag) FROM t GROUP BY bucket ORDER BY bucket",
+        "SELECT id, v:a[2].deep FROM t WHERE bucket = 3 AND color = 'blue' ORDER BY id",
+        "SELECT COUNT(*) FROM t, LATERAL FLATTEN(input => v:a) x WHERE x.value IS NOT NULL",
+    ] {
+        let want = mem.query(sql).unwrap();
+        assert!(!want.rows.is_empty(), "{sql}");
+        // Cold (decoded from the file) and warm (sliced from the cache).
+        for pass in ["cold", "warm"] {
+            assert_eq!(disk.query(sql).unwrap().rows, want.rows, "{pass}: {sql}");
+        }
+    }
+    drop(disk);
+    std::fs::remove_dir_all(&dir).ok();
+}
