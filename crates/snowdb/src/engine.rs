@@ -19,19 +19,18 @@ use crate::error::{Result, SnowError};
 use crate::exec::metrics::OpMetrics;
 use crate::exec::{pipeline, ExecCtx};
 use crate::govern::retry::{self, RetryPolicy};
-use crate::govern::{
-    GovernorSummary, QueryFailure, QueryGovernor, QueryHandle, SessionParams,
-};
+use crate::govern::{GovernorSummary, QueryFailure, QueryGovernor, SessionParams};
 use crate::optimize::optimize;
 use crate::plan::physical::{lower, PhysNode};
-use crate::plan::{bind_query, Field, Node, PExpr};
-use crate::sql::ast::{Expr, Travel};
-use crate::sql::{parse_query, parse_statement, Statement};
+use crate::plan::{bind_query, Node};
+use crate::session::StatementCtx;
+use crate::sql::ast::Query;
+use crate::sql::{parse_query, parse_statement};
 use crate::storage::{
     ColumnDef, MemSink, MicroPartition, PartitionSink, ScanSource, ScanStats, Table, TableBuilder,
-    DEFAULT_PARTITION_ROWS,
 };
 use crate::store::Store;
+use crate::travel::TravelCatalog;
 use crate::variant::Variant;
 
 /// Timing and scan metrics for one query, split exactly like the paper's §V:
@@ -91,14 +90,14 @@ impl QueryResult {
 #[derive(Default)]
 pub struct Database {
     /// The current catalog version plus the commit serialization point.
-    catalog: SharedCatalog,
+    pub(crate) catalog: SharedCatalog,
     /// Explicit worker-thread override; `None` falls back to the
     /// `SNOWDB_THREADS` environment variable, then to the machine's
     /// available parallelism.
     threads: RwLock<Option<usize>>,
-    /// Session parameters (`SET STATEMENT_TIMEOUT_IN_SECONDS = ...`); a fresh
-    /// [`QueryGovernor`] is armed from them for every statement run directly
-    /// on the database. [`crate::session::Session`]s carry their own.
+    /// Database-level session parameters (`SET STATEMENT_TIMEOUT_IN_SECONDS
+    /// = ...`): statements run directly on the database are governed by
+    /// them, and every new [`crate::session::Session`] starts from a copy.
     params: RwLock<SessionParams>,
     /// Attached persistent store ([`Database::open`] / [`Database::persist_to`]);
     /// `None` for a purely in-memory database. When attached, every catalog
@@ -208,14 +207,8 @@ impl Database {
     {
         let upper = name.to_ascii_uppercase();
         let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        let store = self.store();
-        let inner: Box<dyn PartitionSink> = match &store {
-            Some(s) => Box::new(s.sink(schema.clone())),
-            None => Box::new(MemSink),
-        };
-        let sink = GovernedSink { inner, gov };
-        let mut b =
-            TableBuilder::with_sink(upper.clone(), schema.clone(), partition_rows, Box::new(sink));
+        let sink = self.governed_sink(&schema, gov);
+        let mut b = TableBuilder::with_sink(upper.clone(), schema, partition_rows, sink);
         for row in rows {
             b.push_row(&row?)?;
         }
@@ -228,6 +221,20 @@ impl Database {
             expect_absent: false,
         }))?;
         Ok(())
+    }
+
+    /// Where newly sealed partitions go — partition files when a store is
+    /// attached, memory otherwise — each charged against `gov` first.
+    pub(crate) fn governed_sink(
+        &self,
+        schema: &[ColumnDef],
+        gov: Arc<QueryGovernor>,
+    ) -> Box<dyn PartitionSink> {
+        let inner: Box<dyn PartitionSink> = match self.store() {
+            Some(s) => Box::new(s.sink(schema.to_vec())),
+            None => Box::new(MemSink),
+        };
+        Box::new(GovernedSink { inner, gov })
     }
 
     /// Opens (or initializes) a persistent database directory with the write
@@ -366,11 +373,32 @@ impl Database {
         Ok(next)
     }
 
-    /// A fresh deterministic-jitter seed for one auto-commit retry loop.
-    pub(crate) fn next_commit_seed(&self) -> u64 {
-        crate::govern::chaos::splitmix64(
+    /// The auto-commit loop every catalog-mutating statement shares: `plan`
+    /// builds a write set (and the statement's outcome) from a freshly pinned
+    /// snapshot, the set commits by CAS against that version, and a lost race
+    /// re-plans under a seeded bounded backoff. One governor spans every
+    /// attempt, so a cancel or deadline expiry during backoff aborts before
+    /// the next one. An empty write set commits nothing.
+    pub(crate) fn autocommit<T>(
+        &self,
+        gov: &QueryGovernor,
+        mut plan: impl FnMut(&CatalogSnapshot) -> Result<(WriteSet, T)>,
+    ) -> Result<T> {
+        // Per-loop jitter seed: contending writers desynchronize deterministically.
+        let seed = crate::govern::chaos::splitmix64(
             self.commit_seq.fetch_add(1, AtomicOrd::Relaxed).wrapping_add(0x5EED),
-        )
+        );
+        retry::run(&RetryPolicy::commit_default(seed), |attempt| {
+            if attempt > 0 {
+                gov.checkpoint("Commit")?;
+            }
+            let base = self.snapshot();
+            let (set, out) = plan(&base)?;
+            if !set.writes.is_empty() {
+                self.commit_writes(base.version(), set)?;
+            }
+            Ok(out)
+        })
     }
 
     /// Registers a pre-built table snapshot, replacing any same-named table.
@@ -398,6 +426,29 @@ impl Database {
             expect_absent: false,
         }))?;
         Ok(())
+    }
+
+    /// A `CREATE`-style commit: publishes a new table `name` from the schema
+    /// and (shared, immutable) partitions `source` picks off the pinned base.
+    /// An existing `name` is a typed catalog error ending in `hint`; a
+    /// concurrent creation of it is a write conflict.
+    pub(crate) fn create_as<T>(
+        &self,
+        name: &str,
+        hint: &str,
+        gov: &QueryGovernor,
+        source: impl Fn(&CatalogSnapshot) -> Result<(Vec<ColumnDef>, Vec<Arc<ScanSource>>, T)>,
+    ) -> Result<T> {
+        let upper = name.to_ascii_uppercase();
+        self.autocommit(gov, |base| {
+            if base.table(&upper).is_some() {
+                return Err(SnowError::Catalog(format!("table '{name}' already exists{hint}")));
+            }
+            let (schema, partitions, out) = source(base)?;
+            let table = Arc::new(Table::from_parts(upper.clone(), schema, partitions));
+            let put = TableWrite::Put { table, expect_absent: true };
+            Ok((WriteSet::single(&upper, put), out))
+        })
     }
 
     /// Removes a table and returns whether it existed, committing the drop to
@@ -441,21 +492,20 @@ impl Database {
     /// plan executes on the same pipeline, which is what lets the verification
     /// oracle compare optimized against unoptimized results.
     pub fn compile_with(&self, sql: &str, optimize_plan: bool) -> Result<Node> {
-        self.compile_on(&self.snapshot(), sql, optimize_plan)
+        self.compile_on(&self.snapshot(), &parse_query(sql)?, optimize_plan)
     }
 
-    /// Compiles against an explicit pinned snapshot (sessions compile inside
-    /// their transaction's effective catalog). Binds run through a
-    /// [`TravelCatalog`], so `AT`/`BEFORE` clauses resolve retained
+    /// Compiles a parsed query against an explicit pinned snapshot (sessions
+    /// compile inside their transaction's effective catalog). Binds run
+    /// through a [`TravelCatalog`], so `AT`/`BEFORE` clauses resolve retained
     /// historical versions while plain references stay on the snapshot.
     pub(crate) fn compile_on(
         &self,
         cat: &CatalogSnapshot,
-        sql: &str,
+        query: &Query,
         optimize_plan: bool,
     ) -> Result<Node> {
-        let ast = parse_query(sql)?;
-        let bound = bind_query(&ast, &TravelCatalog { db: self, base: cat })?;
+        let bound = bind_query(query, &TravelCatalog { db: self, base: cat })?;
         if optimize_plan {
             optimize(bound)
         } else {
@@ -514,13 +564,13 @@ impl Database {
         opts: &QueryOptions,
         gov: Arc<QueryGovernor>,
     ) -> std::result::Result<QueryResult, QueryFailure> {
-        self.query_on(&self.snapshot(), sql, opts, gov)
+        self.query_text_on(&self.snapshot(), sql, opts, gov)
     }
 
-    /// [`Database::query_governed`] against an explicit pinned snapshot — the
-    /// statement sees exactly one catalog version from bind to last batch.
+    /// Parses `sql` and runs it against `cat`: what every text query entry
+    /// point (here and on [`crate::session::Session`]) shares.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn query_on(
+    pub(crate) fn query_text_on(
         &self,
         cat: &CatalogSnapshot,
         sql: &str,
@@ -528,24 +578,33 @@ impl Database {
         gov: Arc<QueryGovernor>,
     ) -> std::result::Result<QueryResult, QueryFailure> {
         let t0 = Instant::now();
-        let plan = match self.compile_on(cat, sql, opts.optimize) {
-            Ok(p) => p,
-            Err(error) => {
-                return Err(QueryFailure {
-                    error,
-                    partial_metrics: None,
-                    summary: gov.summary(),
-                })
-            }
-        };
-        let compile_time = t0.elapsed();
+        match parse_query(sql) {
+            Ok(query) => self.query_on(cat, &query, t0.elapsed(), opts, gov),
+            Err(error) => Err(QueryFailure::before_execution(error, &gov)),
+        }
+    }
 
-        let threads = opts.threads.map_or_else(|| self.effective_threads(), |t| t.max(1));
-        let vectorize =
-            opts.vectorize.unwrap_or_else(crate::exec::vectorize_from_env);
-        let encode = opts.encode.unwrap_or_else(crate::storage::encode_from_env);
-        let (batches, phys_metrics, ctx, exec_time) =
-            self.run_physical(&plan, threads, vectorize, encode, gov.clone());
+    /// Runs a parsed query against an explicit pinned snapshot — the
+    /// statement sees exactly one catalog version from bind to last batch.
+    /// `parse_time` is what the caller spent producing `query`; it counts
+    /// towards the profile's compile phase (parse + bind + optimize).
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn query_on(
+        &self,
+        cat: &CatalogSnapshot,
+        query: &Query,
+        parse_time: Duration,
+        opts: &QueryOptions,
+        gov: Arc<QueryGovernor>,
+    ) -> std::result::Result<QueryResult, QueryFailure> {
+        let t0 = Instant::now();
+        let plan = match self.compile_on(cat, query, opts.optimize) {
+            Ok(p) => p,
+            Err(error) => return Err(QueryFailure::before_execution(error, &gov)),
+        };
+        let compile_time = parse_time + t0.elapsed();
+
+        let (batches, phys_metrics, ctx, exec_time) = self.run_physical(&plan, opts, gov.clone());
         let batches = match batches {
             Ok(b) => b,
             Err(error) => {
@@ -577,22 +636,6 @@ impl Database {
         })
     }
 
-    /// Submits a query on a background thread, returning a cancellable
-    /// [`QueryHandle`]. The governor is armed from the session parameters at
-    /// submit time; [`QueryHandle::cancel`] trips it at the next batch
-    /// boundary.
-    pub fn execute_governed(self: &Arc<Database>, sql: &str) -> QueryHandle {
-        let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        let db = Arc::clone(self);
-        let g = gov.clone();
-        let sql = sql.to_string();
-        #[allow(clippy::result_large_err)]
-        let join = std::thread::spawn(move || {
-            db.query_governed(&sql, &QueryOptions::default(), g)
-        });
-        QueryHandle::new(gov, join)
-    }
-
     /// Executes an optimized plan on the morsel-parallel pipeline, returning
     /// batches, the metrics snapshot, the execution context, and wall time.
     /// Metrics and context come back even when execution fails — that is what
@@ -600,11 +643,12 @@ impl Database {
     fn run_physical(
         &self,
         plan: &Node,
-        threads: usize,
-        vectorize: bool,
-        encode: bool,
+        opts: &QueryOptions,
         gov: Arc<QueryGovernor>,
     ) -> (Result<Vec<crate::exec::Chunk>>, OpMetrics, ExecCtx, Duration) {
+        let threads = opts.threads.map_or_else(|| self.effective_threads(), |t| t.max(1));
+        let vectorize = opts.vectorize.unwrap_or_else(crate::exec::vectorize_from_env);
+        let encode = opts.encode.unwrap_or_else(crate::storage::encode_from_env);
         let t = Instant::now();
         let phys: PhysNode<'_> = lower(plan, threads);
         let mut ctx = ExecCtx::worker(gov, vectorize, encode);
@@ -628,7 +672,7 @@ impl Database {
 
     /// Renders the optimized plan of a query (`EXPLAIN`).
     pub fn explain(&self, sql: &str) -> Result<String> {
-        Ok(crate::plan::explain(&self.compile(sql)?))
+        self.explain_with(sql, true)
     }
 
     /// Renders the plan with or without the optimizer passes applied — the
@@ -637,25 +681,20 @@ impl Database {
         Ok(crate::plan::explain(&self.compile_with(sql, optimize_plan)?))
     }
 
-    /// Runs the query and renders its plan annotated with the measured
-    /// per-operator metrics (`EXPLAIN ANALYZE`).
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let plan = self.compile(sql)?;
-        self.explain_analyze_plan(&plan)
-    }
-
-    fn explain_analyze_plan(&self, plan: &Node) -> Result<String> {
-        let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        let (batches, metrics, ctx, exec_time) = self.run_physical(
-            plan,
-            self.effective_threads(),
-            crate::exec::vectorize_from_env(),
-            crate::storage::encode_from_env(),
-            gov.clone(),
-        );
+    /// Runs a parsed query under `gov` and renders its plan annotated with
+    /// the measured per-operator metrics (`EXPLAIN ANALYZE`).
+    pub(crate) fn explain_analyze_on(
+        &self,
+        cat: &CatalogSnapshot,
+        query: &Query,
+        gov: Arc<QueryGovernor>,
+    ) -> Result<String> {
+        let plan = self.compile_on(cat, query, true)?;
+        let (batches, metrics, ctx, exec_time) =
+            self.run_physical(&plan, &QueryOptions::default(), gov.clone());
         let batches = batches?;
         let rows = pipeline::total_rows(&batches);
-        let mut out = crate::plan::explain_analyze(plan, &metrics);
+        let mut out = crate::plan::explain_analyze(&plan, &metrics);
         let _ = std::fmt::Write::write_fmt(
             &mut out,
             format_args!(
@@ -692,637 +731,20 @@ impl Database {
         Ok(out)
     }
 
-    /// Current session parameters.
+    /// The database-level session parameters.
     pub fn session_params(&self) -> SessionParams {
         *self.params.read()
     }
 
-    /// Sets a session parameter (`0` clears, Snowflake-style); returns its
-    /// canonical name.
-    pub fn set_session_param(&self, name: &str, value: u64) -> Result<&'static str> {
-        self.params.write().set(name, value)
-    }
-
-    /// Clears a session parameter; returns its canonical name.
-    pub fn unset_session_param(&self, name: &str) -> Result<&'static str> {
-        self.params.write().unset(name)
-    }
-
     /// Executes any statement: queries return rows, DDL/DML return a message.
-    ///
-    /// DML (`INSERT`/`UPDATE`/`DELETE`) auto-commits: it plans against a
-    /// pinned snapshot, prepares partitions off to the side, and commits
-    /// optimistically, retrying lost races on a fresh snapshot under a
-    /// seeded bounded backoff. Explicit transactions need a
-    /// [`crate::session::Session`].
+    /// Runs under the database-level parameters — `SET` here changes the
+    /// defaults later sessions inherit — and without a transaction slot:
+    /// explicit transactions need a [`crate::session::Session`].
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        match parse_statement(sql)? {
-            Statement::Query(_) => Ok(StatementResult::Rows(self.query(sql)?)),
-            Statement::Verify(query_sql) => {
-                let report = crate::verify::verify_sql(
-                    self,
-                    &query_sql,
-                    &crate::verify::default_lattice(self.effective_threads()),
-                    crate::verify::DEFAULT_EPSILON,
-                )?;
-                Ok(StatementResult::Message(report.render()))
-            }
-            Statement::Explain(q) => {
-                let snap = self.snapshot();
-                let bound =
-                    crate::plan::bind_query(&q, &TravelCatalog { db: self, base: &snap })?;
-                let plan = crate::optimize::optimize(bound)?;
-                Ok(StatementResult::Message(crate::plan::explain(&plan)))
-            }
-            Statement::ExplainAnalyze(q) => {
-                let snap = self.snapshot();
-                let bound =
-                    crate::plan::bind_query(&q, &TravelCatalog { db: self, base: &snap })?;
-                let plan = crate::optimize::optimize(bound)?;
-                Ok(StatementResult::Message(self.explain_analyze_plan(&plan)?))
-            }
-            Statement::CreateTable { name, columns } => {
-                let upper = name.to_ascii_uppercase();
-                let schema: Vec<ColumnDef> = columns
-                    .into_iter()
-                    .map(|(n, ty)| crate::storage::ColumnDef::new(n, ty))
-                    .collect();
-                let policy = RetryPolicy::commit_default(self.next_commit_seed());
-                retry::run(&policy, |_| {
-                    let base = self.snapshot();
-                    if base.table(&upper).is_some() {
-                        return Err(SnowError::Catalog(format!(
-                            "table '{name}' already exists"
-                        )));
-                    }
-                    let table =
-                        Arc::new(Table::from_parts(upper.clone(), schema.clone(), Vec::new()));
-                    self.commit_writes(
-                        base.version(),
-                        WriteSet::single(&upper, TableWrite::Put { table, expect_absent: true }),
-                    )
-                })?;
-                Ok(StatementResult::Message(format!("created table {name}")))
-            }
-            stmt @ (Statement::Insert { .. }
-            | Statement::Update { .. }
-            | Statement::Delete { .. }) => {
-                self.autocommit_dml(&stmt, &self.session_params())
-            }
-            Statement::DropTable { name, if_exists } => {
-                let existed = self.drop_table(&name)?;
-                if !existed && !if_exists {
-                    return Err(SnowError::Catalog(format!("table '{name}' does not exist")));
-                }
-                Ok(StatementResult::Message(format!("dropped table {name}")))
-            }
-            Statement::Undrop { name } => {
-                let version = self.undrop_table(&name)?;
-                Ok(StatementResult::Message(format!(
-                    "undropped table {name} (restored from version {version})"
-                )))
-            }
-            Statement::CloneTable { name, source, travel } => {
-                self.clone_table(&name, &source, travel.as_ref())?;
-                Ok(StatementResult::Message(format!(
-                    "created table {name} as zero-copy clone of {source}"
-                )))
-            }
-            Statement::Set { name, value } if name.eq_ignore_ascii_case(RETENTION_PARAM) => {
-                if value == 0 {
-                    return Err(SnowError::Catalog(format!(
-                        "{RETENTION_PARAM} must be at least 1 \
-                         (the current version is always retained)"
-                    )));
-                }
-                let v = self.set_retention(value)?;
-                Ok(StatementResult::Message(format!("{RETENTION_PARAM} set to {v}")))
-            }
-            Statement::Set { name, value } => {
-                let canonical = self.set_session_param(&name, value)?;
-                Ok(StatementResult::Message(if value == 0 {
-                    format!("{canonical} cleared")
-                } else {
-                    format!("{canonical} set to {value}")
-                }))
-            }
-            Statement::Unset { name } => {
-                let canonical = self.unset_session_param(&name)?;
-                Ok(StatementResult::Message(format!("{canonical} cleared")))
-            }
-            Statement::Begin | Statement::Commit | Statement::Rollback => {
-                Err(SnowError::Catalog(
-                    "explicit transactions require a session: open a snowdb::Session \
-                     and run BEGIN/COMMIT/ROLLBACK there"
-                        .into(),
-                ))
-            }
-        }
-    }
-
-    /// Auto-commits one DML statement: plan against a pinned snapshot,
-    /// prepare partitions, commit via CAS, retry lost races on a fresh
-    /// snapshot under a seeded bounded backoff.
-    pub(crate) fn autocommit_dml(
-        &self,
-        stmt: &Statement,
-        params: &SessionParams,
-    ) -> Result<StatementResult> {
-        let gov = Arc::new(QueryGovernor::from_params(params));
-        self.autocommit_dml_governed(stmt, &gov)
-    }
-
-    /// [`Database::autocommit_dml`] under an explicit governor, so a caller
-    /// holding the governor (the network service layer, a `QueryHandle`) can
-    /// cancel the rewrite mid-flight. One governor spans every retry attempt:
-    /// the statement deadline covers the whole statement, and a cancellation
-    /// requested during backoff aborts the next attempt at its first
-    /// checkpoint.
-    pub(crate) fn autocommit_dml_governed(
-        &self,
-        stmt: &Statement,
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<StatementResult> {
-        let policy = RetryPolicy::commit_default(self.next_commit_seed());
-        retry::run(&policy, |_| {
-            let base = self.snapshot();
-            let (name, write, msg) = self.plan_dml(&base, stmt, gov)?;
-            if let Some(w) = write {
-                self.commit_writes(base.version(), WriteSet::single(&name, w))?;
-            }
-            Ok(StatementResult::Message(msg))
-        })
-    }
-
-    /// Plans one DML statement against a pinned snapshot, returning the
-    /// table name, the prepared write (or `None` when the statement touched
-    /// no partition), and the result message. Pure with respect to the
-    /// catalog: nothing is committed. Sessions call this against their
-    /// transaction's effective catalog.
-    pub(crate) fn plan_dml(
-        &self,
-        cat: &CatalogSnapshot,
-        stmt: &Statement,
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<(String, Option<TableWrite>, String)> {
-        match stmt {
-            Statement::Insert { table, rows } => self.plan_insert(cat, table, rows, gov),
-            Statement::Update { table, sets, predicate } => {
-                self.plan_update(cat, table, sets, predicate.as_ref(), gov)
-            }
-            Statement::Delete { table, predicate } => {
-                self.plan_delete(cat, table, predicate.as_ref(), gov)
-            }
-            other => Err(SnowError::internal(
-                "engine",
-                format!("plan_dml called with non-DML statement {other:?}"),
-            )),
-        }
-    }
-
-    /// `INSERT`: evaluates the `VALUES` tuples and seals them into fresh
-    /// partitions (streamed straight to partition files when a store is
-    /// attached). The append merges with concurrent appends at commit time;
-    /// existing partitions are never rewritten.
-    fn plan_insert(
-        &self,
-        cat: &CatalogSnapshot,
-        table: &str,
-        rows: &[Vec<Expr>],
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<(String, Option<TableWrite>, String)> {
-        let upper = table.to_ascii_uppercase();
-        let t = cat
-            .table(&upper)
-            .ok_or_else(|| SnowError::Catalog(format!("table '{table}' does not exist")))?;
-        // Evaluate each VALUES tuple as literal expressions.
-        let mut ctx = ExecCtx::default();
-        let chunk = crate::exec::Chunk { cols: Vec::new(), rows: 1 };
-        let parts = [(&chunk, 0usize)];
-        let view = crate::exec::RowView::new(&parts);
-        let mut new_rows: Vec<Vec<Variant>> = Vec::with_capacity(rows.len());
-        for tuple in rows {
-            if tuple.len() != t.schema().len() {
-                return Err(SnowError::Catalog(format!(
-                    "INSERT arity {} does not match table arity {}",
-                    tuple.len(),
-                    t.schema().len()
-                )));
-            }
-            let mut row = Vec::with_capacity(tuple.len());
-            for e in tuple {
-                let bound = crate::plan::binder::bind_expr(e, &[], None)?;
-                row.push(crate::exec::eval(&bound, view, &mut ctx)?);
-            }
-            new_rows.push(row);
-        }
-        let inserted = new_rows.len();
-        let schema = t.schema().to_vec();
-        let parts = self.build_partitions(&upper, &schema, &new_rows, DEFAULT_PARTITION_ROWS, gov)?;
-        let write = (!parts.is_empty()).then_some(TableWrite::Append { parts, schema });
-        Ok((upper, write, format!("inserted {inserted} row(s)")))
-    }
-
-    /// `DELETE`: copy-on-write partition rewrite. Partitions with no matching
-    /// row keep their `Arc` (zero copy, and — because conflict detection is
-    /// by partition identity — zero conflict surface); partitions losing all
-    /// rows are removed outright; mixed partitions are rebuilt from their
-    /// surviving rows. Rows are deleted iff the predicate is `TRUE`
-    /// (`FALSE`-or-`NULL` rows survive — SQL three-valued logic).
-    fn plan_delete(
-        &self,
-        cat: &CatalogSnapshot,
-        table: &str,
-        predicate: Option<&Expr>,
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<(String, Option<TableWrite>, String)> {
-        let upper = table.to_ascii_uppercase();
-        let t = cat
-            .table(&upper)
-            .ok_or_else(|| SnowError::Catalog(format!("table '{table}' does not exist")))?;
-        let schema = t.schema().to_vec();
-        let bound = self.bind_dml_predicate(&t, predicate)?;
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        let mut deleted = 0usize;
-        for part in t.partitions() {
-            gov.checkpoint("Rewrite")?;
-            let rows = part.row_count();
-            if rows == 0 {
-                continue;
-            }
-            let (mask, cols) = self.match_rows(part, &schema, bound.as_ref(), gov)?;
-            let hits = mask.iter().filter(|&&m| m).count();
-            if hits == 0 {
-                continue;
-            }
-            deleted += hits;
-            removed.push(part.clone());
-            if hits == rows {
-                continue;
-            }
-            let mut survivors: Vec<Vec<Variant>> = Vec::with_capacity(rows - hits);
-            for (r, &dead) in mask.iter().enumerate() {
-                if !dead {
-                    survivors.push(cols.iter().map(|c| c.get(r)).collect());
-                }
-            }
-            added.extend(self.build_partitions(&upper, &schema, &survivors, rows, gov)?);
-        }
-        let write = (!removed.is_empty()).then_some(TableWrite::Rewrite { removed, added });
-        Ok((upper, write, format!("deleted {deleted} row(s)")))
-    }
-
-    /// `UPDATE`: copy-on-write partition rewrite. Untouched partitions keep
-    /// their `Arc`; a partition with at least one matching row is rebuilt
-    /// with the `SET` expressions applied to matching rows (evaluated
-    /// against the *old* row, so `SET a = a + 1` is well-defined).
-    fn plan_update(
-        &self,
-        cat: &CatalogSnapshot,
-        table: &str,
-        sets: &[(String, Expr)],
-        predicate: Option<&Expr>,
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<(String, Option<TableWrite>, String)> {
-        let upper = table.to_ascii_uppercase();
-        let t = cat
-            .table(&upper)
-            .ok_or_else(|| SnowError::Catalog(format!("table '{table}' does not exist")))?;
-        let schema = t.schema().to_vec();
-        let fields = self.dml_fields(&t);
-        let mut set_cols: Vec<(usize, PExpr)> = Vec::with_capacity(sets.len());
-        for (col, e) in sets {
-            let idx = t.column_index(col).ok_or_else(|| {
-                SnowError::Plan(format!("unknown column '{col}' in UPDATE SET"))
-            })?;
-            set_cols.push((idx, crate::plan::binder::bind_expr(e, &fields, None)?));
-        }
-        let bound = self.bind_dml_predicate(&t, predicate)?;
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        let mut updated = 0usize;
-        for part in t.partitions() {
-            gov.checkpoint("Rewrite")?;
-            let rows = part.row_count();
-            if rows == 0 {
-                continue;
-            }
-            let (mask, cols) = self.match_rows(part, &schema, bound.as_ref(), gov)?;
-            let hits = mask.iter().filter(|&&m| m).count();
-            if hits == 0 {
-                continue;
-            }
-            updated += hits;
-            removed.push(part.clone());
-            // Re-materialize the whole partition, substituting the SET
-            // expressions on matching rows.
-            let chunk = self.partition_chunk(&cols, rows);
-            let mut ctx = ExecCtx::default();
-            let mut rebuilt: Vec<Vec<Variant>> = Vec::with_capacity(rows);
-            for (r, &hit) in mask.iter().enumerate() {
-                let mut row: Vec<Variant> = cols.iter().map(|c| c.get(r)).collect();
-                if hit {
-                    let parts = [(&chunk, r)];
-                    let view = crate::exec::RowView::new(&parts);
-                    for (idx, e) in &set_cols {
-                        row[*idx] = crate::exec::eval(e, view, &mut ctx)?;
-                    }
-                }
-                rebuilt.push(row);
-            }
-            added.extend(self.build_partitions(&upper, &schema, &rebuilt, rows, gov)?);
-        }
-        let write = (!removed.is_empty()).then_some(TableWrite::Rewrite { removed, added });
-        Ok((upper, write, format!("updated {updated} row(s)")))
-    }
-
-    /// Bind fields for DML predicates/SET expressions: every column,
-    /// qualified by the table name.
-    fn dml_fields(&self, t: &Table) -> Vec<Field> {
-        t.schema()
-            .iter()
-            .map(|c| Field::new(Some(t.name()), c.name.clone()))
-            .collect()
-    }
-
-    fn bind_dml_predicate(&self, t: &Table, predicate: Option<&Expr>) -> Result<Option<PExpr>> {
-        let fields = self.dml_fields(t);
-        predicate
-            .map(|p| crate::plan::binder::bind_expr(p, &fields, None))
-            .transpose()
-    }
-
-    /// Reads every column of a partition (governed) and evaluates the
-    /// predicate per row: `mask[r]` is true iff the predicate is `TRUE` on
-    /// row `r` (no predicate matches every row).
-    fn match_rows(
-        &self,
-        part: &Arc<ScanSource>,
-        schema: &[ColumnDef],
-        pred: Option<&PExpr>,
-        gov: &QueryGovernor,
-    ) -> Result<(Vec<bool>, Vec<Arc<crate::exec::ColumnVec>>)> {
-        let rows = part.row_count();
-        let mut cols = Vec::with_capacity(schema.len());
-        for i in 0..schema.len() {
-            cols.push(part.read_column_governed(i, gov, "Rewrite")?.data);
-        }
-        let mask = match pred {
-            None => vec![true; rows],
-            Some(p) => {
-                let chunk = self.partition_chunk(&cols, rows);
-                let mut ctx = ExecCtx::default();
-                let mut mask = Vec::with_capacity(rows);
-                for r in 0..rows {
-                    let parts = [(&chunk, r)];
-                    let view = crate::exec::RowView::new(&parts);
-                    let v = crate::exec::eval(p, view, &mut ctx)?;
-                    mask.push(crate::exec::truth(&v)? == Some(true));
-                }
-                mask
-            }
-        };
-        Ok((mask, cols))
-    }
-
-    fn partition_chunk(
-        &self,
-        cols: &[Arc<crate::exec::ColumnVec>],
-        rows: usize,
-    ) -> crate::exec::Chunk {
-        crate::exec::Chunk { cols: cols.iter().map(|c| c.decoded()).collect(), rows }
-    }
-
-    /// Seals rows into fresh partitions through the standard builder path
-    /// (type validation, stats, zone maps), streaming to partition files
-    /// when a store is attached and charging the governor for every sealed
-    /// partition.
-    pub(crate) fn build_partitions(
-        &self,
-        name: &str,
-        schema: &[ColumnDef],
-        rows: &[Vec<Variant>],
-        partition_rows: usize,
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<Vec<Arc<ScanSource>>> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let inner: Box<dyn PartitionSink> = match self.store() {
-            Some(s) => Box::new(s.sink(schema.to_vec())),
-            None => Box::new(MemSink),
-        };
-        let sink = GovernedSink { inner, gov: gov.clone() };
-        let mut b = TableBuilder::with_sink(
-            name.to_string(),
-            schema.to_vec(),
-            partition_rows.max(1),
-            Box::new(sink),
-        );
-        for row in rows {
-            b.push_row(row)?;
-        }
-        Ok(b.finish()?.partitions().to_vec())
-    }
-
-    /// Sets the retention window (number of committed versions kept for time
-    /// travel / `UNDROP` / clones, including the current one; clamped ≥ 1).
-    /// For a persistent database the change is itself a commit — shrinking
-    /// immediately evicts (and GCs) history beyond the new window.
-    pub fn set_retention(&self, versions: u64) -> Result<u64> {
-        let versions = versions.max(1);
-        let _guard = self.catalog.lock_commits();
-        if let Some(s) = self.store() {
-            let current = self.catalog.snapshot();
-            s.set_retention(versions)?;
-            // The store committed a version of its own; publish the matching
-            // (table-wise empty) catalog version to keep the two counters —
-            // and their histories — in lockstep.
-            let mut next = current.apply(current.version(), &WriteSet::default())?;
-            next.set_pin(s.pin_current());
-            self.catalog.set_capacity(versions);
-            self.catalog.publish(Arc::new(next));
-        } else {
-            self.catalog.set_capacity(versions);
-        }
-        Ok(versions)
-    }
-
-    /// The configured retention window in versions.
-    pub fn retention(&self) -> u64 {
-        match self.store() {
-            Some(s) => s.retention(),
-            None => self.catalog.capacity(),
-        }
-    }
-
-    /// Resolves a table as of a retained historical version, for `AT`/
-    /// `BEFORE` clauses, `UNDROP`, and versioned clones. Resolution order:
-    /// the base snapshot itself, then the store's manifest history (whose
-    /// reconstructed partitions carry a GC [`crate::store::VersionPin`]),
-    /// then the in-memory snapshot history (purely in-memory databases,
-    /// where no GC exists). Evicted or unknown versions surface as typed
-    /// errors, never a wrong answer.
-    pub(crate) fn table_at_version(
-        &self,
-        name: &str,
-        travel: &Travel,
-        base: &CatalogSnapshot,
-    ) -> Result<Arc<Table>> {
-        let version = if travel.before {
-            travel.version.checked_sub(1).ok_or_else(|| {
-                SnowError::Plan("BEFORE(VERSION => 0) has no predecessor version".into())
-            })?
-        } else {
-            travel.version
-        };
-        let upper = name.to_ascii_uppercase();
-        if version > base.version() {
-            return Err(SnowError::Catalog(format!(
-                "version {version} has not been committed yet (current version: {})",
-                base.version()
-            )));
-        }
-        let missing = || {
-            SnowError::Catalog(format!("table '{name}' did not exist at version {version}"))
-        };
-        if version == base.version() {
-            return base.table(&upper).ok_or_else(missing);
-        }
-        if let Some(s) = self.store() {
-            return match s.open_table_at(version, &upper)? {
-                Some(t) => Ok(Arc::new(t)),
-                None => Err(missing()),
-            };
-        }
-        match self.catalog.at_version(version) {
-            Some(snap) => snap.table(&upper).ok_or_else(missing),
-            None => Err(SnowError::Storage(format!(
-                "version {version} is outside the retention window \
-                 (retention: {} versions)",
-                self.catalog.capacity()
-            ))),
-        }
-    }
-
-    /// `UNDROP TABLE`: restores the table from the most recent retained
-    /// version that still holds it, as a `CREATE`-style commit (conflicts if
-    /// the name was concurrently re-created). Returns the version restored
-    /// from; a table absent from every retained version is a typed catalog
-    /// error.
-    pub fn undrop_table(&self, name: &str) -> Result<u64> {
-        let upper = name.to_ascii_uppercase();
-        let policy = RetryPolicy::commit_default(self.next_commit_seed());
-        retry::run(&policy, |_| {
-            let base = self.snapshot();
-            if base.table(&upper).is_some() {
-                return Err(SnowError::Catalog(format!(
-                    "table '{name}' already exists (drop it before UNDROP)"
-                )));
-            }
-            let (table, version) = self.latest_retained(&upper)?;
-            let table = Arc::new(Table::from_parts(
-                upper.clone(),
-                table.schema().to_vec(),
-                table.partitions().to_vec(),
-            ));
-            self.commit_writes(
-                base.version(),
-                WriteSet::single(&upper, TableWrite::Put { table, expect_absent: true }),
-            )?;
-            Ok(version)
-        })
-    }
-
-    /// The newest retained historical version holding `upper`, walking the
-    /// manifest history when a store is attached (it survives restarts),
-    /// else the in-memory snapshot history.
-    fn latest_retained(&self, upper: &str) -> Result<(Arc<Table>, u64)> {
-        if let Some(s) = self.store() {
-            for v in s.retained_versions().into_iter().rev() {
-                if let Some(t) = s.open_table_at(v, upper)? {
-                    return Ok((Arc::new(t), v));
-                }
-            }
-        } else {
-            let current = self.catalog.snapshot().version();
-            for v in (1..=current).rev() {
-                let Some(snap) = self.catalog.at_version(v) else { break };
-                if let Some(t) = snap.table(upper) {
-                    return Ok((t, v));
-                }
-            }
-        }
-        Err(SnowError::Catalog(format!(
-            "table '{upper}' is not present in any retained version \
-             (retention: {} versions)",
-            self.retention()
-        )))
-    }
-
-    /// `CREATE TABLE ... CLONE src [AT/BEFORE(VERSION => n)]`: a zero-copy
-    /// metadata operation. The clone shares the source's immutable partition
-    /// `Arc`s — no partition bytes are read or written; on a persistent
-    /// database the manifest simply references the same files from both
-    /// tables, and copy-on-write DML diverges them from there.
-    pub fn clone_table(&self, name: &str, source: &str, travel: Option<&Travel>) -> Result<()> {
-        let upper = name.to_ascii_uppercase();
-        let src_upper = source.to_ascii_uppercase();
-        let policy = RetryPolicy::commit_default(self.next_commit_seed());
-        retry::run(&policy, |_| {
-            let base = self.snapshot();
-            if base.table(&upper).is_some() {
-                return Err(SnowError::Catalog(format!("table '{name}' already exists")));
-            }
-            let src = match travel {
-                Some(t) => self.table_at_version(&src_upper, t, &base)?,
-                None => base.table(&src_upper).ok_or_else(|| {
-                    SnowError::Catalog(format!("table '{source}' does not exist"))
-                })?,
-            };
-            let table = Arc::new(Table::from_parts(
-                upper.clone(),
-                src.schema().to_vec(),
-                src.partitions().to_vec(),
-            ));
-            self.commit_writes(
-                base.version(),
-                WriteSet::single(&upper, TableWrite::Put { table, expect_absent: true }),
-            )?;
-            Ok(())
-        })
-    }
-
-    /// Runs a query and requires a single scalar result.
-    pub fn query_scalar(&self, sql: &str) -> Result<Variant> {
-        let res = self.query(sql)?;
-        res.scalar()
-            .cloned()
-            .ok_or_else(|| SnowError::Exec("query produced no rows".into()))
-    }
-}
-
-/// Statement name of the retention knob (`SET DATA_RETENTION_VERSIONS = n`),
-/// intercepted ahead of the ordinary session parameters because it mutates
-/// durable store state, not per-session limits.
-pub(crate) const RETENTION_PARAM: &str = "DATA_RETENTION_VERSIONS";
-
-/// The binder-facing catalog for one statement: plain table references
-/// resolve on the pinned base snapshot; `AT`/`BEFORE` clauses reach through
-/// the database into retained history ([`Database::table_at_version`]).
-pub(crate) struct TravelCatalog<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) base: &'a CatalogSnapshot,
-}
-
-impl crate::plan::Catalog for TravelCatalog<'_> {
-    fn table(&self, name: &str) -> Option<Arc<Table>> {
-        self.base.table(name)
-    }
-
-    fn table_at(&self, name: &str, travel: &Travel) -> Result<Arc<Table>> {
-        self.db.table_at_version(name, travel, self.base)
+        let t0 = Instant::now();
+        let stmt = parse_statement(sql)?;
+        let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
+        StatementCtx { db: self, params: &self.params, txn: None }.run(stmt, t0.elapsed(), gov)
     }
 }
 
@@ -1475,8 +897,8 @@ mod tests {
             StatementResult::Message(m) => assert_eq!(m, "updated 5 row(s)"),
             other => panic!("unexpected {other:?}"),
         }
-        let sum = db.query_scalar("SELECT sum(x) FROM t WHERE x >= 1000").unwrap();
-        assert_eq!(sum, Variant::Int(1000 + 1001 + 1002 + 1003 + 1004));
+        let sum = db.query("SELECT sum(x) FROM t WHERE x >= 1000").unwrap();
+        assert_eq!(sum.scalar(), Some(&Variant::Int(1000 + 1001 + 1002 + 1003 + 1004)));
         assert_eq!(db.table("t").unwrap().row_count(), 95);
     }
 

@@ -345,6 +345,14 @@ pub struct QueryFailure {
     pub summary: GovernorSummary,
 }
 
+impl QueryFailure {
+    /// A failure before any operator ran (parse, bind, optimize): no metrics
+    /// tree exists yet.
+    pub(crate) fn before_execution(error: SnowError, gov: &QueryGovernor) -> QueryFailure {
+        QueryFailure { error, partial_metrics: None, summary: gov.summary() }
+    }
+}
+
 impl std::fmt::Display for QueryFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.error)
@@ -360,7 +368,7 @@ impl From<QueryFailure> for SnowError {
 }
 
 /// A cancellable handle to a query running on a background thread, returned
-/// by [`Database::execute_governed`](crate::engine::Database::execute_governed).
+/// by [`Session::submit`](crate::session::Session::submit).
 pub struct QueryHandle {
     gov: Arc<QueryGovernor>,
     join: Option<std::thread::JoinHandle<std::result::Result<crate::engine::QueryResult, QueryFailure>>>,

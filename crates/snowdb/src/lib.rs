@@ -32,6 +32,7 @@
 
 pub mod catalog;
 pub mod column;
+mod dml;
 pub mod engine;
 pub mod error;
 pub mod exec;
@@ -43,6 +44,7 @@ pub mod session;
 pub mod sql;
 pub mod storage;
 pub mod store;
+mod travel;
 pub mod variant;
 pub mod verify;
 

@@ -22,6 +22,7 @@ use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use crate::engine::{QueryResult, StatementResult};
 use crate::error::{Result, SnowError};
@@ -319,7 +320,14 @@ fn handle_statement(
 
     let gov = Arc::new(QueryGovernor::from_params(&session.params()));
     cancel.arm(&gov);
-    let outcome = catch_unwind(AssertUnwindSafe(|| session.execute_governed(sql, Arc::clone(&gov))));
+    // The one parse of this frame; what it found is kept for the footer.
+    let mut analyzed = false;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let t0 = Instant::now();
+        let stmt = parse_statement(sql)?;
+        analyzed = matches!(stmt, Statement::ExplainAnalyze(_));
+        session.ctx().run(stmt, t0.elapsed(), gov)
+    }));
     cancel.statement_done();
     drop(permit); // Slot frees before we spend time serializing the result.
 
@@ -337,7 +345,7 @@ fn handle_statement(
             // Admission annotation on EXPLAIN ANALYZE: the profile's render
             // happens engine-side, so the service layer appends its own
             // accounting the same way the governor summary is appended.
-            if matches!(parse_statement(sql), Ok(Statement::ExplainAnalyze(_))) {
+            if analyzed {
                 let s = shared.admission.stats_for(session_id);
                 msg.push_str(&format!(
                     "\nadmission: queued {queued_ms} ms; session {session_id}: \

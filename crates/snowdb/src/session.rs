@@ -1,4 +1,4 @@
-//! Sessions: per-connection state over a shared [`Database`].
+//! Sessions and the one statement path.
 //!
 //! A [`Session`] owns its session parameters and an optional explicit
 //! transaction. `BEGIN` pins the current catalog version; every statement
@@ -11,22 +11,29 @@
 //! re-run its logic on a fresh snapshot — replaying blindly would forfeit
 //! exactly the isolation the transaction promised).
 //!
-//! Statements outside a transaction auto-commit with the same retry policy
-//! as [`Database::execute`], but under this session's parameters.
+//! Every statement — typed at a bare [`Database`], at a [`Session`], or
+//! arriving over the wire — is parsed once by its text entry point and then
+//! executed by [`StatementCtx::run`], the only place that matches on
+//! statement kinds. The context names what the statement runs under: the
+//! parameter store in force, the transaction slot (if the caller has one),
+//! and the caller's governor.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
 use crate::catalog::{CatalogSnapshot, TableWrite, WriteSet};
 use crate::engine::{Database, QueryOptions, QueryResult, StatementResult};
 use crate::error::{Result, SnowError};
-use crate::govern::{QueryGovernor, SessionParams};
+use crate::govern::{QueryGovernor, QueryHandle, SessionParams};
 use crate::sql::{parse_statement, Statement};
+use crate::storage::ColumnDef;
+use crate::travel::RETENTION_PARAM;
 
 /// An in-flight explicit transaction.
-struct Txn {
+pub(crate) struct Txn {
     /// The catalog version pinned at `BEGIN` — the CAS base for `COMMIT` and
     /// the baseline for the commit-time diff.
     base: Arc<CatalogSnapshot>,
@@ -58,9 +65,13 @@ impl Session {
         &self.db
     }
 
+    pub(crate) fn ctx(&self) -> StatementCtx<'_> {
+        StatementCtx { db: &self.db, params: &self.params, txn: Some(&self.txn) }
+    }
+
     /// Whether an explicit transaction is open.
     pub fn in_transaction(&self) -> bool {
-        self.txn.lock().is_some()
+        self.ctx().in_transaction()
     }
 
     /// This session's current parameters.
@@ -68,137 +79,233 @@ impl Session {
         *self.params.read()
     }
 
-    /// The catalog snapshot statements currently read from: the
-    /// transaction's effective catalog inside a transaction, the database's
-    /// latest version otherwise.
-    pub fn read_snapshot(&self) -> Arc<CatalogSnapshot> {
-        match self.txn.lock().as_ref() {
-            Some(t) => t.effective.clone(),
-            None => self.db.snapshot(),
-        }
+    /// A fresh governor armed from this session's parameters.
+    fn governor(&self) -> Arc<QueryGovernor> {
+        Arc::new(QueryGovernor::from_params(&self.params()))
     }
 
     /// Runs a query against this session's read snapshot under this
     /// session's parameters.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let gov = Arc::new(QueryGovernor::from_params(&self.params()));
-        self.query_governed(sql, gov)
+        let snap = self.ctx().read_snapshot();
+        let res = self.db.query_text_on(&snap, sql, &QueryOptions::default(), self.governor());
+        res.map_err(SnowError::from)
     }
 
-    /// Runs a query against this session's read snapshot under an explicit
-    /// governor. The caller keeps the governor, so it can trip it from
-    /// another thread — this is how the network service layer cancels an
-    /// in-flight statement when a cancel frame arrives or the client
-    /// disconnects.
-    pub fn query_governed(&self, sql: &str, gov: Arc<QueryGovernor>) -> Result<QueryResult> {
-        let snap = self.read_snapshot();
-        self.db
-            .query_on(&snap, sql, &QueryOptions::default(), gov)
-            .map_err(SnowError::from)
+    /// Submits a query on a background thread, returning a cancellable
+    /// [`QueryHandle`]. The governor is armed from this session's parameters
+    /// at submit time; [`QueryHandle::cancel`] trips it at the next batch
+    /// boundary, and a failure carries the partial metrics tree.
+    pub fn submit(self: &Arc<Session>, sql: &str) -> QueryHandle {
+        let gov = self.governor();
+        let (session, g, sql) = (Arc::clone(self), gov.clone(), sql.to_string());
+        #[allow(clippy::result_large_err)]
+        let join = std::thread::spawn(move || {
+            let snap = session.ctx().read_snapshot();
+            session.db.query_text_on(&snap, &sql, &QueryOptions::default(), g)
+        });
+        QueryHandle::new(gov, join)
     }
 
-    /// Executes any statement in this session. Queries and DML inside a
-    /// transaction see the transaction's own writes; DDL and `VERIFY` are
-    /// rejected inside a transaction (the catalog diff they'd need is not
-    /// worth their rarity — Snowflake auto-commits DDL for the same reason).
+    /// Executes any statement in this session under this session's
+    /// parameters. Queries, `EXPLAIN` and DML inside a transaction see the
+    /// transaction's own writes.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        let gov = Arc::new(QueryGovernor::from_params(&self.params()));
-        self.execute_governed(sql, gov)
+        let t0 = Instant::now();
+        let stmt = parse_statement(sql)?;
+        self.ctx().run(stmt, t0.elapsed(), self.governor())
     }
 
-    /// [`Session::execute`] under an explicit governor shared with the
-    /// caller. Queries and DML rewrites check it at every batch boundary /
-    /// partition claim, so tripping the governor (cancel, deadline) frees
-    /// the executing thread within one batch of work. Session-state verbs
-    /// (`BEGIN`, `SET`, ...) never block and ignore the governor.
-    pub fn execute_governed(
+    /// Executes an already-parsed statement: what [`Session::execute`] does
+    /// after parsing, for callers that build the [`Statement`] themselves.
+    pub fn execute_statement(&self, stmt: Statement) -> Result<StatementResult> {
+        self.ctx().run(stmt, Duration::ZERO, self.governor())
+    }
+}
+
+/// What one statement runs under. A [`Session`] supplies its own parameter
+/// store and transaction slot; a bare [`Database`] the database-level
+/// parameters and no slot (its transaction verbs point at sessions).
+pub(crate) struct StatementCtx<'a> {
+    pub(crate) db: &'a Database,
+    /// The parameters in force: `SET`/`UNSET` write here, and the caller
+    /// armed the statement's governor from here.
+    pub(crate) params: &'a RwLock<SessionParams>,
+    /// The caller's transaction slot, if it can hold a transaction at all.
+    pub(crate) txn: Option<&'a Mutex<Option<Txn>>>,
+}
+
+impl StatementCtx<'_> {
+    fn in_transaction(&self) -> bool {
+        self.txn.is_some_and(|slot| slot.lock().is_some())
+    }
+
+    /// The catalog statements read from: the open transaction's effective
+    /// catalog, else the database's latest version.
+    fn read_snapshot(&self) -> Arc<CatalogSnapshot> {
+        self.txn
+            .and_then(|slot| slot.lock().as_ref().map(|t| t.effective.clone()))
+            .unwrap_or_else(|| self.db.snapshot())
+    }
+
+    fn txn_slot(&self) -> Result<&Mutex<Option<Txn>>> {
+        self.txn.ok_or_else(|| {
+            SnowError::Catalog(
+                "explicit transactions require a session: open a snowdb::Session \
+                 and run BEGIN/COMMIT/ROLLBACK there"
+                    .into(),
+            )
+        })
+    }
+
+    /// The statement dispatcher: executes one parsed statement under this
+    /// context and `gov`. `parse_time` is what the text entry point spent
+    /// producing `stmt` (it counts towards a query's compile phase).
+    ///
+    /// An open transaction accepts what reads only or fits its write set:
+    /// queries, `EXPLAIN [ANALYZE]`, DML, ordinary `SET`/`UNSET`, the
+    /// transaction verbs. The rest is rejected there — the catalog diff it
+    /// would need is not worth its rarity (Snowflake auto-commits DDL for
+    /// the same reason).
+    pub(crate) fn run(
         &self,
-        sql: &str,
+        stmt: Statement,
+        parse_time: Duration,
         gov: Arc<QueryGovernor>,
     ) -> Result<StatementResult> {
-        match parse_statement(sql)? {
+        let db = self.db;
+        let message = |m: String| Ok(StatementResult::Message(m));
+        match stmt {
             Statement::Begin => self.begin(),
             Statement::Commit => self.commit(),
             Statement::Rollback => self.rollback(),
-            Statement::Query(_) => {
-                Ok(StatementResult::Rows(self.query_governed(sql, gov)?))
+            Statement::Query(q) => {
+                let opts = QueryOptions::default();
+                let snap = self.read_snapshot();
+                Ok(StatementResult::Rows(db.query_on(&snap, &q, parse_time, &opts, gov)?))
             }
-            Statement::Set { ref name, .. }
-                if name.eq_ignore_ascii_case(crate::engine::RETENTION_PARAM) =>
-            {
-                // Retention is durable store state, not a per-session limit:
-                // route through the engine's intercept (rejected mid-txn like
-                // any other catalog mutation).
-                if self.in_transaction() {
-                    return Err(SnowError::Catalog(
-                        "cannot change DATA_RETENTION_VERSIONS inside a transaction \
-                         (COMMIT or ROLLBACK first)"
-                            .into(),
-                    ));
-                }
-                self.db.execute(sql)
+            Statement::Explain(q) => {
+                message(crate::plan::explain(&db.compile_on(&self.read_snapshot(), &q, true)?))
             }
-            Statement::Set { name, value } => {
+            Statement::ExplainAnalyze(q) => {
+                message(db.explain_analyze_on(&self.read_snapshot(), &q, gov)?)
+            }
+            Statement::Insert { table, rows } => {
+                self.write(&gov, |cat| db.plan_insert(cat, &table, &rows, &gov))
+            }
+            Statement::Update { table, sets, predicate } => self.write(&gov, |cat| {
+                db.plan_update(cat, &table, &sets, predicate.as_ref(), &gov)
+            }),
+            Statement::Delete { table, predicate } => {
+                self.write(&gov, |cat| db.plan_delete(cat, &table, predicate.as_ref(), &gov))
+            }
+            Statement::Set { name, value } if !name.eq_ignore_ascii_case(RETENTION_PARAM) => {
                 let canonical = self.params.write().set(&name, value)?;
-                Ok(StatementResult::Message(if value == 0 {
+                message(if value == 0 {
                     format!("{canonical} cleared")
                 } else {
                     format!("{canonical} set to {value}")
-                }))
+                })
             }
             Statement::Unset { name } => {
                 let canonical = self.params.write().unset(&name)?;
-                Ok(StatementResult::Message(format!("{canonical} cleared")))
+                message(format!("{canonical} cleared"))
             }
-            stmt @ (Statement::Insert { .. }
-            | Statement::Update { .. }
-            | Statement::Delete { .. }) => {
-                let mut txn = self.txn.lock();
-                match txn.as_mut() {
-                    Some(t) => Session::apply_in_txn(&self.db, t, &stmt, &gov),
-                    None => {
-                        drop(txn);
-                        self.db.autocommit_dml_governed(&stmt, &gov)
-                    }
-                }
-            }
-            other => {
-                if self.in_transaction() {
+            // Retention is durable store state, not a per-session limit: it
+            // and everything below is rejected while a transaction is open.
+            Statement::Set { .. } if self.in_transaction() => Err(SnowError::Catalog(
+                "cannot change DATA_RETENTION_VERSIONS inside a transaction \
+                 (COMMIT or ROLLBACK first)"
+                    .into(),
+            )),
+            other if self.in_transaction() => Err(SnowError::Catalog(format!(
+                "statement is not supported inside a transaction \
+                 (COMMIT or ROLLBACK first): {other:?}"
+            ))),
+            Statement::Set { value, .. } => {
+                if value == 0 {
                     return Err(SnowError::Catalog(format!(
-                        "statement is not supported inside a transaction \
-                         (COMMIT or ROLLBACK first): {other:?}"
+                        "{RETENTION_PARAM} must be at least 1 \
+                         (the current version is always retained)"
                     )));
                 }
-                self.db.execute(sql)
+                let v = db.set_retention(value)?;
+                message(format!("{RETENTION_PARAM} set to {v}"))
+            }
+            Statement::Verify { query, text } => {
+                let lattice = crate::verify::default_lattice(db.effective_threads());
+                let report = crate::verify::verify_query(
+                    db,
+                    &self.read_snapshot(),
+                    Ok(&query),
+                    &text,
+                    &lattice,
+                    crate::verify::DEFAULT_EPSILON,
+                    &gov,
+                )?;
+                message(report.render())
+            }
+            Statement::CreateTable { name, columns } => {
+                let schema: Vec<_> =
+                    columns.into_iter().map(|(n, ty)| ColumnDef::new(n, ty)).collect();
+                db.create_as(&name, "", &gov, |_| Ok((schema.clone(), Vec::new(), ())))?;
+                message(format!("created table {name}"))
+            }
+            Statement::DropTable { name, if_exists } => {
+                if !db.drop_table(&name)? && !if_exists {
+                    return Err(SnowError::Catalog(format!("table '{name}' does not exist")));
+                }
+                message(format!("dropped table {name}"))
+            }
+            Statement::Undrop { name } => {
+                let version = db.undrop_table(&name, &gov)?;
+                message(format!("undropped table {name} (restored from version {version})"))
+            }
+            Statement::CloneTable { name, source, travel } => {
+                db.clone_table(&name, &source, travel.as_ref(), &gov)?;
+                message(format!("created table {name} as zero-copy clone of {source}"))
             }
         }
     }
 
-    /// Applies one DML statement to the transaction's effective catalog —
-    /// prepared exactly like an auto-commit write, but stacked onto the
-    /// private overlay instead of being committed.
-    fn apply_in_txn(
-        db: &Database,
-        txn: &mut Txn,
-        stmt: &Statement,
-        gov: &Arc<QueryGovernor>,
+    /// Applies one planned DML write: stacked onto the open transaction's
+    /// effective catalog — prepared exactly like an auto-commit write, but
+    /// not committed — or auto-committed ([`Database::autocommit`]).
+    fn write(
+        &self,
+        gov: &QueryGovernor,
+        plan: impl Fn(&CatalogSnapshot) -> Result<(String, Option<TableWrite>, String)>,
     ) -> Result<StatementResult> {
-        let (name, write, msg) = db.plan_dml(&txn.effective, stmt, gov)?;
-        if let Some(w) = write {
-            // Applying against the overlay's own version can only conflict if
-            // the statement itself raced — it cannot here, the overlay is
-            // session-private.
-            let next = txn
-                .effective
-                .apply(txn.effective.version(), &WriteSet::single(&name, w))?;
-            txn.effective = Arc::new(next);
-            txn.touched.insert(name);
-        }
+        let mut guard = self.txn.map(|slot| slot.lock());
+        let msg = match guard.as_mut().and_then(|g| g.as_mut()) {
+            Some(txn) => {
+                let (name, write, msg) = plan(&txn.effective)?;
+                if let Some(w) = write {
+                    // Applying against the overlay's own version can only
+                    // conflict if the statement itself raced — it cannot
+                    // here, the overlay is session-private.
+                    let next = txn
+                        .effective
+                        .apply(txn.effective.version(), &WriteSet::single(&name, w))?;
+                    txn.effective = Arc::new(next);
+                    txn.touched.insert(name);
+                }
+                msg
+            }
+            None => {
+                drop(guard);
+                self.db.autocommit(gov, |base| {
+                    let (name, write, msg) = plan(base)?;
+                    let writes = write.map(|w| (name, w)).into_iter().collect();
+                    Ok((WriteSet { writes }, msg))
+                })?
+            }
+        };
         Ok(StatementResult::Message(msg))
     }
 
     fn begin(&self) -> Result<StatementResult> {
-        let mut txn = self.txn.lock();
+        let mut txn = self.txn_slot()?.lock();
         if txn.is_some() {
             return Err(SnowError::Catalog("a transaction is already in progress".into()));
         }
@@ -211,8 +318,7 @@ impl Session {
     }
 
     fn rollback(&self) -> Result<StatementResult> {
-        let mut txn = self.txn.lock();
-        if txn.take().is_none() {
+        if self.txn_slot()?.lock().take().is_none() {
             return Err(SnowError::Catalog("no transaction in progress".into()));
         }
         Ok(StatementResult::Message("rolled back".into()))
@@ -224,14 +330,12 @@ impl Session {
     /// base version. No retry — on conflict the transaction is aborted and
     /// the typed error surfaces to the caller.
     fn commit(&self) -> Result<StatementResult> {
-        let mut guard = self.txn.lock();
         // Taking the transaction up front means *any* outcome — success or
         // conflict — ends it; a failed COMMIT must not leave a half-dead
         // transaction accepting more statements.
-        let Some(txn) = guard.take() else {
+        let Some(txn) = self.txn_slot()?.lock().take() else {
             return Err(SnowError::Catalog("no transaction in progress".into()));
         };
-        drop(guard);
         let mut writes = Vec::new();
         for name in &txn.touched {
             let before = txn.base.table(name);
@@ -329,8 +433,8 @@ mod tests {
         s.execute("ROLLBACK").unwrap();
         assert!(!s.in_transaction());
         assert_eq!(
-            db.query_scalar("SELECT max(x) FROM t").unwrap(),
-            Variant::Int(9),
+            db.query("SELECT max(x) FROM t").unwrap().scalar(),
+            Some(&Variant::Int(9)),
             "rolled-back update must leave the table untouched"
         );
     }
@@ -354,7 +458,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(!b.in_transaction(), "failed COMMIT must end the transaction");
-        assert_eq!(db.query_scalar("SELECT max(x) FROM t").unwrap(), Variant::Int(103));
+        let max = db.query("SELECT max(x) FROM t").unwrap();
+        assert_eq!(max.scalar(), Some(&Variant::Int(103)));
     }
 
     #[test]

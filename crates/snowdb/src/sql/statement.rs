@@ -18,9 +18,9 @@ pub enum Statement {
     /// with measured per-operator metrics.
     ExplainAnalyze(Query),
     /// `VERIFY <query>`: run the query across the execution-configuration
-    /// lattice and report agreement (or a divergence repro). Carries the query
-    /// text because the oracle re-plans it per configuration.
-    Verify(String),
+    /// lattice and report agreement (or a divergence repro). The oracle
+    /// re-plans `query` per configuration; `text` is what its report quotes.
+    Verify { query: Query, text: String },
     CreateTable { name: String, columns: Vec<(String, ColumnType)> },
     /// `CREATE TABLE name CLONE source [AT(VERSION => n)]`: a zero-copy
     /// metadata clone — the new table shares the source's immutable
@@ -67,9 +67,7 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
         Some(t) if t.is_kw("VERIFY") => {
             let rest = sql.trim_start();
             let rest = &rest[rest.len().min(6)..]; // strip "VERIFY"
-            // Parse eagerly so syntax errors surface here, not per-config.
-            parse_query(rest)?;
-            Ok(Statement::Verify(rest.trim().to_string()))
+            Ok(Statement::Verify { query: parse_query(rest)?, text: rest.trim().to_string() })
         }
         Some(t) if t.is_kw("CREATE") => parse_create(&toks),
         Some(t) if t.is_kw("INSERT") => parse_insert(sql, &toks),
@@ -620,7 +618,7 @@ mod tests {
     #[test]
     fn parses_verify() {
         match parse_statement("VERIFY SELECT 1").unwrap() {
-            Statement::Verify(q) => assert_eq!(q, "SELECT 1"),
+            Statement::Verify { text, .. } => assert_eq!(text, "SELECT 1"),
             other => panic!("{other:?}"),
         }
         // Syntax errors in the verified query surface at parse time.

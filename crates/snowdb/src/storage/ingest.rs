@@ -19,7 +19,6 @@ use std::sync::Arc;
 use super::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use crate::catalog::{TableWrite, WriteSet};
 use crate::error::{Result, SnowError};
-use crate::govern::retry::{self, RetryPolicy};
 use crate::govern::QueryGovernor;
 use crate::variant::{parse_json, Variant};
 use crate::Database;
@@ -294,9 +293,7 @@ impl StreamIngestor<'_> {
         }
         let rows = std::mem::take(&mut self.buf);
         let gov = Arc::new(QueryGovernor::from_params(&self.db.session_params()));
-        let policy = RetryPolicy::commit_default(self.db.next_commit_seed());
-        retry::run(&policy, |_| {
-            let base = self.db.snapshot();
+        self.db.autocommit(&gov, |base| {
             if base.table(&self.table).is_none() {
                 return Err(SnowError::Catalog(format!(
                     "table '{}' was dropped mid-ingest",
@@ -310,14 +307,8 @@ impl StreamIngestor<'_> {
                 self.rows_per_commit,
                 &gov,
             )?;
-            self.db.commit_writes(
-                base.version(),
-                WriteSet::single(&self.table, TableWrite::Append {
-                    parts,
-                    schema: self.schema.clone(),
-                }),
-            )?;
-            Ok(())
+            let append = TableWrite::Append { parts, schema: self.schema.clone() };
+            Ok((WriteSet::single(&self.table, append), ()))
         })?;
         self.report.rows += rows.len();
         self.report.commits += 1;

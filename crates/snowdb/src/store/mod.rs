@@ -215,10 +215,7 @@ impl Store {
         if !read_only {
             acquire_lock(&dir)?;
         }
-        let mut committed = manifest::read_manifest(&dir)?.unwrap_or_default();
-        if let Some(k) = retention_from_env() {
-            committed.retention = k;
-        }
+        let committed = manifest::read_manifest(&dir)?.unwrap_or_default();
         if !read_only {
             sweep_debris(&dir, &parts_dir, &committed);
         }
@@ -681,15 +678,6 @@ enum ManifestEdit {
 /// `pN.part` → `N`.
 fn parse_file_id(file: &str) -> Option<u64> {
     file.strip_prefix('p')?.strip_suffix(".part")?.parse().ok()
-}
-
-/// `SNOWDB_RETAIN` overrides the persisted retention window at open time
-/// (clamped to ≥ 1); unset or unparsable means keep the manifest's value.
-fn retention_from_env() -> Option<u64> {
-    std::env::var("SNOWDB_RETAIN")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .map(|k| k.max(1))
 }
 
 /// Name of the advisory lock file inside the database directory.

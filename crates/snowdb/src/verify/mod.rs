@@ -21,11 +21,15 @@ pub use compare::{canonical_rows, cmp_rows, first_diff, rows_eq_eps, variant_eq_
 pub use report::{ConfigOutcome, Divergence, DivergenceDetail, VerifyReport};
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use crate::catalog::CatalogSnapshot;
 use crate::engine::{Database, QueryOptions};
 use crate::error::{Result, SnowError};
 use crate::govern::chaos::ChaosSchedule;
 use crate::govern::QueryGovernor;
+use crate::sql::ast::Query;
+use crate::sql::parse_query;
 use crate::variant::Variant;
 
 /// Default relative epsilon for float comparison: wide enough to absorb
@@ -85,12 +89,34 @@ pub fn default_lattice(max_threads: usize) -> Vec<SqlConfig> {
 /// Runs `sql` under every configuration and compares each result to the
 /// first configuration's (the baseline). A configuration agrees when both
 /// produce equal canonicalized results, or both fail with the same error;
-/// anything else records a [`Divergence`] with a full repro.
+/// anything else records a [`Divergence`] with a full repro. The lattice runs
+/// against the current catalog version under the database-level parameters.
 pub fn verify_sql(
     db: &Database,
     sql: &str,
     configs: &[SqlConfig],
     epsilon: f64,
+) -> Result<VerifyReport> {
+    let gov = Arc::new(QueryGovernor::from_params(&db.session_params()));
+    // Unparseable text is an outcome, not an oracle failure: it fails
+    // identically under every configuration.
+    verify_query(db, &db.snapshot(), parse_query(sql).as_ref(), sql, configs, epsilon, &gov)
+}
+
+/// [`verify_sql`] for an already-parsed query (`text` is what the report
+/// quotes; a parse error stands for a query that fails identically under
+/// every configuration). `VERIFY` is one statement: every lattice run reads the same
+/// pinned `cat` and shares `gov` — one deadline, one cancel flag, cumulative
+/// budgets — and a governance trip ([`SnowError::is_governance`]) aborts it
+/// with the typed error instead of being scored as a disagreement.
+pub(crate) fn verify_query(
+    db: &Database,
+    cat: &CatalogSnapshot,
+    query: std::result::Result<&Query, &SnowError>,
+    text: &str,
+    configs: &[SqlConfig],
+    epsilon: f64,
+    gov: &Arc<QueryGovernor>,
 ) -> Result<VerifyReport> {
     if configs.is_empty() {
         return Err(SnowError::Exec("verify: empty configuration lattice".into()));
@@ -103,6 +129,13 @@ pub fn verify_sql(
         metrics: String,
     }
 
+    let query = query.map_err(SnowError::clone);
+    let compile = |optimize: bool| query.clone().and_then(|q| db.compile_on(cat, q, optimize));
+    let explain_with = |optimize: bool| match compile(optimize) {
+        Ok(plan) => crate::plan::explain(&plan),
+        Err(e) => format!("<explain failed: {e}>"),
+    };
+
     let mut runs = Vec::with_capacity(configs.len());
     for cfg in configs {
         let opts = QueryOptions {
@@ -111,12 +144,14 @@ pub fn verify_sql(
             vectorize: Some(cfg.vectorize),
             encode: Some(cfg.encode),
         };
-        match db.query_with(sql, &opts) {
+        let ran = query.clone().and_then(|q| {
+            db.query_on(cat, q, Duration::ZERO, &opts, gov.clone()).map_err(SnowError::from)
+        });
+        match ran {
             Ok(result) => {
                 // Annotate the plan with the measured metrics now, while both
                 // are in hand; the repro only needs the rendered text.
-                let metrics = match (&result.profile.metrics, db.compile_with(sql, cfg.optimize))
-                {
+                let metrics = match (&result.profile.metrics, compile(cfg.optimize)) {
                     (Some(m), Ok(plan)) => crate::plan::explain_analyze(&plan, m),
                     _ => String::new(),
                 };
@@ -127,6 +162,7 @@ pub fn verify_sql(
                     metrics,
                 });
             }
+            Err(e) if e.is_governance() => return Err(e),
             Err(e) => runs.push(Run {
                 config: *cfg,
                 rows: None,
@@ -137,9 +173,7 @@ pub fn verify_sql(
     }
 
     let baseline = &runs[0];
-    let baseline_plan = db
-        .explain_with(sql, baseline.config.optimize)
-        .unwrap_or_else(|e| format!("<explain failed: {e}>"));
+    let baseline_plan = explain_with(baseline.config.optimize);
 
     let mut outcomes = Vec::with_capacity(runs.len());
     let mut divergences = Vec::new();
@@ -166,9 +200,7 @@ pub fn verify_sql(
                 candidate: run.config.label(),
                 detail,
                 baseline_plan: baseline_plan.clone(),
-                candidate_plan: db
-                    .explain_with(sql, run.config.optimize)
-                    .unwrap_or_else(|e| format!("<explain failed: {e}>")),
+                candidate_plan: explain_with(run.config.optimize),
                 baseline_metrics: baseline.metrics.clone(),
                 candidate_metrics: run.metrics.clone(),
             });
@@ -176,7 +208,7 @@ pub fn verify_sql(
     }
 
     Ok(VerifyReport {
-        query: sql.to_string(),
+        query: text.to_string(),
         baseline: baseline.config.label(),
         outcomes,
         divergences,
@@ -310,8 +342,6 @@ pub fn verify_sql_chaos(
                 outcome
             ));
         }
-        outcomes.push(ChaosOutcome { seed, outcome, sound });
-
         // Recovery: the engine must answer the same query un-faulted,
         // identically to the baseline, after every schedule.
         let recovered = match db.query_with(sql, &opts) {
@@ -332,6 +362,7 @@ pub fn verify_sql_chaos(
                 describe(&recovered)
             ));
         }
+        outcomes.push(ChaosOutcome { seed, outcome, sound: sound && recovery_ok });
     }
 
     Ok(ChaosReport { query: sql.to_string(), threads, outcomes, failures })

@@ -8,46 +8,31 @@
 //! failure report names the seed; replay it with `ChaosSchedule::new(seed)`
 //! and `SNOWDB_THREADS=1`.
 //!
-//! `SNOWQ_CHAOS_SCHEDULES` overrides the total number of schedules spread
-//! over the corpus (default 24; the CI chaos job runs 200). On failure the
-//! rendered repro is appended to the file named by `SNOWQ_CHAOS_REPORT`
-//! (when set) so CI can upload it as an artifact.
+//! `SNOWQ_SCHEDULES` overrides the total number of schedules spread over the
+//! corpus (default 24; the CI chaos job runs 200). On failure the rendered
+//! repro is appended to the file named by `SNOWQ_CHAOS_REPORT` (when set) so
+//! CI can upload it as an artifact.
 
-use std::sync::{Arc, Once};
+mod common;
+
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{install_chaos_hook, schedule_budget};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowdb::govern::chaos::{ChaosSchedule, CHAOS_PANIC_MARKER};
+use snowdb::govern::chaos::ChaosSchedule;
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::verify::{verify_sql_chaos, ChaosReport, DEFAULT_EPSILON};
 use snowdb::{Database, QueryGovernor, QueryOptions, SnowError, Variant};
-
-/// Silences the default panic printout for *injected* chaos panics only —
-/// they are expected by the hundreds — while real panics keep reporting
-/// through the previous hook.
-fn install_chaos_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MARKER) {
-                prev(info);
-            }
-        }));
-    });
-}
 
 /// Asserts soundness; on violation persists the report for CI artifacts and
 /// panics with the rendered repro (seed included).
 fn assert_sound(tag: &str, report: &ChaosReport) {
     if report.sound() {
         return;
+    }
+    for o in report.outcomes.iter().filter(|o| !o.sound) {
+        eprintln!("{}", common::repro_line("chaos", o.seed));
     }
     let rendered = format!("==== {tag} ====\n{}\n", report.render());
     if let Ok(path) = std::env::var("SNOWQ_CHAOS_REPORT") {
@@ -60,13 +45,6 @@ fn assert_sound(tag: &str, report: &ChaosReport) {
         }
     }
     panic!("{rendered}");
-}
-
-fn schedule_budget() -> usize {
-    std::env::var("SNOWQ_CHAOS_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
 }
 
 fn adl_db(events: usize) -> Arc<Database> {
@@ -109,7 +87,7 @@ fn corpus_sql(
 #[test]
 fn chaos_corpus_is_sound() {
     install_chaos_hook();
-    let budget = schedule_budget();
+    let budget = schedule_budget(24);
 
     let adl = adl_db(80);
     let adl_queries = adl::queries::queries("hep")

@@ -20,87 +20,20 @@
 //!   unlinks mid-flight — after reopen, every retained version is fully
 //!   scannable (the lose-nothing audit).
 //!
-//! `SNOWQ_LIFECYCLE_SCHEDULES` overrides the seeded-schedule budget
-//! (default 25; the CI lifecycle job runs 200).
+//! `SNOWQ_SCHEDULES` overrides the seeded-schedule budget (default 25; the
+//! CI lifecycle job runs 200).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+mod common;
 
+use std::sync::Arc;
+
+use common::{install_chaos_hook, int, msg, schedule_budget, TempDb};
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::govern::chaos::{ChaosSchedule, CHAOS_PANIC_MARKER};
+use snowdb::govern::chaos::ChaosSchedule;
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::store::{compact_table_once, CompactionPolicy, Compactor};
 use snowdb::verify::{default_lattice, verify_sql, DEFAULT_EPSILON};
-use snowdb::{Database, SnowError, StatementResult, Variant};
-
-/// Silences the default panic printout for *injected* chaos panics only.
-fn install_chaos_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MARKER) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// A fresh per-test scratch directory, removed on drop.
-struct TempDb(std::path::PathBuf);
-
-impl TempDb {
-    fn new(tag: &str) -> TempDb {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("snowdb-lifecycle-{}-{tag}-{n}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDb(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-
-    fn parts(&self) -> std::path::PathBuf {
-        self.0.join("parts")
-    }
-}
-
-impl Drop for TempDb {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-fn schedule_budget() -> usize {
-    std::env::var("SNOWQ_LIFECYCLE_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25)
-}
-
-fn msg(r: StatementResult) -> String {
-    match r {
-        StatementResult::Message(m) => m,
-        other => panic!("expected message, got {other:?}"),
-    }
-}
-
-fn int(v: &Variant) -> i64 {
-    match v {
-        Variant::Int(n) => *n,
-        Variant::Null => 0,
-        other => panic!("expected int, got {other:?}"),
-    }
-}
+use snowdb::{Database, SnowError, Variant};
 
 fn count(db: &Database, sql: &str) -> i64 {
     int(&db.query(sql).unwrap().rows[0][0])
@@ -561,9 +494,10 @@ fn compactor_vs_continuous_ingest_never_changes_results() {
 #[test]
 fn gc_vs_time_travel_under_seeded_chaos() {
     install_chaos_hook();
-    let budget = schedule_budget();
+    let budget = schedule_budget(25);
     for schedule in 0..budget {
         let seed = 0x11FE_C7C1_u64 ^ (schedule as u64).wrapping_mul(0x9E37_79B9);
+        let _repro = common::schedule("lifecycle", seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let tmp = TempDb::new("gcchaos");
         {
@@ -623,9 +557,10 @@ fn gc_vs_time_travel_under_seeded_chaos() {
 #[test]
 fn crash_mid_gc_unlink_converges_on_reopen() {
     install_chaos_hook();
-    let budget = schedule_budget().min(40);
+    let budget = schedule_budget(25).min(40);
     for schedule in 0..budget {
         let seed = 0x6C1F_E235_u64 ^ (schedule as u64).wrapping_mul(0x517C_C1B7);
+        let _repro = common::schedule("lifecycle", seed);
         let tmp = TempDb::new("gccrash");
         {
             let db = Database::open(tmp.path()).unwrap();

@@ -20,82 +20,20 @@
 //!   error, breaks stale locks from dead processes, and never blocks
 //!   read-only opens.
 //!
-//! `SNOWQ_MVCC_SCHEDULES` overrides the seeded-schedule budget (default 25;
-//! the CI mvcc job runs 200).
+//! `SNOWQ_SCHEDULES` overrides the seeded-schedule budget (default 25; the
+//! CI mvcc job runs 200).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+mod common;
 
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use common::{install_chaos_hook, int, msg, schedule_budget, TempDb};
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::govern::chaos::{ChaosSchedule, CHAOS_PANIC_MARKER};
+use snowdb::govern::chaos::ChaosSchedule;
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::verify::{default_lattice, verify_sql, DEFAULT_EPSILON};
-use snowdb::{Database, Session, SnowError, StatementResult, Variant};
-
-/// Silences the default panic printout for *injected* chaos panics only.
-fn install_chaos_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MARKER) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// A fresh per-test scratch directory, removed on drop.
-struct TempDb(std::path::PathBuf);
-
-impl TempDb {
-    fn new(tag: &str) -> TempDb {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("snowdb-mvcc-{}-{tag}-{n}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDb(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDb {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-fn schedule_budget() -> usize {
-    std::env::var("SNOWQ_MVCC_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25)
-}
-
-fn msg(r: StatementResult) -> String {
-    match r {
-        StatementResult::Message(m) => m,
-        other => panic!("expected message, got {other:?}"),
-    }
-}
-
-fn int(v: &Variant) -> i64 {
-    match v {
-        Variant::Int(n) => *n,
-        Variant::Null => 0,
-        other => panic!("expected int, got {other:?}"),
-    }
-}
+use snowdb::{Database, Session, SnowError, Variant};
 
 // ---------------------------------------------------------------------------
 // N writers × M readers over one shared database
@@ -221,9 +159,10 @@ fn concurrent_writers_and_readers_on_disk() {
 #[test]
 fn interleaved_writer_chaos_never_loses_a_committed_version() {
     install_chaos_hook();
-    let budget = schedule_budget();
+    let budget = schedule_budget(25);
     for i in 0..budget {
         let seed = 0x14CC_u64 + i as u64;
+        let _repro = common::schedule("mvcc", seed);
         let tmp = TempDb::new("lattice");
         let db = Arc::new(Database::open(tmp.path()).unwrap());
         db.execute("CREATE TABLE ledger (w INT, x INT)").unwrap();

@@ -8,6 +8,8 @@
 //! its columns, so pruned partitions contribute exactly zero bytes no matter
 //! how many workers race over the partition cursor.
 
+mod common;
+
 use snowdb::storage::{ColumnDef, ColumnType, ScanStats};
 use snowdb::{Database, Variant};
 
@@ -157,9 +159,12 @@ fn flatten_identical_across_thread_counts() {
 fn explain_analyze_reports_operator_metrics() {
     let db = prunable_db();
     db.set_threads(Some(4));
-    let rendered = db
-        .explain_analyze("SELECT x % 7 AS g, COUNT(*) AS c FROM t WHERE x >= 20 GROUP BY x % 7")
-        .unwrap();
+    let rendered = common::msg(
+        db.execute(
+            "EXPLAIN ANALYZE SELECT x % 7 AS g, COUNT(*) AS c FROM t WHERE x >= 20 GROUP BY x % 7",
+        )
+        .unwrap(),
+    );
     // Every operator line carries a measured annotation, and the footer
     // reports the same scan accounting as QueryProfile.
     assert!(rendered.contains("Aggregate"), "{rendered}");

@@ -12,70 +12,20 @@
 //!   as typed [`SnowError`]s, never panics;
 //! - seeded `ManifestCommit`/`StoreRead` fault schedules never lose a
 //!   committed catalog version, leave a partial partition visible, or
-//!   poison the engine. `SNOWQ_PERSIST_SCHEDULES` overrides the schedule
-//!   budget (default 40; the CI persistence job runs 200).
+//!   poison the engine. `SNOWQ_SCHEDULES` overrides the schedule budget
+//!   (default 40; the CI persistence job runs 200).
 
-use std::sync::{Arc, Once};
+mod common;
 
+use std::sync::Arc;
+
+use common::{install_chaos_hook, msg, schedule_budget, TempDb};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::govern::chaos::{ChaosSchedule, CHAOS_PANIC_MARKER};
+use snowdb::govern::chaos::ChaosSchedule;
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::verify::{default_lattice, verify_sql, verify_sql_chaos, DEFAULT_EPSILON};
 use snowdb::{Database, SnowError, Variant};
-
-/// Silences the default panic printout for *injected* chaos panics only.
-fn install_chaos_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MARKER) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// A fresh per-test scratch directory, removed on drop.
-struct TempDb(std::path::PathBuf);
-
-impl TempDb {
-    fn new(tag: &str) -> TempDb {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "snowdb-persist-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        TempDb(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDb {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-fn schedule_budget() -> usize {
-    std::env::var("SNOWQ_PERSIST_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40)
-}
 
 // ---------------------------------------------------------------------------
 // Round trips
@@ -296,7 +246,7 @@ fn disk_scan_bytes_scanned_is_exact_file_io() {
     assert_eq!(warm.profile.scan.cache_misses, 0);
 
     // The unified accounting surfaces in EXPLAIN ANALYZE.
-    let plan = db.explain_analyze("SELECT x FROM t WHERE x >= 950").unwrap();
+    let plan = msg(db.execute("EXPLAIN ANALYZE SELECT x FROM t WHERE x >= 950").unwrap());
     assert!(plan.contains("pruned:"), "{plan}");
     assert!(plan.contains("buffer cache:"), "{plan}");
 }
@@ -424,9 +374,10 @@ fn crash_during_commit_recovers_previous_version() {
 #[test]
 fn manifest_commit_chaos_never_loses_a_committed_version() {
     install_chaos_hook();
-    let budget = schedule_budget();
+    let budget = schedule_budget(40);
     for i in 0..budget {
         let seed = 0xC0117_u64 + i as u64;
+        let _repro = common::schedule("persist", seed);
         let tmp = TempDb::new("commitchaos");
         let db = Database::open(tmp.path()).unwrap();
         db.load_table_with_partition_rows(
@@ -517,7 +468,7 @@ fn store_read_chaos_is_sound_on_disk_database() {
     .sql()
     .to_string();
 
-    let budget = schedule_budget().div_ceil(2).max(8);
+    let budget = schedule_budget(40).div_ceil(2).max(8);
     for threads in [1usize, 4] {
         let seeds: Vec<u64> = (0..budget).map(|i| 0x5704E + i as u64).collect();
         let report = verify_sql_chaos(&db, &sql, &seeds, threads, DEFAULT_EPSILON).unwrap();

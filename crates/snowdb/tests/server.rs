@@ -9,9 +9,11 @@
 //! shutdown with zero lost committed writes and zero panics.
 //!
 //! The seeded soak (`seeded_soak_admission_schedules`) replays
-//! `SNOWQ_SERVER_SCHEDULES` random arrival/cancel/disconnect interleavings;
-//! every failure message carries its schedule seed, so CI's uploaded report
-//! is a one-seed repro recipe.
+//! `SNOWQ_SCHEDULES` random arrival/cancel/disconnect interleavings; every
+//! failure message carries its schedule seed, so CI's uploaded report is a
+//! one-seed repro recipe.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,6 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{int, schedule_budget};
 use snowdb::server::admission::AdmissionConfig;
 use snowdb::server::client::{Client, RemoteOutcome};
 use snowdb::server::{serve, ServerConfig, ServerHandle};
@@ -59,13 +62,6 @@ fn load_big(db: &Database, name: &str, rows: i64) {
 /// mid-flight when a cancel or disconnect arrives, and checkpointed at every
 /// batch boundary so cancellation frees the worker promptly.
 const SLOW_SQL: &str = "SELECT count(*), sum(a.x + b.x) FROM big a JOIN big b ON 1 = 1";
-
-fn int(v: &Variant) -> i64 {
-    match v {
-        Variant::Int(n) => *n,
-        other => panic!("expected int, got {other:?}"),
-    }
-}
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -320,31 +316,36 @@ fn cancel_frame_interrupts_a_running_statement() {
     let (db, handle) = serve_memory(ServerConfig::default());
     load_big(&db, "big", 4000); // 16M joined rows: comfortably in flight
     let mut c = Client::connect(handle.addr()).unwrap();
-    let mut canceller = c.canceller().unwrap();
 
-    let fired = Arc::new(AtomicBool::new(false));
-    let fired2 = Arc::clone(&fired);
-    let t = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(150));
-        canceller.cancel().unwrap();
-        fired2.store(true, Ordering::SeqCst);
-    });
-    let started = Instant::now();
-    let outcome = c.execute(SLOW_SQL);
-    t.join().unwrap();
-    match outcome {
-        Err(SnowError::Cancelled { .. }) => {
-            assert!(fired.load(Ordering::SeqCst));
-            assert!(
-                started.elapsed() < Duration::from_secs(30),
-                "cancel must interrupt within batch granularity"
-            );
+    // Every statement kind that executes a plan runs under the governor the
+    // server armed for it — EXPLAIN ANALYZE included.
+    for sql in [SLOW_SQL.to_string(), format!("EXPLAIN ANALYZE {SLOW_SQL}")] {
+        let mut canceller = c.canceller().unwrap();
+        let fired = Arc::new(AtomicBool::new(false));
+        let fired2 = Arc::clone(&fired);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(150));
+            canceller.cancel().unwrap();
+            fired2.store(true, Ordering::SeqCst);
+        });
+        let started = Instant::now();
+        let outcome = c.execute(&sql);
+        t.join().unwrap();
+        match outcome {
+            Err(SnowError::Cancelled { .. }) => {
+                assert!(fired.load(Ordering::SeqCst));
+                assert!(
+                    started.elapsed() < Duration::from_secs(30),
+                    "cancel must interrupt within batch granularity: {sql}"
+                );
+            }
+            Ok(_) => panic!("finished before the cancel landed; grow the table: {sql}"),
+            Err(e) => panic!("expected Cancelled, got {e:?}: {sql}"),
         }
-        Ok(_) => panic!("query finished before the cancel landed; grow the table"),
-        Err(e) => panic!("expected Cancelled, got {e:?}"),
+        assert_eq!(handle.admission_stats().active, 0, "slot reclaimed: {sql}");
+        // The connection survives a cancelled statement.
+        assert_eq!(query_scalar(&mut c, "SELECT count(*) FROM big WHERE x < 10"), 10);
     }
-    // The connection survives a cancelled statement.
-    assert_eq!(query_scalar(&mut c, "SELECT count(*) FROM big WHERE x < 10"), 10);
     handle.shutdown();
 }
 
@@ -578,8 +579,8 @@ fn graceful_shutdown_drains_in_flight_and_aborts_queued_typed() {
 
     // Zero lost committed writes: the pre-shutdown commit is still there.
     assert_eq!(
-        db.query_scalar("SELECT count(*) FROM acked").unwrap(),
-        Variant::Int(1),
+        db.query("SELECT count(*) FROM acked").unwrap().scalar(),
+        Some(&Variant::Int(1)),
         "committed write lost across shutdown"
     );
 }
@@ -588,20 +589,13 @@ fn graceful_shutdown_drains_in_flight_and_aborts_queued_typed() {
 // Seeded soak: random arrival / cancel / disconnect interleavings
 // ---------------------------------------------------------------------------
 
-/// Environment-scaled schedule count (CI soaks 200 via
-/// `SNOWQ_SERVER_SCHEDULES`; the default keeps tier-1 fast).
-fn schedule_budget() -> usize {
-    std::env::var("SNOWQ_SERVER_SCHEDULES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
-
 #[test]
 fn seeded_soak_admission_schedules() {
-    let schedules = schedule_budget();
+    // The default keeps tier-1 fast; CI soaks 200.
+    let schedules = schedule_budget(4);
     for i in 0..schedules {
         let seed = 0xA_5EED_0000u64 + i as u64;
+        let _repro = common::schedule("server", seed);
         run_soak_schedule(seed);
     }
 }

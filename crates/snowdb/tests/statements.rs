@@ -1,14 +1,13 @@
 //! End-to-end tests for the statement surface: DDL, DML, EXPLAIN, LIKE.
 
-use snowdb::engine::StatementResult;
-use snowdb::{Database, Variant};
+mod common;
 
-fn rows(r: StatementResult) -> Vec<Vec<Variant>> {
-    match r {
-        StatementResult::Rows(q) => q.rows,
-        StatementResult::Message(m) => panic!("expected rows, got message {m}"),
-    }
-}
+use std::sync::Arc;
+
+use common::{msg, rows};
+use snowdb::engine::StatementResult;
+use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::{Database, Session, SnowError, Variant};
 
 #[test]
 fn create_insert_query_drop_lifecycle() {
@@ -87,4 +86,99 @@ fn like_empty_and_wildcard_edge_cases() {
     db.execute("INSERT INTO t VALUES ('')").unwrap();
     let r = rows(db.execute("SELECT s LIKE '%', s LIKE '_', s LIKE '' FROM t").unwrap());
     assert_eq!(r[0], vec![Variant::Bool(true), Variant::Bool(false), Variant::Bool(true)]);
+}
+
+fn shared_db(rows: i64) -> Arc<Database> {
+    let db = Arc::new(Database::new());
+    db.load_table(
+        "t",
+        vec![ColumnDef::new("X", ColumnType::Int)],
+        (0..rows).map(|i| vec![Variant::Int(i)]),
+    )
+    .unwrap();
+    db
+}
+
+/// Every statement kind that executes a plan is bounded by the limits of the
+/// session that ran it — not by the database-wide defaults, and not by
+/// another session's.
+#[test]
+fn plan_executing_statements_run_under_their_sessions_limits() {
+    let db = shared_db(1000);
+    let limited = Session::new(db.clone());
+    let free = Session::new(db.clone());
+    limited.execute("SET MAX_BYTES_SCANNED = 1").unwrap();
+    for sql in [
+        "SELECT sum(x) FROM t",
+        "EXPLAIN ANALYZE SELECT sum(x) FROM t",
+        "VERIFY SELECT sum(x) FROM t",
+    ] {
+        match limited.execute(sql) {
+            Err(SnowError::ResourceExhausted(trip)) => {
+                assert_eq!(trip.resource, "bytes_scanned", "{sql}");
+                assert_eq!(trip.limit, 1, "{sql}");
+            }
+            other => panic!("{sql}: expected the session's budget to trip, got {other:?}"),
+        }
+        free.execute(sql).unwrap_or_else(|e| panic!("{sql}: unlimited session failed: {e}"));
+        db.execute(sql).unwrap_or_else(|e| panic!("{sql}: bare database failed: {e}"));
+    }
+    // A plan that is only rendered scans nothing and trips nothing.
+    limited.execute("EXPLAIN SELECT sum(x) FROM t").unwrap();
+}
+
+/// Read-only `EXPLAIN [ANALYZE]` is accepted inside a transaction and plans
+/// against the transaction's effective catalog.
+#[test]
+fn explain_inside_a_transaction_sees_the_transactions_writes() {
+    let db = shared_db(10);
+    let s = Session::new(db.clone());
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO t VALUES (100), (101), (102)").unwrap();
+    let plan = msg(s.execute("EXPLAIN SELECT x FROM t WHERE x > 1").unwrap());
+    assert!(plan.contains("Scan T") && plan.contains("Filter"), "{plan}");
+    let analyzed = msg(s.execute("EXPLAIN ANALYZE SELECT x FROM t").unwrap());
+    assert!(analyzed.contains("-- 13 row(s) in"), "{analyzed}");
+    // Another session still analyses the committed version.
+    let other = msg(Session::new(db).execute("EXPLAIN ANALYZE SELECT x FROM t").unwrap());
+    assert!(other.contains("-- 10 row(s) in"), "{other}");
+    s.execute("ROLLBACK").unwrap();
+    let after = msg(s.execute("EXPLAIN ANALYZE SELECT x FROM t").unwrap());
+    assert!(after.contains("-- 10 row(s) in"), "{after}");
+}
+
+/// Statements whose effect a transaction's write set cannot express stay
+/// rejected inside one, with the message they always had.
+#[test]
+fn catalog_mutations_and_verify_inside_a_transaction_are_rejected() {
+    let s = Session::new(shared_db(10));
+    s.execute("BEGIN").unwrap();
+    for sql in [
+        "CREATE TABLE u (a INT)",
+        "DROP TABLE t",
+        "UNDROP TABLE t",
+        "CREATE TABLE c CLONE t",
+        "VERIFY SELECT x FROM t",
+    ] {
+        match s.execute(sql) {
+            Err(SnowError::Catalog(m)) => assert!(
+                m.starts_with(
+                    "statement is not supported inside a transaction (COMMIT or ROLLBACK first): "
+                ),
+                "{sql}: {m}"
+            ),
+            other => panic!("{sql}: unexpected {other:?}"),
+        }
+    }
+    match s.execute("SET DATA_RETENTION_VERSIONS = 4") {
+        Err(SnowError::Catalog(m)) => assert_eq!(
+            m,
+            "cannot change DATA_RETENTION_VERSIONS inside a transaction (COMMIT or ROLLBACK first)"
+        ),
+        other => panic!("unexpected {other:?}"),
+    }
+    // Ordinary session parameters are session state, not catalog state.
+    s.execute("SET STATEMENT_TIMEOUT_IN_SECONDS = 30").unwrap();
+    assert!(s.in_transaction());
+    s.execute("ROLLBACK").unwrap();
 }

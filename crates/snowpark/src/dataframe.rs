@@ -168,15 +168,12 @@ impl DataFrame {
     /// Triggers execution: ships the single SQL query to the engine and
     /// materializes the result.
     pub fn collect(&self) -> Result<QueryResult> {
-        self.session.database().query(&self.sql)
+        self.session.query(&self.sql)
     }
 
     /// Convenience: `COUNT(*)` over this dataframe.
     pub fn count(&self) -> Result<i64> {
-        let res = self
-            .session
-            .database()
-            .query(&format!("SELECT COUNT(*) FROM ({})", self.sql))?;
+        let res = self.session.query(&format!("SELECT COUNT(*) FROM ({})", self.sql))?;
         Ok(res.scalar().and_then(snowdb::Variant::as_i64).unwrap_or(0))
     }
 }

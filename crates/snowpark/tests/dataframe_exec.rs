@@ -9,7 +9,7 @@ use snowdb::{Database, Variant};
 use snowpark::functions as f;
 use snowpark::{JoinType, Session, SortOrder};
 
-fn orders_session() -> Session {
+fn orders_db() -> Arc<Database> {
     let db = Database::new();
     db.load_table(
         "orders",
@@ -25,7 +25,11 @@ fn orders_session() -> Session {
         ],
     )
     .unwrap();
-    Session::new(Arc::new(db))
+    Arc::new(db)
+}
+
+fn orders_session() -> Session {
+    Session::new(orders_db())
 }
 
 #[test]
@@ -164,4 +168,30 @@ fn session_async_execution_returns_a_cancellable_handle() {
     let handle = session.execute_async("SELECT COUNT(*) FROM orders");
     let result = handle.join().unwrap();
     assert_eq!(result.rows[0][0], Variant::Int(4));
+}
+
+/// Parameters belong to the session that set them: two sessions over one
+/// database do not see each other's limits, and `execute_async` runs under
+/// its own session's.
+#[test]
+fn session_parameters_are_per_session() {
+    let db = orders_db();
+    let limited = Session::new(db.clone());
+    let free = Session::new(db.clone());
+    limited.set_parameter("STATEMENT_MEMORY_LIMIT", 1).unwrap();
+
+    assert_eq!(free.table("orders").count().unwrap(), 4, "limit leaked across sessions");
+    assert_eq!(free.table("orders").collect().unwrap().rows.len(), 4);
+    assert!(db.session_params().is_unbounded(), "limit leaked into the database defaults");
+    let err = limited.table("orders").collect().unwrap_err();
+    assert!(matches!(err, snowdb::SnowError::ResourceExhausted { .. }), "{err:?}");
+
+    let failure = limited.execute_async("SELECT COUNT(*) FROM orders").join().unwrap_err();
+    assert!(
+        matches!(failure.error, snowdb::SnowError::ResourceExhausted { .. }),
+        "execute_async must honour its session's limit, got {:?}",
+        failure.error
+    );
+    let ok = free.execute_async("SELECT COUNT(*) FROM orders").join().unwrap();
+    assert_eq!(ok.rows[0][0], Variant::Int(4));
 }

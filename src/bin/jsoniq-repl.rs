@@ -44,7 +44,7 @@ use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowq::jsoniq_core::verify::{verify_jsoniq, JsoniqLattice};
 use snowq::snowdb::storage::{ColumnDef, ColumnType};
 use snowq::snowdb::variant::parse_json;
-use snowq::snowdb::{Database, Variant};
+use snowq::snowdb::{Database, Session, StatementResult, Variant};
 
 /// SIGINT plumbing: the first Ctrl-C requests cooperative cancellation of the
 /// in-flight query (observed at the next batch boundary through its
@@ -139,6 +139,9 @@ fn main() {
         );
     }
 
+    // One engine session for the whole REPL: SQL statements and cancellable
+    // queries run under its parameters.
+    let session = Arc::new(Session::new(db.clone()));
     let mut show_sql = true;
     let mut explain_next = false;
     let mut analyze_next = false;
@@ -220,20 +223,17 @@ fn main() {
             analyze_next = false;
             match translate_query(db.clone(), &query, strategy) {
                 Ok(df) => {
-                    let rendered = if analyze {
-                        db.explain_analyze(df.sql())
-                    } else {
-                        db.explain(df.sql())
-                    };
-                    match rendered {
-                        Ok(plan) => println!("{plan}"),
+                    let verb = if analyze { "EXPLAIN ANALYZE" } else { "EXPLAIN" };
+                    match session.execute(&format!("{verb} {}", df.sql())) {
+                        Ok(StatementResult::Message(plan)) => println!("{plan}"),
+                        Ok(StatementResult::Rows(r)) => println!("({} rows)", r.rows.len()),
                         Err(e) => println!("explain error: {e}"),
                     }
                 }
                 Err(e) => println!("translation error: {e}"),
             }
         } else {
-            run_query(&db, &query, show_sql, interp_mode, strategy);
+            run_query(&session, &query, show_sql, interp_mode, strategy);
         }
         print_prompt(&buffer);
     }
@@ -341,12 +341,13 @@ fn print_prompt(buffer: &str) {
 }
 
 fn run_query(
-    db: &Arc<Database>,
+    session: &Arc<Session>,
     query: &str,
     show_sql: bool,
     interp_mode: bool,
     strategy: NestedStrategy,
 ) {
+    let db = session.database();
     if interp_mode {
         let provider = DatabaseCollections { db };
         match Interpreter::new(&provider).eval_query(query) {
@@ -365,7 +366,7 @@ fn run_query(
             if show_sql {
                 println!("-- generated SQL:\n{}\n", df.sql());
             }
-            execute_cancellable(db, df.sql());
+            execute_cancellable(session, df.sql());
         }
         Err(e) => println!("translation error: {e}"),
     }
@@ -375,9 +376,9 @@ fn run_query(
 /// Ctrl-C: the first press cancels the query cooperatively (it comes back as
 /// a typed `Cancelled` error with partial metrics), the second press exits
 /// the process.
-fn execute_cancellable(db: &Arc<Database>, sql: &str) {
+fn execute_cancellable(session: &Arc<Session>, sql: &str) {
     sigint::reset();
-    let handle = db.execute_governed(sql);
+    let handle = session.submit(sql);
     let mut cancel_requested = false;
     while !handle.is_finished() {
         if !cancel_requested && sigint::PRESSES.load(Ordering::SeqCst) > 0 {
