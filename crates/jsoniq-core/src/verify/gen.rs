@@ -7,7 +7,12 @@
 //! ADL query skeletons (scalar filter-project, array iteration, group-by
 //! histogram, nested count / existential sub-FLWOR, a `let`-bound nested
 //! sequence read twice) so a divergence flagged by the oracle is an engine
-//! bug, not a dialect gap.
+//! bug, not a dialect gap. Scalars and predicates draw on what the batch
+//! evaluator has kernels for — math builtins over paths, `if`/`then`/`else`
+//! guards (translated to `IFF`) around `div`, `size()` (`ARRAY_SIZE`),
+//! positional lookup (`GET`) — so the lattice's {vectorized, row} axis
+//! referees them. The two-argument aggregates have no JSONiq spelling the
+//! translator maps to them; `snowdb::verify::gen` writes those in SQL.
 
 use rand::{Rng, StdRng};
 
@@ -79,22 +84,48 @@ fn event_pred(rng: &mut StdRng, s: &GenSchema) -> String {
 /// A predicate over an array-element variable `$x` with the given members.
 fn element_pred(rng: &mut StdRng, members: &[&'static str]) -> String {
     let field = pick(rng, members);
-    if *field == "ETA" && rng.gen_bool(0.5) {
-        format!("abs($x.ETA) lt {}", rng.gen_range(1..4))
-    } else {
-        format!("$x.{field} {} {}", cmp_op(rng), rng.gen_range(5..60))
+    match rng.gen_range(0..4u32) {
+        0 if *field == "ETA" => format!("abs($x.ETA) lt {}", rng.gen_range(1..4)),
+        1 => format!("sqrt($x.PT) {} {}", cmp_op(rng), rng.gen_range(2..8)),
+        2 => format!("$x.PT * cos($x.PHI) {} {}", cmp_op(rng), rng.gen_range(-20..40)),
+        _ => format!("$x.{field} {} {}", cmp_op(rng), rng.gen_range(5..60)),
     }
 }
 
 /// A scalar returned for the row variable `$e`.
 fn event_scalar(rng: &mut StdRng, s: &GenSchema) -> String {
-    match rng.gen_range(0..4u32) {
+    match rng.gen_range(0..8u32) {
         0 => format!("$e.{}", pick(rng, &s.float_paths)),
         1 => format!("$e.{}", s.event_field),
         2 => {
             let a = pick(rng, &s.float_paths);
             let b = pick(rng, &s.float_paths);
             format!("$e.{a} + abs($e.{b})")
+        }
+        3 => {
+            let a = pick(rng, &s.float_paths);
+            let b = pick(rng, &s.float_paths);
+            format!("sqrt(abs($e.{a})) + $e.{a} * cos($e.{b})")
+        }
+        // The guard keeps the division off its zero divisors.
+        4 => {
+            let a = pick(rng, &s.float_paths);
+            let k = rng.gen_range(2..6);
+            let id = s.event_field;
+            format!("if ($e.{id} mod {k} eq 0) then 0 else $e.{a} div ($e.{id} mod {k})")
+        }
+        5 => {
+            let (arr, _) = pick(rng, &s.arrays);
+            let a = pick(rng, &s.float_paths);
+            format!("size($e.{arr}) + floor($e.{a} div {})", rng.gen_range(2..9))
+        }
+        6 => {
+            let (arr, members) = pick(rng, &s.arrays);
+            let field = pick(rng, members);
+            format!(
+                r#"{{"id": $e.{}, "first": if (size($e.{arr}) ge 1) then $e.{arr}[[1]].{field} else -1}}"#,
+                s.event_field
+            )
         }
         _ => {
             let path = pick(rng, &s.float_paths);

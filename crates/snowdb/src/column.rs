@@ -65,6 +65,13 @@ impl Bitmap {
         Bitmap { blocks: vec![0; n.div_ceil(64)], len: n }
     }
 
+    /// Bitmap of `n` set (valid) bits.
+    pub fn ones(n: usize) -> Bitmap {
+        let mut out = Bitmap { blocks: vec![u64::MAX; n.div_ceil(64)], len: n };
+        out.clear_tail();
+        out
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -91,6 +98,19 @@ impl Bitmap {
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.blocks[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Sets bit `i`.
+    pub fn set(&mut self, i: usize) {
+        debug_assert!(i < self.len);
+        self.blocks[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Bitwise AND with a bitmap of the same length, a word at a time.
+    pub fn and(&self, other: &Bitmap) -> Bitmap {
+        debug_assert_eq!(self.len, other.len);
+        let blocks = self.blocks.iter().zip(&other.blocks).map(|(a, b)| a & b).collect();
+        Bitmap { blocks, len: self.len }
     }
 
     /// Number of set (valid) bits. Bits beyond `len` are kept zero by

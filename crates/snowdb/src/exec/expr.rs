@@ -14,12 +14,21 @@ use super::{Chunk, ExecCtx};
 #[derive(Clone, Copy)]
 pub struct RowView<'a> {
     parts: &'a [(&'a Chunk, usize)],
+    /// Columns of the schema that precede the first part.
+    offset: usize,
 }
 
 impl<'a> RowView<'a> {
     /// A view over a single chunk row.
     pub fn new(parts: &'a [(&'a Chunk, usize)]) -> RowView<'a> {
-        RowView { parts }
+        RowView { parts, offset: 0 }
+    }
+
+    /// A view whose first part starts at column `offset` of the schema the
+    /// expression was bound against: a join's right input, addressed in the
+    /// concatenated schema.
+    pub fn shifted(parts: &'a [(&'a Chunk, usize)], offset: usize) -> RowView<'a> {
+        RowView { parts, offset }
     }
 
     /// Reads the value of logical column `idx`.
@@ -29,12 +38,13 @@ impl<'a> RowView<'a> {
     /// error, not a panic: a worker-thread panic poisons the morsel dispatcher
     /// and takes the whole process down instead of failing one statement.
     pub fn col(&self, idx: usize) -> Result<Variant> {
-        let mut rest = idx;
-        for (chunk, row) in self.parts {
-            if rest < chunk.cols.len() {
-                return Ok(chunk.cols[rest].get(*row));
+        if let Some(mut rest) = idx.checked_sub(self.offset) {
+            for (chunk, row) in self.parts {
+                if rest < chunk.cols.len() {
+                    return Ok(chunk.cols[rest].get(*row));
+                }
+                rest -= chunk.cols.len();
             }
-            rest -= chunk.cols.len();
         }
         let arity: usize = self.parts.iter().map(|(c, _)| c.cols.len()).sum();
         Err(SnowError::Exec(format!(
@@ -52,26 +62,11 @@ pub fn eval(e: &PExpr, row: RowView<'_>, ctx: &mut ExecCtx) -> Result<Variant> {
             let v = eval(expr, row, ctx)?;
             match op {
                 UnaryOp::Plus => Ok(v),
-                UnaryOp::Neg => match v {
-                    Variant::Null => Ok(Variant::Null),
-                    Variant::Int(i) => Ok(Variant::Int(-i)),
-                    Variant::Float(f) => Ok(Variant::Float(-f)),
-                    other => Err(SnowError::Exec(format!(
-                        "cannot negate value of type {}",
-                        other.type_name()
-                    ))),
-                },
+                UnaryOp::Neg => neg(&v),
             }
         }
         PExpr::Binary { left, op, right } => eval_binary(left, *op, right, row, ctx),
-        PExpr::Not(x) => match eval(x, row, ctx)? {
-            Variant::Null => Ok(Variant::Null),
-            Variant::Bool(b) => Ok(Variant::Bool(!b)),
-            other => Err(SnowError::Exec(format!(
-                "NOT requires a boolean, got {}",
-                other.type_name()
-            ))),
-        },
+        PExpr::Not(x) => not(&eval(x, row, ctx)?),
         PExpr::IsNull { expr, negated } => {
             let v = eval(expr, row, ctx)?;
             Ok(Variant::Bool(v.is_null() != *negated))
@@ -123,35 +118,26 @@ pub fn eval(e: &PExpr, row: RowView<'_>, ctx: &mut ExecCtx) -> Result<Variant> {
         PExpr::Like { expr, pattern, negated } => {
             let v = eval(expr, row, ctx)?;
             let p = eval(pattern, row, ctx)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Variant::Null);
-            }
-            match (v.as_str(), p.as_str()) {
-                (Some(text), Some(pat)) => {
-                    Ok(Variant::Bool(like_match(text, pat) != *negated))
-                }
-                _ => Err(SnowError::Exec("LIKE expects string operands".into())),
-            }
+            like(&v, &p, *negated)
         }
         PExpr::Path { base, steps } => {
-            let mut v = eval(base, row, ctx)?;
+            let root = eval(base, row, ctx)?;
+            // Steps walk by reference: only the leaf is cloned.
+            let mut v = &root;
             for s in steps {
-                v = match s {
-                    PStep::Field(f) => v.get_field(f),
-                    PStep::Index(i) => v.get_index(*i),
-                    PStep::IndexExpr(e) => {
-                        let idx = eval(e, row, ctx)?;
-                        match idx.as_i64() {
-                            Some(i) => v.get_index(i),
-                            None => Variant::Null,
-                        }
-                    }
-                };
                 if v.is_null() {
                     break;
                 }
+                v = match s {
+                    PStep::Field(f) => v.field_ref(f),
+                    PStep::Index(i) => v.index_ref(*i),
+                    PStep::IndexExpr(e) => match eval(e, row, ctx)?.as_i64() {
+                        Some(i) => v.index_ref(i),
+                        None => &Variant::Null,
+                    },
+                };
             }
-            Ok(v)
+            Ok(v.clone())
         }
     }
 }
@@ -185,12 +171,58 @@ fn eval_binary(
 
     let l = eval(left, row, ctx)?;
     let r = eval(right, row, ctx)?;
+    binary(op, &l, &r)
+}
+
+/// `-v`. An `i64::MIN` operand promotes to `Float`, like every other integer
+/// overflow in this evaluator.
+pub(crate) fn neg(v: &Variant) -> Result<Variant> {
+    match v {
+        Variant::Null => Ok(Variant::Null),
+        Variant::Int(i) => Ok(match i.checked_neg() {
+            Some(n) => Variant::Int(n),
+            None => Variant::Float(-(*i as f64)),
+        }),
+        Variant::Float(f) => Ok(Variant::Float(-f)),
+        other => Err(SnowError::Exec(format!(
+            "cannot negate value of type {}",
+            other.type_name()
+        ))),
+    }
+}
+
+/// `NOT v` under three-valued logic.
+pub(crate) fn not(v: &Variant) -> Result<Variant> {
+    match v {
+        Variant::Null => Ok(Variant::Null),
+        Variant::Bool(b) => Ok(Variant::Bool(!b)),
+        other => Err(SnowError::Exec(format!(
+            "NOT requires a boolean, got {}",
+            other.type_name()
+        ))),
+    }
+}
+
+/// `v [NOT] LIKE p`.
+pub(crate) fn like(v: &Variant, p: &Variant, negated: bool) -> Result<Variant> {
+    if v.is_null() || p.is_null() {
+        return Ok(Variant::Null);
+    }
+    match (v.as_str(), p.as_str()) {
+        (Some(text), Some(pat)) => Ok(Variant::Bool(like_match(text, pat) != negated)),
+        _ => Err(SnowError::Exec("LIKE expects string operands".into())),
+    }
+}
+
+/// Every binary operator except `AND`/`OR` (which short-circuit and are
+/// evaluated by their callers), over two evaluated operands.
+pub(crate) fn binary(op: BinOp, l: &Variant, r: &Variant) -> Result<Variant> {
     if l.is_null() || r.is_null() {
         return Ok(Variant::Null);
     }
     match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul => arith(&l, op, &r),
-        BinOp::Div => match NumericPair::coerce(&l, &r) {
+        BinOp::Add | BinOp::Sub | BinOp::Mul => arith(l, op, r),
+        BinOp::Div => match NumericPair::coerce(l, r) {
             Some(NumericPair::Int(a, b)) => {
                 if b == 0 {
                     Err(SnowError::Exec("division by zero".into()))
@@ -206,26 +238,27 @@ fn eval_binary(
                     Ok(Variant::Float(a / b))
                 }
             }
-            None => Err(type_err("divide", &l, &r)),
+            None => Err(type_err("divide", l, r)),
         },
-        BinOp::Mod => match NumericPair::coerce(&l, &r) {
+        BinOp::Mod => match NumericPair::coerce(l, r) {
             Some(NumericPair::Int(a, b)) => {
                 if b == 0 {
                     Err(SnowError::Exec("division by zero".into()))
                 } else {
-                    Ok(Variant::Int(a % b))
+                    // `wrapping_rem`: `i64::MIN % -1` is 0, not a panic.
+                    Ok(Variant::Int(a.wrapping_rem(b)))
                 }
             }
             Some(NumericPair::Float(a, b)) => Ok(Variant::Float(a % b)),
-            None => Err(type_err("mod", &l, &r)),
+            None => Err(type_err("mod", l, r)),
         },
         BinOp::Eq => Ok(Variant::Bool(l == r)),
         BinOp::NotEq => Ok(Variant::Bool(l != r)),
-        BinOp::Lt => Ok(Variant::Bool(ordered(&l, &r)? == Ordering::Less)),
-        BinOp::LtEq => Ok(Variant::Bool(ordered(&l, &r)? != Ordering::Greater)),
-        BinOp::Gt => Ok(Variant::Bool(ordered(&l, &r)? == Ordering::Greater)),
-        BinOp::GtEq => Ok(Variant::Bool(ordered(&l, &r)? != Ordering::Less)),
-        BinOp::Concat => match (&l, &r) {
+        BinOp::Lt => Ok(Variant::Bool(ordered(l, r)? == Ordering::Less)),
+        BinOp::LtEq => Ok(Variant::Bool(ordered(l, r)? != Ordering::Greater)),
+        BinOp::Gt => Ok(Variant::Bool(ordered(l, r)? == Ordering::Greater)),
+        BinOp::GtEq => Ok(Variant::Bool(ordered(l, r)? != Ordering::Less)),
+        BinOp::Concat => match (l, r) {
             (Variant::Str(a), Variant::Str(b)) => {
                 let mut s = String::with_capacity(a.len() + b.len());
                 s.push_str(a);
@@ -234,7 +267,10 @@ fn eval_binary(
             }
             _ => Ok(Variant::from(format!("{l}{r}"))),
         },
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        BinOp::And | BinOp::Or => Err(SnowError::internal(
+            "expr",
+            "AND/OR reached the strict binary evaluator",
+        )),
     }
 }
 
@@ -370,149 +406,149 @@ pub fn cast(v: Variant, ty: CastType) -> Result<Variant> {
     }
 }
 
-fn need_f64(v: &Variant, fname: &str) -> Result<f64> {
-    v.as_f64()
-        .ok_or_else(|| SnowError::Exec(format!("{fname} expects a number, got {}", v.type_name())))
+fn need_f64(v: &Variant, f: FuncId) -> Result<f64> {
+    v.as_f64().ok_or_else(|| {
+        SnowError::Exec(format!("{} expects a number, got {}", f.name(), v.type_name()))
+    })
 }
 
+/// The `f64 -> f64` function behind a NULL-propagating unary math builtin —
+/// the one definition the row evaluator and the batch kernels both call.
+pub(crate) fn math1_fn(f: FuncId) -> Option<fn(f64) -> f64> {
+    Some(match f {
+        FuncId::Sqrt => f64::sqrt,
+        FuncId::Exp => f64::exp,
+        FuncId::Ln => f64::ln,
+        FuncId::Atan => f64::atan,
+        FuncId::Asin => f64::asin,
+        FuncId::Acos => f64::acos,
+        FuncId::Sin => f64::sin,
+        FuncId::Cos => f64::cos,
+        FuncId::Tan => f64::tan,
+        FuncId::Sinh => f64::sinh,
+        FuncId::Cosh => f64::cosh,
+        FuncId::Tanh => f64::tanh,
+        _ => return None,
+    })
+}
+
+/// As [`math1_fn`], for the NULL-propagating binary math builtins.
+pub(crate) fn math2_fn(f: FuncId) -> Option<fn(f64, f64) -> f64> {
+    Some(match f {
+        FuncId::Power => f64::powf,
+        FuncId::Atan2 => f64::atan2,
+        // LOG(base, x)
+        FuncId::Log => |base, x| x.log(base),
+        _ => return None,
+    })
+}
+
+/// Arguments of a call are kept on the stack up to this arity.
+const INLINE_ARGS: usize = 4;
+
 fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> Result<Variant> {
-    // COALESCE must not evaluate later arguments eagerly only in the presence
-    // of side effects; all our functions are pure except SEQ8, so eager
-    // evaluation is fine and keeps the code simple.
-    let mut vals = Vec::with_capacity(args.len());
-    for a in args {
-        vals.push(eval(a, row, ctx)?);
+    // The guards evaluate only the operand they select, so a guarded operand
+    // can neither fail nor cost anything on the rows it is guarded from.
+    match (f, args) {
+        (FuncId::Iff, [cond, then, otherwise]) => {
+            let c = eval(cond, row, ctx)?;
+            return match truth(&c)? {
+                Some(true) => eval(then, row, ctx),
+                _ => eval(otherwise, row, ctx),
+            };
+        }
+        (FuncId::Nvl, [first, second]) => {
+            let v = eval(first, row, ctx)?;
+            return if v.is_null() { eval(second, row, ctx) } else { Ok(v) };
+        }
+        (FuncId::Coalesce, _) => {
+            for a in args {
+                let v = eval(a, row, ctx)?;
+                if !v.is_null() {
+                    return Ok(v);
+                }
+            }
+            return Ok(Variant::Null);
+        }
+        (FuncId::Seq8, []) => {
+            let v = ctx.seq_counter;
+            ctx.seq_counter += 1;
+            return Ok(Variant::Int(v));
+        }
+        _ => {}
     }
+    if args.len() <= INLINE_ARGS {
+        let mut vals = [const { Variant::Null }; INLINE_ARGS];
+        for (slot, a) in vals.iter_mut().zip(args) {
+            *slot = eval(a, row, ctx)?;
+        }
+        let refs: [&Variant; INLINE_ARGS] = std::array::from_fn(|i| &vals[i]);
+        call(f, &refs[..args.len()])
+    } else {
+        let mut vals = Vec::with_capacity(args.len());
+        for a in args {
+            vals.push(eval(a, row, ctx)?);
+        }
+        call(f, &vals.iter().collect::<Vec<_>>())
+    }
+}
+
+/// Applies a scalar function to evaluated arguments. `SEQ8()` is the one
+/// function that is not a function of its arguments; [`eval`] handles it.
+pub(crate) fn call(f: FuncId, vals: &[&Variant]) -> Result<Variant> {
     let argc = vals.len();
     let arity = |want: usize| -> Result<()> {
         if argc == want {
             Ok(())
         } else {
-            Err(SnowError::Exec(format!("{f:?} expects {want} arguments, got {argc}")))
+            Err(SnowError::Exec(format!(
+                "{} expects {want} arguments, got {argc}",
+                f.name()
+            )))
         }
     };
-    // NULL-propagating unary math helper.
-    macro_rules! math1 {
-        ($f:expr) => {{
-            arity(1)?;
-            if vals[0].is_null() {
-                return Ok(Variant::Null);
-            }
-            let x = need_f64(&vals[0], &format!("{f:?}"))?;
-            #[allow(clippy::redundant_closure_call)]
-            Ok(Variant::Float(($f)(x)))
-        }};
+    if let Some(g) = math1_fn(f) {
+        arity(1)?;
+        if vals[0].is_null() {
+            return Ok(Variant::Null);
+        }
+        return Ok(Variant::Float(g(need_f64(vals[0], f)?)));
+    }
+    if let Some(g) = math2_fn(f) {
+        arity(2)?;
+        if vals[0].is_null() || vals[1].is_null() {
+            return Ok(Variant::Null);
+        }
+        let a = need_f64(vals[0], f)?;
+        let b = need_f64(vals[1], f)?;
+        return Ok(Variant::Float(g(a, b)));
     }
     match f {
-        FuncId::Abs => {
+        FuncId::Abs | FuncId::Floor | FuncId::Ceil | FuncId::Sign => {
             arity(1)?;
-            match &vals[0] {
-                Variant::Null => Ok(Variant::Null),
-                Variant::Int(i) => Ok(Variant::Int(i.abs())),
-                Variant::Float(x) => Ok(Variant::Float(x.abs())),
-                other => Err(SnowError::Exec(format!("ABS expects a number, got {}", other.type_name()))),
-            }
+            unary_num(f, vals[0])
         }
-        FuncId::Sqrt => math1!(f64::sqrt),
-        FuncId::Exp => math1!(f64::exp),
-        FuncId::Ln => math1!(f64::ln),
-        FuncId::Atan => math1!(f64::atan),
-        FuncId::Asin => math1!(f64::asin),
-        FuncId::Acos => math1!(f64::acos),
-        FuncId::Sin => math1!(f64::sin),
-        FuncId::Cos => math1!(f64::cos),
-        FuncId::Tan => math1!(f64::tan),
-        FuncId::Sinh => math1!(f64::sinh),
-        FuncId::Cosh => math1!(f64::cosh),
-        FuncId::Tanh => math1!(f64::tanh),
-        FuncId::Power => {
-            arity(2)?;
-            if vals[0].is_null() || vals[1].is_null() {
-                return Ok(Variant::Null);
-            }
-            let a = need_f64(&vals[0], "POWER")?;
-            let b = need_f64(&vals[1], "POWER")?;
-            Ok(Variant::Float(a.powf(b)))
-        }
-        FuncId::Atan2 => {
-            arity(2)?;
-            if vals[0].is_null() || vals[1].is_null() {
-                return Ok(Variant::Null);
-            }
-            let y = need_f64(&vals[0], "ATAN2")?;
-            let x = need_f64(&vals[1], "ATAN2")?;
-            Ok(Variant::Float(y.atan2(x)))
-        }
-        FuncId::Log => {
-            arity(2)?;
-            if vals[0].is_null() || vals[1].is_null() {
-                return Ok(Variant::Null);
-            }
-            let base = need_f64(&vals[0], "LOG")?;
-            let x = need_f64(&vals[1], "LOG")?;
-            Ok(Variant::Float(x.log(base)))
-        }
-        FuncId::Floor => {
-            arity(1)?;
-            match &vals[0] {
-                Variant::Null => Ok(Variant::Null),
-                Variant::Int(i) => Ok(Variant::Int(*i)),
-                Variant::Float(x) => Ok(Variant::Float(x.floor())),
-                other => Err(SnowError::Exec(format!("FLOOR expects a number, got {}", other.type_name()))),
-            }
-        }
-        FuncId::Ceil => {
-            arity(1)?;
-            match &vals[0] {
-                Variant::Null => Ok(Variant::Null),
-                Variant::Int(i) => Ok(Variant::Int(*i)),
-                Variant::Float(x) => Ok(Variant::Float(x.ceil())),
-                other => Err(SnowError::Exec(format!("CEIL expects a number, got {}", other.type_name()))),
-            }
-        }
+        FuncId::Round if argc == 1 => unary_num(f, vals[0]),
         FuncId::Round => {
-            if argc == 1 {
-                match &vals[0] {
-                    Variant::Null => Ok(Variant::Null),
-                    Variant::Int(i) => Ok(Variant::Int(*i)),
-                    Variant::Float(x) => Ok(Variant::Float(x.round())),
-                    other => Err(SnowError::Exec(format!("ROUND expects a number, got {}", other.type_name()))),
-                }
-            } else {
-                arity(2)?;
-                if vals[0].is_null() || vals[1].is_null() {
-                    return Ok(Variant::Null);
-                }
-                let x = need_f64(&vals[0], "ROUND")?;
-                let d = vals[1]
-                    .as_i64()
-                    .ok_or_else(|| SnowError::Exec("ROUND scale must be an integer".into()))?;
-                let m = 10f64.powi(d as i32);
-                Ok(Variant::Float((x * m).round() / m))
+            arity(2)?;
+            if vals[0].is_null() || vals[1].is_null() {
+                return Ok(Variant::Null);
             }
-        }
-        FuncId::Sign => {
-            arity(1)?;
-            match &vals[0] {
-                Variant::Null => Ok(Variant::Null),
-                Variant::Int(i) => Ok(Variant::Int(i.signum())),
-                Variant::Float(x) => Ok(Variant::Int(if *x > 0.0 {
-                    1
-                } else if *x < 0.0 {
-                    -1
-                } else {
-                    0
-                })),
-                other => Err(SnowError::Exec(format!("SIGN expects a number, got {}", other.type_name()))),
-            }
+            let x = need_f64(vals[0], f)?;
+            let d = vals[1]
+                .as_i64()
+                .ok_or_else(|| SnowError::Exec("ROUND scale must be an integer".into()))?;
+            let m = 10f64.powi(d as i32);
+            Ok(Variant::Float((x * m).round() / m))
         }
         FuncId::Mod => {
             arity(2)?;
             if vals[0].is_null() || vals[1].is_null() {
                 return Ok(Variant::Null);
             }
-            match NumericPair::coerce(&vals[0], &vals[1]) {
-                Some(NumericPair::Int(a, b)) if b != 0 => Ok(Variant::Int(a % b)),
+            match NumericPair::coerce(vals[0], vals[1]) {
+                // `wrapping_rem`: `i64::MIN % -1` is 0, not a panic.
+                Some(NumericPair::Int(a, b)) if b != 0 => Ok(Variant::Int(a.wrapping_rem(b))),
                 Some(NumericPair::Int(..)) => Err(SnowError::Exec("division by zero".into())),
                 Some(NumericPair::Float(a, b)) => Ok(Variant::Float(a % b)),
                 None => Err(SnowError::Exec("MOD expects numbers".into())),
@@ -523,7 +559,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
             if vals[0].is_null() || vals[1].is_null() {
                 return Ok(Variant::Null);
             }
-            match NumericPair::coerce(&vals[0], &vals[1]) {
+            match NumericPair::coerce(vals[0], vals[1]) {
                 Some(NumericPair::Int(a, b)) => {
                     Ok(if b == 0 { Variant::Int(0) } else { Variant::Float(a as f64 / b as f64) })
                 }
@@ -539,28 +575,24 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Greatest | FuncId::Least => {
             if vals.is_empty() {
-                return Err(SnowError::Exec(format!("{f:?} needs at least one argument")));
+                return Err(SnowError::Exec(format!(
+                    "{} needs at least one argument",
+                    f.name()
+                )));
             }
-            if vals.iter().any(Variant::is_null) {
+            if vals.iter().any(|v| v.is_null()) {
                 return Ok(Variant::Null);
             }
             let want = if f == FuncId::Greatest { Ordering::Greater } else { Ordering::Less };
-            let mut best = vals[0].clone();
+            let mut best = vals[0];
             for v in &vals[1..] {
-                if cmp_variants(v, &best) == want {
-                    best = v.clone();
+                if cmp_variants(v, best) == want {
+                    best = v;
                 }
             }
-            Ok(best)
+            Ok(best.clone())
         }
-        FuncId::Coalesce => {
-            for v in vals {
-                if !v.is_null() {
-                    return Ok(v);
-                }
-            }
-            Ok(Variant::Null)
-        }
+        FuncId::Coalesce => Ok(vals.iter().find(|v| !v.is_null()).map_or(Variant::Null, |v| (*v).clone())),
         FuncId::Nvl => {
             arity(2)?;
             if vals[0].is_null() {
@@ -571,7 +603,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::NullIf => {
             arity(2)?;
-            if !vals[0].is_null() && vals[0] == vals[1] {
+            if !vals[0].is_null() && *vals[0] == *vals[1] {
                 Ok(Variant::Null)
             } else {
                 Ok(vals[0].clone())
@@ -579,13 +611,13 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Iff => {
             arity(3)?;
-            match truth(&vals[0])? {
+            match truth(vals[0])? {
                 Some(true) => Ok(vals[1].clone()),
                 _ => Ok(vals[2].clone()),
             }
         }
         FuncId::ObjectConstruct => {
-            if argc % 2 != 0 {
+            if !argc.is_multiple_of(2) {
                 return Err(SnowError::Exec(
                     "OBJECT_CONSTRUCT expects an even number of arguments".into(),
                 ));
@@ -594,24 +626,25 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
             // object constructor preserves null-valued fields.
             let mut obj = Object::with_capacity(argc / 2);
             for pair in vals.chunks_exact(2) {
-                let key = pair[0].as_str().ok_or_else(|| {
-                    SnowError::Exec("OBJECT_CONSTRUCT keys must be strings".into())
-                })?;
-                obj.insert(key, pair[1].clone());
+                // The key's `Arc` is shared, not copied, into the object.
+                let Variant::Str(key) = pair[0] else {
+                    return Err(SnowError::Exec("OBJECT_CONSTRUCT keys must be strings".into()));
+                };
+                obj.insert(key.clone(), pair[1].clone());
             }
             Ok(Variant::object(obj))
         }
-        FuncId::ArrayConstruct => Ok(Variant::array(vals)),
+        FuncId::ArrayConstruct => Ok(Variant::array(vals.iter().map(|v| (*v).clone()).collect())),
         FuncId::ArraySize => {
             arity(1)?;
-            match &vals[0] {
+            match vals[0] {
                 Variant::Array(a) => Ok(Variant::Int(a.len() as i64)),
                 _ => Ok(Variant::Null),
             }
         }
         FuncId::ArrayCat => {
             arity(2)?;
-            match (&vals[0], &vals[1]) {
+            match (vals[0], vals[1]) {
                 (Variant::Array(a), Variant::Array(b)) => {
                     let mut out = Vec::with_capacity(a.len() + b.len());
                     out.extend(a.iter().cloned());
@@ -623,11 +656,11 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::ArrayFilter => {
             arity(4)?;
-            let arr = match &vals[0] {
+            let arr = match vals[0] {
                 Variant::Array(a) => a,
                 _ => return Ok(Variant::Null),
             };
-            let field = match &vals[1] {
+            let field = match vals[1] {
                 Variant::Null => None,
                 Variant::Str(s) => Some(s.clone()),
                 _ => return Err(SnowError::Exec("ARRAY_FILTER field must be a string or NULL".into())),
@@ -667,14 +700,14 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::ArrayContains => {
             arity(2)?;
-            match &vals[1] {
-                Variant::Array(a) => Ok(Variant::Bool(a.iter().any(|x| *x == vals[0]))),
+            match vals[1] {
+                Variant::Array(a) => Ok(Variant::Bool(a.iter().any(|x| x == vals[0]))),
                 _ => Ok(Variant::Null),
             }
         }
         FuncId::Get => {
             arity(2)?;
-            match &vals[1] {
+            match vals[1] {
                 Variant::Str(k) => Ok(vals[0].get_field(k)),
                 v => match v.as_i64() {
                     Some(i) => Ok(vals[0].get_index(i)),
@@ -692,7 +725,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Upper => {
             arity(1)?;
-            match &vals[0] {
+            match vals[0] {
                 Variant::Null => Ok(Variant::Null),
                 Variant::Str(s) => Ok(Variant::from(s.to_uppercase())),
                 other => Err(SnowError::Exec(format!("UPPER expects a string, got {}", other.type_name()))),
@@ -700,7 +733,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Lower => {
             arity(1)?;
-            match &vals[0] {
+            match vals[0] {
                 Variant::Null => Ok(Variant::Null),
                 Variant::Str(s) => Ok(Variant::from(s.to_lowercase())),
                 other => Err(SnowError::Exec(format!("LOWER expects a string, got {}", other.type_name()))),
@@ -710,7 +743,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
             if argc != 2 && argc != 3 {
                 return Err(SnowError::Exec("SUBSTR expects 2 or 3 arguments".into()));
             }
-            if vals.iter().any(Variant::is_null) {
+            if vals.iter().any(|v| v.is_null()) {
                 return Ok(Variant::Null);
             }
             let s = vals[0]
@@ -724,7 +757,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
             let begin = if start > 0 {
                 (start - 1) as usize
             } else if start < 0 {
-                chars.len().saturating_sub((-start) as usize)
+                chars.len().saturating_sub(start.unsigned_abs() as usize)
             } else {
                 0
             };
@@ -741,7 +774,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Length => {
             arity(1)?;
-            match &vals[0] {
+            match vals[0] {
                 Variant::Null => Ok(Variant::Null),
                 Variant::Str(s) => Ok(Variant::Int(s.chars().count() as i64)),
                 other => Err(SnowError::Exec(format!("LENGTH expects a string, got {}", other.type_name()))),
@@ -749,7 +782,7 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Concat => {
             let mut out = String::new();
-            for v in &vals {
+            for v in vals {
                 if v.is_null() {
                     return Ok(Variant::Null);
                 }
@@ -762,11 +795,43 @@ fn eval_func(f: FuncId, args: &[PExpr], row: RowView<'_>, ctx: &mut ExecCtx) -> 
         }
         FuncId::Seq8 => {
             arity(0)?;
-            let v = ctx.seq_counter;
-            ctx.seq_counter += 1;
-            Ok(Variant::Int(v))
+            Err(SnowError::internal("expr", "SEQ8() is not a function of its arguments"))
         }
+        // The math builtins returned above.
+        _ => Err(SnowError::internal("expr", format!("{} has no evaluator", f.name()))),
     }
+}
+
+/// `ABS`/`FLOOR`/`CEIL`/`ROUND`/`SIGN` of one value: integers pass through
+/// the rounding functions unchanged, `ABS(i64::MIN)` promotes to `Float`.
+pub(crate) fn unary_num(f: FuncId, v: &Variant) -> Result<Variant> {
+    Ok(match (f, v) {
+        (_, Variant::Null) => Variant::Null,
+        (FuncId::Abs, Variant::Int(i)) => match i.checked_abs() {
+            Some(a) => Variant::Int(a),
+            None => Variant::Float((*i as f64).abs()),
+        },
+        (FuncId::Sign, Variant::Int(i)) => Variant::Int(i.signum()),
+        (_, Variant::Int(i)) => Variant::Int(*i),
+        (FuncId::Abs, Variant::Float(x)) => Variant::Float(x.abs()),
+        (FuncId::Floor, Variant::Float(x)) => Variant::Float(x.floor()),
+        (FuncId::Ceil, Variant::Float(x)) => Variant::Float(x.ceil()),
+        (FuncId::Round, Variant::Float(x)) => Variant::Float(x.round()),
+        (FuncId::Sign, Variant::Float(x)) => Variant::Int(if *x > 0.0 {
+            1
+        } else if *x < 0.0 {
+            -1
+        } else {
+            0
+        }),
+        (_, other) => {
+            return Err(SnowError::Exec(format!(
+                "{} expects a number, got {}",
+                f.name(),
+                other.type_name()
+            )))
+        }
+    })
 }
 
 #[cfg(test)]

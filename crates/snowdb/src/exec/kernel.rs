@@ -1,448 +1,1024 @@
-//! Vectorized expression kernels over typed [`ColumnVec`] batches.
+//! Batch evaluation of an operator's [`ExprDag`] over typed [`ColumnVec`]s.
 //!
-//! [`eval_vec`] evaluates a bound expression for a whole batch at once,
-//! without the per-row interpreter (no recursion, no `RowView`, no `Result`
-//! plumbing). It is **infallible by construction**: a kernel is attempted
-//! only for operator/type combinations that can be proven never to raise the
-//! errors the serial evaluator can raise, and anything else returns `None` so
-//! the caller falls back to the row-at-a-time path — which then reproduces
-//! the serial semantics *including* error identity and ordering. The
-//! verification lattice runs every query with vectorization on and off, so
-//! any divergence between the two paths is an oracle failure.
+//! [`ExprDag::eval`] computes every root of the DAG for a whole batch, each
+//! node once, or returns `None`: the batch is *declined* and the caller
+//! evaluates it with the row evaluator ([`super::expr::eval`]), which is the
+//! one definition of what an expression returns and of which error a
+//! statement reports.
 //!
-//! Rules that keep the two paths identical:
-//! - Volatile functions (`SEQ8`) are `PExpr::Func`, which never vectorizes.
-//! - Mixed Int/Float comparisons use the exact [`cmp_i64_f64`] /
-//!   [`cmp_f64`] helpers — the same total order as the serial path.
-//! - Integer arithmetic replicates the serial checked-op-then-promote rule
-//!   per element, so overflow yields the identical `Float` promotion.
-//! - `Neg` of `i64::MIN` falls back (the serial evaluator's behavior there
-//!   is build-profile-dependent; the fallback reproduces it exactly).
-//! - `AND`/`OR` vectorize only when both operands evaluate to booleans or
-//!   NULLs: eager evaluation is then observationally identical to the serial
-//!   short-circuit, because vectorized operands cannot error.
-//! - Mixed-class `=`/`<>` vectorize to constant false/true with NULL
-//!   propagation (the serial `l == r` is false across classes); mixed-class
-//!   *ordering* errors in the serial path, so it falls back.
+//! # Coverage
+//!
+//! Every [`DagOp`] and every [`FuncId`] has a kernel. The hot shapes run as
+//! typed loops over `i64`/`f64`/`bool` slices and validity bitmaps (arithmetic,
+//! comparisons, the math builtins, `ABS`/`FLOOR`/…, casts between numbers,
+//! guards, `SEQ8()`), path steps walk nested values by reference, dictionary
+//! columns compare and test `IN` on their codes. Whatever has no typed loop —
+//! boxed `Var` operands of mixed type, string functions, array and object
+//! constructors — runs column at a time through the *same scalar functions the
+//! row evaluator calls* ([`super::expr::binary`], [`super::expr::call`], …), so
+//! the two cannot disagree there by construction, and the typed loops are held
+//! to them by the differential property test and the `{vectorized, row}` axis
+//! of the verification lattice.
+//!
+//! # Selections
+//!
+//! A node is evaluated under a *selection*: the rows on which its value is
+//! wanted. Roots are evaluated on every row. A guarded operand (see
+//! [`super::dag`]) is evaluated only on the rows its guard left undecided —
+//! the right side of `AND` where the left is not false, the `IFF` branch its
+//! condition picked, the next `COALESCE` argument where all earlier ones were
+//! NULL. A value computed under a selection is a full-length column whose
+//! unselected rows are unspecified and never read. This keeps a guard
+//! guarding (`IFF(x = 0, NULL, y / x)` does not divide by zero) and keeps the
+//! row evaluator's short-circuit saving. A value is reused by any reader whose
+//! selection is contained in the one it was computed under; nodes the row
+//! evaluator reaches on every row are computed on every row.
+//!
+//! # Declining
+//!
+//! A kernel that meets, on a selected row, an input on which the row
+//! evaluator would fail (a zero divisor, a non-numeric operand of `+`, a
+//! non-boolean condition, an unparsable cast) declines the batch. It never
+//! reports the error itself: the row evaluator runs the batch again, row by
+//! row and expression by expression, and fails at the first error in that
+//! order.
+//!
+//! # `SEQ8()`
+//!
+//! In a projection the counter restarts at `base + r` for row `r` (see
+//! [`super::pipeline`]), so call `k` of the row is `base + r + k`: an integer
+//! ramp. That holds when every call is unguarded
+//! ([`Seq8Calls::PerRow`]); a DAG with a guarded call declines.
 
-use std::cell::Cell;
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::column::{Bitmap, ColumnVec, NULL_CODE};
-use crate::plan::{PExpr, PStep};
-use crate::sql::{BinOp, UnaryOp};
+use crate::error::Result;
+use crate::plan::{CastType, FuncId, PStep};
+use crate::sql::BinOp;
 use crate::variant::{cmp_f64, cmp_i64_f64, Variant};
 
+use super::dag::{DagOp, ExprDag, NodeId, Seq8Calls};
+use super::expr;
 use super::metrics::OpMetricsCell;
 use super::Chunk;
 
-thread_local! {
-    /// Rows this worker evaluated directly on dictionary codes since the last
-    /// [`eval_vec_counted`] reset.
-    static ENC_CODES: Cell<u64> = const { Cell::new(0) };
-    /// Rows whose encoded column a kernel had to materialize since the last
-    /// [`eval_vec_counted`] reset.
-    static ENC_MAT: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_on_codes(rows: usize) {
-    ENC_CODES.with(|c| c.set(c.get() + rows as u64));
-}
-
-fn note_materialized(rows: usize) {
-    ENC_MAT.with(|c| c.set(c.get() + rows as u64));
-}
-
-/// [`eval_vec`] plus per-operator accounting of encoded-execution rows: rows
-/// the kernels evaluated directly on dictionary codes versus rows whose
-/// encoded column had to be materialized first. `EXPLAIN ANALYZE` renders the
-/// two as `enc=C/M` next to the existing `vec=V/F` counters.
-pub fn eval_vec_counted(
-    e: &PExpr,
-    inp: &Chunk,
-    cell: Option<&OpMetricsCell>,
-) -> Option<ColumnVec> {
-    ENC_CODES.with(|c| c.set(0));
-    ENC_MAT.with(|c| c.set(0));
-    let out = eval_vec(e, inp);
-    if let Some(cell) = cell {
-        let codes = ENC_CODES.with(Cell::get);
-        let mat = ENC_MAT.with(Cell::get);
-        if codes > 0 {
-            cell.add_on_codes(codes);
+impl ExprDag<'_> {
+    /// Evaluates every root over all rows of `inp`, or declines (`None`).
+    /// `seq_base` is the value of a projection's `SEQ8()` counter at the
+    /// batch's first row. Rows evaluated on dictionary codes and rows of
+    /// encoded columns that had to be materialized are added to `cell`.
+    pub fn eval<'a>(
+        &self,
+        inp: &'a Chunk,
+        seq_base: i64,
+        cell: Option<&OpMetricsCell>,
+    ) -> Option<Vec<Cow<'a, ColumnVec>>> {
+        if self.seq8() == Seq8Calls::Guarded {
+            return None;
         }
-        if mat > 0 {
-            cell.add_materialized(mat);
+        let mut ev = BatchEval {
+            dag: self,
+            inp,
+            n: inp.rows,
+            seq_base,
+            regs: (0..self.dag_nodes()).map(|_| None).collect(),
+            readers: (0..self.dag_nodes() as NodeId)
+                .map(|id| self.uses(id))
+                .collect(),
+            sel_parents: vec![0],
+            on_codes: 0,
+            materialized: 0,
+        };
+        let mut out = Vec::with_capacity(self.root_count());
+        for &root in self.roots() {
+            let v = ev.value(root, &Sel::FULL)?;
+            ev.release(root);
+            out.push(ev.column_of(v));
         }
-    }
-    out
-}
-
-/// Evaluates `e` over all rows of `inp`, or `None` when the expression shape
-/// or operand types have no infallible kernel.
-pub fn eval_vec(e: &PExpr, inp: &Chunk) -> Option<ColumnVec> {
-    match eval_op(e, inp)? {
-        Op::Col(c) => Some(c.clone()),
-        Op::Own(c) => Some(c),
-        Op::Scalar(v) => {
-            let mut out = ColumnVec::new();
-            for _ in 0..inp.rows {
-                out.push(v.clone());
+        if let Some(cell) = cell {
+            if ev.on_codes > 0 {
+                cell.add_on_codes(ev.on_codes);
             }
-            Some(out)
+            if ev.materialized > 0 {
+                cell.add_materialized(ev.materialized);
+            }
         }
+        Some(out)
     }
 }
 
-/// Converts a vectorized filter mask into the kept row indices, or `None`
-/// when the mask is not boolean (the row path then raises the serial
-/// type error at the first offending row).
+/// Converts a filter mask into the kept row indices, or `None` when a row's
+/// value is neither boolean nor NULL (the row path then raises the type
+/// error at the first offending row).
 pub fn mask_keep(mask: &ColumnVec) -> Option<Vec<usize>> {
     match mask {
         ColumnVec::Bool { vals, valid } => Some(
-            (0..vals.len()).filter(|&i| valid.get(i) && vals[i]).collect(),
+            (0..vals.len())
+                .filter(|&i| vals[i] && valid.get(i))
+                .collect(),
         ),
         // An all-NULL mask keeps nothing: truth(NULL) is "unknown".
         ColumnVec::Null(_) => Some(Vec::new()),
+        ColumnVec::Var(v) => {
+            let mut keep = Vec::new();
+            for (i, x) in v.iter().enumerate() {
+                match x {
+                    Variant::Bool(true) => keep.push(i),
+                    Variant::Bool(false) | Variant::Null => {}
+                    _ => return None,
+                }
+            }
+            Some(keep)
+        }
         _ => None,
     }
 }
 
-/// Intermediate operand: a borrowed input column, an owned kernel result, or
-/// a scalar to broadcast. Bare column references flow through without clones.
-enum Op<'a> {
+// ---------------------------------------------------------------------------
+// Values and selections
+// ---------------------------------------------------------------------------
+
+/// A node's value for the batch: a borrowed input column, a computed column,
+/// or one value for every row.
+enum Val<'a> {
     Col(&'a ColumnVec),
     Own(ColumnVec),
     Scalar(Variant),
 }
 
-impl Op<'_> {
+type V<'a> = Rc<Val<'a>>;
+
+/// A computed column as a node's value.
+fn own<'a>(c: ColumnVec) -> Option<V<'a>> {
+    Some(Rc::new(Val::Own(c)))
+}
+
+impl Val<'_> {
     fn col(&self) -> Option<&ColumnVec> {
         match self {
-            Op::Col(c) => Some(c),
-            Op::Own(c) => Some(c),
-            Op::Scalar(_) => None,
+            Val::Col(c) => Some(c),
+            Val::Own(c) => Some(c),
+            Val::Scalar(_) => None,
         }
     }
 
-    /// True when every element is NULL regardless of row.
+    /// True when every row is NULL whatever the selection.
     fn all_null(&self) -> bool {
         match self {
-            Op::Scalar(v) => v.is_null(),
+            Val::Scalar(v) => v.is_null(),
             _ => matches!(self.col(), Some(ColumnVec::Null(_))),
         }
     }
 
     fn get(&self, i: usize) -> Variant {
         match self {
-            Op::Scalar(v) => v.clone(),
-            Op::Col(c) => c.get(i),
-            Op::Own(c) => c.get(i),
+            Val::Scalar(v) => v.clone(),
+            Val::Col(c) => c.get(i),
+            Val::Own(c) => c.get(i),
         }
     }
 
     fn is_null_at(&self, i: usize) -> bool {
         match self {
-            Op::Scalar(v) => v.is_null(),
-            Op::Col(c) => c.is_null_at(i),
-            Op::Own(c) => c.is_null_at(i),
+            Val::Scalar(v) => v.is_null(),
+            Val::Col(c) => c.is_null_at(i),
+            Val::Own(c) => c.is_null_at(i),
+        }
+    }
+
+    /// True when [`cell`] has to box row values of this operand.
+    fn boxes(&self) -> bool {
+        !matches!(self.col(), None | Some(ColumnVec::Var(_)))
+    }
+}
+
+/// Row `i` of an operand by reference. Boxed columns and scalars lend the
+/// value they hold; a typed column's value must have been put in `tmp`.
+fn cell<'v>(v: &'v Val<'_>, i: usize, tmp: &'v Variant) -> &'v Variant {
+    match v {
+        Val::Scalar(s) => s,
+        _ => match v.col() {
+            Some(ColumnVec::Var(x)) => &x[i],
+            _ => tmp,
+        },
+    }
+}
+
+/// The rows a value is wanted on. `rows: None` is every row of the batch.
+/// Selections form a tree by containment: a narrowed selection's parent
+/// contains it.
+#[derive(Clone)]
+struct Sel {
+    id: u32,
+    rows: Option<Rc<[u32]>>,
+}
+
+impl Sel {
+    /// Every row of the batch.
+    const FULL: Sel = Sel { id: 0, rows: None };
+
+    fn len(&self, n: usize) -> usize {
+        self.rows.as_ref().map_or(n, |r| r.len())
+    }
+
+    /// True for a narrowed selection that kept no row. (Every row of an
+    /// empty batch is not that: its columns still have to be built.)
+    fn is_empty(&self) -> bool {
+        matches!(&self.rows, Some(rows) if rows.is_empty())
+    }
+}
+
+/// Runs `$body` with `$i` bound to each selected row, ascending.
+macro_rules! for_rows {
+    ($sel:expr, $n:expr, $i:ident => $body:block) => {
+        match &$sel.rows {
+            None => {
+                // One body serves dense and sparse rows: it indexes.
+                #[allow(clippy::needless_range_loop)]
+                for $i in 0..$n $body
+            }
+            Some(rows) => {
+                for &r in rows.iter() {
+                    let $i = r as usize;
+                    $body
+                }
+            }
+        }
+    };
+}
+
+/// Runs `$body` with `$at` bound to a row accessor `usize -> f64` of a
+/// [`Num`] operand (integers convert as the row evaluator's `NumericPair`
+/// does); one monomorphic copy of the loop per representation.
+macro_rules! f64_at {
+    ($num:expr, |$at:ident| $body:expr) => {
+        match $num {
+            Num::Ints(s, _) => {
+                let $at = |i: usize| s[i] as f64;
+                $body
+            }
+            Num::Floats(s, _) => {
+                let $at = |i: usize| s[i];
+                $body
+            }
+            Num::Int(c) => {
+                let c = *c as f64;
+                let $at = move |_: usize| c;
+                $body
+            }
+            Num::Float(c) => {
+                let c = *c;
+                let $at = move |_: usize| c;
+                $body
+            }
+        }
+    };
+}
+
+/// Runs `$body` with `$at` bound to a row accessor `usize -> i64` of an
+/// integer [`Num`] operand.
+macro_rules! i64_at {
+    ($num:expr, |$at:ident| $body:expr) => {
+        match $num {
+            Num::Ints(s, _) => {
+                let $at = |i: usize| s[i];
+                $body
+            }
+            Num::Int(c) => {
+                let c = *c;
+                let $at = move |_: usize| c;
+                $body
+            }
+            _ => unreachable!("not an integer operand"),
+        }
+    };
+}
+
+struct Reg<'a> {
+    /// The selection the value was computed under.
+    sel: u32,
+    val: V<'a>,
+}
+
+struct BatchEval<'d, 'a> {
+    dag: &'d ExprDag<'d>,
+    inp: &'a Chunk,
+    n: usize,
+    seq_base: i64,
+    regs: Vec<Option<Reg<'a>>>,
+    /// Readers that have yet to take each node's value.
+    readers: Vec<u32>,
+    /// Parent of each selection; selection 0 is every row.
+    sel_parents: Vec<u32>,
+    on_codes: u64,
+    materialized: u64,
+}
+
+/// A guard's outcome per selected row, for building the next selection.
+type Tri = Option<bool>;
+
+impl<'d, 'a> BatchEval<'d, 'a> {
+    // ---- registers ---------------------------------------------------------
+
+    /// The value of `id` on (at least) the rows of `sel`.
+    fn value(&mut self, id: NodeId, sel: &Sel) -> Option<V<'a>> {
+        if let Some(reg) = &self.regs[id as usize] {
+            if self.contains(reg.sel, sel.id) {
+                return Some(reg.val.clone());
+            }
+        }
+        let sel = if self.dag.always(id) { &Sel::FULL } else { sel };
+        // Nothing is wanted: evaluate nothing, and in particular decline
+        // nothing.
+        let val = if sel.is_empty() {
+            Rc::new(Val::Scalar(Variant::Null))
+        } else {
+            self.compute(id, sel)?
+        };
+        self.regs[id as usize] = Some(Reg {
+            sel: sel.id,
+            val: val.clone(),
+        });
+        Some(val)
+    }
+
+    /// One reader of `id` is done with it; the last one frees the register.
+    fn release(&mut self, id: NodeId) {
+        let left = &mut self.readers[id as usize];
+        *left = left.saturating_sub(1);
+        if *left == 0 {
+            self.regs[id as usize] = None;
+        }
+    }
+
+    /// True when selection `outer` contains selection `inner`.
+    fn contains(&self, outer: u32, inner: u32) -> bool {
+        let mut s = inner;
+        loop {
+            if s == outer || outer == 0 {
+                return true;
+            }
+            if s == 0 {
+                return false;
+            }
+            s = self.sel_parents[s as usize];
+        }
+    }
+
+    /// The sub-selection `rows` of `parent`; `parent` itself when nothing was
+    /// removed, so values computed under it stay reusable.
+    fn narrow(&mut self, parent: &Sel, rows: Vec<u32>) -> Sel {
+        if rows.len() == parent.len(self.n) {
+            return parent.clone();
+        }
+        self.sel_parents.push(parent.id);
+        Sel {
+            id: (self.sel_parents.len() - 1) as u32,
+            rows: Some(rows.into()),
+        }
+    }
+
+    /// The rows of `sel` on which `keep` holds.
+    fn filter_sel(&mut self, sel: &Sel, mut keep: impl FnMut(usize) -> bool) -> Sel {
+        let mut rows = Vec::with_capacity(sel.len(self.n));
+        for_rows!(sel, self.n, i => {
+            if keep(i) {
+                rows.push(i as u32);
+            }
+        });
+        self.narrow(sel, rows)
+    }
+
+    fn column_of(&self, v: V<'a>) -> Cow<'a, ColumnVec> {
+        match Rc::try_unwrap(v) {
+            Ok(Val::Col(c)) => Cow::Borrowed(c),
+            Ok(Val::Own(c)) => Cow::Owned(c),
+            Ok(Val::Scalar(s)) => Cow::Owned(broadcast(&s, self.n)),
+            Err(shared) => match &*shared {
+                Val::Col(c) => Cow::Borrowed(*c),
+                Val::Own(c) => Cow::Owned(c.clone()),
+                Val::Scalar(s) => Cow::Owned(broadcast(s, self.n)),
+            },
+        }
+    }
+
+    fn note_encoded_operands(&mut self, args: &[V<'a>]) {
+        for a in args {
+            if let Some(ColumnVec::DictStr { codes, .. }) = a.col() {
+                self.materialized += codes.len() as u64;
+            }
+        }
+    }
+
+    // ---- dispatch ----------------------------------------------------------
+
+    fn compute(&mut self, id: NodeId, sel: &Sel) -> Option<V<'a>> {
+        let dag = self.dag;
+        let args = dag.args(id);
+        match dag.op(id) {
+            // Out-of-range column indices decline so the row path raises the
+            // "column index out of range" error.
+            DagOp::Col(i) => {
+                let c = self.inp.cols.get(i)?;
+                // Run-length columns decode at the kernel boundary: the dict
+                // fast paths are code-indexed, runs are not.
+                if let ColumnVec::Runs { .. } = c {
+                    self.materialized += c.len() as u64;
+                    return own(c.decoded());
+                }
+                Some(Rc::new(Val::Col(c)))
+            }
+            DagOp::Lit(v) => Some(Rc::new(Val::Scalar(v.clone()))),
+            DagOp::Seq8 { call } => {
+                let first = self.seq_base + i64::from(call);
+                own(ColumnVec::Int {
+                    vals: (0..self.n as i64).map(|r| first + r).collect(),
+                    valid: Bitmap::ones(self.n),
+                })
+            }
+            DagOp::Binary(op @ (BinOp::And | BinOp::Or)) => self.logic(op, args, sel),
+            DagOp::Func(FuncId::Iff) if args.len() == 3 => self.iff(args, sel),
+            DagOp::Func(FuncId::Nvl) if args.len() == 2 => self.coalesce(args, sel),
+            DagOp::Func(FuncId::Coalesce) => self.coalesce(args, sel),
+            DagOp::Case { operand, else_expr } => self.case(operand, else_expr, args, sel),
+            DagOp::InList { negated } => self.in_list(negated, args, sel),
+            DagOp::Path(steps) => self.path(steps, args, sel),
+            // Everything else is strict: all operands, on all selected rows.
+            op => {
+                let vals: Vec<V<'a>> = args
+                    .iter()
+                    .map(|&a| self.value(a, sel))
+                    .collect::<Option<_>>()?;
+                let out = self.strict(op, &vals, sel);
+                for &a in args {
+                    self.release(a);
+                }
+                out
+            }
+        }
+    }
+
+    /// Operators and functions that evaluate all their operands.
+    fn strict(&mut self, op: DagOp<'d>, a: &[V<'a>], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        // Constant operands fold through the row evaluator's own functions.
+        if a.iter().all(|v| matches!(**v, Val::Scalar(_))) {
+            let s: Vec<&Variant> = a
+                .iter()
+                .map(|v| match &**v {
+                    Val::Scalar(s) => s,
+                    _ => unreachable!("checked above"),
+                })
+                .collect();
+            return scalar_op(op, &s).ok().map(|v| Rc::new(Val::Scalar(v)));
+        }
+        match op {
+            DagOp::Neg => match neg_kernel(&a[0], n, sel) {
+                Some(c) => own(c),
+                None => own(self.map_rows(a, sel, |v| expr::neg(v[0]))?),
+            },
+            DagOp::Not => match a[0].col()? {
+                ColumnVec::Null(k) => own(ColumnVec::Null(*k)),
+                ColumnVec::Bool { vals, valid } => own(ColumnVec::Bool {
+                    vals: vals.iter().map(|b| !b).collect(),
+                    valid: valid.clone(),
+                }),
+                _ => own(self.map_rows(a, sel, |v| expr::not(v[0]))?),
+            },
+            DagOp::IsNull { negated } => {
+                let mut vals = vec![false; n];
+                for_rows!(sel, n, i => {
+                    vals[i] = a[0].is_null_at(i) != negated;
+                });
+                own(ColumnVec::Bool {
+                    vals,
+                    valid: Bitmap::ones(n),
+                })
+            }
+            DagOp::Binary(op) => self.binary(op, a, sel),
+            DagOp::Cast(ty) => match cast_kernel(&a[0], ty, n, sel) {
+                Some(Some(c)) => own(c),
+                // The input is its own cast.
+                Some(None) => Some(a[0].clone()),
+                None => own(self.map_rows(a, sel, |v| expr::cast(v[0].clone(), ty))?),
+            },
+            DagOp::Like { negated } => {
+                own(self.map_rows(a, sel, |v| expr::like(v[0], v[1], negated))?)
+            }
+            DagOp::Func(f) => self.func(f, a, sel),
+            DagOp::Col(_)
+            | DagOp::Lit(_)
+            | DagOp::Seq8 { .. }
+            | DagOp::InList { .. }
+            | DagOp::Case { .. }
+            | DagOp::Path(_) => unreachable!("dispatched in compute"),
+        }
+    }
+
+    fn func(&mut self, f: FuncId, a: &[V<'a>], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        if let (Some(g), [x]) = (expr::math1_fn(f), a) {
+            if x.all_null() {
+                return own(ColumnVec::Null(n));
+            }
+            if let Some(num) = num(x) {
+                let mut vals = vec![0.0; n];
+                f64_at!(&num, |at| for_rows!(sel, n, i => {
+                    vals[i] = g(at(i));
+                }));
+                return own(ColumnVec::Float {
+                    vals,
+                    valid: valid_of(num.valid(), n),
+                });
+            }
+        }
+        if let (Some(g), [x, y]) = (expr::math2_fn(f), a) {
+            if x.all_null() || y.all_null() {
+                return own(ColumnVec::Null(n));
+            }
+            if let (Some(p), Some(q)) = (num(x), num(y)) {
+                let vals = float_zip(&p, &q, n, sel, g);
+                return own(ColumnVec::Float {
+                    vals,
+                    valid: both_valid(p.valid(), q.valid(), n),
+                });
+            }
+        }
+        if let (FuncId::Abs | FuncId::Floor | FuncId::Ceil | FuncId::Round | FuncId::Sign, [x]) =
+            (f, a)
+        {
+            match unary_num_kernel(f, x, n, sel) {
+                Some(Some(c)) => return own(c),
+                Some(None) => return Some(x.clone()),
+                None => {}
+            }
+        }
+        own(self.map_rows(a, sel, |v| expr::call(f, v))?)
+    }
+
+    /// Every binary operator but `AND`/`OR`.
+    fn binary(&mut self, op: BinOp, a: &[V<'a>], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        let (l, r) = (&a[0], &a[1]);
+        // The row evaluator checks NULLs first, so an always-NULL side makes
+        // every row NULL: no type error is possible.
+        if l.all_null() || r.all_null() {
+            return own(ColumnVec::Null(n));
+        }
+        let typed = match op {
+            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
+                self.compare(l, op, r, sel)
+            }
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+                match (num(l), num(r)) {
+                    (Some(p), Some(q)) => match arith_kernel(&p, op, &q, n, sel) {
+                        Arith::Done(c) => Some(c),
+                        // A zero divisor on a selected row.
+                        Arith::Fails => return None,
+                        // i64 overflow promotes single rows to Float.
+                        Arith::Mixed => None,
+                    },
+                    _ => None,
+                }
+            }
+            BinOp::Concat => None,
+            BinOp::And | BinOp::Or => unreachable!("dispatched in compute"),
+        };
+        match typed {
+            Some(c) => own(c),
+            None => own(self.map_rows(a, sel, |v| expr::binary(op, v[0], v[1]))?),
+        }
+    }
+
+    /// Applies the row evaluator's scalar function `f` to the operands of
+    /// every selected row; declines when it fails on one.
+    fn map_rows(
+        &mut self,
+        args: &[V<'a>],
+        sel: &Sel,
+        mut f: impl FnMut(&[&Variant]) -> Result<Variant>,
+    ) -> Option<ColumnVec> {
+        const INLINE: usize = 12;
+        self.note_encoded_operands(args);
+        let n = self.n;
+        let mut tmps: Vec<Variant> = vec![Variant::Null; args.len()];
+        let mut out = Gaps::new(n);
+        for_rows!(sel, n, i => {
+            for (tmp, a) in tmps.iter_mut().zip(args) {
+                if a.boxes() {
+                    *tmp = a.get(i);
+                }
+            }
+            let v = if args.len() <= INLINE {
+                let mut refs: [&Variant; INLINE] = [&Variant::Null; INLINE];
+                for (k, a) in args.iter().enumerate() {
+                    refs[k] = cell(a, i, &tmps[k]);
+                }
+                f(&refs[..args.len()])
+            } else {
+                let refs: Vec<&Variant> =
+                    args.iter().enumerate().map(|(k, a)| cell(a, i, &tmps[k])).collect();
+                f(&refs)
+            };
+            out.push(i, v.ok()?);
+        });
+        Some(out.finish())
+    }
+}
+
+/// Builds a column of `n` rows from values pushed for ascending rows; the
+/// rows in between are NULL.
+struct Gaps {
+    col: ColumnVec,
+    n: usize,
+}
+
+impl Gaps {
+    fn new(n: usize) -> Gaps {
+        Gaps {
+            col: ColumnVec::new(),
+            n,
+        }
+    }
+
+    fn push(&mut self, row: usize, v: Variant) {
+        self.col.push_nulls(row - self.col.len());
+        self.col.push(v);
+    }
+
+    fn finish(mut self) -> ColumnVec {
+        self.col.push_nulls(self.n - self.col.len());
+        self.col
+    }
+}
+
+/// A strict node over constant operands, through the row evaluator.
+fn scalar_op(op: DagOp<'_>, v: &[&Variant]) -> Result<Variant> {
+    match op {
+        DagOp::Neg => expr::neg(v[0]),
+        DagOp::Not => expr::not(v[0]),
+        DagOp::IsNull { negated } => Ok(Variant::Bool(v[0].is_null() != negated)),
+        DagOp::Binary(op) => expr::binary(op, v[0], v[1]),
+        DagOp::Cast(ty) => expr::cast(v[0].clone(), ty),
+        DagOp::Like { negated } => expr::like(v[0], v[1], negated),
+        DagOp::Func(f) => expr::call(f, v),
+        _ => unreachable!("not a strict node"),
+    }
+}
+
+/// One value for `n` rows, typed.
+fn broadcast(v: &Variant, n: usize) -> ColumnVec {
+    match v {
+        Variant::Null => ColumnVec::Null(n),
+        Variant::Bool(b) => ColumnVec::Bool {
+            vals: vec![*b; n],
+            valid: Bitmap::ones(n),
+        },
+        Variant::Int(i) => ColumnVec::Int {
+            vals: vec![*i; n],
+            valid: Bitmap::ones(n),
+        },
+        Variant::Float(f) => ColumnVec::Float {
+            vals: vec![*f; n],
+            valid: Bitmap::ones(n),
+        },
+        Variant::Str(s) => ColumnVec::Str(vec![Some(s.clone()); n]),
+        Variant::Array(_) | Variant::Object(_) => ColumnVec::Var(vec![v.clone(); n]),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed operand views
+// ---------------------------------------------------------------------------
+
+/// A numeric operand whose every non-NULL row has one machine type.
+enum Num<'v> {
+    Ints(&'v [i64], &'v Bitmap),
+    Floats(&'v [f64], &'v Bitmap),
+    Int(i64),
+    Float(f64),
+}
+
+impl Num<'_> {
+    /// The validity bitmap; `None` for a (non-NULL) scalar.
+    fn valid(&self) -> Option<&Bitmap> {
+        match self {
+            Num::Ints(_, v) | Num::Floats(_, v) => Some(v),
+            Num::Int(_) | Num::Float(_) => None,
+        }
+    }
+
+    fn is_int(&self) -> bool {
+        matches!(self, Num::Ints(..) | Num::Int(_))
+    }
+}
+
+fn num<'v>(v: &'v Val<'_>) -> Option<Num<'v>> {
+    match v {
+        Val::Scalar(Variant::Int(i)) => Some(Num::Int(*i)),
+        Val::Scalar(Variant::Float(f)) => Some(Num::Float(*f)),
+        Val::Scalar(_) => None,
+        _ => match v.col()? {
+            ColumnVec::Int { vals, valid } => Some(Num::Ints(vals, valid)),
+            ColumnVec::Float { vals, valid } => Some(Num::Floats(vals, valid)),
+            _ => None,
+        },
+    }
+}
+
+fn valid_of(valid: Option<&Bitmap>, n: usize) -> Bitmap {
+    valid.map_or_else(|| Bitmap::ones(n), Bitmap::clone)
+}
+
+/// Validity of a binary result: both operands valid.
+fn both_valid(a: Option<&Bitmap>, b: Option<&Bitmap>, n: usize) -> Bitmap {
+    match (a, b) {
+        (Some(x), Some(y)) => x.and(y),
+        (x, y) => valid_of(x.or(y), n),
+    }
+}
+
+fn float_zip(
+    a: &Num<'_>,
+    b: &Num<'_>,
+    n: usize,
+    sel: &Sel,
+    f: impl Fn(f64, f64) -> f64 + Copy,
+) -> Vec<f64> {
+    let mut out = vec![0.0; n];
+    f64_at!(a, |x| f64_at!(b, |y| for_rows!(sel, n, i => {
+        out[i] = f(x(i), y(i));
+    })));
+    out
+}
+
+/// String operand: plain column or scalar.
+enum StrSide<'v> {
+    Col(&'v [Option<Arc<str>>]),
+    Scalar(&'v Arc<str>),
+}
+
+impl<'v> StrSide<'v> {
+    fn at(&self, i: usize) -> Option<&'v Arc<str>> {
+        match self {
+            StrSide::Col(v) => v[i].as_ref(),
+            StrSide::Scalar(s) => Some(s),
         }
     }
 }
 
-fn eval_op<'a>(e: &'a PExpr, inp: &'a Chunk) -> Option<Op<'a>> {
-    match e {
-        // Out-of-range column indices fall back so the row path raises the
-        // serial "column index out of range" error.
-        PExpr::Col(i) => {
-            let c = inp.cols.get(*i)?;
-            // Run-length columns decode at the kernel boundary: the dict
-            // fast paths below are code-indexed, runs are not. Dictionary
-            // columns flow through encoded.
-            if let ColumnVec::Runs { .. } = c {
-                note_materialized(c.len());
-                return Some(Op::Own(c.decoded()));
-            }
-            Some(Op::Col(c))
+fn str_side<'v>(v: &'v Val<'_>) -> Option<StrSide<'v>> {
+    match v {
+        Val::Scalar(Variant::Str(s)) => Some(StrSide::Scalar(s)),
+        Val::Scalar(_) => None,
+        _ => match v.col()? {
+            ColumnVec::Str(x) => Some(StrSide::Col(x)),
+            _ => None,
+        },
+    }
+}
+
+/// Boolean-or-NULL operand.
+enum BoolSide<'v> {
+    Col(&'v [bool], &'v Bitmap),
+    AllNull,
+    Scalar(bool),
+    /// A boxed column whose selected rows were checked to be boolean or NULL.
+    Checked(&'v [Variant]),
+}
+
+impl BoolSide<'_> {
+    fn at(&self, i: usize) -> Tri {
+        match self {
+            BoolSide::Col(vals, valid) => valid.get(i).then(|| vals[i]),
+            BoolSide::AllNull => None,
+            BoolSide::Scalar(b) => Some(*b),
+            BoolSide::Checked(v) => v[i].as_bool(),
         }
-        PExpr::Lit(v) => Some(Op::Scalar(v.clone())),
-        PExpr::Unary { op: UnaryOp::Plus, expr } => eval_op(expr, inp),
-        PExpr::Unary { op: UnaryOp::Neg, expr } => neg_kernel(&eval_op(expr, inp)?),
-        PExpr::Not(x) => not_kernel(&eval_op(x, inp)?),
-        PExpr::IsNull { expr, negated } => {
-            let op = eval_op(expr, inp)?;
-            Some(match op {
-                Op::Scalar(v) => Op::Scalar(Variant::Bool(v.is_null() != *negated)),
-                op => {
-                    let n = op.col().map_or(inp.rows, ColumnVec::len);
-                    let mut vals = Vec::with_capacity(n);
-                    let mut valid = Bitmap::new();
-                    for i in 0..n {
-                        vals.push(op.is_null_at(i) != *negated);
-                        valid.push(true);
+    }
+}
+
+/// The operand as a condition, or `None` when a selected row is neither
+/// boolean nor NULL (the row evaluator's `truth` fails there).
+fn bool_side<'v>(v: &'v Val<'_>, n: usize, sel: &Sel) -> Option<BoolSide<'v>> {
+    match v {
+        Val::Scalar(Variant::Bool(b)) => Some(BoolSide::Scalar(*b)),
+        Val::Scalar(Variant::Null) => Some(BoolSide::AllNull),
+        Val::Scalar(_) => None,
+        _ => match v.col()? {
+            ColumnVec::Bool { vals, valid } => Some(BoolSide::Col(vals, valid)),
+            ColumnVec::Null(_) => Some(BoolSide::AllNull),
+            ColumnVec::Var(x) => {
+                for_rows!(sel, n, i => {
+                    if !matches!(x[i], Variant::Bool(_) | Variant::Null) {
+                        return None;
                     }
-                    Op::Own(ColumnVec::Bool { vals, valid })
+                });
+                Some(BoolSide::Checked(x))
+            }
+            _ => None,
+        },
+    }
+}
+
+/// A boolean column from per-row outcomes on the selected rows.
+fn tri_column(n: usize, sel: &Sel, mut at: impl FnMut(usize) -> Tri) -> ColumnVec {
+    let mut vals = vec![false; n];
+    let mut valid = Bitmap::nulls(n);
+    for_rows!(sel, n, i => {
+        if let Some(b) = at(i) {
+            vals[i] = b;
+            valid.set(i);
+        }
+    });
+    ColumnVec::Bool { vals, valid }
+}
+
+// ---------------------------------------------------------------------------
+// Strict typed kernels
+// ---------------------------------------------------------------------------
+
+/// `None`: no typed loop applies (boxed operand, or `i64::MIN`).
+fn neg_kernel(v: &Val<'_>, n: usize, sel: &Sel) -> Option<ColumnVec> {
+    match v.col()? {
+        ColumnVec::Null(k) => Some(ColumnVec::Null(*k)),
+        ColumnVec::Int { vals, valid } => {
+            let mut out = vec![0; n];
+            for_rows!(sel, n, i => {
+                if valid.get(i) {
+                    out[i] = vals[i].checked_neg()?;
                 }
+            });
+            Some(ColumnVec::Int {
+                vals: out,
+                valid: valid.clone(),
             })
         }
-        PExpr::Binary { left, op, right } => {
-            let l = eval_op(left, inp)?;
-            let r = eval_op(right, inp)?;
-            binary_kernel(&l, *op, &r, inp.rows)
-        }
-        PExpr::Path { base, steps } => {
-            if steps.iter().any(|s| matches!(s, PStep::IndexExpr(_))) {
-                return None;
-            }
-            let base = eval_op(base, inp)?;
-            let mut out = ColumnVec::new();
-            for i in 0..inp.rows {
-                let mut v = base.get(i);
-                for s in steps {
-                    v = match s {
-                        PStep::Field(f) => v.get_field(f),
-                        PStep::Index(ix) => v.get_index(*ix),
-                        PStep::IndexExpr(_) => unreachable!("filtered above"),
-                    };
-                    if v.is_null() {
-                        break;
-                    }
-                }
-                out.push(v);
-            }
-            Some(Op::Own(out))
-        }
-        // IN over a dictionary column with an all-literal list evaluates
-        // per dictionary entry, then maps codes. Any other IN shape takes
-        // the row path.
-        PExpr::InList { expr, list, negated } => {
-            let op = eval_op(expr, inp)?;
-            in_list_kernel(&op, list, *negated)
-        }
-        // Everything else (CASE, functions, CAST, LIKE) takes the row
-        // path; SEQ8 in particular is a Func and must never vectorize.
+        ColumnVec::Float { vals, valid } => Some(ColumnVec::Float {
+            vals: vals.iter().map(|f| -f).collect(),
+            valid: valid.clone(),
+        }),
         _ => None,
     }
 }
 
-/// Dictionary IN-list kernel: the membership of each dictionary entry is
-/// decided once against the literal list (in list order, reproducing the
-/// serial first-match and NULL-item semantics), then broadcast over the
-/// codes. Non-dictionary operands and non-literal lists decline.
-fn in_list_kernel<'a>(op: &Op<'_>, list: &[PExpr], negated: bool) -> Option<Op<'a>> {
-    let lits: Vec<&Variant> = list
-        .iter()
-        .map(|e| if let PExpr::Lit(v) = e { Some(v) } else { None })
-        .collect::<Option<_>>()?;
-    let ColumnVec::DictStr { codes, dict } = op.col()? else { return None };
-    let has_null = lits.iter().any(|v| v.is_null());
-    // Per-entry three-valued result: Some(bool) decided, None for NULL.
-    let table: Vec<Option<bool>> = dict
-        .iter()
-        .map(|d| {
-            let s = Variant::Str(d.clone());
-            if lits.iter().any(|&v| !v.is_null() && *v == s) {
-                Some(!negated)
-            } else if has_null {
-                None
-            } else {
-                Some(negated)
-            }
-        })
-        .collect();
-    let mut vals = Vec::with_capacity(codes.len());
-    let mut valid = Bitmap::new();
-    for &c in codes {
-        match if c == NULL_CODE { None } else { table[c as usize] } {
-            Some(b) => {
-                vals.push(b);
-                valid.push(true);
-            }
-            None => {
-                vals.push(false);
-                valid.push(false);
-            }
-        }
-    }
-    note_on_codes(codes.len());
-    Some(Op::Own(ColumnVec::Bool { vals, valid }))
-}
-
-fn neg_kernel<'a>(op: &Op<'_>) -> Option<Op<'a>> {
-    match op {
-        Op::Scalar(Variant::Null) => Some(Op::Scalar(Variant::Null)),
-        Op::Scalar(Variant::Int(i)) => i.checked_neg().map(|n| Op::Scalar(Variant::Int(n))),
-        Op::Scalar(Variant::Float(f)) => Some(Op::Scalar(Variant::Float(-f))),
-        Op::Scalar(_) => None,
-        op => match op.col()? {
-            ColumnVec::Null(n) => Some(Op::Own(ColumnVec::Null(*n))),
-            ColumnVec::Int { vals, valid } => {
-                let mut out = Vec::with_capacity(vals.len());
-                for (i, &x) in vals.iter().enumerate() {
-                    if valid.get(i) {
-                        // i64::MIN has no negation; fall back to the row path.
-                        out.push(x.checked_neg()?);
-                    } else {
-                        out.push(0);
-                    }
+/// `ABS`/`FLOOR`/`CEIL`/`ROUND`/`SIGN` over a typed column. `Some(None)`: the
+/// operand is its own result (rounding an integer column).
+fn unary_num_kernel(f: FuncId, v: &Val<'_>, n: usize, sel: &Sel) -> Option<Option<ColumnVec>> {
+    match (f, v.col()?) {
+        (_, ColumnVec::Null(k)) => Some(Some(ColumnVec::Null(*k))),
+        (FuncId::Floor | FuncId::Ceil | FuncId::Round, ColumnVec::Int { .. }) => Some(None),
+        (FuncId::Abs, ColumnVec::Int { vals, valid }) => {
+            let mut out = vec![0; n];
+            for_rows!(sel, n, i => {
+                if valid.get(i) {
+                    out[i] = vals[i].checked_abs()?;
                 }
-                Some(Op::Own(ColumnVec::Int { vals: out, valid: valid.clone() }))
-            }
-            ColumnVec::Float { vals, valid } => Some(Op::Own(ColumnVec::Float {
-                vals: vals.iter().map(|f| -f).collect(),
+            });
+            Some(Some(ColumnVec::Int {
+                vals: out,
                 valid: valid.clone(),
-            })),
-            _ => None,
-        },
-    }
-}
-
-fn not_kernel<'a>(op: &Op<'_>) -> Option<Op<'a>> {
-    match op {
-        Op::Scalar(Variant::Null) => Some(Op::Scalar(Variant::Null)),
-        Op::Scalar(Variant::Bool(b)) => Some(Op::Scalar(Variant::Bool(!b))),
-        Op::Scalar(_) => None,
-        op => match op.col()? {
-            ColumnVec::Null(n) => Some(Op::Own(ColumnVec::Null(*n))),
-            ColumnVec::Bool { vals, valid } => Some(Op::Own(ColumnVec::Bool {
-                vals: vals.iter().map(|b| !b).collect(),
-                valid: valid.clone(),
-            })),
-            _ => None,
-        },
-    }
-}
-
-fn binary_kernel<'a>(l: &Op<'_>, op: BinOp, r: &Op<'_>, rows: usize) -> Option<Op<'a>> {
-    if matches!(op, BinOp::And | BinOp::Or) {
-        return logic_kernel(l, op, r, rows);
-    }
-    // For every other operator the serial evaluator checks NULLs first, so an
-    // always-NULL side forces an all-NULL result — no type errors possible.
-    if l.all_null() || r.all_null() {
-        return Some(Op::Own(ColumnVec::Null(rows)));
-    }
-    match op {
-        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            compare_kernel(l, op, r, rows)
+            }))
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul => arith_kernel(l, op, r, rows),
-        BinOp::Concat => concat_kernel(l, r, rows),
-        // Division and modulo raise data-dependent errors (zero divisors);
-        // the row path keeps their error identity.
-        BinOp::Div | BinOp::Mod => None,
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
-    }
-}
-
-/// Type class of an operand, ignoring NULL slots. `None` for `Var` columns,
-/// whose per-row types are unknown without inspection.
-#[derive(Clone, Copy, PartialEq)]
-enum Class {
-    Num,
-    Str,
-    Bool,
-    Nested,
-}
-
-fn op_class(op: &Op<'_>) -> Option<Class> {
-    match op {
-        Op::Scalar(v) => match v {
-            Variant::Int(_) | Variant::Float(_) => Some(Class::Num),
-            Variant::Str(_) => Some(Class::Str),
-            Variant::Bool(_) => Some(Class::Bool),
-            Variant::Array(_) | Variant::Object(_) => Some(Class::Nested),
-            Variant::Null => None,
-        },
-        op => col_class(op.col()?),
-    }
-}
-
-fn col_class(c: &ColumnVec) -> Option<Class> {
-    match c {
-        ColumnVec::Int { .. } | ColumnVec::Float { .. } => Some(Class::Num),
-        ColumnVec::Str(_) | ColumnVec::DictStr { .. } => Some(Class::Str),
-        ColumnVec::Bool { .. } => Some(Class::Bool),
-        ColumnVec::Runs { values, .. } => col_class(values),
-        ColumnVec::Null(_) | ColumnVec::Var(_) => None,
-    }
-}
-
-/// Decoded string payload of a dictionary operand, or `None` when the
-/// operand is not dictionary-encoded. Counts the rows as materialized.
-fn materialize_dict(op: &Op<'_>) -> Option<Vec<Option<Arc<str>>>> {
-    if let Some(ColumnVec::DictStr { codes, dict }) = op.col() {
-        note_materialized(codes.len());
-        Some(
-            codes
+        (FuncId::Sign, ColumnVec::Int { vals, valid }) => Some(Some(ColumnVec::Int {
+            vals: vals.iter().map(|i| i.signum()).collect(),
+            valid: valid.clone(),
+        })),
+        (FuncId::Sign, ColumnVec::Float { vals, valid }) => Some(Some(ColumnVec::Int {
+            vals: vals
                 .iter()
-                .map(|&c| (c != NULL_CODE).then(|| dict[c as usize].clone()))
+                .map(|&x| i64::from(x > 0.0) - i64::from(x < 0.0))
                 .collect(),
-        )
-    } else {
-        None
+            valid: valid.clone(),
+        })),
+        (_, ColumnVec::Float { vals, valid }) => {
+            let g: fn(f64) -> f64 = match f {
+                FuncId::Abs => f64::abs,
+                FuncId::Floor => f64::floor,
+                FuncId::Ceil => f64::ceil,
+                _ => f64::round,
+            };
+            Some(Some(ColumnVec::Float {
+                vals: vals.iter().map(|&x| g(x)).collect(),
+                valid: valid.clone(),
+            }))
+        }
+        _ => None,
     }
 }
 
-/// A numeric element, preserving the Int/Float distinction for exactness.
-#[derive(Clone, Copy)]
-enum NumVal {
-    I(i64),
-    F(f64),
+/// Casts between typed columns. `Some(None)`: the operand is its own cast.
+/// `None`: a cast that can fail or format — the row evaluator's `cast` runs
+/// per row.
+fn cast_kernel(v: &Val<'_>, ty: CastType, n: usize, sel: &Sel) -> Option<Option<ColumnVec>> {
+    let col = v.col()?;
+    match (ty, col) {
+        (_, ColumnVec::Null(k)) => Some(Some(ColumnVec::Null(*k))),
+        (CastType::Variant, _)
+        | (CastType::Int, ColumnVec::Int { .. })
+        | (CastType::Float, ColumnVec::Float { .. })
+        | (CastType::Bool, ColumnVec::Bool { .. })
+        | (CastType::Str, ColumnVec::Str(_) | ColumnVec::DictStr { .. }) => Some(None),
+        (CastType::Float, ColumnVec::Int { vals, valid }) => Some(Some(ColumnVec::Float {
+            vals: vals.iter().map(|&i| i as f64).collect(),
+            valid: valid.clone(),
+        })),
+        (CastType::Int, ColumnVec::Float { vals, valid }) => {
+            let mut out = vec![0; n];
+            for_rows!(sel, n, i => {
+                if valid.get(i) {
+                    // Infinities and NaN have no integer: the row path says so.
+                    if !vals[i].is_finite() {
+                        return None;
+                    }
+                    out[i] = vals[i].round() as i64;
+                }
+            });
+            Some(Some(ColumnVec::Int {
+                vals: out,
+                valid: valid.clone(),
+            }))
+        }
+        (CastType::Int, ColumnVec::Bool { vals, valid }) => Some(Some(ColumnVec::Int {
+            vals: vals.iter().map(|&b| i64::from(b)).collect(),
+            valid: valid.clone(),
+        })),
+        (CastType::Bool, ColumnVec::Int { vals, valid }) => Some(Some(ColumnVec::Bool {
+            vals: vals.iter().map(|&i| i != 0).collect(),
+            valid: valid.clone(),
+        })),
+        _ => None,
+    }
 }
 
-impl NumVal {
-    /// The serial arithmetic coercion (`NumericPair`): integers convert via
-    /// `as f64`. Comparisons never use this — they stay exact.
-    fn as_f64(self) -> f64 {
-        match self {
-            NumVal::I(i) => i as f64,
-            NumVal::F(f) => f,
+enum Arith {
+    Done(ColumnVec),
+    /// The row evaluator fails on a selected row (zero divisor).
+    Fails,
+    /// Rows of one column differ in type (`i64` overflow promotes a row to
+    /// `Float`): the boxed per-row path builds it.
+    Mixed,
+}
+
+/// `+ - * / %` over typed numeric operands, element for element what
+/// [`expr::binary`] computes: integer pairs stay integer under checked
+/// `+ - *` and `%`, every other pair is computed in `f64`, `/` always is.
+fn arith_kernel(p: &Num<'_>, op: BinOp, q: &Num<'_>, n: usize, sel: &Sel) -> Arith {
+    let valid = both_valid(p.valid(), q.valid(), n);
+    let ints = p.is_int() && q.is_int();
+    if matches!(op, BinOp::Div | BinOp::Mod) {
+        // A zero divisor fails where both sides are non-NULL — except the
+        // float remainder, which is NaN.
+        let zero = |i: usize| match q {
+            Num::Ints(s, _) => s[i] == 0,
+            Num::Floats(s, _) => s[i] == 0.0,
+            Num::Int(c) => *c == 0,
+            Num::Float(c) => *c == 0.0,
+        };
+        if op == BinOp::Div || ints {
+            for_rows!(sel, n, i => {
+                if valid.get(i) && zero(i) {
+                    return Arith::Fails;
+                }
+            });
         }
     }
-}
-
-/// Typed accessor over a numeric operand.
-enum NumSide<'a> {
-    IntCol(&'a [i64], &'a Bitmap),
-    FloatCol(&'a [f64], &'a Bitmap),
-    IntScalar(i64),
-    FloatScalar(f64),
-}
-
-impl NumSide<'_> {
-    fn at(&self, i: usize) -> Option<NumVal> {
-        match self {
-            NumSide::IntCol(vals, valid) => valid.get(i).then(|| NumVal::I(vals[i])),
-            NumSide::FloatCol(vals, valid) => valid.get(i).then(|| NumVal::F(vals[i])),
-            NumSide::IntScalar(x) => Some(NumVal::I(*x)),
-            NumSide::FloatScalar(x) => Some(NumVal::F(*x)),
-        }
+    if ints && op != BinOp::Div {
+        let mut out = vec![0i64; n];
+        let mut overflow = false;
+        i64_at!(p, |x| i64_at!(q, |y| for_rows!(sel, n, i => {
+            if valid.get(i) {
+                let (a, b) = (x(i), y(i));
+                let r = match op {
+                    BinOp::Add => a.checked_add(b),
+                    BinOp::Sub => a.checked_sub(b),
+                    BinOp::Mul => a.checked_mul(b),
+                    _ => Some(a.wrapping_rem(b)),
+                };
+                match r {
+                    Some(v) => out[i] = v,
+                    None => overflow = true,
+                }
+            }
+        })));
+        return if overflow {
+            Arith::Mixed
+        } else {
+            Arith::Done(ColumnVec::Int { vals: out, valid })
+        };
     }
-}
-
-fn num_side<'a>(op: &'a Op<'_>) -> Option<NumSide<'a>> {
-    match op {
-        Op::Scalar(Variant::Int(i)) => Some(NumSide::IntScalar(*i)),
-        Op::Scalar(Variant::Float(f)) => Some(NumSide::FloatScalar(*f)),
-        Op::Scalar(_) => None,
-        op => match op.col()? {
-            ColumnVec::Int { vals, valid } => Some(NumSide::IntCol(vals, valid)),
-            ColumnVec::Float { vals, valid } => Some(NumSide::FloatCol(vals, valid)),
-            _ => None,
-        },
-    }
-}
-
-/// Exact numeric comparison — the same total order as `cmp_variants`.
-fn cmp_num(a: NumVal, b: NumVal) -> Ordering {
-    match (a, b) {
-        (NumVal::I(x), NumVal::I(y)) => x.cmp(&y),
-        (NumVal::I(x), NumVal::F(y)) => cmp_i64_f64(x, y),
-        (NumVal::F(x), NumVal::I(y)) => cmp_i64_f64(y, x).reverse(),
-        (NumVal::F(x), NumVal::F(y)) => cmp_f64(x, y),
-    }
+    let vals = match op {
+        BinOp::Add => float_zip(p, q, n, sel, |a, b| a + b),
+        BinOp::Sub => float_zip(p, q, n, sel, |a, b| a - b),
+        BinOp::Mul => float_zip(p, q, n, sel, |a, b| a * b),
+        BinOp::Div => float_zip(p, q, n, sel, |a, b| a / b),
+        _ => float_zip(p, q, n, sel, |a, b| a % b),
+    };
+    Arith::Done(ColumnVec::Float { vals, valid })
 }
 
 fn cmp_to_bool(op: BinOp, c: Ordering) -> bool {
@@ -457,343 +1033,663 @@ fn cmp_to_bool(op: BinOp, c: Ordering) -> bool {
     }
 }
 
-/// Maps a per-dictionary-entry decision table over codes: one comparison per
-/// dictionary entry instead of one per row.
-fn map_codes<'a>(codes: &[u32], table: &[bool]) -> Op<'a> {
-    let mut vals = Vec::with_capacity(codes.len());
-    let mut valid = Bitmap::new();
-    for &c in codes {
-        if c == NULL_CODE {
-            vals.push(false);
-            valid.push(false);
-        } else {
-            vals.push(table[c as usize]);
-            valid.push(true);
-        }
-    }
-    note_on_codes(codes.len());
-    Op::Own(ColumnVec::Bool { vals, valid })
+/// Type class of an operand's non-NULL rows; `None` for boxed columns, whose
+/// rows must be looked at.
+#[derive(Clone, Copy, PartialEq)]
+enum Class {
+    Num,
+    Str,
+    Bool,
+    Nested,
 }
 
-/// Comparison fast paths that never materialize dictionary strings:
-/// dict-vs-string-scalar compares each dictionary entry once, and
-/// same-dictionary Eq/NotEq compares raw codes (distinct codes ⇔ distinct
-/// strings). Anything else declines and the generic string arm decides.
-fn dict_compare<'a>(l: &Op<'_>, op: BinOp, r: &Op<'_>) -> Option<Op<'a>> {
-    if let (Some(ColumnVec::DictStr { codes, dict }), Op::Scalar(Variant::Str(s))) =
-        (l.col(), r)
-    {
-        let table: Vec<bool> =
-            dict.iter().map(|d| cmp_to_bool(op, (**d).cmp(&**s))).collect();
-        return Some(map_codes(codes, &table));
+fn class(v: &Val<'_>) -> Option<Class> {
+    match v {
+        Val::Scalar(s) => match s {
+            Variant::Int(_) | Variant::Float(_) => Some(Class::Num),
+            Variant::Str(_) => Some(Class::Str),
+            Variant::Bool(_) => Some(Class::Bool),
+            Variant::Array(_) | Variant::Object(_) => Some(Class::Nested),
+            Variant::Null => None,
+        },
+        _ => match v.col()? {
+            ColumnVec::Int { .. } | ColumnVec::Float { .. } => Some(Class::Num),
+            ColumnVec::Str(_) | ColumnVec::DictStr { .. } => Some(Class::Str),
+            ColumnVec::Bool { .. } => Some(Class::Bool),
+            ColumnVec::Runs { .. } | ColumnVec::Null(_) | ColumnVec::Var(_) => None,
+        },
     }
-    if let (Op::Scalar(Variant::Str(s)), Some(ColumnVec::DictStr { codes, dict })) =
-        (l, r.col())
-    {
-        let table: Vec<bool> =
-            dict.iter().map(|d| cmp_to_bool(op, (**s).cmp(&**d))).collect();
-        return Some(map_codes(codes, &table));
-    }
-    if let (
-        Some(ColumnVec::DictStr { codes: lc, dict: ld }),
-        Some(ColumnVec::DictStr { codes: rc, dict: rd }),
-    ) = (l.col(), r.col())
-    {
-        if Arc::ptr_eq(ld, rd) && matches!(op, BinOp::Eq | BinOp::NotEq) {
-            let mut vals = Vec::with_capacity(lc.len());
-            let mut valid = Bitmap::new();
-            for (&a, &b) in lc.iter().zip(rc) {
-                if a == NULL_CODE || b == NULL_CODE {
-                    vals.push(false);
-                    valid.push(false);
-                } else {
-                    vals.push((a == b) == (op == BinOp::Eq));
-                    valid.push(true);
-                }
-            }
-            note_on_codes(lc.len());
-            return Some(Op::Own(ColumnVec::Bool { vals, valid }));
-        }
-    }
-    None
 }
 
-fn compare_kernel<'a>(l: &Op<'_>, op: BinOp, r: &Op<'_>, rows: usize) -> Option<Op<'a>> {
-    if let Some(res) = dict_compare(l, op, r) {
-        return Some(res);
+impl<'d, 'a> BatchEval<'d, 'a> {
+    /// Maps a per-dictionary-entry answer over the codes: one decision per
+    /// entry instead of one per row.
+    fn map_codes(&mut self, codes: &[u32], table: &[Tri]) -> ColumnVec {
+        self.on_codes += codes.len() as u64;
+        let mut vals = Vec::with_capacity(codes.len());
+        let mut valid = Bitmap::new();
+        for &c in codes {
+            let t = if c == NULL_CODE {
+                None
+            } else {
+                table[c as usize]
+            };
+            vals.push(t == Some(true));
+            valid.push(t.is_some());
+        }
+        ColumnVec::Bool { vals, valid }
     }
-    let (lc, rc) = (op_class(l)?, op_class(r)?);
-    let mut vals = Vec::with_capacity(rows);
-    let mut valid = Bitmap::new();
-    match (lc, rc) {
-        (Class::Num, Class::Num) => {
-            let (a, b) = (num_side(l)?, num_side(r)?);
-            for i in 0..rows {
-                match (a.at(i), b.at(i)) {
-                    (Some(x), Some(y)) => {
-                        vals.push(cmp_to_bool(op, cmp_num(x, y)));
-                        valid.push(true);
-                    }
-                    _ => {
-                        vals.push(false);
-                        valid.push(false);
-                    }
-                }
-            }
-        }
-        (Class::Str, Class::Str) => {
-            // Shapes the dict fast path declined (dict-vs-plain-column,
-            // cross-dictionary ordering) materialize the dict side(s).
-            let (ld, rd) = (materialize_dict(l), materialize_dict(r));
-            let a = match &ld {
-                Some(v) => StrSide::Col(v),
-                None => str_side(l)?,
-            };
-            let b = match &rd {
-                Some(v) => StrSide::Col(v),
-                None => str_side(r)?,
-            };
-            for i in 0..rows {
-                match (a.at(i), b.at(i)) {
-                    (Some(x), Some(y)) => {
-                        vals.push(cmp_to_bool(op, x.cmp(y)));
-                        valid.push(true);
-                    }
-                    _ => {
-                        vals.push(false);
-                        valid.push(false);
-                    }
-                }
-            }
-        }
-        (Class::Bool, Class::Bool) => {
-            let (a, b) = (bool_side(l)?, bool_side(r)?);
-            for i in 0..rows {
-                match (a.at(i), b.at(i)) {
-                    (Some(x), Some(y)) => {
-                        vals.push(cmp_to_bool(op, x.cmp(&y)));
-                        valid.push(true);
-                    }
-                    _ => {
-                        vals.push(false);
-                        valid.push(false);
-                    }
-                }
-            }
-        }
-        _ => {
-            // Mismatched classes: serial `=`/`<>` yields constant false/true
-            // with NULL propagation; ordering raises a type error, so it must
-            // take the row path to keep error identity.
-            let res = match op {
-                BinOp::Eq => false,
-                BinOp::NotEq => true,
-                _ => return None,
-            };
-            for i in 0..rows {
-                if l.is_null_at(i) || r.is_null_at(i) {
-                    vals.push(false);
-                    valid.push(false);
-                } else {
-                    vals.push(res);
-                    valid.push(true);
-                }
-            }
-        }
-    }
-    Some(Op::Own(ColumnVec::Bool { vals, valid }))
-}
 
-fn arith_kernel<'a>(l: &Op<'_>, op: BinOp, r: &Op<'_>, rows: usize) -> Option<Op<'a>> {
-    let (a, b) = (num_side(l)?, num_side(r)?);
-    let mut out = ColumnVec::new();
-    for i in 0..rows {
-        match (a.at(i), b.at(i)) {
-            (Some(NumVal::I(x)), Some(NumVal::I(y))) => {
-                let res = match op {
-                    BinOp::Add => x.checked_add(y),
-                    BinOp::Sub => x.checked_sub(y),
-                    BinOp::Mul => x.checked_mul(y),
-                    _ => unreachable!("not arithmetic"),
+    /// Comparisons that never materialize dictionary strings: against a
+    /// string scalar each entry is compared once, and two columns of one
+    /// dictionary compare `=`/`<>` on raw codes.
+    fn dict_compare(&mut self, l: &Val<'_>, op: BinOp, r: &Val<'_>) -> Option<ColumnVec> {
+        if let (Some(ColumnVec::DictStr { codes, dict }), Val::Scalar(Variant::Str(s))) =
+            (l.col(), r)
+        {
+            let table: Vec<Tri> = dict
+                .iter()
+                .map(|d| Some(cmp_to_bool(op, (**d).cmp(&**s))))
+                .collect();
+            return Some(self.map_codes(codes, &table));
+        }
+        if let (Val::Scalar(Variant::Str(s)), Some(ColumnVec::DictStr { codes, dict })) =
+            (l, r.col())
+        {
+            let table: Vec<Tri> = dict
+                .iter()
+                .map(|d| Some(cmp_to_bool(op, (**s).cmp(&**d))))
+                .collect();
+            return Some(self.map_codes(codes, &table));
+        }
+        if let (
+            Some(ColumnVec::DictStr {
+                codes: lc,
+                dict: ld,
+            }),
+            Some(ColumnVec::DictStr {
+                codes: rc,
+                dict: rd,
+            }),
+        ) = (l.col(), r.col())
+        {
+            if Arc::ptr_eq(ld, rd) && matches!(op, BinOp::Eq | BinOp::NotEq) {
+                self.on_codes += lc.len() as u64;
+                let mut vals = Vec::with_capacity(lc.len());
+                let mut valid = Bitmap::new();
+                for (&a, &b) in lc.iter().zip(rc) {
+                    let ok = a != NULL_CODE && b != NULL_CODE;
+                    vals.push(ok && (a == b) == (op == BinOp::Eq));
+                    valid.push(ok);
+                }
+                return Some(ColumnVec::Bool { vals, valid });
+            }
+        }
+        None
+    }
+
+    /// Typed comparison, or `None` when the rows must be looked at one by
+    /// one (boxed operands; mixed-class ordering, which fails in the row
+    /// evaluator).
+    fn compare(&mut self, l: &Val<'_>, op: BinOp, r: &Val<'_>, sel: &Sel) -> Option<ColumnVec> {
+        if let Some(res) = self.dict_compare(l, op, r) {
+            return Some(res);
+        }
+        let n = self.n;
+        match (class(l)?, class(r)?) {
+            (Class::Num, Class::Num) => {
+                let (p, q) = (num(l)?, num(r)?);
+                let valid = both_valid(p.valid(), q.valid(), n);
+                let mut vals = vec![false; n];
+                // The same exact total order as `cmp_variants`.
+                match (p.is_int(), q.is_int()) {
+                    (true, true) => i64_at!(&p, |x| i64_at!(&q, |y| for_rows!(sel, n, i => {
+                        vals[i] = cmp_to_bool(op, x(i).cmp(&y(i)));
+                    }))),
+                    (false, false) => f64_at!(&p, |x| f64_at!(&q, |y| for_rows!(sel, n, i => {
+                        vals[i] = cmp_to_bool(op, cmp_f64(x(i), y(i)));
+                    }))),
+                    (true, false) => i64_at!(&p, |x| f64_at!(&q, |y| for_rows!(sel, n, i => {
+                        vals[i] = cmp_to_bool(op, cmp_i64_f64(x(i), y(i)));
+                    }))),
+                    (false, true) => f64_at!(&p, |x| i64_at!(&q, |y| for_rows!(sel, n, i => {
+                        vals[i] = cmp_to_bool(op, cmp_i64_f64(y(i), x(i)).reverse());
+                    }))),
+                }
+                Some(ColumnVec::Bool { vals, valid })
+            }
+            (Class::Str, Class::Str) => {
+                // Shapes the dictionary paths left (dictionary against plain
+                // column, ordering across dictionaries) materialize.
+                let (ld, rd) = (self.materialize_dict(l), self.materialize_dict(r));
+                let a = match &ld {
+                    Some(v) => StrSide::Col(v),
+                    None => str_side(l)?,
                 };
-                // The serial rule: i64 overflow promotes the element to
-                // Float rather than failing the query.
-                out.push(match res {
-                    Some(v) => Variant::Int(v),
-                    None => {
-                        let (xf, yf) = (x as f64, y as f64);
-                        Variant::Float(match op {
-                            BinOp::Add => xf + yf,
-                            BinOp::Sub => xf - yf,
-                            BinOp::Mul => xf * yf,
-                            _ => unreachable!(),
-                        })
-                    }
-                });
+                let b = match &rd {
+                    Some(v) => StrSide::Col(v),
+                    None => str_side(r)?,
+                };
+                Some(tri_column(n, sel, |i| match (a.at(i), b.at(i)) {
+                    (Some(x), Some(y)) => Some(cmp_to_bool(op, x.cmp(y))),
+                    _ => None,
+                }))
             }
-            (Some(x), Some(y)) => {
-                let (xf, yf) = (x.as_f64(), y.as_f64());
-                out.push(Variant::Float(match op {
-                    BinOp::Add => xf + yf,
-                    BinOp::Sub => xf - yf,
-                    BinOp::Mul => xf * yf,
-                    _ => unreachable!(),
-                }));
+            (Class::Bool, Class::Bool) => {
+                let (a, b) = (bool_side(l, n, sel)?, bool_side(r, n, sel)?);
+                Some(tri_column(n, sel, |i| match (a.at(i), b.at(i)) {
+                    (Some(x), Some(y)) => Some(cmp_to_bool(op, x.cmp(&y))),
+                    _ => None,
+                }))
             }
-            _ => out.push_null(),
-        }
-    }
-    Some(Op::Own(out))
-}
-
-/// String accessor over a string-class operand.
-enum StrSide<'a> {
-    Col(&'a [Option<Arc<str>>]),
-    Scalar(&'a Arc<str>),
-}
-
-impl<'a> StrSide<'a> {
-    fn at(&self, i: usize) -> Option<&'a Arc<str>> {
-        match self {
-            StrSide::Col(v) => v[i].as_ref(),
-            StrSide::Scalar(s) => Some(s),
-        }
-    }
-}
-
-fn str_side<'a>(op: &'a Op<'_>) -> Option<StrSide<'a>> {
-    match op {
-        Op::Scalar(Variant::Str(s)) => Some(StrSide::Scalar(s)),
-        Op::Scalar(_) => None,
-        op => match op.col()? {
-            ColumnVec::Str(v) => Some(StrSide::Col(v)),
-            _ => None,
-        },
-    }
-}
-
-fn concat_kernel<'a>(l: &Op<'_>, r: &Op<'_>, rows: usize) -> Option<Op<'a>> {
-    let (ld, rd) = (materialize_dict(l), materialize_dict(r));
-    let a = match &ld {
-        Some(v) => StrSide::Col(v),
-        None => str_side(l)?,
-    };
-    let b = match &rd {
-        Some(v) => StrSide::Col(v),
-        None => str_side(r)?,
-    };
-    let mut out: Vec<Option<Arc<str>>> = Vec::with_capacity(rows);
-    for i in 0..rows {
-        match (a.at(i), b.at(i)) {
-            (Some(x), Some(y)) => {
-                let mut s = String::with_capacity(x.len() + y.len());
-                s.push_str(x);
-                s.push_str(y);
-                out.push(Some(Arc::from(s.as_str())));
+            (Class::Nested, Class::Nested) => None,
+            _ => {
+                // Across classes `=` is false and `<>` true where both sides
+                // are non-NULL; ordering fails.
+                let res = match op {
+                    BinOp::Eq => false,
+                    BinOp::NotEq => true,
+                    _ => return None,
+                };
+                Some(tri_column(n, sel, |i| {
+                    (!l.is_null_at(i) && !r.is_null_at(i)).then_some(res)
+                }))
             }
-            _ => out.push(None),
         }
     }
-    Some(Op::Own(ColumnVec::Str(out)))
-}
 
-/// Boolean accessor over a boolean-or-null operand.
-enum BoolSide<'a> {
-    Col(&'a [bool], &'a Bitmap),
-    AllNull,
-    Scalar(bool),
-}
-
-impl BoolSide<'_> {
-    fn at(&self, i: usize) -> Option<bool> {
-        match self {
-            BoolSide::Col(vals, valid) => valid.get(i).then(|| vals[i]),
-            BoolSide::AllNull => None,
-            BoolSide::Scalar(b) => Some(*b),
-        }
-    }
-}
-
-fn bool_side<'a>(op: &'a Op<'_>) -> Option<BoolSide<'a>> {
-    match op {
-        Op::Scalar(Variant::Bool(b)) => Some(BoolSide::Scalar(*b)),
-        Op::Scalar(Variant::Null) => Some(BoolSide::AllNull),
-        Op::Scalar(_) => None,
-        op => match op.col()? {
-            ColumnVec::Bool { vals, valid } => Some(BoolSide::Col(vals, valid)),
-            ColumnVec::Null(_) => Some(BoolSide::AllNull),
-            _ => None,
-        },
-    }
-}
-
-/// Three-valued `AND`/`OR`. Vectorizes only when both operands are
-/// boolean/NULL: eager evaluation is then equivalent to the serial
-/// short-circuit, since neither operand can raise an error. A non-boolean
-/// operand falls back so the serial path decides — it may legitimately
-/// *succeed* there when short-circuiting skips the bad operand.
-fn logic_kernel<'a>(l: &Op<'_>, op: BinOp, r: &Op<'_>, rows: usize) -> Option<Op<'a>> {
-    let (a, b) = (bool_side(l)?, bool_side(r)?);
-    let mut vals = Vec::with_capacity(rows);
-    let mut valid = Bitmap::new();
-    for i in 0..rows {
-        let res = match op {
-            BinOp::And => match (a.at(i), b.at(i)) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinOp::Or => match (a.at(i), b.at(i)) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => unreachable!("not a logic operator"),
+    /// The decoded strings of a dictionary operand, counted as materialized.
+    fn materialize_dict(&mut self, v: &Val<'_>) -> Option<Vec<Option<Arc<str>>>> {
+        let ColumnVec::DictStr { codes, dict } = v.col()? else {
+            return None;
         };
-        match res {
-            Some(v) => {
-                vals.push(v);
-                valid.push(true);
+        self.materialized += codes.len() as u64;
+        Some(
+            codes
+                .iter()
+                .map(|&c| (c != NULL_CODE).then(|| dict[c as usize].clone()))
+                .collect(),
+        )
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Guards: operands evaluated under a narrowed selection
+// ---------------------------------------------------------------------------
+
+/// The rows one operand of a guard supplies to the guard's result.
+struct Part<'a> {
+    sel: Sel,
+    val: V<'a>,
+}
+
+/// The type every non-NULL row of a merged result will have, when the parts
+/// agree on one.
+#[derive(PartialEq)]
+enum Typed {
+    Unknown,
+    Int,
+    Float,
+    Bool,
+    Boxed,
+}
+
+impl<'d, 'a> BatchEval<'d, 'a> {
+    /// Three-valued `AND`/`OR`: the right operand is evaluated on the rows
+    /// the left one leaves undecided. Either operand must be boolean or NULL
+    /// on the rows it is evaluated on, as in the row evaluator.
+    fn logic(&mut self, op: BinOp, args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        // The value that decides the result alone.
+        let decisive = op == BinOp::Or;
+        let l = self.value(args[0], sel)?;
+        let a = bool_side(&l, n, sel)?;
+        let open = self.filter_sel(sel, |i| a.at(i) != Some(decisive));
+        let r = self.value(args[1], &open)?;
+        let b = bool_side(&r, n, &open)?;
+        let out = tri_column(n, sel, |i| match a.at(i) {
+            Some(x) if x == decisive => Some(decisive),
+            x => match (x, b.at(i)) {
+                (_, Some(y)) if y == decisive => Some(decisive),
+                (Some(_), Some(y)) => Some(y),
+                _ => None,
+            },
+        });
+        self.release(args[0]);
+        self.release(args[1]);
+        Some(Rc::new(Val::Own(out)))
+    }
+
+    /// `IFF(cond, then, otherwise)`: each branch on the rows that take it.
+    fn iff(&mut self, args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        let c = self.value(args[0], sel)?;
+        let cond = bool_side(&c, n, sel)?;
+        let then_sel = self.filter_sel(sel, |i| cond.at(i) == Some(true));
+        let else_sel = self.filter_sel(sel, |i| cond.at(i) != Some(true));
+        let parts = vec![
+            Part {
+                val: self.value(args[1], &then_sel)?,
+                sel: then_sel,
+            },
+            Part {
+                val: self.value(args[2], &else_sel)?,
+                sel: else_sel,
+            },
+        ];
+        for &a in args {
+            self.release(a);
+        }
+        Some(self.merge(parts, sel))
+    }
+
+    /// `COALESCE`/`NVL`: each argument on the rows where all earlier ones
+    /// were NULL.
+    fn coalesce(&mut self, args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
+        let mut open = sel.clone();
+        let mut parts = Vec::with_capacity(args.len());
+        for &a in args {
+            if open.is_empty() {
+                break;
             }
-            None => {
-                vals.push(false);
-                valid.push(false);
+            let v = self.value(a, &open)?;
+            let rest = self.filter_sel(&open, |i| v.is_null_at(i));
+            parts.push(Part { val: v, sel: open });
+            open = rest;
+        }
+        for &a in args {
+            self.release(a);
+        }
+        // A part's NULL rows are overwritten by the later parts that cover
+        // them, or stay NULL.
+        Some(self.merge(parts, sel))
+    }
+
+    /// `CASE`: each `WHEN` on the rows no earlier branch took, each `THEN` on
+    /// the rows its `WHEN` took.
+    fn case(
+        &mut self,
+        operand: bool,
+        else_expr: bool,
+        args: &[NodeId],
+        sel: &Sel,
+    ) -> Option<V<'a>> {
+        let n = self.n;
+        let subject = if operand {
+            Some(self.value(args[0], sel)?)
+        } else {
+            None
+        };
+        let branches = &args[usize::from(operand)..args.len() - usize::from(else_expr)];
+        let mut open = sel.clone();
+        let mut parts = Vec::new();
+        for pair in branches.chunks_exact(2) {
+            if open.is_empty() {
+                break;
+            }
+            let when = self.value(pair[0], &open)?;
+            let (mut t1, mut t2) = (Variant::Null, Variant::Null);
+            let mut hit_rows = Vec::new();
+            let mut miss_rows = Vec::new();
+            for_rows!(&open, n, i => {
+                let hit = match &subject {
+                    Some(s) => {
+                        if s.boxes() {
+                            t1 = s.get(i);
+                        }
+                        if when.boxes() {
+                            t2 = when.get(i);
+                        }
+                        let (x, y) = (cell(s, i, &t1), cell(&when, i, &t2));
+                        !x.is_null() && !y.is_null() && x == y
+                    }
+                    // Anything but TRUE is a miss, not an error.
+                    None => {
+                        if when.boxes() {
+                            t2 = when.get(i);
+                        }
+                        matches!(cell(&when, i, &t2), Variant::Bool(true))
+                    }
+                };
+                if hit { hit_rows.push(i as u32) } else { miss_rows.push(i as u32) }
+            });
+            let hits = self.narrow(&open, hit_rows);
+            let rest = self.narrow(&open, miss_rows);
+            parts.push(Part {
+                val: self.value(pair[1], &hits)?,
+                sel: hits,
+            });
+            open = rest;
+        }
+        if else_expr {
+            let v = self.value(args[args.len() - 1], &open)?;
+            parts.push(Part { val: v, sel: open });
+        }
+        for &a in args {
+            self.release(a);
+        }
+        Some(self.merge(parts, sel))
+    }
+
+    /// Assembles a guard's result from its parts: row `i` of the result is
+    /// row `i` of the last part whose selection holds `i` and whose value
+    /// there is not NULL; rows no part supplies are NULL.
+    fn merge(&mut self, parts: Vec<Part<'a>>, sel: &Sel) -> V<'a> {
+        let n = self.n;
+        let parts: Vec<Part<'a>> = parts.into_iter().filter(|p| !p.sel.is_empty()).collect();
+        // One operand supplied every row: it is the result.
+        if let [only] = &parts[..] {
+            if only.sel.id == sel.id {
+                return only.val.clone();
             }
         }
+        let mut ty = Typed::Unknown;
+        for p in &parts {
+            let t = match &*p.val {
+                Val::Scalar(Variant::Null) => continue,
+                Val::Scalar(Variant::Int(_)) => Typed::Int,
+                Val::Scalar(Variant::Float(_)) => Typed::Float,
+                Val::Scalar(Variant::Bool(_)) => Typed::Bool,
+                Val::Scalar(_) => Typed::Boxed,
+                v => match v.col() {
+                    Some(ColumnVec::Null(_)) => continue,
+                    Some(ColumnVec::Int { .. }) => Typed::Int,
+                    Some(ColumnVec::Float { .. }) => Typed::Float,
+                    Some(ColumnVec::Bool { .. }) => Typed::Bool,
+                    _ => Typed::Boxed,
+                },
+            };
+            if ty == Typed::Unknown {
+                ty = t;
+            } else if ty != t {
+                ty = Typed::Boxed;
+            }
+        }
+        /// Copies the non-NULL selected rows of typed parts into one column.
+        macro_rules! typed_merge {
+            ($variant:ident, $zero:expr) => {{
+                let mut vals = vec![$zero; n];
+                let mut valid = Bitmap::nulls(n);
+                for p in &parts {
+                    match &*p.val {
+                        Val::Scalar(Variant::$variant(c)) => for_rows!(&p.sel, n, i => {
+                            vals[i] = *c;
+                            valid.set(i);
+                        }),
+                        v => {
+                            if let Some(ColumnVec::$variant { vals: src, valid: ok }) = v.col() {
+                                for_rows!(&p.sel, n, i => {
+                                    if ok.get(i) {
+                                        vals[i] = src[i];
+                                        valid.set(i);
+                                    }
+                                });
+                            }
+                        }
+                    }
+                }
+                ColumnVec::$variant { vals, valid }
+            }};
+        }
+        let col = match ty {
+            Typed::Unknown => ColumnVec::Null(n),
+            Typed::Int => typed_merge!(Int, 0i64),
+            Typed::Float => typed_merge!(Float, 0.0f64),
+            Typed::Bool => typed_merge!(Bool, false),
+            Typed::Boxed => {
+                self.note_encoded_operands(
+                    &parts.iter().map(|p| p.val.clone()).collect::<Vec<_>>(),
+                );
+                let mut vals = vec![Variant::Null; n];
+                for p in &parts {
+                    for_rows!(&p.sel, n, i => {
+                        if !p.val.is_null_at(i) {
+                            vals[i] = p.val.get(i);
+                        }
+                    });
+                }
+                ColumnVec::from_variants(vals)
+            }
+        };
+        Rc::new(Val::Own(col))
     }
-    Some(Op::Own(ColumnVec::Bool { vals, valid }))
+
+    /// `expr [NOT] IN (items)`. An all-literal list over a dictionary column
+    /// is decided once per dictionary entry; otherwise each item is
+    /// evaluated on the rows that have a non-NULL `expr` and no match yet.
+    fn in_list(&mut self, negated: bool, args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        let v = self.value(args[0], sel)?;
+        let lits: Option<Vec<&Variant>> = args[1..]
+            .iter()
+            .map(|&a| {
+                if let DagOp::Lit(l) = self.dag.op(a) {
+                    Some(l)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        if let (Some(lits), Some(ColumnVec::DictStr { codes, dict })) = (&lits, v.col()) {
+            let has_null = lits.iter().any(|l| l.is_null());
+            let table: Vec<Tri> = dict
+                .iter()
+                .map(|d| {
+                    if lits.iter().any(|l| l.as_str() == Some(&**d)) {
+                        Some(!negated)
+                    } else if has_null {
+                        None
+                    } else {
+                        Some(negated)
+                    }
+                })
+                .collect();
+            let out = self.map_codes(codes, &table);
+            self.release(args[0]);
+            return Some(Rc::new(Val::Own(out)));
+        }
+        self.note_encoded_operands(std::slice::from_ref(&v));
+        // Per row: None while undecided, then the answer.
+        let mut found = vec![false; n];
+        let mut saw_null = vec![false; n];
+        let mut open = self.filter_sel(sel, |i| !v.is_null_at(i));
+        let subject_rows = open.clone();
+        for &item in &args[1..] {
+            if open.is_empty() {
+                break;
+            }
+            let iv = self.value(item, &open)?;
+            let (mut t1, mut t2) = (Variant::Null, Variant::Null);
+            let mut rest = Vec::new();
+            for_rows!(&open, n, i => {
+                if v.boxes() {
+                    t1 = v.get(i);
+                }
+                if iv.boxes() {
+                    t2 = iv.get(i);
+                }
+                let (x, y) = (cell(&v, i, &t1), cell(&iv, i, &t2));
+                if y.is_null() {
+                    saw_null[i] = true;
+                    rest.push(i as u32);
+                } else if x == y {
+                    found[i] = true;
+                } else {
+                    rest.push(i as u32);
+                }
+            });
+            open = self.narrow(&open, rest);
+        }
+        let out = tri_column(n, &subject_rows, |i| {
+            if found[i] {
+                Some(!negated)
+            } else if saw_null[i] {
+                None
+            } else {
+                Some(negated)
+            }
+        });
+        for &a in args {
+            self.release(a);
+        }
+        Some(Rc::new(Val::Own(out)))
+    }
+
+    /// A variant path. Field and constant-index steps walk each row's value
+    /// by reference and clone only the leaf; an index expression is evaluated
+    /// on the rows whose value is not NULL when the step is reached.
+    fn path(&mut self, steps: &[PStep], args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
+        let n = self.n;
+        let base = self.value(args[0], sel)?;
+        let spread;
+        let boxed: &[Variant] = match &*base {
+            Val::Scalar(s) if args.len() == 1 => {
+                let mut v = s;
+                for st in steps {
+                    v = match st {
+                        PStep::Field(f) => v.field_ref(f),
+                        PStep::Index(i) => v.index_ref(*i),
+                        PStep::IndexExpr(_) => unreachable!("no index operand"),
+                    };
+                }
+                self.release(args[0]);
+                return Some(Rc::new(Val::Scalar(v.clone())));
+            }
+            Val::Scalar(s) => {
+                spread = vec![s.clone(); n];
+                &spread
+            }
+            v => match v.col() {
+                Some(ColumnVec::Var(x)) => x,
+                // Numbers, booleans and strings have no fields and no
+                // elements: every step yields NULL.
+                _ if args.len() == 1 => {
+                    self.release(args[0]);
+                    return Some(Rc::new(Val::Own(ColumnVec::Null(n))));
+                }
+                // ... but an index expression is still evaluated on their
+                // non-NULL rows, and may fail there.
+                Some(typed) => {
+                    spread = typed.clone().into_variants();
+                    &spread
+                }
+                None => unreachable!("scalars matched above"),
+            },
+        };
+        let mut out = Gaps::new(n);
+        if args.len() == 1 {
+            for_rows!(sel, n, i => {
+                let mut v = &boxed[i];
+                for st in steps {
+                    v = match st {
+                        PStep::Field(f) => v.field_ref(f),
+                        PStep::Index(ix) => v.index_ref(*ix),
+                        PStep::IndexExpr(_) => unreachable!("no index operand"),
+                    };
+                }
+                out.push(i, v.clone());
+            });
+        } else {
+            let mut cur: Vec<&Variant> = boxed.iter().collect();
+            let mut next_arg = 1;
+            for st in steps {
+                match st {
+                    PStep::Field(f) => for_rows!(sel, n, i => { cur[i] = cur[i].field_ref(f); }),
+                    PStep::Index(ix) => for_rows!(sel, n, i => { cur[i] = cur[i].index_ref(*ix); }),
+                    PStep::IndexExpr(_) => {
+                        let live = self.filter_sel(sel, |i| !cur[i].is_null());
+                        let ix = self.value(args[next_arg], &live)?;
+                        next_arg += 1;
+                        for_rows!(&live, n, i => {
+                            cur[i] = match ix.get(i).as_i64() {
+                                Some(k) => cur[i].index_ref(k),
+                                None => &Variant::Null,
+                            };
+                        });
+                    }
+                }
+            }
+            for_rows!(sel, n, i => { out.push(i, cur[i].clone()); });
+        }
+        for &a in args {
+            self.release(a);
+        }
+        Some(Rc::new(Val::Own(out.finish())))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{eval, ExecCtx, RowView};
+    use crate::plan::PExpr;
+    use crate::sql::UnaryOp;
 
-    /// Reference check: `eval_vec` must agree with the serial evaluator on
-    /// every row whenever it returns a column at all.
-    fn assert_matches_serial(e: &PExpr, inp: &Chunk) {
-        let Some(col) = eval_vec(e, inp) else { return };
-        assert_eq!(col.len(), inp.rows, "kernel arity for {e:?}");
+    fn eval_vec(e: &PExpr, inp: &Chunk) -> Option<ColumnVec> {
+        let dag = ExprDag::compile([e]);
+        dag.eval(inp, 0, None)
+            .map(|mut cols| cols.pop().expect("one root").into_owned())
+    }
+
+    /// The batch result, checked against the row evaluator on every row; a
+    /// decline is checked to be one the row evaluator justifies.
+    fn checked(e: &PExpr, inp: &Chunk) -> Option<ColumnVec> {
         let mut ctx = ExecCtx::default();
-        for r in 0..inp.rows {
-            let parts = [(inp, r)];
-            let serial = eval(e, RowView::new(&parts), &mut ctx)
-                .unwrap_or_else(|err| panic!("kernel vectorized a failing expr {e:?}: {err}"));
-            assert_eq!(col.get(r), serial, "row {r} of {e:?}");
+        let serial: Vec<crate::error::Result<Variant>> = (0..inp.rows)
+            .map(|r| {
+                let parts = [(inp, r)];
+                eval(e, RowView::new(&parts), &mut ctx)
+            })
+            .collect();
+        let col = eval_vec(e, inp);
+        match &col {
+            Some(col) => {
+                assert_eq!(col.len(), inp.rows, "column length for {e:?}");
+                for (r, want) in serial.iter().enumerate() {
+                    let want = want.as_ref().unwrap_or_else(|err| {
+                        panic!("the DAG answered where row {r} fails ({err}): {e:?}")
+                    });
+                    assert_eq!(
+                        format!("{:?}", col.get(r)),
+                        format!("{want:?}"),
+                        "row {r} of {e:?}"
+                    );
+                }
+            }
+            None => assert!(
+                serial.iter().any(|r| r.is_err()),
+                "needless decline of {e:?}"
+            ),
         }
+        col
     }
 
     fn chunk(cols: Vec<Vec<Variant>>) -> Chunk {
         let rows = cols.first().map_or(0, Vec::len);
-        Chunk { cols: cols.into_iter().map(ColumnVec::from_variants).collect(), rows }
+        Chunk {
+            cols: cols.into_iter().map(ColumnVec::from_variants).collect(),
+            rows,
+        }
     }
 
     fn bin(l: PExpr, op: BinOp, r: PExpr) -> PExpr {
-        PExpr::Binary { left: Box::new(l), op, right: Box::new(r) }
+        PExpr::Binary {
+            left: Box::new(l),
+            op,
+            right: Box::new(r),
+        }
+    }
+
+    fn func(f: FuncId, args: Vec<PExpr>) -> PExpr {
+        PExpr::Func { f, args }
+    }
+
+    fn lit(v: impl Into<Variant>) -> PExpr {
+        PExpr::Lit(v.into())
     }
 
     #[test]
-    fn comparison_kernels_match_serial() {
+    fn comparisons_are_exact_beyond_2_pow_53() {
         let inp = chunk(vec![
             vec![
                 Variant::Int(1),
@@ -808,215 +1704,344 @@ mod tests {
                 Variant::Null,
             ],
         ]);
-        for op in [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::LtEq, BinOp::Gt, BinOp::GtEq] {
-            let e = bin(PExpr::Col(0), op, PExpr::Col(1));
-            assert!(eval_vec(&e, &inp).is_some(), "{op:?} should vectorize");
-            assert_matches_serial(&e, &inp);
+        for op in [
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ] {
+            for e in [
+                bin(PExpr::Col(0), op, PExpr::Col(1)),
+                bin(PExpr::Col(1), op, PExpr::Col(0)),
+                bin(PExpr::Col(0), op, lit(1.0)),
+            ] {
+                assert!(checked(&e, &inp).is_some(), "{e:?}");
+            }
         }
-        // The exactness bug: Int(2^53+1) vs Float(2^53) must be NotEq.
         let e = bin(PExpr::Col(0), BinOp::Eq, PExpr::Col(1));
-        let col = eval_vec(&e, &inp).unwrap();
-        assert_eq!(col.get(1), Variant::Bool(false));
+        assert_eq!(checked(&e, &inp).unwrap().get(1), Variant::Bool(false));
     }
 
     #[test]
-    fn arith_kernels_match_serial_including_overflow() {
+    fn integer_overflow_promotes_single_rows_to_float() {
         let inp = chunk(vec![
-            vec![Variant::Int(i64::MAX), Variant::Int(2), Variant::Null],
-            vec![Variant::Int(1), Variant::Int(3), Variant::Int(4)],
+            vec![
+                Variant::Int(i64::MAX),
+                Variant::Int(2),
+                Variant::Null,
+                Variant::Int(i64::MIN),
+            ],
+            vec![
+                Variant::Int(1),
+                Variant::Int(3),
+                Variant::Int(4),
+                Variant::Int(-1),
+            ],
         ]);
-        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul] {
-            let e = bin(PExpr::Col(0), op, PExpr::Col(1));
-            assert!(eval_vec(&e, &inp).is_some(), "{op:?} should vectorize");
-            assert_matches_serial(&e, &inp);
+        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Mod] {
+            assert!(
+                checked(&bin(PExpr::Col(0), op, PExpr::Col(1)), &inp).is_some(),
+                "{op:?}"
+            );
         }
-        // Overflow promotes the element to Float, same as serial.
-        let e = bin(PExpr::Col(0), BinOp::Add, PExpr::Col(1));
-        let col = eval_vec(&e, &inp).unwrap();
+        let col = checked(&bin(PExpr::Col(0), BinOp::Add, PExpr::Col(1)), &inp).unwrap();
         assert_eq!(col.get(0), Variant::Float(i64::MAX as f64 + 1.0));
         assert_eq!(col.get(1), Variant::Int(5));
+        // i64::MIN has no negation and no absolute value in i64.
+        let neg = PExpr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(PExpr::Col(0)),
+        };
+        assert_eq!(
+            checked(&neg, &inp).unwrap().get(3),
+            Variant::Float(-(i64::MIN as f64))
+        );
+        assert!(checked(&func(FuncId::Abs, vec![PExpr::Col(0)]), &inp).is_some());
     }
 
     #[test]
-    fn logic_and_null_kernels_match_serial() {
-        let b = |v: Option<bool>| v.map_or(Variant::Null, Variant::Bool);
-        let vals: Vec<Variant> = [
-            Some(true),
-            Some(false),
-            None,
-            Some(true),
-            None,
-            Some(false),
-            None,
-            Some(true),
-            Some(false),
-        ]
-        .iter()
-        .map(|v| b(*v))
-        .collect();
-        let rvals: Vec<Variant> = vals.iter().rev().cloned().collect();
-        let inp = chunk(vec![vals, rvals]);
-        for op in [BinOp::And, BinOp::Or] {
-            let e = bin(PExpr::Col(0), op, PExpr::Col(1));
-            assert!(eval_vec(&e, &inp).is_some());
-            assert_matches_serial(&e, &inp);
-        }
-        let e = PExpr::Not(Box::new(PExpr::Col(0)));
-        assert!(eval_vec(&e, &inp).is_some());
-        assert_matches_serial(&e, &inp);
-        let e = PExpr::IsNull { expr: Box::new(PExpr::Col(1)), negated: true };
-        assert!(eval_vec(&e, &inp).is_some());
-        assert_matches_serial(&e, &inp);
-    }
-
-    #[test]
-    fn fallible_shapes_do_not_vectorize() {
+    fn zero_divisors_decline_and_guards_keep_them_from_being_reached() {
         let inp = chunk(vec![
-            vec![Variant::Int(1), Variant::Int(0)],
-            vec![Variant::str("a"), Variant::str("b")],
+            vec![
+                Variant::Int(4),
+                Variant::Int(0),
+                Variant::Null,
+                Variant::Int(2),
+            ],
+            vec![
+                Variant::Float(1.0),
+                Variant::Float(2.0),
+                Variant::Float(3.0),
+                Variant::Null,
+            ],
         ]);
-        // Division can raise; mixed-class ordering raises.
-        assert!(eval_vec(&bin(PExpr::Col(0), BinOp::Div, PExpr::Col(0)), &inp).is_none());
-        assert!(eval_vec(&bin(PExpr::Col(0), BinOp::Lt, PExpr::Col(1)), &inp).is_none());
-        // Mixed-class equality is total: it vectorizes to constant false.
-        let e = bin(PExpr::Col(0), BinOp::Eq, PExpr::Col(1));
-        assert!(eval_vec(&e, &inp).is_some());
-        assert_matches_serial(&e, &inp);
-        // AND over a non-boolean operand falls back.
-        assert!(eval_vec(&bin(PExpr::Col(0), BinOp::And, PExpr::Col(0)), &inp).is_none());
-        // Neg of a column containing i64::MIN falls back.
-        let minp = chunk(vec![vec![Variant::Int(i64::MIN), Variant::Int(3)]]);
-        let neg = PExpr::Unary { op: UnaryOp::Neg, expr: Box::new(PExpr::Col(0)) };
-        assert!(eval_vec(&neg, &minp).is_none());
-        assert_matches_serial(&neg, &inp);
+        let div = bin(PExpr::Col(1), BinOp::Div, PExpr::Col(0));
+        assert!(checked(&div, &inp).is_none(), "row 1 divides by zero");
+        // NULL / 0 and 0 / NULL are NULL, not errors.
+        let nulls = chunk(vec![
+            vec![Variant::Int(0), Variant::Null],
+            vec![Variant::Null, Variant::Float(0.0)],
+        ]);
+        assert!(checked(&bin(PExpr::Col(1), BinOp::Div, PExpr::Col(0)), &nulls).is_some());
+        let zero = bin(PExpr::Col(0), BinOp::Eq, lit(0i64));
+        for guarded in [
+            func(
+                FuncId::Iff,
+                vec![zero.clone(), lit(Variant::Null), div.clone()],
+            ),
+            bin(
+                PExpr::Not(Box::new(zero.clone())),
+                BinOp::And,
+                bin(div.clone(), BinOp::Gt, lit(0.3)),
+            ),
+            bin(
+                zero.clone(),
+                BinOp::Or,
+                bin(div.clone(), BinOp::Gt, lit(0.3)),
+            ),
+            PExpr::Case {
+                operand: None,
+                branches: vec![(zero.clone(), lit(-1.0))],
+                else_expr: Some(Box::new(div.clone())),
+            },
+            func(
+                FuncId::Coalesce,
+                vec![
+                    func(FuncId::NullIf, vec![PExpr::Col(0), lit(4i64)]),
+                    div.clone(),
+                ],
+            ),
+        ] {
+            let got = checked(&guarded, &inp);
+            // COALESCE reaches the division on row 0 only (4 / 4's NULLIF).
+            assert!(got.is_some(), "{guarded:?}");
+        }
+        // The float remainder by zero is NaN; the integer one fails.
+        assert!(checked(&bin(PExpr::Col(1), BinOp::Mod, lit(0.0)), &inp).is_some());
+        assert!(checked(&bin(PExpr::Col(0), BinOp::Mod, lit(0i64)), &inp).is_none());
     }
 
     #[test]
-    fn path_steps_vectorize_over_nested_columns() {
+    fn a_shared_subexpression_is_computed_for_its_widest_reader() {
+        // SQRT(x) is read under a guard and, by the second root, everywhere.
+        let inp = chunk(vec![vec![
+            Variant::Float(4.0),
+            Variant::Float(9.0),
+            Variant::Null,
+        ]]);
+        let root = func(FuncId::Sqrt, vec![PExpr::Col(0)]);
+        let guarded = func(
+            FuncId::Iff,
+            vec![
+                bin(PExpr::Col(0), BinOp::Gt, lit(5.0)),
+                root.clone(),
+                lit(0.0),
+            ],
+        );
+        let exprs = [guarded, root];
+        let dag = ExprDag::compile(&exprs);
+        let cols = dag.eval(&inp, 0, None).unwrap();
+        assert_eq!(cols[0].get(0), Variant::Float(0.0));
+        assert_eq!(cols[0].get(1), Variant::Float(3.0));
+        assert_eq!(cols[0].get(2), Variant::Float(0.0));
+        assert_eq!(cols[1].get(0), Variant::Float(2.0));
+        assert!(cols[1].is_null_at(2));
+    }
+
+    #[test]
+    fn conditions_must_be_boolean_where_they_are_evaluated() {
+        let inp = chunk(vec![
+            vec![Variant::Bool(false), Variant::Bool(true), Variant::Null],
+            vec![Variant::Int(1), Variant::Int(2), Variant::Int(3)],
+            vec![Variant::str("x"), Variant::Bool(true), Variant::Null],
+        ]);
+        // The right operand is an integer, but only where the left decided.
+        assert!(checked(&bin(PExpr::Col(0), BinOp::And, PExpr::Col(1)), &inp).is_none());
+        let all_false = chunk(vec![
+            vec![Variant::Bool(false), Variant::Bool(false)],
+            vec![Variant::Int(1), Variant::Int(2)],
+        ]);
+        assert!(checked(&bin(PExpr::Col(0), BinOp::And, PExpr::Col(1)), &all_false).is_some());
+        // A boxed condition is checked row by row, on the selected rows.
+        assert!(checked(&bin(PExpr::Col(0), BinOp::Or, PExpr::Col(2)), &inp).is_none());
+        assert!(checked(&bin(PExpr::Col(0), BinOp::And, PExpr::Col(2)), &inp).is_some());
+        assert!(checked(&PExpr::Not(Box::new(PExpr::Col(1))), &inp).is_none());
+        // Mixed-class ordering fails in the row evaluator; equality does not.
+        assert!(checked(&bin(PExpr::Col(1), BinOp::Lt, PExpr::Col(0)), &inp).is_none());
+        assert!(checked(&bin(PExpr::Col(1), BinOp::Eq, PExpr::Col(0)), &inp).is_some());
+    }
+
+    #[test]
+    fn paths_functions_and_constructors_over_nested_columns() {
         let mut o1 = crate::variant::Object::new();
         o1.insert("a", Variant::array(vec![Variant::Int(1), Variant::Int(2)]));
+        o1.insert("pt", Variant::Float(2.5));
         let mut o2 = crate::variant::Object::new();
-        o2.insert("b", Variant::Int(9));
-        let inp = chunk(vec![vec![
-            Variant::object(o1),
-            Variant::object(o2),
-            Variant::Null,
-            Variant::Int(3),
-        ]]);
-        let e = PExpr::Path {
+        o2.insert("pt", Variant::Int(9));
+        let inp = chunk(vec![
+            vec![
+                Variant::object(o1),
+                Variant::object(o2),
+                Variant::Null,
+                Variant::Int(3),
+            ],
+            vec![
+                Variant::Int(0),
+                Variant::Int(1),
+                Variant::Int(7),
+                Variant::Null,
+            ],
+        ]);
+        let path = |steps: Vec<PStep>| PExpr::Path {
             base: Box::new(PExpr::Col(0)),
-            steps: vec![PStep::Field("a".into()), PStep::Index(1)],
+            steps,
         };
-        let col = eval_vec(&e, &inp).expect("path should vectorize");
-        assert_eq!(col.get(0), Variant::Int(2));
-        assert!(col.is_null_at(1));
-        assert_matches_serial(&e, &inp);
+        let pt = path(vec![PStep::Field("pt".into())]);
+        for e in [
+            path(vec![PStep::Field("a".into()), PStep::Index(1)]),
+            path(vec![
+                PStep::Field("a".into()),
+                PStep::IndexExpr(Box::new(PExpr::Col(1))),
+            ]),
+            // Mixed Int/Float leaves: a boxed column under typed math.
+            func(FuncId::Sqrt, vec![pt.clone()]),
+            bin(pt.clone(), BinOp::Mul, func(FuncId::Cos, vec![pt.clone()])),
+            func(
+                FuncId::ArraySize,
+                vec![path(vec![PStep::Field("a".into())])],
+            ),
+            func(
+                FuncId::Get,
+                vec![path(vec![PStep::Field("a".into())]), PExpr::Col(1)],
+            ),
+            func(
+                FuncId::ObjectConstruct,
+                vec![
+                    lit("k"),
+                    pt.clone(),
+                    lit("n"),
+                    func(FuncId::TypeOf, vec![pt.clone()]),
+                ],
+            ),
+            func(
+                FuncId::ArrayConstruct,
+                vec![pt.clone(), PExpr::Col(1), lit(Variant::Null)],
+            ),
+            PExpr::Cast {
+                expr: Box::new(pt.clone()),
+                ty: CastType::Int,
+            },
+            PExpr::Cast {
+                expr: Box::new(PExpr::Col(1)),
+                ty: CastType::Str,
+            },
+        ] {
+            assert!(checked(&e, &inp).is_some(), "{e:?}");
+        }
+        // A path over a typed column is all NULL; its index expression is
+        // still evaluated where the value is not.
+        let bad_index = PExpr::Path {
+            base: Box::new(PExpr::Col(1)),
+            steps: vec![PStep::IndexExpr(Box::new(bin(
+                lit(1i64),
+                BinOp::Div,
+                lit(0i64),
+            )))],
+        };
+        assert!(checked(&bad_index, &inp).is_none());
     }
 
     #[test]
-    fn concat_and_string_compare_vectorize() {
-        let inp = chunk(vec![
-            vec![Variant::str("a"), Variant::Null, Variant::str("c")],
-            vec![Variant::str("x"), Variant::str("y"), Variant::Null],
-        ]);
-        for e in [
-            bin(PExpr::Col(0), BinOp::Concat, PExpr::Col(1)),
-            bin(PExpr::Col(0), BinOp::Lt, PExpr::Col(1)),
-            bin(PExpr::Col(0), BinOp::Eq, PExpr::Lit(Variant::str("a"))),
-        ] {
-            assert!(eval_vec(&e, &inp).is_some(), "{e:?}");
-            assert_matches_serial(&e, &inp);
-        }
+    fn seq8_is_a_ramp_per_call_site() {
+        let inp = chunk(vec![vec![
+            Variant::Int(5),
+            Variant::Int(6),
+            Variant::Int(7),
+        ]]);
+        let seq = || func(FuncId::Seq8, vec![]);
+        let exprs = [seq(), bin(PExpr::Col(0), BinOp::Add, seq())];
+        let cols = ExprDag::compile(&exprs).eval(&inp, 100, None).unwrap();
+        assert_eq!(cols[0].get(2), Variant::Int(102));
+        assert_eq!(cols[1].get(2), Variant::Int(7 + 103));
+        let guarded = [func(FuncId::Nvl, vec![PExpr::Col(0), seq()])];
+        assert!(ExprDag::compile(&guarded).eval(&inp, 0, None).is_none());
     }
 
-    /// Two dictionary columns sharing one dictionary, plus one with a
-    /// different dictionary holding the same strings: the fast paths must
-    /// match serial on all of them, including NULL codes.
+    /// Two dictionary columns sharing one dictionary, plus one with another
+    /// dictionary over the same strings.
     fn dict_chunk() -> Chunk {
-        let dict: std::sync::Arc<Vec<std::sync::Arc<str>>> = std::sync::Arc::new(vec![
-            std::sync::Arc::from("ny"),
-            std::sync::Arc::from("la"),
-            std::sync::Arc::from("sf"),
-        ]);
-        let other: std::sync::Arc<Vec<std::sync::Arc<str>>> =
-            std::sync::Arc::new(vec![std::sync::Arc::from("la"), std::sync::Arc::from("ny")]);
+        let dict: Arc<Vec<Arc<str>>> =
+            Arc::new(vec![Arc::from("ny"), Arc::from("la"), Arc::from("sf")]);
+        let other: Arc<Vec<Arc<str>>> = Arc::new(vec![Arc::from("la"), Arc::from("ny")]);
         let cols = vec![
-            ColumnVec::DictStr { codes: vec![0, 1, NULL_CODE, 2, 0, 1], dict: dict.clone() },
-            ColumnVec::DictStr { codes: vec![0, 0, 1, NULL_CODE, 2, 1], dict },
-            ColumnVec::DictStr { codes: vec![1, 0, NULL_CODE, 0, 1, 0], dict: other },
+            ColumnVec::DictStr {
+                codes: vec![0, 1, NULL_CODE, 2, 0, 1],
+                dict: dict.clone(),
+            },
+            ColumnVec::DictStr {
+                codes: vec![0, 0, 1, NULL_CODE, 2, 1],
+                dict,
+            },
+            ColumnVec::DictStr {
+                codes: vec![1, 0, NULL_CODE, 0, 1, 0],
+                dict: other,
+            },
         ];
         Chunk { cols, rows: 6 }
     }
 
     #[test]
-    fn dict_scalar_compares_stay_on_codes_and_match_serial() {
+    fn dictionary_compares_and_in_lists_match_serial() {
         let inp = dict_chunk();
-        for op in [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::LtEq, BinOp::Gt, BinOp::GtEq] {
+        for op in [
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ] {
             for e in [
-                bin(PExpr::Col(0), op, PExpr::Lit(Variant::str("la"))),
-                bin(PExpr::Lit(Variant::str("ny")), op, PExpr::Col(0)),
+                bin(PExpr::Col(0), op, lit("la")),
+                bin(lit("ny"), op, PExpr::Col(0)),
+                bin(PExpr::Col(0), op, lit("zz")),
+                bin(PExpr::Col(0), op, PExpr::Col(1)),
+                bin(PExpr::Col(0), op, PExpr::Col(2)),
             ] {
-                assert!(eval_vec(&e, &inp).is_some(), "{e:?}");
-                assert_matches_serial(&e, &inp);
+                assert!(checked(&e, &inp).is_some(), "{e:?}");
             }
         }
-        // A scalar absent from the dictionary still compares correctly.
-        let e = bin(PExpr::Col(0), BinOp::Eq, PExpr::Lit(Variant::str("zz")));
-        assert_matches_serial(&e, &inp);
-    }
-
-    #[test]
-    fn dict_column_compares_match_serial() {
-        let inp = dict_chunk();
-        // Same dictionary: code-level Eq/NotEq; ordering materializes.
-        // Different dictionaries: everything materializes. All match serial.
-        for (l, r) in [(0, 1), (0, 2)] {
-            for op in [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::GtEq] {
-                let e = bin(PExpr::Col(l), op, PExpr::Col(r));
-                assert!(eval_vec(&e, &inp).is_some(), "{e:?}");
-                assert_matches_serial(&e, &inp);
-            }
-        }
-    }
-
-    #[test]
-    fn dict_in_list_matches_serial_including_null_semantics() {
-        let inp = dict_chunk();
-        let lits = |vs: &[Variant]| vs.iter().cloned().map(PExpr::Lit).collect::<Vec<_>>();
         for negated in [false, true] {
             for list in [
-                lits(&[Variant::str("la"), Variant::str("zz")]),
+                vec![lit("la"), lit("zz")],
                 // A NULL in the list makes non-matches NULL, not false.
-                lits(&[Variant::str("sf"), Variant::Null]),
-                lits(&[Variant::Null]),
+                vec![lit("sf"), lit(Variant::Null)],
+                vec![lit(Variant::Null)],
+                // A column in the list: item by item, on the open rows.
+                vec![PExpr::Col(1), lit("sf")],
+                vec![],
             ] {
                 let e = PExpr::InList {
                     expr: Box::new(PExpr::Col(0)),
-                    list: list.clone(),
+                    list,
                     negated,
                 };
-                assert!(eval_vec(&e, &inp).is_some(), "{e:?}");
-                assert_matches_serial(&e, &inp);
+                assert!(checked(&e, &inp).is_some(), "{e:?}");
             }
         }
-        // A non-literal list item declines (the serial path may error).
-        let e = PExpr::InList {
-            expr: Box::new(PExpr::Col(0)),
-            list: vec![PExpr::Col(1)],
-            negated: false,
-        };
-        assert!(eval_vec(&e, &inp).is_none());
-    }
-
-    #[test]
-    fn dict_concat_materializes_and_matches_serial() {
-        let inp = dict_chunk();
         for e in [
             bin(PExpr::Col(0), BinOp::Concat, PExpr::Col(2)),
-            bin(PExpr::Col(0), BinOp::Concat, PExpr::Lit(Variant::str("!"))),
+            bin(PExpr::Col(0), BinOp::Concat, lit("!")),
+            PExpr::Like {
+                expr: Box::new(PExpr::Col(0)),
+                pattern: Box::new(lit("_a")),
+                negated: false,
+            },
+            func(FuncId::Upper, vec![PExpr::Col(2)]),
         ] {
-            assert!(eval_vec(&e, &inp).is_some(), "{e:?}");
-            assert_matches_serial(&e, &inp);
+            assert!(checked(&e, &inp).is_some(), "{e:?}");
         }
     }
 
@@ -1030,41 +2055,53 @@ mod tests {
                 Variant::Int(9),
             ])),
         };
-        let inp = Chunk { cols: vec![ints], rows: 6 };
+        let inp = Chunk {
+            cols: vec![ints],
+            rows: 6,
+        };
         for e in [
-            bin(PExpr::Col(0), BinOp::Gt, PExpr::Lit(Variant::Int(8))),
-            bin(PExpr::Col(0), BinOp::Add, PExpr::Lit(Variant::Int(1))),
+            bin(PExpr::Col(0), BinOp::Gt, lit(8i64)),
+            bin(PExpr::Col(0), BinOp::Add, lit(1i64)),
+            PExpr::Col(0),
         ] {
-            assert!(eval_vec(&e, &inp).is_some(), "{e:?}");
-            assert_matches_serial(&e, &inp);
+            assert!(checked(&e, &inp).is_some(), "{e:?}");
         }
     }
 
     #[test]
-    fn eval_vec_counted_reports_rows_on_codes_and_materialized() {
+    fn rows_on_codes_and_materialized_rows_are_counted() {
         let inp = dict_chunk();
-        let cell = OpMetricsCell::default();
-        // Dict-vs-scalar equality runs on codes.
-        let e = bin(PExpr::Col(0), BinOp::Eq, PExpr::Lit(Variant::str("la")));
-        assert!(eval_vec_counted(&e, &inp, Some(&cell)).is_some());
-        let m = cell.snapshot("Filter".into(), 1, Vec::new());
-        assert_eq!(m.rows_on_codes, 6);
-        assert_eq!(m.rows_materialized, 0);
+        let counts = |e: &PExpr| {
+            let cell = OpMetricsCell::default();
+            assert!(ExprDag::compile([e]).eval(&inp, 0, Some(&cell)).is_some());
+            let m = cell.snapshot("Filter".into(), 1, Vec::new());
+            (m.rows_on_codes, m.rows_materialized)
+        };
+        // Dict-vs-scalar equality and a literal IN list run on codes.
+        assert_eq!(counts(&bin(PExpr::Col(0), BinOp::Eq, lit("la"))), (6, 0));
+        let in_list = PExpr::InList {
+            expr: Box::new(PExpr::Col(0)),
+            list: vec![lit("la"), lit("sf")],
+            negated: false,
+        };
+        assert_eq!(counts(&in_list), (6, 0));
         // Cross-dictionary ordering materializes both sides.
-        let cell = OpMetricsCell::default();
-        let e = bin(PExpr::Col(0), BinOp::Lt, PExpr::Col(2));
-        assert!(eval_vec_counted(&e, &inp, Some(&cell)).is_some());
-        let m = cell.snapshot("Filter".into(), 1, Vec::new());
-        assert_eq!(m.rows_on_codes, 0);
-        assert_eq!(m.rows_materialized, 12);
+        assert_eq!(
+            counts(&bin(PExpr::Col(0), BinOp::Lt, PExpr::Col(2))),
+            (0, 12)
+        );
+        // A bare column passes through encoded, uncounted.
+        assert_eq!(counts(&PExpr::Col(0)), (0, 0));
     }
 
     #[test]
     fn mask_keep_semantics() {
-        let mut mask = ColumnVec::new();
-        for v in [Variant::Bool(true), Variant::Bool(false), Variant::Null, Variant::Bool(true)] {
-            mask.push(v);
-        }
+        let mask = ColumnVec::from_variants(vec![
+            Variant::Bool(true),
+            Variant::Bool(false),
+            Variant::Null,
+            Variant::Bool(true),
+        ]);
         assert_eq!(mask_keep(&mask).unwrap(), vec![0, 3]);
         assert_eq!(mask_keep(&ColumnVec::Null(5)).unwrap(), Vec::<usize>::new());
         assert!(mask_keep(&ColumnVec::from_variants(vec![Variant::Int(1)])).is_none());

@@ -111,6 +111,8 @@ impl OpMetricsCell {
             rows_fallback: self.rows_fallback.load(Ordering::Relaxed),
             rows_on_codes: self.rows_on_codes.load(Ordering::Relaxed),
             rows_materialized: self.rows_materialized.load(Ordering::Relaxed),
+            expr_dag_nodes: 0,
+            expr_tree_nodes: 0,
             parallelism,
             children,
         }
@@ -143,6 +145,12 @@ pub struct OpMetrics {
     /// Rows whose encoded (dict/RLE) columns were materialized before
     /// evaluation because no code-level kernel applied.
     pub rows_materialized: u64,
+    /// Nodes of the operator's compiled expression DAG — what a batch
+    /// evaluates — and of the expression trees it was compiled from — what
+    /// the row evaluator visits per row. Both 0 for operators without
+    /// expressions.
+    pub expr_dag_nodes: u64,
+    pub expr_tree_nodes: u64,
     /// Worker count the operator ran with.
     pub parallelism: usize,
     pub children: Vec<OpMetrics>,
@@ -157,7 +165,7 @@ impl OpMetrics {
     /// The annotation `EXPLAIN ANALYZE` appends to a plan line.
     pub fn annotation(&self) -> String {
         format!(
-            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}",
+            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}",
             self.rows_out,
             self.batches,
             self.busy,
@@ -165,6 +173,11 @@ impl OpMetrics {
             self.peak_mem_bytes,
             if self.rows_vectorized + self.rows_fallback > 0 {
                 format!(" vec={}/{}", self.rows_vectorized, self.rows_fallback)
+            } else {
+                String::new()
+            },
+            if self.expr_tree_nodes > 0 {
+                format!(" expr={}/{}", self.expr_dag_nodes, self.expr_tree_nodes)
             } else {
                 String::new()
             },

@@ -2,6 +2,7 @@
 //! [`pipeline`] that runs physical plans.
 
 pub mod agg;
+pub mod dag;
 pub mod expr;
 pub mod kernel;
 pub mod metrics;
@@ -130,17 +131,21 @@ impl ExecCtx {
     }
 }
 
-/// Splits an ON predicate into equi-join pairs and a residual.
-fn split_join_on(
+/// Splits an ON predicate into equi-join key pairs `(left key, right key)`
+/// and residual conjuncts. Every expression stays bound against the
+/// concatenated schema: a right key is evaluated over the right input with
+/// its columns shifted by `left_arity` ([`RowView::shifted`],
+/// [`dag::ExprDag::compile_shifted`]).
+pub(crate) fn split_join_on(
     on: &PExpr,
     left_arity: usize,
-) -> (Vec<(PExpr, PExpr)>, Vec<PExpr>) {
-    fn conjuncts(e: &PExpr, out: &mut Vec<PExpr>) {
+) -> (Vec<(&PExpr, &PExpr)>, Vec<&PExpr>) {
+    fn conjuncts<'e>(e: &'e PExpr, out: &mut Vec<&'e PExpr>) {
         if let PExpr::Binary { left, op: BinOp::And, right } = e {
             conjuncts(left, out);
             conjuncts(right, out);
         } else {
-            out.push(e.clone());
+            out.push(e);
         }
     }
     fn side(e: &PExpr, left_arity: usize) -> Option<bool> {
@@ -164,14 +169,14 @@ fn split_join_on(
     let mut equi = Vec::new();
     let mut residual = Vec::new();
     for c in cs {
-        if let PExpr::Binary { left, op: BinOp::Eq, right } = &c {
+        if let PExpr::Binary { left, op: BinOp::Eq, right } = c {
             match (side(left, left_arity), side(right, left_arity)) {
                 (Some(true), Some(false)) => {
-                    equi.push((*left.clone(), shift(right, left_arity)));
+                    equi.push((&**left, &**right));
                     continue;
                 }
                 (Some(false), Some(true)) => {
-                    equi.push((*right.clone(), shift(left, left_arity)));
+                    equi.push((&**right, &**left));
                     continue;
                 }
                 _ => {}
@@ -180,18 +185,6 @@ fn split_join_on(
         residual.push(c);
     }
     (equi, residual)
-}
-
-/// Rewrites column indices of a right-side expression to be relative to the
-/// right input.
-fn shift(e: &PExpr, left_arity: usize) -> PExpr {
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    let max = cols.iter().max().copied().unwrap_or(0);
-    let subs: Vec<PExpr> = (0..=max)
-        .map(|i| PExpr::Col(i.saturating_sub(left_arity)))
-        .collect();
-    e.substitute(&subs)
 }
 
 /// Joins two materialized chunks row by row, in order: the join the batched
@@ -207,10 +200,7 @@ fn join_chunks(
     let ra = r.cols.len();
     let mut out = Chunk::empty(la + ra);
 
-    let (equi, residual) = match on {
-        Some(e) => split_join_on(e, la),
-        None => (Vec::new(), Vec::new()),
-    };
+    let (equi, residual) = on.as_ref().map(|e| split_join_on(e, la)).unwrap_or_default();
 
     let residual_ok = |out_ctx: &mut ExecCtx, lr: usize, rr: usize| -> Result<bool> {
         for e in &residual {
@@ -258,7 +248,7 @@ fn join_chunks(
     let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
     for rr in 0..r.rows {
         let parts = [(r, rr)];
-        let view = RowView::new(&parts);
+        let view = RowView::shifted(&parts, la);
         let mut key = Vec::with_capacity(equi.len());
         let mut has_null = false;
         for (_, rk) in &equi {

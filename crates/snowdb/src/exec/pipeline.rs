@@ -33,7 +33,8 @@
 //! - when several batches fail, the error with the lowest batch index wins —
 //!   the one serial execution would have reported;
 //! - volatile expressions outside projections (a `SEQ8()` in a filter or join
-//!   condition) evaluate serially, batch after batch.
+//!   condition) evaluate serially, batch after batch, in the row loop; in a
+//!   projection `SEQ8()` is an integer ramp from the batch's row base.
 //!
 //! # Shared subplans
 //!
@@ -62,13 +63,14 @@
 //!
 //! # Vectorized execution
 //!
-//! Batches are columnar ([`ColumnVec`]), and when `ctx.vectorize` is on
-//! (default; `SNOWDB_VECTORIZE=0` disables) each operator first offers its
-//! expressions to the typed kernels in [`super::kernel`]. Kernels only accept
-//! *infallible* expression shapes, so a successful vectorized evaluation is
-//! value-identical to the serial row loop; everything else — and every row of
-//! a batch whose expressions decline — runs on the row-at-a-time Variant
-//! path. Both outcomes are counted per operator (`rows_vectorized` /
+//! Batches are columnar ([`ColumnVec`]). Every operator's expressions were
+//! compiled into one [`ExprDag`] when the plan was lowered, and when
+//! `ctx.vectorize` is on (default; `SNOWDB_VECTORIZE=0` disables) the operator
+//! evaluates a batch through it ([`super::kernel`]): each distinct
+//! subexpression once, guarded operands on the rows their guard lets through.
+//! The DAG *declines* a batch in which the row evaluator would fail; the
+//! operator then runs its row loop over that batch, which is what reports the
+//! error. Both outcomes are counted per operator (`rows_vectorized` /
 //! `rows_fallback`, rendered as `vec=` by `EXPLAIN ANALYZE`).
 //!
 //! When `ctx.encode` is on, scans hand encoded (dictionary / run-length)
@@ -79,6 +81,7 @@
 //! (`rows_on_codes` / `rows_materialized`, rendered as `enc=` by
 //! `EXPLAIN ANALYZE`).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -87,18 +90,17 @@ use std::time::{Duration, Instant};
 use crate::column::ColumnVec;
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
-use crate::plan::physical::{PhysNode, SharedSite};
+use crate::plan::physical::{JoinExprs, OpExprs, PhysNode, SharedSite};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
 use crate::sql::JoinKind;
 use crate::storage::morsel::try_parallel_indexed_governed;
 use crate::variant::{Key, Variant};
 
 use super::agg::{column_eligible, Accumulator};
-use super::kernel::{eval_vec, eval_vec_counted, mask_keep};
+use super::dag::{ExprDag, Seq8Calls};
+use super::kernel::mask_keep;
 use super::metrics::OpMetricsCell;
-use super::{
-    cmp_sort_values, eval, join_chunks, split_join_on, truth, Chunk, ExecCtx, RowView,
-};
+use super::{cmp_sort_values, eval, join_chunks, truth, Chunk, ExecCtx, RowView};
 
 /// Target rows per batch. Matches the default micro-partition size so a
 /// partition usually maps to one batch.
@@ -138,7 +140,7 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
                 }
             }
         }
-        NodeKind::Flatten { expr, outer, emit, .. } => exec_flatten(p, expr, *outer, emit, ctx),
+        NodeKind::Flatten { expr, .. } => exec_flatten(p, expr, ctx),
         NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, groups, aggs, ctx),
         NodeKind::Join { kind, on, .. } => exec_join(p, *kind, on, ctx),
         NodeKind::Sort { keys, .. } => exec_sort(p, keys, ctx),
@@ -385,10 +387,10 @@ fn apply_stage(stage: &PhysNode<'_>, chunk: Chunk, ctx: &mut ExecCtx) -> Result<
     let rows_in = chunk.rows as u64;
     let out = match &stage.logical.kind {
         NodeKind::Filter { pred, .. } => {
-            filter_batch(pred, &chunk, ctx, Some(&stage.metrics))?
+            filter_batch(pred, stage.dag()?, &chunk, ctx, Some(&stage.metrics))?
         }
         NodeKind::Project { exprs, .. } => {
-            project_batch(exprs, &chunk, ctx, 0, Some(&stage.metrics))?
+            project_batch(exprs, stage.dag()?, &chunk, ctx, 0, Some(&stage.metrics))?
         }
         _ => unreachable!("fused stages are filters and projections"),
     };
@@ -505,36 +507,62 @@ fn exec_scan(
 // Streaming operators over batch lists
 // ---------------------------------------------------------------------------
 
+/// Evaluates an operator's expressions for one batch through its compiled
+/// DAG. `None` — vectorization is off, the expressions number `SEQ8()` calls
+/// in a way only the row evaluator knows (`pure_only` operators thread one
+/// counter through all their rows), or the DAG declined — sends the batch to
+/// the operator's row loop.
+fn eval_dag<'c>(
+    dag: &ExprDag<'_>,
+    pure_only: bool,
+    inp: &'c Chunk,
+    ctx: &ExecCtx,
+    seq_base: i64,
+    cell: Option<&OpMetricsCell>,
+) -> Option<Vec<Cow<'c, ColumnVec>>> {
+    if ctx.vectorize && !(pure_only && dag.seq8() != Seq8Calls::None) {
+        dag.eval(inp, seq_base, cell)
+    } else {
+        None
+    }
+}
+
+/// Counts a batch as evaluated by the DAG or by the row loop.
+fn count_batch(cell: Option<&OpMetricsCell>, rows: usize, vectorized: bool) {
+    if let Some(cell) = cell {
+        if vectorized {
+            cell.add_vectorized(rows as u64);
+        } else {
+            cell.add_fallback(rows as u64);
+        }
+    }
+}
+
 fn filter_batch(
     pred: &PExpr,
+    dag: &ExprDag<'_>,
     inp: &Chunk,
     ctx: &mut ExecCtx,
     cell: Option<&OpMetricsCell>,
 ) -> Result<Chunk> {
-    if ctx.vectorize {
-        if let Some(mask) = eval_vec_counted(pred, inp, cell) {
-            // A non-boolean mask value falls through to the row loop, which
-            // raises the serial type error at the offending row.
-            if let Some(keep) = mask_keep(&mask) {
-                if let Some(cell) = cell {
-                    cell.add_vectorized(inp.rows as u64);
+    // A mask with a non-boolean value goes to the row loop too, which raises
+    // the type error at the offending row.
+    let mask = eval_dag(dag, true, inp, ctx, 0, cell).and_then(|m| mask_keep(&m[0]));
+    count_batch(cell, inp.rows, mask.is_some());
+    let keep = match mask {
+        Some(keep) => keep,
+        None => {
+            let mut keep = Vec::with_capacity(inp.rows);
+            for r in 0..inp.rows {
+                let parts = [(inp, r)];
+                let v = eval(pred, RowView::new(&parts), ctx)?;
+                if truth(&v)? == Some(true) {
+                    keep.push(r);
                 }
-                let cols = inp.cols.iter().map(|c| c.gather(&keep)).collect();
-                return Ok(Chunk { cols, rows: keep.len() });
             }
+            keep
         }
-    }
-    if let Some(cell) = cell {
-        cell.add_fallback(inp.rows as u64);
-    }
-    let mut keep = Vec::with_capacity(inp.rows);
-    for r in 0..inp.rows {
-        let parts = [(inp, r)];
-        let v = eval(pred, RowView::new(&parts), ctx)?;
-        if truth(&v)? == Some(true) {
-            keep.push(r);
-        }
-    }
+    };
     let cols = inp.cols.iter().map(|c| c.gather(&keep)).collect();
     Ok(Chunk { cols, rows: keep.len() })
 }
@@ -545,51 +573,17 @@ fn filter_batch(
 /// `r` yields `r` — whatever the batching.
 fn project_batch(
     exprs: &[PExpr],
+    dag: &ExprDag<'_>,
     inp: &Chunk,
     ctx: &mut ExecCtx,
     seq_base: i64,
     cell: Option<&OpMetricsCell>,
 ) -> Result<Chunk> {
-    if ctx.vectorize && !exprs.iter().any(PExpr::is_volatile) {
-        let tried: Vec<Option<ColumnVec>> =
-            exprs.iter().map(|e| eval_vec_counted(e, inp, cell)).collect();
-        if tried.iter().all(Option::is_some) {
-            if let Some(cell) = cell {
-                cell.add_vectorized(inp.rows as u64);
-            }
-            let cols = tried.into_iter().map(Option::unwrap).collect();
-            return Ok(Chunk { cols, rows: inp.rows });
-        }
-        // Mixed outcome: keep the kernel results and evaluate the declined
-        // expressions row-major *together*, preserving the serial
-        // (row, expression) error order among them — the vectorized ones are
-        // infallible, so they cannot mask an earlier serial error.
-        if let Some(cell) = cell {
-            cell.add_fallback(inp.rows as u64);
-        }
-        let mut cols: Vec<ColumnVec> = Vec::with_capacity(exprs.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, t) in tried.into_iter().enumerate() {
-            match t {
-                Some(c) => cols.push(c),
-                None => {
-                    cols.push(ColumnVec::new());
-                    missing.push(i);
-                }
-            }
-        }
-        for r in 0..inp.rows {
-            let parts = [(inp, r)];
-            let view = RowView::new(&parts);
-            for &i in &missing {
-                let v = eval(&exprs[i], view, ctx)?;
-                cols[i].push(v);
-            }
-        }
+    let vec_cols = eval_dag(dag, false, inp, ctx, seq_base, cell);
+    count_batch(cell, inp.rows, vec_cols.is_some());
+    if let Some(cols) = vec_cols {
+        let cols = cols.into_iter().map(Cow::into_owned).collect();
         return Ok(Chunk { cols, rows: inp.rows });
-    }
-    if let Some(cell) = cell {
-        cell.add_fallback(inp.rows as u64);
     }
     let mut cols: Vec<ColumnVec> = exprs.iter().map(|_| ColumnVec::new()).collect();
     let saved_seq = ctx.seq_counter;
@@ -607,6 +601,7 @@ fn project_batch(
 
 fn exec_filter(p: &PhysNode<'_>, pred: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
+    let dag = p.dag()?;
     if pred.is_volatile() {
         // Serial fallback keeps the SEQ8 stream identical to the reference
         // executor (a volatile filter predicate does not occur in bound
@@ -615,7 +610,7 @@ fn exec_filter(p: &PhysNode<'_>, pred: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<
         for c in &input {
             ctx.gov.checkpoint("Filter")?;
             let start = Instant::now();
-            let f = filter_batch(pred, c, ctx, Some(&p.metrics))?;
+            let f = filter_batch(pred, dag, c, ctx, Some(&p.metrics))?;
             p.metrics.record_batch(c.rows as u64, f.rows as u64, start.elapsed());
             charge_batch(p, ctx, "Filter", &f)?;
             if f.rows > 0 {
@@ -635,7 +630,7 @@ fn exec_filter(p: &PhysNode<'_>, pred: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<
         |bi| {
             let start = Instant::now();
             let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            let out = filter_batch(pred, &input[bi], &mut wctx, Some(&p.metrics))?;
+            let out = filter_batch(pred, dag, &input[bi], &mut wctx, Some(&p.metrics))?;
             p.metrics.record_batch(input[bi].rows as u64, out.rows as u64, start.elapsed());
             charge_batch(p, &wctx, "Filter", &out)?;
             Ok(out)
@@ -650,6 +645,7 @@ fn exec_project(
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
+    let dag = p.dag()?;
     let bases = row_bases(&input);
     // Volatile projections parallelize too: each batch knows its global row
     // base, so SEQ8 ids are assigned exactly as in serial row order. The
@@ -665,8 +661,14 @@ fn exec_project(
         |bi| {
             let start = Instant::now();
             let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            let out =
-                project_batch(exprs, &input[bi], &mut wctx, bases[bi] as i64, Some(&p.metrics))?;
+            let out = project_batch(
+                exprs,
+                dag,
+                &input[bi],
+                &mut wctx,
+                bases[bi] as i64,
+                Some(&p.metrics),
+            )?;
             p.metrics.record_batch(input[bi].rows as u64, out.rows as u64, start.elapsed());
             charge_batch(p, &wctx, "Project", &out)?;
             Ok(out)
@@ -681,27 +683,18 @@ fn exec_project(
 /// columns (VALUE, INDEX, KEY, SEQ, THIS) are read; the rest come out as
 /// all-NULL columns.
 fn flatten_batch(
-    expr: &PExpr,
-    outer: bool,
-    emit: &[bool; 5],
+    p: &PhysNode<'_>,
     inp: &Chunk,
     ctx: &mut ExecCtx,
     row_base: i64,
-    cell: Option<&OpMetricsCell>,
 ) -> Result<Chunk> {
-    // The flatten source evaluates vectorized when possible.
-    let vec_src = if ctx.vectorize && !expr.is_volatile() {
-        eval_vec_counted(expr, inp, cell)
-    } else {
-        None
+    let NodeKind::Flatten { expr, outer, emit, .. } = &p.logical.kind else {
+        unreachable!("flatten_batch on a non-flatten node")
     };
-    if let Some(cell) = cell {
-        if vec_src.is_some() {
-            cell.add_vectorized(inp.rows as u64);
-        } else {
-            cell.add_fallback(inp.rows as u64);
-        }
-    }
+    let (dag, outer, cell) = (p.dag()?, *outer, Some(&p.metrics));
+    // The flatten source evaluates through the DAG when it can.
+    let vec_src = eval_dag(dag, true, inp, ctx, 0, cell).and_then(|mut cols| cols.pop());
+    count_batch(cell, inp.rows, vec_src.is_some());
     // One pass over the source fixes the output cardinality: `repeat[j]` is
     // the input row behind output row `j`. The appended columns fill in the
     // same pass; every input column is then one typed gather.
@@ -712,15 +705,22 @@ fn flatten_batch(
     let mut key = ColumnVec::new();
     let mut this = ColumnVec::new();
     for r in 0..inp.rows {
-        let v = match &vec_src {
-            Some(col) => col.get(r),
+        // Boxed source rows are read in place; only their items are cloned.
+        let held;
+        let v = match vec_src.as_deref() {
+            Some(ColumnVec::Var(vals)) => &vals[r],
+            Some(col) => {
+                held = col.get(r);
+                &held
+            }
             None => {
                 let parts = [(inp, r)];
-                eval(expr, RowView::new(&parts), ctx)?
+                held = eval(expr, RowView::new(&parts), ctx)?;
+                &held
             }
         };
         let before = repeat.len();
-        match &v {
+        match v {
             Variant::Array(items) if !items.is_empty() => {
                 for (i, item) in items.iter().enumerate() {
                     repeat.push(r);
@@ -773,13 +773,7 @@ fn flatten_batch(
     Ok(Chunk { cols, rows: n })
 }
 
-fn exec_flatten(
-    p: &PhysNode<'_>,
-    expr: &PExpr,
-    outer: bool,
-    emit: &[bool; 5],
-    ctx: &mut ExecCtx,
-) -> Result<Vec<Chunk>> {
+fn exec_flatten(p: &PhysNode<'_>, expr: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
     let bases = row_bases(&input);
     if expr.is_volatile() {
@@ -787,8 +781,7 @@ fn exec_flatten(
         for (bi, c) in input.iter().enumerate() {
             ctx.gov.checkpoint("Flatten")?;
             let start = Instant::now();
-            let f =
-                flatten_batch(expr, outer, emit, c, ctx, bases[bi] as i64, Some(&p.metrics))?;
+            let f = flatten_batch(p, c, ctx, bases[bi] as i64)?;
             p.metrics.record_batch(c.rows as u64, f.rows as u64, start.elapsed());
             charge_batch(p, ctx, "Flatten", &f)?;
             if f.rows > 0 {
@@ -808,15 +801,7 @@ fn exec_flatten(
         |bi| {
             let start = Instant::now();
             let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            let out = flatten_batch(
-                expr,
-                outer,
-                emit,
-                &input[bi],
-                &mut wctx,
-                bases[bi] as i64,
-                Some(&p.metrics),
-            )?;
+            let out = flatten_batch(p, &input[bi], &mut wctx, bases[bi] as i64)?;
             p.metrics.record_batch(input[bi].rows as u64, out.rows as u64, start.elapsed());
             charge_batch(p, &wctx, "Flatten", &out)?;
             Ok(out)
@@ -900,197 +885,157 @@ impl AggState {
         Ok(())
     }
 
-    /// Folds one batch, preferring the column-major path. Returns through the
-    /// row-at-a-time [`AggState::fold`] whenever [`AggState::try_fold_vec`]
-    /// declines, counting rows on the matching metrics counter.
+    /// Folds one batch, preferring the column-major path: the row-at-a-time
+    /// [`AggState::fold`] runs when [`AggState::try_fold_vec`] declines.
     fn fold_batch(
         &mut self,
+        dag: &ExprDag<'_>,
         groups: &[PExpr],
         aggs: &[AggExpr],
         inp: &Chunk,
         ctx: &mut ExecCtx,
         cell: &OpMetricsCell,
     ) -> Result<()> {
-        if ctx.vectorize && self.try_fold_vec(groups, aggs, inp)? {
-            cell.add_vectorized(inp.rows as u64);
+        let folded = match eval_dag(dag, true, inp, ctx, 0, Some(cell)) {
+            Some(cols) => {
+                self.fold_columns(groups.len(), aggs, &cols, inp.rows)?;
+                true
+            }
+            None => false,
+        };
+        count_batch(Some(cell), inp.rows, folded);
+        if folded {
             return Ok(());
         }
-        cell.add_fallback(inp.rows as u64);
         self.fold(groups, aggs, inp, ctx)
     }
 
-    /// Attempts a column-major fold of one batch: group keys and aggregate
-    /// arguments evaluate through the typed kernels, group slots come from
-    /// [`ColumnVec::key_at`], and accumulators consume whole columns (global
-    /// aggregation) or per-row typed values (grouped).
-    ///
-    /// Returns `Ok(false)` — with the state untouched — when any expression
-    /// declines to vectorize or a two-argument aggregate is present. The
-    /// global path additionally requires every accumulator to be provably
-    /// infallible for its column ([`column_eligible`] plus a numeric `SUM`
-    /// state), so column-major evaluation can never reorder errors across
-    /// aggregates relative to the serial row loop.
-    fn try_fold_vec(
-        &mut self,
-        groups: &[PExpr],
-        aggs: &[AggExpr],
-        inp: &Chunk,
-    ) -> Result<bool> {
-        if aggs.iter().any(|a| a.arg2.is_some()) {
-            return Ok(false);
-        }
-        let mut gcols = Vec::with_capacity(groups.len());
-        for g in groups {
-            match eval_vec(g, inp) {
-                Some(c) => gcols.push(c),
-                None => return Ok(false),
-            }
-        }
-        if groups.is_empty() {
-            // A SUM accumulator holding a non-numeric value (stored unchecked
-            // by an earlier row-major batch) errors on the next numeric value;
-            // take the row path so the (row, aggregate) error order matches.
-            if let Some(&slot) = self.index.get(&Vec::new()) {
-                if self.states[slot].iter().any(|st| {
-                    matches!(st, Accumulator::Sum { acc: Some(v) }
-                        if !matches!(v, Variant::Int(_) | Variant::Float(_)))
-                }) {
-                    return Ok(false);
-                }
-            }
-            // Evaluate and eligibility-check one aggregate at a time so an
-            // ineligible argument (e.g. SUM over a mixed Variant column)
-            // declines before the remaining arguments pay for evaluation —
-            // bare column references decline without even a clone.
-            let mut acols = Vec::with_capacity(aggs.len());
-            for a in aggs {
-                if let Some(PExpr::Col(i)) = &a.arg {
-                    match inp.cols.get(*i) {
-                        Some(c) if column_eligible(a.kind, c) => {}
-                        _ => return Ok(false),
-                    }
-                }
-                let col = match &a.arg {
-                    Some(e) => match eval_vec(e, inp) {
-                        Some(c) => c,
-                        None => return Ok(false),
-                    },
-                    None => ColumnVec::Null(inp.rows),
-                };
-                if !column_eligible(a.kind, &col) {
-                    return Ok(false);
-                }
-                acols.push(col);
-            }
-            if inp.rows == 0 {
-                return Ok(true);
-            }
-            let slot = match self.index.get(&Vec::new()) {
+    /// The slot of the group whose key is row `r` of `gcols`, created on
+    /// first sight (groups keep first-seen order).
+    fn slot_at(&mut self, gcols: &[Cow<'_, ColumnVec>], r: usize, aggs: &[AggExpr]) -> usize {
+        let fresh = |this: &mut AggState| {
+            this.group_vals.push(gcols.iter().map(|c| c.get(r)).collect());
+            this.states.push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
+            this.states.len() - 1
+        };
+        if let [only] = gcols {
+            let key = only.key_at(r);
+            match self.index1.get(&key) {
                 Some(&s) => s,
                 None => {
-                    let s = self.states.len();
-                    self.index.insert(Vec::new(), s);
-                    self.group_vals.push(Vec::new());
-                    self.states
-                        .push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
+                    let s = fresh(self);
+                    self.index1.insert(key, s);
                     s
                 }
-            };
-            for (st, col) in self.states[slot].iter_mut().zip(&acols) {
-                st.update_column(col)?;
             }
-            return Ok(true);
+        } else {
+            let key: Vec<Key> = gcols.iter().map(|c| c.key_at(r)).collect();
+            match self.index.get(&key) {
+                Some(&s) => s,
+                None => {
+                    let s = fresh(self);
+                    self.index.insert(key, s);
+                    s
+                }
+            }
         }
-        // Grouped path: typed keys and typed per-row argument values feed the
-        // ordinary row accumulators, so any update error surfaces at exactly
-        // the serial (row, aggregate) position.
-        let mut acols = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let col = match &a.arg {
-                Some(e) => match eval_vec(e, inp) {
-                    Some(c) => c,
-                    None => return Ok(false),
-                },
-                None => ColumnVec::Null(inp.rows),
-            };
-            acols.push(col);
+    }
+
+    /// Folds one batch whose expressions the DAG evaluated: `cols` holds the
+    /// group keys, then each aggregate's arguments. The expressions cannot
+    /// fail any more, so what remains of the serial error order is the order
+    /// of accumulator updates, and every path below keeps it: a global
+    /// aggregation folds whole columns only when no accumulator can fail on
+    /// its column ([`column_eligible`], plus a numeric `SUM` state);
+    /// everything else updates row by row, aggregate by aggregate.
+    fn fold_columns(
+        &mut self,
+        n_groups: usize,
+        aggs: &[AggExpr],
+        cols: &[Cow<'_, ColumnVec>],
+        rows: usize,
+    ) -> Result<()> {
+        let (gcols, mut rest) = cols.split_at(n_groups);
+        // (value column, key column of MIN_BY/MAX_BY) per aggregate.
+        let acols: Vec<(Option<&ColumnVec>, Option<&ColumnVec>)> = aggs
+            .iter()
+            .map(|a| {
+                let mut take = |present: bool| {
+                    let (head, tail) = rest.split_at(usize::from(present));
+                    rest = tail;
+                    head.first().map(|c| &**c)
+                };
+                (take(a.arg.is_some()), take(a.arg2.is_some()))
+            })
+            .collect();
+        let update_row = |states: &mut [Accumulator], r: usize| -> Result<()> {
+            for (st, (v, k)) in states.iter_mut().zip(&acols) {
+                let v = v.map_or(Variant::Null, |c| c.get(r));
+                match k {
+                    Some(k) => st.update2(&v, &k.get(r))?,
+                    None => st.update(&v)?,
+                }
+            }
+            Ok(())
+        };
+        if rows == 0 {
+            return Ok(());
         }
-        let single = groups.len() == 1;
+        if gcols.is_empty() {
+            let slot = self.slot_at(gcols, 0, aggs);
+            // A SUM accumulator holding a non-numeric value (stored unchecked
+            // by an earlier row-major batch) fails on the next number.
+            let by_column = aggs.iter().zip(&acols).zip(&self.states[slot]).all(|((a, c), st)| {
+                c.1.is_none()
+                    && c.0.is_none_or(|col| column_eligible(a.kind, col))
+                    && !matches!(st, Accumulator::Sum { acc: Some(v) }
+                        if !matches!(v, Variant::Int(_) | Variant::Float(_)))
+            });
+            if by_column {
+                let nulls = ColumnVec::Null(rows);
+                for (st, (col, _)) in self.states[slot].iter_mut().zip(&acols) {
+                    st.update_column(col.unwrap_or(&nulls))?;
+                }
+            } else {
+                for r in 0..rows {
+                    update_row(&mut self.states[slot], r)?;
+                }
+            }
+            return Ok(());
+        }
         // Dictionary-coded single group key: resolve each distinct code to its
         // group slot at most once per batch, so the per-row work is an array
         // lookup instead of boxing the string into a `Key`. First-appearance
         // order is preserved — rows still insert into `index1` in row order.
-        if single {
-            if let ColumnVec::DictStr { codes, dict } = &gcols[0] {
-                let mut memo: Vec<Option<usize>> = vec![None; dict.len() + 1];
-                for (r, &code) in codes.iter().enumerate().take(inp.rows) {
-                    let mi = if code == crate::column::NULL_CODE {
-                        dict.len()
-                    } else {
-                        code as usize
-                    };
-                    let slot = match memo[mi] {
-                        Some(s) => s,
-                        None => {
-                            let key = gcols[0].key_at(r);
-                            let s = match self.index1.get(&key) {
-                                Some(&s) => s,
-                                None => {
-                                    let s = self.states.len();
-                                    self.index1.insert(key, s);
-                                    self.group_vals.push(vec![gcols[0].get(r)]);
-                                    self.states.push(
-                                        aggs.iter()
-                                            .map(|a| Accumulator::new(a.kind))
-                                            .collect(),
-                                    );
-                                    s
-                                }
-                            };
-                            memo[mi] = Some(s);
-                            s
-                        }
-                    };
-                    for (st, col) in self.states[slot].iter_mut().zip(&acols) {
-                        st.update(&col.get(r))?;
-                    }
-                }
-                return Ok(true);
-            }
-        }
-        for r in 0..inp.rows {
-            let slot = if single {
-                let key = gcols[0].key_at(r);
-                match self.index1.get(&key) {
-                    Some(&s) => s,
+        let dict_key = match gcols {
+            [only] => match &**only {
+                ColumnVec::DictStr { codes, dict } => Some((codes, dict)),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some((codes, dict)) = dict_key {
+            let mut memo: Vec<Option<usize>> = vec![None; dict.len() + 1];
+            for (r, &code) in codes.iter().enumerate().take(rows) {
+                let mi =
+                    if code == crate::column::NULL_CODE { dict.len() } else { code as usize };
+                let slot = match memo[mi] {
+                    Some(s) => s,
                     None => {
-                        let s = self.states.len();
-                        self.index1.insert(key, s);
-                        self.group_vals.push(vec![gcols[0].get(r)]);
-                        self.states
-                            .push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
+                        let s = self.slot_at(gcols, r, aggs);
+                        memo[mi] = Some(s);
                         s
                     }
-                }
-            } else {
-                let key: Vec<Key> = gcols.iter().map(|c| c.key_at(r)).collect();
-                match self.index.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let s = self.states.len();
-                        self.index.insert(key, s);
-                        self.group_vals.push(gcols.iter().map(|c| c.get(r)).collect());
-                        self.states
-                            .push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
-                        s
-                    }
-                }
-            };
-            for (st, col) in self.states[slot].iter_mut().zip(&acols) {
-                st.update(&col.get(r))?;
+                };
+                update_row(&mut self.states[slot], r)?;
             }
+            return Ok(());
         }
-        Ok(true)
+        for r in 0..rows {
+            let slot = self.slot_at(gcols, r, aggs);
+            update_row(&mut self.states[slot], r)?;
+        }
+        Ok(())
     }
 
     /// Merges a later partial into this one, in input order: new groups
@@ -1147,6 +1092,7 @@ fn exec_aggregate(
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
+    let dag = p.dag()?;
     let in_rows = total_rows(&input) as u64;
     p.metrics.add_rows_in(in_rows);
     p.metrics.peak(in_rows);
@@ -1177,7 +1123,7 @@ fn exec_aggregate(
             |bi| {
                 let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
                 let mut st = AggState::default();
-                st.fold_batch(groups, aggs, &input[bi], &mut wctx, &p.metrics)?;
+                st.fold_batch(dag, groups, aggs, &input[bi], &mut wctx, &p.metrics)?;
                 Ok(st)
             },
         )?;
@@ -1190,7 +1136,7 @@ fn exec_aggregate(
         let mut st = AggState::default();
         for c in &input {
             ctx.gov.checkpoint("Aggregate")?;
-            st.fold_batch(groups, aggs, c, ctx, &p.metrics)?;
+            st.fold_batch(dag, groups, aggs, c, ctx, &p.metrics)?;
         }
         st
     };
@@ -1239,7 +1185,9 @@ fn exec_join(
     let r = concat_batches(r_batches, ra);
     charge_batch(p, ctx, "Join", &r)?;
 
-    if on.as_ref().is_some_and(PExpr::is_volatile) {
+    let OpExprs::Join(JoinExprs { equi, residual, left: left_keys, right: right_keys, left_arity }) =
+        &p.exprs
+    else {
         // Serial reference fallback for volatile join conditions.
         let l = concat_batches(l_batches, la);
         charge_batch(p, ctx, "Join", &l)?;
@@ -1250,29 +1198,19 @@ fn exec_join(
         p.metrics
             .add_output(batches.iter().map(|c| c.rows as u64).sum(), batches.len() as u64);
         return Ok(batches);
-    }
-
-    let (equi, residual) = match on {
-        Some(e) => split_join_on(e, la),
-        None => (Vec::new(), Vec::new()),
     };
 
     // Hash join: build on the right side (serial — the build is a hash
     // insert in row order; probe is the parallel phase). Key expressions go
-    // through the typed kernels when possible; `key_at` then yields exactly
-    // the group key `Key::of` would for the boxed value.
+    // through the DAG when possible; `key_at` then yields exactly the group
+    // key `Key::of` would for the boxed value.
     let vectorize = ctx.vectorize;
     let encode = ctx.encode;
     let hash: Option<HashMap<Vec<Key>, Vec<usize>>> = if equi.is_empty() {
         None
     } else {
         let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-        let build_cols: Option<Vec<ColumnVec>> = if vectorize {
-            equi.iter().map(|(_, rk)| eval_vec(rk, &r)).collect()
-        } else {
-            None
-        };
-        match build_cols {
+        match eval_dag(right_keys, true, &r, ctx, 0, None) {
             Some(kcols) => {
                 for rr in 0..r.rows {
                     if rr % BATCH_ROWS == 0 {
@@ -1293,10 +1231,10 @@ fn exec_join(
                         bctx.gov.checkpoint("Join")?;
                     }
                     let parts = [(&r, rr)];
-                    let view = RowView::new(&parts);
+                    let view = RowView::shifted(&parts, *left_arity);
                     let mut key = Vec::with_capacity(equi.len());
                     let mut has_null = false;
-                    for (_, rk) in &equi {
+                    for (_, rk) in equi {
                         let v = eval(rk, view, &mut bctx)?;
                         if v.is_null() {
                             has_null = true;
@@ -1323,7 +1261,7 @@ fn exec_join(
         let mut lidx: Vec<usize> = Vec::new();
         let mut ridx: Vec<Option<usize>> = Vec::new();
         let residual_ok = |wctx: &mut ExecCtx, lr: usize, rr: usize| -> Result<bool> {
-            for e in &residual {
+            for e in residual {
                 let parts = [(lb, lr), (&r, rr)];
                 let v = eval(e, RowView::new(&parts), wctx)?;
                 if truth(&v)? != Some(true) {
@@ -1351,16 +1289,8 @@ fn exec_join(
                 }
             }
             Some(table) => {
-                let probe_cols: Option<Vec<ColumnVec>> = if wctx.vectorize {
-                    equi.iter().map(|(lk, _)| eval_vec(lk, lb)).collect()
-                } else {
-                    None
-                };
-                if probe_cols.is_some() {
-                    p.metrics.add_vectorized(lb.rows as u64);
-                } else {
-                    p.metrics.add_fallback(lb.rows as u64);
-                }
+                let probe_cols = eval_dag(left_keys, true, lb, &wctx, 0, None);
+                count_batch(Some(&p.metrics), lb.rows, probe_cols.is_some());
                 for lr in 0..lb.rows {
                     let mut key = Vec::with_capacity(equi.len());
                     let mut has_null = false;
@@ -1375,7 +1305,7 @@ fn exec_join(
                         None => {
                             let parts = [(lb, lr)];
                             let view = RowView::new(&parts);
-                            for (lk, _) in &equi {
+                            for (lk, _) in equi {
                                 let v = eval(lk, view, &mut wctx)?;
                                 if v.is_null() {
                                     has_null = true;
@@ -1436,6 +1366,7 @@ fn exec_join(
 
 fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
+    let dag = p.dag()?;
     let in_rows = total_rows(&input);
     p.metrics.add_rows_in(in_rows as u64);
     p.metrics.peak(in_rows as u64);
@@ -1450,7 +1381,7 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         let mut all = Vec::with_capacity(input.len());
         for c in &input {
             ctx.gov.checkpoint("Sort")?;
-            all.push(eval_sort_keys(keys, c, ctx, Some(&p.metrics))?);
+            all.push(eval_sort_keys(keys, dag, c, ctx, Some(&p.metrics))?);
         }
         all
     } else {
@@ -1461,7 +1392,7 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
             |bi, msg| worker_panic_error("Sort", bi, msg),
             |bi| {
                 let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-                eval_sort_keys(keys, &input[bi], &mut wctx, Some(&p.metrics))
+                eval_sort_keys(keys, dag, &input[bi], &mut wctx, Some(&p.metrics))
             },
         )?
     };
@@ -1518,32 +1449,23 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
 
 fn eval_sort_keys(
     keys: &[SortKey],
+    dag: &ExprDag<'_>,
     inp: &Chunk,
     ctx: &mut ExecCtx,
     cell: Option<&OpMetricsCell>,
 ) -> Result<Vec<Vec<Variant>>> {
-    let mut out = Vec::with_capacity(keys.len());
-    let mut all_vec = true;
-    for k in keys {
-        if ctx.vectorize && !k.expr.is_volatile() {
-            if let Some(col) = eval_vec(&k.expr, inp) {
-                out.push(col.into_variants());
-                continue;
-            }
-        }
-        all_vec = false;
-        let mut col = Vec::with_capacity(inp.rows);
-        for r in 0..inp.rows {
-            let parts = [(inp, r)];
-            col.push(eval(&k.expr, RowView::new(&parts), ctx)?);
-        }
-        out.push(col);
+    let vec_cols = eval_dag(dag, true, inp, ctx, 0, cell);
+    count_batch(cell, inp.rows, vec_cols.is_some());
+    if let Some(cols) = vec_cols {
+        return Ok(cols.into_iter().map(|c| c.into_owned().into_variants()).collect());
     }
-    if let Some(cell) = cell {
-        if all_vec {
-            cell.add_vectorized(inp.rows as u64);
-        } else {
-            cell.add_fallback(inp.rows as u64);
+    // Row-major, like every other row loop: the first error in (row, key)
+    // order is the one reported.
+    let mut out: Vec<Vec<Variant>> = keys.iter().map(|_| Vec::with_capacity(inp.rows)).collect();
+    for r in 0..inp.rows {
+        let parts = [(inp, r)];
+        for (k, col) in keys.iter().zip(out.iter_mut()) {
+            col.push(eval(&k.expr, RowView::new(&parts), ctx)?);
         }
     }
     Ok(out)

@@ -146,6 +146,56 @@ impl FuncId {
         })
     }
 
+    /// The function's SQL name, as error messages print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            FuncId::Abs => "ABS",
+            FuncId::Sqrt => "SQRT",
+            FuncId::Power => "POWER",
+            FuncId::Exp => "EXP",
+            FuncId::Ln => "LN",
+            FuncId::Log => "LOG",
+            FuncId::Floor => "FLOOR",
+            FuncId::Ceil => "CEIL",
+            FuncId::Round => "ROUND",
+            FuncId::Sign => "SIGN",
+            FuncId::Mod => "MOD",
+            FuncId::Atan => "ATAN",
+            FuncId::Atan2 => "ATAN2",
+            FuncId::Asin => "ASIN",
+            FuncId::Acos => "ACOS",
+            FuncId::Sin => "SIN",
+            FuncId::Cos => "COS",
+            FuncId::Tan => "TAN",
+            FuncId::Sinh => "SINH",
+            FuncId::Cosh => "COSH",
+            FuncId::Tanh => "TANH",
+            FuncId::Pi => "PI",
+            FuncId::Greatest => "GREATEST",
+            FuncId::Least => "LEAST",
+            FuncId::Coalesce => "COALESCE",
+            FuncId::Nvl => "NVL",
+            FuncId::NullIf => "NULLIF",
+            FuncId::Iff => "IFF",
+            FuncId::Div0 => "DIV0",
+            FuncId::ObjectConstruct => "OBJECT_CONSTRUCT",
+            FuncId::ArrayConstruct => "ARRAY_CONSTRUCT",
+            FuncId::ArraySize => "ARRAY_SIZE",
+            FuncId::ArrayCat => "ARRAY_CAT",
+            FuncId::ArrayContains => "ARRAY_CONTAINS",
+            FuncId::ArrayFilter => "ARRAY_FILTER",
+            FuncId::Get => "GET",
+            FuncId::TypeOf => "TYPEOF",
+            FuncId::ToDouble => "TO_DOUBLE",
+            FuncId::Upper => "UPPER",
+            FuncId::Lower => "LOWER",
+            FuncId::Substr => "SUBSTR",
+            FuncId::Length => "LENGTH",
+            FuncId::Concat => "CONCAT",
+            FuncId::Seq8 => "SEQ8",
+        }
+    }
+
     /// True for functions whose result depends on evaluation order, which must
     /// never be constant-folded or deduplicated.
     pub fn is_volatile(self) -> bool {

@@ -5,7 +5,9 @@
 //! - whether the operator is a *pipeline breaker* (must consume its whole
 //!   input before emitting: hash aggregate, hash join, sort, distinct);
 //! - the degree of parallelism the executor will use for it;
-//! - an [`OpMetricsCell`] that workers update concurrently during execution.
+//! - an [`OpMetricsCell`] that workers update concurrently during execution;
+//! - the operator's expressions compiled into an [`ExprDag`] ([`OpExprs`]):
+//!   shared subexpressions are found once here, not once per batch.
 //!
 //! The physical tree borrows the logical plan rather than copying it: operator
 //! semantics stay defined in one place and lowering stays cheap enough to run
@@ -20,9 +22,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::exec::dag::ExprDag;
 use crate::exec::metrics::{OpMetrics, OpMetricsCell};
 use crate::exec::pipeline::SharedSlot;
-use crate::plan::{Node, NodeKind};
+use crate::exec::split_join_on;
+use crate::plan::{Node, NodeKind, PExpr};
 
 /// One operator of the physical plan.
 #[derive(Debug)]
@@ -42,6 +46,61 @@ pub struct PhysNode<'a> {
     pub metrics: OpMetricsCell,
     /// The result slot of a shared subtree, and this site's part in it.
     pub shared: Option<SharedSite>,
+    /// The operator's expressions, compiled for batch evaluation.
+    pub exprs: OpExprs<'a>,
+}
+
+/// The expressions an operator evaluates, compiled when the plan is lowered.
+#[derive(Debug)]
+pub enum OpExprs<'a> {
+    /// The operator evaluates no expression, or is a reader of a shared
+    /// result, or joins on a volatile condition (row at a time, in order).
+    None,
+    /// One root per expression, in plan order: the projection list, the
+    /// filter predicate, the flatten input, the sort keys; for an aggregate
+    /// the group keys, then each aggregate's arguments (`arg`, then `arg2`).
+    Dag(ExprDag<'a>),
+    Join(JoinExprs<'a>),
+}
+
+/// A join's ON predicate, split once: hash keys and residual conjuncts.
+#[derive(Debug)]
+pub struct JoinExprs<'a> {
+    /// `(left key, right key)` per equi-conjunct, both bound against the
+    /// concatenated schema.
+    pub equi: Vec<(&'a PExpr, &'a PExpr)>,
+    /// Conjuncts evaluated per candidate pair.
+    pub residual: Vec<&'a PExpr>,
+    /// The left keys over the left input.
+    pub left: ExprDag<'a>,
+    /// The right keys over the right input (columns shifted by `left_arity`).
+    pub right: ExprDag<'a>,
+    pub left_arity: usize,
+}
+
+fn compile_exprs(plan: &Node) -> OpExprs<'_> {
+    match &plan.kind {
+        NodeKind::Project { exprs, .. } => OpExprs::Dag(ExprDag::compile(exprs)),
+        NodeKind::Filter { pred, .. } => OpExprs::Dag(ExprDag::compile([pred])),
+        NodeKind::Flatten { expr, .. } => OpExprs::Dag(ExprDag::compile([expr])),
+        NodeKind::Sort { keys, .. } => OpExprs::Dag(ExprDag::compile(keys.iter().map(|k| &k.expr))),
+        NodeKind::Aggregate { groups, aggs, .. } => OpExprs::Dag(ExprDag::compile(
+            groups.iter().chain(aggs.iter().flat_map(|a| a.arg.iter().chain(a.arg2.iter()))),
+        )),
+        NodeKind::Join { left, on, .. } if !on.as_ref().is_some_and(PExpr::is_volatile) => {
+            let left_arity = left.arity();
+            let (equi, residual) =
+                on.as_ref().map(|e| split_join_on(e, left_arity)).unwrap_or_default();
+            OpExprs::Join(JoinExprs {
+                left: ExprDag::compile(equi.iter().map(|(l, _)| *l)),
+                right: ExprDag::compile_shifted(equi.iter().map(|(_, r)| *r), left_arity),
+                equi,
+                residual,
+                left_arity,
+            })
+        }
+        _ => OpExprs::None,
+    }
 }
 
 /// One site of a shared subtree in the physical plan.
@@ -107,6 +166,7 @@ fn lower_node<'a>(
         parallelism,
         metrics: OpMetricsCell::default(),
         shared,
+        exprs: if reader { OpExprs::None } else { compile_exprs(plan) },
     }
 }
 
@@ -131,10 +191,32 @@ impl PhysNode<'_> {
         }
     }
 
+    /// The operator's compiled expressions; an operator that has none in
+    /// [`OpExprs::Dag`] form is a lowering bug the executor reports.
+    pub(crate) fn dag(&self) -> crate::error::Result<&ExprDag<'_>> {
+        match &self.exprs {
+            OpExprs::Dag(dag) => Ok(dag),
+            _ => Err(crate::error::SnowError::internal(
+                self.op_name(),
+                "the operator was lowered without compiled expressions",
+            )),
+        }
+    }
+
     /// Snapshots the metrics tree (call after execution completes).
     pub fn snapshot(&self) -> OpMetrics {
         let children = self.children.iter().map(PhysNode::snapshot).collect();
-        self.metrics.snapshot(self.op_name(), self.parallelism, children)
+        let mut m = self.metrics.snapshot(self.op_name(), self.parallelism, children);
+        let size = |d: &ExprDag<'_>| (d.dag_nodes() as u64, d.tree_nodes() as u64);
+        (m.expr_dag_nodes, m.expr_tree_nodes) = match &self.exprs {
+            OpExprs::None => (0, 0),
+            OpExprs::Dag(d) => size(d),
+            OpExprs::Join(j) => {
+                let ((ld, lt), (rd, rt)) = (size(&j.left), size(&j.right));
+                (ld + rd, lt + rt)
+            }
+        };
+        m
     }
 
     /// Number of operators in this subtree.

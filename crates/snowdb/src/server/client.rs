@@ -56,6 +56,11 @@ impl Client {
     ) -> Result<Client> {
         let writer = TcpStream::connect(addr)
             .map_err(|e| SnowError::Protocol(format!("connect failed: {e}")))?;
+        // A request is one frame in one write; nothing follows it that
+        // Nagle's algorithm could usefully wait for.
+        writer
+            .set_nodelay(true)
+            .map_err(|e| SnowError::Protocol(format!("set_nodelay failed: {e}")))?;
         let reader = BufReader::new(
             writer
                 .try_clone()

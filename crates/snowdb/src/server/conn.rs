@@ -17,7 +17,7 @@
 //! produces one typed error frame and a clean close — the reader forwards the
 //! violation as a fatal command rather than writing itself.
 
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -381,28 +381,33 @@ fn stream_result(stream: &mut TcpStream, qr: &QueryResult, queued_ms: u64) -> bo
     stream_rows(stream, &qr.columns, &qr.rows, done)
 }
 
+/// Bytes of one response buffered before they go to the socket.
+const RESPONSE_BUFFER: usize = 64 * 1024;
+
+/// Sends one response — header, row batches, completion — through one
+/// buffered writer: the socket sees a write per [`RESPONSE_BUFFER`] bytes and
+/// one at the end, not one per frame.
 fn stream_rows(
     stream: &mut TcpStream,
     columns: &[String],
     rows: &[Vec<Variant>],
     done: Done,
 ) -> bool {
-    if proto::write_frame(stream, &proto::result_header(columns)).is_err() {
-        return false;
-    }
-    for chunk in rows.chunks(BATCH_ROWS) {
-        let mut e = Enc::new(op::ROW_BATCH);
-        e.u32(chunk.len() as u32);
-        for row in chunk {
-            for v in row {
-                e.variant(v);
+    let mut out = BufWriter::with_capacity(RESPONSE_BUFFER, stream);
+    let mut send = || -> Result<()> {
+        proto::write_frame(&mut out, &proto::result_header(columns))?;
+        for chunk in rows.chunks(BATCH_ROWS) {
+            let mut e = Enc::new(op::ROW_BATCH);
+            e.u32(chunk.len() as u32);
+            for row in chunk {
+                for v in row {
+                    e.variant(v);
+                }
             }
+            proto::write_frame(&mut out, &e.buf)?;
         }
-        if proto::write_frame(stream, &e.buf).is_err() {
-            return false;
-        }
-    }
-    let ok = proto::write_frame(stream, &proto::result_done(done)).is_ok();
-    let _ = stream.flush();
-    ok
+        proto::write_frame(&mut out, &proto::result_done(done))
+    };
+    // Dropping a `BufWriter` swallows write errors: flush and look.
+    send().is_ok() && out.flush().is_ok()
 }

@@ -198,6 +198,10 @@ fn accept_loop(
             return;
         }
         let Ok(stream) = stream else { continue };
+        // Responses are written whole (see `conn::stream_rows`): waiting to
+        // coalesce with a next write that is not coming only adds the
+        // client's delayed-ACK timer to every statement.
+        let _ = stream.set_nodelay(true);
         let session_id = shared.next_session.fetch_add(1, Ordering::Relaxed);
 
         {

@@ -180,24 +180,28 @@ impl Variant {
     /// Field access on objects; `Null` on non-objects or missing fields
     /// (Snowflake `GET` semantics).
     pub fn get_field(&self, key: &str) -> Variant {
+        self.field_ref(key).clone()
+    }
+
+    /// [`Variant::get_field`] by reference: nothing is cloned.
+    pub fn field_ref(&self, key: &str) -> &Variant {
         match self {
-            Variant::Object(o) => o.get(key).cloned().unwrap_or(Variant::Null),
-            _ => Variant::Null,
+            Variant::Object(o) => o.get(key).unwrap_or(&Variant::Null),
+            _ => &Variant::Null,
         }
     }
 
     /// Index access on arrays; `Null` when out of bounds or not an array
     /// (Snowflake `GET` semantics).
     pub fn get_index(&self, idx: i64) -> Variant {
-        match self {
-            Variant::Array(a) => {
-                if idx >= 0 {
-                    a.get(idx as usize).cloned().unwrap_or(Variant::Null)
-                } else {
-                    Variant::Null
-                }
-            }
-            _ => Variant::Null,
+        self.index_ref(idx).clone()
+    }
+
+    /// [`Variant::get_index`] by reference: nothing is cloned.
+    pub fn index_ref(&self, idx: i64) -> &Variant {
+        match (self, usize::try_from(idx)) {
+            (Variant::Array(a), Ok(i)) => a.get(i).unwrap_or(&Variant::Null),
+            _ => &Variant::Null,
         }
     }
 

@@ -12,9 +12,11 @@
 //!
 //! The JSONiq-level axes of the lattice (nested strategy, interpreter ground
 //! truth) live in `jsoniq-core::verify`, which layers on top of the
-//! primitives here — `snowdb` cannot depend on its own front-ends.
+//! primitives here — `snowdb` cannot depend on its own front-ends. [`gen`]
+//! is this crate's seeded random-SQL stream for the lattice.
 
 pub mod compare;
+pub mod gen;
 pub mod report;
 
 pub use compare::{canonical_rows, cmp_rows, first_diff, rows_eq_eps, variant_eq_eps};

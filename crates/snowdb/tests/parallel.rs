@@ -128,6 +128,42 @@ fn seq8_stream_identical_across_thread_counts() {
     );
 }
 
+/// The `SEQ8()` kernel (an integer ramp from the batch's row base) against
+/// the row loop that defines it, at 1, 2 and 8 threads: one call, two calls
+/// in one row, a call inside arithmetic beside a shared pure subexpression,
+/// and a guarded call, which has no kernel.
+#[test]
+fn seq8_projection_kernel_matches_the_row_loop_at_any_thread_count() {
+    use snowdb::QueryOptions;
+    let db = prunable_db();
+    for sql in [
+        "SELECT SEQ8() AS s, x FROM t",
+        "SELECT SEQ8() AS a, x * 2 AS y, SEQ8() AS b FROM t WHERE x >= 13",
+        "SELECT (SEQ8() * 1000) + (x * x) AS k, SQRT(x * x) AS r FROM t",
+        "SELECT IFF(x < 50, SEQ8(), -1) AS g, x FROM t",
+        "SELECT l.s, r.s FROM (SELECT SEQ8() AS s, x FROM t) l \
+         JOIN (SELECT SEQ8() AS s, x FROM t WHERE x >= 40) r ON l.x = r.x",
+    ] {
+        let run = |threads: usize, vectorize: bool| {
+            let opts = QueryOptions {
+                threads: Some(threads),
+                vectorize: Some(vectorize),
+                ..Default::default()
+            };
+            db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}")).rows
+        };
+        let reference = run(1, false);
+        assert_eq!(reference.len(), if sql.contains("13") { 87 } else if sql.contains("40") { 60 } else { 100 });
+        for threads in [1, 2, 8] {
+            assert_eq!(run(threads, true), reference, "kernel, threads={threads}: {sql}");
+            assert_eq!(run(threads, false), reference, "row loop, threads={threads}: {sql}");
+        }
+    }
+    // Two calls in one row are consecutive; the next row restarts one up.
+    let rows = db.query("SELECT SEQ8() AS a, SEQ8() AS b FROM t").unwrap().rows;
+    assert_eq!(rows[7], vec![Variant::Int(7), Variant::Int(8)]);
+}
+
 #[test]
 fn flatten_identical_across_thread_counts() {
     let db = Database::new();

@@ -125,6 +125,21 @@ proptest! {
             "SELECT SUM(a), AVG(a), COUNT(b), COUNT(DISTINCT a), ANY_VALUE(b) FROM t",
             "SELECT BOOLAND_AGG(a), ARRAY_AGG(b) FROM t",
             "SELECT l.a, r.b FROM t l JOIN t r ON l.a = r.a WHERE l.b > r.b",
+            // Functions, guards, casts, LIKE, / and %: a kernel each, and the
+            // row path's errors when one fails.
+            "SELECT SQRT(ABS(a)), COS(b), FLOOR(a / 2), SIGN(b), POWER(a, 2) FROM t",
+            "SELECT IFF(b = 0, NULL, a / b) FROM t",
+            "SELECT a / b FROM t",
+            "SELECT a % b, MOD(a, b), DIV0(a, b) FROM t",
+            "SELECT CASE WHEN a > b THEN a ELSE b END, NVL(a, b), COALESCE(b, a, 0) FROM t",
+            "SELECT a::DOUBLE, b::INT, a::VARCHAR, TYPEOF(a + b) FROM t",
+            "SELECT a FROM t WHERE a::VARCHAR LIKE '1%' OR b IS NULL",
+            "SELECT SEQ8(), a, SEQ8() FROM t",
+            "SELECT a, MIN_BY(b, a), MAX_BY(a, b) FROM t GROUP BY a",
+            "SELECT MIN_BY(a, b), COUNT(*) FROM t",
+            "SELECT OBJECT_CONSTRUCT('a', a, 'b', ARRAY_CONSTRUCT(a, b)), \
+                    GET(ARRAY_CONSTRUCT(a, b), 1), ARRAY_SIZE(ARRAY_CAT(ARRAY_CONSTRUCT(a), ARRAY_CONSTRUCT(b))) FROM t",
+            "SELECT a, b FROM t ORDER BY IFF(b > 0, a / b, 0), a",
         ];
         for sql in queries {
             let run = |vectorize: bool| {
@@ -143,6 +158,10 @@ proptest! {
             let vec_out = run(true);
             let row_out = run(false);
             prop_assert_eq!(&vec_out, &row_out, "query diverged: {}", sql);
+            // Both sides rejecting the text would agree too, and test nothing.
+            for front_end in ["lex error", "parse error", "plan error"] {
+                prop_assert!(!row_out.contains(front_end), "{}: {}", sql, row_out);
+            }
         }
     }
 
@@ -418,5 +437,420 @@ proptest! {
         for row in &r.rows {
             prop_assert_eq!(&row[0], &row[1]);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The batch evaluator against the row evaluator, expression by expression
+// ---------------------------------------------------------------------------
+
+mod dag_differential {
+    use std::sync::Arc;
+
+    use rand::{Rng, SeedableRng, StdRng};
+    use snowdb::column::{ColumnVec, NULL_CODE};
+    use snowdb::exec::dag::{ExprDag, Seq8Calls};
+    use snowdb::exec::{eval, Chunk, ExecCtx, RowView};
+    use snowdb::plan::{CastType, FuncId, PExpr, PStep};
+    use snowdb::sql::{BinOp, UnaryOp};
+    use snowdb::variant::Object;
+    use snowdb::Variant;
+
+    const FUNCS: [FuncId; 45] = [
+        FuncId::Abs,
+        FuncId::Sqrt,
+        FuncId::Power,
+        FuncId::Exp,
+        FuncId::Ln,
+        FuncId::Log,
+        FuncId::Floor,
+        FuncId::Ceil,
+        FuncId::Round,
+        FuncId::Sign,
+        FuncId::Mod,
+        FuncId::Atan,
+        FuncId::Atan2,
+        FuncId::Asin,
+        FuncId::Acos,
+        FuncId::Sin,
+        FuncId::Cos,
+        FuncId::Tan,
+        FuncId::Sinh,
+        FuncId::Cosh,
+        FuncId::Tanh,
+        FuncId::Pi,
+        FuncId::Greatest,
+        FuncId::Least,
+        FuncId::Coalesce,
+        FuncId::Nvl,
+        FuncId::NullIf,
+        FuncId::Iff,
+        FuncId::Div0,
+        FuncId::ObjectConstruct,
+        FuncId::ArrayConstruct,
+        FuncId::ArraySize,
+        FuncId::ArrayCat,
+        FuncId::ArrayContains,
+        FuncId::ArrayFilter,
+        FuncId::Get,
+        FuncId::TypeOf,
+        FuncId::ToDouble,
+        FuncId::Upper,
+        FuncId::Lower,
+        FuncId::Substr,
+        FuncId::Length,
+        FuncId::Concat,
+        FuncId::Seq8,
+        // Listed twice on purpose: the guard every translated query uses.
+        FuncId::Iff,
+    ];
+
+    const BINOPS: [BinOp; 14] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Eq,
+        BinOp::NotEq,
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Concat,
+    ];
+
+    const CASTS: [CastType; 5] =
+        [CastType::Int, CastType::Float, CastType::Bool, CastType::Str, CastType::Variant];
+
+    const N_COLS: usize = 10;
+
+    fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
+        xs[rng.gen_range(0..xs.len())]
+    }
+
+    fn int_cell(rng: &mut StdRng) -> Variant {
+        match rng.gen_range(0..10) {
+            0 => Variant::Null,
+            1 => Variant::Int(0),
+            2 => Variant::Int(pick(rng, &[i64::MAX, i64::MIN, i64::MIN + 1, -1, 1 << 53])),
+            _ => Variant::Int(rng.gen_range(-4i64..5)),
+        }
+    }
+
+    fn float_cell(rng: &mut StdRng) -> Variant {
+        match rng.gen_range(0..10) {
+            0 => Variant::Null,
+            1 => Variant::Float(pick(rng, &[0.0, -0.0, f64::NAN, f64::INFINITY, -1e300])),
+            2 => Variant::Float(rng.gen_range(-4i64..5) as f64),
+            _ => Variant::Float(rng.gen_range(-3.0f64..3.0)),
+        }
+    }
+
+    fn str_cell(rng: &mut StdRng) -> Variant {
+        match rng.gen_range(0..6) {
+            0 => Variant::Null,
+            _ => Variant::str(pick(rng, &["a", "ab", "b%", "", " 12 ", "true", "1.5"])),
+        }
+    }
+
+    fn nested_cell(rng: &mut StdRng) -> Variant {
+        if rng.gen_bool(0.5) {
+            let n = rng.gen_range(0..4);
+            Variant::array((0..n).map(|_| any_cell(rng, 1)).collect())
+        } else {
+            let mut o = Object::new();
+            for key in ["A", "B", "PT"] {
+                if rng.gen_bool(0.7) {
+                    o.insert(key, any_cell(rng, 1));
+                }
+            }
+            Variant::object(o)
+        }
+    }
+
+    fn any_cell(rng: &mut StdRng, depth: u32) -> Variant {
+        match rng.gen_range(0..7) {
+            0 => int_cell(rng),
+            1 => float_cell(rng),
+            2 => str_cell(rng),
+            3 => Variant::Bool(rng.gen_bool(0.5)),
+            4 | 5 if depth == 0 => nested_cell(rng),
+            _ => Variant::Null,
+        }
+    }
+
+    /// A batch with every column representation: typed, boxed and mixed,
+    /// dictionary and run-length encoded, untyped NULLs.
+    fn batch(rng: &mut StdRng) -> Chunk {
+        let n = rng.gen_range(0..24usize);
+        let col = |rng: &mut StdRng, f: fn(&mut StdRng) -> Variant| {
+            ColumnVec::from_variants((0..n).map(|_| f(rng)).collect())
+        };
+        let dict: Arc<Vec<Arc<str>>> =
+            Arc::new(["a", "ab", "b%"].iter().map(|s| Arc::from(*s)).collect());
+        let codes = (0..n)
+            .map(|_| if rng.gen_bool(0.2) { NULL_CODE } else { rng.gen_range(0..3u32) })
+            .collect();
+        // Runs of 1-4 rows over a small integer domain, NULL runs included.
+        let (mut ends, mut run_vals, mut at) = (Vec::new(), Vec::new(), 0usize);
+        while at < n {
+            at = (at + rng.gen_range(1..5usize)).min(n);
+            ends.push(at as u32);
+            run_vals.push(int_cell(rng));
+        }
+        let cols = vec![
+            col(rng, int_cell),
+            col(rng, float_cell),
+            col(rng, |r| if r.gen_bool(0.2) { Variant::Null } else { Variant::Bool(r.gen_bool(0.5)) }),
+            col(rng, str_cell),
+            col(rng, |r| any_cell(r, 0)),
+            ColumnVec::DictStr { codes, dict },
+            ColumnVec::Runs { ends, values: Box::new(ColumnVec::from_variants(run_vals)) },
+            ColumnVec::Var((0..n).map(|_| nested_cell(rng)).collect()),
+            ColumnVec::Null(n),
+            // Mixed Int/Float: what a JSON number field shreds to.
+            ColumnVec::Var(
+                (0..n)
+                    .map(|_| if rng.gen_bool(0.5) { int_cell(rng) } else { float_cell(rng) })
+                    .collect(),
+            ),
+        ];
+        assert_eq!(cols.len(), N_COLS);
+        Chunk { cols, rows: n }
+    }
+
+    fn lit(rng: &mut StdRng) -> PExpr {
+        PExpr::Lit(match rng.gen_range(0..8) {
+            0 => Variant::Null,
+            1 => Variant::Int(0),
+            2 => Variant::Float(0.0),
+            3 => Variant::Bool(rng.gen_bool(0.5)),
+            4 => Variant::str(pick(rng, &["a", "a%", "_b", "A", "="])),
+            5 => int_cell(rng),
+            6 => float_cell(rng),
+            _ => Variant::Int(rng.gen_range(0i64..3)),
+        })
+    }
+
+    fn func(f: FuncId, args: Vec<PExpr>) -> PExpr {
+        PExpr::Func { f, args }
+    }
+
+    fn bin(l: PExpr, op: BinOp, r: PExpr) -> PExpr {
+        PExpr::Binary { left: Box::new(l), op, right: Box::new(r) }
+    }
+
+    /// The usual arity of a function, sometimes off by one: a malformed call
+    /// must fail the same way on both paths.
+    fn arity(rng: &mut StdRng, f: FuncId) -> usize {
+        let usual = match f {
+            FuncId::Pi | FuncId::Seq8 => 0,
+            FuncId::Power
+            | FuncId::Log
+            | FuncId::Mod
+            | FuncId::Atan2
+            | FuncId::Nvl
+            | FuncId::NullIf
+            | FuncId::Div0
+            | FuncId::ArrayCat
+            | FuncId::ArrayContains
+            | FuncId::Get => 2,
+            FuncId::Iff => 3,
+            FuncId::ArrayFilter => 4,
+            FuncId::Round => rng.gen_range(1..3),
+            FuncId::Substr => rng.gen_range(2..4),
+            FuncId::Greatest
+            | FuncId::Least
+            | FuncId::Coalesce
+            | FuncId::ArrayConstruct
+            | FuncId::Concat => rng.gen_range(1..4),
+            FuncId::ObjectConstruct => 2 * rng.gen_range(0..7usize),
+            _ => 1,
+        };
+        if rng.gen_range(0..40) == 0 {
+            usual + 1
+        } else {
+            usual
+        }
+    }
+
+    /// A random expression over the batch's columns. `pool` holds subtrees
+    /// generated so far; reusing one is what gives the DAG something to share.
+    fn expr(rng: &mut StdRng, depth: u32, pool: &mut Vec<PExpr>) -> PExpr {
+        if !pool.is_empty() && rng.gen_range(0..6) == 0 {
+            return pool[rng.gen_range(0..pool.len())].clone();
+        }
+        if depth == 0 || rng.gen_range(0..5) == 0 {
+            return if rng.gen_bool(0.7) {
+                PExpr::Col(rng.gen_range(0..N_COLS + 1)) // one past the end, rarely
+            } else {
+                lit(rng)
+            };
+        }
+        let sub = |rng: &mut StdRng, pool: &mut Vec<PExpr>| Box::new(expr(rng, depth - 1, pool));
+        let e = match rng.gen_range(0..14) {
+            0 => PExpr::Unary {
+                op: if rng.gen_bool(0.8) { UnaryOp::Neg } else { UnaryOp::Plus },
+                expr: sub(rng, pool),
+            },
+            1 => PExpr::Not(sub(rng, pool)),
+            2 => PExpr::IsNull { expr: sub(rng, pool), negated: rng.gen_bool(0.5) },
+            3..=5 => {
+                let op = pick(rng, &BINOPS);
+                bin(*sub(rng, pool), op, *sub(rng, pool))
+            }
+            6 => PExpr::InList {
+                expr: sub(rng, pool),
+                list: (0..rng.gen_range(0..4))
+                    .map(|_| if rng.gen_bool(0.6) { lit(rng) } else { *sub(rng, pool) })
+                    .collect(),
+                negated: rng.gen_bool(0.5),
+            },
+            7 => PExpr::Case {
+                operand: rng.gen_bool(0.4).then(|| sub(rng, pool)),
+                branches: (0..rng.gen_range(1..3))
+                    .map(|_| (*sub(rng, pool), *sub(rng, pool)))
+                    .collect(),
+                else_expr: rng.gen_bool(0.6).then(|| sub(rng, pool)),
+            },
+            8..=10 => {
+                let f = pick(rng, &FUNCS);
+                let n = arity(rng, f);
+                func(f, (0..n).map(|_| *sub(rng, pool)).collect())
+            }
+            11 => PExpr::Cast { expr: sub(rng, pool), ty: pick(rng, &CASTS) },
+            12 => PExpr::Path {
+                base: sub(rng, pool),
+                steps: (0..rng.gen_range(1..3))
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => PStep::Index(rng.gen_range(-1i64..3)),
+                        1 => PStep::IndexExpr(sub(rng, pool)),
+                        _ => PStep::Field(pick(rng, &["A", "B", "PT", "none"]).into()),
+                    })
+                    .collect(),
+            },
+            _ => PExpr::Like {
+                expr: sub(rng, pool),
+                pattern: sub(rng, pool),
+                negated: rng.gen_bool(0.5),
+            },
+        };
+        pool.push(e.clone());
+        e
+    }
+
+    /// The shapes the translator and the handwritten queries lean on, which
+    /// uniform sampling would rarely assemble.
+    fn idiom(rng: &mut StdRng, pool: &mut Vec<PExpr>) -> PExpr {
+        let num = |rng: &mut StdRng| PExpr::Col(pick(rng, &[0usize, 1, 6, 9]));
+        let (x, y) = (num(rng), num(rng));
+        let zero = PExpr::Lit(Variant::Int(0));
+        let div = bin(y.clone(), pick(rng, &[BinOp::Div, BinOp::Mod]), x.clone());
+        let seq = || func(FuncId::Seq8, vec![]);
+        match rng.gen_range(0..8) {
+            // A guarded division, and the same division with no guard.
+            0 => func(
+                FuncId::Iff,
+                vec![bin(x, BinOp::Eq, zero), PExpr::Lit(Variant::Null), div],
+            ),
+            1 => div,
+            2 => bin(bin(x.clone(), BinOp::NotEq, zero), BinOp::And, bin(div, BinOp::Gt, y)),
+            // SEQ8: once, twice, and behind a guard (no kernel).
+            3 => seq(),
+            4 => bin(seq(), BinOp::Mul, seq()),
+            5 => func(FuncId::Coalesce, vec![x, seq()]),
+            // The pT·cos(φ) family: one subtree, many readers.
+            6 => {
+                let px = bin(x.clone(), BinOp::Mul, func(FuncId::Cos, vec![y.clone()]));
+                let py = bin(x, BinOp::Mul, func(FuncId::Sin, vec![y]));
+                let sum = bin(bin(px.clone(), BinOp::Mul, px), BinOp::Add, bin(py.clone(), BinOp::Mul, py));
+                func(FuncId::Sqrt, vec![sum])
+            }
+            _ => func(
+                FuncId::ObjectConstruct,
+                vec![
+                    PExpr::Lit(Variant::str("k")),
+                    PExpr::Path { base: Box::new(PExpr::Col(7)), steps: vec![PStep::Field("PT".into())] },
+                    PExpr::Lit(Variant::str("n")),
+                    func(FuncId::ArraySize, vec![expr(rng, 1, pool)]),
+                ],
+            ),
+        }
+    }
+
+    /// What `project_batch` does without the DAG: row-major, the counter
+    /// restarted at `base + r` for every row.
+    fn row_loop(exprs: &[PExpr], inp: &Chunk, base: i64) -> Result<Vec<Vec<Variant>>, String> {
+        let mut ctx = ExecCtx::default();
+        let mut cols: Vec<Vec<Variant>> = exprs.iter().map(|_| Vec::new()).collect();
+        for r in 0..inp.rows {
+            ctx.seq_counter = base + r as i64;
+            let parts = [(inp, r)];
+            for (e, out) in exprs.iter().zip(cols.iter_mut()) {
+                out.push(eval(e, RowView::new(&parts), &mut ctx).map_err(|e| e.to_string())?);
+            }
+        }
+        Ok(cols)
+    }
+
+    /// Seeded random projection lists over every expression shape and every
+    /// function: the DAG either reproduces the row loop cell for cell — down
+    /// to `Int` against `Float` and the sign of zero — or declines, which it
+    /// must do whenever the row loop fails and, two stated cases aside, only
+    /// then.
+    #[test]
+    fn batch_evaluator_equals_the_row_loop_or_declines() {
+        let (mut agreed, mut failed, mut shared) = (0u32, 0u32, 0u32);
+        for seed in 0..6000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inp = batch(&mut rng);
+            let mut pool = Vec::new();
+            let exprs: Vec<PExpr> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        idiom(&mut rng, &mut pool)
+                    } else {
+                        expr(&mut rng, 4, &mut pool)
+                    }
+                })
+                .collect();
+            let base = rng.gen_range(0i64..1000);
+            let dag = ExprDag::compile(&exprs);
+            shared += u32::from(dag.dag_nodes() < dag.tree_nodes());
+            let rows = row_loop(&exprs, &inp, base);
+            let cols = dag.eval(&inp, base, None);
+            match (rows, cols) {
+                (Ok(rows), Some(cols)) => {
+                    for (k, (want, got)) in rows.iter().zip(&cols).enumerate() {
+                        assert_eq!(got.len(), inp.rows, "seed {seed}: column {k} length");
+                        for (r, w) in want.iter().enumerate() {
+                            assert_eq!(
+                                format!("{:?}", got.get(r)),
+                                format!("{w:?}"),
+                                "seed {seed}: row {r} of {:?}",
+                                exprs[k]
+                            );
+                        }
+                    }
+                    agreed += 1;
+                }
+                (Err(e), Some(_)) => {
+                    panic!("seed {seed}: the row loop fails ({e}) where the DAG answered: {exprs:?}")
+                }
+                (Err(_), None) => failed += 1,
+                // Legal, and expected of a guarded SEQ8() (its calls have no
+                // kernel) and of an empty batch (a constant that fails is
+                // left to the row loop, which has no row to fail on).
+                (Ok(_), None) if dag.seq8() == Seq8Calls::Guarded || inp.rows == 0 => {}
+                (Ok(_), None) => {
+                    panic!("seed {seed}: the DAG declined a batch the row loop evaluates: {exprs:?}")
+                }
+            }
+        }
+        // The generator reaches all three outcomes, and repeats subtrees.
+        assert!(agreed > 2000 && failed > 300 && shared > 1000, "{agreed} {failed} {shared}");
     }
 }

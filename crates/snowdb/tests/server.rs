@@ -165,6 +165,24 @@ fn large_results_stream_in_batches() {
     handle.shutdown();
 }
 
+/// A statement's response is header, batches and completion frame. Written
+/// one by one on a socket with Nagle's algorithm on, the second write waited
+/// for the client's delayed ACK: ~40 ms per statement, 2 s for this loop.
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let (_db, handle) = serve_memory(ServerConfig::default());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(query_scalar(&mut c, "SELECT 1"), 1, "warm-up");
+    let t0 = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(query_scalar(&mut c, "SELECT 1"), 1);
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(500), "50 round trips took {took:?}");
+    c.goodbye();
+    handle.shutdown();
+}
+
 #[test]
 fn show_server_status_and_explain_analyze_carry_admission_stats() {
     let (db, handle) = serve_memory(ServerConfig::default());

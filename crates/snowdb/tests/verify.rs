@@ -126,6 +126,39 @@ fn verify_random_queries_across_lattice() {
     }
 }
 
+/// The SQL generator's stream — math functions over paths, `IFF`/`CASE`
+/// guards around `/`, `NVL`/`GET`/`ARRAY_SIZE`, `MIN_BY`/`MAX_BY`, `SEQ8()`
+/// row ids joined back — across all 24 configurations. With a tolerance of
+/// zero: nothing here accumulates floats, so the batch evaluator and the row
+/// loop must agree bit for bit, and on errors word for word.
+#[test]
+fn verify_random_sql_across_lattice() {
+    use snowdb::verify::gen::{adl_schema as sql_schema, SqlGen};
+    let n: usize = std::env::var("SNOWQ_VERIFY_RANDOM")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(40);
+    let db = adl_db(120);
+    let schema = sql_schema("hep");
+    let lattice = default_lattice(4);
+    let mut gen = SqlGen::new(0x5eed);
+    let (mut answered, mut failed) = (0, 0);
+    for i in 0..n {
+        let sql = gen.random_sql(&schema);
+        let report = verify_sql(&db, &sql, &lattice, 0.0).expect("no governance limit is set");
+        assert_agrees(&format!("random sql #{i} (seed 0x5eed)"), &report);
+        match &report.outcomes[0].error {
+            None => answered += 1,
+            Some(e) => {
+                assert!(e.contains("division by zero"), "{sql}: {e}");
+                failed += 1;
+            }
+        }
+    }
+    // The stream reaches both outcomes: answers, and the unguarded division.
+    assert!(answered > failed && (failed > 0 || n < 40), "{answered} answered, {failed} failed");
+}
+
 // ---------------------------------------------------------------------------
 // Satellite regressions: oracle cases that diverged before their fixes.
 // ---------------------------------------------------------------------------
