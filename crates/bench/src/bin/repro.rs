@@ -3,6 +3,7 @@
 //! Usage:
 //!   repro [--quick] [--events N] [--lineorders N] [--runs N] [--cutoff SECS]
 //!         [fig6|table2|fig7|fig8|fig9|scanned|fig10|fig11a|fig11b|ablation|all]
+//!   repro kernels    (a microbenchmark, not a figure: not part of `all`)
 //!
 //! Results print to stdout and are also written to `results/<id>.txt`.
 
@@ -79,6 +80,7 @@ fn main() {
             "fig11b" => vec![experiments::fig11b_ssb_scaling(&cfg)],
             "ablation" => vec![experiments::ablation_nested_strategy(&cfg)],
             "futurework" => vec![experiments::futurework(&cfg)],
+            "kernels" => vec![experiments::kernels(&cfg)],
             other => {
                 eprintln!("unknown experiment '{other}'");
                 std::process::exit(2);

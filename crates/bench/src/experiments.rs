@@ -14,7 +14,8 @@ use baselines::{DocStore, RumbleRunner};
 use jsoniq_core::ast::JsoniqError;
 use jsoniq_core::itertree;
 use jsoniq_core::snowflake::{NestedStrategy, Translator};
-use snowdb::Database;
+use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::{Database, QueryOptions, Variant};
 use snowpark::Session;
 
 use crate::report::{fmt_bytes, fmt_secs, Report};
@@ -513,6 +514,84 @@ pub fn futurework(cfg: &Config) -> Report {
         format!("{:.2}x overhead", ordered / base.max(1e-9)),
     ]);
     rep.note("all three features are off by default, matching the paper's deployed system");
+    rep
+}
+
+/// Kernel microbenchmark (not a paper figure): the same plans on one thread
+/// with one option flipped. `typed` and `mixed` flip `vectorize` — the
+/// expression DAG against the row producer — over a fully shredded table and
+/// over one whose every tenth value switches numeric class, so its columns
+/// are boxed and the kernels have nothing typed to loop over; `dict` flips
+/// `encode` over a dictionary-coded string column.
+pub fn kernels(cfg: &Config) -> Report {
+    const PARTITION_ROWS: usize = 16_384;
+    let rows = (cfg.adl_events as i64 * 16).min(262_144);
+    let table = |name: &str, ty: [ColumnType; 3], row: &dyn Fn(i64) -> Vec<Variant>| {
+        let db = Database::new();
+        let schema = ["A", "B", "X"].into_iter().zip(ty).map(|(n, t)| ColumnDef::new(n, t));
+        db.load_table_with_partition_rows(name, schema.collect(), (0..rows).map(row), PARTITION_ROWS)
+            .expect("loads");
+        db
+    };
+    let x = |i: i64| Variant::Float((i % 1000) as f64 * 0.25);
+    let typed = table("t", [ColumnType::Int, ColumnType::Int, ColumnType::Float], &|i| {
+        vec![Variant::Int(i % 1000), Variant::Int(i % 17), x(i)]
+    });
+    let mixed = table("t", [ColumnType::Variant; 3], &|i| {
+        let a = if i % 10 == 9 { Variant::Float((i % 1000) as f64) } else { Variant::Int(i % 1000) };
+        let b = if i % 10 == 4 { Variant::Float((i % 17) as f64) } else { Variant::Int(i % 17) };
+        vec![a, b, x(i)]
+    });
+    const CITIES: [&str; 8] = ["tokyo", "lima", "oslo", "cairo", "quito", "seoul", "accra", "dakar"];
+    snowdb::storage::set_ingest_encoding(Some(true));
+    let dict = table("t", [ColumnType::Str, ColumnType::Int, ColumnType::Float], &|i| {
+        vec![Variant::str(CITIES[i as usize % CITIES.len()]), Variant::Int(i / 1000), x(i)]
+    });
+    snowdb::storage::set_ingest_encoding(None);
+
+    const NUMERIC: [(&str, &str); 5] = [
+        ("filter", "SELECT A FROM t WHERE A < 500 AND X >= 10.0"),
+        ("arith", "SELECT A + B * 2 - (X + A) * 3.5 FROM t WHERE B + 1 > 0"),
+        ("global-agg", "SELECT SUM(A), AVG(X), COUNT(B), MIN(A), MAX(X) FROM t"),
+        ("group-agg", "SELECT B, SUM(A), COUNT(*) FROM t GROUP BY B"),
+        ("join", "SELECT COUNT(*) FROM t l JOIN t r ON l.B = r.B WHERE l.A < 20 AND r.A < 20"),
+    ];
+    const DICT: [(&str, &str); 3] = [
+        ("dict-filter", "SELECT B FROM t WHERE A = 'oslo'"),
+        ("dict-in", "SELECT B FROM t WHERE A IN ('lima', 'seoul', 'dakar')"),
+        ("dict-group-by", "SELECT A, COUNT(*), SUM(B) FROM t GROUP BY A"),
+    ];
+    let mut rep = Report::new(
+        "kernels",
+        &format!("Kernel microbenchmark ({rows} rows, one thread)"),
+        &["table", "query", "off", "on", "speedup"],
+    );
+    let serial = QueryOptions { threads: Some(1), ..Default::default() };
+    for (name, db, queries) in
+        [("typed", &typed, &NUMERIC[..]), ("mixed", &mixed, &NUMERIC[..]), ("dict", &dict, &DICT[..])]
+    {
+        for &(id, sql) in queries {
+            let time = |on: bool| {
+                let opts = if name == "dict" {
+                    QueryOptions { vectorize: Some(true), encode: Some(on), ..serial }
+                } else {
+                    QueryOptions { vectorize: Some(on), ..serial }
+                };
+                time_mean(cfg.runs.max(3), cfg.warmup.max(1), || {
+                    std::hint::black_box(db.query_with(sql, &opts).expect("runs").rows.len());
+                })
+            };
+            let (off, on) = (time(false), time(true));
+            rep.row([
+                name.to_string(),
+                id.to_string(),
+                fmt_secs(off),
+                fmt_secs(on),
+                format!("{:.1}x", off / on.max(1e-9)),
+            ]);
+        }
+    }
+    rep.note("typed, mixed: vectorize off / on (row producer / expression DAG); dict: encode off / on");
     rep
 }
 

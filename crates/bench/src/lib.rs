@@ -1,5 +1,5 @@
 //! `bench` — the harness that regenerates every table and figure of the
-//! paper's evaluation (§V). See the `repro` binary and the Criterion benches.
+//! paper's evaluation (§V). See the `repro` binary.
 
 pub mod experiments;
 pub mod report;

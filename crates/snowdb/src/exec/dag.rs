@@ -20,7 +20,7 @@
 //! over the whole batch, whatever selection first asks for it.
 //!
 //! The DAG borrows literals and path steps from the plan it was compiled
-//! from; building it allocates four vectors and a hash table.
+//! from; building it allocates five vectors and a hash table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -100,6 +100,12 @@ pub enum Seq8Calls {
 /// The compiled expressions of one operator.
 #[derive(Debug)]
 pub struct ExprDag<'a> {
+    /// The expressions the roots were compiled from, in root order: what the
+    /// row producer evaluates.
+    exprs: Vec<&'a PExpr>,
+    /// Leading columns of the schema the expressions are bound against that
+    /// are not part of the batch (see [`ExprDag::compile_shifted`]).
+    offset: usize,
     nodes: Vec<DagNode<'a>>,
     args: Vec<NodeId>,
     roots: Vec<NodeId>,
@@ -123,6 +129,8 @@ impl<'a> ExprDag<'a> {
     ) -> ExprDag<'a> {
         let mut b = Builder {
             dag: ExprDag {
+                exprs: Vec::new(),
+                offset,
                 nodes: Vec::new(),
                 args: Vec::new(),
                 roots: Vec::new(),
@@ -131,7 +139,6 @@ impl<'a> ExprDag<'a> {
             },
             interned: HashMap::default(),
             operands: Vec::new(),
-            offset,
             seq8_calls: 0,
             seq8_guarded: false,
         };
@@ -139,6 +146,7 @@ impl<'a> ExprDag<'a> {
             let root = b.intern(e, false);
             b.dag.nodes[root as usize].uses += 1;
             b.dag.roots.push(root);
+            b.dag.exprs.push(e);
         }
         b.dag.seq8 = match (b.seq8_calls, b.seq8_guarded) {
             (0, _) => Seq8Calls::None,
@@ -166,6 +174,22 @@ impl<'a> ExprDag<'a> {
 
     pub fn seq8(&self) -> Seq8Calls {
         self.seq8
+    }
+
+    /// True when an expression calls `SEQ8()`: its value depends on the order
+    /// rows are evaluated in.
+    pub fn is_volatile(&self) -> bool {
+        self.seq8 != Seq8Calls::None
+    }
+
+    /// The expressions the roots were compiled from, in root order.
+    pub fn exprs(&self) -> &[&'a PExpr] {
+        &self.exprs
+    }
+
+    /// The column offset the DAG was compiled with.
+    pub fn offset(&self) -> usize {
+        self.offset
     }
 
     pub(crate) fn roots(&self) -> &[NodeId] {
@@ -198,7 +222,6 @@ struct Builder<'a> {
     interned: HashMap<u64, NodeId, BuildHasherDefault<FxHasher>>,
     /// Operand ids of the nodes being built, innermost last.
     operands: Vec<NodeId>,
-    offset: usize,
     seq8_calls: u32,
     seq8_guarded: bool,
 }
@@ -212,7 +235,7 @@ impl<'a> Builder<'a> {
         // This node's operand ids are `self.operands[base..]`.
         let base = self.operands.len();
         let op = match e {
-            PExpr::Col(i) => DagOp::Col(i.checked_sub(self.offset).unwrap_or(usize::MAX)),
+            PExpr::Col(i) => DagOp::Col(i.checked_sub(self.dag.offset).unwrap_or(usize::MAX)),
             PExpr::Lit(v) => DagOp::Lit(v),
             PExpr::Unary {
                 op: UnaryOp::Plus,

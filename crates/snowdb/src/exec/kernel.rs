@@ -111,30 +111,24 @@ impl ExprDag<'_> {
     }
 }
 
-/// Converts a filter mask into the kept row indices, or `None` when a row's
-/// value is neither boolean nor NULL (the row path then raises the type
-/// error at the first offending row).
-pub fn mask_keep(mask: &ColumnVec) -> Option<Vec<usize>> {
+/// Converts a filter mask into the kept row indices; the first row whose
+/// value is neither boolean nor NULL raises [`expr::truth`]'s type error.
+pub fn mask_keep(mask: &ColumnVec) -> Result<Vec<usize>> {
     match mask {
-        ColumnVec::Bool { vals, valid } => Some(
-            (0..vals.len())
-                .filter(|&i| vals[i] && valid.get(i))
-                .collect(),
-        ),
+        ColumnVec::Bool { vals, valid } => {
+            Ok((0..vals.len()).filter(|&i| vals[i] && valid.get(i)).collect())
+        }
         // An all-NULL mask keeps nothing: truth(NULL) is "unknown".
-        ColumnVec::Null(_) => Some(Vec::new()),
-        ColumnVec::Var(v) => {
+        ColumnVec::Null(_) => Ok(Vec::new()),
+        other => {
             let mut keep = Vec::new();
-            for (i, x) in v.iter().enumerate() {
-                match x {
-                    Variant::Bool(true) => keep.push(i),
-                    Variant::Bool(false) | Variant::Null => {}
-                    _ => return None,
+            for i in 0..other.len() {
+                if expr::truth(&other.get(i))? == Some(true) {
+                    keep.push(i);
                 }
             }
-            Some(keep)
+            Ok(keep)
         }
-        _ => None,
     }
 }
 
@@ -2104,6 +2098,6 @@ mod tests {
         ]);
         assert_eq!(mask_keep(&mask).unwrap(), vec![0, 3]);
         assert_eq!(mask_keep(&ColumnVec::Null(5)).unwrap(), Vec::<usize>::new());
-        assert!(mask_keep(&ColumnVec::from_variants(vec![Variant::Int(1)])).is_none());
+        assert!(mask_keep(&ColumnVec::from_variants(vec![Variant::Int(1)])).is_err());
     }
 }

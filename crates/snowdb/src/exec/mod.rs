@@ -11,15 +11,13 @@ pub mod pipeline;
 pub use crate::column::{Bitmap, ColumnVec};
 pub use expr::{eval, truth, RowView};
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::error::Result;
 use crate::govern::QueryGovernor;
 use crate::plan::{PExpr, SortKey};
-use crate::sql::{BinOp, JoinKind};
+use crate::sql::BinOp;
 use crate::storage::ScanStats;
-use crate::variant::{cmp_variants, Key, Variant};
+use crate::variant::{cmp_variants, Variant};
 
 /// A fully materialized intermediate result: typed columns with validity
 /// bitmaps ([`ColumnVec`]); genuinely mixed data falls back to boxed variants
@@ -185,114 +183,6 @@ pub(crate) fn split_join_on(
         residual.push(c);
     }
     (equi, residual)
-}
-
-/// Joins two materialized chunks row by row, in order: the join the batched
-/// executor uses when the ON predicate is volatile.
-fn join_chunks(
-    l: &Chunk,
-    r: &Chunk,
-    kind: JoinKind,
-    on: &Option<PExpr>,
-    ctx: &mut ExecCtx,
-) -> Result<Chunk> {
-    let la = l.cols.len();
-    let ra = r.cols.len();
-    let mut out = Chunk::empty(la + ra);
-
-    let (equi, residual) = on.as_ref().map(|e| split_join_on(e, la)).unwrap_or_default();
-
-    let residual_ok = |out_ctx: &mut ExecCtx, lr: usize, rr: usize| -> Result<bool> {
-        for e in &residual {
-            let parts = [(l, lr), (r, rr)];
-            let v = eval(e, RowView::new(&parts), out_ctx)?;
-            if truth(&v)? != Some(true) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
-
-    let emit = |out: &mut Chunk, lr: usize, rr: Option<usize>| {
-        for (i, col) in out.cols.iter_mut().enumerate().take(la) {
-            col.push_from(&l.cols[i], lr);
-        }
-        for (i, col) in out.cols.iter_mut().enumerate().skip(la) {
-            match rr {
-                Some(rr) => col.push_from(&r.cols[i - la], rr),
-                None => col.push_null(),
-            }
-        }
-        out.rows += 1;
-    };
-    debug_assert!(ra + la == out.cols.len());
-
-    if equi.is_empty() {
-        // Nested-loop join for cross joins and non-equi conditions.
-        for lr in 0..l.rows {
-            let mut matched = false;
-            for rr in 0..r.rows {
-                if residual_ok(ctx, lr, rr)? {
-                    emit(&mut out, lr, Some(rr));
-                    matched = true;
-                }
-            }
-            if kind == JoinKind::LeftOuter && !matched {
-                emit(&mut out, lr, None);
-            }
-        }
-        return Ok(out);
-    }
-
-    // Hash join: build on the right side.
-    let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-    for rr in 0..r.rows {
-        let parts = [(r, rr)];
-        let view = RowView::shifted(&parts, la);
-        let mut key = Vec::with_capacity(equi.len());
-        let mut has_null = false;
-        for (_, rk) in &equi {
-            let v = eval(rk, view, ctx)?;
-            if v.is_null() {
-                has_null = true;
-                break;
-            }
-            key.push(Key::of(&v));
-        }
-        // NULL keys never match in SQL equality.
-        if !has_null {
-            table.entry(key).or_default().push(rr);
-        }
-    }
-    for lr in 0..l.rows {
-        let parts = [(l, lr)];
-        let view = RowView::new(&parts);
-        let mut key = Vec::with_capacity(equi.len());
-        let mut has_null = false;
-        for (lk, _) in &equi {
-            let v = eval(lk, view, ctx)?;
-            if v.is_null() {
-                has_null = true;
-                break;
-            }
-            key.push(Key::of(&v));
-        }
-        let mut matched = false;
-        if !has_null {
-            if let Some(rows) = table.get(&key) {
-                for &rr in rows {
-                    if residual_ok(ctx, lr, rr)? {
-                        emit(&mut out, lr, Some(rr));
-                        matched = true;
-                    }
-                }
-            }
-        }
-        if kind == JoinKind::LeftOuter && !matched {
-            emit(&mut out, lr, None);
-        }
-    }
-    Ok(out)
 }
 
 /// Compares two values under one sort key.

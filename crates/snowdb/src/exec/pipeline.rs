@@ -7,9 +7,10 @@
 //!   micro-partition from the work-stealing [`crate::storage::morsel`]
 //!   dispatcher, materializes it in batches, and pushes each batch through
 //!   the fused stages before claiming more work;
-//! - filter/project/flatten over non-scan inputs map over batches in
-//!   parallel; aggregate, join and sort are pipeline breakers that build
-//!   thread-local partial state merged at the barrier;
+//! - filter/project/flatten are one per-batch step ([`stage_batch`]) that
+//!   fused scans call and that one driver ([`exec_stream`]) maps over the
+//!   batches of any other input; aggregate, join and sort are pipeline
+//!   breakers that build thread-local partial state merged at the barrier;
 //! - every operator updates the [`OpMetricsCell`] of its
 //!   [`PhysNode`](crate::plan::physical::PhysNode), producing the
 //!   per-operator metrics tree reported in
@@ -33,8 +34,13 @@
 //! - when several batches fail, the error with the lowest batch index wins —
 //!   the one serial execution would have reported;
 //! - volatile expressions outside projections (a `SEQ8()` in a filter or join
-//!   condition) evaluate serially, batch after batch, in the row loop; in a
-//!   projection `SEQ8()` is an integer ramp from the batch's row base.
+//!   condition, a flatten input, sort keys, aggregate arguments) read one
+//!   counter: the operator runs at degree 1 on the caller's context, batch
+//!   after batch ([`map_batches`]), its expressions through the row producer;
+//!   in a projection `SEQ8()` is an integer ramp from the batch's row base.
+//!   A volatile join condition is numbered in this order: the right keys of
+//!   all right rows, then per left batch its left keys, then the residual
+//!   conjuncts of its candidate pairs.
 //!
 //! # Shared subplans
 //!
@@ -61,17 +67,30 @@
 //! producer — and because a reader that could hang or miss a cancellation
 //! there would only be found when that lands.
 //!
-//! # Vectorized execution
+//! # One body per operator, two producers of its columns
 //!
 //! Batches are columnar ([`ColumnVec`]). Every operator's expressions were
-//! compiled into one [`ExprDag`] when the plan was lowered, and when
-//! `ctx.vectorize` is on (default; `SNOWDB_VECTORIZE=0` disables) the operator
-//! evaluates a batch through it ([`super::kernel`]): each distinct
-//! subexpression once, guarded operands on the rows their guard lets through.
-//! The DAG *declines* a batch in which the row evaluator would fail; the
-//! operator then runs its row loop over that batch, which is what reports the
-//! error. Both outcomes are counted per operator (`rows_vectorized` /
-//! `rows_fallback`, rendered as `vec=` by `EXPLAIN ANALYZE`).
+//! compiled into one [`ExprDag`] when the plan was lowered, and an operator
+//! has one body, which consumes the *columns* of those expressions for a
+//! batch ([`eval_exprs`]): a filter turns one into a mask, a projection
+//! emits them, an aggregate folds them, a join hashes them. Two producers
+//! make these columns. When `ctx.vectorize` is on (default;
+//! `SNOWDB_VECTORIZE=0` disables) the DAG evaluates the batch
+//! ([`super::kernel`]): each distinct subexpression once, guarded operands on
+//! the rows their guard lets through. The DAG *declines* a batch in which
+//! the row evaluator would fail (and is not asked when vectorization is off,
+//! or when the operator threads one `SEQ8()` counter through its rows); the
+//! row producer ([`eval_rows`]) then runs [`super::expr::eval`] over the
+//! batch row by row, expression by expression, and returns the columns for
+//! the rows before the first failing row together with that row's error.
+//! Serial execution meets everything those earlier rows can raise first, so
+//! the operator consumes the prefix and then reports the error: a filter
+//! first raises the type error of an earlier value that is no boolean, an
+//! aggregate first folds the prefix, so an accumulator error on an earlier
+//! row wins; the other operators have nothing that can fail on a prefix and
+//! report the error at once. Which producer ran is counted per operator
+//! (`rows_vectorized` / `rows_fallback`, rendered as `vec=` by `EXPLAIN
+//! ANALYZE`).
 //!
 //! When `ctx.encode` is on, scans hand encoded (dictionary / run-length)
 //! blocks into the pipeline unchanged and the kernels evaluate
@@ -97,10 +116,10 @@ use crate::storage::morsel::try_parallel_indexed_governed;
 use crate::variant::{Key, Variant};
 
 use super::agg::{column_eligible, Accumulator};
-use super::dag::{ExprDag, Seq8Calls};
+use super::dag::ExprDag;
 use super::kernel::mask_keep;
 use super::metrics::OpMetricsCell;
-use super::{cmp_sort_values, eval, join_chunks, truth, Chunk, ExecCtx, RowView};
+use super::{cmp_sort_values, eval, truth, Chunk, ExecCtx, RowView};
 
 /// Target rows per batch. Matches the default micro-partition size so a
 /// partition usually maps to one batch.
@@ -129,18 +148,12 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
             Ok(vec![Chunk { cols: Vec::new(), rows: 1 }])
         }
         NodeKind::Scan { .. } => exec_scan(p, &[], ctx),
-        NodeKind::Filter { .. } | NodeKind::Project { .. } => {
-            if let Some((scan, stages)) = fused_chain(p) {
-                exec_scan(scan, &stages, ctx)
-            } else {
-                match &p.logical.kind {
-                    NodeKind::Filter { pred, .. } => exec_filter(p, pred, ctx),
-                    NodeKind::Project { exprs, .. } => exec_project(p, exprs, ctx),
-                    _ => unreachable!(),
-                }
+        NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Flatten { .. } => {
+            match fused_chain(p) {
+                Some((scan, stages)) => exec_scan(scan, &stages, ctx),
+                None => exec_stream(p, ctx),
             }
         }
-        NodeKind::Flatten { expr, .. } => exec_flatten(p, expr, ctx),
         NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, groups, aggs, ctx),
         NodeKind::Join { kind, on, .. } => exec_join(p, *kind, on, ctx),
         NodeKind::Sort { keys, .. } => exec_sort(p, keys, ctx),
@@ -360,12 +373,8 @@ fn fused_chain<'b, 'a>(
             return None;
         }
         match &cur.logical.kind {
-            NodeKind::Filter { pred, .. } if !pred.is_volatile() => {
-                stages.push(cur);
-                cur = &cur.children[0];
-            }
-            NodeKind::Project { exprs, .. }
-                if !exprs.iter().any(PExpr::is_volatile) =>
+            NodeKind::Filter { .. } | NodeKind::Project { .. }
+                if cur.dag().is_ok_and(|d| !d.is_volatile()) =>
             {
                 stages.push(cur);
                 cur = &cur.children[0];
@@ -377,26 +386,6 @@ fn fused_chain<'b, 'a>(
             _ => return None,
         }
     }
-}
-
-/// Applies one fused stage to a batch, updating the stage's metrics.
-fn apply_stage(stage: &PhysNode<'_>, chunk: Chunk, ctx: &mut ExecCtx) -> Result<Chunk> {
-    let op = op_tag(stage);
-    ctx.gov.checkpoint(op)?;
-    let start = Instant::now();
-    let rows_in = chunk.rows as u64;
-    let out = match &stage.logical.kind {
-        NodeKind::Filter { pred, .. } => {
-            filter_batch(pred, stage.dag()?, &chunk, ctx, Some(&stage.metrics))?
-        }
-        NodeKind::Project { exprs, .. } => {
-            project_batch(exprs, stage.dag()?, &chunk, ctx, 0, Some(&stage.metrics))?
-        }
-        _ => unreachable!("fused stages are filters and projections"),
-    };
-    stage.metrics.record_batch(rows_in, out.rows as u64, start.elapsed());
-    charge_batch(stage, ctx, op, &out)?;
-    Ok(out)
 }
 
 /// Scans a table partition-parallel, pushing each materialized batch through
@@ -485,7 +474,7 @@ fn exec_scan(
                 scan.metrics.record_batch(0, chunk.rows as u64, start.elapsed());
                 charge_batch(scan, &wctx, &op, &chunk)?;
                 for stage in stages {
-                    chunk = apply_stage(stage, chunk, &mut wctx)?;
+                    chunk = stage_batch(stage, &chunk, &mut wctx, 0)?;
                 }
                 if chunk.rows > 0 {
                     out.push(chunk);
@@ -507,194 +496,190 @@ fn exec_scan(
 // Streaming operators over batch lists
 // ---------------------------------------------------------------------------
 
-/// Evaluates an operator's expressions for one batch through its compiled
-/// DAG. `None` — vectorization is off, the expressions number `SEQ8()` calls
-/// in a way only the row evaluator knows (`pure_only` operators thread one
-/// counter through all their rows), or the DAG declined — sends the batch to
-/// the operator's row loop.
-fn eval_dag<'c>(
+/// An operator's expression columns for one batch, one per root of its
+/// [`ExprDag`]: all `rows` of the batch, or — `err` is set — the rows before
+/// the first one on which an expression fails, with that row's error.
+pub struct ExprCols<'c> {
+    pub cols: Vec<Cow<'c, ColumnVec>>,
+    pub rows: usize,
+    pub err: Option<SnowError>,
+}
+
+impl<'c> ExprCols<'c> {
+    /// The columns, for an operator that has nothing to do with a prefix.
+    pub fn complete(self) -> Result<Vec<Cow<'c, ColumnVec>>> {
+        match self.err {
+            Some(e) => Err(e),
+            None => Ok(self.cols),
+        }
+    }
+}
+
+/// Evaluates an operator's expressions over one batch: through its compiled
+/// DAG, or — vectorization is off, the DAG declined, or the operator threads
+/// one `SEQ8()` counter through all its rows, which only the row evaluator
+/// numbers — through [`eval_rows`]. `seq_base` is `Some` in a projection: the
+/// global index of the batch's first row, from which its `SEQ8()` calls
+/// count. The batch is counted on `cell` as vectorized or fallback.
+pub fn eval_exprs<'c>(
     dag: &ExprDag<'_>,
-    pure_only: bool,
     inp: &'c Chunk,
-    ctx: &ExecCtx,
-    seq_base: i64,
+    ctx: &mut ExecCtx,
+    seq_base: Option<i64>,
     cell: Option<&OpMetricsCell>,
-) -> Option<Vec<Cow<'c, ColumnVec>>> {
-    if ctx.vectorize && !(pure_only && dag.seq8() != Seq8Calls::None) {
-        dag.eval(inp, seq_base, cell)
+) -> ExprCols<'c> {
+    let by_dag = if ctx.vectorize && (seq_base.is_some() || !dag.is_volatile()) {
+        dag.eval(inp, seq_base.unwrap_or(0), cell)
     } else {
         None
-    }
-}
-
-/// Counts a batch as evaluated by the DAG or by the row loop.
-fn count_batch(cell: Option<&OpMetricsCell>, rows: usize, vectorized: bool) {
+    };
     if let Some(cell) = cell {
-        if vectorized {
-            cell.add_vectorized(rows as u64);
-        } else {
-            cell.add_fallback(rows as u64);
+        match by_dag {
+            Some(_) => cell.add_vectorized(inp.rows as u64),
+            None => cell.add_fallback(inp.rows as u64),
         }
     }
+    match by_dag {
+        Some(cols) => ExprCols { cols, rows: inp.rows, err: None },
+        None => eval_rows(dag, inp, ctx, seq_base),
+    }
 }
 
-fn filter_batch(
-    pred: &PExpr,
+/// The row producer: [`eval`] over the DAG's source expressions, row-major
+/// (row by row, expression by expression), so the first error in that order —
+/// the one serial execution reports — ends the columns. With a `seq_base` the
+/// counter restarts at `base + r` for every row `r`, which numbers a
+/// projection's rows from zero whatever the batching, and the caller's
+/// counter is left untouched; without, the caller's counter runs on.
+pub fn eval_rows<'c>(
     dag: &ExprDag<'_>,
     inp: &Chunk,
     ctx: &mut ExecCtx,
-    cell: Option<&OpMetricsCell>,
-) -> Result<Chunk> {
-    // A mask with a non-boolean value goes to the row loop too, which raises
-    // the type error at the offending row.
-    let mask = eval_dag(dag, true, inp, ctx, 0, cell).and_then(|m| mask_keep(&m[0]));
-    count_batch(cell, inp.rows, mask.is_some());
-    let keep = match mask {
-        Some(keep) => keep,
-        None => {
-            let mut keep = Vec::with_capacity(inp.rows);
-            for r in 0..inp.rows {
-                let parts = [(inp, r)];
-                let v = eval(pred, RowView::new(&parts), ctx)?;
-                if truth(&v)? == Some(true) {
-                    keep.push(r);
+    seq_base: Option<i64>,
+) -> ExprCols<'c> {
+    let mut cols: Vec<ColumnVec> = dag.exprs().iter().map(|_| ColumnVec::new()).collect();
+    let saved_seq = ctx.seq_counter;
+    let (mut rows, mut err) = (inp.rows, None);
+    'rows: for r in 0..inp.rows {
+        if let Some(base) = seq_base {
+            ctx.seq_counter = base + r as i64;
+        }
+        let parts = [(inp, r)];
+        let view = RowView::shifted(&parts, dag.offset());
+        for (e, out) in dag.exprs().iter().zip(cols.iter_mut()) {
+            match eval(e, view, ctx) {
+                Ok(v) => out.push(v),
+                Err(e) => {
+                    (rows, err) = (r, Some(e));
+                    break 'rows;
                 }
             }
-            keep
         }
-    };
-    let cols = inp.cols.iter().map(|c| c.gather(&keep)).collect();
-    Ok(Chunk { cols, rows: keep.len() })
+    }
+    if seq_base.is_some() {
+        ctx.seq_counter = saved_seq;
+    }
+    // The failing row's earlier expressions have already been pushed.
+    for c in &mut cols {
+        c.truncate(rows);
+    }
+    ExprCols { cols: cols.into_iter().map(Cow::Owned).collect(), rows, err }
 }
 
-/// Projects one batch. `seq_base` is the global index of the batch's first
-/// row: setting the counter to `base + r` before each row numbers rows per
-/// projection site from zero in row order — the first `SEQ8()` call of row
-/// `r` yields `r` — whatever the batching.
-fn project_batch(
-    exprs: &[PExpr],
-    dag: &ExprDag<'_>,
-    inp: &Chunk,
+/// Maps `work` over `0..n` (an operator's batches) and returns the results
+/// in index order; the error of the lowest index wins. Every index gets a
+/// fresh worker context, `p.parallelism` of them at a time — or, `threaded`,
+/// all run one after the other on the caller's context, so that one `SEQ8()`
+/// counter runs through them in row order.
+fn map_batches<R: Send>(
+    p: &PhysNode<'_>,
+    n: usize,
+    threaded: bool,
     ctx: &mut ExecCtx,
-    seq_base: i64,
-    cell: Option<&OpMetricsCell>,
-) -> Result<Chunk> {
-    let vec_cols = eval_dag(dag, false, inp, ctx, seq_base, cell);
-    count_batch(cell, inp.rows, vec_cols.is_some());
-    if let Some(cols) = vec_cols {
-        let cols = cols.into_iter().map(Cow::into_owned).collect();
-        return Ok(Chunk { cols, rows: inp.rows });
-    }
-    let mut cols: Vec<ColumnVec> = exprs.iter().map(|_| ColumnVec::new()).collect();
-    let saved_seq = ctx.seq_counter;
-    for r in 0..inp.rows {
-        ctx.seq_counter = seq_base + r as i64;
-        let parts = [(inp, r)];
-        let view = RowView::new(&parts);
-        for (e, out) in exprs.iter().zip(cols.iter_mut()) {
-            out.push(eval(e, view, ctx)?);
-        }
-    }
-    ctx.seq_counter = saved_seq;
-    Ok(Chunk { cols, rows: inp.rows })
-}
-
-fn exec_filter(p: &PhysNode<'_>, pred: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
-    let input = execute_physical(&p.children[0], ctx)?;
-    let dag = p.dag()?;
-    if pred.is_volatile() {
-        // Serial fallback keeps the SEQ8 stream identical to the reference
-        // executor (a volatile filter predicate does not occur in bound
-        // plans today, but must not silently change meaning if it does).
-        let mut out = Vec::new();
-        for c in &input {
-            ctx.gov.checkpoint("Filter")?;
-            let start = Instant::now();
-            let f = filter_batch(pred, dag, c, ctx, Some(&p.metrics))?;
-            p.metrics.record_batch(c.rows as u64, f.rows as u64, start.elapsed());
-            charge_batch(p, ctx, "Filter", &f)?;
-            if f.rows > 0 {
-                out.push(f);
+    work: impl Fn(usize, &mut ExecCtx) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let op = op_tag(p);
+    let gov = ctx.gov.clone();
+    let (vectorize, encode) = (ctx.vectorize, ctx.encode);
+    // Degree 1 runs inline on this thread: the lock is never contended.
+    let caller = Mutex::new(ctx);
+    try_parallel_indexed_governed(
+        n,
+        if threaded { 1 } else { p.parallelism },
+        || gov.claim_checkpoint(op),
+        |i, msg| worker_panic_error(op, i, msg),
+        |i| {
+            if threaded {
+                work(i, &mut caller.lock().unwrap_or_else(PoisonError::into_inner))
+            } else {
+                work(i, &mut ExecCtx::worker(gov.clone(), vectorize, encode))
             }
+        },
+    )
+}
+
+/// One batch through a streaming operator — filter, projection, flatten: the
+/// step fused scans and [`exec_stream`] share. `base` is the global index of
+/// the batch's first row in the operator's input: a projection's `SEQ8()`
+/// base and a flatten's `SEQ` base (fused stages are pure and pass 0).
+fn stage_batch(p: &PhysNode<'_>, inp: &Chunk, ctx: &mut ExecCtx, base: i64) -> Result<Chunk> {
+    let op = op_tag(p);
+    ctx.gov.checkpoint(op)?;
+    let start = Instant::now();
+    let (dag, cell) = (p.dag()?, Some(&p.metrics));
+    let out = match &p.logical.kind {
+        NodeKind::Filter { .. } => {
+            let mask = eval_exprs(dag, inp, ctx, None, cell);
+            // A value that is no boolean raises at its row, which comes
+            // before the row the mask ends at.
+            let keep = mask_keep(&mask.cols[0])?;
+            if let Some(e) = mask.err {
+                return Err(e);
+            }
+            Chunk { cols: inp.cols.iter().map(|c| c.gather(&keep)).collect(), rows: keep.len() }
         }
-        return Ok(out);
-    }
-    let gov = ctx.gov.clone();
-    let vectorize = ctx.vectorize;
-    let encode = ctx.encode;
-    let batches = try_parallel_indexed_governed(
-        input.len(),
-        p.parallelism,
-        || gov.claim_checkpoint("Filter"),
-        |bi, msg| worker_panic_error("Filter", bi, msg),
-        |bi| {
-            let start = Instant::now();
-            let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            let out = filter_batch(pred, dag, &input[bi], &mut wctx, Some(&p.metrics))?;
-            p.metrics.record_batch(input[bi].rows as u64, out.rows as u64, start.elapsed());
-            charge_batch(p, &wctx, "Filter", &out)?;
-            Ok(out)
-        },
-    )?;
-    Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
-}
-
-fn exec_project(
-    p: &PhysNode<'_>,
-    exprs: &[PExpr],
-    ctx: &mut ExecCtx,
-) -> Result<Vec<Chunk>> {
-    let input = execute_physical(&p.children[0], ctx)?;
-    let dag = p.dag()?;
-    let bases = row_bases(&input);
-    // Volatile projections parallelize too: each batch knows its global row
-    // base, so SEQ8 ids are assigned exactly as in serial row order. The
-    // per-worker context leaves the caller's counter untouched.
-    let gov = ctx.gov.clone();
-    let vectorize = ctx.vectorize;
-    let encode = ctx.encode;
-    let batches = try_parallel_indexed_governed(
-        input.len(),
-        p.parallelism,
-        || gov.claim_checkpoint("Project"),
-        |bi, msg| worker_panic_error("Project", bi, msg),
-        |bi| {
-            let start = Instant::now();
-            let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            let out = project_batch(
-                exprs,
-                dag,
-                &input[bi],
-                &mut wctx,
-                bases[bi] as i64,
-                Some(&p.metrics),
-            )?;
-            p.metrics.record_batch(input[bi].rows as u64, out.rows as u64, start.elapsed());
-            charge_batch(p, &wctx, "Project", &out)?;
-            Ok(out)
-        },
-    )?;
-    Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
-}
-
-/// Flattens one batch. `row_base` is the global index of the batch's first
-/// row; the emitted `SEQ` column carries `row_base + r`, the parent row's
-/// index in the whole flatten input. `emit` says which of the five appended
-/// columns (VALUE, INDEX, KEY, SEQ, THIS) are read; the rest come out as
-/// all-NULL columns.
-fn flatten_batch(
-    p: &PhysNode<'_>,
-    inp: &Chunk,
-    ctx: &mut ExecCtx,
-    row_base: i64,
-) -> Result<Chunk> {
-    let NodeKind::Flatten { expr, outer, emit, .. } = &p.logical.kind else {
-        unreachable!("flatten_batch on a non-flatten node")
+        NodeKind::Project { .. } => {
+            let cols = eval_exprs(dag, inp, ctx, Some(base), cell).complete()?;
+            Chunk { cols: cols.into_iter().map(Cow::into_owned).collect(), rows: inp.rows }
+        }
+        NodeKind::Flatten { outer, emit, .. } => {
+            let src = eval_exprs(dag, inp, ctx, None, cell).complete()?;
+            flatten_batch(&src[0], *outer, emit, inp, base)
+        }
+        _ => unreachable!("streaming operators are filters, projections and flattens"),
     };
-    let (dag, outer, cell) = (p.dag()?, *outer, Some(&p.metrics));
-    // The flatten source evaluates through the DAG when it can.
-    let vec_src = eval_dag(dag, true, inp, ctx, 0, cell).and_then(|mut cols| cols.pop());
-    count_batch(cell, inp.rows, vec_src.is_some());
+    p.metrics.record_batch(inp.rows as u64, out.rows as u64, start.elapsed());
+    charge_batch(p, ctx, op, &out)?;
+    Ok(out)
+}
+
+/// Runs a streaming operator over the batch list of its input. Batches map
+/// in parallel — a projection numbers `SEQ8()` from each batch's row base, so
+/// its ids are those of serial row order — unless a filter predicate or a
+/// flatten input is volatile: those read one counter, batch after batch.
+fn exec_stream(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
+    let input = execute_physical(&p.children[0], ctx)?;
+    let bases = row_bases(&input);
+    let threaded =
+        p.dag()?.is_volatile() && !matches!(p.logical.kind, NodeKind::Project { .. });
+    let batches = map_batches(p, input.len(), threaded, ctx, |bi, wctx| {
+        stage_batch(p, &input[bi], wctx, bases[bi] as i64)
+    })?;
+    Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
+}
+
+/// Flattens one batch whose flatten input evaluated to `src`. `row_base` is
+/// the global index of the batch's first row; the emitted `SEQ` column
+/// carries `row_base + r`, the parent row's index in the whole flatten input.
+/// `emit` says which of the five appended columns (VALUE, INDEX, KEY, SEQ,
+/// THIS) are read; the rest come out as all-NULL columns.
+fn flatten_batch(
+    src: &ColumnVec,
+    outer: bool,
+    emit: &[bool; 5],
+    inp: &Chunk,
+    row_base: i64,
+) -> Chunk {
     // One pass over the source fixes the output cardinality: `repeat[j]` is
     // the input row behind output row `j`. The appended columns fill in the
     // same pass; every input column is then one typed gather.
@@ -707,15 +692,10 @@ fn flatten_batch(
     for r in 0..inp.rows {
         // Boxed source rows are read in place; only their items are cloned.
         let held;
-        let v = match vec_src.as_deref() {
-            Some(ColumnVec::Var(vals)) => &vals[r],
-            Some(col) => {
+        let v = match src {
+            ColumnVec::Var(vals) => &vals[r],
+            col => {
                 held = col.get(r);
-                &held
-            }
-            None => {
-                let parts = [(inp, r)];
-                held = eval(expr, RowView::new(&parts), ctx)?;
                 &held
             }
         };
@@ -770,44 +750,7 @@ fn flatten_batch(
     for (col, wanted) in [value, index, key, seq, this].into_iter().zip(emit) {
         cols.push(if *wanted { col } else { ColumnVec::Null(n) });
     }
-    Ok(Chunk { cols, rows: n })
-}
-
-fn exec_flatten(p: &PhysNode<'_>, expr: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
-    let input = execute_physical(&p.children[0], ctx)?;
-    let bases = row_bases(&input);
-    if expr.is_volatile() {
-        let mut out = Vec::new();
-        for (bi, c) in input.iter().enumerate() {
-            ctx.gov.checkpoint("Flatten")?;
-            let start = Instant::now();
-            let f = flatten_batch(p, c, ctx, bases[bi] as i64)?;
-            p.metrics.record_batch(c.rows as u64, f.rows as u64, start.elapsed());
-            charge_batch(p, ctx, "Flatten", &f)?;
-            if f.rows > 0 {
-                out.push(f);
-            }
-        }
-        return Ok(out);
-    }
-    let gov = ctx.gov.clone();
-    let vectorize = ctx.vectorize;
-    let encode = ctx.encode;
-    let batches = try_parallel_indexed_governed(
-        input.len(),
-        p.parallelism,
-        || gov.claim_checkpoint("Flatten"),
-        |bi, msg| worker_panic_error("Flatten", bi, msg),
-        |bi| {
-            let start = Instant::now();
-            let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            let out = flatten_batch(p, &input[bi], &mut wctx, bases[bi] as i64)?;
-            p.metrics.record_batch(input[bi].rows as u64, out.rows as u64, start.elapsed());
-            charge_batch(p, &wctx, "Flatten", &out)?;
-            Ok(out)
-        },
-    )?;
-    Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
+    Chunk { cols, rows: n }
 }
 
 // ---------------------------------------------------------------------------
@@ -824,90 +767,23 @@ struct AggState {
 }
 
 impl AggState {
-    /// Folds one batch into the state (serial reference semantics: rows in
-    /// order, group entries keep insertion order, single-key fast path).
-    fn fold(
-        &mut self,
-        groups: &[PExpr],
-        aggs: &[AggExpr],
-        inp: &Chunk,
-        ctx: &mut ExecCtx,
-    ) -> Result<()> {
-        let single = groups.len() == 1;
-        for r in 0..inp.rows {
-            let parts = [(inp, r)];
-            let view = RowView::new(&parts);
-            let mut gv = Vec::with_capacity(groups.len());
-            for g in groups {
-                gv.push(eval(g, view, ctx)?);
-            }
-            let slot = if single {
-                let key = Key::of(&gv[0]);
-                match self.index1.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let s = self.states.len();
-                        self.index1.insert(key, s);
-                        self.group_vals.push(std::mem::take(&mut gv));
-                        self.states
-                            .push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
-                        s
-                    }
-                }
-            } else {
-                let key: Vec<Key> = gv.iter().map(Key::of).collect();
-                match self.index.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let s = self.states.len();
-                        self.index.insert(key, s);
-                        self.group_vals.push(std::mem::take(&mut gv));
-                        self.states
-                            .push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
-                        s
-                    }
-                }
-            };
-            for (a, st) in aggs.iter().zip(self.states[slot].iter_mut()) {
-                let v = match &a.arg {
-                    Some(e) => eval(e, view, ctx)?,
-                    None => Variant::Null,
-                };
-                match &a.arg2 {
-                    Some(k) => {
-                        let kv = eval(k, view, ctx)?;
-                        st.update2(&v, &kv)?;
-                    }
-                    None => st.update(&v)?,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds one batch, preferring the column-major path: the row-at-a-time
-    /// [`AggState::fold`] runs when [`AggState::try_fold_vec`] declines.
+    /// Folds one batch into the state: its expression columns, then the
+    /// accumulators row by row. When an expression fails at row `r`, the rows
+    /// before `r` are folded first, so an accumulator error on an earlier row
+    /// is the one reported, as in serial row order. (Within row `r` itself an
+    /// expression error precedes any accumulator error.)
     fn fold_batch(
         &mut self,
         dag: &ExprDag<'_>,
-        groups: &[PExpr],
+        n_groups: usize,
         aggs: &[AggExpr],
         inp: &Chunk,
         ctx: &mut ExecCtx,
         cell: &OpMetricsCell,
     ) -> Result<()> {
-        let folded = match eval_dag(dag, true, inp, ctx, 0, Some(cell)) {
-            Some(cols) => {
-                self.fold_columns(groups.len(), aggs, &cols, inp.rows)?;
-                true
-            }
-            None => false,
-        };
-        count_batch(Some(cell), inp.rows, folded);
-        if folded {
-            return Ok(());
-        }
-        self.fold(groups, aggs, inp, ctx)
+        let evaluated = eval_exprs(dag, inp, ctx, None, Some(cell));
+        self.fold_columns(n_groups, aggs, &evaluated.cols, evaluated.rows)?;
+        evaluated.err.map_or(Ok(()), Err)
     }
 
     /// The slot of the group whose key is row `r` of `gcols`, created on
@@ -941,10 +817,10 @@ impl AggState {
         }
     }
 
-    /// Folds one batch whose expressions the DAG evaluated: `cols` holds the
-    /// group keys, then each aggregate's arguments. The expressions cannot
-    /// fail any more, so what remains of the serial error order is the order
-    /// of accumulator updates, and every path below keeps it: a global
+    /// Folds `rows` evaluated rows: `cols` holds the group keys, then each
+    /// aggregate's arguments. The expressions cannot fail any more, so what
+    /// remains of the serial error order is the order of accumulator
+    /// updates, and every path below keeps it: a global
     /// aggregation folds whole columns only when no accumulator can fail on
     /// its column ([`column_eligible`], plus a numeric `SUM` state);
     /// everything else updates row by row, aggregate by aggregate.
@@ -984,7 +860,7 @@ impl AggState {
         if gcols.is_empty() {
             let slot = self.slot_at(gcols, 0, aggs);
             // A SUM accumulator holding a non-numeric value (stored unchecked
-            // by an earlier row-major batch) fails on the next number.
+            // by an earlier row-by-row batch) fails on the next number.
             let by_column = aggs.iter().zip(&acols).zip(&self.states[slot]).all(|((a, c), st)| {
                 c.1.is_none()
                     && c.0.is_none_or(|col| column_eligible(a.kind, col))
@@ -1098,13 +974,8 @@ fn exec_aggregate(
     p.metrics.peak(in_rows);
     let start = Instant::now();
 
-    let volatile = groups.iter().any(PExpr::is_volatile)
-        || aggs.iter().any(|a| {
-            a.arg.as_ref().is_some_and(PExpr::is_volatile)
-                || a.arg2.as_ref().is_some_and(PExpr::is_volatile)
-        });
     let single = groups.len() == 1;
-    let parallel = !volatile
+    let parallel = !dag.is_volatile()
         && aggs.iter().all(|a| exactly_mergeable(a.kind))
         && p.parallelism > 1
         && input.len() > 1;
@@ -1112,21 +983,11 @@ fn exec_aggregate(
     let mut state = if parallel {
         // Thread-local partial aggregation per batch, merged at the barrier
         // in batch order so group order and tie-breaks match serial.
-        let gov = ctx.gov.clone();
-        let vectorize = ctx.vectorize;
-        let encode = ctx.encode;
-        let partials = try_parallel_indexed_governed(
-            input.len(),
-            p.parallelism,
-            || gov.claim_checkpoint("Aggregate"),
-            |bi, msg| worker_panic_error("Aggregate", bi, msg),
-            |bi| {
-                let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-                let mut st = AggState::default();
-                st.fold_batch(dag, groups, aggs, &input[bi], &mut wctx, &p.metrics)?;
-                Ok(st)
-            },
-        )?;
+        let partials = map_batches(p, input.len(), false, ctx, |bi, wctx| {
+            let mut st = AggState::default();
+            st.fold_batch(dag, groups.len(), aggs, &input[bi], wctx, &p.metrics)?;
+            Ok(st)
+        })?;
         let mut merged = AggState::default();
         for partial in partials {
             merged.merge(partial, single)?;
@@ -1136,7 +997,7 @@ fn exec_aggregate(
         let mut st = AggState::default();
         for c in &input {
             ctx.gov.checkpoint("Aggregate")?;
-            st.fold_batch(dag, groups, aggs, c, ctx, &p.metrics)?;
+            st.fold_batch(dag, groups.len(), aggs, c, ctx, &p.metrics)?;
         }
         st
     };
@@ -1173,7 +1034,10 @@ fn exec_join(
 ) -> Result<Vec<Chunk>> {
     let l_batches = execute_physical(&p.children[0], ctx)?;
     let r_batches = execute_physical(&p.children[1], ctx)?;
-    let la = batches_arity(&l_batches, &p.children[0]);
+    let OpExprs::Join(JoinExprs { left: left_keys, right: right_keys, residual }) = &p.exprs
+    else {
+        return Err(SnowError::internal(p.op_name(), "the join was lowered without its keys"));
+    };
     let ra = batches_arity(&r_batches, &p.children[1]);
     let l_rows = total_rows(&l_batches) as u64;
     let r_rows = total_rows(&r_batches) as u64;
@@ -1185,156 +1049,68 @@ fn exec_join(
     let r = concat_batches(r_batches, ra);
     charge_batch(p, ctx, "Join", &r)?;
 
-    let OpExprs::Join(JoinExprs { equi, residual, left: left_keys, right: right_keys, left_arity }) =
-        &p.exprs
-    else {
-        // Serial reference fallback for volatile join conditions.
-        let l = concat_batches(l_batches, la);
-        charge_batch(p, ctx, "Join", &l)?;
-        let out = join_chunks(&l, &r, kind, on, ctx)?;
-        charge_batch(p, ctx, "Join", &out)?;
-        p.metrics.add_busy(start.elapsed());
-        let batches = split_into_batches(out);
-        p.metrics
-            .add_output(batches.iter().map(|c| c.rows as u64).sum(), batches.len() as u64);
-        return Ok(batches);
-    };
-
     // Hash join: build on the right side (serial — the build is a hash
-    // insert in row order; probe is the parallel phase). Key expressions go
-    // through the DAG when possible; `key_at` then yields exactly the group
-    // key `Key::of` would for the boxed value.
-    let vectorize = ctx.vectorize;
-    let encode = ctx.encode;
-    let hash: Option<HashMap<Vec<Key>, Vec<usize>>> = if equi.is_empty() {
+    // insert in row order; probe is the parallel phase). `key_at` yields
+    // exactly the group key `Key::of` would for the boxed value.
+    let hash: Option<HashMap<Vec<Key>, Vec<usize>>> = if left_keys.root_count() == 0 {
         None
     } else {
+        let kcols = eval_exprs(right_keys, &r, ctx, None, None).complete()?;
         let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-        match eval_dag(right_keys, true, &r, ctx, 0, None) {
-            Some(kcols) => {
-                for rr in 0..r.rows {
-                    if rr % BATCH_ROWS == 0 {
-                        ctx.gov.checkpoint("Join")?;
-                    }
-                    // NULL keys never match in SQL equality.
-                    if kcols.iter().any(|c| c.is_null_at(rr)) {
-                        continue;
-                    }
-                    let key: Vec<Key> = kcols.iter().map(|c| c.key_at(rr)).collect();
-                    table.entry(key).or_default().push(rr);
-                }
+        let mut key = Vec::new();
+        for rr in 0..r.rows {
+            if rr % BATCH_ROWS == 0 {
+                ctx.gov.checkpoint("Join")?;
             }
-            None => {
-                let mut bctx = ExecCtx::worker(ctx.gov.clone(), vectorize, ctx.encode);
-                for rr in 0..r.rows {
-                    if rr % BATCH_ROWS == 0 {
-                        bctx.gov.checkpoint("Join")?;
-                    }
-                    let parts = [(&r, rr)];
-                    let view = RowView::shifted(&parts, *left_arity);
-                    let mut key = Vec::with_capacity(equi.len());
-                    let mut has_null = false;
-                    for (_, rk) in equi {
-                        let v = eval(rk, view, &mut bctx)?;
-                        if v.is_null() {
-                            has_null = true;
-                            break;
-                        }
-                        key.push(Key::of(&v));
-                    }
-                    // NULL keys never match in SQL equality.
-                    if !has_null {
-                        table.entry(key).or_default().push(rr);
-                    }
-                }
+            if join_key(&kcols, rr, &mut key) {
+                table.entry(std::mem::take(&mut key)).or_default().push(rr);
             }
         }
         Some(table)
     };
 
-    let gov = ctx.gov.clone();
-    let probe = |lb: &Chunk| -> Result<Chunk> {
-        let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
+    // Without hash keys (a cross join, a non-equi condition) every right row
+    // is a candidate of every left row: a nested loop.
+    let all_right: Vec<usize> = if hash.is_none() { (0..r.rows).collect() } else { Vec::new() };
+
+    let probe = |lb: &Chunk, wctx: &mut ExecCtx| -> Result<Chunk> {
+        let kcols = match &hash {
+            Some(_) => eval_exprs(left_keys, lb, wctx, None, Some(&p.metrics)).complete()?,
+            None => Vec::new(),
+        };
         // Matches accumulate as (left, right) row indices; the output chunk
         // is a typed gather at the end, so column representations survive the
         // join untouched (`None` right rows become NULLs on the outer side).
         let mut lidx: Vec<usize> = Vec::new();
         let mut ridx: Vec<Option<usize>> = Vec::new();
-        let residual_ok = |wctx: &mut ExecCtx, lr: usize, rr: usize| -> Result<bool> {
-            for e in residual {
-                let parts = [(lb, lr), (&r, rr)];
-                let v = eval(e, RowView::new(&parts), wctx)?;
-                if truth(&v)? != Some(true) {
-                    return Ok(false);
+        let mut key = Vec::new();
+        for lr in 0..lb.rows {
+            let candidates: &[usize] = match &hash {
+                Some(table) if join_key(&kcols, lr, &mut key) => {
+                    table.get(key.as_slice()).map_or(&[], Vec::as_slice)
                 }
+                Some(_) => &[],
+                None => &all_right,
+            };
+            let mut matched = false;
+            'pairs: for &rr in candidates {
+                for e in residual {
+                    let parts = [(lb, lr), (&r, rr)];
+                    let v = eval(e, RowView::new(&parts), wctx)?;
+                    if truth(&v)? != Some(true) {
+                        continue 'pairs;
+                    }
+                }
+                lidx.push(lr);
+                ridx.push(Some(rr));
+                matched = true;
             }
-            Ok(true)
-        };
-        match &hash {
-            None => {
-                // Nested-loop join for cross joins and non-equi conditions.
-                for lr in 0..lb.rows {
-                    let mut matched = false;
-                    for rr in 0..r.rows {
-                        if residual_ok(&mut wctx, lr, rr)? {
-                            lidx.push(lr);
-                            ridx.push(Some(rr));
-                            matched = true;
-                        }
-                    }
-                    if kind == JoinKind::LeftOuter && !matched {
-                        lidx.push(lr);
-                        ridx.push(None);
-                    }
-                }
-            }
-            Some(table) => {
-                let probe_cols = eval_dag(left_keys, true, lb, &wctx, 0, None);
-                count_batch(Some(&p.metrics), lb.rows, probe_cols.is_some());
-                for lr in 0..lb.rows {
-                    let mut key = Vec::with_capacity(equi.len());
-                    let mut has_null = false;
-                    match &probe_cols {
-                        Some(kcols) => {
-                            if kcols.iter().any(|c| c.is_null_at(lr)) {
-                                has_null = true;
-                            } else {
-                                key.extend(kcols.iter().map(|c| c.key_at(lr)));
-                            }
-                        }
-                        None => {
-                            let parts = [(lb, lr)];
-                            let view = RowView::new(&parts);
-                            for (lk, _) in equi {
-                                let v = eval(lk, view, &mut wctx)?;
-                                if v.is_null() {
-                                    has_null = true;
-                                    break;
-                                }
-                                key.push(Key::of(&v));
-                            }
-                        }
-                    }
-                    let mut matched = false;
-                    if !has_null {
-                        if let Some(rows) = table.get(&key) {
-                            for &rr in rows {
-                                if residual_ok(&mut wctx, lr, rr)? {
-                                    lidx.push(lr);
-                                    ridx.push(Some(rr));
-                                    matched = true;
-                                }
-                            }
-                        }
-                    }
-                    if kind == JoinKind::LeftOuter && !matched {
-                        lidx.push(lr);
-                        ridx.push(None);
-                    }
-                }
+            if kind == JoinKind::LeftOuter && !matched {
+                lidx.push(lr);
+                ridx.push(None);
             }
         }
-        let mut cols: Vec<ColumnVec> = Vec::with_capacity(la + ra);
+        let mut cols: Vec<ColumnVec> = Vec::with_capacity(lb.cols.len() + r.cols.len());
         for c in &lb.cols {
             cols.push(c.gather(&lidx));
         }
@@ -1344,24 +1120,30 @@ fn exec_join(
         Ok(Chunk { cols, rows: lidx.len() })
     };
 
-    let batches = try_parallel_indexed_governed(
-        l_batches.len(),
-        p.parallelism,
-        || gov.claim_checkpoint("Join"),
-        |bi, msg| worker_panic_error("Join", bi, msg),
-        |bi| {
-            let t0 = Instant::now();
-            let out = probe(&l_batches[bi])?;
-            p.metrics
-                .record_batch(l_batches[bi].rows as u64, out.rows as u64, t0.elapsed());
-            let bytes = out.approx_bytes();
-            p.metrics.add_mem(bytes);
-            gov.charge_memory(bytes, "Join")?;
-            Ok(out)
-        },
-    )?;
+    // A volatile ON reads one `SEQ8()` counter: after the right keys above,
+    // each left batch in order — its keys, then the residuals of its
+    // candidate pairs.
+    let volatile = on.as_ref().is_some_and(PExpr::is_volatile);
+    let batches = map_batches(p, l_batches.len(), volatile, ctx, |bi, wctx| {
+        let t0 = Instant::now();
+        let out = probe(&l_batches[bi], wctx)?;
+        p.metrics.record_batch(l_batches[bi].rows as u64, out.rows as u64, t0.elapsed());
+        charge_batch(p, wctx, "Join", &out)?;
+        Ok(out)
+    })?;
     p.metrics.add_busy(start.elapsed());
     Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
+}
+
+/// Writes the hash key of row `r` of a join's key columns into `key`; false
+/// when a key is NULL, which never matches in SQL equality.
+fn join_key(kcols: &[Cow<'_, ColumnVec>], r: usize, key: &mut Vec<Key>) -> bool {
+    key.clear();
+    if kcols.iter().any(|c| c.is_null_at(r)) {
+        return false;
+    }
+    key.extend(kcols.iter().map(|c| c.key_at(r)));
+    true
 }
 
 fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
@@ -1372,30 +1154,13 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
     p.metrics.peak(in_rows as u64);
     let start = Instant::now();
 
-    let gov = ctx.gov.clone();
-    let vectorize = ctx.vectorize;
-    let encode = ctx.encode;
-    let volatile = keys.iter().any(|k| k.expr.is_volatile());
-    // Key evaluation parallelizes per batch; each result is key-major.
-    let key_cols: Vec<Vec<Vec<Variant>>> = if volatile {
-        let mut all = Vec::with_capacity(input.len());
-        for c in &input {
-            ctx.gov.checkpoint("Sort")?;
-            all.push(eval_sort_keys(keys, dag, c, ctx, Some(&p.metrics))?);
-        }
-        all
-    } else {
-        try_parallel_indexed_governed(
-            input.len(),
-            p.parallelism,
-            || gov.claim_checkpoint("Sort"),
-            |bi, msg| worker_panic_error("Sort", bi, msg),
-            |bi| {
-                let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-                eval_sort_keys(keys, dag, &input[bi], &mut wctx, Some(&p.metrics))
-            },
-        )?
-    };
+    // Key evaluation parallelizes per batch (volatile keys read one counter,
+    // batch after batch); each result is key-major.
+    let key_cols: Vec<Vec<Vec<Variant>>> =
+        map_batches(p, input.len(), dag.is_volatile(), ctx, |bi, wctx| {
+            let cols = eval_exprs(dag, &input[bi], wctx, None, Some(&p.metrics)).complete()?;
+            Ok(cols.into_iter().map(|c| c.into_owned().into_variants()).collect())
+        })?;
 
     // Global merge: one stable sort over (batch, row) in input order, so the
     // permutation — and therefore tie order — does not depend on batching.
@@ -1420,55 +1185,23 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
     // Parallel gather into output batches.
     let arity = batches_arity(&input, &p.children[0]);
     let n_batches = in_rows.div_ceil(BATCH_ROWS);
-    let batches = try_parallel_indexed_governed(
-        n_batches,
-        p.parallelism,
-        || gov.claim_checkpoint("Sort"),
-        |ob, msg| worker_panic_error("Sort", ob, msg),
-        |ob| {
-            let t0 = Instant::now();
-            let lo = ob * BATCH_ROWS;
-            let hi = (lo + BATCH_ROWS).min(in_rows);
-            let mut cols: Vec<ColumnVec> = vec![ColumnVec::new(); arity];
-            for &(bi, r) in &order[lo..hi] {
-                for (i, col) in cols.iter_mut().enumerate() {
-                    col.push_from(&input[bi as usize].cols[i], r as usize);
-                }
+    let batches = map_batches(p, n_batches, false, ctx, |ob, wctx| {
+        let t0 = Instant::now();
+        let lo = ob * BATCH_ROWS;
+        let hi = (lo + BATCH_ROWS).min(in_rows);
+        let mut cols: Vec<ColumnVec> = vec![ColumnVec::new(); arity];
+        for &(bi, r) in &order[lo..hi] {
+            for (i, col) in cols.iter_mut().enumerate() {
+                col.push_from(&input[bi as usize].cols[i], r as usize);
             }
-            let out = Chunk { cols, rows: hi - lo };
-            p.metrics.record_batch(0, out.rows as u64, t0.elapsed());
-            let bytes = out.approx_bytes();
-            p.metrics.add_mem(bytes);
-            gov.charge_memory(bytes, "Sort")?;
-            Ok(out)
-        },
-    )?;
+        }
+        let out = Chunk { cols, rows: hi - lo };
+        p.metrics.record_batch(0, out.rows as u64, t0.elapsed());
+        charge_batch(p, wctx, "Sort", &out)?;
+        Ok(out)
+    })?;
     p.metrics.add_busy(start.elapsed());
     Ok(batches)
-}
-
-fn eval_sort_keys(
-    keys: &[SortKey],
-    dag: &ExprDag<'_>,
-    inp: &Chunk,
-    ctx: &mut ExecCtx,
-    cell: Option<&OpMetricsCell>,
-) -> Result<Vec<Vec<Variant>>> {
-    let vec_cols = eval_dag(dag, true, inp, ctx, 0, cell);
-    count_batch(cell, inp.rows, vec_cols.is_some());
-    if let Some(cols) = vec_cols {
-        return Ok(cols.into_iter().map(|c| c.into_owned().into_variants()).collect());
-    }
-    // Row-major, like every other row loop: the first error in (row, key)
-    // order is the one reported.
-    let mut out: Vec<Vec<Variant>> = keys.iter().map(|_| Vec::with_capacity(inp.rows)).collect();
-    for r in 0..inp.rows {
-        let parts = [(inp, r)];
-        for (k, col) in keys.iter().zip(out.iter_mut()) {
-            col.push(eval(&k.expr, RowView::new(&parts), ctx)?);
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ pub mod narrow;
 pub mod share;
 
 use crate::error::Result;
+use crate::exec::dag::{DagOp, ExprDag, NodeId};
 use crate::exec::{eval, ExecCtx, RowView};
 use crate::plan::{Field, FuncId, Node, NodeKind, PExpr, PStep, ScanPredicate};
 use crate::sql::{BinOp, JoinKind};
@@ -82,9 +83,12 @@ fn merge_projects(node: Node) -> Node {
 /// The expressions of `Project outer (Project inner (x))` as one projection
 /// over `x`, or `None` when merging could grow the plan or change values.
 /// Every non-trivial inner expression must be referenced at most once by the
-/// outer projection (column references and literals substitute freely), and
-/// one the outer projection never references must be [`error_free`]: merging
-/// drops it, and with it the error the unmerged plan raises.
+/// outer projection (column references and literals substitute freely). One
+/// the outer projection never references must be [`error_free`]: merging
+/// drops it, and with it the error the unmerged plan raises. One it
+/// references from a lazily evaluated position (`CASE WHEN k <> 0 THEN boom
+/// END`) must be too: merged, the guard would keep it from the rows on which
+/// the unmerged plan raises.
 /// Volatile expressions (`SEQ8`) merge safely under the same single-reference
 /// rule because projections preserve row count and `SEQ8` numbers rows per
 /// projection.
@@ -97,9 +101,10 @@ fn merged_exprs(outer: &[PExpr], inner: &[PExpr]) -> Option<Vec<PExpr>> {
     for c in cols {
         refs[c] += 1;
     }
-    let mergeable = inner.iter().zip(&refs).all(|(ie, &r)| match r {
+    let mut every_row = None;
+    let mergeable = inner.iter().zip(&refs).enumerate().all(|(c, (ie, &r))| match r {
         0 => error_free(ie),
-        1 => true,
+        1 => error_free(ie) || every_row.get_or_insert_with(|| read_on_every_row(outer, inner.len()))[c],
         _ => matches!(ie, PExpr::Col(_) | PExpr::Lit(_)),
     });
     // Two volatile (SEQ8) expressions merged into one projection would share
@@ -107,6 +112,21 @@ fn merged_exprs(outer: &[PExpr], inner: &[PExpr]) -> Option<Vec<PExpr>> {
     let volatile_clash =
         outer.iter().any(PExpr::is_volatile) && inner.iter().any(PExpr::is_volatile);
     (mergeable && !volatile_clash).then(|| outer.iter().map(|e| e.substitute(inner)).collect())
+}
+
+/// The input columns a projection reads on every row — from a position no
+/// `AND`/`OR`, `IFF`/`CASE`, `COALESCE`/`NVL`, `IN` list or path index
+/// guards — as a set over the `arity` input columns. The guard positions are
+/// the expression DAG's ([`crate::exec::dag`]), the one place that names them.
+fn read_on_every_row(exprs: &[PExpr], arity: usize) -> Vec<bool> {
+    let dag = ExprDag::compile(exprs);
+    let mut cols = vec![false; arity];
+    for id in 0..dag.dag_nodes() as NodeId {
+        if let DagOp::Col(c) = dag.op(id) {
+            cols[c] = dag.always(id);
+        }
+    }
+    cols
 }
 
 // ---- constant folding ------------------------------------------------------

@@ -53,8 +53,8 @@ pub struct PhysNode<'a> {
 /// The expressions an operator evaluates, compiled when the plan is lowered.
 #[derive(Debug)]
 pub enum OpExprs<'a> {
-    /// The operator evaluates no expression, or is a reader of a shared
-    /// result, or joins on a volatile condition (row at a time, in order).
+    /// The operator evaluates no expression (scan, limit, union, distinct,
+    /// values), or is a reader of a shared result.
     None,
     /// One root per expression, in plan order: the projection list, the
     /// filter predicate, the flatten input, the sort keys; for an aggregate
@@ -66,16 +66,14 @@ pub enum OpExprs<'a> {
 /// A join's ON predicate, split once: hash keys and residual conjuncts.
 #[derive(Debug)]
 pub struct JoinExprs<'a> {
-    /// `(left key, right key)` per equi-conjunct, both bound against the
-    /// concatenated schema.
-    pub equi: Vec<(&'a PExpr, &'a PExpr)>,
-    /// Conjuncts evaluated per candidate pair.
-    pub residual: Vec<&'a PExpr>,
-    /// The left keys over the left input.
+    /// The left key of each equi-conjunct, over the left input. No root: the
+    /// join is a nested loop over the residual.
     pub left: ExprDag<'a>,
-    /// The right keys over the right input (columns shifted by `left_arity`).
+    /// The matching right keys over the right input; they are bound against
+    /// the concatenated schema, so the DAG's offset is the left arity.
     pub right: ExprDag<'a>,
-    pub left_arity: usize,
+    /// Conjuncts evaluated per candidate pair, over the concatenated row.
+    pub residual: Vec<&'a PExpr>,
 }
 
 fn compile_exprs(plan: &Node) -> OpExprs<'_> {
@@ -87,16 +85,14 @@ fn compile_exprs(plan: &Node) -> OpExprs<'_> {
         NodeKind::Aggregate { groups, aggs, .. } => OpExprs::Dag(ExprDag::compile(
             groups.iter().chain(aggs.iter().flat_map(|a| a.arg.iter().chain(a.arg2.iter()))),
         )),
-        NodeKind::Join { left, on, .. } if !on.as_ref().is_some_and(PExpr::is_volatile) => {
+        NodeKind::Join { left, on, .. } => {
             let left_arity = left.arity();
             let (equi, residual) =
                 on.as_ref().map(|e| split_join_on(e, left_arity)).unwrap_or_default();
             OpExprs::Join(JoinExprs {
                 left: ExprDag::compile(equi.iter().map(|(l, _)| *l)),
                 right: ExprDag::compile_shifted(equi.iter().map(|(_, r)| *r), left_arity),
-                equi,
                 residual,
-                left_arity,
             })
         }
         _ => OpExprs::None,

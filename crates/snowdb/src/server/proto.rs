@@ -18,7 +18,7 @@
 //! | `0x04` | c → s     | Goodbye       | empty — orderly close                                   |
 //! | `0x81` | s → c     | HelloAck      | `u64` session id, `str` server banner                   |
 //! | `0x82` | s → c     | ResultHeader  | `u32` column count, column names                        |
-//! | `0x83` | s → c     | RowBatch      | `u32` row count, rows of `Variant`s (schema from header)|
+//! | `0x83` | s → c     | RowBatch      | `u32` row count, rows of `Variant`s ([`codec`] bytes)   |
 //! | `0x84` | s → c     | ResultDone    | `u64` rows, compile µs, exec µs, bytes scanned, queued ms|
 //! | `0x85` | s → c     | Message       | `str` statement message (DDL/DML/`SET` outcomes)        |
 //! | `0x86` | s → c     | Error         | structured [`SnowError`] (kind byte + fields)           |
@@ -34,17 +34,13 @@ use crate::error::{
     AdmissionTrip, DeadlineTrip, InternalTrip, ResourceTrip, Result, SnowError,
     WriteConflictTrip,
 };
-use crate::variant::{Object, Variant};
+use crate::variant::{codec, Variant};
 
 /// Protocol version spoken by this build; bumped on incompatible changes.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Default maximum frame size (16 MiB) — both sides enforce it on receive.
 pub const DEFAULT_MAX_FRAME: u32 = 16 << 20;
-
-/// Nesting depth cap for decoded `Variant`s, mirroring the JSON parser's
-/// guard so a hostile frame cannot blow the stack.
-const MAX_VARIANT_DEPTH: usize = 512;
 
 /// Frame opcodes. Client-to-server opcodes have the high bit clear,
 /// server-to-client opcodes have it set.
@@ -126,52 +122,14 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// One value in the shared [`codec`] encoding.
     pub fn variant(&mut self, v: &Variant) {
-        match v {
-            Variant::Null => self.u8(0),
-            Variant::Bool(false) => self.u8(1),
-            Variant::Bool(true) => self.u8(2),
-            Variant::Int(n) => {
-                self.u8(3);
-                self.i64(*n);
-            }
-            Variant::Float(x) => {
-                self.u8(4);
-                self.f64(*x);
-            }
-            Variant::Str(s) => {
-                self.u8(5);
-                self.str(s);
-            }
-            Variant::Array(items) => {
-                self.u8(6);
-                self.u32(items.len() as u32);
-                for item in items.iter() {
-                    self.variant(item);
-                }
-            }
-            Variant::Object(obj) => {
-                self.u8(7);
-                self.u32(obj.len() as u32);
-                for (k, val) in obj.iter() {
-                    self.str(k);
-                    self.variant(val);
-                }
-            }
-        }
+        codec::encode(v, &mut self.buf);
     }
 
     pub fn error(&mut self, e: &SnowError) {
@@ -282,14 +240,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     pub fn str(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -298,55 +248,7 @@ impl<'a> Dec<'a> {
     }
 
     pub fn variant(&mut self) -> Result<Variant> {
-        self.variant_at(0)
-    }
-
-    fn variant_at(&mut self, depth: usize) -> Result<Variant> {
-        if depth > MAX_VARIANT_DEPTH {
-            return Err(SnowError::Protocol(format!(
-                "variant nesting exceeds depth {MAX_VARIANT_DEPTH}"
-            )));
-        }
-        match self.u8()? {
-            0 => Ok(Variant::Null),
-            1 => Ok(Variant::Bool(false)),
-            2 => Ok(Variant::Bool(true)),
-            3 => Ok(Variant::Int(self.i64()?)),
-            4 => Ok(Variant::Float(self.f64()?)),
-            5 => Ok(Variant::str(self.str()?)),
-            6 => {
-                let count = self.u32()? as usize;
-                // A forged count cannot reserve memory: each element consumes
-                // at least one byte, so bound it by what actually arrived.
-                if count > self.remaining() {
-                    return Err(SnowError::Protocol(format!(
-                        "array count {count} exceeds {} remaining byte(s)",
-                        self.remaining()
-                    )));
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.variant_at(depth + 1)?);
-                }
-                Ok(Variant::array(items))
-            }
-            7 => {
-                let count = self.u32()? as usize;
-                if count > self.remaining() {
-                    return Err(SnowError::Protocol(format!(
-                        "object count {count} exceeds {} remaining byte(s)",
-                        self.remaining()
-                    )));
-                }
-                let mut obj = Object::with_capacity(count);
-                for _ in 0..count {
-                    let key = self.str()?;
-                    obj.insert(key, self.variant_at(depth + 1)?);
-                }
-                Ok(Variant::object(obj))
-            }
-            tag => Err(SnowError::Protocol(format!("unknown variant tag {tag}"))),
-        }
+        codec::decode(self.buf, &mut self.pos).map_err(|m| SnowError::Protocol(m.0))
     }
 
     pub fn error(&mut self) -> Result<SnowError> {
@@ -474,6 +376,7 @@ pub fn decode_done(d: &mut Dec<'_>) -> Result<Done> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variant::Object;
 
     fn roundtrip_variant(v: &Variant) {
         let mut e = Enc::new(0);
@@ -549,20 +452,16 @@ mod tests {
 
     #[test]
     fn forged_counts_and_depth_are_typed_errors() {
-        // Array claiming 2^31 elements with a 10-byte body.
+        // Array claiming 2^31 elements with a 6-byte body.
         let mut e = Enc::new(0);
         e.u8(6);
-        e.u32(1 << 31);
+        codec::put_varint(&mut e.buf, 1 << 31);
         e.buf.extend_from_slice(&[0; 6]);
         let mut d = Dec::new(&e.buf[1..]);
         assert!(matches!(d.variant(), Err(SnowError::Protocol(_))));
 
         // Arrays nested past the depth guard: each level is tag 6 + count 1.
-        let mut deep = Vec::new();
-        for _ in 0..600 {
-            deep.push(6u8);
-            deep.extend_from_slice(&1u32.to_le_bytes());
-        }
+        let mut deep = [6u8, 1].repeat(600);
         deep.push(0);
         let mut d = Dec::new(&deep);
         match d.variant() {
@@ -573,7 +472,8 @@ mod tests {
 
     #[test]
     fn truncated_and_non_utf8_fields_are_typed_errors() {
-        let mut d = Dec::new(&[3, 1, 2]);
+        // A float cut short.
+        let mut d = Dec::new(&[4, 1, 2]);
         assert!(matches!(d.variant(), Err(SnowError::Protocol(_))));
         // str with invalid UTF-8.
         let mut buf = Vec::new();

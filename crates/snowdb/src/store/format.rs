@@ -63,7 +63,8 @@ use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::storage::stats::{ColumnStats, KmvSketch};
 use crate::storage::{stored_type, ColumnDef, ColumnType, MicroPartition, ZoneMap};
-use crate::variant::{Object, Variant};
+use crate::variant::codec::{self, put_varint, unzigzag, zigzag};
+use crate::variant::Variant;
 
 /// File magic, present both in the 8-byte header and the 4-byte trailer.
 pub const MAGIC: [u8; 4] = *b"SNPT";
@@ -73,9 +74,6 @@ pub const FORMAT_VERSION: u16 = 3;
 pub const HEADER_LEN: u64 = 8;
 /// Fixed byte length of the trailer (`footer crc + footer len + magic`).
 pub const TRAILER_LEN: u64 = 12;
-/// Maximum nesting depth accepted when decoding a `VARIANT` value — bounds
-/// stack use on adversarially deep (or corrupt) input.
-pub const MAX_VARIANT_DEPTH: usize = 512;
 
 /// On-disk block encoding of one column, recorded per column in the footer.
 /// The *logical* type is [`ColumnMeta::ty`]; the encoding says how the block
@@ -171,6 +169,10 @@ fn storage(msg: impl Into<String>) -> SnowError {
     SnowError::Storage(msg.into())
 }
 
+fn malformed(m: codec::Malformed) -> SnowError {
+    storage(m.0)
+}
+
 fn io_err(path: &Path, what: &str, e: std::io::Error) -> SnowError {
     storage(format!("{}: {what}: {e}", path.display()))
 }
@@ -215,26 +217,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 // Primitive encoders / cursor-based decoders.
 // ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 fn put_bitmap(out: &mut Vec<u8>, bits: impl Iterator<Item = bool>) {
     let mut byte = 0u8;
@@ -291,19 +273,7 @@ impl<'a> Cur<'a> {
     }
 
     fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 {
-                return Err(storage("varint overflows u64".to_string()));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        codec::get_varint(self.buf, &mut self.pos).map_err(malformed)
     }
 
     /// A usize-bounded varint for in-memory lengths/counts; rejects values
@@ -332,95 +302,13 @@ fn read_bitmap(cur: &mut Cur<'_>, rows: usize) -> Result<Bitmap> {
     Ok(Bitmap::from_le_bytes(cur.take(rows.div_ceil(8))?, rows))
 }
 
-// ---------------------------------------------------------------------------
-// Variant encoding: a compact tagged tree.
-// ---------------------------------------------------------------------------
-
-const VTAG_NULL: u8 = 0;
-const VTAG_FALSE: u8 = 1;
-const VTAG_TRUE: u8 = 2;
-const VTAG_INT: u8 = 3;
-const VTAG_FLOAT: u8 = 4;
-const VTAG_STR: u8 = 5;
-const VTAG_ARRAY: u8 = 6;
-const VTAG_OBJECT: u8 = 7;
-
-/// Appends the binary encoding of `v` to `out`.
-pub fn encode_variant(v: &Variant, out: &mut Vec<u8>) {
-    match v {
-        Variant::Null => out.push(VTAG_NULL),
-        Variant::Bool(false) => out.push(VTAG_FALSE),
-        Variant::Bool(true) => out.push(VTAG_TRUE),
-        Variant::Int(i) => {
-            out.push(VTAG_INT);
-            put_varint(out, zigzag(*i));
-        }
-        Variant::Float(f) => {
-            out.push(VTAG_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Variant::Str(s) => {
-            out.push(VTAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Variant::Array(items) => {
-            out.push(VTAG_ARRAY);
-            put_varint(out, items.len() as u64);
-            for item in items.iter() {
-                encode_variant(item, out);
-            }
-        }
-        Variant::Object(obj) => {
-            out.push(VTAG_OBJECT);
-            put_varint(out, obj.len() as u64);
-            for (k, val) in obj.iter() {
-                put_varint(out, k.len() as u64);
-                out.extend_from_slice(k.as_bytes());
-                encode_variant(val, out);
-            }
-        }
-    }
+/// Reads one `VARIANT` value ([`codec`]).
+fn decode_variant(cur: &mut Cur<'_>) -> Result<Variant> {
+    codec::decode(cur.buf, &mut cur.pos).map_err(malformed)
 }
 
 fn decode_str(cur: &mut Cur<'_>) -> Result<Arc<str>> {
-    let len = cur.varlen()?;
-    let bytes = cur.take(len)?;
-    let s = std::str::from_utf8(bytes).map_err(|e| storage(format!("invalid utf-8: {e}")))?;
-    Ok(Arc::from(s))
-}
-
-fn decode_variant(cur: &mut Cur<'_>, depth: usize) -> Result<Variant> {
-    if depth > MAX_VARIANT_DEPTH {
-        return Err(storage(format!("variant nesting exceeds depth {MAX_VARIANT_DEPTH}")));
-    }
-    match cur.u8()? {
-        VTAG_NULL => Ok(Variant::Null),
-        VTAG_FALSE => Ok(Variant::Bool(false)),
-        VTAG_TRUE => Ok(Variant::Bool(true)),
-        VTAG_INT => Ok(Variant::Int(unzigzag(cur.varint()?))),
-        VTAG_FLOAT => Ok(Variant::Float(f64::from_bits(cur.u64()?))),
-        VTAG_STR => Ok(Variant::Str(decode_str(cur)?)),
-        VTAG_ARRAY => {
-            let n = cur.varlen()?;
-            let mut items = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                items.push(decode_variant(cur, depth + 1)?);
-            }
-            Ok(Variant::array(items))
-        }
-        VTAG_OBJECT => {
-            let n = cur.varlen()?;
-            let mut obj = Object::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let key = decode_str(cur)?;
-                let val = decode_variant(cur, depth + 1)?;
-                obj.insert(key, val);
-            }
-            Ok(Variant::object(obj))
-        }
-        tag => Err(storage(format!("unknown variant tag {tag}"))),
-    }
+    codec::get_str(cur.buf, &mut cur.pos).map_err(malformed)
 }
 
 // ---------------------------------------------------------------------------
@@ -464,10 +352,10 @@ pub fn encode_column(col: &ColumnVec, out: &mut Vec<u8>) {
         }
         ColumnVec::Var(v) => {
             for val in v {
-                encode_variant(val, out);
+                codec::encode(val, out);
             }
         }
-        ColumnVec::Null(n) => out.extend(std::iter::repeat_n(VTAG_NULL, *n)),
+        ColumnVec::Null(n) => out.extend(std::iter::repeat_n(codec::TAG_NULL, *n)),
         ColumnVec::DictStr { codes, dict } => {
             put_varint(out, dict.len() as u64);
             for s in dict.iter() {
@@ -537,7 +425,7 @@ fn decode_plain(ty: ColumnType, rows: usize, cur: &mut Cur<'_>) -> Result<Column
         ColumnType::Variant => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(decode_variant(cur, 0)?);
+                v.push(decode_variant(cur)?);
             }
             ColumnVec::Var(v)
         }
@@ -676,8 +564,8 @@ fn encode_footer(meta: &PartitionMeta) -> Vec<u8> {
             None => out.push(0),
             Some(zm) => {
                 out.push(1);
-                encode_variant(&zm.min, &mut out);
-                encode_variant(&zm.max, &mut out);
+                codec::encode(&zm.min, &mut out);
+                codec::encode(&zm.max, &mut out);
                 put_varint(&mut out, zm.null_count as u64);
             }
         }
@@ -691,7 +579,7 @@ fn encode_footer(meta: &PartitionMeta) -> Vec<u8> {
         }
         put_varint(&mut out, s.histogram.len() as u64);
         for b in &s.histogram {
-            encode_variant(b, &mut out);
+            codec::encode(b, &mut out);
         }
         put_varint(&mut out, s.array_cells);
         put_varint(&mut out, s.array_elems);
@@ -714,8 +602,8 @@ fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
         let zone_map = match cur.u8()? {
             0 => None,
             1 => {
-                let min = decode_variant(&mut cur, 0)?;
-                let max = decode_variant(&mut cur, 0)?;
+                let min = decode_variant(&mut cur)?;
+                let max = decode_variant(&mut cur)?;
                 let null_count = cur.varlen()?;
                 Some(ZoneMap { min, max, null_count })
             }
@@ -747,7 +635,7 @@ fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
         }
         let mut histogram = Vec::with_capacity(bound_count);
         for _ in 0..bound_count {
-            histogram.push(decode_variant(&mut cur, 0)?);
+            histogram.push(decode_variant(&mut cur)?);
         }
         let array_cells = cur.varint()?;
         let array_elems = cur.varint()?;
@@ -1061,11 +949,11 @@ mod tests {
     #[test]
     fn deep_variant_nesting_is_depth_guarded_on_decode() {
         let mut bytes = Vec::new();
-        for _ in 0..(MAX_VARIANT_DEPTH + 8) {
-            bytes.push(VTAG_ARRAY);
+        for _ in 0..(codec::MAX_DEPTH + 8) {
+            bytes.push(6); // array tag
             bytes.push(1); // one element
         }
-        bytes.push(VTAG_NULL);
+        bytes.push(codec::TAG_NULL);
         let err =
             decode_column(ColumnType::Variant, BlockEncoding::Plain, 1, &bytes).unwrap_err();
         assert!(matches!(err, SnowError::Storage(ref m) if m.contains("depth")), "{err}");

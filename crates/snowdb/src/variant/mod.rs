@@ -5,6 +5,7 @@
 //! or an insertion-ordered object. Arrays and objects are reference-counted so that
 //! moving values between operators never deep-copies nested payloads.
 
+pub mod codec;
 mod json;
 mod ops;
 

@@ -593,7 +593,10 @@ fn a_dead_aggregate_that_raises_still_raises() {
     // Nothing pins the inner projection here: merging it into the outer one
     // must not drop the division by the zero in `k`.
     let dead_expression = "SELECT k FROM (SELECT k, 1 / k AS boom FROM t)".to_string();
-    for sql in dead_aggregates.into_iter().chain([dead_expression]) {
+    // Nor may merging move it behind a guard that skips the zero.
+    let guarded_expression =
+        "SELECT CASE WHEN k <> 0 THEN boom END FROM (SELECT k, 1 / k AS boom FROM t)".to_string();
+    for sql in dead_aggregates.into_iter().chain([dead_expression, guarded_expression]) {
         let raw = db
             .query_with(&sql, &QueryOptions { optimize: false, ..Default::default() })
             .expect_err("the raw plan raises");
@@ -603,6 +606,14 @@ fn a_dead_aggregate_that_raises_still_raises() {
     // The same shape over an aggregate that accepts any value drops it.
     let sql = "SELECT k FROM (SELECT k, MAX(v) AS d FROM t GROUP BY k) ORDER BY k";
     assert_eq!(agreed_rows(&db, sql), vec![vec![Variant::Int(0)], vec![Variant::Int(1)]]);
+    // An expression that can raise still merges into a position evaluated on
+    // every row: one projection is left, and it raises as two did.
+    let sql = "SELECT boom + 1 FROM (SELECT k, 1 / k AS boom FROM t)";
+    let plan = db.compile(sql).unwrap();
+    let NodeKind::Project { input, .. } = &plan.kind else { panic!("a projection: {plan:?}") };
+    assert!(matches!(input.kind, NodeKind::Scan { .. }), "the projections merged: {plan:?}");
+    let raw = db.query_with(sql, &QueryOptions { optimize: false, ..Default::default() });
+    assert_eq!(db.query(sql).unwrap_err().to_string(), raw.unwrap_err().to_string());
 }
 
 #[test]

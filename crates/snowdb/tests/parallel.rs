@@ -322,3 +322,264 @@ fn shared_upstream_self_join_matches_unshared_execution() {
     let plan = db.explain(&sql).unwrap();
     assert!(plan.contains("[shared #1]") && plan.contains("-> shared #1"), "{plan}");
 }
+
+/// One body per operator, two producers of its expression columns: the
+/// compiled DAG and the row evaluator (`vectorize` on / off). Every operator
+/// must return the same rows — or the same typed error, raised at the same
+/// first failing row — under either producer at every thread count.
+mod producers {
+    use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::{Database, QueryOptions, Variant};
+
+    const ROWS: i64 = 320;
+
+    /// 320 rows in 64-row partitions (five batches). `E(row) = 100 / k +
+    /// s::INT` divides by zero on the rows in `zero_k` and fails its cast on
+    /// the rows in `bad_s`; `AVG(v)` fails in its accumulator on the rows in
+    /// `bad_v`, `BOOLAND_AGG(b)` on the rows in `bad_b`.
+    fn table(zero_k: &[i64], bad_s: &[i64], bad_v: &[i64], bad_b: &[i64]) -> Database {
+        let db = Database::new();
+        db.load_table_with_partition_rows(
+            "t",
+            vec![
+                ColumnDef::new("ID", ColumnType::Int),
+                ColumnDef::new("K", ColumnType::Int),
+                ColumnDef::new("S", ColumnType::Str),
+                ColumnDef::new("V", ColumnType::Variant),
+                ColumnDef::new("B", ColumnType::Variant),
+                ColumnDef::new("ARR", ColumnType::Variant),
+            ],
+            (0..ROWS).map(|i| {
+                vec![
+                    Variant::Int(i),
+                    Variant::Int(if zero_k.contains(&i) { 0 } else { i + 1 }),
+                    Variant::str(if bad_s.contains(&i) { "x" } else { "7" }),
+                    if bad_v.contains(&i) { Variant::str("boom") } else { Variant::Int(i) },
+                    if bad_b.contains(&i) { Variant::Int(1) } else { Variant::Bool(true) },
+                    Variant::Array(vec![Variant::Int(i), Variant::Int(i + 1)].into()),
+                ]
+            }),
+            64,
+        )
+        .unwrap();
+        db
+    }
+
+    /// Runs `sql` under `vectorize` on/off x threads 1/2/8 and returns the
+    /// one outcome all six agree on: `Debug`-identical rows or equal error
+    /// text.
+    fn agreed(db: &Database, sql: &str, optimize: bool) -> Result<Vec<Vec<Variant>>, String> {
+        let mut outcomes = Vec::new();
+        for vectorize in [true, false] {
+            for threads in [1, 2, 8] {
+                let opts = QueryOptions {
+                    optimize,
+                    threads: Some(threads),
+                    vectorize: Some(vectorize),
+                    ..Default::default()
+                };
+                let outcome = db.query_with(sql, &opts).map(|r| r.rows).map_err(|e| e.to_string());
+                outcomes.push((format!("vectorize={vectorize} threads={threads}"), outcome));
+            }
+        }
+        let (first_cfg, first) = outcomes[0].clone();
+        for (cfg, outcome) in &outcomes[1..] {
+            assert_eq!(
+                format!("{outcome:?}"),
+                format!("{first:?}"),
+                "{cfg} disagrees with {first_cfg} (optimize={optimize}) on {sql}"
+            );
+        }
+        first
+    }
+
+    const E: &str = "100 / k + s::INT";
+
+    /// Filter, Project (fused under the scan and streaming over a LIMIT),
+    /// Flatten, Sort and Join (probe key, build key, residual), each holding
+    /// `E`.
+    fn shapes() -> Vec<(&'static str, String)> {
+        vec![
+            ("fused filter", format!("SELECT id FROM t WHERE {E} > 8")),
+            ("fused project", format!("SELECT id, {E} AS e FROM t")),
+            (
+                "streaming filter",
+                format!("SELECT id FROM (SELECT * FROM t LIMIT 1000) WHERE {E} > 8"),
+            ),
+            (
+                "streaming project",
+                format!("SELECT id, {E} AS e FROM (SELECT * FROM t LIMIT 1000)"),
+            ),
+            (
+                "flatten",
+                format!(
+                    "SELECT id, f.seq, f.value FROM t, \
+                     LATERAL FLATTEN(INPUT => IFF({E} > 8, arr, NULL)) f"
+                ),
+            ),
+            ("sort", format!("SELECT id, k, s FROM t ORDER BY {E} DESC, id")),
+            (
+                "join probe key",
+                "SELECT a.id, b.id FROM t a JOIN t b ON 100 / a.k + a.s::INT - 7 = b.id".into(),
+            ),
+            (
+                "join build key",
+                "SELECT a.id, b.id FROM t a JOIN t b ON a.id = 100 / b.k + b.s::INT - 7".into(),
+            ),
+            (
+                "join residual",
+                "SELECT a.id, b.id FROM t a JOIN t b \
+                 ON a.id = b.id AND 100 / a.k + b.s::INT > 8"
+                    .into(),
+            ),
+            ("aggregate", format!("SELECT id % 5 AS g, MAX({E}) AS m FROM t GROUP BY id % 5")),
+            ("global aggregate", format!("SELECT COUNT(*), MIN({E}) FROM t")),
+        ]
+    }
+
+    #[test]
+    fn every_operator_returns_the_same_rows_under_either_producer() {
+        let db = table(&[], &[], &[], &[]);
+        for (shape, sql) in shapes() {
+            for optimize in [true, false] {
+                let rows = agreed(&db, &sql, optimize).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                assert!(!rows.is_empty(), "{shape} returns rows");
+            }
+        }
+    }
+
+    #[test]
+    fn every_operator_reports_the_first_failing_row_under_either_producer() {
+        // Row 137 divides by zero; row 150 — same batch, later row — and row
+        // 260 — a later batch — fail the cast. Serial row order meets the
+        // division first.
+        let db = table(&[137], &[150, 260], &[], &[]);
+        for (shape, sql) in shapes() {
+            for optimize in [true, false] {
+                let err = agreed(&db, &sql, optimize).expect_err(shape);
+                assert!(err.contains("division by zero"), "{shape} (optimize={optimize}): {err}");
+            }
+        }
+        // And the other way round: the cast fails first.
+        let db = table(&[150, 260], &[137], &[], &[]);
+        for (shape, sql) in shapes() {
+            let err = agreed(&db, &sql, true).expect_err(shape);
+            assert!(!err.contains("division by zero"), "{shape}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_filter_value_that_is_no_boolean_raises_at_its_row() {
+        let pred = |odd: i64| format!("SELECT id FROM t WHERE IFF(id = {odd}, k, {E} > 8)");
+        // Row 130 yields an integer where a condition is expected, row 137
+        // divides by zero: the earlier row is the one reported.
+        let db = table(&[137], &[], &[], &[]);
+        let err = agreed(&db, &pred(130), true).unwrap_err();
+        assert!(err.contains("expected a boolean condition"), "{err}");
+        let err = agreed(&db, &pred(150), true).unwrap_err();
+        assert!(err.contains("division by zero"), "{err}");
+    }
+
+    #[test]
+    fn an_aggregate_reports_accumulator_and_expression_errors_in_row_order() {
+        // AVG folds serially; BOOLAND_AGG folds per batch and merges.
+        for (agg, bad_v, bad_b, acc_err) in [
+            ("AVG(v)", true, false, "AVG expects numbers"),
+            ("BOOLAND_AGG(b)", false, true, "BOOLAND_AGG expects booleans"),
+        ] {
+            let plant = |acc_at: i64, expr_at: i64| {
+                let acc = [acc_at];
+                table(
+                    &[expr_at],
+                    &[],
+                    if bad_v { &acc } else { &[] },
+                    if bad_b { &acc } else { &[] },
+                )
+            };
+            for sql in [
+                format!("SELECT {agg}, MAX({E}) FROM t"),
+                format!("SELECT id % 5 AS g, {agg}, MAX({E}) FROM t GROUP BY id % 5"),
+            ] {
+                // The accumulator fails on an earlier row of the batch in
+                // which the expression fails.
+                let err = agreed(&plant(130, 137), &sql, true).unwrap_err();
+                assert!(err.contains(acc_err), "{sql}: {err}");
+                // The reverse.
+                let err = agreed(&plant(150, 137), &sql, true).unwrap_err();
+                assert!(err.contains("division by zero"), "{sql}: {err}");
+                // Both on one row: the row's expressions are evaluated before
+                // its accumulators are updated.
+                let err = agreed(&plant(137, 137), &sql, true).unwrap_err();
+                assert!(err.contains("division by zero"), "{sql}: {err}");
+            }
+        }
+    }
+
+    fn ints(rows: &[Vec<Variant>], col: usize) -> Vec<i64> {
+        rows.iter().map(|r| r[col].as_i64().expect("an integer")).collect()
+    }
+
+    /// `SEQ8()` outside a projection reads one counter in serial row order,
+    /// whatever the producer and the thread count. The values are those of
+    /// commit a3db6e2, which ran these shapes through serial twins of the
+    /// filter and the flatten and through a second join.
+    #[test]
+    fn volatile_expressions_outside_projections_number_rows_serially() {
+        let db = table(&[], &[], &[], &[]);
+        for optimize in [true, false] {
+            // A filter over a flatten: the first three flattened rows.
+            let rows = agreed(
+                &db,
+                "SELECT id, f.value FROM t, LATERAL FLATTEN(INPUT => arr) f WHERE SEQ8() < 3",
+                optimize,
+            )
+            .unwrap();
+            assert_eq!(ints(&rows, 0), [0, 0, 1]);
+            assert_eq!(ints(&rows, 1), [0, 1, 1]);
+            // A residual in a join's ON: every other candidate pair, in left
+            // row order.
+            let rows = agreed(
+                &db,
+                "SELECT a.id, b.id FROM t a JOIN t b ON a.id = b.id AND SEQ8() % 2 = 0",
+                optimize,
+            )
+            .unwrap();
+            assert_eq!(ints(&rows, 0), (0..ROWS).step_by(2).collect::<Vec<_>>());
+            assert_eq!(ints(&rows, 1), ints(&rows, 0));
+            let rows = agreed(
+                &db,
+                "SELECT a.id, b.id FROM t a LEFT OUTER JOIN t b ON a.id = b.id AND SEQ8() >= 300",
+                optimize,
+            )
+            .unwrap();
+            assert_eq!(ints(&rows, 0), (0..ROWS).collect::<Vec<_>>());
+            assert!(rows[..300].iter().all(|r| r[1].is_null()), "the first 300 pairs fail");
+            assert_eq!(ints(&rows[300..], 1), (300..ROWS).collect::<Vec<_>>());
+            // Hash keys: the right rows are numbered first, in row order,
+            // then the left rows. Right row j carries 2j + 80, left row i
+            // its id plus 320 + i.
+            let rows = agreed(
+                &db,
+                "SELECT a.id, b.id FROM t a JOIN t b ON a.id + SEQ8() = b.id + SEQ8() + 80",
+                optimize,
+            )
+            .unwrap();
+            assert_eq!(ints(&rows, 0), (0..200).collect::<Vec<_>>());
+            assert_eq!(ints(&rows, 1), (120..ROWS).collect::<Vec<_>>());
+            // Sort keys, a flatten input and an aggregate argument.
+            let rows = agreed(&db, "SELECT id FROM t ORDER BY SEQ8() DESC", optimize).unwrap();
+            assert_eq!(ints(&rows, 0), (0..ROWS).rev().collect::<Vec<_>>());
+            let rows = agreed(
+                &db,
+                "SELECT id, f.value FROM t, LATERAL FLATTEN(INPUT => ARRAY_CONSTRUCT(SEQ8())) f",
+                optimize,
+            )
+            .unwrap();
+            assert_eq!(ints(&rows, 0), (0..ROWS).collect::<Vec<_>>());
+            assert_eq!(ints(&rows, 1), ints(&rows, 0));
+            let rows = agreed(&db, "SELECT SUM(SEQ8()), MAX(id - SEQ8()) FROM t", optimize).unwrap();
+            // Two calls per row: 2r and 2r + 1.
+            assert_eq!(rows, [[Variant::Int(ROWS * (ROWS - 1)), Variant::Int(-1)]]);
+        }
+    }
+}

@@ -450,7 +450,8 @@ mod dag_differential {
     use rand::{Rng, SeedableRng, StdRng};
     use snowdb::column::{ColumnVec, NULL_CODE};
     use snowdb::exec::dag::{ExprDag, Seq8Calls};
-    use snowdb::exec::{eval, Chunk, ExecCtx, RowView};
+    use snowdb::exec::pipeline::eval_rows;
+    use snowdb::exec::{Chunk, ExecCtx};
     use snowdb::plan::{CastType, FuncId, PExpr, PStep};
     use snowdb::sql::{BinOp, UnaryOp};
     use snowdb::variant::Object;
@@ -781,19 +782,14 @@ mod dag_differential {
         }
     }
 
-    /// What `project_batch` does without the DAG: row-major, the counter
-    /// restarted at `base + r` for every row.
-    fn row_loop(exprs: &[PExpr], inp: &Chunk, base: i64) -> Result<Vec<Vec<Variant>>, String> {
-        let mut ctx = ExecCtx::default();
-        let mut cols: Vec<Vec<Variant>> = exprs.iter().map(|_| Vec::new()).collect();
-        for r in 0..inp.rows {
-            ctx.seq_counter = base + r as i64;
-            let parts = [(inp, r)];
-            for (e, out) in exprs.iter().zip(cols.iter_mut()) {
-                out.push(eval(e, RowView::new(&parts), &mut ctx).map_err(|e| e.to_string())?);
-            }
+    /// The executor's row producer, as a projection runs it: row-major, the
+    /// counter restarted at `base + r` for every row.
+    fn row_loop(dag: &ExprDag<'_>, inp: &Chunk, base: i64) -> Result<Vec<Vec<Variant>>, String> {
+        let cols = eval_rows(dag, inp, &mut ExecCtx::default(), Some(base));
+        match cols.complete() {
+            Ok(cols) => Ok(cols.into_iter().map(|c| c.into_owned().into_variants()).collect()),
+            Err(e) => Err(e.to_string()),
         }
-        Ok(cols)
     }
 
     /// Seeded random projection lists over every expression shape and every
@@ -820,7 +816,7 @@ mod dag_differential {
             let base = rng.gen_range(0i64..1000);
             let dag = ExprDag::compile(&exprs);
             shared += u32::from(dag.dag_nodes() < dag.tree_nodes());
-            let rows = row_loop(&exprs, &inp, base);
+            let rows = row_loop(&dag, &inp, base);
             let cols = dag.eval(&inp, base, None);
             match (rows, cols) {
                 (Ok(rows), Some(cols)) => {

@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 use common::{int, schedule_budget};
 use snowdb::server::admission::AdmissionConfig;
 use snowdb::server::client::{Client, RemoteOutcome};
+use snowdb::server::proto::PROTOCOL_VERSION;
 use snowdb::server::{serve, ServerConfig, ServerHandle};
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::{Database, SnowError, Variant};
@@ -78,7 +79,7 @@ fn raw_handshake(addr: std::net::SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     // Hello: version u32 + empty token.
     let mut payload = vec![0x01u8];
-    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     payload.extend_from_slice(&0u32.to_le_bytes());
     write_raw_frame(&mut s, &payload);
     let ack = read_raw_frame(&mut s).expect("hello ack");
@@ -250,7 +251,7 @@ fn unknown_opcode_and_handshake_replay_get_typed_errors() {
 
     let mut s = raw_handshake(handle.addr());
     let mut replay = vec![0x01u8];
-    replay.extend_from_slice(&1u32.to_le_bytes());
+    replay.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     replay.extend_from_slice(&0u32.to_le_bytes());
     write_raw_frame(&mut s, &replay); // second Hello
     let err = read_raw_frame(&mut s).expect("typed error frame");
