@@ -3,17 +3,29 @@
 //! returns the table name, the prepared [`TableWrite`] (`None` when no
 //! partition was touched) and the result message; committing that write or
 //! stacking it onto a transaction is the dispatcher's business.
+//!
+//! `WHERE` and `SET` run where a query's expressions run: compiled into an
+//! [`ExprDag`] and evaluated a partition at a time by
+//! [`pipeline::eval_exprs`](crate::exec::pipeline::eval_exprs), under the
+//! statement's governor and the process defaults for vectorization and
+//! encoding. A rewritten partition is built from columns
+//! ([`TableBuilder::push_rows_from`](crate::storage::TableBuilder::push_rows_from));
+//! rows are the input format of `INSERT … VALUES` only.
 
 use std::sync::Arc;
 
 use crate::catalog::{CatalogSnapshot, TableWrite};
 use crate::engine::Database;
 use crate::error::{Result, SnowError};
-use crate::exec::ExecCtx;
+use crate::exec::dag::ExprDag;
+use crate::exec::kernel::mask_keep;
+use crate::exec::pipeline::eval_exprs;
+use crate::exec::{Bitmap, Chunk, ColumnVec, ExecCtx};
 use crate::govern::QueryGovernor;
+use crate::plan::binder::bind_expr;
 use crate::plan::{Field, PExpr};
 use crate::sql::ast::Expr;
-use crate::storage::{ColumnDef, ScanSource, Table, TableBuilder, DEFAULT_PARTITION_ROWS};
+use crate::storage::{ColumnDef, ScanSource, TableBuilder, DEFAULT_PARTITION_ROWS};
 use crate::variant::Variant;
 
 impl Database {
@@ -32,11 +44,8 @@ impl Database {
         let t = cat
             .table(&upper)
             .ok_or_else(|| SnowError::Catalog(format!("table '{table}' does not exist")))?;
-        // Evaluate each VALUES tuple as literal expressions.
-        let mut ctx = ExecCtx::default();
-        let chunk = crate::exec::Chunk { cols: Vec::new(), rows: 1 };
-        let parts = [(&chunk, 0usize)];
-        let view = crate::exec::RowView::new(&parts);
+        // One `SEQ8()` counter runs through all tuples.
+        let mut seq = 0;
         let mut new_rows: Vec<Vec<Variant>> = Vec::with_capacity(rows.len());
         for tuple in rows {
             if tuple.len() != t.schema().len() {
@@ -46,30 +55,39 @@ impl Database {
                     t.schema().len()
                 )));
             }
-            let mut row = Vec::with_capacity(tuple.len());
-            for e in tuple {
-                let bound = crate::plan::binder::bind_expr(e, &[], None)?;
-                row.push(crate::exec::eval(&bound, view, &mut ctx)?);
-            }
+            let row = tuple
+                .iter()
+                .map(|e| crate::exec::eval_const(&bind_expr(e, &[], None)?, &mut seq))
+                .collect::<Result<_>>()?;
             new_rows.push(row);
         }
         let inserted = new_rows.len();
         let schema = t.schema().to_vec();
-        let parts = self.build_partitions(&upper, &schema, &new_rows, DEFAULT_PARTITION_ROWS, gov)?;
+        let parts = self.build_partitions(&upper, &schema, DEFAULT_PARTITION_ROWS, gov, |b| {
+            new_rows.iter().try_for_each(|row| b.push_row(row))
+        })?;
         let write = (!parts.is_empty()).then_some(TableWrite::Append { parts, schema });
         Ok((upper, write, format!("inserted {inserted} row(s)")))
     }
 
-    /// `DELETE`: copy-on-write partition rewrite. Partitions with no matching
-    /// row keep their `Arc` (zero copy, and — because conflict detection is
-    /// by partition identity — zero conflict surface); partitions losing all
-    /// rows are removed outright; mixed partitions are rebuilt from their
-    /// surviving rows. Rows are deleted iff the predicate is `TRUE`
-    /// (`FALSE`-or-`NULL` rows survive — SQL three-valued logic).
-    pub(crate) fn plan_delete(
+    /// `DELETE` (`sets` is `None`) and `UPDATE`: copy-on-write partition
+    /// rewrite. A row is hit iff the predicate is `TRUE` on it (`FALSE` and
+    /// `NULL` rows are left alone — SQL three-valued logic; a value that is
+    /// no boolean raises, as in a filter). Partitions with no hit keep their
+    /// `Arc` (zero copy, and — because conflict detection is by partition
+    /// identity — zero conflict surface); a partition that `DELETE` hits on
+    /// every row is removed outright; any other is rebuilt from its columns,
+    /// `DELETE` keeping the rows not hit, `UPDATE` all rows with the `SET`
+    /// columns swapped in. `SET c = e` is `CASE WHEN hit THEN e ELSE c END`
+    /// over the old row (so `SET a = a + 1` is well-defined): `e` is
+    /// evaluated on hit rows only, and after the whole partition's predicate.
+    /// `SEQ8()` numbers the rows of each partition from zero, in the
+    /// predicate and again in the `SET` list.
+    pub(crate) fn plan_rewrite(
         &self,
         cat: &CatalogSnapshot,
         table: &str,
+        sets: Option<&[(String, Expr)]>,
         predicate: Option<&Expr>,
         gov: &Arc<QueryGovernor>,
     ) -> Result<(String, Option<TableWrite>, String)> {
@@ -78,180 +96,107 @@ impl Database {
             .table(&upper)
             .ok_or_else(|| SnowError::Catalog(format!("table '{table}' does not exist")))?;
         let schema = t.schema().to_vec();
-        let bound = self.bind_dml_predicate(&t, predicate)?;
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        let mut deleted = 0usize;
-        for part in t.partitions() {
-            gov.checkpoint("Rewrite")?;
-            let rows = part.row_count();
-            if rows == 0 {
-                continue;
-            }
-            let (mask, cols) = self.match_rows(part, &schema, bound.as_ref(), gov)?;
-            let hits = mask.iter().filter(|&&m| m).count();
-            if hits == 0 {
-                continue;
-            }
-            deleted += hits;
-            removed.push(part.clone());
-            if hits == rows {
-                continue;
-            }
-            let mut survivors: Vec<Vec<Variant>> = Vec::with_capacity(rows - hits);
-            for (r, &dead) in mask.iter().enumerate() {
-                if !dead {
-                    survivors.push(cols.iter().map(|c| c.get(r)).collect());
-                }
-            }
-            added.extend(self.build_partitions(&upper, &schema, &survivors, rows, gov)?);
-        }
-        let write = (!removed.is_empty()).then_some(TableWrite::Rewrite { removed, added });
-        Ok((upper, write, format!("deleted {deleted} row(s)")))
-    }
-
-    /// `UPDATE`: copy-on-write partition rewrite. Untouched partitions keep
-    /// their `Arc`; a partition with at least one matching row is rebuilt
-    /// with the `SET` expressions applied to matching rows (evaluated
-    /// against the *old* row, so `SET a = a + 1` is well-defined).
-    pub(crate) fn plan_update(
-        &self,
-        cat: &CatalogSnapshot,
-        table: &str,
-        sets: &[(String, Expr)],
-        predicate: Option<&Expr>,
-        gov: &Arc<QueryGovernor>,
-    ) -> Result<(String, Option<TableWrite>, String)> {
-        let upper = table.to_ascii_uppercase();
-        let t = cat
-            .table(&upper)
-            .ok_or_else(|| SnowError::Catalog(format!("table '{table}' does not exist")))?;
-        let schema = t.schema().to_vec();
-        let fields = self.dml_fields(&t);
-        let mut set_cols: Vec<(usize, PExpr)> = Vec::with_capacity(sets.len());
-        for (col, e) in sets {
+        let arity = schema.len();
+        // Every column, qualified by the table name; the hit mask rides along
+        // as column `arity`.
+        let fields: Vec<Field> =
+            schema.iter().map(|c| Field::new(Some(t.name()), c.name.clone())).collect();
+        let mut set_cols = Vec::new();
+        let mut set_exprs = Vec::new();
+        for (col, e) in sets.unwrap_or_default() {
             let idx = t.column_index(col).ok_or_else(|| {
                 SnowError::Plan(format!("unknown column '{col}' in UPDATE SET"))
             })?;
-            set_cols.push((idx, crate::plan::binder::bind_expr(e, &fields, None)?));
+            set_cols.push(idx);
+            set_exprs.push(PExpr::Case {
+                operand: None,
+                branches: vec![(PExpr::Col(arity), bind_expr(e, &fields, None)?)],
+                else_expr: Some(Box::new(PExpr::Col(idx))),
+            });
         }
-        let bound = self.bind_dml_predicate(&t, predicate)?;
+        let pred = predicate.map(|p| bind_expr(p, &fields, None)).transpose()?;
+        let pred_dag = pred.as_ref().map(|p| ExprDag::compile([p]));
+        let set_dag = ExprDag::compile(&set_exprs);
+        let mut reads = Vec::new();
+        pred.iter().chain(&set_exprs).for_each(|e| e.collect_cols(&mut reads));
+        let mut ctx = ExecCtx::with_governor(gov.clone());
+
         let mut removed = Vec::new();
         let mut added = Vec::new();
-        let mut updated = 0usize;
+        let mut affected = 0usize;
         for part in t.partitions() {
             gov.checkpoint("Rewrite")?;
             let rows = part.row_count();
             if rows == 0 {
                 continue;
             }
-            let (mask, cols) = self.match_rows(part, &schema, bound.as_ref(), gov)?;
-            let hits = mask.iter().filter(|&&m| m).count();
+            let stored = (0..arity)
+                .map(|i| Ok(part.read_column_governed(i, gov, "Rewrite")?.data))
+                .collect::<Result<Vec<_>>>()?;
+            // The expressions run over copies of the columns they read,
+            // decoded unless the statement runs on encoded blocks.
+            let copy = |(i, col): (usize, &Arc<ColumnVec>)| match reads.contains(&i) {
+                false => ColumnVec::Null(rows),
+                true if ctx.encode => (**col).clone(),
+                true => col.decoded(),
+            };
+            let mut chunk = Chunk { cols: stored.iter().enumerate().map(copy).collect(), rows };
+            let mut hit = vec![pred_dag.is_none(); rows];
+            if let Some(dag) = &pred_dag {
+                ctx.seq_counter = 0;
+                let mask = eval_exprs(dag, &chunk, &mut ctx, None, None);
+                // A value that is no boolean raises at its row, which comes
+                // before the row the mask ends at.
+                for r in mask_keep(&mask.cols[0])? {
+                    hit[r] = true;
+                }
+                if let Some(e) = mask.err {
+                    return Err(e);
+                }
+            }
+            let hits = hit.iter().filter(|&&h| h).count();
             if hits == 0 {
                 continue;
             }
-            updated += hits;
+            affected += hits;
             removed.push(part.clone());
-            // Re-materialize the whole partition, substituting the SET
-            // expressions on matching rows.
-            let chunk = self.partition_chunk(&cols, rows);
-            let mut ctx = ExecCtx::default();
-            let mut rebuilt: Vec<Vec<Variant>> = Vec::with_capacity(rows);
-            for (r, &hit) in mask.iter().enumerate() {
-                let mut row: Vec<Variant> = cols.iter().map(|c| c.get(r)).collect();
-                if hit {
-                    let parts = [(&chunk, r)];
-                    let view = crate::exec::RowView::new(&parts);
-                    for (idx, e) in &set_cols {
-                        row[*idx] = crate::exec::eval(e, view, &mut ctx)?;
-                    }
-                }
-                rebuilt.push(row);
+            if sets.is_none() && hits == rows {
+                continue;
             }
-            added.extend(self.build_partitions(&upper, &schema, &rebuilt, rows, gov)?);
+            added.extend(self.build_partitions(&upper, &schema, rows, gov, |b| {
+                let mut cols: Vec<&ColumnVec> = stored.iter().map(|c| &**c).collect();
+                if sets.is_none() {
+                    return b.push_rows_from(&cols, (0..rows).filter(|&r| !hit[r]));
+                }
+                chunk.cols.push(ColumnVec::Bool { vals: hit, valid: Bitmap::ones(rows) });
+                ctx.seq_counter = 0;
+                let new = eval_exprs(&set_dag, &chunk, &mut ctx, None, None).complete()?;
+                for (&idx, col) in set_cols.iter().zip(&new) {
+                    cols[idx] = col.as_ref();
+                }
+                b.push_rows_from(&cols, 0..rows)
+            })?);
         }
         let write = (!removed.is_empty()).then_some(TableWrite::Rewrite { removed, added });
-        Ok((upper, write, format!("updated {updated} row(s)")))
+        let verb = if sets.is_none() { "deleted" } else { "updated" };
+        Ok((upper, write, format!("{verb} {affected} row(s)")))
     }
 
-    /// Bind fields for DML predicates/SET expressions: every column,
-    /// qualified by the table name.
-    fn dml_fields(&self, t: &Table) -> Vec<Field> {
-        t.schema()
-            .iter()
-            .map(|c| Field::new(Some(t.name()), c.name.clone()))
-            .collect()
-    }
-
-    fn bind_dml_predicate(&self, t: &Table, predicate: Option<&Expr>) -> Result<Option<PExpr>> {
-        let fields = self.dml_fields(t);
-        predicate
-            .map(|p| crate::plan::binder::bind_expr(p, &fields, None))
-            .transpose()
-    }
-
-    /// Reads every column of a partition (governed) and evaluates the
-    /// predicate per row: `mask[r]` is true iff the predicate is `TRUE` on
-    /// row `r` (no predicate matches every row).
-    fn match_rows(
-        &self,
-        part: &Arc<ScanSource>,
-        schema: &[ColumnDef],
-        pred: Option<&PExpr>,
-        gov: &QueryGovernor,
-    ) -> Result<(Vec<bool>, Vec<Arc<crate::exec::ColumnVec>>)> {
-        let rows = part.row_count();
-        let mut cols = Vec::with_capacity(schema.len());
-        for i in 0..schema.len() {
-            cols.push(part.read_column_governed(i, gov, "Rewrite")?.data);
-        }
-        let mask = match pred {
-            None => vec![true; rows],
-            Some(p) => {
-                let chunk = self.partition_chunk(&cols, rows);
-                let mut ctx = ExecCtx::default();
-                let mut mask = Vec::with_capacity(rows);
-                for r in 0..rows {
-                    let parts = [(&chunk, r)];
-                    let view = crate::exec::RowView::new(&parts);
-                    let v = crate::exec::eval(p, view, &mut ctx)?;
-                    mask.push(crate::exec::truth(&v)? == Some(true));
-                }
-                mask
-            }
-        };
-        Ok((mask, cols))
-    }
-
-    fn partition_chunk(
-        &self,
-        cols: &[Arc<crate::exec::ColumnVec>],
-        rows: usize,
-    ) -> crate::exec::Chunk {
-        crate::exec::Chunk { cols: cols.iter().map(|c| c.decoded()).collect(), rows }
-    }
-
-    /// Seals rows into fresh partitions through the standard builder path
-    /// (type validation, stats, zone maps), streaming to partition files
-    /// when a store is attached and charging the governor for every sealed
-    /// partition.
+    /// Seals what `fill` pushes into fresh partitions of `partition_rows`
+    /// rows through the standard builder path (type validation, stats, zone
+    /// maps), streaming to partition files when a store is attached and
+    /// charging the governor for every sealed partition.
     pub(crate) fn build_partitions(
         &self,
         name: &str,
         schema: &[ColumnDef],
-        rows: &[Vec<Variant>],
         partition_rows: usize,
         gov: &Arc<QueryGovernor>,
+        fill: impl FnOnce(&mut TableBuilder) -> Result<()>,
     ) -> Result<Vec<Arc<ScanSource>>> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
         let sink = self.governed_sink(schema, gov.clone());
-        let mut b =
-            TableBuilder::with_sink(name.to_string(), schema.to_vec(), partition_rows.max(1), sink);
-        for row in rows {
-            b.push_row(row)?;
-        }
+        let mut b = TableBuilder::with_sink(name.to_string(), schema.to_vec(), partition_rows, sink);
+        fill(&mut b)?;
         Ok(b.finish()?.partitions().to_vec())
     }
 }

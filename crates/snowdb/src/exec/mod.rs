@@ -104,29 +104,34 @@ pub struct ExecCtx {
 
 impl Default for ExecCtx {
     fn default() -> ExecCtx {
-        ExecCtx {
-            stats: ScanStats::default(),
-            seq_counter: 0,
-            gov: Arc::default(),
-            vectorize: vectorize_from_env(),
-            encode: crate::storage::encode_from_env(),
-        }
+        ExecCtx::with_governor(Arc::default())
     }
 }
 
 impl ExecCtx {
-    /// A context governed by `gov`; worker threads build their own contexts
-    /// from the same governor so all checkpoints observe one set of limits.
+    /// A context governed by `gov` at the process defaults for vectorization
+    /// and encoding: the one place besides [`crate::QueryOptions`] resolution
+    /// that reads them from the environment, once per statement.
     pub fn with_governor(gov: Arc<QueryGovernor>) -> ExecCtx {
-        ExecCtx { gov, ..ExecCtx::default() }
+        ExecCtx::worker(gov, vectorize_from_env(), crate::storage::encode_from_env())
     }
 
     /// A worker-thread context sharing `gov` and inheriting explicit
     /// vectorization/encoding choices (workers must not re-read the
     /// environment: the per-query options may override it).
     pub fn worker(gov: Arc<QueryGovernor>, vectorize: bool, encode: bool) -> ExecCtx {
-        ExecCtx { gov, vectorize, encode, ..ExecCtx::default() }
+        ExecCtx { stats: ScanStats::default(), seq_counter: 0, gov, vectorize, encode }
     }
+}
+
+/// Evaluates an expression that reads no column — a constant the optimizer
+/// folds, a value of an `INSERT … VALUES` tuple. `SEQ8()` counts on from
+/// `*seq`.
+pub fn eval_const(e: &PExpr, seq: &mut i64) -> crate::error::Result<Variant> {
+    let mut ctx = ExecCtx { seq_counter: *seq, ..ExecCtx::worker(Arc::default(), false, false) };
+    let v = eval(e, RowView::new(&[(&Chunk { cols: Vec::new(), rows: 1 }, 0)]), &mut ctx);
+    *seq = ctx.seq_counter;
+    v
 }
 
 /// Splits an ON predicate into equi-join key pairs `(left key, right key)`

@@ -31,7 +31,7 @@ pub mod share;
 
 use crate::error::Result;
 use crate::exec::dag::{DagOp, ExprDag, NodeId};
-use crate::exec::{eval, ExecCtx, RowView};
+use crate::exec::eval_const;
 use crate::plan::{Field, FuncId, Node, NodeKind, PExpr, PStep, ScanPredicate};
 use crate::sql::{BinOp, JoinKind};
 use crate::variant::Variant;
@@ -233,12 +233,9 @@ fn fold_expr(e: &mut PExpr) -> Result<()> {
     let mut cols = Vec::new();
     e.collect_cols(&mut cols);
     if cols.is_empty() && !e.is_volatile() {
-        let chunk = crate::exec::Chunk { cols: Vec::new(), rows: 1 };
-        let parts = [(&chunk, 0usize)];
-        let mut ctx = ExecCtx::default();
         // Expressions that error at fold time (e.g. 1/0) are left in place so
         // the error surfaces at execution, matching engine semantics.
-        if let Ok(v) = eval(e, RowView::new(&parts), &mut ctx) {
+        if let Ok(v) = eval_const(e, &mut 0) {
             *e = PExpr::Lit(v);
         }
     }
@@ -382,9 +379,11 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
                 //  - it references input columns exclusively (flatten outputs
                 //    do not exist below, and for an OUTER flatten they are the
                 //    NULL-extended columns the filter must observe);
-                //  - it is not volatile: SEQ8() numbers rows, and the flatten
-                //    multiplies/drops rows, so evaluating below changes which
-                //    numbers each surviving row sees;
+                //  - neither it nor the flatten's input expression is volatile:
+                //    SEQ8() numbers rows, and the flatten multiplies/drops rows,
+                //    so evaluating the conjunct below changes which numbers each
+                //    surviving row sees — its own, or those the flatten hands out
+                //    to the rows that reach it;
                 //  - it cannot raise a runtime error: a non-outer flatten drops
                 //    rows whose collection is empty, so a pushed predicate runs
                 //    on rows the unpushed plan never evaluates it on (e.g.
@@ -400,6 +399,7 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
                     None => true,
                 };
                 if input_only
+                    && !expr.is_volatile()
                     && !p.is_volatile()
                     && error_free(&p)
                     && !(outer && null_sensitive(&p))

@@ -194,10 +194,10 @@ impl StatementCtx<'_> {
                 self.write(&gov, |cat| db.plan_insert(cat, &table, &rows, &gov))
             }
             Statement::Update { table, sets, predicate } => self.write(&gov, |cat| {
-                db.plan_update(cat, &table, &sets, predicate.as_ref(), &gov)
+                db.plan_rewrite(cat, &table, Some(&sets), predicate.as_ref(), &gov)
             }),
             Statement::Delete { table, predicate } => {
-                self.write(&gov, |cat| db.plan_delete(cat, &table, predicate.as_ref(), &gov))
+                self.write(&gov, |cat| db.plan_rewrite(cat, &table, None, predicate.as_ref(), &gov))
             }
             Statement::Set { name, value } if !name.eq_ignore_ascii_case(RETENTION_PARAM) => {
                 let canonical = self.params.write().set(&name, value)?;

@@ -303,9 +303,9 @@ impl StreamIngestor<'_> {
             let parts = self.db.build_partitions(
                 &self.table,
                 &self.schema,
-                &rows,
                 self.rows_per_commit,
                 &gov,
+                |b| rows.iter().try_for_each(|row| b.push_row(row)),
             )?;
             let append = TableWrite::Append { parts, schema: self.schema.clone() };
             Ok((WriteSet::single(&self.table, append), ()))

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use super::stats::{ColumnStats, TableStats};
-use super::{ColumnType, ScanSource, ZoneMap};
+use super::{stored_type, ColumnType, ScanSource, ZoneMap};
 use crate::column::{Bitmap, ColumnVec};
 use crate::error::{Result, SnowError};
 use crate::variant::{cmp_variants, Variant};
@@ -286,17 +286,51 @@ impl TableBuilder {
 
     /// Appends one row; the row must have exactly one value per schema column.
     pub fn push_row(&mut self, row: &[Variant]) -> Result<()> {
-        if row.len() != self.schema.len() {
+        self.check_arity(row.len())?;
+        for (col, v) in self.open.iter_mut().zip(row) {
+            push_declared(col, v);
+        }
+        self.row_pushed()
+    }
+
+    /// Appends rows `rows` of `cols` — one column per schema column, e.g. a
+    /// stored partition's — in that order: what [`TableBuilder::push_row`]
+    /// builds from the same values, without boxing a cell whose source holds
+    /// it as the open partition does.
+    pub fn push_rows_from(
+        &mut self,
+        cols: &[&ColumnVec],
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Result<()> {
+        self.check_arity(cols.len())?;
+        for r in rows {
+            for (dst, src) in self.open.iter_mut().zip(cols) {
+                // A source of the open column's stored type holds nothing
+                // `push_declared` would convert or promote on.
+                if stored_type(dst) == stored_type(src) {
+                    dst.push_from(src, r);
+                } else {
+                    push_declared(dst, &src.get(r));
+                }
+            }
+            self.row_pushed()?;
+        }
+        Ok(())
+    }
+
+    fn check_arity(&self, arity: usize) -> Result<()> {
+        if arity != self.schema.len() {
             return Err(SnowError::Catalog(format!(
                 "row arity {} does not match schema arity {} for table {}",
-                row.len(),
+                arity,
                 self.schema.len(),
                 self.name
             )));
         }
-        for (col, v) in self.open.iter_mut().zip(row) {
-            push_declared(col, v);
-        }
+        Ok(())
+    }
+
+    fn row_pushed(&mut self) -> Result<()> {
         self.open_rows += 1;
         self.total_rows += 1;
         if self.open_rows >= self.partition_rows {
@@ -353,7 +387,6 @@ mod tests {
 
     #[test]
     fn declared_columns_shred_losslessly_or_promote() {
-        use crate::storage::stored_type;
         let int = ColumnType::Int;
         // Null and an integral double shred into the Int column.
         let c = pushed(int, &[Variant::Int(5), Variant::Null, Variant::Float(7.0)]);
@@ -392,6 +425,47 @@ mod tests {
         assert_eq!(t.partitions().len(), 4);
         assert_eq!(t.partitions()[0].row_count(), 3);
         assert_eq!(t.partitions()[3].row_count(), 1);
+    }
+
+    /// `push_rows_from` is `push_row` over the same values, whatever holds
+    /// them: every source representation into every declared type, across
+    /// partition boundaries and through a mid-partition promotion.
+    #[test]
+    fn pushing_columns_builds_what_pushing_their_rows_builds() {
+        let dict = Arc::new(vec![Arc::from("a"), Arc::from("b")]);
+        let sources = [
+            ColumnVec::from_variants(vec![Variant::Int(1), Variant::Null, Variant::Int(3)]),
+            ColumnVec::from_variants(vec![Variant::Float(2.0), Variant::Float(0.5), Variant::Null]),
+            ColumnVec::from_variants(vec![Variant::Null, Variant::str("x"), Variant::str("y")]),
+            ColumnVec::DictStr { codes: vec![1, crate::column::NULL_CODE, 0], dict },
+            ColumnVec::Runs {
+                ends: vec![2, 3],
+                values: Box::new(ColumnVec::from_variants(vec![Variant::Bool(true), Variant::Null])),
+            },
+            ColumnVec::Var(vec![Variant::Int(7), Variant::Float(8.0), Variant::Null]),
+            ColumnVec::Var(vec![Variant::Int(7), Variant::str("stray"), Variant::Int(9)]),
+            ColumnVec::Null(3),
+        ];
+        let order = [2, 0, 1, 1, 0, 2, 2];
+        for ty in [ColumnType::Int, ColumnType::Float, ColumnType::Bool, ColumnType::Str, ColumnType::Variant] {
+            for src in &sources {
+                let schema = vec![ColumnDef::new("c", ty)];
+                let mut by_cols = TableBuilder::with_partition_rows("t", schema.clone(), 4);
+                by_cols.push_rows_from(&[src], order).unwrap();
+                let mut by_rows = TableBuilder::with_partition_rows("t", schema, 4);
+                for r in order {
+                    by_rows.push_row(&[src.get(r)]).unwrap();
+                }
+                let (got, want) = (by_cols.finish().unwrap(), by_rows.finish().unwrap());
+                assert_eq!(got.partitions().len(), 2);
+                for (g, w) in got.partitions().iter().zip(want.partitions()) {
+                    let (g, w) = (g.as_mem().unwrap(), w.as_mem().unwrap());
+                    assert_eq!(format!("{g:?}"), format!("{w:?}"), "{src:?} into {ty:?}");
+                }
+            }
+        }
+        let mut b = TableBuilder::new("t", vec![int_col("a"), int_col("b")]);
+        assert!(b.push_rows_from(&[&sources[0]], 0..1).is_err());
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! back into `target_rows`-sized partitions (re-sorted on the clustering key
 //! when one is configured) and publishes the merge as a single copy-on-write
 //! [`TableWrite::Rewrite`] through the same optimistic commit path as DML.
+//! The merge moves columns: the inputs' stored columns go into the builder
+//! row index by row index
+//! ([`TableBuilder::push_rows_from`](crate::storage::TableBuilder::push_rows_from)),
+//! in arrival order or through a sort permutation on the clustering column;
+//! no row is boxed.
 //!
 //! Compaction is strictly an *optimization*: it never changes query results,
 //! and it deliberately does **not** retry lost commit races. Racing a writer
@@ -18,10 +23,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::catalog::{TableWrite, WriteSet};
+use crate::column::ColumnVec;
 use crate::engine::Database;
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
-use crate::variant::{cmp_variants, Variant};
+use crate::variant::cmp_variants;
 
 /// When and how to compact one table.
 #[derive(Clone, Debug)]
@@ -104,28 +110,36 @@ pub fn compact_table_once(
         })
         .transpose()?;
 
-    // Materialize candidate rows through the governed column readers so the
+    // Read the candidates through the governed column readers so the
     // session's memory/byte budgets (and fault schedules) apply to compaction
     // exactly as they do to DML rewrites.
     let gov = Arc::new(QueryGovernor::from_params(&db.session_params()));
-    let mut rows: Vec<Vec<Variant>> = Vec::new();
+    let mut parts = Vec::with_capacity(removed.len());
     for part in &removed {
         gov.checkpoint("Compact")?;
-        let n = part.row_count();
-        let mut cols = Vec::with_capacity(schema.len());
-        for i in 0..schema.len() {
-            cols.push(part.read_column_governed(i, &gov, "Compact")?.data);
-        }
-        for r in 0..n {
-            rows.push(cols.iter().map(|c| c.get(r)).collect());
-        }
+        let cols = (0..schema.len())
+            .map(|i| Ok(part.read_column_governed(i, &gov, "Compact")?.data))
+            .collect::<Result<Vec<_>>>()?;
+        parts.push(cols);
     }
+    // Merge order: arrival order, or — stably, NULLs where `cmp_variants`
+    // puts them — the order of the clustering column, the one whose values
+    // are boxed (to be compared).
+    let mut order: Vec<(usize, usize)> = (0..removed.len())
+        .flat_map(|p| (0..removed[p].row_count()).map(move |r| (p, r)))
+        .collect();
     if let Some(idx) = cluster_idx {
-        rows.sort_by(|a, b| cmp_variants(&a[idx], &b[idx]));
+        let key = |&(p, r): &(usize, usize)| parts[p][idx].get(r);
+        order.sort_by(|a, b| cmp_variants(&key(a), &key(b)));
     }
-    let added = db.build_partitions(&upper, &schema, &rows, policy.target_rows.max(1), &gov)?;
+    let added = db.build_partitions(&upper, &schema, policy.target_rows.max(1), &gov, |b| {
+        order.chunk_by(|a, b| a.0 == b.0).try_for_each(|run| {
+            let cols: Vec<&ColumnVec> = parts[run[0].0].iter().map(|c| &**c).collect();
+            b.push_rows_from(&cols, run.iter().map(|&(_, r)| r))
+        })
+    })?;
     let report =
-        CompactionReport { inputs: removed.len(), rows: rows.len(), outputs: added.len() };
+        CompactionReport { inputs: removed.len(), rows: order.len(), outputs: added.len() };
     db.commit_writes(base.version(), WriteSet::single(&upper, TableWrite::Rewrite {
         removed,
         added,
@@ -241,6 +255,7 @@ impl Drop for Compactor {
 mod tests {
     use super::*;
     use crate::storage::{ColumnDef, ColumnType};
+    use crate::variant::Variant;
 
     fn db_with_small_parts(parts: usize, rows_per: usize) -> Database {
         let db = Database::new();

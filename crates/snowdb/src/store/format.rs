@@ -63,7 +63,7 @@ use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::storage::stats::{ColumnStats, KmvSketch};
 use crate::storage::{stored_type, ColumnDef, ColumnType, MicroPartition, ZoneMap};
-use crate::variant::codec::{self, put_varint, unzigzag, zigzag};
+use crate::variant::codec::{self, put_str, put_varint, unzigzag, zigzag};
 use crate::variant::Variant;
 
 /// File magic, present both in the 8-byte header and the 4-byte trailer.
@@ -346,8 +346,7 @@ pub fn encode_column(col: &ColumnVec, out: &mut Vec<u8>) {
         ColumnVec::Str(v) => {
             put_bitmap(out, v.iter().map(Option::is_some));
             for s in v.iter().flatten() {
-                put_varint(out, s.len() as u64);
-                out.extend_from_slice(s.as_bytes());
+                put_str(out, s);
             }
         }
         ColumnVec::Var(v) => {
@@ -359,8 +358,7 @@ pub fn encode_column(col: &ColumnVec, out: &mut Vec<u8>) {
         ColumnVec::DictStr { codes, dict } => {
             put_varint(out, dict.len() as u64);
             for s in dict.iter() {
-                put_varint(out, s.len() as u64);
-                out.extend_from_slice(s.as_bytes());
+                put_str(out, s);
             }
             // Per row: code + 1, with 0 marking NULL — codes are dense and
             // small, so the varint usually costs one byte.
@@ -553,8 +551,7 @@ fn encode_footer(meta: &PartitionMeta) -> Vec<u8> {
     put_varint(&mut out, meta.row_count as u64);
     put_varint(&mut out, meta.columns.len() as u64);
     for c in &meta.columns {
-        put_varint(&mut out, c.name.len() as u64);
-        out.extend_from_slice(c.name.as_bytes());
+        put_str(&mut out, &c.name);
         out.push(ty_tag(c.ty));
         out.push(c.encoding.tag());
         put_varint(&mut out, c.offset);

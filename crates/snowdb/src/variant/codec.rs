@@ -89,7 +89,8 @@ pub fn encode(v: &Variant, out: &mut Vec<u8>) {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+/// A string as its byte length (varint) and its UTF-8 bytes.
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }

@@ -13,8 +13,9 @@
 //!   its source copy-on-write; `UNDROP TABLE` restores a dropped table from
 //!   retained history, surviving restarts;
 //! - a background compactor merging streaming-ingest micro-partitions never
-//!   changes query results (the verification lattice still agrees) and loses
-//!   commit races gracefully;
+//!   changes query results (the verification lattice still agrees), loses
+//!   commit races gracefully, and writes the partitions — representations,
+//!   zone maps, statistics — a row-at-a-time rebuild of the same rows writes;
 //! - GC never unlinks a file any retained version or pinned snapshot still
 //!   references, under seeded chaos schedules that crash commits and GC
 //!   unlinks mid-flight — after reopen, every retained version is fully
@@ -424,6 +425,100 @@ fn compaction_preserves_results_and_pinned_readers() {
     let db = Database::open(tmp.path()).unwrap();
     assert_eq!(db.table("t").unwrap().partitions().len(), 1);
     audit_all_retained(&db);
+}
+
+/// Compaction moves columns. The row path it replaced — read every cell
+/// back, sort the boxed rows, `push_row` them — is kept here as the reference:
+/// over seeded small partitions of mixed representations (typed with NULLs,
+/// run-length bools, strings under a different dictionary in every partition,
+/// an `Int` column that drifted to boxed variants in some of them), with and
+/// without a clustering key, the rewritten partitions hold the same columns —
+/// representation, dictionary order and run boundaries included — the same
+/// zone maps and the same statistics.
+#[test]
+fn compaction_builds_what_the_row_path_built() {
+    use snowdb::exec::ColumnVec;
+    use snowdb::storage::TableBuilder;
+    use snowdb::variant::cmp_variants;
+
+    let mut dictionaries = 0;
+    for seed in 0..6u64 {
+        for cluster_by in [None, Some("K".to_string())] {
+            let mut rng = StdRng::seed_from_u64(0xC0_u64 + seed);
+            let db = Database::new();
+            db.execute("CREATE TABLE t (k INT, s STRING, f BOOLEAN, d INT, v VARIANT)").unwrap();
+            let words = ["ash", "birch", "cedar", "elm", "fir"];
+            // One INSERT is one partition; the 40-row ones are no candidates.
+            for p in 0..rng.gen_range(4usize..9) {
+                let n = if p == 2 { 40 } else { rng.gen_range(1usize..24) };
+                let drift = rng.gen_range(0..3) == 0;
+                let tuples: Vec<String> = (0..n)
+                    .map(|i| {
+                        let k = match rng.gen_range(0i64..12) {
+                            0 => "NULL".to_string(),
+                            k => (k * 3 % 7).to_string(),
+                        };
+                        let s = match rng.gen_range(0usize..4) {
+                            0 => "NULL".to_string(),
+                            w => format!("'{}'", words[(w + p) % words.len()]),
+                        };
+                        let f = ["TRUE", "TRUE", "FALSE", "NULL"][i * 4 / n];
+                        let d = if drift && i == n / 2 { "'stray'".to_string() } else { (i * p).to_string() };
+                        format!("({k}, {s}, {f}, {d}, ARRAY_CONSTRUCT({i}, {s}))")
+                    })
+                    .collect();
+                db.execute(&format!("INSERT INTO t VALUES {}", tuples.join(", "))).unwrap();
+            }
+            let policy = CompactionPolicy { small_rows: 32, target_rows: 48, min_inputs: 2, cluster_by };
+
+            let t = db.table("t").unwrap();
+            let mut rows: Vec<Vec<Variant>> = Vec::new();
+            for part in t.partitions().iter().filter(|p| p.row_count() < policy.small_rows) {
+                let cols: Vec<_> =
+                    (0..t.schema().len()).map(|i| part.read_column(i).unwrap()).collect();
+                dictionaries +=
+                    cols.iter().filter(|c| matches!(&***c, ColumnVec::DictStr { .. })).count();
+                rows.extend((0..part.row_count()).map(|r| cols.iter().map(|c| c.get(r)).collect()));
+            }
+            if policy.cluster_by.is_some() {
+                rows.sort_by(|a, b| cmp_variants(&a[0], &b[0]));
+            }
+            let mut model = TableBuilder::with_partition_rows("T", t.schema().to_vec(), policy.target_rows);
+            for row in &rows {
+                model.push_row(row).unwrap();
+            }
+            let model = model.finish().unwrap();
+
+            let report = compact_table_once(&db, "t", &policy).unwrap().unwrap();
+            assert_eq!(report.rows, rows.len());
+            let after = db.table("t").unwrap();
+            let built: Vec<_> = after
+                .partitions()
+                .iter()
+                .filter(|p| !t.partitions().iter().any(|old| Arc::ptr_eq(old, p)))
+                .collect();
+            assert_eq!(built.len(), model.partitions().len());
+            let what = format!("seed {seed}, cluster_by {:?}", policy.cluster_by);
+            for (got, want) in built.iter().zip(model.partitions()) {
+                for i in 0..t.schema().len() {
+                    assert_eq!(
+                        format!("{:?}", got.read_column(i).unwrap()),
+                        format!("{:?}", want.read_column(i).unwrap()),
+                        "{what}: column {i}"
+                    );
+                    assert_eq!(
+                        format!("{:?}", got.zone_map(i)),
+                        format!("{:?}", want.zone_map(i)),
+                        "{what}: zone map {i}"
+                    );
+                    assert_eq!(got.column_stats(i), want.column_stats(i), "{what}: stats {i}");
+                }
+            }
+        }
+    }
+    if snowdb::storage::encode_from_env() {
+        assert!(dictionaries > 0, "no candidate held a dictionary");
+    }
 }
 
 #[test]

@@ -15,7 +15,10 @@
 //!   is present after reopening the directory;
 //! - `UPDATE`/`DELETE` copy-on-write rewrites agree with a row-by-row
 //!   interpreter oracle across a seeded randomized workload, and the
-//!   verification lattice still agrees afterwards;
+//!   verification lattice still agrees afterwards; over seeded random tables
+//!   and predicates each statement leaves what the query it means returns
+//!   over its pre-image (read through time travel), or fails with that
+//!   query's error;
 //! - the advisory `LOCK` file turns a second writer *process* into a typed
 //!   error, breaks stale locks from dead processes, and never blocks
 //!   read-only opens.
@@ -313,6 +316,146 @@ fn update_delete_agree_with_interpreter_oracle() {
         .unwrap();
         assert!(report.agrees(), "case {case}: lattice divergence:\n{}", report.render());
     }
+}
+
+/// DML refereed by the query path: on seeded random tables, a `DELETE` leaves
+/// the rows `SELECT … WHERE NOT COALESCE(p, FALSE)` returns over the
+/// pre-image, an `UPDATE` the rows of `SELECT CASE WHEN p THEN e ELSE c END, …`
+/// — read through time travel after the statement, under either producer of
+/// the query's columns — and a statement whose query fails fails with the
+/// query's error and commits nothing. DML itself runs at the process default
+/// (the `SNOWDB_VECTORIZE=0` CI leg turns its batch evaluator off).
+#[test]
+fn update_delete_mean_their_query_over_the_pre_image() {
+    const COLS: [&str; 5] = ["id", "a", "s", "b", "v"];
+    let colors = ["red", "green", "blue"];
+    let (mut committed, mut failed) = (0, 0);
+    // At least the default budget: below it no statement may happen to fail.
+    for case in 0..schedule_budget(25).max(25) as u64 {
+        let mut rng = StdRng::seed_from_u64(0xD17_u64 + case);
+        let db = Database::new();
+        let rows: Vec<Vec<Variant>> = (0..rng.gen_range(40i64..160))
+            .map(|i| {
+                let mut nullable = |v: Variant| if rng.gen_range(0u32..6) == 0 { Variant::Null } else { v };
+                vec![
+                    Variant::Int(i),
+                    nullable(Variant::Int((i * 7) % 23 - 5)),
+                    nullable(Variant::str(colors[(i % 3) as usize])),
+                    nullable(Variant::Bool((i / 9) % 2 == 0)),
+                    nullable(Variant::array(vec![Variant::Int(i), Variant::str("x")])),
+                ]
+            })
+            .collect();
+        let schema = [ColumnType::Int, ColumnType::Int, ColumnType::Str, ColumnType::Bool, ColumnType::Variant]
+            .iter()
+            .zip(COLS)
+            .map(|(ty, name)| ColumnDef::new(name.to_ascii_uppercase(), *ty))
+            .collect();
+        db.load_table_with_partition_rows("t", schema, rows, rng.gen_range(7usize..50)).unwrap();
+
+        for step in 0..8 {
+            let k = rng.gen_range(-5i64..18);
+            let m = rng.gen_range(2i64..6);
+            let color = colors[rng.gen_range(0usize..3)];
+            let pred = match rng.gen_range(0u32..14) {
+                0 => format!("a > {k}"),
+                1 => format!("a % {m} = 0"),
+                2 => "a IS NULL".to_string(),
+                3 => format!("s = '{color}'"),
+                4 => "s IN ('red', 'blue')".to_string(),
+                5 => "s LIKE 'g%'".to_string(),
+                6 => "b".to_string(),
+                7 => format!("NOT b AND a < {k}"),
+                8 => format!("a > {k} OR s = '{color}'"),
+                9 => format!("COALESCE(a, 0) < {k}"),
+                10 => format!("id % {m} = 1"),
+                11 => format!("IFF(b, a, id) > {k}"),
+                12 => "v IS NULL".to_string(),
+                _ => "NULL".to_string(),
+            };
+            // An UPDATE sets one or two columns; `a / 2` drifts the declared
+            // `Int` column to boxed doubles, `FLOOR` narrows it back.
+            let mut sets: Vec<(usize, String)> = Vec::new();
+            for _ in 0..rng.gen_range(0u32..3) {
+                let set = match rng.gen_range(0u32..14) {
+                    0 => (1, format!("a + {k}")),
+                    1 => (1, "a / 2".to_string()),
+                    2 => (1, "FLOOR(a)".to_string()),
+                    3 => (1, "IFF(b, id - a, NULL)".to_string()),
+                    4 => (2, "'violet'".to_string()),
+                    5 => (2, "CONCAT(s, '!')".to_string()),
+                    6 => (2, "NULL".to_string()),
+                    7 => (3, "NOT b".to_string()),
+                    8 => (3, format!("a > {k}")),
+                    9 => (4, "a".to_string()),
+                    10 => (4, "ARRAY_CONSTRUCT(id, s)".to_string()),
+                    11 => (4, "OBJECT_CONSTRUCT('k', v)".to_string()),
+                    12 => (4, "s".to_string()),
+                    _ => (1, format!("{m} / (a - {k})")),
+                };
+                if sets.iter().all(|(c, _)| *c != set.0) {
+                    sets.push(set);
+                }
+            }
+            let (dml, means) = if sets.is_empty() {
+                (
+                    format!("DELETE FROM t WHERE {pred}"),
+                    format!("SELECT id, a, s, b, v FROM t AT(VERSION => $V) WHERE NOT COALESCE({pred}, FALSE)"),
+                )
+            } else {
+                // (The statement parser reads a bare `NOT b` or `a > 1` after
+                // `=` as an operand; parenthesized, any expression goes.)
+                let assigns: Vec<String> =
+                    sets.iter().map(|(c, e)| format!("{} = ({e})", COLS[*c])).collect();
+                let selects: Vec<String> = (0..COLS.len())
+                    .map(|c| match sets.iter().find(|(sc, _)| *sc == c) {
+                        Some((_, e)) => format!("CASE WHEN {pred} THEN {e} ELSE {} END", COLS[c]),
+                        None => COLS[c].to_string(),
+                    })
+                    .collect();
+                (
+                    format!("UPDATE t SET {} WHERE {pred}", assigns.join(", ")),
+                    format!("SELECT {} FROM t AT(VERSION => $V)", selects.join(", ")),
+                )
+            };
+            let at = |sql: &str, version: u64| sql.replace("$V", &version.to_string());
+            let what = format!("case {case} step {step}: {dml}");
+
+            let before = db.schema_generation();
+            let outcome = db.execute(&dml);
+            match outcome {
+                Ok(_) => committed += 1,
+                Err(_) => failed += 1,
+            }
+            let hits = format!("SELECT COUNT(*) FROM t AT(VERSION => $V) WHERE {pred}");
+            for vectorize in [true, false] {
+                let opts = snowdb::QueryOptions { vectorize: Some(vectorize), ..Default::default() };
+                let mut want = db.query_with(&at(&means, before), &opts).map(|r| r.rows);
+                match (&outcome, &mut want) {
+                    (Ok(m), Ok(want)) => {
+                        let n = int(&db.query_with(&at(&hits, before), &opts).unwrap().rows[0][0]);
+                        let verb = if sets.is_empty() { "deleted" } else { "updated" };
+                        assert_eq!(msg(m.clone()), format!("{verb} {n} row(s)"), "{what}");
+                        let mut got = db.query("SELECT id, a, s, b, v FROM t").unwrap().rows;
+                        got.sort_by_key(|r| int(&r[0]));
+                        want.sort_by_key(|r| int(&r[0]));
+                        assert_eq!(&got, want, "{what} (vectorize={vectorize})");
+                    }
+                    (Err(e), Err(w)) => {
+                        assert_eq!(e.to_string(), w.to_string(), "{what}");
+                        assert_eq!(db.schema_generation(), before, "{what}: a failed statement committed");
+                    }
+                    (got, want) => panic!(
+                        "{what}: statement error {:?}, its query's {:?}",
+                        got.as_ref().err(),
+                        want.as_ref().err()
+                    ),
+                }
+            }
+        }
+    }
+    println!("{committed} statements committed, {failed} failed");
+    assert!(committed > failed && failed > 0);
 }
 
 /// The same COW rewrites, persisted: partitions rewritten by UPDATE/DELETE

@@ -291,6 +291,26 @@ fn erroring_predicate_stays_above_flatten() {
 }
 
 #[test]
+fn input_predicate_stays_above_a_flatten_of_a_volatile_input() {
+    // `SEQ8()` in the flatten's input numbers the rows that reach the flatten:
+    // a filter moved below it — even one over input columns only — renumbers
+    // the survivors from zero.
+    let db = flatten_db();
+    let sql = "SELECT ID, F.VALUE FROM t, LATERAL FLATTEN(INPUT => ARRAY_CONSTRUCT(SEQ8())) AS F \
+               WHERE ID > 3";
+    assert_filter_stays_above(&db, sql);
+    let plan = db.explain(sql).unwrap();
+    let line = |op: &str| {
+        plan.lines().position(|l| l.trim_start().starts_with(op)).unwrap_or_else(|| panic!("{plan}"))
+    };
+    assert!(line("Filter") < line("Flatten") && line("Flatten") < line("Scan"), "{plan}");
+    assert_eq!(
+        db.query(sql).unwrap().rows,
+        (4..9).map(|i| vec![Variant::Int(i), Variant::Int(i - 1)]).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn benign_input_predicate_still_moves_below_flatten() {
     // The soundness gates must not over-block: a plain comparison over input
     // columns commutes with the flatten and should reach the scan for pruning.

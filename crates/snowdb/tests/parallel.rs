@@ -577,6 +577,17 @@ mod producers {
             .unwrap();
             assert_eq!(ints(&rows, 0), (0..ROWS).collect::<Vec<_>>());
             assert_eq!(ints(&rows, 1), ints(&rows, 0));
+            // A filter above that flatten stays above: all 320 rows are
+            // numbered, then those from 200 up are kept.
+            let rows = agreed(
+                &db,
+                "SELECT id, f.value FROM t, LATERAL FLATTEN(INPUT => ARRAY_CONSTRUCT(SEQ8())) f \
+                 WHERE id >= 200",
+                optimize,
+            )
+            .unwrap();
+            assert_eq!(ints(&rows, 0), (200..ROWS).collect::<Vec<_>>());
+            assert_eq!(ints(&rows, 1), ints(&rows, 0));
             let rows = agreed(&db, "SELECT SUM(SEQ8()), MAX(id - SEQ8()) FROM t", optimize).unwrap();
             // Two calls per row: 2r and 2r + 1.
             assert_eq!(rows, [[Variant::Int(ROWS * (ROWS - 1)), Variant::Int(-1)]]);
