@@ -39,11 +39,20 @@ impl Token {
 
 /// Tokenizes a SQL string.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+    tokenize_spanned(input).map(|(tokens, _)| tokens)
+}
+
+/// [`tokenize`], plus the byte offset each token starts at (`input.len()`
+/// for the closing [`Token::Eof`]), so the parser can quote a statement's
+/// source without a second notion of where comments and quotes end.
+pub(super) fn tokenize_spanned(input: &str) -> Result<(Vec<Token>, Vec<usize>)> {
     let bytes = input.as_bytes();
     let mut out = Vec::with_capacity(input.len() / 4);
+    let mut starts = Vec::with_capacity(input.len() / 4);
     let mut i = 0usize;
     while i < bytes.len() {
         let b = bytes[i];
+        let start = i;
         match b {
             b' ' | b'\t' | b'\n' | b'\r' => i += 1,
             b'-' if bytes.get(i + 1) == Some(&b'-') => {
@@ -53,7 +62,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let start = i;
                 i += 2;
                 loop {
                     if i + 1 >= bytes.len() {
@@ -69,62 +77,18 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             b'\'' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(i) {
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(_) => {
-                            let rest = std::str::from_utf8(&bytes[i..])
-                                .map_err(|_| SnowError::Lex("invalid utf-8".into()))?;
-                            let c = rest.chars().next().unwrap();
-                            s.push(c);
-                            i += c.len_utf8();
-                        }
-                        None => {
-                            return Err(SnowError::Lex("unterminated string literal".into()))
-                        }
-                    }
-                }
-                out.push(Token::Str(s));
+                let (text, end) = quoted(input, i + 1, b'\'')
+                    .ok_or_else(|| SnowError::Lex("unterminated string literal".into()))?;
+                out.push(Token::Str(text));
+                i = end;
             }
             b'"' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(i) {
-                        Some(b'"') if bytes.get(i + 1) == Some(&b'"') => {
-                            s.push('"');
-                            i += 2;
-                        }
-                        Some(b'"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(_) => {
-                            // Consume one UTF-8 scalar, not one byte.
-                            let rest = std::str::from_utf8(&bytes[i..])
-                                .map_err(|_| SnowError::Lex("invalid utf-8".into()))?;
-                            let c = rest.chars().next().unwrap();
-                            s.push(c);
-                            i += c.len_utf8();
-                        }
-                        None => {
-                            return Err(SnowError::Lex("unterminated quoted identifier".into()))
-                        }
-                    }
-                }
-                out.push(Token::Ident { text: s, quoted: true });
+                let (text, end) = quoted(input, i + 1, b'"')
+                    .ok_or_else(|| SnowError::Lex("unterminated quoted identifier".into()))?;
+                out.push(Token::Ident { text, quoted: true });
+                i = end;
             }
             b'0'..=b'9' => {
-                let start = i;
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
@@ -169,7 +133,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
-                let start = i;
                 while i < bytes.len()
                     && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
                 {
@@ -180,7 +143,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             _ => {
                 let two = if i + 1 < bytes.len() { &bytes[i..i + 2] } else { &bytes[i..i + 1] };
-                let sym2: Option<&'static str> = match two {
+                let sym: Option<&'static str> = match two {
                     b"::" => Some("::"),
                     b"<=" => Some("<="),
                     b">=" => Some(">="),
@@ -188,36 +151,30 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     b"!=" => Some("!="),
                     b"=>" => Some("=>"),
                     b"||" => Some("||"),
-                    _ => None,
+                    _ => match b {
+                        b'(' => Some("("),
+                        b')' => Some(")"),
+                        b',' => Some(","),
+                        b'.' => Some("."),
+                        b';' => Some(";"),
+                        b':' => Some(":"),
+                        b'[' => Some("["),
+                        b']' => Some("]"),
+                        b'+' => Some("+"),
+                        b'-' => Some("-"),
+                        b'*' => Some("*"),
+                        b'/' => Some("/"),
+                        b'%' => Some("%"),
+                        b'=' => Some("="),
+                        b'<' => Some("<"),
+                        b'>' => Some(">"),
+                        _ => None,
+                    },
                 };
-                if let Some(s) = sym2 {
-                    out.push(Token::Sym(s));
-                    i += 2;
-                    continue;
-                }
-                let sym1: Option<&'static str> = match b {
-                    b'(' => Some("("),
-                    b')' => Some(")"),
-                    b',' => Some(","),
-                    b'.' => Some("."),
-                    b';' => Some(";"),
-                    b':' => Some(":"),
-                    b'[' => Some("["),
-                    b']' => Some("]"),
-                    b'+' => Some("+"),
-                    b'-' => Some("-"),
-                    b'*' => Some("*"),
-                    b'/' => Some("/"),
-                    b'%' => Some("%"),
-                    b'=' => Some("="),
-                    b'<' => Some("<"),
-                    b'>' => Some(">"),
-                    _ => None,
-                };
-                match sym1 {
+                match sym {
                     Some(s) => {
                         out.push(Token::Sym(s));
-                        i += 1;
+                        i += s.len();
                     }
                     None => {
                         return Err(SnowError::Lex(format!(
@@ -228,9 +185,34 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
         }
+        // Whitespace and comments push no token and record no start.
+        if starts.len() < out.len() {
+            starts.push(start);
+        }
     }
+    starts.push(bytes.len());
     out.push(Token::Eof);
-    Ok(out)
+    Ok((out, starts))
+}
+
+/// The body of a string literal or quoted identifier whose opening `quote`
+/// ends just before byte `i`; a doubled quote stands for one. Returns the
+/// unescaped text and the offset after the closing quote, `None` when the
+/// input ends first.
+fn quoted(input: &str, mut i: usize, quote: u8) -> Option<(String, usize)> {
+    let mut text = String::new();
+    loop {
+        // An ASCII quote is never part of a multi-byte character, so the run
+        // up to it is cut on character boundaries.
+        let run = input.as_bytes()[i..].iter().position(|&b| b == quote)?;
+        text.push_str(&input[i..i + run]);
+        i += run + 1;
+        if input.as_bytes().get(i) != Some(&quote) {
+            return Some((text, i));
+        }
+        text.push(quote as char);
+        i += 1;
+    }
 }
 
 #[cfg(test)]
@@ -266,6 +248,12 @@ mod tests {
     fn string_escape_doubling() {
         let toks = tokenize("'it''s'").unwrap();
         assert_eq!(toks[0], Token::Str("it's".into()));
+        // Doubled quotes at either end and beside multi-byte characters, in
+        // both kinds of quoted token; the empty string.
+        let toks = tokenize("'''\u{e9}''\u{4e16}' \"a\"\"\u{754c}\"\"\" ''").unwrap();
+        assert_eq!(toks[0], Token::Str("'\u{e9}'\u{4e16}".into()));
+        assert_eq!(toks[1], Token::Ident { text: "a\"\u{754c}\"".into(), quoted: true });
+        assert_eq!(toks[2], Token::Str(String::new()));
     }
 
     #[test]

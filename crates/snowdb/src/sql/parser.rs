@@ -1,7 +1,7 @@
 //! Recursive-descent SQL parser.
 
 use super::ast::*;
-use super::lexer::{tokenize, Token};
+use super::lexer::{tokenize_spanned, Token};
 use crate::error::{Result, SnowError};
 use crate::variant::Variant;
 
@@ -12,19 +12,77 @@ use crate::variant::Variant;
 /// stack runs out.
 const PARSER_STACK_BYTES: usize = 16 << 20;
 
+/// How deep a statement may nest and still be parsed on its caller's stack:
+/// 32 levels of the hungriest cycle (`F(F(…` or `CASE WHEN CASE WHEN …`) fit
+/// 512 KiB in an unoptimized build and 96 KiB in an optimized one (measured
+/// by parsing on threads of shrinking stack) — a quarter of the smallest
+/// stack anything here runs on, and less than the binder and the optimizer,
+/// which recurse over the finished tree on that same stack, take for a tree
+/// [`MAX_DEPTH`] deep. DML, DDL and handwritten queries nest 1–22 levels (the
+/// ADL reference queries are the deep end) and 19 of the 21 translated
+/// ADL/SSB queries 11–29; translated ADL q6 and q8 (82 and 105) are what
+/// goes past this.
+const INLINE_DEPTH: usize = 32;
+
 /// Parses one SQL query (an optional trailing `;` is allowed).
-///
-/// Parsing runs on a dedicated thread with [`PARSER_STACK_BYTES`] of stack:
-/// callers (REPL, worker pools, tests) have unknown — often 2 MiB — stacks,
-/// and hostile nesting must surface as a typed [`SnowError::Parse`], never a
-/// stack-overflow abort. The per-query spawn is microseconds against
-/// millisecond-scale execution.
 pub fn parse_query(sql: &str) -> Result<Query> {
+    parse_with(sql, Parser::query)
+}
+
+/// The one way SQL text becomes a tree: where the caller is if the statement
+/// nests no deeper than [`INLINE_DEPTH`], and if that attempt finds it does,
+/// once more from the start on a dedicated thread with [`PARSER_STACK_BYTES`]
+/// of stack, to [`MAX_DEPTH`].
+///
+/// Callers (REPL, worker pools, server connections, tests) have unknown —
+/// often 2 MiB — stacks, and hostile nesting must surface as a typed
+/// [`SnowError::Parse`] on any of them, never a stack-overflow abort. But the
+/// hop is a spawn and a join, two cross-core wake-ups, and costs what the
+/// host's idle-wake latency costs: 12–17 µs in a tight loop beside a busy
+/// core, 70–90 µs when the other vCPU has to be woken, ≈ 195 µs a statement
+/// measured inside the serving process of `wire_churn` on a 2-vCPU VM — 15 %
+/// of a 1.2 ms statement, and a part that moved with the host from run to
+/// run. So a statement pays it at most once, and only if its nesting asks for
+/// the stack; the abandoned attempt (a prefix of the statement, tokenized and
+/// parsed twice) is a fraction of a hop.
+pub(super) fn parse_with<'a, T: Send>(
+    sql: &'a str,
+    rule: fn(&mut Parser<'a>) -> Result<T>,
+) -> Result<T> {
+    parse_within(sql, rule, INLINE_DEPTH)
+        .or_else(|| on_parser_stack(|| parse_within(sql, rule, MAX_DEPTH)))
+        .unwrap_or_else(|| {
+            Err(SnowError::Parse(format!("query exceeds maximum nesting depth ({MAX_DEPTH})")))
+        })
+}
+
+/// Tokenize once, run `rule`, an optional `;` and the end-of-input check, on
+/// the current stack. `None`: the statement nests deeper than `max_depth`.
+fn parse_within<'a, T>(
+    sql: &'a str,
+    rule: fn(&mut Parser<'a>) -> Result<T>,
+    max_depth: usize,
+) -> Option<Result<T>> {
+    let (tokens, starts) = match tokenize_spanned(sql) {
+        Ok(spanned) => spanned,
+        Err(e) => return Some(Err(e)),
+    };
+    let mut p = Parser { sql, tokens, starts, pos: 0, depth: 0, max_depth, too_deep: false };
+    let parsed = rule(&mut p).and_then(|parsed| {
+        p.eat_sym(";");
+        p.expect_eof()?;
+        Ok(parsed)
+    });
+    (!p.too_deep).then_some(parsed)
+}
+
+/// Runs `f` on a dedicated thread with [`PARSER_STACK_BYTES`] of stack.
+fn on_parser_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     std::thread::scope(|s| {
         let handle = std::thread::Builder::new()
             .name("snowdb-parser".into())
             .stack_size(PARSER_STACK_BYTES)
-            .spawn_scoped(s, || parse_query_on_stack(sql))
+            .spawn_scoped(s, f)
             .expect("failed to spawn parser thread");
         match handle.join() {
             Ok(r) => r,
@@ -33,17 +91,6 @@ pub fn parse_query(sql: &str) -> Result<Query> {
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })
-}
-
-fn parse_query_on_stack(sql: &str) -> Result<Query> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
-    let q = p.query()?;
-    if p.peek().is_sym(";") {
-        p.pos += 1;
-    }
-    p.expect_eof()?;
-    Ok(q)
 }
 
 /// Keywords that terminate an implicit (AS-less) alias position.
@@ -61,44 +108,66 @@ const RESERVED: &[&str] = &[
 /// bound is generous and [`PARSER_STACK_BYTES`] is sized to fit it.
 const MAX_DEPTH: usize = 256;
 
-struct Parser {
+/// The one recursive-descent parser, over the one token stream: the query
+/// grammar lives here, the statement grammar in [`super::statement`].
+pub(super) struct Parser<'a> {
+    /// The source the tokens came from, for [`Parser::source_since`].
+    sql: &'a str,
     tokens: Vec<Token>,
+    /// Byte offset in `sql` where each token starts.
+    starts: Vec<usize>,
     pos: usize,
     depth: usize,
+    /// Levels this attempt may nest, and whether the statement asked for more.
+    max_depth: usize,
+    too_deep: bool,
 }
 
-impl Parser {
-    fn enter(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(SnowError::Parse(format!(
-                "query exceeds maximum nesting depth ({MAX_DEPTH})"
-            )));
+impl Parser<'_> {
+    /// Runs `rule` one nesting level down: every recursion cycle of the
+    /// grammar goes through here, so bounding `depth` bounds the stack.
+    fn nested<T>(&mut self, rule: fn(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == self.max_depth {
+            self.too_deep = true;
+            // Unwinds the attempt; `parse_with` decides what the caller sees.
+            return Err(SnowError::Parse("nesting".into()));
         }
-        Ok(())
-    }
-
-    fn leave(&mut self) {
+        self.depth += 1;
+        let parsed = rule(self);
         self.depth -= 1;
+        parsed
     }
 
-    fn peek(&self) -> &Token {
+    pub(super) fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
 
-    fn peek2(&self) -> &Token {
+    pub(super) fn peek2(&self) -> &Token {
         self.tokens.get(self.pos + 1).unwrap_or(&Token::Eof)
     }
 
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// Consumes the current token by value (the parser never looks back at a
+    /// token it consumed; the closing `Eof` is never consumed).
+    pub(super) fn next(&mut self) -> Token {
+        if self.pos == self.tokens.len() - 1 {
+            return Token::Eof;
         }
-        t
+        self.pos += 1;
+        std::mem::replace(&mut self.tokens[self.pos - 1], Token::Eof)
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
+    /// Byte offset in the source where the current token starts.
+    pub(super) fn offset(&self) -> usize {
+        self.starts[self.pos]
+    }
+
+    /// The source text from byte `from` up to the current token, trailing
+    /// whitespace trimmed.
+    pub(super) fn source_since(&self, from: usize) -> &str {
+        self.sql[from..self.offset()].trim_end()
+    }
+
+    pub(super) fn eat_kw(&mut self, kw: &str) -> bool {
         if self.peek().is_kw(kw) {
             self.pos += 1;
             true
@@ -107,7 +176,7 @@ impl Parser {
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
+    pub(super) fn expect_kw(&mut self, kw: &str) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
@@ -115,7 +184,7 @@ impl Parser {
         }
     }
 
-    fn eat_sym(&mut self, s: &str) -> bool {
+    pub(super) fn eat_sym(&mut self, s: &str) -> bool {
         if self.peek().is_sym(s) {
             self.pos += 1;
             true
@@ -124,7 +193,7 @@ impl Parser {
         }
     }
 
-    fn expect_sym(&mut self, s: &str) -> Result<()> {
+    pub(super) fn expect_sym(&mut self, s: &str) -> Result<()> {
         if self.eat_sym(s) {
             Ok(())
         } else {
@@ -139,24 +208,32 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    pub(super) fn ident(&mut self) -> Result<String> {
         match self.next() {
             Token::Ident { text, .. } => Ok(text),
             t => Err(SnowError::Parse(format!("expected identifier, found {t:?}"))),
         }
     }
 
+    /// `item { "," item }`.
+    pub(super) fn comma_list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut items = vec![item(self)?];
+        while self.eat_sym(",") {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
     /// Bare alias position: an identifier that is not a reserved keyword.
     fn maybe_alias(&mut self) -> Option<String> {
         match self.peek() {
-            Token::Ident { text, quoted } => {
-                if !quoted && RESERVED.iter().any(|k| text.eq_ignore_ascii_case(k)) {
-                    None
-                } else {
-                    let t = text.clone();
-                    self.pos += 1;
-                    Some(t)
-                }
+            Token::Ident { text, quoted }
+                if *quoted || !RESERVED.iter().any(|k| text.eq_ignore_ascii_case(k)) =>
+            {
+                self.ident().ok()
             }
             _ => None,
         }
@@ -164,13 +241,10 @@ impl Parser {
 
     // ---- query structure -------------------------------------------------
 
-    fn query(&mut self) -> Result<Query> {
+    pub(super) fn query(&mut self) -> Result<Query> {
         // Derived tables re-enter `query` without passing through `expr`;
         // guard this cycle too so deeply nested subqueries stay a typed error.
-        self.enter()?;
-        let q = self.query_inner();
-        self.leave();
-        q
+        self.nested(Self::query_inner)
     }
 
     fn query_inner(&mut self) -> Result<Query> {
@@ -242,24 +316,13 @@ impl Parser {
     fn select(&mut self) -> Result<Select> {
         self.expect_kw("SELECT")?;
         let distinct = self.eat_kw("DISTINCT");
-        let mut items = Vec::new();
-        loop {
-            items.push(self.select_item()?);
-            if !self.eat_sym(",") {
-                break;
-            }
-        }
+        let items = self.comma_list(Self::select_item)?;
         let from = if self.eat_kw("FROM") { Some(self.parse_from_clause()?) } else { None };
         let selection = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
         let mut group_by = Vec::new();
         if self.eat_kw("GROUP") {
             self.expect_kw("BY")?;
-            loop {
-                group_by.push(self.expr()?);
-                if !self.eat_sym(",") {
-                    break;
-                }
-            }
+            group_by = self.comma_list(Self::expr)?;
         }
         let having = if self.eat_kw("HAVING") { Some(self.expr()?) } else { None };
         Ok(Select { distinct, items, from, selection, group_by, having })
@@ -270,12 +333,7 @@ impl Parser {
             let mut exclude = Vec::new();
             if self.eat_kw("EXCLUDE") {
                 let parens = self.eat_sym("(");
-                loop {
-                    exclude.push(self.ident()?);
-                    if !self.eat_sym(",") {
-                        break;
-                    }
-                }
+                exclude = self.comma_list(Self::ident)?;
                 if parens {
                     self.expect_sym(")")?;
                 }
@@ -283,13 +341,13 @@ impl Parser {
             return Ok(SelectItem::Wildcard { exclude });
         }
         // `alias.*`
-        if let Token::Ident { text, .. } = self.peek() {
-            if self.peek2().is_sym(".") && self.tokens.get(self.pos + 2).is_some_and(|t| t.is_sym("*"))
-            {
-                let q = text.clone();
-                self.pos += 3;
-                return Ok(SelectItem::QualifiedWildcard(q));
-            }
+        if matches!(self.peek(), Token::Ident { .. })
+            && self.peek2().is_sym(".")
+            && self.tokens.get(self.pos + 2).is_some_and(|t| t.is_sym("*"))
+        {
+            let q = self.ident()?;
+            self.pos += 2;
+            return Ok(SelectItem::QualifiedWildcard(q));
         }
         let expr = self.expr()?;
         let alias = if self.eat_kw("AS") { Some(self.ident()?) } else { self.maybe_alias() };
@@ -414,14 +472,11 @@ impl Parser {
 
     // ---- expressions -----------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr> {
+    pub(super) fn expr(&mut self) -> Result<Expr> {
         // Every recursion cycle through the expression grammar passes through
         // `expr` (parenthesised re-entry), `not_expr` (NOT chains) or
         // `unary_expr` (+/- chains); bounding those bounds the stack.
-        self.enter()?;
-        let e = self.or_expr();
-        self.leave();
-        e
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -444,10 +499,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            self.enter()?;
-            let inner = self.not_expr();
-            self.leave();
-            Ok(Expr::Not(Box::new(inner?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.cmp_expr()
         }
@@ -483,13 +535,7 @@ impl Parser {
         }
         if self.eat_kw("IN") {
             self.expect_sym("(")?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.expr()?);
-                if !self.eat_sym(",") {
-                    break;
-                }
-            }
+            let list = self.comma_list(Self::expr)?;
             self.expect_sym(")")?;
             return Ok(Expr::InList { expr: Box::new(left), list, negated });
         }
@@ -555,16 +601,12 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat_sym("-") {
-            self.enter()?;
-            let inner = self.unary_expr();
-            self.leave();
-            return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner?) });
+            let inner = self.nested(Self::unary_expr)?;
+            return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         if self.eat_sym("+") {
-            self.enter()?;
-            let inner = self.unary_expr();
-            self.leave();
-            return Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(inner?) });
+            let inner = self.nested(Self::unary_expr)?;
+            return Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(inner) });
         }
         self.postfix_expr()
     }
@@ -627,7 +669,7 @@ impl Parser {
         }
     }
 
-    fn type_name(&mut self) -> Result<String> {
+    pub(super) fn type_name(&mut self) -> Result<String> {
         let name = self.ident()?;
         // `NUMBER(38, 0)`-style precision arguments are accepted and ignored.
         if self.eat_sym("(") {
@@ -643,88 +685,72 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            Token::Int(i) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Variant::Int(i)))
-            }
-            Token::Float(f) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Variant::Float(f)))
-            }
-            Token::Str(s) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Variant::str(s)))
-            }
+        if let Token::Ident { text, quoted: false } = self.peek() {
+            let literal = match text.as_str() {
+                "TRUE" => Variant::Bool(true),
+                "FALSE" => Variant::Bool(false),
+                "NULL" => Variant::Null,
+                "CASE" => return self.case_expr(),
+                "CAST" => {
+                    self.pos += 1;
+                    self.expect_sym("(")?;
+                    let e = self.expr()?;
+                    self.expect_kw("AS")?;
+                    let ty = self.type_name()?;
+                    self.expect_sym(")")?;
+                    return Ok(Expr::Cast { expr: Box::new(e), ty });
+                }
+                _ => return self.call_or_column(),
+            };
+            self.pos += 1;
+            return Ok(Expr::Literal(literal));
+        }
+        match self.next() {
+            Token::Int(i) => Ok(Expr::Literal(Variant::Int(i))),
+            Token::Float(f) => Ok(Expr::Literal(Variant::Float(f))),
+            Token::Str(s) => Ok(Expr::Literal(Variant::str(s))),
             Token::Sym("(") => {
-                self.pos += 1;
                 let e = self.expr()?;
                 self.expect_sym(")")?;
                 Ok(e)
             }
-            Token::Ident { text, quoted } => {
-                if !quoted {
-                    match text.as_str() {
-                        "TRUE" => {
-                            self.pos += 1;
-                            return Ok(Expr::Literal(Variant::Bool(true)));
-                        }
-                        "FALSE" => {
-                            self.pos += 1;
-                            return Ok(Expr::Literal(Variant::Bool(false)));
-                        }
-                        "NULL" => {
-                            self.pos += 1;
-                            return Ok(Expr::Literal(Variant::Null));
-                        }
-                        "CASE" => return self.case_expr(),
-                        "CAST" => {
-                            self.pos += 1;
-                            self.expect_sym("(")?;
-                            let e = self.expr()?;
-                            self.expect_kw("AS")?;
-                            let ty = self.type_name()?;
-                            self.expect_sym(")")?;
-                            return Ok(Expr::Cast { expr: Box::new(e), ty });
-                        }
-                        _ => {}
-                    }
-                }
-                // Function call?
-                if self.peek2().is_sym("(") && !quoted {
-                    let name = text;
-                    self.pos += 2;
-                    let mut args = Vec::new();
-                    let mut distinct = false;
-                    let mut star = false;
-                    if self.eat_sym("*") {
-                        star = true;
-                    } else if !self.peek().is_sym(")") {
-                        distinct = self.eat_kw("DISTINCT");
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat_sym(",") {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect_sym(")")?;
-                    return Ok(Expr::Func { name, args, distinct, star });
-                }
-                // Possibly qualified identifier: a or a.b .
-                self.pos += 1;
-                let mut parts = vec![text];
-                if self.peek().is_sym(".") {
-                    if let Token::Ident { text: t2, .. } = self.peek2() {
-                        let t2 = t2.clone();
-                        self.pos += 2;
-                        parts.push(t2);
-                    }
-                }
-                Ok(Expr::Ident(parts))
-            }
+            // Quoted identifiers are never calls or keywords.
+            Token::Ident { text, .. } => self.column(text),
             t => Err(SnowError::Parse(format!("unexpected token {t:?} in expression"))),
         }
+    }
+
+    /// An unquoted, non-keyword identifier in expression position: a
+    /// function call when `(` follows, else a column reference.
+    fn call_or_column(&mut self) -> Result<Expr> {
+        let is_call = self.peek2().is_sym("(");
+        let name = self.ident()?;
+        if !is_call {
+            return self.column(name);
+        }
+        self.pos += 1;
+        let mut args = Vec::new();
+        let mut distinct = false;
+        let mut star = false;
+        if self.eat_sym("*") {
+            star = true;
+        } else if !self.peek().is_sym(")") {
+            distinct = self.eat_kw("DISTINCT");
+            args = self.comma_list(Self::expr)?;
+        }
+        self.expect_sym(")")?;
+        Ok(Expr::Func { name, args, distinct, star })
+    }
+
+    /// A possibly qualified column reference, `a` or `a.b`, whose first part
+    /// has been consumed.
+    fn column(&mut self, first: String) -> Result<Expr> {
+        let mut parts = vec![first];
+        if self.peek().is_sym(".") && matches!(self.peek2(), Token::Ident { .. }) {
+            self.pos += 1;
+            parts.push(self.ident()?);
+        }
+        Ok(Expr::Ident(parts))
     }
 
     fn case_expr(&mut self) -> Result<Expr> {
@@ -787,6 +813,37 @@ mod tests {
         assert!(parse_query(&ok).is_ok());
         let ok_nots = format!("SELECT {} TRUE", "NOT ".repeat(200));
         assert!(parse_query(&ok_nots).is_ok());
+    }
+
+    #[test]
+    fn only_statements_nested_past_the_inline_depth_leave_the_callers_thread() {
+        // One level per `(`, each noting the thread it runs on.
+        fn level(p: &mut Parser) -> Result<Vec<bool>> {
+            let hopped = std::thread::current().name() == Some("snowdb-parser");
+            let mut levels = Vec::new();
+            if p.eat_sym("(") {
+                levels = p.nested(level)?;
+                p.expect_sym(")")?;
+            }
+            levels.push(hopped);
+            Ok(levels)
+        }
+        for (parens, hopped) in [(1, false), (INLINE_DEPTH, false), (INLINE_DEPTH + 1, true)] {
+            let sql = format!("{}{}", "(".repeat(parens), ")".repeat(parens));
+            assert_eq!(parse_with(&sql, level).unwrap(), vec![hopped; parens + 1], "{parens}");
+        }
+        let sql = format!("{}{}", "(".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
+        assert!(matches!(parse_with(&sql, level), Err(SnowError::Parse(m)) if m.contains("depth")));
+
+        // The same tree on either side of the boundary (`query` and `expr`
+        // are levels 1 and 2), and an error after a deep part is the error.
+        for parens in INLINE_DEPTH - 4..INLINE_DEPTH + 2 {
+            let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+            let q = parse_query(&format!("SELECT {open}1{close}, {open}x + 2{close}")).unwrap();
+            assert_eq!(q, parse_query("SELECT 1, x + 2").unwrap(), "{parens} parentheses");
+            let bad = parse_query(&format!("SELECT {open}1{close} FROM"));
+            assert!(matches!(bad, Err(SnowError::Parse(m)) if !m.contains("nesting")), "{parens}");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Statement-level SQL: queries plus the small DDL/DML surface the REPL and
 //! examples use (`CREATE TABLE`, `INSERT INTO ... VALUES`, `UPDATE`,
 //! `DELETE`, `DROP TABLE`, `EXPLAIN`, and the transaction verbs
-//! `BEGIN`/`COMMIT`/`ROLLBACK`).
+//! `BEGIN`/`COMMIT`/`ROLLBACK`) — grammar rules of the one [`Parser`], over
+//! the one token stream (DESIGN.md, "One statement path", has the EBNF).
 
-use super::ast::{BinOp, Expr, Query, Travel};
-use super::lexer::{tokenize, Token};
-use super::parser::parse_query;
+use super::ast::{Expr, Query, Travel};
+use super::lexer::Token;
+use super::parser::{parse_with, Parser};
 use crate::error::{Result, SnowError};
 use crate::storage::ColumnType;
 
@@ -19,7 +20,10 @@ pub enum Statement {
     ExplainAnalyze(Query),
     /// `VERIFY <query>`: run the query across the execution-configuration
     /// lattice and report agreement (or a divergence repro). The oracle
-    /// re-plans `query` per configuration; `text` is what its report quotes.
+    /// re-plans `query` per configuration; `text` is what its report quotes:
+    /// the source slice `query` was parsed from, from its first token to its
+    /// last — comments before it, the closing `;` and trailing whitespace
+    /// excluded.
     Verify { query: Query, text: String },
     CreateTable { name: String, columns: Vec<(String, ColumnType)> },
     /// `CREATE TABLE name CLONE source [AT(VERSION => n)]`: a zero-copy
@@ -50,434 +54,163 @@ pub enum Statement {
     Unset { name: String },
 }
 
-/// Parses one statement.
+/// Parses one statement (an optional trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let toks = tokenize(sql)?;
-    match toks.first() {
-        Some(t) if t.is_kw("EXPLAIN") => {
-            let rest = sql.trim_start();
-            let rest = &rest[rest.len().min(7)..]; // strip "EXPLAIN"
-            if toks.get(1).is_some_and(|t| t.is_kw("ANALYZE")) {
-                let rest = rest.trim_start();
-                let rest = &rest[rest.len().min(7)..]; // strip "ANALYZE"
-                return Ok(Statement::ExplainAnalyze(parse_query(rest)?));
+    parse_with(sql, Parser::statement)
+}
+
+impl Parser<'_> {
+    /// One statement, chosen by its first keyword; anything else is a query.
+    /// The caller checks that nothing but an optional `;` follows. Each rule
+    /// below starts after its keyword.
+    fn statement(&mut self) -> Result<Statement> {
+        if self.eat_kw("EXPLAIN") {
+            self.explain()
+        } else if self.eat_kw("VERIFY") {
+            self.verify()
+        } else if self.eat_kw("CREATE") {
+            self.create()
+        } else if self.eat_kw("INSERT") {
+            self.insert()
+        } else if self.eat_kw("UPDATE") {
+            self.update()
+        } else if self.eat_kw("DELETE") {
+            self.delete()
+        } else if self.eat_kw("DROP") {
+            self.drop_table()
+        } else if self.eat_kw("UNDROP") {
+            self.expect_kw("TABLE")?;
+            Ok(Statement::Undrop { name: self.ident()? })
+        } else if self.eat_kw("SET") {
+            self.set()
+        } else if self.eat_kw("UNSET") {
+            Ok(Statement::Unset { name: self.ident()? })
+        } else if self.eat_kw("BEGIN") {
+            Ok(self.txn_verb(Statement::Begin))
+        } else if self.eat_kw("START") {
+            self.expect_kw("TRANSACTION")?;
+            Ok(Statement::Begin)
+        } else if self.eat_kw("COMMIT") {
+            Ok(self.txn_verb(Statement::Commit))
+        } else if self.eat_kw("ROLLBACK") {
+            Ok(self.txn_verb(Statement::Rollback))
+        } else {
+            Ok(Statement::Query(self.query()?))
+        }
+    }
+
+    /// `EXPLAIN [ANALYZE] query`.
+    fn explain(&mut self) -> Result<Statement> {
+        if self.eat_kw("ANALYZE") {
+            return Ok(Statement::ExplainAnalyze(self.query()?));
+        }
+        Ok(Statement::Explain(self.query()?))
+    }
+
+    /// `VERIFY query`.
+    fn verify(&mut self) -> Result<Statement> {
+        let from = self.offset();
+        let query = self.query()?;
+        Ok(Statement::Verify { query, text: self.source_since(from).to_string() })
+    }
+
+    /// `CREATE TABLE name ( col type [, ...] )` or
+    /// `CREATE TABLE name CLONE source [AT(VERSION => n) | BEFORE(VERSION => n)]`.
+    fn create(&mut self) -> Result<Statement> {
+        self.expect_kw("TABLE")?;
+        let name = self.ident()?;
+        if self.eat_kw("CLONE") {
+            let source = self.ident()?;
+            return Ok(Statement::CloneTable { name, source, travel: self.maybe_travel()? });
+        }
+        self.expect_sym("(")?;
+        let columns = self.comma_list(|p| {
+            let col = p.ident()?;
+            let ty_name = p.type_name()?;
+            let ty = ColumnType::parse(&ty_name)
+                .ok_or_else(|| SnowError::Parse(format!("unknown column type '{ty_name}'")))?;
+            Ok((col, ty))
+        })?;
+        self.expect_sym(")")?;
+        Ok(Statement::CreateTable { name, columns })
+    }
+
+    /// `INSERT INTO name VALUES (expr, ...) [, (expr, ...)]*`.
+    fn insert(&mut self) -> Result<Statement> {
+        self.expect_kw("INTO")?;
+        let table = self.ident()?;
+        self.expect_kw("VALUES")?;
+        let rows = self.comma_list(|p| {
+            p.expect_sym("(")?;
+            let row = p.comma_list(Self::expr)?;
+            p.expect_sym(")")?;
+            Ok(row)
+        })?;
+        Ok(Statement::Insert { table, rows })
+    }
+
+    /// `UPDATE name SET col = expr [, ...] [WHERE predicate]`; a SET target
+    /// may be qualified (`t.col`), the qualifier is not checked.
+    fn update(&mut self) -> Result<Statement> {
+        let table = self.ident()?;
+        self.expect_kw("SET")?;
+        let sets = self.comma_list(|p| {
+            let mut col = p.ident()?;
+            if p.eat_sym(".") {
+                col = p.ident()?;
             }
-            Ok(Statement::Explain(parse_query(rest)?))
-        }
-        Some(t) if t.is_kw("VERIFY") => {
-            let rest = sql.trim_start();
-            let rest = &rest[rest.len().min(6)..]; // strip "VERIFY"
-            Ok(Statement::Verify { query: parse_query(rest)?, text: rest.trim().to_string() })
-        }
-        Some(t) if t.is_kw("CREATE") => parse_create(&toks),
-        Some(t) if t.is_kw("INSERT") => parse_insert(sql, &toks),
-        Some(t) if t.is_kw("UPDATE") => parse_update(sql, &toks),
-        Some(t) if t.is_kw("DELETE") => parse_delete(sql, &toks),
-        Some(t) if t.is_kw("DROP") => parse_drop(&toks),
-        Some(t) if t.is_kw("UNDROP") => parse_undrop(&toks),
-        Some(t) if t.is_kw("SET") => parse_set(&toks),
-        Some(t) if t.is_kw("UNSET") => parse_unset(&toks),
-        Some(t) if t.is_kw("BEGIN") => parse_txn_verb(&toks, 1, Statement::Begin),
-        Some(t) if t.is_kw("START") => {
-            if !toks.get(1).is_some_and(|t| t.is_kw("TRANSACTION")) {
-                return Err(SnowError::Parse("expected START TRANSACTION".into()));
-            }
-            parse_txn_verb(&toks, 2, Statement::Begin)
-        }
-        Some(t) if t.is_kw("COMMIT") => parse_txn_verb(&toks, 1, Statement::Commit),
-        Some(t) if t.is_kw("ROLLBACK") => parse_txn_verb(&toks, 1, Statement::Rollback),
-        _ => Ok(Statement::Query(parse_query(sql)?)),
+            p.expect_sym("=")?;
+            Ok((col, p.expr()?))
+        })?;
+        Ok(Statement::Update { table, sets, predicate: self.maybe_where()? })
     }
-}
 
-/// Finishes a transaction verb: an optional `TRANSACTION`/`WORK` noise word,
-/// then end of statement.
-fn parse_txn_verb(toks: &[Token], mut i: usize, stmt: Statement) -> Result<Statement> {
-    if i == 1 && toks.get(i).is_some_and(|t| t.is_kw("TRANSACTION") || t.is_kw("WORK")) {
-        i += 1;
+    /// `DELETE FROM name [WHERE predicate]`.
+    fn delete(&mut self) -> Result<Statement> {
+        self.expect_kw("FROM")?;
+        let table = self.ident()?;
+        Ok(Statement::Delete { table, predicate: self.maybe_where()? })
     }
-    if !matches!(toks.get(i), Some(Token::Eof) | None) {
-        return Err(SnowError::Parse(format!(
-            "unexpected trailing tokens after {stmt:?}"
-        )));
-    }
-    Ok(stmt)
-}
 
-fn parse_set(toks: &[Token]) -> Result<Statement> {
-    // SET name = value
-    let name = ident_at(toks, 1)?;
-    if !toks.get(2).is_some_and(|t| t.is_sym("=")) {
-        return Err(SnowError::Parse("expected '=' after SET parameter name".into()));
-    }
-    let value = match toks.get(3) {
-        Some(Token::Int(v)) if *v >= 0 => *v as u64,
-        other => {
-            return Err(SnowError::Parse(format!(
-                "expected non-negative integer value for SET, found {other:?}"
-            )))
+    fn maybe_where(&mut self) -> Result<Option<Expr>> {
+        if self.eat_kw("WHERE") {
+            return self.expr().map(Some);
         }
-    };
-    if !matches!(toks.get(4), Some(Token::Eof) | None) {
-        return Err(SnowError::Parse("unexpected trailing tokens after SET".into()));
+        Ok(None)
     }
-    Ok(Statement::Set { name, value })
-}
 
-fn parse_unset(toks: &[Token]) -> Result<Statement> {
-    // UNSET name
-    let name = ident_at(toks, 1)?;
-    if !matches!(toks.get(2), Some(Token::Eof) | None) {
-        return Err(SnowError::Parse("unexpected trailing tokens after UNSET".into()));
-    }
-    Ok(Statement::Unset { name })
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Result<String> {
-    match toks.get(i) {
-        Some(Token::Ident { text, .. }) => Ok(text.clone()),
-        other => Err(SnowError::Parse(format!("expected identifier, found {other:?}"))),
-    }
-}
-
-fn parse_create(toks: &[Token]) -> Result<Statement> {
-    // CREATE TABLE name ( col type [, ...] )
-    // CREATE TABLE name CLONE source [AT(VERSION => n) | BEFORE(VERSION => n)]
-    let mut i = 1;
-    if !toks.get(i).is_some_and(|t| t.is_kw("TABLE")) {
-        return Err(SnowError::Parse("expected CREATE TABLE".into()));
-    }
-    i += 1;
-    let name = ident_at(toks, i)?;
-    i += 1;
-    if toks.get(i).is_some_and(|t| t.is_kw("CLONE")) {
-        let source = ident_at(toks, i + 1)?;
-        i += 2;
-        let travel = parse_travel_tokens(toks, &mut i)?;
-        if !matches!(toks.get(i), Some(Token::Eof) | None) {
-            return Err(SnowError::Parse("unexpected trailing tokens after CLONE".into()));
+    /// `DROP TABLE [IF EXISTS] name`.
+    fn drop_table(&mut self) -> Result<Statement> {
+        self.expect_kw("TABLE")?;
+        // `IF` is not reserved: `DROP TABLE if` drops a table named IF.
+        let if_exists = self.peek().is_kw("IF") && self.peek2().is_kw("EXISTS");
+        if if_exists {
+            self.next();
+            self.next();
         }
-        return Ok(Statement::CloneTable { name, source, travel });
+        Ok(Statement::DropTable { name: self.ident()?, if_exists })
     }
-    if !toks.get(i).is_some_and(|t| t.is_sym("(")) {
-        return Err(SnowError::Parse("expected '(' after table name".into()));
-    }
-    i += 1;
-    let mut columns = Vec::new();
-    loop {
-        let col = ident_at(toks, i)?;
-        i += 1;
-        let ty_name = ident_at(toks, i)?;
-        i += 1;
-        // Skip optional precision arguments like NUMBER(38, 0).
-        if toks.get(i).is_some_and(|t| t.is_sym("(")) {
-            while !toks.get(i).is_some_and(|t| t.is_sym(")")) {
-                i += 1;
-                if i > toks.len() {
-                    return Err(SnowError::Parse("unterminated type arguments".into()));
-                }
-            }
-            i += 1;
-        }
-        let ty = ColumnType::parse(&ty_name)
-            .ok_or_else(|| SnowError::Parse(format!("unknown column type '{ty_name}'")))?;
-        columns.push((col, ty));
-        if toks.get(i).is_some_and(|t| t.is_sym(",")) {
-            i += 1;
-            continue;
-        }
-        break;
-    }
-    if !toks.get(i).is_some_and(|t| t.is_sym(")")) {
-        return Err(SnowError::Parse("expected ')' to close column list".into()));
-    }
-    if columns.is_empty() {
-        return Err(SnowError::Parse("CREATE TABLE requires at least one column".into()));
-    }
-    Ok(Statement::CreateTable { name, columns })
-}
 
-fn parse_insert(sql: &str, toks: &[Token]) -> Result<Statement> {
-    // INSERT INTO name VALUES (expr, ...) [, (expr, ...)]*
-    if !(toks.get(1).is_some_and(|t| t.is_kw("INTO"))) {
-        return Err(SnowError::Parse("expected INSERT INTO".into()));
-    }
-    let table = ident_at(toks, 2)?;
-    if !toks.get(3).is_some_and(|t| t.is_kw("VALUES")) {
-        return Err(SnowError::Parse("expected VALUES".into()));
-    }
-    // Reuse the expression parser by rewriting each tuple into a SELECT list.
-    let values_pos = find_keyword(sql, "VALUES").ok_or_else(|| {
-        SnowError::Parse("expected VALUES keyword in INSERT statement".into())
-    })?;
-    let tail = &sql[values_pos + "VALUES".len()..];
-    let mut rows = Vec::new();
-    for tuple in split_tuples(tail)? {
-        let q = parse_query(&format!("SELECT {tuple}"))?;
-        match q.body {
-            super::ast::SetExpr::Select(sel) => {
-                let row: Vec<Expr> = sel
-                    .items
-                    .into_iter()
-                    .map(|it| match it {
-                        super::ast::SelectItem::Expr { expr, .. } => Ok(expr),
-                        other => Err(SnowError::Parse(format!(
-                            "invalid VALUES item {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<_>>()?;
-                rows.push(row);
-            }
-            _ => return Err(SnowError::Parse("invalid VALUES list".into())),
+    /// `SET name = value`.
+    fn set(&mut self) -> Result<Statement> {
+        let name = self.ident()?;
+        self.expect_sym("=")?;
+        match self.next() {
+            Token::Int(v) if v >= 0 => Ok(Statement::Set { name, value: v as u64 }),
+            t => Err(SnowError::Parse(format!(
+                "expected non-negative integer value for SET, found {t:?}"
+            ))),
         }
     }
-    if rows.is_empty() {
-        return Err(SnowError::Parse("VALUES requires at least one tuple".into()));
-    }
-    Ok(Statement::Insert { table, rows })
-}
 
-/// Locates the byte offset of keyword `kw` in a statement: case-insensitive,
-/// on a word boundary, and outside string literals and quoted identifiers.
-/// A naive substring search mis-splits statements like
-/// `INSERT INTO values_log VALUES (1)` at the table name, and the old
-/// `.expect` on its result turned that planner-adjacent edge into a process
-/// abort instead of a parse error. `UPDATE`/`DELETE` use the same scan to
-/// split at `SET`/`WHERE`.
-fn find_keyword(sql: &str, kw: &str) -> Option<usize> {
-    let bytes = sql.as_bytes();
-    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\'' | b'"' => {
-                let quote = bytes[i];
-                i += 1;
-                while i < bytes.len() && bytes[i] != quote {
-                    i += 1;
-                }
-                i += 1; // past the closing quote (or end of input)
-            }
-            b if is_word(b) => {
-                let start = i;
-                while i < bytes.len() && is_word(bytes[i]) {
-                    i += 1;
-                }
-                if sql[start..i].eq_ignore_ascii_case(kw) {
-                    return Some(start);
-                }
-            }
-            _ => i += 1,
+    /// Finishes `BEGIN`/`COMMIT`/`ROLLBACK`: an optional `TRANSACTION`/`WORK`
+    /// noise word.
+    fn txn_verb(&mut self, stmt: Statement) -> Statement {
+        if !self.eat_kw("TRANSACTION") {
+            self.eat_kw("WORK");
         }
+        stmt
     }
-    None
-}
-
-/// Parses a comma-separated expression list by rewriting it into a `SELECT`
-/// projection (the same trick `INSERT ... VALUES` uses), so `UPDATE`/`DELETE`
-/// expressions get the full expression grammar for free.
-fn parse_expr_list(text: &str) -> Result<Vec<Expr>> {
-    if text.trim().is_empty() {
-        return Err(SnowError::Parse("expected an expression".into()));
-    }
-    let q = parse_query(&format!("SELECT {text}"))?;
-    match q.body {
-        super::ast::SetExpr::Select(sel) => sel
-            .items
-            .into_iter()
-            .map(|it| match it {
-                super::ast::SelectItem::Expr { expr, .. } => Ok(expr),
-                other => Err(SnowError::Parse(format!("invalid expression {other:?}"))),
-            })
-            .collect(),
-        _ => Err(SnowError::Parse("invalid expression list".into())),
-    }
-}
-
-fn parse_single_expr(text: &str) -> Result<Expr> {
-    let mut items = parse_expr_list(text)?;
-    if items.len() != 1 {
-        return Err(SnowError::Parse(format!(
-            "expected a single expression, found {}",
-            items.len()
-        )));
-    }
-    Ok(items.remove(0))
-}
-
-fn parse_delete(sql: &str, toks: &[Token]) -> Result<Statement> {
-    // DELETE FROM name [WHERE predicate]
-    if !toks.get(1).is_some_and(|t| t.is_kw("FROM")) {
-        return Err(SnowError::Parse("expected DELETE FROM".into()));
-    }
-    let table = ident_at(toks, 2)?;
-    let predicate = match toks.get(3) {
-        Some(Token::Eof) | None => None,
-        Some(t) if t.is_kw("WHERE") => {
-            let pos = find_keyword(sql, "WHERE")
-                .ok_or_else(|| SnowError::Parse("expected WHERE".into()))?;
-            Some(parse_single_expr(&sql[pos + "WHERE".len()..])?)
-        }
-        other => {
-            return Err(SnowError::Parse(format!(
-                "unexpected token after DELETE FROM {table}: {other:?}"
-            )))
-        }
-    };
-    Ok(Statement::Delete { table, predicate })
-}
-
-fn parse_update(sql: &str, toks: &[Token]) -> Result<Statement> {
-    // UPDATE name SET col = expr [, ...] [WHERE predicate]
-    let table = ident_at(toks, 1)?;
-    if !toks.get(2).is_some_and(|t| t.is_kw("SET")) {
-        return Err(SnowError::Parse("expected SET after UPDATE table name".into()));
-    }
-    let set_pos = find_keyword(sql, "SET")
-        .ok_or_else(|| SnowError::Parse("expected SET in UPDATE".into()))?;
-    let where_pos = find_keyword(sql, "WHERE");
-    let assignments = match where_pos {
-        Some(w) => &sql[set_pos + "SET".len()..w],
-        None => &sql[set_pos + "SET".len()..],
-    };
-    let mut sets = Vec::new();
-    for item in parse_expr_list(assignments)? {
-        // Each assignment parses as an equality expression whose left side
-        // must be a plain (optionally qualified) column reference.
-        match item {
-            Expr::Binary { left, op: BinOp::Eq, right } => match *left {
-                Expr::Ident(parts) if !parts.is_empty() => {
-                    let col = parts.last().expect("non-empty ident path").clone();
-                    sets.push((col, *right));
-                }
-                other => {
-                    return Err(SnowError::Parse(format!(
-                        "SET target must be a column name, found {other:?}"
-                    )))
-                }
-            },
-            other => {
-                return Err(SnowError::Parse(format!(
-                    "expected 'column = expression' in SET, found {other:?}"
-                )))
-            }
-        }
-    }
-    if sets.is_empty() {
-        return Err(SnowError::Parse("UPDATE requires at least one assignment".into()));
-    }
-    let predicate = where_pos
-        .map(|w| parse_single_expr(&sql[w + "WHERE".len()..]))
-        .transpose()?;
-    Ok(Statement::Update { table, sets, predicate })
-}
-
-/// Splits `(a, b), (c, d)` into top-level tuples, respecting nesting and
-/// string literals.
-fn split_tuples(text: &str) -> Result<Vec<String>> {
-    let mut tuples = Vec::new();
-    let mut depth = 0usize;
-    let mut current = String::new();
-    let mut in_str = false;
-    for c in text.chars() {
-        match c {
-            '\'' => {
-                in_str = !in_str;
-                if depth > 0 {
-                    current.push(c);
-                }
-            }
-            '(' if !in_str => {
-                if depth > 0 {
-                    current.push(c);
-                }
-                depth += 1;
-            }
-            ')' if !in_str => {
-                if depth == 0 {
-                    return Err(SnowError::Parse("unbalanced ')' in VALUES".into()));
-                }
-                depth -= 1;
-                if depth == 0 {
-                    tuples.push(std::mem::take(&mut current));
-                } else {
-                    current.push(c);
-                }
-            }
-            _ => {
-                if depth > 0 {
-                    current.push(c);
-                }
-            }
-        }
-    }
-    if depth != 0 || in_str {
-        return Err(SnowError::Parse("unterminated VALUES tuple".into()));
-    }
-    Ok(tuples)
-}
-
-/// Token-level `AT(VERSION => n)` / `BEFORE(VERSION => n)` for the DDL
-/// surface (`CREATE ... CLONE`); the query parser has its own copy.
-fn parse_travel_tokens(toks: &[Token], i: &mut usize) -> Result<Option<Travel>> {
-    let before = match toks.get(*i) {
-        Some(t) if t.is_kw("AT") => false,
-        Some(t) if t.is_kw("BEFORE") => true,
-        _ => return Ok(None),
-    };
-    if !toks.get(*i + 1).is_some_and(|t| t.is_sym("(")) {
-        return Ok(None);
-    }
-    *i += 2;
-    if !toks.get(*i).is_some_and(|t| t.is_kw("VERSION")) {
-        return Err(SnowError::Parse("expected VERSION in AT/BEFORE clause".into()));
-    }
-    *i += 1;
-    if !toks.get(*i).is_some_and(|t| t.is_sym("=>")) {
-        return Err(SnowError::Parse("expected '=>' after VERSION".into()));
-    }
-    *i += 1;
-    let version = match toks.get(*i) {
-        Some(Token::Int(n)) if *n >= 0 => *n as u64,
-        other => {
-            return Err(SnowError::Parse(format!(
-                "expected version number, found {other:?}"
-            )))
-        }
-    };
-    *i += 1;
-    if !toks.get(*i).is_some_and(|t| t.is_sym(")")) {
-        return Err(SnowError::Parse("expected ')' to close AT/BEFORE clause".into()));
-    }
-    *i += 1;
-    Ok(Some(Travel { before, version }))
-}
-
-fn parse_undrop(toks: &[Token]) -> Result<Statement> {
-    // UNDROP TABLE name
-    if !toks.get(1).is_some_and(|t| t.is_kw("TABLE")) {
-        return Err(SnowError::Parse("expected UNDROP TABLE".into()));
-    }
-    let name = ident_at(toks, 2)?;
-    if !matches!(toks.get(3), Some(Token::Eof) | None) {
-        return Err(SnowError::Parse("unexpected trailing tokens after UNDROP".into()));
-    }
-    Ok(Statement::Undrop { name })
-}
-
-fn parse_drop(toks: &[Token]) -> Result<Statement> {
-    // DROP TABLE [IF EXISTS] name
-    if !toks.get(1).is_some_and(|t| t.is_kw("TABLE")) {
-        return Err(SnowError::Parse("expected DROP TABLE".into()));
-    }
-    let mut i = 2;
-    let if_exists = toks.get(i).is_some_and(|t| t.is_kw("IF"))
-        && toks.get(i + 1).is_some_and(|t| t.is_kw("EXISTS"));
-    if if_exists {
-        i += 2;
-    }
-    let name = ident_at(toks, i)?;
-    Ok(Statement::DropTable { name, if_exists })
 }
 
 #[cfg(test)]
@@ -637,6 +370,74 @@ mod tests {
                 assert_eq!(rows.len(), 2);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// One token stream decides where a statement's parts begin: a comment,
+    /// a quote and a `;` mean the same thing in every statement, and nothing
+    /// after a complete statement is silently dropped. Each text is either
+    /// the statement it means (`Some`) or a typed parse error (`None`).
+    #[test]
+    fn comments_quotes_and_trailing_text_mean_the_same_everywhere() {
+        let means = |clean: &str| Some(parse_statement(clean).unwrap());
+        let quoted_ident = Statement::Insert {
+            table: "T".into(),
+            rows: vec![vec![Expr::Ident(vec!["a'b".into()])]],
+        };
+        let cases = [
+            ("INSERT INTO t VALUES (1) -- (2)", means("INSERT INTO t VALUES (1)")),
+            ("INSERT INTO t /* VALUES */ VALUES (1)", means("INSERT INTO t VALUES (1)")),
+            ("INSERT INTO t VALUES (\"a'b\")", Some(quoted_ident)),
+            ("INSERT INTO t VALUES (1) garbage (2)", None),
+            ("INSERT INTO t VALUES (1 FROM nums WHERE FALSE)", None),
+            ("INSERT INTO t VALUES (1),, (2) x", None),
+            ("INSERT INTO t VALUES (1),", None),
+            ("INSERT INTO t VALUES (1 AS x)", None),
+            ("DELETE FROM t;", means("DELETE FROM t")),
+            ("DELETE FROM t WHERE k = 1 LIMIT 0", None),
+            ("DELETE FROM t WHERE k = 1 ORDER BY k", None),
+            ("DELETE FROM t WHERE k = 1 FROM u", None),
+            (
+                "UPDATE t SET a = 1 -- WHERE gone\n WHERE b = 2",
+                means("UPDATE t SET a = 1 WHERE b = 2"),
+            ),
+            // The right side of a SET is a whole expression, not an operand.
+            (
+                "UPDATE t SET b = a > 1, c = NOT b WHERE a",
+                means("UPDATE t SET b = (a > 1), c = (NOT b) WHERE a"),
+            ),
+            ("UPDATE t SET a = 1 AS z, b = 2", None),
+            ("UPDATE t SET a = 1 FROM u WHERE b = 2", None),
+            ("UPDATE t SET a = 1 WHERE b = 2 LIMIT 1", None),
+            ("DROP TABLE t extra", None),
+            ("CREATE TABLE t (a INT) extra", None),
+            ("CREATE TABLE t (a NUMBER(38", None),
+            ("-- note\nEXPLAIN SELECT 1", means("EXPLAIN SELECT 1")),
+            ("/* c */ EXPLAIN ANALYZE SELECT 1", means("EXPLAIN ANALYZE SELECT 1")),
+            ("VERIFY/**/SELECT 1", means("VERIFY SELECT 1")),
+            ("VERIFY -- c\n SELECT 1 ; ", means("VERIFY SELECT 1")),
+            ("SET x = 1;", means("SET x = 1")),
+            ("BEGIN;", means("BEGIN")),
+            ("BEGIN;;", None),
+        ];
+        for (sql, want) in cases {
+            match (parse_statement(sql), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "{sql}"),
+                (Err(SnowError::Parse(_)), None) => {}
+                (got, want) => panic!("{sql}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_in_dml_is_a_typed_error() {
+        let (open, close) = ("(".repeat(100_000), ")".repeat(100_000));
+        for sql in [
+            format!("INSERT INTO t VALUES ({open}1{close})"),
+            format!("UPDATE t SET a = {open}1{close}"),
+            format!("DELETE FROM t WHERE {open}1{close}"),
+        ] {
+            assert!(matches!(parse_statement(&sql), Err(SnowError::Parse(_))));
         }
     }
 

@@ -403,10 +403,8 @@ fn update_delete_mean_their_query_over_the_pre_image() {
                     format!("SELECT id, a, s, b, v FROM t AT(VERSION => $V) WHERE NOT COALESCE({pred}, FALSE)"),
                 )
             } else {
-                // (The statement parser reads a bare `NOT b` or `a > 1` after
-                // `=` as an operand; parenthesized, any expression goes.)
                 let assigns: Vec<String> =
-                    sets.iter().map(|(c, e)| format!("{} = ({e})", COLS[*c])).collect();
+                    sets.iter().map(|(c, e)| format!("{} = {e}", COLS[*c])).collect();
                 let selects: Vec<String> = (0..COLS.len())
                     .map(|c| match sets.iter().find(|(sc, _)| *sc == c) {
                         Some((_, e)) => format!("CASE WHEN {pred} THEN {e} ELSE {} END", COLS[c]),

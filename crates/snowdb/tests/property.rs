@@ -93,6 +93,60 @@ fn outcome_repr(r: Result<Vec<Vec<Variant>>, String>) -> String {
     }
 }
 
+/// Strategy producing well-formed SQL expression *texts*: literals, columns,
+/// arithmetic, comparisons, `CASE`, `IN`, `BETWEEN`, casts, variant paths and
+/// calls, over strings and quoted identifiers that contain quotes,
+/// parentheses, commas, comment openers and the words a statement is cut at.
+fn arb_expr_text() -> impl Strategy<Value = String> {
+    let fixed = |texts: &'static [&'static str]| {
+        (0..texts.len()).prop_map(move |i| texts[i].to_string())
+    };
+    let leaf = prop_oneof![
+        (0i64..1000).prop_map(|i| i.to_string()),
+        fixed(&["2.5", "1e3", "NULL", "TRUE", "FALSE"]),
+        fixed(&["a", "b", "t.a", "\"a'b\"", "\"SET\"", "values_log", "where_"]),
+        fixed(&["v:a.b[0]", "v:\"k ) , (\"", "v['where'][b]"]),
+        fixed(&[
+            "'it''s'", "'(1), (2'", "') -- x'", "' VALUES (SET) WHERE '", "'/* ;'", "'\"'",
+            "'a,b'",
+        ]),
+    ];
+    leaf.prop_recursive(3, 16, 3, |inner| {
+        let e = move || inner.clone();
+        prop_oneof![
+            (e(), fixed(&["+", "-", "*", "/", "%", "||"]), e())
+                .prop_map(|(a, op, b)| format!("({a}) {op} ({b})")),
+            (e(), fixed(&["=", "<>", "!=", "<", "<=", ">", ">="]), e())
+                .prop_map(|(a, op, b)| format!("({a}) {op} ({b})")),
+            (e(), fixed(&["AND", "OR"]), e()).prop_map(|(a, op, b)| format!("({a}) {op} {b}")),
+            e().prop_map(|a| format!("NOT ({a})")),
+            e().prop_map(|a| format!("- ({a})")),
+            e().prop_map(|a| format!("({a}) IS NOT NULL")),
+            (e(), e(), e()).prop_map(|(a, b, c)| format!("CASE WHEN {a} THEN {b} ELSE {c} END")),
+            (e(), e(), e()).prop_map(|(a, b, c)| format!("CASE {a} WHEN {b} THEN {c} END")),
+            (e(), e(), e()).prop_map(|(a, b, c)| format!("({a}) NOT IN ({b}, {c})")),
+            (e(), e(), e()).prop_map(|(a, b, c)| format!("({a}) BETWEEN ({b}) AND ({c})")),
+            e().prop_map(|a| format!("({a})::NUMBER(38, 0)")),
+            e().prop_map(|a| format!("CAST({a} AS VARCHAR)")),
+            (e(), e()).prop_map(|(a, b)| format!("COALESCE({a}, {b})")),
+            (e(), e()).prop_map(|(a, b)| format!("({a})[{b}].f")),
+        ]
+    })
+}
+
+/// The trees `SELECT e1, …, en` builds for its items.
+fn select_items(exprs: &[String]) -> Vec<snowdb::sql::Expr> {
+    use snowdb::sql::{SelectItem, SetExpr};
+    let sql = format!("SELECT {}", exprs.join(", "));
+    let query = snowdb::sql::parse_query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let SetExpr::Select(select) = query.body else { panic!("{sql}: not a plain select") };
+    let item = |it| match it {
+        SelectItem::Expr { expr, alias: None } => expr,
+        other => panic!("{sql}: {other:?}"),
+    };
+    select.items.into_iter().map(item).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -362,10 +416,51 @@ proptest! {
         let _ = snowdb::sql::lexer::tokenize(&s);
     }
 
-    /// The SQL parser never panics on arbitrary token soup.
+    /// The SQL parser never panics on arbitrary token soup, as a query or
+    /// behind any statement's opening words.
     #[test]
-    fn parser_never_panics(s in "[a-zA-Z0-9_ ,.()*'\"<>=:\\[\\]+-]*") {
+    fn parser_never_panics(s in "[a-zA-Z0-9_ ,.()*'\"<>=:;/\\[\\]+-]*") {
         let _ = snowdb::sql::parse_query(&s);
+        for opening in [
+            "", "EXPLAIN ", "EXPLAIN ANALYZE ", "VERIFY ", "CREATE ", "CREATE TABLE t (",
+            "CREATE TABLE t CLONE u ", "INSERT ", "INSERT INTO t VALUES ", "UPDATE ",
+            "UPDATE t SET ", "DELETE ", "DELETE FROM t WHERE ", "DROP ", "UNDROP ", "SET ",
+            "UNSET ", "BEGIN ", "START ", "COMMIT ", "ROLLBACK ",
+        ] {
+            let _ = snowdb::sql::parse_statement(&format!("{opening}{s}"));
+        }
+    }
+
+    /// `INSERT`/`UPDATE`/`DELETE` parse their expressions where they stand,
+    /// to the trees the query grammar builds for the same texts — the old
+    /// implementation (cut the text, re-parse `SELECT <text>`) kept as the
+    /// reference.
+    #[test]
+    fn dml_expressions_parse_as_select_items(
+        tuples in prop::collection::vec(prop::collection::vec(arb_expr_text(), 1..4), 1..3),
+        pred in arb_expr_text(),
+    ) {
+        use snowdb::sql::{parse_statement, Statement};
+
+        let rows: Vec<Vec<_>> = tuples.iter().map(|t| select_items(t)).collect();
+        let pred_tree = select_items(std::slice::from_ref(&pred)).remove(0);
+        let values: Vec<String> = tuples.iter().map(|t| format!("({})", t.join(", "))).collect();
+        prop_assert_eq!(
+            parse_statement(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap(),
+            Statement::Insert { table: "T".into(), rows: rows.clone() }
+        );
+        let assigns: Vec<String> =
+            tuples[0].iter().enumerate().map(|(i, e)| format!("c{i} = {e}")).collect();
+        let sets: Vec<_> =
+            rows[0].iter().enumerate().map(|(i, e)| (format!("C{i}"), e.clone())).collect();
+        prop_assert_eq!(
+            parse_statement(&format!("UPDATE t SET {} WHERE {pred}", assigns.join(", "))).unwrap(),
+            Statement::Update { table: "T".into(), sets, predicate: Some(pred_tree.clone()) }
+        );
+        prop_assert_eq!(
+            parse_statement(&format!("DELETE FROM t WHERE {pred}")).unwrap(),
+            Statement::Delete { table: "T".into(), predicate: Some(pred_tree) }
+        );
     }
 
     /// Zone-map pruning never changes results: a partitioned table filtered by

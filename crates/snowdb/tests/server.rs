@@ -423,6 +423,11 @@ fn eight_plus_clients_sustain_ledger_invariant_under_cap() {
         admin.execute("CREATE TABLE ledger (w INT, x INT)").unwrap();
         admin.goodbye();
     }
+    // Every client also runs a cross join now and then that holds its slot
+    // for milliseconds, so more than four of them want one at a time. (A
+    // ledger statement takes microseconds and never blocks while it holds a
+    // slot: ten clients of those alone rarely overlap at all.)
+    load_big(&db, "big", 300);
 
     const WRITERS: usize = 6;
     const READERS: usize = 4;
@@ -438,6 +443,7 @@ fn eight_plus_clients_sustain_ledger_invariant_under_cap() {
                 let mut c = Client::connect(addr).unwrap();
                 let mut checks = 0usize;
                 while !stop.load(Ordering::Relaxed) || checks == 0 {
+                    assert_eq!(query_scalar(&mut c, SLOW_SQL), 300 * 300, "reader {r}");
                     match c.execute("SELECT sum(x), count(*) FROM ledger").unwrap() {
                         RemoteOutcome::Rows(res) => {
                             let sum = match &res.rows[0][0] {
@@ -488,6 +494,7 @@ fn eight_plus_clients_sustain_ledger_invariant_under_cap() {
                         Err(e) => panic!("writer {w}: untyped failure over wire: {e:?}"),
                     }
                     if k % 3 == 2 {
+                        assert_eq!(query_scalar(&mut c, SLOW_SQL), 300 * 300, "writer {w}");
                         let prev = (w * OPS + k) as i64;
                         match c.execute(&format!(
                             "DELETE FROM ledger WHERE w = {w} AND (x = {prev} OR x = {neg})",
