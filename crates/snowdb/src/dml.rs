@@ -57,7 +57,7 @@ impl Database {
             }
             let row = tuple
                 .iter()
-                .map(|e| crate::exec::eval_const(&bind_expr(e, &[], None)?, &mut seq))
+                .map(|e| crate::exec::eval_const(&bind_expr(e, &[])?, &mut seq))
                 .collect::<Result<_>>()?;
             new_rows.push(row);
         }
@@ -110,11 +110,11 @@ impl Database {
             set_cols.push(idx);
             set_exprs.push(PExpr::Case {
                 operand: None,
-                branches: vec![(PExpr::Col(arity), bind_expr(e, &fields, None)?)],
+                branches: vec![(PExpr::Col(arity), bind_expr(e, &fields)?)],
                 else_expr: Some(Box::new(PExpr::Col(idx))),
             });
         }
-        let pred = predicate.map(|p| bind_expr(p, &fields, None)).transpose()?;
+        let pred = predicate.map(|p| bind_expr(p, &fields)).transpose()?;
         let pred_dag = pred.as_ref().map(|p| ExprDag::compile([p]));
         let set_dag = ExprDag::compile(&set_exprs);
         let mut reads = Vec::new();

@@ -427,7 +427,7 @@ fn node_hash(op: &DagOp<'_>, kids: &[NodeId]) -> u64 {
     std::mem::discriminant(op).hash(&mut h);
     match op {
         DagOp::Col(i) => i.hash(&mut h),
-        DagOp::Lit(v) => hash_lit(v, &mut h),
+        DagOp::Lit(v) => v.hash_identical(&mut h),
         DagOp::Neg | DagOp::Not => {}
         DagOp::IsNull { negated } | DagOp::InList { negated } | DagOp::Like { negated } => {
             negated.hash(&mut h)
@@ -451,55 +451,11 @@ fn node_hash(op: &DagOp<'_>, kids: &[NodeId]) -> u64 {
     h.finish()
 }
 
-fn hash_lit(v: &Variant, h: &mut impl Hasher) {
-    std::mem::discriminant(v).hash(h);
-    match v {
-        Variant::Null => {}
-        Variant::Bool(b) => b.hash(h),
-        Variant::Int(i) => i.hash(h),
-        Variant::Float(f) => f.to_bits().hash(h),
-        Variant::Str(s) => s.hash(h),
-        Variant::Array(a) => {
-            for x in a.iter() {
-                hash_lit(x, h);
-            }
-        }
-        Variant::Object(o) => {
-            for (k, x) in o.iter() {
-                k.hash(h);
-                hash_lit(x, h);
-            }
-        }
-    }
-}
-
-/// Strict literal identity: `Variant`'s own equality is numeric (`1 = 1.0`),
-/// which `TYPEOF` and integer overflow can tell apart.
-fn same_lit(a: &Variant, b: &Variant) -> bool {
-    match (a, b) {
-        (Variant::Null, Variant::Null) => true,
-        (Variant::Bool(x), Variant::Bool(y)) => x == y,
-        (Variant::Int(x), Variant::Int(y)) => x == y,
-        (Variant::Float(x), Variant::Float(y)) => x.to_bits() == y.to_bits(),
-        (Variant::Str(x), Variant::Str(y)) => x == y,
-        (Variant::Array(x), Variant::Array(y)) => {
-            x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| same_lit(p, q))
-        }
-        (Variant::Object(x), Variant::Object(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y.iter())
-                    .all(|((k, p), (l, q))| k == l && same_lit(p, q))
-        }
-        _ => false,
-    }
-}
-
 /// Equality of two nodes' operations; their arguments are compared by id.
 fn same_op(a: &DagOp<'_>, b: &DagOp<'_>) -> bool {
     match (a, b) {
         (DagOp::Col(x), DagOp::Col(y)) => x == y,
-        (DagOp::Lit(x), DagOp::Lit(y)) => same_lit(x, y),
+        (DagOp::Lit(x), DagOp::Lit(y)) => x.identical(y),
         (DagOp::Neg, DagOp::Neg) | (DagOp::Not, DagOp::Not) => true,
         (DagOp::IsNull { negated: x }, DagOp::IsNull { negated: y })
         | (DagOp::InList { negated: x }, DagOp::InList { negated: y })

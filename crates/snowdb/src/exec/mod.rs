@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use crate::govern::QueryGovernor;
 use crate::plan::{PExpr, SortKey};
-use crate::sql::BinOp;
 use crate::storage::ScanStats;
 use crate::variant::{cmp_variants, Variant};
 
@@ -132,62 +131,6 @@ pub fn eval_const(e: &PExpr, seq: &mut i64) -> crate::error::Result<Variant> {
     let v = eval(e, RowView::new(&[(&Chunk { cols: Vec::new(), rows: 1 }, 0)]), &mut ctx);
     *seq = ctx.seq_counter;
     v
-}
-
-/// Splits an ON predicate into equi-join key pairs `(left key, right key)`
-/// and residual conjuncts. Every expression stays bound against the
-/// concatenated schema: a right key is evaluated over the right input with
-/// its columns shifted by `left_arity` ([`RowView::shifted`],
-/// [`dag::ExprDag::compile_shifted`]).
-pub(crate) fn split_join_on(
-    on: &PExpr,
-    left_arity: usize,
-) -> (Vec<(&PExpr, &PExpr)>, Vec<&PExpr>) {
-    fn conjuncts<'e>(e: &'e PExpr, out: &mut Vec<&'e PExpr>) {
-        if let PExpr::Binary { left, op: BinOp::And, right } = e {
-            conjuncts(left, out);
-            conjuncts(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    fn side(e: &PExpr, left_arity: usize) -> Option<bool> {
-        // Some(true) = uses only left columns, Some(false) = only right,
-        // None = mixed or no columns.
-        let mut cols = Vec::new();
-        e.collect_cols(&mut cols);
-        if cols.is_empty() {
-            return None;
-        }
-        let all_left = cols.iter().all(|&c| c < left_arity);
-        let all_right = cols.iter().all(|&c| c >= left_arity);
-        match (all_left, all_right) {
-            (true, _) => Some(true),
-            (_, true) => Some(false),
-            _ => None,
-        }
-    }
-    let mut cs = Vec::new();
-    conjuncts(on, &mut cs);
-    let mut equi = Vec::new();
-    let mut residual = Vec::new();
-    for c in cs {
-        if let PExpr::Binary { left, op: BinOp::Eq, right } = c {
-            match (side(left, left_arity), side(right, left_arity)) {
-                (Some(true), Some(false)) => {
-                    equi.push((&**left, &**right));
-                    continue;
-                }
-                (Some(false), Some(true)) => {
-                    equi.push((&**right, &**left));
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        residual.push(c);
-    }
-    (equi, residual)
 }
 
 /// Compares two values under one sort key.

@@ -18,8 +18,8 @@
 //!   variant path access (`col:field.sub[0]`), and the aggregate/scalar function set
 //!   the paper's translation layer requires (`ARRAY_AGG`, `ANY_VALUE`, `BOOLAND_AGG`,
 //!   `OBJECT_CONSTRUCT`, `SEQ8`, ...);
-//! - a rule-based [`optimize`] layer (constant folding, predicate pushdown, projection
-//!   pruning) so that a single translated SQL query is optimized end-to-end, which is
+//! - a rule-based [`optimize`] layer (constant folding, predicate pushdown, dead-column
+//!   elimination) so that a single translated SQL query is optimized end-to-end, which is
 //!   the paper's core argument for avoiding UDFs and interpretation overhead;
 //! - an [`engine::Database`] entry point that reports a per-query
 //!   [`engine::QueryProfile`] with separate compilation and execution phases plus

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::plan::{Node, NodeKind, PExpr};
+use crate::plan::{col_cmp_lit, conjuncts, split_join_on, Node, NodeKind, PExpr};
 use crate::sql::{BinOp, JoinKind};
 use crate::storage::ColumnStats;
 use crate::variant::Variant;
@@ -225,18 +225,26 @@ fn join_estimate(
     let mut residual_sel = 1.0f64;
     let mut equi_keys = 0usize;
     if let Some(on) = on {
-        let mut parts = Vec::new();
-        conjuncts_ref(on, &mut parts);
-        for p in parts {
-            if let Some((lc, rc)) = equi_pair(p, la) {
-                let lv = ndv_or_rows(&l.cols, lc, l.rows);
+        let (equi, residual) = split_join_on(on, la);
+        for pair in equi {
+            if let (PExpr::Col(lc), PExpr::Col(rc)) = pair {
+                let lv = ndv_or_rows(&l.cols, *lc, l.rows);
                 let rv = ndv_or_rows(&r.cols, rc - la, r.rows);
                 equi_sel /= lv.max(rv).max(1.0);
                 equi_keys += 1;
             } else {
-                // Side-local or complex conjuncts filter the cross product.
-                let merged: Vec<Option<Arc<ColumnStats>>> =
-                    l.cols.iter().chain(r.cols.iter()).cloned().collect();
+                // A computed key has no NDV: it filters the cross product
+                // like any conjunct the estimator cannot decompose, and does
+                // not make the join a hash join here, though the executor
+                // hashes it (DESIGN.md, "Cost-based optimization").
+                residual_sel *= DEFAULT_UNKNOWN_SEL;
+            }
+        }
+        // Side-local or complex conjuncts filter the cross product.
+        if !residual.is_empty() {
+            let merged: Vec<Option<Arc<ColumnStats>>> =
+                l.cols.iter().chain(r.cols.iter()).cloned().collect();
+            for p in residual {
                 residual_sel *= pred_selectivity(p, &merged);
             }
         }
@@ -260,43 +268,17 @@ fn join_estimate(
     Est { rows, cost: l.cost + r.cost + work, cols }
 }
 
-/// `Col(l) = Col(r)` with the two sides on opposite sides of the join split.
-fn equi_pair(p: &PExpr, la: usize) -> Option<(usize, usize)> {
-    if let PExpr::Binary { left, op: BinOp::Eq, right } = p {
-        if let (PExpr::Col(a), PExpr::Col(b)) = (left.as_ref(), right.as_ref()) {
-            if *a < la && *b >= la {
-                return Some((*a, *b));
-            }
-            if *b < la && *a >= la {
-                return Some((*b, *a));
-            }
-        }
-    }
-    None
-}
-
 fn ndv_or_rows(cols: &[Option<Arc<ColumnStats>>], i: usize, rows: f64) -> f64 {
     cols.get(i)
         .and_then(Option::as_deref)
         .map_or(rows.max(1.0), ColumnStats::distinct)
 }
 
-fn conjuncts_ref<'a>(e: &'a PExpr, out: &mut Vec<&'a PExpr>) {
-    if let PExpr::Binary { left, op: BinOp::And, right } = e {
-        conjuncts_ref(left, out);
-        conjuncts_ref(right, out);
-    } else {
-        out.push(e);
-    }
-}
-
 /// Estimated fraction of rows satisfying `pred`, given the input's per-column
 /// statistics.
 pub fn pred_selectivity(pred: &PExpr, cols: &[Option<Arc<ColumnStats>>]) -> f64 {
-    let mut parts = Vec::new();
-    conjuncts_ref(pred, &mut parts);
     let mut sel = 1.0f64;
-    for p in parts {
+    for p in conjuncts(pred) {
         sel *= conjunct_selectivity(p, cols);
     }
     sel.clamp(0.0, 1.0)
@@ -317,20 +299,6 @@ fn conjunct_selectivity(p: &PExpr, cols: &[Option<Arc<ColumnStats>>]) -> f64 {
             (a + b - a * b).clamp(0.0, 1.0)
         }
         PExpr::Not(inner) => 1.0 - conjunct_selectivity(inner, cols),
-        PExpr::IsNull { expr, negated } => match expr.as_ref() {
-            PExpr::Col(c) => {
-                let nf = cols
-                    .get(*c)
-                    .and_then(Option::as_deref)
-                    .map_or(DEFAULT_EQ_SEL, ColumnStats::null_fraction);
-                if *negated {
-                    1.0 - nf
-                } else {
-                    nf
-                }
-            }
-            _ => DEFAULT_UNKNOWN_SEL,
-        },
         PExpr::InList { expr, list, negated } => match expr.as_ref() {
             PExpr::Col(c) if list.iter().all(|e| matches!(e, PExpr::Lit(_))) => {
                 // `=` ignores its literal operand: (1 - nf) / ndv.
@@ -347,36 +315,18 @@ fn conjunct_selectivity(p: &PExpr, cols: &[Option<Arc<ColumnStats>>]) -> f64 {
             }
             _ => DEFAULT_UNKNOWN_SEL,
         },
-        PExpr::Binary { left, op, right } => {
-            let (col, cmp, lit) = match (left.as_ref(), right.as_ref()) {
-                (PExpr::Col(c), PExpr::Lit(v)) => (*c, cmp_str(*op, false), v),
-                (PExpr::Lit(v), PExpr::Col(c)) => (*c, cmp_str(*op, true), v),
-                _ => return DEFAULT_UNKNOWN_SEL,
-            };
-            let Some(cmp) = cmp else { return DEFAULT_UNKNOWN_SEL };
-            match cols.get(col).and_then(Option::as_deref) {
+        _ => match col_cmp_lit(p) {
+            Some((col, cmp, lit)) => match cols.get(col).and_then(Option::as_deref) {
                 Some(s) => s.selectivity(cmp, lit),
                 None => match cmp {
-                    "=" => DEFAULT_EQ_SEL,
-                    "<>" => 1.0 - DEFAULT_EQ_SEL,
+                    "=" | "IS NULL" => DEFAULT_EQ_SEL,
+                    "<>" | "IS NOT NULL" => 1.0 - DEFAULT_EQ_SEL,
                     _ => DEFAULT_RANGE_SEL,
                 },
-            }
-        }
-        _ => DEFAULT_UNKNOWN_SEL,
+            },
+            None => DEFAULT_UNKNOWN_SEL,
+        },
     }
-}
-
-fn cmp_str(op: BinOp, flip: bool) -> Option<&'static str> {
-    Some(match (op, flip) {
-        (BinOp::Eq, _) => "=",
-        (BinOp::NotEq, _) => "<>",
-        (BinOp::Lt, false) | (BinOp::Gt, true) => "<",
-        (BinOp::LtEq, false) | (BinOp::GtEq, true) => "<=",
-        (BinOp::Gt, false) | (BinOp::Lt, true) => ">",
-        (BinOp::GtEq, false) | (BinOp::LtEq, true) => ">=",
-        _ => return None,
-    })
 }
 
 /// Expected output rows per input row of a FLATTEN over `expr`.

@@ -29,9 +29,9 @@
 use std::collections::HashMap;
 
 use crate::optimize::cost::estimate;
-use crate::optimize::{conjoin, conjuncts, error_free, max_col};
-use crate::plan::{Field, Node, NodeKind, PExpr};
-use crate::sql::{BinOp, JoinKind};
+use crate::optimize::{conjoin, error_free};
+use crate::plan::{conjuncts, into_conjuncts, split_join_on, Field, Node, NodeKind, PExpr};
+use crate::sql::JoinKind;
 
 /// Minimum relations in a cluster before reordering kicks in. Two-relation
 /// joins are left as written: the executor already hash-joins them, and
@@ -80,13 +80,9 @@ fn cluster_eligible(node: &Node) -> bool {
             } => {
                 walk(left, rels, ok);
                 walk(right, rels, ok);
-                if let Some(on) = on {
-                    let mut parts = Vec::new();
-                    conjuncts_ref(on, &mut parts);
-                    for p in parts {
-                        if p.is_volatile() || !error_free(p) {
-                            *ok = false;
-                        }
+                for p in on.iter().flat_map(conjuncts) {
+                    if p.is_volatile() || !error_free(p) {
+                        *ok = false;
                     }
                 }
             }
@@ -97,15 +93,6 @@ fn cluster_eligible(node: &Node) -> bool {
     let mut ok = true;
     walk(node, &mut rels, &mut ok);
     ok && (MIN_RELATIONS..=64).contains(&rels)
-}
-
-fn conjuncts_ref<'a>(e: &'a PExpr, out: &mut Vec<&'a PExpr>) {
-    if let PExpr::Binary { left, op: BinOp::And, right } = e {
-        conjuncts_ref(left, out);
-        conjuncts_ref(right, out);
-    } else {
-        out.push(e);
-    }
 }
 
 /// Recursively flattens `Inner`/`Cross` joins into `rels` (each child
@@ -123,26 +110,11 @@ fn flatten_cluster(node: Node, base: usize, rels: &mut Vec<Node>, preds: &mut Ve
             let la = left.arity();
             flatten_cluster(*left, base, rels, preds);
             flatten_cluster(*right, base + la, rels, preds);
-            if let Some(on) = on {
-                let mut parts = Vec::new();
-                conjuncts(on, &mut parts);
-                for p in parts {
-                    preds.push(shift_cols(&p, base));
-                }
-            }
+            let rebased = on.into_iter().flat_map(into_conjuncts).map(|p| p.map_cols(&|c| c + base));
+            preds.extend(rebased);
         }
         kind => rels.push(reorder_joins(Node::new(kind, node.fields))),
     }
-}
-
-/// Shifts every column reference in `e` up by `base`.
-fn shift_cols(e: &PExpr, base: usize) -> PExpr {
-    if base == 0 {
-        return e.clone();
-    }
-    let max = max_col(e).unwrap_or(0);
-    let subs: Vec<PExpr> = (0..=max).map(|i| PExpr::Col(i + base)).collect();
-    e.substitute(&subs)
 }
 
 /// Starting cluster-column offset of each relation in original order.
@@ -169,13 +141,12 @@ fn pred_rels(p: &PExpr, offsets: &[usize], total: usize) -> u64 {
     mask
 }
 
-/// True when `p` contains a `Col = Col` conjunct usable as a hash-join key.
-fn has_equi(p: &PExpr) -> bool {
-    matches!(
-        p,
-        PExpr::Binary { left, op: BinOp::Eq, right }
-            if matches!(left.as_ref(), PExpr::Col(_)) && matches!(right.as_ref(), PExpr::Col(_))
-    )
+/// True when the join at the top of `plan` has a hash key the cost model
+/// has statistics for: an equi pair whose two sides are bare columns.
+fn keyed_on_columns(plan: &Node) -> bool {
+    let NodeKind::Join { left, on: Some(on), .. } = &plan.kind else { return false };
+    let (equi, _) = split_join_on(on, left.arity());
+    equi.iter().any(|pair| matches!(pair, (PExpr::Col(_), PExpr::Col(_))))
 }
 
 /// Greedy join-order search: returns the relation indices in join order.
@@ -186,57 +157,39 @@ fn greedy_order(rels: &[Node], preds: &[PExpr]) -> Vec<usize> {
     let masks: Vec<u64> = preds.iter().map(|p| pred_rels(p, &offsets, total)).collect();
 
     // Score a candidate order prefix by building the partial plan and
-    // estimating it. Orders are compared on cumulative cost.
-    let cost_of = |order: &[usize]| -> f64 {
+    // estimating it: whether its last relation joins on an equi-predicate,
+    // then cumulative cost, cheaper being better.
+    let score = |order: &[usize]| -> (bool, f64) {
         let (plan, _) = assemble(rels, preds, &masks, &offsets, order);
-        estimate(&plan).cost
-    };
-    let connected = |placed: u64, j: usize| -> bool {
-        masks.iter().enumerate().any(|(pi, &m)| {
-            has_equi(&preds[pi]) && m & (1 << j) != 0 && m & placed != 0 && m & !(placed | (1 << j)) == 0
-        })
+        (keyed_on_columns(&plan), -estimate(&plan).cost)
     };
 
     // Seed: the cheapest pair, preferring pairs connected by an equi-pred.
-    let mut best: Option<(Vec<usize>, f64, bool)> = None;
+    let mut best: Option<(Vec<usize>, (bool, f64))> = None;
     for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
+        for j in (0..n).filter(|&j| j != i) {
             let order = vec![i, j];
-            let conn = connected(1 << i, j);
-            let cost = cost_of(&order);
-            let better = match &best {
-                None => true,
-                Some((_, bc, bconn)) => (conn, -cost) > (*bconn, -*bc),
-            };
-            if better {
-                best = Some((order, cost, conn));
+            let scored = score(&order);
+            if best.as_ref().is_none_or(|(_, b)| scored > *b) {
+                best = Some((order, scored));
             }
         }
     }
-    let (mut order, _, _) = best.expect("cluster has >= 3 relations");
+    let (mut order, _) = best.expect("cluster has >= 3 relations");
 
     // Grow: always append the relation with the cheapest resulting plan,
     // preferring connected relations to avoid intermediate cross products.
     while order.len() < n {
-        let placed: u64 = order.iter().map(|&i| 1u64 << i).sum();
-        let mut best: Option<(usize, f64, bool)> = None;
+        let mut best: Option<(usize, (bool, f64))> = None;
         for j in 0..n {
-            if placed & (1 << j) != 0 {
+            if order.contains(&j) {
                 continue;
             }
             let mut cand = order.clone();
             cand.push(j);
-            let conn = connected(placed, j);
-            let cost = cost_of(&cand);
-            let better = match &best {
-                None => true,
-                Some((_, bc, bconn)) => (conn, -cost) > (*bconn, -*bc),
-            };
-            if better {
-                best = Some((j, cost, conn));
+            let scored = score(&cand);
+            if best.as_ref().is_none_or(|(_, b)| scored > *b) {
+                best = Some((j, scored));
             }
         }
         order.push(best.expect("unplaced relation exists").0);
@@ -276,7 +229,7 @@ fn assemble(
         for (pi, p) in preds.iter().enumerate() {
             if !used[pi] && masks[pi] & !placed == 0 {
                 used[pi] = true;
-                on_parts.push(remap_cols(p, &colmap));
+                on_parts.push(p.clone().map_cols(&|c| colmap.get(&c).copied().unwrap_or(c)));
             }
         }
         let on = conjoin(on_parts);
@@ -300,15 +253,6 @@ fn assemble(
         "every pooled predicate placed"
     );
     (plan, colmap)
-}
-
-/// Rewrites cluster-space column references through the placement map.
-fn remap_cols(e: &PExpr, colmap: &HashMap<usize, usize>) -> PExpr {
-    let max = max_col(e).unwrap_or(0);
-    let subs: Vec<PExpr> = (0..=max)
-        .map(|i| PExpr::Col(colmap.get(&i).copied().unwrap_or(i)))
-        .collect();
-    e.substitute(&subs)
 }
 
 /// Materializes the chosen order and restores the original column order with

@@ -32,13 +32,12 @@ pub mod share;
 use crate::error::Result;
 use crate::exec::dag::{DagOp, ExprDag, NodeId};
 use crate::exec::eval_const;
-use crate::plan::{Field, FuncId, Node, NodeKind, PExpr, PStep, ScanPredicate};
+use crate::plan::{col_cmp_lit, into_conjuncts, Field, FuncId, Node, NodeKind, PExpr, ScanPredicate};
 use crate::sql::{BinOp, JoinKind};
-use crate::variant::Variant;
 
 /// Runs all optimizer passes.
 pub fn optimize(mut node: Node) -> Result<Node> {
-    fold_node(&mut node)?;
+    fold_node(&mut node);
     node = merge_projects(node);
     node = pushdown(node);
     // Reordering runs after pushdown: by then single-table conjuncts sit on
@@ -47,7 +46,7 @@ pub fn optimize(mut node: Node) -> Result<Node> {
     node = join_order::reorder_joins(node);
     // Pushing filters can expose further folding opportunities; one more round
     // keeps plans normalized without a full fixpoint loop.
-    fold_node(&mut node)?;
+    fold_node(&mut node);
     node = merge_projects(node);
     node = narrow::narrow(node);
     // Sharing goes last so it fingerprints final shapes and never stands
@@ -111,7 +110,8 @@ fn merged_exprs(outer: &[PExpr], inner: &[PExpr]) -> Option<Vec<PExpr>> {
     // a per-row counter and change values; keep such projections separate.
     let volatile_clash =
         outer.iter().any(PExpr::is_volatile) && inner.iter().any(PExpr::is_volatile);
-    (mergeable && !volatile_clash).then(|| outer.iter().map(|e| e.substitute(inner)).collect())
+    (mergeable && !volatile_clash)
+        .then(|| outer.iter().map(|e| e.clone().substitute(inner)).collect())
 }
 
 /// The input columns a projection reads on every row — from a position no
@@ -131,127 +131,28 @@ fn read_on_every_row(exprs: &[PExpr], arity: usize) -> Vec<bool> {
 
 // ---- constant folding ------------------------------------------------------
 
-fn fold_node(node: &mut Node) -> Result<()> {
-    match &mut node.kind {
-        NodeKind::Scan { .. } | NodeKind::Values => {}
-        NodeKind::Project { input, exprs } => {
-            fold_node(input)?;
-            for e in exprs {
-                fold_expr(e)?;
-            }
-        }
-        NodeKind::Filter { input, pred } => {
-            fold_node(input)?;
-            fold_expr(pred)?;
-        }
-        NodeKind::Flatten { input, expr, .. } => {
-            fold_node(input)?;
-            fold_expr(expr)?;
-        }
-        NodeKind::Aggregate { input, groups, aggs } => {
-            fold_node(input)?;
-            for g in groups {
-                fold_expr(g)?;
-            }
-            for a in aggs {
-                if let Some(e) = &mut a.arg {
-                    fold_expr(e)?;
-                }
-            }
-        }
-        NodeKind::Join { left, right, on, .. } => {
-            fold_node(left)?;
-            fold_node(right)?;
-            if let Some(e) = on {
-                fold_expr(e)?;
-            }
-        }
-        NodeKind::Sort { input, keys } => {
-            fold_node(input)?;
-            for k in keys {
-                fold_expr(&mut k.expr)?;
-            }
-        }
-        NodeKind::Limit { input, .. } | NodeKind::Distinct { input } => fold_node(input)?,
-        NodeKind::UnionAll { left, right } => {
-            fold_node(left)?;
-            fold_node(right)?;
-        }
-    }
-    Ok(())
+fn fold_node(node: &mut Node) {
+    node.kind.inputs_mut().into_iter().for_each(fold_node);
+    node.kind.exprs_mut().into_iter().for_each(fold_expr);
 }
 
 /// Replaces literal-only, non-volatile sub-expressions with their value.
-fn fold_expr(e: &mut PExpr) -> Result<()> {
-    // Recurse first so children are already folded.
-    match e {
-        PExpr::Col(_) | PExpr::Lit(_) => return Ok(()),
-        PExpr::Unary { expr, .. } | PExpr::Not(expr) | PExpr::IsNull { expr, .. } => {
-            fold_expr(expr)?
-        }
-        PExpr::Binary { left, right, .. } => {
-            fold_expr(left)?;
-            fold_expr(right)?;
-        }
-        PExpr::InList { expr, list, .. } => {
-            fold_expr(expr)?;
-            for x in list {
-                fold_expr(x)?;
-            }
-        }
-        PExpr::Case { operand, branches, else_expr } => {
-            if let Some(o) = operand {
-                fold_expr(o)?;
-            }
-            for (c, v) in branches {
-                fold_expr(c)?;
-                fold_expr(v)?;
-            }
-            if let Some(x) = else_expr {
-                fold_expr(x)?;
-            }
-        }
-        PExpr::Func { args, .. } => {
-            for a in args {
-                fold_expr(a)?;
-            }
-        }
-        PExpr::Cast { expr, .. } => fold_expr(expr)?,
-        PExpr::Path { base, steps } => {
-            fold_expr(base)?;
-            for s in steps {
-                if let PStep::IndexExpr(x) = s {
-                    fold_expr(x)?;
-                }
-            }
-        }
-        PExpr::Like { expr, pattern, .. } => {
-            fold_expr(expr)?;
-            fold_expr(pattern)?;
-        }
+fn fold_expr(e: &mut PExpr) {
+    if matches!(e, PExpr::Col(_) | PExpr::Lit(_)) {
+        return;
     }
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    if cols.is_empty() && !e.is_volatile() {
+    // Children first, so that they are already folded.
+    e.for_each_child_mut(&mut fold_expr);
+    if !e.any(&mut |x| matches!(x, PExpr::Col(_))) && !e.is_volatile() {
         // Expressions that error at fold time (e.g. 1/0) are left in place so
         // the error surfaces at execution, matching engine semantics.
         if let Ok(v) = eval_const(e, &mut 0) {
             *e = PExpr::Lit(v);
         }
     }
-    Ok(())
 }
 
 // ---- predicate pushdown ----------------------------------------------------
-
-fn conjuncts(e: PExpr, out: &mut Vec<PExpr>) {
-    if let PExpr::Binary { left, op: BinOp::And, right } = e {
-        conjuncts(*left, out);
-        conjuncts(*right, out);
-    } else {
-        out.push(e);
-    }
-}
 
 fn conjoin(mut parts: Vec<PExpr>) -> Option<PExpr> {
     let mut acc = parts.pop()?;
@@ -261,42 +162,18 @@ fn conjoin(mut parts: Vec<PExpr>) -> Option<PExpr> {
     Some(acc)
 }
 
-fn max_col(e: &PExpr) -> Option<usize> {
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    cols.into_iter().max()
-}
-
 /// True when evaluating `e` cannot raise a runtime error on data the unpushed
 /// plan accepts. Only constructs that error on *valid* values count — division
 /// and modulo (by zero) and casts (format failures). Type-mismatch errors are
 /// ignored: those fail the query wherever the predicate is evaluated, so they
 /// cannot turn a succeeding plan into a failing one by moving.
 fn error_free(e: &PExpr) -> bool {
-    match e {
-        PExpr::Col(_) | PExpr::Lit(_) => true,
-        PExpr::Binary { left, op, right } => {
-            !matches!(op, BinOp::Div | BinOp::Mod) && error_free(left) && error_free(right)
-        }
-        PExpr::Cast { .. } => false,
-        PExpr::Func { f, args } => !matches!(f, FuncId::Mod) && args.iter().all(error_free),
-        PExpr::Unary { expr, .. } | PExpr::Not(expr) => error_free(expr),
-        PExpr::IsNull { expr, .. } => error_free(expr),
-        PExpr::InList { expr, list, .. } => error_free(expr) && list.iter().all(error_free),
-        PExpr::Case { operand, branches, else_expr } => {
-            operand.as_deref().is_none_or(error_free)
-                && branches.iter().all(|(c, v)| error_free(c) && error_free(v))
-                && else_expr.as_deref().is_none_or(error_free)
-        }
-        PExpr::Path { base, steps } => {
-            error_free(base)
-                && steps.iter().all(|s| match s {
-                    PStep::IndexExpr(ix) => error_free(ix),
-                    _ => true,
-                })
-        }
-        PExpr::Like { expr, pattern, .. } => error_free(expr) && error_free(pattern),
-    }
+    !e.any(&mut |x| match x {
+        PExpr::Binary { op, .. } => matches!(op, BinOp::Div | BinOp::Mod),
+        PExpr::Func { f, .. } => matches!(f, FuncId::Mod),
+        PExpr::Cast { .. } => true,
+        _ => false,
+    })
 }
 
 /// True when `e` can evaluate to TRUE while one of its column inputs is NULL —
@@ -305,30 +182,14 @@ fn error_free(e: &PExpr) -> bool {
 /// from them decides a NULL-extended row the same way as the row's absence;
 /// `IS [NOT] NULL`, CASE, and the NULL-handling functions do not.
 fn null_sensitive(e: &PExpr) -> bool {
-    match e {
-        PExpr::Col(_) | PExpr::Lit(_) => false,
+    e.any(&mut |x| match x {
         PExpr::IsNull { .. } | PExpr::Case { .. } => true,
-        PExpr::Func { f, args } => {
-            matches!(
-                f,
-                FuncId::Coalesce | FuncId::Nvl | FuncId::NullIf | FuncId::Iff | FuncId::TypeOf
-            ) || args.iter().any(null_sensitive)
-        }
-        PExpr::Unary { expr, .. } | PExpr::Not(expr) => null_sensitive(expr),
-        PExpr::Binary { left, right, .. } => null_sensitive(left) || null_sensitive(right),
-        PExpr::InList { expr, list, .. } => {
-            null_sensitive(expr) || list.iter().any(null_sensitive)
-        }
-        PExpr::Cast { expr, .. } => null_sensitive(expr),
-        PExpr::Path { base, steps } => {
-            null_sensitive(base)
-                || steps.iter().any(|s| match s {
-                    PStep::IndexExpr(ix) => null_sensitive(ix),
-                    _ => false,
-                })
-        }
-        PExpr::Like { expr, pattern, .. } => null_sensitive(expr) || null_sensitive(pattern),
-    }
+        PExpr::Func { f, .. } => matches!(
+            f,
+            FuncId::Coalesce | FuncId::Nvl | FuncId::NullIf | FuncId::Iff | FuncId::TypeOf
+        ),
+        _ => false,
+    })
 }
 
 fn pushdown(node: Node) -> Node {
@@ -342,8 +203,7 @@ fn pushdown(node: Node) -> Node {
 /// Pushes the predicate as deep as is sound, rebuilding the filter above
 /// whatever could not move.
 fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
-    let mut parts = Vec::new();
-    conjuncts(pred, &mut parts);
+    let parts = into_conjuncts(pred);
 
     match input.kind {
         NodeKind::Project { input: pin, exprs } => {
@@ -394,10 +254,7 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
                 //    must see the post-flatten row, where the outer flatten's
                 //    NULL-preservation has already happened, or rows the outer
                 //    flatten would have preserved as NULL are dropped early.
-                let input_only = match max_col(&p) {
-                    Some(m) => m < in_arity,
-                    None => true,
-                };
+                let input_only = !p.any(&mut |x| matches!(x, PExpr::Col(c) if *c >= in_arity));
                 if input_only
                     && !expr.is_volatile()
                     && !p.is_volatile()
@@ -436,7 +293,7 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
                         if all_left {
                             left_parts.push(p);
                         } else if all_right {
-                            right_parts.push(shift_right(&p, la));
+                            right_parts.push(p.map_cols(&|c| c - la));
                         } else {
                             // For inner joins, filtering after the join equals
                             // filtering in the ON condition — moving the
@@ -524,54 +381,13 @@ fn wrap_filter(node: Node, parts: Vec<PExpr>, fields: Vec<Field>) -> Node {
     }
 }
 
-fn shift_right(e: &PExpr, la: usize) -> PExpr {
-    let max = max_col(e).unwrap_or(0);
-    let subs: Vec<PExpr> = (0..=max).map(|i| PExpr::Col(i.saturating_sub(la))).collect();
-    e.substitute(&subs)
-}
-
-/// Recognizes `col <cmp> literal` / `literal <cmp> col` conjuncts, plus
-/// `col IS [NOT] NULL`, for pruning.
+/// A conjunct zone maps can decide, for pruning: [`col_cmp_lit`]'s forms,
+/// a comparison only against a literal that is not NULL.
 fn scan_predicate(p: &PExpr) -> Option<ScanPredicate> {
-    let (l, op, r) = match p {
-        PExpr::Binary { left, op, right } => (left.as_ref(), *op, right.as_ref()),
-        PExpr::IsNull { expr, negated } => {
-            // Null-presence predicates prune via ZoneMap::null_count: an
-            // all-null partition can't satisfy IS NOT NULL and a null-free
-            // one can't satisfy IS NULL.
-            if let PExpr::Col(c) = expr.as_ref() {
-                return Some(ScanPredicate {
-                    col: *c,
-                    cmp: if *negated { "IS NOT NULL" } else { "IS NULL" },
-                    lit: Variant::Null,
-                });
-            }
-            return None;
-        }
-        _ => return None,
-    };
-    let cmp = |op: BinOp, flip: bool| -> Option<&'static str> {
-        Some(match (op, flip) {
-            (BinOp::Eq, _) => "=",
-            (BinOp::NotEq, _) => "<>",
-            (BinOp::Lt, false) => "<",
-            (BinOp::Lt, true) => ">",
-            (BinOp::LtEq, false) => "<=",
-            (BinOp::LtEq, true) => ">=",
-            (BinOp::Gt, false) => ">",
-            (BinOp::Gt, true) => "<",
-            (BinOp::GtEq, false) => ">=",
-            (BinOp::GtEq, true) => "<=",
-            _ => return None,
-        })
-    };
-    match (l, r) {
-        (PExpr::Col(c), PExpr::Lit(v)) if !v.is_null() => {
-            Some(ScanPredicate { col: *c, cmp: cmp(op, false)?, lit: v.clone() })
-        }
-        (PExpr::Lit(v), PExpr::Col(c)) if !v.is_null() => {
-            Some(ScanPredicate { col: *c, cmp: cmp(op, true)?, lit: v.clone() })
-        }
-        _ => None,
-    }
+    let (col, cmp, lit) = col_cmp_lit(p)?;
+    // Null-presence predicates prune via ZoneMap::null_count: an all-null
+    // partition can't satisfy IS NOT NULL and a null-free one can't satisfy
+    // IS NULL.
+    (matches!(p, PExpr::IsNull { .. }) || !lit.is_null())
+        .then(|| ScanPredicate { col, cmp, lit: lit.clone() })
 }

@@ -262,24 +262,11 @@ fn input_needs(node: &Node, required: &[bool], need: &mut impl FnMut(usize, usiz
 
 // ---- rebuilding ---------------------------------------------------------------
 
-/// Renumbers expressions over a narrowed input. Free when nothing below was
-/// dropped; otherwise a dropped column maps to an index no chunk has, so
-/// reading one fails loudly instead of reading a neighbour.
-struct Renumber(Option<Vec<PExpr>>);
-
-impl Renumber {
-    fn over(map: &[Option<usize>]) -> Renumber {
-        let unchanged = map.iter().enumerate().all(|(i, m)| *m == Some(i));
-        let table = || map.iter().map(|m| PExpr::Col(m.unwrap_or(usize::MAX))).collect();
-        Renumber((!unchanged).then(table))
-    }
-
-    fn apply(&self, e: PExpr) -> PExpr {
-        match &self.0 {
-            Some(table) => e.substitute(table),
-            None => e,
-        }
-    }
+/// Renumbers an expression over a narrowed input. A dropped column maps to
+/// an index no chunk has, so reading one fails loudly instead of reading a
+/// neighbour.
+fn renumber(e: PExpr, map: &[Option<usize>]) -> PExpr {
+    e.map_cols(&|c| map[c].unwrap_or(usize::MAX))
 }
 
 /// The map that keeps exactly the `keep` columns, in order.
@@ -337,7 +324,7 @@ fn rebuild(old: Node, required: &[bool], mut inputs: Vec<Narrowed>) -> Narrowed 
             return rebuild_project(exprs, old.fields, required, input);
         }
         (NodeKind::Filter { pred, .. }, Some(input), _) => {
-            let pred = Renumber::over(&input.map).apply(pred);
+            let pred = renumber(pred, &input.map);
             (NodeKind::Filter { input: Box::new(input.node), pred }, input.map)
         }
         (NodeKind::Flatten { expr, outer, mut emit, .. }, Some(input), _) => {
@@ -345,13 +332,12 @@ fn rebuild(old: Node, required: &[bool], mut inputs: Vec<Narrowed>) -> Narrowed 
             for (e, &r) in emit.iter_mut().zip(&required[old_arity..]) {
                 *e &= r;
             }
-            let expr = Renumber::over(&input.map).apply(expr);
+            let expr = renumber(expr, &input.map);
             let mut map = input.map;
             map.extend((arity..arity + 5).map(Some));
             (NodeKind::Flatten { input: Box::new(input.node), expr, outer, emit }, map)
         }
         (NodeKind::Aggregate { groups, aggs, .. }, Some(input), _) => {
-            let renumber = Renumber::over(&input.map);
             let live = live_aggs(&aggs, &required[groups.len()..]);
             let mut keep = vec![true; groups.len()];
             keep.extend(&live);
@@ -359,26 +345,25 @@ fn rebuild(old: Node, required: &[bool], mut inputs: Vec<Narrowed>) -> Narrowed 
                 .into_iter()
                 .map(|a| AggExpr {
                     kind: a.kind,
-                    arg: a.arg.map(|e| renumber.apply(e)),
-                    arg2: a.arg2.map(|e| renumber.apply(e)),
+                    arg: a.arg.map(|e| renumber(e, &input.map)),
+                    arg2: a.arg2.map(|e| renumber(e, &input.map)),
                 })
                 .collect();
-            let groups = groups.into_iter().map(|g| renumber.apply(g)).collect();
+            let groups = groups.into_iter().map(|g| renumber(g, &input.map)).collect();
             (NodeKind::Aggregate { input: Box::new(input.node), groups, aggs }, keep_map(&keep))
         }
         (NodeKind::Join { kind, on, .. }, Some(left), Some(right)) => {
             let la = left.node.arity();
             let mut map = left.map;
             map.extend(right.map.iter().map(|m| m.map(|c| c + la)));
-            let on = on.map(|e| Renumber::over(&map).apply(e));
+            let on = on.map(|e| renumber(e, &map));
             let (left, right) = (Box::new(left.node), Box::new(right.node));
             (NodeKind::Join { left, right, kind, on }, map)
         }
         (NodeKind::Sort { keys, .. }, Some(input), _) => {
-            let renumber = Renumber::over(&input.map);
             let keys = keys
                 .into_iter()
-                .map(|k| SortKey { expr: renumber.apply(k.expr), ..k })
+                .map(|k| SortKey { expr: renumber(k.expr, &input.map), ..k })
                 .collect();
             (NodeKind::Sort { input: Box::new(input.node), keys }, input.map)
         }
@@ -410,9 +395,8 @@ fn rebuild_project(
     input: Narrowed,
 ) -> Narrowed {
     let live = live_exprs(&exprs, required);
-    let renumber = Renumber::over(&input.map);
     let mut exprs: Vec<PExpr> =
-        kept(exprs, live.iter().copied()).into_iter().map(|e| renumber.apply(e)).collect();
+        kept(exprs, live.iter().copied()).into_iter().map(|e| renumber(e, &input.map)).collect();
     let fields = kept(fields, live.iter().copied());
     let map = keep_map(&live);
     let mut below = input.node;

@@ -42,7 +42,6 @@ use std::sync::Arc;
 
 use crate::plan::{AggExpr, Node, NodeKind, PExpr};
 use crate::storage::Table;
-use crate::variant::Variant;
 
 /// The plan's equivalence classes of structurally identical subtrees.
 pub(super) struct Dag<'a> {
@@ -190,7 +189,7 @@ fn same_op(a: &NodeKind, b: &NodeKind) -> bool {
                 && ma == mb
                 && pa.len() == pb.len()
                 && pa.iter().zip(pb).all(|(x, y)| {
-                    x.col == y.col && x.cmp == y.cmp && identical(&x.lit, &y.lit)
+                    x.col == y.col && x.cmp == y.cmp && x.lit.identical(&y.lit)
                 })
         }
         (NodeKind::Project { exprs: x, .. }, NodeKind::Project { exprs: y, .. }) => {
@@ -239,37 +238,23 @@ fn same_exprs(a: &[PExpr], b: &[PExpr]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_expr(x, y))
 }
 
-/// `PExpr`'s derived equality compares literals with [`Variant`]'s SQL
-/// equality, under which `1 = 1.0`; two plans that differ only there return
-/// differently typed values, so literals must also match in type and bits.
+/// `PExpr`'s derived equality settles the shape, but compares literals with
+/// [`Variant`]'s SQL equality, under which `1 = 1.0`; two plans that differ
+/// only there return differently typed values, so the literals — which stand
+/// at the same places in both — must also be [`Variant::identical`].
 fn same_expr(a: &PExpr, b: &PExpr) -> bool {
-    fn literals(e: &PExpr) -> Vec<&Variant> {
-        let mut out = Vec::new();
-        e.visit(&mut |x| {
+    a == b && {
+        let mut theirs = Vec::new();
+        b.visit(&mut |x| {
             if let PExpr::Lit(v) = x {
-                out.push(v);
+                theirs.push(v);
             }
         });
-        out
-    }
-    a == b && literals(a).into_iter().zip(literals(b)).all(|(x, y)| identical(x, y))
-}
-
-fn identical(a: &Variant, b: &Variant) -> bool {
-    match (a, b) {
-        (Variant::Int(x), Variant::Int(y)) => x == y,
-        (Variant::Float(x), Variant::Float(y)) => x.to_bits() == y.to_bits(),
-        (Variant::Int(_) | Variant::Float(_), _) | (_, Variant::Int(_) | Variant::Float(_)) => {
-            false
-        }
-        (Variant::Array(x), Variant::Array(y)) => {
-            x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| identical(p, q))
-        }
-        (Variant::Object(x), Variant::Object(y)) => {
-            x.len() == y.len()
-                && x.iter().zip(y.iter()).all(|((ka, va), (kb, vb))| ka == kb && identical(va, vb))
-        }
-        _ => a == b,
+        let mut theirs = theirs.into_iter();
+        !a.any(&mut |x| match x {
+            PExpr::Lit(v) => !theirs.next().is_some_and(|w| v.identical(w)),
+            _ => false,
+        })
     }
 }
 
@@ -277,7 +262,7 @@ fn identical(a: &Variant, b: &Variant) -> bool {
 mod tests {
     use super::*;
     use crate::storage::{ColumnDef, ColumnType};
-    use crate::Database;
+    use crate::{Database, Variant};
 
     fn db() -> Database {
         let db = Database::new();

@@ -74,7 +74,7 @@ impl<'a> Binder<'a> {
             }
             return Ok(PExpr::Col(idx as usize));
         }
-        match bind_expr(e, fields, None) {
+        match bind_expr(e, fields) {
             Ok(p) => Ok(p),
             // Projection output drops relation qualifiers, but `ORDER BY t.x`
             // should still find the output column named `x` (Snowflake does).
@@ -82,7 +82,7 @@ impl<'a> Binder<'a> {
                 if let Expr::Ident(parts) = e {
                     if parts.len() == 2 {
                         let bare = Expr::Ident(vec![parts[1].clone()]);
-                        if let Ok(p) = bind_expr(&bare, fields, None) {
+                        if let Ok(p) = bind_expr(&bare, fields) {
                             return Ok(p);
                         }
                     }
@@ -127,7 +127,7 @@ impl<'a> Binder<'a> {
             if contains_aggregate(pred) {
                 return Err(SnowError::Plan("aggregate functions are not allowed in WHERE".into()));
             }
-            let bound = bind_expr(pred, &node.fields, None)?;
+            let bound = bind_expr(pred, &node.fields)?;
             let fields = node.fields.clone();
             node = Node::new(NodeKind::Filter { input: Box::new(node), pred: bound }, fields);
         }
@@ -180,7 +180,7 @@ impl<'a> Binder<'a> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
-                    let bound = bind_expr(expr, &input.fields, None)?;
+                    let bound = bind_expr(expr, &input.fields)?;
                     fields.push(Field::bare(derive_name(expr, alias.as_deref(), fields.len())));
                     exprs.push(bound);
                 }
@@ -196,24 +196,22 @@ impl<'a> Binder<'a> {
             if contains_aggregate(g) {
                 return Err(SnowError::Plan("aggregates are not allowed in GROUP BY".into()));
             }
-            groups.push(bind_expr(g, &input.fields, None)?);
+            groups.push(bind_expr(g, &input.fields)?);
         }
 
-        let mut ctx = AggCtx {
-            group_asts: &s.group_by,
-            n_groups: groups.len(),
-            aggs: Vec::new(),
-            input_fields: &input.fields,
+        // Bind select items and HAVING above the aggregation; this collects
+        // the aggregates as a side effect.
+        let mut aggs = Vec::new();
+        let mut above = Scope {
+            fields: &input.fields,
+            agg: Some(AggScope { group_asts: &s.group_by, aggs: &mut aggs }),
         };
-
-        // Bind select items and HAVING in the aggregate context; this fills
-        // `ctx.aggs` as a side effect.
         let mut out_exprs = Vec::new();
         let mut out_fields = Vec::new();
         for item in &s.items {
             match item {
                 SelectItem::Expr { expr, alias } => {
-                    let bound = bind_agg_expr(expr, &mut ctx)?;
+                    let bound = above.bind(expr)?;
                     out_fields
                         .push(Field::bare(derive_name(expr, alias.as_deref(), out_fields.len())));
                     out_exprs.push(bound);
@@ -225,11 +223,11 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        let having = s.having.as_ref().map(|h| bind_agg_expr(h, &mut ctx)).transpose()?;
+        let having = s.having.as_ref().map(|h| above.bind(h)).transpose()?;
 
         // Aggregate output fields: groups (named when they are plain columns)
         // then aggregates.
-        let mut agg_fields = Vec::with_capacity(ctx.n_groups + ctx.aggs.len());
+        let mut agg_fields = Vec::with_capacity(groups.len() + aggs.len());
         for (i, g) in s.group_by.iter().enumerate() {
             let name = match g {
                 Expr::Ident(parts) => parts.last().cloned().unwrap_or_else(|| format!("$G{i}")),
@@ -237,10 +235,9 @@ impl<'a> Binder<'a> {
             };
             agg_fields.push(Field::bare(name));
         }
-        for i in 0..ctx.aggs.len() {
+        for i in 0..aggs.len() {
             agg_fields.push(Field::bare(format!("$A{i}")));
         }
-        let aggs = ctx.aggs;
         let mut node =
             Node::new(NodeKind::Aggregate { input: Box::new(input), groups, aggs }, agg_fields);
         if let Some(h) = having {
@@ -255,7 +252,7 @@ impl<'a> Binder<'a> {
         for item in &from.items {
             match item {
                 FromItem::Flatten { input, outer, alias } => {
-                    let expr = bind_expr(input, &node.fields, None)?;
+                    let expr = bind_expr(input, &node.fields)?;
                     let mut fields = node.fields.clone();
                     for name in FLATTEN_FIELDS {
                         fields.push(Field::new(Some(alias), name));
@@ -274,7 +271,7 @@ impl<'a> Binder<'a> {
                     let right = self.table_factor(factor)?;
                     let mut fields = node.fields.clone();
                     fields.extend(right.fields.iter().cloned());
-                    let bound_on = on.as_ref().map(|e| bind_expr(e, &fields, None)).transpose()?;
+                    let bound_on = on.as_ref().map(|e| bind_expr(e, &fields)).transpose()?;
                     node = Node::new(
                         NodeKind::Join {
                             left: Box::new(node),
@@ -330,14 +327,6 @@ impl<'a> Binder<'a> {
     }
 }
 
-/// Aggregate-binding context threaded through select-list binding.
-struct AggCtx<'a> {
-    group_asts: &'a [Expr],
-    n_groups: usize,
-    aggs: Vec<AggExpr>,
-    input_fields: &'a [Field],
-}
-
 /// True when the AST contains an aggregate function call.
 pub fn contains_aggregate(e: &Expr) -> bool {
     match e {
@@ -375,240 +364,170 @@ pub fn contains_aggregate(e: &Expr) -> bool {
     }
 }
 
-/// Binds an expression appearing above an aggregation: sub-expressions equal to
-/// a GROUP BY expression become group-column references, aggregate calls are
-/// collected into the context, and anything else must recurse without touching
-/// raw input columns.
-fn bind_agg_expr(e: &Expr, ctx: &mut AggCtx<'_>) -> Result<PExpr> {
-    // Group-key match takes priority.
-    if let Some(i) = ctx.group_asts.iter().position(|g| g == e) {
-        return Ok(PExpr::Col(i));
-    }
-    if let Expr::Func { name, args, distinct, star } = e {
-        if let Some(kind) = AggKind::from_name(name) {
-            let kind = match (kind, *distinct, *star) {
-                (AggKind::Count, false, true) => AggKind::CountStar,
-                (AggKind::Count, true, false) => AggKind::CountDistinct,
-                (k, false, _) => k,
-                (k, true, _) => {
-                    return Err(SnowError::Plan(format!("DISTINCT is not supported for {k:?}")))
-                }
-            };
-            let two_arg = matches!(kind, AggKind::MinBy | AggKind::MaxBy);
-            let (arg, arg2) = if kind == AggKind::CountStar {
-                (None, None)
-            } else {
-                let want = if two_arg { 2 } else { 1 };
-                if args.len() != want {
-                    return Err(SnowError::Plan(format!(
-                        "aggregate {name} takes exactly {want} argument(s)"
-                    )));
-                }
-                if args.iter().any(contains_aggregate) {
-                    return Err(SnowError::Plan("nested aggregate functions".into()));
-                }
-                let a = Some(bind_expr(&args[0], ctx.input_fields, None)?);
-                let b = if two_arg {
-                    Some(bind_expr(&args[1], ctx.input_fields, None)?)
-                } else {
-                    None
-                };
-                (a, b)
-            };
-            let idx = ctx.n_groups + ctx.aggs.len();
-            ctx.aggs.push(AggExpr { kind, arg, arg2 });
-            return Ok(PExpr::Col(idx));
-        }
-    }
-    match e {
-        Expr::Literal(v) => Ok(PExpr::Lit(v.clone())),
-        Expr::Ident(parts) => Err(SnowError::Plan(format!(
-            "column '{}' must appear in GROUP BY or inside an aggregate",
-            parts.join(".")
-        ))),
-        Expr::Path { base, steps } => Ok(PExpr::Path {
-            base: Box::new(bind_agg_expr(base, ctx)?),
-            steps: steps
-                .iter()
-                .map(|s| {
-                    Ok(match s {
-                        PathStep::Field(f) => PStep::Field(f.clone()),
-                        PathStep::Index(i) => PStep::Index(*i),
-                        PathStep::IndexExpr(e) => PStep::IndexExpr(Box::new(bind_agg_expr(e, ctx)?)),
-                    })
-                })
-                .collect::<Result<_>>()?,
-        }),
-        Expr::Unary { op, expr } => {
-            Ok(PExpr::Unary { op: *op, expr: Box::new(bind_agg_expr(expr, ctx)?) })
-        }
-        Expr::Binary { left, op, right } => Ok(PExpr::Binary {
-            left: Box::new(bind_agg_expr(left, ctx)?),
-            op: *op,
-            right: Box::new(bind_agg_expr(right, ctx)?),
-        }),
-        Expr::Not(x) => Ok(PExpr::Not(Box::new(bind_agg_expr(x, ctx)?))),
-        Expr::IsNull { expr, negated } => Ok(PExpr::IsNull {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr, list, negated } => Ok(PExpr::InList {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            list: list.iter().map(|e| bind_agg_expr(e, ctx)).collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Between { expr, low, high, negated } => {
-            desugar_between(expr, low, high, *negated, &mut |e| bind_agg_expr(e, ctx))
-        }
-        Expr::Like { expr, pattern, negated } => Ok(PExpr::Like {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            pattern: Box::new(bind_agg_expr(pattern, ctx)?),
-            negated: *negated,
-        }),
-        Expr::Case { operand, branches, else_expr } => Ok(PExpr::Case {
-            operand: operand.as_ref().map(|o| bind_agg_expr(o, ctx)).transpose()?.map(Box::new),
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((bind_agg_expr(c, ctx)?, bind_agg_expr(v, ctx)?)))
-                .collect::<Result<_>>()?,
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| bind_agg_expr(x, ctx))
-                .transpose()?
-                .map(Box::new),
-        }),
-        Expr::Func { name, args, distinct, star } => {
-            if *distinct || *star {
-                return Err(SnowError::Plan(format!("invalid use of {name}")));
-            }
-            let f = FuncId::from_name(name)
-                .ok_or_else(|| SnowError::Plan(format!("unknown function {name}")))?;
-            Ok(PExpr::Func {
-                f,
-                args: args.iter().map(|a| bind_agg_expr(a, ctx)).collect::<Result<_>>()?,
-            })
-        }
-        Expr::Cast { expr, ty } => Ok(PExpr::Cast {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            ty: cast_type(ty)?,
-        }),
-    }
+/// Binds a scalar expression over the given input fields.
+pub fn bind_expr(e: &Expr, fields: &[Field]) -> Result<PExpr> {
+    Scope { fields, agg: None }.bind(e)
 }
 
-/// Binds a scalar expression over the given input fields.
+/// What names and aggregate calls mean where an expression stands. There is
+/// one recursion over [`Expr`], [`Scope::bind`]; the scope decides its leaves.
 ///
-/// The `extra` parameter optionally provides a secondary namespace (unused in
-/// the base dialect, reserved for future correlated constructs).
-pub fn bind_expr(e: &Expr, fields: &[Field], extra: Option<&[Field]>) -> Result<PExpr> {
-    let _ = extra;
-    match e {
-        Expr::Literal(v) => Ok(PExpr::Lit(v.clone())),
-        Expr::Ident(parts) => resolve(parts, fields).map(PExpr::Col),
-        Expr::Path { base, steps } => Ok(PExpr::Path {
-            base: Box::new(bind_expr(base, fields, extra)?),
-            steps: steps
-                .iter()
-                .map(|s| {
-                    Ok(match s {
-                        PathStep::Field(f) => PStep::Field(f.clone()),
-                        PathStep::Index(i) => PStep::Index(*i),
-                        PathStep::IndexExpr(x) => {
-                            PStep::IndexExpr(Box::new(bind_expr(x, fields, extra)?))
-                        }
+/// Over plain input (`agg` is `None`) an identifier is a column of `fields`
+/// and an aggregate call is an error. Above an aggregation — the select list
+/// and `HAVING` of a grouped query — a sub-expression equal to a GROUP BY
+/// expression is that group column, an aggregate call is collected and
+/// becomes its output column, with its arguments bound over `fields` as plain
+/// input, and any other identifier is an error: only group keys and
+/// aggregates exist up there.
+struct Scope<'a> {
+    fields: &'a [Field],
+    agg: Option<AggScope<'a>>,
+}
+
+/// The aggregation an expression stands above: its output columns are the
+/// group keys, then the aggregates in the order they were collected.
+struct AggScope<'a> {
+    group_asts: &'a [Expr],
+    aggs: &'a mut Vec<AggExpr>,
+}
+
+impl Scope<'_> {
+    fn bind(&mut self, e: &Expr) -> Result<PExpr> {
+        // Group-key match takes priority.
+        if let Some(i) = self.agg.as_ref().and_then(|a| a.group_asts.iter().position(|g| g == e)) {
+            return Ok(PExpr::Col(i));
+        }
+        Ok(match e {
+            Expr::Literal(v) => PExpr::Lit(v.clone()),
+            Expr::Ident(parts) => match self.agg {
+                None => PExpr::Col(resolve(parts, self.fields)?),
+                Some(_) => {
+                    return Err(SnowError::Plan(format!(
+                        "column '{}' must appear in GROUP BY or inside an aggregate",
+                        parts.join(".")
+                    )))
+                }
+            },
+            Expr::Path { base, steps } => PExpr::Path {
+                base: self.bind_box(base)?,
+                steps: steps
+                    .iter()
+                    .map(|s| {
+                        Ok(match s {
+                            PathStep::Field(f) => PStep::Field(f.clone()),
+                            PathStep::Index(i) => PStep::Index(*i),
+                            PathStep::IndexExpr(x) => PStep::IndexExpr(self.bind_box(x)?),
+                        })
                     })
-                })
-                .collect::<Result<_>>()?,
-        }),
-        Expr::Unary { op, expr } => {
-            Ok(PExpr::Unary { op: *op, expr: Box::new(bind_expr(expr, fields, extra)?) })
-        }
-        Expr::Binary { left, op, right } => Ok(PExpr::Binary {
-            left: Box::new(bind_expr(left, fields, extra)?),
-            op: *op,
-            right: Box::new(bind_expr(right, fields, extra)?),
-        }),
-        Expr::Not(x) => Ok(PExpr::Not(Box::new(bind_expr(x, fields, extra)?))),
-        Expr::IsNull { expr, negated } => Ok(PExpr::IsNull {
-            expr: Box::new(bind_expr(expr, fields, extra)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr, list, negated } => Ok(PExpr::InList {
-            expr: Box::new(bind_expr(expr, fields, extra)?),
-            list: list.iter().map(|x| bind_expr(x, fields, extra)).collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Between { expr, low, high, negated } => {
-            desugar_between(expr, low, high, *negated, &mut |x| bind_expr(x, fields, extra))
-        }
-        Expr::Like { expr, pattern, negated } => Ok(PExpr::Like {
-            expr: Box::new(bind_expr(expr, fields, extra)?),
-            pattern: Box::new(bind_expr(pattern, fields, extra)?),
-            negated: *negated,
-        }),
-        Expr::Case { operand, branches, else_expr } => Ok(PExpr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| bind_expr(o, fields, extra))
-                .transpose()?
-                .map(Box::new),
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((bind_expr(c, fields, extra)?, bind_expr(v, fields, extra)?)))
-                .collect::<Result<_>>()?,
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| bind_expr(x, fields, extra))
-                .transpose()?
-                .map(Box::new),
-        }),
-        Expr::Func { name, args, distinct, star } => {
-            if AggKind::from_name(name).is_some() {
+                    .collect::<Result<_>>()?,
+            },
+            Expr::Unary { op, expr } => PExpr::Unary { op: *op, expr: self.bind_box(expr)? },
+            Expr::Binary { left, op, right } => {
+                PExpr::Binary { left: self.bind_box(left)?, op: *op, right: self.bind_box(right)? }
+            }
+            Expr::Not(x) => PExpr::Not(self.bind_box(x)?),
+            Expr::IsNull { expr, negated } => {
+                PExpr::IsNull { expr: self.bind_box(expr)?, negated: *negated }
+            }
+            Expr::InList { expr, list, negated } => PExpr::InList {
+                expr: self.bind_box(expr)?,
+                list: self.bind_all(list)?,
+                negated: *negated,
+            },
+            Expr::Between { expr, low, high, negated } => {
+                // `e BETWEEN lo AND hi` is `e >= lo AND e <= hi`.
+                let e = self.bind_box(expr)?;
+                let bound = |e, op, to| PExpr::Binary { left: e, op, right: to };
+                let both = bound(
+                    Box::new(bound(e.clone(), BinOp::GtEq, self.bind_box(low)?)),
+                    BinOp::And,
+                    Box::new(bound(e, BinOp::LtEq, self.bind_box(high)?)),
+                );
+                if *negated {
+                    PExpr::Not(Box::new(both))
+                } else {
+                    both
+                }
+            }
+            Expr::Like { expr, pattern, negated } => PExpr::Like {
+                expr: self.bind_box(expr)?,
+                pattern: self.bind_box(pattern)?,
+                negated: *negated,
+            },
+            Expr::Case { operand, branches, else_expr } => PExpr::Case {
+                operand: operand.as_ref().map(|o| self.bind_box(o)).transpose()?,
+                branches: branches
+                    .iter()
+                    .map(|(c, v)| Ok((self.bind(c)?, self.bind(v)?)))
+                    .collect::<Result<_>>()?,
+                else_expr: else_expr.as_ref().map(|x| self.bind_box(x)).transpose()?,
+            },
+            Expr::Func { name, args, distinct, star } => {
+                if let Some(kind) = AggKind::from_name(name) {
+                    return self.aggregate(kind, name, args, *distinct, *star);
+                }
+                if *distinct || *star {
+                    return Err(SnowError::Plan(format!("invalid use of {name}")));
+                }
+                let f = FuncId::from_name(name)
+                    .ok_or_else(|| SnowError::Plan(format!("unknown function {name}")))?;
+                PExpr::Func { f, args: self.bind_all(args)? }
+            }
+            Expr::Cast { expr, ty } => PExpr::Cast { expr: self.bind_box(expr)?, ty: cast_type(ty)? },
+        })
+    }
+
+    fn bind_box(&mut self, e: &Expr) -> Result<Box<PExpr>> {
+        self.bind(e).map(Box::new)
+    }
+
+    fn bind_all(&mut self, es: &[Expr]) -> Result<Vec<PExpr>> {
+        es.iter().map(|e| self.bind(e)).collect()
+    }
+
+    /// An aggregate call: collected above an aggregation, an error elsewhere.
+    fn aggregate(
+        &mut self,
+        kind: AggKind,
+        name: &str,
+        args: &[Expr],
+        distinct: bool,
+        star: bool,
+    ) -> Result<PExpr> {
+        let Some(agg) = &mut self.agg else {
+            return Err(SnowError::Plan(format!(
+                "aggregate function {name} is not allowed in this context"
+            )));
+        };
+        let kind = match (kind, distinct, star) {
+            (AggKind::Count, false, true) => AggKind::CountStar,
+            (AggKind::Count, true, false) => AggKind::CountDistinct,
+            (k, false, _) => k,
+            (k, true, _) => {
+                return Err(SnowError::Plan(format!("DISTINCT is not supported for {k:?}")))
+            }
+        };
+        let want = match kind {
+            AggKind::CountStar => 0,
+            AggKind::MinBy | AggKind::MaxBy => 2,
+            _ => 1,
+        };
+        if want > 0 {
+            if args.len() != want {
                 return Err(SnowError::Plan(format!(
-                    "aggregate function {name} is not allowed in this context"
+                    "aggregate {name} takes exactly {want} argument(s)"
                 )));
             }
-            if *distinct || *star {
-                return Err(SnowError::Plan(format!("invalid use of {name}")));
+            if args.iter().any(contains_aggregate) {
+                return Err(SnowError::Plan("nested aggregate functions".into()));
             }
-            let f = FuncId::from_name(name)
-                .ok_or_else(|| SnowError::Plan(format!("unknown function {name}")))?;
-            Ok(PExpr::Func {
-                f,
-                args: args.iter().map(|a| bind_expr(a, fields, extra)).collect::<Result<_>>()?,
-            })
         }
-        Expr::Cast { expr, ty } => Ok(PExpr::Cast {
-            expr: Box::new(bind_expr(expr, fields, extra)?),
-            ty: cast_type(ty)?,
-        }),
+        // An aggregate's arguments are plain expressions over the input.
+        let mut bound = args.iter().take(want).map(|a| bind_expr(a, self.fields));
+        let (arg, arg2) = (bound.next().transpose()?, bound.next().transpose()?);
+        agg.aggs.push(AggExpr { kind, arg, arg2 });
+        Ok(PExpr::Col(agg.group_asts.len() + agg.aggs.len() - 1))
     }
-}
-
-fn desugar_between(
-    expr: &Expr,
-    low: &Expr,
-    high: &Expr,
-    negated: bool,
-    bind: &mut dyn FnMut(&Expr) -> Result<PExpr>,
-) -> Result<PExpr> {
-    let e1 = bind(expr)?;
-    let e2 = e1.clone();
-    let lo = bind(low)?;
-    let hi = bind(high)?;
-    let both = PExpr::Binary {
-        left: Box::new(PExpr::Binary {
-            left: Box::new(e1),
-            op: BinOp::GtEq,
-            right: Box::new(lo),
-        }),
-        op: BinOp::And,
-        right: Box::new(PExpr::Binary {
-            left: Box::new(e2),
-            op: BinOp::LtEq,
-            right: Box::new(hi),
-        }),
-    };
-    Ok(if negated { PExpr::Not(Box::new(both)) } else { both })
 }
 
 fn cast_type(name: &str) -> Result<CastType> {

@@ -287,54 +287,101 @@ pub enum PExpr {
 }
 
 impl PExpr {
-    /// Calls `f` on this expression and every sub-expression, pre-order.
-    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
-        f(self);
+    /// The walk: calls `f` on each direct sub-expression, in the order the
+    /// row evaluator reaches them. Every read-only traversal is built on it.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
         match self {
             PExpr::Col(_) | PExpr::Lit(_) => {}
             PExpr::Unary { expr, .. }
             | PExpr::Not(expr)
             | PExpr::IsNull { expr, .. }
-            | PExpr::Cast { expr, .. } => expr.visit(f),
+            | PExpr::Cast { expr, .. } => f(expr),
             PExpr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
+                f(left);
+                f(right);
             }
             PExpr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
             PExpr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    o.visit(f);
-                }
+                operand.iter().for_each(|o| f(o));
                 for (c, v) in branches {
-                    c.visit(f);
-                    v.visit(f);
+                    f(c);
+                    f(v);
                 }
-                if let Some(e) = else_expr {
-                    e.visit(f);
-                }
+                else_expr.iter().for_each(|e| f(e));
             }
-            PExpr::Func { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
-            }
+            PExpr::Func { args, .. } => args.iter().for_each(f),
             PExpr::Path { base, steps } => {
-                base.visit(f);
+                f(base);
                 for s in steps {
                     if let PStep::IndexExpr(e) = s {
-                        e.visit(f);
+                        f(e);
                     }
                 }
             }
             PExpr::Like { expr, pattern, .. } => {
-                expr.visit(f);
-                pattern.visit(f);
+                f(expr);
+                f(pattern);
             }
+        }
+    }
+
+    /// The map: as [`PExpr::for_each_child`], handing out each direct
+    /// sub-expression for rewriting in place. Every rewrite is built on it.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PExpr)) {
+        match self {
+            PExpr::Col(_) | PExpr::Lit(_) => {}
+            PExpr::Unary { expr, .. }
+            | PExpr::Not(expr)
+            | PExpr::IsNull { expr, .. }
+            | PExpr::Cast { expr, .. } => f(expr),
+            PExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            PExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            PExpr::Case { operand, branches, else_expr } => {
+                operand.iter_mut().for_each(|o| f(o));
+                for (c, v) in branches {
+                    f(c);
+                    f(v);
+                }
+                else_expr.iter_mut().for_each(|e| f(e));
+            }
+            PExpr::Func { args, .. } => args.iter_mut().for_each(f),
+            PExpr::Path { base, steps } => {
+                f(base);
+                for s in steps {
+                    if let PStep::IndexExpr(e) = s {
+                        f(e);
+                    }
+                }
+            }
+            PExpr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+        }
+    }
+
+    /// Calls `f` on this expression and every sub-expression, pre-order.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
+        f(self);
+        self.for_each_child(&mut |c| c.visit(f));
+    }
+
+    /// True when `found` holds for this expression or a sub-expression;
+    /// nothing after the first hit is looked at.
+    pub fn any(&self, found: &mut impl FnMut(&PExpr) -> bool) -> bool {
+        found(self) || {
+            let mut hit = false;
+            self.for_each_child(&mut |c| hit = hit || c.any(found));
+            hit
         }
     }
 
@@ -349,69 +396,138 @@ impl PExpr {
 
     /// True when the expression contains a volatile function.
     pub fn is_volatile(&self) -> bool {
-        let mut volatile = false;
-        self.visit(&mut |e| {
-            if let PExpr::Func { f, .. } = e {
-                volatile |= f.is_volatile();
-            }
-        });
-        volatile
+        self.any(&mut |e| matches!(e, PExpr::Func { f, .. } if f.is_volatile()))
     }
 
-    /// Rewrites column references through a substitution table mapping the
-    /// columns of a projection's output to expressions over its input.
-    pub fn substitute(&self, subs: &[PExpr]) -> PExpr {
-        match self {
-            PExpr::Col(i) => subs[*i].clone(),
-            PExpr::Lit(v) => PExpr::Lit(v.clone()),
-            PExpr::Unary { op, expr } => {
-                PExpr::Unary { op: *op, expr: Box::new(expr.substitute(subs)) }
+    /// Renumbers every column reference through `f`: the one way an
+    /// expression moves to another schema. Nothing is allocated.
+    pub fn map_cols(mut self, f: &impl Fn(usize) -> usize) -> PExpr {
+        fn go(e: &mut PExpr, f: &impl Fn(usize) -> usize) {
+            match e {
+                PExpr::Col(i) => *i = f(*i),
+                other => other.for_each_child_mut(&mut |c| go(c, f)),
             }
-            PExpr::Binary { left, op, right } => PExpr::Binary {
-                left: Box::new(left.substitute(subs)),
-                op: *op,
-                right: Box::new(right.substitute(subs)),
-            },
-            PExpr::Not(e) => PExpr::Not(Box::new(e.substitute(subs))),
-            PExpr::IsNull { expr, negated } => {
-                PExpr::IsNull { expr: Box::new(expr.substitute(subs)), negated: *negated }
-            }
-            PExpr::InList { expr, list, negated } => PExpr::InList {
-                expr: Box::new(expr.substitute(subs)),
-                list: list.iter().map(|e| e.substitute(subs)).collect(),
-                negated: *negated,
-            },
-            PExpr::Case { operand, branches, else_expr } => PExpr::Case {
-                operand: operand.as_ref().map(|o| Box::new(o.substitute(subs))),
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| (c.substitute(subs), v.substitute(subs)))
-                    .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.substitute(subs))),
-            },
-            PExpr::Func { f, args } => PExpr::Func {
-                f: *f,
-                args: args.iter().map(|a| a.substitute(subs)).collect(),
-            },
-            PExpr::Cast { expr, ty } => {
-                PExpr::Cast { expr: Box::new(expr.substitute(subs)), ty: *ty }
-            }
-            PExpr::Path { base, steps } => PExpr::Path {
-                base: Box::new(base.substitute(subs)),
-                steps: steps
-                    .iter()
-                    .map(|s| match s {
-                        PStep::IndexExpr(e) => PStep::IndexExpr(Box::new(e.substitute(subs))),
-                        other => other.clone(),
-                    })
-                    .collect(),
-            },
-            PExpr::Like { expr, pattern, negated } => PExpr::Like {
-                expr: Box::new(expr.substitute(subs)),
-                pattern: Box::new(pattern.substitute(subs)),
-                negated: *negated,
-            },
         }
+        go(&mut self, f);
+        self
+    }
+
+    /// Replaces every column reference by a copy of the expression `subs`
+    /// holds for it: a projection's output columns become the expressions
+    /// over its input.
+    pub fn substitute(mut self, subs: &[PExpr]) -> PExpr {
+        fn go(e: &mut PExpr, subs: &[PExpr]) {
+            match e {
+                PExpr::Col(i) => *e = subs[*i].clone(),
+                other => other.for_each_child_mut(&mut |c| go(c, subs)),
+            }
+        }
+        go(&mut self, subs);
+        self
+    }
+}
+
+/// The conjuncts of `e`, left to right: `e` itself when it is no `AND`.
+pub(crate) fn conjuncts(e: &PExpr) -> Vec<&PExpr> {
+    fn go<'a>(e: &'a PExpr, out: &mut Vec<&'a PExpr>) {
+        if let PExpr::Binary { left, op: BinOp::And, right } = e {
+            go(left, out);
+            go(right, out);
+        } else {
+            out.push(e);
+        }
+    }
+    let mut out = Vec::new();
+    go(e, &mut out);
+    out
+}
+
+/// As [`conjuncts`], taking the predicate apart.
+pub(crate) fn into_conjuncts(e: PExpr) -> Vec<PExpr> {
+    fn go(e: PExpr, out: &mut Vec<PExpr>) {
+        if let PExpr::Binary { left, op: BinOp::And, right } = e {
+            go(*left, out);
+            go(*right, out);
+        } else {
+            out.push(e);
+        }
+    }
+    let mut out = Vec::new();
+    go(e, &mut out);
+    out
+}
+
+/// Splits an ON predicate into equi-join key pairs `(left key, right key)`
+/// — the `=` conjuncts with one operand over left columns only and the other
+/// over right columns only, which is what the executor hashes — and residual
+/// conjuncts. Every expression stays bound against the concatenated schema:
+/// a right key is evaluated over the right input with its columns shifted by
+/// `left_arity` ([`crate::exec::RowView::shifted`],
+/// [`crate::exec::dag::ExprDag::compile_shifted`]).
+pub(crate) fn split_join_on(on: &PExpr, left_arity: usize) -> (Vec<(&PExpr, &PExpr)>, Vec<&PExpr>) {
+    // Some(true) = reads only left columns, Some(false) = only right, None =
+    // both or none.
+    let side = |e: &PExpr| {
+        let (mut left, mut right) = (false, false);
+        e.visit(&mut |x| {
+            if let PExpr::Col(c) = x {
+                *(if *c < left_arity { &mut left } else { &mut right }) = true;
+            }
+        });
+        (left != right).then_some(left)
+    };
+    let mut equi = Vec::new();
+    let mut residual = Vec::new();
+    for c in conjuncts(on) {
+        if let PExpr::Binary { left, op: BinOp::Eq, right } = c {
+            match (side(left), side(right)) {
+                (Some(true), Some(false)) => {
+                    equi.push((&**left, &**right));
+                    continue;
+                }
+                (Some(false), Some(true)) => {
+                    equi.push((&**right, &**left));
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        residual.push(c);
+    }
+    (equi, residual)
+}
+
+/// Recognizes `col <cmp> literal`, `literal <cmp> col` (the comparison
+/// flipped so that the column stands left) and `col IS [NOT] NULL` (against
+/// a NULL literal): the predicates zone maps and column statistics can decide,
+/// spelled the way [`crate::storage::ZoneMap::may_match`] and
+/// [`crate::storage::ColumnStats::selectivity`] take them.
+pub(crate) fn col_cmp_lit(p: &PExpr) -> Option<(usize, &'static str, &Variant)> {
+    match p {
+        PExpr::IsNull { expr, negated } => match **expr {
+            PExpr::Col(c) => {
+                Some((c, if *negated { "IS NOT NULL" } else { "IS NULL" }, &Variant::Null))
+            }
+            _ => None,
+        },
+        PExpr::Binary { left, op, right } => {
+            let (col, lit, flipped) = match (&**left, &**right) {
+                (PExpr::Col(c), PExpr::Lit(v)) => (*c, v, false),
+                (PExpr::Lit(v), PExpr::Col(c)) => (*c, v, true),
+                _ => return None,
+            };
+            let cmp = match (op, flipped) {
+                (BinOp::Eq, _) => "=",
+                (BinOp::NotEq, _) => "<>",
+                (BinOp::Lt, false) | (BinOp::Gt, true) => "<",
+                (BinOp::LtEq, false) | (BinOp::GtEq, true) => "<=",
+                (BinOp::Gt, false) | (BinOp::Lt, true) => ">",
+                (BinOp::GtEq, false) | (BinOp::LtEq, true) => ">=",
+                _ => return None,
+            };
+            Some((col, cmp, lit))
+        }
+        _ => None,
     }
 }
 
@@ -516,6 +632,47 @@ impl NodeKind {
             NodeKind::Join { left, right, .. } | NodeKind::UnionAll { left, right } => {
                 vec![left, right]
             }
+        }
+    }
+
+    /// Every expression the operator evaluates, in the order lowering
+    /// compiles them: the projection list, the predicate, the flatten input,
+    /// the sort keys, the ON condition; for an aggregate the group keys, then
+    /// each aggregate's arguments (`arg`, then `arg2`).
+    pub fn exprs(&self) -> Vec<&PExpr> {
+        match self {
+            NodeKind::Scan { .. }
+            | NodeKind::Values
+            | NodeKind::Limit { .. }
+            | NodeKind::UnionAll { .. }
+            | NodeKind::Distinct { .. } => Vec::new(),
+            NodeKind::Project { exprs, .. } => exprs.iter().collect(),
+            NodeKind::Filter { pred: e, .. } | NodeKind::Flatten { expr: e, .. } => vec![e],
+            NodeKind::Aggregate { groups, aggs, .. } => groups
+                .iter()
+                .chain(aggs.iter().flat_map(|a| a.arg.iter().chain(&a.arg2)))
+                .collect(),
+            NodeKind::Join { on, .. } => on.iter().collect(),
+            NodeKind::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+        }
+    }
+
+    /// Mutable access to the same expressions, in the same order.
+    pub fn exprs_mut(&mut self) -> Vec<&mut PExpr> {
+        match self {
+            NodeKind::Scan { .. }
+            | NodeKind::Values
+            | NodeKind::Limit { .. }
+            | NodeKind::UnionAll { .. }
+            | NodeKind::Distinct { .. } => Vec::new(),
+            NodeKind::Project { exprs, .. } => exprs.iter_mut().collect(),
+            NodeKind::Filter { pred: e, .. } | NodeKind::Flatten { expr: e, .. } => vec![e],
+            NodeKind::Aggregate { groups, aggs, .. } => groups
+                .iter_mut()
+                .chain(aggs.iter_mut().flat_map(|a| a.arg.iter_mut().chain(&mut a.arg2)))
+                .collect(),
+            NodeKind::Join { on, .. } => on.iter_mut().collect(),
+            NodeKind::Sort { keys, .. } => keys.iter_mut().map(|k| &mut k.expr).collect(),
         }
     }
 }

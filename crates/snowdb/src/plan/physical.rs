@@ -25,8 +25,7 @@ use std::sync::Arc;
 use crate::exec::dag::ExprDag;
 use crate::exec::metrics::{OpMetrics, OpMetricsCell};
 use crate::exec::pipeline::SharedSlot;
-use crate::exec::split_join_on;
-use crate::plan::{Node, NodeKind, PExpr};
+use crate::plan::{split_join_on, Node, NodeKind, PExpr};
 
 /// One operator of the physical plan.
 #[derive(Debug)]
@@ -78,13 +77,6 @@ pub struct JoinExprs<'a> {
 
 fn compile_exprs(plan: &Node) -> OpExprs<'_> {
     match &plan.kind {
-        NodeKind::Project { exprs, .. } => OpExprs::Dag(ExprDag::compile(exprs)),
-        NodeKind::Filter { pred, .. } => OpExprs::Dag(ExprDag::compile([pred])),
-        NodeKind::Flatten { expr, .. } => OpExprs::Dag(ExprDag::compile([expr])),
-        NodeKind::Sort { keys, .. } => OpExprs::Dag(ExprDag::compile(keys.iter().map(|k| &k.expr))),
-        NodeKind::Aggregate { groups, aggs, .. } => OpExprs::Dag(ExprDag::compile(
-            groups.iter().chain(aggs.iter().flat_map(|a| a.arg.iter().chain(a.arg2.iter()))),
-        )),
         NodeKind::Join { left, on, .. } => {
             let left_arity = left.arity();
             let (equi, residual) =
@@ -95,6 +87,11 @@ fn compile_exprs(plan: &Node) -> OpExprs<'_> {
                 residual,
             })
         }
+        NodeKind::Project { .. }
+        | NodeKind::Filter { .. }
+        | NodeKind::Flatten { .. }
+        | NodeKind::Sort { .. }
+        | NodeKind::Aggregate { .. } => OpExprs::Dag(ExprDag::compile(plan.kind.exprs())),
         _ => OpExprs::None,
     }
 }

@@ -1,6 +1,7 @@
 //! Equality, ordering, hashing, and numeric coercion for [`Variant`].
 
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use super::Variant;
@@ -56,6 +57,55 @@ impl PartialEq for Variant {
                 cmp_f64(*x, *y) == Ordering::Equal
             }
             _ => false,
+        }
+    }
+}
+
+impl Variant {
+    /// Strict identity: the same type and the same bits, all the way down.
+    /// [`PartialEq`] above is SQL equality, under which `1 = 1.0` and
+    /// `0.0 = -0.0`; `TYPEOF`, integer overflow and a result's printed form
+    /// tell those apart, so whatever decides that two plans or two
+    /// expressions *compute the same thing* compares literals with this.
+    pub fn identical(&self, other: &Variant) -> bool {
+        match (self, other) {
+            (Variant::Null, Variant::Null) => true,
+            (Variant::Bool(x), Variant::Bool(y)) => x == y,
+            (Variant::Int(x), Variant::Int(y)) => x == y,
+            (Variant::Float(x), Variant::Float(y)) => x.to_bits() == y.to_bits(),
+            (Variant::Str(x), Variant::Str(y)) => x == y,
+            (Variant::Array(x), Variant::Array(y)) => {
+                x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| p.identical(q))
+            }
+            (Variant::Object(x), Variant::Object(y)) => {
+                x.len() == y.len()
+                    && x.iter().zip(y.iter()).all(|((k, p), (l, q))| k == l && p.identical(q))
+            }
+            _ => false,
+        }
+    }
+
+    /// Feeds `h` exactly what [`Variant::identical`] compares: two values
+    /// write the same sequence iff they are identical.
+    pub fn hash_identical(&self, h: &mut impl Hasher) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Variant::Null => {}
+            Variant::Bool(b) => b.hash(h),
+            Variant::Int(i) => i.hash(h),
+            Variant::Float(f) => f.to_bits().hash(h),
+            Variant::Str(s) => s.hash(h),
+            Variant::Array(a) => {
+                a.len().hash(h);
+                a.iter().for_each(|x| x.hash_identical(h));
+            }
+            Variant::Object(o) => {
+                o.len().hash(h);
+                for (k, x) in o.iter() {
+                    k.hash(h);
+                    x.hash_identical(h);
+                }
+            }
         }
     }
 }

@@ -136,6 +136,20 @@ fn constant_folding_removes_literal_arithmetic() {
 }
 
 #[test]
+fn constant_folding_reaches_both_arguments_of_an_aggregate() {
+    let db = two_tables();
+    let sql = "SELECT MIN_BY(id + (1 + 1), x + (2 + 3)) FROM a";
+    let plan = db.explain(sql).unwrap();
+    assert!(plan.contains("MIN_BY((#0 + 2), (#1 + 5))"), "{plan}");
+    assert_eq!(db.query(sql).unwrap().rows, [[Variant::Int(2)]]);
+    // A key that raises is left for execution to raise.
+    let sql = "SELECT MAX_BY(id, x / 0) FROM a";
+    let plan = db.explain(sql).unwrap();
+    assert!(plan.contains("MAX_BY(#0, (#1 / 0))"), "{plan}");
+    assert_eq!(db.query(sql).unwrap_err().to_string(), "execution error: division by zero");
+}
+
+#[test]
 fn volatile_seq8_is_not_folded_or_pushed_through() {
     let db = two_tables();
     // SEQ8 must produce distinct values even though it has no column inputs.

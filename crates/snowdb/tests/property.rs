@@ -98,13 +98,18 @@ fn outcome_repr(r: Result<Vec<Vec<Variant>>, String>) -> String {
 /// calls, over strings and quoted identifiers that contain quotes,
 /// parentheses, commas, comment openers and the words a statement is cut at.
 fn arb_expr_text() -> impl Strategy<Value = String> {
+    arb_expr_text_over(&["a", "b", "t.a", "\"a'b\"", "\"SET\"", "values_log", "where_"])
+}
+
+/// As [`arb_expr_text`], naming these columns (and the variant column `v`).
+fn arb_expr_text_over(names: &'static [&'static str]) -> impl Strategy<Value = String> {
     let fixed = |texts: &'static [&'static str]| {
         (0..texts.len()).prop_map(move |i| texts[i].to_string())
     };
     let leaf = prop_oneof![
         (0i64..1000).prop_map(|i| i.to_string()),
         fixed(&["2.5", "1e3", "NULL", "TRUE", "FALSE"]),
-        fixed(&["a", "b", "t.a", "\"a'b\"", "\"SET\"", "values_log", "where_"]),
+        fixed(names),
         fixed(&["v:a.b[0]", "v:\"k ) , (\"", "v['where'][b]"]),
         fixed(&[
             "'it''s'", "'(1), (2'", "') -- x'", "' VALUES (SET) WHERE '", "'/* ;'", "'\"'",
@@ -460,6 +465,41 @@ proptest! {
         prop_assert_eq!(
             parse_statement(&format!("DELETE FROM t WHERE {pred}")).unwrap(),
             Statement::Delete { table: "T".into(), predicate: Some(pred_tree) }
+        );
+    }
+
+    /// The binder's two scopes agree wherever both apply. Grouped by every
+    /// column, in column order, group position is column position: the select
+    /// list binds to the expressions it binds to with no GROUP BY at all, or
+    /// fails with the same text. And a column that is not grouped is the same
+    /// error from the select list and from `HAVING`.
+    #[test]
+    fn grouped_and_plain_scopes_bind_alike(
+        items in prop::collection::vec(arb_expr_text_over(&["a", "b", "v"]), 1..4),
+        one in arb_expr_text_over(&["a", "b", "v"]),
+    ) {
+        use snowdb::plan::{bind_query, NodeKind};
+
+        let db = Database::new();
+        db.execute("CREATE TABLE t (a INT, b INT, v VARIANT)").unwrap();
+        let snapshot = db.snapshot();
+        // The top projection's expressions, rendered strictly (`1` is not `1.0`).
+        let bound = |sql: &str| -> Result<String, String> {
+            let query = snowdb::sql::parse_query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            match bind_query(&query, &*snapshot).map(|plan| plan.kind) {
+                Ok(NodeKind::Project { exprs, .. }) => Ok(format!("{exprs:?}")),
+                Ok(other) => panic!("{sql}: {other:?}"),
+                Err(e) => Err(e.to_string()),
+            }
+        };
+        let list = items.join(", ");
+        prop_assert_eq!(
+            bound(&format!("SELECT {list} FROM t GROUP BY a, b, v")),
+            bound(&format!("SELECT {list} FROM t"))
+        );
+        prop_assert_eq!(
+            bound(&format!("SELECT a FROM t GROUP BY a HAVING {one}")).err(),
+            bound(&format!("SELECT {one} FROM t GROUP BY a")).err()
         );
     }
 
@@ -943,5 +983,120 @@ mod dag_differential {
         }
         // The generator reaches all three outcomes, and repeats subtrees.
         assert!(agreed > 2000 && failed > 300 && shared > 1000, "{agreed} {failed} {shared}");
+    }
+
+    /// Column renumbering is a functor over the expression: the identity map
+    /// changes nothing, maps compose, a substitution table of bare columns is
+    /// the same map, and the columns read are the mapped columns, in order.
+    /// Compared as rendered text, which tells `1` from `1.0` and `0.0` from
+    /// `-0.0` where `PExpr`'s `==` does not.
+    #[test]
+    fn column_maps_compose() {
+        let f = |c: usize| (c * 3 + 1) % 17;
+        let g = |c: usize| c + 5;
+        let cols = |e: &PExpr| {
+            let mut out = Vec::new();
+            e.collect_cols(&mut out);
+            out
+        };
+        let subs: Vec<PExpr> = (0..=N_COLS).map(|c| PExpr::Col(f(c))).collect();
+        for seed in 0..2000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let e = expr(&mut rng, 4, &mut Vec::new());
+            let mapped = e.clone().map_cols(&f);
+            assert_eq!(format!("{:?}", e.clone().map_cols(&|c| c)), format!("{e:?}"), "seed {seed}");
+            assert_eq!(
+                format!("{:?}", mapped.clone().map_cols(&g)),
+                format!("{:?}", e.clone().map_cols(&|c| g(f(c)))),
+                "seed {seed}"
+            );
+            assert_eq!(format!("{:?}", e.clone().substitute(&subs)), format!("{mapped:?}"), "seed {seed}");
+            assert_eq!(cols(&mapped), cols(&e).into_iter().map(f).collect::<Vec<_>>(), "seed {seed}");
+        }
+    }
+
+    /// Everything a `Hasher` is fed, in order.
+    #[derive(Default)]
+    struct Tape(Vec<u8>);
+
+    impl std::hash::Hasher for Tape {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Strict literal identity has one definition: two literals are
+    /// `Variant::identical` iff they hash from the same input, iff the
+    /// expression DAG keeps one node for both, iff subplan sharing puts
+    /// `SELECT x FROM t` and `SELECT y FROM t` in one class.
+    #[test]
+    fn literal_identity_is_one_definition() {
+        use snowdb::plan::{Field, Node, NodeKind};
+        use snowdb::storage::{ColumnDef, ColumnType};
+
+        let db = snowdb::Database::new();
+        db.load_table("t", vec![ColumnDef::new("A", ColumnType::Int)], [vec![Variant::Int(1)]])
+            .unwrap();
+        let table = db.table("T").unwrap();
+        let select = |v: &Variant| {
+            let scan = NodeKind::Scan { table: table.clone(), pushed: Vec::new(), materialize: vec![false] };
+            let input = Box::new(Node::new(scan, vec![Field::bare("A")]));
+            let exprs = vec![PExpr::Lit(v.clone())];
+            Box::new(Node::new(NodeKind::Project { input, exprs }, vec![Field::bare("C")]))
+        };
+        let tape = |v: &Variant| {
+            let mut t = Tape::default();
+            v.hash_identical(&mut t);
+            t.0
+        };
+        let nested = |x: Variant| {
+            let mut o = Object::new();
+            o.insert("k", Variant::array(vec![x, Variant::Null]));
+            Variant::array(vec![Variant::object(o)])
+        };
+        let (one, one_f) = (Variant::Int(1), Variant::Float(1.0));
+        let (zero, neg_zero) = (Variant::Float(0.0), Variant::Float(-0.0));
+        let mut pairs = vec![
+            (one.clone(), one_f.clone()),
+            (one.clone(), one.clone()),
+            (zero.clone(), neg_zero.clone()),
+            (Variant::Float(f64::NAN), Variant::Float(f64::NAN)),
+            (nested(one.clone()), nested(one_f)),
+            (nested(zero.clone()), nested(zero)),
+            (nested(neg_zero.clone()), nested(neg_zero)),
+            // The same leaves, nested differently.
+            (
+                Variant::array(vec![Variant::array(vec![one.clone()]), one.clone()]),
+                Variant::array(vec![Variant::array(vec![one.clone(), one])]),
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(19);
+        for _ in 0..300 {
+            let x = any_cell(&mut rng, 0);
+            let y = if rng.gen_bool(0.5) { x.clone() } else { any_cell(&mut rng, 0) };
+            pairs.push((x, y));
+        }
+        let mut identical = 0;
+        for (x, y) in &pairs {
+            let same = x.identical(y);
+            identical += u32::from(same);
+            assert_eq!(tape(x) == tape(y), same, "hash input of {x:?} and {y:?}");
+            let lits = [PExpr::Lit(x.clone()), PExpr::Lit(y.clone())];
+            assert_eq!(ExprDag::compile(&lits).dag_nodes() == 1, same, "DAG nodes of {x:?} and {y:?}");
+            let fields = vec![Field::bare("C")];
+            let mut plan = Node::new(NodeKind::UnionAll { left: select(x), right: select(y) }, fields);
+            snowdb::optimize::share::mark_shared(&mut plan);
+            let NodeKind::UnionAll { left, right } = &plan.kind else { unreachable!() };
+            assert_eq!(
+                left.share.is_some() && left.share == right.share,
+                same,
+                "share classes of {x:?} and {y:?}"
+            );
+        }
+        assert!(identical > 100 && identical < pairs.len() as u32 - 100, "{identical}");
     }
 }
