@@ -81,6 +81,7 @@ fn main() {
             "ablation" => vec![experiments::ablation_nested_strategy(&cfg)],
             "futurework" => vec![experiments::futurework(&cfg)],
             "kernels" => vec![experiments::kernels(&cfg)],
+            "pipelines" => vec![experiments::pipelines(&cfg)],
             other => {
                 eprintln!("unknown experiment '{other}'");
                 std::process::exit(2);

@@ -595,6 +595,64 @@ pub fn kernels(cfg: &Config) -> Report {
     rep
 }
 
+// ---- Pipelines: per-pipeline wall and per-operator busy time of ADL q4-q8 ---
+
+/// ADL q4-q8, generated and handwritten, at one thread and at the machine's
+/// default: the fastest execution of the timed runs and, from that run's
+/// profile, every operator's busy time (summed across workers) and peak rows
+/// beside the wall time, morsels and workers of the pipeline it ran in.
+pub fn pipelines(cfg: &Config) -> Report {
+    let db = Database::new();
+    // Partition size of snowbench's `adl_nested` workload.
+    let adl_cfg = AdlConfig { events: cfg.adl_events, partition_rows: 1024, ..Default::default() };
+    adl::generator::load_into(&db, "hep", &adl_cfg);
+    let db = Arc::new(db);
+    let n = db.effective_threads();
+    let mut rep = Report::new(
+        "pipelines",
+        &format!("ADL q4-q8 pipeline by pipeline ({} events, 1 and {n} threads)", cfg.adl_events),
+        &[
+            "query", "sql", "threads", "exec", "operator", "busy", "rows out", "peak rows", "batches",
+            "pipe", "pipe wall", "morsels", "workers",
+        ],
+    );
+    for q in adl::queries::queries("hep").into_iter().filter(|q| q.id >= "q4") {
+        for (kind, sql) in [("generated", translate(&db, &q)), ("handwritten", q.handwritten_sql.clone())] {
+            for threads in [1, n] {
+                let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+                let best = (0..cfg.warmup + cfg.runs.max(3))
+                    .map(|_| db.query_with(&sql, &opts).expect("runs").profile)
+                    .min_by_key(|p| p.exec_time)
+                    .expect("at least one run");
+                let metrics = best.metrics.as_ref().expect("operator metrics");
+                assert!(!metrics.pipelines().is_empty(), "{} {kind}: no pipeline in the profile", q.id);
+                for (i, (depth, m)) in metrics.operators().iter().enumerate() {
+                    let head = match i {
+                        0 => [q.id.into(), kind.into(), threads.to_string(), fmt_secs(best.exec_time.as_secs_f64())],
+                        _ => Default::default(),
+                    };
+                    let pipe = match m.pipeline_run {
+                        Some(run) => [fmt_secs(run.wall.as_secs_f64()), run.morsels.to_string(), run.workers.to_string()],
+                        None => Default::default(),
+                    };
+                    let op = [
+                        format!("{}{}", "  ".repeat(*depth), m.name),
+                        fmt_secs(m.busy.as_secs_f64()),
+                        m.rows_out.to_string(),
+                        m.peak_rows.to_string(),
+                        m.batches.to_string(),
+                        if m.pipeline > 0 { m.pipeline.to_string() } else { String::new() },
+                    ];
+                    rep.row(head.into_iter().chain(op).chain(pipe));
+                }
+            }
+        }
+    }
+    rep.note("exec: fastest execution (compile excluded) of warmup + max(runs, 3) runs; the rest is that run's profile");
+    rep.note("busy is summed across workers; pipe wall, morsels and workers stand on the operator the pipeline ends at");
+    rep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,6 +693,17 @@ mod tests {
         assert!(q6[3].ends_with('x'));
         let ratio: f64 = q6[3].trim_end_matches('x').parse().unwrap();
         assert!(ratio <= 2.0, "expected Q6 to scan at most 2x handwritten, got {ratio}");
+    }
+
+    #[test]
+    fn quick_pipelines_runs() {
+        let mut cfg = Config::quick();
+        cfg.adl_events = 256;
+        let rep = pipelines(&cfg);
+        // Five queries, two formulations, two thread counts: one headed row each.
+        assert_eq!(rep.rows.iter().filter(|r| !r[0].is_empty()).count(), 20);
+        assert!(rep.rows.iter().all(|r| r.len() == rep.headers.len()));
+        assert!(rep.rows.iter().any(|r| r[4].trim() == "Flatten" && !r[9].is_empty()));
     }
 
     #[test]

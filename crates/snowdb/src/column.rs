@@ -183,18 +183,54 @@ impl Bitmap {
         }
     }
 
-    /// Splits off the bits at `at..` into a new bitmap.
+    /// Splits off the bits at `at..` into a new bitmap (a word-at-a-time
+    /// [`Bitmap::slice`], then a truncate).
     pub fn split_off(&mut self, at: usize) -> Bitmap {
         let tail = self.slice(at, self.len);
         self.truncate(at);
         tail
     }
 
-    /// Appends all bits of `other`.
+    /// Appends all bits of `other`, a word at a time: each word of `other`
+    /// lands in at most two words of `self`.
     pub fn extend_from(&mut self, other: &Bitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.blocks.extend_from_slice(&other.blocks);
+        } else {
+            for &word in &other.blocks {
+                let last = self.blocks.len() - 1;
+                self.blocks[last] |= word << shift;
+                self.blocks.push(word >> (64 - shift));
+            }
         }
+        // The bits past `other.len` were zero, so the tail stays clean.
+        self.len += other.len;
+        self.blocks.truncate(self.len.div_ceil(64));
+    }
+
+    /// Packs bit `i = bit(i)` for `i in 0..len`, a word at a time.
+    pub fn from_fn(len: usize, mut bit: impl FnMut(usize) -> bool) -> Bitmap {
+        let blocks = (0..len.div_ceil(64))
+            .map(|w| {
+                let lo = w * 64;
+                (lo..len.min(lo + 64)).fold(0u64, |word, i| word | u64::from(bit(i)) << (i - lo))
+            })
+            .collect();
+        Bitmap { blocks, len }
+    }
+
+    /// The validity of a gather: bit `j` is bit `idx[j]` of this bitmap.
+    fn gather(&self, idx: &[usize]) -> Bitmap {
+        if self.all_valid() {
+            return Bitmap::ones(idx.len());
+        }
+        Bitmap::from_fn(idx.len(), |j| self.get(idx[j]))
+    }
+
+    /// As [`Bitmap::gather`]; a `None` entry is a NULL row.
+    fn gather_opt(&self, idx: &[Option<usize>]) -> Bitmap {
+        Bitmap::from_fn(idx.len(), |j| idx[j].is_some_and(|i| self.get(i)))
     }
 }
 
@@ -650,33 +686,18 @@ impl ColumnVec {
     pub fn gather(&self, idx: &[usize]) -> ColumnVec {
         match self {
             ColumnVec::Null(_) => ColumnVec::Null(idx.len()),
-            ColumnVec::Int { vals, valid } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut ovalid = Bitmap::new();
-                for &i in idx {
-                    out.push(vals[i]);
-                    ovalid.push(valid.get(i));
-                }
-                ColumnVec::Int { vals: out, valid: ovalid }
-            }
-            ColumnVec::Float { vals, valid } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut ovalid = Bitmap::new();
-                for &i in idx {
-                    out.push(vals[i]);
-                    ovalid.push(valid.get(i));
-                }
-                ColumnVec::Float { vals: out, valid: ovalid }
-            }
-            ColumnVec::Bool { vals, valid } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut ovalid = Bitmap::new();
-                for &i in idx {
-                    out.push(vals[i]);
-                    ovalid.push(valid.get(i));
-                }
-                ColumnVec::Bool { vals: out, valid: ovalid }
-            }
+            ColumnVec::Int { vals, valid } => ColumnVec::Int {
+                vals: idx.iter().map(|&i| vals[i]).collect(),
+                valid: valid.gather(idx),
+            },
+            ColumnVec::Float { vals, valid } => ColumnVec::Float {
+                vals: idx.iter().map(|&i| vals[i]).collect(),
+                valid: valid.gather(idx),
+            },
+            ColumnVec::Bool { vals, valid } => ColumnVec::Bool {
+                vals: idx.iter().map(|&i| vals[i]).collect(),
+                valid: valid.gather(idx),
+            },
             ColumnVec::Str(v) => {
                 ColumnVec::Str(idx.iter().map(|&i| v[i].clone()).collect())
             }
@@ -703,57 +724,18 @@ impl ColumnVec {
     pub fn gather_opt(&self, idx: &[Option<usize>]) -> ColumnVec {
         match self {
             ColumnVec::Null(_) => ColumnVec::Null(idx.len()),
-            ColumnVec::Int { vals, valid } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut ovalid = Bitmap::new();
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            out.push(vals[i]);
-                            ovalid.push(valid.get(i));
-                        }
-                        None => {
-                            out.push(0);
-                            ovalid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Int { vals: out, valid: ovalid }
-            }
-            ColumnVec::Float { vals, valid } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut ovalid = Bitmap::new();
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            out.push(vals[i]);
-                            ovalid.push(valid.get(i));
-                        }
-                        None => {
-                            out.push(0.0);
-                            ovalid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Float { vals: out, valid: ovalid }
-            }
-            ColumnVec::Bool { vals, valid } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut ovalid = Bitmap::new();
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            out.push(vals[i]);
-                            ovalid.push(valid.get(i));
-                        }
-                        None => {
-                            out.push(false);
-                            ovalid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Bool { vals: out, valid: ovalid }
-            }
+            ColumnVec::Int { vals, valid } => ColumnVec::Int {
+                vals: idx.iter().map(|&i| i.map_or(0, |i| vals[i])).collect(),
+                valid: valid.gather_opt(idx),
+            },
+            ColumnVec::Float { vals, valid } => ColumnVec::Float {
+                vals: idx.iter().map(|&i| i.map_or(0.0, |i| vals[i])).collect(),
+                valid: valid.gather_opt(idx),
+            },
+            ColumnVec::Bool { vals, valid } => ColumnVec::Bool {
+                vals: idx.iter().map(|&i| i.is_some_and(|i| vals[i])).collect(),
+                valid: valid.gather_opt(idx),
+            },
             ColumnVec::Str(v) => ColumnVec::Str(
                 idx.iter().map(|&i| i.and_then(|i| v[i].clone())).collect(),
             ),
@@ -1038,6 +1020,58 @@ mod tests {
                 // later pushes rely on a clean last block.
                 assert_eq!(s, bitwise, "{lo}..{hi}");
             }
+        }
+    }
+
+    /// `extend_from`, `split_off` and the validity half of `gather` /
+    /// `gather_opt` move whole words; each must equal its bit-at-a-time
+    /// definition — tail bits included — at every alignment.
+    #[test]
+    fn bitmap_word_operations_match_their_bitwise_definitions() {
+        // A fixed pseudo-random pattern (an LCG), so a failure reproduces.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut bit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 63 == 1
+        };
+        let pushed = |bits: &[bool]| {
+            let mut b = Bitmap::new();
+            bits.iter().for_each(|&v| b.push(v));
+            b
+        };
+        let lens = [0usize, 1, 5, 63, 64, 65, 127, 128, 130, 200];
+        for &n in &lens {
+            let head: Vec<bool> = (0..n).map(|_| bit()).collect();
+            for &m in &lens {
+                let tail: Vec<bool> = (0..m).map(|_| bit()).collect();
+                let mut joined = pushed(&head);
+                joined.extend_from(&pushed(&tail));
+                let all: Vec<bool> = head.iter().chain(&tail).copied().collect();
+                assert_eq!(joined, pushed(&all), "extend {n} + {m}");
+                assert_eq!(joined.count_valid(), all.iter().filter(|&&v| v).count());
+                // A push after the append lands in a clean tail.
+                joined.push(true);
+                assert!(joined.get(n + m), "push after extend {n} + {m}");
+                joined.truncate(n + m);
+
+                let split = joined.split_off(n);
+                assert_eq!(joined, pushed(&head), "split head {n} | {m}");
+                assert_eq!(split, pushed(&tail), "split tail {n} | {m}");
+            }
+            if n == 0 {
+                continue;
+            }
+            let src = pushed(&head);
+            for &k in &lens {
+                let idx: Vec<usize> = (0..k).map(|j| (j * 7 + n / 2) % n).collect();
+                let want: Vec<bool> = idx.iter().map(|&i| head[i]).collect();
+                assert_eq!(src.gather(&idx), pushed(&want), "gather {k} of {n}");
+                let opt: Vec<Option<usize>> =
+                    idx.iter().enumerate().map(|(j, &i)| (j % 3 != 1).then_some(i)).collect();
+                let want: Vec<bool> = opt.iter().map(|i| i.is_some_and(|i| head[i])).collect();
+                assert_eq!(src.gather_opt(&opt), pushed(&want), "gather_opt {k} of {n}");
+            }
+            assert_eq!(Bitmap::ones(n).gather(&[0, n - 1, 0]), Bitmap::ones(3));
         }
     }
 

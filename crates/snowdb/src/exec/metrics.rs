@@ -6,7 +6,7 @@
 //! mirrors the plan shape; [`crate::engine::QueryProfile`] carries it and
 //! `EXPLAIN ANALYZE` renders it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Concurrent metric counters for one physical operator.
@@ -32,6 +32,13 @@ pub struct OpMetricsCell {
     rows_on_codes: AtomicU64,
     /// Rows whose encoded columns were materialized before evaluation.
     rows_materialized: AtomicU64,
+    /// The pipeline the operator ran in (see [`OpMetrics::pipeline`]).
+    pipeline: AtomicU32,
+    /// On the operator a pipeline ends at, that pipeline's run (see
+    /// [`PipelineRun`]); `pipe_workers` is 0 everywhere else.
+    pipe_wall_nanos: AtomicU64,
+    pipe_morsels: AtomicU64,
+    pipe_workers: AtomicU64,
 }
 
 impl OpMetricsCell {
@@ -92,6 +99,25 @@ impl OpMetricsCell {
         self.rows_materialized.fetch_add(rows, Ordering::Relaxed);
     }
 
+    /// Tags the operator with the pipeline it ran in.
+    pub fn set_pipeline(&self, id: u32) {
+        self.pipeline.store(id, Ordering::Relaxed);
+    }
+
+    /// Records, on the operator pipeline `id` ends at, how the pipeline ran.
+    pub fn record_pipeline(&self, id: u32, run: PipelineRun) {
+        self.set_pipeline(id);
+        self.pipe_wall_nanos.store(run.wall.as_nanos() as u64, Ordering::Relaxed);
+        self.pipe_morsels.store(run.morsels, Ordering::Relaxed);
+        self.pipe_workers.store(run.workers as u64, Ordering::Relaxed);
+    }
+
+    /// Extends the recorded pipeline's wall time by what the operator did
+    /// after the last morsel: an aggregate merging and emitting its groups.
+    pub fn add_pipeline_wall(&self, more: Duration) {
+        self.pipe_wall_nanos.fetch_add(more.as_nanos() as u64, Ordering::Relaxed);
+    }
+
     /// Immutable snapshot (taken after execution completes).
     pub fn snapshot(
         &self,
@@ -114,9 +140,31 @@ impl OpMetricsCell {
             expr_dag_nodes: 0,
             expr_tree_nodes: 0,
             parallelism,
+            pipeline: self.pipeline.load(Ordering::Relaxed),
+            pipeline_run: match self.pipe_workers.load(Ordering::Relaxed) {
+                0 => None,
+                workers => Some(PipelineRun {
+                    wall: Duration::from_nanos(self.pipe_wall_nanos.load(Ordering::Relaxed)),
+                    morsels: self.pipe_morsels.load(Ordering::Relaxed),
+                    workers: workers as usize,
+                }),
+            },
             children,
         }
     }
+}
+
+/// How one pipeline ran: the operators between two materialized batch lists
+/// run without a barrier of their own, so their busy times (summed across
+/// workers) are read against this one wall clock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PipelineRun {
+    /// Wall time from the first morsel claimed to the last result merged.
+    pub wall: Duration,
+    /// Source morsels (scan partitions or input batches) the pipeline took.
+    pub morsels: u64,
+    /// Workers the morsels were spread over.
+    pub workers: usize,
 }
 
 /// One node of the per-operator metrics tree reported in
@@ -153,6 +201,13 @@ pub struct OpMetrics {
     pub expr_tree_nodes: u64,
     /// Worker count the operator ran with.
     pub parallelism: usize,
+    /// The pipeline the operator ran in, numbered from 1 in the order the
+    /// pipelines of the query ran; 0 for an operator that did no work of its
+    /// own (it did not run, or it read a shared result).
+    pub pipeline: u32,
+    /// On the operator a pipeline ends at — its topmost stage, the aggregate
+    /// it folds into, or a breaker's own phase — how that pipeline ran.
+    pub pipeline_run: Option<PipelineRun>,
     pub children: Vec<OpMetrics>,
 }
 
@@ -162,10 +217,33 @@ impl OpMetrics {
         1 + self.children.iter().map(OpMetrics::op_count).sum::<usize>()
     }
 
+    /// Every operator of the tree with its depth, in plan (pre-)order.
+    pub fn operators(&self) -> Vec<(usize, &OpMetrics)> {
+        fn walk<'m>(m: &'m OpMetrics, depth: usize, out: &mut Vec<(usize, &'m OpMetrics)>) {
+            out.push((depth, m));
+            m.children.iter().for_each(|c| walk(c, depth + 1, out));
+        }
+        let mut out = Vec::with_capacity(self.op_count());
+        walk(self, 0, &mut out);
+        out
+    }
+
+    /// Every pipeline run recorded in the tree with the operator it ends at,
+    /// in the order the pipelines ran.
+    pub fn pipelines(&self) -> Vec<(u32, &str, PipelineRun)> {
+        let mut out: Vec<_> = self
+            .operators()
+            .into_iter()
+            .filter_map(|(_, m)| Some((m.pipeline, m.name.as_str(), m.pipeline_run?)))
+            .collect();
+        out.sort_by_key(|(id, ..)| *id);
+        out
+    }
+
     /// The annotation `EXPLAIN ANALYZE` appends to a plan line.
     pub fn annotation(&self) -> String {
         format!(
-            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}",
+            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}",
             self.rows_out,
             self.batches,
             self.busy,
@@ -188,6 +266,11 @@ impl OpMetrics {
             },
             if self.parallelism > 1 {
                 format!(" workers={}", self.parallelism)
+            } else {
+                String::new()
+            },
+            if self.pipeline > 0 {
+                format!(" pipe={}", self.pipeline)
             } else {
                 String::new()
             }
@@ -222,6 +305,24 @@ mod tests {
         assert!(m.annotation().contains("workers=4"));
         assert!(m.annotation().contains("vec=90/10"));
         assert!(m.annotation().contains("enc=70/30"));
+        assert!(!m.annotation().contains("pipe="), "no pipeline ran it");
+    }
+
+    #[test]
+    fn pipeline_runs_are_listed_in_run_order() {
+        let run = |ms| PipelineRun { wall: Duration::from_millis(ms), morsels: 8, workers: 2 };
+        let scan = OpMetricsCell::default();
+        scan.set_pipeline(1);
+        let filter = OpMetricsCell::default();
+        filter.record_pipeline(1, run(3));
+        let agg = OpMetricsCell::default();
+        agg.record_pipeline(2, run(5));
+        let scan = scan.snapshot("Scan T".into(), 2, Vec::new());
+        assert_eq!((scan.pipeline, scan.pipeline_run), (1, None));
+        let filter = filter.snapshot("Filter".into(), 2, vec![scan]);
+        let tree = agg.snapshot("Aggregate".into(), 2, vec![filter]);
+        assert!(tree.annotation().ends_with(" pipe=2"), "{}", tree.annotation());
+        assert_eq!(tree.pipelines(), [(1, "Filter", run(3)), (2, "Aggregate", run(5))]);
     }
 
     #[test]

@@ -99,6 +99,8 @@ pub struct ExecCtx {
     /// block at the scan, the baseline the encoded path must match bit for
     /// bit.
     pub encode: bool,
+    /// Pipelines the query has started: the next one's number, less one.
+    pub pipelines: u32,
 }
 
 impl Default for ExecCtx {
@@ -119,7 +121,7 @@ impl ExecCtx {
     /// vectorization/encoding choices (workers must not re-read the
     /// environment: the per-query options may override it).
     pub fn worker(gov: Arc<QueryGovernor>, vectorize: bool, encode: bool) -> ExecCtx {
-        ExecCtx { stats: ScanStats::default(), seq_counter: 0, gov, vectorize, encode }
+        ExecCtx { stats: ScanStats::default(), seq_counter: 0, gov, vectorize, encode, pipelines: 0 }
     }
 }
 

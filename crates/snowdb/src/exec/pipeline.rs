@@ -1,46 +1,100 @@
-//! Morsel-parallel batched execution: the partition-parallel physical
-//! pipeline every query runs on.
+//! Morsel-driven pipelines: the executor every query runs on.
 //!
-//! - every operator produces an ordered list of batches (≤ [`BATCH_ROWS`]
-//!   rows each) instead of one whole-table chunk;
-//! - `Scan → Filter → Project` chains are *fused*: each worker claims a
-//!   micro-partition from the work-stealing [`crate::storage::morsel`]
-//!   dispatcher, materializes it in batches, and pushes each batch through
-//!   the fused stages before claiming more work;
-//! - filter/project/flatten are one per-batch step ([`stage_batch`]) that
-//!   fused scans call and that one driver ([`exec_stream`]) maps over the
-//!   batches of any other input; aggregate, join and sort are pipeline
-//!   breakers that build thread-local partial state merged at the barrier;
-//! - every operator updates the [`OpMetricsCell`] of its
-//!   [`PhysNode`](crate::plan::physical::PhysNode), producing the
-//!   per-operator metrics tree reported in
-//!   [`QueryProfile`](crate::engine::QueryProfile).
+//! A physical plan is cut into *pipelines*. A pipeline is
+//!
+//! - a **source** of morsels: the micro-partitions of a scan, or the batches
+//!   of a materialized list — a breaker's output, a shared subtree's result,
+//!   the input of a stage that numbers rows;
+//! - the maximal run of **stages** — filters, projections, flattens — above
+//!   it;
+//! - a **sink**: a batch list (for a join side, a sort, a limit, a union, a
+//!   distinct, a shared slot, the query result), or the aggregate above the
+//!   last stage, which folds what arrives.
+//!
+//! One driver runs them all ([`Pipeline::run`]). A worker claims a morsel
+//! from the work-stealing [`crate::storage::morsel`] dispatcher and takes it
+//! through every stage into the sink before it claims the next; nothing is
+//! materialized between the stages. A stage never hands on more than
+//! [`BATCH_ROWS`] rows at once: a flatten cuts the output for one input batch
+//! into *pieces*, and each piece goes all the way down — depth first — and is
+//! dropped by the worker that made it before the next is cut, so a chain of
+//! flattens holds one piece per stage, not the blown-up intermediate. A
+//! worker owns the batch it is working on: a projection moves the columns it
+//! only passes on, a filter that keeps every row returns its input.
+//!
+//! Aggregate, join, sort, distinct, limit and union are *breakers*: they
+//! need a whole input. An aggregate is the sink of the pipeline below it and
+//! keeps one partial state per worker (see below); the others take batch
+//! lists, and a join's probe and a sort's key evaluation and gather are
+//! per-batch maps ([`map_batches`], which the driver is built on too). A
+//! breaker's output is the source of the pipeline above it; an aggregate
+//! emits its groups in batches of `MORSEL_ROWS`, so that a few thousand
+//! groups spread over every worker. [`execute_physical`] runs an operator's
+//! input pipelines one after the other on the calling thread; parallelism is
+//! inside a pipeline, over morsels.
+//!
+//! Every operator updates the [`OpMetricsCell`] of its
+//! [`PhysNode`](crate::plan::physical::PhysNode), producing the per-operator
+//! metrics tree reported in [`QueryProfile`](crate::engine::QueryProfile).
+//! The operators of a pipeline have no barrier of their own, so each is
+//! tagged with the pipeline it ran in and the operator the pipeline ends at
+//! carries its wall time, morsel count and workers ([`PipelineRun`]): busy
+//! times are summed across workers and read against that wall clock.
 //!
 //! # Determinism contract
 //!
 //! Execution with any worker count must be *byte-identical* to execution with
-//! one (rows in order, batch by batch):
+//! one (rows in order), and so must the error it reports. Where morsels and
+//! pieces end depends on the plan and the data alone, never on the worker
+//! count.
 //!
-//! - all merges happen in partition/batch index order (the dispatcher hands
-//!   out indices, results are reassembled sorted by index);
-//! - `SEQ8()` gets its counter base per batch from a prefix sum over the
-//!   input batch row counts, so row ids match the serial row order exactly;
-//!   the same prefix-sum scheme gives `FLATTEN`'s `SEQ` column its parent row
-//!   index;
-//! - aggregate partials merge in batch order ([`Accumulator::merge`]), which
-//!   preserves first-seen group order and first-among-ties semantics;
-//!   `SUM`/`AVG` fold serially over the ordered batches because float
-//!   addition is not associative;
-//! - when several batches fail, the error with the lowest batch index wins —
-//!   the one serial execution would have reported;
-//! - volatile expressions outside projections (a `SEQ8()` in a filter or join
+//! - All merges happen in morsel order (the dispatcher hands out indices,
+//!   results are reassembled sorted by index; within a morsel the pieces
+//!   arrive in order).
+//! - A stage that numbers rows from the global index of its input rows — a
+//!   projection calling `SEQ8()`, a flatten that emits `SEQ` — *starts a
+//!   pipeline*: its input is materialized, and each morsel gets its base from
+//!   a prefix sum over the batch row counts, so row ids match the serial row
+//!   order exactly. In a projection `SEQ8()` is an integer ramp from that
+//!   base.
+//! - Volatile expressions outside projections (a `SEQ8()` in a filter or join
 //!   condition, a flatten input, sort keys, aggregate arguments) read one
-//!   counter: the operator runs at degree 1 on the caller's context, batch
-//!   after batch ([`map_batches`]), its expressions through the row producer;
-//!   in a projection `SEQ8()` is an integer ramp from the batch's row base.
-//!   A volatile join condition is numbered in this order: the right keys of
-//!   all right rows, then per left batch its left keys, then the residual
-//!   conjuncts of its candidate pairs.
+//!   counter. Such a filter or flatten starts a pipeline too, and the whole
+//!   pipeline runs at degree 1 on the caller's context, morsel after morsel,
+//!   its expressions through the row producer; a join, sort or aggregate does
+//!   the same with its batches. A volatile join condition is numbered in this
+//!   order: the right keys of all right rows, then per left batch its left
+//!   keys, then the residual conjuncts of its candidate pairs.
+//! - An aggregate whose kinds merge exactly keeps one partial state per
+//!   worker over a *contiguous* range of morsels; the partials merge in range
+//!   order ([`Accumulator::merge`]), which preserves first-seen group order,
+//!   first-among-ties and `ARRAY_AGG` order. `SUM`/`AVG` do not merge exactly
+//!   (float addition is not associative): the pipeline below runs in parallel
+//!   into a batch list, and one state folds the list serially, in order. So
+//!   does an aggregate with a volatile argument.
+//!
+//! # Error contract
+//!
+//! When several rows fail, the statement reports the error one thread would
+//! meet first, under either producer of expression columns:
+//!
+//! - the lowest source morsel wins;
+//! - within a morsel, a stage evaluates its expressions over a whole batch
+//!   before it hands anything on, so of two stages failing on one batch the
+//!   upstream one wins; pieces go depth first, so what an earlier piece
+//!   raises anywhere downstream comes before what a later piece raises;
+//! - within a stage and batch, the first row in row-major order;
+//! - an aggregate that is the pipeline's sink is its last stage: it folds a
+//!   batch's rows before the first one on which an expression of its own
+//!   fails, so the error at the lowest (batch, row) is reported whether it
+//!   comes from an expression or an accumulator;
+//! - a breaker that takes a batch list reports what its input pipelines
+//!   raise before anything of its own: a `SUM` over a failing projection
+//!   reports the projection's error, whichever morsel it is in.
+//!
+//! A governor trip — cancellation, a deadline, a budget, an injected fault —
+//! is checked before every claim and once per stage and piece, so it arrives
+//! within one piece; trips are timing-dependent and have no order.
 //!
 //! # Shared subplans
 //!
@@ -52,20 +106,20 @@
 //! reader takes the stored batches themselves, which frees the slot. A
 //! failure is published like a result: every reader gets the same typed
 //! error. Scan statistics, governor budgets and operator metrics are charged
-//! where the work happens, at the producing site, once. This rests on the
-//! contract above: the output of a subtree is a function of the subtree
-//! alone (`SEQ8()` restarts in every projection), so reading one result twice
-//! equals computing it twice.
+//! where the work happens, at the producing site, once. A shared operator
+//! ends the pipeline below it — its batches must reach the slot, not only one
+//! reader — and a reader is the source of the pipeline above it. This rests
+//! on the contract above: the output of a subtree is a function of the
+//! subtree alone (`SEQ8()` restarts in every projection), so reading one
+//! result twice equals computing it twice.
 //!
-//! Today [`execute_physical`] walks an operator's children one after the
-//! other on the calling thread (parallelism is inside operators, over
-//! batches), and the producing site is the first in that order: a reader
-//! always finds the result published and never waits. The waiting path is
-//! kept, and driven by this module's unit tests from hand-spawned threads,
-//! because the slot's contract must not depend on that schedule — a join
-//! that runs its two sides concurrently would put a reader ahead of its
-//! producer — and because a reader that could hang or miss a cancellation
-//! there would only be found when that lands.
+//! Pipelines run one after the other and the producing site is the first in
+//! plan order: a reader always finds the result published and never waits.
+//! The waiting path is kept, and driven by this module's unit tests from
+//! hand-spawned threads, because the slot's contract must not depend on that
+//! schedule — a join that runs its two sides concurrently would put a reader
+//! ahead of its producer — and because a reader that could hang or miss a
+//! cancellation there would only be found when that lands.
 //!
 //! # One body per operator, two producers of its columns
 //!
@@ -106,7 +160,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::column::ColumnVec;
+use crate::column::{Bitmap, ColumnVec};
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
 use crate::plan::physical::{JoinExprs, OpExprs, PhysNode, SharedSite};
@@ -118,12 +172,20 @@ use crate::variant::{Key, Variant};
 use super::agg::{column_eligible, Accumulator};
 use super::dag::ExprDag;
 use super::kernel::mask_keep;
-use super::metrics::OpMetricsCell;
+use super::metrics::{OpMetricsCell, PipelineRun};
 use super::{cmp_sort_values, eval, truth, Chunk, ExecCtx, RowView};
 
-/// Target rows per batch. Matches the default micro-partition size so a
+/// Most rows a batch holds inside a pipeline: a scan cuts its partitions to
+/// this, and a stage whose output for one input batch is larger hands it on
+/// in pieces of this size. Matches the default micro-partition size, so a
 /// partition usually maps to one batch.
 pub const BATCH_ROWS: usize = 4096;
+
+/// Rows per batch of an aggregate's output, the morsels of the pipeline above
+/// it: small enough that a few thousand groups spread over every worker. A
+/// constant, because where an error is reported depends on where morsels
+/// end, and that must not depend on the worker count.
+const MORSEL_ROWS: usize = 1024;
 
 /// Executes a physical plan to completion, returning the ordered batch list.
 ///
@@ -147,13 +209,10 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
             p.metrics.add_output(1, 1);
             Ok(vec![Chunk { cols: Vec::new(), rows: 1 }])
         }
-        NodeKind::Scan { .. } => exec_scan(p, &[], ctx),
-        NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Flatten { .. } => {
-            match fused_chain(p) {
-                Some((scan, stages)) => exec_scan(scan, &stages, ctx),
-                None => exec_stream(p, ctx),
-            }
-        }
+        NodeKind::Scan { .. }
+        | NodeKind::Filter { .. }
+        | NodeKind::Project { .. }
+        | NodeKind::Flatten { .. } => Pipeline::ending_at(p, true, ctx)?.collect(p, ctx),
         NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, groups, aggs, ctx),
         NodeKind::Join { kind, on, .. } => exec_join(p, *kind, on, ctx),
         NodeKind::Sort { keys, .. } => exec_sort(p, keys, ctx),
@@ -275,24 +334,21 @@ pub fn concat_batches(batches: Vec<Chunk>, arity: usize) -> Chunk {
     first
 }
 
-/// Splits a chunk into batches of at most [`BATCH_ROWS`] rows (moves, no cell
-/// clones). Zero-row chunks produce an empty list.
-fn split_into_batches(mut chunk: Chunk) -> Vec<Chunk> {
+/// Splits an aggregate's output into batches of at most [`MORSEL_ROWS`] rows
+/// (moves, no cell clones). Zero-row chunks produce an empty list.
+fn split_into_morsels(mut chunk: Chunk) -> Vec<Chunk> {
     if chunk.rows == 0 {
         return Vec::new();
     }
-    if chunk.rows <= BATCH_ROWS {
-        return vec![chunk];
-    }
-    let mut out = Vec::with_capacity(chunk.rows.div_ceil(BATCH_ROWS));
-    while chunk.rows > BATCH_ROWS {
+    let mut out = Vec::with_capacity(chunk.rows.div_ceil(MORSEL_ROWS));
+    while chunk.rows > MORSEL_ROWS {
         let mut head = Vec::with_capacity(chunk.cols.len());
         for col in chunk.cols.iter_mut() {
-            let tail = col.split_off(BATCH_ROWS);
+            let tail = col.split_off(MORSEL_ROWS);
             head.push(std::mem::replace(col, tail));
         }
-        chunk.rows -= BATCH_ROWS;
-        out.push(Chunk { cols: head, rows: BATCH_ROWS });
+        chunk.rows -= MORSEL_ROWS;
+        out.push(Chunk { cols: head, rows: MORSEL_ROWS });
     }
     out.push(chunk);
     out
@@ -354,146 +410,21 @@ fn row_bases(batches: &[Chunk]) -> Vec<usize> {
     bases
 }
 
-// ---------------------------------------------------------------------------
-// Fused scan pipeline
-// ---------------------------------------------------------------------------
-
-/// Walks a `Filter`/`Project` chain down to a `Scan`, returning the scan node
-/// and the stages bottom-up, or `None` when the chain is broken. Volatile
-/// projections are excluded: they need the global row index for `SEQ8()`,
-/// which a streaming fused stage does not know. A shared node below `p` ends
-/// the chain too: its batches must reach its slot, not only this reader.
-fn fused_chain<'b, 'a>(
-    p: &'b PhysNode<'a>,
-) -> Option<(&'b PhysNode<'a>, Vec<&'b PhysNode<'a>>)> {
-    let mut stages = Vec::new();
-    let mut cur = p;
-    loop {
-        if cur.shared.is_some() && !std::ptr::eq(cur, p) {
-            return None;
-        }
-        match &cur.logical.kind {
-            NodeKind::Filter { .. } | NodeKind::Project { .. }
-                if cur.dag().is_ok_and(|d| !d.is_volatile()) =>
-            {
-                stages.push(cur);
-                cur = &cur.children[0];
-            }
-            NodeKind::Scan { .. } => {
-                stages.reverse();
-                return Some((cur, stages));
-            }
-            _ => return None,
-        }
-    }
+/// Starts the clock of the query's next pipeline and numbers it. A breaker
+/// calls this once its inputs are there: its own phase is a pipeline too.
+fn begin_pipeline(ctx: &mut ExecCtx) -> (u32, Instant) {
+    ctx.pipelines += 1;
+    (ctx.pipelines, Instant::now())
 }
 
-/// Scans a table partition-parallel, pushing each materialized batch through
-/// the fused `stages` before the morsel barrier. Workers keep private
-/// [`ScanStats`](crate::storage::ScanStats) that are summed in partition
-/// order, so the accounting is exact and thread-count independent.
-fn exec_scan(
-    scan: &PhysNode<'_>,
-    stages: &[&PhysNode<'_>],
-    ctx: &mut ExecCtx,
-) -> Result<Vec<Chunk>> {
-    let NodeKind::Scan { table, pushed, materialize } = &scan.logical.kind else {
-        unreachable!("exec_scan on a non-scan node")
-    };
-    let parts = table.partitions();
-    let arity = table.schema().len();
-    let gov = ctx.gov.clone();
-    let vectorize = ctx.vectorize;
-    let encode = ctx.encode;
-    let op = scan.op_name();
-    let results = try_parallel_indexed_governed(
-        parts.len(),
-        scan.parallelism,
-        || gov.claim_checkpoint(&op),
-        |pi, msg| worker_panic_error(&op, pi, msg),
-        |pi| {
-            let part = &parts[pi];
-            let mut wctx = ExecCtx::worker(gov.clone(), vectorize, encode);
-            wctx.stats.partitions_total = 1;
-            // Zone-map pruning: skip the partition when any pushed predicate
-            // proves no row can match. Pruned partitions contribute zero bytes.
-            let prunable = pushed.iter().any(|p| {
-                part.zone_map(p.col).is_some_and(|zm| !zm.may_match(p.cmp, &p.lit))
-            });
-            if prunable {
-                wctx.stats.partitions_pruned = 1;
-                for (i, m) in materialize.iter().enumerate() {
-                    if *m {
-                        wctx.stats.bytes_skipped += part.column_bytes(i);
-                    }
-                }
-                return Ok((Vec::new(), wctx.stats));
-            }
-            wctx.stats.partitions_scanned = 1;
-            wctx.stats.rows_scanned = part.row_count() as u64;
-            // Materialize the surviving columns through the scan source:
-            // in-memory partitions hand back shared column vectors, disk
-            // partitions lazily read exactly the projected blocks (through
-            // the buffer cache), so skipped columns cost zero file bytes.
-            let mut data: Vec<Option<Arc<ColumnVec>>> = vec![None; arity];
-            for (i, m) in materialize.iter().enumerate() {
-                if *m {
-                    let read = part.read_column_governed(i, &wctx.gov, &op)?;
-                    wctx.stats.record_read(&read);
-                    data[i] = Some(read.data);
-                } else {
-                    wctx.stats.columns_skipped += 1;
-                    wctx.stats.bytes_skipped += part.column_bytes(i);
-                }
-            }
-            wctx.gov.charge_scanned(wctx.stats.bytes_scanned, &op)?;
-            let mut out = Vec::new();
-            let n = part.row_count();
-            let mut lo = 0usize;
-            while lo < n {
-                wctx.gov.checkpoint(&op)?;
-                let start = Instant::now();
-                let hi = (lo + BATCH_ROWS).min(n);
-                // A batch is a slice of the stored columns: encoded blocks
-                // stay encoded for the kernels unless the query runs decoded
-                // — the reference the encoded path must match bit for bit.
-                // Unreferenced columns are never read; a NULL run keeps
-                // positional addressing intact.
-                let cols: Vec<ColumnVec> = data
-                    .iter()
-                    .map(|src| {
-                        let Some(col) = src else { return ColumnVec::Null(hi - lo) };
-                        let mut col = col.slice(lo, hi);
-                        if !encode {
-                            col.decode_in_place();
-                        }
-                        col
-                    })
-                    .collect();
-                let mut chunk = Chunk { cols, rows: hi - lo };
-                scan.metrics.record_batch(0, chunk.rows as u64, start.elapsed());
-                charge_batch(scan, &wctx, &op, &chunk)?;
-                for stage in stages {
-                    chunk = stage_batch(stage, &chunk, &mut wctx, 0)?;
-                }
-                if chunk.rows > 0 {
-                    out.push(chunk);
-                }
-                lo = hi;
-            }
-            Ok((out, wctx.stats))
-        },
-    )?;
-    let mut batches = Vec::new();
-    for (mut chunks, stats) in results {
-        ctx.stats.merge(&stats);
-        batches.append(&mut chunks);
-    }
-    Ok(batches)
+/// Records on `top`, the operator the pipeline ends at, how it ran.
+fn end_pipeline(top: &PhysNode<'_>, (id, start): (u32, Instant), morsels: usize, workers: usize) {
+    let run = PipelineRun { wall: start.elapsed(), morsels: morsels as u64, workers };
+    top.metrics.record_pipeline(id, run);
 }
 
 // ---------------------------------------------------------------------------
-// Streaming operators over batch lists
+// Expression columns
 // ---------------------------------------------------------------------------
 
 /// An operator's expression columns for one batch, one per root of its
@@ -586,11 +517,11 @@ pub fn eval_rows<'c>(
     ExprCols { cols: cols.into_iter().map(Cow::Owned).collect(), rows, err }
 }
 
-/// Maps `work` over `0..n` (an operator's batches) and returns the results
-/// in index order; the error of the lowest index wins. Every index gets a
-/// fresh worker context, `p.parallelism` of them at a time — or, `threaded`,
-/// all run one after the other on the caller's context, so that one `SEQ8()`
-/// counter runs through them in row order.
+/// Maps `work` over `0..n` — a pipeline's tasks, a breaker's batches — and
+/// returns the results in index order; the error of the lowest index wins.
+/// Every index gets a fresh worker context, `p.parallelism` of them at a
+/// time — or, `threaded`, all run one after the other on the caller's
+/// context, so that one `SEQ8()` counter runs through them in row order.
 fn map_batches<R: Send>(
     p: &PhysNode<'_>,
     n: usize,
@@ -618,139 +549,524 @@ fn map_batches<R: Send>(
     )
 }
 
-/// One batch through a streaming operator — filter, projection, flatten: the
-/// step fused scans and [`exec_stream`] share. `base` is the global index of
+// ---------------------------------------------------------------------------
+// The pipeline driver
+// ---------------------------------------------------------------------------
+
+/// What receives the batches a stage hands on: the next stage, or the sink.
+type Emit<'e> = &'e mut dyn FnMut(Chunk, &mut ExecCtx) -> Result<()>;
+
+/// Where a pipeline's morsels come from.
+enum Source<'b, 'a> {
+    /// The partitions of a table: a morsel is one partition, cut into batches.
+    Scan(&'b PhysNode<'a>),
+    /// A materialized batch list — a breaker's output, a shared result, the
+    /// input of a stage that numbers rows. A morsel is one batch; the worker
+    /// that claims it takes it out of its cell and owns it. `bases[i]` is
+    /// the index of batch `i`'s first row in the whole list.
+    Batches { cells: Vec<Mutex<Chunk>>, bases: Vec<usize> },
+}
+
+impl Source<'_, '_> {
+    fn batches(list: Vec<Chunk>) -> Self {
+        let bases = row_bases(&list);
+        Source::Batches { cells: list.into_iter().map(Mutex::new).collect(), bases }
+    }
+
+    fn morsels(&self) -> usize {
+        match self {
+            Source::Scan(scan) => match &scan.logical.kind {
+                NodeKind::Scan { table, .. } => table.partitions().len(),
+                _ => unreachable!("a scan source is a scan node"),
+            },
+            Source::Batches { cells, .. } => cells.len(),
+        }
+    }
+}
+
+/// How a stage numbers the rows of its input, if it does (see the
+/// determinism contract).
+#[derive(PartialEq)]
+enum Numbering {
+    None,
+    /// From the index of each input batch's first row: a projection's
+    /// `SEQ8()` ramp, a flatten's `SEQ` column.
+    Bases,
+    /// Through one `SEQ8()` counter that runs on from row to row: a volatile
+    /// predicate or flatten input.
+    Counter,
+}
+
+impl Numbering {
+    fn of(stage: &PhysNode<'_>) -> Result<Numbering> {
+        let volatile = stage.dag()?.is_volatile();
+        Ok(match &stage.logical.kind {
+            NodeKind::Project { .. } if volatile => Numbering::Bases,
+            _ if volatile => Numbering::Counter,
+            NodeKind::Flatten { emit: [.., seq, _], .. } if *seq => Numbering::Bases,
+            _ => Numbering::None,
+        })
+    }
+}
+
+/// A source and the maximal run of filters, projections and flattens above
+/// it, bottom-up. One worker task takes one morsel through every stage into
+/// the sink the pipeline is [run](Pipeline::run) with.
+struct Pipeline<'b, 'a> {
+    source: Source<'b, 'a>,
+    stages: Vec<&'b PhysNode<'a>>,
+    /// The bottom stage reads one `SEQ8()` counter through all its rows: the
+    /// morsels run one after the other on the caller's context.
+    serial: bool,
+}
+
+impl<'b, 'a> Pipeline<'b, 'a> {
+    /// The pipeline whose last operator is `top`, its inputs executed. The
+    /// run of stages ends below a stage that numbers rows, which needs its
+    /// whole input for the prefix sum, and above a shared operator, whose
+    /// batches must reach its slot, not only this reader. `own_top` says the
+    /// caller is executing `top` itself — inside its slot, if it is shared.
+    fn ending_at(top: &'b PhysNode<'a>, own_top: bool, ctx: &mut ExecCtx) -> Result<Self> {
+        let mut stages = Vec::new();
+        let mut serial = false;
+        let mut cur = top;
+        let source = loop {
+            let unshared = cur.shared.is_none() || (own_top && std::ptr::eq(cur, top));
+            match &cur.logical.kind {
+                NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Flatten { .. }
+                    if unshared =>
+                {
+                    stages.push(cur);
+                    let numbering = Numbering::of(cur)?;
+                    cur = &cur.children[0];
+                    if numbering != Numbering::None {
+                        serial = numbering == Numbering::Counter;
+                        break Source::batches(execute_physical(cur, ctx)?);
+                    }
+                }
+                NodeKind::Scan { .. } if unshared => break Source::Scan(cur),
+                _ => break Source::batches(execute_physical(cur, ctx)?),
+            }
+        };
+        stages.reverse();
+        Ok(Pipeline { source, stages, serial })
+    }
+
+    /// Runs the pipeline as `top`'s: morsels are claimed `top.parallelism` at
+    /// a time, and every batch that leaves the last stage goes to
+    /// `sink(local, batch, ..)`, where `local` belongs to the task that made
+    /// it. A task is one morsel, or — `per_worker` — one of as many
+    /// contiguous morsel ranges as there are workers, so that a sink that
+    /// folds keeps one state per worker. Returns the locals in morsel order.
+    fn run<L: Default + Send>(
+        &self,
+        top: &PhysNode<'_>,
+        ctx: &mut ExecCtx,
+        per_worker: bool,
+        sink: impl Fn(&mut L, Chunk, &mut ExecCtx) -> Result<()> + Sync,
+    ) -> Result<Vec<L>> {
+        let morsels = self.source.morsels();
+        let workers = if self.serial { 1 } else { top.parallelism.min(morsels).max(1) };
+        let tasks = if per_worker { workers.min(morsels) } else { morsels };
+        let clock @ (id, _) = begin_pipeline(ctx);
+        let locals = map_batches(top, tasks, self.serial, ctx, |task, wctx| {
+            let mut local = L::default();
+            for mi in task * morsels / tasks..(task + 1) * morsels / tasks {
+                self.morsel(mi, wctx, &mut |batch, wctx| sink(&mut local, batch, wctx))?;
+            }
+            Ok((local, std::mem::take(&mut wctx.stats)))
+        });
+        for member in &self.stages {
+            member.metrics.set_pipeline(id);
+        }
+        if let Source::Scan(scan) = &self.source {
+            scan.metrics.set_pipeline(id);
+        }
+        end_pipeline(top, clock, morsels, workers);
+        let mut out = Vec::with_capacity(tasks);
+        for (local, stats) in locals? {
+            // Summed in morsel order: exact, whatever the worker count.
+            ctx.stats.merge(&stats);
+            out.push(local);
+        }
+        Ok(out)
+    }
+
+    /// Runs the pipeline into a batch list.
+    fn collect(&self, top: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
+        let lists = self.run(top, ctx, false, |list: &mut Vec<Chunk>, batch, _| {
+            list.push(batch);
+            Ok(())
+        })?;
+        Ok(lists.into_iter().flatten().collect())
+    }
+
+    /// Takes source morsel `mi` through the stages.
+    fn morsel(&self, mi: usize, wctx: &mut ExecCtx, sink: Emit<'_>) -> Result<()> {
+        match &self.source {
+            Source::Scan(scan) => {
+                scan_partition(scan, mi, wctx, &mut |batch, wctx| {
+                    self.push(0, batch, 0, wctx, &mut *sink)
+                })
+            }
+            Source::Batches { cells, bases } => {
+                let batch =
+                    std::mem::take(&mut *cells[mi].lock().unwrap_or_else(PoisonError::into_inner));
+                self.push(0, batch, bases[mi] as i64, wctx, sink)
+            }
+        }
+    }
+
+    /// Takes `batch` through the stages from `si` up and into `sink`, depth
+    /// first: what a stage makes of it goes all the way down before the stage
+    /// makes more. `base` is the global index of the batch's first row in
+    /// the stage's input, for a stage that numbers rows; it is the bottom
+    /// one, and everything above passes 0.
+    fn push(
+        &self,
+        si: usize,
+        batch: Chunk,
+        base: i64,
+        wctx: &mut ExecCtx,
+        sink: Emit<'_>,
+    ) -> Result<()> {
+        if batch.rows == 0 {
+            return Ok(());
+        }
+        let Some(stage) = self.stages.get(si) else { return sink(batch, wctx) };
+        match &stage.logical.kind {
+            NodeKind::Flatten { outer, emit, .. } => {
+                flatten_stage(stage, *outer, emit, batch, wctx, base, &mut |piece, wctx| {
+                    self.push(si + 1, piece, 0, wctx, &mut *sink)
+                })
+            }
+            _ => {
+                let out = stage_batch(stage, batch, wctx, base)?;
+                self.push(si + 1, out, 0, wctx, sink)
+            }
+        }
+    }
+}
+
+/// Reads partition `pi` of a scan and hands it to `emit` in batches of at
+/// most [`BATCH_ROWS`] rows. The worker's [`ScanStats`](crate::storage::ScanStats)
+/// take the accounting; pruned partitions contribute zero bytes.
+fn scan_partition(
+    scan: &PhysNode<'_>,
+    pi: usize,
+    wctx: &mut ExecCtx,
+    emit: Emit<'_>,
+) -> Result<()> {
+    let NodeKind::Scan { table, pushed, materialize } = &scan.logical.kind else {
+        unreachable!("a scan source is a scan node")
+    };
+    let part = &table.partitions()[pi];
+    let op = scan.op_name();
+    wctx.stats.partitions_total += 1;
+    // Zone-map pruning: skip the partition when any pushed predicate
+    // proves no row can match.
+    let prunable = pushed
+        .iter()
+        .any(|p| part.zone_map(p.col).is_some_and(|zm| !zm.may_match(p.cmp, &p.lit)));
+    if prunable {
+        wctx.stats.partitions_pruned += 1;
+        for (i, m) in materialize.iter().enumerate() {
+            if *m {
+                wctx.stats.bytes_skipped += part.column_bytes(i);
+            }
+        }
+        return Ok(());
+    }
+    wctx.stats.partitions_scanned += 1;
+    wctx.stats.rows_scanned += part.row_count() as u64;
+    // Materialize the surviving columns through the scan source:
+    // in-memory partitions hand back shared column vectors, disk
+    // partitions lazily read exactly the projected blocks (through
+    // the buffer cache), so skipped columns cost zero file bytes.
+    let before = wctx.stats.bytes_scanned;
+    let mut data: Vec<Option<Arc<ColumnVec>>> = vec![None; table.schema().len()];
+    for (i, m) in materialize.iter().enumerate() {
+        if *m {
+            let read = part.read_column_governed(i, &wctx.gov, &op)?;
+            wctx.stats.record_read(&read);
+            data[i] = Some(read.data);
+        } else {
+            wctx.stats.columns_skipped += 1;
+            wctx.stats.bytes_skipped += part.column_bytes(i);
+        }
+    }
+    wctx.gov.charge_scanned(wctx.stats.bytes_scanned - before, &op)?;
+    let n = part.row_count();
+    let mut lo = 0usize;
+    while lo < n {
+        wctx.gov.checkpoint(&op)?;
+        let start = Instant::now();
+        let hi = (lo + BATCH_ROWS).min(n);
+        // A batch is a slice of the stored columns: encoded blocks
+        // stay encoded for the kernels unless the query runs decoded
+        // — the reference the encoded path must match bit for bit.
+        // Unreferenced columns are never read; a NULL run keeps
+        // positional addressing intact.
+        let cols: Vec<ColumnVec> = data
+            .iter()
+            .map(|src| {
+                let Some(col) = src else { return ColumnVec::Null(hi - lo) };
+                let mut col = col.slice(lo, hi);
+                if !wctx.encode {
+                    col.decode_in_place();
+                }
+                col
+            })
+            .collect();
+        let batch = Chunk { cols, rows: hi - lo };
+        scan.metrics.record_batch(0, batch.rows as u64, start.elapsed());
+        charge_batch(scan, wctx, &op, &batch)?;
+        emit(batch, wctx)?;
+        lo = hi;
+    }
+    Ok(())
+}
+
+/// One batch through a filter or a projection. `base` is the global index of
 /// the batch's first row in the operator's input: a projection's `SEQ8()`
-/// base and a flatten's `SEQ` base (fused stages are pure and pass 0).
-fn stage_batch(p: &PhysNode<'_>, inp: &Chunk, ctx: &mut ExecCtx, base: i64) -> Result<Chunk> {
+/// base. The stage owns its input, so what it only passes on is moved, not
+/// copied.
+fn stage_batch(p: &PhysNode<'_>, mut inp: Chunk, ctx: &mut ExecCtx, base: i64) -> Result<Chunk> {
     let op = op_tag(p);
     ctx.gov.checkpoint(op)?;
     let start = Instant::now();
     let (dag, cell) = (p.dag()?, Some(&p.metrics));
+    let rows_in = inp.rows as u64;
     let out = match &p.logical.kind {
         NodeKind::Filter { .. } => {
-            let mask = eval_exprs(dag, inp, ctx, None, cell);
-            // A value that is no boolean raises at its row, which comes
-            // before the row the mask ends at.
-            let keep = mask_keep(&mask.cols[0])?;
-            if let Some(e) = mask.err {
-                return Err(e);
+            let keep = {
+                let mask = eval_exprs(dag, &inp, ctx, None, cell);
+                // A value that is no boolean raises at its row, which comes
+                // before the row the mask ends at.
+                let keep = mask_keep(&mask.cols[0])?;
+                if let Some(e) = mask.err {
+                    return Err(e);
+                }
+                keep
+            };
+            if keep.len() == inp.rows {
+                inp
+            } else {
+                Chunk { cols: inp.cols.iter().map(|c| c.gather(&keep)).collect(), rows: keep.len() }
             }
-            Chunk { cols: inp.cols.iter().map(|c| c.gather(&keep)).collect(), rows: keep.len() }
         }
         NodeKind::Project { .. } => {
-            let cols = eval_exprs(dag, inp, ctx, Some(base), cell).complete()?;
-            Chunk { cols: cols.into_iter().map(Cow::into_owned).collect(), rows: inp.rows }
+            let cols = eval_exprs(dag, &inp, ctx, Some(base), cell).complete()?;
+            // A root the evaluator answered with an input column itself (a
+            // bare `#i`) is that column's index; the last root to read a
+            // column takes it.
+            let picks: Vec<std::result::Result<ColumnVec, usize>> = cols
+                .into_iter()
+                .map(|c| match c {
+                    Cow::Owned(col) => Ok(col),
+                    Cow::Borrowed(col) => inp
+                        .cols
+                        .iter()
+                        .position(|held| std::ptr::eq(held, col))
+                        .map_or_else(|| Ok(col.clone()), Err),
+                })
+                .collect();
+            let mut readers = vec![0u32; inp.cols.len()];
+            for &i in picks.iter().filter_map(|pick| pick.as_ref().err()) {
+                readers[i] += 1;
+            }
+            let cols = picks
+                .into_iter()
+                .map(|pick| {
+                    pick.unwrap_or_else(|i| {
+                        readers[i] -= 1;
+                        match readers[i] {
+                            0 => std::mem::take(&mut inp.cols[i]),
+                            _ => inp.cols[i].clone(),
+                        }
+                    })
+                })
+                .collect();
+            Chunk { cols, rows: inp.rows }
         }
-        NodeKind::Flatten { outer, emit, .. } => {
-            let src = eval_exprs(dag, inp, ctx, None, cell).complete()?;
-            flatten_batch(&src[0], *outer, emit, inp, base)
-        }
-        _ => unreachable!("streaming operators are filters, projections and flattens"),
+        _ => unreachable!("a flatten has its own step; other operators are no stages"),
     };
-    p.metrics.record_batch(inp.rows as u64, out.rows as u64, start.elapsed());
+    p.metrics.record_batch(rows_in, out.rows as u64, start.elapsed());
     charge_batch(p, ctx, op, &out)?;
     Ok(out)
 }
 
-/// Runs a streaming operator over the batch list of its input. Batches map
-/// in parallel — a projection numbers `SEQ8()` from each batch's row base, so
-/// its ids are those of serial row order — unless a filter predicate or a
-/// flatten input is volatile: those read one counter, batch after batch.
-fn exec_stream(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
-    let input = execute_physical(&p.children[0], ctx)?;
-    let bases = row_bases(&input);
-    let threaded =
-        p.dag()?.is_volatile() && !matches!(p.logical.kind, NodeKind::Project { .. });
-    let batches = map_batches(p, input.len(), threaded, ctx, |bi, wctx| {
-        stage_batch(p, &input[bi], wctx, bases[bi] as i64)
-    })?;
-    Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
+/// One batch through a flatten: its output goes to `emit` in pieces of at
+/// most [`BATCH_ROWS`] rows, each as soon as it is made, so the blown-up
+/// batch never exists whole. `base` is the global index of the batch's first
+/// row in the flatten's input, the base of the `SEQ` column.
+fn flatten_stage(
+    p: &PhysNode<'_>,
+    outer: bool,
+    emit_cols: &[bool; 5],
+    inp: Chunk,
+    ctx: &mut ExecCtx,
+    base: i64,
+    emit: Emit<'_>,
+) -> Result<()> {
+    let op = op_tag(p);
+    ctx.gov.checkpoint(op)?;
+    let mut start = Instant::now();
+    let src = eval_exprs(p.dag()?, &inp, ctx, None, Some(&p.metrics)).complete()?;
+    let mut pieces = FlattenPieces::new(&src[0], outer, *emit_cols, &inp, base);
+    let mut rows_in = inp.rows as u64;
+    for piece in &mut pieces {
+        p.metrics.record_batch(rows_in, piece.rows as u64, start.elapsed());
+        rows_in = 0;
+        charge_batch(p, ctx, op, &piece)?;
+        emit(piece, ctx)?;
+        ctx.gov.checkpoint(op)?;
+        start = Instant::now();
+    }
+    if rows_in > 0 {
+        p.metrics.record_batch(rows_in, 0, start.elapsed());
+    }
+    Ok(())
 }
 
-/// Flattens one batch whose flatten input evaluated to `src`. `row_base` is
-/// the global index of the batch's first row; the emitted `SEQ` column
-/// carries `row_base + r`, the parent row's index in the whole flatten input.
-/// `emit` says which of the five appended columns (VALUE, INDEX, KEY, SEQ,
-/// THIS) are read; the rest come out as all-NULL columns.
-fn flatten_batch(
-    src: &ColumnVec,
-    outer: bool,
-    emit: &[bool; 5],
-    inp: &Chunk,
+/// The output of flattening one batch, cut into pieces.
+struct FlattenPieces<'c> {
+    /// The flatten input, one value per input row.
+    vals: Cow<'c, [Variant]>,
+    /// Output rows each input row expands to.
+    fan_out: Vec<usize>,
+    inp: &'c Chunk,
+    /// Which of the five appended columns (VALUE, INDEX, KEY, SEQ, THIS) are
+    /// read; the rest come out as all-NULL columns.
+    emit: [bool; 5],
     row_base: i64,
-) -> Chunk {
-    // One pass over the source fixes the output cardinality: `repeat[j]` is
-    // the input row behind output row `j`. The appended columns fill in the
-    // same pass; every input column is then one typed gather.
-    let [want_value, want_index, want_key, want_seq, want_this] = *emit;
-    let mut repeat: Vec<usize> = Vec::new();
-    let mut value = ColumnVec::new();
-    let mut index = ColumnVec::new();
-    let mut key = ColumnVec::new();
-    let mut this = ColumnVec::new();
-    for r in 0..inp.rows {
-        // Boxed source rows are read in place; only their items are cloned.
-        let held;
-        let v = match src {
-            ColumnVec::Var(vals) => &vals[r],
-            col => {
-                held = col.get(r);
-                &held
-            }
+    /// Output rows not yet handed out.
+    remaining: usize,
+    /// The next output row: item `item` of input row `row`.
+    row: usize,
+    item: usize,
+}
+
+impl<'c> FlattenPieces<'c> {
+    /// A first pass over the source sizes the output: an array or object
+    /// expands to its items, anything else to one NULL row if `outer`.
+    fn new(src: &'c ColumnVec, outer: bool, emit: [bool; 5], inp: &'c Chunk, row_base: i64) -> Self {
+        let vals: Cow<'c, [Variant]> = match src {
+            ColumnVec::Var(vals) => Cow::Borrowed(vals),
+            typed => Cow::Owned((0..typed.len()).map(|r| typed.get(r)).collect()),
         };
-        let before = repeat.len();
-        match v {
-            Variant::Array(items) if !items.is_empty() => {
-                for (i, item) in items.iter().enumerate() {
-                    repeat.push(r);
+        let fan_out: Vec<usize> = vals
+            .iter()
+            .map(|v| match v {
+                Variant::Array(items) if !items.is_empty() => items.len(),
+                Variant::Object(obj) if !obj.is_empty() => obj.len(),
+                _ => usize::from(outer),
+            })
+            .collect();
+        let remaining = fan_out.iter().sum();
+        FlattenPieces { vals, fan_out, inp, emit, row_base, remaining, row: 0, item: 0 }
+    }
+}
+
+impl Iterator for FlattenPieces<'_> {
+    type Item = Chunk;
+
+    /// The next at most [`BATCH_ROWS`] output rows. `repeat[j]` is the input
+    /// row behind output row `j` of the piece: every input column is one
+    /// typed gather, `SEQ` the same indices from `row_base`, `INDEX` a ramp
+    /// per array, and `VALUE` the items cloned into a vector sized up front.
+    fn next(&mut self) -> Option<Chunk> {
+        let n = self.remaining.min(BATCH_ROWS);
+        if n == 0 {
+            return None;
+        }
+        self.remaining -= n;
+        let [want_value, want_index, want_key, want_seq, want_this] = self.emit;
+        let mut repeat: Vec<usize> = Vec::with_capacity(n);
+        let room = |wanted: bool| if wanted { n } else { 0 };
+        let mut value: Vec<Variant> = Vec::with_capacity(room(want_value));
+        // (ramp, whether the row has an index at all: array items do)
+        let mut index: (Vec<i64>, Vec<bool>) =
+            (Vec::with_capacity(room(want_index)), Vec::with_capacity(room(want_index)));
+        let mut key = ColumnVec::new();
+        let mut this = ColumnVec::new();
+        while repeat.len() < n {
+            let v = &self.vals[self.row];
+            let take = (self.fan_out[self.row] - self.item).min(n - repeat.len());
+            let (lo, hi) = (self.item, self.item + take);
+            repeat.extend(std::iter::repeat_n(self.row, take));
+            match v {
+                _ if take == 0 => {}
+                Variant::Array(items) if !items.is_empty() => {
                     if want_value {
-                        value.push(item.clone());
+                        value.extend_from_slice(&items[lo..hi]);
                     }
                     if want_index {
-                        index.push(Variant::Int(i as i64));
+                        index.0.extend(lo as i64..hi as i64);
+                        index.1.extend(std::iter::repeat_n(true, take));
+                    }
+                    key.push_nulls(take);
+                }
+                Variant::Object(obj) if !obj.is_empty() => {
+                    for (k, val) in obj.iter().skip(lo).take(take) {
+                        if want_value {
+                            value.push(val.clone());
+                        }
+                        if want_key {
+                            key.push(Variant::from(k));
+                        }
+                    }
+                    if want_index {
+                        index.0.extend(std::iter::repeat_n(0, take));
+                        index.1.extend(std::iter::repeat_n(false, take));
                     }
                 }
-                key.push_nulls(items.len());
-            }
-            Variant::Object(obj) if !obj.is_empty() => {
-                for (k, val) in obj.iter() {
-                    repeat.push(r);
+                // The one NULL row of OUTER.
+                _ => {
                     if want_value {
-                        value.push(val.clone());
+                        value.push(Variant::Null);
                     }
-                    if want_key {
-                        key.push(Variant::from(k));
+                    if want_index {
+                        index.0.push(0);
+                        index.1.push(false);
                     }
+                    key.push_null();
                 }
-                index.push_nulls(obj.len());
             }
-            _ if outer => {
-                repeat.push(r);
-                value.push_null();
-                index.push_null();
-                key.push_null();
+            if want_this {
+                for _ in 0..take {
+                    this.push(v.clone());
+                }
             }
-            _ => {}
-        }
-        if want_this {
-            for _ in before..repeat.len() {
-                this.push(v.clone());
+            self.item = hi;
+            if self.item == self.fan_out[self.row] {
+                (self.row, self.item) = (self.row + 1, 0);
             }
         }
-    }
-    let n = repeat.len();
-    let mut cols: Vec<ColumnVec> = inp.cols.iter().map(|c| c.gather(&repeat)).collect();
-    let mut seq = ColumnVec::new();
-    if want_seq {
-        for &r in &repeat {
-            seq.push(Variant::Int(row_base + r as i64));
+        let mut cols: Vec<ColumnVec> = self.inp.cols.iter().map(|c| c.gather(&repeat)).collect();
+        // Nested items stay boxed; scalar items get their typed column.
+        let nested = |v: &Variant| matches!(v, Variant::Array(_) | Variant::Object(_));
+        let value = match value.iter().find(|v| !v.is_null()) {
+            Some(v) if !nested(v) => ColumnVec::from_variants(value),
+            _ => ColumnVec::Var(value),
+        };
+        let index = match index {
+            (_, has) if !has.contains(&true) => ColumnVec::Null(n),
+            (vals, has) if !has.contains(&false) => ColumnVec::Int { vals, valid: Bitmap::ones(n) },
+            (vals, has) => ColumnVec::Int { vals, valid: Bitmap::from_fn(n, |j| has[j]) },
+        };
+        let seq = match want_seq {
+            true => ColumnVec::Int {
+                vals: repeat.iter().map(|&r| self.row_base + r as i64).collect(),
+                valid: Bitmap::ones(n),
+            },
+            false => ColumnVec::Null(n),
+        };
+        for (col, wanted) in [value, index, key, seq, this].into_iter().zip(self.emit) {
+            cols.push(if wanted { col } else { ColumnVec::Null(n) });
         }
+        Some(Chunk { cols, rows: n })
     }
-    for (col, wanted) in [value, index, key, seq, this].into_iter().zip(emit) {
-        cols.push(if *wanted { col } else { ColumnVec::Null(n) });
-    }
-    Chunk { cols, rows: n }
 }
 
 // ---------------------------------------------------------------------------
@@ -954,9 +1270,9 @@ impl AggState {
     }
 }
 
-/// True when per-batch partial states of this kind merge to the exact serial
-/// result. `SUM`/`AVG` are excluded: float addition is not associative, so
-/// only a serial fold in row order is bit-reproducible.
+/// True when partial states of this kind merge to the exact serial result.
+/// `SUM`/`AVG` are excluded: float addition is not associative, so only a
+/// serial fold in row order is bit-reproducible.
 fn exactly_mergeable(kind: AggKind) -> bool {
     !matches!(kind, AggKind::Sum | AggKind::Avg)
 }
@@ -967,40 +1283,42 @@ fn exec_aggregate(
     aggs: &[AggExpr],
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Chunk>> {
-    let input = execute_physical(&p.children[0], ctx)?;
     let dag = p.dag()?;
-    let in_rows = total_rows(&input) as u64;
-    p.metrics.add_rows_in(in_rows);
-    p.metrics.peak(in_rows);
-    let start = Instant::now();
-
-    let single = groups.len() == 1;
-    let parallel = !dag.is_volatile()
-        && aggs.iter().all(|a| exactly_mergeable(a.kind))
-        && p.parallelism > 1
-        && input.len() > 1;
-
-    let mut state = if parallel {
-        // Thread-local partial aggregation per batch, merged at the barrier
-        // in batch order so group order and tie-breaks match serial.
-        let partials = map_batches(p, input.len(), false, ctx, |bi, wctx| {
-            let mut st = AggState::default();
-            st.fold_batch(dag, groups.len(), aggs, &input[bi], wctx, &p.metrics)?;
-            Ok(st)
-        })?;
-        let mut merged = AggState::default();
+    let fold = |state: &mut AggState, batch: Chunk, wctx: &mut ExecCtx| {
+        wctx.gov.checkpoint("Aggregate")?;
+        let start = Instant::now();
+        let folded = state.fold_batch(dag, groups.len(), aggs, &batch, wctx, &p.metrics);
+        p.metrics.add_rows_in(batch.rows as u64);
+        p.metrics.add_busy(start.elapsed());
+        folded
+    };
+    let mut state = if !dag.is_volatile() && aggs.iter().all(|a| exactly_mergeable(a.kind)) {
+        // The aggregate is the sink of the pipeline below it: one partial
+        // state per worker over a contiguous range of morsels, merged in
+        // range order so group order and tie-breaks match serial.
+        let partials = Pipeline::ending_at(&p.children[0], false, ctx)?.run(p, ctx, true, fold)?;
+        let start = Instant::now();
+        let mut partials = partials.into_iter();
+        let mut merged = partials.next().unwrap_or_default();
         for partial in partials {
-            merged.merge(partial, single)?;
+            merged.merge(partial, groups.len() == 1)?;
         }
+        p.metrics.add_busy(start.elapsed());
         merged
     } else {
-        let mut st = AggState::default();
-        for c in &input {
-            ctx.gov.checkpoint("Aggregate")?;
-            st.fold_batch(dag, groups.len(), aggs, c, ctx, &p.metrics)?;
+        // One state, batch after batch on this thread: in row order for
+        // `SUM`/`AVG`, through the caller's counter for a volatile argument.
+        let input = execute_physical(&p.children[0], ctx)?;
+        let clock = begin_pipeline(ctx);
+        let mut state = AggState::default();
+        let morsels = input.len();
+        for batch in input {
+            fold(&mut state, batch, ctx)?;
         }
-        st
+        end_pipeline(p, clock, morsels, 1);
+        state
     };
+    let start = Instant::now();
 
     // Global aggregation over zero rows still yields one row.
     if groups.is_empty() && state.states.is_empty() {
@@ -1018,11 +1336,13 @@ fn exec_aggregate(
             cols[groups.len() + j].push(acc.finish());
         }
     }
-    p.metrics.add_busy(start.elapsed());
     let out = Chunk { cols, rows: n_out };
     charge_batch(p, ctx, "Aggregate", &out)?;
-    let batches = split_into_batches(out);
+    let batches = split_into_morsels(out);
     p.metrics.add_output(n_out as u64, batches.len() as u64);
+    let emitting = start.elapsed();
+    p.metrics.add_busy(emitting);
+    p.metrics.add_pipeline_wall(emitting);
     Ok(batches)
 }
 
@@ -1038,12 +1358,13 @@ fn exec_join(
     else {
         return Err(SnowError::internal(p.op_name(), "the join was lowered without its keys"));
     };
+    let clock = begin_pipeline(ctx);
+    let start = clock.1;
     let ra = batches_arity(&r_batches, &p.children[1]);
     let l_rows = total_rows(&l_batches) as u64;
     let r_rows = total_rows(&r_batches) as u64;
     p.metrics.add_rows_in(l_rows + r_rows);
     p.metrics.peak(l_rows + r_rows);
-    let start = Instant::now();
 
     // The build side is materialized whole for O(1) row addressing.
     let r = concat_batches(r_batches, ra);
@@ -1132,6 +1453,7 @@ fn exec_join(
         Ok(out)
     })?;
     p.metrics.add_busy(start.elapsed());
+    end_pipeline(p, clock, l_batches.len(), if volatile { 1 } else { p.parallelism });
     Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
 }
 
@@ -1149,10 +1471,11 @@ fn join_key(kcols: &[Cow<'_, ColumnVec>], r: usize, key: &mut Vec<Key>) -> bool 
 fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
     let dag = p.dag()?;
+    let clock = begin_pipeline(ctx);
+    let start = clock.1;
     let in_rows = total_rows(&input);
     p.metrics.add_rows_in(in_rows as u64);
     p.metrics.peak(in_rows as u64);
-    let start = Instant::now();
 
     // Key evaluation parallelizes per batch (volatile keys read one counter,
     // batch after batch); each result is key-major.
@@ -1201,6 +1524,7 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         Ok(out)
     })?;
     p.metrics.add_busy(start.elapsed());
+    end_pipeline(p, clock, input.len(), p.parallelism);
     Ok(batches)
 }
 
@@ -1210,7 +1534,8 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
 
 fn exec_limit(p: &PhysNode<'_>, n: u64, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
-    let start = Instant::now();
+    let clock = begin_pipeline(ctx);
+    let morsels = input.len();
     let mut remaining = n as usize;
     let mut out = Vec::new();
     for mut c in input {
@@ -1229,14 +1554,15 @@ fn exec_limit(p: &PhysNode<'_>, n: u64, ctx: &mut ExecCtx) -> Result<Vec<Chunk>>
         p.metrics.add_output(c.rows as u64, 1);
         out.push(c);
     }
-    p.metrics.add_busy(start.elapsed());
+    p.metrics.add_busy(clock.1.elapsed());
+    end_pipeline(p, clock, morsels, 1);
     Ok(out)
 }
 
 fn exec_union(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let mut l = execute_physical(&p.children[0], ctx)?;
     let r = execute_physical(&p.children[1], ctx)?;
-    let start = Instant::now();
+    let clock = begin_pipeline(ctx);
     ctx.gov.checkpoint("UnionAll")?;
     if batches_arity(&l, &p.children[0]) != batches_arity(&r, &p.children[1]) {
         return Err(SnowError::Exec("UNION ALL arity mismatch".into()));
@@ -1245,13 +1571,14 @@ fn exec_union(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     l.extend(r);
     p.metrics.add_rows_in(rows);
     p.metrics.add_output(rows, l.len() as u64);
-    p.metrics.add_busy(start.elapsed());
+    p.metrics.add_busy(clock.1.elapsed());
+    end_pipeline(p, clock, l.len(), 1);
     Ok(l)
 }
 
 fn exec_distinct(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
-    let start = Instant::now();
+    let clock = begin_pipeline(ctx);
     let in_rows = total_rows(&input) as u64;
     p.metrics.add_rows_in(in_rows);
     p.metrics.peak(in_rows);
@@ -1279,7 +1606,8 @@ fn exec_distinct(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     }
     let out_rows: u64 = out.iter().map(|c| c.rows as u64).sum();
     p.metrics.add_output(out_rows, out.len() as u64);
-    p.metrics.add_busy(start.elapsed());
+    p.metrics.add_busy(clock.1.elapsed());
+    end_pipeline(p, clock, input.len(), 1);
     Ok(out)
 }
 

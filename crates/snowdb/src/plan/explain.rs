@@ -24,11 +24,21 @@ pub fn explain(node: &Node) -> String {
 /// snapshot of the physical plan lowered from `node`), so the two are walked
 /// in lockstep. Estimated rows print next to measured ones so estimation
 /// error is visible per operator. A shared subtree carries its metrics at the
-/// site that executed it — the tagged one.
+/// site that executed it — the tagged one. Below the tree comes one line per
+/// pipeline (`pipe=` on the operator lines), named after the operator it ends
+/// at: operators inside a pipeline have no barrier of their own, so their
+/// `time=` — busy time summed across workers — reads against that wall clock.
 pub fn explain_analyze(node: &Node, metrics: &OpMetrics) -> String {
     let ests = cost::estimate_map(node);
     let mut out = String::new();
     walk(node, 0, Some(metrics), &ests, &mut HashSet::new(), &mut out);
+    for (id, top, run) in metrics.pipelines() {
+        let _ = writeln!(
+            out,
+            "-- pipeline {id} ({top}): wall={:.3?} morsels={} workers={}",
+            run.wall, run.morsels, run.workers
+        );
+    }
     out
 }
 

@@ -135,14 +135,15 @@ fn lower_node<'a>(
             (false, threads.min(table.partitions().len().max(1)))
         }
         NodeKind::Values => (false, 1),
-        // Filters and projections map over batches. Volatile projections
-        // (SEQ8) still parallelize: the executor assigns each batch its
-        // deterministic counter base from a prefix sum over the input.
+        // Filters and projections are stages of a pipeline. Volatile
+        // projections (SEQ8) still parallelize: the executor assigns each
+        // morsel its deterministic counter base from a prefix sum over the
+        // materialized input.
         NodeKind::Project { .. } | NodeKind::Filter { .. } => (false, threads),
         NodeKind::Flatten { .. } => (false, threads),
-        // Pipeline breakers: thread-local partial states merged at the
-        // barrier (aggregate), build + parallel probe (join), parallel key
-        // evaluation then a global merge (sort).
+        // Pipeline breakers: one partial state per worker of the pipeline
+        // below, merged in order (aggregate), build + parallel probe (join),
+        // parallel key evaluation then a global merge (sort).
         NodeKind::Aggregate { .. } | NodeKind::Join { .. } | NodeKind::Sort { .. } => {
             (true, threads)
         }

@@ -143,25 +143,29 @@ where
     let collected: Mutex<Vec<(usize, Result<R, E>)>> =
         Mutex::new(Vec::with_capacity(total));
     let workers = threads.min(total);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                while !aborted.load(Ordering::Relaxed) {
-                    let Some(i) = dispatcher.claim() else { break };
-                    if let Err(e) = gate() {
-                        aborted.store(true, Ordering::Relaxed);
-                        let mut slot = gate_error.lock().unwrap_or_else(|p| p.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        break;
-                    }
-                    local.push((i, run(i)));
+    let worker = || {
+        let mut local = Vec::new();
+        while !aborted.load(Ordering::Relaxed) {
+            let Some(i) = dispatcher.claim() else { break };
+            if let Err(e) = gate() {
+                aborted.store(true, Ordering::Relaxed);
+                let mut slot = gate_error.lock().unwrap_or_else(|p| p.into_inner());
+                if slot.is_none() {
+                    *slot = Some(e);
                 }
-                collected.lock().unwrap_or_else(|p| p.into_inner()).extend(local);
-            });
+                break;
+            }
+            local.push((i, run(i)));
         }
+        collected.lock().unwrap_or_else(|p| p.into_inner()).extend(local);
+    };
+    // The calling thread is one of the workers: it would only wait for them,
+    // and a pipeline of a few morsels saves one spawn and one wake-up.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
     });
     if let Some(e) = gate_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);

@@ -266,6 +266,69 @@ fn memory_budget_trips_deterministically_across_thread_counts() {
     }
 }
 
+/// One row whose 1000-item array is flattened against itself three times:
+/// a single morsel that would take a pipeline through 10^9 rows.
+fn deep_pipeline_db() -> (Arc<Database>, &'static str) {
+    let d = Database::new();
+    d.load_table(
+        "one",
+        vec![ColumnDef::new("ARR", ColumnType::Variant)],
+        [vec![Variant::Array((0..1000).map(Variant::Int).collect::<Vec<_>>().into())]],
+    )
+    .unwrap();
+    (
+        Arc::new(d),
+        "SELECT COUNT(*) FROM one, LATERAL FLATTEN(INPUT => arr) a, \
+         LATERAL FLATTEN(INPUT => arr) b, LATERAL FLATTEN(INPUT => arr) c \
+         WHERE a.value + b.value + c.value < 0",
+    )
+}
+
+/// A pipeline checks the governor once per stage and piece, not once per
+/// morsel: cancelling in the middle of one morsel that never ends is prompt
+/// and typed, and a memory budget trips within the piece that crosses it.
+#[test]
+fn a_trip_in_the_middle_of_a_long_pipeline_arrives_within_one_piece() {
+    install_chaos_hook();
+    let (db, sql) = deep_pipeline_db();
+    for threads in [1usize, 4] {
+        let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+        let gov = Arc::new(QueryGovernor::unbounded());
+        let worker = {
+            let (db, gov) = (db.clone(), gov.clone());
+            std::thread::spawn(move || db.query_governed(sql, &opts, gov).map_err(Box::new))
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        gov.cancel();
+        let cancelled_at = Instant::now();
+        let failure = worker
+            .join()
+            .expect("query thread must not panic")
+            .expect_err("10^9 rows do not finish in 100 ms");
+        assert!(
+            matches!(failure.error, SnowError::Cancelled { .. }),
+            "threads={threads}: expected Cancelled, got {:?}",
+            failure.error
+        );
+        let latency = cancelled_at.elapsed();
+        assert!(latency < Duration::from_secs(2), "threads={threads}: cancelling took {latency:?}");
+
+        let limit = 256 << 20;
+        let gov = Arc::new(QueryGovernor::unbounded().with_memory_limit(limit));
+        let failure = db.query_governed(sql, &opts, gov).unwrap_err();
+        match failure.error {
+            SnowError::ResourceExhausted(ref t) => {
+                assert_eq!((t.resource.as_str(), t.limit), ("memory", limit));
+                // The charge that crossed the limit was one piece's.
+                let metrics = failure.partial_metrics.as_ref().expect("partial metrics");
+                let piece = metrics.operators().iter().map(|(_, m)| m.peak_mem_bytes).max().unwrap();
+                assert!(t.used - limit <= piece, "threads={threads}: {} over by more than {piece}", t.used);
+            }
+            ref other => panic!("threads={threads}: expected ResourceExhausted, got {other:?}"),
+        }
+    }
+}
+
 /// Injected faults never leave the governor's accounting poisoned: after a
 /// chaotic run the same database executes a governed query that stays within
 /// budget.

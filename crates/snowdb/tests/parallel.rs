@@ -207,6 +207,11 @@ fn explain_analyze_reports_operator_metrics() {
     assert!(rendered.contains("rows="), "{rendered}");
     assert!(rendered.contains("batches="), "{rendered}");
     assert!(rendered.contains("8/10 partitions"), "{rendered}");
+    // Scan, filter, projection and aggregate ran as one pipeline, which has
+    // its own line: a wall clock to read the summed busy times against.
+    assert_eq!(rendered.matches(" pipe=1]").count(), rendered.matches("[rows=").count(), "{rendered}");
+    assert!(rendered.contains("-- pipeline 1 (Aggregate): wall="), "{rendered}");
+    assert!(rendered.contains(" morsels=10 workers=4\n"), "{rendered}");
 
     // The metrics tree on the profile mirrors the same run.
     let r = db.query("SELECT x % 7 AS g, COUNT(*) AS c FROM t WHERE x >= 20 GROUP BY x % 7").unwrap();
@@ -337,7 +342,7 @@ mod producers {
     /// s::INT` divides by zero on the rows in `zero_k` and fails its cast on
     /// the rows in `bad_s`; `AVG(v)` fails in its accumulator on the rows in
     /// `bad_v`, `BOOLAND_AGG(b)` on the rows in `bad_b`.
-    fn table(zero_k: &[i64], bad_s: &[i64], bad_v: &[i64], bad_b: &[i64]) -> Database {
+    pub fn table(zero_k: &[i64], bad_s: &[i64], bad_v: &[i64], bad_b: &[i64]) -> Database {
         let db = Database::new();
         db.load_table_with_partition_rows(
             "t",
@@ -368,7 +373,7 @@ mod producers {
     /// Runs `sql` under `vectorize` on/off x threads 1/2/8 and returns the
     /// one outcome all six agree on: `Debug`-identical rows or equal error
     /// text.
-    fn agreed(db: &Database, sql: &str, optimize: bool) -> Result<Vec<Vec<Variant>>, String> {
+    pub fn agreed(db: &Database, sql: &str, optimize: bool) -> Result<Vec<Vec<Variant>>, String> {
         let mut outcomes = Vec::new();
         for vectorize in [true, false] {
             for threads in [1, 2, 8] {
@@ -591,6 +596,118 @@ mod producers {
             let rows = agreed(&db, "SELECT SUM(SEQ8()), MAX(id - SEQ8()) FROM t", optimize).unwrap();
             // Two calls per row: 2r and 2r + 1.
             assert_eq!(rows, [[Variant::Int(ROWS * (ROWS - 1)), Variant::Int(-1)]]);
+        }
+    }
+}
+
+/// The contracts of the pipeline driver: a chain of filters, projections and
+/// flattens runs to its breaker morsel by morsel, piece by piece.
+mod pipelines {
+    use super::producers::{agreed, table};
+    use snowdb::exec::pipeline::BATCH_ROWS;
+    use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::{Database, OpMetrics, QueryOptions, Variant};
+
+    /// `FLATTEN -> FILTER -> Project(SEQ8()) -> FLATTEN(SEQ) -> GROUP BY`: two
+    /// stages number rows from a prefix sum, so each starts a pipeline of its
+    /// own, and the aggregate folds the last one per worker. Rows, group
+    /// order and `ARRAY_AGG` order are those of one thread, optimizer on or
+    /// off, under either producer.
+    #[test]
+    fn numbered_rows_through_two_flattens_are_identical_at_any_thread_count() {
+        let db = table(&[], &[], &[], &[]);
+        let sql = "SELECT g.seq % 7 AS k, COUNT(*) AS n, MIN(u.rid) AS lo, MAX(g.value + u.v) AS hi, \
+                          ARRAY_AGG(g.index + u.rid) AS ix \
+                   FROM (SELECT SEQ8() AS rid, id, f.value AS v, arr \
+                         FROM t, LATERAL FLATTEN(INPUT => arr) f WHERE f.value % 3 <> 0) u, \
+                        LATERAL FLATTEN(INPUT => u.arr) g \
+                   GROUP BY g.seq % 7";
+        let rows = agreed(&db, sql, true).unwrap();
+        assert_eq!(agreed(&db, sql, false).unwrap(), rows);
+        // 640 flattened values, 427 of them not divisible by 3, two items each.
+        assert_eq!(rows.len(), 7);
+        assert_eq!(rows.iter().map(|r| r[1].as_i64().unwrap()).sum::<i64>(), 854);
+        // Group `k` is first seen at `rid = k`; the second flatten's SEQ is
+        // that row number again.
+        for (k, row) in rows.iter().enumerate() {
+            assert_eq!((&row[0], &row[2]), (&Variant::Int(k as i64), &Variant::Int(k as i64)));
+        }
+    }
+
+    /// `E` over the rows of a LIMIT: the morsels are its 64-row batches.
+    const LIMITED: &str = "(SELECT * FROM t LIMIT 1000)";
+
+    #[test]
+    fn two_failing_stages_report_the_lowest_morsel_then_the_upstream_stage() {
+        let sql = format!("SELECT id, s::INT AS n FROM {LIMITED} WHERE 100 / k > 0");
+        for optimize in [true, false] {
+            // The projection fails in morsel 1, the filter below it in morsel
+            // 3: the lowest morsel wins, not the upstream operator.
+            let err = agreed(&table(&[200], &[70], &[], &[]), &sql, optimize).unwrap_err();
+            assert!(!err.contains("division by zero"), "optimize={optimize}: {err}");
+            let err = agreed(&table(&[70], &[200], &[], &[]), &sql, optimize).unwrap_err();
+            assert!(err.contains("division by zero"), "optimize={optimize}: {err}");
+            // Both in morsel 1: the filter sees the whole batch first, so its
+            // later row beats the projection's earlier one.
+            let err = agreed(&table(&[100], &[70], &[], &[]), &sql, optimize).unwrap_err();
+            assert!(err.contains("division by zero"), "optimize={optimize}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_accumulator_error_in_an_earlier_morsel_beats_a_stage_error_in_a_later_one() {
+        let sql = format!(
+            "SELECT BOOLAND_AGG(b) FROM (SELECT b, 100 / k AS e FROM {LIMITED}) WHERE e >= 0"
+        );
+        for optimize in [true, false] {
+            let err = agreed(&table(&[200], &[], &[], &[70]), &sql, optimize).unwrap_err();
+            assert!(err.contains("BOOLAND_AGG expects booleans"), "optimize={optimize}: {err}");
+            let err = agreed(&table(&[70], &[], &[], &[200]), &sql, optimize).unwrap_err();
+            assert!(err.contains("division by zero"), "optimize={optimize}: {err}");
+            // In one morsel the stage is upstream of the fold.
+            let err = agreed(&table(&[100], &[], &[], &[70]), &sql, optimize).unwrap_err();
+            assert!(err.contains("division by zero"), "optimize={optimize}: {err}");
+        }
+    }
+
+    /// The ADL q6 shape: three flattens of one array with filters between. A
+    /// partition blows up to 48 * 12^3 rows, and no stage ever holds more
+    /// than one piece of it.
+    #[test]
+    fn a_triple_self_flatten_never_holds_more_than_one_piece() {
+        let db = Database::new();
+        db.load_table_with_partition_rows(
+            "t",
+            vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("ARR", ColumnType::Variant)],
+            (0..192).map(|i| {
+                vec![Variant::Int(i), Variant::Array((0..12).map(Variant::Int).collect::<Vec<_>>().into())]
+            }),
+            48,
+        )
+        .unwrap();
+        let sql = "SELECT COUNT(*), MAX(a.value + b.value + c.value) FROM t, \
+                   LATERAL FLATTEN(INPUT => arr) a, LATERAL FLATTEN(INPUT => arr) b, \
+                   LATERAL FLATTEN(INPUT => arr) c WHERE a.index < b.index AND b.index < c.index";
+        for threads in [1, 2, 8] {
+            let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+            let r = db.query_with(sql, &opts).unwrap();
+            // C(12, 3) triples per row.
+            assert_eq!(r.rows, [[Variant::Int(192 * 220), Variant::Int(9 + 10 + 11)]]);
+            let metrics = r.profile.metrics.unwrap();
+            let ops: Vec<&OpMetrics> = metrics.operators().into_iter().map(|(_, m)| m).collect();
+            let flattens: Vec<_> = ops.iter().filter(|m| m.name == "Flatten").collect();
+            assert_eq!(flattens.len(), 3);
+            assert!(flattens.iter().any(|m| m.rows_out > 20 * BATCH_ROWS as u64), "{flattens:?}");
+            let pipe = flattens[0].pipeline;
+            assert!(pipe > 0);
+            for m in ops.iter().filter(|m| m.pipeline == pipe) {
+                assert!(m.peak_rows <= BATCH_ROWS as u64, "threads={threads}: {m:?}");
+            }
+            // The scan, the stages and the aggregate ran as one pipeline.
+            assert!(ops.iter().all(|m| m.pipeline == pipe), "threads={threads}: {metrics:?}");
+            let runs = metrics.pipelines();
+            assert_eq!(runs.len(), 1);
+            assert_eq!((runs[0].1, runs[0].2.morsels, runs[0].2.workers), ("Aggregate", 4, threads.min(4)));
         }
     }
 }

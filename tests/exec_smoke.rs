@@ -1,15 +1,19 @@
 //! Tier-1 smoke for the executor's two producers of expression columns: the
 //! compiled expression DAG (`vectorize` on) and the row evaluator (off) feed
 //! the same operator bodies, so a statement returns the same rows, or fails
-//! with the same error, under either. The deep suites (the 24-configuration
-//! lattice, `tests/parallel.rs::producers`, the DAG differential) live in
-//! `crates/snowdb/tests` and run with `cargo test --workspace`.
+//! with the same error, under either — and for the pipeline driver under
+//! them: a chain of streaming operators runs morsel by morsel, the same rows
+//! and the same error at any thread count. The deep suites (the
+//! 24-configuration lattice, `tests/parallel.rs::{producers, pipelines}`, the
+//! DAG differential) live in `crates/snowdb/tests` and run with
+//! `cargo test --workspace`.
 
 use std::sync::Arc;
 
 use snowq::adl::{self, generator::AdlConfig};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowq::snowdb::{Database, QueryOptions, QueryResult, SnowError};
+use snowq::snowdb::storage::{ColumnDef, ColumnType};
+use snowq::snowdb::{Database, QueryOptions, QueryResult, SnowError, Variant};
 
 fn run(db: &Database, sql: &str, vectorize: bool) -> Result<QueryResult, SnowError> {
     let opts = QueryOptions { vectorize: Some(vectorize), threads: Some(2), ..Default::default() };
@@ -43,4 +47,67 @@ fn a_raising_statement_reports_the_same_error_under_either_producer() {
     let by_rows = run(&db, sql, false).expect_err("divides by zero").to_string();
     assert!(by_dag.contains("division by zero"), "{by_dag}");
     assert_eq!(by_dag, by_rows);
+}
+
+/// 96 rows in 16-row partitions; `100 / k` fails on row 20, `s::INT` on row 70.
+fn six_morsels() -> Database {
+    let db = Database::new();
+    db.load_table_with_partition_rows(
+        "t",
+        vec![
+            ColumnDef::new("ID", ColumnType::Int),
+            ColumnDef::new("K", ColumnType::Int),
+            ColumnDef::new("S", ColumnType::Str),
+            ColumnDef::new("ARR", ColumnType::Variant),
+        ],
+        (0..96).map(|i| {
+            vec![
+                Variant::Int(i),
+                Variant::Int(if i == 20 { 0 } else { i + 1 }),
+                Variant::str(if i == 70 { "x" } else { "7" }),
+                Variant::Array(vec![Variant::Int(i), Variant::Int(i + 1)].into()),
+            ]
+        }),
+        16,
+    )
+    .expect("loads");
+    db
+}
+
+#[test]
+fn a_pipeline_returns_the_same_rows_at_any_thread_count() {
+    let db = six_morsels();
+    // Flatten, filter, a projection and a flatten that number rows, group by.
+    let sql = "SELECT g.seq % 5 AS k, COUNT(*) AS n, MIN(u.rid) AS lo, ARRAY_AGG(g.index + u.rid) AS ix \
+               FROM (SELECT SEQ8() AS rid, f.value AS v, arr \
+                     FROM t, LATERAL FLATTEN(INPUT => arr) f WHERE f.value % 3 <> 0) u, \
+                    LATERAL FLATTEN(INPUT => u.arr) g \
+               GROUP BY g.seq % 5";
+    let run = |threads, optimize| {
+        let opts = QueryOptions { threads: Some(threads), optimize, ..Default::default() };
+        format!("{:?}", db.query_with(sql, &opts).expect("runs").rows)
+    };
+    let serial = run(1, true);
+    // Group `k` is first seen at `rid = k`: 52 rows of it, the lowest 0.
+    assert!(serial.starts_with("[[0, 52, 0, [0,1,5,6,"), "{serial}");
+    for threads in [1, 2, 8] {
+        assert_eq!(run(threads, true), serial, "threads={threads}");
+        assert_eq!(run(threads, false), serial, "threads={threads}, unoptimized");
+    }
+}
+
+#[test]
+fn two_failing_stages_of_a_pipeline_report_the_lowest_morsel() {
+    let db = six_morsels();
+    // The filter fails in the fifth batch of the LIMIT's output, the
+    // projection above it in the second.
+    let sql = "SELECT id, 100 / k FROM (SELECT * FROM t LIMIT 1000) WHERE s::INT > 0";
+    for vectorize in [true, false] {
+        for threads in [1, 2, 8] {
+            let opts =
+                QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
+            let err = db.query_with(sql, &opts).expect_err("fails").to_string();
+            assert!(err.contains("division by zero"), "vectorize={vectorize} threads={threads}: {err}");
+        }
+    }
 }
