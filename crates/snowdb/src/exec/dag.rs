@@ -10,7 +10,8 @@
 //! volatile function (`SEQ8()`) is never shared: every call site keeps its own
 //! node, numbered in the order the row evaluator would reach it.
 //!
-//! The DAG also records which operand edges are *guarded*. The row evaluator
+//! The DAG also records which operand edges are *guarded*
+//! ([`PExpr::for_each_child_guarded`] names them). The row evaluator
 //! skips the right operand of a decided `AND`/`OR`, the untaken branch of
 //! `IFF`/`CASE`, the later arguments of `COALESCE`/`NVL`, the list items after
 //! an `IN` match and the index expression of a path step on NULL; the batch
@@ -246,57 +247,20 @@ impl<'a> Builder<'a> {
                 return self.intern(expr, guarded);
             }
             PExpr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => {
-                self.operand(expr, guarded);
-                DagOp::Neg
-            }
-            PExpr::Not(x) => {
-                self.operand(x, guarded);
-                DagOp::Not
-            }
-            PExpr::IsNull { expr, negated } => {
-                self.operand(expr, guarded);
-                DagOp::IsNull { negated: *negated }
-            }
-            PExpr::Binary { left, op, right } => {
-                self.operand(left, guarded);
-                let guard = matches!(op, BinOp::And | BinOp::Or);
-                self.operand(right, guarded || guard);
-                DagOp::Binary(*op)
-            }
-            PExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                self.operand(expr, guarded);
-                for item in list {
-                    self.operand(item, true);
-                }
-                DagOp::InList { negated: *negated }
-            }
+                op: UnaryOp::Neg, ..
+            } => DagOp::Neg,
+            PExpr::Not(_) => DagOp::Not,
+            PExpr::IsNull { negated, .. } => DagOp::IsNull { negated: *negated },
+            PExpr::Binary { op, .. } => DagOp::Binary(*op),
+            PExpr::InList { negated, .. } => DagOp::InList { negated: *negated },
             PExpr::Case {
                 operand,
-                branches,
                 else_expr,
-            } => {
-                if let Some(o) = operand {
-                    self.operand(o, guarded);
-                }
-                for (k, (when, then)) in branches.iter().enumerate() {
-                    self.operand(when, guarded || k > 0);
-                    self.operand(then, true);
-                }
-                if let Some(x) = else_expr {
-                    self.operand(x, true);
-                }
-                DagOp::Case {
-                    operand: operand.is_some(),
-                    else_expr: else_expr.is_some(),
-                }
-            }
+                ..
+            } => DagOp::Case {
+                operand: operand.is_some(),
+                else_expr: else_expr.is_some(),
+            },
             PExpr::Func {
                 f: FuncId::Seq8,
                 args,
@@ -307,39 +271,12 @@ impl<'a> Builder<'a> {
                     call: self.seq8_calls - 1,
                 }
             }
-            PExpr::Func { f, args } => {
-                let guards_from = match (f, args.len()) {
-                    (FuncId::Iff, 3) | (FuncId::Nvl, 2) | (FuncId::Coalesce, _) => 1,
-                    _ => usize::MAX,
-                };
-                for (k, a) in args.iter().enumerate() {
-                    self.operand(a, guarded || k >= guards_from);
-                }
-                DagOp::Func(*f)
-            }
-            PExpr::Cast { expr, ty } => {
-                self.operand(expr, guarded);
-                DagOp::Cast(*ty)
-            }
-            PExpr::Path { base, steps } => {
-                self.operand(base, guarded);
-                for s in steps {
-                    if let PStep::IndexExpr(ix) = s {
-                        self.operand(ix, true);
-                    }
-                }
-                DagOp::Path(steps)
-            }
-            PExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                self.operand(expr, guarded);
-                self.operand(pattern, guarded);
-                DagOp::Like { negated: *negated }
-            }
+            PExpr::Func { f, .. } => DagOp::Func(*f),
+            PExpr::Cast { ty, .. } => DagOp::Cast(*ty),
+            PExpr::Path { steps, .. } => DagOp::Path(steps),
+            PExpr::Like { negated, .. } => DagOp::Like { negated: *negated },
         };
+        e.for_each_child_guarded(&mut |child, guard| self.operand(child, guarded || guard));
         let id = self.node(op, base, guarded);
         self.operands.truncate(base);
         id

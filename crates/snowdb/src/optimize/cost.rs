@@ -214,7 +214,7 @@ fn estimate_into(
 }
 
 /// Cardinality and cost of one join, given its input estimates.
-fn join_estimate(
+pub(crate) fn join_estimate(
     l: &Est,
     r: &Est,
     kind: JoinKind,

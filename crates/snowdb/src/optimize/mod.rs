@@ -30,7 +30,6 @@ pub mod narrow;
 pub mod share;
 
 use crate::error::Result;
-use crate::exec::dag::{DagOp, ExprDag, NodeId};
 use crate::exec::eval_const;
 use crate::plan::{col_cmp_lit, into_conjuncts, Field, FuncId, Node, NodeKind, PExpr, ScanPredicate};
 use crate::sql::{BinOp, JoinKind};
@@ -59,72 +58,189 @@ pub fn optimize(mut node: Node) -> Result<Node> {
 
 /// Collapses `Project(Project(x))` chains into a single projection.
 ///
-/// The dataframe layer emits one `SELECT *, expr AS c` wrapper per
-/// transformation, so translated queries arrive as dozens of stacked
-/// projections; each one re-materializes every column at execution.
+/// A chain is merged bottom up: each projection merges into the (merged) one
+/// below it while [`Layer::merge_refs`] allows, and stays above it
+/// otherwise. A step costs the size of the upper list, not of the merged
+/// result: what each expression can do (raise, number rows) travels with it,
+/// and an expression read once is moved into place, not copied.
 fn merge_projects(node: Node) -> Node {
-    let Node { kind, fields, share } = node.map_inputs(merge_projects);
-    let kind = match kind {
-        NodeKind::Project { mut input, mut exprs } => {
-            while let NodeKind::Project { exprs: inner, .. } = &input.kind {
-                let Some(merged) = merged_exprs(&exprs, inner) else { break };
-                exprs = merged;
-                let NodeKind::Project { input: below, .. } = input.kind else { unreachable!() };
-                input = below;
-            }
-            NodeKind::Project { input, exprs }
+    // The chain of projections from here down, top first.
+    let mut chain = Vec::new();
+    let mut node = node;
+    while let NodeKind::Project { .. } = node.kind {
+        let Node { kind: NodeKind::Project { input, exprs }, fields, share } = node else {
+            unreachable!()
+        };
+        chain.push(Layer::new(exprs, fields, share));
+        node = *input;
+    }
+    let mut merged: Vec<Layer> = Vec::with_capacity(chain.len());
+    for mut layer in chain.into_iter().rev() {
+        while let Some(refs) = merged.last().and_then(|below| layer.merge_refs(below)) {
+            let below = merged.pop().expect("checked above");
+            layer = layer.over(below, &refs);
         }
-        other => other,
-    };
-    Node { kind, fields, share }
+        merged.push(layer);
+    }
+    merged.into_iter().fold(node.map_inputs(merge_projects), |input, layer| Node {
+        kind: NodeKind::Project { input: Box::new(input), exprs: layer.exprs },
+        fields: layer.fields,
+        share: layer.share,
+    })
 }
 
-/// The expressions of `Project outer (Project inner (x))` as one projection
-/// over `x`, or `None` when merging could grow the plan or change values.
-/// Every non-trivial inner expression must be referenced at most once by the
-/// outer projection (column references and literals substitute freely). One
-/// the outer projection never references must be [`error_free`]: merging
-/// drops it, and with it the error the unmerged plan raises. One it
-/// references from a lazily evaluated position (`CASE WHEN k <> 0 THEN boom
-/// END`) must be too: merged, the guard would keep it from the rows on which
-/// the unmerged plan raises.
-/// Volatile expressions (`SEQ8`) merge safely under the same single-reference
-/// rule because projections preserve row count and `SEQ8` numbers rows per
-/// projection.
+/// One projection of a chain being merged, with what each of its
+/// expressions can do.
+struct Layer {
+    exprs: Vec<PExpr>,
+    risks: Vec<Risk>,
+    fields: Vec<Field>,
+    share: Option<u32>,
+}
+
+/// What an expression can do besides computing its value.
+#[derive(Clone, Copy, Default)]
+struct Risk {
+    /// It is not [`error_free`].
+    raises: bool,
+    /// It numbers rows ([`PExpr::is_volatile`]).
+    volatile: bool,
+}
+
+impl Risk {
+    /// The risk of the node itself, not of its operands.
+    fn of_node(e: &PExpr) -> Risk {
+        Risk { raises: can_raise(e), volatile: e.is_volatile_call() }
+    }
+
+    fn add(&mut self, other: Risk) {
+        self.raises |= other.raises;
+        self.volatile |= other.volatile;
+    }
+}
+
+impl Layer {
+    fn new(exprs: Vec<PExpr>, fields: Vec<Field>, share: Option<u32>) -> Layer {
+        fn risk(e: &PExpr, acc: &mut Risk) {
+            acc.add(Risk::of_node(e));
+            e.for_each_child(&mut |c| risk(c, acc));
+        }
+        let risks = exprs
+            .iter()
+            .map(|e| {
+                let mut acc = Risk::default();
+                if !matches!(e, PExpr::Col(_)) {
+                    risk(e, &mut acc);
+                }
+                acc
+            })
+            .collect();
+        Layer { exprs, risks, fields, share }
+    }
+
+    /// How often this projection reads each column of `inner`, when the two
+    /// may be one projection over `inner`'s input; `None` when merging could
+    /// grow the plan or change values. Every non-trivial inner expression must
+    /// be referenced at most once (column references and literals substitute
+    /// freely). One never referenced must be [`error_free`]: merging drops it,
+    /// and with it the error the unmerged plan raises. One referenced from a
+    /// lazily evaluated position (`CASE WHEN k <> 0 THEN boom END`) must be
+    /// too: merged, the guard would keep it from the rows on which the
+    /// unmerged plan raises. Volatile expressions (`SEQ8`) merge safely under
+    /// the same single-reference rule because projections preserve row count
+    /// and `SEQ8` numbers rows per projection — but two of them, one from each
+    /// side, would share a per-row counter and change values.
+    fn merge_refs(&self, inner: &Layer) -> Option<Vec<usize>> {
+        let volatile = |l: &Layer| l.risks.iter().any(|r| r.volatile);
+        if volatile(self) && volatile(inner) {
+            return None;
+        }
+        let mut refs = vec![0usize; inner.exprs.len()];
+        for e in &self.exprs {
+            match e {
+                PExpr::Col(c) => refs[*c] += 1,
+                _ => e.visit(&mut |x| {
+                    if let PExpr::Col(c) = x {
+                        refs[*c] += 1;
+                    }
+                }),
+            }
+        }
+        let mut every_row = None;
+        let mergeable = refs.iter().enumerate().all(|(c, &r)| match r {
+            0 => !inner.risks[c].raises,
+            1 => {
+                !inner.risks[c].raises
+                    || every_row.get_or_insert_with(|| read_on_every_row(&self.exprs, refs.len()))[c]
+            }
+            _ => matches!(inner.exprs[c], PExpr::Col(_) | PExpr::Lit(_)),
+        });
+        mergeable.then_some(refs)
+    }
+
+    /// This projection over `inner`'s input: every column reference replaced
+    /// by the expression `inner` computes for it — moved when `refs` says it
+    /// is read once, copied (a column or a literal) otherwise.
+    fn over(self, mut inner: Layer, refs: &[usize]) -> Layer {
+        /// `inner`'s expression for column `c`: moved out when read once
+        /// (nothing reads the placeholder left behind), copied otherwise.
+        fn take(inner: &mut Layer, refs: &[usize], c: usize, risk: &mut Risk) -> PExpr {
+            risk.add(inner.risks[c]);
+            let slot = &mut inner.exprs[c];
+            if refs[c] == 1 {
+                std::mem::replace(slot, PExpr::Col(0))
+            } else {
+                slot.clone()
+            }
+        }
+        fn substitute(e: &mut PExpr, inner: &mut Layer, refs: &[usize], risk: &mut Risk) {
+            match *e {
+                PExpr::Col(c) => *e = take(inner, refs, c, risk),
+                _ => {
+                    risk.add(Risk::of_node(e));
+                    e.for_each_child_mut(&mut |x| substitute(x, inner, refs, risk));
+                }
+            }
+        }
+        let mut exprs = self.exprs;
+        let risks = exprs
+            .iter_mut()
+            .map(|e| {
+                let mut risk = Risk::default();
+                substitute(e, &mut inner, refs, &mut risk);
+                risk
+            })
+            .collect();
+        Layer { exprs, risks, fields: self.fields, share: self.share }
+    }
+}
+
+/// `Project outer (Project inner (x))` as one projection over `x`, by the
+/// rules of [`merge_projects`]; `None` when they refuse.
 fn merged_exprs(outer: &[PExpr], inner: &[PExpr]) -> Option<Vec<PExpr>> {
-    let mut refs = vec![0usize; inner.len()];
-    let mut cols = Vec::new();
-    for e in outer {
-        e.collect_cols(&mut cols);
-    }
-    for c in cols {
-        refs[c] += 1;
-    }
-    let mut every_row = None;
-    let mergeable = inner.iter().zip(&refs).enumerate().all(|(c, (ie, &r))| match r {
-        0 => error_free(ie),
-        1 => error_free(ie) || every_row.get_or_insert_with(|| read_on_every_row(outer, inner.len()))[c],
-        _ => matches!(ie, PExpr::Col(_) | PExpr::Lit(_)),
-    });
-    // Two volatile (SEQ8) expressions merged into one projection would share
-    // a per-row counter and change values; keep such projections separate.
-    let volatile_clash =
-        outer.iter().any(PExpr::is_volatile) && inner.iter().any(PExpr::is_volatile);
-    (mergeable && !volatile_clash)
-        .then(|| outer.iter().map(|e| e.clone().substitute(inner)).collect())
+    let outer = Layer::new(outer.to_vec(), Vec::new(), None);
+    let inner = Layer::new(inner.to_vec(), Vec::new(), None);
+    let refs = outer.merge_refs(&inner)?;
+    Some(outer.over(inner, &refs).exprs)
 }
 
 /// The input columns a projection reads on every row — from a position no
-/// `AND`/`OR`, `IFF`/`CASE`, `COALESCE`/`NVL`, `IN` list or path index
-/// guards — as a set over the `arity` input columns. The guard positions are
-/// the expression DAG's ([`crate::exec::dag`]), the one place that names them.
+/// guard ([`PExpr::for_each_child_guarded`]) lets the row evaluator skip —
+/// as a set over the `arity` input columns.
 fn read_on_every_row(exprs: &[PExpr], arity: usize) -> Vec<bool> {
-    let dag = ExprDag::compile(exprs);
-    let mut cols = vec![false; arity];
-    for id in 0..dag.dag_nodes() as NodeId {
-        if let DagOp::Col(c) = dag.op(id) {
-            cols[c] = dag.always(id);
+    fn mark(e: &PExpr, cols: &mut [bool]) {
+        match e {
+            PExpr::Col(c) => cols[*c] = true,
+            _ => e.for_each_child_guarded(&mut |child, guarded| {
+                if !guarded {
+                    mark(child, cols);
+                }
+            }),
         }
+    }
+    let mut cols = vec![false; arity];
+    for e in exprs {
+        mark(e, &mut cols);
     }
     cols
 }
@@ -168,12 +284,17 @@ fn conjoin(mut parts: Vec<PExpr>) -> Option<PExpr> {
 /// ignored: those fail the query wherever the predicate is evaluated, so they
 /// cannot turn a succeeding plan into a failing one by moving.
 fn error_free(e: &PExpr) -> bool {
-    !e.any(&mut |x| match x {
+    !e.any(&mut can_raise)
+}
+
+/// The node itself — not its operands — can raise on valid values.
+fn can_raise(e: &PExpr) -> bool {
+    match e {
         PExpr::Binary { op, .. } => matches!(op, BinOp::Div | BinOp::Mod),
         PExpr::Func { f, .. } => matches!(f, FuncId::Mod),
         PExpr::Cast { .. } => true,
         _ => false,
-    })
+    }
 }
 
 /// True when `e` can evaluate to TRUE while one of its column inputs is NULL —

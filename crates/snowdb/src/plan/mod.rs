@@ -369,6 +369,49 @@ impl PExpr {
         }
     }
 
+    /// As [`PExpr::for_each_child`], also telling `f` whether the child sits
+    /// behind a guard — whether the row evaluator may skip it for a row: the
+    /// right operand of `AND`/`OR`, the items of an `IN` list, everything in a
+    /// `CASE` after its first condition, the branches of `IFF`, the later
+    /// arguments of `NVL`/`COALESCE`, and a path step's index. This is the one
+    /// place the guard positions are named.
+    pub fn for_each_child_guarded<'a>(&'a self, f: &mut impl FnMut(&'a PExpr, bool)) {
+        match self {
+            PExpr::Binary { left, op, right } => {
+                f(left, false);
+                f(right, matches!(op, BinOp::And | BinOp::Or));
+            }
+            PExpr::InList { expr, list, .. } => {
+                f(expr, false);
+                list.iter().for_each(|item| f(item, true));
+            }
+            PExpr::Case { operand, branches, else_expr } => {
+                operand.iter().for_each(|o| f(o, false));
+                for (k, (c, v)) in branches.iter().enumerate() {
+                    f(c, k > 0);
+                    f(v, true);
+                }
+                else_expr.iter().for_each(|e| f(e, true));
+            }
+            PExpr::Func { f: func, args } => {
+                let guards_from = match (func, args.len()) {
+                    (FuncId::Iff, 3) | (FuncId::Nvl, 2) | (FuncId::Coalesce, _) => 1,
+                    _ => usize::MAX,
+                };
+                args.iter().enumerate().for_each(|(k, a)| f(a, k >= guards_from));
+            }
+            PExpr::Path { base, steps } => {
+                f(base, false);
+                for s in steps {
+                    if let PStep::IndexExpr(e) = s {
+                        f(e, true);
+                    }
+                }
+            }
+            other => other.for_each_child(&mut |c| f(c, false)),
+        }
+    }
+
     /// Calls `f` on this expression and every sub-expression, pre-order.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
         f(self);
@@ -396,7 +439,12 @@ impl PExpr {
 
     /// True when the expression contains a volatile function.
     pub fn is_volatile(&self) -> bool {
-        self.any(&mut |e| matches!(e, PExpr::Func { f, .. } if f.is_volatile()))
+        self.any(&mut PExpr::is_volatile_call)
+    }
+
+    /// True when the node itself — not an operand — calls a volatile function.
+    pub fn is_volatile_call(&self) -> bool {
+        matches!(self, PExpr::Func { f, .. } if f.is_volatile())
     }
 
     /// Renumbers every column reference through `f`: the one way an

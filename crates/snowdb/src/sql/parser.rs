@@ -19,14 +19,23 @@ const PARSER_STACK_BYTES: usize = 16 << 20;
 /// stack anything here runs on, and less than the binder and the optimizer,
 /// which recurse over the finished tree on that same stack, take for a tree
 /// [`MAX_DEPTH`] deep. DML, DDL and handwritten queries nest 1–22 levels (the
-/// ADL reference queries are the deep end) and 19 of the 21 translated
-/// ADL/SSB queries 11–29; translated ADL q6 and q8 (82 and 105) are what
-/// goes past this.
+/// ADL reference queries are the deep end); since the dataframe layer merges
+/// each call into the `SELECT` it wraps, 19 of the 21 translated ADL/SSB
+/// queries nest 9–20 and translated ADL q6 31 (82 when every call wrapped).
+/// Translated ADL q8 (49, was 105) is the one translation past this, and
+/// [`hops`] is how a report asks.
 const INLINE_DEPTH: usize = 32;
 
 /// Parses one SQL query (an optional trailing `;` is allowed).
 pub fn parse_query(sql: &str) -> Result<Query> {
     parse_with(sql, Parser::query)
+}
+
+/// Whether parsing `sql` as a query takes the parser-thread hop of
+/// [`parse_with`] — it nests deeper than [`INLINE_DEPTH`]. For reports: it
+/// costs one inline parse attempt.
+pub fn hops(sql: &str) -> bool {
+    parse_within(sql, Parser::query, INLINE_DEPTH).is_none()
 }
 
 /// The one way SQL text becomes a tree: where the caller is if the statement
@@ -831,6 +840,13 @@ mod tests {
         for (parens, hopped) in [(1, false), (INLINE_DEPTH, false), (INLINE_DEPTH + 1, true)] {
             let sql = format!("{}{}", "(".repeat(parens), ")".repeat(parens));
             assert_eq!(parse_with(&sql, level).unwrap(), vec![hopped; parens + 1], "{parens}");
+            // Each `SELECT` of nested derived tables is one level.
+            let q = format!(
+                "{}SELECT * FROM t{}",
+                "SELECT * FROM (".repeat(parens - 1),
+                ")".repeat(parens - 1)
+            );
+            assert_eq!(hops(&q), hopped, "{parens}");
         }
         let sql = format!("{}{}", "(".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
         assert!(matches!(parse_with(&sql, level), Err(SnowError::Parse(m)) if m.contains("depth")));

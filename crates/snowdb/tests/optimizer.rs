@@ -795,3 +795,41 @@ fn generated_q6_scans_at_most_twice_the_handwritten_bytes() {
     let rendered = db.explain(&generated).unwrap();
     assert_eq!(rendered.matches("Scan HEP").count(), 1, "{rendered}");
 }
+
+/// The dataframe layer hands the optimizer the shape handwritten SQL has — a
+/// `FROM` list of tables and one `WHERE` — so a generated SSB star join is
+/// one reorderable cluster and gets the handwritten join order. For Q2.x the
+/// whole plan below the final `OBJECT_CONSTRUCT` projection is the
+/// handwritten plan. The other flights differ above the joins only where
+/// their JSONiq says something else than their SQL: `sum()` of an empty
+/// sequence is 0 (an `NVL` sort key, and a second `SUM` for it in Q3.x), an
+/// `or` of equalities is not an `IN` list, and Q4.x sums a `let`-bound
+/// difference.
+#[test]
+fn generated_ssb_joins_are_the_handwritten_joins() {
+    use jsoniq_core::snowflake::{translate_query, NestedStrategy};
+    let db = std::sync::Arc::new(Database::new());
+    ssb::load_ssb_tiny(&db, &ssb::SsbConfig { seed: 42, ..Default::default() });
+    let joins = |plan: &str| -> Vec<String> {
+        plan.lines()
+            .map(str::trim_start)
+            .filter(|l| l.starts_with("InnerJoin") || l.starts_with("Scan"))
+            .map(|l| l.split("  (est_rows").next().unwrap().to_string())
+            .collect()
+    };
+    for q in ssb::queries() {
+        let generated = translate_query(db.clone(), &q.jsoniq, NestedStrategy::FlagColumn)
+            .unwrap()
+            .sql()
+            .to_string();
+        let (gen, hand) = (db.explain(&generated).unwrap(), db.explain(&q.sql).unwrap());
+        let (top, below) = gen.split_once('\n').unwrap();
+        assert!(top.starts_with("Project [ObjectConstruct("), "{}: {gen}", q.id);
+        let below: String = below.lines().map(|l| format!("{}\n", &l[2..])).collect();
+        if q.id.starts_with("q2") {
+            assert_eq!(below, hand, "{}", q.id);
+        }
+        assert_eq!(joins(&below), joins(&hand), "{}:\n{below}\n{hand}", q.id);
+        assert!(joins(&hand).len() >= 3, "{}", q.id);
+    }
+}

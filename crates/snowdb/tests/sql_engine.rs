@@ -152,7 +152,10 @@ fn seq8_assigns_unique_row_ids() {
 
 #[test]
 fn fig2_tpch_like_roundtrip() {
-    // The paper's Fig. 2 query shape, on a tiny orders table.
+    // The paper's Fig. 2b text, nested SELECTs and `FROM (orders)` included,
+    // on a tiny orders table. The dataframe layer now emits the flat form
+    // (`crates/snowpark/tests/dataframe_exec.rs`); the engine still takes
+    // this one.
     let db = Database::new();
     db.load_table(
         "orders",

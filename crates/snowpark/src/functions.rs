@@ -6,12 +6,12 @@ use crate::{quote_ident, quote_str};
 
 /// Reference to a column by name.
 pub fn col(name: &str) -> Col {
-    Col::reference(quote_ident(name))
+    Col::reference(quote_ident(name), name)
 }
 
 /// Reference to a column qualified by a relation alias (`t."X"`).
 pub fn col_of(relation: &str, name: &str) -> Col {
-    Col::reference(format!("{}.{}", quote_ident(relation), quote_ident(name)))
+    Col::reference(format!("{}.{}", quote_ident(relation), quote_ident(name)), name)
 }
 
 /// Integer literal.
@@ -45,7 +45,7 @@ pub fn null() -> Col {
 
 fn call(name: &str, args: &[&Col]) -> Col {
     let rendered: Vec<&str> = args.iter().map(|c| c.sql()).collect();
-    Col::raw(format!("{name}({})", rendered.join(", ")))
+    Col::over(format!("{name}({})", rendered.join(", ")), args)
 }
 
 macro_rules! fn1 {
@@ -53,6 +53,14 @@ macro_rules! fn1 {
         $(#[$doc])*
         pub fn $rust(x: &Col) -> Col {
             call($sql, &[x])
+        }
+    };
+}
+
+macro_rules! agg1 {
+    ($rust:ident, $sql:literal) => {
+        pub fn $rust(x: &Col) -> Col {
+            Col::aggregate(format!("{}({})", $sql, x.sql()), &[x])
         }
     };
 }
@@ -120,7 +128,7 @@ pub fn pi() -> Col {
 /// `SEQ8()` — per-query unique row number; the translation layer uses it to tag
 /// rows with identifiers before entering nested queries (paper §IV-B).
 pub fn seq8() -> Col {
-    Col::raw("SEQ8()")
+    Col::seq8()
 }
 
 /// `IFF(cond, then, else)`
@@ -150,7 +158,8 @@ pub fn object_construct(pairs: &[(&str, Col)]) -> Col {
         parts.push(quote_str(k));
         parts.push(v.sql().to_string());
     }
-    Col::raw(format!("OBJECT_CONSTRUCT({})", parts.join(", ")))
+    let values: Vec<&Col> = pairs.iter().map(|(_, v)| v).collect();
+    Col::over(format!("OBJECT_CONSTRUCT({})", parts.join(", ")), &values)
 }
 
 /// `ARRAY_CONSTRUCT(...)`
@@ -159,24 +168,24 @@ pub fn array_construct(items: &[&Col]) -> Col {
 }
 
 // ---- aggregates ----
-fn1!(sum, "SUM");
-fn1!(min, "MIN");
-fn1!(max, "MAX");
-fn1!(avg, "AVG");
-fn1!(array_agg, "ARRAY_AGG");
-fn1!(any_value, "ANY_VALUE");
-fn1!(booland_agg, "BOOLAND_AGG");
-fn1!(boolor_agg, "BOOLOR_AGG");
-fn1!(count, "COUNT");
+agg1!(sum, "SUM");
+agg1!(min, "MIN");
+agg1!(max, "MAX");
+agg1!(avg, "AVG");
+agg1!(array_agg, "ARRAY_AGG");
+agg1!(any_value, "ANY_VALUE");
+agg1!(booland_agg, "BOOLAND_AGG");
+agg1!(boolor_agg, "BOOLOR_AGG");
+agg1!(count, "COUNT");
 
 /// `COUNT(*)`
 pub fn count_star() -> Col {
-    Col::raw("COUNT(*)")
+    Col::aggregate("COUNT(*)".into(), &[])
 }
 
 /// `COUNT(DISTINCT x)`
 pub fn count_distinct(x: &Col) -> Col {
-    Col::raw(format!("COUNT(DISTINCT {})", x.sql()))
+    Col::aggregate(format!("COUNT(DISTINCT {})", x.sql()), &[x])
 }
 
 /// `CONCAT(a, b)`

@@ -6,7 +6,6 @@ use snowdb::sql::Statement;
 use snowdb::{Database, QueryResult};
 
 use crate::dataframe::DataFrame;
-use crate::quote_ident;
 
 /// A handle to a `snowdb` session through which dataframes execute.
 ///
@@ -57,18 +56,17 @@ impl Session {
         self.database().schema_generation()
     }
 
-    /// A dataframe scanning a whole table, like Snowpark's `session.table(...)`.
-    /// Emits `SELECT * FROM (name)` — the same shape the paper's Fig. 2b shows.
+    /// A dataframe scanning a whole table, like Snowpark's `session.table(...)`:
+    /// the open `SELECT * FROM "NAME"` the next call merges into. Used as a
+    /// relation, it is the table name itself.
     pub fn table(&self, name: &str) -> DataFrame {
-        DataFrame::new(
-            self.clone(),
-            format!("SELECT * FROM ({})", quote_ident(&name.to_ascii_uppercase())),
-        )
+        DataFrame::table(self.clone(), name.to_ascii_uppercase())
     }
 
-    /// A dataframe over a raw SQL query.
+    /// A dataframe over a raw SQL query. The text is opaque to the dataframe:
+    /// every call on it wraps it as a subquery.
     pub fn sql(&self, sql: &str) -> DataFrame {
-        DataFrame::new(self.clone(), sql.to_string())
+        DataFrame::text(self.clone(), sql)
     }
 
     /// Sets a session parameter, mirroring Snowpark's

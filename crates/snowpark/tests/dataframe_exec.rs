@@ -41,12 +41,34 @@ fn fig2_snowpark_example() {
     let upper = f::lit(120000);
     let total_price = f::col("O_TOTALPRICE");
     let clerks = f::col("O_CLERK");
-    let out = df
-        .where_(&total_price.between(&lower, &upper))
-        .select([f::count_distinct(&clerks)])
-        .collect()
-        .unwrap();
-    assert_eq!(out.rows[0][0], Variant::Int(2));
+    let df = df.where_(&total_price.between(&lower, &upper)).select([f::count_distinct(&clerks)]);
+    // One flat SELECT, not Fig. 2b's nesting: the filter and the projection
+    // merge into the table's open SELECT in SQL's evaluation order.
+    assert_eq!(
+        df.sql(),
+        r#"SELECT COUNT(DISTINCT "O_CLERK") FROM "ORDERS" WHERE ("O_TOTALPRICE" BETWEEN 90000 AND 120000)"#
+    );
+    assert_eq!(df.collect().unwrap().rows[0][0], Variant::Int(2));
+}
+
+/// Whether a `:` path has started is recorded in the column, not read off its
+/// text: a column whose name contains `:` gets a path like any other.
+#[test]
+fn field_of_a_column_whose_name_has_a_colon() {
+    let db = Database::new();
+    db.load_table(
+        "t",
+        vec![ColumnDef::new("A:B", ColumnType::Variant), ColumnDef::new("AB", ColumnType::Variant)],
+        vec![vec![parse_json(r#"{"X": 1}"#).unwrap(), parse_json(r#"{"X": 2}"#).unwrap()]],
+    )
+    .unwrap();
+    let session = Session::new(Arc::new(db));
+    let df = session.table("t").select([
+        f::col("A:B").subfield("X").alias("P"),
+        f::col("AB").subfield("X").alias("Q"),
+    ]);
+    assert_eq!(df.sql(), r#"SELECT "A:B":"X" AS "P", "AB":"X" AS "Q" FROM "T""#);
+    assert_eq!(df.collect().unwrap().rows, vec![vec![Variant::Int(1), Variant::Int(2)]]);
 }
 
 #[test]
