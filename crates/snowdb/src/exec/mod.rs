@@ -4,6 +4,7 @@
 pub mod agg;
 pub mod dag;
 pub mod expr;
+mod join;
 pub mod kernel;
 pub mod metrics;
 pub mod pipeline;

@@ -5,33 +5,40 @@
 //! - a **source** of morsels: the micro-partitions of a scan, or the batches
 //!   of a materialized list — a breaker's output, a shared subtree's result,
 //!   the input of a stage that numbers rows;
-//! - the maximal run of **stages** — filters, projections, flattens — above
-//!   it;
-//! - a **sink**: a batch list (for a join side, a sort, a limit, a union, a
-//!   distinct, a shared slot, the query result), or the aggregate above the
-//!   last stage, which folds what arrives.
+//! - the maximal run of **stages** — filters, projections, flattens, the
+//!   probes of hash joins — above it;
+//! - a **sink**: a batch list (for a join's build side, a sort, a limit, a
+//!   union, a distinct, a shared slot, the query result), or the aggregate
+//!   above the last stage, which folds what arrives.
 //!
 //! One driver runs them all ([`Pipeline::run`]). A worker claims a morsel
 //! from the work-stealing [`crate::storage::morsel`] dispatcher and takes it
 //! through every stage into the sink before it claims the next; nothing is
 //! materialized between the stages. A stage never hands on more than
-//! [`BATCH_ROWS`] rows at once: a flatten cuts the output for one input batch
-//! into *pieces*, and each piece goes all the way down — depth first — and is
-//! dropped by the worker that made it before the next is cut, so a chain of
-//! flattens holds one piece per stage, not the blown-up intermediate. A
-//! worker owns the batch it is working on: a projection moves the columns it
-//! only passes on, a filter that keeps every row returns its input.
+//! [`BATCH_ROWS`] rows at once: a flatten or a join probe cuts the output for
+//! one input batch into *pieces*, and each piece goes all the way down —
+//! depth first — and is dropped by the worker that made it before the next is
+//! cut, so a chain of flattens or probes holds one piece per stage, not the
+//! blown-up intermediate. A worker owns the batch it is working on: a
+//! projection moves the columns it only passes on, a filter that keeps every
+//! row returns its input, a probe in which every row found one match hands
+//! its columns on.
 //!
-//! Aggregate, join, sort, distinct, limit and union are *breakers*: they
+//! A hash join is a stage on its left (probe) side and a breaker on its right
+//! (build) side: before the pipeline runs, the join's right input is executed
+//! and built into its table ([`super::join`]), which every worker probes.
+//! So scan → filter → probe × k → project → aggregate is one pipeline, and a
+//! star join runs its fact table through all its dimensions morsel by
+//! morsel. Aggregate, sort, distinct, limit and union are *breakers*: they
 //! need a whole input. An aggregate is the sink of the pipeline below it and
 //! keeps one partial state per worker (see below); the others take batch
-//! lists, and a join's probe and a sort's key evaluation and gather are
-//! per-batch maps ([`map_batches`], which the driver is built on too). A
-//! breaker's output is the source of the pipeline above it; an aggregate
-//! emits its groups in batches of `MORSEL_ROWS`, so that a few thousand
-//! groups spread over every worker. [`execute_physical`] runs an operator's
-//! input pipelines one after the other on the calling thread; parallelism is
-//! inside a pipeline, over morsels.
+//! lists, and a sort's key evaluation and gather are per-batch maps
+//! ([`map_batches`], which the driver is built on too). A breaker's output is
+//! the source of the pipeline above it; an aggregate emits its groups in
+//! batches of `MORSEL_ROWS`, so that a few thousand groups spread over every
+//! worker. [`execute_physical`] runs an operator's input pipelines one after
+//! the other on the calling thread — a pipeline's build sides first, top
+//! down, then its source; parallelism is inside a pipeline, over morsels.
 //!
 //! Every operator updates the [`OpMetricsCell`] of its
 //! [`PhysNode`](crate::plan::physical::PhysNode), producing the per-operator
@@ -39,7 +46,10 @@
 //! The operators of a pipeline have no barrier of their own, so each is
 //! tagged with the pipeline it ran in and the operator the pipeline ends at
 //! carries its wall time, morsel count and workers ([`PipelineRun`]): busy
-//! times are summed across workers and read against that wall clock.
+//! times are summed across workers and read against that wall clock, which
+//! includes building the pipeline's join tables. Each row an operator takes
+//! in and each nanosecond it works is counted once: a join takes in its
+//! probe rows and its build rows.
 //!
 //! # Determinism contract
 //!
@@ -59,12 +69,12 @@
 //!   base.
 //! - Volatile expressions outside projections (a `SEQ8()` in a filter or join
 //!   condition, a flatten input, sort keys, aggregate arguments) read one
-//!   counter. Such a filter or flatten starts a pipeline too, and the whole
-//!   pipeline runs at degree 1 on the caller's context, morsel after morsel,
-//!   its expressions through the row producer; a join, sort or aggregate does
-//!   the same with its batches. A volatile join condition is numbered in this
-//!   order: the right keys of all right rows, then per left batch its left
-//!   keys, then the residual conjuncts of its candidate pairs.
+//!   counter. Such a filter, flatten or join starts a pipeline too, and the
+//!   whole pipeline runs at degree 1 on the caller's context, morsel after
+//!   morsel, its expressions through the row producer; a sort or aggregate
+//!   does the same with its batches. A volatile join condition is numbered in
+//!   this order: the right keys of all right rows, then per left batch its
+//!   left keys, then the residual conjuncts of its candidate pairs.
 //! - An aggregate whose kinds merge exactly keeps one partial state per
 //!   worker over a *contiguous* range of morsels; the partials merge in range
 //!   order ([`Accumulator::merge`]), which preserves first-seen group order,
@@ -78,12 +88,17 @@
 //! When several rows fail, the statement reports the error one thread would
 //! meet first, under either producer of expression columns:
 //!
-//! - the lowest source morsel wins;
+//! - a join's build side runs before its probe side, so when both raise,
+//!   the build side's error is reported;
+//! - within a pipeline, the lowest source morsel wins, across every stage,
+//!   the probes included;
 //! - within a morsel, a stage evaluates its expressions over a whole batch
 //!   before it hands anything on, so of two stages failing on one batch the
 //!   upstream one wins; pieces go depth first, so what an earlier piece
 //!   raises anywhere downstream comes before what a later piece raises;
-//! - within a stage and batch, the first row in row-major order;
+//! - within a stage and batch, the first row in row-major order; a probe
+//!   finds every pair of its batch, every residual evaluated in (left row,
+//!   right row) order, before it hands anything on;
 //! - an aggregate that is the pipeline's sink is its last stage: it folds a
 //!   batch's rows before the first one on which an expression of its own
 //!   fails, so the error at the lowest (batch, row) is reported whether it
@@ -100,7 +115,7 @@
 //!
 //! An optimized plan is a DAG ([`crate::optimize::share`]): a subtree several
 //! parents read is lowered once and owns a [`SharedSlot`]. Its first site in
-//! plan order executes it and publishes the batches; every other site takes a
+//! execution order executes it and publishes the batches; every other site takes a
 //! copy from the slot, waiting — with governor checkpoints, so cancellation
 //! and deadlines stay prompt — if the result is not there yet. The last
 //! reader takes the stored batches themselves, which frees the slot. A
@@ -114,12 +129,14 @@
 //! result twice equals computing it twice.
 //!
 //! Pipelines run one after the other and the producing site is the first in
-//! plan order: a reader always finds the result published and never waits.
-//! The waiting path is kept, and driven by this module's unit tests from
-//! hand-spawned threads, because the slot's contract must not depend on that
-//! schedule — a join that runs its two sides concurrently would put a reader
-//! ahead of its producer — and because a reader that could hang or miss a
-//! cancellation there would only be found when that lands.
+//! execution order — lowering visits a join's build side before its probe
+//! side, as execution does ([`crate::plan::physical`]) —: a reader always
+//! finds the result published and never waits. The waiting path is kept, and
+//! driven by this module's unit tests from hand-spawned threads, because the
+//! slot's contract must not depend on that schedule — a join that runs its
+//! two sides concurrently would put a reader ahead of its producer — and
+//! because a reader that could hang or miss a cancellation there would only
+//! be found when that lands.
 //!
 //! # One body per operator, two producers of its columns
 //!
@@ -163,17 +180,17 @@ use std::time::{Duration, Instant};
 use crate::column::{Bitmap, ColumnVec};
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
-use crate::plan::physical::{JoinExprs, OpExprs, PhysNode, SharedSite};
+use crate::plan::physical::{PhysNode, SharedSite};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
-use crate::sql::JoinKind;
 use crate::storage::morsel::try_parallel_indexed_governed;
 use crate::variant::{Key, Variant};
 
 use super::agg::{column_eligible, Accumulator};
 use super::dag::ExprDag;
+use super::join::JoinTable;
 use super::kernel::mask_keep;
 use super::metrics::{OpMetricsCell, PipelineRun};
-use super::{cmp_sort_values, eval, truth, Chunk, ExecCtx, RowView};
+use super::{cmp_sort_values, eval, Chunk, ExecCtx, RowView};
 
 /// Most rows a batch holds inside a pipeline: a scan cuts its partitions to
 /// this, and a stage whose output for one input batch is larger hands it on
@@ -212,9 +229,9 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
         NodeKind::Scan { .. }
         | NodeKind::Filter { .. }
         | NodeKind::Project { .. }
-        | NodeKind::Flatten { .. } => Pipeline::ending_at(p, true, ctx)?.collect(p, ctx),
+        | NodeKind::Flatten { .. }
+        | NodeKind::Join { .. } => Pipeline::ending_at(p, true, ctx)?.collect(p, ctx),
         NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, groups, aggs, ctx),
-        NodeKind::Join { kind, on, .. } => exec_join(p, *kind, on, ctx),
         NodeKind::Sort { keys, .. } => exec_sort(p, keys, ctx),
         NodeKind::Limit { n, .. } => exec_limit(p, *n, ctx),
         NodeKind::UnionAll { .. } => exec_union(p, ctx),
@@ -222,7 +239,8 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     }
 }
 
-/// The one result of a shared subtree (see the module docs).
+/// The one result of a shared subtree (see the module docs): produced at the
+/// first of its sites in execution order, read at every other.
 #[derive(Debug, Default)]
 pub struct SharedSlot {
     state: Mutex<SlotState>,
@@ -381,7 +399,7 @@ fn op_tag(p: &PhysNode<'_>) -> &'static str {
 
 /// Accounts one produced batch: raises the operator's peak-memory watermark
 /// and charges the governor's cumulative memory budget.
-fn charge_batch(
+pub(super) fn charge_batch(
     p: &PhysNode<'_>,
     ctx: &ExecCtx,
     op: &str,
@@ -593,13 +611,16 @@ enum Numbering {
     /// `SEQ8()` ramp, a flatten's `SEQ` column.
     Bases,
     /// Through one `SEQ8()` counter that runs on from row to row: a volatile
-    /// predicate or flatten input.
+    /// predicate, flatten input or join condition.
     Counter,
 }
 
 impl Numbering {
     fn of(stage: &PhysNode<'_>) -> Result<Numbering> {
-        let volatile = stage.dag()?.is_volatile();
+        let volatile = match &stage.logical.kind {
+            NodeKind::Join { on, .. } => on.as_ref().is_some_and(PExpr::is_volatile),
+            _ => stage.dag()?.is_volatile(),
+        };
         Ok(match &stage.logical.kind {
             NodeKind::Project { .. } if volatile => Numbering::Bases,
             _ if volatile => Numbering::Counter,
@@ -609,34 +630,55 @@ impl Numbering {
     }
 }
 
-/// A source and the maximal run of filters, projections and flattens above
-/// it, bottom-up. One worker task takes one morsel through every stage into
-/// the sink the pipeline is [run](Pipeline::run) with.
+/// One stage of a pipeline: a filter, a projection, a flatten, or the probe
+/// of a join, which carries the table its right input was built into.
+struct Stage<'b, 'a> {
+    node: &'b PhysNode<'a>,
+    table: Option<JoinTable>,
+}
+
+/// A source and the maximal run of filters, projections, flattens and join
+/// probes above it, bottom-up. One worker task takes one morsel through
+/// every stage into the sink the pipeline is [run](Pipeline::run) with.
 struct Pipeline<'b, 'a> {
     source: Source<'b, 'a>,
-    stages: Vec<&'b PhysNode<'a>>,
+    stages: Vec<Stage<'b, 'a>>,
     /// The bottom stage reads one `SEQ8()` counter through all its rows: the
     /// morsels run one after the other on the caller's context.
     serial: bool,
+    /// Wall time spent building the stages' join tables, which is part of
+    /// the pipeline's.
+    built_in: Duration,
 }
 
 impl<'b, 'a> Pipeline<'b, 'a> {
-    /// The pipeline whose last operator is `top`, its inputs executed. The
-    /// run of stages ends below a stage that numbers rows, which needs its
-    /// whole input for the prefix sum, and above a shared operator, whose
-    /// batches must reach its slot, not only this reader. `own_top` says the
-    /// caller is executing `top` itself — inside its slot, if it is shared.
+    /// The pipeline whose last operator is `top`, its inputs executed: every
+    /// join's right input, top-down, and then the source. The run of stages
+    /// ends below a stage that numbers rows, which needs its whole input for
+    /// the prefix sum, and above a shared operator, whose batches must reach
+    /// its slot, not only this reader. `own_top` says the caller is
+    /// executing `top` itself — inside its slot, if it is shared.
     fn ending_at(top: &'b PhysNode<'a>, own_top: bool, ctx: &mut ExecCtx) -> Result<Self> {
         let mut stages = Vec::new();
-        let mut serial = false;
+        let (mut serial, mut built_in) = (false, Duration::ZERO);
         let mut cur = top;
         let source = loop {
             let unshared = cur.shared.is_none() || (own_top && std::ptr::eq(cur, top));
             match &cur.logical.kind {
-                NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Flatten { .. }
+                NodeKind::Filter { .. }
+                | NodeKind::Project { .. }
+                | NodeKind::Flatten { .. }
+                | NodeKind::Join { .. }
                     if unshared =>
                 {
-                    stages.push(cur);
+                    // The build side runs first: its errors, its pipelines and
+                    // the shared results it produces come before the probe's.
+                    let table = match &cur.logical.kind {
+                        NodeKind::Join { .. } => Some(JoinTable::build(cur, ctx)?),
+                        _ => None,
+                    };
+                    built_in += table.as_ref().map_or(Duration::ZERO, |t| t.built_in);
+                    stages.push(Stage { node: cur, table });
                     let numbering = Numbering::of(cur)?;
                     cur = &cur.children[0];
                     if numbering != Numbering::None {
@@ -649,7 +691,7 @@ impl<'b, 'a> Pipeline<'b, 'a> {
             }
         };
         stages.reverse();
-        Ok(Pipeline { source, stages, serial })
+        Ok(Pipeline { source, stages, serial, built_in })
     }
 
     /// Runs the pipeline as `top`'s: morsels are claimed `top.parallelism` at
@@ -676,13 +718,14 @@ impl<'b, 'a> Pipeline<'b, 'a> {
             }
             Ok((local, std::mem::take(&mut wctx.stats)))
         });
-        for member in &self.stages {
-            member.metrics.set_pipeline(id);
+        for stage in &self.stages {
+            stage.node.metrics.set_pipeline(id);
         }
         if let Source::Scan(scan) = &self.source {
             scan.metrics.set_pipeline(id);
         }
         end_pipeline(top, clock, morsels, workers);
+        top.metrics.add_pipeline_wall(self.built_in);
         let mut out = Vec::with_capacity(tasks);
         for (local, stats) in locals? {
             // Summed in morsel order: exact, whatever the worker count.
@@ -733,16 +776,16 @@ impl<'b, 'a> Pipeline<'b, 'a> {
         if batch.rows == 0 {
             return Ok(());
         }
-        let Some(stage) = self.stages.get(si) else { return sink(batch, wctx) };
-        match &stage.logical.kind {
-            NodeKind::Flatten { outer, emit, .. } => {
-                flatten_stage(stage, *outer, emit, batch, wctx, base, &mut |piece, wctx| {
-                    self.push(si + 1, piece, 0, wctx, &mut *sink)
-                })
+        let Some(Stage { node, table }) = self.stages.get(si) else { return sink(batch, wctx) };
+        let mut next = |piece, wctx: &mut ExecCtx| self.push(si + 1, piece, 0, wctx, &mut *sink);
+        match (&node.logical.kind, table) {
+            (NodeKind::Flatten { outer, emit, .. }, _) => {
+                flatten_stage(node, *outer, emit, batch, wctx, base, &mut next)
             }
+            (_, Some(table)) => probe_stage(node, table, batch, wctx, &mut next),
             _ => {
-                let out = stage_batch(stage, batch, wctx, base)?;
-                self.push(si + 1, out, 0, wctx, sink)
+                let out = stage_batch(node, batch, wctx, base)?;
+                next(out, wctx)
             }
         }
     }
@@ -909,13 +952,45 @@ fn flatten_stage(
     base: i64,
     emit: Emit<'_>,
 ) -> Result<()> {
-    let op = op_tag(p);
-    ctx.gov.checkpoint(op)?;
-    let mut start = Instant::now();
+    ctx.gov.checkpoint(op_tag(p))?;
+    let start = Instant::now();
     let src = eval_exprs(p.dag()?, &inp, ctx, None, Some(&p.metrics)).complete()?;
-    let mut pieces = FlattenPieces::new(&src[0], outer, *emit_cols, &inp, base);
-    let mut rows_in = inp.rows as u64;
-    for piece in &mut pieces {
+    let pieces = FlattenPieces::new(&src[0], outer, *emit_cols, &inp, base);
+    emit_pieces(p, inp.rows, start, pieces, ctx, emit)
+}
+
+/// One batch through a join's probe: every pair of the batch is found —
+/// every residual evaluated — before the first piece of its output is
+/// gathered, and the pieces go to `emit` as [`flatten_stage`]'s do.
+fn probe_stage(
+    p: &PhysNode<'_>,
+    table: &JoinTable,
+    inp: Chunk,
+    ctx: &mut ExecCtx,
+    emit: Emit<'_>,
+) -> Result<()> {
+    ctx.gov.checkpoint(op_tag(p))?;
+    let start = Instant::now();
+    let pairs = table.probe(p, &inp, ctx)?;
+    let rows_in = inp.rows;
+    emit_pieces(p, rows_in, start, pairs.pieces(inp, table), ctx, emit)
+}
+
+/// Hands a stage's output for one input batch of `rows_in` rows to `emit`
+/// piece by piece, each as soon as it is made, so the whole output never
+/// exists at once. The stage's busy time, which began at `start`, is the
+/// time spent making the pieces, not what happens to them downstream.
+fn emit_pieces(
+    p: &PhysNode<'_>,
+    rows_in: usize,
+    mut start: Instant,
+    pieces: impl Iterator<Item = Chunk>,
+    ctx: &mut ExecCtx,
+    emit: Emit<'_>,
+) -> Result<()> {
+    let op = op_tag(p);
+    let mut rows_in = rows_in as u64;
+    for piece in pieces {
         p.metrics.record_batch(rows_in, piece.rows as u64, start.elapsed());
         rows_in = 0;
         charge_batch(p, ctx, op, &piece)?;
@@ -1292,7 +1367,10 @@ fn exec_aggregate(
         p.metrics.add_busy(start.elapsed());
         folded
     };
-    let mut state = if !dag.is_volatile() && aggs.iter().all(|a| exactly_mergeable(a.kind)) {
+    // What follows the last fold — merging the partials, emitting the
+    // groups — runs on this thread and extends the pipeline's wall time.
+    let mergeable = !dag.is_volatile() && aggs.iter().all(|a| exactly_mergeable(a.kind));
+    let (mut state, start) = if mergeable {
         // The aggregate is the sink of the pipeline below it: one partial
         // state per worker over a contiguous range of morsels, merged in
         // range order so group order and tie-breaks match serial.
@@ -1303,8 +1381,7 @@ fn exec_aggregate(
         for partial in partials {
             merged.merge(partial, groups.len() == 1)?;
         }
-        p.metrics.add_busy(start.elapsed());
-        merged
+        (merged, start)
     } else {
         // One state, batch after batch on this thread: in row order for
         // `SUM`/`AVG`, through the caller's counter for a volatile argument.
@@ -1316,9 +1393,8 @@ fn exec_aggregate(
             fold(&mut state, batch, ctx)?;
         }
         end_pipeline(p, clock, morsels, 1);
-        state
+        (state, Instant::now())
     };
-    let start = Instant::now();
 
     // Global aggregation over zero rows still yields one row.
     if groups.is_empty() && state.states.is_empty() {
@@ -1346,147 +1422,30 @@ fn exec_aggregate(
     Ok(batches)
 }
 
-fn exec_join(
-    p: &PhysNode<'_>,
-    kind: JoinKind,
-    on: &Option<PExpr>,
-    ctx: &mut ExecCtx,
-) -> Result<Vec<Chunk>> {
-    let l_batches = execute_physical(&p.children[0], ctx)?;
-    let r_batches = execute_physical(&p.children[1], ctx)?;
-    let OpExprs::Join(JoinExprs { left: left_keys, right: right_keys, residual }) = &p.exprs
-    else {
-        return Err(SnowError::internal(p.op_name(), "the join was lowered without its keys"));
-    };
-    let clock = begin_pipeline(ctx);
-    let start = clock.1;
-    let ra = batches_arity(&r_batches, &p.children[1]);
-    let l_rows = total_rows(&l_batches) as u64;
-    let r_rows = total_rows(&r_batches) as u64;
-    p.metrics.add_rows_in(l_rows + r_rows);
-    p.metrics.peak(l_rows + r_rows);
-
-    // The build side is materialized whole for O(1) row addressing.
-    let r = concat_batches(r_batches, ra);
-    charge_batch(p, ctx, "Join", &r)?;
-
-    // Hash join: build on the right side (serial — the build is a hash
-    // insert in row order; probe is the parallel phase). `key_at` yields
-    // exactly the group key `Key::of` would for the boxed value.
-    let hash: Option<HashMap<Vec<Key>, Vec<usize>>> = if left_keys.root_count() == 0 {
-        None
-    } else {
-        let kcols = eval_exprs(right_keys, &r, ctx, None, None).complete()?;
-        let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-        let mut key = Vec::new();
-        for rr in 0..r.rows {
-            if rr % BATCH_ROWS == 0 {
-                ctx.gov.checkpoint("Join")?;
-            }
-            if join_key(&kcols, rr, &mut key) {
-                table.entry(std::mem::take(&mut key)).or_default().push(rr);
-            }
-        }
-        Some(table)
-    };
-
-    // Without hash keys (a cross join, a non-equi condition) every right row
-    // is a candidate of every left row: a nested loop.
-    let all_right: Vec<usize> = if hash.is_none() { (0..r.rows).collect() } else { Vec::new() };
-
-    let probe = |lb: &Chunk, wctx: &mut ExecCtx| -> Result<Chunk> {
-        let kcols = match &hash {
-            Some(_) => eval_exprs(left_keys, lb, wctx, None, Some(&p.metrics)).complete()?,
-            None => Vec::new(),
-        };
-        // Matches accumulate as (left, right) row indices; the output chunk
-        // is a typed gather at the end, so column representations survive the
-        // join untouched (`None` right rows become NULLs on the outer side).
-        let mut lidx: Vec<usize> = Vec::new();
-        let mut ridx: Vec<Option<usize>> = Vec::new();
-        let mut key = Vec::new();
-        for lr in 0..lb.rows {
-            let candidates: &[usize] = match &hash {
-                Some(table) if join_key(&kcols, lr, &mut key) => {
-                    table.get(key.as_slice()).map_or(&[], Vec::as_slice)
-                }
-                Some(_) => &[],
-                None => &all_right,
-            };
-            let mut matched = false;
-            'pairs: for &rr in candidates {
-                for e in residual {
-                    let parts = [(lb, lr), (&r, rr)];
-                    let v = eval(e, RowView::new(&parts), wctx)?;
-                    if truth(&v)? != Some(true) {
-                        continue 'pairs;
-                    }
-                }
-                lidx.push(lr);
-                ridx.push(Some(rr));
-                matched = true;
-            }
-            if kind == JoinKind::LeftOuter && !matched {
-                lidx.push(lr);
-                ridx.push(None);
-            }
-        }
-        let mut cols: Vec<ColumnVec> = Vec::with_capacity(lb.cols.len() + r.cols.len());
-        for c in &lb.cols {
-            cols.push(c.gather(&lidx));
-        }
-        for c in &r.cols {
-            cols.push(c.gather_opt(&ridx));
-        }
-        Ok(Chunk { cols, rows: lidx.len() })
-    };
-
-    // A volatile ON reads one `SEQ8()` counter: after the right keys above,
-    // each left batch in order — its keys, then the residuals of its
-    // candidate pairs.
-    let volatile = on.as_ref().is_some_and(PExpr::is_volatile);
-    let batches = map_batches(p, l_batches.len(), volatile, ctx, |bi, wctx| {
-        let t0 = Instant::now();
-        let out = probe(&l_batches[bi], wctx)?;
-        p.metrics.record_batch(l_batches[bi].rows as u64, out.rows as u64, t0.elapsed());
-        charge_batch(p, wctx, "Join", &out)?;
-        Ok(out)
-    })?;
-    p.metrics.add_busy(start.elapsed());
-    end_pipeline(p, clock, l_batches.len(), if volatile { 1 } else { p.parallelism });
-    Ok(batches.into_iter().filter(|c| c.rows > 0).collect())
-}
-
-/// Writes the hash key of row `r` of a join's key columns into `key`; false
-/// when a key is NULL, which never matches in SQL equality.
-fn join_key(kcols: &[Cow<'_, ColumnVec>], r: usize, key: &mut Vec<Key>) -> bool {
-    key.clear();
-    if kcols.iter().any(|c| c.is_null_at(r)) {
-        return false;
-    }
-    key.extend(kcols.iter().map(|c| c.key_at(r)));
-    true
-}
-
 fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
     let dag = p.dag()?;
     let clock = begin_pipeline(ctx);
-    let start = clock.1;
     let in_rows = total_rows(&input);
     p.metrics.add_rows_in(in_rows as u64);
     p.metrics.peak(in_rows as u64);
 
     // Key evaluation parallelizes per batch (volatile keys read one counter,
-    // batch after batch); each result is key-major.
+    // batch after batch); each result is key-major. Busy time is counted
+    // once per phase and worker: each batch here, the serial sort, each
+    // gathered batch.
     let key_cols: Vec<Vec<Vec<Variant>>> =
         map_batches(p, input.len(), dag.is_volatile(), ctx, |bi, wctx| {
+            let t0 = Instant::now();
             let cols = eval_exprs(dag, &input[bi], wctx, None, Some(&p.metrics)).complete()?;
-            Ok(cols.into_iter().map(|c| c.into_owned().into_variants()).collect())
+            let keys = cols.into_iter().map(|c| c.into_owned().into_variants()).collect();
+            p.metrics.add_busy(t0.elapsed());
+            Ok(keys)
         })?;
 
     // Global merge: one stable sort over (batch, row) in input order, so the
     // permutation — and therefore tie order — does not depend on batching.
+    let start = Instant::now();
     let mut order: Vec<(u32, u32)> = Vec::with_capacity(in_rows);
     for (bi, c) in input.iter().enumerate() {
         for r in 0..c.rows {
@@ -1504,6 +1463,7 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         }
         std::cmp::Ordering::Equal
     });
+    p.metrics.add_busy(start.elapsed());
 
     // Parallel gather into output batches.
     let arity = batches_arity(&input, &p.children[0]);
@@ -1523,7 +1483,6 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         charge_batch(p, wctx, "Sort", &out)?;
         Ok(out)
     })?;
-    p.metrics.add_busy(start.elapsed());
     end_pipeline(p, clock, input.len(), p.parallelism);
     Ok(batches)
 }

@@ -58,7 +58,14 @@ fn walk(
 ) {
     indent(depth, out);
     if let Some(id) = node.share {
-        if !printed.insert(id) {
+        // `EXPLAIN` tags the first site in plan order, `EXPLAIN ANALYZE` the
+        // site that executed the subtree: the first in execution order,
+        // which is the build side of a join.
+        let reads = match metrics {
+            Some(m) => m.name == format!("Shared #{id}"),
+            None => !printed.insert(id),
+        };
+        if reads {
             let _ = writeln!(out, "-> shared #{id}");
             return;
         }

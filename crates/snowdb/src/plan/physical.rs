@@ -2,8 +2,6 @@
 //!
 //! Lowering walks the bound (and optimized) logical [`Node`] tree and produces
 //! a mirror tree of [`PhysNode`]s, each carrying
-//! - whether the operator is a *pipeline breaker* (must consume its whole
-//!   input before emitting: hash aggregate, hash join, sort, distinct);
 //! - the degree of parallelism the executor will use for it;
 //! - an [`OpMetricsCell`] that workers update concurrently during execution;
 //! - the operator's expressions compiled into an [`ExprDag`] ([`OpExprs`]):
@@ -14,9 +12,12 @@
 //! per query.
 //!
 //! Subtrees the optimizer marked shared ([`Node::share`]) are lowered once:
-//! the first site of a class in plan order gets the operator subtree and
-//! produces the class's [`SharedSlot`]; every later site is a childless
-//! reader of that slot. The physical plan is therefore the DAG itself —
+//! the first site of a class in *execution* order gets the operator subtree
+//! and produces the class's [`SharedSlot`]; every other site is a childless
+//! reader of that slot. Lowering visits the sites in the order the executor
+//! runs them — a join's right (build) input before its left (probe) input,
+//! every other operator's inputs in order — so the producing site has always
+//! run before a reader asks. The physical plan is therefore the DAG itself —
 //! [`PhysNode::op_count`] and the metrics tree see each shared operator once.
 
 use std::collections::HashMap;
@@ -35,9 +36,6 @@ pub struct PhysNode<'a> {
     /// Children in the same order as the logical node's inputs (none for a
     /// reader of a shared result).
     pub children: Vec<PhysNode<'a>>,
-    /// True when the operator must materialize its entire input before
-    /// emitting output (aggregate, join, sort, distinct).
-    pub breaker: bool,
     /// Worker count the executor will use for this operator's parallel phase
     /// (1 = inherently serial).
     pub parallelism: usize,
@@ -100,7 +98,8 @@ fn compile_exprs(plan: &Node) -> OpExprs<'_> {
 #[derive(Debug)]
 pub struct SharedSite {
     pub slot: Arc<SharedSlot>,
-    /// True at the one site that owns the operator subtree and executes it.
+    /// True at the one site that owns the operator subtree and executes it:
+    /// the first in execution order.
     pub producer: bool,
 }
 
@@ -121,42 +120,43 @@ fn lower_node<'a>(
         SharedSite { slot, producer }
     });
     let reader = shared.as_ref().is_some_and(|site| !site.producer);
-    let children = if reader {
-        Vec::new()
-    } else {
-        plan.kind.inputs().into_iter().map(|c| lower_node(c, threads, slots)).collect()
+    let children = match &plan.kind {
+        _ if reader => Vec::new(),
+        // A join executes its build (right) side before its probe side, so
+        // the right subtree is lowered first: the producing site of a class
+        // is the first one executed.
+        NodeKind::Join { left, right, .. } => {
+            let right = lower_node(right, threads, slots);
+            vec![lower_node(left, threads, slots), right]
+        }
+        kind => kind.inputs().into_iter().map(|c| lower_node(c, threads, slots)).collect(),
     };
-    let (breaker, parallelism) = match &plan.kind {
+    let parallelism = match &plan.kind {
         // Reading a slot is one hand-over of finished batches.
-        _ if reader => (false, 1),
+        _ if reader => 1,
         // Scans parallelize across micro-partitions (the morsel unit), so a
         // table with fewer partitions than workers caps the useful degree.
-        NodeKind::Scan { table, .. } => {
-            (false, threads.min(table.partitions().len().max(1)))
-        }
-        NodeKind::Values => (false, 1),
-        // Filters and projections are stages of a pipeline. Volatile
-        // projections (SEQ8) still parallelize: the executor assigns each
-        // morsel its deterministic counter base from a prefix sum over the
-        // materialized input.
-        NodeKind::Project { .. } | NodeKind::Filter { .. } => (false, threads),
-        NodeKind::Flatten { .. } => (false, threads),
+        NodeKind::Scan { table, .. } => threads.min(table.partitions().len().max(1)),
+        NodeKind::Values => 1,
+        // Filters, projections, flattens and join probes are stages of a
+        // pipeline. Volatile projections (SEQ8) still parallelize: the
+        // executor assigns each morsel its deterministic counter base from a
+        // prefix sum over the materialized input. A join's build is serial.
+        NodeKind::Project { .. }
+        | NodeKind::Filter { .. }
+        | NodeKind::Flatten { .. }
+        | NodeKind::Join { .. } => threads,
         // Pipeline breakers: one partial state per worker of the pipeline
-        // below, merged in order (aggregate), build + parallel probe (join),
-        // parallel key evaluation then a global merge (sort).
-        NodeKind::Aggregate { .. } | NodeKind::Join { .. } | NodeKind::Sort { .. } => {
-            (true, threads)
-        }
+        // below, merged in order (aggregate), parallel key evaluation then a
+        // global merge (sort).
+        NodeKind::Aggregate { .. } | NodeKind::Sort { .. } => threads,
         // Distinct keeps one hash set in input order; limit and union only
         // splice batch lists.
-        NodeKind::Distinct { .. } | NodeKind::Limit { .. } | NodeKind::UnionAll { .. } => {
-            (true, 1)
-        }
+        NodeKind::Distinct { .. } | NodeKind::Limit { .. } | NodeKind::UnionAll { .. } => 1,
     };
     PhysNode {
         logical: plan,
         children,
-        breaker,
         parallelism,
         metrics: OpMetricsCell::default(),
         shared,

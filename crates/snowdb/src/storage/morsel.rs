@@ -33,66 +33,15 @@ impl MorselDispatcher {
     }
 }
 
-/// Runs `work(i)` for every `i in 0..total` on up to `threads` workers and
-/// returns the results in index order.
+/// Runs `work(i)` for every `i in 0..total` on up to `threads` workers — the
+/// calling thread among them — and returns the results in index order, or
+/// the error with the lowest index (the one serial execution would have hit
+/// first), independent of worker timing. The one parallel primitive of the
+/// executor, governed and panic-isolated:
 ///
-/// With `threads <= 1` (or a trivially small range) the work runs inline on
-/// the calling thread — no spawning — which is the degradation path for
-/// `SNOWDB_THREADS=1`. Every item is processed even if some items fail;
-/// callers that hand out `Result`s pick the lowest-index error so the
-/// reported error never depends on worker timing.
-pub fn parallel_indexed<R, F>(total: usize, threads: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || total <= 1 {
-        return (0..total).map(work).collect();
-    }
-    let dispatcher = MorselDispatcher::new(total);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(total));
-    let workers = threads.min(total);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Buffer locally; take the shared lock once per worker.
-                let mut local = Vec::new();
-                while let Some(i) = dispatcher.claim() {
-                    local.push((i, work(i)));
-                }
-                collected.lock().unwrap_or_else(|e| e.into_inner()).extend(local);
-            });
-        }
-    });
-    let mut pairs = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    pairs.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(pairs.len(), total);
-    pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`parallel_indexed`] over fallible work: returns all results in index
-/// order, or the error with the lowest index (the one serial execution would
-/// have hit first), independent of worker timing.
-pub fn try_parallel_indexed<R, E, F>(
-    total: usize,
-    threads: usize,
-    work: F,
-) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    let mut out = Vec::with_capacity(total);
-    for r in parallel_indexed(total, threads, work) {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Governed, panic-isolated variant of [`try_parallel_indexed`] — the morsel
-/// primitive of the query-lifecycle governance layer.
-///
+/// - with `threads <= 1` (or a trivially small range) the work runs inline on
+///   the calling thread — no spawning — which is the degradation path for
+///   `SNOWDB_THREADS=1`;
 /// - `gate` runs before every claim (and before every inline item). A gate
 ///   error — cancellation, deadline, budget, injected fault — aborts the
 ///   whole call promptly: workers stop claiming and the *first observed* gate
@@ -103,8 +52,8 @@ where
 ///   into a typed error that competes under the same lowest-index-wins rule
 ///   as ordinary work errors, so the reported error is the one serial
 ///   execution would have hit first.
-/// - As in [`parallel_indexed`], work errors do not stop other items: every
-///   item is processed so the lowest-index error is deterministic.
+/// - work errors do not stop other workers: every item is processed so the
+///   lowest-index error is deterministic.
 pub fn try_parallel_indexed_governed<R, E, F, G, P>(
     total: usize,
     threads: usize,
@@ -197,10 +146,20 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// The entry point without a gate or a panic: what the executor's work
+    /// looks like when nothing trips.
+    fn run<R: Send>(
+        total: usize,
+        threads: usize,
+        work: impl Fn(usize) -> Result<R, usize> + Sync,
+    ) -> Result<Vec<R>, usize> {
+        try_parallel_indexed_governed(total, threads, || Ok(()), |i, _| i, work)
+    }
+
     #[test]
     fn preserves_index_order() {
         for threads in [1, 2, 4, 7] {
-            let out = parallel_indexed(100, threads, |i| i * 3);
+            let out = run(100, threads, |i| Ok(i * 3)).unwrap();
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
@@ -208,24 +167,21 @@ mod tests {
     #[test]
     fn every_index_claimed_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        parallel_indexed(64, 4, |i| hits[i].fetch_add(1, Ordering::Relaxed));
+        run(64, 4, |i| Ok(hits[i].fetch_add(1, Ordering::Relaxed))).unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn lowest_index_error_wins() {
         for threads in [1, 3] {
-            let err = try_parallel_indexed(32, threads, |i| {
-                if i % 10 == 7 { Err(i) } else { Ok(i) }
-            })
-            .unwrap_err();
+            let err = run(32, threads, |i| if i % 10 == 7 { Err(i) } else { Ok(i) }).unwrap_err();
             assert_eq!(err, 7);
         }
     }
 
     #[test]
     fn empty_and_singleton_ranges() {
-        assert!(parallel_indexed(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_indexed(1, 4, |i| i + 1), vec![1]);
+        assert!(run(0, 4, Ok).unwrap().is_empty());
+        assert_eq!(run(1, 4, |i| Ok(i + 1)).unwrap(), vec![1]);
     }
 }

@@ -326,6 +326,12 @@ fn shared_upstream_self_join_matches_unshared_execution() {
     }
     let plan = db.explain(&sql).unwrap();
     assert!(plan.contains("[shared #1]") && plan.contains("-> shared #1"), "{plan}");
+    // EXPLAIN ANALYZE prints the subtree, with its metrics, at the site that
+    // executed it: the join's build side, which runs first.
+    let analyzed = common::msg(db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap());
+    let tagged = analyzed.lines().find(|l| l.contains("[shared #1]")).expect("a tagged site");
+    assert!(tagged.contains(" pipe="), "{analyzed}");
+    assert!(analyzed.contains("-> shared #1"), "{analyzed}");
 }
 
 /// One body per operator, two producers of its expression columns: the
@@ -708,6 +714,114 @@ mod pipelines {
             let runs = metrics.pipelines();
             assert_eq!(runs.len(), 1);
             assert_eq!((runs[0].1, runs[0].2.morsels, runs[0].2.workers), ("Aggregate", 4, threads.min(4)));
+        }
+    }
+
+    /// A join runs its build (right) side before its probe side: when both
+    /// raise, the build side's error is the one reported, wherever its row.
+    #[test]
+    fn a_join_whose_inputs_both_raise_reports_the_build_sides_error() {
+        let sql = "SELECT a.id, a.e, b.n FROM (SELECT id, 100 / k AS e FROM t) a \
+                   JOIN (SELECT id, s::INT AS n FROM t) b ON a.id = b.id";
+        for optimize in [true, false] {
+            for (zero_k, bad_s) in [([70], [200]), ([200], [70])] {
+                let err = agreed(&table(&zero_k, &bad_s, &[], &[]), sql, optimize).unwrap_err();
+                assert!(!err.contains("division by zero"), "optimize={optimize} k={zero_k:?}: {err}");
+            }
+        }
+    }
+
+    /// Inside a probe pipeline the lowest source morsel wins across every
+    /// stage, the probe included: a residual raising on morsel 1 beats the
+    /// probe-side filter below it raising on morsel 3, and the other way
+    /// round.
+    #[test]
+    fn a_residual_and_a_probe_side_filter_report_the_lowest_morsel() {
+        let sql = format!(
+            "SELECT a.id, b.id FROM (SELECT * FROM {LIMITED} WHERE 100 / k > 0) a \
+             JOIN t b ON a.id = b.id AND a.s::INT + b.id > 0"
+        );
+        for optimize in [true, false] {
+            let err = agreed(&table(&[200], &[70], &[], &[]), &sql, optimize).unwrap_err();
+            assert!(!err.contains("division by zero"), "optimize={optimize}: {err}");
+            let err = agreed(&table(&[70], &[200], &[], &[]), &sql, optimize).unwrap_err();
+            assert!(err.contains("division by zero"), "optimize={optimize}: {err}");
+        }
+    }
+
+    /// Each row and each nanosecond is counted once: a join takes in its
+    /// probe rows and its build rows, and the operators of a pipeline are
+    /// busy at most as long as its workers were there — its wall time, which
+    /// includes building the tables its probes read.
+    #[test]
+    fn a_pipeline_counts_each_row_and_each_nanosecond_once() {
+        let db = table(&[], &[], &[], &[]);
+        for sql in [
+            "SELECT a.id % 5 AS g, COUNT(*) AS n, SUM(b.id) AS s FROM t a JOIN t b ON a.id = b.id \
+             GROUP BY a.id % 5 ORDER BY g",
+            "SELECT a.id % 5 AS g, COUNT(*) AS n, MIN(b.k) AS m FROM t a \
+             LEFT OUTER JOIN (SELECT * FROM t WHERE id % 2 = 0) b ON a.id = b.id GROUP BY a.id % 5",
+            "SELECT a.id, b.k FROM t a JOIN t b ON a.id = b.id ORDER BY b.k DESC, a.id",
+        ] {
+            for threads in [1, 2] {
+                let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+                let metrics = db.query_with(sql, &opts).unwrap().profile.metrics.unwrap();
+                let ops: Vec<&OpMetrics> = metrics.operators().into_iter().map(|(_, m)| m).collect();
+                let join = ops.iter().find(|m| m.name.ends_with("Join")).expect("a join");
+                let right = if sql.contains("LEFT") { 160 } else { 320 };
+                assert_eq!(join.rows_in, 320 + right, "threads={threads}: {sql}");
+                for (id, top, run) in metrics.pipelines() {
+                    let busy: std::time::Duration =
+                        ops.iter().filter(|m| m.pipeline == id).map(|m| m.busy).sum();
+                    assert!(
+                        busy <= run.wall * run.workers as u32,
+                        "threads={threads} pipeline {id} ({top}): busy {busy:?} > {} x {:?}: {sql}",
+                        run.workers,
+                        run.wall
+                    );
+                }
+            }
+        }
+    }
+
+    /// ADL q6 and q7 under the JOIN-based strategy read one shared upstream
+    /// on both sides of a join. The build side runs first, so it is where the upstream is
+    /// produced; were the producer the probe side, the build side would
+    /// wait for it until the statement timeout.
+    #[test]
+    fn join_based_adl_queries_stream_over_their_shared_upstream() {
+        use std::sync::Arc;
+
+        use jsoniq_core::interp::{DatabaseCollections, Interpreter};
+        use jsoniq_core::snowflake::{translate_query, NestedStrategy};
+        use snowdb::variant::cmp_variants;
+
+        let db = Database::new();
+        let events = adl::AdlConfig { events: 200, seed: 1234, partition_rows: 32 };
+        adl::generator::load_into(&db, "hep", &events);
+        db.execute("SET STATEMENT_TIMEOUT_IN_SECONDS = 10").unwrap();
+        let db = Arc::new(db);
+        let sorted = |mut rows: Vec<Variant>| {
+            rows.sort_by(cmp_variants);
+            rows
+        };
+        for q in adl::queries::queries("hep").into_iter().filter(|q| q.id == "q6" || q.id == "q7") {
+            let want = Interpreter::new(&DatabaseCollections { db: &db }).eval_query(&q.jsoniq).unwrap();
+            let sql = translate_query(db.clone(), &q.jsoniq, NestedStrategy::JoinBased)
+                .unwrap()
+                .sql()
+                .to_string();
+            assert!(db.explain(&sql).unwrap().contains("-> shared #"), "{}: nothing shared", q.id);
+            for vectorize in [true, false] {
+                for threads in [1, 2, 8] {
+                    let (threads, vectorize) = (Some(threads), Some(vectorize));
+                    let opts = QueryOptions { threads, vectorize, ..Default::default() };
+                    let rows = db.query_with(&sql, &opts).unwrap_or_else(|e| panic!("{}: {e}", q.id)).rows;
+                    let got = sorted(rows.into_iter().map(|mut r| r.remove(0)).collect());
+                    let cfg = format!("{} threads={threads:?} vectorize={vectorize:?}", q.id);
+                    assert_eq!(got, sorted(want.clone()), "{cfg}");
+                }
+            }
         }
     }
 }

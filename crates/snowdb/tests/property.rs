@@ -1,5 +1,7 @@
 //! Property-based tests for the engine's core data structures and invariants.
 
+mod common;
+
 use proptest::prelude::*;
 
 use snowdb::storage::{ColumnDef, ColumnType};
@@ -1098,5 +1100,283 @@ mod dag_differential {
             );
         }
         assert!(identical > 100 && identical < pairs.len() as u32 - 100, "{identical}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The hash join's table against a nested loop over boxed values
+// ---------------------------------------------------------------------------
+
+mod join_table {
+    use rand::{Rng, SeedableRng, StdRng};
+    use snowdb::column::ColumnVec;
+    use snowdb::exec::pipeline::BATCH_ROWS;
+    use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::variant::{Key, Object};
+    use snowdb::{Database, QueryOptions, Variant};
+
+    use crate::common;
+
+    /// Key columns, their declared types and how each represents its cells:
+    /// `I` an `Int` column, `F` a `Float` one holding integral doubles,
+    /// `-0.0` and NaN, `S` a dictionary of long strings, `R` run-length
+    /// integers, `V` boxed arrays, objects and scalars of every type. Every
+    /// column has NULLs.
+    const KEYS: [(&str, ColumnType); 5] = [
+        ("I", ColumnType::Int),
+        ("F", ColumnType::Float),
+        ("S", ColumnType::Str),
+        ("R", ColumnType::Int),
+        ("V", ColumnType::Variant),
+    ];
+
+    /// The key columns of the equi-conjuncts of each join, left = right.
+    const CONDITIONS: [&[(&str, &str)]; 13] = [
+        &[("i", "i")],
+        &[("f", "f")],
+        &[("i", "f")],
+        &[("s", "s")],
+        &[("r", "r")],
+        &[("r", "i")],
+        &[("v", "v")],
+        &[("v", "i")],
+        &[("v", "f")],
+        &[("v", "s")],
+        &[("i", "i"), ("s", "s")],
+        &[("r", "f"), ("v", "v")],
+        &[("f", "i"), ("s", "s")],
+    ];
+
+    /// Holds for a pair of rows besides the keys: `(a.id + b.id) % 3 <> 0`.
+    const RESIDUAL: &str = "(a.id + b.id) % 3 <> 0";
+
+    fn int_key(rng: &mut StdRng) -> Variant {
+        match rng.gen_range(0..7) {
+            0 => Variant::Null,
+            _ => Variant::Int(rng.gen_range(0i64..4)),
+        }
+    }
+
+    fn float_key(rng: &mut StdRng) -> Variant {
+        match rng.gen_range(0..10) {
+            0 => Variant::Null,
+            1 => Variant::Float(-0.0),
+            2 => Variant::Float(f64::NAN),
+            3 => Variant::Float(0.5),
+            _ => Variant::Float(rng.gen_range(0i64..4) as f64),
+        }
+    }
+
+    fn str_key(rng: &mut StdRng) -> Variant {
+        match rng.gen_range(0..7) {
+            0 => Variant::Null,
+            _ => Variant::str(["alphabet", "brassica", "charlie0"][rng.gen_range(0..3usize)]),
+        }
+    }
+
+    fn var_key(rng: &mut StdRng) -> Variant {
+        let k = rng.gen_range(0i64..3);
+        match rng.gen_range(0..8) {
+            0 => Variant::Null,
+            1 => Variant::Int(k),
+            2 => Variant::Float(k as f64),
+            3 => str_key(rng),
+            4 => Variant::array(vec![Variant::Int(k), Variant::Null]),
+            5 => Variant::array(vec![Variant::Float(k as f64), Variant::Null]),
+            6 => {
+                let mut o = Object::new();
+                o.insert("k", if rng.gen_bool(0.5) { Variant::Int(k) } else { Variant::Float(k as f64) });
+                Variant::object(o)
+            }
+            _ => Variant::Bool(k == 0),
+        }
+    }
+
+    /// `n` rows: an id, then one cell per key column. `R` holds runs of
+    /// four to nine rows.
+    fn rows(rng: &mut StdRng, n: usize) -> Vec<Vec<Variant>> {
+        let mut run = (0usize, Variant::Null);
+        (0..n)
+            .map(|id| {
+                if run.0 == 0 {
+                    run = (rng.gen_range(4..10usize), int_key(rng));
+                }
+                run.0 -= 1;
+                vec![
+                    Variant::Int(id as i64),
+                    int_key(rng),
+                    float_key(rng),
+                    str_key(rng),
+                    run.1.clone(),
+                    var_key(rng),
+                ]
+            })
+            .collect()
+    }
+
+    /// Loads `rows` as `name` in partitions of `part` rows, encoded at
+    /// seal. The switch that forces encoding is process-wide and other tests
+    /// of this binary flip it, so a load that came out plain is repeated.
+    fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize) {
+        let mut schema = vec![ColumnDef::new("ID", ColumnType::Int)];
+        schema.extend(KEYS.iter().map(|(c, ty)| ColumnDef::new(*c, *ty)));
+        for _ in 0..50 {
+            db.drop_table(name).unwrap();
+            snowdb::storage::set_ingest_encoding(Some(true));
+            let loaded =
+                db.load_table_with_partition_rows(name, schema.clone(), rows.iter().cloned(), part);
+            snowdb::storage::set_ingest_encoding(None);
+            loaded.unwrap();
+            let table = db.table(name).unwrap();
+            let first = &table.partitions()[0];
+            let dict = matches!(*first.read_column(3).unwrap(), ColumnVec::DictStr { .. });
+            let runs = matches!(*first.read_column(4).unwrap(), ColumnVec::Runs { .. });
+            if dict && runs {
+                return;
+            }
+        }
+        panic!("{name} never sealed encoded");
+    }
+
+    /// What the join returns as `(a.id, b.id)` pairs: per left row in
+    /// order, its matches in right-row order — every key equal under `Key`
+    /// equality, no NULL, the residual true — and for a left-outer join an
+    /// unmatched left row once, with a NULL.
+    fn nested_loop(
+        l: &[Vec<Variant>],
+        r: &[Vec<Variant>],
+        keys: &[(usize, usize)],
+        outer: bool,
+        residual: bool,
+    ) -> Vec<Vec<Variant>> {
+        let mut out = Vec::new();
+        for a in l {
+            let before = out.len();
+            for b in r {
+                let equal = keys.iter().all(|&(lk, rk)| {
+                    !a[lk].is_null() && !b[rk].is_null() && Key::of(&a[lk]) == Key::of(&b[rk])
+                });
+                let id = |row: &[Variant]| row[0].as_i64().unwrap();
+                if equal && (!residual || (id(a) + id(b)) % 3 != 0) {
+                    out.push(vec![a[0].clone(), b[0].clone()]);
+                }
+            }
+            if outer && out.len() == before {
+                out.push(vec![a[0].clone(), Variant::Null]);
+            }
+        }
+        out
+    }
+
+    /// The join's rows at 1, 2 and 8 threads with vectorize on and off, all
+    /// the same, or a panic naming the configuration that differs.
+    fn run(db: &Database, sql: &str) -> (Vec<Vec<Variant>>, Vec<snowdb::OpMetrics>) {
+        let mut seen: Option<(String, Vec<Vec<Variant>>)> = None;
+        let mut joins = Vec::new();
+        for threads in [1, 2, 8] {
+            for vectorize in [true, false] {
+                let opts = QueryOptions {
+                    threads: Some(threads),
+                    vectorize: Some(vectorize),
+                    encode: Some(true),
+                    ..Default::default()
+                };
+                let r = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                let metrics = r.profile.metrics.expect("operator metrics");
+                let ops = metrics.operators().into_iter().map(|(_, m)| m);
+                joins.extend(ops.filter(|m| m.name.ends_with("Join")).cloned());
+                match &seen {
+                    None => seen = Some((format!("{:?}", r.rows), r.rows)),
+                    Some((text, _)) => assert_eq!(
+                        &format!("{:?}", r.rows),
+                        text,
+                        "threads={threads} vectorize={vectorize}: {sql}"
+                    ),
+                }
+            }
+        }
+        (seen.expect("ran").1, joins)
+    }
+
+    /// Seeded tables with key columns in every representation, joined on
+    /// one and two columns of every pairing, inner and left outer, with and
+    /// without a residual, against a nested loop over boxed values — rows in
+    /// order, at every thread count under either producer. The left table
+    /// comes in many partitions, each with its own dictionary; the right one
+    /// in one partition (its dictionary survives the build) or many, and
+    /// joined with itself to meet its own dictionary.
+    #[test]
+    fn the_join_table_returns_the_nested_loops_rows() {
+        let column = |c: &str| 1 + KEYS.iter().position(|(k, _)| k.eq_ignore_ascii_case(c)).unwrap();
+        for seed in 0..common::schedule_budget(6) as u64 {
+            let _repro = common::schedule("join_table", seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let db = Database::new();
+            let (nl, nr) = (rng.gen_range(40..80), rng.gen_range(20..50));
+            let (l, r) = (rows(&mut rng, nl), rows(&mut rng, nr));
+            load(&db, "L", &l, rng.gen_range(10..20));
+            let r_part = if seed % 2 == 0 { r.len() } else { rng.gen_range(10..20) };
+            load(&db, "R", &r, r_part);
+            let mut matched = 0;
+            for (left, lrows, rrows) in [("L", &l, &r), ("R", &r, &r)] {
+                for cond in CONDITIONS {
+                    let on: Vec<String> = cond.iter().map(|(a, b)| format!("a.{a} = b.{b}")).collect();
+                    let keys: Vec<(usize, usize)> =
+                        cond.iter().map(|(a, b)| (column(a), column(b))).collect();
+                    for (join, outer) in [("JOIN", false), ("LEFT OUTER JOIN", true)] {
+                        for residual in [false, true] {
+                            let mut on = on.join(" AND ");
+                            if residual {
+                                on = format!("{on} AND {RESIDUAL}");
+                            }
+                            let sql = format!("SELECT a.id, b.id FROM {left} a {join} R b ON {on}");
+                            let (got, _) = run(&db, &sql);
+                            let want = nested_loop(lrows, rrows, &keys, outer, residual);
+                            assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed}: {sql}");
+                            matched += want.iter().filter(|row| !row[1].is_null()).count();
+                        }
+                    }
+                }
+            }
+            assert!(matched > 1000, "seed {seed}: only {matched} pairs matched");
+        }
+    }
+
+    /// One left batch that matches more than [`BATCH_ROWS`] rows: the
+    /// output comes in pieces, none larger than a batch, in pair order.
+    #[test]
+    fn a_probe_batch_with_more_matches_than_a_batch_holds_comes_in_pieces() {
+        let db = Database::new();
+        let schema = |ty| vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("K", ty)];
+        let (nl, nr) = (90usize, 70usize);
+        db.load_table_with_partition_rows(
+            "bl",
+            schema(ColumnType::Int),
+            (0..nl).map(|i| vec![Variant::Int(i as i64), Variant::Int(1)]),
+            nl,
+        )
+        .unwrap();
+        db.load_table_with_partition_rows(
+            "br",
+            schema(ColumnType::Float),
+            (0..nr).map(|i| vec![Variant::Int(i as i64), Variant::Float(1.0)]),
+            nr,
+        )
+        .unwrap();
+        assert!(nl * nr > BATCH_ROWS);
+        for join in ["JOIN", "LEFT OUTER JOIN"] {
+            let sql = format!("SELECT a.id, b.id FROM bl a {join} br b ON a.k = b.k");
+            let (got, joins) = run(&db, &sql);
+            let want: Vec<Vec<Variant>> = (0..nl)
+                .flat_map(|a| (0..nr).map(move |b| vec![Variant::Int(a as i64), Variant::Int(b as i64)]))
+                .collect();
+            assert_eq!(got, want, "{sql}");
+            assert_eq!(joins.len(), 6);
+            for m in joins {
+                assert_eq!(m.rows_out, (nl * nr) as u64);
+                assert_eq!(m.rows_in, (nl + nr) as u64, "{m:?}");
+                assert!(m.peak_rows <= BATCH_ROWS as u64 && m.batches >= 2, "{sql}: {m:?}");
+            }
+        }
     }
 }

@@ -2,15 +2,16 @@
 //! compiled expression DAG (`vectorize` on) and the row evaluator (off) feed
 //! the same operator bodies, so a statement returns the same rows, or fails
 //! with the same error, under either — and for the pipeline driver under
-//! them: a chain of streaming operators runs morsel by morsel, the same rows
-//! and the same error at any thread count. The deep suites (the
-//! 24-configuration lattice, `tests/parallel.rs::{producers, pipelines}`, the
-//! DAG differential) live in `crates/snowdb/tests` and run with
-//! `cargo test --workspace`.
+//! them: a chain of streaming operators, join probes included, runs morsel
+//! by morsel, the same rows and the same error at any thread count. The deep
+//! suites (the 24-configuration lattice, `tests/parallel.rs::{producers,
+//! pipelines}`, the join-table property test, the DAG differential) live in
+//! `crates/snowdb/tests` and run with `cargo test --workspace`.
 
 use std::sync::Arc;
 
 use snowq::adl::{self, generator::AdlConfig};
+use snowq::snowdb::StatementResult;
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowq::snowdb::storage::{ColumnDef, ColumnType};
 use snowq::snowdb::{Database, QueryOptions, QueryResult, SnowError, Variant};
@@ -108,6 +109,52 @@ fn two_failing_stages_of_a_pipeline_report_the_lowest_morsel() {
                 QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
             let err = db.query_with(sql, &opts).expect_err("fails").to_string();
             assert!(err.contains("division by zero"), "vectorize={vectorize} threads={threads}: {err}");
+        }
+    }
+}
+
+/// A star join is one pipeline from the fact scan up: SSB q3.1's
+/// `LINEORDER` scan, its three join probes and the projection above them
+/// share one `pipe=` id; each dimension is built by a pipeline of its own
+/// before it.
+#[test]
+fn a_star_join_probes_its_dimensions_in_the_fact_tables_pipeline() {
+    let db = Database::new();
+    snowq::ssb::load_ssb_tiny(&db, &snowq::ssb::SsbConfig { partition_rows: 8, ..Default::default() });
+    db.set_threads(Some(2));
+    let q = snowq::ssb::query("q3.1");
+    let analyzed = db.execute(&format!("EXPLAIN ANALYZE {}", q.sql)).expect("runs");
+    let StatementResult::Message(plan) = analyzed else { panic!("EXPLAIN ANALYZE renders a message") };
+    let pipe = |line: &str| {
+        line.rsplit(" pipe=").next().and_then(|p| p.strip_suffix(']')).map(str::to_owned)
+    };
+    let lines: Vec<&str> = plan.lines().map(str::trim_start).collect();
+    let scan = lines.iter().find(|l| l.starts_with("Scan LINEORDER")).expect("the fact scan");
+    let joins: Vec<&&str> = lines.iter().filter(|l| l.starts_with("InnerJoin")).collect();
+    let project = lines.iter().find(|l| l.starts_with("Project")).expect("a projection");
+    assert_eq!(joins.len(), 3, "{plan}");
+    let fact = pipe(scan).expect("the scan ran in a pipeline");
+    for line in joins.iter().map(|l| **l).chain([*project]) {
+        assert_eq!(pipe(line).as_ref(), Some(&fact), "{line}\n{plan}");
+    }
+    // The pipeline is named after the projection it ends at.
+    assert!(plan.contains(&format!("-- pipeline {fact} (Project)")), "{plan}");
+}
+
+/// A join executes its build (right) side first: when both inputs raise,
+/// the build side's error is reported, even where the probe side fails on
+/// an earlier row.
+#[test]
+fn a_join_whose_inputs_both_raise_reports_the_build_sides_error() {
+    let db = six_morsels();
+    let sql = "SELECT a.id, a.e, b.n FROM (SELECT id, 100 / k AS e FROM t) a \
+               JOIN (SELECT id, s::INT AS n FROM t) b ON a.id = b.id";
+    for vectorize in [true, false] {
+        for threads in [1, 2, 8] {
+            let opts =
+                QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
+            let err = db.query_with(sql, &opts).expect_err("fails").to_string();
+            assert!(!err.contains("division by zero"), "vectorize={vectorize} threads={threads}: {err}");
         }
     }
 }
