@@ -1,0 +1,623 @@
+//! The one key table under the hash join, the hash aggregate and DISTINCT.
+//!
+//! A [`KeyTable`] holds keys — one or more columns — and finds the entry whose
+//! key equals a row's. It is filled in one of two ways:
+//!
+//! - **built** ([`KeyTable::build`]) by a join from its right input: entry `r`
+//!   is build row `r`, a row with a NULL in its key is in no chain (NULL never
+//!   matches), and a chain lists its rows in ascending order, so the matches of
+//!   a probe row come out in right-row order — the order of a nested loop;
+//! - **grown** ([`KeyTable::find_or_insert`]) by an aggregate, one row at a
+//!   time: a key not yet in the table becomes the next entry, so entry indices
+//!   are first-seen order. NULL is a key like any other: NULL = NULL.
+//!
+//! # Layout
+//!
+//! - `keys`: the key columns, in the representation their expressions
+//!   produced; a grown table appends the first-seen cell of each new key
+//!   ([`ColumnVec::push_from`]), so its key columns are the groups' key
+//!   columns, ready to emit;
+//! - `hashes`: one `u64` per entry;
+//! - `heads` / `next`: power-of-two bucket heads and one chain link per entry.
+//!   A grown table doubles its heads when more than half are taken.
+//!
+//! # Hashing
+//!
+//! Hashes are computed a column at a time from each column's representation
+//! ([`KeyHasher::hash_rows`]): an `Int`, `Float` or `Bool` column is one pass
+//! over its values, a `Str` column hashes each string, a `DictStr` column each
+//! dictionary entry once (a row reads its code's hash), a `Runs` column each
+//! run once, and a `Var` column each boxed value, element by element. Every
+//! representation of one [`Key`] hashes alike — an integral double as its
+//! integer, `-0.0` as `0`, every NaN as one NaN, a NULL as one NULL word — so
+//! `1` in an `Int` column meets `1.0` in a `Float` column. The mix is a folded
+//! multiply keyed by two words drawn from a [`RandomState`] once per join or
+//! aggregate execution, so where a key lands is not known to whoever chose
+//! the keys.
+//!
+//! # Equality
+//!
+//! A candidate whose hash equals the row's is compared column by column under
+//! [`Key`] equality ([`same_key`]): `1` = `1.0`, `-0.0` = `0.0`, NaN = NaN,
+//! NULL = NULL, arrays and objects element by element. `Int` against `Int`
+//! compares the integers, two `DictStr` columns over one dictionary compare
+//! codes and strings compare as strings whatever their dictionaries; any other
+//! pair compares [`ColumnVec::key_at`].
+
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::Arc;
+
+use crate::column::{Bitmap, ColumnVec, NULL_CODE};
+use crate::error::{Result, SnowError};
+use crate::variant::{Key, Variant};
+
+use super::pipeline::BATCH_ROWS;
+
+/// The end of a chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Bucket heads of a table grown from empty.
+const MIN_HEADS: usize = 16;
+
+/// Words that keep values of different types apart before they are mixed.
+const FLOAT_TAG: u64 = 0x243f_6a88_85a3_08d3;
+const BOOL_TAG: u64 = 0x1319_8a2e_0370_7344;
+const STR_TAG: u64 = 0xa409_3822_299f_31d0;
+const ARRAY_TAG: u64 = 0x082e_fa98_ec4e_6c89;
+const OBJECT_TAG: u64 = 0x4528_21e6_38d0_1377;
+const NULL_WORD: u64 = 0xbe54_66cf_34e9_0c6c;
+
+/// A key hash: a folded multiply keyed once per join or aggregate execution.
+#[derive(Clone, Copy)]
+pub(super) struct KeyHasher {
+    seed: u64,
+    mul: u64,
+}
+
+/// Per-row hashes of a key, and which rows have a NULL in it (empty when
+/// none has).
+pub(super) struct RowHashes {
+    pub(super) hashes: Vec<u64>,
+    null: Vec<bool>,
+}
+
+impl RowHashes {
+    pub(super) fn is_null(&self, r: usize) -> bool {
+        self.null.get(r).copied().unwrap_or(false)
+    }
+
+    /// Mixes the NULL word into row `r` and flags it.
+    fn mix_null(&mut self, hasher: &KeyHasher, r: usize) {
+        self.hashes[r] = hasher.mix(self.hashes[r], NULL_WORD);
+        if self.null.is_empty() {
+            self.null.resize(self.hashes.len(), false);
+        }
+        self.null[r] = true;
+    }
+
+    /// Mixes `word(r)` into every row `r` that `valid` marks, the NULL word
+    /// into the others.
+    fn mix_valid(&mut self, hasher: &KeyHasher, valid: &Bitmap, word: impl Fn(usize) -> u64) {
+        if valid.all_valid() {
+            for (r, h) in self.hashes.iter_mut().enumerate() {
+                *h = hasher.mix(*h, word(r));
+            }
+            return;
+        }
+        for r in 0..self.hashes.len() {
+            match valid.get(r) {
+                true => self.hashes[r] = hasher.mix(self.hashes[r], word(r)),
+                false => self.mix_null(hasher, r),
+            }
+        }
+    }
+}
+
+impl KeyHasher {
+    pub(super) fn new() -> KeyHasher {
+        let state = RandomState::new();
+        KeyHasher {
+            seed: state.hash_one(1u8),
+            mul: state.hash_one(2u8) | 1,
+        }
+    }
+
+    fn mix(&self, h: u64, word: u64) -> u64 {
+        let p = u128::from(h ^ word) * u128::from(self.mul);
+        (p as u64) ^ ((p >> 64) as u64)
+    }
+
+    fn str_word(&self, s: &str) -> u64 {
+        let bytes = s.as_bytes();
+        let mut h = self.mix(self.seed ^ STR_TAG, bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            h = self.mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            h = self.mix(h, u64::from_le_bytes(w));
+        }
+        h
+    }
+
+    /// The word of a value: equal [`Key`]s have equal words.
+    fn value_word(&self, v: &Variant) -> u64 {
+        match v {
+            Variant::Null => NULL_WORD,
+            Variant::Bool(b) => BOOL_TAG ^ u64::from(*b),
+            Variant::Int(i) => *i as u64,
+            Variant::Float(f) => float_word(*f),
+            Variant::Str(s) => self.str_word(s),
+            Variant::Array(items) => items
+                .iter()
+                .fold(self.mix(ARRAY_TAG, items.len() as u64), |h, x| {
+                    self.mix(h, self.value_word(x))
+                }),
+            Variant::Object(obj) => obj
+                .iter()
+                .fold(self.mix(OBJECT_TAG, obj.len() as u64), |h, (k, x)| {
+                    self.mix(self.mix(h, self.str_word(k)), self.value_word(x))
+                }),
+        }
+    }
+
+    /// Hashes the first `rows` rows of a key, a column at a time.
+    fn hash_rows<'c>(
+        &self,
+        keys: impl IntoIterator<Item = &'c ColumnVec>,
+        rows: usize,
+    ) -> RowHashes {
+        let mut out = RowHashes {
+            hashes: vec![self.seed; rows],
+            null: Vec::new(),
+        };
+        for col in keys {
+            self.mix_column(col, &mut out);
+        }
+        out
+    }
+
+    /// Mixes one key column's words into the row hashes.
+    fn mix_column(&self, col: &ColumnVec, out: &mut RowHashes) {
+        let rows = out.hashes.len();
+        match col {
+            ColumnVec::Null(_) => (0..rows).for_each(|r| out.mix_null(self, r)),
+            ColumnVec::Int { vals, valid } => out.mix_valid(self, valid, |r| vals[r] as u64),
+            ColumnVec::Float { vals, valid } => out.mix_valid(self, valid, |r| float_word(vals[r])),
+            ColumnVec::Bool { vals, valid } => {
+                out.mix_valid(self, valid, |r| BOOL_TAG ^ u64::from(vals[r]))
+            }
+            ColumnVec::Str(vals) => {
+                for (r, s) in vals.iter().take(rows).enumerate() {
+                    match s {
+                        Some(s) => out.hashes[r] = self.mix(out.hashes[r], self.str_word(s)),
+                        None => out.mix_null(self, r),
+                    }
+                }
+            }
+            ColumnVec::DictStr { codes, dict } => {
+                let words: Vec<u64> = dict.iter().map(|s| self.str_word(s)).collect();
+                for (r, &code) in codes.iter().take(rows).enumerate() {
+                    match code {
+                        NULL_CODE => out.mix_null(self, r),
+                        code => out.hashes[r] = self.mix(out.hashes[r], words[code as usize]),
+                    }
+                }
+            }
+            ColumnVec::Runs { ends, values } => {
+                let mut lo = 0;
+                for (run, &end) in ends.iter().enumerate() {
+                    let (lo_r, hi_r) = (lo, (end as usize).min(rows));
+                    lo = hi_r;
+                    let v = values.get(run);
+                    if v.is_null() {
+                        (lo_r..hi_r).for_each(|r| out.mix_null(self, r));
+                        continue;
+                    }
+                    let w = self.value_word(&v);
+                    for h in &mut out.hashes[lo_r..hi_r] {
+                        *h = self.mix(*h, w);
+                    }
+                }
+            }
+            ColumnVec::Var(vals) => {
+                for (r, v) in vals.iter().take(rows).enumerate() {
+                    match v {
+                        Variant::Null => out.mix_null(self, r),
+                        v => out.hashes[r] = self.mix(out.hashes[r], self.value_word(v)),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The word of a double: an integral one is its integer's word, as its
+/// [`Key`] is that integer's.
+fn float_word(f: f64) -> u64 {
+    match Key::of_f64(f) {
+        Key::Int(i) => i as u64,
+        Key::Float(bits) => bits ^ FLOAT_TAG,
+        _ => unreachable!("a double's key is an Int or a Float"),
+    }
+}
+
+/// Row `i` of a string column, `Some(None)` when it is NULL; `None` for any
+/// other representation.
+fn str_at(c: &ColumnVec, i: usize) -> Option<Option<&str>> {
+    match c {
+        ColumnVec::Str(v) => Some(v[i].as_deref()),
+        ColumnVec::DictStr { codes, dict } => {
+            Some((codes[i] != NULL_CODE).then(|| &*dict[codes[i] as usize]))
+        }
+        _ => None,
+    }
+}
+
+/// Key equality of row `i` of `a` and row `j` of `b`; NULL equals NULL.
+fn same_key(a: &ColumnVec, i: usize, b: &ColumnVec, j: usize) -> bool {
+    match (a, b) {
+        (ColumnVec::Int { vals: x, valid: vx }, ColumnVec::Int { vals: y, valid: vy }) => {
+            let valid = vx.get(i);
+            valid == vy.get(j) && (!valid || x[i] == y[j])
+        }
+        (ColumnVec::DictStr { codes: x, dict: dx }, ColumnVec::DictStr { codes: y, dict: dy })
+            if Arc::ptr_eq(dx, dy) =>
+        {
+            x[i] == y[j]
+        }
+        _ => match (str_at(a, i), str_at(b, j)) {
+            (Some(x), Some(y)) => x == y,
+            _ => a.key_at(i) == b.key_at(j),
+        },
+    }
+}
+
+/// Keys, their hashes and the chains that find them (see the module docs).
+pub(super) struct KeyTable {
+    hasher: KeyHasher,
+    keys: Vec<ColumnVec>,
+    hashes: Vec<u64>,
+    heads: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl KeyTable {
+    /// An empty table over `arity` key columns, to be grown.
+    pub(super) fn new(hasher: KeyHasher, arity: usize) -> KeyTable {
+        KeyTable {
+            hasher,
+            keys: vec![ColumnVec::new(); arity],
+            hashes: Vec::new(),
+            heads: vec![NO_ENTRY; MIN_HEADS],
+            next: Vec::new(),
+        }
+    }
+
+    /// A join's table over the `rows` rows of `keys`: a row with a NULL in
+    /// its key is in no chain, and every chain is in ascending row order.
+    /// `checkpoint` is called before every [`BATCH_ROWS`] rows are linked.
+    pub(super) fn build(
+        keys: Vec<ColumnVec>,
+        rows: usize,
+        mut checkpoint: impl FnMut() -> Result<()>,
+    ) -> Result<KeyTable> {
+        if rows >= NO_ENTRY as usize {
+            return Err(SnowError::Exec(format!(
+                "a join's build side holds {rows} rows"
+            )));
+        }
+        let hasher = KeyHasher::new();
+        let hashed = hasher.hash_rows(&keys, rows);
+        let mut table = KeyTable {
+            hasher,
+            keys,
+            hashes: Vec::new(),
+            heads: vec![NO_ENTRY; rows.next_power_of_two()],
+            next: vec![NO_ENTRY; rows],
+        };
+        // Linking at the head, last row first, leaves every chain in
+        // ascending row order.
+        for r in (0..rows).rev() {
+            if r % BATCH_ROWS == 0 {
+                checkpoint()?;
+            }
+            if !hashed.is_null(r) {
+                table.link(r as u32, hashed.hashes[r]);
+            }
+        }
+        table.hashes = hashed.hashes;
+        Ok(table)
+    }
+
+    /// The key columns, one cell per entry.
+    pub(super) fn keys(&self) -> &[ColumnVec] {
+        &self.keys
+    }
+
+    /// The hash of entry `i`.
+    pub(super) fn hash_of(&self, i: usize) -> u64 {
+        self.hashes[i]
+    }
+
+    /// Consumes the table into its key columns.
+    pub(super) fn into_keys(self) -> Vec<ColumnVec> {
+        self.keys
+    }
+
+    /// Hashes the first `rows` rows of `cols`, a key of this table's arity.
+    pub(super) fn hash<C: Borrow<ColumnVec>>(&self, cols: &[C], rows: usize) -> RowHashes {
+        self.hasher.hash_rows(cols.iter().map(Borrow::borrow), rows)
+    }
+
+    /// The entries whose key equals row `row` of `cols`, whose hash is
+    /// `hash`, in chain order.
+    pub(super) fn matches<'t, C: Borrow<ColumnVec>>(
+        &'t self,
+        cols: &'t [C],
+        row: usize,
+        hash: u64,
+    ) -> impl Iterator<Item = usize> + 't {
+        let mut e = self.heads[self.bucket(hash)];
+        std::iter::from_fn(move || {
+            while e != NO_ENTRY {
+                let i = e as usize;
+                e = self.next[i];
+                if self.hashes[i] == hash
+                    && self
+                        .keys
+                        .iter()
+                        .zip(cols)
+                        .all(|(k, c)| same_key(k, i, c.borrow(), row))
+                {
+                    return Some(i);
+                }
+            }
+            None
+        })
+    }
+
+    /// The entry whose key equals row `row` of `cols`, whose hash is `hash`,
+    /// and whether it was inserted just now — as the next entry, its cells
+    /// copied from `cols`.
+    pub(super) fn find_or_insert<C: Borrow<ColumnVec>>(
+        &mut self,
+        cols: &[C],
+        row: usize,
+        hash: u64,
+    ) -> (usize, bool) {
+        if let Some(i) = self.matches(cols, row, hash).next() {
+            return (i, false);
+        }
+        let i = self.hashes.len();
+        let entry = u32::try_from(i)
+            .ok()
+            .filter(|&e| e != NO_ENTRY)
+            .expect("a key table holds fewer than 2^32 - 1 keys");
+        for (k, c) in self.keys.iter_mut().zip(cols) {
+            k.push_from(c.borrow(), row);
+        }
+        self.hashes.push(hash);
+        self.next.push(NO_ENTRY);
+        if self.hashes.len() * 2 > self.heads.len() {
+            self.heads = vec![NO_ENTRY; self.heads.len() * 2];
+            for e in (0..self.hashes.len()).rev() {
+                self.link(e as u32, self.hashes[e]);
+            }
+        } else {
+            self.link(entry, hash);
+        }
+        (i, true)
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        (hash & (self.heads.len() as u64 - 1)) as usize
+    }
+
+    /// Puts entry `e`, whose hash is `hash`, at the head of its chain.
+    fn link(&mut self, e: u32, hash: u64) {
+        let bucket = self.bucket(hash);
+        self.next[e as usize] = self.heads[bucket];
+        self.heads[bucket] = e;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The hash of every row whose key has no NULL, and which rows have one.
+    fn hashes(h: &KeyHasher, col: &ColumnVec) -> (Vec<Option<u64>>, Vec<bool>) {
+        let out = h.hash_rows([col], col.len());
+        let null: Vec<bool> = (0..col.len()).map(|r| out.is_null(r)).collect();
+        (
+            out.hashes
+                .iter()
+                .zip(&null)
+                .map(|(&h, &n)| (!n).then_some(h))
+                .collect(),
+            null,
+        )
+    }
+
+    /// One value in every representation that can hold it hashes alike, and
+    /// exactly the NULL rows are flagged.
+    #[test]
+    fn every_representation_of_a_key_hashes_alike() {
+        let h = KeyHasher::new();
+        let ints = ColumnVec::from_variants(vec![Variant::Int(1), Variant::Null, Variant::Int(0)]);
+        let floats = ColumnVec::from_variants(vec![
+            Variant::Float(1.0),
+            Variant::Null,
+            Variant::Float(-0.0),
+        ]);
+        let mixed = ColumnVec::Var(vec![Variant::Float(1.0), Variant::Null, Variant::Int(0)]);
+        let runs = ColumnVec::Runs {
+            ends: vec![1, 2, 3],
+            values: Box::new(ColumnVec::from_variants(vec![
+                Variant::Int(1),
+                Variant::Null,
+                Variant::Int(0),
+            ])),
+        };
+        let want = hashes(&h, &ints);
+        assert_eq!(want.1, [false, true, false]);
+        for col in [&floats, &mixed, &runs] {
+            assert_eq!(hashes(&h, col), want, "{col:?}");
+        }
+        let strs =
+            ColumnVec::from_variants(vec![Variant::str("ab"), Variant::Null, Variant::str("")]);
+        let dict: Arc<Vec<Arc<str>>> = Arc::new(vec![Arc::from(""), Arc::from("ab")]);
+        let coded = ColumnVec::DictStr {
+            codes: vec![1, NULL_CODE, 0],
+            dict,
+        };
+        let boxed = ColumnVec::Var(vec![Variant::str("ab"), Variant::Null, Variant::str("")]);
+        let want = hashes(&h, &strs);
+        assert_eq!(hashes(&h, &coded), want);
+        assert_eq!(hashes(&h, &boxed), want);
+        // NaN is one key; arrays hash element by element under Key equality.
+        let nan =
+            ColumnVec::from_variants(vec![Variant::Float(f64::NAN), Variant::Float(-f64::NAN)]);
+        let (nan, _) = hashes(&h, &nan);
+        assert_eq!(nan[0], nan[1]);
+        let arrays = ColumnVec::Var(vec![
+            Variant::array(vec![Variant::Int(2), Variant::Null]),
+            Variant::array(vec![Variant::Float(2.0), Variant::Null]),
+        ]);
+        let (arrays, _) = hashes(&h, &arrays);
+        assert_eq!(arrays[0], arrays[1]);
+    }
+
+    /// A NULL cell hashes as one NULL word in every representation, so NULL
+    /// is a group of its own.
+    #[test]
+    fn a_null_hashes_alike_in_every_representation() {
+        let h = KeyHasher::new();
+        let cols = [
+            ColumnVec::Null(1),
+            ColumnVec::Int {
+                vals: vec![7],
+                valid: Bitmap::nulls(1),
+            },
+            ColumnVec::Float {
+                vals: vec![2.5],
+                valid: Bitmap::nulls(1),
+            },
+            ColumnVec::Str(vec![None]),
+            ColumnVec::DictStr {
+                codes: vec![NULL_CODE],
+                dict: Arc::new(vec![Arc::from("a")]),
+            },
+            ColumnVec::Runs {
+                ends: vec![1],
+                values: Box::new(ColumnVec::Null(1)),
+            },
+            ColumnVec::Var(vec![Variant::Null]),
+        ];
+        let want = h.hash_rows([&cols[0]], 1).hashes;
+        for col in &cols {
+            assert_eq!(h.hash_rows([col], 1).hashes, want, "{col:?}");
+        }
+    }
+
+    #[test]
+    fn keys_compare_under_key_equality() {
+        let ints = ColumnVec::from_variants(vec![Variant::Int(1), Variant::Int(0)]);
+        let floats = ColumnVec::from_variants(vec![Variant::Float(1.0), Variant::Float(-0.0)]);
+        let dict: Arc<Vec<Arc<str>>> = Arc::new(vec![Arc::from("a"), Arc::from("b")]);
+        let a = ColumnVec::DictStr {
+            codes: vec![0, 1],
+            dict: dict.clone(),
+        };
+        let b = ColumnVec::DictStr {
+            codes: vec![1, 0],
+            dict,
+        };
+        let other = ColumnVec::DictStr {
+            codes: vec![0],
+            dict: Arc::new(vec![Arc::from("b")]),
+        };
+        let plain = ColumnVec::Str(vec![Some(Arc::from("b")), None]);
+        assert!(same_key(&ints, 0, &floats, 0) && same_key(&ints, 1, &floats, 1));
+        assert!(!same_key(&ints, 0, &floats, 1));
+        assert!(same_key(&a, 0, &b, 1) && !same_key(&a, 0, &b, 0));
+        assert!(same_key(&a, 1, &other, 0) && !same_key(&a, 0, &other, 0));
+        assert!(same_key(&plain, 0, &a, 1) && !same_key(&plain, 0, &a, 0));
+        // NULL = NULL, and a NULL equals no value — not even the zero an
+        // invalid `Int` cell holds.
+        let nulls = ColumnVec::from_variants(vec![Variant::Int(0), Variant::Null]);
+        assert!(same_key(&nulls, 1, &nulls, 1) && !same_key(&nulls, 1, &ints, 1));
+        assert!(same_key(&plain, 1, &nulls, 1) && !same_key(&plain, 1, &a, 0));
+    }
+
+    /// 100 000 distinct keys grown through many doublings keep their
+    /// first-seen indices, and each is found again, once.
+    #[test]
+    fn a_grown_table_keeps_first_seen_indices_across_doublings() {
+        const N: i64 = 100_000;
+        // Two key columns in a scrambled order: an integer and its parity as
+        // a string, in batches of 4096 rows.
+        let key = |r: i64| (r * 7919) % N;
+        let mut table = KeyTable::new(KeyHasher::new(), 2);
+        for pass in 0..2 {
+            for lo in (0..N).step_by(4096) {
+                let rows: Vec<i64> = (lo..(lo + 4096).min(N)).collect();
+                let cols = [
+                    ColumnVec::from_variants(rows.iter().map(|&r| Variant::Int(key(r))).collect()),
+                    ColumnVec::from_variants(
+                        rows.iter()
+                            .map(|&r| Variant::str(["even", "odd"][(key(r) % 2) as usize]))
+                            .collect(),
+                    ),
+                ];
+                let hashed = table.hash(&cols, rows.len());
+                for (j, &r) in rows.iter().enumerate() {
+                    let (i, fresh) = table.find_or_insert(&cols, j, hashed.hashes[j]);
+                    assert_eq!((i, fresh), (r as usize, pass == 0), "row {r}, pass {pass}");
+                }
+            }
+        }
+        assert_eq!(table.hashes.len(), N as usize);
+        assert!(table.heads.len() >= 2 * N as usize && table.heads.len() < 4 * N as usize);
+        let keys = table.into_keys();
+        assert_eq!(keys[0].get(12_345), Variant::Int(key(12_345)));
+    }
+
+    /// A representation that changes between rows joins the first-seen
+    /// group: `1` then `1.0` is one key, and the table keeps the `Int`.
+    #[test]
+    fn a_grown_table_keeps_the_first_seen_cell() {
+        let mut table = KeyTable::new(KeyHasher::new(), 1);
+        let batches = [
+            ColumnVec::from_variants(vec![Variant::Int(1), Variant::Null]),
+            ColumnVec::from_variants(vec![
+                Variant::Float(1.0),
+                Variant::Null,
+                Variant::Float(2.5),
+            ]),
+        ];
+        let mut seen = Vec::new();
+        for col in &batches {
+            let hashed = table.hash(std::slice::from_ref(col), col.len());
+            for r in 0..col.len() {
+                seen.push(table.find_or_insert(std::slice::from_ref(col), r, hashed.hashes[r]));
+            }
+        }
+        assert_eq!(
+            seen,
+            [(0, true), (1, true), (0, false), (1, false), (2, true)]
+        );
+        let keys = table.into_keys();
+        let cells = keys[0].clone().into_variants();
+        assert!(
+            matches!(cells[..], [Variant::Int(1), Variant::Null, Variant::Float(f)] if f == 2.5),
+            "{cells:?}"
+        );
+    }
+}

@@ -4,6 +4,7 @@
 pub mod agg;
 pub mod dag;
 pub mod expr;
+mod hash;
 mod join;
 pub mod kernel;
 pub mod metrics;
@@ -37,13 +38,6 @@ impl Chunk {
     /// Reads one row as a vector (used at the result boundary).
     pub fn row(&self, i: usize) -> Vec<Variant> {
         self.cols.iter().map(|c| c.get(i)).collect()
-    }
-
-    fn push_row_from(&mut self, other: &Chunk, row: usize) {
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            dst.push_from(src, row);
-        }
-        self.rows += 1;
     }
 
     /// Cheap memory estimate for governance accounting: typed columns are

@@ -8,7 +8,7 @@
 //! - the maximal run of **stages** — filters, projections, flattens, the
 //!   probes of hash joins — above it;
 //! - a **sink**: a batch list (for a join's build side, a sort, a limit, a
-//!   union, a distinct, a shared slot, the query result), or the aggregate
+//!   union, a shared slot, the query result), or the aggregate or distinct
 //!   above the last stage, which folds what arrives.
 //!
 //! One driver runs them all ([`Pipeline::run`]). A worker claims a morsel
@@ -31,14 +31,19 @@
 //! star join runs its fact table through all its dimensions morsel by
 //! morsel. Aggregate, sort, distinct, limit and union are *breakers*: they
 //! need a whole input. An aggregate is the sink of the pipeline below it and
-//! keeps one partial state per worker (see below); the others take batch
-//! lists, and a sort's key evaluation and gather are per-batch maps
-//! ([`map_batches`], which the driver is built on too). A breaker's output is
-//! the source of the pipeline above it; an aggregate emits its groups in
-//! batches of `MORSEL_ROWS`, so that a few thousand groups spread over every
-//! worker. [`execute_physical`] runs an operator's input pipelines one after
-//! the other on the calling thread — a pipeline's build sides first, top
-//! down, then its source; parallelism is inside a pipeline, over morsels.
+//! keeps one partial state per worker (see below); so is a distinct, which is
+//! a `GROUP BY` of every column with no aggregates. Both group rows in the
+//! executor's one key table ([`super::hash`]), the join's table type: a
+//! batch's key columns are hashed a column at a time, each row is one
+//! `find_or_insert`, and the table's key columns are the output's group
+//! columns. The other breakers take batch lists, and a sort's key evaluation
+//! and gather are per-batch maps ([`map_batches`], which the driver is built
+//! on too). A breaker's output is the source of the pipeline above it; an
+//! aggregate and a distinct emit their groups in batches of `MORSEL_ROWS`, so
+//! that a few thousand groups spread over every worker. [`execute_physical`]
+//! runs an operator's input pipelines one after the other on the calling
+//! thread — a pipeline's build sides first, top down, then its source;
+//! parallelism is inside a pipeline, over morsels.
 //!
 //! Every operator updates the [`OpMetricsCell`] of its
 //! [`PhysNode`](crate::plan::physical::PhysNode), producing the per-operator
@@ -75,13 +80,15 @@
 //!   does the same with its batches. A volatile join condition is numbered in
 //!   this order: the right keys of all right rows, then per left batch its
 //!   left keys, then the residual conjuncts of its candidate pairs.
-//! - An aggregate whose kinds merge exactly keeps one partial state per
-//!   worker over a *contiguous* range of morsels; the partials merge in range
-//!   order ([`Accumulator::merge`]), which preserves first-seen group order,
-//!   first-among-ties and `ARRAY_AGG` order. `SUM`/`AVG` do not merge exactly
-//!   (float addition is not associative): the pipeline below runs in parallel
-//!   into a batch list, and one state folds the list serially, in order. So
-//!   does an aggregate with a volatile argument.
+//! - An aggregate whose kinds merge exactly, and a distinct, keep one partial
+//!   state per worker over a *contiguous* range of morsels; the partials merge
+//!   in range order — a later partial's groups are looked up by their stored
+//!   keys and hashes, and [`Accumulator::merge`] folds the ones found — which
+//!   preserves first-seen group order and cells, first-among-ties and
+//!   `ARRAY_AGG` order. `SUM`/`AVG` do not merge exactly (float addition is
+//!   not associative): the pipeline below runs in parallel into a batch list,
+//!   and one state folds the list serially, in order. So does an aggregate
+//!   with a volatile argument.
 //!
 //! # Error contract
 //!
@@ -172,7 +179,6 @@
 //! `EXPLAIN ANALYZE`).
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -183,10 +189,11 @@ use crate::govern::QueryGovernor;
 use crate::plan::physical::{PhysNode, SharedSite};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
 use crate::storage::morsel::try_parallel_indexed_governed;
-use crate::variant::{Key, Variant};
+use crate::variant::Variant;
 
 use super::agg::{column_eligible, Accumulator};
 use super::dag::ExprDag;
+use super::hash::{KeyHasher, KeyTable};
 use super::join::JoinTable;
 use super::kernel::mask_keep;
 use super::metrics::{OpMetricsCell, PipelineRun};
@@ -231,11 +238,11 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
         | NodeKind::Project { .. }
         | NodeKind::Flatten { .. }
         | NodeKind::Join { .. } => Pipeline::ending_at(p, true, ctx)?.collect(p, ctx),
-        NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, groups, aggs, ctx),
+        NodeKind::Aggregate { groups, aggs, .. } => exec_aggregate(p, Some(groups.len()), aggs, ctx),
         NodeKind::Sort { keys, .. } => exec_sort(p, keys, ctx),
         NodeKind::Limit { n, .. } => exec_limit(p, *n, ctx),
         NodeKind::UnionAll { .. } => exec_union(p, ctx),
-        NodeKind::Distinct { .. } => exec_distinct(p, ctx),
+        NodeKind::Distinct { .. } => exec_aggregate(p, None, &[], ctx),
     }
 }
 
@@ -353,22 +360,20 @@ pub fn concat_batches(batches: Vec<Chunk>, arity: usize) -> Chunk {
 }
 
 /// Splits an aggregate's output into batches of at most [`MORSEL_ROWS`] rows
-/// (moves, no cell clones). Zero-row chunks produce an empty list.
+/// (moves, no cell clones). Zero-row chunks produce an empty list. Batches
+/// are cut off the end, so that every row moves once.
 fn split_into_morsels(mut chunk: Chunk) -> Vec<Chunk> {
-    if chunk.rows == 0 {
-        return Vec::new();
-    }
     let mut out = Vec::with_capacity(chunk.rows.div_ceil(MORSEL_ROWS));
     while chunk.rows > MORSEL_ROWS {
-        let mut head = Vec::with_capacity(chunk.cols.len());
-        for col in chunk.cols.iter_mut() {
-            let tail = col.split_off(MORSEL_ROWS);
-            head.push(std::mem::replace(col, tail));
-        }
-        chunk.rows -= MORSEL_ROWS;
-        out.push(Chunk { cols: head, rows: MORSEL_ROWS });
+        let at = (chunk.rows - 1) / MORSEL_ROWS * MORSEL_ROWS;
+        let cols = chunk.cols.iter_mut().map(|col| col.split_off(at)).collect();
+        out.push(Chunk { cols, rows: chunk.rows - at });
+        chunk.rows = at;
     }
-    out.push(chunk);
+    if chunk.rows > 0 {
+        out.push(chunk);
+    }
+    out.reverse();
     out
 }
 
@@ -1148,64 +1153,56 @@ impl Iterator for FlattenPieces<'_> {
 // Pipeline breakers
 // ---------------------------------------------------------------------------
 
-/// Hash-aggregate state: groups in first-seen order plus accumulator rows.
-#[derive(Default)]
+/// Hash-aggregate state: the groups' keys in a [`KeyTable`] grown in
+/// first-seen order, and one accumulator row per group.
 struct AggState {
-    index: HashMap<Vec<Key>, usize>,
-    index1: HashMap<Key, usize>,
-    group_vals: Vec<Vec<Variant>>,
+    keys: KeyTable,
     states: Vec<Vec<Accumulator>>,
 }
 
 impl AggState {
-    /// Folds one batch into the state: its expression columns, then the
-    /// accumulators row by row. When an expression fails at row `r`, the rows
-    /// before `r` are folded first, so an accumulator error on an earlier row
-    /// is the one reported, as in serial row order. (Within row `r` itself an
-    /// expression error precedes any accumulator error.)
+    fn new(hasher: KeyHasher, n_groups: usize) -> AggState {
+        AggState { keys: KeyTable::new(hasher, n_groups), states: Vec::new() }
+    }
+
+    /// Folds one batch into the state: its expression columns (without a
+    /// `dag`, the batch's own columns are the keys), then the accumulators
+    /// row by row. When an expression fails at row `r`, the rows before `r`
+    /// are folded first, so an accumulator error on an earlier row is the one
+    /// reported, as in serial row order. (Within row `r` itself an expression
+    /// error precedes any accumulator error.)
     fn fold_batch(
         &mut self,
-        dag: &ExprDag<'_>,
+        dag: Option<&ExprDag<'_>>,
         n_groups: usize,
         aggs: &[AggExpr],
         inp: &Chunk,
         ctx: &mut ExecCtx,
         cell: &OpMetricsCell,
     ) -> Result<()> {
+        let Some(dag) = dag else {
+            let cols: Vec<Cow<'_, ColumnVec>> = inp.cols.iter().map(Cow::Borrowed).collect();
+            return self.fold_columns(n_groups, aggs, &cols, inp.rows);
+        };
         let evaluated = eval_exprs(dag, inp, ctx, None, Some(cell));
         self.fold_columns(n_groups, aggs, &evaluated.cols, evaluated.rows)?;
         evaluated.err.map_or(Ok(()), Err)
     }
 
-    /// The slot of the group whose key is row `r` of `gcols`, created on
-    /// first sight (groups keep first-seen order).
-    fn slot_at(&mut self, gcols: &[Cow<'_, ColumnVec>], r: usize, aggs: &[AggExpr]) -> usize {
-        let fresh = |this: &mut AggState| {
-            this.group_vals.push(gcols.iter().map(|c| c.get(r)).collect());
-            this.states.push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
-            this.states.len() - 1
-        };
-        if let [only] = gcols {
-            let key = only.key_at(r);
-            match self.index1.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let s = fresh(self);
-                    self.index1.insert(key, s);
-                    s
-                }
-            }
-        } else {
-            let key: Vec<Key> = gcols.iter().map(|c| c.key_at(r)).collect();
-            match self.index.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let s = fresh(self);
-                    self.index.insert(key, s);
-                    s
-                }
-            }
+    /// The slot of the group whose key is row `r` of `gcols`, hashed to
+    /// `hash`, created on first sight.
+    fn slot_of(
+        &mut self,
+        gcols: &[Cow<'_, ColumnVec>],
+        r: usize,
+        hash: u64,
+        aggs: &[AggExpr],
+    ) -> usize {
+        let (slot, fresh) = self.keys.find_or_insert(gcols, r, hash);
+        if fresh {
+            self.states.push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
         }
+        slot
     }
 
     /// Folds `rows` evaluated rows: `cols` holds the group keys, then each
@@ -1249,7 +1246,8 @@ impl AggState {
             return Ok(());
         }
         if gcols.is_empty() {
-            let slot = self.slot_at(gcols, 0, aggs);
+            let hash = self.keys.hash(gcols, 1).hashes[0];
+            let slot = self.slot_of(gcols, 0, hash, aggs);
             // A SUM accumulator holding a non-numeric value (stored unchecked
             // by an earlier row-by-row batch) fails on the next number.
             let by_column = aggs.iter().zip(&acols).zip(&self.states[slot]).all(|((a, c), st)| {
@@ -1270,78 +1268,46 @@ impl AggState {
             }
             return Ok(());
         }
-        // Dictionary-coded single group key: resolve each distinct code to its
-        // group slot at most once per batch, so the per-row work is an array
-        // lookup instead of boxing the string into a `Key`. First-appearance
-        // order is preserved — rows still insert into `index1` in row order.
-        let dict_key = match gcols {
-            [only] => match &**only {
-                ColumnVec::DictStr { codes, dict } => Some((codes, dict)),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some((codes, dict)) = dict_key {
-            let mut memo: Vec<Option<usize>> = vec![None; dict.len() + 1];
-            for (r, &code) in codes.iter().enumerate().take(rows) {
-                let mi =
-                    if code == crate::column::NULL_CODE { dict.len() } else { code as usize };
-                let slot = match memo[mi] {
-                    Some(s) => s,
-                    None => {
-                        let s = self.slot_at(gcols, r, aggs);
-                        memo[mi] = Some(s);
-                        s
-                    }
-                };
-                update_row(&mut self.states[slot], r)?;
-            }
-            return Ok(());
-        }
-        for r in 0..rows {
-            let slot = self.slot_at(gcols, r, aggs);
+        let hashed = self.keys.hash(gcols, rows);
+        for (r, &hash) in hashed.hashes.iter().enumerate() {
+            let slot = self.slot_of(gcols, r, hash, aggs);
             update_row(&mut self.states[slot], r)?;
         }
         Ok(())
     }
 
-    /// Merges a later partial into this one, in input order: new groups
-    /// append (preserving global first-seen order), existing groups merge
+    /// Merges a later partial into this one, in input order: its groups are
+    /// looked up by their stored keys and hashes; new groups append
+    /// (preserving global first-seen order), existing groups merge
     /// accumulators.
-    fn merge(&mut self, other: AggState, single: bool) -> Result<()> {
-        for (gv, accs) in other.group_vals.into_iter().zip(other.states) {
-            let slot = if single {
-                let key = Key::of(&gv[0]);
-                match self.index1.get(&key) {
-                    Some(&s) => Some(s),
-                    None => {
-                        self.index1.insert(key, self.states.len());
-                        None
-                    }
-                }
-            } else {
-                let key: Vec<Key> = gv.iter().map(Key::of).collect();
-                match self.index.get(&key) {
-                    Some(&s) => Some(s),
-                    None => {
-                        self.index.insert(key, self.states.len());
-                        None
-                    }
-                }
-            };
-            match slot {
-                Some(s) => {
-                    for (st, acc) in self.states[s].iter_mut().zip(accs) {
-                        st.merge(acc)?;
-                    }
-                }
-                None => {
-                    self.group_vals.push(gv);
-                    self.states.push(accs);
-                }
+    fn merge(&mut self, other: AggState) -> Result<()> {
+        let AggState { keys, states } = other;
+        for (j, accs) in states.into_iter().enumerate() {
+            let (slot, fresh) = self.keys.find_or_insert(keys.keys(), j, keys.hash_of(j));
+            if fresh {
+                self.states.push(accs);
+                continue;
+            }
+            for (st, acc) in self.states[slot].iter_mut().zip(accs) {
+                st.merge(acc)?;
             }
         }
         Ok(())
+    }
+
+    /// The output: the key columns the table holds, then one column per
+    /// aggregate.
+    fn into_chunk(self, aggs: &[AggExpr]) -> Chunk {
+        let rows = self.states.len();
+        let mut cols = self.keys.into_keys();
+        let mut finished = vec![ColumnVec::new(); aggs.len()];
+        for st in self.states {
+            for (col, acc) in finished.iter_mut().zip(st) {
+                col.push(acc.finish());
+            }
+        }
+        cols.extend(finished);
+        Chunk { cols, rows }
     }
 }
 
@@ -1352,34 +1318,41 @@ fn exactly_mergeable(kind: AggKind) -> bool {
     !matches!(kind, AggKind::Sum | AggKind::Avg)
 }
 
+/// A hash aggregate over `groups` keys, or — `groups` is `None` — a distinct:
+/// a `GROUP BY` of every column of its input with no aggregates.
 fn exec_aggregate(
     p: &PhysNode<'_>,
-    groups: &[PExpr],
+    groups: Option<usize>,
     aggs: &[AggExpr],
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Chunk>> {
-    let dag = p.dag()?;
-    let fold = |state: &mut AggState, batch: Chunk, wctx: &mut ExecCtx| {
-        wctx.gov.checkpoint("Aggregate")?;
+    let dag = groups.map(|_| p.dag()).transpose()?;
+    let hasher = KeyHasher::new();
+    let fold = |state: &mut Option<AggState>, batch: Chunk, wctx: &mut ExecCtx| {
+        wctx.gov.checkpoint(op_tag(p))?;
         let start = Instant::now();
-        let folded = state.fold_batch(dag, groups.len(), aggs, &batch, wctx, &p.metrics);
+        let n_groups = groups.unwrap_or(batch.cols.len());
+        let state = state.get_or_insert_with(|| AggState::new(hasher, n_groups));
+        let folded = state.fold_batch(dag, n_groups, aggs, &batch, wctx, &p.metrics);
         p.metrics.add_rows_in(batch.rows as u64);
         p.metrics.add_busy(start.elapsed());
         folded
     };
     // What follows the last fold — merging the partials, emitting the
     // groups — runs on this thread and extends the pipeline's wall time.
-    let mergeable = !dag.is_volatile() && aggs.iter().all(|a| exactly_mergeable(a.kind));
-    let (mut state, start) = if mergeable {
-        // The aggregate is the sink of the pipeline below it: one partial
-        // state per worker over a contiguous range of morsels, merged in
-        // range order so group order and tie-breaks match serial.
+    let volatile = dag.is_some_and(|dag| dag.is_volatile());
+    let (state, start) = if !volatile && aggs.iter().all(|a| exactly_mergeable(a.kind)) {
+        // The sink of the pipeline below: one partial state per worker over
+        // a contiguous range of morsels, merged in range order so group
+        // order, first-seen cells and tie-breaks match serial.
         let partials = Pipeline::ending_at(&p.children[0], false, ctx)?.run(p, ctx, true, fold)?;
         let start = Instant::now();
-        let mut partials = partials.into_iter();
-        let mut merged = partials.next().unwrap_or_default();
-        for partial in partials {
-            merged.merge(partial, groups.len() == 1)?;
+        let mut merged: Option<AggState> = None;
+        for partial in partials.into_iter().flatten() {
+            match &mut merged {
+                None => merged = Some(partial),
+                Some(state) => state.merge(partial)?,
+            }
         }
         (merged, start)
     } else {
@@ -1387,7 +1360,7 @@ fn exec_aggregate(
         // `SUM`/`AVG`, through the caller's counter for a volatile argument.
         let input = execute_physical(&p.children[0], ctx)?;
         let clock = begin_pipeline(ctx);
-        let mut state = AggState::default();
+        let mut state = None;
         let morsels = input.len();
         for batch in input {
             fold(&mut state, batch, ctx)?;
@@ -1395,25 +1368,14 @@ fn exec_aggregate(
         end_pipeline(p, clock, morsels, 1);
         (state, Instant::now())
     };
-
+    let mut state = state.unwrap_or_else(|| AggState::new(hasher, groups.unwrap_or(0)));
     // Global aggregation over zero rows still yields one row.
-    if groups.is_empty() && state.states.is_empty() {
-        state.group_vals.push(Vec::new());
+    if groups == Some(0) && state.states.is_empty() {
         state.states.push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
     }
-
-    let n_out = state.group_vals.len();
-    let mut cols: Vec<ColumnVec> = vec![ColumnVec::new(); groups.len() + aggs.len()];
-    for (gv, st) in state.group_vals.into_iter().zip(state.states) {
-        for (i, v) in gv.into_iter().enumerate() {
-            cols[i].push(v);
-        }
-        for (j, acc) in st.into_iter().enumerate() {
-            cols[groups.len() + j].push(acc.finish());
-        }
-    }
-    let out = Chunk { cols, rows: n_out };
-    charge_batch(p, ctx, "Aggregate", &out)?;
+    let out = state.into_chunk(aggs);
+    let n_out = out.rows;
+    charge_batch(p, ctx, op_tag(p), &out)?;
     let batches = split_into_morsels(out);
     p.metrics.add_output(n_out as u64, batches.len() as u64);
     let emitting = start.elapsed();
@@ -1535,41 +1497,6 @@ fn exec_union(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     Ok(l)
 }
 
-fn exec_distinct(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
-    let input = execute_physical(&p.children[0], ctx)?;
-    let clock = begin_pipeline(ctx);
-    let in_rows = total_rows(&input) as u64;
-    p.metrics.add_rows_in(in_rows);
-    p.metrics.peak(in_rows);
-    // One hash set over the batches in input order: first occurrence wins.
-    let arity = batches_arity(&input, &p.children[0]);
-    let mut seen = std::collections::HashSet::new();
-    let mut out: Vec<Chunk> = Vec::new();
-    let mut cur = Chunk::empty(arity);
-    for c in &input {
-        ctx.gov.checkpoint("Distinct")?;
-        for r in 0..c.rows {
-            let key: Vec<Key> = c.cols.iter().map(|col| col.key_at(r)).collect();
-            if seen.insert(key) {
-                cur.push_row_from(c, r);
-                if cur.rows == BATCH_ROWS {
-                    charge_batch(p, ctx, "Distinct", &cur)?;
-                    out.push(std::mem::replace(&mut cur, Chunk::empty(arity)));
-                }
-            }
-        }
-    }
-    if cur.rows > 0 {
-        charge_batch(p, ctx, "Distinct", &cur)?;
-        out.push(cur);
-    }
-    let out_rows: u64 = out.iter().map(|c| c.rows as u64).sum();
-    p.metrics.add_output(out_rows, out.len() as u64);
-    p.metrics.add_busy(clock.1.elapsed());
-    end_pipeline(p, clock, input.len(), 1);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -1603,6 +1530,18 @@ mod tests {
             p.children.iter().find_map(|c| find(c, producer))
         }
         (find(p, true).expect("a producing site"), find(p, false).expect("a reading site"))
+    }
+
+    #[test]
+    fn an_output_splits_into_morsels_in_order() {
+        let rows = 2 * MORSEL_ROWS + 452;
+        let ids = ColumnVec::from_variants((0..rows as i64).map(Variant::Int).collect());
+        let batches = split_into_morsels(Chunk { cols: vec![ids], rows });
+        let sizes: Vec<usize> = batches.iter().map(|c| c.rows).collect();
+        assert_eq!(sizes, [MORSEL_ROWS, MORSEL_ROWS, 452]);
+        let ids: Vec<Variant> = batches.into_iter().flat_map(|c| c.cols[0].clone().into_variants()).collect();
+        assert_eq!(ids, (0..rows as i64).map(Variant::Int).collect::<Vec<_>>());
+        assert!(split_into_morsels(Chunk::empty(1)).is_empty());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Morsel dispatching: work-stealing distribution of independent work items
-//! (micro-partitions, batches) across a fixed worker pool.
+//! (micro-partitions, batches) across the workers of one call: the calling
+//! thread and threads spawned in a `thread::scope` for that call alone. No
+//! pool outlives the call.
 //!
 //! The scheduling model follows morsel-driven parallelism: instead of
 //! statically slicing the partition list per worker, every worker claims the
@@ -48,10 +50,10 @@ impl MorselDispatcher {
 ///   error is returned. Gate trips are inherently timing-dependent, so no
 ///   index ordering is imposed on them.
 /// - `work` runs under `catch_unwind`: a panicking item never unwinds across
-///   the pool. The payload is converted through `on_panic(index, message)`
-///   into a typed error that competes under the same lowest-index-wins rule
-///   as ordinary work errors, so the reported error is the one serial
-///   execution would have hit first.
+///   the call's threads. The payload is converted through
+///   `on_panic(index, message)` into a typed error that competes under the
+///   same lowest-index-wins rule as ordinary work errors, so the reported
+///   error is the one serial execution would have hit first.
 /// - work errors do not stop other workers: every item is processed so the
 ///   lowest-index error is deterministic.
 pub fn try_parallel_indexed_governed<R, E, F, G, P>(

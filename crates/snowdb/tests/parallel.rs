@@ -676,6 +676,68 @@ mod pipelines {
         }
     }
 
+    /// A group whose rows lie in several workers' morsel ranges: the 320 rows
+    /// are five 64-row morsels, ranges `[0, 2) [2, 5)` at two workers and one
+    /// morsel each at eight, and the groups of `id - id % 100` span the
+    /// boundaries at rows 128, 192 and 256. The partials merge to the
+    /// accumulators and the `ARRAY_AGG` order of one thread, and a NULL key
+    /// spanning them is one group.
+    #[test]
+    fn a_group_split_across_workers_merges_to_the_serial_accumulators() {
+        let db = table(&[], &[], &[], &[]);
+        let sql = "SELECT IFF(id BETWEEN 200 AND 299, NULL, id - id % 100) AS g, COUNT(*), \
+                          MIN(id), MAX(id), ANY_VALUE(id), ARRAY_AGG(id) \
+                   FROM t GROUP BY IFF(id BETWEEN 200 AND 299, NULL, id - id % 100)";
+        let rows = agreed(&db, sql, true).unwrap();
+        assert_eq!(agreed(&db, sql, false).unwrap(), rows);
+        let groups: [(Variant, i64, i64); 4] =
+            [(Variant::Int(0), 0, 100), (Variant::Int(100), 100, 200), (Variant::Null, 200, 300), (Variant::Int(300), 300, 320)];
+        assert_eq!(rows.len(), groups.len());
+        for (row, (g, lo, hi)) in rows.iter().zip(groups) {
+            let ids: Vec<Variant> = (lo..hi).map(Variant::Int).collect();
+            let want =
+                [g, Variant::Int(hi - lo), Variant::Int(lo), Variant::Int(hi - 1), Variant::Int(lo), Variant::array(ids)];
+            assert_eq!(format!("{row:?}"), format!("{want:?}"));
+        }
+    }
+
+    /// DISTINCT keeps the first occurrence of every row, in order, at any
+    /// thread count: `1.0` before `1` keeps `1.0`, NULL is one row, `-0.0`
+    /// and `0` are one. Four 3-row morsels, so two and eight workers each
+    /// merge partial tables.
+    #[test]
+    fn distinct_keeps_first_occurrences_in_order() {
+        let db = Database::new();
+        let k = [
+            Variant::Null,
+            Variant::Float(1.0),
+            Variant::Int(1),
+            Variant::Int(2),
+            Variant::Null,
+            Variant::Float(2.0),
+            Variant::Float(-0.0),
+            Variant::Int(0),
+            Variant::str("1"),
+            Variant::Float(0.0),
+            Variant::Int(1),
+            Variant::Null,
+        ];
+        db.load_table_with_partition_rows(
+            "t",
+            vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("K", ColumnType::Variant)],
+            k.iter().enumerate().map(|(i, k)| vec![Variant::Int(i as i64), k.clone()]),
+            3,
+        )
+        .unwrap();
+        let rows = agreed(&db, "SELECT DISTINCT k FROM t", true).unwrap();
+        assert_eq!(format!("{rows:?}"), r#"[[null], [1.0], [2], [-0.0], ["1"]]"#);
+        let rows = agreed(&db, "SELECT DISTINCT k, id % 2 = 0 FROM t", true).unwrap();
+        assert_eq!(
+            format!("{rows:?}"),
+            r#"[[null, true], [1.0, false], [1, true], [2, false], [-0.0, true], [0, false], ["1", true], [null, false]]"#
+        );
+    }
+
     /// The ADL q6 shape: three flattens of one array with filters between. A
     /// partition blows up to 48 * 12^3 rows, and no stage ever holds more
     /// than one piece of it.

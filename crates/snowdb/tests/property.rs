@@ -1194,7 +1194,7 @@ mod join_table {
 
     /// `n` rows: an id, then one cell per key column. `R` holds runs of
     /// four to nine rows.
-    fn rows(rng: &mut StdRng, n: usize) -> Vec<Vec<Variant>> {
+    pub(super) fn rows(rng: &mut StdRng, n: usize) -> Vec<Vec<Variant>> {
         let mut run = (0usize, Variant::Null);
         (0..n)
             .map(|id| {
@@ -1217,7 +1217,7 @@ mod join_table {
     /// Loads `rows` as `name` in partitions of `part` rows, encoded at
     /// seal. The switch that forces encoding is process-wide and other tests
     /// of this binary flip it, so a load that came out plain is repeated.
-    fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize) {
+    pub(super) fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize) {
         let mut schema = vec![ColumnDef::new("ID", ColumnType::Int)];
         schema.extend(KEYS.iter().map(|(c, ty)| ColumnDef::new(*c, *ty)));
         for _ in 0..50 {
@@ -1377,6 +1377,188 @@ mod join_table {
                 assert_eq!(m.rows_in, (nl + nr) as u64, "{m:?}");
                 assert!(m.peak_rows <= BATCH_ROWS as u64 && m.batches >= 2, "{sql}: {m:?}");
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The aggregate's and DISTINCT's key table against a linear scan over keys
+// ---------------------------------------------------------------------------
+
+mod key_table {
+    use rand::{Rng, SeedableRng, StdRng};
+    use snowdb::variant::Key;
+    use snowdb::{Database, QueryOptions, Variant};
+
+    use super::join_table::{load, rows};
+    use crate::common;
+
+    /// Group keys, each as SQL and as the cell it takes from a row `[id, i,
+    /// f, s, r, v, m]`: an `Int` column, a `Float` one (integral values,
+    /// `-0.0`, NaN), a `Bool` and a plain `Str` the kernels compute, a
+    /// dictionary column (one dictionary per partition), run-length
+    /// integers, boxed values (arrays, objects, mixed `Int`/`Float`), and
+    /// `m`, which is `i` in the first half of the rows and `f` in the second,
+    /// so that `1` and `1.0` meet in one group across batches.
+    type Cell = fn(&[Variant]) -> Variant;
+
+    const KEYS: [(&str, Cell); 8] = [
+        ("i", |row| row[1].clone()),
+        ("f", |row| row[2].clone()),
+        ("i > 1", |row| row[1].as_i64().map_or(Variant::Null, |i| Variant::Bool(i > 1))),
+        ("s", |row| row[3].clone()),
+        ("s || '!'", |row| match &row[3] {
+            Variant::Str(s) => Variant::str(format!("{s}!")),
+            _ => Variant::Null,
+        }),
+        ("r", |row| row[4].clone()),
+        ("v", |row| row[5].clone()),
+        ("m", |row| row[6].clone()),
+    ];
+
+    /// A cell as compared: its `Debug` text, which tells `1` from `1.0`,
+    /// and its type, which tells NaN from NULL.
+    fn cell(v: &Variant) -> String {
+        format!("{v:?}:{}", v.type_name())
+    }
+
+    fn render(rows: &[Vec<Variant>]) -> Vec<Vec<String>> {
+        rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+    }
+
+    /// One group of the reference: its first-seen key cells and what the
+    /// aggregates fold.
+    struct Group {
+        key: Vec<Key>,
+        cells: Vec<Variant>,
+        rows: Vec<usize>,
+    }
+
+    /// Groups of `data` under `keys` in first-seen order, found by a linear
+    /// scan over `Vec<Key>`.
+    fn groups(data: &[Vec<Variant>], keys: &[usize]) -> Vec<Group> {
+        let mut out: Vec<Group> = Vec::new();
+        for (r, row) in data.iter().enumerate() {
+            let cells: Vec<Variant> = keys.iter().map(|&k| KEYS[k].1(row)).collect();
+            let key: Vec<Key> = cells.iter().map(Key::of).collect();
+            match out.iter_mut().find(|g| g.key == key) {
+                Some(g) => g.rows.push(r),
+                None => out.push(Group { key, cells, rows: vec![r] }),
+            }
+        }
+        out
+    }
+
+    /// `COUNT(*), COUNT(v), ANY_VALUE(v), ARRAY_AGG(id), MAX(i), MIN(s)`,
+    /// which merge per worker.
+    fn folded(data: &[Vec<Variant>], g: &Group) -> Vec<Variant> {
+        let col = |c: usize| g.rows.iter().map(move |&r| &data[r][c]);
+        let max_i = col(1).filter_map(Variant::as_i64).max();
+        let min_s = col(3).filter_map(|v| v.as_str()).min();
+        vec![
+            Variant::Int(g.rows.len() as i64),
+            Variant::Int(col(5).filter(|v| !v.is_null()).count() as i64),
+            data[g.rows[0]][5].clone(),
+            Variant::array(col(0).cloned().collect()),
+            max_i.map_or(Variant::Null, Variant::Int),
+            min_s.map_or(Variant::Null, Variant::str),
+        ]
+    }
+
+    /// `SUM(id)`, which folds serially.
+    fn summed(data: &[Vec<Variant>], g: &Group) -> Variant {
+        Variant::Int(g.rows.iter().filter_map(|&r| data[r][0].as_i64()).sum())
+    }
+
+    /// The rows of `sql` at 1, 2 and 8 threads with vectorize on and off,
+    /// all `cell`-identical, or a panic naming the configuration that
+    /// differs.
+    fn run(db: &Database, sql: &str) -> Vec<Vec<String>> {
+        let mut seen: Option<Vec<Vec<String>>> = None;
+        for threads in [1, 2, 8] {
+            for vectorize in [true, false] {
+                let opts = QueryOptions {
+                    threads: Some(threads),
+                    vectorize: Some(vectorize),
+                    encode: Some(true),
+                    ..Default::default()
+                };
+                let rows = render(&db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}")).rows);
+                match &seen {
+                    None => seen = Some(rows),
+                    Some(first) => {
+                        assert_eq!(&rows, first, "threads={threads} vectorize={vectorize}: {sql}")
+                    }
+                }
+            }
+        }
+        seen.expect("ran")
+    }
+
+    /// Seeded tables in partitions of 10–19 rows, each with its own
+    /// dictionary, grouped by one to three keys of every representation —
+    /// NULLs in every one — and the same keys under DISTINCT, against a
+    /// linear scan: groups in first-seen order, each keeping its first-seen
+    /// cells, at every thread count under either producer.
+    #[test]
+    fn the_key_table_groups_as_a_linear_scan_over_keys() {
+        for seed in 0..common::schedule_budget(6) as u64 {
+            let _repro = common::schedule("key_table", seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let db = Database::new();
+            let n = rng.gen_range(60..120);
+            let mut data = rows(&mut rng, n);
+            load(&db, "T", &data, rng.gen_range(10..20));
+            let half = n as i64 / 2;
+            for row in &mut data {
+                let m = if row[0].as_i64().unwrap() < half { row[1].clone() } else { row[2].clone() };
+                row.push(m);
+            }
+            let mut key_sets: Vec<Vec<usize>> = (0..KEYS.len()).map(|k| vec![k]).collect();
+            for _ in 0..12 {
+                let width = rng.gen_range(2..4);
+                let mut set: Vec<usize> = Vec::new();
+                while set.len() < width {
+                    let k = rng.gen_range(0..KEYS.len());
+                    if !set.contains(&k) {
+                        set.push(k);
+                    }
+                }
+                key_sets.push(set);
+            }
+            let mut merged_across_types = false;
+            for keys in &key_sets {
+                let exprs: Vec<&str> = keys.iter().map(|&k| KEYS[k].0).collect();
+                let list = exprs.join(", ");
+                let from = match exprs.contains(&"m") {
+                    false => "t".to_string(),
+                    true => format!(
+                        "(SELECT id, i, f, s, r, v, i AS m FROM t WHERE id < {half} \
+                         UNION ALL SELECT id, i, f, s, r, v, f AS m FROM t WHERE id >= {half})"
+                    ),
+                };
+                let want = groups(&data, keys);
+                merged_across_types |= keys == &[7]
+                    && want.iter().any(|g| {
+                        g.rows.iter().any(|&r| data[r][0].as_i64() < Some(half))
+                            && g.rows.iter().any(|&r| data[r][0].as_i64() >= Some(half))
+                    });
+                let expect = |more: &dyn Fn(&Group) -> Vec<Variant>| {
+                    let rows: Vec<Vec<Variant>> =
+                        want.iter().map(|g| g.cells.iter().cloned().chain(more(g)).collect()).collect();
+                    render(&rows)
+                };
+                let sql = format!(
+                    "SELECT {list}, COUNT(*), COUNT(v), ANY_VALUE(v), ARRAY_AGG(id), MAX(i), MIN(s) \
+                     FROM {from} GROUP BY {list}"
+                );
+                assert_eq!(run(&db, &sql), expect(&|g| folded(&data, g)), "seed {seed}: {sql}");
+                let sql = format!("SELECT {list}, SUM(id) FROM {from} GROUP BY {list}");
+                assert_eq!(run(&db, &sql), expect(&|g| vec![summed(&data, g)]), "seed {seed}: {sql}");
+                let sql = format!("SELECT DISTINCT {list} FROM {from}");
+                assert_eq!(run(&db, &sql), expect(&|_| Vec::new()), "seed {seed}: {sql}");
+            }
+            assert!(merged_across_types, "seed {seed}: no group of `m` holds an Int and a Float row");
         }
     }
 }

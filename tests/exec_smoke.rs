@@ -5,8 +5,10 @@
 //! them: a chain of streaming operators, join probes included, runs morsel
 //! by morsel, the same rows and the same error at any thread count. The deep
 //! suites (the 24-configuration lattice, `tests/parallel.rs::{producers,
-//! pipelines}`, the join-table property test, the DAG differential) live in
-//! `crates/snowdb/tests` and run with `cargo test --workspace`.
+//! pipelines}`, the join- and key-table property tests, the DAG
+//! differential) live in `crates/snowdb/tests` and run with `cargo test
+//! --workspace`. Grouped aggregates and DISTINCT keep their first-seen
+//! groups, in order, at any thread count.
 
 use std::sync::Arc;
 
@@ -157,4 +159,91 @@ fn a_join_whose_inputs_both_raise_reports_the_build_sides_error() {
             assert!(!err.contains("division by zero"), "vectorize={vectorize} threads={threads}: {err}");
         }
     }
+}
+
+/// Two 6-row partitions, each sealed with its own string dictionary; `K`
+/// holds NULLs, `1` and `1.0` boxed. Group keys and DISTINCT rows come out
+/// in first-seen order with their first-seen cells. The switch that forces
+/// encoding is process-wide and the tests of this binary run in parallel, so
+/// a load that came out plain is repeated.
+fn two_dictionaries() -> Database {
+    let k = [
+        Variant::Int(1),
+        Variant::Null,
+        Variant::Float(1.0),
+        Variant::Int(2),
+        Variant::Null,
+        Variant::Int(1),
+        Variant::Float(1.0),
+        Variant::Null,
+        Variant::Float(2.0),
+        Variant::Int(1),
+        Variant::Null,
+        Variant::Int(3),
+    ];
+    let s = ["north", "south", "north", "south", "south", "north", "south", "south", "east", "north", "south", "east"];
+    for _ in 0..50 {
+        let db = Database::new();
+        snowq::snowdb::storage::set_ingest_encoding(Some(true));
+        let loaded = db.load_table_with_partition_rows(
+            "t",
+            vec![
+                ColumnDef::new("ID", ColumnType::Int),
+                ColumnDef::new("K", ColumnType::Variant),
+                ColumnDef::new("S", ColumnType::Str),
+            ],
+            (0..12).map(|i| vec![Variant::Int(i as i64), k[i].clone(), Variant::str(format!("{}-bound", s[i]))]),
+            6,
+        );
+        snowq::snowdb::storage::set_ingest_encoding(None);
+        loaded.expect("loads");
+        let table = db.table("t").expect("the table");
+        let coded = table.partitions().iter().all(|part| {
+            matches!(*part.read_column(2).expect("reads"), snowq::snowdb::column::ColumnVec::DictStr { .. })
+        });
+        if coded {
+            return db;
+        }
+    }
+    panic!("the partitions never sealed dictionary-encoded");
+}
+
+/// Runs `sql` at 1 and 2 threads under either producer and returns the one
+/// `Debug` text all four agree on.
+fn agreed_rows(db: &Database, sql: &str) -> String {
+    let mut seen: Option<String> = None;
+    for threads in [1, 2] {
+        for vectorize in [true, false] {
+            let opts = QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
+            let rows = format!("{:?}", db.query_with(sql, &opts).expect("runs").rows);
+            match &seen {
+                None => seen = Some(rows),
+                Some(first) => assert_eq!(&rows, first, "threads={threads} vectorize={vectorize}: {sql}"),
+            }
+        }
+    }
+    seen.expect("ran")
+}
+
+#[test]
+fn a_grouped_aggregate_over_two_dictionaries_returns_its_first_seen_groups() {
+    let db = two_dictionaries();
+    assert_eq!(
+        agreed_rows(&db, "SELECT k, COUNT(*), ARRAY_AGG(id), ANY_VALUE(s) FROM t GROUP BY k"),
+        r#"[[1, 5, [0,2,5,6,9], "north-bound"], [null, 4, [1,4,7,10], "south-bound"], [2, 2, [3,8], "south-bound"], [3, 1, [11], "east-bound"]]"#
+    );
+    assert_eq!(
+        agreed_rows(&db, "SELECT s, k, COUNT(*) FROM t GROUP BY s, k"),
+        r#"[["north-bound", 1, 4], ["south-bound", null, 4], ["south-bound", 2, 1], ["south-bound", 1.0, 1], ["east-bound", 2.0, 1], ["east-bound", 3, 1]]"#
+    );
+}
+
+#[test]
+fn distinct_returns_first_occurrences_in_order() {
+    let db = two_dictionaries();
+    assert_eq!(agreed_rows(&db, "SELECT DISTINCT k FROM t"), "[[1], [null], [2], [3]]");
+    assert_eq!(
+        agreed_rows(&db, "SELECT DISTINCT s, k FROM t"),
+        r#"[["north-bound", 1], ["south-bound", null], ["south-bound", 2], ["south-bound", 1.0], ["east-bound", 2.0], ["east-bound", 3]]"#
+    );
 }
