@@ -530,7 +530,9 @@ pub fn futurework(cfg: &Config) -> Report {
 /// expression DAG against the row producer — over a fully shredded table and
 /// over one whose every tenth value switches numeric class, so its columns
 /// are boxed and the kernels have nothing typed to loop over; `dict` flips
-/// `encode` over a dictionary-coded string column.
+/// `encode` over a dictionary-coded string column. `filter3` is SSB q1.1's
+/// three-conjunct predicate shape; `dense-probe` probes a 1 000-row
+/// dimension keyed `0..999`, whose join table is indexed by value.
 pub fn kernels(cfg: &Config) -> Report {
     const PARTITION_ROWS: usize = 16_384;
     let rows = (cfg.adl_events as i64 * 16).min(262_144);
@@ -550,6 +552,11 @@ pub fn kernels(cfg: &Config) -> Report {
         let b = if i % 10 == 4 { Variant::Float((i % 17) as f64) } else { Variant::Int(i % 17) };
         vec![a, b, x(i)]
     });
+    for db in [&typed, &mixed] {
+        let schema = ["K", "V"].map(|c| ColumnDef::new(c, ColumnType::Int)).to_vec();
+        db.load_table("d", schema, (0..1000).map(|k| vec![Variant::Int(k), Variant::Int(k % 7)]))
+            .expect("loads");
+    }
     const CITIES: [&str; 8] = ["tokyo", "lima", "oslo", "cairo", "quito", "seoul", "accra", "dakar"];
     snowdb::storage::set_ingest_encoding(Some(true));
     let dict = table("t", [ColumnType::Str, ColumnType::Int, ColumnType::Float], &|i| {
@@ -557,8 +564,10 @@ pub fn kernels(cfg: &Config) -> Report {
     });
     snowdb::storage::set_ingest_encoding(None);
 
-    const NUMERIC: [(&str, &str); 5] = [
+    const NUMERIC: [(&str, &str); 7] = [
         ("filter", "SELECT A FROM t WHERE A < 500 AND X >= 10.0"),
+        ("filter3", "SELECT A FROM t WHERE A >= 100 AND A <= 300 AND X < 100.0"),
+        ("dense-probe", "SELECT SUM(d.V) FROM t JOIN d ON t.A = d.K"),
         ("arith", "SELECT A + B * 2 - (X + A) * 3.5 FROM t WHERE B + 1 > 0"),
         ("global-agg", "SELECT SUM(A), AVG(X), COUNT(B), MIN(A), MAX(X) FROM t"),
         ("group-agg", "SELECT B, SUM(A), COUNT(*) FROM t GROUP BY B"),

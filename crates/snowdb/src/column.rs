@@ -47,6 +47,19 @@ pub(crate) fn run_index(ends: &[u32], i: usize) -> usize {
     ends.partition_point(|&e| e as usize <= i)
 }
 
+/// Typed run values over their runs: the rows of run `r` hold `vals[r]`, or
+/// the zero a NULL slot holds when run `r` is NULL.
+fn expand_runs<T: Copy + Default>(ends: &[u32], vals: &[T], valid: &Bitmap) -> (Vec<T>, Bitmap) {
+    let n = ends.last().map_or(0, |&e| e as usize);
+    let (mut out, mut ok) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for (r, &end) in ends.iter().enumerate() {
+        let v = valid.get(r);
+        out.resize(end as usize, if v { vals[r] } else { T::default() });
+        ok.resize(end as usize, v);
+    }
+    (out, Bitmap::from_fn(n, |i| ok[i]))
+}
+
 /// Validity bitmap: bit `i` set means row `i` holds a value (not NULL).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bitmap {
@@ -812,22 +825,38 @@ impl ColumnVec {
                     .map(|&c| (c != NULL_CODE).then(|| dict[c as usize].clone()))
                     .collect(),
             ),
-            ColumnVec::Runs { ends, values } => {
-                let mut out = ColumnVec::new();
-                let mut start = 0usize;
-                for (r, &end) in ends.iter().enumerate() {
-                    let v = values.get(r);
-                    if v.is_null() {
-                        out.push_nulls(end as usize - start);
-                    } else {
-                        for _ in start..end as usize {
-                            out.push(v.clone());
-                        }
-                    }
-                    start = end as usize;
+            // Typed runs expand typed. Runs with no value at all stay an
+            // untyped NULL column, as pushing their rows leaves them.
+            ColumnVec::Runs { ends, values } => match &**values {
+                ColumnVec::Int { vals, valid } if valid.count_valid() > 0 => {
+                    let (vals, valid) = expand_runs(ends, vals, valid);
+                    ColumnVec::Int { vals, valid }
                 }
-                out
-            }
+                ColumnVec::Float { vals, valid } if valid.count_valid() > 0 => {
+                    let (vals, valid) = expand_runs(ends, vals, valid);
+                    ColumnVec::Float { vals, valid }
+                }
+                ColumnVec::Bool { vals, valid } if valid.count_valid() > 0 => {
+                    let (vals, valid) = expand_runs(ends, vals, valid);
+                    ColumnVec::Bool { vals, valid }
+                }
+                _ => {
+                    let mut out = ColumnVec::new();
+                    let mut start = 0usize;
+                    for (r, &end) in ends.iter().enumerate() {
+                        let v = values.get(r);
+                        if v.is_null() {
+                            out.push_nulls(end as usize - start);
+                        } else {
+                            for _ in start..end as usize {
+                                out.push(v.clone());
+                            }
+                        }
+                        start = end as usize;
+                    }
+                    out
+                }
+            },
             other => other.clone(),
         }
     }
@@ -1159,6 +1188,28 @@ mod tests {
         for i in 0..6 {
             assert_eq!(enc.get(i), dec.get(i), "row {i}");
             assert_eq!(enc.key_at(i), dec.key_at(i), "key {i}");
+        }
+    }
+
+    /// Typed runs expand to the very column their rows, pushed one by one,
+    /// make — NULL slots, `-0.0` and NaN included.
+    #[test]
+    fn typed_runs_decode_as_their_rows_pushed() {
+        let runs = |values: Vec<Variant>, ends: Vec<u32>| ColumnVec::Runs {
+            ends,
+            values: Box::new(ColumnVec::from_variants(values)),
+        };
+        for col in [
+            runs_data(),
+            runs(
+                vec![Variant::Null, Variant::Float(-0.0), Variant::Float(f64::NAN)],
+                vec![2, 2, 5],
+            ),
+            runs(vec![Variant::Bool(true), Variant::Null], vec![1, 4]),
+            runs(vec![Variant::Null, Variant::Null], vec![2, 3]),
+        ] {
+            let pushed = ColumnVec::from_variants((0..col.len()).map(|i| col.get(i)).collect());
+            assert_eq!(format!("{:?}", col.decoded()), format!("{pushed:?}"));
         }
     }
 

@@ -21,6 +21,19 @@
 //! - `heads` / `next`: power-of-two bucket heads and one chain link per entry.
 //!   A grown table doubles its heads when more than half are taken.
 //!
+//! # Dense keys
+//!
+//! A built table whose key is one `Int` column, and whose non-NULL values
+//! `lo..=hi` span at most [`DENSE_SLOTS_PER_ROW`] slots per build row, indexes
+//! its heads by the key itself: key `k` is slot `k - lo`. It computes no
+//! hashes. A slot holds one key value, so every entry in its chain equals the
+//! probe's key and none is compared. The probe of such a table maps a row's
+//! [`Key`] to a slot: `Key::Int(k)` is slot `k - lo` when that is in range, and
+//! every other key — a NULL, a string, a non-integral double — is in no slot,
+//! as no `Int` key equals it. Whether a table is dense follows from the build
+//! input alone; chains, their ascending order and the unlinked NULL rows are
+//! those of the hashed table.
+//!
 //! # Hashing
 //!
 //! Hashes are computed a column at a time from each column's representation
@@ -53,6 +66,7 @@ use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::variant::{Key, Variant};
 
+use super::metrics::TableIndex;
 use super::pipeline::BATCH_ROWS;
 
 /// The end of a chain.
@@ -60,6 +74,13 @@ const NO_ENTRY: u32 = u32::MAX;
 
 /// Bucket heads of a table grown from empty.
 const MIN_HEADS: usize = 16;
+
+/// A built table over one `Int` key indexes its heads by the key when the
+/// key's non-NULL values span at most this many slots per build row; a wider
+/// key is hashed. At 8, a dense table's index takes at most 36 bytes per
+/// build row (heads 32, link 4) against 16 to 20 for a hashed one (hash 8,
+/// link 4, heads 4 to 8).
+const DENSE_SLOTS_PER_ROW: u64 = 8;
 
 /// Words that keep values of different types apart before they are mixed.
 const FLOAT_TAG: u64 = 0x243f_6a88_85a3_08d3;
@@ -278,13 +299,60 @@ fn same_key(a: &ColumnVec, i: usize, b: &ColumnVec, j: usize) -> bool {
     }
 }
 
+/// The value range `lo..=hi` of a built table's key when its heads are
+/// indexed by the key (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct DenseRange {
+    lo: i64,
+    hi: i64,
+}
+
+impl DenseRange {
+    /// The range of the non-NULL values of the first `rows` rows of `keys`,
+    /// when `keys` is one `Int` column and the range spans at most
+    /// [`DENSE_SLOTS_PER_ROW`] slots per row.
+    fn of(keys: &[ColumnVec], rows: usize) -> Option<DenseRange> {
+        let [ColumnVec::Int { vals, valid }] = keys else {
+            return None;
+        };
+        let vals = &vals[..rows];
+        let (lo, hi) = if valid.all_valid() {
+            (*vals.iter().min()?, *vals.iter().max()?)
+        } else {
+            let mut set = vals
+                .iter()
+                .enumerate()
+                .filter(|&(r, _)| valid.get(r))
+                .map(|(_, &k)| k);
+            let first = set.next()?;
+            set.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)))
+        };
+        // `abs_diff` cannot overflow, and `hi - lo + 1 <= 8 * rows` slots is
+        // `hi - lo < 8 * rows`.
+        (hi.abs_diff(lo) < (rows as u64).saturating_mul(DENSE_SLOTS_PER_ROW))
+            .then_some(DenseRange { lo, hi })
+    }
+
+    /// The slot of key `k`, or `None` outside the range. `k - lo` taken in
+    /// wrapping `i64` and read as `u64` is the exact difference when `k >=
+    /// lo` and at least 2^63 when `k < lo`.
+    #[inline]
+    fn slot(&self, k: i64) -> Option<usize> {
+        let d = k.wrapping_sub(self.lo) as u64;
+        (d <= self.hi.abs_diff(self.lo)).then_some(d as usize)
+    }
+}
+
 /// Keys, their hashes and the chains that find them (see the module docs).
 pub(super) struct KeyTable {
     hasher: KeyHasher,
     keys: Vec<ColumnVec>,
+    /// Empty in a dense table.
     hashes: Vec<u64>,
     heads: Vec<u32>,
     next: Vec<u32>,
+    /// `Some` when the heads are indexed by the key (see the module docs).
+    dense: Option<DenseRange>,
 }
 
 impl KeyTable {
@@ -296,12 +364,15 @@ impl KeyTable {
             hashes: Vec::new(),
             heads: vec![NO_ENTRY; MIN_HEADS],
             next: Vec::new(),
+            dense: None,
         }
     }
 
     /// A join's table over the `rows` rows of `keys`: a row with a NULL in
     /// its key is in no chain, and every chain is in ascending row order.
-    /// `checkpoint` is called before every [`BATCH_ROWS`] rows are linked.
+    /// One `Int` key of a narrow enough range is indexed directly, any other
+    /// key is hashed (see the module docs). `checkpoint` is called before
+    /// every [`BATCH_ROWS`] rows are linked.
     pub(super) fn build(
         keys: Vec<ColumnVec>,
         rows: usize,
@@ -312,27 +383,74 @@ impl KeyTable {
                 "a join's build side holds {rows} rows"
             )));
         }
-        let hasher = KeyHasher::new();
-        let hashed = hasher.hash_rows(&keys, rows);
+        let dense = DenseRange::of(&keys, rows);
         let mut table = KeyTable {
-            hasher,
+            hasher: KeyHasher::new(),
             keys,
             hashes: Vec::new(),
-            heads: vec![NO_ENTRY; rows.next_power_of_two()],
+            heads: Vec::new(),
             next: vec![NO_ENTRY; rows],
+            dense,
         };
         // Linking at the head, last row first, leaves every chain in
         // ascending row order.
-        for r in (0..rows).rev() {
-            if r % BATCH_ROWS == 0 {
-                checkpoint()?;
+        match (dense, &table.keys[..]) {
+            (Some(range), [ColumnVec::Int { vals, valid }]) => {
+                table.heads = vec![NO_ENTRY; range.hi.abs_diff(range.lo) as usize + 1];
+                for r in (0..rows).rev() {
+                    if r % BATCH_ROWS == 0 {
+                        checkpoint()?;
+                    }
+                    if valid.get(r) {
+                        let slot = range.slot(vals[r]).expect("a build key is in its range");
+                        table.next[r] = table.heads[slot];
+                        table.heads[slot] = r as u32;
+                    }
+                }
             }
-            if !hashed.is_null(r) {
-                table.link(r as u32, hashed.hashes[r]);
+            _ => {
+                let hashed = table.hasher.hash_rows(&table.keys, rows);
+                table.heads = vec![NO_ENTRY; rows.next_power_of_two()];
+                for r in (0..rows).rev() {
+                    if r % BATCH_ROWS == 0 {
+                        checkpoint()?;
+                    }
+                    if !hashed.is_null(r) {
+                        table.link(r as u32, hashed.hashes[r]);
+                    }
+                }
+                table.hashes = hashed.hashes;
             }
         }
-        table.hashes = hashed.hashes;
         Ok(table)
+    }
+
+    /// How the table finds a key: by value in `lo..=hi`, or by hash.
+    pub(super) fn index(&self) -> TableIndex {
+        match self.dense {
+            Some(DenseRange { lo, hi }) => TableIndex::Dense { lo, hi },
+            None => TableIndex::Hashed,
+        }
+    }
+
+    /// Bytes the table's index holds: heads, links and hashes.
+    pub(super) fn index_bytes(&self) -> u64 {
+        (self.heads.len() as u64 + self.next.len() as u64) * 4 + self.hashes.len() as u64 * 8
+    }
+
+    /// The first entry of the chain of an `Int` key in a dense table, or
+    /// [`None`] when no entry has that key.
+    #[inline]
+    fn dense_head(&self, range: DenseRange, k: i64) -> Option<u32> {
+        let e = self.heads[range.slot(k)?];
+        (e != NO_ENTRY).then_some(e)
+    }
+
+    /// The entry after `e` in its chain.
+    #[inline]
+    fn next_entry(&self, e: u32) -> Option<u32> {
+        let n = self.next[e as usize];
+        (n != NO_ENTRY).then_some(n)
     }
 
     /// The key columns, one cell per entry.
@@ -356,30 +474,98 @@ impl KeyTable {
     }
 
     /// The entries whose key equals row `row` of `cols`, whose hash is
-    /// `hash`, in chain order.
+    /// `hash`, in chain order. A dense table ignores `hash`: it finds the
+    /// row's slot from its [`Key`].
     pub(super) fn matches<'t, C: Borrow<ColumnVec>>(
         &'t self,
         cols: &'t [C],
         row: usize,
         hash: u64,
     ) -> impl Iterator<Item = usize> + 't {
-        let mut e = self.heads[self.bucket(hash)];
+        let mut e = match self.dense {
+            Some(range) => match cols[0].borrow().key_at(row) {
+                Key::Int(k) => self.dense_head(range, k).unwrap_or(NO_ENTRY),
+                _ => NO_ENTRY,
+            },
+            None => self.heads[self.bucket(hash)],
+        };
+        let dense = self.dense.is_some();
         std::iter::from_fn(move || {
             while e != NO_ENTRY {
                 let i = e as usize;
                 e = self.next[i];
-                if self.hashes[i] == hash
-                    && self
-                        .keys
-                        .iter()
-                        .zip(cols)
-                        .all(|(k, c)| same_key(k, i, c.borrow(), row))
+                if dense
+                    || self.hashes[i] == hash
+                        && self
+                            .keys
+                            .iter()
+                            .zip(cols)
+                            .all(|(k, c)| same_key(k, i, c.borrow(), row))
                 {
                     return Some(i);
                 }
             }
             None
         })
+    }
+
+    /// The pairs a probe over the one key column `col` makes: for each of
+    /// its first `rows` rows in order, `(row, entry)` for every entry whose
+    /// key equals the row's, in chain order — and `(row, unmatched)` for a
+    /// row that matched nothing, when `unmatched` is given — appended to
+    /// `left` and `right`. Returns whether every row made exactly one pair.
+    /// An `Int` column against a dense table is looked up by value, with no
+    /// hash; against a hashed `Int` key it is compared as integers.
+    pub(super) fn probe_column(
+        &self,
+        col: &ColumnVec,
+        rows: usize,
+        unmatched: Option<usize>,
+        left: &mut Vec<usize>,
+        right: &mut Vec<usize>,
+    ) -> bool {
+        match (self.dense, col, &self.keys[..]) {
+            (Some(range), ColumnVec::Int { vals, valid }, _) => {
+                pairs(rows, unmatched, left, right, |lr, out| {
+                    if valid.get(lr) {
+                        let mut e = self.dense_head(range, vals[lr]);
+                        while let Some(i) = e {
+                            out.push(i as usize);
+                            e = self.next_entry(i);
+                        }
+                    }
+                })
+            }
+            (None, ColumnVec::Int { vals, valid }, [ColumnVec::Int { vals: keys, .. }]) => {
+                let hashed = self.hasher.hash_rows([col], rows);
+                pairs(rows, unmatched, left, right, |lr, out| {
+                    if valid.get(lr) {
+                        let (h, k) = (hashed.hashes[lr], vals[lr]);
+                        let mut e = self.heads[self.bucket(h)];
+                        // A linked entry's key is never NULL.
+                        while e != NO_ENTRY {
+                            let i = e as usize;
+                            if self.hashes[i] == h && keys[i] == k {
+                                out.push(i);
+                            }
+                            e = self.next[i];
+                        }
+                    }
+                })
+            }
+            _ => {
+                let cols = std::slice::from_ref(col);
+                let hashed = self
+                    .dense
+                    .is_none()
+                    .then(|| self.hasher.hash_rows(cols, rows));
+                pairs(rows, unmatched, left, right, |lr, out| match &hashed {
+                    Some(h) if h.is_null(lr) => {}
+                    Some(h) => out.extend(self.matches(cols, lr, h.hashes[lr])),
+                    None => out.extend(self.matches(cols, lr, 0)),
+                })
+            }
+        }
     }
 
     /// The entry whose key equals row `row` of `cols`, whose hash is `hash`,
@@ -415,6 +601,7 @@ impl KeyTable {
         (i, true)
     }
 
+    #[inline]
     fn bucket(&self, hash: u64) -> usize {
         (hash & (self.heads.len() as u64 - 1)) as usize
     }
@@ -425,6 +612,33 @@ impl KeyTable {
         self.next[e as usize] = self.heads[bucket];
         self.heads[bucket] = e;
     }
+}
+
+/// For each of `rows` probe rows in order, the entries `find` appends to
+/// `right`, each paired with the row in `left`, then `(row, unmatched)` when
+/// it found none and `unmatched` is given. Returns whether every row made
+/// exactly one pair.
+#[inline]
+fn pairs(
+    rows: usize,
+    unmatched: Option<usize>,
+    left: &mut Vec<usize>,
+    right: &mut Vec<usize>,
+    mut find: impl FnMut(usize, &mut Vec<usize>),
+) -> bool {
+    let mut one_each = true;
+    for lr in 0..rows {
+        let before = right.len();
+        find(lr, right);
+        let found = right.len() - before;
+        left.resize(left.len() + found, lr);
+        if let (0, Some(u)) = (found, unmatched) {
+            left.push(lr);
+            right.push(u);
+        }
+        one_each &= right.len() == before + 1;
+    }
+    one_each
 }
 
 #[cfg(test)]
@@ -554,6 +768,136 @@ mod tests {
         let nulls = ColumnVec::from_variants(vec![Variant::Int(0), Variant::Null]);
         assert!(same_key(&nulls, 1, &nulls, 1) && !same_key(&nulls, 1, &ints, 1));
         assert!(same_key(&plain, 1, &nulls, 1) && !same_key(&plain, 1, &a, 0));
+    }
+
+    fn ints(keys: &[Option<i64>]) -> ColumnVec {
+        let cells = keys.iter().map(|k| k.map_or(Variant::Null, Variant::Int));
+        ColumnVec::from_variants(cells.collect())
+    }
+
+    /// Dense when the span is at most 8 slots per row — exactly 8× is, 8×
+    /// plus one is not — computed without overflow at the ends of `i64`.
+    #[test]
+    fn a_key_is_dense_up_to_eight_slots_per_row() {
+        let range = |keys: &[Option<i64>]| DenseRange::of(&[ints(keys)], keys.len());
+        assert_eq!(
+            range(&[Some(-3), Some(12)]),
+            Some(DenseRange { lo: -3, hi: 12 })
+        );
+        assert_eq!(range(&[Some(-3), Some(13)]), None, "17 slots for 2 rows");
+        assert_eq!(
+            range(&[Some(5), None, Some(5), Some(28)]),
+            Some(DenseRange { lo: 5, hi: 28 })
+        );
+        assert_eq!(
+            range(&[Some(5), None, Some(5), Some(37)]),
+            None,
+            "33 slots for 4 rows"
+        );
+        assert_eq!(range(&[Some(i64::MIN), Some(i64::MAX)]), None);
+        assert_eq!(
+            range(&[Some(i64::MAX), Some(i64::MAX - 15)]),
+            Some(DenseRange {
+                lo: i64::MAX - 15,
+                hi: i64::MAX
+            })
+        );
+        assert_eq!(range(&[None, None]), None, "no value, no range");
+        assert_eq!(range(&[]), None);
+        let floats = ColumnVec::from_variants(vec![Variant::Float(1.0)]);
+        assert_eq!(DenseRange::of(&[floats], 1), None);
+        assert_eq!(
+            DenseRange::of(&[ints(&[Some(1)]), ints(&[Some(1)])], 1),
+            None
+        );
+        // Slots of keys outside the range, whichever way `k - lo` wraps.
+        let r = DenseRange { lo: -5, hi: 10 };
+        assert_eq!((r.slot(-5), r.slot(10)), (Some(0), Some(15)));
+        for k in [-6, 11, i64::MIN, i64::MAX] {
+            assert_eq!(r.slot(k), None, "{k}");
+        }
+        let top = DenseRange {
+            lo: i64::MAX - 1,
+            hi: i64::MAX,
+        };
+        assert_eq!((top.slot(i64::MAX), top.slot(i64::MIN)), (Some(1), None));
+    }
+
+    /// A dense table keeps the hashed table's chains — ascending, NULL rows
+    /// unlinked — and finds a probe row of any representation by its key.
+    #[test]
+    fn a_dense_table_finds_every_representation_of_an_integer_key() {
+        let build = ints(&[Some(3), None, Some(-1), Some(3), Some(0), Some(3)]);
+        let table = KeyTable::build(vec![build], 6, || Ok(())).unwrap();
+        assert_eq!(table.index(), TableIndex::Dense { lo: -1, hi: 3 });
+        assert!(table.hashes.is_empty());
+        assert_eq!(table.index_bytes(), (5 + 6) * 4);
+        let probe = |col: ColumnVec| -> Vec<Vec<usize>> {
+            (0..col.len())
+                .map(|r| table.matches(&[&col], r, 0).collect())
+                .collect()
+        };
+        let threes = vec![0, 3, 5];
+        assert_eq!(
+            probe(ints(&[Some(3), None, Some(-1), Some(4), Some(i64::MIN)])),
+            [threes.clone(), vec![], vec![2], vec![], vec![]]
+        );
+        let floats = ColumnVec::from_variants(vec![
+            Variant::Float(3.0),
+            Variant::Float(-0.0),
+            Variant::Float(2.5),
+            Variant::Float(f64::NAN),
+        ]);
+        assert_eq!(probe(floats), [threes.clone(), vec![4], vec![], vec![]]);
+        let boxed = ColumnVec::Var(vec![
+            Variant::Int(0),
+            Variant::str("3"),
+            Variant::Float(-1.0),
+            Variant::Null,
+        ]);
+        assert_eq!(probe(boxed), [vec![4], vec![], vec![2], vec![]]);
+        let runs = ColumnVec::Runs {
+            ends: vec![2, 3],
+            values: Box::new(ints(&[Some(3), None])),
+        };
+        assert_eq!(probe(runs), [threes.clone(), threes.clone(), vec![]]);
+        let dict = ColumnVec::DictStr {
+            codes: vec![0],
+            dict: Arc::new(vec![Arc::from("3")]),
+        };
+        assert_eq!(probe(dict), [Vec::<usize>::new()]);
+        // The one-loop probe agrees, with and without unmatched rows.
+        let col = ints(&[Some(3), None, Some(7), Some(0)]);
+        let (mut l, mut r) = (Vec::new(), Vec::new());
+        assert!(!table.probe_column(&col, 4, Some(usize::MAX), &mut l, &mut r));
+        assert_eq!(l, [0, 0, 0, 1, 2, 3]);
+        assert_eq!(r, [0, 3, 5, usize::MAX, usize::MAX, 4]);
+    }
+
+    /// A hashed `Int` key compares integers in the one-loop probe, and
+    /// every other representation goes through `matches`.
+    #[test]
+    fn a_hashed_integer_key_probes_in_one_loop() {
+        let build = ints(&[Some(10_000), None, Some(-7), Some(10_000)]);
+        let table = KeyTable::build(vec![build], 4, || Ok(())).unwrap();
+        assert_eq!(table.index(), TableIndex::Hashed);
+        assert_eq!(table.index_bytes(), (4 + 4) * 4 + 4 * 8);
+        for col in [
+            ints(&[Some(10_000), Some(-7), None, Some(5)]),
+            ColumnVec::from_variants(vec![
+                Variant::Float(10_000.0),
+                Variant::Float(-7.0),
+                Variant::Null,
+                Variant::Float(5.5),
+            ]),
+        ] {
+            let (mut l, mut r) = (Vec::new(), Vec::new());
+            assert!(
+                !table.probe_column(&col, 4, None, &mut l, &mut r),
+                "{col:?}"
+            );
+            assert_eq!((l, r), (vec![0, 0, 1], vec![0, 3, 2]), "{col:?}");
+        }
     }
 
     /// 100 000 distinct keys grown through many doublings keep their

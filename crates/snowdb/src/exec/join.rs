@@ -15,6 +15,13 @@
 //! matches: a NULL-keyed build row is in no chain and a NULL-keyed probe row
 //! is not looked up. A join without an equi-key has no key table; every
 //! build row is a candidate of every probe row.
+//!
+//! A join on one key column without residual conjuncts — every SSB star join
+//! and every row-id join of the generated ADL plans — probes a batch in one
+//! loop over its key column ([`KeyTable::probe_column`]); residuals and
+//! multi-column keys take the general loop, which evaluates each candidate's
+//! residuals in (left row, right row) order. The table's rows and its index
+//! are charged to the statement's memory budget when it is built.
 
 use std::time::{Duration, Instant};
 
@@ -25,6 +32,7 @@ use crate::plan::{NodeKind, PExpr};
 use crate::sql::JoinKind;
 
 use super::hash::KeyTable;
+use super::metrics::{JoinBuild, TableIndex};
 use super::pipeline::{charge_batch, concat_batches, eval_exprs, execute_physical, BATCH_ROWS};
 use super::{eval, truth, Chunk, ExecCtx, RowView};
 
@@ -54,7 +62,8 @@ pub(super) struct JoinTable {
 impl JoinTable {
     /// Executes join `p`'s right input and builds its table on the calling
     /// thread. The right keys are evaluated in row order over the whole
-    /// input, so a volatile key numbers the right rows first.
+    /// input, so a volatile key numbers the right rows first. The rows and
+    /// then the key table's index are charged to the memory budget.
     pub(super) fn build(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<JoinTable> {
         let JoinExprs { right, .. } = join_exprs(p)?;
         let batches = execute_physical(&p.children[1], ctx)?;
@@ -75,9 +84,17 @@ impl JoinTable {
                     .into_iter()
                     .map(|c| c.into_owned())
                     .collect();
-                Some(KeyTable::build(cols, n, || ctx.gov.checkpoint("Join"))?)
+                let table = KeyTable::build(cols, n, || ctx.gov.checkpoint("Join"))?;
+                let index = table.index_bytes();
+                p.metrics.add_mem(rows.approx_bytes() + index);
+                ctx.gov.charge_memory(index, "Join")?;
+                Some(table)
             }
         };
+        p.metrics.set_join_build(JoinBuild {
+            rows: n as u64,
+            index: keys.as_ref().map(KeyTable::index),
+        });
         let built_in = start.elapsed();
         p.metrics.add_busy(built_in);
         Ok(JoinTable { rows, keys, built_in })
@@ -94,18 +111,26 @@ impl JoinTable {
         let NodeKind::Join { kind, .. } = &p.logical.kind else {
             unreachable!("a join stage is a join node")
         };
-        let keyed = match &self.keys {
-            None => None,
-            Some(table) => {
-                let lkeys = eval_exprs(left, lb, wctx, None, Some(&p.metrics)).complete()?;
-                let hashed = table.hash(&lkeys, lb.rows);
-                Some((table, lkeys, hashed))
-            }
-        };
+        let unmatched = (*kind == JoinKind::LeftOuter).then_some(UNMATCHED);
         let mut pairs = Pairs {
             left: Vec::with_capacity(lb.rows),
             right: Vec::with_capacity(lb.rows),
             one_each: true,
+        };
+        let keyed = match &self.keys {
+            None => None,
+            Some(table) => {
+                let lkeys = eval_exprs(left, lb, wctx, None, Some(&p.metrics)).complete()?;
+                if let ([col], []) = (&lkeys[..], &residual[..]) {
+                    let (left, right) = (&mut pairs.left, &mut pairs.right);
+                    pairs.one_each = table.probe_column(col, lb.rows, unmatched, left, right);
+                    return Ok(pairs);
+                }
+                // A dense table finds a row's slot from its key, not a hash.
+                let hashed = (table.index() == TableIndex::Hashed)
+                    .then(|| table.hash(&lkeys, lb.rows));
+                Some((table, lkeys, hashed))
+            }
         };
         for lr in 0..lb.rows {
             let before = pairs.left.len();
@@ -118,8 +143,12 @@ impl JoinTable {
             };
             match &keyed {
                 Some((table, lkeys, hashed)) => {
-                    if !hashed.is_null(lr) {
-                        for rr in table.matches(lkeys, lr, hashed.hashes[lr]) {
+                    let hash = match hashed {
+                        Some(h) => (!h.is_null(lr)).then(|| h.hashes[lr]),
+                        None => Some(0),
+                    };
+                    if let Some(hash) = hash {
+                        for rr in table.matches(lkeys, lr, hash) {
                             pair(rr, wctx)?;
                         }
                     }
@@ -130,9 +159,9 @@ impl JoinTable {
                     }
                 }
             }
-            if *kind == JoinKind::LeftOuter && pairs.left.len() == before {
+            if let (Some(u), true) = (unmatched, pairs.left.len() == before) {
                 pairs.left.push(lr);
-                pairs.right.push(UNMATCHED);
+                pairs.right.push(u);
             }
             pairs.one_each &= pairs.left.len() == before + 1;
         }

@@ -80,19 +80,7 @@ impl ExprDag<'_> {
         if self.seq8() == Seq8Calls::Guarded {
             return None;
         }
-        let mut ev = BatchEval {
-            dag: self,
-            inp,
-            n: inp.rows,
-            seq_base,
-            regs: (0..self.dag_nodes()).map(|_| None).collect(),
-            readers: (0..self.dag_nodes() as NodeId)
-                .map(|id| self.uses(id))
-                .collect(),
-            sel_parents: vec![0],
-            on_codes: 0,
-            materialized: 0,
-        };
+        let mut ev = BatchEval::new(self, inp, seq_base);
         let mut out = Vec::with_capacity(self.root_count());
         for &root in self.roots() {
             let v = ev.value(root, &Sel::FULL)?;
@@ -113,10 +101,26 @@ impl ExprDag<'_> {
 
 /// Converts a filter mask into the kept row indices; the first row whose
 /// value is neither boolean nor NULL raises [`expr::truth`]'s type error.
+/// A boolean mask writes every row's index as a candidate and advances past
+/// it only when the row is kept: no branch per row.
 pub fn mask_keep(mask: &ColumnVec) -> Result<Vec<usize>> {
     match mask {
         ColumnVec::Bool { vals, valid } => {
-            Ok((0..vals.len()).filter(|&i| vals[i] && valid.get(i)).collect())
+            let mut keep = vec![0; vals.len()];
+            let mut k = 0;
+            if valid.all_valid() {
+                for (i, &b) in vals.iter().enumerate() {
+                    keep[k] = i;
+                    k += usize::from(b);
+                }
+            } else {
+                for (i, &b) in vals.iter().enumerate() {
+                    keep[k] = i;
+                    k += usize::from(b & valid.get(i));
+                }
+            }
+            keep.truncate(k);
+            Ok(keep)
         }
         // An all-NULL mask keeps nothing: truth(NULL) is "unknown".
         ColumnVec::Null(_) => Ok(Vec::new()),
@@ -316,6 +320,22 @@ struct BatchEval<'d, 'a> {
 type Tri = Option<bool>;
 
 impl<'d, 'a> BatchEval<'d, 'a> {
+    fn new(dag: &'d ExprDag<'d>, inp: &'a Chunk, seq_base: i64) -> Self {
+        BatchEval {
+            dag,
+            inp,
+            n: inp.rows,
+            seq_base,
+            regs: (0..dag.dag_nodes()).map(|_| None).collect(),
+            readers: (0..dag.dag_nodes() as NodeId)
+                .map(|id| dag.uses(id))
+                .collect(),
+            sel_parents: vec![0],
+            on_codes: 0,
+            materialized: 0,
+        }
+    }
+
     // ---- registers ---------------------------------------------------------
 
     /// The value of `id` on (at least) the rows of `sel`.
@@ -819,6 +839,34 @@ fn bool_side<'v>(v: &'v Val<'_>, n: usize, sel: &Sel) -> Option<BoolSide<'v>> {
     }
 }
 
+/// Three-valued `AND` (`decisive` false) or `OR` (`decisive` true) of two
+/// conditions known on the rows of `sel`: the decisive value where either
+/// side has it, the other value where both sides are known, NULL otherwise.
+fn combine(decisive: bool, a: &BoolSide<'_>, b: &BoolSide<'_>, n: usize, sel: &Sel) -> ColumnVec {
+    if let (BoolSide::Col(x, vx), BoolSide::Col(y, vy)) = (a, b) {
+        if vx.all_valid() && vy.all_valid() {
+            // Every row is known. Rows outside `sel` hold values too; their
+            // results are never read.
+            let vals = match decisive {
+                true => x.iter().zip(*y).map(|(&p, &q)| p | q).collect(),
+                false => x.iter().zip(*y).map(|(&p, &q)| p & q).collect(),
+            };
+            return ColumnVec::Bool {
+                vals,
+                valid: Bitmap::ones(n),
+            };
+        }
+    }
+    tri_column(n, sel, |i| {
+        let (x, y) = (a.at(i), b.at(i));
+        if x == Some(decisive) || y == Some(decisive) {
+            Some(decisive)
+        } else {
+            x.and(y).map(|_| !decisive)
+        }
+    })
+}
+
 /// A boolean column from per-row outcomes on the selected rows.
 fn tri_column(n: usize, sel: &Sel, mut at: impl FnMut(usize) -> Tri) -> ColumnVec {
     let mut vals = vec![false; n];
@@ -1015,6 +1063,33 @@ fn arith_kernel(p: &Num<'_>, op: BinOp, q: &Num<'_>, n: usize, sel: &Sel) -> Ari
     Arith::Done(ColumnVec::Float { vals, valid })
 }
 
+/// `op` with its operands swapped: `a op b` is `b mirrored(op) a`.
+fn mirrored(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::LtEq => BinOp::GtEq,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::GtEq => BinOp::LtEq,
+        other => other,
+    }
+}
+
+/// Writes comparison `op` of each selected row's ordering `ord(i)` into
+/// `out[i]`. The operator is picked once; each has its own loop.
+#[inline]
+fn cmp_rows(op: BinOp, sel: &Sel, out: &mut [bool], ord: impl Fn(usize) -> Ordering) {
+    let n = out.len();
+    match op {
+        BinOp::Eq => for_rows!(sel, n, i => { out[i] = ord(i).is_eq(); }),
+        BinOp::NotEq => for_rows!(sel, n, i => { out[i] = ord(i).is_ne(); }),
+        BinOp::Lt => for_rows!(sel, n, i => { out[i] = ord(i).is_lt(); }),
+        BinOp::LtEq => for_rows!(sel, n, i => { out[i] = ord(i).is_le(); }),
+        BinOp::Gt => for_rows!(sel, n, i => { out[i] = ord(i).is_gt(); }),
+        BinOp::GtEq => for_rows!(sel, n, i => { out[i] = ord(i).is_ge(); }),
+        _ => unreachable!("not a comparison"),
+    }
+}
+
 fn cmp_to_bool(op: BinOp, c: Ordering) -> bool {
     match op {
         BinOp::Eq => c == Ordering::Equal,
@@ -1037,6 +1112,36 @@ enum Class {
     Nested,
 }
 
+/// What an operand that cannot fail holds on a batch (see
+/// [`BatchEval::cannot_fail`]).
+#[derive(Clone, Copy, PartialEq)]
+enum Holds {
+    /// NULL on every row.
+    Nulls,
+    /// Values of one class, and NULLs.
+    Only(Class),
+}
+
+impl Holds {
+    /// Boolean or NULL on every row: a condition `truth` accepts.
+    fn is_condition(self) -> bool {
+        matches!(self, Holds::Nulls | Holds::Only(Class::Bool))
+    }
+}
+
+/// What an unboxed column holds; `None` for a boxed one. A run-length
+/// column decodes at the kernel boundary into its values' representation.
+fn holds_of(c: &ColumnVec) -> Option<Holds> {
+    match c {
+        ColumnVec::Null(_) => Some(Holds::Nulls),
+        ColumnVec::Int { .. } | ColumnVec::Float { .. } => Some(Holds::Only(Class::Num)),
+        ColumnVec::Str(_) | ColumnVec::DictStr { .. } => Some(Holds::Only(Class::Str)),
+        ColumnVec::Bool { .. } => Some(Holds::Only(Class::Bool)),
+        ColumnVec::Runs { values, .. } => holds_of(values),
+        ColumnVec::Var(_) => None,
+    }
+}
+
 fn class(v: &Val<'_>) -> Option<Class> {
     match v {
         Val::Scalar(s) => match s {
@@ -1057,21 +1162,22 @@ fn class(v: &Val<'_>) -> Option<Class> {
 
 impl<'d, 'a> BatchEval<'d, 'a> {
     /// Maps a per-dictionary-entry answer over the codes: one decision per
-    /// entry instead of one per row.
+    /// entry instead of one per row, read from two lookup tables whose last
+    /// entry answers [`NULL_CODE`].
     fn map_codes(&mut self, codes: &[u32], table: &[Tri]) -> ColumnVec {
         self.on_codes += codes.len() as u64;
-        let mut vals = Vec::with_capacity(codes.len());
-        let mut valid = Bitmap::new();
-        for &c in codes {
-            let t = if c == NULL_CODE {
-                None
-            } else {
-                table[c as usize]
-            };
-            vals.push(t == Some(true));
-            valid.push(t.is_some());
+        let null = table.len();
+        let entry = |c: u32| (c as usize).min(null);
+        let vals_of: Vec<bool> = table
+            .iter()
+            .map(|t| *t == Some(true))
+            .chain([false])
+            .collect();
+        let valid_of: Vec<bool> = table.iter().map(Option::is_some).chain([false]).collect();
+        ColumnVec::Bool {
+            vals: codes.iter().map(|&c| vals_of[entry(c)]).collect(),
+            valid: Bitmap::from_fn(codes.len(), |i| valid_of[entry(codes[i])]),
         }
-        ColumnVec::Bool { vals, valid }
     }
 
     /// Comparisons that never materialize dictionary strings: against a
@@ -1109,14 +1215,14 @@ impl<'d, 'a> BatchEval<'d, 'a> {
         {
             if Arc::ptr_eq(ld, rd) && matches!(op, BinOp::Eq | BinOp::NotEq) {
                 self.on_codes += lc.len() as u64;
-                let mut vals = Vec::with_capacity(lc.len());
-                let mut valid = Bitmap::new();
-                for (&a, &b) in lc.iter().zip(rc) {
-                    let ok = a != NULL_CODE && b != NULL_CODE;
-                    vals.push(ok && (a == b) == (op == BinOp::Eq));
-                    valid.push(ok);
-                }
-                return Some(ColumnVec::Bool { vals, valid });
+                let eq = op == BinOp::Eq;
+                let ok = |i: usize| lc[i] != NULL_CODE && rc[i] != NULL_CODE;
+                return Some(ColumnVec::Bool {
+                    vals: (0..lc.len())
+                        .map(|i| ok(i) && (lc[i] == rc[i]) == eq)
+                        .collect(),
+                    valid: Bitmap::from_fn(lc.len(), ok),
+                });
             }
         }
         None
@@ -1132,23 +1238,40 @@ impl<'d, 'a> BatchEval<'d, 'a> {
         let n = self.n;
         match (class(l)?, class(r)?) {
             (Class::Num, Class::Num) => {
+                // A scalar goes to the right: `c < x` is `x > c`.
+                let (l, op, r) = match l {
+                    Val::Scalar(_) => (r, mirrored(op), l),
+                    _ => (l, op, r),
+                };
                 let (p, q) = (num(l)?, num(r)?);
                 let valid = both_valid(p.valid(), q.valid(), n);
                 let mut vals = vec![false; n];
                 // The same exact total order as `cmp_variants`.
-                match (p.is_int(), q.is_int()) {
-                    (true, true) => i64_at!(&p, |x| i64_at!(&q, |y| for_rows!(sel, n, i => {
-                        vals[i] = cmp_to_bool(op, x(i).cmp(&y(i)));
-                    }))),
-                    (false, false) => f64_at!(&p, |x| f64_at!(&q, |y| for_rows!(sel, n, i => {
-                        vals[i] = cmp_to_bool(op, cmp_f64(x(i), y(i)));
-                    }))),
-                    (true, false) => i64_at!(&p, |x| f64_at!(&q, |y| for_rows!(sel, n, i => {
-                        vals[i] = cmp_to_bool(op, cmp_i64_f64(x(i), y(i)));
-                    }))),
-                    (false, true) => f64_at!(&p, |x| i64_at!(&q, |y| for_rows!(sel, n, i => {
-                        vals[i] = cmp_to_bool(op, cmp_i64_f64(y(i), x(i)).reverse());
-                    }))),
+                let out = &mut vals[..];
+                match (&p, &q) {
+                    (Num::Ints(x, _), Num::Ints(y, _)) => {
+                        cmp_rows(op, sel, out, |i| x[i].cmp(&y[i]))
+                    }
+                    (Num::Ints(x, _), Num::Int(c)) => cmp_rows(op, sel, out, |i| x[i].cmp(c)),
+                    (Num::Floats(x, _), Num::Floats(y, _)) => {
+                        cmp_rows(op, sel, out, |i| cmp_f64(x[i], y[i]))
+                    }
+                    (Num::Floats(x, _), Num::Float(c)) => {
+                        cmp_rows(op, sel, out, |i| cmp_f64(x[i], *c))
+                    }
+                    (Num::Ints(x, _), Num::Floats(y, _)) => {
+                        cmp_rows(op, sel, out, |i| cmp_i64_f64(x[i], y[i]))
+                    }
+                    (Num::Ints(x, _), Num::Float(c)) => {
+                        cmp_rows(op, sel, out, |i| cmp_i64_f64(x[i], *c))
+                    }
+                    (Num::Floats(x, _), Num::Ints(y, _)) => {
+                        cmp_rows(op, sel, out, |i| cmp_i64_f64(y[i], x[i]).reverse())
+                    }
+                    (Num::Floats(x, _), Num::Int(c)) => {
+                        cmp_rows(op, sel, out, |i| cmp_i64_f64(*c, x[i]).reverse())
+                    }
+                    _ => unreachable!("two scalars fold before they are compared"),
                 }
                 Some(ColumnVec::Bool { vals, valid })
             }
@@ -1231,27 +1354,75 @@ enum Typed {
 impl<'d, 'a> BatchEval<'d, 'a> {
     /// Three-valued `AND`/`OR`: the right operand is evaluated on the rows
     /// the left one leaves undecided. Either operand must be boolean or NULL
-    /// on the rows it is evaluated on, as in the row evaluator.
+    /// on the rows it is evaluated on, as in the row evaluator. A right
+    /// operand that [cannot fail](BatchEval::cannot_fail) on this batch is
+    /// evaluated on the left operand's rows instead, and the two are combined
+    /// without a row list: where the left one decides, the right one's value
+    /// is computed and not read, which nothing can observe.
     fn logic(&mut self, op: BinOp, args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
         let n = self.n;
         // The value that decides the result alone.
         let decisive = op == BinOp::Or;
         let l = self.value(args[0], sel)?;
         let a = bool_side(&l, n, sel)?;
-        let open = self.filter_sel(sel, |i| a.at(i) != Some(decisive));
-        let r = self.value(args[1], &open)?;
-        let b = bool_side(&r, n, &open)?;
-        let out = tri_column(n, sel, |i| match a.at(i) {
-            Some(x) if x == decisive => Some(decisive),
-            x => match (x, b.at(i)) {
-                (_, Some(y)) if y == decisive => Some(decisive),
-                (Some(_), Some(y)) => Some(y),
-                _ => None,
-            },
-        });
+        let out = if self.cannot_fail(args[1]).is_some_and(Holds::is_condition) {
+            let r = self.value(args[1], sel)?;
+            combine(decisive, &a, &bool_side(&r, n, sel)?, n, sel)
+        } else {
+            let open = self.filter_sel(sel, |i| a.at(i) != Some(decisive));
+            let r = self.value(args[1], &open)?;
+            let b = bool_side(&r, n, &open)?;
+            tri_column(n, sel, |i| match a.at(i) {
+                Some(x) if x == decisive => Some(decisive),
+                x => match (x, b.at(i)) {
+                    (_, Some(y)) if y == decisive => Some(decisive),
+                    (Some(_), Some(y)) => Some(y),
+                    _ => None,
+                },
+            })
+        };
         self.release(args[0]);
         self.release(args[1]);
         Some(Rc::new(Val::Own(out)))
+    }
+
+    /// What node `id` holds on this batch when evaluating it cannot fail on
+    /// any row and has no effect; `None` when it might fail. Such a node is
+    /// a tree of `=`, `<>`, `<`, `<=`, `>`, `>=`, `AND`, `OR`, `NOT` and `IS
+    /// [NOT] NULL` over scalar literals and unboxed columns — a run-length
+    /// column by the class of its values — whose ordering comparisons stay
+    /// within one class: the kernels decline no row of it, and the row
+    /// evaluator fails on none.
+    fn cannot_fail(&self, id: NodeId) -> Option<Holds> {
+        let args = self.dag.args(id);
+        match self.dag.op(id) {
+            DagOp::Col(i) => holds_of(self.inp.cols.get(i)?),
+            DagOp::Lit(v) => match v {
+                Variant::Null => Some(Holds::Nulls),
+                Variant::Int(_) | Variant::Float(_) => Some(Holds::Only(Class::Num)),
+                Variant::Str(_) => Some(Holds::Only(Class::Str)),
+                Variant::Bool(_) => Some(Holds::Only(Class::Bool)),
+                Variant::Array(_) | Variant::Object(_) => None,
+            },
+            DagOp::Binary(
+                op @ (BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq),
+            ) => {
+                let (x, y) = (self.cannot_fail(args[0])?, self.cannot_fail(args[1])?);
+                let across = matches!(op, BinOp::Eq | BinOp::NotEq);
+                (across || x == y || x == Holds::Nulls || y == Holds::Nulls)
+                    .then_some(Holds::Only(Class::Bool))
+            }
+            DagOp::Binary(BinOp::And | BinOp::Or) => {
+                let (x, y) = (self.cannot_fail(args[0])?, self.cannot_fail(args[1])?);
+                (x.is_condition() && y.is_condition()).then_some(Holds::Only(Class::Bool))
+            }
+            DagOp::Not => {
+                let x = self.cannot_fail(args[0])?;
+                x.is_condition().then_some(Holds::Only(Class::Bool))
+            }
+            DagOp::IsNull { .. } => self.cannot_fail(args[0]).map(|_| Holds::Only(Class::Bool)),
+            _ => None,
+        }
     }
 
     /// `IFF(cond, then, otherwise)`: each branch on the rows that take it.
@@ -2088,6 +2259,106 @@ mod tests {
         assert_eq!(counts(&PExpr::Col(0)), (0, 0));
     }
 
+    /// Selections `e` narrowed to on `inp`: 0 when every operand ran on the
+    /// rows its reader ran on.
+    fn narrowed(e: &PExpr, inp: &Chunk) -> usize {
+        checked(e, inp).expect("no decline");
+        let dag = ExprDag::compile([e]);
+        let mut ev = BatchEval::new(&dag, inp, 0);
+        ev.value(dag.roots()[0], &Sel::FULL).expect("no decline");
+        ev.sel_parents.len() - 1
+    }
+
+    /// The right operand of `AND`/`OR` runs on the left one's rows when it
+    /// cannot fail on the batch — comparisons within one class over typed
+    /// columns, run-length ones classed by their values — and on the rows the
+    /// left one leaves open otherwise.
+    #[test]
+    fn an_operand_that_cannot_fail_runs_on_the_left_operands_rows() {
+        let runs = ColumnVec::Runs {
+            ends: vec![2, 5, 6],
+            values: Box::new(ColumnVec::from_variants(vec![
+                Variant::Int(1992),
+                Variant::Null,
+                Variant::Int(1998),
+            ])),
+        };
+        let mut inp = chunk(vec![
+            vec![
+                Variant::Int(2),
+                Variant::Int(0),
+                Variant::Null,
+                Variant::Int(5),
+                Variant::Int(1),
+                Variant::Int(3),
+            ],
+            vec![
+                Variant::Float(30.0),
+                Variant::Float(2.5),
+                Variant::Float(f64::NAN),
+                Variant::Null,
+                Variant::Float(-0.0),
+                Variant::Float(24.0),
+            ],
+            vec![
+                Variant::str("a"),
+                Variant::Int(2),
+                Variant::str("a"),
+                Variant::Int(7),
+                Variant::Null,
+                Variant::Float(1.5),
+            ],
+        ]);
+        inp.cols.push(runs);
+        let (x, f, v, year) = (PExpr::Col(0), PExpr::Col(1), PExpr::Col(2), PExpr::Col(3));
+        let q11 = bin(
+            bin(x.clone(), BinOp::GtEq, lit(1i64)),
+            BinOp::And,
+            bin(
+                bin(x.clone(), BinOp::LtEq, lit(3i64)),
+                BinOp::And,
+                bin(f.clone(), BinOp::Lt, lit(25i64)),
+            ),
+        );
+        let years = bin(
+            bin(year.clone(), BinOp::GtEq, lit(1992i64)),
+            BinOp::And,
+            bin(year.clone(), BinOp::LtEq, lit(1997i64)),
+        );
+        let either = bin(
+            PExpr::IsNull {
+                expr: Box::new(x.clone()),
+                negated: false,
+            },
+            BinOp::Or,
+            PExpr::Not(Box::new(bin(x.clone(), BinOp::Eq, lit("a")))),
+        );
+        for e in [&q11, &years, &either] {
+            assert_eq!(narrowed(e, &inp), 0, "{e:?}");
+        }
+        // A division, a boxed column and ordering across classes can fail.
+        let guarded = bin(
+            bin(x.clone(), BinOp::NotEq, lit(0i64)),
+            BinOp::And,
+            bin(bin(lit(10i64), BinOp::Div, x.clone()), BinOp::Gt, lit(1i64)),
+        );
+        let boxed = bin(
+            bin(v.clone(), BinOp::Eq, lit("a")),
+            BinOp::Or,
+            bin(v.clone(), BinOp::Lt, lit(3i64)),
+        );
+        let across = bin(
+            bin(x.clone(), BinOp::Gt, lit(4i64)),
+            BinOp::Or,
+            bin(year, BinOp::Lt, lit("1995")),
+        );
+        for e in [&guarded, &boxed] {
+            assert_eq!(narrowed(e, &inp), 1, "{e:?}");
+        }
+        // Row 0 compares an integer with a string: the row loop fails there.
+        assert!(checked(&across, &inp).is_none());
+    }
+
     #[test]
     fn mask_keep_semantics() {
         let mask = ColumnVec::from_variants(vec![
@@ -2099,5 +2370,10 @@ mod tests {
         assert_eq!(mask_keep(&mask).unwrap(), vec![0, 3]);
         assert_eq!(mask_keep(&ColumnVec::Null(5)).unwrap(), Vec::<usize>::new());
         assert!(mask_keep(&ColumnVec::from_variants(vec![Variant::Int(1)])).is_err());
+        let all_valid = ColumnVec::Bool {
+            vals: vec![false, true, true, false, true],
+            valid: Bitmap::ones(5),
+        };
+        assert_eq!(mask_keep(&all_valid).unwrap(), vec![1, 2, 4]);
     }
 }

@@ -7,6 +7,7 @@
 //! `EXPLAIN ANALYZE` renders it.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Concurrent metric counters for one physical operator.
@@ -39,6 +40,8 @@ pub struct OpMetricsCell {
     pipe_wall_nanos: AtomicU64,
     pipe_morsels: AtomicU64,
     pipe_workers: AtomicU64,
+    /// On a join, what its build made (see [`OpMetrics::join_build`]).
+    join_build: Mutex<Option<JoinBuild>>,
 }
 
 impl OpMetricsCell {
@@ -118,6 +121,12 @@ impl OpMetricsCell {
         self.pipe_wall_nanos.fetch_add(more.as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// Records the table a join built. The slot only ever holds a whole
+    /// value, so a guard a panicking writer poisoned is still sound.
+    pub fn set_join_build(&self, build: JoinBuild) {
+        *self.join_build.lock().unwrap_or_else(|e| e.into_inner()) = Some(build);
+    }
+
     /// Immutable snapshot (taken after execution completes).
     pub fn snapshot(
         &self,
@@ -149,9 +158,29 @@ impl OpMetricsCell {
                     workers: workers as usize,
                 }),
             },
+            join_build: *self.join_build.lock().unwrap_or_else(|e| e.into_inner()),
             children,
         }
     }
+}
+
+/// What a join's build made: its right input's row count and how the key
+/// table indexes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JoinBuild {
+    pub rows: u64,
+    /// `None` for a join without an equi-key, which has no key table.
+    pub index: Option<TableIndex>,
+}
+
+/// How a join's key table finds a probe row's matches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TableIndex {
+    /// One `Int` key whose non-NULL values lie in `lo..=hi`, indexed by
+    /// value.
+    Dense { lo: i64, hi: i64 },
+    /// Hashed keys.
+    Hashed,
 }
 
 /// How one pipeline ran: the operators between two materialized batch lists
@@ -208,6 +237,8 @@ pub struct OpMetrics {
     /// On the operator a pipeline ends at — its topmost stage, the aggregate
     /// it folds into, or a breaker's own phase — how that pipeline ran.
     pub pipeline_run: Option<PipelineRun>,
+    /// On a join, the table its build made; `None` elsewhere.
+    pub join_build: Option<JoinBuild>,
     pub children: Vec<OpMetrics>,
 }
 
@@ -243,7 +274,7 @@ impl OpMetrics {
     /// The annotation `EXPLAIN ANALYZE` appends to a plan line.
     pub fn annotation(&self) -> String {
         format!(
-            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}",
+            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}{}",
             self.rows_out,
             self.batches,
             self.busy,
@@ -268,6 +299,16 @@ impl OpMetrics {
                 format!(" workers={}", self.parallelism)
             } else {
                 String::new()
+            },
+            match self.join_build {
+                Some(JoinBuild { rows, index: Some(TableIndex::Dense { lo, hi }) }) => {
+                    format!(" table=dense[{lo}..{hi}] build={rows}")
+                }
+                Some(JoinBuild { rows, index: Some(TableIndex::Hashed) }) => {
+                    format!(" table=hash build={rows}")
+                }
+                Some(JoinBuild { rows, index: None }) => format!(" build={rows}"),
+                None => String::new(),
             },
             if self.pipeline > 0 {
                 format!(" pipe={}", self.pipeline)
@@ -306,6 +347,21 @@ mod tests {
         assert!(m.annotation().contains("vec=90/10"));
         assert!(m.annotation().contains("enc=70/30"));
         assert!(!m.annotation().contains("pipe="), "no pipeline ran it");
+        assert!(!m.annotation().contains("table="), "no join built it");
+    }
+
+    #[test]
+    fn a_join_line_names_its_table_before_its_pipeline() {
+        let cell = OpMetricsCell::default();
+        cell.set_pipeline(3);
+        let dense = Some(TableIndex::Dense { lo: 1, hi: 512 });
+        cell.set_join_build(JoinBuild { rows: 512, index: dense });
+        let m = cell.snapshot("InnerJoin".into(), 1, Vec::new());
+        let line = m.annotation();
+        assert!(line.ends_with(" table=dense[1..512] build=512 pipe=3"), "{line}");
+        cell.set_join_build(JoinBuild { rows: 7, index: Some(TableIndex::Hashed) });
+        let m = cell.snapshot("InnerJoin".into(), 1, Vec::new());
+        assert!(m.annotation().ends_with(" table=hash build=7 pipe=3"), "{}", m.annotation());
     }
 
     #[test]

@@ -887,3 +887,102 @@ mod pipelines {
         }
     }
 }
+
+/// The table a join builds: indexed by value for a narrow integer key,
+/// hashed otherwise — decided from the build input, the same at any thread
+/// count — reported by `EXPLAIN ANALYZE` and charged to the statement's
+/// memory budget with its index.
+mod join_tables {
+    use std::sync::Arc;
+
+    use snowdb::exec::metrics::{JoinBuild, TableIndex};
+    use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::{Database, OpMetrics, QueryGovernor, QueryOptions, SnowError, Variant};
+
+    /// The name of the first scan under `m`, depth first.
+    fn scan_under(m: &OpMetrics) -> Option<&str> {
+        m.operators().into_iter().map(|(_, op)| op.name.as_str()).find(|n| n.starts_with("Scan "))
+    }
+
+    /// Every join of `m` with the table its build side scans.
+    fn builds(m: &OpMetrics) -> Vec<(String, JoinBuild)> {
+        m.operators()
+            .into_iter()
+            .filter_map(|(_, op)| {
+                let build = op.join_build?;
+                Some((scan_under(&op.children[1])?.to_string(), build))
+            })
+            .collect()
+    }
+
+    /// At benchmark size, SSB q3.1 probes `SUPPLIER` (keys 1..512) and
+    /// `CUSTOMER` (1..4096) by value and hashes its 1992–1997 `DDATE` keys
+    /// (`yyyymmdd`, 51 130 apart over 2 190 rows); plain `EXPLAIN` says
+    /// nothing of it.
+    #[test]
+    fn q3_1_indexes_its_dense_dimensions_and_hashes_its_dates() {
+        let db = Database::new();
+        ssb::load_ssb(&db, &ssb::SsbConfig { lineorders: 32_768, seed: 42, ..Default::default() });
+        let q = ssb::query("q3.1");
+        for threads in [1, 2] {
+            let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+            let metrics = db.query_with(&q.sql, &opts).expect("runs").profile.metrics.expect("metrics");
+            let mut found = builds(&metrics);
+            found.sort_by(|a, b| a.0.cmp(&b.0));
+            let shapes: Vec<(&str, bool)> = found
+                .iter()
+                .map(|(scan, b)| (scan.as_str(), matches!(b.index, Some(TableIndex::Dense { .. }))))
+                .collect();
+            assert_eq!(
+                shapes,
+                [("Scan CUSTOMER", true), ("Scan DDATE", false), ("Scan SUPPLIER", true)],
+                "threads={threads}: {found:?}"
+            );
+            let (_, dates) = &found[1];
+            assert_eq!(dates.rows, 6 * 365);
+            for (_, b) in &found {
+                if let Some(TableIndex::Dense { lo, hi }) = b.index {
+                    assert!(lo >= 1 && hi <= 4096 && lo <= hi, "{b:?}");
+                }
+            }
+        }
+        let analyzed = crate::common::msg(db.execute(&format!("EXPLAIN ANALYZE {}", q.sql)).unwrap());
+        assert_eq!(analyzed.matches(" table=dense[").count(), 2, "{analyzed}");
+        assert_eq!(analyzed.matches(" table=hash build=2190 ").count(), 1, "{analyzed}");
+        let plain = crate::common::msg(db.execute(&format!("EXPLAIN {}", q.sql)).unwrap());
+        assert!(!plain.contains("table=") && !plain.contains("build="), "{plain}");
+    }
+
+    /// A 1 000-row build side keyed 0, 8, …, 7 992 — a dense table of
+    /// 7 993 heads — under a memory limit between what its rows cost and
+    /// what they and the index cost: the index's charge trips the budget, at
+    /// the join, at any thread count.
+    #[test]
+    fn a_join_charges_its_index_to_the_memory_budget() {
+        let db = Database::new();
+        let int = |n: &str| ColumnDef::new(n, ColumnType::Int);
+        db.load_table("dim", vec![int("K"), int("V")], (0..1000).map(|i| vec![Variant::Int(8 * i), Variant::Int(i)]))
+            .unwrap();
+        db.load_table("fact", vec![int("K")], [vec![Variant::Int(16)]]).unwrap();
+        let sql = "SELECT f.k, d.v FROM fact f LEFT OUTER JOIN dim d ON f.k = d.k";
+        let index = (7993 + 1000) * 4;
+        for threads in [1, 2] {
+            let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+            let gov = |limit| Arc::new(QueryGovernor::unbounded().with_memory_limit(limit));
+            let ok = db.query_governed(sql, &opts, gov(u64::MAX)).expect("runs");
+            assert_eq!(ok.rows, [[Variant::Int(16), Variant::Int(2)]]);
+            let total = ok.profile.governed.expect("armed").memory_charged;
+            let metrics = ok.profile.metrics.expect("metrics");
+            let build = builds(&metrics)[0].1;
+            assert_eq!(build, JoinBuild { rows: 1000, index: Some(TableIndex::Dense { lo: 0, hi: 7992 }) });
+            let limit = total - index / 2;
+            let failure = db.query_governed(sql, &opts, gov(limit)).expect_err("trips");
+            let SnowError::ResourceExhausted(trip) = &failure.error else {
+                panic!("threads={threads}: {:?}", failure.error)
+            };
+            assert_eq!((trip.resource.as_str(), trip.op.as_str()), ("memory", "Join"), "threads={threads}");
+            // The rows alone fit; the rows and the index do not.
+            assert!(trip.used - index <= limit && trip.used > limit, "threads={threads}: {trip:?}");
+        }
+    }
+}

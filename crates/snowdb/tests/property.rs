@@ -987,6 +987,135 @@ mod dag_differential {
         assert!(agreed > 2000 && failed > 300 && shared > 1000, "{agreed} {failed} {shared}");
     }
 
+    /// The DAG's answer to `e` over `inp` against the row loop's: the same
+    /// cells, or a decline exactly where the row loop fails. Returns whether
+    /// the row loop evaluated the batch.
+    fn agrees(seed: u64, inp: &Chunk, e: &PExpr) -> bool {
+        let dag = ExprDag::compile([e]);
+        match (row_loop(&dag, inp, 0), dag.eval(inp, 0, None)) {
+            (Ok(rows), Some(cols)) => {
+                for (r, want) in rows[0].iter().enumerate() {
+                    assert_eq!(format!("{:?}", cols[0].get(r)), format!("{want:?}"), "seed {seed}: row {r} of {e:?}");
+                }
+                true
+            }
+            (Err(err), Some(_)) => panic!("seed {seed}: the row loop fails ({err}) where the DAG answered: {e:?}"),
+            (Err(_), None) => false,
+            // A constant that fails is left to the row loop, which has no row
+            // to fail on in an empty batch.
+            (Ok(_), None) if inp.rows == 0 => false,
+            (Ok(_), None) => panic!("seed {seed}: the DAG declined a batch the row loop evaluates: {e:?}"),
+        }
+    }
+
+    const CMPS: [BinOp; 6] = [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::LtEq, BinOp::Gt, BinOp::GtEq];
+
+    /// Every comparison operator over every pair of operand representations
+    /// — typed, boxed, dictionary, run-length and NULL columns, and scalars
+    /// of every type, on either side — and `AND`/`OR` trees of such
+    /// comparisons, whose right operands the kernels run unnarrowed when they
+    /// cannot fail: the DAG equals the row loop cell for cell, and declines
+    /// exactly where the row loop fails.
+    #[test]
+    fn comparisons_of_every_representation_pair_equal_the_row_loop() {
+        let scalars = [
+            Variant::Null,
+            Variant::Int(0),
+            Variant::Int(-3),
+            Variant::Int(i64::MAX),
+            Variant::Int((1 << 53) + 1),
+            Variant::Float(-0.0),
+            Variant::Float(2.5),
+            Variant::Float(f64::NAN),
+            Variant::Float(f64::NEG_INFINITY),
+            Variant::Float((1i64 << 53) as f64),
+            Variant::Bool(false),
+            Variant::str("a"),
+            Variant::str(" 12 "),
+        ];
+        let operands: Vec<PExpr> = (0..N_COLS)
+            .map(PExpr::Col)
+            .chain(scalars.iter().cloned().map(PExpr::Lit))
+            .collect();
+        let (mut answered, mut failed) = (0u32, 0u32);
+        for seed in 0..30u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inp = batch(&mut rng);
+            for l in &operands {
+                for r in &operands {
+                    for op in CMPS {
+                        match agrees(seed, &inp, &bin(l.clone(), op, r.clone())) {
+                            true => answered += 1,
+                            false => failed += 1,
+                        }
+                    }
+                }
+            }
+            for _ in 0..300 {
+                let mut cmp = || {
+                    let pick = |rng: &mut StdRng| operands[rng.gen_range(0..operands.len())].clone();
+                    let (l, r) = (pick(&mut rng), pick(&mut rng));
+                    bin(l, CMPS[rng.gen_range(0..CMPS.len())], r)
+                };
+                let (a, b, c) = (cmp(), cmp(), cmp());
+                let logic = [BinOp::And, BinOp::Or];
+                let (op1, op2) = (logic[rng.gen_range(0..2usize)], logic[rng.gen_range(0..2usize)]);
+                let tree = match rng.gen_range(0..3) {
+                    0 => bin(a, op1, b),
+                    1 => bin(a, op1, bin(b, op2, c)),
+                    _ => bin(bin(a, op1, PExpr::Not(Box::new(b))), op2, PExpr::IsNull { expr: Box::new(c), negated: true }),
+                };
+                match agrees(seed, &inp, &tree) {
+                    true => answered += 1,
+                    false => failed += 1,
+                }
+            }
+        }
+        assert!(answered > 50_000 && failed > 5_000, "{answered} {failed}");
+    }
+
+    /// `AND`/`OR` whose right operand fails only on rows the left one
+    /// decides — `x <> 0 AND 10 / x > 1` over integers with zeros, `v = 'a'
+    /// OR v < 3` over boxed strings and numbers — are answered, as the row
+    /// loop answers them; with the guard moved off the failing rows, both
+    /// fail.
+    #[test]
+    fn guards_keep_a_failing_right_operand_off_the_rows_they_decide() {
+        for seed in 0..500u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..24usize);
+            let x: Vec<Variant> = (0..n).map(|_| int_cell(&mut rng)).collect();
+            let v: Vec<Variant> = (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => Variant::str("a"),
+                    1 => Variant::Null,
+                    2 => Variant::Float(rng.gen_range(-4.0f64..4.0)),
+                    _ => Variant::Int(rng.gen_range(-4i64..5)),
+                })
+                .collect();
+            let has_zero = x.iter().any(|c| matches!(c, Variant::Int(0)));
+            let has_a = v.iter().any(|c| c.as_str() == Some("a"));
+            let inp = Chunk { cols: vec![ColumnVec::from_variants(x), ColumnVec::Var(v)], rows: n };
+            let (x, v) = (PExpr::Col(0), PExpr::Col(1));
+            let lit = PExpr::Lit;
+            let div = bin(bin(lit(Variant::Int(10)), BinOp::Div, x.clone()), BinOp::Gt, lit(Variant::Int(1)));
+            let less = bin(v.clone(), BinOp::Lt, lit(Variant::Int(3)));
+            let guarded = [
+                bin(bin(x.clone(), BinOp::NotEq, lit(Variant::Int(0))), BinOp::And, div.clone()),
+                bin(bin(x.clone(), BinOp::Eq, lit(Variant::Int(0))), BinOp::Or, div.clone()),
+                bin(bin(v.clone(), BinOp::Eq, lit(Variant::str("a"))), BinOp::Or, less.clone()),
+                bin(bin(v.clone(), BinOp::NotEq, lit(Variant::str("a"))), BinOp::And, less.clone()),
+            ];
+            for e in &guarded {
+                assert!(agrees(seed, &inp, e), "seed {seed}: {e:?}");
+            }
+            let unguarded = bin(bin(x, BinOp::Eq, lit(Variant::Int(0))), BinOp::And, div);
+            assert_eq!(agrees(seed, &inp, &unguarded), !has_zero, "seed {seed}: {unguarded:?}");
+            let unguarded = bin(bin(v, BinOp::Eq, lit(Variant::str("b"))), BinOp::Or, less);
+            assert_eq!(agrees(seed, &inp, &unguarded), !has_a, "seed {seed}: {unguarded:?}");
+        }
+    }
+
     /// Column renumbering is a functor over the expression: the identity map
     /// changes nothing, maps compose, a substitution table of bare columns is
     /// the same map, and the columns read are the mapped columns, in order.
@@ -1339,6 +1468,115 @@ mod join_table {
                 }
             }
             assert!(matched > 1000, "seed {seed}: only {matched} pairs matched");
+        }
+    }
+
+    /// Build-side keys whose non-NULL values span exactly 8 slots per build
+    /// row (dense), one more (hashed), negative keys, keys at either end of
+    /// `i64` with a narrow span (dense) and both ends at once (hashed, and the
+    /// span must not overflow) — each with duplicates and NULLs — probed by
+    /// an `Int` column, a `Float` one holding `3.0`, `-0.0`, `2.5` and NaN, a
+    /// dictionary of padded digit strings, run-length integers and boxed values,
+    /// inner and left outer, against a nested loop, at every thread count
+    /// under either producer; each join reports the table it built.
+    #[test]
+    fn a_dense_key_table_returns_the_nested_loops_rows() {
+        use snowdb::exec::metrics::TableIndex;
+        for seed in 0..common::schedule_budget(4) as u64 {
+            let _repro = common::schedule("dense_join_table", seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nr = rng.gen_range(8..16usize);
+            let span = 8 * nr as i64;
+            let lo = rng.gen_range(-40i64..40);
+            let shapes: [(&str, i64, i64, bool); 6] = [
+                ("8x", lo, lo + span - 1, true),
+                ("8x+1", lo, lo + span, false),
+                ("negative", -3 * nr as i64, -1, true),
+                ("top", i64::MAX - 20, i64::MAX, true),
+                ("bottom", i64::MIN, i64::MIN + 20, true),
+                ("extremes", i64::MIN, i64::MAX, false),
+            ];
+            for (shape, a, b, dense) in shapes {
+                // Both ends, 0 and 3 where they are in range, then keys in
+                // between, duplicates and NULLs.
+                let mut keys = vec![Variant::Int(a), Variant::Int(b)];
+                keys.extend([0, 3].into_iter().filter(|k| (a..=b).contains(k)).map(Variant::Int));
+                while keys.len() < nr {
+                    keys.push(match rng.gen_range(0..5) {
+                        0 => Variant::Null,
+                        1 => keys[rng.gen_range(0..keys.len())].clone(),
+                        _ => Variant::Int(rng.gen_range(a..=b)),
+                    });
+                }
+                let ints: Vec<i64> = keys.iter().filter_map(Variant::as_i64).collect();
+                let build: Vec<Vec<Variant>> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(id, k)| {
+                        let filler = [Variant::Float(1.0), Variant::str("filler"), Variant::Int(1), Variant::Null];
+                        [vec![Variant::Int(id as i64), k.clone()], filler.to_vec()].concat()
+                    })
+                    .collect();
+                let pick = |rng: &mut StdRng| ints[rng.gen_range(0..ints.len())];
+                let mut runs = (0usize, Variant::Null);
+                let probe: Vec<Vec<Variant>> = (0..rng.gen_range(60..100))
+                    .map(|id| {
+                        let i = match rng.gen_range(0..8) {
+                            0 => Variant::Null,
+                            1 => Variant::Int(a.saturating_sub(1)),
+                            2 => Variant::Int(b.saturating_add(1)),
+                            _ => Variant::Int(pick(&mut rng)),
+                        };
+                        let f = match rng.gen_range(0..8) {
+                            0 => Variant::Float(3.0),
+                            1 => Variant::Float(-0.0),
+                            2 => Variant::Float(2.5),
+                            3 => Variant::Float(f64::NAN),
+                            4 => Variant::Null,
+                            _ => Variant::Float(pick(&mut rng) as f64),
+                        };
+                        let s = Variant::str(format!("{:>12}", ints[rng.gen_range(0..3.min(ints.len()))]));
+                        if runs.0 == 0 {
+                            runs = (rng.gen_range(4..10usize), Variant::Int(pick(&mut rng)));
+                        }
+                        runs.0 -= 1;
+                        let k = pick(&mut rng);
+                        let v = match rng.gen_range(0..6) {
+                            0 => Variant::Int(k),
+                            1 => Variant::Float(k as f64),
+                            2 => Variant::str(k.to_string()),
+                            3 => Variant::array(vec![Variant::Int(k)]),
+                            4 => Variant::Null,
+                            _ => Variant::Float(0.5),
+                        };
+                        vec![Variant::Int(id), i, f, s, runs.1.clone(), v]
+                    })
+                    .collect();
+                let db = Database::new();
+                load(&db, "A", &probe, rng.gen_range(10..20));
+                load(&db, "B", &build, build.len());
+                let mut matched = 0;
+                for (col, probe_col) in [("i", 1), ("f", 2), ("s", 3), ("r", 4), ("v", 5)] {
+                    for (join, outer) in [("JOIN", false), ("LEFT OUTER JOIN", true)] {
+                        let sql = format!("SELECT a.id, b.id FROM A a {join} B b ON a.{col} = b.i");
+                        let (got, joins) = run(&db, &sql);
+                        let want = nested_loop(&probe, &build, &[(probe_col, 1)], outer, false);
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed} {shape}: {sql}");
+                        matched += want.iter().filter(|row| !row[1].is_null()).count();
+                        for m in joins {
+                            let build = m.join_build.expect("a join reports its build");
+                            assert_eq!(build.rows, nr as u64, "seed {seed} {shape}: {sql}");
+                            let index = build.index.expect("an equi-join has a key table");
+                            assert_eq!(
+                                matches!(index, TableIndex::Dense { .. }),
+                                dense,
+                                "seed {seed} {shape}: {sql}: {index:?}"
+                            );
+                        }
+                    }
+                }
+                assert!(matched > 200, "seed {seed} {shape}: only {matched} pairs matched");
+            }
         }
     }
 

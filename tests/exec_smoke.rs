@@ -8,7 +8,10 @@
 //! pipelines}`, the join- and key-table property tests, the DAG
 //! differential) live in `crates/snowdb/tests` and run with `cargo test
 //! --workspace`. Grouped aggregates and DISTINCT keep their first-seen
-//! groups, in order, at any thread count.
+//! groups, in order, at any thread count. A join on a dense integer key
+//! matches by value — `3.0` meets `3`, a key outside the range meets
+//! nothing — and a filter of three typed conjuncts keeps the rows the row
+//! evaluator keeps.
 
 use std::sync::Arc;
 
@@ -246,4 +249,72 @@ fn distinct_returns_first_occurrences_in_order() {
         agreed_rows(&db, "SELECT DISTINCT s, k FROM t"),
         r#"[["north-bound", 1], ["south-bound", null], ["south-bound", 2], ["south-bound", 1.0], ["east-bound", 2.0], ["east-bound", 3]]"#
     );
+}
+
+/// A left-outer join on a dense integer key: the build side holds a
+/// duplicate, a NULL and a negative key, the probe side a key past the range,
+/// a NULL, and `Float` keys that equal an integer (`3.0`, `-0.0`) or none
+/// (`2.5`). Matches come in build-row order, every probe row once at least.
+#[test]
+fn a_left_outer_join_on_a_dense_key_matches_by_value() {
+    let db = Database::new();
+    let names = ["three", "none", "minus two", "three again", "zero"];
+    let keys = [Some(3), None, Some(-2), Some(3), Some(0)];
+    db.load_table_with_partition_rows(
+        "dim",
+        vec![ColumnDef::new("K", ColumnType::Int), ColumnDef::new("NAME", ColumnType::Str)],
+        keys.iter().zip(names).map(|(k, n)| vec![k.map_or(Variant::Null, Variant::Int), Variant::str(n)]),
+        5,
+    )
+    .expect("loads");
+    let fact = [(Some(3), Some(3.0)), (Some(40), Some(-0.0)), (None, Some(2.5)), (Some(-2), None), (Some(0), Some(99.0)), (Some(-7), Some(3.0))];
+    db.load_table_with_partition_rows(
+        "fact",
+        vec![
+            ColumnDef::new("ID", ColumnType::Int),
+            ColumnDef::new("K", ColumnType::Int),
+            ColumnDef::new("F", ColumnType::Float),
+        ],
+        fact.iter().enumerate().map(|(id, (k, f))| {
+            vec![Variant::Int(id as i64), k.map_or(Variant::Null, Variant::Int), f.map_or(Variant::Null, Variant::Float)]
+        }),
+        2,
+    )
+    .expect("loads");
+    let on_int = "SELECT f.id, d.name FROM fact f LEFT OUTER JOIN dim d ON f.k = d.k";
+    assert_eq!(
+        agreed_rows(&db, on_int),
+        r#"[[0, "three"], [0, "three again"], [1, null], [2, null], [3, "minus two"], [4, "zero"], [5, null]]"#
+    );
+    assert_eq!(
+        agreed_rows(&db, "SELECT f.id, d.name FROM fact f LEFT OUTER JOIN dim d ON f.f = d.k"),
+        r#"[[0, "three"], [0, "three again"], [1, "zero"], [2, null], [3, null], [4, null], [5, "three"], [5, "three again"]]"#
+    );
+    let analyzed = db.execute(&format!("EXPLAIN ANALYZE {on_int}")).expect("runs");
+    let StatementResult::Message(plan) = analyzed else { panic!("EXPLAIN ANALYZE renders a message") };
+    assert!(plan.contains(" table=dense[-2..3] build=5"), "{plan}");
+}
+
+/// q1.1's three-conjunct filter over typed columns with NULLs in both: a
+/// NULL conjunct drops its row, in either producer.
+#[test]
+fn a_three_conjunct_filter_over_typed_columns_keeps_its_rows() {
+    let db = Database::new();
+    let d = [Some(1), Some(3), None, Some(4), Some(0), Some(2), Some(2), Some(3), Some(1), None];
+    let q = [Some(10.0), Some(30.0), Some(5.0), Some(1.0), Some(24.5), None, Some(24.9), Some(25.0), Some(-0.0), Some(1.0)];
+    db.load_table_with_partition_rows(
+        "t",
+        vec![
+            ColumnDef::new("ID", ColumnType::Int),
+            ColumnDef::new("D", ColumnType::Int),
+            ColumnDef::new("Q", ColumnType::Float),
+        ],
+        (0..10).map(|i| {
+            vec![Variant::Int(i as i64), d[i].map_or(Variant::Null, Variant::Int), q[i].map_or(Variant::Null, Variant::Float)]
+        }),
+        4,
+    )
+    .expect("loads");
+    assert_eq!(agreed_rows(&db, "SELECT id FROM t WHERE d >= 1 AND d <= 3 AND q < 25"), "[[0], [6], [8]]");
+    assert_eq!(agreed_rows(&db, "SELECT id FROM t WHERE d IS NULL OR (d > 2 AND q < 25)"), "[[2], [3], [9]]");
 }
