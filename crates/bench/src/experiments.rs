@@ -558,11 +558,9 @@ pub fn kernels(cfg: &Config) -> Report {
             .expect("loads");
     }
     const CITIES: [&str; 8] = ["tokyo", "lima", "oslo", "cairo", "quito", "seoul", "accra", "dakar"];
-    snowdb::storage::set_ingest_encoding(Some(true));
     let dict = table("t", [ColumnType::Str, ColumnType::Int, ColumnType::Float], &|i| {
         vec![Variant::str(CITIES[i as usize % CITIES.len()]), Variant::Int(i / 1000), x(i)]
     });
-    snowdb::storage::set_ingest_encoding(None);
 
     const NUMERIC: [(&str, &str); 7] = [
         ("filter", "SELECT A FROM t WHERE A < 500 AND X >= 10.0"),
@@ -590,9 +588,9 @@ pub fn kernels(cfg: &Config) -> Report {
         for &(id, sql) in queries {
             let time = |on: bool| {
                 let opts = if name == "dict" {
-                    QueryOptions { vectorize: Some(true), encode: Some(on), ..serial }
+                    QueryOptions { vectorize: true, encode: on, ..serial }
                 } else {
-                    QueryOptions { vectorize: Some(on), ..serial }
+                    QueryOptions { vectorize: on, ..serial }
                 };
                 time_mean(cfg.runs.max(3), cfg.warmup.max(1), || {
                     std::hint::black_box(db.query_with(sql, &opts).expect("runs").rows.len());

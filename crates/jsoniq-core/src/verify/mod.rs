@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use snowdb::verify::{
     canonical_rows, first_diff, render_row, ConfigOutcome, Divergence, DivergenceDetail,
-    SqlConfig, VerifyReport, DEFAULT_EPSILON,
+    VerifyReport, DEFAULT_EPSILON,
 };
 use snowdb::{Database, QueryOptions, Variant};
 
@@ -31,7 +31,7 @@ use crate::snowflake::{translate_query, NestedStrategy};
 #[derive(Clone, Debug)]
 pub struct JsoniqLattice {
     /// SQL-side execution configurations applied to every translation.
-    pub sql: Vec<SqlConfig>,
+    pub sql: Vec<QueryOptions>,
     /// Translator strategies to cover.
     pub strategies: Vec<NestedStrategy>,
     /// Whether to run the JSONiq interpreter as the ground-truth baseline.
@@ -112,17 +112,11 @@ pub fn verify_jsoniq(db: &Arc<Database>, src: &str, lattice: &JsoniqLattice) -> 
             }
         };
         for cfg in &lattice.sql {
-            let opts = QueryOptions {
-                optimize: cfg.optimize,
-                threads: Some(cfg.threads),
-                vectorize: Some(cfg.vectorize),
-                encode: Some(cfg.encode),
-            };
             let label = format!("{tag}/{}", cfg.label());
             let plan = db
                 .explain_with(&sql, cfg.optimize)
                 .unwrap_or_else(|e| format!("<explain failed: {e}>"));
-            match db.query_with(&sql, &opts) {
+            match db.query_with(&sql, cfg) {
                 Ok(result) => {
                     let metrics =
                         match (&result.profile.metrics, db.compile_with(&sql, cfg.optimize)) {

@@ -91,9 +91,8 @@ impl QueryResult {
 pub struct Database {
     /// The current catalog version plus the commit serialization point.
     pub(crate) catalog: SharedCatalog,
-    /// Explicit worker-thread override; `None` falls back to the
-    /// `SNOWDB_THREADS` environment variable, then to the machine's
-    /// available parallelism.
+    /// Explicit worker-thread override; `None` falls back to
+    /// `SNOWDB_THREADS`, then to the machine's available parallelism.
     threads: RwLock<Option<usize>>,
     /// Database-level session parameters (`SET STATEMENT_TIMEOUT_IN_SECONDS
     /// = ...`): statements run directly on the database are governed by
@@ -124,31 +123,92 @@ impl PartitionSink for GovernedSink {
     }
 }
 
-/// Per-call execution options for [`Database::query_with`].
+/// How a statement runs: the one value that selects it, and the point type
+/// of the verification lattice ([`crate::verify::default_lattice`]).
 ///
-/// The defaults reproduce [`Database::query`]: optimized plan, thread count
-/// resolved from the database override / `SNOWDB_THREADS` / machine
-/// parallelism. The verification oracle uses explicit options to walk the
-/// configuration lattice without mutating shared database state.
-#[derive(Clone, Copy, Debug)]
+/// The defaults reproduce [`Database::query`]: optimized plan, the database's
+/// thread count ([`Database::effective_threads`]), kernels and encoded
+/// execution as the process's `SNOWDB_VECTORIZE` / `SNOWDB_ENCODE` select
+/// (both on when unset). The environment is read once per process.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Run the optimizer passes (`false` executes the raw bound plan).
     pub optimize: bool,
     /// Explicit worker-thread count; `None` uses the database default.
     pub threads: Option<usize>,
-    /// Use the typed vectorized kernels; `None` resolves from
-    /// `SNOWDB_VECTORIZE` (on unless set to `0`/`false`/`off`).
-    pub vectorize: Option<bool>,
+    /// Use the typed vectorized kernels; off forces the row-at-a-time path.
+    pub vectorize: bool,
     /// Let encoded (dictionary / run-length) column blocks flow into the
-    /// executor; `None` resolves from `SNOWDB_ENCODE` (on unless set to
-    /// `0`/`false`/`off`). When off, scans decode every block at the
-    /// pipeline boundary.
-    pub encode: Option<bool>,
+    /// executor; off decodes every block at the scan.
+    pub encode: bool,
 }
 
 impl Default for QueryOptions {
     fn default() -> QueryOptions {
-        QueryOptions { optimize: true, threads: None, vectorize: None, encode: None }
+        let env = process_settings();
+        QueryOptions { optimize: true, threads: None, vectorize: env.vectorize, encode: env.encode }
+    }
+}
+
+impl QueryOptions {
+    /// Human-readable label of a lattice point, used in reports.
+    pub fn label(&self) -> String {
+        format!(
+            "{}/threads={}/{}/{}",
+            if self.optimize { "optimized" } else { "raw" },
+            self.threads.map_or_else(|| "default".to_string(), |t| t.to_string()),
+            if self.vectorize { "vec" } else { "row" },
+            if self.encode { "enc" } else { "dec" }
+        )
+    }
+}
+
+/// The settings of this process's environment, read on first use:
+/// `SNOWDB_THREADS` is [`QueryOptions::threads`], `SNOWDB_VECTORIZE` and
+/// `SNOWDB_ENCODE` are `vectorize` and `encode`. The only reader of the
+/// environment in the engine.
+fn process_settings() -> &'static QueryOptions {
+    static SETTINGS: std::sync::OnceLock<QueryOptions> = std::sync::OnceLock::new();
+    SETTINGS.get_or_init(|| {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        parse_settings(
+            var("SNOWDB_THREADS").as_deref(),
+            var("SNOWDB_VECTORIZE").as_deref(),
+            var("SNOWDB_ENCODE").as_deref(),
+        )
+    })
+}
+
+/// Parses the values of `SNOWDB_THREADS`, `SNOWDB_VECTORIZE` and
+/// `SNOWDB_ENCODE` (`None`: unset). Values are trimmed and read ignoring
+/// ASCII case; a switch is `0|false|off` or `1|true|on`, a thread count a
+/// positive integer. Anything else panics, naming the variable and the value:
+/// a mistyped setting must not run the defaults.
+fn parse_settings(
+    threads: Option<&str>,
+    vectorize: Option<&str>,
+    encode: Option<&str>,
+) -> QueryOptions {
+    let switch = |name: &str, value: Option<&str>| match value
+        .map(|v| v.trim().to_ascii_lowercase())
+        .as_deref()
+    {
+        None | Some("1" | "true" | "on") => true,
+        Some("0" | "false" | "off") => false,
+        Some(_) => panic!(
+            "{name}={:?}: expected 0, false, off, 1, true or on",
+            value.unwrap_or_default()
+        ),
+    };
+    let threads = threads.map(|v| match v.trim().parse::<usize>() {
+        Ok(t) if t > 0 => t,
+        _ => panic!("SNOWDB_THREADS={v:?}: expected a positive integer"),
+    });
+    QueryOptions {
+        optimize: true,
+        threads,
+        vectorize: switch("SNOWDB_VECTORIZE", vectorize),
+        encode: switch("SNOWDB_ENCODE", encode),
     }
 }
 
@@ -514,27 +574,20 @@ impl Database {
     }
 
     /// Overrides the worker-thread count for this database's queries.
-    /// `None` restores the default resolution (`SNOWDB_THREADS` environment
-    /// variable, then available parallelism); values are clamped to ≥ 1.
+    /// `None` restores the default resolution (`SNOWDB_THREADS`, then
+    /// available parallelism); values are clamped to ≥ 1.
     pub fn set_threads(&self, threads: Option<usize>) {
         *self.threads.write() = threads.map(|t| t.max(1));
     }
 
-    /// Worker count for the next query: explicit override, else the
-    /// `SNOWDB_THREADS` environment variable (re-read per query), else the
-    /// machine's available parallelism. 1 means fully inline serial
-    /// execution — no threads are spawned.
+    /// Worker count for the next query: explicit override, else
+    /// `SNOWDB_THREADS` (read once per process), else the machine's
+    /// available parallelism. 1 means fully inline serial execution — no
+    /// threads are spawned.
     pub fn effective_threads(&self) -> usize {
-        if let Some(t) = *self.threads.read() {
-            return t;
-        }
-        if let Some(t) = std::env::var("SNOWDB_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            return t.max(1);
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        self.threads.read().or(process_settings().threads).unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        })
     }
 
     /// Runs a SQL query end to end, reporting a per-phase [`QueryProfile`].
@@ -647,11 +700,9 @@ impl Database {
         gov: Arc<QueryGovernor>,
     ) -> (Result<Vec<crate::exec::Chunk>>, OpMetrics, ExecCtx, Duration) {
         let threads = opts.threads.map_or_else(|| self.effective_threads(), |t| t.max(1));
-        let vectorize = opts.vectorize.unwrap_or_else(crate::exec::vectorize_from_env);
-        let encode = opts.encode.unwrap_or_else(crate::storage::encode_from_env);
         let t = Instant::now();
         let phys: PhysNode<'_> = lower(plan, threads);
-        let mut ctx = ExecCtx::worker(gov, vectorize, encode);
+        let mut ctx = ExecCtx::worker(gov, opts.vectorize, opts.encode);
         // Last line of panic isolation: a panic escaping the morsel layer's
         // catch_unwind (e.g. one injected at a claim gate) must not cross the
         // engine boundary. The catalog is only read during execution and all
@@ -765,6 +816,42 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    #[test]
+    fn settings_parse_one_way_for_all_three_variables() {
+        let unset = parse_settings(None, None, None);
+        assert_eq!(
+            unset,
+            QueryOptions { optimize: true, threads: None, vectorize: true, encode: true }
+        );
+        for off in ["0", " 0", "false", "False", "OFF", "off\n"] {
+            let got = parse_settings(None, Some(off), Some(off));
+            assert!(!got.vectorize && !got.encode, "{off:?}");
+        }
+        for on in ["1", "true", " TRUE ", "On"] {
+            let got = parse_settings(None, Some(on), Some(on));
+            assert!(got.vectorize && got.encode, "{on:?}");
+        }
+        assert_eq!(parse_settings(Some(" 3 "), None, None).threads, Some(3));
+        assert_eq!(parse_settings(Some("1"), Some("0"), None).threads, Some(1));
+    }
+
+    #[test]
+    fn a_mistyped_setting_panics_naming_the_variable_and_the_value() {
+        let cases: [(&str, [Option<&str>; 3]); 6] = [
+            ("SNOWDB_THREADS=\"abc\"", [Some("abc"), None, None]),
+            ("SNOWDB_THREADS=\"0\"", [Some("0"), None, None]),
+            ("SNOWDB_THREADS=\"-2\"", [Some("-2"), None, None]),
+            ("SNOWDB_VECTORIZE=\"no\"", [None, Some("no"), None]),
+            ("SNOWDB_ENCODE=\"False!\"", [None, None, Some("False!")]),
+            ("SNOWDB_ENCODE=\"\"", [None, None, Some("")]),
+        ];
+        for (want, [t, v, e]) in cases {
+            let err = std::panic::catch_unwind(|| parse_settings(t, v, e)).expect_err(want);
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.starts_with(want), "{msg}");
+        }
     }
 
     #[test]

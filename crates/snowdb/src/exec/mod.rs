@@ -67,13 +67,10 @@ impl Chunk {
     }
 }
 
-/// Resolves the `SNOWDB_VECTORIZE` environment default: vectorized kernels
-/// are on unless the variable is set to `0`/`false`/`off`.
+/// The process default for vectorized kernels (`SNOWDB_VECTORIZE`, on
+/// unless it says off).
 pub fn vectorize_from_env() -> bool {
-    match std::env::var("SNOWDB_VECTORIZE") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "FALSE" | "off" | "OFF"),
-        Err(_) => true,
-    }
+    crate::QueryOptions::default().vectorize
 }
 
 /// Mutable per-query execution state.
@@ -106,15 +103,14 @@ impl Default for ExecCtx {
 
 impl ExecCtx {
     /// A context governed by `gov` at the process defaults for vectorization
-    /// and encoding: the one place besides [`crate::QueryOptions`] resolution
-    /// that reads them from the environment, once per statement.
+    /// and encoding ([`crate::QueryOptions::default`]).
     pub fn with_governor(gov: Arc<QueryGovernor>) -> ExecCtx {
-        ExecCtx::worker(gov, vectorize_from_env(), crate::storage::encode_from_env())
+        let defaults = crate::QueryOptions::default();
+        ExecCtx::worker(gov, defaults.vectorize, defaults.encode)
     }
 
-    /// A worker-thread context sharing `gov` and inheriting explicit
-    /// vectorization/encoding choices (workers must not re-read the
-    /// environment: the per-query options may override it).
+    /// A worker-thread context sharing `gov` and inheriting the statement's
+    /// vectorization/encoding choices.
     pub fn worker(gov: Arc<QueryGovernor>, vectorize: bool, encode: bool) -> ExecCtx {
         ExecCtx { stats: ScanStats::default(), seq_counter: 0, gov, vectorize, encode, pipelines: 0 }
     }

@@ -411,7 +411,7 @@ impl QueryHandle {
             // The query thread itself panicking is already prevented by the
             // catch_unwind in the engine; this is the last line of defense.
             Err(payload) => Err(QueryFailure {
-                error: SnowError::internal("query thread", panic_message(&payload)),
+                error: SnowError::internal("query thread", panic_message(&*payload)),
                 partial_metrics: None,
                 summary: self.gov.summary(),
             }),
@@ -443,6 +443,15 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_query_thread_reports_its_message() {
+        let join = std::thread::spawn(|| -> std::result::Result<_, QueryFailure> {
+            panic!("{}", "SNOWDB_THREADS=\"abc\"")
+        });
+        let err = QueryHandle::new(Arc::default(), join).join().expect_err("panicked");
+        assert!(err.error.to_string().contains("SNOWDB_THREADS=\"abc\""), "{}", err.error);
+    }
 
     #[test]
     fn unbounded_checkpoint_is_ok() {

@@ -25,8 +25,8 @@
 //! [`SnowError`], and the engine must answer the next query correctly.
 //!
 //! To reproduce a CI failure, re-run the failing query with
-//! `ChaosSchedule::new(seed)` (the seed is part of the uploaded repro) and
-//! `SNOWDB_THREADS=1`.
+//! `ChaosSchedule::new(seed)` (the seed is part of the uploaded repro) under
+//! `QueryOptions { threads: Some(1), .. }`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -16,52 +16,19 @@
 //! The decision is per column per partition, mirroring how Snowflake picks a
 //! compression scheme per micro-partition block.
 //!
-//! ## Control
-//!
-//! `SNOWDB_ENCODE=0` disables seal-time encoding process-wide (and flips the
-//! default execution-side behaviour, see
-//! [`QueryOptions::encode`](crate::engine::QueryOptions)); benches and tests
-//! can force either mode with [`set_ingest_encoding`] regardless of the
-//! environment.
+//! Every seal applies the policy; there is no switch. `SNOWDB_ENCODE=0`
+//! (`QueryOptions::encode` off) changes execution, not storage: scans then
+//! decode every block at the pipeline boundary.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::column::{Bitmap, ColumnVec, NULL_CODE};
 
-/// Process-wide ingest-encoding override: 0 = follow the environment,
-/// 1 = forced off, 2 = forced on.
-static INGEST_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces seal-time encoding on or off (`None` returns to the
-/// `SNOWDB_ENCODE` environment default). Intended for benches and tests that
-/// must build both representations inside one process.
-pub fn set_ingest_encoding(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    INGEST_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// The `SNOWDB_ENCODE` environment default: encoding is on unless the
-/// variable spells it off (same convention as `SNOWDB_VECTORIZE`).
+/// The process default for encoded execution (`SNOWDB_ENCODE`, on unless it
+/// says off).
 pub fn encode_from_env() -> bool {
-    !matches!(
-        std::env::var("SNOWDB_ENCODE").as_deref(),
-        Ok("0") | Ok("false") | Ok("FALSE") | Ok("off") | Ok("OFF")
-    )
-}
-
-/// Whether partitions sealed right now should attempt encoding.
-pub fn ingest_encoding_enabled() -> bool {
-    match INGEST_OVERRIDE.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => encode_from_env(),
-    }
+    crate::QueryOptions::default().encode
 }
 
 /// Applies the encode-if-smaller policy to one sealed column.
@@ -204,15 +171,5 @@ mod tests {
         assert!(matches!(enc, ColumnVec::Runs { .. }));
         assert_eq!(enc.get(29), Variant::Bool(true));
         assert_eq!(enc.get(30), Variant::Bool(false));
-    }
-
-    #[test]
-    fn ingest_override_beats_environment() {
-        set_ingest_encoding(Some(false));
-        assert!(!ingest_encoding_enabled());
-        set_ingest_encoding(Some(true));
-        assert!(ingest_encoding_enabled());
-        set_ingest_encoding(None);
-        assert_eq!(ingest_encoding_enabled(), encode_from_env());
     }
 }

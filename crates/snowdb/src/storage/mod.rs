@@ -19,7 +19,7 @@ pub mod morsel;
 pub mod stats;
 mod table;
 
-pub use encode::{encode_from_env, set_ingest_encoding};
+pub use encode::encode_from_env;
 pub use ingest::{infer_schema, IngestReport, StreamIngestor};
 pub use stats::{ColumnStats, KmvSketch, TableStats};
 pub use table::{

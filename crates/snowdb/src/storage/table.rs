@@ -49,20 +49,15 @@ impl MicroPartition {
         // for ints/bools). Everything downstream — zone maps, byte
         // accounting, the partition file writer, the scan — sees the encoded
         // column.
-        let encode = super::encode::ingest_encoding_enabled();
         MicroPartition::from_arc_columns(
-            columns
-                .into_iter()
-                .map(|c| {
-                    Arc::new(if encode { super::encode::encode_column(c) } else { c })
-                })
-                .collect(),
+            columns.into_iter().map(|c| Arc::new(super::encode::encode_column(c))).collect(),
         )
     }
 
-    /// Seals pre-shared columns (used by the store when rewriting a table's
-    /// partitions without copying the data).
-    pub(crate) fn from_arc_columns(columns: Vec<Arc<ColumnVec>>) -> MicroPartition {
+    /// Seals pre-shared columns as they are, without choosing an encoding
+    /// (the store rewrites a table's partitions this way without copying the
+    /// data; tests build plain partitions of encodable data with it).
+    pub fn from_arc_columns(columns: Vec<Arc<ColumnVec>>) -> MicroPartition {
         let row_count = columns.first().map_or(0, |c| c.len());
         debug_assert!(columns.iter().all(|c| c.len() == row_count));
         let zone_maps = columns.iter().map(|c| ZoneMap::build(c)).collect();

@@ -964,7 +964,6 @@ mod tests {
             ColumnDef::new("I", ColumnType::Int),
             ColumnDef::new("B", ColumnType::Bool),
         ];
-        crate::storage::set_ingest_encoding(Some(true));
         let mut b = TableBuilder::with_partition_rows("t", schema.clone(), 512);
         for i in 0..300i64 {
             b.push_row(&[
@@ -979,7 +978,6 @@ mod tests {
             .unwrap();
         }
         let t = b.finish().unwrap();
-        crate::storage::set_ingest_encoding(None);
         let part = t.partitions()[0].as_mem().unwrap().clone();
         (schema, part)
     }
@@ -1008,15 +1006,9 @@ mod tests {
         }
 
         // The same rows written without encoding must cost more block bytes.
-        crate::storage::set_ingest_encoding(Some(false));
-        let mut b = TableBuilder::with_partition_rows("t", schema.clone(), 512);
-        for r in 0..part.row_count() {
-            let row: Vec<Variant> = (0..schema.len()).map(|c| part.column(c).get(r)).collect();
-            b.push_row(&row).unwrap();
-        }
-        let plain_t = b.finish().unwrap();
-        crate::storage::set_ingest_encoding(None);
-        let plain_part = plain_t.partitions()[0].as_mem().unwrap().clone();
+        let plain_part = MicroPartition::from_arc_columns(
+            (0..schema.len()).map(|c| Arc::new(part.column(c).decoded())).collect(),
+        );
         let plain_path = temp_path("plain");
         let plain_meta = write_partition(&plain_path, &schema, &plain_part).unwrap();
         assert!(

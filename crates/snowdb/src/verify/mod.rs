@@ -39,39 +39,11 @@ use crate::variant::Variant;
 /// wrong answer.
 pub const DEFAULT_EPSILON: f64 = 1e-9;
 
-/// One point of the SQL-side configuration lattice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SqlConfig {
-    /// Run the optimizer passes (pushdown, join detection, pruning) or
-    /// execute the raw bound plan.
-    pub optimize: bool,
-    /// Worker threads for the morsel-parallel pipeline.
-    pub threads: usize,
-    /// Run the typed vectorized kernels or force the row-at-a-time path.
-    pub vectorize: bool,
-    /// Let encoded (dictionary / run-length) blocks flow into the executor,
-    /// or decode every block at the scan boundary.
-    pub encode: bool,
-}
-
-impl SqlConfig {
-    /// Human-readable label used in reports.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/threads={}/{}/{}",
-            if self.optimize { "optimized" } else { "raw" },
-            self.threads,
-            if self.vectorize { "vec" } else { "row" },
-            if self.encode { "enc" } else { "dec" }
-        )
-    }
-}
-
 /// The default lattice: {optimized, raw} × {1, 2, `max_threads`} ×
 /// {vectorized, row-at-a-time} × {encoded, decoded} with duplicate thread
 /// counts collapsed. The optimized serial vectorized encoded configuration
 /// comes first and acts as the baseline.
-pub fn default_lattice(max_threads: usize) -> Vec<SqlConfig> {
+pub fn default_lattice(max_threads: usize) -> Vec<QueryOptions> {
     let mut threads = vec![1usize, 2, max_threads.max(1)];
     threads.sort_unstable();
     threads.dedup();
@@ -80,7 +52,7 @@ pub fn default_lattice(max_threads: usize) -> Vec<SqlConfig> {
         for &t in &threads {
             for vectorize in [true, false] {
                 for encode in [true, false] {
-                    out.push(SqlConfig { optimize, threads: t, vectorize, encode });
+                    out.push(QueryOptions { optimize, threads: Some(t), vectorize, encode });
                 }
             }
         }
@@ -96,7 +68,7 @@ pub fn default_lattice(max_threads: usize) -> Vec<SqlConfig> {
 pub fn verify_sql(
     db: &Database,
     sql: &str,
-    configs: &[SqlConfig],
+    configs: &[QueryOptions],
     epsilon: f64,
 ) -> Result<VerifyReport> {
     let gov = Arc::new(QueryGovernor::from_params(&db.session_params()));
@@ -116,7 +88,7 @@ pub(crate) fn verify_query(
     cat: &CatalogSnapshot,
     query: std::result::Result<&Query, &SnowError>,
     text: &str,
-    configs: &[SqlConfig],
+    configs: &[QueryOptions],
     epsilon: f64,
     gov: &Arc<QueryGovernor>,
 ) -> Result<VerifyReport> {
@@ -125,7 +97,7 @@ pub(crate) fn verify_query(
     }
 
     struct Run {
-        config: SqlConfig,
+        config: QueryOptions,
         rows: Option<Vec<Vec<Variant>>>,
         error: Option<String>,
         metrics: String,
@@ -140,14 +112,8 @@ pub(crate) fn verify_query(
 
     let mut runs = Vec::with_capacity(configs.len());
     for cfg in configs {
-        let opts = QueryOptions {
-            optimize: cfg.optimize,
-            threads: Some(cfg.threads),
-            vectorize: Some(cfg.vectorize),
-            encode: Some(cfg.encode),
-        };
         let ran = query.clone().and_then(|q| {
-            db.query_on(cat, q, Duration::ZERO, &opts, gov.clone()).map_err(SnowError::from)
+            db.query_on(cat, q, Duration::ZERO, cfg, gov.clone()).map_err(SnowError::from)
         });
         match ran {
             Ok(result) => {
@@ -287,7 +253,7 @@ impl ChaosReport {
 ///
 /// The baseline is one un-faulted run under the same `threads`/optimizer
 /// configuration. Each failure carries the seed, so a CI failure replays with
-/// `ChaosSchedule::new(seed)` at `SNOWDB_THREADS=1`.
+/// `ChaosSchedule::new(seed)` under `QueryOptions { threads: Some(1), .. }`.
 pub fn verify_sql_chaos(
     db: &Database,
     sql: &str,
@@ -295,12 +261,7 @@ pub fn verify_sql_chaos(
     threads: usize,
     epsilon: f64,
 ) -> Result<ChaosReport> {
-    let opts = QueryOptions {
-        optimize: true,
-        threads: Some(threads),
-        vectorize: None,
-        encode: None,
-    };
+    let opts = QueryOptions { threads: Some(threads), ..QueryOptions::default() };
     let baseline = match db.query_with(sql, &opts) {
         Ok(r) => Ok(canonical_rows(r.rows)),
         Err(e) => Err(e.to_string()),
@@ -459,13 +420,13 @@ mod tests {
     fn default_lattice_covers_both_optimizer_modes() {
         let l = default_lattice(4);
         assert_eq!(l.len(), 24);
-        assert!(l.iter().any(|c| c.optimize && c.threads == 4 && c.vectorize && c.encode));
-        assert!(l.iter().any(|c| !c.optimize && c.threads == 1 && !c.vectorize && !c.encode));
+        assert!(l.iter().any(|c| c.optimize && c.threads == Some(4) && c.vectorize && c.encode));
+        assert!(l.iter().any(|c| !c.optimize && c.threads == Some(1) && !c.vectorize && !c.encode));
         // Duplicate thread counts collapse.
         assert_eq!(default_lattice(1).len(), 16);
         assert_eq!(
             l[0],
-            SqlConfig { optimize: true, threads: 1, vectorize: true, encode: true }
+            QueryOptions { optimize: true, threads: Some(1), vectorize: true, encode: true }
         );
     }
 

@@ -181,7 +181,7 @@ fn cancellation_is_prompt_and_typed() {
     let (db, sql) = heavy_db();
     for threads in [1usize, 4] {
         let gov = Arc::new(QueryGovernor::unbounded());
-        let opts = QueryOptions { optimize: true, threads: Some(threads), vectorize: None, encode: None };
+        let opts = QueryOptions { threads: Some(threads), ..Default::default() };
         let worker = {
             let (db, gov) = (db.clone(), gov.clone());
             let sql = sql.to_string();
@@ -228,7 +228,7 @@ fn deadline_is_prompt_and_typed() {
     let (db, sql) = heavy_db();
     for threads in [1usize, 4] {
         let gov = Arc::new(QueryGovernor::unbounded().with_deadline(Duration::from_millis(100)));
-        let opts = QueryOptions { optimize: true, threads: Some(threads), vectorize: None, encode: None };
+        let opts = QueryOptions { threads: Some(threads), ..Default::default() };
         let started = Instant::now();
         let failure = db.query_governed(sql, &opts, gov).unwrap_err();
         let elapsed = started.elapsed();
@@ -252,7 +252,7 @@ fn memory_budget_trips_deterministically_across_thread_counts() {
     let (db, sql) = heavy_db();
     for threads in [1usize, 2, 4] {
         let gov = Arc::new(QueryGovernor::unbounded().with_memory_limit(64 * 1024));
-        let opts = QueryOptions { optimize: true, threads: Some(threads), vectorize: None, encode: None };
+        let opts = QueryOptions { threads: Some(threads), ..Default::default() };
         let failure = db.query_governed(sql, &opts, gov).unwrap_err();
         match failure.error {
             SnowError::ResourceExhausted(ref t) => {

@@ -516,9 +516,7 @@ fn compaction_builds_what_the_row_path_built() {
             }
         }
     }
-    if snowdb::storage::encode_from_env() {
-        assert!(dictionaries > 0, "no candidate held a dictionary");
-    }
+    assert!(dictionaries > 0, "no candidate held a dictionary");
 }
 
 #[test]

@@ -427,7 +427,7 @@ fn update_delete_mean_their_query_over_the_pre_image() {
             }
             let hits = format!("SELECT COUNT(*) FROM t AT(VERSION => $V) WHERE {pred}");
             for vectorize in [true, false] {
-                let opts = snowdb::QueryOptions { vectorize: Some(vectorize), ..Default::default() };
+                let opts = snowdb::QueryOptions { vectorize, ..Default::default() };
                 let mut want = db.query_with(&at(&means, before), &opts).map(|r| r.rows);
                 match (&outcome, &mut want) {
                     (Ok(m), Ok(want)) => {

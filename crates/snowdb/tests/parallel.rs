@@ -147,7 +147,7 @@ fn seq8_projection_kernel_matches_the_row_loop_at_any_thread_count() {
         let run = |threads: usize, vectorize: bool| {
             let opts = QueryOptions {
                 threads: Some(threads),
-                vectorize: Some(vectorize),
+                vectorize,
                 ..Default::default()
             };
             db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}")).rows
@@ -386,7 +386,7 @@ mod producers {
                 let opts = QueryOptions {
                     optimize,
                     threads: Some(threads),
-                    vectorize: Some(vectorize),
+                    vectorize,
                     ..Default::default()
                 };
                 let outcome = db.query_with(sql, &opts).map(|r| r.rows).map_err(|e| e.to_string());
@@ -876,11 +876,10 @@ mod pipelines {
             assert!(db.explain(&sql).unwrap().contains("-> shared #"), "{}: nothing shared", q.id);
             for vectorize in [true, false] {
                 for threads in [1, 2, 8] {
-                    let (threads, vectorize) = (Some(threads), Some(vectorize));
-                    let opts = QueryOptions { threads, vectorize, ..Default::default() };
+                    let opts = QueryOptions { threads: Some(threads), vectorize, ..Default::default() };
                     let rows = db.query_with(&sql, &opts).unwrap_or_else(|e| panic!("{}: {e}", q.id)).rows;
                     let got = sorted(rows.into_iter().map(|mut r| r.remove(0)).collect());
-                    let cfg = format!("{} threads={threads:?} vectorize={vectorize:?}", q.id);
+                    let cfg = format!("{} threads={threads} vectorize={vectorize}", q.id);
                     assert_eq!(got, sorted(want.clone()), "{cfg}");
                 }
             }

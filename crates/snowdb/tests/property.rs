@@ -204,12 +204,7 @@ proptest! {
         ];
         for sql in queries {
             let run = |vectorize: bool| {
-                let opts = QueryOptions {
-                    optimize: true,
-                    threads: Some(1),
-                    vectorize: Some(vectorize),
-                    encode: None,
-                };
+                let opts = QueryOptions { threads: Some(1), vectorize, ..Default::default() };
                 outcome_repr(
                     db.query_with(sql, &opts)
                         .map(|r| r.rows)
@@ -229,16 +224,15 @@ proptest! {
     /// Compressed execution is indistinguishable from the decoded
     /// row-at-a-time path: same rows (down to the numeric type), same errors,
     /// on random low-cardinality, high-cardinality and null-dense string
-    /// tables across partition layouts. Ingest encoding is forced on so the
+    /// tables across partition layouts. Every seal encodes if smaller, so the
     /// encoded side really exercises dictionary and run-length blocks.
     #[test]
     fn encoded_matches_decoded(
         rows in prop::collection::vec((arb_str_cell(), -5i64..5), 1..60),
         part in 1usize..9,
     ) {
-        snowdb::storage::set_ingest_encoding(Some(true));
         let db = Database::new();
-        let loaded = db.load_table_with_partition_rows(
+        db.load_table_with_partition_rows(
             "t",
             vec![
                 ColumnDef::new("S", ColumnType::Str),
@@ -246,9 +240,8 @@ proptest! {
             ],
             rows.iter().map(|(s, n)| vec![s.clone(), Variant::Int(*n)]),
             part,
-        );
-        snowdb::storage::set_ingest_encoding(None);
-        loaded.unwrap();
+        )
+        .unwrap();
         let queries = [
             "SELECT s, n FROM t WHERE s = 'aa'",
             "SELECT n FROM t WHERE s IN ('a', 'bb', 'zq')",
@@ -264,8 +257,8 @@ proptest! {
                 let opts = QueryOptions {
                     optimize: true,
                     threads: Some(1),
-                    vectorize: Some(encode),
-                    encode: Some(encode),
+                    vectorize: encode,
+                    encode,
                 };
                 outcome_repr(
                     db.query_with(sql, &opts)
@@ -281,8 +274,8 @@ proptest! {
 
     /// One column type from ingest to scan: cells pushed through
     /// `TableBuilder` — NULL-dense, all-NULL, with lossless Int↔Float drift
-    /// or with drift that breaks the declared type — sealed with encoding on
-    /// and off and written to an SNPT file come back from `read_column`
+    /// or with drift that breaks the declared type — sealed (encoded if
+    /// smaller) or as plain columns and written to an SNPT file come back from `read_column`
     /// equal to the input, and every `slice(lo, hi)` of the column read
     /// (empty and non-64-aligned ranges included) holds those cells, encoded
     /// or decoded.
@@ -293,7 +286,7 @@ proptest! {
         run_len in 1usize..40,
         cuts in prop::collection::vec((0usize..201, 0usize..201), 1..6),
     ) {
-        use snowdb::storage::TableBuilder;
+        use snowdb::storage::{MicroPartition, TableBuilder};
         use snowdb::store::format;
         // What the two numeric columns are fed: only ints and NULLs, ints
         // and integral doubles (each shreds into the other's column while it
@@ -323,18 +316,19 @@ proptest! {
             })
             .collect();
         let n = rows.len();
-        for encode in [true, false] {
-            snowdb::storage::set_ingest_encoding(Some(encode));
-            let mut b = TableBuilder::with_partition_rows("t", schema.clone(), n);
-            for row in &rows {
-                b.push_row(row).unwrap();
-            }
-            let table = b.finish().unwrap();
-            snowdb::storage::set_ingest_encoding(None);
+        let mut b = TableBuilder::with_partition_rows("t", schema.clone(), n);
+        for row in &rows {
+            b.push_row(row).unwrap();
+        }
+        let table = b.finish().unwrap();
+        let sealed = table.partitions()[0].as_mem().unwrap().clone();
+        let plain = MicroPartition::from_arc_columns(
+            (0..schema.len()).map(|c| std::sync::Arc::new(sealed.column(c).decoded())).collect(),
+        );
+        for part in [&sealed, &plain] {
             let path = std::env::temp_dir()
                 .join(format!("snowdb-property-{}-slice.part", std::process::id()));
-            format::write_partition(&path, &schema, table.partitions()[0].as_mem().unwrap())
-                .unwrap();
+            format::write_partition(&path, &schema, part).unwrap();
             let footer = format::read_footer(&path).unwrap();
             for (c, meta) in footer.columns.iter().enumerate() {
                 let col = format::read_column(&path, meta, footer.row_count).unwrap();
@@ -1343,28 +1337,17 @@ mod join_table {
             .collect()
     }
 
-    /// Loads `rows` as `name` in partitions of `part` rows, encoded at
-    /// seal. The switch that forces encoding is process-wide and other tests
-    /// of this binary flip it, so a load that came out plain is repeated.
+    /// Loads `rows` as `name` in partitions of `part` rows; the first
+    /// partition seals its string key as a dictionary and its run key as
+    /// runs.
     pub(super) fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize) {
         let mut schema = vec![ColumnDef::new("ID", ColumnType::Int)];
         schema.extend(KEYS.iter().map(|(c, ty)| ColumnDef::new(*c, *ty)));
-        for _ in 0..50 {
-            db.drop_table(name).unwrap();
-            snowdb::storage::set_ingest_encoding(Some(true));
-            let loaded =
-                db.load_table_with_partition_rows(name, schema.clone(), rows.iter().cloned(), part);
-            snowdb::storage::set_ingest_encoding(None);
-            loaded.unwrap();
-            let table = db.table(name).unwrap();
-            let first = &table.partitions()[0];
-            let dict = matches!(*first.read_column(3).unwrap(), ColumnVec::DictStr { .. });
-            let runs = matches!(*first.read_column(4).unwrap(), ColumnVec::Runs { .. });
-            if dict && runs {
-                return;
-            }
-        }
-        panic!("{name} never sealed encoded");
+        db.load_table_with_partition_rows(name, schema, rows.iter().cloned(), part).unwrap();
+        let table = db.table(name).unwrap();
+        let first = &table.partitions()[0];
+        assert!(matches!(*first.read_column(3).unwrap(), ColumnVec::DictStr { .. }), "{name}: no dictionary");
+        assert!(matches!(*first.read_column(4).unwrap(), ColumnVec::Runs { .. }), "{name}: no runs");
     }
 
     /// What the join returns as `(a.id, b.id)` pairs: per left row in
@@ -1406,8 +1389,8 @@ mod join_table {
             for vectorize in [true, false] {
                 let opts = QueryOptions {
                     threads: Some(threads),
-                    vectorize: Some(vectorize),
-                    encode: Some(true),
+                    vectorize,
+                    encode: true,
                     ..Default::default()
                 };
                 let r = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
@@ -1717,8 +1700,8 @@ mod key_table {
             for vectorize in [true, false] {
                 let opts = QueryOptions {
                     threads: Some(threads),
-                    vectorize: Some(vectorize),
-                    encode: Some(true),
+                    vectorize,
+                    encode: true,
                     ..Default::default()
                 };
                 let rows = render(&db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}")).rows);

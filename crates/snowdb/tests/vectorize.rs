@@ -32,7 +32,7 @@ fn assert_no_fallback(db: &Database, tag: &str, sql: &str) {
         // through the environment must not turn this test into a no-op.
         let opts = QueryOptions {
             threads: Some(threads),
-            vectorize: Some(true),
+            vectorize: true,
             ..Default::default()
         };
         let result = db

@@ -348,7 +348,7 @@ const CHAINS: u64 = 200;
 fn merged_chains_mean_what_the_nested_chains_meant() {
     let session = session();
     let configs: Vec<QueryOptions> = [(true, true), (true, false), (false, true), (false, false)]
-        .map(|(optimize, vectorize)| QueryOptions { optimize, vectorize: Some(vectorize), ..Default::default() })
+        .map(|(optimize, vectorize)| QueryOptions { optimize, vectorize, ..Default::default() })
         .into();
     let (mut flat_selects, mut nested_selects, mut failed) = (0, 0, 0);
     for seed in 0..CHAINS {
@@ -385,7 +385,7 @@ fn merged_chains_mean_what_the_nested_chains_meant() {
             assert_eq!(
                 run(&session, flat_sql, opts),
                 want,
-                "seed {seed}, optimize={} vectorize={:?}\nflat:   {flat_sql}\nnested: {nested_sql}",
+                "seed {seed}, optimize={} vectorize={}\nflat:   {flat_sql}\nnested: {nested_sql}",
                 opts.optimize,
                 opts.vectorize
             );

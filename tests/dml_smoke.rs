@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use snowdb::exec::ColumnVec;
-use snowdb::storage::{set_ingest_encoding, stored_type, ColumnDef, ColumnType, ScanSource};
+use snowdb::storage::{stored_type, ColumnDef, ColumnType, ScanSource};
 use snowdb::store::format;
 use snowdb::variant::parse_json;
 use snowdb::{Database, StatementResult, Variant};
@@ -198,7 +198,6 @@ fn scenario(db: &Database, tag: &str) {
 
 #[test]
 fn dml_on_an_in_memory_database() {
-    set_ingest_encoding(Some(true));
     let db = Database::new();
     db.load_table_with_partition_rows("t", schema(), (0..ROWS).map(row), PART_ROWS).unwrap();
     scenario(&db, "mem.part");
@@ -206,7 +205,6 @@ fn dml_on_an_in_memory_database() {
 
 #[test]
 fn dml_on_a_reopened_persistent_database() {
-    set_ingest_encoding(Some(true));
     let dir = temp_path("db");
     std::fs::remove_dir_all(&dir).ok();
     let db = Database::open(&dir).unwrap();

@@ -22,7 +22,7 @@ use snowq::snowdb::storage::{ColumnDef, ColumnType};
 use snowq::snowdb::{Database, QueryOptions, QueryResult, SnowError, Variant};
 
 fn run(db: &Database, sql: &str, vectorize: bool) -> Result<QueryResult, SnowError> {
-    let opts = QueryOptions { vectorize: Some(vectorize), threads: Some(2), ..Default::default() };
+    let opts = QueryOptions { vectorize, threads: Some(2), ..Default::default() };
     db.query_with(sql, &opts)
 }
 
@@ -111,7 +111,7 @@ fn two_failing_stages_of_a_pipeline_report_the_lowest_morsel() {
     for vectorize in [true, false] {
         for threads in [1, 2, 8] {
             let opts =
-                QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
+                QueryOptions { threads: Some(threads), vectorize, ..Default::default() };
             let err = db.query_with(sql, &opts).expect_err("fails").to_string();
             assert!(err.contains("division by zero"), "vectorize={vectorize} threads={threads}: {err}");
         }
@@ -157,7 +157,7 @@ fn a_join_whose_inputs_both_raise_reports_the_build_sides_error() {
     for vectorize in [true, false] {
         for threads in [1, 2, 8] {
             let opts =
-                QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
+                QueryOptions { threads: Some(threads), vectorize, ..Default::default() };
             let err = db.query_with(sql, &opts).expect_err("fails").to_string();
             assert!(!err.contains("division by zero"), "vectorize={vectorize} threads={threads}: {err}");
         }
@@ -166,9 +166,7 @@ fn a_join_whose_inputs_both_raise_reports_the_build_sides_error() {
 
 /// Two 6-row partitions, each sealed with its own string dictionary; `K`
 /// holds NULLs, `1` and `1.0` boxed. Group keys and DISTINCT rows come out
-/// in first-seen order with their first-seen cells. The switch that forces
-/// encoding is process-wide and the tests of this binary run in parallel, so
-/// a load that came out plain is repeated.
+/// in first-seen order with their first-seen cells.
 fn two_dictionaries() -> Database {
     let k = [
         Variant::Int(1),
@@ -185,30 +183,24 @@ fn two_dictionaries() -> Database {
         Variant::Int(3),
     ];
     let s = ["north", "south", "north", "south", "south", "north", "south", "south", "east", "north", "south", "east"];
-    for _ in 0..50 {
-        let db = Database::new();
-        snowq::snowdb::storage::set_ingest_encoding(Some(true));
-        let loaded = db.load_table_with_partition_rows(
-            "t",
-            vec![
-                ColumnDef::new("ID", ColumnType::Int),
-                ColumnDef::new("K", ColumnType::Variant),
-                ColumnDef::new("S", ColumnType::Str),
-            ],
-            (0..12).map(|i| vec![Variant::Int(i as i64), k[i].clone(), Variant::str(format!("{}-bound", s[i]))]),
-            6,
-        );
-        snowq::snowdb::storage::set_ingest_encoding(None);
-        loaded.expect("loads");
-        let table = db.table("t").expect("the table");
-        let coded = table.partitions().iter().all(|part| {
-            matches!(*part.read_column(2).expect("reads"), snowq::snowdb::column::ColumnVec::DictStr { .. })
-        });
-        if coded {
-            return db;
-        }
+    let db = Database::new();
+    db.load_table_with_partition_rows(
+        "t",
+        vec![
+            ColumnDef::new("ID", ColumnType::Int),
+            ColumnDef::new("K", ColumnType::Variant),
+            ColumnDef::new("S", ColumnType::Str),
+        ],
+        (0..12).map(|i| vec![Variant::Int(i as i64), k[i].clone(), Variant::str(format!("{}-bound", s[i]))]),
+        6,
+    )
+    .expect("loads");
+    let table = db.table("t").expect("the table");
+    for part in table.partitions() {
+        let coded = part.read_column(2).expect("reads");
+        assert!(matches!(*coded, snowq::snowdb::column::ColumnVec::DictStr { .. }), "sealed plain");
     }
-    panic!("the partitions never sealed dictionary-encoded");
+    db
 }
 
 /// Runs `sql` at 1 and 2 threads under either producer and returns the one
@@ -217,7 +209,7 @@ fn agreed_rows(db: &Database, sql: &str) -> String {
     let mut seen: Option<String> = None;
     for threads in [1, 2] {
         for vectorize in [true, false] {
-            let opts = QueryOptions { threads: Some(threads), vectorize: Some(vectorize), ..Default::default() };
+            let opts = QueryOptions { threads: Some(threads), vectorize, ..Default::default() };
             let rows = format!("{:?}", db.query_with(sql, &opts).expect("runs").rows);
             match &seen {
                 None => seen = Some(rows),

@@ -4,7 +4,7 @@
 //! buffer cache and the scan. The deep suites (persist, chaos, lattice) live
 //! in `crates/snowdb/tests` and run with `cargo test --workspace`.
 
-use snowdb::storage::{set_ingest_encoding, ColumnDef, ColumnType, TableBuilder};
+use snowdb::storage::{ColumnDef, ColumnType, TableBuilder};
 use snowdb::store::format;
 use snowdb::variant::parse_json;
 use snowdb::{Database, Variant};
@@ -60,7 +60,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// on disk.
 #[test]
 fn partition_file_bytes_are_pinned() {
-    set_ingest_encoding(Some(true));
     let mut b = TableBuilder::with_partition_rows("t", schema(), 512);
     for i in 0..ROWS {
         b.push_row(&row(i)).unwrap();
@@ -84,7 +83,6 @@ fn partition_file_bytes_are_pinned() {
 
 #[test]
 fn persisted_table_reopens_and_answers() {
-    set_ingest_encoding(Some(true));
     let dir = temp_path("db");
     std::fs::remove_dir_all(&dir).ok();
     let mem = Database::new();
