@@ -4,6 +4,7 @@
 //!   repro [--quick] [--events N] [--lineorders N] [--runs N] [--cutoff SECS]
 //!         [fig6|table2|fig7|fig8|fig9|scanned|fig10|fig11a|fig11b|ablation|all]
 //!   repro kernels    (a microbenchmark, not a figure: not part of `all`)
+//!   repro coldscan   (buffer-cache miss cost and hit rate: not part of `all`)
 //!
 //! Results print to stdout and are also written to `results/<id>.txt`.
 
@@ -82,6 +83,7 @@ fn main() {
             "futurework" => vec![experiments::futurework(&cfg)],
             "kernels" => vec![experiments::kernels(&cfg)],
             "pipelines" => vec![experiments::pipelines(&cfg)],
+            "coldscan" => vec![experiments::coldscan(&cfg)],
             other => {
                 eprintln!("unknown experiment '{other}'");
                 std::process::exit(2);

@@ -668,6 +668,118 @@ pub fn pipelines(cfg: &Config) -> Report {
     rep
 }
 
+/// Where a buffer-cache miss is paid and how often misses happen. Part one:
+/// per `HEP` column, its blocks read back from the files of a persisted copy,
+/// with the CRC and the decode timed apart (best of `max(runs, 3)` per
+/// block). Part two: generated ADL q1–q5 run as a cycle against a cache a
+/// quarter of `HEP`'s bytes — the fraction snowbench's `wire_churn` serves
+/// from — with the hits, misses, refused admissions and evictions of each
+/// cycle.
+pub fn coldscan(cfg: &Config) -> Report {
+    use snowdb::storage::ScanSource;
+    use snowdb::store::format;
+
+    let mem = Database::new();
+    let adl_cfg = AdlConfig { events: cfg.adl_events, partition_rows: 256, ..Default::default() };
+    adl::generator::load_into(&mem, "hep", &adl_cfg);
+    let dir = std::env::temp_dir().join(format!("snowq-coldscan-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    mem.persist_to(&dir).expect("persist into a fresh directory");
+    drop(mem);
+    let db = Arc::new(Database::open(&dir).expect("reopen the persisted copy"));
+    let store = db.store().expect("opened from disk").clone();
+    let table = db.table("HEP").expect("hep is loaded");
+    let mut rep = Report::new(
+        "coldscan",
+        &format!("Cost of a buffer-cache miss and misses per ADL cycle ({} events)", cfg.adl_events),
+        &[
+            "column / cycle", "blocks", "bytes", "crc/block", "decode/block", "crc MB/s", "hits",
+            "misses", "not admitted", "evictions", "hit rate", "cycle",
+        ],
+    );
+
+    let best = |f: &mut dyn FnMut()| {
+        (0..cfg.runs.max(3))
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    for (i, def) in table.schema().iter().enumerate() {
+        let (mut blocks, mut bytes, mut crc_s, mut decode_s) = (0usize, 0usize, 0.0, 0.0);
+        for part in table.partitions() {
+            let ScanSource::Disk(disk) = &**part else { panic!("a reopened table is on disk") };
+            let cm = &disk.meta().columns[i];
+            let path = store.dir().join("parts").join(disk.file_name());
+            let file = std::fs::read(path).expect("read the partition file");
+            let block = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
+            crc_s += best(&mut || assert_eq!(format::crc32(block), cm.crc));
+            decode_s += best(&mut || {
+                let col = format::decode_column(cm.ty, cm.encoding, disk.row_count(), block);
+                std::hint::black_box(col.expect("the block decodes"));
+            });
+            blocks += 1;
+            bytes += block.len();
+        }
+        let per = |s: f64| fmt_secs(s / blocks as f64);
+        rep.row([
+            def.name.clone(),
+            blocks.to_string(),
+            fmt_bytes(bytes as u64),
+            per(crc_s),
+            per(decode_s),
+            format!("{:.0}", bytes as f64 / crc_s / 1e6),
+        ]);
+    }
+
+    let queries: Vec<String> = adl::queries::queries("hep")
+        .iter()
+        .filter(|q| q.id <= "q5")
+        .map(|q| translate(&db, q))
+        .collect();
+    let capacity = table.total_bytes() / 4;
+    let default_capacity = store.cache().capacity();
+    store.cache().clear();
+    store.set_cache_capacity(capacity);
+    for cycle in 1..=6 {
+        let before = store.cache_stats();
+        let t = Instant::now();
+        for sql in &queries {
+            db.query(sql).expect("ADL query runs");
+        }
+        let wall = t.elapsed().as_secs_f64();
+        let after = store.cache_stats();
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        rep.row([
+            format!("q1-q5 cycle {cycle}"),
+            String::new(),
+            String::new(),
+            String::new(),
+            String::new(),
+            String::new(),
+            hits.to_string(),
+            misses.to_string(),
+            (after.not_admitted - before.not_admitted).to_string(),
+            (after.evictions - before.evictions).to_string(),
+            format!("{:.3}", hits as f64 / (hits + misses).max(1) as f64),
+            fmt_secs(wall),
+        ]);
+    }
+    store.set_cache_capacity(default_capacity);
+    drop(table);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    rep.note(format!(
+        "cycles: generated q1-q5 in order, cache cleared once before cycle 1 and bounded to {} (a quarter of HEP's {})",
+        fmt_bytes(capacity),
+        fmt_bytes(capacity * 4)
+    ));
+    rep.note("a miss is admitted when it fits, or when its request count beats every least recently used block it would evict");
+    rep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

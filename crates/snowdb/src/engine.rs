@@ -768,8 +768,11 @@ impl Database {
             let _ = std::fmt::Write::write_fmt(
                 &mut out,
                 format_args!(
-                    "-- buffer cache: {} hit(s), {} miss(es), {} eviction(s)\n",
-                    ctx.stats.cache_hits, ctx.stats.cache_misses, ctx.stats.cache_evictions,
+                    "-- buffer cache: {} hit(s), {} miss(es), {} eviction(s), {} not admitted\n",
+                    ctx.stats.cache_hits,
+                    ctx.stats.cache_misses,
+                    ctx.stats.cache_evictions,
+                    ctx.stats.cache_not_admitted,
                 ),
             );
         }

@@ -830,8 +830,10 @@ fn scan_partition(
     // Materialize the surviving columns through the scan source:
     // in-memory partitions hand back shared column vectors, disk
     // partitions lazily read exactly the projected blocks (through
-    // the buffer cache), so skipped columns cost zero file bytes.
+    // the buffer cache), so skipped columns cost zero file bytes. A miss's
+    // read, checksum and decode are the scan's busy time.
     let before = wctx.stats.bytes_scanned;
+    let read_start = Instant::now();
     let mut data: Vec<Option<Arc<ColumnVec>>> = vec![None; table.schema().len()];
     for (i, m) in materialize.iter().enumerate() {
         if *m {
@@ -843,6 +845,7 @@ fn scan_partition(
             wctx.stats.bytes_skipped += part.column_bytes(i);
         }
     }
+    scan.metrics.add_busy(read_start.elapsed());
     wctx.gov.charge_scanned(wctx.stats.bytes_scanned - before, &op)?;
     let n = part.row_count();
     let mut lo = 0usize;

@@ -188,15 +188,17 @@ impl Enc {
 // ---------------------------------------------------------------------------
 
 /// Cursor over an untrusted payload: every read is bounds-checked and fails
-/// with a typed [`SnowError::Protocol`].
+/// with a typed [`SnowError::Protocol`]. Its values share one key table, so
+/// the rows of a `RowBatch` allocate each object key once per frame.
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    keys: codec::Decoder,
 }
 
 impl<'a> Dec<'a> {
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec { buf, pos: 0, keys: codec::Decoder::new() }
     }
 
     pub fn remaining(&self) -> usize {
@@ -248,7 +250,7 @@ impl<'a> Dec<'a> {
     }
 
     pub fn variant(&mut self) -> Result<Variant> {
-        codec::decode(self.buf, &mut self.pos).map_err(|m| SnowError::Protocol(m.0))
+        self.keys.decode(self.buf, &mut self.pos).map_err(|m| SnowError::Protocol(m.0))
     }
 
     pub fn error(&mut self) -> Result<SnowError> {
@@ -467,6 +469,41 @@ mod tests {
         match d.variant() {
             Err(SnowError::Protocol(m)) => assert!(m.contains("depth"), "{m}"),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_varints_are_typed_errors() {
+        for last in [0x02u8, 0x7F] {
+            for fill in [0x80u8, 0xFF] {
+                let mut bytes = vec![3u8]; // TAG_INT
+                bytes.extend_from_slice(&[fill; 9]);
+                bytes.push(last);
+                let mut d = Dec::new(&bytes);
+                match d.variant() {
+                    Err(SnowError::Protocol(m)) => assert!(m.contains("overflows"), "{m}"),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_of_one_frame_share_their_keys() {
+        let mut obj = Object::new();
+        obj.insert("PT", Variant::Float(1.5));
+        obj.insert("ETA", Variant::Int(2));
+        let row = Variant::object(obj);
+        let mut e = Enc::new(0);
+        e.variant(&row);
+        e.variant(&row);
+        let mut d = Dec::new(&e.buf[1..]);
+        let (a, b) = (d.variant().unwrap(), d.variant().unwrap());
+        d.finish().unwrap();
+        assert_eq!((&a, &b), (&row, &row));
+        let (Variant::Object(a), Variant::Object(b)) = (a, b) else { unreachable!() };
+        for ((ka, _), (kb, _)) in a.iter().zip(b.iter()) {
+            assert!(std::ptr::eq(ka, kb), "key {ka} allocated twice in one frame");
         }
     }
 

@@ -347,6 +347,9 @@ pub struct ScanStats {
     pub cache_misses: u64,
     /// Blocks evicted from the buffer cache while this query loaded blocks.
     pub cache_evictions: u64,
+    /// Missed blocks the buffer cache did not keep (admission refused them,
+    /// or they exceed its capacity).
+    pub cache_not_admitted: u64,
 }
 
 impl ScanStats {
@@ -362,6 +365,7 @@ impl ScanStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
+        self.cache_not_admitted += other.cache_not_admitted;
     }
 
     /// Folds one column access outcome into the stats.
@@ -374,6 +378,7 @@ impl ScanStats {
                 self.cache_misses += 1;
             }
             self.cache_evictions += c.evictions;
+            self.cache_not_admitted += u64::from(c.not_admitted);
         }
     }
 }

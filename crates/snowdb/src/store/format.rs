@@ -189,8 +189,11 @@ fn with_path(path: &Path, e: SnowError) -> SnowError {
 // CRC32 (IEEE, reflected) — hand-rolled, no external crates in this workspace.
 // ---------------------------------------------------------------------------
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -199,19 +202,48 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0usize;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 };
 
-/// CRC32 (IEEE 802.3) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// Folds `data` into the running (pre-inverted) CRC `c` one byte at a time.
+fn crc32_bytes(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC32 (IEEE 802.3) of `data`, eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    crc32_bytes(c, words.remainder()) ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -276,12 +308,28 @@ impl<'a> Cur<'a> {
         codec::get_varint(self.buf, &mut self.pos).map_err(malformed)
     }
 
-    /// A usize-bounded varint for in-memory lengths/counts; rejects values
-    /// that could not possibly fit in the remaining input, so corrupt lengths
-    /// fail fast instead of attempting huge allocations.
-    fn varlen(&mut self) -> Result<usize> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// A varint that must fit a `usize`: a row or null count, which the
+    /// bytes that follow do not bound.
+    fn varsize(&mut self) -> Result<usize> {
         let v = self.varint()?;
-        let n = usize::try_from(v).map_err(|_| storage("length overflows usize"))?;
+        usize::try_from(v).map_err(|_| storage("length overflows usize"))
+    }
+
+    /// A count of items that each take at least one more byte; rejects
+    /// values that could not possibly fit in the remaining input, so corrupt
+    /// counts fail fast instead of attempting huge allocations.
+    fn varlen(&mut self) -> Result<usize> {
+        let n = self.varsize()?;
+        if n > self.remaining() {
+            return Err(storage(format!(
+                "truncated: count {n} exceeds the {} byte(s) that remain",
+                self.remaining()
+            )));
+        }
         Ok(n)
     }
 
@@ -305,6 +353,18 @@ fn read_bitmap(cur: &mut Cur<'_>, rows: usize) -> Result<Bitmap> {
 /// Reads one `VARIANT` value ([`codec`]).
 fn decode_variant(cur: &mut Cur<'_>) -> Result<Variant> {
     codec::decode(cur.buf, &mut cur.pos).map_err(malformed)
+}
+
+/// Reads a run of `rows` `VARIANT` values with one key table: the values of
+/// a block repeat their object keys.
+fn decode_variants(cur: &mut Cur<'_>, rows: usize) -> Result<Vec<Variant>> {
+    // Each value takes at least its tag byte.
+    let mut v = Vec::with_capacity(rows.min(cur.remaining()));
+    let mut dec = codec::Decoder::new();
+    for _ in 0..rows {
+        v.push(dec.decode(cur.buf, &mut cur.pos).map_err(malformed)?);
+    }
+    Ok(v)
 }
 
 fn decode_str(cur: &mut Cur<'_>) -> Result<Arc<str>> {
@@ -387,7 +447,10 @@ pub fn encode_column(col: &ColumnVec, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a plain (one value per row) block body from the cursor.
+/// Decodes a plain (one value per row) block body from the cursor. No
+/// reservation outgrows the input: a typed column reads its validity bitmap,
+/// one bit per row, before it reserves `rows` values, and a `VARIANT` cell
+/// takes at least one byte.
 fn decode_plain(ty: ColumnType, rows: usize, cur: &mut Cur<'_>) -> Result<ColumnVec> {
     Ok(match ty {
         ColumnType::Int => {
@@ -420,13 +483,7 @@ fn decode_plain(ty: ColumnType, rows: usize, cur: &mut Cur<'_>) -> Result<Column
             }
             ColumnVec::Str(v)
         }
-        ColumnType::Variant => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(decode_variant(cur)?);
-            }
-            ColumnVec::Var(v)
-        }
+        ColumnType::Variant => ColumnVec::Var(decode_variants(cur, rows)?),
     })
 }
 
@@ -458,7 +515,8 @@ pub fn decode_column(
             for _ in 0..dict_len {
                 dict.push(decode_str(&mut cur)?);
             }
-            let mut codes = Vec::with_capacity(rows);
+            // Each code takes at least one byte.
+            let mut codes = Vec::with_capacity(rows.min(cur.remaining()));
             for _ in 0..rows {
                 let raw = cur.varint()?;
                 if raw == 0 {
@@ -586,7 +644,7 @@ fn encode_footer(meta: &PartitionMeta) -> Vec<u8> {
 
 fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
     let mut cur = Cur::new(bytes);
-    let row_count = cur.varlen()?;
+    let row_count = cur.varsize()?;
     let col_count = cur.varlen()?;
     let mut columns = Vec::with_capacity(col_count.min(4096));
     for _ in 0..col_count {
@@ -601,7 +659,7 @@ fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
             1 => {
                 let min = decode_variant(&mut cur)?;
                 let max = decode_variant(&mut cur)?;
-                let null_count = cur.varlen()?;
+                let null_count = cur.varsize()?;
                 Some(ZoneMap { min, max, null_count })
             }
             f => return Err(storage(format!("bad zone-map flag {f}"))),
@@ -1143,5 +1201,94 @@ mod tests {
     fn crc32_matches_reference_vector() {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time CRC the sliced one must equal.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        crc32_bytes(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let mut state = 0xC3C3_2024u64;
+        let bytes: Vec<u8> = (0..(1 << 20) + 7)
+            .map(|_| {
+                state = crate::govern::chaos::splitmix64(state);
+                state as u8
+            })
+            .collect();
+        // Every length 0–64 at every start offset 0–7: each tail length and
+        // each alignment of the eight-byte steps.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let b = &bytes[start..start + len];
+                assert_eq!(crc32(b), crc32_reference(b), "start {start} len {len}");
+            }
+        }
+        let big = &bytes[3..(1 << 20) + 3];
+        assert_eq!(crc32(big), crc32_reference(big));
+    }
+
+    #[test]
+    fn overflowing_varints_fail_typed() {
+        // One valid row of an Int block: a bitmap byte, then ten varint bytes
+        // whose last carries bits past bit 63.
+        for (fill, last) in [(0x80u8, 0x02u8), (0xFF, 0x7F)] {
+            let mut int_block = vec![1u8];
+            int_block.extend_from_slice(&[fill; 9]);
+            int_block.push(last);
+            let err = decode_column(ColumnType::Int, BlockEncoding::Plain, 1, &int_block)
+                .unwrap_err();
+            assert!(matches!(err, SnowError::Storage(ref m) if m.contains("overflows")), "{err}");
+            // The same varint inside a VARIANT cell.
+            let mut var_block = vec![3u8];
+            var_block.extend_from_slice(&int_block[1..]);
+            let err = decode_column(ColumnType::Variant, BlockEncoding::Plain, 1, &var_block)
+                .unwrap_err();
+            assert!(matches!(err, SnowError::Storage(ref m) if m.contains("overflows")), "{err}");
+        }
+    }
+
+    #[test]
+    fn forged_row_counts_fail_typed_without_reserving() {
+        // Reserving 1 << 40 cells up front would abort the process.
+        for (ty, enc) in [
+            (ColumnType::Variant, BlockEncoding::Plain),
+            (ColumnType::Int, BlockEncoding::Plain),
+            (ColumnType::Float, BlockEncoding::Plain),
+            (ColumnType::Bool, BlockEncoding::Plain),
+            (ColumnType::Str, BlockEncoding::Plain),
+            (ColumnType::Str, BlockEncoding::DictStr),
+            (ColumnType::Int, BlockEncoding::RleInt),
+        ] {
+            let err = decode_column(ty, enc, 1 << 40, &[0; 4]).unwrap_err();
+            assert!(matches!(err, SnowError::Storage(_)), "{ty:?}/{enc:?}: {err}");
+        }
+        // A run count the block cannot hold fails before it is reserved.
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, 1 << 40);
+        let err = decode_column(ColumnType::Int, BlockEncoding::RleInt, usize::MAX, &bytes)
+            .unwrap_err();
+        assert!(matches!(err, SnowError::Storage(ref m) if m.contains("exceeds")), "{err}");
+    }
+
+    #[test]
+    fn a_variant_block_allocates_each_key_once() {
+        let (schema, part) = sample_partition();
+        let path = temp_path("keys");
+        write_partition(&path, &schema, &part).unwrap();
+        let footer = read_footer(&path).unwrap();
+        let col = read_column(&path, &footer.columns[4], footer.row_count).unwrap();
+        let ColumnVec::Var(rows) = &col else { panic!("a VARIANT block decodes boxed") };
+        let key_ptrs = |v: &Variant| match v {
+            Variant::Object(o) => o.iter().map(|(k, _)| k.as_ptr()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let first = key_ptrs(&rows[0]);
+        assert_eq!(first.len(), 2);
+        for r in &rows[1..] {
+            assert_eq!(key_ptrs(r), first);
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

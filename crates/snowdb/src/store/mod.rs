@@ -125,8 +125,8 @@ impl DiskPartition {
     /// of exactly the block's bytes. The miss charges the in-memory size
     /// against the query's memory budget — the *encoded* size for
     /// dictionary/run-length blocks, which keep their encoding in memory —
-    /// so compressed columns also compress the cache and the budget.
-    /// Hits are free.
+    /// so compressed columns also compress the cache and the budget,
+    /// whether or not the cache admits the block. Hits are free.
     pub fn read_column_governed(
         &self,
         i: usize,
@@ -140,20 +140,15 @@ impl DiskPartition {
                 data,
                 io_bytes: 0,
                 mem_bytes: 0,
-                cache: Some(CacheOutcome { hit: true, evictions: 0 }),
+                cache: Some(CacheOutcome { hit: true, ..CacheOutcome::default() }),
             });
         }
         let cm = &self.meta.columns[i];
         let data = Arc::new(format::read_column(&self.path, cm, self.meta.row_count)?);
         let mem_bytes = data.estimated_size();
-        let evictions = self.cache.insert(key, data.clone(), mem_bytes);
+        let outcome = self.cache.insert(key, data.clone(), mem_bytes);
         gov.charge_memory(mem_bytes, op)?;
-        Ok(ColumnRead {
-            data,
-            io_bytes: cm.len,
-            mem_bytes,
-            cache: Some(CacheOutcome { hit: false, evictions }),
-        })
+        Ok(ColumnRead { data, io_bytes: cm.len, mem_bytes, cache: Some(outcome) })
     }
 }
 

@@ -251,6 +251,73 @@ fn disk_scan_bytes_scanned_is_exact_file_io() {
     assert!(plan.contains("buffer cache:"), "{plan}");
 }
 
+/// A miss shows where it is paid: the read, checksum and decode of a missed
+/// block count in the scan operator's busy time, and a cache smaller than
+/// the scan keeps the blocks it admitted and reports the rest as not
+/// admitted — in the profile, in the store's counters and on `EXPLAIN
+/// ANALYZE`'s `-- buffer cache:` line.
+#[test]
+fn cache_misses_count_in_scan_busy_time_and_admission_is_reported() {
+    let tmp = TempDb::new("admission");
+    {
+        let staging = Database::new();
+        adl::generator::load_into(
+            &staging,
+            "hep",
+            &adl::AdlConfig { events: 2048, seed: 7, partition_rows: 256 },
+        );
+        staging.persist_to(tmp.path()).unwrap();
+    }
+    let db = Database::open(tmp.path()).unwrap();
+    let store = db.store().unwrap().clone();
+    let sql = "SELECT COUNT(*) AS N, SUM(ARRAY_SIZE(JET)) AS J FROM hep";
+    let scan_busy = |r: &snowdb::QueryResult| {
+        let m = r.profile.metrics.as_ref().expect("a profile");
+        let scans: Vec<_> =
+            m.operators().into_iter().filter(|(_, op)| op.name.starts_with("Scan")).collect();
+        assert_eq!(scans.len(), 1, "{m:?}");
+        scans[0].1.busy
+    };
+
+    // Cold, then warm: the cold scan decoded eight JET blocks, the warm one
+    // only slices them.
+    let cold = db.query(sql).unwrap();
+    assert_eq!(cold.profile.scan.cache_misses, 8);
+    let warm = db.query(sql).unwrap();
+    assert_eq!(warm.rows, cold.rows);
+    assert_eq!((warm.profile.scan.cache_hits, warm.profile.scan.cache_misses), (8, 0));
+    assert!(
+        scan_busy(&cold) > scan_busy(&warm),
+        "cold scan busy {:?} must include its reads (warm {:?})",
+        scan_busy(&cold),
+        scan_busy(&warm)
+    );
+
+    // A quarter of the blocks' bytes: the first blocks in stay, the others
+    // tie with them on request counts and are refused, pass after pass.
+    let resident = store.cache_stats().used_bytes;
+    store.cache().clear();
+    store.set_cache_capacity(resident / 4);
+    let first = db.query(sql).unwrap();
+    assert_eq!(first.rows, cold.rows);
+    let s = first.profile.scan;
+    assert_eq!((s.cache_hits, s.cache_misses), (0, 8));
+    assert!(s.cache_not_admitted > 0 && s.cache_not_admitted < 8, "{s:?}");
+    assert_eq!(s.cache_evictions, 0, "{s:?}");
+    let kept = 8 - s.cache_not_admitted;
+    let before = store.cache_stats();
+    let plan = msg(db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap());
+    let line = format!(
+        "-- buffer cache: {kept} hit(s), {} miss(es), 0 eviction(s), {} not admitted",
+        8 - kept,
+        8 - kept
+    );
+    assert!(plan.contains(&line), "expected `{line}` in:\n{plan}");
+    let after = store.cache_stats();
+    assert_eq!(after.not_admitted - before.not_admitted, 8 - kept);
+    assert_eq!(after.evictions, before.evictions);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption
 // ---------------------------------------------------------------------------
