@@ -5,6 +5,8 @@
 //! RumbleDB's pipeline where the expression tree is a normalized AST
 //! (paper §III-A2).
 
+use std::convert::Infallible;
+
 use snowdb::Variant;
 
 /// A JSONiq item; the engine shares `snowdb`'s variant data model.
@@ -142,68 +144,141 @@ impl Expr {
         Expr::Literal(Variant::Int(i))
     }
 
-    /// Walks the expression tree, applying `f` to every node (pre-order).
+    /// Applies `f` to every node of the tree, pre-order.
     pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
         f(self);
+        self.for_each_child(&mut |c| c.walk(f));
+    }
+
+    /// The walk: calls `f` on each direct sub-expression in declaration
+    /// order — a FLWOR's clauses in order, then its `return`; `cond`, `then`,
+    /// `else`; left before right. Every read-only traversal is built on it.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Literal(_) | Expr::VarRef(_) => {}
+            Expr::ObjectConstructor(pairs) => pairs.iter().for_each(|(_, v)| f(v)),
+            Expr::ArrayConstructor(items)
+            | Expr::Sequence(items)
+            | Expr::FunctionCall { args: items, .. } => items.iter().for_each(f),
+            Expr::Flwor(fl) => {
+                for c in &fl.clauses {
+                    c.for_each_expr(f);
+                }
+                f(&fl.return_expr);
+            }
+            Expr::If { cond, then, else_ } => {
+                f(cond);
+                f(then);
+                f(else_);
+            }
+            Expr::Binary { left: a, right: b, .. }
+            | Expr::ArrayLookup { base: a, index: b }
+            | Expr::Predicate { base: a, pred: b } => {
+                f(a);
+                f(b);
+            }
+            Expr::Neg(x) | Expr::Not(x) | Expr::ArrayUnbox { base: x } => f(x),
+            Expr::ObjectLookup { base, .. } => f(base),
+        }
+    }
+
+    /// The map: as [`Expr::for_each_child`], handing out each direct
+    /// sub-expression for rewriting in place and stopping at the first error.
+    /// Every rewrite is built on it.
+    pub fn try_for_each_child_mut<E>(
+        &mut self,
+        f: &mut impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
         match self {
             Expr::Literal(_) | Expr::VarRef(_) => {}
             Expr::ObjectConstructor(pairs) => {
                 for (_, v) in pairs {
-                    v.walk(f);
+                    f(v)?;
                 }
             }
-            Expr::ArrayConstructor(items) | Expr::Sequence(items) => {
+            Expr::ArrayConstructor(items)
+            | Expr::Sequence(items)
+            | Expr::FunctionCall { args: items, .. } => {
                 for i in items {
-                    i.walk(f);
+                    f(i)?;
                 }
             }
             Expr::Flwor(fl) => {
-                for c in &fl.clauses {
-                    match c {
-                        Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => {
-                            expr.walk(f)
-                        }
-                        Clause::GroupBy { keys } => {
-                            for (_, e) in keys {
-                                if let Some(e) = e {
-                                    e.walk(f);
-                                }
-                            }
-                        }
-                        Clause::OrderBy { keys } => {
-                            for (e, _) in keys {
-                                e.walk(f);
-                            }
-                        }
-                        Clause::Count(_) => {}
-                    }
+                for c in &mut fl.clauses {
+                    c.try_for_each_expr_mut(f)?;
                 }
-                fl.return_expr.walk(f);
+                f(&mut fl.return_expr)?;
             }
             Expr::If { cond, then, else_ } => {
-                cond.walk(f);
-                then.walk(f);
-                else_.walk(f);
+                f(cond)?;
+                f(then)?;
+                f(else_)?;
             }
-            Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+            Expr::Binary { left: a, right: b, .. }
+            | Expr::ArrayLookup { base: a, index: b }
+            | Expr::Predicate { base: a, pred: b } => {
+                f(a)?;
+                f(b)?;
             }
-            Expr::Neg(e) | Expr::Not(e) | Expr::ArrayUnbox { base: e } => e.walk(f),
-            Expr::ObjectLookup { base, .. } => base.walk(f),
-            Expr::ArrayLookup { base, index } => {
-                base.walk(f);
-                index.walk(f);
+            Expr::Neg(x) | Expr::Not(x) | Expr::ArrayUnbox { base: x } => f(x)?,
+            Expr::ObjectLookup { base, .. } => f(base)?,
+        }
+        Ok(())
+    }
+
+    /// [`Expr::try_for_each_child_mut`] for a rewrite that cannot fail.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        let Ok(()) = self.try_for_each_child_mut(&mut |c| -> Result<(), Infallible> {
+            f(c);
+            Ok(())
+        });
+    }
+}
+
+impl Clause {
+    /// The clause's expressions in source order: [`Expr::for_each_child`]'s
+    /// part for one FLWOR clause.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => f(expr),
+            Clause::GroupBy { keys } => keys.iter().filter_map(|(_, e)| e.as_ref()).for_each(f),
+            Clause::OrderBy { keys } => keys.iter().for_each(|(e, _)| f(e)),
+            Clause::Count(_) => {}
+        }
+    }
+
+    /// As [`Clause::for_each_expr`], for rewriting in place.
+    pub fn try_for_each_expr_mut<E>(
+        &mut self,
+        f: &mut impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => f(expr),
+            Clause::GroupBy { keys } => {
+                keys.iter_mut().filter_map(|(_, e)| e.as_mut()).try_for_each(f)
             }
-            Expr::Predicate { base, pred } => {
-                base.walk(f);
-                pred.walk(f);
-            }
-            Expr::FunctionCall { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
+            Clause::OrderBy { keys } => keys.iter_mut().try_for_each(|(e, _)| f(e)),
+            Clause::Count(_) => Ok(()),
+        }
+    }
+
+    /// [`Clause::try_for_each_expr_mut`] for a rewrite that cannot fail.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        let Ok(()) = self.try_for_each_expr_mut(&mut |e| -> Result<(), Infallible> {
+            f(e);
+            Ok(())
+        });
+    }
+
+    /// The names the clause binds, in source order: `for` and its `at`,
+    /// `let`, `count`, and the `group by` keys. The expressions of a clause
+    /// are in the scope before it; later clauses and the `return` see these.
+    pub fn binders_mut(&mut self) -> Vec<&mut String> {
+        match self {
+            Clause::For { var, at, .. } => std::iter::once(var).chain(at.as_mut()).collect(),
+            Clause::Let { var, .. } | Clause::Count(var) => vec![var],
+            Clause::GroupBy { keys } => keys.iter_mut().map(|(k, _)| k).collect(),
+            Clause::Where(_) | Clause::OrderBy { .. } => Vec::new(),
         }
     }
 }

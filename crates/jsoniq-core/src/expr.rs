@@ -5,6 +5,9 @@
 //! (§III-A2): **function inlining** (with capture-avoiding renaming and a
 //! recursion check — recursive functions are unsupported, paper §IV-E),
 //! **constant folding**, and **dead-code elimination** of unused `let` bindings.
+//! Every rewrite reaches the children of a node through
+//! [`Expr::for_each_child_mut`] or [`Expr::try_for_each_child_mut`] and
+//! spells out only the nodes it treats differently.
 
 use std::collections::HashMap;
 
@@ -21,13 +24,14 @@ pub fn rewrite(module: &Module) -> JResult<Expr> {
         }
     }
     let mut r = Rewriter { functions, fresh: 0, stack: Vec::new() };
-    let mut e = r.inline(&module.body)?;
+    let mut e = module.body.clone();
+    r.inline(&mut e)?;
     fold(&mut e);
     loop {
         // Literal-let propagation, folding, and DCE enable each other;
         // iterate to a (small) fixpoint.
         let before = count_nodes(&e);
-        propagate_literal_lets(&mut e);
+        propagate_literal_lets(&mut e, &HashMap::new());
         eliminate_dead_lets(&mut e);
         fold(&mut e);
         if count_nodes(&e) == before {
@@ -61,243 +65,71 @@ impl Rewriter {
     }
 
     /// Inlines user-function calls bottom-up.
-    fn inline(&mut self, e: &Expr) -> JResult<Expr> {
+    fn inline(&mut self, e: &mut Expr) -> JResult<()> {
         // First rewrite children, then handle the node itself.
-        let e = self.map_children(e)?;
-        if let Expr::FunctionCall { name, args } = &e {
-            if let Some(decl) = self.functions.get(name).cloned() {
-                if self.stack.contains(name) {
-                    return Err(JsoniqError::Static(format!(
-                        "recursive function '{name}' is not supported"
-                    )));
-                }
-                if decl.params.len() != args.len() {
-                    return Err(JsoniqError::Static(format!(
-                        "function '{name}' expects {} arguments, got {}",
-                        decl.params.len(),
-                        args.len()
-                    )));
-                }
-                self.stack.push(name.clone());
-                // α-rename the body so nothing in it can capture caller names.
-                let mut renames = HashMap::new();
-                let mut param_names = Vec::with_capacity(decl.params.len());
-                for p in &decl.params {
-                    let fresh = self.fresh_name(p);
-                    renames.insert(p.clone(), fresh.clone());
-                    param_names.push(fresh);
-                }
-                let body = self.alpha_rename(&decl.body, &renames);
-                // Inline the (already-rewritten) body too, so nested calls resolve.
-                let body = self.inline(&body)?;
-                self.stack.pop();
-                if args.is_empty() {
-                    return Ok(body);
-                }
-                let clauses = param_names
-                    .into_iter()
-                    .zip(args.iter().cloned())
-                    .map(|(var, expr)| Clause::Let { var, expr })
-                    .collect();
-                return Ok(Expr::Flwor(Flwor { clauses, return_expr: Box::new(body) }));
-            }
+        e.try_for_each_child_mut(&mut |c| self.inline(c))?;
+        let Expr::FunctionCall { name, args } = e else { return Ok(()) };
+        let Some(decl) = self.functions.get(name.as_str()).cloned() else { return Ok(()) };
+        if self.stack.contains(name) {
+            return Err(JsoniqError::Static(format!(
+                "recursive function '{name}' is not supported"
+            )));
         }
-        Ok(e)
-    }
-
-    fn map_children(&mut self, e: &Expr) -> JResult<Expr> {
-        Ok(match e {
-            Expr::Literal(_) | Expr::VarRef(_) => e.clone(),
-            Expr::ObjectConstructor(pairs) => Expr::ObjectConstructor(
-                pairs
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), self.inline(v)?)))
-                    .collect::<JResult<_>>()?,
-            ),
-            Expr::ArrayConstructor(items) => Expr::ArrayConstructor(
-                items.iter().map(|i| self.inline(i)).collect::<JResult<_>>()?,
-            ),
-            Expr::Sequence(items) => {
-                Expr::Sequence(items.iter().map(|i| self.inline(i)).collect::<JResult<_>>()?)
-            }
-            Expr::Flwor(fl) => {
-                let clauses = fl
-                    .clauses
-                    .iter()
-                    .map(|c| {
-                        Ok(match c {
-                            Clause::For { var, at, expr, allowing_empty } => Clause::For {
-                                var: var.clone(),
-                                at: at.clone(),
-                                expr: self.inline(expr)?,
-                                allowing_empty: *allowing_empty,
-                            },
-                            Clause::Let { var, expr } => {
-                                Clause::Let { var: var.clone(), expr: self.inline(expr)? }
-                            }
-                            Clause::Where(p) => Clause::Where(self.inline(p)?),
-                            Clause::GroupBy { keys } => Clause::GroupBy {
-                                keys: keys
-                                    .iter()
-                                    .map(|(v, e)| {
-                                        Ok((
-                                            v.clone(),
-                                            e.as_ref().map(|e| self.inline(e)).transpose()?,
-                                        ))
-                                    })
-                                    .collect::<JResult<_>>()?,
-                            },
-                            Clause::OrderBy { keys } => Clause::OrderBy {
-                                keys: keys
-                                    .iter()
-                                    .map(|(e, d)| Ok((self.inline(e)?, *d)))
-                                    .collect::<JResult<_>>()?,
-                            },
-                            Clause::Count(v) => Clause::Count(v.clone()),
-                        })
-                    })
-                    .collect::<JResult<_>>()?;
-                Expr::Flwor(Flwor {
-                    clauses,
-                    return_expr: Box::new(self.inline(&fl.return_expr)?),
-                })
-            }
-            Expr::If { cond, then, else_ } => Expr::If {
-                cond: Box::new(self.inline(cond)?),
-                then: Box::new(self.inline(then)?),
-                else_: Box::new(self.inline(else_)?),
-            },
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op: *op,
-                left: Box::new(self.inline(left)?),
-                right: Box::new(self.inline(right)?),
-            },
-            Expr::Neg(x) => Expr::Neg(Box::new(self.inline(x)?)),
-            Expr::Not(x) => Expr::Not(Box::new(self.inline(x)?)),
-            Expr::ObjectLookup { base, field } => Expr::ObjectLookup {
-                base: Box::new(self.inline(base)?),
-                field: field.clone(),
-            },
-            Expr::ArrayUnbox { base } => {
-                Expr::ArrayUnbox { base: Box::new(self.inline(base)?) }
-            }
-            Expr::ArrayLookup { base, index } => Expr::ArrayLookup {
-                base: Box::new(self.inline(base)?),
-                index: Box::new(self.inline(index)?),
-            },
-            Expr::Predicate { base, pred } => Expr::Predicate {
-                base: Box::new(self.inline(base)?),
-                pred: Box::new(self.inline(pred)?),
-            },
-            Expr::FunctionCall { name, args } => Expr::FunctionCall {
-                name: name.clone(),
-                args: args.iter().map(|a| self.inline(a)).collect::<JResult<_>>()?,
-            },
-        })
+        if decl.params.len() != args.len() {
+            return Err(JsoniqError::Static(format!(
+                "function '{name}' expects {} arguments, got {}",
+                decl.params.len(),
+                args.len()
+            )));
+        }
+        self.stack.push(name.clone());
+        // α-rename the body so nothing in it can capture caller names.
+        let mut renames = HashMap::new();
+        let mut param_names = Vec::with_capacity(decl.params.len());
+        for p in &decl.params {
+            let fresh = self.fresh_name(p);
+            renames.insert(p.clone(), fresh.clone());
+            param_names.push(fresh);
+        }
+        let mut body = decl.body;
+        self.alpha_rename(&mut body, &renames);
+        // Inline the (already-rewritten) body too, so nested calls resolve.
+        self.inline(&mut body)?;
+        self.stack.pop();
+        *e = if args.is_empty() {
+            body
+        } else {
+            let clauses = param_names
+                .into_iter()
+                .zip(std::mem::take(args))
+                .map(|(var, expr)| Clause::Let { var, expr })
+                .collect();
+            Expr::Flwor(Flwor { clauses, return_expr: Box::new(body) })
+        };
+        Ok(())
     }
 
     /// Renames free variables per `renames`, freshly renaming every binder in
     /// the body so inlined code can never capture or be captured.
-    fn alpha_rename(&mut self, e: &Expr, renames: &HashMap<String, String>) -> Expr {
+    fn alpha_rename(&mut self, e: &mut Expr, renames: &HashMap<String, String>) {
         match e {
-            Expr::VarRef(v) => Expr::VarRef(renames.get(v).cloned().unwrap_or_else(|| v.clone())),
-            Expr::Literal(_) => e.clone(),
-            Expr::ObjectConstructor(pairs) => Expr::ObjectConstructor(
-                pairs.iter().map(|(k, v)| (k.clone(), self.alpha_rename(v, renames))).collect(),
-            ),
-            Expr::ArrayConstructor(items) => Expr::ArrayConstructor(
-                items.iter().map(|i| self.alpha_rename(i, renames)).collect(),
-            ),
-            Expr::Sequence(items) => {
-                Expr::Sequence(items.iter().map(|i| self.alpha_rename(i, renames)).collect())
+            Expr::VarRef(v) => {
+                if let Some(fresh) = renames.get(v) {
+                    *v = fresh.clone();
+                }
             }
             Expr::Flwor(fl) => {
                 let mut scope = renames.clone();
-                let mut clauses = Vec::with_capacity(fl.clauses.len());
-                for c in &fl.clauses {
-                    match c {
-                        Clause::For { var, at, expr, allowing_empty } => {
-                            let expr = self.alpha_rename(expr, &scope);
-                            let nv = self.fresh_name(var);
-                            scope.insert(var.clone(), nv.clone());
-                            let nat = at.as_ref().map(|a| {
-                                let na = self.fresh_name(a);
-                                scope.insert(a.clone(), na.clone());
-                                na
-                            });
-                            clauses.push(Clause::For {
-                                var: nv,
-                                at: nat,
-                                expr,
-                                allowing_empty: *allowing_empty,
-                            });
-                        }
-                        Clause::Let { var, expr } => {
-                            let expr = self.alpha_rename(expr, &scope);
-                            let nv = self.fresh_name(var);
-                            scope.insert(var.clone(), nv.clone());
-                            clauses.push(Clause::Let { var: nv, expr });
-                        }
-                        Clause::Where(p) => clauses.push(Clause::Where(self.alpha_rename(p, &scope))),
-                        Clause::GroupBy { keys } => {
-                            let mut nk = Vec::with_capacity(keys.len());
-                            for (v, e) in keys {
-                                let e = e.as_ref().map(|e| self.alpha_rename(e, &scope));
-                                let nv = self.fresh_name(v);
-                                scope.insert(v.clone(), nv.clone());
-                                nk.push((nv, e));
-                            }
-                            clauses.push(Clause::GroupBy { keys: nk });
-                        }
-                        Clause::OrderBy { keys } => clauses.push(Clause::OrderBy {
-                            keys: keys
-                                .iter()
-                                .map(|(e, d)| (self.alpha_rename(e, &scope), *d))
-                                .collect(),
-                        }),
-                        Clause::Count(v) => {
-                            let nv = self.fresh_name(v);
-                            scope.insert(v.clone(), nv.clone());
-                            clauses.push(Clause::Count(nv));
-                        }
+                for c in &mut fl.clauses {
+                    c.for_each_expr_mut(&mut |x| self.alpha_rename(x, &scope));
+                    for v in c.binders_mut() {
+                        let fresh = self.fresh_name(v);
+                        scope.insert(std::mem::replace(v, fresh.clone()), fresh);
                     }
                 }
-                Expr::Flwor(Flwor {
-                    clauses,
-                    return_expr: Box::new(self.alpha_rename(&fl.return_expr, &scope)),
-                })
+                self.alpha_rename(&mut fl.return_expr, &scope);
             }
-            Expr::If { cond, then, else_ } => Expr::If {
-                cond: Box::new(self.alpha_rename(cond, renames)),
-                then: Box::new(self.alpha_rename(then, renames)),
-                else_: Box::new(self.alpha_rename(else_, renames)),
-            },
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op: *op,
-                left: Box::new(self.alpha_rename(left, renames)),
-                right: Box::new(self.alpha_rename(right, renames)),
-            },
-            Expr::Neg(x) => Expr::Neg(Box::new(self.alpha_rename(x, renames))),
-            Expr::Not(x) => Expr::Not(Box::new(self.alpha_rename(x, renames))),
-            Expr::ObjectLookup { base, field } => Expr::ObjectLookup {
-                base: Box::new(self.alpha_rename(base, renames)),
-                field: field.clone(),
-            },
-            Expr::ArrayUnbox { base } => {
-                Expr::ArrayUnbox { base: Box::new(self.alpha_rename(base, renames)) }
-            }
-            Expr::ArrayLookup { base, index } => Expr::ArrayLookup {
-                base: Box::new(self.alpha_rename(base, renames)),
-                index: Box::new(self.alpha_rename(index, renames)),
-            },
-            Expr::Predicate { base, pred } => Expr::Predicate {
-                base: Box::new(self.alpha_rename(base, renames)),
-                pred: Box::new(self.alpha_rename(pred, renames)),
-            },
-            Expr::FunctionCall { name, args } => Expr::FunctionCall {
-                name: name.clone(),
-                args: args.iter().map(|a| self.alpha_rename(a, renames)).collect(),
-            },
+            _ => e.for_each_child_mut(&mut |c| self.alpha_rename(c, renames)),
         }
     }
 }
@@ -306,75 +138,17 @@ impl Rewriter {
 
 /// Folds literal-only arithmetic, comparison, and boolean sub-expressions.
 fn fold(e: &mut Expr) {
-    // Children first.
-    match e {
-        Expr::Binary { left, right, .. } => {
-            fold(left);
-            fold(right);
-        }
-        Expr::Neg(x) | Expr::Not(x) | Expr::ArrayUnbox { base: x } => fold(x),
-        Expr::ObjectLookup { base, .. } => fold(base),
-        Expr::ArrayLookup { base, index } => {
-            fold(base);
-            fold(index);
-        }
-        Expr::Predicate { base, pred } => {
-            fold(base);
-            fold(pred);
-        }
-        Expr::If { cond, then, else_ } => {
-            fold(cond);
-            fold(then);
-            fold(else_);
-        }
-        Expr::ObjectConstructor(pairs) => {
-            for (_, v) in pairs {
-                fold(v);
-            }
-        }
-        Expr::ArrayConstructor(items) | Expr::Sequence(items) => {
-            for i in items {
-                fold(i);
-            }
-        }
-        Expr::FunctionCall { args, .. } => {
-            for a in args {
-                fold(a);
-            }
-        }
-        Expr::Flwor(fl) => {
-            for c in &mut fl.clauses {
-                match c {
-                    Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => {
-                        fold(expr)
-                    }
-                    Clause::GroupBy { keys } => {
-                        for (_, e) in keys {
-                            if let Some(e) = e {
-                                fold(e);
-                            }
-                        }
-                    }
-                    Clause::OrderBy { keys } => {
-                        for (e, _) in keys {
-                            fold(e);
-                        }
-                    }
-                    Clause::Count(_) => {}
-                }
-            }
-            fold(&mut fl.return_expr);
-        }
-        Expr::Literal(_) | Expr::VarRef(_) => {}
-    }
-
+    e.for_each_child_mut(&mut fold);
     let replacement = match e {
         Expr::Binary { op, left, right } => match (&**left, &**right) {
             (Expr::Literal(a), Expr::Literal(b)) => fold_binary(*op, a, b),
             _ => None,
         },
         Expr::Neg(x) => match &**x {
-            Expr::Literal(Variant::Int(i)) => Some(Expr::Literal(Variant::Int(-i))),
+            // `-i64::MIN` is left to the evaluators, which promote it to a float.
+            Expr::Literal(Variant::Int(i)) => {
+                i.checked_neg().map(|n| Expr::Literal(Variant::Int(n)))
+            }
             Expr::Literal(Variant::Float(f)) => Some(Expr::Literal(Variant::Float(-f))),
             _ => None,
         },
@@ -461,215 +235,72 @@ fn fold_binary(op: BinaryOp, a: &Variant, b: &Variant) -> Option<Expr> {
 
 /// Removes `let` bindings whose variable is never referenced downstream.
 fn eliminate_dead_lets(e: &mut Expr) {
-    match e {
-        Expr::Flwor(fl) => {
-            for c in &mut fl.clauses {
-                match c {
-                    Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => {
-                        eliminate_dead_lets(expr)
-                    }
-                    Clause::GroupBy { keys } => {
-                        for (_, e) in keys.iter_mut() {
-                            if let Some(e) = e {
-                                eliminate_dead_lets(e);
-                            }
-                        }
-                    }
-                    Clause::OrderBy { keys } => {
-                        for (e, _) in keys.iter_mut() {
-                            eliminate_dead_lets(e);
-                        }
-                    }
-                    Clause::Count(_) => {}
-                }
-            }
-            eliminate_dead_lets(&mut fl.return_expr);
-            // A let is dead when its variable is not used by any later clause,
-            // the return expression, or a group-by (grouping re-binds all vars).
-            let has_group_by =
-                fl.clauses.iter().any(|c| matches!(c, Clause::GroupBy { .. }));
-            if has_group_by {
-                return;
-            }
-            let mut keep = vec![true; fl.clauses.len()];
-            for (i, c) in fl.clauses.iter().enumerate() {
-                if let Clause::Let { var, .. } = c {
-                    let mut used = false;
-                    for later in &fl.clauses[i + 1..] {
-                        if clause_uses_var(later, var) {
-                            used = true;
-                            break;
-                        }
-                    }
-                    if !used {
-                        used = expr_uses_var(&fl.return_expr, var);
-                    }
-                    keep[i] = used;
-                }
-            }
-            let mut it = keep.iter();
-            fl.clauses.retain(|_| *it.next().unwrap());
-        }
-        Expr::Binary { left, right, .. } => {
-            eliminate_dead_lets(left);
-            eliminate_dead_lets(right);
-        }
-        Expr::Neg(x) | Expr::Not(x) | Expr::ArrayUnbox { base: x } => eliminate_dead_lets(x),
-        Expr::ObjectLookup { base, .. } => eliminate_dead_lets(base),
-        Expr::ArrayLookup { base, index } => {
-            eliminate_dead_lets(base);
-            eliminate_dead_lets(index);
-        }
-        Expr::Predicate { base, pred } => {
-            eliminate_dead_lets(base);
-            eliminate_dead_lets(pred);
-        }
-        Expr::If { cond, then, else_ } => {
-            eliminate_dead_lets(cond);
-            eliminate_dead_lets(then);
-            eliminate_dead_lets(else_);
-        }
-        Expr::ObjectConstructor(pairs) => {
-            for (_, v) in pairs {
-                eliminate_dead_lets(v);
-            }
-        }
-        Expr::ArrayConstructor(items) | Expr::Sequence(items) => {
-            for i in items {
-                eliminate_dead_lets(i);
-            }
-        }
-        Expr::FunctionCall { args, .. } => {
-            for a in args {
-                eliminate_dead_lets(a);
-            }
-        }
-        Expr::Literal(_) | Expr::VarRef(_) => {}
-    }
-}
-
-/// Substitutes literal `let` bindings into downstream expressions. Safe because
-/// α-renaming has made every binder unique, so no capture can occur.
-fn propagate_literal_lets(e: &mut Expr) {
-    if let Expr::Flwor(fl) = e {
-        let mut subs: HashMap<String, Variant> = HashMap::new();
-        for c in &mut fl.clauses {
-            match c {
-                Clause::Let { var, expr } => {
-                    subst_literals(expr, &subs);
-                    propagate_literal_lets(expr);
-                    if let Expr::Literal(v) = expr {
-                        subs.insert(var.clone(), v.clone());
-                    }
-                }
-                Clause::For { expr, .. } | Clause::Where(expr) => {
-                    subst_literals(expr, &subs);
-                    propagate_literal_lets(expr);
-                }
-                Clause::GroupBy { keys } => {
-                    // Grouping re-binds non-key variables to sequences; stop
-                    // propagating beyond this point.
-                    for (_, ke) in keys.iter_mut() {
-                        if let Some(ke) = ke {
-                            subst_literals(ke, &subs);
-                            propagate_literal_lets(ke);
-                        }
-                    }
-                    subs.clear();
-                }
-                Clause::OrderBy { keys } => {
-                    for (ke, _) in keys.iter_mut() {
-                        subst_literals(ke, &subs);
-                        propagate_literal_lets(ke);
-                    }
-                }
-                Clause::Count(_) => {}
-            }
-        }
-        subst_literals(&mut fl.return_expr, &subs);
-        propagate_literal_lets(&mut fl.return_expr);
-    } else {
-        visit_children_mut(e, &mut propagate_literal_lets);
-    }
-}
-
-fn subst_literals(e: &mut Expr, subs: &HashMap<String, Variant>) {
-    if let Expr::VarRef(v) = e {
-        if let Some(val) = subs.get(v) {
-            *e = Expr::Literal(val.clone());
-        }
+    e.for_each_child_mut(&mut eliminate_dead_lets);
+    let Expr::Flwor(fl) = e else { return };
+    // A let is dead when its variable is not used by any later clause or the
+    // return expression. Grouping re-binds all variables, so a FLWOR with a
+    // group by keeps its lets.
+    if fl.clauses.iter().any(|c| matches!(c, Clause::GroupBy { .. })) {
         return;
     }
-    visit_children_mut(e, &mut |c| subst_literals(c, subs));
+    let live: Vec<bool> = fl
+        .clauses
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let Clause::Let { var, .. } = c else { return true };
+            let mut used = expr_uses_var(&fl.return_expr, var);
+            for later in &fl.clauses[i + 1..] {
+                later.for_each_expr(&mut |x| used |= expr_uses_var(x, var));
+            }
+            used
+        })
+        .collect();
+    let mut live = live.into_iter();
+    fl.clauses.retain(|_| live.next().expect("one flag per clause"));
 }
 
-/// Applies `f` to each direct child expression (including clause expressions).
-fn visit_children_mut(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
+/// Substitutes literal `let` bindings into the expressions in their scope.
+/// Only inlined function bodies are α-renamed, so a later clause of the main
+/// module, or a nested FLWOR, may bind the same name again: every binding
+/// clause (`for`, `at`, `let`, `count`, `group by`) ends the substitution of
+/// its names for the clauses after it and the `return`.
+fn propagate_literal_lets(e: &mut Expr, subs: &HashMap<String, Variant>) {
     match e {
-        Expr::Literal(_) | Expr::VarRef(_) => {}
-        Expr::ObjectConstructor(pairs) => {
-            for (_, v) in pairs {
-                f(v);
-            }
-        }
-        Expr::ArrayConstructor(items) | Expr::Sequence(items) => {
-            for i in items {
-                f(i);
+        Expr::VarRef(v) => {
+            if let Some(val) = subs.get(v) {
+                *e = Expr::Literal(val.clone());
             }
         }
         Expr::Flwor(fl) => {
+            let mut scope = subs.clone();
+            let mut literals = Vec::new();
             for c in &mut fl.clauses {
-                match c {
-                    Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => {
-                        f(expr)
+                c.for_each_expr_mut(&mut |x| propagate_literal_lets(x, &scope));
+                if matches!(c, Clause::GroupBy { .. }) {
+                    // Grouping re-binds this FLWOR's earlier variables to
+                    // sequences.
+                    for v in literals.drain(..) {
+                        scope.remove(&v);
                     }
-                    Clause::GroupBy { keys } => {
-                        for (_, e) in keys.iter_mut() {
-                            if let Some(e) = e {
-                                f(e);
-                            }
-                        }
-                    }
-                    Clause::OrderBy { keys } => {
-                        for (e, _) in keys.iter_mut() {
-                            f(e);
-                        }
-                    }
-                    Clause::Count(_) => {}
+                }
+                for v in c.binders_mut() {
+                    scope.remove(v.as_str());
+                }
+                if let Clause::Let { var, expr: Expr::Literal(val) } = c {
+                    scope.insert(var.clone(), val.clone());
+                    literals.push(var.clone());
                 }
             }
-            f(&mut fl.return_expr);
+            propagate_literal_lets(&mut fl.return_expr, &scope);
         }
-        Expr::If { cond, then, else_ } => {
-            f(cond);
-            f(then);
-            f(else_);
-        }
-        Expr::Binary { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Expr::Neg(x) | Expr::Not(x) | Expr::ArrayUnbox { base: x } => f(x),
-        Expr::ObjectLookup { base, .. } => f(base),
-        Expr::ArrayLookup { base, index } => {
-            f(base);
-            f(index);
-        }
-        Expr::Predicate { base, pred } => {
-            f(base);
-            f(pred);
-        }
-        Expr::FunctionCall { args, .. } => {
-            for a in args {
-                f(a);
-            }
-        }
+        _ => e.for_each_child_mut(&mut |c| propagate_literal_lets(c, subs)),
     }
 }
 
 /// Replaces FLWORs whose clause list became empty with their return expression.
 fn collapse_empty_flwor(e: &mut Expr) {
-    visit_children_mut(e, &mut collapse_empty_flwor);
+    e.for_each_child_mut(&mut collapse_empty_flwor);
     if let Expr::Flwor(fl) = e {
         if fl.clauses.is_empty() {
             *e = (*fl.return_expr).clone();
@@ -677,21 +308,9 @@ fn collapse_empty_flwor(e: &mut Expr) {
     }
 }
 
-fn clause_uses_var(c: &Clause, var: &str) -> bool {
-    match c {
-        Clause::For { expr, .. } | Clause::Let { expr, .. } | Clause::Where(expr) => {
-            expr_uses_var(expr, var)
-        }
-        Clause::GroupBy { keys } => keys
-            .iter()
-            .any(|(v, e)| v == var || e.as_ref().is_some_and(|e| expr_uses_var(e, var))),
-        Clause::OrderBy { keys } => keys.iter().any(|(e, _)| expr_uses_var(e, var)),
-        Clause::Count(_) => false,
-    }
-}
-
-/// Whether `e` references `var` free or bound — a conservative over-approximation
-/// (α-renaming has already made names unique, so shadowing cannot occur).
+/// Whether `e` mentions `var` anywhere — an over-approximation of a free use:
+/// outside inlined function bodies names are not unique, so a nested binder
+/// of the same name and its uses count too, which can only keep a let alive.
 fn expr_uses_var(e: &Expr, var: &str) -> bool {
     let mut used = false;
     e.walk(&mut |x| {

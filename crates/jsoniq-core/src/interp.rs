@@ -225,7 +225,11 @@ impl<'a> Interpreter<'a> {
                     return Ok(Vec::new());
                 }
                 match singleton(&v, "unary minus")? {
-                    Variant::Int(i) => Ok(vec![Variant::Int(-i)]),
+                    // `-i64::MIN` promotes to a float, as in the engine.
+                    Variant::Int(i) => Ok(vec![match i.checked_neg() {
+                        Some(n) => Variant::Int(n),
+                        None => Variant::Float(-(*i as f64)),
+                    }]),
                     Variant::Float(f) => Ok(vec![Variant::Float(-f)]),
                     Variant::Null => Ok(vec![Variant::Null]),
                     other => Err(JsoniqError::Dynamic(format!(
@@ -579,7 +583,10 @@ impl<'a> Interpreter<'a> {
                     return Ok(Vec::new());
                 }
                 match singleton(v, "abs")? {
-                    Variant::Int(i) => Ok(vec![Variant::Int(i.abs())]),
+                    Variant::Int(i) => Ok(vec![match i.checked_abs() {
+                        Some(a) => Variant::Int(a),
+                        None => Variant::Float((*i as f64).abs()),
+                    }]),
                     Variant::Float(f) => Ok(vec![Variant::Float(f.abs())]),
                     Variant::Null => Ok(vec![Variant::Null]),
                     other => Err(JsoniqError::Dynamic(format!(
@@ -826,13 +833,16 @@ fn arith(op: BinaryOp, a: &Variant, b: &Variant) -> JResult<Variant> {
             if y == 0 {
                 return Err(JsoniqError::Dynamic("division by zero".into()));
             }
-            Variant::Int(x / y)
+            // Only `i64::MIN idiv -1` overflows; the translation's
+            // `FLOOR(x / y)::INT` saturates there.
+            Variant::Int(x.checked_div(y).unwrap_or(i64::MAX))
         }
         (BinaryOp::Mod, NumericPair::Int(x, y)) => {
             if y == 0 {
                 return Err(JsoniqError::Dynamic("division by zero".into()));
             }
-            Variant::Int(x % y)
+            // `i64::MIN mod -1` is 0, as the engine's `%` answers.
+            Variant::Int(x.checked_rem(y).unwrap_or(0))
         }
         (BinaryOp::Add, NumericPair::Float(x, y)) => Variant::Float(x + y),
         (BinaryOp::Sub, NumericPair::Float(x, y)) => Variant::Float(x - y),

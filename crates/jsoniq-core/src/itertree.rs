@@ -335,82 +335,121 @@ impl RIter {
     /// Pre-order traversal over all iterators.
     pub fn visit(&self, f: &mut dyn FnMut(&RIter)) {
         f(self);
+        self.for_each_child(&mut |c| c.visit(f));
+    }
+
+    /// The walk: calls `f` on each direct child in declaration order — a
+    /// clause's predecessor (`left`) before its own expressions; `cond`,
+    /// `then`, `else`; left before right. Every read-only traversal is built
+    /// on it.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a RIter)) {
         match self {
-            RIter::ForClause { left, expr, .. } => {
+            RIter::Literal(_) | RIter::VarRef(_) | RIter::Collection(_) => {}
+            RIter::ForClause { left, expr, .. } | RIter::LetClause { left, expr, .. } => {
                 if let Some(l) = left {
-                    l.visit(f);
+                    f(l);
                 }
-                expr.visit(f);
-            }
-            RIter::LetClause { left, expr, .. } => {
-                if let Some(l) = left {
-                    l.visit(f);
-                }
-                expr.visit(f);
-            }
-            RIter::WhereClause { left, pred } => {
-                left.visit(f);
-                pred.visit(f);
+                f(expr);
             }
             RIter::GroupByClause { left, keys } => {
-                left.visit(f);
-                for (_, e) in keys {
-                    if let Some(e) = e {
-                        e.visit(f);
-                    }
+                f(left);
+                keys.iter().filter_map(|(_, e)| e.as_ref()).for_each(f);
+            }
+            RIter::OrderByClause { left, keys } => {
+                f(left);
+                keys.iter().for_each(|(e, _)| f(e));
+            }
+            RIter::CountClause { left: x, .. }
+            | RIter::Not(x)
+            | RIter::Neg(x)
+            | RIter::ObjectLookup { base: x, .. }
+            | RIter::ArrayUnbox { base: x } => f(x),
+            RIter::WhereClause { left: a, pred: b }
+            | RIter::ReturnClause { left: a, expr: b }
+            | RIter::Comparison { left: a, right: b, .. }
+            | RIter::Arithmetic { left: a, right: b, .. }
+            | RIter::Logical { left: a, right: b, .. }
+            | RIter::StringConcat { left: a, right: b }
+            | RIter::Range { left: a, right: b }
+            | RIter::ArrayLookup { base: a, index: b }
+            | RIter::Predicate { base: a, pred: b } => {
+                f(a);
+                f(b);
+            }
+            RIter::ObjectConstructor(pairs) => pairs.iter().for_each(|(_, v)| f(v)),
+            RIter::ArrayConstructor(items)
+            | RIter::Sequence(items)
+            | RIter::FunctionCall { args: items, .. } => items.iter().for_each(f),
+            RIter::If { cond, then, else_ } => {
+                f(cond);
+                f(then);
+                f(else_);
+            }
+        }
+    }
+
+    /// The map: as [`RIter::for_each_child`], handing out each direct child
+    /// for rewriting in place and stopping at the first error.
+    pub fn try_for_each_child_mut<E>(
+        &mut self,
+        f: &mut impl FnMut(&mut RIter) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            RIter::Literal(_) | RIter::VarRef(_) | RIter::Collection(_) => {}
+            RIter::ForClause { left, expr, .. } | RIter::LetClause { left, expr, .. } => {
+                if let Some(l) = left {
+                    f(l)?;
+                }
+                f(expr)?;
+            }
+            RIter::GroupByClause { left, keys } => {
+                f(left)?;
+                for e in keys.iter_mut().filter_map(|(_, e)| e.as_mut()) {
+                    f(e)?;
                 }
             }
             RIter::OrderByClause { left, keys } => {
-                left.visit(f);
+                f(left)?;
                 for (e, _) in keys {
-                    e.visit(f);
+                    f(e)?;
                 }
             }
-            RIter::CountClause { left, .. } => left.visit(f),
-            RIter::ReturnClause { left, expr } => {
-                left.visit(f);
-                expr.visit(f);
-            }
-            RIter::Literal(_) | RIter::VarRef(_) | RIter::Collection(_) => {}
-            RIter::Comparison { left, right, .. }
-            | RIter::Arithmetic { left, right, .. }
-            | RIter::Logical { left, right, .. }
-            | RIter::StringConcat { left, right }
-            | RIter::Range { left, right } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            RIter::Not(x) | RIter::Neg(x) | RIter::ArrayUnbox { base: x } => x.visit(f),
-            RIter::ObjectLookup { base, .. } => base.visit(f),
-            RIter::ArrayLookup { base, index } => {
-                base.visit(f);
-                index.visit(f);
-            }
-            RIter::Predicate { base, pred } => {
-                base.visit(f);
-                pred.visit(f);
+            RIter::CountClause { left: x, .. }
+            | RIter::Not(x)
+            | RIter::Neg(x)
+            | RIter::ObjectLookup { base: x, .. }
+            | RIter::ArrayUnbox { base: x } => f(x)?,
+            RIter::WhereClause { left: a, pred: b }
+            | RIter::ReturnClause { left: a, expr: b }
+            | RIter::Comparison { left: a, right: b, .. }
+            | RIter::Arithmetic { left: a, right: b, .. }
+            | RIter::Logical { left: a, right: b, .. }
+            | RIter::StringConcat { left: a, right: b }
+            | RIter::Range { left: a, right: b }
+            | RIter::ArrayLookup { base: a, index: b }
+            | RIter::Predicate { base: a, pred: b } => {
+                f(a)?;
+                f(b)?;
             }
             RIter::ObjectConstructor(pairs) => {
                 for (_, v) in pairs {
-                    v.visit(f);
+                    f(v)?;
                 }
             }
-            RIter::ArrayConstructor(items) | RIter::Sequence(items) => {
+            RIter::ArrayConstructor(items)
+            | RIter::Sequence(items)
+            | RIter::FunctionCall { args: items, .. } => {
                 for i in items {
-                    i.visit(f);
+                    f(i)?;
                 }
             }
             RIter::If { cond, then, else_ } => {
-                cond.visit(f);
-                then.visit(f);
-                else_.visit(f);
-            }
-            RIter::FunctionCall { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
+                f(cond)?;
+                f(then)?;
+                f(else_)?;
             }
         }
+        Ok(())
     }
 }
 

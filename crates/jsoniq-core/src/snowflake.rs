@@ -258,6 +258,13 @@ impl Translator {
     /// rewritten to reference that variable. This keeps sibling sub-expressions
     /// valid across the reaggregation that the machinery performs.
     fn hoist(&mut self, e: &RIter, ctx: &mut Ctx) -> JResult<RIter> {
+        let mut e = e.clone();
+        self.hoist_in_place(&mut e, ctx)?;
+        Ok(e)
+    }
+
+    /// [`Translator::hoist`], rewriting `e` in place.
+    fn hoist_in_place(&mut self, e: &mut RIter, ctx: &mut Ctx) -> JResult<()> {
         // Aggregate call directly over a nested FLWOR: run the machinery in
         // the aggregate's mode (the §V-D Q8 optimization), hoist the scalar.
         if let RIter::FunctionCall { func, args } = e {
@@ -280,15 +287,21 @@ impl Translator {
                         && !self.uses_grouped_var(&args[0], ctx));
                 if machinery {
                     let col = self.function(*func, args, ctx)?;
-                    return Ok(self.stash(col, false, ctx));
+                    *e = self.stash(col, false, ctx);
+                    return Ok(());
                 }
             }
         }
         if Self::is_nested_flwor(e) {
             let col = self.nested_query(e, AggMode::Array, ctx)?;
-            return Ok(self.stash(col, true, ctx));
+            *e = self.stash(col, true, ctx);
+            return Ok(());
         }
-        self.hoist_children(e, ctx)
+        // Let-only FLWORs inline lazily in `value`.
+        if e.is_flwor() {
+            return Ok(());
+        }
+        e.try_for_each_child_mut(&mut |c| self.hoist_in_place(c, ctx))
     }
 
     /// Materializes a column and binds it to a hidden variable; returns the
@@ -300,82 +313,6 @@ impl Translator {
         let hidden = format!("#hoist{name}");
         ctx.bind(&hidden, Binding::Value { col: f::col(&name), seq });
         RIter::VarRef(hidden)
-    }
-
-    fn hoist_children(&mut self, e: &RIter, ctx: &mut Ctx) -> JResult<RIter> {
-        Ok(match e {
-            RIter::Literal(_) | RIter::VarRef(_) | RIter::Collection(_) => e.clone(),
-            RIter::Comparison { op, left, right } => RIter::Comparison {
-                op: *op,
-                left: Box::new(self.hoist(left, ctx)?),
-                right: Box::new(self.hoist(right, ctx)?),
-            },
-            RIter::Arithmetic { op, left, right } => RIter::Arithmetic {
-                op: *op,
-                left: Box::new(self.hoist(left, ctx)?),
-                right: Box::new(self.hoist(right, ctx)?),
-            },
-            RIter::Logical { op, left, right } => RIter::Logical {
-                op: *op,
-                left: Box::new(self.hoist(left, ctx)?),
-                right: Box::new(self.hoist(right, ctx)?),
-            },
-            RIter::StringConcat { left, right } => RIter::StringConcat {
-                left: Box::new(self.hoist(left, ctx)?),
-                right: Box::new(self.hoist(right, ctx)?),
-            },
-            RIter::Range { left, right } => RIter::Range {
-                left: Box::new(self.hoist(left, ctx)?),
-                right: Box::new(self.hoist(right, ctx)?),
-            },
-            RIter::Not(x) => RIter::Not(Box::new(self.hoist(x, ctx)?)),
-            RIter::Neg(x) => RIter::Neg(Box::new(self.hoist(x, ctx)?)),
-            RIter::ObjectLookup { base, field } => RIter::ObjectLookup {
-                base: Box::new(self.hoist(base, ctx)?),
-                field: field.clone(),
-            },
-            RIter::ArrayUnbox { base } => {
-                RIter::ArrayUnbox { base: Box::new(self.hoist(base, ctx)?) }
-            }
-            RIter::ArrayLookup { base, index } => RIter::ArrayLookup {
-                base: Box::new(self.hoist(base, ctx)?),
-                index: Box::new(self.hoist(index, ctx)?),
-            },
-            RIter::Predicate { base, pred } => RIter::Predicate {
-                base: Box::new(self.hoist(base, ctx)?),
-                pred: Box::new(self.hoist(pred, ctx)?),
-            },
-            RIter::ObjectConstructor(pairs) => RIter::ObjectConstructor(
-                pairs
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), self.hoist(v, ctx)?)))
-                    .collect::<JResult<_>>()?,
-            ),
-            RIter::ArrayConstructor(items) => RIter::ArrayConstructor(
-                items.iter().map(|i| self.hoist(i, ctx)).collect::<JResult<_>>()?,
-            ),
-            RIter::Sequence(items) => RIter::Sequence(
-                items.iter().map(|i| self.hoist(i, ctx)).collect::<JResult<_>>()?,
-            ),
-            RIter::If { cond, then, else_ } => RIter::If {
-                cond: Box::new(self.hoist(cond, ctx)?),
-                then: Box::new(self.hoist(then, ctx)?),
-                else_: Box::new(self.hoist(else_, ctx)?),
-            },
-            RIter::FunctionCall { func, args } => RIter::FunctionCall {
-                func: *func,
-                args: args.iter().map(|a| self.hoist(a, ctx)).collect::<JResult<_>>()?,
-            },
-            // Let-only FLWORs inline lazily in `value`; nested FLWORs were
-            // handled in `hoist` before recursing here.
-            flwor @ (RIter::ReturnClause { .. }
-            | RIter::ForClause { .. }
-            | RIter::LetClause { .. }
-            | RIter::WhereClause { .. }
-            | RIter::GroupByClause { .. }
-            | RIter::OrderByClause { .. }
-            | RIter::CountClause { .. }) => flwor.clone(),
-        })
     }
 
     /// If `e` is a lookup/unbox chain rooted at `collection(...)` (e.g. the
@@ -1452,106 +1389,31 @@ impl Translator {
 
 /// Collects, for every variable, which fields the query looks up on it —
 /// or `Whole` when the variable occurs as a value itself (e.g. `return $e`).
-fn analyze_row_usage(
-    it: &RIter,
-    out: &mut std::collections::HashMap<String, RowUsage>,
-) {
-    fn field_use(v: &str, field: &str, out: &mut std::collections::HashMap<String, RowUsage>) {
-        match out.entry(v.to_string()).or_insert_with(|| RowUsage::Fields(Default::default())) {
-            RowUsage::Fields(set) => {
-                set.insert(field.to_string());
-            }
-            RowUsage::Whole => {}
-        }
-    }
+fn analyze_row_usage(it: &RIter, out: &mut std::collections::HashMap<String, RowUsage>) {
     match it {
         RIter::ObjectLookup { base, field } => {
             if let RIter::VarRef(v) = base.as_ref() {
-                field_use(v, field, out);
-            } else {
-                analyze_row_usage(base, out);
+                let usage =
+                    out.entry(v.clone()).or_insert_with(|| RowUsage::Fields(Default::default()));
+                if let RowUsage::Fields(set) = usage {
+                    set.insert(field.clone());
+                }
+                return;
             }
         }
         RIter::VarRef(v) => {
             out.insert(v.clone(), RowUsage::Whole);
         }
-        RIter::Literal(_) | RIter::Collection(_) => {}
-        RIter::ForClause { left, expr, .. } | RIter::LetClause { left, expr, .. } => {
-            if let Some(l) = left {
-                analyze_row_usage(l, out);
-            }
-            analyze_row_usage(expr, out);
+        // COUNT/EXISTS/EMPTY over a bare variable count tuples without
+        // reading any column (they translate to COUNT(*)).
+        RIter::FunctionCall { func: Builtin::Count | Builtin::Exists | Builtin::Empty, args }
+            if matches!(args.as_slice(), [RIter::VarRef(_)]) =>
+        {
+            return;
         }
-        RIter::WhereClause { left, pred } => {
-            analyze_row_usage(left, out);
-            analyze_row_usage(pred, out);
-        }
-        RIter::GroupByClause { left, keys } => {
-            analyze_row_usage(left, out);
-            for (_, e) in keys {
-                if let Some(e) = e {
-                    analyze_row_usage(e, out);
-                }
-            }
-        }
-        RIter::OrderByClause { left, keys } => {
-            analyze_row_usage(left, out);
-            for (e, _) in keys {
-                analyze_row_usage(e, out);
-            }
-        }
-        RIter::CountClause { left, .. } => analyze_row_usage(left, out),
-        RIter::ReturnClause { left, expr } => {
-            analyze_row_usage(left, out);
-            analyze_row_usage(expr, out);
-        }
-        RIter::Comparison { left, right, .. }
-        | RIter::Arithmetic { left, right, .. }
-        | RIter::Logical { left, right, .. }
-        | RIter::StringConcat { left, right }
-        | RIter::Range { left, right } => {
-            analyze_row_usage(left, out);
-            analyze_row_usage(right, out);
-        }
-        RIter::Not(x) | RIter::Neg(x) | RIter::ArrayUnbox { base: x } => {
-            analyze_row_usage(x, out)
-        }
-        RIter::ArrayLookup { base, index } => {
-            analyze_row_usage(base, out);
-            analyze_row_usage(index, out);
-        }
-        RIter::Predicate { base, pred } => {
-            analyze_row_usage(base, out);
-            analyze_row_usage(pred, out);
-        }
-        RIter::ObjectConstructor(pairs) => {
-            for (_, v) in pairs {
-                analyze_row_usage(v, out);
-            }
-        }
-        RIter::ArrayConstructor(items) | RIter::Sequence(items) => {
-            for i in items {
-                analyze_row_usage(i, out);
-            }
-        }
-        RIter::If { cond, then, else_ } => {
-            analyze_row_usage(cond, out);
-            analyze_row_usage(then, out);
-            analyze_row_usage(else_, out);
-        }
-        RIter::FunctionCall { func, args } => {
-            // COUNT/EXISTS/EMPTY over a bare variable count tuples without
-            // reading any column (they translate to COUNT(*)).
-            if matches!(func, Builtin::Count | Builtin::Exists | Builtin::Empty)
-                && matches!(args.as_slice(), [RIter::VarRef(_)])
-            {
-                return;
-            }
-            for a in args {
-                analyze_row_usage(a, out);
-            }
-        }
+        _ => {}
     }
+    it.for_each_child(&mut |c| analyze_row_usage(c, out));
 }
 
 /// Renders a JSONiq literal as a SQL literal column.

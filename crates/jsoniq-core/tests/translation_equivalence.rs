@@ -330,3 +330,93 @@ fn translation_is_a_single_sql_statement() {
     assert!(!sql.contains(';'));
     assert!(snowdb::sql::parse_query(sql).is_ok());
 }
+
+/// `t` with `X` = 1, 2, 3 and `m` with one row, `X` = `i64::MIN`.
+fn int_db() -> Arc<Database> {
+    let db = Database::new();
+    for (name, xs) in [("t", vec![1, 2, 3]), ("m", vec![i64::MIN])] {
+        let rows = xs.into_iter().map(|x| vec![Variant::Int(x)]);
+        db.load_table(name, vec![ColumnDef::new("X", ColumnType::Int)], rows).unwrap();
+    }
+    Arc::new(db)
+}
+
+/// Asserts that the interpreter answers `want` and, when the query
+/// `translates`, that both strategies do too (as multisets). Unlike `check`,
+/// this holds the shared rewrite to a hand-computed answer: the interpreter
+/// and the translation consume the same rewritten tree, so they can agree on
+/// a wrong one.
+fn answers(src: &str, want: &[Variant], translates: bool) {
+    let db = int_db();
+    let mut want = want.to_vec();
+    want.sort_by(cmp_variants);
+    let provider = DatabaseCollections { db: &db };
+    let mut got = Interpreter::new(&provider).eval_query(src).unwrap();
+    got.sort_by(cmp_variants);
+    assert_eq!(got, want, "interpreter, for:\n{src}");
+    if !translates {
+        return;
+    }
+    for strategy in [NestedStrategy::FlagColumn, NestedStrategy::JoinBased] {
+        let df = translate_query(db.clone(), src, strategy).unwrap();
+        let res = df.collect().unwrap_or_else(|e| panic!("SQL failed for:\n{}\n{e}", df.sql()));
+        let mut got: Vec<Variant> = res.rows.into_iter().map(|mut r| r.remove(0)).collect();
+        got.sort_by(cmp_variants);
+        assert_eq!(got, want, "{strategy:?}, for:\n{src}\nSQL:\n{}", df.sql());
+    }
+}
+
+fn ints(xs: &[i64]) -> Vec<Variant> {
+    xs.iter().map(|x| Variant::Int(*x)).collect()
+}
+
+#[test]
+fn a_let_rebinding_a_literal_let_hides_it() {
+    answers("let $x := 1 let $x := $x + 1 return $x", &ints(&[2]), false);
+    answers(
+        r#"for $e in collection("t") let $x := 1 let $x := $e.X + $x return $x"#,
+        &ints(&[2, 3, 4]),
+        true,
+    );
+}
+
+#[test]
+fn a_for_rebinding_a_literal_let_hides_it() {
+    answers("let $x := 1 for $x in (5, 6) return $x", &ints(&[5, 6]), false);
+}
+
+#[test]
+fn a_nested_flwor_rebinding_a_literal_let_hides_it() {
+    answers("let $x := 1 return for $x in (5, 6) return $x", &ints(&[5, 6]), false);
+}
+
+#[test]
+fn a_count_clause_rebinding_a_literal_let_hides_it() {
+    answers("let $x := 1 for $y in (1, 2) count $x return $x", &ints(&[1, 2]), false);
+}
+
+/// `i64::MIN` has no integer negation: the interpreter answers what the
+/// engine's `-`, `ABS`, `FLOOR(x / y)::INT` and `%` answer for it.
+#[test]
+fn integer_operations_at_i64_min_agree_with_the_translation() {
+    let two_pow_63 = [Variant::Float(9.223372036854776e18)];
+    answers(r#"for $r in collection("m") return -$r.X"#, &two_pow_63, true);
+    answers(r#"for $r in collection("m") return abs($r.X)"#, &two_pow_63, true);
+    answers(r#"for $r in collection("m") return $r.X idiv -1"#, &ints(&[i64::MAX]), true);
+    answers(r#"for $r in collection("m") return $r.X mod -1"#, &ints(&[0]), true);
+}
+
+#[test]
+fn folding_the_negation_of_an_i64_min_literal_does_not_overflow() {
+    answers("-(0 - 9223372036854775807 - 1)", &[Variant::Float(9.223372036854776e18)], true);
+}
+
+/// α-renaming an inlined body keeps what each `group by` key sees: every key
+/// expression is evaluated before the clause binds any key, in a function
+/// body as in the main module.
+#[test]
+fn an_inlined_group_by_key_sees_the_scope_before_the_clause() {
+    let body = "for $e in (1, 2) group by $a := $e, $b := $a return $b";
+    answers(&format!("let $a := 10 {body}"), &ints(&[10, 10]), false);
+    answers(&format!("declare function f($a) {{ {body} }}; f(10)"), &ints(&[10, 10]), false);
+}

@@ -444,11 +444,16 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// A query thread's body that panics instead of answering. Generic, so
+    /// `QueryHandle::new` picks the result type and no closure in the test
+    /// returns the large `QueryFailure`.
+    fn panicking_query<T>() -> T {
+        panic!("{}", "SNOWDB_THREADS=\"abc\"")
+    }
+
     #[test]
     fn a_panicking_query_thread_reports_its_message() {
-        let join = std::thread::spawn(|| -> std::result::Result<_, QueryFailure> {
-            panic!("{}", "SNOWDB_THREADS=\"abc\"")
-        });
+        let join = std::thread::spawn(panicking_query);
         let err = QueryHandle::new(Arc::default(), join).join().expect_err("panicked");
         assert!(err.error.to_string().contains("SNOWDB_THREADS=\"abc\""), "{}", err.error);
     }

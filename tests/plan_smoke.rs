@@ -12,13 +12,19 @@
 //! the generated plans that changed when the dataframe layer began merging
 //! each call into the `SELECT` it wraps (ADL q2, q3, q6 and every SSB
 //! translation: each lost one to eight operators; the handwritten plans did
-//! not move). The deep suites (`planner`, `optimizer`, `verify`) live in
+//! not move). The JSONiq front end is pinned beside them: the FNV-1a of every
+//! translation's SQL text (the 21 corpus queries under the paper's strategy
+//! and ADL under the other one) and the size of every query's expression and
+//! iterator tree, recorded at ea65591, before the front end's tree walks were
+//! consolidated, so a walk that visits children in another order or skips
+//! one shows here. The deep suites (`planner`, `optimizer`, `verify`) live in
 //! `crates/snowdb/tests`.
 
 use std::sync::Arc;
 
 use snowq::adl::{self, generator::AdlConfig};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
+use snowq::jsoniq_core::{expr, itertree, parse};
 use snowq::snowdb::storage::{ColumnDef, ColumnType};
 use snowq::snowdb::variant::parse_json;
 use snowq::snowdb::{Database, Variant};
@@ -112,6 +118,100 @@ fn corpus_plans_are_the_recorded_ones() {
         assert_eq!((sql.matches("SELECT").count(), sql.len()), (selects, bytes), "{id}:\n{sql}");
         let plan = db.explain(sql).unwrap_or_else(|e| panic!("{id}: {e}"));
         assert_eq!((plan.len(), fnv64(plan.as_bytes())), (len, hash), "{id}:\n{plan}");
+    }
+}
+
+/// FNV-1a of the SQL text of each translation: the 21 `.gen` statements of
+/// `corpus`, then ADL q1–q8 under the strategy the paper does not run them
+/// with (`.other`). The α-renamer's and the translator's fresh names number
+/// the text's columns in the order their tree walks visit children.
+const TRANSLATIONS: [(&str, u64); 29] = [
+    ("adl.q1.gen", 0xd97adeb555ba7cd4),
+    ("adl.q2.gen", 0x20031e9873acd024),
+    ("adl.q3.gen", 0x097298730b2febb2),
+    ("adl.q4.gen", 0xffd12c1af7137687),
+    ("adl.q5.gen", 0x1b5aa8bd5f63ce2e),
+    ("adl.q6.gen", 0x69c9011141b1508c),
+    ("adl.q7.gen", 0x07803d01f52d5354),
+    ("adl.q8.gen", 0x300f2e555432a02d),
+    ("ssb.q1.1.gen", 0x2556dd95370c8c98),
+    ("ssb.q1.2.gen", 0x72e886687f98754d),
+    ("ssb.q1.3.gen", 0x4892a241f4c30311),
+    ("ssb.q2.1.gen", 0x546d4a1c6af5e4d7),
+    ("ssb.q2.2.gen", 0xa7bd016f85a9e079),
+    ("ssb.q2.3.gen", 0xa3e48a738b69293d),
+    ("ssb.q3.1.gen", 0x60461236b2eac04c),
+    ("ssb.q3.2.gen", 0x24f1ba235e8d547c),
+    ("ssb.q3.3.gen", 0x98787bf7858488a4),
+    ("ssb.q3.4.gen", 0x42b144322ebeab69),
+    ("ssb.q4.1.gen", 0x06cbb9f7bb3aa4a3),
+    ("ssb.q4.2.gen", 0x673325b847e3b2a8),
+    ("ssb.q4.3.gen", 0xdf0eae9e979d8c85),
+    ("adl.q1.other", 0xd97adeb555ba7cd4),
+    ("adl.q2.other", 0x20031e9873acd024),
+    ("adl.q3.other", 0x097298730b2febb2),
+    ("adl.q4.other", 0xa5550834c44e5e2b),
+    ("adl.q5.other", 0x3ed5756f57161b1d),
+    ("adl.q6.other", 0xf955d44b360a1075),
+    ("adl.q7.other", 0xe158bd1cf3806bb2),
+    ("adl.q8.other", 0xea2f2108f93727fa),
+];
+
+#[test]
+fn translations_are_the_recorded_sql_texts() {
+    let (db, texts) = corpus();
+    let mut got: Vec<(String, String)> =
+        texts.into_iter().filter(|(id, _)| id.ends_with(".gen")).collect();
+    for q in adl::queries::queries("hep") {
+        let other =
+            if q.join_based { NestedStrategy::FlagColumn } else { NestedStrategy::JoinBased };
+        let sql = translate_query(db.clone(), &q.jsoniq, other).unwrap().sql().to_string();
+        got.push((format!("adl.{}.other", q.id), sql));
+    }
+    assert_eq!(got.len(), TRANSLATIONS.len());
+    for ((id, sql), (want_id, hash)) in got.iter().zip(TRANSLATIONS) {
+        assert_eq!((id.as_str(), fnv64(sql.as_bytes())), (want_id, hash), "{id}:\n{sql}");
+    }
+}
+
+/// Per JSONiq query: `expr::count_nodes` of its rewritten expression tree,
+/// then the FLWOR and the other iterators of its iterator tree
+/// (`RIter::counts`; for ADL, Table II in `results/table2.txt`).
+const TREE_SIZES: [(&str, usize, usize, usize); 21] = [
+    ("adl.q1", 34, 6, 31),
+    ("adl.q2", 35, 6, 32),
+    ("adl.q3", 40, 7, 37),
+    ("adl.q4", 46, 10, 42),
+    ("adl.q5", 110, 17, 104),
+    ("adl.q6", 426, 108, 380),
+    ("adl.q7", 98, 24, 89),
+    ("adl.q8", 270, 46, 256),
+    ("ssb.q1.1", 39, 6, 36),
+    ("ssb.q1.2", 44, 6, 41),
+    ("ssb.q1.3", 49, 6, 46),
+    ("ssb.q2.1", 48, 8, 43),
+    ("ssb.q2.2", 53, 8, 48),
+    ("ssb.q2.3", 48, 8, 43),
+    ("ssb.q3.1", 63, 8, 58),
+    ("ssb.q3.2", 63, 8, 58),
+    ("ssb.q3.3", 73, 8, 68),
+    ("ssb.q3.4", 68, 8, 63),
+    ("ssb.q4.1", 70, 10, 64),
+    ("ssb.q4.2", 84, 10, 78),
+    ("ssb.q4.3", 79, 10, 73),
+];
+
+#[test]
+fn jsoniq_trees_have_the_recorded_sizes() {
+    let adl = adl::queries::queries("hep").into_iter().map(|q| (format!("adl.{}", q.id), q.jsoniq));
+    let ssb = ssb::queries().into_iter().map(|q| (format!("ssb.{}", q.id), q.jsoniq));
+    let queries: Vec<_> = adl.chain(ssb).collect();
+    assert_eq!(queries.len(), TREE_SIZES.len());
+    for ((id, jsoniq), (want_id, nodes, flwor, other)) in queries.iter().zip(TREE_SIZES) {
+        let tree = expr::rewrite(&parse(jsoniq).unwrap()).unwrap();
+        let c = itertree::build(&tree).unwrap().counts();
+        let got = (id.as_str(), expr::count_nodes(&tree), c.flwor, c.other);
+        assert_eq!(got, (want_id, nodes, flwor, other));
     }
 }
 
