@@ -26,17 +26,24 @@ struct CacheKey {
     source: String,
     strategy_join: bool,
     native_filter: bool,
-    /// Schema generation at translation time. Translated SQL expands `$t` to
-    /// the column list of the table as it existed then; a re-ingested or
-    /// altered table must miss, or the cache serves SQL bound to a schema that
-    /// no longer exists.
+}
+
+/// The translations of one schema generation. Translated SQL expands `$t` to
+/// the column list of the table as it existed at translation time, so a
+/// re-ingested or altered table must miss, or the cache serves SQL bound to a
+/// schema that no longer exists. Every commit bumps the generation, and only
+/// the newest one is kept: under writes the cache holds what the current
+/// generation translated, not one copy per generation.
+#[derive(Default)]
+struct Generation {
     generation: u64,
+    entries: HashMap<CacheKey, Arc<str>>,
 }
 
 /// A translating front-end with a query-text cache.
 pub struct CachingTranslator {
     session: Session,
-    cache: Mutex<HashMap<CacheKey, Arc<str>>>,
+    cache: Mutex<Generation>,
     stats: Mutex<CacheStats>,
     native_filter: bool,
 }
@@ -46,7 +53,7 @@ impl CachingTranslator {
     pub fn new(session: Session) -> CachingTranslator {
         CachingTranslator {
             session,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(Generation::default()),
             stats: Mutex::new(CacheStats::default()),
             native_filter: false,
         }
@@ -65,16 +72,29 @@ impl CachingTranslator {
             source: src.to_string(),
             strategy_join: strategy == NestedStrategy::JoinBased,
             native_filter: self.native_filter,
-            generation: self.session.schema_generation(),
         };
-        if let Some(sql) = self.cache.lock().get(&key).cloned() {
+        let generation = self.session.schema_generation();
+        let cached = {
+            let cache = self.cache.lock();
+            (cache.generation == generation).then(|| cache.entries.get(&key).cloned()).flatten()
+        };
+        if let Some(sql) = cached {
             self.stats.lock().hits += 1;
             return Ok(self.session.sql(&sql));
         }
         let mut t = Translator::new(self.session.clone(), strategy)
             .with_native_array_filter(self.native_filter);
         let df = t.translate(src)?;
-        self.cache.lock().insert(key, Arc::from(df.sql()));
+        let mut cache = self.cache.lock();
+        if generation > cache.generation {
+            cache.entries.clear();
+            cache.generation = generation;
+        }
+        // A translation made before a newer generation arrived is not kept.
+        if generation == cache.generation {
+            cache.entries.insert(key, Arc::from(df.sql()));
+        }
+        drop(cache);
         self.stats.lock().misses += 1;
         Ok(df)
     }
@@ -86,17 +106,17 @@ impl CachingTranslator {
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.cache.lock().len()
+        self.cache.lock().entries.len()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.lock().is_empty()
+        self.cache.lock().entries.is_empty()
     }
 
     /// Drops all cached translations.
     pub fn clear(&self) {
-        self.cache.lock().clear();
+        self.cache.lock().entries.clear();
         *self.stats.lock() = CacheStats::default();
     }
 }
@@ -158,6 +178,23 @@ mod tests {
         assert_eq!(c.stats(), CacheStats { hits: 0, misses: 2 });
         assert!(after.sql().contains('Y'), "stale SQL served: {}", after.sql());
         assert_eq!(after.collect().unwrap().rows.len(), 3);
+    }
+
+    #[test]
+    fn writes_leave_one_generation_of_translations() {
+        let db = Arc::new(Database::new());
+        db.execute("CREATE TABLE t (X INT)").unwrap();
+        let c = CachingTranslator::new(Session::new(db.clone()));
+        for i in 0..100 {
+            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            c.translate(Q, NestedStrategy::FlagColumn).unwrap();
+        }
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.stats(), CacheStats { hits: 0, misses: 100 });
+        // Without a write in between, the translation is reused.
+        let rows = c.translate(Q, NestedStrategy::FlagColumn).unwrap().collect().unwrap().rows;
+        assert_eq!(rows.len(), 98);
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 100 });
     }
 
     #[test]

@@ -22,10 +22,11 @@ use crate::govern::retry::{self, RetryPolicy};
 use crate::govern::{GovernorSummary, QueryFailure, QueryGovernor, SessionParams};
 use crate::optimize::optimize;
 use crate::plan::physical::{lower, PhysNode};
-use crate::plan::{bind_query, Node};
+use crate::plan::{bind_query, Catalog, Node};
+use crate::plan_cache::PlanCache;
 use crate::session::StatementCtx;
 use crate::sql::ast::Query;
-use crate::sql::{parse_query, parse_statement};
+use crate::sql::parse_query;
 use crate::storage::{
     ColumnDef, MemSink, MicroPartition, PartitionSink, ScanSource, ScanStats, Table, TableBuilder,
 };
@@ -37,7 +38,12 @@ use crate::variant::Variant;
 /// compilation (parse + bind + optimize) versus execution, plus bytes scanned.
 #[derive(Clone, Debug, Default)]
 pub struct QueryProfile {
+    /// Everything before execution: parse + bind + optimize, or — when
+    /// [`QueryProfile::plan_cached`] — the plan cache's lookup and validation.
     pub compile_time: Duration,
+    /// Whether a text entry point ran a plan from the plan cache instead of
+    /// compiling the text (DESIGN.md, "Plan cache").
+    pub plan_cached: bool,
     pub exec_time: Duration,
     pub scan: ScanStats,
     /// Per-operator metrics tree mirroring the executed plan (rows in/out,
@@ -106,6 +112,9 @@ pub struct Database {
     /// Monotonic counter feeding per-commit retry-jitter seeds, so contending
     /// writers on one database desynchronize deterministically.
     commit_seq: AtomicU64,
+    /// Plans of statement texts, reused while the tables they bound are
+    /// the ones the statement's snapshot holds ([`crate::plan_cache`]).
+    pub(crate) plans: PlanCache,
 }
 
 /// Sink adapter charging every sealed partition against a query governor
@@ -565,12 +574,7 @@ impl Database {
         query: &Query,
         optimize_plan: bool,
     ) -> Result<Node> {
-        let bound = bind_query(query, &TravelCatalog { db: self, base: cat })?;
-        if optimize_plan {
-            optimize(bound)
-        } else {
-            Ok(bound)
-        }
+        compile_query(&TravelCatalog { db: self, base: cat }, query, optimize_plan)
     }
 
     /// Overrides the worker-thread count for this database's queries.
@@ -620,8 +624,10 @@ impl Database {
         self.query_text_on(&self.snapshot(), sql, opts, gov)
     }
 
-    /// Parses `sql` and runs it against `cat`: what every text query entry
-    /// point (here and on [`crate::session::Session`]) shares.
+    /// Runs `sql` against `cat`: what every text query entry point (here and
+    /// on [`crate::session::Session`]) shares. A plan cached for the text and
+    /// still valid on `cat` runs at once; otherwise the text is parsed and
+    /// compiled, and the plan kept.
     #[allow(clippy::result_large_err)]
     pub(crate) fn query_text_on(
         &self,
@@ -631,33 +637,61 @@ impl Database {
         gov: Arc<QueryGovernor>,
     ) -> std::result::Result<QueryResult, QueryFailure> {
         let t0 = Instant::now();
-        match parse_query(sql) {
-            Ok(query) => self.query_on(cat, &query, t0.elapsed(), opts, gov),
+        let plan = match self.plans.get(cat, sql, opts.optimize) {
+            Some(plan) => Ok((plan, true)),
+            None => parse_query(sql)
+                .and_then(|query| self.compile_text(cat, sql, &query, opts.optimize))
+                .map(|plan| (plan, false)),
+        };
+        match plan {
+            Ok((plan, cached)) => self.run_plan(&plan, t0.elapsed(), cached, opts, gov),
             Err(error) => Err(QueryFailure::before_execution(error, &gov)),
         }
     }
 
-    /// Runs a parsed query against an explicit pinned snapshot — the
-    /// statement sees exactly one catalog version from bind to last batch.
-    /// `parse_time` is what the caller spent producing `query`; it counts
-    /// towards the profile's compile phase (parse + bind + optimize).
+    /// Compiles `query`, parsed from the text `sql`, against `cat` through the
+    /// plan cache, which keeps the plan for the next run of the same text.
+    pub(crate) fn compile_text(
+        &self,
+        cat: &CatalogSnapshot,
+        sql: &str,
+        query: &Query,
+        optimize_plan: bool,
+    ) -> Result<Arc<Node>> {
+        self.plans.compile(&TravelCatalog { db: self, base: cat }, sql, query, optimize_plan)
+    }
+
+    /// Compiles and runs a parsed query against an explicit pinned snapshot —
+    /// the statement sees exactly one catalog version from bind to last
+    /// batch. Never reads the plan cache: the verification lattice referees
+    /// a cold compile.
     #[allow(clippy::result_large_err)]
     pub(crate) fn query_on(
         &self,
         cat: &CatalogSnapshot,
         query: &Query,
-        parse_time: Duration,
         opts: &QueryOptions,
         gov: Arc<QueryGovernor>,
     ) -> std::result::Result<QueryResult, QueryFailure> {
         let t0 = Instant::now();
-        let plan = match self.compile_on(cat, query, opts.optimize) {
-            Ok(p) => p,
-            Err(error) => return Err(QueryFailure::before_execution(error, &gov)),
-        };
-        let compile_time = parse_time + t0.elapsed();
+        match self.compile_on(cat, query, opts.optimize) {
+            Ok(plan) => self.run_plan(&plan, t0.elapsed(), false, opts, gov),
+            Err(error) => Err(QueryFailure::before_execution(error, &gov)),
+        }
+    }
 
-        let (batches, phys_metrics, ctx, exec_time) = self.run_physical(&plan, opts, gov.clone());
+    /// Executes a compiled plan and collects its rows. `compile_time` and
+    /// `plan_cached` describe how the caller came by `plan`.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn run_plan(
+        &self,
+        plan: &Node,
+        compile_time: Duration,
+        plan_cached: bool,
+        opts: &QueryOptions,
+        gov: Arc<QueryGovernor>,
+    ) -> std::result::Result<QueryResult, QueryFailure> {
+        let (batches, phys_metrics, ctx, exec_time) = self.run_physical(plan, opts, gov.clone());
         let batches = match batches {
             Ok(b) => b,
             Err(error) => {
@@ -681,6 +715,7 @@ impl Database {
             rows,
             profile: QueryProfile {
                 compile_time,
+                plan_cached,
                 exec_time,
                 scan: ctx.stats,
                 metrics: Some(phys_metrics),
@@ -795,10 +830,23 @@ impl Database {
     /// defaults later sessions inherit — and without a transaction slot:
     /// explicit transactions need a [`crate::session::Session`].
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
         let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        StatementCtx { db: self, params: &self.params, txn: None }.run(stmt, t0.elapsed(), gov)
+        StatementCtx { db: self, params: &self.params, txn: None }.run_text(sql, gov, |_| ())
+    }
+}
+
+/// Binds `query` through `catalog` and, when asked, optimizes the bound plan:
+/// the whole of compilation once the text is parsed.
+pub(crate) fn compile_query(
+    catalog: &dyn Catalog,
+    query: &Query,
+    optimize_plan: bool,
+) -> Result<Node> {
+    let bound = bind_query(query, catalog)?;
+    if optimize_plan {
+        optimize(bound)
+    } else {
+        Ok(bound)
     }
 }
 

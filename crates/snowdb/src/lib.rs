@@ -39,6 +39,7 @@ pub mod exec;
 pub mod govern;
 pub mod optimize;
 pub mod plan;
+mod plan_cache;
 pub mod server;
 pub mod session;
 pub mod sql;

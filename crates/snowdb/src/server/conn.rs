@@ -22,13 +22,12 @@ use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::engine::{QueryResult, StatementResult};
 use crate::error::{Result, SnowError};
 use crate::govern::{panic_message, QueryGovernor};
 use crate::session::Session;
-use crate::sql::{parse_statement, Statement};
+use crate::sql::Statement;
 use crate::variant::Variant;
 
 use super::proto::{self, op, Dec, Done, Enc};
@@ -320,13 +319,13 @@ fn handle_statement(
 
     let gov = Arc::new(QueryGovernor::from_params(&session.params()));
     cancel.arm(&gov);
-    // The one parse of this frame; what it found is kept for the footer.
+    // Whether the frame parsed as EXPLAIN ANALYZE, kept for the footer (a
+    // cached plan is a query, never that).
     let mut analyzed = false;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
-        analyzed = matches!(stmt, Statement::ExplainAnalyze(_));
-        session.ctx().run(stmt, t0.elapsed(), gov)
+        session.ctx().run_text(sql, gov, |stmt| {
+            analyzed = matches!(stmt, Statement::ExplainAnalyze(_));
+        })
     }));
     cancel.statement_done();
     drop(permit); // Slot frees before we spend time serializing the result.

@@ -12,15 +12,16 @@
 //! exactly the isolation the transaction promised).
 //!
 //! Every statement — typed at a bare [`Database`], at a [`Session`], or
-//! arriving over the wire — is parsed once by its text entry point and then
-//! executed by [`StatementCtx::run`], the only place that matches on
-//! statement kinds. The context names what the statement runs under: the
-//! parameter store in force, the transaction slot (if the caller has one),
-//! and the caller's governor.
+//! arriving over the wire — enters through [`StatementCtx::run_text`], which
+//! runs a query text's cached plan if it is still valid and otherwise parses
+//! the text once and hands it to [`StatementCtx::run`], the only place that
+//! matches on statement kinds. The context names what the statement runs
+//! under: the parameter store in force, the transaction slot (if the caller
+//! has one), and the caller's governor.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -111,15 +112,14 @@ impl Session {
     /// parameters. Queries, `EXPLAIN` and DML inside a transaction see the
     /// transaction's own writes.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
-        self.ctx().run(stmt, t0.elapsed(), self.governor())
+        self.ctx().run_text(sql, self.governor(), |_| ())
     }
 
     /// Executes an already-parsed statement: what [`Session::execute`] does
     /// after parsing, for callers that build the [`Statement`] themselves.
+    /// Without a text there is no plan-cache key: a query compiles afresh.
     pub fn execute_statement(&self, stmt: Statement) -> Result<StatementResult> {
-        self.ctx().run(stmt, Duration::ZERO, self.governor())
+        self.ctx().run(stmt, self.governor())
     }
 }
 
@@ -158,21 +158,40 @@ impl StatementCtx<'_> {
         })
     }
 
+    /// The one text entry point for statements: a query text whose cached
+    /// plan is still valid on this context's read snapshot runs at once;
+    /// anything else is parsed — `parsed` sees the statement — and a query
+    /// compiled through the plan cache, every other statement dispatched by
+    /// [`StatementCtx::run`].
+    pub(crate) fn run_text(
+        &self,
+        sql: &str,
+        gov: Arc<QueryGovernor>,
+        parsed: impl FnOnce(&Statement),
+    ) -> Result<StatementResult> {
+        let t0 = Instant::now();
+        let (db, opts, snap) = (self.db, QueryOptions::default(), self.read_snapshot());
+        let (plan, cached) = match db.plans.get(&snap, sql, opts.optimize) {
+            Some(plan) => (plan, true),
+            None => {
+                let stmt = parse_statement(sql)?;
+                parsed(&stmt);
+                let Statement::Query(query) = stmt else { return self.run(stmt, gov) };
+                (db.compile_text(&snap, sql, &query, opts.optimize)?, false)
+            }
+        };
+        Ok(StatementResult::Rows(db.run_plan(&plan, t0.elapsed(), cached, &opts, gov)?))
+    }
+
     /// The statement dispatcher: executes one parsed statement under this
-    /// context and `gov`. `parse_time` is what the text entry point spent
-    /// producing `stmt` (it counts towards a query's compile phase).
+    /// context and `gov`.
     ///
     /// An open transaction accepts what reads only or fits its write set:
     /// queries, `EXPLAIN [ANALYZE]`, DML, ordinary `SET`/`UNSET`, the
     /// transaction verbs. The rest is rejected there — the catalog diff it
     /// would need is not worth its rarity (Snowflake auto-commits DDL for
     /// the same reason).
-    pub(crate) fn run(
-        &self,
-        stmt: Statement,
-        parse_time: Duration,
-        gov: Arc<QueryGovernor>,
-    ) -> Result<StatementResult> {
+    pub(crate) fn run(&self, stmt: Statement, gov: Arc<QueryGovernor>) -> Result<StatementResult> {
         let db = self.db;
         let message = |m: String| Ok(StatementResult::Message(m));
         match stmt {
@@ -181,8 +200,7 @@ impl StatementCtx<'_> {
             Statement::Rollback => self.rollback(),
             Statement::Query(q) => {
                 let opts = QueryOptions::default();
-                let snap = self.read_snapshot();
-                Ok(StatementResult::Rows(db.query_on(&snap, &q, parse_time, &opts, gov)?))
+                Ok(StatementResult::Rows(db.query_on(&self.read_snapshot(), &q, &opts, gov)?))
             }
             Statement::Explain(q) => {
                 message(crate::plan::explain(&db.compile_on(&self.read_snapshot(), &q, true)?))

@@ -23,7 +23,6 @@ pub use compare::{canonical_rows, cmp_rows, first_diff, rows_eq_eps, variant_eq_
 pub use report::{ConfigOutcome, Divergence, DivergenceDetail, VerifyReport};
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::catalog::CatalogSnapshot;
 use crate::engine::{Database, QueryOptions};
@@ -113,7 +112,7 @@ pub(crate) fn verify_query(
     let mut runs = Vec::with_capacity(configs.len());
     for cfg in configs {
         let ran = query.clone().and_then(|q| {
-            db.query_on(cat, q, Duration::ZERO, cfg, gov.clone()).map_err(SnowError::from)
+            db.query_on(cat, q, cfg, gov.clone()).map_err(SnowError::from)
         });
         match ran {
             Ok(result) => {
