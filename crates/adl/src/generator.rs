@@ -228,7 +228,7 @@ pub fn generate_events(cfg: &AdlConfig) -> Vec<Vec<Variant>> {
 /// Generates and loads the dataset into a database table.
 pub fn load_into(db: &Database, table: &str, cfg: &AdlConfig) {
     let mut s = Sampler { rng: StdRng::seed_from_u64(cfg.seed) };
-    db.load_table_with_partition_rows(
+    db.load_table(
         table,
         schema(),
         (0..cfg.events).map(|i| event_row(i as i64, &mut s)),

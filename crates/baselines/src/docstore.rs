@@ -118,12 +118,13 @@ mod tests {
 
     #[test]
     fn mirrors_database_table() {
-        use snowdb::storage::{ColumnDef, ColumnType};
+        use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
         let db = Database::new();
         db.load_table(
             "t",
             vec![ColumnDef::new("A", ColumnType::Int)],
             (0..5).map(|i| vec![Variant::Int(i)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         let mut ds = DocStore::new();

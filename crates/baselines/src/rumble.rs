@@ -100,12 +100,13 @@ mod tests {
     #[test]
     fn matches_docstore_results() {
         use crate::docstore::DocStore;
-        use snowdb::storage::{ColumnDef, ColumnType};
+        use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
         let db = Database::new();
         db.load_table(
             "t",
             vec![ColumnDef::new("A", ColumnType::Int)],
             (0..20).map(|i| vec![Variant::Int(i)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         let mut rb = RumbleRunner::new();

@@ -14,7 +14,7 @@ use baselines::{DocStore, RumbleRunner};
 use jsoniq_core::ast::JsoniqError;
 use jsoniq_core::itertree;
 use jsoniq_core::snowflake::{NestedStrategy, Translator};
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::{Database, QueryOptions, Variant};
 use snowpark::Session;
 
@@ -544,7 +544,7 @@ pub fn kernels(cfg: &Config) -> Report {
     let table = |name: &str, ty: [ColumnType; 3], row: &dyn Fn(i64) -> Vec<Variant>| {
         let db = Database::new();
         let schema = ["A", "B", "X"].into_iter().zip(ty).map(|(n, t)| ColumnDef::new(n, t));
-        db.load_table_with_partition_rows(name, schema.collect(), (0..rows).map(row), PARTITION_ROWS)
+        db.load_table(name, schema.collect(), (0..rows).map(row), PARTITION_ROWS)
             .expect("loads");
         db
     };
@@ -559,8 +559,8 @@ pub fn kernels(cfg: &Config) -> Report {
     });
     for db in [&typed, &mixed] {
         let schema = ["K", "V"].map(|c| ColumnDef::new(c, ColumnType::Int)).to_vec();
-        db.load_table("d", schema, (0..1000).map(|k| vec![Variant::Int(k), Variant::Int(k % 7)]))
-            .expect("loads");
+        let rows = (0..1000).map(|k| vec![Variant::Int(k), Variant::Int(k % 7)]);
+        db.load_table("d", schema, rows, DEFAULT_PARTITION_ROWS).expect("loads");
     }
     const CITIES: [&str; 8] = ["tokyo", "lima", "oslo", "cairo", "quito", "seoul", "accra", "dakar"];
     let dict = table("t", [ColumnType::Str, ColumnType::Int, ColumnType::Float], &|i| {

@@ -124,7 +124,7 @@ impl CachingTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
     use snowdb::{Database, Variant};
 
     fn session() -> Session {
@@ -133,6 +133,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..5).map(|i| vec![Variant::Int(i)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         Session::new(Arc::new(db))
@@ -157,6 +158,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..3).map(|i| vec![Variant::Int(i)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         let c = CachingTranslator::new(Session::new(db.clone()));
@@ -172,6 +174,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int), ColumnDef::new("Y", ColumnType::Int)],
             (0..3).map(|i| vec![Variant::Int(i), Variant::Int(i * 10)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         let after = c.translate(q, NestedStrategy::FlagColumn).unwrap();

@@ -202,7 +202,7 @@ mod tests {
 
     fn db() -> Arc<Database> {
         let d = Database::new();
-        d.load_table_with_partition_rows(
+        d.load_table(
             "t",
             vec![
                 ColumnDef::new("ID", ColumnType::Int),

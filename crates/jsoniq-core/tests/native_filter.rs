@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use jsoniq_core::snowflake::{NestedStrategy, Translator};
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::{cmp_variants, parse_json};
 use snowdb::{Database, Variant};
 use snowpark::Session;
@@ -25,6 +25,7 @@ fn db() -> Arc<Database> {
             ColumnDef::new("XS", ColumnType::Variant),
         ],
         rows.iter().map(|(id, xs)| vec![Variant::Int(*id), parse_json(xs).unwrap()]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     Arc::new(db)

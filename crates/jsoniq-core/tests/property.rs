@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use jsoniq_core::interp::{DatabaseCollections, Interpreter, MemoryCollections};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::{cmp_variants, Object};
 use snowdb::{Database, Variant};
 
@@ -83,6 +83,7 @@ proptest! {
                     Variant::array(xs.iter().map(|&x| Variant::Int(x)).collect()),
                 ]
             }),
+            DEFAULT_PARTITION_ROWS,
         ).unwrap();
         let db = Arc::new(db);
         let src = format!(
@@ -115,6 +116,7 @@ proptest! {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             xs.iter().map(|&x| vec![Variant::Int(x)]),
+            DEFAULT_PARTITION_ROWS,
         ).unwrap();
         let db = Arc::new(db);
         let src = r#"for $t in collection("t")
@@ -143,6 +145,7 @@ fn object_identity_through_translation() {
         "t",
         vec![ColumnDef::new("V", ColumnType::Variant)],
         vec![vec![Variant::object(o.clone())]],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let df = translate_query(

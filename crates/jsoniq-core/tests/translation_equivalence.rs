@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use jsoniq_core::interp::{DatabaseCollections, Interpreter};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::{cmp_variants, parse_json};
 use snowdb::{Database, Variant};
 
@@ -40,6 +40,7 @@ fn db() -> Arc<Database> {
                 parse_json(jet).unwrap(),
             ]
         }),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     Arc::new(db)
@@ -297,6 +298,7 @@ fn two_collection_join() {
             vec![Variant::Int(1), Variant::str("one")],
             vec![Variant::Int(3), Variant::str("three")],
         ],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let src = r#"for $e in collection("hep")
@@ -336,7 +338,8 @@ fn int_db() -> Arc<Database> {
     let db = Database::new();
     for (name, xs) in [("t", vec![1, 2, 3]), ("m", vec![i64::MIN])] {
         let rows = xs.into_iter().map(|x| vec![Variant::Int(x)]);
-        db.load_table(name, vec![ColumnDef::new("X", ColumnType::Int)], rows).unwrap();
+        let schema = vec![ColumnDef::new("X", ColumnType::Int)];
+        db.load_table(name, schema, rows, DEFAULT_PARTITION_ROWS).unwrap();
     }
     Arc::new(db)
 }

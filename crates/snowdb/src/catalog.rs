@@ -211,8 +211,8 @@ impl Catalog for CatalogSnapshot {
 /// disk-backed sources at commit time.
 #[derive(Clone, Debug)]
 pub enum TableWrite {
-    /// Install a complete table snapshot: CREATE TABLE (`expect_absent`),
-    /// bulk load, or register.
+    /// Install a complete table snapshot: CREATE TABLE, CLONE and UNDROP
+    /// (`expect_absent`), a load, or `persist_to`.
     Put { table: Arc<Table>, expect_absent: bool },
     /// INSERT: append partitions to whatever the table holds at commit time.
     /// Merges with any concurrent append. `schema` is the schema the new
@@ -341,15 +341,12 @@ impl SharedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{ColumnDef, ColumnType, TableBuilder};
+    use crate::storage::{ColumnDef, ColumnType, MemSink, TableBuilder};
     use crate::variant::Variant;
 
     fn table(name: &str, vals: &[i64]) -> Arc<Table> {
-        let mut b = TableBuilder::with_partition_rows(
-            name,
-            vec![ColumnDef::new("A", ColumnType::Int)],
-            2,
-        );
+        let schema = vec![ColumnDef::new("A", ColumnType::Int)];
+        let mut b = TableBuilder::new(name, schema, 2, Box::new(MemSink)).unwrap();
         for v in vals {
             b.push_row(&[Variant::Int(*v)]).unwrap();
         }

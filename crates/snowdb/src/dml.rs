@@ -25,7 +25,7 @@ use crate::govern::QueryGovernor;
 use crate::plan::binder::bind_expr;
 use crate::plan::{Field, PExpr};
 use crate::sql::ast::Expr;
-use crate::storage::{ColumnDef, ScanSource, TableBuilder, DEFAULT_PARTITION_ROWS};
+use crate::storage::DEFAULT_PARTITION_ROWS;
 use crate::variant::Variant;
 
 impl Database {
@@ -180,23 +180,5 @@ impl Database {
         let write = (!removed.is_empty()).then_some(TableWrite::Rewrite { removed, added });
         let verb = if sets.is_none() { "deleted" } else { "updated" };
         Ok((upper, write, format!("{verb} {affected} row(s)")))
-    }
-
-    /// Seals what `fill` pushes into fresh partitions of `partition_rows`
-    /// rows through the standard builder path (type validation, stats, zone
-    /// maps), streaming to partition files when a store is attached and
-    /// charging the governor for every sealed partition.
-    pub(crate) fn build_partitions(
-        &self,
-        name: &str,
-        schema: &[ColumnDef],
-        partition_rows: usize,
-        gov: &Arc<QueryGovernor>,
-        fill: impl FnOnce(&mut TableBuilder) -> Result<()>,
-    ) -> Result<Vec<Arc<ScanSource>>> {
-        let sink = self.governed_sink(schema, gov.clone());
-        let mut b = TableBuilder::with_sink(name.to_string(), schema.to_vec(), partition_rows, sink);
-        fill(&mut b)?;
-        Ok(b.finish()?.partitions().to_vec())
     }
 }

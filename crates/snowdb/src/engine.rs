@@ -227,21 +227,13 @@ impl Database {
         Database::default()
     }
 
-    /// Loads a table from rows in one shot, replacing any same-named table.
-    pub fn load_table<I>(&self, name: &str, schema: Vec<ColumnDef>, rows: I) -> Result<()>
-    where
-        I: IntoIterator<Item = Vec<Variant>>,
-    {
-        self.load_table_with_partition_rows(
-            name,
-            schema,
-            rows,
-            crate::storage::DEFAULT_PARTITION_ROWS,
-        )
-    }
-
-    /// Loads a table with an explicit micro-partition size.
-    pub fn load_table_with_partition_rows<I>(
+    /// Loads a table from rows, sealed into partitions of `partition_rows`
+    /// rows ([`crate::storage::DEFAULT_PARTITION_ROWS`] unless a test or a
+    /// benchmark wants its own), replacing any same-named table. Partitions
+    /// seal and flush as they fill — straight to partition files when a
+    /// persistent store is attached — each charged against a governor armed
+    /// from the session parameters, so peak memory is one open partition.
+    pub fn load_table<I>(
         &self,
         name: &str,
         schema: Vec<ColumnDef>,
@@ -251,40 +243,29 @@ impl Database {
     where
         I: IntoIterator<Item = Vec<Variant>>,
     {
-        self.load_table_stream(name, schema, rows.into_iter().map(Ok), partition_rows)
+        self.replace_table(name, schema, partition_rows, |b| {
+            rows.into_iter().try_for_each(|row| b.push_row(&row))
+        })
     }
 
-    /// Streaming loader core: rows arrive through a fallible iterator (so a
-    /// file/parse error aborts the load, not the process), partitions seal
-    /// and flush incrementally — straight to partition files when a
-    /// persistent store is attached — and every sealed partition is charged
-    /// against a governor armed from the session parameters. Peak memory is
-    /// one open partition regardless of table size.
-    ///
-    /// A load *replaces* any same-named table (last writer wins); it commits
-    /// against the catalog version current at commit time and therefore never
-    /// trips a write conflict.
-    pub fn load_table_stream<I>(
+    /// The loader behind [`Database::load_table`] and JSONL ingest: seals
+    /// what `fill` pushes ([`Database::build_partitions`]) and publishes it
+    /// as table `name`. A load *replaces* any same-named table (last writer
+    /// wins): it commits against the catalog version current at commit time
+    /// and therefore never trips a write conflict. If the commit fails, the
+    /// fresh partition files stay invisible debris (swept on the next
+    /// write-open) and the previous table version remains live.
+    pub(crate) fn replace_table(
         &self,
         name: &str,
         schema: Vec<ColumnDef>,
-        rows: I,
         partition_rows: usize,
-    ) -> Result<()>
-    where
-        I: IntoIterator<Item = Result<Vec<Variant>>>,
-    {
+        fill: impl FnOnce(&mut TableBuilder) -> Result<()>,
+    ) -> Result<()> {
         let upper = name.to_ascii_uppercase();
         let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        let sink = self.governed_sink(&schema, gov);
-        let mut b = TableBuilder::with_sink(upper.clone(), schema, partition_rows, sink);
-        for row in rows {
-            b.push_row(&row?)?;
-        }
-        let table = Arc::new(b.finish()?);
-        // Publish atomically; on failure the fresh partition files stay
-        // invisible debris (swept on the next write-open) and the previous
-        // table version remains live.
+        let parts = self.build_partitions(&upper, &schema, partition_rows, &gov, fill)?;
+        let table = Arc::new(Table::from_parts(upper.clone(), schema, parts));
         self.commit_latest(WriteSet::single(&upper, TableWrite::Put {
             table,
             expect_absent: false,
@@ -304,6 +285,25 @@ impl Database {
             None => Box::new(MemSink),
         };
         Box::new(GovernedSink { inner, gov })
+    }
+
+    /// Seals what `fill` pushes into fresh partitions of `partition_rows`
+    /// rows through the one builder (type validation, stats, zone maps),
+    /// into the sink [`Database::governed_sink`] picks. Every writer of
+    /// table data — loads, JSONL ingest, `INSERT`, `UPDATE`, `DELETE`,
+    /// compaction — builds its partitions here.
+    pub(crate) fn build_partitions(
+        &self,
+        name: &str,
+        schema: &[ColumnDef],
+        partition_rows: usize,
+        gov: &Arc<QueryGovernor>,
+        fill: impl FnOnce(&mut TableBuilder) -> Result<()>,
+    ) -> Result<Vec<Arc<ScanSource>>> {
+        let sink = self.governed_sink(schema, gov.clone());
+        let mut b = TableBuilder::new(name, schema.to_vec(), partition_rows, sink)?;
+        fill(&mut b)?;
+        Ok(b.finish()?.partitions().to_vec())
     }
 
     /// Opens (or initializes) a persistent database directory with the write
@@ -348,10 +348,11 @@ impl Database {
     }
 
     /// Persists the current catalog into a fresh database directory and
-    /// attaches it: every partition is written as an immutable partition
-    /// file, all tables are committed in **one** manifest version, and the
-    /// in-memory snapshots are swapped for their disk-backed (lazily read)
-    /// versions. Refuses a directory that already holds a database.
+    /// attaches it: every partition is flushed through the store's sink as
+    /// an immutable partition file, all tables are committed in **one**
+    /// manifest version, and the in-memory snapshots are swapped for their
+    /// disk-backed (lazily read) versions. Refuses a directory that already
+    /// holds a database.
     pub fn persist_to(&self, dir: impl AsRef<std::path::Path>) -> Result<()> {
         let store = Store::create(dir)?;
         // Hold the commit lock across the whole persist so no commit can
@@ -361,24 +362,17 @@ impl Database {
         let mut writes = Vec::new();
         for (name, entry) in current.entries() {
             let t = &entry.table;
-            let mut sources = Vec::with_capacity(t.partitions().len());
-            for part in t.partitions() {
-                let (src, _pref) = store.write_partition(&part.to_mem()?, t.schema())?;
-                sources.push(src);
-            }
+            let sink = store.sink(t.schema().to_vec());
+            let sources =
+                t.partitions().iter().map(|p| sink.flush(p.to_mem()?)).collect::<Result<_>>()?;
             let table =
                 Arc::new(Table::from_parts(t.name().to_string(), t.schema().to_vec(), sources));
             writes.push((name.clone(), TableWrite::Put { table, expect_absent: false }));
         }
-        if writes.is_empty() {
-            *self.store.write() = Some(store);
-            return Ok(());
+        if !writes.is_empty() {
+            self.commit_locked(Some(&store), &current, current.version(), WriteSet { writes })?;
         }
-        let set = WriteSet { writes };
-        store.commit_writes(&set)?;
-        let next = current.apply(current.version(), &set)?;
         *self.store.write() = Some(store);
-        self.catalog.publish(Arc::new(next));
         Ok(())
     }
 
@@ -407,27 +401,30 @@ impl Database {
     ) -> Result<Arc<CatalogSnapshot>> {
         let _guard = self.catalog.lock_commits();
         let current = self.catalog.snapshot();
-        self.commit_locked(&current, base_version, set)
+        self.commit_locked(self.store().as_ref(), &current, base_version, set)
     }
 
     /// Commits a write set against whatever version is current at the commit
-    /// point — replace/last-writer-wins semantics (bulk load, register,
-    /// drop). Never trips a write conflict for plain `Put`s and `Drop`s.
+    /// point — the last-writer-wins replace of a load
+    /// ([`Database::replace_table`], its only caller). Never trips a write
+    /// conflict for a plain `Put`.
     fn commit_latest(&self, set: WriteSet) -> Result<Arc<CatalogSnapshot>> {
         let _guard = self.catalog.lock_commits();
         let current = self.catalog.snapshot();
-        let base = current.version();
-        self.commit_locked(&current, base, set)
+        self.commit_locked(self.store().as_ref(), &current, current.version(), set)
     }
 
+    /// The commit point, under the commit lock: `set` is validated against
+    /// `current`, made durable in `store` when there is one, then published.
     fn commit_locked(
         &self,
+        store: Option<&Arc<Store>>,
         current: &Arc<CatalogSnapshot>,
         base_version: u64,
         set: WriteSet,
     ) -> Result<Arc<CatalogSnapshot>> {
         let mut next = current.apply(base_version, &set)?;
-        if let Some(s) = self.store() {
+        if let Some(s) = store {
             // Durability first: the manifest CAS is the real commit point.
             // If it fails, nothing was published and prepared partition
             // files remain invisible debris.
@@ -468,33 +465,6 @@ impl Database {
             }
             Ok(out)
         })
-    }
-
-    /// Registers a pre-built table snapshot, replacing any same-named table.
-    /// When a persistent store is attached the partitions are written to
-    /// disk first so the commit is durable.
-    pub fn register(&self, table: Table) -> Result<()> {
-        let upper = table.name().to_ascii_uppercase();
-        let table = match self.store() {
-            Some(s) => {
-                let mut sources = Vec::with_capacity(table.partitions().len());
-                for part in table.partitions() {
-                    let (src, _pref) = s.write_partition(&part.to_mem()?, table.schema())?;
-                    sources.push(src);
-                }
-                Arc::new(Table::from_parts(
-                    table.name().to_string(),
-                    table.schema().to_vec(),
-                    sources,
-                ))
-            }
-            None => Arc::new(table),
-        };
-        self.commit_latest(WriteSet::single(&upper, TableWrite::Put {
-            table,
-            expect_absent: false,
-        }))?;
-        Ok(())
     }
 
     /// A `CREATE`-style commit: publishes a new table `name` from the schema
@@ -853,7 +823,7 @@ pub(crate) fn compile_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::ColumnType;
+    use crate::storage::{ColumnType, DEFAULT_PARTITION_ROWS};
 
     fn db_with_nums() -> Database {
         let db = Database::new();
@@ -864,6 +834,7 @@ mod tests {
                 ColumnDef::new("B", ColumnType::Float),
             ],
             (0..10).map(|i| vec![Variant::Int(i), Variant::Float(i as f64 * 0.5)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         db
@@ -955,7 +926,7 @@ mod tests {
     #[test]
     fn zone_map_pruning_skips_partitions() {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..100).map(|i| vec![Variant::Int(i)]),
@@ -966,6 +937,17 @@ mod tests {
         assert_eq!(r.rows.len(), 5);
         assert_eq!(r.profile.scan.partitions_total, 10);
         assert_eq!(r.profile.scan.partitions_scanned, 1);
+    }
+
+    #[test]
+    fn a_load_with_zero_rows_per_partition_is_a_typed_error() {
+        let db = db_with_nums();
+        let rows = (0..3).map(|i| vec![Variant::Int(i), Variant::Float(0.0)]);
+        match db.load_table("nums", db.table("nums").unwrap().schema().to_vec(), rows, 0) {
+            Err(SnowError::Catalog(m)) => assert!(m.contains("must be positive"), "{m}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(db.table("nums").unwrap().row_count(), 10, "the old table stays live");
     }
 
     #[test]
@@ -1009,7 +991,7 @@ mod tests {
     #[test]
     fn update_and_delete_rewrite_only_touched_partitions() {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..100).map(|i| vec![Variant::Int(i)]),
@@ -1047,6 +1029,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             vec![vec![Variant::Int(1)], vec![Variant::Null], vec![Variant::Int(3)]],
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         // x > 2 is NULL on the NULL row: the row must survive.

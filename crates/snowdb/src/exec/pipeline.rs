@@ -1513,7 +1513,7 @@ mod tests {
     /// `a - fail_at` (so the subquery fails at that row, or never).
     fn self_join_db(fail_at: i64) -> (Database, String) {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("A", ColumnType::Int)],
             (0..64).map(|i| vec![Variant::Int(i)]),

@@ -350,14 +350,15 @@ fn flatten_fanout(expr: &PExpr, cols: &[Option<Arc<ColumnStats>>], outer: bool) 
 mod tests {
     use super::*;
     use crate::plan::Field;
-    use crate::storage::{ColumnDef, ColumnType, TableBuilder};
+    use crate::storage::{ColumnDef, ColumnType, MemSink, TableBuilder, DEFAULT_PARTITION_ROWS};
 
     fn table(rows: i64, distinct: i64) -> Arc<crate::storage::Table> {
         let schema = vec![
             ColumnDef::new("K", ColumnType::Int),
             ColumnDef::new("V", ColumnType::Int),
         ];
-        let mut b = TableBuilder::new("t", schema);
+        let sink = Box::new(MemSink);
+        let mut b = TableBuilder::new("t", schema, DEFAULT_PARTITION_ROWS, sink).unwrap();
         for i in 0..rows {
             b.push_row(&[Variant::Int(i % distinct), Variant::Int(i)]).unwrap();
         }

@@ -338,7 +338,7 @@ mod tests {
                 row
             })
             .collect();
-        db.load_table_with_partition_rows(name, schema, data, 64).unwrap();
+        db.load_table(name, schema, data, 64).unwrap();
     }
 
     /// The SSB tables (the generator's schemas, random contents) and

@@ -261,7 +261,7 @@ fn same_expr(a: &PExpr, b: &PExpr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{ColumnDef, ColumnType};
+    use crate::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
     use crate::{Database, Variant};
 
     fn db() -> Database {
@@ -270,6 +270,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("A", ColumnType::Int), ColumnDef::new("B", ColumnType::Int)],
             (0..8).map(|i| vec![Variant::Int(i), Variant::Int(i * 2)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         db

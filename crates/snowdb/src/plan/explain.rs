@@ -276,7 +276,7 @@ pub fn expr_str(e: &PExpr) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::storage::{ColumnDef, ColumnType};
+    use crate::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
     use crate::{Database, Variant};
 
     #[test]
@@ -289,6 +289,7 @@ mod tests {
                 ColumnDef::new("B", ColumnType::Int),
             ],
             (0..3).map(|i| vec![Variant::Int(i), Variant::Int(i * 2)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         let plan = db.compile("SELECT a FROM t WHERE a > 1 ORDER BY a").unwrap();
@@ -307,6 +308,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("A", ColumnType::Int)],
             (0..100).map(|i| vec![Variant::Int(i)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         let plan = db.compile("SELECT a FROM t WHERE a IS NOT NULL").unwrap();

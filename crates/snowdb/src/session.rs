@@ -404,7 +404,7 @@ impl StatementCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{ColumnDef, ColumnType};
+    use crate::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
     use crate::variant::Variant;
 
     fn shared_db() -> Arc<Database> {
@@ -413,6 +413,7 @@ mod tests {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..10).map(|i| vec![Variant::Int(i)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
         db

@@ -105,16 +105,6 @@ impl SchemaInferer {
     }
 }
 
-/// Infers a schema from already-parsed documents (the non-streaming
-/// convenience wrapper over [`SchemaInferer`]).
-pub fn infer_schema(docs: &[Variant]) -> Result<Vec<ColumnDef>> {
-    let mut inf = SchemaInferer::new();
-    for d in docs {
-        inf.observe(d)?;
-    }
-    inf.finish()
-}
-
 /// Extracts one row from a document, matching schema names back to document
 /// keys case-insensitively; missing keys load as NULL.
 fn row_from_doc(doc: &Variant, names: &[String]) -> Vec<Variant> {
@@ -175,13 +165,17 @@ impl Database {
         let names: Vec<String> = schema.iter().map(|c| c.name.clone()).collect();
 
         // Pass 2: re-parse and stream rows into the (possibly disk-flushing)
-        // table builder; partitions seal and flush incrementally.
-        let rows = mk_lines()?.filter_map(move |line| match line {
-            Ok(l) if l.trim().is_empty() => None,
-            Ok(l) => Some(parse_json(&l).map(|doc| row_from_doc(&doc, &names))),
-            Err(e) => Some(Err(e)),
-        });
-        self.load_table_stream(table, schema, rows, DEFAULT_PARTITION_ROWS)?;
+        // table builder; partitions seal and flush incrementally, and a read
+        // or parse error aborts the load before anything is committed.
+        self.replace_table(table, schema, DEFAULT_PARTITION_ROWS, |b| {
+            for line in mk_lines()? {
+                let line = line?;
+                if !line.trim().is_empty() {
+                    b.push_row(&row_from_doc(&parse_json(&line)?, &names))?;
+                }
+            }
+            Ok(())
+        })?;
         Ok(n)
     }
 }
@@ -237,16 +231,6 @@ impl Database {
             rows_per_commit: rows_per_commit.max(1),
             report: IngestReport::default(),
         })
-    }
-
-    /// One-shot convenience over [`Database::stream_ingest`]: appends every
-    /// line of `text` in `rows_per_commit`-sized micro-commits.
-    pub fn append_jsonl(&self, table: &str, text: &str, rows_per_commit: usize) -> Result<IngestReport> {
-        let mut ing = self.stream_ingest(table, rows_per_commit)?;
-        for line in text.lines() {
-            ing.push_json(line)?;
-        }
-        ing.finish()
     }
 }
 
@@ -326,13 +310,19 @@ impl StreamIngestor<'_> {
 mod tests {
     use super::*;
 
+    fn infer(lines: &[&str]) -> Result<Vec<ColumnDef>> {
+        let mut inf = SchemaInferer::new();
+        for line in lines {
+            inf.observe(&parse_json(line).unwrap())?;
+        }
+        inf.finish()
+    }
+
     #[test]
     fn infers_scalar_types_and_order() {
-        let docs = vec![
-            parse_json(r#"{"a": 1, "b": "x", "c": true}"#).unwrap(),
-            parse_json(r#"{"a": 2.5, "b": "y", "c": false}"#).unwrap(),
-        ];
-        let schema = infer_schema(&docs).unwrap();
+        let schema =
+            infer(&[r#"{"a": 1, "b": "x", "c": true}"#, r#"{"a": 2.5, "b": "y", "c": false}"#])
+                .unwrap();
         assert_eq!(schema.len(), 3);
         assert_eq!(schema[0], ColumnDef::new("A", ColumnType::Float)); // widened
         assert_eq!(schema[1].ty, ColumnType::Str);
@@ -341,11 +331,7 @@ mod tests {
 
     #[test]
     fn conflicting_types_become_variant() {
-        let docs = vec![
-            parse_json(r#"{"a": 1}"#).unwrap(),
-            parse_json(r#"{"a": "one"}"#).unwrap(),
-        ];
-        let schema = infer_schema(&docs).unwrap();
+        let schema = infer(&[r#"{"a": 1}"#, r#"{"a": "one"}"#]).unwrap();
         assert_eq!(schema[0].ty, ColumnType::Variant);
     }
 

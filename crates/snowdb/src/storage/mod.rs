@@ -20,7 +20,7 @@ pub mod stats;
 mod table;
 
 pub use encode::encode_from_env;
-pub use ingest::{infer_schema, IngestReport, StreamIngestor};
+pub use ingest::{IngestReport, StreamIngestor};
 pub use stats::{ColumnStats, KmvSketch, TableStats};
 pub use table::{
     ColumnDef, MemSink, MicroPartition, PartitionSink, Table, TableBuilder,

@@ -244,31 +244,23 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Starts a builder with the default partition size.
-    pub fn new(name: impl Into<String>, schema: Vec<ColumnDef>) -> TableBuilder {
-        TableBuilder::with_partition_rows(name, schema, DEFAULT_PARTITION_ROWS)
-    }
-
-    /// Starts a builder with an explicit rows-per-partition bound.
-    pub fn with_partition_rows(
-        name: impl Into<String>,
-        schema: Vec<ColumnDef>,
-        partition_rows: usize,
-    ) -> TableBuilder {
-        TableBuilder::with_sink(name, schema, partition_rows, Box::new(MemSink))
-    }
-
-    /// Starts a builder flushing sealed partitions into `sink`.
-    pub fn with_sink(
+    /// Starts a builder sealing partitions of `partition_rows` rows into
+    /// `sink`. A partition size of zero is a typed catalog error.
+    pub fn new(
         name: impl Into<String>,
         schema: Vec<ColumnDef>,
         partition_rows: usize,
         sink: Box<dyn PartitionSink>,
-    ) -> TableBuilder {
-        assert!(partition_rows > 0, "partition size must be positive");
+    ) -> Result<TableBuilder> {
+        let name = name.into();
+        if partition_rows == 0 {
+            return Err(SnowError::Catalog(format!(
+                "table {name}: rows per partition must be positive"
+            )));
+        }
         let open = schema.iter().map(|c| empty_column(c.ty)).collect();
-        TableBuilder {
-            name: name.into(),
+        Ok(TableBuilder {
+            name,
             schema,
             partition_rows,
             sink,
@@ -276,7 +268,7 @@ impl TableBuilder {
             open,
             open_rows: 0,
             total_rows: 0,
-        }
+        })
     }
 
     /// Appends one row; the row must have exactly one value per schema column.
@@ -369,6 +361,10 @@ mod tests {
         ColumnDef::new(name, ColumnType::Int)
     }
 
+    fn builder(schema: Vec<ColumnDef>, partition_rows: usize) -> TableBuilder {
+        TableBuilder::new("t", schema, partition_rows, Box::new(MemSink)).unwrap()
+    }
+
     fn pushed(ty: ColumnType, vals: &[Variant]) -> ColumnVec {
         let mut c = empty_column(ty);
         for v in vals {
@@ -411,7 +407,7 @@ mod tests {
 
     #[test]
     fn builder_partitions_by_row_count() {
-        let mut b = TableBuilder::with_partition_rows("t", vec![int_col("a")], 3);
+        let mut b = builder(vec![int_col("a")], 3);
         for i in 0..10 {
             b.push_row(&[Variant::Int(i)]).unwrap();
         }
@@ -445,9 +441,9 @@ mod tests {
         for ty in [ColumnType::Int, ColumnType::Float, ColumnType::Bool, ColumnType::Str, ColumnType::Variant] {
             for src in &sources {
                 let schema = vec![ColumnDef::new("c", ty)];
-                let mut by_cols = TableBuilder::with_partition_rows("t", schema.clone(), 4);
+                let mut by_cols = builder(schema.clone(), 4);
                 by_cols.push_rows_from(&[src], order).unwrap();
-                let mut by_rows = TableBuilder::with_partition_rows("t", schema, 4);
+                let mut by_rows = builder(schema, 4);
                 for r in order {
                     by_rows.push_row(&[src.get(r)]).unwrap();
                 }
@@ -459,19 +455,19 @@ mod tests {
                 }
             }
         }
-        let mut b = TableBuilder::new("t", vec![int_col("a"), int_col("b")]);
+        let mut b = builder(vec![int_col("a"), int_col("b")], DEFAULT_PARTITION_ROWS);
         assert!(b.push_rows_from(&[&sources[0]], 0..1).is_err());
     }
 
     #[test]
     fn builder_rejects_wrong_arity() {
-        let mut b = TableBuilder::new("t", vec![int_col("a"), int_col("b")]);
+        let mut b = builder(vec![int_col("a"), int_col("b")], DEFAULT_PARTITION_ROWS);
         assert!(b.push_row(&[Variant::Int(1)]).is_err());
     }
 
     #[test]
     fn partition_zone_maps_cover_their_rows_only() {
-        let mut b = TableBuilder::with_partition_rows("t", vec![int_col("a")], 2);
+        let mut b = builder(vec![int_col("a")], 2);
         for i in [1, 2, 100, 200] {
             b.push_row(&[Variant::Int(i)]).unwrap();
         }
@@ -484,7 +480,7 @@ mod tests {
 
     #[test]
     fn column_index_is_case_insensitive() {
-        let t = TableBuilder::new("t", vec![int_col("Foo")]).finish().unwrap();
+        let t = builder(vec![int_col("Foo")], DEFAULT_PARTITION_ROWS).finish().unwrap();
         assert_eq!(t.column_index("FOO"), Some(0));
         assert_eq!(t.column_index("foo"), Some(0));
         assert_eq!(t.column_index("bar"), None);
@@ -492,7 +488,7 @@ mod tests {
 
     #[test]
     fn empty_table_has_no_partitions() {
-        let t = TableBuilder::new("t", vec![int_col("a")]).finish().unwrap();
+        let t = builder(vec![int_col("a")], DEFAULT_PARTITION_ROWS).finish().unwrap();
         assert_eq!(t.partitions().len(), 0);
         assert_eq!(t.row_count(), 0);
         assert_eq!(t.total_bytes(), 0);
@@ -500,7 +496,7 @@ mod tests {
 
     #[test]
     fn table_stats_aggregate_across_partitions() {
-        let mut b = TableBuilder::with_partition_rows("t", vec![int_col("a")], 4);
+        let mut b = builder(vec![int_col("a")], 4);
         for i in 0..10 {
             b.push_row(&[if i % 5 == 0 { Variant::Null } else { Variant::Int(i % 3) }])
                 .unwrap();
@@ -525,7 +521,7 @@ mod tests {
                 Err(SnowError::Storage("disk full".into()))
             }
         }
-        let mut b = TableBuilder::with_sink("t", vec![int_col("a")], 2, Box::new(FailSink));
+        let mut b = TableBuilder::new("t", vec![int_col("a")], 2, Box::new(FailSink)).unwrap();
         b.push_row(&[Variant::Int(1)]).unwrap();
         let err = b.push_row(&[Variant::Int(2)]).unwrap_err();
         assert!(matches!(err, SnowError::Storage(_)));

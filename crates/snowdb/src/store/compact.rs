@@ -259,7 +259,7 @@ mod tests {
 
     fn db_with_small_parts(parts: usize, rows_per: usize) -> Database {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..(parts * rows_per) as i64).map(|i| vec![Variant::Int(i)]),

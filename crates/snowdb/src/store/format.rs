@@ -55,7 +55,7 @@
 //! out-of-range dictionary codes and inconsistent run lengths) — corrupt
 //! input never panics.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -173,7 +173,7 @@ fn malformed(m: codec::Malformed) -> SnowError {
     storage(m.0)
 }
 
-fn io_err(path: &Path, what: &str, e: std::io::Error) -> SnowError {
+pub(super) fn io_err(path: &Path, what: &str, e: std::io::Error) -> SnowError {
     storage(format!("{}: {what}: {e}", path.display()))
 }
 
@@ -712,14 +712,10 @@ fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
 // Whole-file writer / reader.
 // ---------------------------------------------------------------------------
 
-/// Writes a sealed micro-partition to `path` and fsyncs it. The file is not
-/// visible to any reader until a manifest commit references it, so the write
-/// needs no temp-file dance of its own.
-pub fn write_partition(
-    path: &Path,
-    schema: &[ColumnDef],
-    part: &MicroPartition,
-) -> Result<PartitionMeta> {
+/// The bytes of the partition file of a sealed micro-partition, and the
+/// footer they carry. Writing them is the store's business: its partition
+/// sink is the one place a partition file is created.
+pub fn encode_partition(schema: &[ColumnDef], part: &MicroPartition) -> (Vec<u8>, PartitionMeta) {
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -753,11 +749,7 @@ pub fn write_partition(
     buf.extend_from_slice(&crc32(&footer).to_le_bytes());
     buf.extend_from_slice(&(footer.len() as u32).to_le_bytes());
     buf.extend_from_slice(&MAGIC);
-
-    let mut f = std::fs::File::create(path).map_err(|e| io_err(path, "create", e))?;
-    f.write_all(&buf).map_err(|e| io_err(path, "write", e))?;
-    f.sync_all().map_err(|e| io_err(path, "fsync", e))?;
-    Ok(meta)
+    (buf, meta)
 }
 
 /// Reads and validates the footer of a partition file: magic, version, and
@@ -856,7 +848,7 @@ fn with_ctx(prefix: &str, e: SnowError) -> SnowError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::TableBuilder;
+    use crate::storage::{MemSink, TableBuilder};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -868,6 +860,12 @@ mod tests {
         ))
     }
 
+    fn write_to(path: &Path, schema: &[ColumnDef], part: &MicroPartition) -> PartitionMeta {
+        let (bytes, meta) = encode_partition(schema, part);
+        std::fs::write(path, bytes).unwrap();
+        meta
+    }
+
     fn sample_partition() -> (Vec<ColumnDef>, MicroPartition) {
         let schema = vec![
             ColumnDef::new("I", ColumnType::Int),
@@ -876,7 +874,7 @@ mod tests {
             ColumnDef::new("S", ColumnType::Str),
             ColumnDef::new("V", ColumnType::Variant),
         ];
-        let mut b = TableBuilder::with_partition_rows("t", schema.clone(), 64);
+        let mut b = TableBuilder::new("t", schema.clone(), 64, Box::new(MemSink)).unwrap();
         for i in 0..13i64 {
             let nested = crate::variant::parse_json(&format!(
                 "{{\"a\": [{i}, null, {{\"deep\": \"x{i}\"}}], \"b\": {}}}",
@@ -901,7 +899,7 @@ mod tests {
     fn partition_file_roundtrip_all_types() {
         let (schema, part) = sample_partition();
         let path = temp_path("roundtrip");
-        let meta = write_partition(&path, &schema, &part).unwrap();
+        let meta = write_to(&path, &schema, &part);
         assert_eq!(meta.row_count, 13);
         assert_eq!(meta.columns.len(), 5);
 
@@ -927,14 +925,14 @@ mod tests {
     #[test]
     fn float_zone_maps_roundtrip_bit_exact() {
         let schema = vec![ColumnDef::new("F", ColumnType::Float)];
-        let mut b = TableBuilder::with_partition_rows("t", schema.clone(), 8);
+        let mut b = TableBuilder::new("t", schema.clone(), 8, Box::new(MemSink)).unwrap();
         for v in [-0.0f64, 1.0e-300, f64::MAX] {
             b.push_row(&[Variant::Float(v)]).unwrap();
         }
         let t = b.finish().unwrap();
         let part = t.partitions()[0].as_mem().unwrap().clone();
         let path = temp_path("floatzm");
-        write_partition(&path, &schema, &part).unwrap();
+        write_to(&path, &schema, &part);
         let footer = read_footer(&path).unwrap();
         let zm = footer.columns[0].zone_map.as_ref().unwrap();
         assert_eq!(zm.min, Variant::Float(-0.0));
@@ -946,7 +944,7 @@ mod tests {
     fn corrupt_block_fails_with_typed_checksum_error() {
         let (schema, part) = sample_partition();
         let path = temp_path("corrupt");
-        let meta = write_partition(&path, &schema, &part).unwrap();
+        let meta = write_to(&path, &schema, &part);
         // Flip one byte inside the first column's block.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[meta.columns[0].offset as usize] ^= 0xFF;
@@ -965,7 +963,7 @@ mod tests {
     fn truncated_footer_fails_typed() {
         let (schema, part) = sample_partition();
         let path = temp_path("trunc");
-        write_partition(&path, &schema, &part).unwrap();
+        write_to(&path, &schema, &part);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         let err = read_footer(&path).unwrap_err();
@@ -977,7 +975,7 @@ mod tests {
     fn wrong_magic_and_version_fail_typed() {
         let (schema, part) = sample_partition();
         let path = temp_path("magic");
-        write_partition(&path, &schema, &part).unwrap();
+        write_to(&path, &schema, &part);
         let good = std::fs::read(&path).unwrap();
 
         let mut bad_magic = good.clone();
@@ -1022,7 +1020,7 @@ mod tests {
             ColumnDef::new("I", ColumnType::Int),
             ColumnDef::new("B", ColumnType::Bool),
         ];
-        let mut b = TableBuilder::with_partition_rows("t", schema.clone(), 512);
+        let mut b = TableBuilder::new("t", schema.clone(), 512, Box::new(MemSink)).unwrap();
         for i in 0..300i64 {
             b.push_row(&[
                 if i % 11 == 0 {
@@ -1044,7 +1042,7 @@ mod tests {
     fn encoded_partition_roundtrips_and_shrinks() {
         let (schema, part) = encoded_partition();
         let path = temp_path("encoded");
-        let meta = write_partition(&path, &schema, &part).unwrap();
+        let meta = write_to(&path, &schema, &part);
         assert_eq!(meta.columns[0].encoding, BlockEncoding::DictStr);
         assert_eq!(meta.columns[1].encoding, BlockEncoding::RleInt);
         assert_eq!(meta.columns[2].encoding, BlockEncoding::RleBool);
@@ -1068,7 +1066,7 @@ mod tests {
             (0..schema.len()).map(|c| Arc::new(part.column(c).decoded())).collect(),
         );
         let plain_path = temp_path("plain");
-        let plain_meta = write_partition(&plain_path, &schema, &plain_part).unwrap();
+        let plain_meta = write_to(&plain_path, &schema, &plain_part);
         assert!(
             meta.total_block_bytes() < plain_meta.total_block_bytes(),
             "encoded {} >= plain {}",
@@ -1083,7 +1081,7 @@ mod tests {
     fn column_stats_roundtrip_through_v3_footer() {
         let (schema, part) = sample_partition();
         let path = temp_path("stats");
-        write_partition(&path, &schema, &part).unwrap();
+        write_to(&path, &schema, &part);
         let footer = read_footer(&path).unwrap();
         for (i, cm) in footer.columns.iter().enumerate() {
             assert_eq!(&cm.stats, part.column_stats(i), "col {i} stats diverge after roundtrip");
@@ -1099,7 +1097,7 @@ mod tests {
     fn corrupt_dict_block_fails_with_typed_checksum_error() {
         let (schema, part) = encoded_partition();
         let path = temp_path("dictflip");
-        let meta = write_partition(&path, &schema, &part).unwrap();
+        let meta = write_to(&path, &schema, &part);
         assert_eq!(meta.columns[0].encoding, BlockEncoding::DictStr);
         // Flip one byte inside the dictionary block.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1163,7 +1161,7 @@ mod tests {
     fn unknown_encoding_id_fails_typed() {
         let (schema, part) = sample_partition();
         let path = temp_path("unkenc");
-        write_partition(&path, &schema, &part).unwrap();
+        write_to(&path, &schema, &part);
         let mut bytes = std::fs::read(&path).unwrap();
         // Locate the footer via the trailer, patch the first column's
         // encoding byte to an unknown id, and re-seal the footer CRC so only
@@ -1276,7 +1274,7 @@ mod tests {
     fn a_variant_block_allocates_each_key_once() {
         let (schema, part) = sample_partition();
         let path = temp_path("keys");
-        write_partition(&path, &schema, &part).unwrap();
+        write_to(&path, &schema, &part);
         let footer = read_footer(&path).unwrap();
         let col = read_column(&path, &footer.columns[4], footer.row_count).unwrap();
         let ColumnVec::Var(rows) = &col else { panic!("a VARIANT block decodes boxed") };

@@ -17,7 +17,10 @@
 //!
 //! Invariants:
 //! - partition files are written *before* the manifest commit that
-//!   references them and never modified afterwards;
+//!   references them and never modified afterwards: [`DiskSink`] is their
+//!   one writer, and it opens each new name `create_new`;
+//! - a read-only store writes nothing — the sink and every commit refuse it
+//!   before a file id is allocated or a byte is written;
 //! - the rename of `MANIFEST.tmp` onto `MANIFEST` is the single atomic
 //!   commit point — a crash at any step reopens to the previous version;
 //! - partition file names are never reused (`next_file` is persisted), so a
@@ -196,7 +199,8 @@ impl Store {
 
     /// Opens the directory read-only: no advisory lock (so it works alongside
     /// a live writer process), no debris sweep (debris may be that writer's
-    /// in-flight commit), and every commit is refused.
+    /// in-flight commit), and nothing is ever written — every partition file
+    /// and every commit is refused (`Store::refuse_read_only`).
     pub fn open_read_only(dir: impl AsRef<Path>) -> Result<(Arc<Store>, Vec<Table>)> {
         Store::open_mode(dir, true)
     }
@@ -204,10 +208,9 @@ impl Store {
     fn open_mode(dir: impl AsRef<Path>, read_only: bool) -> Result<(Arc<Store>, Vec<Table>)> {
         let dir = dir.as_ref().to_path_buf();
         let parts_dir = dir.join("parts");
-        std::fs::create_dir_all(&parts_dir)
-            .map_err(|e| storage(format!("{}: create: {e}", parts_dir.display())))?;
-
         if !read_only {
+            std::fs::create_dir_all(&parts_dir)
+                .map_err(|e| storage(format!("{}: create: {e}", parts_dir.display())))?;
             acquire_lock(&dir)?;
         }
         let committed = manifest::read_manifest(&dir)?.unwrap_or_default();
@@ -289,57 +292,24 @@ impl Store {
         id
     }
 
-    /// Writes one sealed partition as an immutable file (not yet visible:
-    /// only a manifest commit publishes it). Returns the scan source plus the
-    /// manifest reference for the commit.
-    pub fn write_partition(
-        self: &Arc<Store>,
-        part: &MicroPartition,
-        schema: &[ColumnDef],
-    ) -> Result<(Arc<ScanSource>, PartRef)> {
-        let file_id = self.alloc_file_id();
-        let file = format!("p{file_id}.part");
-        let path = self.parts_dir.join(&file);
-        let meta = format::write_partition(&path, schema, part)?;
-        let pref = PartRef { file, rows: meta.row_count };
-        let disk = DiskPartition { path, file_id, meta, cache: self.cache.clone(), _pin: None };
-        Ok((Arc::new(ScanSource::Disk(disk)), pref))
-    }
-
     /// A [`PartitionSink`](crate::storage::PartitionSink) that streams sealed
-    /// partitions straight to disk, collecting their manifest references.
+    /// partitions straight to partition files; a commit publishes them.
     pub fn sink(self: &Arc<Store>, schema: Vec<ColumnDef>) -> DiskSink {
-        DiskSink {
-            store: self.clone(),
-            schema,
-            refs: Arc::new(Mutex::new(Vec::new())),
+        DiskSink { store: self.clone(), schema }
+    }
+
+    /// The typed error every write to a read-only store gets, before it
+    /// allocates a file name or touches a file: a reader's `next_file` is
+    /// the one of the manifest it opened, and may name a file a live writer
+    /// has committed since.
+    fn refuse_read_only(&self) -> Result<()> {
+        if self.read_only {
+            return Err(storage(format!(
+                "{}: database is read-only (opened without the write lock)",
+                self.dir.display()
+            )));
         }
-    }
-
-    /// Commits a new or replaced table atomically. On error (including
-    /// injected `ManifestCommit` faults) the previous catalog version stays
-    /// committed and the freshly written files remain invisible debris.
-    pub fn commit_table(
-        &self,
-        name: &str,
-        schema: Vec<ColumnDef>,
-        partitions: Vec<PartRef>,
-    ) -> Result<u64> {
-        self.commit_with(|m| {
-            m.tables
-                .insert(name.to_string(), TableManifest { schema, partitions });
-        })
-    }
-
-    /// Commits a table drop; returns the new version. The dropped table's
-    /// files are *not* unlinked here: the drop's predecessor version stays in
-    /// the retention history (that is what `UNDROP` restores from), and GC
-    /// unlinks the files only once every retained version and pin that
-    /// references them is gone.
-    pub fn commit_drop(&self, name: &str) -> Result<u64> {
-        self.commit_with(|m| {
-            m.tables.remove(name);
-        })
+        Ok(())
     }
 
     /// Every commit follows the same lifecycle: archive the current version
@@ -350,12 +320,7 @@ impl Store {
     /// eviction is the *only* point where a committed file can become
     /// unreachable, and [`Store::sweep_unreachable`] is the only unlink site.
     fn commit_with(&self, mutate: impl FnOnce(&mut Manifest)) -> Result<u64> {
-        if self.read_only {
-            return Err(storage(format!(
-                "{}: database is read-only (opened without the write lock)",
-                self.dir.display()
-            )));
-        }
+        self.refuse_read_only()?;
         let mut state = self.state.lock().expect("store state lock");
         let mut next = state.clone();
         next.archive_current();
@@ -638,27 +603,34 @@ impl Store {
     }
 }
 
-/// Streams sealed partitions to disk during ingest. Clone-cheap: clones share
-/// the collected manifest references.
-#[derive(Clone)]
+/// Streams sealed partitions to disk as they seal: the one writer of
+/// partition files.
 pub struct DiskSink {
     store: Arc<Store>,
     schema: Vec<ColumnDef>,
-    refs: Arc<Mutex<Vec<PartRef>>>,
-}
-
-impl DiskSink {
-    /// The manifest references of every partition flushed so far, in order.
-    pub fn refs(&self) -> Vec<PartRef> {
-        self.refs.lock().expect("sink refs lock").clone()
-    }
 }
 
 impl crate::storage::PartitionSink for DiskSink {
+    /// Writes one sealed partition as a new immutable file and fsyncs it.
+    /// The file is invisible until a manifest commit references it, so it
+    /// needs no temp-file dance; it is opened `create_new`, so no write can
+    /// truncate an existing partition file.
     fn flush(&self, part: MicroPartition) -> Result<Arc<ScanSource>> {
-        let (source, pref) = self.store.write_partition(&part, &self.schema)?;
-        self.refs.lock().expect("sink refs lock").push(pref);
-        Ok(source)
+        use std::io::Write as _;
+        let store = &self.store;
+        store.refuse_read_only()?;
+        let file_id = store.alloc_file_id();
+        let path = store.parts_dir.join(format!("p{file_id}.part"));
+        let (bytes, meta) = format::encode_partition(&self.schema, &part);
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| format::io_err(&path, "create", e))?;
+        f.write_all(&bytes).map_err(|e| format::io_err(&path, "write", e))?;
+        f.sync_all().map_err(|e| format::io_err(&path, "fsync", e))?;
+        let disk = DiskPartition { path, file_id, meta, cache: store.cache.clone(), _pin: None };
+        Ok(Arc::new(ScanSource::Disk(disk)))
     }
 }
 
@@ -787,6 +759,7 @@ fn sweep_debris(dir: &Path, parts_dir: &Path, committed: &Manifest) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{TableWrite, WriteSet};
     use crate::storage::{ColumnType, TableBuilder};
     use crate::Variant;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -804,14 +777,19 @@ mod tests {
         ]
     }
 
-    fn build_table(store: &Arc<Store>, rows: i64) -> (Table, Vec<PartRef>) {
-        let sink = store.sink(schema());
-        let mut b = TableBuilder::with_sink("T", schema(), 4, Box::new(sink.clone()));
+    fn build_table(store: &Arc<Store>, rows: i64) -> Arc<Table> {
+        let sink = Box::new(store.sink(schema()));
+        let mut b = TableBuilder::new("T", schema(), 4, sink).unwrap();
         for i in 0..rows {
             b.push_row(&[Variant::Int(i), Variant::str(format!("n{i}"))]).unwrap();
         }
-        let t = b.finish().unwrap();
-        (t, sink.refs())
+        Arc::new(b.finish().unwrap())
+    }
+
+    /// Commits `table` as `name`, replacing any table of that name.
+    fn put(store: &Store, name: &str, table: &Arc<Table>) -> Result<u64> {
+        let put = TableWrite::Put { table: table.clone(), expect_absent: false };
+        store.commit_writes(&WriteSet::single(name, put))
     }
 
     #[test]
@@ -819,10 +797,9 @@ mod tests {
         let dir = temp_dir("roundtrip");
         {
             let store = Store::create(&dir).unwrap();
-            let (t, refs) = build_table(&store, 10);
+            let t = build_table(&store, 10);
             assert_eq!(t.partitions().len(), 3);
-            assert_eq!(refs.len(), 3);
-            store.commit_table("T", schema(), refs).unwrap();
+            put(&store, "T", &t).unwrap();
             assert_eq!(store.version(), 1);
         }
         let (store, tables) = Store::open(&dir).unwrap();
@@ -844,9 +821,7 @@ mod tests {
         let dir = temp_dir("sweep");
         {
             let store = Store::create(&dir).unwrap();
-            let (t, refs) = build_table(&store, 8);
-            store.commit_table("T", schema(), refs).unwrap();
-            drop(t);
+            put(&store, "T", &build_table(&store, 8)).unwrap();
             // A second table is written but never committed (simulated crash).
             let _ = build_table(&store, 5);
         }
@@ -865,8 +840,8 @@ mod tests {
     fn cache_hit_makes_reads_free() {
         let dir = temp_dir("cache");
         let store = Store::create(&dir).unwrap();
-        let (t, refs) = build_table(&store, 4);
-        store.commit_table("T", schema(), refs).unwrap();
+        let t = build_table(&store, 4);
+        put(&store, "T", &t).unwrap();
         let gov = QueryGovernor::unbounded();
         let cold = t.partitions()[0].read_column_governed(0, &gov, "Scan").unwrap();
         assert!(cold.io_bytes > 0);
@@ -882,8 +857,8 @@ mod tests {
     fn disk_reads_charge_memory_budget_on_miss_only() {
         let dir = temp_dir("gov");
         let store = Store::create(&dir).unwrap();
-        let (t, refs) = build_table(&store, 4);
-        store.commit_table("T", schema(), refs).unwrap();
+        let t = build_table(&store, 4);
+        put(&store, "T", &t).unwrap();
         // Budget too small for the decoded block: the miss trips it.
         let tight = QueryGovernor::unbounded().with_memory_limit(1);
         let err = t.partitions()[0]
@@ -899,12 +874,11 @@ mod tests {
     }
 
     #[test]
-    fn commit_drop_retains_history_then_gc_unlinks_past_retention() {
+    fn a_drop_retains_history_then_gc_unlinks_past_retention() {
         let dir = temp_dir("drop");
         let store = Store::create(&dir).unwrap();
-        let (_t, refs) = build_table(&store, 8);
-        store.commit_table("T", schema(), refs).unwrap();
-        store.commit_drop("T").unwrap();
+        put(&store, "T", &build_table(&store, 8)).unwrap();
+        store.commit_writes(&WriteSet::single("T", TableWrite::Drop)).unwrap();
         assert_eq!(store.version(), 2);
         // The drop keeps the files: version 1 is retained and UNDROP-able.
         assert_eq!(std::fs::read_dir(dir.join("parts")).unwrap().count(), 2);
@@ -925,12 +899,10 @@ mod tests {
         let dir = temp_dir("retain");
         {
             let store = Store::create(&dir).unwrap();
-            let (_t, refs) = build_table(&store, 8);
-            store.commit_table("T", schema(), refs).unwrap();
-            let (_t2, refs2) = build_table(&store, 4);
+            put(&store, "T", &build_table(&store, 8)).unwrap();
             // Replace the table's partitions entirely: version 1's files are
             // now referenced only by the history.
-            store.commit_table("T", schema(), refs2).unwrap();
+            put(&store, "T", &build_table(&store, 4)).unwrap();
         }
         // Reopen sweeps debris — the historical files must survive it (the
         // pre-retention sweeper would have deleted them here).
@@ -948,13 +920,11 @@ mod tests {
     fn pinned_files_survive_eviction_until_pin_drops() {
         let dir = temp_dir("pin");
         let store = Store::create(&dir).unwrap();
-        let (_t, refs) = build_table(&store, 8);
-        store.commit_table("T", schema(), refs).unwrap();
+        put(&store, "T", &build_table(&store, 8)).unwrap();
         // Pin version 1 (as a long-running reader would), then replace the
         // table's partitions and evict version 1 from retention.
         let old = store.open_table_at(1, "T").unwrap().unwrap();
-        let (_t2, refs2) = build_table(&store, 4);
-        store.commit_table("T", schema(), refs2).unwrap();
+        put(&store, "T", &build_table(&store, 4)).unwrap();
         store.set_retention(1).unwrap();
         // Version 1's two files are deferred, not unlinked: still scannable.
         assert_eq!(std::fs::read_dir(dir.join("parts")).unwrap().count(), 3);
@@ -971,13 +941,11 @@ mod tests {
     fn injected_commit_fault_preserves_previous_version() {
         let dir = temp_dir("chaos");
         let store = Store::create(&dir).unwrap();
-        let (_t, refs) = build_table(&store, 8);
-        store.commit_table("T", schema(), refs).unwrap();
+        put(&store, "T", &build_table(&store, 8)).unwrap();
         // Period-1 schedule: the very first injection point fires, killing
         // the commit before the rename.
         store.set_chaos(Some(ChaosSchedule::with_period(0xC0FFEE, 1)));
-        let (_t2, refs2) = build_table(&store, 3);
-        let err = store.commit_table("T2", schema(), refs2).unwrap_err();
+        let err = put(&store, "T2", &build_table(&store, 3)).unwrap_err();
         assert!(matches!(err, SnowError::Storage(_) | SnowError::Internal(_)), "{err}");
         store.set_chaos(None);
         assert_eq!(store.version(), 1, "failed commit must not advance the version");
@@ -994,7 +962,7 @@ mod tests {
     fn create_refuses_existing_database() {
         let dir = temp_dir("refuse");
         let store = Store::create(&dir).unwrap();
-        store.commit_table("T", schema(), vec![]).unwrap();
+        put(&store, "T", &build_table(&store, 0)).unwrap();
         drop(store);
         let err = Store::create(&dir).unwrap_err();
         assert!(matches!(err, SnowError::Storage(_)), "{err}");

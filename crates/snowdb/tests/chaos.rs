@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use common::{install_chaos_hook, schedule_budget};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowdb::govern::chaos::ChaosSchedule;
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::verify::{verify_sql_chaos, ChaosReport, DEFAULT_EPSILON};
 use snowdb::{Database, QueryGovernor, QueryOptions, SnowError, Variant};
 
@@ -159,7 +159,7 @@ fn engine_survives_injected_failures_across_thread_counts() {
 /// build profile — the canvas for the cancellation and deadline tests.
 fn heavy_db() -> (Arc<Database>, &'static str) {
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "n",
         vec![ColumnDef::new("ID", ColumnType::Int)],
         (0..3000).map(|i| vec![Variant::Int(i)]),
@@ -274,6 +274,7 @@ fn deep_pipeline_db() -> (Arc<Database>, &'static str) {
         "one",
         vec![ColumnDef::new("ARR", ColumnType::Variant)],
         [vec![Variant::Array((0..1000).map(Variant::Int).collect::<Vec<_>>().into())]],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     (

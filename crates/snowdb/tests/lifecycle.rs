@@ -129,7 +129,7 @@ fn retention_preserves_time_travel_across_restart() {
     let tmp = TempDb::new("restart");
     {
         let db = Database::open(tmp.path()).unwrap();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("K", ColumnType::Int)],
             (0..20).map(|i| vec![Variant::Int(i)]),
@@ -191,7 +191,7 @@ fn retention_shrink_evicts_history_with_typed_errors() {
 fn clone_is_zero_copy_and_diverges_copy_on_write() {
     let tmp = TempDb::new("clone");
     let db = Database::open(tmp.path()).unwrap();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "src",
         vec![ColumnDef::new("K", ColumnType::Int)],
         (0..32).map(|i| vec![Variant::Int(i)]),
@@ -291,7 +291,7 @@ fn read_only_reader_is_never_wrong_after_writer_eviction() {
     let tmp = TempDb::new("ro");
     let writer = Database::open(tmp.path()).unwrap();
     writer
-        .load_table_with_partition_rows(
+        .load_table(
             "t",
             vec![ColumnDef::new("K", ColumnType::Int)],
             (0..16).map(|i| vec![Variant::Int(i)]),
@@ -438,7 +438,7 @@ fn compaction_preserves_results_and_pinned_readers() {
 #[test]
 fn compaction_builds_what_the_row_path_built() {
     use snowdb::exec::ColumnVec;
-    use snowdb::storage::TableBuilder;
+    use snowdb::storage::{MemSink, TableBuilder};
     use snowdb::variant::cmp_variants;
 
     let mut dictionaries = 0;
@@ -483,7 +483,9 @@ fn compaction_builds_what_the_row_path_built() {
             if policy.cluster_by.is_some() {
                 rows.sort_by(|a, b| cmp_variants(&a[0], &b[0]));
             }
-            let mut model = TableBuilder::with_partition_rows("T", t.schema().to_vec(), policy.target_rows);
+            let schema = t.schema().to_vec();
+            let mut model =
+                TableBuilder::new("T", schema, policy.target_rows, Box::new(MemSink)).unwrap();
             for row in &rows {
                 model.push_row(row).unwrap();
             }
@@ -658,7 +660,7 @@ fn crash_mid_gc_unlink_converges_on_reopen() {
         {
             let db = Database::open(tmp.path()).unwrap();
             db.execute("SET DATA_RETENTION_VERSIONS = 2").unwrap();
-            db.load_table_with_partition_rows(
+            db.load_table(
                 "t",
                 vec![ColumnDef::new("K", ColumnType::Int)],
                 (0..12).map(|i| vec![Variant::Int(i)]),

@@ -34,7 +34,8 @@ use std::sync::Arc;
 use common::{install_chaos_hook, int, msg, schedule_budget, TempDb};
 use rand::{Rng, SeedableRng, StdRng};
 use snowdb::govern::chaos::ChaosSchedule;
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
+use snowdb::store::{compact_table_once, CompactionPolicy};
 use snowdb::verify::{default_lattice, verify_sql, DEFAULT_EPSILON};
 use snowdb::{Database, Session, SnowError, Variant};
 
@@ -351,7 +352,7 @@ fn update_delete_mean_their_query_over_the_pre_image() {
             .zip(COLS)
             .map(|(ty, name)| ColumnDef::new(name.to_ascii_uppercase(), *ty))
             .collect();
-        db.load_table_with_partition_rows("t", schema, rows, rng.gen_range(7usize..50)).unwrap();
+        db.load_table("t", schema, rows, rng.gen_range(7usize..50)).unwrap();
 
         for step in 0..8 {
             let k = rng.gen_range(-5i64..18);
@@ -463,7 +464,7 @@ fn update_delete_mean_their_query_over_the_pre_image() {
 fn persistent_update_delete_round_trip_and_pinned_readers() {
     let tmp = TempDb::new("cowdisk");
     let db = Database::open(tmp.path()).unwrap();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![ColumnDef::new("K", ColumnType::Int)],
         (0..40).map(|i| vec![Variant::Int(i)]),
@@ -511,14 +512,11 @@ fn persistent_update_delete_round_trip_and_pinned_readers() {
 #[test]
 fn lock_refuses_live_foreign_writer_but_allows_read_only() {
     let tmp = TempDb::new("lock");
+    let schema = || vec![ColumnDef::new("A", ColumnType::Int)];
     {
+        // One row per partition: five small partitions, something to compact.
         let db = Database::open(tmp.path()).unwrap();
-        db.load_table(
-            "t",
-            vec![ColumnDef::new("A", ColumnType::Int)],
-            (0..5).map(|i| vec![Variant::Int(i)]),
-        )
-        .unwrap();
+        db.load_table("t", schema(), (0..5).map(|i| vec![Variant::Int(i)]), 1).unwrap();
     }
     // Fake a live foreign holder: PID 1 exists on any Linux box.
     std::fs::write(tmp.path().join("LOCK"), "1\n").unwrap();
@@ -529,17 +527,56 @@ fn lock_refuses_live_foreign_writer_but_allows_read_only() {
         Err(other) => panic!("expected lock refusal, got {other:?}"),
         Ok(_) => panic!("expected lock refusal, got a database handle"),
     }
-    // Read-only open works past the lock, answers queries, refuses writes.
+    // Read-only open works past the lock and answers queries.
     let ro = Database::open_read_only(tmp.path()).unwrap();
     assert_eq!(int(&ro.query("SELECT sum(a) FROM t").unwrap().rows[0][0]), 10);
-    match ro.execute("INSERT INTO t VALUES (9)") {
-        Err(SnowError::Storage(m)) => assert!(m.contains("read-only"), "{m}"),
-        other => panic!("expected read-only refusal, got {other:?}"),
+
+    // Every writer is refused with the typed read-only error, and writes
+    // nothing: `parts/` and the manifest stay as the writer left them.
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(tmp.path().join("parts"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let manifest = || std::fs::read(tmp.path().join("MANIFEST")).unwrap();
+    let (parts, committed) = (listing(), manifest());
+    let statement = |sql: &'static str| move |db: &Database| db.execute(sql).map(drop);
+    type Writer = Box<dyn Fn(&Database) -> snowdb::Result<()>>;
+    let writers: Vec<(&str, Writer)> = vec![
+        ("load_table", Box::new(move |db| {
+            db.load_table("u", schema(), (0..5).map(|i| vec![Variant::Int(i)]), 2)
+        })),
+        ("load_table of no rows", Box::new(move |db| db.load_table("u", schema(), [], 2))),
+        ("load_jsonl", Box::new(|db| db.load_jsonl("u", "{\"a\": 1}\n{\"a\": 2}").map(drop))),
+        ("stream_ingest", Box::new(|db| {
+            let mut ingest = db.stream_ingest("t", 2)?;
+            for line in ["{\"a\": 7}", "{\"a\": 8}", "{\"a\": 9}"] {
+                ingest.push_json(line)?;
+            }
+            ingest.finish().map(drop)
+        })),
+        ("INSERT", Box::new(statement("INSERT INTO t VALUES (9)"))),
+        ("UPDATE", Box::new(statement("UPDATE t SET a = a + 1 WHERE a < 3"))),
+        ("DELETE of some rows", Box::new(statement("DELETE FROM t WHERE a = 1"))),
+        ("DELETE of all rows", Box::new(statement("DELETE FROM t"))),
+        ("CREATE TABLE … CLONE", Box::new(statement("CREATE TABLE c CLONE t"))),
+        ("compact_table_once", Box::new(|db| {
+            compact_table_once(db, "t", &CompactionPolicy::default()).map(drop)
+        })),
+        ("drop_table", Box::new(|db| db.drop_table("t").map(drop))),
+    ];
+    for (what, write) in &writers {
+        match write(&ro) {
+            Err(SnowError::Storage(m)) => assert!(m.contains("read-only"), "{what}: {m}"),
+            other => panic!("{what}: expected read-only refusal, got {other:?}"),
+        }
+        assert_eq!(listing(), parts, "{what}: parts/ changed");
+        assert_eq!(manifest(), committed, "{what}: MANIFEST changed");
     }
-    match ro.drop_table("t") {
-        Err(SnowError::Storage(m)) => assert!(m.contains("read-only"), "{m}"),
-        other => panic!("expected read-only refusal, got {other:?}"),
-    }
+    assert_eq!(int(&ro.query("SELECT sum(a) FROM t").unwrap().rows[0][0]), 10);
 }
 
 #[test]
@@ -551,6 +588,7 @@ fn stale_lock_from_dead_process_is_broken() {
             "t",
             vec![ColumnDef::new("A", ColumnType::Int)],
             std::iter::once(vec![Variant::Int(7)]),
+            DEFAULT_PARTITION_ROWS,
         )
         .unwrap();
     }
@@ -591,6 +629,7 @@ fn exhausted_retries_surface_a_typed_conflict() {
         "t",
         vec![ColumnDef::new("X", ColumnType::Int)],
         (0..4).map(|i| vec![Variant::Int(i)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     // Two sessions rewriting the same partition: exactly one COMMIT wins.

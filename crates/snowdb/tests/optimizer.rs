@@ -3,7 +3,7 @@
 
 use snowdb::plan::{Node, NodeKind};
 use snowdb::sql::JoinKind;
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::{Database, Variant};
 
 fn two_tables() -> Database {
@@ -12,12 +12,14 @@ fn two_tables() -> Database {
         "a",
         vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("X", ColumnType::Int)],
         (0..1000).map(|i| vec![Variant::Int(i), Variant::Int(i % 17)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db.load_table(
         "b",
         vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("Y", ColumnType::Int)],
         (0..1000).map(|i| vec![Variant::Int(i), Variant::Int(i % 5)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db
@@ -171,7 +173,7 @@ fn equivalent_results_with_and_without_partitioning() {
     let sql = "SELECT x, COUNT(*) AS c FROM a WHERE id >= 900 GROUP BY x ORDER BY x";
     let mk = |rows_per_part: usize| {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "a",
             vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("X", ColumnType::Int)],
             (0..1000).map(|i| vec![Variant::Int(i), Variant::Int(i % 17)]),
@@ -194,7 +196,7 @@ fn equivalent_results_with_and_without_partitioning() {
 
 fn flatten_db() -> Database {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("XS", ColumnType::Variant)],
         (1..9).map(|i| {
@@ -359,18 +361,21 @@ fn star_db() -> Database {
             ColumnDef::new("M", ColumnType::Int),
         ],
         (0..4000).map(|i| vec![Variant::Int(i % 40), Variant::Int(i % 8), Variant::Int(i)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db.load_table(
         "dima",
         vec![ColumnDef::new("AK", ColumnType::Int), ColumnDef::new("AV", ColumnType::Int)],
         (0..40).map(|i| vec![Variant::Int(i), Variant::Int(i * 10)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db.load_table(
         "dimb",
         vec![ColumnDef::new("BK", ColumnType::Int), ColumnDef::new("BV", ColumnType::Int)],
         (0..8).map(|i| vec![Variant::Int(i), Variant::Int(i * 100)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db
@@ -503,7 +508,7 @@ fn null_presence_predicates_prune_partitions() {
     // Satellite: IS NULL / IS NOT NULL reach the scan and prune using
     // ZoneMap::null_count. One partition is entirely NULL, three have none.
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("X", ColumnType::Int)],
         (0..32).map(|i| {
@@ -620,6 +625,7 @@ fn a_dead_aggregate_that_raises_still_raises() {
         "t",
         vec![ColumnDef::new("K", ColumnType::Int), ColumnDef::new("V", ColumnType::Variant)],
         (0..8).map(|i| vec![Variant::Int(i % 2), Variant::str(format!("s{i}"))]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let dead_aggregates = ["SUM(v)", "AVG(v)", "BOOLAND_AGG(v)", "BOOLOR_AGG(v)"]
@@ -696,7 +702,7 @@ fn narrowing_composes_through_joins_unions_and_distinct() {
 #[test]
 fn flatten_emits_only_the_columns_read() {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("V", ColumnType::Variant)],
         (0..24).map(|i| {

@@ -19,7 +19,7 @@ const THREADS: &[usize] = &[2, 4, 8];
 /// give each partition a disjoint `[lo, hi]` range.
 fn prunable_db() -> Database {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![ColumnDef::new("X", ColumnType::Int)],
         (0..100).map(|i| vec![Variant::Int(i)]),
@@ -167,7 +167,7 @@ fn seq8_projection_kernel_matches_the_row_loop_at_any_thread_count() {
 #[test]
 fn flatten_identical_across_thread_counts() {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "events",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -223,7 +223,7 @@ fn explain_analyze_reports_operator_metrics() {
 /// 40 rows, 8-row partitions; K carries heavy ties (5 distinct values).
 fn ties_db() -> Database {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "ties",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -287,7 +287,7 @@ fn empty_partitions_are_survived_by_every_operator() {
 fn shared_upstream_self_join_matches_unshared_execution() {
     use snowdb::QueryOptions;
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "events",
         vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("V", ColumnType::Variant)],
         (0..200).map(|i| {
@@ -350,7 +350,7 @@ mod producers {
     /// `bad_v`, `BOOLAND_AGG(b)` on the rows in `bad_b`.
     pub fn table(zero_k: &[i64], bad_s: &[i64], bad_v: &[i64], bad_b: &[i64]) -> Database {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![
                 ColumnDef::new("ID", ColumnType::Int),
@@ -722,7 +722,7 @@ mod pipelines {
             Variant::Int(1),
             Variant::Null,
         ];
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("K", ColumnType::Variant)],
             k.iter().enumerate().map(|(i, k)| vec![Variant::Int(i as i64), k.clone()]),
@@ -744,7 +744,7 @@ mod pipelines {
     #[test]
     fn a_triple_self_flatten_never_holds_more_than_one_piece() {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("ARR", ColumnType::Variant)],
             (0..192).map(|i| {
@@ -895,7 +895,7 @@ mod join_tables {
     use std::sync::Arc;
 
     use snowdb::exec::metrics::{JoinBuild, TableIndex};
-    use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
     use snowdb::{Database, OpMetrics, QueryGovernor, QueryOptions, SnowError, Variant};
 
     /// The name of the first scan under `m`, depth first.
@@ -960,9 +960,10 @@ mod join_tables {
     fn a_join_charges_its_index_to_the_memory_budget() {
         let db = Database::new();
         let int = |n: &str| ColumnDef::new(n, ColumnType::Int);
-        db.load_table("dim", vec![int("K"), int("V")], (0..1000).map(|i| vec![Variant::Int(8 * i), Variant::Int(i)]))
-            .unwrap();
-        db.load_table("fact", vec![int("K")], [vec![Variant::Int(16)]]).unwrap();
+        let dim = (0..1000).map(|i| vec![Variant::Int(8 * i), Variant::Int(i)]);
+        db.load_table("dim", vec![int("K"), int("V")], dim, DEFAULT_PARTITION_ROWS).unwrap();
+        let fact = [vec![Variant::Int(16)]];
+        db.load_table("fact", vec![int("K")], fact, DEFAULT_PARTITION_ROWS).unwrap();
         let sql = "SELECT f.k, d.v FROM fact f LEFT OUTER JOIN dim d ON f.k = d.k";
         let index = (7993 + 1000) * 4;
         for threads in [1, 2] {

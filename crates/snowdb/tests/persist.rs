@@ -194,7 +194,7 @@ fn disk_scan_bytes_scanned_is_exact_file_io() {
     {
         let staging = Database::new();
         staging
-            .load_table_with_partition_rows(
+            .load_table(
                 "t",
                 vec![
                     ColumnDef::new("X", ColumnType::Int),
@@ -326,7 +326,7 @@ fn cache_misses_count_in_scan_busy_time_and_admission_is_reported() {
 fn corruptible_db(tmp: &TempDb) -> std::path::PathBuf {
     let staging = Database::new();
     staging
-        .load_table_with_partition_rows(
+        .load_table(
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             (0..100).map(|i| vec![Variant::Int(i)]),
@@ -447,7 +447,7 @@ fn manifest_commit_chaos_never_loses_a_committed_version() {
         let _repro = common::schedule("persist", seed);
         let tmp = TempDb::new("commitchaos");
         let db = Database::open(tmp.path()).unwrap();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "base",
             vec![ColumnDef::new("A", ColumnType::Int)],
             (0..40).map(|i| vec![Variant::Int(i)]),
@@ -459,7 +459,7 @@ fn manifest_commit_chaos_never_loses_a_committed_version() {
 
         // Dense deterministic schedule (period 1..=5) over the commit path.
         store.set_chaos(Some(ChaosSchedule::with_period(seed, 1 + seed % 5)));
-        let second = db.load_table_with_partition_rows(
+        let second = db.load_table(
             "extra",
             vec![ColumnDef::new("B", ColumnType::Int)],
             (0..20).map(|i| vec![Variant::Int(i * 2)]),

@@ -4,7 +4,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::{cmp_variants, parse_json, to_json, Key, Object};
 use snowdb::verify::canonical_rows;
 use snowdb::{Database, QueryOptions, Variant};
@@ -166,7 +166,7 @@ proptest! {
         part in 1usize..9,
     ) {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![
                 ColumnDef::new("A", ColumnType::Variant),
@@ -232,7 +232,7 @@ proptest! {
         part in 1usize..9,
     ) {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![
                 ColumnDef::new("S", ColumnType::Str),
@@ -286,7 +286,7 @@ proptest! {
         run_len in 1usize..40,
         cuts in prop::collection::vec((0usize..201, 0usize..201), 1..6),
     ) {
-        use snowdb::storage::{MicroPartition, TableBuilder};
+        use snowdb::storage::{MemSink, MicroPartition, TableBuilder};
         use snowdb::store::format;
         // What the two numeric columns are fed: only ints and NULLs, ints
         // and integral doubles (each shreds into the other's column while it
@@ -316,7 +316,7 @@ proptest! {
             })
             .collect();
         let n = rows.len();
-        let mut b = TableBuilder::with_partition_rows("t", schema.clone(), n);
+        let mut b = TableBuilder::new("t", schema.clone(), n, Box::new(MemSink)).unwrap();
         for row in &rows {
             b.push_row(row).unwrap();
         }
@@ -328,7 +328,7 @@ proptest! {
         for part in [&sealed, &plain] {
             let path = std::env::temp_dir()
                 .join(format!("snowdb-property-{}-slice.part", std::process::id()));
-            format::write_partition(&path, &schema, part).unwrap();
+            std::fs::write(&path, format::encode_partition(&schema, part).0).unwrap();
             let footer = format::read_footer(&path).unwrap();
             for (c, meta) in footer.columns.iter().enumerate() {
                 let col = format::read_column(&path, meta, footer.row_count).unwrap();
@@ -398,7 +398,7 @@ proptest! {
     fn table_roundtrip(values in prop::collection::vec(arb_variant(), 1..40),
                        part in 1usize..8) {
         let db = Database::new();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "t",
             vec![ColumnDef::new("V", ColumnType::Variant)],
             values.iter().cloned().map(|v| vec![v]),
@@ -506,7 +506,7 @@ proptest! {
                                  lo in -1000i64..1000) {
         let mk = |part: usize| {
             let db = Database::new();
-            db.load_table_with_partition_rows(
+            db.load_table(
                 "t",
                 vec![ColumnDef::new("X", ColumnType::Int)],
                 values.iter().map(|&v| vec![Variant::Int(v)]),
@@ -530,6 +530,7 @@ proptest! {
             "t",
             vec![ColumnDef::new("X", ColumnType::Int)],
             values.iter().map(|&v| vec![Variant::Int(v)]),
+            DEFAULT_PARTITION_ROWS,
         ).unwrap();
         let total = db.query("SELECT COUNT(*) FROM t").unwrap().rows[0][0]
             .as_i64().unwrap();
@@ -557,6 +558,7 @@ proptest! {
             arrays.iter().map(|a| {
                 vec![Variant::array(a.iter().map(|&i| Variant::Int(i)).collect())]
             }),
+            DEFAULT_PARTITION_ROWS,
         ).unwrap();
         let r = db.query(
             "SELECT any_value(a) AS orig, array_agg(f.value) AS rebuilt \
@@ -1161,11 +1163,11 @@ mod dag_differential {
     #[test]
     fn literal_identity_is_one_definition() {
         use snowdb::plan::{Field, Node, NodeKind};
-        use snowdb::storage::{ColumnDef, ColumnType};
+        use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 
         let db = snowdb::Database::new();
-        db.load_table("t", vec![ColumnDef::new("A", ColumnType::Int)], [vec![Variant::Int(1)]])
-            .unwrap();
+        let schema = vec![ColumnDef::new("A", ColumnType::Int)];
+        db.load_table("t", schema, [vec![Variant::Int(1)]], DEFAULT_PARTITION_ROWS).unwrap();
         let table = db.table("T").unwrap();
         let select = |v: &Variant| {
             let scan = NodeKind::Scan { table: table.clone(), pushed: Vec::new(), materialize: vec![false] };
@@ -1343,7 +1345,7 @@ mod join_table {
     pub(super) fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize) {
         let mut schema = vec![ColumnDef::new("ID", ColumnType::Int)];
         schema.extend(KEYS.iter().map(|(c, ty)| ColumnDef::new(*c, *ty)));
-        db.load_table_with_partition_rows(name, schema, rows.iter().cloned(), part).unwrap();
+        db.load_table(name, schema, rows.iter().cloned(), part).unwrap();
         let table = db.table(name).unwrap();
         let first = &table.partitions()[0];
         assert!(matches!(*first.read_column(3).unwrap(), ColumnVec::DictStr { .. }), "{name}: no dictionary");
@@ -1570,14 +1572,14 @@ mod join_table {
         let db = Database::new();
         let schema = |ty| vec![ColumnDef::new("ID", ColumnType::Int), ColumnDef::new("K", ty)];
         let (nl, nr) = (90usize, 70usize);
-        db.load_table_with_partition_rows(
+        db.load_table(
             "bl",
             schema(ColumnType::Int),
             (0..nl).map(|i| vec![Variant::Int(i as i64), Variant::Int(1)]),
             nl,
         )
         .unwrap();
-        db.load_table_with_partition_rows(
+        db.load_table(
             "br",
             schema(ColumnType::Float),
             (0..nr).map(|i| vec![Variant::Int(i as i64), Variant::Float(1.0)]),

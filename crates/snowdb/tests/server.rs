@@ -26,7 +26,7 @@ use snowdb::server::admission::AdmissionConfig;
 use snowdb::server::client::{Client, RemoteOutcome};
 use snowdb::server::proto::PROTOCOL_VERSION;
 use snowdb::server::{serve, ServerConfig, ServerHandle};
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::{Database, SnowError, Variant};
 
 // ---------------------------------------------------------------------------
@@ -55,6 +55,7 @@ fn load_big(db: &Database, name: &str, rows: i64) {
         name,
         vec![ColumnDef::new("X", ColumnType::Int)],
         (0..rows).map(|i| vec![Variant::Int(i)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
 }

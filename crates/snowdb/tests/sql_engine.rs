@@ -2,7 +2,7 @@
 //! JSONiq translation layer relies on: variant paths, `LATERAL FLATTEN`, nested
 //! subqueries, reaggregation, and joins.
 
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::{parse_json, Object};
 use snowdb::{Database, Variant};
 
@@ -24,6 +24,7 @@ fn events_db() -> Database {
         ],
         rows.into_iter()
             .map(|(id, jets)| vec![Variant::Int(id), parse_json(jets).unwrap()]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db
@@ -93,6 +94,7 @@ fn flatten_over_object_iterates_fields() {
         "t",
         vec![ColumnDef::new("V", ColumnType::Variant)],
         vec![vec![Variant::object(o)]],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let r = db
@@ -169,6 +171,7 @@ fn fig2_tpch_like_roundtrip() {
             vec![Variant::Float(110000.0), Variant::str("clerk2")],
             vec![Variant::Float(50000.0), Variant::str("clerk3")],
         ],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let r = db
@@ -204,7 +207,7 @@ fn bytes_scanned_reflects_column_pruning() {
 #[test]
 fn filter_pushdown_through_derived_table_prunes_partitions() {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "seq",
         vec![ColumnDef::new("X", ColumnType::Int)],
         (0..1000).map(|i| vec![Variant::Int(i)]),
@@ -229,6 +232,7 @@ fn variant_null_inside_json_behaves_as_sql_null() {
             vec![parse_json(r#"{"A": null}"#).unwrap()],
             vec![parse_json(r#"{"A": 5}"#).unwrap()],
         ],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let r = db.query("SELECT count(v:A) FROM t").unwrap();

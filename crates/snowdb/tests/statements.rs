@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use common::{msg, rows};
 use snowdb::engine::StatementResult;
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::{Database, Session, SnowError, Variant};
 
 #[test]
@@ -94,6 +94,7 @@ fn shared_db(rows: i64) -> Arc<Database> {
         "t",
         vec![ColumnDef::new("X", ColumnType::Int)],
         (0..rows).map(|i| vec![Variant::Int(i)]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     db

@@ -183,7 +183,7 @@ fn verify_adl_q7_join_strategy_seq8_regression() {
 #[test]
 fn verify_seq8_numbering_survives_filter_pushdown() {
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![ColumnDef::new("ID", ColumnType::Int)],
         (0..32).map(|i| vec![Variant::Int(i)]),
@@ -208,7 +208,7 @@ fn verify_seq8_numbering_survives_filter_pushdown() {
 #[test]
 fn verify_error_predicate_stays_above_flatten() {
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -243,7 +243,7 @@ fn verify_error_predicate_stays_above_flatten() {
 #[test]
 fn verify_null_sensitive_predicates_and_outer_flatten() {
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -276,7 +276,7 @@ fn verify_null_sensitive_predicates_and_outer_flatten() {
 fn verify_nan_agrees_across_lattice() {
     let d = Database::new();
     // One partition is entirely NaN so zone-map pruning sees NaN min/max.
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -308,7 +308,7 @@ fn verify_nan_agrees_across_lattice() {
 fn verify_large_int_float_comparison_is_exact() {
     const P53: i64 = 1 << 53;
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -356,7 +356,7 @@ fn verify_large_int_float_comparison_is_exact() {
 #[test]
 fn verify_float_group_keys_at_i64_boundary() {
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -400,7 +400,7 @@ fn verify_float_group_keys_at_i64_boundary() {
 #[test]
 fn verify_drifting_column_ingest_promotes_not_truncates() {
     let d = Database::new();
-    d.load_table_with_partition_rows(
+    d.load_table(
         "t",
         vec![ColumnDef::new("X", ColumnType::Int)],
         [

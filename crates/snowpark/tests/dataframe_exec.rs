@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::parse_json;
 use snowdb::{Database, Variant};
 use snowpark::functions as f;
@@ -23,6 +23,7 @@ fn orders_db() -> Arc<Database> {
             vec![Variant::Float(110000.0), Variant::str("clerk2")],
             vec![Variant::Float(50000.0), Variant::str("clerk3")],
         ],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     Arc::new(db)
@@ -60,6 +61,7 @@ fn field_of_a_column_whose_name_has_a_colon() {
         "t",
         vec![ColumnDef::new("A:B", ColumnType::Variant), ColumnDef::new("AB", ColumnType::Variant)],
         vec![vec![parse_json(r#"{"X": 1}"#).unwrap(), parse_json(r#"{"X": 2}"#).unwrap()]],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let session = Session::new(Arc::new(db));
@@ -100,6 +102,7 @@ fn flatten_group_by_reaggregate() {
             vec![Variant::Int(1), parse_json(r#"[{"PT": 10.0}, {"PT": 50.0}]"#).unwrap()],
             vec![Variant::Int(2), parse_json(r#"[]"#).unwrap()],
         ],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let session = Session::new(Arc::new(db));

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::storage::{ColumnDef, ColumnType};
+use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::variant::parse_json;
 use snowdb::{Database, QueryOptions, Variant};
 use snowpark::functions as f;
@@ -34,7 +34,7 @@ fn session() -> Session {
             parse_json(&format!("[{}]", jets.join(", "))).unwrap(),
         ]
     });
-    db.load_table_with_partition_rows(
+    db.load_table(
         "events",
         vec![
             ColumnDef::new("EVENT", ColumnType::Int),
@@ -50,7 +50,7 @@ fn session() -> Session {
     let ints = |names: &[&str]| -> Vec<ColumnDef> {
         names.iter().map(|n| ColumnDef::new(*n, ColumnType::Int)).collect()
     };
-    db.load_table_with_partition_rows(
+    db.load_table(
         "lineorder",
         ints(&["LO_ORDERKEY", "LO_ORDERDATE", "LO_QUANTITY", "LO_REVENUE"]),
         (0..10i64).map(|i| vec![i.into(), (i % 4 + 1).into(), (i % 5).into(), (i * 7 % 11).into()]),
@@ -61,6 +61,7 @@ fn session() -> Session {
         "ddate",
         ints(&["D_DATEKEY", "D_YEAR"]),
         (1..=4i64).map(|k| vec![k.into(), (1992 + k % 2).into()]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     Session::new(Arc::new(db))

@@ -133,7 +133,7 @@ pub fn load_ssb(db: &Database, cfg: &SsbConfig) {
 
     // ---- DDATE: all days of 1992-1998 --------------------------------------
     let (date_schema, date_rows, datekeys) = date_dimension();
-    db.load_table_with_partition_rows("DDATE", date_schema, date_rows, cfg.partition_rows)
+    db.load_table("DDATE", date_schema, date_rows, cfg.partition_rows)
         .expect("date schema fixed");
 
     // ---- CUSTOMER -----------------------------------------------------------
@@ -155,7 +155,7 @@ pub fn load_ssb(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("CUSTOMER", cust_schema, cust_rows, cfg.partition_rows)
+    db.load_table("CUSTOMER", cust_schema, cust_rows, cfg.partition_rows)
         .expect("customer schema fixed");
 
     // ---- SUPPLIER -----------------------------------------------------------
@@ -175,7 +175,7 @@ pub fn load_ssb(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("SUPPLIER", supp_schema, supp_rows, cfg.partition_rows)
+    db.load_table("SUPPLIER", supp_schema, supp_rows, cfg.partition_rows)
         .expect("supplier schema fixed");
 
     // ---- PART ---------------------------------------------------------------
@@ -200,7 +200,7 @@ pub fn load_ssb(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("PART", part_schema, part_rows, cfg.partition_rows)
+    db.load_table("PART", part_schema, part_rows, cfg.partition_rows)
         .expect("part schema fixed");
 
     // ---- LINEORDER ----------------------------------------------------------
@@ -248,7 +248,7 @@ pub fn load_ssb(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("LINEORDER", lo_schema, lo_rows, cfg.partition_rows)
+    db.load_table("LINEORDER", lo_schema, lo_rows, cfg.partition_rows)
         .expect("lineorder schema fixed");
 }
 
@@ -275,7 +275,7 @@ pub fn load_ssb_tiny(db: &Database, cfg: &SsbConfig) {
     let sampled: Vec<Vec<Variant>> = date_rows.into_iter().step_by(142).collect();
     let datekeys: Vec<i64> = all_keys.into_iter().step_by(142).collect();
     assert_eq!(datekeys.len(), 18);
-    db.load_table_with_partition_rows("DDATE", date_schema, sampled, cfg.partition_rows)
+    db.load_table("DDATE", date_schema, sampled, cfg.partition_rows)
         .expect("date schema fixed");
 
     // ---- CUSTOMER: 8 rows over 4 regions -----------------------------------
@@ -296,7 +296,7 @@ pub fn load_ssb_tiny(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("CUSTOMER", cust_schema, cust_rows, cfg.partition_rows)
+    db.load_table("CUSTOMER", cust_schema, cust_rows, cfg.partition_rows)
         .expect("customer schema fixed");
 
     // ---- SUPPLIER: 5 rows, one per region ----------------------------------
@@ -315,7 +315,7 @@ pub fn load_ssb_tiny(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("SUPPLIER", supp_schema, supp_rows, cfg.partition_rows)
+    db.load_table("SUPPLIER", supp_schema, supp_rows, cfg.partition_rows)
         .expect("supplier schema fixed");
 
     // ---- PART: 8 rows spanning the MFGR hierarchy --------------------------
@@ -339,7 +339,7 @@ pub fn load_ssb_tiny(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("PART", part_schema, part_rows, cfg.partition_rows)
+    db.load_table("PART", part_schema, part_rows, cfg.partition_rows)
         .expect("part schema fixed");
 
     // ---- LINEORDER: 12 rows, FKs round-robin over the tiny dimensions ------
@@ -386,7 +386,7 @@ pub fn load_ssb_tiny(db: &Database, cfg: &SsbConfig) {
             ]
         })
         .collect();
-    db.load_table_with_partition_rows("LINEORDER", lo_schema, lo_rows, cfg.partition_rows)
+    db.load_table("LINEORDER", lo_schema, lo_rows, cfg.partition_rows)
         .expect("lineorder schema fixed");
 }
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowq::snowdb::storage::{ColumnDef, ColumnType};
+use snowq::snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowq::snowdb::variant::parse_json;
 use snowq::snowdb::{Database, Variant};
 
@@ -33,6 +33,7 @@ fn main() {
         orders
             .iter()
             .map(|(id, items)| vec![Variant::Int(*id), parse_json(items).unwrap()]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let db = Arc::new(db);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use snowq::jsoniq_core::interp::{DatabaseCollections, Interpreter};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowq::snowdb::storage::{ColumnDef, ColumnType};
+use snowq::snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowq::snowdb::variant::parse_json;
 use snowq::snowdb::{Database, Variant};
 
@@ -29,6 +29,7 @@ fn main() {
         events
             .iter()
             .map(|(id, jets)| vec![Variant::Int(*id), parse_json(jets).unwrap()]),
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
 

@@ -42,7 +42,7 @@ use std::time::Duration;
 use snowq::jsoniq_core::interp::{DatabaseCollections, Interpreter};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowq::jsoniq_core::verify::{verify_jsoniq, JsoniqLattice};
-use snowq::snowdb::storage::{ColumnDef, ColumnType};
+use snowq::snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowq::snowdb::variant::parse_json;
 use snowq::snowdb::{Database, Session, StatementResult, Variant};
 
@@ -439,6 +439,7 @@ fn load_demo(db: &Database) {
         rows.iter().map(|(id, met, jet)| {
             vec![Variant::Int(*id), parse_json(met).unwrap(), parse_json(jet).unwrap()]
         }),
+        DEFAULT_PARTITION_ROWS,
     )
     .expect("demo loads");
 }

@@ -64,18 +64,14 @@ fn parts(db: &Database) -> Vec<Arc<ScanSource>> {
 
 /// Row count, length and FNV-1a of the SNPT file each partition serializes
 /// to: column representations, encodings, zone maps and statistics.
-fn fingerprint(db: &Database, tag: &str) -> Vec<(usize, usize, u64)> {
-    let path = temp_path(tag);
-    let out = parts(db)
+fn fingerprint(db: &Database) -> Vec<(usize, usize, u64)> {
+    parts(db)
         .iter()
         .map(|p| {
-            format::write_partition(&path, &schema(), &p.to_mem().unwrap()).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
+            let (bytes, _) = format::encode_partition(&schema(), &p.to_mem().unwrap());
             (p.row_count(), bytes.len(), fnv64(&bytes))
         })
-        .collect();
-    std::fs::remove_file(&path).ok();
-    out
+        .collect()
 }
 
 fn message(db: &Database, sql: &str) -> String {
@@ -111,7 +107,7 @@ fn column(db: &Database, part: usize, col: usize) -> Arc<ColumnVec> {
     parts(db)[part].read_column(col).unwrap()
 }
 
-fn scenario(db: &Database, tag: &str) {
+fn scenario(db: &Database) {
     // What the statements below run over.
     assert!(matches!(&*column(db, 0, 1), ColumnVec::Int { .. }));
     assert!(matches!(&*column(db, 0, 2), ColumnVec::DictStr { .. }));
@@ -180,7 +176,7 @@ fn scenario(db: &Database, tag: &str) {
     step(db, "DELETE FROM t WHERE SEQ8() = 1", "deleted 3 row(s)", 3);
 
     assert_eq!(
-        fingerprint(db, tag),
+        fingerprint(db),
         [
             (63, 3_881, 5_482_050_631_585_984_710),
             (63, 4_032, 16_044_184_932_188_507_227),
@@ -199,8 +195,8 @@ fn scenario(db: &Database, tag: &str) {
 #[test]
 fn dml_on_an_in_memory_database() {
     let db = Database::new();
-    db.load_table_with_partition_rows("t", schema(), (0..ROWS).map(row), PART_ROWS).unwrap();
-    scenario(&db, "mem.part");
+    db.load_table("t", schema(), (0..ROWS).map(row), PART_ROWS).unwrap();
+    scenario(&db);
 }
 
 #[test]
@@ -208,11 +204,11 @@ fn dml_on_a_reopened_persistent_database() {
     let dir = temp_path("db");
     std::fs::remove_dir_all(&dir).ok();
     let db = Database::open(&dir).unwrap();
-    db.load_table_with_partition_rows("t", schema(), (0..ROWS).map(row), PART_ROWS).unwrap();
+    db.load_table("t", schema(), (0..ROWS).map(row), PART_ROWS).unwrap();
     drop(db);
     let db = Database::open(&dir).unwrap();
     assert!(parts(&db).iter().all(|p| p.is_disk()));
-    scenario(&db, "disk.part");
+    scenario(&db);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -58,7 +58,7 @@ fn a_raising_statement_reports_the_same_error_under_either_producer() {
 /// 96 rows in 16-row partitions; `100 / k` fails on row 20, `s::INT` on row 70.
 fn six_morsels() -> Database {
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -184,7 +184,7 @@ fn two_dictionaries() -> Database {
     ];
     let s = ["north", "south", "north", "south", "south", "north", "south", "south", "east", "north", "south", "east"];
     let db = Database::new();
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -252,7 +252,7 @@ fn a_left_outer_join_on_a_dense_key_matches_by_value() {
     let db = Database::new();
     let names = ["three", "none", "minus two", "three again", "zero"];
     let keys = [Some(3), None, Some(-2), Some(3), Some(0)];
-    db.load_table_with_partition_rows(
+    db.load_table(
         "dim",
         vec![ColumnDef::new("K", ColumnType::Int), ColumnDef::new("NAME", ColumnType::Str)],
         keys.iter().zip(names).map(|(k, n)| vec![k.map_or(Variant::Null, Variant::Int), Variant::str(n)]),
@@ -260,7 +260,7 @@ fn a_left_outer_join_on_a_dense_key_matches_by_value() {
     )
     .expect("loads");
     let fact = [(Some(3), Some(3.0)), (Some(40), Some(-0.0)), (None, Some(2.5)), (Some(-2), None), (Some(0), Some(99.0)), (Some(-7), Some(3.0))];
-    db.load_table_with_partition_rows(
+    db.load_table(
         "fact",
         vec![
             ColumnDef::new("ID", ColumnType::Int),
@@ -294,7 +294,7 @@ fn a_three_conjunct_filter_over_typed_columns_keeps_its_rows() {
     let db = Database::new();
     let d = [Some(1), Some(3), None, Some(4), Some(0), Some(2), Some(2), Some(3), Some(1), None];
     let q = [Some(10.0), Some(30.0), Some(5.0), Some(1.0), Some(24.5), None, Some(24.9), Some(25.0), Some(-0.0), Some(1.0)];
-    db.load_table_with_partition_rows(
+    db.load_table(
         "t",
         vec![
             ColumnDef::new("ID", ColumnType::Int),

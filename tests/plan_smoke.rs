@@ -25,7 +25,7 @@ use std::sync::Arc;
 use snowq::adl::{self, generator::AdlConfig};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowq::jsoniq_core::{expr, itertree, parse};
-use snowq::snowdb::storage::{ColumnDef, ColumnType};
+use snowq::snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowq::snowdb::variant::parse_json;
 use snowq::snowdb::{Database, Variant};
 use snowq::ssb::{self, SsbConfig};
@@ -235,14 +235,14 @@ fn small_db() -> Database {
                 .unwrap(),
         ]
     });
-    db.load_table_with_partition_rows("t", schema, rows, 8).unwrap();
+    db.load_table("t", schema, rows, 8).unwrap();
     let ints = |n: i64, f: fn(i64) -> Vec<i64>| (0..n).map(move |i| f(i).into_iter().map(Variant::Int).collect());
-    db.load_table("f", int_cols(&["K1", "K2", "K3", "M"]), ints(60, |i| vec![i % 4, i % 10, i % 20, i]))
-        .unwrap();
-    db.load_table("d1", int_cols(&["K", "X"]), ints(4, |i| vec![i, i * 10])).unwrap();
-    db.load_table("d2", int_cols(&["K", "Y"]), ints(10, |i| vec![i, i % 3])).unwrap();
-    db.load_table("d3", int_cols(&["K", "Z"]), ints(20, |i| vec![i, i % 2])).unwrap();
-    db.load_table("z", int_cols(&["K", "N"]), ints(4, |i| vec![i % 2, i + 1])).unwrap();
+    let load = |name, cols: &[&str], rows| db.load_table(name, int_cols(cols), rows, DEFAULT_PARTITION_ROWS);
+    load("f", &["K1", "K2", "K3", "M"], ints(60, |i| vec![i % 4, i % 10, i % 20, i])).unwrap();
+    load("d1", &["K", "X"], ints(4, |i| vec![i, i * 10])).unwrap();
+    load("d2", &["K", "Y"], ints(10, |i| vec![i, i % 3])).unwrap();
+    load("d3", &["K", "Z"], ints(20, |i| vec![i, i % 2])).unwrap();
+    load("z", &["K", "N"], ints(4, |i| vec![i % 2, i + 1])).unwrap();
     db
 }
 

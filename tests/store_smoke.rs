@@ -4,10 +4,10 @@
 //! buffer cache and the scan. The deep suites (persist, chaos, lattice) live
 //! in `crates/snowdb/tests` and run with `cargo test --workspace`.
 
-use snowdb::storage::{ColumnDef, ColumnType, TableBuilder};
+use snowdb::storage::{ColumnDef, ColumnType, MemSink, TableBuilder};
 use snowdb::store::format;
 use snowdb::variant::parse_json;
-use snowdb::{Database, Variant};
+use snowdb::{Database, SnowError, Variant};
 
 const ROWS: i64 = 300;
 
@@ -60,16 +60,13 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// on disk.
 #[test]
 fn partition_file_bytes_are_pinned() {
-    let mut b = TableBuilder::with_partition_rows("t", schema(), 512);
+    let mut b = TableBuilder::new("t", schema(), 512, Box::new(MemSink)).unwrap();
     for i in 0..ROWS {
         b.push_row(&row(i)).unwrap();
     }
     let table = b.finish().unwrap();
     let part = table.partitions()[0].as_mem().unwrap();
-    let path = temp_path("pin.part");
-    let meta = format::write_partition(&path, &schema(), part).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    let (bytes, meta) = format::encode_partition(&schema(), part);
 
     use format::BlockEncoding::{DictStr, Plain, RleBool, RleInt};
     let encodings: Vec<_> = meta.columns.iter().map(|c| c.encoding).collect();
@@ -86,7 +83,7 @@ fn persisted_table_reopens_and_answers() {
     let dir = temp_path("db");
     std::fs::remove_dir_all(&dir).ok();
     let mem = Database::new();
-    mem.load_table_with_partition_rows("t", schema(), (0..ROWS).map(row), 128).unwrap();
+    mem.load_table("t", schema(), (0..ROWS).map(row), 128).unwrap();
     mem.persist_to(&dir).unwrap();
 
     let disk = Database::open(&dir).unwrap();
@@ -105,5 +102,41 @@ fn persisted_table_reopens_and_answers() {
         }
     }
     drop(disk);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A read-only database writes nothing. Its file names come from the
+/// manifest it opened, so after a live writer commits again the reader's next
+/// name is one the writer has used: an `INSERT` on the reader must be refused
+/// before it creates (and used to truncate) that file.
+#[test]
+fn a_read_only_insert_leaves_a_live_writers_partitions_intact() {
+    let dir = temp_path("read-only");
+    std::fs::remove_dir_all(&dir).ok();
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(dir.join("parts"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let writer = Database::open(&dir).unwrap();
+    writer.execute("CREATE TABLE t (x INT)").unwrap();
+    writer.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let reader = Database::open_read_only(&dir).unwrap();
+    writer.execute("INSERT INTO t VALUES (4), (5)").unwrap();
+    let before = listing();
+    match reader.execute("INSERT INTO t VALUES (6), (7), (8), (9)") {
+        Err(SnowError::Storage(m)) => assert!(m.contains("read-only"), "{m}"),
+        other => panic!("expected the read-only refusal, got {other:?}"),
+    }
+    assert_eq!(listing(), before, "the reader wrote a partition file");
+    drop((reader, writer));
+
+    let reopened = Database::open(&dir).unwrap();
+    let sums = reopened.query("SELECT COUNT(*), SUM(x) FROM t").unwrap().rows;
+    assert_eq!(sums, [[Variant::Int(5), Variant::Int(15)]]);
+    drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
 }

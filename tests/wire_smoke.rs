@@ -11,7 +11,7 @@ use std::sync::Arc;
 use snowq::adl::{self, generator::AdlConfig};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowq::snowdb::server::client::{Client, RemoteOutcome};
-use snowq::snowdb::storage::{ColumnDef, ColumnType};
+use snowq::snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowq::snowdb::store::format::{self, crc32, MAGIC, TRAILER_LEN};
 use snowq::snowdb::variant::codec::put_varint;
 use snowq::snowdb::{serve, Database, ServerConfig, SnowError, Variant};
@@ -125,6 +125,7 @@ fn served_disk_database_round_trips() {
         "overflow",
         vec![ColumnDef::new("OV", ColumnType::Int)],
         [vec![Variant::Int(i64::MIN)]],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     let one = snowq::snowdb::variant::parse_json(r#"{"a": [1, 2]}"#).unwrap();
@@ -132,6 +133,7 @@ fn served_disk_database_round_trips() {
         "huge",
         vec![ColumnDef::new("HV", ColumnType::Variant)],
         [vec![one]],
+        DEFAULT_PARTITION_ROWS,
     )
     .unwrap();
     mem.persist_to(&dir).unwrap();
