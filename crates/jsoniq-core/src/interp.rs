@@ -773,9 +773,26 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// JSONiq value comparison.
+/// JSONiq value comparison. An order comparison of two non-null values of
+/// different kinds — a string and a number, say — is a type error, as it is
+/// in the engine.
 fn compare(op: BinaryOp, a: &Variant, b: &Variant) -> JResult<bool> {
     use std::cmp::Ordering;
+    use Variant::{Bool, Float, Int, Str};
+    let order = matches!(op, BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge);
+    let comparable = a.is_null()
+        || b.is_null()
+        || matches!(
+            (a, b),
+            (Int(_) | Float(_), Int(_) | Float(_)) | (Str(_), Str(_)) | (Bool(_), Bool(_))
+        );
+    if order && !comparable {
+        return Err(JsoniqError::Dynamic(format!(
+            "cannot compare values of types {} and {}",
+            a.type_name(),
+            b.type_name()
+        )));
+    }
     let c = jsoniq_cmp(a, b);
     Ok(match op {
         BinaryOp::Eq => a == b,

@@ -11,8 +11,25 @@
 //! evaluator has kernels for — math builtins over paths, `if`/`then`/`else`
 //! guards (translated to `IFF`) around `div`, `size()` (`ARRAY_SIZE`),
 //! positional lookup (`GET`) — so the lattice's {vectorized, row} axis
-//! referees them. The two-argument aggregates have no JSONiq spelling the
-//! translator maps to them; `snowdb::verify::gen` writes those in SQL.
+//! referees them. Some divisions go unguarded: the interpreter and every SQL
+//! point must then fail together. The two-argument aggregates have no JSONiq
+//! spelling the translator maps to them; `snowdb::verify::gen` writes those
+//! in SQL.
+//!
+//! One shape in seven reads the irregular table `snowdb::verify::gen`
+//! loads (`load_irregular`): an optional member in a nested FLWOR's
+//! predicate, a `let` over a nested FLWOR that filters out every item used
+//! in the outer `where`, nested queries whose every item is filtered out,
+//! and order comparisons on a field that mixes numbers and strings. Two
+//! things it never does, because the engine has one `NULL` for SQL `NULL`,
+//! JSON `null` and a missing member (`Variant::Null`) while the interpreter
+//! keeps them apart: it compares nothing with a `null` literal or with
+//! `lt`/`le` against a member that may be `null` (JSON `null` sorts below
+//! every number; SQL `NULL` compares to nothing), and it never collects a
+//! member that may be `null` or missing — or an aggregate that may be
+//! empty — into a result (the interpreter keeps the `null` and drops the
+//! empty sequence; SQL drops the one and keeps the other as `NULL`). The
+//! ignored `one_null_*` tests in `crates/snowdb/tests/verify.rs` pin both.
 
 use rand::{Rng, StdRng};
 
@@ -27,9 +44,12 @@ pub struct GenSchema {
     pub float_paths: Vec<&'static str>,
     /// Arrays of objects: `(array field, float member fields)`.
     pub arrays: Vec<(&'static str, Vec<&'static str>)>,
+    /// The collection `snowdb::verify::gen::load_irregular` wrote.
+    pub irregular: String,
 }
 
-/// The ADL HEP schema (see `adl::generator::schema`).
+/// The ADL HEP schema (see `adl::generator::schema`) and the irregular
+/// collection `IRR`.
 pub fn adl_schema(table: &str) -> GenSchema {
     GenSchema {
         collection: table.to_string(),
@@ -41,6 +61,7 @@ pub fn adl_schema(table: &str) -> GenSchema {
             ("ELECTRON", vec!["PT", "ETA", "PHI", "MASS"]),
             ("PHOTON", vec!["PT", "ETA", "PHI", "MASS"]),
         ],
+        irregular: "IRR".to_string(),
     }
 }
 
@@ -107,12 +128,18 @@ fn event_scalar(rng: &mut StdRng, s: &GenSchema) -> String {
             let b = pick(rng, &s.float_paths);
             format!("sqrt(abs($e.{a})) + $e.{a} * cos($e.{b})")
         }
-        // The guard keeps the division off its zero divisors.
+        // The guard keeps the division off its zero divisors; without it,
+        // every point fails on the first event that divides by zero.
         4 => {
             let a = pick(rng, &s.float_paths);
             let k = rng.gen_range(2..6);
             let id = s.event_field;
-            format!("if ($e.{id} mod {k} eq 0) then 0 else $e.{a} div ($e.{id} mod {k})")
+            let division = format!("$e.{a} div ($e.{id} mod {k})");
+            if rng.gen_bool(0.5) {
+                division
+            } else {
+                format!("if ($e.{id} mod {k} eq 0) then 0 else {division}")
+            }
         }
         5 => {
             let (arr, _) = pick(rng, &s.arrays);
@@ -134,10 +161,45 @@ fn event_scalar(rng: &mut StdRng, s: &GenSchema) -> String {
     }
 }
 
-/// Generates one random query. Six shapes, all drawn from the ADL skeletons.
+/// A query over the irregular collection (see the module docs for what it
+/// leaves out and why).
+fn irregular_query(rng: &mut StdRng, c: &str) -> String {
+    // `gt`/`ge` only: a `null` member fails them in both semantics.
+    let op = if rng.gen_bool(0.5) { "gt" } else { "ge" };
+    let pt = rng.gen_range(0..150);
+    // High enough to filter out every item, or not.
+    let eta = if rng.gen_bool(0.5) { 1000 } else { rng.gen_range(-2..3) };
+    match rng.gen_range(0..5u32) {
+        0 => format!(
+            r#"for $t in collection("{c}") where count(for $x in $t.XS[] where $x.PT {op} {pt} return $x) ge {} return $t.ID"#,
+            rng.gen_range(1..3),
+        ),
+        1 => format!(
+            r#"for $t in collection("{c}") where exists(for $x in $t.XS[] where $x.PT {op} {pt} return 1) return {{"id": $t.ID, "n": size($t.XS)}}"#,
+        ),
+        2 => format!(
+            r#"for $t in collection("{c}") let $ys := (for $x in $t.XS[] where $x.ETA gt {eta} return $x.ETA) where count(for $y in $ys return $y) eq 0 and $t.ID mod {} eq 0 return $t.ID"#,
+            rng.gen_range(1..4),
+        ),
+        3 => format!(
+            r#"for $t in collection("{c}") return {{"id": $t.ID, "n": count(for $x in $t.XS[] where $x.ETA gt {eta} return $x), "s": sum(for $x in $t.XS[] where $x.ETA gt {eta} return $x.ETA), "xs": [ for $x in $t.XS[] where $x.ETA gt {eta} return $x.ETA ]}}"#,
+        ),
+        // Strings against a number fail in both; the ID filter may keep only
+        // numbers.
+        _ => format!(
+            r#"for $t in collection("{c}") where $t.ID mod {} eq 0 and $t.MIX {op} {} return {{"id": $t.ID, "m": $t.MIX}}"#,
+            rng.gen_range(1..12),
+            rng.gen_range(0..100),
+        ),
+    }
+}
+
+/// Generates one random query: six shapes drawn from the ADL skeletons, and
+/// one over the irregular collection.
 pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
     let c = &s.collection;
-    match rng.gen_range(0..6u32) {
+    match rng.gen_range(0..7u32) {
+        6 => irregular_query(rng, &s.irregular),
         // Scalar filter + project over whole events.
         0 => format!(
             r#"for $e in collection("{c}") where {} return {}"#,

@@ -19,10 +19,9 @@ pub mod gen;
 use std::sync::Arc;
 
 use snowdb::verify::{
-    canonical_rows, first_diff, render_row, ConfigOutcome, Divergence, DivergenceDetail,
-    VerifyReport, DEFAULT_EPSILON,
+    canonical_rows, verify_sql, ConfigOutcome, Failure, Rule, VerifyReport, DEFAULT_EPSILON,
 };
-use snowdb::{Database, QueryOptions, Variant};
+use snowdb::{Database, QueryOptions};
 
 use crate::interp::{DatabaseCollections, Interpreter};
 use crate::snowflake::{translate_query, NestedStrategy};
@@ -60,145 +59,68 @@ impl JsoniqLattice {
     }
 }
 
-struct Run {
-    label: String,
-    rows: Option<Vec<Vec<Variant>>>,
-    error: Option<String>,
-    /// `EXPLAIN` (or a placeholder for the interpreter).
-    plan: String,
-    /// Plan annotated with measured per-operator metrics, when available.
-    metrics: String,
-}
-
-/// Verifies one JSONiq query across the lattice. The first point (the
-/// interpreter when enabled) is the baseline.
+/// Verifies one JSONiq query across the lattice: the interpreter point, then
+/// per strategy one translation and one [`verify_sql`] over `lattice.sql`,
+/// labels prefixed `flag/` or `join/`. Each strategy's baseline is judged
+/// against the previous strategy's (under [`Rule::Same`] when both ran on
+/// the engine), the first against the interpreter; whenever a front end —
+/// the interpreter or a failed translation — is on either side, the rule is
+/// [`Rule::FrontEnd`]. The first point is the report's baseline.
+///
+/// # Panics
+/// On a lattice with neither the interpreter nor a strategy.
 pub fn verify_jsoniq(db: &Arc<Database>, src: &str, lattice: &JsoniqLattice) -> VerifyReport {
-    let mut runs: Vec<Run> = Vec::new();
-
-    if lattice.interpreter {
+    let mut report = lattice.interpreter.then(|| {
         let provider = DatabaseCollections { db: db.as_ref() };
-        let interp = Interpreter::new(&provider);
-        let (rows, error) = match interp.eval_query(src) {
-            // The interpreter yields a sequence of items; the translated SQL
-            // yields single-column rows, so compare in that shape.
-            Ok(seq) => (Some(canonical_rows(seq.into_iter().map(|v| vec![v]).collect())), None),
-            Err(e) => (None, Some(e.to_string())),
-        };
-        runs.push(Run {
-            label: "interpreter".into(),
-            rows,
-            error,
-            plan: "<JSONiq interpreter (reference semantics)>".into(),
-            metrics: String::new(),
-        });
-    }
-
+        // The interpreter yields a sequence of items; the translated SQL
+        // yields single-column rows, so compare in that shape.
+        let result = Interpreter::new(&provider)
+            .eval_query(src)
+            .map(|seq| canonical_rows(seq.into_iter().map(|v| vec![v]).collect()))
+            .map_err(Failure::front_end);
+        let plan = "<JSONiq interpreter (reference semantics)>".to_string();
+        VerifyReport::new(src, ConfigOutcome { plan, ..ConfigOutcome::new("interpreter", result) })
+    });
+    // The point the next strategy's baseline is judged against, and whether
+    // it ran on the engine.
+    let mut head = report.as_ref().map(|_| (0, false));
     for &strategy in &lattice.strategies {
         let tag = match strategy {
             NestedStrategy::FlagColumn => "flag",
             NestedStrategy::JoinBased => "join",
         };
-        let sql = match translate_query(db.clone(), src, strategy) {
-            Ok(df) => df.sql().to_string(),
-            Err(e) => {
-                runs.push(Run {
-                    label: format!("{tag}/translate"),
-                    rows: None,
-                    error: Some(e.to_string()),
-                    plan: String::new(),
-                    metrics: String::new(),
-                });
-                continue;
+        let failed =
+            |what: &str, failure| VerifyReport::new(src, ConfigOutcome::new(what, Err(failure)));
+        let (mut sub, engine) = match translate_query(db.clone(), src, strategy) {
+            Ok(df) => match verify_sql(db, df.sql(), &lattice.sql, lattice.epsilon) {
+                Ok(sub) => (sub, true),
+                Err(e) => (failed("lattice", Failure::Engine(e)), true),
+            },
+            Err(e) => (failed("translate", Failure::front_end(e)), false),
+        };
+        for o in &mut sub.outcomes {
+            o.label = format!("{tag}/{}", o.label);
+        }
+        let at = match (&mut report, head) {
+            (Some(report), Some((against, ran))) => {
+                let rule = if ran && engine { Rule::Same } else { Rule::FrontEnd };
+                report.merge(sub, against, rule, lattice.epsilon)
+            }
+            _ => {
+                report = Some(VerifyReport { query: src.to_string(), ..sub });
+                0
             }
         };
-        for cfg in &lattice.sql {
-            let label = format!("{tag}/{}", cfg.label());
-            let plan = db
-                .explain_with(&sql, cfg.optimize)
-                .unwrap_or_else(|e| format!("<explain failed: {e}>"));
-            match db.query_with(&sql, cfg) {
-                Ok(result) => {
-                    let metrics =
-                        match (&result.profile.metrics, db.compile_with(&sql, cfg.optimize)) {
-                            (Some(m), Ok(p)) => snowdb::plan::explain_analyze(&p, m),
-                            _ => String::new(),
-                        };
-                    runs.push(Run {
-                        label,
-                        rows: Some(canonical_rows(result.rows)),
-                        error: None,
-                        plan,
-                        metrics,
-                    });
-                }
-                Err(e) => runs.push(Run {
-                    label,
-                    rows: None,
-                    error: Some(e.to_string()),
-                    plan,
-                    metrics: String::new(),
-                }),
-            }
-        }
+        head = Some((at, engine));
     }
-
-    build_report(src, runs, lattice.epsilon)
-}
-
-fn build_report(query: &str, runs: Vec<Run>, epsilon: f64) -> VerifyReport {
-    let baseline = &runs[0];
-    let mut outcomes = Vec::with_capacity(runs.len());
-    let mut divergences = Vec::new();
-    for (i, run) in runs.iter().enumerate() {
-        let (agrees, detail) = if i == 0 {
-            (true, None)
-        } else {
-            match (&baseline.rows, &run.rows) {
-                (Some(b), Some(c)) => match first_diff(b, c, epsilon) {
-                    None => (true, None),
-                    Some((index, br, cr)) => (
-                        false,
-                        Some(DivergenceDetail::Row {
-                            index,
-                            baseline_row: br.map(render_row),
-                            candidate_row: cr.map(render_row),
-                        }),
-                    ),
-                },
-                _ if baseline.error.is_some() && baseline.error == run.error => (true, None),
-                _ => (
-                    false,
-                    Some(DivergenceDetail::Error {
-                        baseline_error: baseline.error.clone(),
-                        candidate_error: run.error.clone(),
-                    }),
-                ),
-            }
-        };
-        outcomes.push(ConfigOutcome {
-            label: run.label.clone(),
-            rows: run.rows.as_ref().map(Vec::len),
-            error: run.error.clone(),
-            agrees,
-        });
-        if let Some(detail) = detail {
-            divergences.push(Divergence {
-                candidate: run.label.clone(),
-                detail,
-                baseline_plan: baseline.plan.clone(),
-                candidate_plan: run.plan.clone(),
-                baseline_metrics: baseline.metrics.clone(),
-                candidate_metrics: run.metrics.clone(),
-            });
-        }
-    }
-    VerifyReport { query: query.to_string(), baseline: baseline.label.clone(), outcomes, divergences }
+    report.expect("the lattice has a point")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use snowdb::storage::{ColumnDef, ColumnType};
+    use snowdb::Variant;
 
     fn db() -> Arc<Database> {
         let d = Database::new();
@@ -226,7 +148,7 @@ mod tests {
         let q = r#"for $t in collection("t") where $t.ID mod 2 eq 0 return count($t.XS[])"#;
         let report = verify_jsoniq(&db, q, &JsoniqLattice::full(4));
         assert!(report.agrees(), "{}", report.render());
-        assert_eq!(report.baseline, "interpreter");
+        assert_eq!(report.baseline().label, "interpreter");
         // interpreter + 2 strategies × 24 SQL configs
         assert_eq!(report.outcomes.len(), 49);
     }
@@ -239,8 +161,30 @@ mod tests {
             r#"for $t in collection("no_such_table") return $t.ID"#,
             &JsoniqLattice::full(2),
         );
-        // The interpreter and both translations fail with the same unknown-
-        // collection error, so the lattice still "agrees" — on the error.
-        assert!(report.outcomes.iter().all(|o| o.error.is_some()), "{}", report.render());
+        // The interpreter fails with a dynamic error, both translations with
+        // a translation error: front ends on both sides of every verdict, so
+        // the lattice agrees — on failing.
+        assert!(report.agrees(), "{}", report.render());
+        let labels: Vec<&str> = report.outcomes.iter().map(|o| o.label.as_str()).collect();
+        assert_eq!(labels, ["interpreter", "flag/translate", "join/translate"]);
+        assert!(report.outcomes.iter().all(|o| matches!(o.error(), Some(Failure::FrontEnd(_)))));
+    }
+
+    #[test]
+    fn a_raising_query_agrees_on_the_error() {
+        let db = db();
+        // Row ID = 0 divides by zero: the interpreter fails, and every SQL
+        // point fails with the same engine error.
+        let report = verify_jsoniq(
+            &db,
+            r#"for $t in collection("t") return $t.ID div ($t.ID mod 5)"#,
+            &JsoniqLattice::full(2),
+        );
+        assert!(report.agrees(), "{}", report.render());
+        assert_eq!(report.outcomes.len(), 33);
+        let e = snowdb::SnowError::Exec("division by zero".into());
+        assert!(report.outcomes[1..]
+            .iter()
+            .all(|o| matches!(o.error(), Some(Failure::Engine(x)) if *x == e)));
     }
 }

@@ -32,9 +32,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, SnowError};
 
-/// Marker prefix carried by injected panic payloads, so the chaos tests'
-/// panic hook can tell injected panics from real ones.
+/// Marker prefix carried by injected panic payloads, so
+/// [`quiet_injected_panics`] can tell injected panics from real ones.
 pub const CHAOS_PANIC_MARKER: &str = "chaos-injected-panic";
+
+/// Silences the panic printout for *injected* panics only — a fault sweep
+/// expects them by the hundreds — while real panics keep reporting through
+/// the previous hook. Installs once per process; later calls do nothing.
+pub fn quiet_injected_panics() {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            if !msg.contains(CHAOS_PANIC_MARKER) {
+                prev(info);
+            }
+        }));
+    });
+}
 
 /// Classes of injection points, matching the governance checkpoints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -7,8 +7,6 @@
 //! merged partial aggregates), so numbers compare with a relative epsilon and
 //! `NaN` equals `NaN`.
 
-use std::cmp::Ordering;
-
 use crate::variant::{cmp_variants, NumericPair, Variant};
 
 /// Sorts rows into the canonical order: lexicographic by [`cmp_variants`],
@@ -16,25 +14,17 @@ use crate::variant::{cmp_variants, NumericPair, Variant};
 /// may return rows in any order (and parallel plans do), so every comparison
 /// starts from this normal form.
 pub fn canonical_rows(mut rows: Vec<Vec<Variant>>) -> Vec<Vec<Variant>> {
-    rows.sort_by(|a, b| cmp_rows(a, b));
+    rows.sort_by(|a, b| {
+        let mut prefix = a.iter().zip(b).map(|(x, y)| cmp_variants(x, y));
+        prefix.find(|c| c.is_ne()).unwrap_or_else(|| a.len().cmp(&b.len()))
+    });
     rows
-}
-
-/// Total order over rows used by [`canonical_rows`].
-pub fn cmp_rows(a: &[Variant], b: &[Variant]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        let c = cmp_variants(x, y);
-        if c != Ordering::Equal {
-            return c;
-        }
-    }
-    a.len().cmp(&b.len())
 }
 
 /// Epsilon-aware value equality: numbers within relative `epsilon` are equal,
 /// `NaN` equals `NaN`, containers compare element-wise (objects key-wise,
 /// order-insensitively), everything else falls back to exact equality.
-pub fn variant_eq_eps(a: &Variant, b: &Variant, epsilon: f64) -> bool {
+fn variant_eq_eps(a: &Variant, b: &Variant, epsilon: f64) -> bool {
     match (a, b) {
         (Variant::Array(x), Variant::Array(y)) => {
             x.len() == y.len()
@@ -65,7 +55,7 @@ fn float_eq_eps(x: f64, y: f64, epsilon: f64) -> bool {
 }
 
 /// Row equality under [`variant_eq_eps`].
-pub fn rows_eq_eps(a: &[Variant], b: &[Variant], epsilon: f64) -> bool {
+fn rows_eq_eps(a: &[Variant], b: &[Variant], epsilon: f64) -> bool {
     a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| variant_eq_eps(x, y, epsilon))
 }
 

@@ -1,5 +1,5 @@
 //! Seeded random SQL over a nested-table schema, for the configuration
-//! lattice to referee.
+//! lattice to referee, and the irregular table both random streams share.
 //!
 //! The JSONiq generator (`jsoniq_core::verify::gen`) reaches the engine only
 //! through what the translator emits. This one writes SQL directly, and
@@ -8,10 +8,38 @@
 //! `NVL`, `GET`, `ARRAY_SIZE`, the two-argument aggregates `MIN_BY`/`MAX_BY`
 //! (grouped and global), repeated subexpressions, and `SEQ8()` row ids joined
 //! back. Every draw comes from a splitmix64 stream, so a corpus is a seed.
-//! Results carry no float accumulation (`SUM`/`AVG`), so every configuration
-//! must return them bit for bit.
+//! Results carry no float accumulation (`SUM`/`AVG` of floats), so every
+//! configuration must return them bit for bit.
+//!
+//! Error identity: besides the unguarded division, the stream emits operands
+//! that raise an error naming the row that raised it
+//! (`CAST(IFF(<pred on key>, 'e' || <key>, <key>) AS INTEGER)` fails with
+//! `cannot cast 'e3' to INTEGER`) and type-raising aggregate arguments (`SUM`
+//! over a string, `BOOLAND_AGG` over a number), in join keys, in filters
+//! above and below a `FLATTEN`, in group keys and in aggregate arguments.
+//! Every configuration must fail with the same error, the one of the first
+//! failing row. [`RAISED`] lists every error the stream can raise.
+//!
+//! Data shapes: [`load_irregular`] writes the table of heterogeneous nested
+//! values the ADL table never has, and [`SqlGen::random_sql`] queries it
+//! freely — every SQL point shares the engine's one-null semantics.
 
+use crate::engine::Database;
+use crate::error::Result;
 use crate::govern::chaos::splitmix64;
+use crate::storage::{ColumnDef, ColumnType};
+use crate::variant::{Object, Variant};
+
+/// The errors the stream can raise, as message prefixes of
+/// `SnowError::Exec`: the division, the row-naming cast, the two
+/// type-raising aggregates and a comparison of a string with a number.
+pub const RAISED: [&str; 5] = [
+    "division by zero",
+    "cannot cast '",
+    "SUM expects numbers, got ",
+    "BOOLAND_AGG expects booleans",
+    "cannot compare values of types ",
+];
 
 /// The nested table a corpus is generated against.
 #[derive(Clone, Debug)]
@@ -23,9 +51,12 @@ pub struct SqlSchema {
     pub float_paths: Vec<&'static str>,
     /// Array-of-object columns with the float members of their elements.
     pub arrays: Vec<(&'static str, Vec<&'static str>)>,
+    /// The table [`load_irregular`] wrote.
+    pub irregular: String,
 }
 
-/// The ADL HEP table (`adl::generator::schema`).
+/// The ADL HEP table (`adl::generator::schema`) and the irregular table
+/// `IRR`.
 pub fn adl_schema(table: &str) -> SqlSchema {
     SqlSchema {
         table: table.to_string(),
@@ -36,7 +67,64 @@ pub fn adl_schema(table: &str) -> SqlSchema {
             ("MUON", vec!["PT", "ETA", "PHI", "MASS"]),
             ("ELECTRON", vec!["PT", "ETA", "PHI", "MASS"]),
         ],
+        irregular: "IRR".to_string(),
     }
+}
+
+/// Loads `rows` seeded rows of the irregular table as `name`, in partitions
+/// of 8 rows. Its columns:
+///
+/// - `ID`: the row number;
+/// - `OPT`: an integer, JSON `null` in some documents and absent from others
+///   — a table row has a cell for every column, so both load as the one
+///   `Variant::Null` that also stands for SQL `NULL`;
+/// - `MIX`: an integer, a float or a string;
+/// - `XS`: an array of zero to four items: objects `{"ETA": …, "PT": …}`,
+///   objects missing `PT`, objects whose `PT` is `null`, and integers.
+///
+/// `ETA` is present in every object, so a query may collect it into a
+/// nested result; `PT` may be missing or `null`.
+pub fn load_irregular(db: &Database, name: &str, rows: usize, seed: u64) -> Result<()> {
+    let mut g = SqlGen::new(seed);
+    let schema = vec![
+        ColumnDef::new("ID", ColumnType::Int),
+        ColumnDef::new("OPT", ColumnType::Variant),
+        ColumnDef::new("MIX", ColumnType::Variant),
+        ColumnDef::new("XS", ColumnType::Variant),
+    ];
+    let data: Vec<Vec<Variant>> = (0..rows as i64)
+        .map(|id| {
+            // Two in five `null`, one in five absent: both are `Null` here.
+            let opt = if g.below(5) < 3 { Variant::Null } else { Variant::Int(g.below(40) as i64) };
+            let mix = match g.below(3) {
+                0 => Variant::Int(g.below(100) as i64),
+                1 => Variant::Float(g.below(800) as f64 / 8.0),
+                _ => Variant::from(format!("s{}", g.below(20))),
+            };
+            let xs = (0..g.below(5))
+                .map(|_| {
+                    let eta = Variant::Float(g.below(50) as f64 / 10.0 - 2.5);
+                    let pt = Variant::Float(g.below(600) as f64 / 4.0);
+                    match g.below(5) {
+                        0 => Variant::Int(g.below(10) as i64),
+                        1 => object([("ETA", eta)]),
+                        2 => object([("ETA", eta), ("PT", Variant::Null)]),
+                        _ => object([("ETA", eta), ("PT", pt)]),
+                    }
+                })
+                .collect::<Vec<_>>();
+            vec![Variant::Int(id), opt, mix, Variant::array(xs)]
+        })
+        .collect();
+    db.load_table(name, schema, data, 8)
+}
+
+fn object<const N: usize>(members: [(&str, Variant); N]) -> Variant {
+    let mut o = Object::with_capacity(N);
+    for (k, v) in members {
+        o.insert(k, v);
+    }
+    Variant::object(o)
 }
 
 /// A seeded stream of SQL queries.
@@ -46,8 +134,9 @@ pub struct SqlGen {
 }
 
 impl SqlGen {
+    /// The stream of `seed`; neighbouring seeds draw unrelated streams.
     pub fn new(seed: u64) -> SqlGen {
-        SqlGen { state: seed }
+        SqlGen { state: splitmix64(seed) }
     }
 
     fn below(&mut self, n: u64) -> u64 {
@@ -81,6 +170,36 @@ impl SqlGen {
         }
     }
 
+    /// An integer that is `key`, except on the rows `pred` holds for: there
+    /// the cast fails naming the row, `cannot cast 'e3' to INTEGER`.
+    fn raising_int(&mut self, key: &str, pred: &str) -> String {
+        let letter = self.pick(&["e", "k", "w", "g"]);
+        format!("CAST(IFF({pred}, '{letter}' || {key}, {key}) AS INTEGER)")
+    }
+
+    /// [`SqlGen::raising_int`] on the rows of [`SqlGen::key_pred`].
+    fn raising_key(&mut self, key: &str) -> String {
+        let pred = self.key_pred(key);
+        self.raising_int(key, &pred)
+    }
+
+    /// A predicate on an integer key that holds for some rows, or none.
+    fn key_pred(&mut self, key: &str) -> String {
+        let k = 7 + self.below(300);
+        format!("({key} % {k}) = {}", self.below(k.min(40)))
+    }
+
+    /// An aggregate whose argument raises a type error on the rows a key
+    /// predicate holds for: `SUM` over a string, `BOOLAND_AGG` over a number.
+    fn raising_agg(&mut self, key: &str) -> String {
+        let pred = self.key_pred(key);
+        if self.below(2) == 0 {
+            format!("SUM(IFF({pred}, 'k' || {key}, {key}))")
+        } else {
+            format!("BOOLAND_AGG(IFF({pred}, {key}, {key} >= 0))")
+        }
+    }
+
     /// A scalar over a whole row, exercising guards and nested access.
     fn row_scalar(&mut self, s: &SqlSchema) -> String {
         let f = *self.pick(&s.float_paths);
@@ -89,7 +208,7 @@ impl SqlGen {
         let m = *self.pick(&members);
         let k = 2 + self.below(4);
         let id = s.int_col;
-        match self.below(8) {
+        match self.below(9) {
             // The guard keeps the division off its zero divisors.
             0 => format!("IFF(({id} % {k}) = 0, NULL, {f} / ({id} % {k}))"),
             1 => format!(
@@ -101,6 +220,7 @@ impl SqlGen {
             4 => format!("{}({f}) + {}({g})", self.math1(), self.math1()),
             5 => format!("COALESCE({arr}[{}]:{m}, {f}, 0)", self.below(4)),
             6 => format!("OBJECT_CONSTRUCT('id', {id}, 'v', POWER({f}, 2), 'n', ARRAY_SIZE({arr}))"),
+            7 => self.raising_key(id),
             // Unguarded: every configuration must report the same error.
             _ => format!("{f} / ({id} % {})", 40 + self.below(40)),
         }
@@ -110,7 +230,7 @@ impl SqlGen {
         let f = *self.pick(&s.float_paths);
         let (arr, _) = self.pick(&s.arrays).clone();
         let k = 2 + self.below(5);
-        match self.below(4) {
+        match self.below(5) {
             0 => format!("{f} > {}", 5 + self.below(60)),
             1 => format!("({} % {k}) = {}", s.int_col, self.below(k)),
             2 => format!(
@@ -118,6 +238,7 @@ impl SqlGen {
                 1 + self.below(3),
                 3 + self.below(6)
             ),
+            3 => format!("{} % 2 = 0", self.raising_key(s.int_col)),
             _ => format!(
                 "IFF(ARRAY_SIZE({arr}) = 0, FALSE, {arr}[0]:PT / ARRAY_SIZE({arr}) > {})",
                 2 + self.below(20)
@@ -125,53 +246,130 @@ impl SqlGen {
         }
     }
 
-    /// The next query of the stream.
+    /// The next query of the stream: one in six over the irregular table.
     pub fn random_sql(&mut self, s: &SqlSchema) -> String {
         let t = &s.table;
         let id = s.int_col;
         let (arr, members) = self.pick(&s.arrays).clone();
-        match self.below(6) {
-            0 => format!(
+        match self.below(12) {
+            0 | 1 => format!(
                 "SELECT {id}, {} AS V FROM {t} WHERE {}",
                 self.row_scalar(s),
                 self.row_pred(s)
             ),
-            1 => format!(
-                "SELECT H.{id}, X.INDEX, {} AS V FROM {t} H, LATERAL FLATTEN(INPUT => H.{arr}) X \
-                 WHERE {} > {}",
-                self.member_expr("X.VALUE", &members),
-                self.member_expr("X.VALUE", &members),
-                self.below(30),
-            ),
-            2 => {
-                let k = 2 + self.below(6);
+            2 | 3 => {
+                let mut filter = format!(
+                    "{} > {}",
+                    self.member_expr("X.VALUE", &members),
+                    self.below(30)
+                );
+                // A raising conjunct over the row (a candidate to move below
+                // the flatten) or over the element (it stays above).
+                match self.below(4) {
+                    0 => {
+                        let raising = self.raising_key(&format!("H.{id}"));
+                        filter = format!("{raising} > 3 AND {filter}");
+                    }
+                    1 => {
+                        let pred = format!("X.VALUE:PT > {}", 20 + self.below(200));
+                        let raising = self.raising_int(&format!("H.{id}"), &pred);
+                        filter = format!("{filter} AND {raising} >= 0");
+                    }
+                    _ => {}
+                }
                 format!(
-                    "SELECT H.{id} % {k} AS G, MIN_BY(X.VALUE:PT, {}) AS LO, \
-                     MAX_BY(X.INDEX, X.VALUE:PT) AS HI, COUNT(*) AS N \
-                     FROM {t} H, LATERAL FLATTEN(INPUT => H.{arr}) X GROUP BY H.{id} % {k}",
+                    "SELECT H.{id}, X.INDEX, {} AS V FROM {t} H, LATERAL FLATTEN(INPUT => H.{arr}) X \
+                     WHERE {filter}",
                     self.member_expr("X.VALUE", &members),
                 )
             }
-            3 => format!(
-                "SELECT MIN_BY({id}, {f}) AS A, MAX_BY({}, {id}) AS B, COUNT(*) AS N FROM {t} WHERE {}",
+            4 | 5 => {
+                let k = 2 + self.below(6);
+                let key = format!("H.{id}");
+                let group = if self.below(4) == 0 {
+                    format!("{} % {k}", self.raising_key(&key))
+                } else {
+                    format!("{key} % {k}")
+                };
+                let extra = if self.below(3) == 0 {
+                    format!(", {} AS E", self.raising_agg(&key))
+                } else {
+                    String::new()
+                };
+                format!(
+                    "SELECT {group} AS G, MIN_BY(X.VALUE:PT, {}) AS LO, \
+                     MAX_BY(X.INDEX, X.VALUE:PT) AS HI, COUNT(*) AS N{extra} \
+                     FROM {t} H, LATERAL FLATTEN(INPUT => H.{arr}) X GROUP BY {group}",
+                    self.member_expr("X.VALUE", &members),
+                )
+            }
+            6 => format!(
+                "SELECT MIN_BY({id}, {f}) AS A, MAX_BY({}, {id}) AS B, COUNT(*) AS N, {} AS E \
+                 FROM {t} WHERE {}",
                 self.row_scalar(s),
+                self.raising_agg(id),
                 self.row_pred(s),
                 f = self.pick(&s.float_paths),
             ),
-            4 => format!(
+            7 => format!(
                 "SELECT {id}, {}, {} FROM {t} WHERE {} ORDER BY {id}",
                 self.row_scalar(s),
                 self.row_scalar(s),
                 self.row_pred(s),
             ),
             // Row ids stamped by two projections and joined back, as both
-            // nested-query strategies of the translator do.
+            // nested-query strategies of the translator do — or joined on a
+            // key that raises on some rows.
+            8 | 9 => {
+                let (key, on) = if self.below(3) == 0 {
+                    (self.raising_key(id), format!("L.{id} = R.K"))
+                } else {
+                    (id.to_string(), "L.RID = R.RID".to_string())
+                };
+                format!(
+                    "SELECT L.RID, L.{id}, R.V FROM (SELECT SEQ8() AS RID, {id} FROM {t}) L \
+                     JOIN (SELECT SEQ8() AS RID, {key} AS K, {} AS V FROM {t}) R ON {on} \
+                     WHERE (L.{id} % {}) = 0",
+                    self.row_scalar(s),
+                    2 + self.below(3),
+                )
+            }
+            _ => self.irregular_sql(&s.irregular),
+        }
+    }
+
+    /// A query over the irregular table: `NULL`s, a mixed-type column, and
+    /// arrays with empty, member-less, `null`-member and scalar items.
+    fn irregular_sql(&mut self, t: &str) -> String {
+        let k = 2 + self.below(4);
+        match self.below(6) {
+            0 => format!(
+                "SELECT ID, OPT, NVL(OPT, -1) AS N FROM {t} WHERE OPT IS NULL OR OPT > {}",
+                self.below(40)
+            ),
+            1 => format!("SELECT MIX, COUNT(*) AS N FROM {t} GROUP BY MIX"),
+            // Strings against a number: raises unless the filter keeps
+            // only numbers.
+            2 => {
+                let guard = if self.below(2) == 0 { "TYPEOF(MIX) <> 'VARCHAR' AND " } else { "" };
+                format!("SELECT ID FROM {t} WHERE {guard}MIX > {}", self.below(100))
+            }
+            3 => format!(
+                "SELECT T.ID, X.INDEX, X.VALUE, X.VALUE:PT AS PT, X.VALUE:ETA AS ETA \
+                 FROM {t} T, LATERAL FLATTEN(INPUT => T.XS{}) X WHERE X.VALUE:PT IS NULL",
+                if self.below(2) == 0 { ", OUTER => TRUE" } else { "" }
+            ),
+            4 => format!(
+                "SELECT T.ID % {k} AS G, COUNT(X.VALUE:PT) AS N, MAX(X.VALUE:ETA) AS E, \
+                 ARRAY_SIZE(ARRAY_AGG(X.VALUE:PT)) AS A FROM {t} T, \
+                 LATERAL FLATTEN(INPUT => T.XS, OUTER => TRUE) X GROUP BY T.ID % {k}"
+            ),
             _ => format!(
-                "SELECT L.RID, L.{id}, R.V FROM (SELECT SEQ8() AS RID, {id} FROM {t}) L \
-                 JOIN (SELECT SEQ8() AS RID, {} AS V FROM {t}) R ON L.RID = R.RID \
-                 WHERE (L.{id} % {}) = 0",
-                self.row_scalar(s),
-                2 + self.below(3),
+                "SELECT ID, ARRAY_SIZE(XS) AS N, GET(XS, {}):PT AS P FROM {t} \
+                 WHERE ARRAY_SIZE(XS) {} {}",
+                self.below(3),
+                self.pick(&["=", ">=", "<"]),
+                self.below(3)
             ),
         }
     }
@@ -192,6 +390,28 @@ mod tests {
         assert_ne!(corpus(7), corpus(8));
         for sql in corpus(7) {
             crate::sql::parse_query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+    }
+
+    #[test]
+    fn the_irregular_table_has_every_shape() {
+        let db = Database::new();
+        load_irregular(&db, "irr", 40, 0x1dd).unwrap();
+        let count = |sql: &str| match &db.query(sql).unwrap().rows[0][0] {
+            Variant::Int(n) => *n,
+            other => panic!("{sql}: {other:?}"),
+        };
+        let flat = "FROM irr, LATERAL FLATTEN(INPUT => XS) X WHERE";
+        for (what, sql) in [
+            ("null OPT", "SELECT COUNT(*) FROM irr WHERE OPT IS NULL".to_string()),
+            ("string MIX", "SELECT COUNT(*) FROM irr WHERE TYPEOF(MIX) = 'VARCHAR'".into()),
+            ("float MIX", "SELECT COUNT(*) FROM irr WHERE TYPEOF(MIX) = 'DOUBLE'".into()),
+            ("empty XS", "SELECT COUNT(*) FROM irr WHERE ARRAY_SIZE(XS) = 0".into()),
+            ("scalar item", format!("SELECT COUNT(*) {flat} TYPEOF(X.VALUE) = 'INTEGER'")),
+            ("null or missing PT", format!("SELECT COUNT(*) {flat} X.VALUE:ETA IS NOT NULL AND X.VALUE:PT IS NULL")),
+            ("PT", format!("SELECT COUNT(*) {flat} X.VALUE:PT IS NOT NULL")),
+        ] {
+            assert!(count(&sql) > 0, "no {what}");
         }
     }
 }

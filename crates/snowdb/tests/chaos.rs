@@ -1,51 +1,30 @@
 //! Chaos harness: drives the ADL + SSB corpus through seeded fault-injection
 //! schedules and checks the governance soundness property end to end.
 //!
-//! For every schedule the query must finish in one of exactly two ways — the
-//! correct result, or a typed [`snowdb::SnowError`] — and the engine must
-//! answer an un-faulted follow-up correctly. A hang, abort, or wrong answer
-//! is a governance bug. Schedules are pure functions of their seed, so every
-//! failure report names the seed; replay it with `ChaosSchedule::new(seed)`
-//! and `SNOWDB_THREADS=1`.
+//! For every schedule the query must finish in one of exactly three ways —
+//! the correct result, the injected `SnowError::Internal`, or the un-faulted
+//! run's own error — and the engine must answer an un-faulted follow-up
+//! identically (`verify_sql_chaos`, judged by the one referee). A hang,
+//! abort, or wrong answer is a governance bug. Schedules are pure functions
+//! of their seed, so every failure prints `suite=chaos seed=<n>`; replay it
+//! with `ChaosSchedule::new(seed)` and `SNOWDB_THREADS=1`.
 //!
 //! `SNOWQ_SCHEDULES` overrides the total number of schedules spread over the
 //! corpus (default 24; the CI chaos job runs 200). On failure the rendered
-//! repro is appended to the file named by `SNOWQ_CHAOS_REPORT` (when set) so
-//! CI can upload it as an artifact.
+//! report is appended to the file named by `SNOWQ_VERIFY_REPORT` (when set)
+//! so CI can upload it as an artifact.
 
 mod common;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{install_chaos_hook, schedule_budget};
+use common::{assert_agrees, schedule_budget};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowdb::govern::chaos::ChaosSchedule;
+use snowdb::govern::chaos::{quiet_injected_panics, ChaosSchedule};
 use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
-use snowdb::verify::{verify_sql_chaos, ChaosReport, DEFAULT_EPSILON};
+use snowdb::verify::{verify_sql_chaos, DEFAULT_EPSILON};
 use snowdb::{Database, QueryGovernor, QueryOptions, SnowError, Variant};
-
-/// Asserts soundness; on violation persists the report for CI artifacts and
-/// panics with the rendered repro (seed included).
-fn assert_sound(tag: &str, report: &ChaosReport) {
-    if report.sound() {
-        return;
-    }
-    for o in report.outcomes.iter().filter(|o| !o.sound) {
-        eprintln!("{}", common::repro_line("chaos", o.seed));
-    }
-    let rendered = format!("==== {tag} ====\n{}\n", report.render());
-    if let Ok(path) = std::env::var("SNOWQ_CHAOS_REPORT") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-            let _ = f.write_all(rendered.as_bytes());
-        }
-    }
-    panic!("{rendered}");
-}
 
 fn adl_db(events: usize) -> Arc<Database> {
     let d = Database::new();
@@ -86,7 +65,7 @@ fn corpus_sql(
 /// schedules' reach.
 #[test]
 fn chaos_corpus_is_sound() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let budget = schedule_budget(24);
 
     let adl = adl_db(80);
@@ -125,8 +104,8 @@ fn chaos_corpus_is_sound() {
         let seeds: Vec<u64> = (0..per_query).map(|i| next_seed + i as u64).collect();
         next_seed += 1000;
         total += seeds.len();
-        let report = verify_sql_chaos(db, sql, &seeds, 4, DEFAULT_EPSILON).unwrap();
-        assert_sound(tag, &report);
+        let report = verify_sql_chaos(db, sql, &seeds, 4, DEFAULT_EPSILON);
+        assert_agrees("chaos", tag, &report);
     }
     assert!(total >= budget, "ran {total} schedules, budget {budget}");
 }
@@ -136,7 +115,7 @@ fn chaos_corpus_is_sound() {
 /// (`verify_sql_chaos` re-runs the query un-faulted after every schedule.)
 #[test]
 fn engine_survives_injected_failures_across_thread_counts() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let db = adl_db(60);
     let sql = translate_query(
         db.clone(),
@@ -150,8 +129,8 @@ fn engine_survives_injected_failures_across_thread_counts() {
     .to_string();
     for threads in [1usize, 4] {
         let seeds: Vec<u64> = (0..12).map(|i| 0xFA11 + i).collect();
-        let report = verify_sql_chaos(&db, &sql, &seeds, threads, DEFAULT_EPSILON).unwrap();
-        assert_sound(&format!("survival threads={threads}"), &report);
+        let report = verify_sql_chaos(&db, &sql, &seeds, threads, DEFAULT_EPSILON);
+        assert_agrees("chaos", &format!("survival threads={threads}"), &report);
     }
 }
 
@@ -177,7 +156,7 @@ fn heavy_db() -> (Arc<Database>, &'static str) {
 /// thread and at four.
 #[test]
 fn cancellation_is_prompt_and_typed() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let (db, sql) = heavy_db();
     for threads in [1usize, 4] {
         let gov = Arc::new(QueryGovernor::unbounded());
@@ -224,7 +203,7 @@ fn cancellation_is_prompt_and_typed() {
 /// limit, long before the query's natural runtime.
 #[test]
 fn deadline_is_prompt_and_typed() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let (db, sql) = heavy_db();
     for threads in [1usize, 4] {
         let gov = Arc::new(QueryGovernor::unbounded().with_deadline(Duration::from_millis(100)));
@@ -248,7 +227,7 @@ fn deadline_is_prompt_and_typed() {
 /// thread count.
 #[test]
 fn memory_budget_trips_deterministically_across_thread_counts() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let (db, sql) = heavy_db();
     for threads in [1usize, 2, 4] {
         let gov = Arc::new(QueryGovernor::unbounded().with_memory_limit(64 * 1024));
@@ -290,7 +269,7 @@ fn deep_pipeline_db() -> (Arc<Database>, &'static str) {
 /// and typed, and a memory budget trips within the piece that crosses it.
 #[test]
 fn a_trip_in_the_middle_of_a_long_pipeline_arrives_within_one_piece() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let (db, sql) = deep_pipeline_db();
     for threads in [1usize, 4] {
         let opts = QueryOptions { threads: Some(threads), ..Default::default() };
@@ -335,7 +314,7 @@ fn a_trip_in_the_middle_of_a_long_pipeline_arrives_within_one_piece() {
 /// budget.
 #[test]
 fn governance_state_is_per_query_not_per_engine() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let db = adl_db(40);
     let sql = "SELECT COUNT(*) FROM hep";
     // A run with an absurd schedule (inject on every hit).

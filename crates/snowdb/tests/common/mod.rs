@@ -2,8 +2,9 @@
 //! own crate and pulls this in with `mod common;`).
 //!
 //! `SNOWQ_SCHEDULES` is the one seeded-schedule budget: every suite reads it
-//! through [`schedule_budget`] and falls back to its own default. A failing
-//! schedule prints one `suite=<name> seed=<n>` line ([`schedule`]), so a
+//! through [`schedule_budget`] and falls back to its own default — fault
+//! schedules and random query streams alike. A failing schedule prints one
+//! `suite=<name> seed=<n>` line ([`schedule`], [`assert_agrees`]), so a
 //! repro is `grep 'suite=.* seed='` over the captured output.
 
 // Each suite uses its own subset.
@@ -11,31 +12,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Once;
 
-use snowdb::govern::chaos::CHAOS_PANIC_MARKER;
+use snowdb::verify::VerifyReport;
 use snowdb::{StatementResult, Variant};
-
-/// Silences the default panic printout for *injected* chaos panics only —
-/// they are expected by the hundreds — while real panics keep reporting
-/// through the previous hook.
-pub fn install_chaos_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MARKER) {
-                prev(info);
-            }
-        }));
-    });
-}
 
 /// A fresh per-test scratch directory, removed on drop.
 pub struct TempDb(PathBuf);
@@ -76,6 +55,33 @@ pub fn schedule_budget(default: usize) -> usize {
 /// The line every failing seeded schedule prints.
 pub fn repro_line(suite: &str, seed: u64) -> String {
     format!("suite={suite} seed={seed}")
+}
+
+/// Asserts that the referee accepted every point of `report`. On a
+/// divergence: prints [`repro_line`] for every disagreeing point that ran
+/// under or right after a fault schedule, appends the rendered report to the
+/// file `SNOWQ_VERIFY_REPORT` names (when set) for CI to upload, and panics
+/// with it.
+pub fn assert_agrees(suite: &str, tag: &str, report: &VerifyReport) {
+    if report.agrees() {
+        return;
+    }
+    for d in &report.divergences {
+        if let Some(seed) = report.outcomes[d.candidate].seed {
+            eprintln!("{}", repro_line(suite, seed));
+        }
+    }
+    let rendered = format!("==== {tag} ====\n{}\n", report.render());
+    if let Ok(path) = std::env::var("SNOWQ_VERIFY_REPORT") {
+        if let Some(dir) = Path::new(&path).parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        use std::io::Write;
+        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
+            let _ = f.write_all(rendered.as_bytes());
+        }
+    }
+    panic!("{rendered}");
 }
 
 /// Guards one seeded schedule: if the schedule panics, the guard prints its

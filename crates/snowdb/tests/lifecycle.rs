@@ -28,9 +28,9 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{install_chaos_hook, int, msg, schedule_budget, TempDb};
+use common::{int, msg, schedule_budget, TempDb};
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::govern::chaos::ChaosSchedule;
+use snowdb::govern::chaos::{quiet_injected_panics, ChaosSchedule};
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::store::{compact_table_once, CompactionPolicy, Compactor};
 use snowdb::verify::{default_lattice, verify_sql, DEFAULT_EPSILON};
@@ -588,7 +588,7 @@ fn compactor_vs_continuous_ingest_never_changes_results() {
 /// scannable from a fresh reopen.
 #[test]
 fn gc_vs_time_travel_under_seeded_chaos() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let budget = schedule_budget(25);
     for schedule in 0..budget {
         let seed = 0x11FE_C7C1_u64 ^ (schedule as u64).wrapping_mul(0x9E37_79B9);
@@ -651,7 +651,7 @@ fn gc_vs_time_travel_under_seeded_chaos() {
 /// retained file set without ever touching a reachable file.
 #[test]
 fn crash_mid_gc_unlink_converges_on_reopen() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let budget = schedule_budget(25).min(40);
     for schedule in 0..budget {
         let seed = 0x6C1F_E235_u64 ^ (schedule as u64).wrapping_mul(0x517C_C1B7);

@@ -31,9 +31,9 @@ mod common;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use common::{install_chaos_hook, int, msg, schedule_budget, TempDb};
+use common::{int, msg, schedule_budget, TempDb};
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::govern::chaos::ChaosSchedule;
+use snowdb::govern::chaos::{quiet_injected_panics, ChaosSchedule};
 use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::store::{compact_table_once, CompactionPolicy};
 use snowdb::verify::{default_lattice, verify_sql, DEFAULT_EPSILON};
@@ -162,7 +162,7 @@ fn concurrent_writers_and_readers_on_disk() {
 /// debris.
 #[test]
 fn interleaved_writer_chaos_never_loses_a_committed_version() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let budget = schedule_budget(25);
     for i in 0..budget {
         let seed = 0x14CC_u64 + i as u64;

@@ -19,10 +19,10 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{install_chaos_hook, msg, schedule_budget, TempDb};
+use common::{assert_agrees, msg, schedule_budget, TempDb};
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use rand::{Rng, SeedableRng, StdRng};
-use snowdb::govern::chaos::ChaosSchedule;
+use snowdb::govern::chaos::{quiet_injected_panics, ChaosSchedule};
 use snowdb::storage::{ColumnDef, ColumnType};
 use snowdb::verify::{default_lattice, verify_sql, verify_sql_chaos, DEFAULT_EPSILON};
 use snowdb::{Database, SnowError, Variant};
@@ -405,7 +405,7 @@ fn wrong_format_version_is_a_typed_error() {
 /// recovers it exactly — with the aborted table's partitions swept.
 #[test]
 fn crash_during_commit_recovers_previous_version() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let tmp = TempDb::new("crash");
     let db = Database::open(tmp.path()).unwrap();
     db.load_jsonl("keep", "{\"a\": 1}\n{\"a\": 2}\n").unwrap();
@@ -440,7 +440,7 @@ fn crash_during_commit_recovers_previous_version() {
 /// escapes.
 #[test]
 fn manifest_commit_chaos_never_loses_a_committed_version() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let budget = schedule_budget(40);
     for i in 0..budget {
         let seed = 0xC0117_u64 + i as u64;
@@ -509,7 +509,7 @@ fn manifest_commit_chaos_never_loses_a_committed_version() {
 /// un-faulted engine keeps answering correctly afterwards.
 #[test]
 fn store_read_chaos_is_sound_on_disk_database() {
-    install_chaos_hook();
+    quiet_injected_panics();
     let tmp = TempDb::new("readchaos");
     {
         let staging = Database::new();
@@ -538,7 +538,7 @@ fn store_read_chaos_is_sound_on_disk_database() {
     let budget = schedule_budget(40).div_ceil(2).max(8);
     for threads in [1usize, 4] {
         let seeds: Vec<u64> = (0..budget).map(|i| 0x5704E + i as u64).collect();
-        let report = verify_sql_chaos(&db, &sql, &seeds, threads, DEFAULT_EPSILON).unwrap();
-        assert!(report.sound(), "threads={threads}:\n{}", report.render());
+        let report = verify_sql_chaos(&db, &sql, &seeds, threads, DEFAULT_EPSILON);
+        assert_agrees("persist", &format!("store read threads={threads}"), &report);
     }
 }

@@ -20,6 +20,8 @@
 //! pinned query's full `EXPLAIN` (cost-annotated) is written there for CI
 //! artifact upload.
 
+mod common;
+
 use std::sync::Arc;
 
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
@@ -184,10 +186,7 @@ fn random_join_queries_agree_with_unoptimized_oracle() {
         ("supplier s", "l.lo_suppkey = s.s_suppkey", "s.s_region <> 'AFRICA'"),
         ("part p", "l.lo_partkey = p.p_partkey", "p.p_size <= 6"),
     ];
-    let n: usize = std::env::var("SNOWQ_VERIFY_RANDOM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let n = common::schedule_budget(12);
     for i in 0..n {
         // Pick 2-4 dimensions, shuffle the FROM order, keep a random subset
         // of the dimension filters.

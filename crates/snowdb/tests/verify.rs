@@ -9,8 +9,11 @@
 //!
 //! On failure the full divergence report is appended to the file named by
 //! `SNOWQ_VERIFY_REPORT` (when set) before panicking, so CI can upload it as
-//! an artifact. `SNOWQ_VERIFY_RANDOM` overrides the number of random queries
-//! (default 40; CI runs 200).
+//! an artifact. `SNOWQ_SCHEDULES` overrides the number of random queries per
+//! stream (default 40; CI runs 200); each query is its own seed, and a
+//! failing one prints `suite=<stream> seed=<n>`.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -18,27 +21,9 @@ use jsoniq_core::verify::gen::{adl_schema, random_query};
 use jsoniq_core::verify::{verify_jsoniq, JsoniqLattice};
 use rand::{Rng, SeedableRng, StdRng};
 use snowdb::storage::{ColumnDef, ColumnType};
-use snowdb::verify::{default_lattice, verify_sql, VerifyReport, DEFAULT_EPSILON};
+use common::{assert_agrees, schedule, schedule_budget};
+use snowdb::verify::{default_lattice, verify_sql, DEFAULT_EPSILON};
 use snowdb::{Database, Variant};
-
-/// Asserts agreement; on divergence persists the report for CI artifacts and
-/// panics with the rendered repro.
-fn assert_agrees(tag: &str, report: &VerifyReport) {
-    if report.agrees() {
-        return;
-    }
-    let rendered = format!("==== {tag} ====\n{}\n", report.render());
-    if let Ok(path) = std::env::var("SNOWQ_VERIFY_REPORT") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-            let _ = f.write_all(rendered.as_bytes());
-        }
-    }
-    panic!("{rendered}");
-}
 
 fn adl_db(events: usize) -> Arc<Database> {
     let d = Database::new();
@@ -62,7 +47,7 @@ fn verify_adl_corpus_full_lattice() {
     let lattice = JsoniqLattice::full(4);
     for q in adl::queries::queries("hep") {
         let report = verify_jsoniq(&db, &q.jsoniq, &lattice);
-        assert_agrees(&format!("adl {}", q.id), &report);
+        assert_agrees("verify", &format!("adl {}", q.id), &report);
     }
 }
 
@@ -80,7 +65,7 @@ fn verify_ssb_corpus_sql_lattice() {
     lattice.sql.retain(|c| c.optimize);
     for q in ssb::queries() {
         let report = verify_jsoniq(&db, &q.jsoniq, &lattice);
-        assert_agrees(&format!("ssb {}", q.id), &report);
+        assert_agrees("verify", &format!("ssb {}", q.id), &report);
     }
 }
 
@@ -97,7 +82,7 @@ fn verify_ssb_tiny_corpus_full_lattice() {
     let lattice = JsoniqLattice::full(4);
     for q in ssb::queries() {
         let report = verify_jsoniq(&db, &q.jsoniq, &lattice);
-        assert_agrees(&format!("ssb tiny {}", q.id), &report);
+        assert_agrees("verify", &format!("ssb tiny {}", q.id), &report);
     }
 }
 
@@ -106,57 +91,104 @@ fn verify_ssb_q1_1_against_interpreter() {
     let db = ssb_db(200);
     let q = ssb::query("q1.1");
     let report = verify_jsoniq(&db, &q.jsoniq, &JsoniqLattice::full(2));
-    assert_agrees("ssb q1.1 (interpreted)", &report);
+    assert_agrees("verify", "ssb q1.1 (interpreted)", &report);
+}
+
+/// The ADL table and the irregular table both random streams share.
+fn random_db() -> Arc<Database> {
+    let db = adl_db(120);
+    snowdb::verify::gen::load_irregular(&db, "IRR", 40, 0x1dd).unwrap();
+    db
 }
 
 #[test]
 fn verify_random_queries_across_lattice() {
-    let n: usize = std::env::var("SNOWQ_VERIFY_RANDOM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let db = adl_db(120);
+    let db = random_db();
     let schema = adl_schema("hep");
     let lattice = JsoniqLattice::full(4);
-    let mut rng = StdRng::seed_from_u64(0x5eed);
-    for i in 0..n {
-        let q = random_query(&mut rng, &schema);
+    for seed in 0x5eed..0x5eed + schedule_budget(40) as u64 {
+        let _repro = schedule("verify_random", seed);
+        let q = random_query(&mut StdRng::seed_from_u64(seed), &schema);
         let report = verify_jsoniq(&db, &q, &lattice);
-        assert_agrees(&format!("random #{i} (seed 0x5eed)"), &report);
+        assert_agrees("verify_random", &format!("random jsoniq seed={seed}"), &report);
     }
 }
 
 /// The SQL generator's stream — math functions over paths, `IFF`/`CASE`
 /// guards around `/`, `NVL`/`GET`/`ARRAY_SIZE`, `MIN_BY`/`MAX_BY`, `SEQ8()`
-/// row ids joined back — across all 24 configurations. With a tolerance of
-/// zero: nothing here accumulates floats, so the batch evaluator and the row
-/// loop must agree bit for bit, and on errors word for word.
+/// row ids joined back, row-naming and type-raising operands, the irregular
+/// table — across all 24 configurations. With a tolerance of zero: nothing
+/// here accumulates floats, so the batch evaluator and the row loop must
+/// agree bit for bit, and on errors value for value. Every error is one the
+/// generator can raise ([`snowdb::verify::gen::RAISED`]).
 #[test]
 fn verify_random_sql_across_lattice() {
-    use snowdb::verify::gen::{adl_schema as sql_schema, SqlGen};
-    let n: usize = std::env::var("SNOWQ_VERIFY_RANDOM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let db = adl_db(120);
+    use snowdb::verify::gen::{adl_schema as sql_schema, SqlGen, RAISED};
+    use snowdb::verify::Failure;
+    use snowdb::SnowError;
+    let n = schedule_budget(40);
+    let db = random_db();
     let schema = sql_schema("hep");
     let lattice = default_lattice(4);
-    let mut gen = SqlGen::new(0x5eed);
     let (mut answered, mut failed) = (0, 0);
-    for i in 0..n {
-        let sql = gen.random_sql(&schema);
+    for seed in 0x5eed..0x5eed + n as u64 {
+        let _repro = schedule("verify_random_sql", seed);
+        let sql = SqlGen::new(seed).random_sql(&schema);
         let report = verify_sql(&db, &sql, &lattice, 0.0).expect("no governance limit is set");
-        assert_agrees(&format!("random sql #{i} (seed 0x5eed)"), &report);
-        match &report.outcomes[0].error {
+        assert_agrees("verify_random_sql", &format!("random sql seed={seed}"), &report);
+        match report.baseline().error() {
             None => answered += 1,
-            Some(e) => {
-                assert!(e.contains("division by zero"), "{sql}: {e}");
-                failed += 1;
+            Some(Failure::Engine(SnowError::Exec(e)))
+                if RAISED.iter().any(|r| e.starts_with(r)) =>
+            {
+                failed += 1
             }
+            Some(e) => panic!("{sql}: {e:?}"),
         }
     }
-    // The stream reaches both outcomes: answers, and the unguarded division.
+    // The stream reaches both outcomes: answers, and the raising operands.
     assert!(answered > failed && (failed > 0 || n < 40), "{answered} answered, {failed} failed");
+}
+
+// ---------------------------------------------------------------------------
+// Known divergence: one `NULL` for SQL `NULL`, JSON `null` and a missing
+// member (EXPERIMENTS.md, known divergence 4). The interpreter's answers are
+// JSONiq's; every SQL point answers otherwise under both strategies.
+// ---------------------------------------------------------------------------
+
+/// JSON `null` is a value to the interpreter: it equals `null` and sorts
+/// below every number. To SQL it is `NULL`, which compares to nothing.
+#[test]
+#[ignore = "one Variant::Null for SQL NULL, JSON null and a missing member"]
+fn one_null_json_null_compares_as_a_value() {
+    let db = random_db();
+    let nulls = db.query("SELECT COUNT(*) FROM IRR WHERE OPT IS NULL").unwrap().rows[0][0].clone();
+    for q in [
+        r#"for $t in collection("IRR") where $t.OPT eq null return $t.ID"#,
+        r#"for $t in collection("IRR") where exists(for $x in $t.XS[] where $x.PT lt 50 return 1) return $t.ID"#,
+    ] {
+        let report = verify_jsoniq(&db, q, &JsoniqLattice::full(2));
+        if q.contains("eq null") {
+            assert_eq!(Variant::Int(report.baseline().rows().unwrap() as i64), nulls);
+        }
+        assert_agrees("verify", q, &report);
+    }
+}
+
+/// A `null` member is an item to the interpreter and a missing one is not;
+/// an aggregate of nothing is the empty sequence. SQL's `ARRAY_AGG` skips the
+/// `NULL` that stands for all three, and `MAX` of no rows is a `NULL` row.
+#[test]
+#[ignore = "one Variant::Null for SQL NULL, JSON null and a missing member"]
+fn one_null_null_members_are_collected_and_empty_aggregates_vanish() {
+    let db = random_db();
+    for q in [
+        r#"for $t in collection("IRR") return [ for $x in $t.XS[] return $x.PT ]"#,
+        r#"for $t in collection("IRR") return max(for $x in $t.XS[] where $x.PT gt 10 return $x.ETA)"#,
+    ] {
+        let report = verify_jsoniq(&db, q, &JsoniqLattice::full(2));
+        assert_agrees("verify", q, &report);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +205,7 @@ fn verify_adl_q7_join_strategy_seq8_regression() {
     let db = adl_db(150);
     let q = adl::queries::queries("hep").into_iter().find(|q| q.id == "q7").unwrap();
     let report = verify_jsoniq(&db, &q.jsoniq, &JsoniqLattice::full(4));
-    assert_agrees("adl q7 (SEQ8 pushdown regression)", &report);
+    assert_agrees("verify", "adl q7 (SEQ8 pushdown regression)", &report);
 }
 
 /// Minimal SQL-level form of the same bug: a filter above a projection that
@@ -197,7 +229,7 @@ fn verify_seq8_numbering_survives_filter_pushdown() {
         DEFAULT_EPSILON,
     )
     .unwrap();
-    assert_agrees("SEQ8 below filter", &report);
+    assert_agrees("verify", "SEQ8 below filter", &report);
 }
 
 /// A predicate that can raise a runtime error must not move below a non-outer
@@ -232,7 +264,7 @@ fn verify_error_predicate_stays_above_flatten() {
         DEFAULT_EPSILON,
     )
     .unwrap();
-    assert_agrees("error predicate below flatten", &report);
+    assert_agrees("verify", "error predicate below flatten", &report);
 }
 
 /// NULL-sensitive predicates and outer flattens: `IFF`/`IS NULL` conjuncts
@@ -265,7 +297,7 @@ fn verify_null_sensitive_predicates_and_outer_flatten() {
          WHERE IFF(ID IS NULL, FALSE, ID % 2 = 0)",
     ] {
         let report = verify_sql(&d, sql, &default_lattice(2), DEFAULT_EPSILON).unwrap();
-        assert_agrees(sql, &report);
+        assert_agrees("verify", sql, &report);
     }
 }
 
@@ -296,7 +328,7 @@ fn verify_nan_agrees_across_lattice() {
         "SELECT COUNT(*) FROM t WHERE X = X",
     ] {
         let report = verify_sql(&d, sql, &default_lattice(4), DEFAULT_EPSILON).unwrap();
-        assert_agrees(sql, &report);
+        assert_agrees("verify", sql, &report);
     }
 }
 
@@ -337,7 +369,7 @@ fn verify_large_int_float_comparison_is_exact() {
         "SELECT ID FROM t ORDER BY N, ID".to_string(),
     ] {
         let report = verify_sql(&d, &sql, &default_lattice(4), DEFAULT_EPSILON).unwrap();
-        assert_agrees(&sql, &report);
+        assert_agrees("verify", &sql, &report);
     }
     // The exact-compare fix itself (not just lattice agreement): Int(2^53+1)
     // must not equal the float 2^53. Matching rows are Int(2^53), Float(2^53),
@@ -385,7 +417,7 @@ fn verify_float_group_keys_at_i64_boundary() {
         "SELECT COUNT(*) FROM t a, t b WHERE a.K = b.K",
     ] {
         let report = verify_sql(&d, sql, &default_lattice(4), DEFAULT_EPSILON).unwrap();
-        assert_agrees(sql, &report);
+        assert_agrees("verify", sql, &report);
     }
     // 2^63-as-float must NOT group with Int(i64::MAX); -2^63 must unify with
     // Int(i64::MIN); ±0.0 and Int(0) share one group; the two NaNs share one.
@@ -424,7 +456,7 @@ fn verify_drifting_column_ingest_promotes_not_truncates() {
         "SELECT X, COUNT(*) FROM t GROUP BY X",
     ] {
         let report = verify_sql(&d, sql, &default_lattice(4), DEFAULT_EPSILON).unwrap();
-        assert_agrees(sql, &report);
+        assert_agrees("verify", sql, &report);
     }
     // The exact values survive ingest: 7.5 is still 7.5, the string is still
     // a string, and nothing collapsed to NULL.

@@ -8,12 +8,12 @@
 //! is also the cold compile. The 200-schedule sweep over the whole corpus
 //! lives in `crates/snowdb/tests/chaos.rs`.
 
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use snowq::adl::{self, generator::AdlConfig};
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
-use snowq::snowdb::govern::chaos::{ChaosSchedule, CHAOS_PANIC_MARKER};
+use snowq::snowdb::govern::chaos::{quiet_injected_panics, ChaosSchedule};
 use snowq::snowdb::verify::{canonical_rows, first_diff, DEFAULT_EPSILON};
 use snowq::snowdb::{Database, QueryGovernor, QueryOptions, SnowError, Variant};
 use snowq::ssb::{self, SsbConfig};
@@ -23,25 +23,6 @@ use snowq::ssb::{self, SsbConfig};
 /// usually fails — both outcomes, cold and cached.
 const SEED: u64 = 0x5eed_0000;
 const PERIOD: u64 = 128;
-
-/// Injected panics are expected; only real ones reach the default hook.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MARKER) {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn adl_db() -> Arc<Database> {
     let db = Database::new();
@@ -73,11 +54,11 @@ fn sound_under_chaos(tag: &str, db: &Database, sql: &str, reference: &[Vec<Varia
                 assert_eq!(r.profile.plan_cached, run == "cached", "{tag} {run}");
             }
             // An injected fault, error or caught panic, is an internal error.
-            Err(f) => { eprintln!("DBG {tag} {run}: {}", f.error); assert!(
+            Err(f) => assert!(
                 matches!(f.error, SnowError::Internal(_)),
                 "{tag} {run} seed={SEED:#x}: unexpected failure {:?}",
                 f.error
-            )},
+            ),
         }
     }
     let after = db.query_with(sql, &opts).expect("the engine answers after the schedule");

@@ -24,12 +24,12 @@ fn agrees_everywhere(db: &Database, tag: &str, sql: &str) {
     assert_eq!(report.outcomes.len(), 16, "{tag}");
     for o in &report.outcomes {
         assert!(
-            o.agrees && o.error.is_none(),
+            o.agrees && o.error().is_none(),
             "{tag} {}: {:?}",
             o.label,
-            o.error
+            o.error()
         );
-        assert!(o.rows.is_some_and(|n| n > 0), "{tag} {}: no rows", o.label);
+        assert!(o.rows().is_some_and(|n| n > 0), "{tag} {}: no rows", o.label);
     }
     let axes = [
         ["optimized/", "raw/"],
