@@ -178,7 +178,7 @@ pub fn fig7_compile_time(cfg: &Config) -> Report {
             fmt_secs(h),
             gen_sql.matches("SELECT").count().to_string(),
             gen_sql.len().to_string(),
-            if snowdb::sql::hops(&gen_sql) { "yes" } else { "no" }.to_string(),
+            if snowdb::sql::parse_statement_hopped(&gen_sql).1 { "yes" } else { "no" }.to_string(),
         ]);
     }
     rep.note("parser hop: the statement nests past the parser's inline depth and is parsed on a dedicated big-stack thread");
@@ -213,8 +213,8 @@ pub fn fig8_exec_time(cfg: &Config) -> Report {
         let hc = db.query(&q.handwritten_sql).expect("handwritten runs").profile;
         rep.row([
             q.id.to_string(),
-            fmt_secs(g - gc.compile_time.as_secs_f64()),
-            fmt_secs(h - hc.compile_time.as_secs_f64()),
+            fmt_secs(g - gc.compile_time().as_secs_f64()),
+            fmt_secs(h - hc.compile_time().as_secs_f64()),
         ]);
     }
     rep
@@ -642,13 +642,13 @@ pub fn pipelines(cfg: &Config) -> Report {
                 let opts = QueryOptions { threads: Some(threads), ..Default::default() };
                 let best = (0..cfg.warmup + cfg.runs.max(3))
                     .map(|_| db.query_with(&sql, &opts).expect("runs").profile)
-                    .min_by_key(|p| p.exec_time)
+                    .min_by_key(|p| p.exec_time())
                     .expect("at least one run");
                 let metrics = best.metrics.as_ref().expect("operator metrics");
                 assert!(!metrics.pipelines().is_empty(), "{} {kind}: no pipeline in the profile", q.id);
                 for (i, (depth, m)) in metrics.operators().iter().enumerate() {
                     let head = match i {
-                        0 => [q.id.into(), kind.into(), threads.to_string(), fmt_secs(best.exec_time.as_secs_f64())],
+                        0 => [q.id.into(), kind.into(), threads.to_string(), fmt_secs(best.exec_time().as_secs_f64())],
                         _ => Default::default(),
                     };
                     let pipe = match m.pipeline_run {

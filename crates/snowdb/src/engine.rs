@@ -19,7 +19,7 @@ use crate::error::{Result, SnowError};
 use crate::exec::metrics::OpMetrics;
 use crate::exec::{pipeline, ExecCtx};
 use crate::govern::retry::{self, RetryPolicy};
-use crate::govern::{GovernorSummary, QueryFailure, QueryGovernor, SessionParams};
+use crate::govern::{GovernorSummary, QueryFailure, QueryGovernor, QueryOutcome, SessionParams};
 use crate::optimize::optimize;
 use crate::plan::physical::{lower, PhysNode};
 use crate::plan::{bind_query, Catalog, Node};
@@ -34,30 +34,85 @@ use crate::store::Store;
 use crate::travel::TravelCatalog;
 use crate::variant::Variant;
 
-/// Timing and scan metrics for one query, split exactly like the paper's §V:
-/// compilation (parse + bind + optimize) versus execution, plus bytes scanned.
+/// One statement's record, the same on success and on failure
+/// ([`QueryFailure::profile`]): its id, its plan, where its time went stage by
+/// stage, and what it scanned and ran. The paper's §V split is
+/// [`QueryProfile::compile_time`] against [`QueryProfile::exec_time`].
 #[derive(Clone, Debug, Default)]
 pub struct QueryProfile {
-    /// Everything before execution: parse + bind + optimize, or — when
-    /// [`QueryProfile::plan_cached`] — the plan cache's lookup and validation.
-    pub compile_time: Duration,
+    /// The statement's query id ([`QueryGovernor::id`]).
+    pub query_id: u64,
+    /// The plan, once one was compiled or taken from the plan cache.
+    pub plan: Option<Arc<Node>>,
     /// Whether a text entry point ran a plan from the plan cache instead of
     /// compiling the text (DESIGN.md, "Plan cache").
     pub plan_cached: bool,
-    pub exec_time: Duration,
+    /// Whether the parse hopped to the parser's big-stack thread.
+    pub parser_hop: bool,
+    pub stages: StageTimes,
     pub scan: ScanStats,
     /// Per-operator metrics tree mirroring the executed plan (rows in/out,
-    /// batches, busy time, peak intermediate rows/bytes, parallelism).
+    /// batches, busy time, peak intermediate rows/bytes, parallelism);
+    /// partial when execution failed.
     pub metrics: Option<OpMetrics>,
     /// Governance accounting (time vs. deadline, memory and bytes scanned vs.
-    /// budgets). Present when any session limit or fault schedule was armed.
+    /// budgets). Present when any session limit or fault schedule was armed,
+    /// and on every failure.
     pub governed: Option<GovernorSummary>,
 }
 
+/// Where one statement's time went, measured inside the program. The stages
+/// do not overlap; a stage the statement skipped is zero.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StageTimes {
+    /// Tokenize and parse, the parser-thread hop included.
+    pub parse: Duration,
+    /// The plan cache's lookup and, on a hit, its validation.
+    pub lookup: Duration,
+    pub bind: Duration,
+    pub optimize: Duration,
+    pub lower: Duration,
+    pub execute: Duration,
+    /// Draining the result batches into rows.
+    pub into_rows: Duration,
+}
+
 impl QueryProfile {
-    /// Total in-engine time (the paper's "total query runtime in Snowflake").
-    pub fn total_time(&self) -> Duration {
-        self.compile_time + self.exec_time
+    /// The record of the statement `gov` governs, before any stage ran.
+    pub(crate) fn new(gov: &QueryGovernor) -> QueryProfile {
+        QueryProfile { query_id: gov.id(), ..QueryProfile::default() }
+    }
+
+    /// Everything before lowering: parse + bind + optimize, or on a plan
+    /// cache hit the lookup and its validation.
+    pub fn compile_time(&self) -> Duration {
+        let s = &self.stages;
+        s.parse + s.lookup + s.bind + s.optimize
+    }
+
+    /// Lowering and execution.
+    pub fn exec_time(&self) -> Duration {
+        self.stages.lower + self.stages.execute
+    }
+
+    /// Closes the record of a statement that failed with `error`.
+    pub(crate) fn failed(mut self, error: SnowError, gov: &QueryGovernor) -> QueryFailure {
+        self.governed = Some(gov.summary());
+        QueryFailure { error, profile: Box::new(self) }
+    }
+
+    /// The id and the stages on one line: `query 7: compile 41.2µs (parse
+    /// 12.5µs inline, plan cache miss 1.1µs, bind …, optimize …), exec …`.
+    pub fn stages_line(&self) -> String {
+        let s = &self.stages;
+        let hop = if self.parser_hop { "hopped" } else { "inline" };
+        let hit = if self.plan_cached { "hit" } else { "miss" };
+        format!(
+            "query {}: compile {:.1?} (parse {:.1?} {hop}, plan cache {hit} {:.1?}, bind {:.1?}, \
+             optimize {:.1?}), exec {:.1?} (lower {:.1?}, execute {:.1?}), into_rows {:.1?}",
+            self.query_id, self.compile_time(), s.parse, s.lookup, s.bind, s.optimize,
+            self.exec_time(), s.lower, s.execute, s.into_rows,
+        )
     }
 }
 
@@ -524,14 +579,7 @@ impl Database {
 
     /// Compiles a SQL query to an optimized plan (parse + bind + optimize).
     pub fn compile(&self, sql: &str) -> Result<Node> {
-        self.compile_with(sql, true)
-    }
-
-    /// Compiles a SQL query, optionally skipping the optimizer: the raw bound
-    /// plan executes on the same pipeline, which is what lets the verification
-    /// oracle compare optimized against unoptimized results.
-    pub fn compile_with(&self, sql: &str, optimize_plan: bool) -> Result<Node> {
-        self.compile_on(&self.snapshot(), &parse_query(sql)?, optimize_plan)
+        self.compile_on(&self.snapshot(), &parse_query(sql)?, true)
     }
 
     /// Compiles a parsed query against an explicit pinned snapshot (sessions
@@ -544,7 +592,8 @@ impl Database {
         query: &Query,
         optimize_plan: bool,
     ) -> Result<Node> {
-        compile_query(&TravelCatalog { db: self, base: cat }, query, optimize_plan)
+        let catalog = TravelCatalog { db: self, base: cat };
+        compile_query(&catalog, query, optimize_plan, &mut StageTimes::default())
     }
 
     /// Overrides the worker-thread count for this database's queries.
@@ -564,7 +613,7 @@ impl Database {
         })
     }
 
-    /// Runs a SQL query end to end, reporting a per-phase [`QueryProfile`].
+    /// Runs a SQL query end to end, reporting its record ([`QueryProfile`]).
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         self.query_with(sql, &QueryOptions::default())
     }
@@ -574,140 +623,58 @@ impl Database {
     /// runs under a governor armed from the session parameters.
     pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<QueryResult> {
         let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        self.query_governed(sql, opts, gov).map_err(SnowError::from)
+        Ok(self.query_governed(sql, opts, gov)?)
     }
 
     /// Runs a SQL query under an explicit [`QueryGovernor`]. On failure the
-    /// [`QueryFailure`] carries the typed error plus the partial per-operator
-    /// metrics tree accumulated up to the abort — the diagnosable form of a
-    /// cancellation, deadline, or budget trip. The chaos harness drives this
-    /// entry point directly with fault-schedule governors.
-    // The large Err carries the whole diagnosis (summary + partial metrics);
-    // it is built once on an already-failed, cold path.
-    #[allow(clippy::result_large_err)]
+    /// [`QueryFailure`] carries the typed error plus the statement's record
+    /// up to the abort — the partial per-operator metrics tree among it, the
+    /// diagnosable form of a cancellation, deadline, or budget trip. The
+    /// chaos harness drives this entry point directly with fault-schedule
+    /// governors.
     pub fn query_governed(
         &self,
         sql: &str,
         opts: &QueryOptions,
         gov: Arc<QueryGovernor>,
-    ) -> std::result::Result<QueryResult, QueryFailure> {
-        self.query_text_on(&self.snapshot(), sql, opts, gov)
+    ) -> QueryOutcome {
+        StatementCtx { db: self, params: &self.params, txn: None, opts: *opts }.query_text(sql, gov)
     }
 
-    /// Runs `sql` against `cat`: what every text query entry point (here and
-    /// on [`crate::session::Session`]) shares. A plan cached for the text and
-    /// still valid on `cat` runs at once; otherwise the text is parsed and
-    /// compiled, and the plan kept.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn query_text_on(
-        &self,
-        cat: &CatalogSnapshot,
-        sql: &str,
-        opts: &QueryOptions,
-        gov: Arc<QueryGovernor>,
-    ) -> std::result::Result<QueryResult, QueryFailure> {
-        let t0 = Instant::now();
-        let plan = match self.plans.get(cat, sql, opts.optimize) {
-            Some(plan) => Ok((plan, true)),
-            None => parse_query(sql)
-                .and_then(|query| self.compile_text(cat, sql, &query, opts.optimize))
-                .map(|plan| (plan, false)),
-        };
-        match plan {
-            Ok((plan, cached)) => self.run_plan(&plan, t0.elapsed(), cached, opts, gov),
-            Err(error) => Err(QueryFailure::before_execution(error, &gov)),
-        }
-    }
-
-    /// Compiles `query`, parsed from the text `sql`, against `cat` through the
-    /// plan cache, which keeps the plan for the next run of the same text.
-    pub(crate) fn compile_text(
-        &self,
-        cat: &CatalogSnapshot,
-        sql: &str,
-        query: &Query,
-        optimize_plan: bool,
-    ) -> Result<Arc<Node>> {
-        self.plans.compile(&TravelCatalog { db: self, base: cat }, sql, query, optimize_plan)
-    }
-
-    /// Compiles and runs a parsed query against an explicit pinned snapshot —
-    /// the statement sees exactly one catalog version from bind to last
-    /// batch. Never reads the plan cache: the verification lattice referees
-    /// a cold compile.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn query_on(
-        &self,
-        cat: &CatalogSnapshot,
-        query: &Query,
-        opts: &QueryOptions,
-        gov: Arc<QueryGovernor>,
-    ) -> std::result::Result<QueryResult, QueryFailure> {
-        let t0 = Instant::now();
-        match self.compile_on(cat, query, opts.optimize) {
-            Ok(plan) => self.run_plan(&plan, t0.elapsed(), false, opts, gov),
-            Err(error) => Err(QueryFailure::before_execution(error, &gov)),
-        }
-    }
-
-    /// Executes a compiled plan and collects its rows. `compile_time` and
-    /// `plan_cached` describe how the caller came by `plan`.
-    #[allow(clippy::result_large_err)]
+    /// The one executor. Takes the plan from `source` — compiled against
+    /// `cat` unless the plan cache had it — lowers it, executes it and
+    /// collects its rows, completing `profile`, the statement's record so
+    /// far. A failure at any step carries the record up to that step.
     pub(crate) fn run_plan(
         &self,
-        plan: &Node,
-        compile_time: Duration,
-        plan_cached: bool,
+        cat: &CatalogSnapshot,
+        source: PlanSource<'_>,
         opts: &QueryOptions,
         gov: Arc<QueryGovernor>,
-    ) -> std::result::Result<QueryResult, QueryFailure> {
-        let (batches, phys_metrics, ctx, exec_time) = self.run_physical(plan, opts, gov.clone());
-        let batches = match batches {
-            Ok(b) => b,
-            Err(error) => {
-                return Err(QueryFailure {
-                    error,
-                    partial_metrics: Some(phys_metrics),
-                    summary: gov.summary(),
-                })
+        mut profile: QueryProfile,
+    ) -> QueryOutcome {
+        let catalog = TravelCatalog { db: self, base: cat };
+        let (optimize_plan, stages) = (opts.optimize, &mut profile.stages);
+        let plan = match source {
+            PlanSource::Cached(plan) => Ok(plan),
+            PlanSource::Text(sql, query) => {
+                self.plans.compile(&catalog, sql, &query, optimize_plan, stages)
+            }
+            PlanSource::Parsed(query) => {
+                compile_query(&catalog, query, optimize_plan, stages).map(Arc::new)
             }
         };
+        let plan = match plan {
+            Ok(plan) => profile.plan.insert(plan).clone(),
+            Err(error) => return Err(profile.failed(error, &gov)),
+        };
 
-        let columns = plan.fields.iter().map(|f| f.name.clone()).collect();
-        let mut rows = Vec::with_capacity(pipeline::total_rows(&batches));
-        for chunk in batches {
-            // Result boundary: drain each batch's columns into row vectors —
-            // values are moved, never cloned per cell.
-            rows.extend(chunk.into_rows());
-        }
-        Ok(QueryResult {
-            columns,
-            rows,
-            profile: QueryProfile {
-                compile_time,
-                plan_cached,
-                exec_time,
-                scan: ctx.stats,
-                metrics: Some(phys_metrics),
-                governed: gov.is_armed().then(|| gov.summary()),
-            },
-        })
-    }
-
-    /// Executes an optimized plan on the morsel-parallel pipeline, returning
-    /// batches, the metrics snapshot, the execution context, and wall time.
-    /// Metrics and context come back even when execution fails — that is what
-    /// makes a governance trip diagnosable from its partial metrics tree.
-    fn run_physical(
-        &self,
-        plan: &Node,
-        opts: &QueryOptions,
-        gov: Arc<QueryGovernor>,
-    ) -> (Result<Vec<crate::exec::Chunk>>, OpMetrics, ExecCtx, Duration) {
         let threads = opts.threads.map_or_else(|| self.effective_threads(), |t| t.max(1));
         let t = Instant::now();
-        let phys: PhysNode<'_> = lower(plan, threads);
-        let mut ctx = ExecCtx::worker(gov, opts.vectorize, opts.encode);
+        let phys: PhysNode<'_> = lower(&plan, threads);
+        profile.stages.lower = t.elapsed();
+        let t = Instant::now();
+        let mut ctx = ExecCtx::worker(gov.clone(), opts.vectorize, opts.encode);
         // Last line of panic isolation: a panic escaping the morsel layer's
         // catch_unwind (e.g. one injected at a claim gate) must not cross the
         // engine boundary. The catalog is only read during execution and all
@@ -722,72 +689,30 @@ impl Database {
                 crate::govern::panic_message(&*payload),
             ))
         });
-        let exec_time = t.elapsed();
-        (batches, phys.snapshot(), ctx, exec_time)
+        profile.stages.execute = t.elapsed();
+        profile.scan = ctx.stats;
+        profile.metrics = Some(phys.snapshot());
+        let batches = match batches {
+            Ok(batches) => batches,
+            Err(error) => return Err(profile.failed(error, &gov)),
+        };
+
+        let t = Instant::now();
+        let mut rows = Vec::with_capacity(pipeline::total_rows(&batches));
+        for chunk in batches {
+            // Result boundary: drain each batch's columns into row vectors —
+            // values are moved, never cloned per cell.
+            rows.extend(chunk.into_rows());
+        }
+        profile.stages.into_rows = t.elapsed();
+        profile.governed = gov.is_armed().then(|| gov.summary());
+        let columns = plan.fields.iter().map(|f| f.name.clone()).collect();
+        Ok(QueryResult { columns, rows, profile })
     }
 
     /// Renders the optimized plan of a query (`EXPLAIN`).
     pub fn explain(&self, sql: &str) -> Result<String> {
-        self.explain_with(sql, true)
-    }
-
-    /// Renders the plan with or without the optimizer passes applied — the
-    /// divergence reports of the verification oracle show both.
-    pub fn explain_with(&self, sql: &str, optimize_plan: bool) -> Result<String> {
-        Ok(crate::plan::explain(&self.compile_with(sql, optimize_plan)?))
-    }
-
-    /// Runs a parsed query under `gov` and renders its plan annotated with
-    /// the measured per-operator metrics (`EXPLAIN ANALYZE`).
-    pub(crate) fn explain_analyze_on(
-        &self,
-        cat: &CatalogSnapshot,
-        query: &Query,
-        gov: Arc<QueryGovernor>,
-    ) -> Result<String> {
-        let plan = self.compile_on(cat, query, true)?;
-        let (batches, metrics, ctx, exec_time) =
-            self.run_physical(&plan, &QueryOptions::default(), gov.clone());
-        let batches = batches?;
-        let rows = pipeline::total_rows(&batches);
-        let mut out = crate::plan::explain_analyze(&plan, &metrics);
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "-- {} row(s) in {:.3?}; {} bytes scanned, {}/{} partitions\n",
-                rows,
-                exec_time,
-                ctx.stats.bytes_scanned,
-                ctx.stats.partitions_scanned,
-                ctx.stats.partitions_total,
-            ),
-        );
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "-- pruned: {} partition(s), {} column block(s) skipped, {} bytes saved\n",
-                ctx.stats.partitions_pruned, ctx.stats.columns_skipped, ctx.stats.bytes_skipped,
-            ),
-        );
-        if ctx.stats.cache_hits + ctx.stats.cache_misses > 0 {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    "-- buffer cache: {} hit(s), {} miss(es), {} eviction(s), {} not admitted\n",
-                    ctx.stats.cache_hits,
-                    ctx.stats.cache_misses,
-                    ctx.stats.cache_evictions,
-                    ctx.stats.cache_not_admitted,
-                ),
-            );
-        }
-        if gov.is_armed() {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!("-- {}\n", gov.summary().render()),
-            );
-        }
-        Ok(out)
+        Ok(crate::plan::explain(&self.compile(sql)?))
     }
 
     /// The database-level session parameters.
@@ -801,23 +726,41 @@ impl Database {
     /// explicit transactions need a [`crate::session::Session`].
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
         let gov = Arc::new(QueryGovernor::from_params(&self.session_params()));
-        StatementCtx { db: self, params: &self.params, txn: None }.run_text(sql, gov, |_| ())
+        let ctx = StatementCtx { db: self, params: &self.params, txn: None, opts: QueryOptions::default() };
+        Ok(ctx.run_text(sql, gov, |_| Ok(()))?)
     }
 }
 
+/// Where [`Database::run_plan`] takes its plan from.
+pub(crate) enum PlanSource<'a> {
+    /// The plan cache's plan for the statement's text.
+    Cached(Arc<Node>),
+    /// A text the plan cache missed, parsed: compiled through the cache,
+    /// which keeps the plan for the next run of the text.
+    Text(&'a str, Query),
+    /// A statement without a text of its own (`execute_statement`,
+    /// `EXPLAIN ANALYZE`, the lattice): compiled cold.
+    Parsed(&'a Query),
+}
+
 /// Binds `query` through `catalog` and, when asked, optimizes the bound plan:
-/// the whole of compilation once the text is parsed.
+/// the whole of compilation once the text is parsed. Records both stages.
 pub(crate) fn compile_query(
     catalog: &dyn Catalog,
     query: &Query,
     optimize_plan: bool,
+    stages: &mut StageTimes,
 ) -> Result<Node> {
-    let bound = bind_query(query, catalog)?;
-    if optimize_plan {
-        optimize(bound)
-    } else {
-        Ok(bound)
+    let t = Instant::now();
+    let bound = bind_query(query, catalog);
+    stages.bind = t.elapsed();
+    if !optimize_plan {
+        return bound;
     }
+    let t = Instant::now();
+    let plan = optimize(bound?);
+    stages.optimize = t.elapsed();
+    plan
 }
 
 #[cfg(test)]

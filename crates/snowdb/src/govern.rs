@@ -22,6 +22,10 @@
 //!   (`SET STATEMENT_TIMEOUT_IN_SECONDS / STATEMENT_MEMORY_LIMIT /
 //!   MAX_BYTES_SCANNED`) from which [`QueryGovernor::from_params`] arms a
 //!   governor per statement;
+//! - one governor per statement makes it the carrier of the statement's
+//!   query id ([`QueryGovernor::id`]), minted when the governor is built. The
+//!   id goes into the statement's record, never into a [`SnowError`]: two
+//!   runs that fail the same way must fail equal;
 //! - the [`chaos`] submodule injects seeded, deterministic faults at the same
 //!   checkpoints to prove the layer keeps the engine sound.
 //!
@@ -42,8 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::engine::{QueryProfile, QueryResult};
 use crate::error::{DeadlineTrip, ResourceTrip, Result, SnowError};
-use crate::exec::metrics::OpMetrics;
 
 use chaos::{ChaosSchedule, ChaosSite};
 
@@ -101,6 +105,7 @@ impl SessionParams {
 /// checkpoint fast path is one relaxed load when nothing is armed.
 #[derive(Debug)]
 pub struct QueryGovernor {
+    id: u64,
     cancel: AtomicBool,
     started: Instant,
     deadline: Option<Duration>,
@@ -119,8 +124,11 @@ impl Default for QueryGovernor {
 
 impl QueryGovernor {
     /// A governor with no limits: it still honors [`QueryGovernor::cancel`].
+    /// Every governor gets the next query id of this process.
     pub fn unbounded() -> QueryGovernor {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         QueryGovernor {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             cancel: AtomicBool::new(false),
             started: Instant::now(),
             deadline: None,
@@ -166,6 +174,12 @@ impl QueryGovernor {
     pub fn with_chaos(mut self, schedule: ChaosSchedule) -> QueryGovernor {
         self.chaos = Some(schedule);
         self
+    }
+
+    /// The id of the statement this governor governs: distinct per
+    /// governor, increasing in the order governors are built.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Requests cooperative cancellation: the query aborts with
@@ -295,8 +309,7 @@ impl QueryGovernor {
     }
 }
 
-/// Governed-limits snapshot reported in
-/// [`QueryProfile`](crate::engine::QueryProfile) and appended by
+/// Governed-limits snapshot reported in [`QueryProfile`] and appended by
 /// `EXPLAIN ANALYZE`, so budget trips are diagnosable from the metrics alone.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GovernorSummary {
@@ -332,26 +345,18 @@ impl GovernorSummary {
     }
 }
 
-/// Why a governed query failed: the typed error plus whatever per-operator
-/// metrics had accumulated when the query aborted — the partial metrics tree
-/// that makes a trip diagnosable.
+/// Why a statement failed: the typed error plus the statement's record up to
+/// the failure — its id, stages, plan and partial metrics tree when it got
+/// that far, and always the governor's accounting — which makes a trip
+/// diagnosable.
 #[derive(Clone, Debug)]
 pub struct QueryFailure {
     pub error: SnowError,
-    /// Metrics tree snapshotted at abort time (absent when the failure
-    /// happened before lowering, e.g. a parse error).
-    pub partial_metrics: Option<OpMetrics>,
-    /// Governance accounting at abort time.
-    pub summary: GovernorSummary,
+    pub profile: Box<QueryProfile>,
 }
 
-impl QueryFailure {
-    /// A failure before any operator ran (parse, bind, optimize): no metrics
-    /// tree exists yet.
-    pub(crate) fn before_execution(error: SnowError, gov: &QueryGovernor) -> QueryFailure {
-        QueryFailure { error, partial_metrics: None, summary: gov.summary() }
-    }
-}
+/// How a query comes back: its rows and record, or its error and record.
+pub type QueryOutcome = std::result::Result<QueryResult, QueryFailure>;
 
 impl std::fmt::Display for QueryFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -371,20 +376,15 @@ impl From<QueryFailure> for SnowError {
 /// by [`Session::submit`](crate::session::Session::submit).
 pub struct QueryHandle {
     gov: Arc<QueryGovernor>,
-    join: Option<std::thread::JoinHandle<std::result::Result<crate::engine::QueryResult, QueryFailure>>>,
+    join: Option<std::thread::JoinHandle<QueryOutcome>>,
 }
 
 impl QueryHandle {
     pub(crate) fn new(
         gov: Arc<QueryGovernor>,
-        join: std::thread::JoinHandle<std::result::Result<crate::engine::QueryResult, QueryFailure>>,
+        join: std::thread::JoinHandle<QueryOutcome>,
     ) -> QueryHandle {
         QueryHandle { gov, join: Some(join) }
-    }
-
-    /// The query's governor (shared with its workers).
-    pub fn governor(&self) -> &Arc<QueryGovernor> {
-        &self.gov
     }
 
     /// Requests cancellation; the query observes it at the next batch
@@ -400,21 +400,17 @@ impl QueryHandle {
     }
 
     /// Waits for the query, returning the result or a [`QueryFailure`]
-    /// carrying the typed error plus the partial metrics tree.
-    // The large Err is the whole point: it carries the failure diagnosis and
-    // is only ever built on the cold path.
-    #[allow(clippy::result_large_err)]
-    pub fn join(mut self) -> std::result::Result<crate::engine::QueryResult, QueryFailure> {
+    /// carrying the typed error plus the statement's record.
+    pub fn join(mut self) -> QueryOutcome {
         let join = self.join.take().expect("QueryHandle joined twice");
         match join.join() {
             Ok(r) => r,
             // The query thread itself panicking is already prevented by the
             // catch_unwind in the engine; this is the last line of defense.
-            Err(payload) => Err(QueryFailure {
-                error: SnowError::internal("query thread", panic_message(&*payload)),
-                partial_metrics: None,
-                summary: self.gov.summary(),
-            }),
+            Err(payload) => Err(QueryProfile::new(&self.gov).failed(
+                SnowError::internal("query thread", panic_message(&*payload)),
+                &self.gov,
+            )),
         }
     }
 }
@@ -445,8 +441,7 @@ mod tests {
     use super::*;
 
     /// A query thread's body that panics instead of answering. Generic, so
-    /// `QueryHandle::new` picks the result type and no closure in the test
-    /// returns the large `QueryFailure`.
+    /// `QueryHandle::new` picks the result type.
     fn panicking_query<T>() -> T {
         panic!("{}", "SNOWDB_THREADS=\"abc\"")
     }
@@ -454,8 +449,10 @@ mod tests {
     #[test]
     fn a_panicking_query_thread_reports_its_message() {
         let join = std::thread::spawn(panicking_query);
-        let err = QueryHandle::new(Arc::default(), join).join().expect_err("panicked");
+        let gov = Arc::new(QueryGovernor::unbounded());
+        let err = QueryHandle::new(gov.clone(), join).join().expect_err("panicked");
         assert!(err.error.to_string().contains("SNOWDB_THREADS=\"abc\""), "{}", err.error);
+        assert_eq!(err.profile.query_id, gov.id(), "the failure is the statement's record");
     }
 
     #[test]

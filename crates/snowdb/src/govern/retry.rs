@@ -41,12 +41,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A policy that never retries (transaction `COMMIT` uses this: the
-    /// session must re-run its logic on a fresh snapshot, not replay blindly).
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy { seed: 0, max_attempts: 1, base: Duration::ZERO, cap: Duration::ZERO }
-    }
-
     /// The delay to sleep after failed attempt `attempt` (0-based). Pure in
     /// `(seed, attempt)`: the exponential slot `base · 2^attempt` is capped at
     /// `cap`, then scaled by a jitter factor in [1/2, 1] drawn from

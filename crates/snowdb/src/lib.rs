@@ -59,6 +59,6 @@ pub use error::{
 };
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use govern::{
-    GovernorSummary, QueryFailure, QueryGovernor, QueryHandle, SessionParams,
+    GovernorSummary, QueryFailure, QueryGovernor, QueryHandle, QueryOutcome, SessionParams,
 };
 pub use variant::Variant;

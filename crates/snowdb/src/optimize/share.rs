@@ -276,6 +276,11 @@ mod tests {
         db
     }
 
+    /// The bound plan of `sql`, not optimized.
+    fn raw(db: &Database, sql: &str) -> Node {
+        db.compile_on(&db.snapshot(), &crate::sql::parse_query(sql).unwrap(), false).unwrap()
+    }
+
     fn shares(node: &Node, out: &mut Vec<Option<u32>>) {
         out.push(node.share);
         for input in node.kind.inputs() {
@@ -287,9 +292,7 @@ mod tests {
     fn duplicate_subquery_forms_one_class() {
         let db = db();
         let sub = "(SELECT a, SEQ8() AS rid FROM t WHERE b > 2)";
-        let plan = db
-            .compile_with(&format!("SELECT x.a FROM {sub} x JOIN {sub} y ON x.rid = y.rid"), false)
-            .unwrap();
+        let plan = raw(&db, &format!("SELECT x.a FROM {sub} x JOIN {sub} y ON x.rid = y.rid"));
         let dag = Dag::of(&plan);
         // Project, Join, and one copy of Project -> Filter -> Scan.
         assert_eq!(dag.classes.len(), 5);
@@ -303,7 +306,7 @@ mod tests {
     fn literal_types_keep_plans_apart() {
         let db = db();
         let plan =
-            db.compile_with("SELECT a + 1 FROM t UNION ALL SELECT a + 1.0 FROM t", false).unwrap();
+            raw(&db, "SELECT a + 1 FROM t UNION ALL SELECT a + 1.0 FROM t");
         let dag = Dag::of(&plan);
         let union = dag.classes.last().unwrap();
         assert_ne!(union.inputs[0], union.inputs[1], "1 and 1.0 project different values");

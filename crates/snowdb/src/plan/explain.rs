@@ -4,6 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 
 use super::{AggExpr, AggKind, CastType, Node, NodeKind, PExpr, PStep};
+use crate::engine::QueryResult;
 use crate::exec::metrics::OpMetrics;
 use crate::optimize::cost;
 use crate::sql::{BinOp, JoinKind, UnaryOp};
@@ -39,6 +40,36 @@ pub fn explain_analyze(node: &Node, metrics: &OpMetrics) -> String {
             run.wall, run.morsels, run.workers
         );
     }
+    out
+}
+
+/// `EXPLAIN ANALYZE`: one statement's record rendered — the plan annotated
+/// with its metrics ([`explain_analyze`]), then what it read and where its
+/// time went.
+pub fn explain_record(r: &QueryResult) -> String {
+    let (p, s) = (&r.profile, &r.profile.scan);
+    let mut out = match (&p.plan, &p.metrics) {
+        (Some(plan), Some(metrics)) => explain_analyze(plan, metrics),
+        _ => String::new(),
+    };
+    let _ = writeln!(
+        out,
+        "-- {} row(s) in {:.3?}; {} bytes scanned, {}/{} partitions\n\
+         -- pruned: {} partition(s), {} column block(s) skipped, {} bytes saved",
+        r.rows.len(), p.exec_time(), s.bytes_scanned, s.partitions_scanned, s.partitions_total,
+        s.partitions_pruned, s.columns_skipped, s.bytes_skipped,
+    );
+    if s.cache_hits + s.cache_misses > 0 {
+        let _ = writeln!(
+            out,
+            "-- buffer cache: {} hit(s), {} miss(es), {} eviction(s), {} not admitted",
+            s.cache_hits, s.cache_misses, s.cache_evictions, s.cache_not_admitted,
+        );
+    }
+    if let Some(governed) = &p.governed {
+        let _ = writeln!(out, "-- {}", governed.render());
+    }
+    let _ = writeln!(out, "-- {}", p.stages_line());
     out
 }
 

@@ -5,7 +5,7 @@ mod explain;
 pub mod physical;
 
 pub use binder::{bind_query, Catalog};
-pub use explain::{explain, explain_analyze, expr_str};
+pub use explain::{explain, explain_analyze, explain_record, expr_str};
 
 use std::sync::Arc;
 

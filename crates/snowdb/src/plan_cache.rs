@@ -1,7 +1,7 @@
 //! The plan cache: one bounded map from a statement text, and whether the
-//! optimizer runs, to the logical plan it compiled to. Both text entry points
-//! — [`Database::query_text_on`] and `StatementCtx::run_text` — look here
-//! before they parse; `Database::compile`, `EXPLAIN`, `EXPLAIN ANALYZE` and
+//! optimizer runs, to the logical plan it compiled to. The one text entry
+//! point, `StatementCtx::run_text`, looks here before it parses;
+//! `Database::compile`, `EXPLAIN`, `EXPLAIN ANALYZE`, `execute_statement` and
 //! the verification lattice never do, so they always measure and referee a
 //! cold compile.
 //!
@@ -17,8 +17,6 @@
 //! strongly, so no other table can appear at a recorded address. A plan
 //! that reached into history (`AT`/`BEFORE`) or failed is never stored.
 //! DESIGN.md, "Plan cache", has the argument.
-//!
-//! [`Database::query_text_on`]: crate::engine::Database
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -27,6 +25,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::catalog::CatalogSnapshot;
+use crate::engine::StageTimes;
 use crate::error::Result;
 use crate::plan::{Catalog, Node};
 use crate::sql::ast::{Query, Travel};
@@ -96,17 +95,19 @@ impl PlanCache {
     }
 
     /// Binds `query`, parsed from `sql`, through `catalog`, optimizes it when
-    /// asked, and keeps the plan unless the binder reached into history.
+    /// asked (recording both stages), and keeps the plan unless the binder
+    /// reached into history.
     pub(crate) fn compile(
         &self,
         catalog: &dyn Catalog,
         sql: &str,
         query: &Query,
         optimize: bool,
+        stages: &mut StageTimes,
     ) -> Result<Arc<Node>> {
         let recorder =
             Recorder { inner: catalog, lookups: RefCell::default(), travel: Cell::new(false) };
-        let plan = Arc::new(crate::engine::compile_query(&recorder, query, optimize)?);
+        let plan = Arc::new(crate::engine::compile_query(&recorder, query, optimize, stages)?);
         if !recorder.travel.get() {
             self.insert(sql, optimize, plan.clone(), recorder.lookups.into_inner());
         }
@@ -200,7 +201,8 @@ mod tests {
     }
 
     fn compile(cache: &PlanCache, cat: &CatalogSnapshot, sql: &str, optimize: bool) -> Arc<Node> {
-        cache.compile(cat, sql, &parse_query(sql).unwrap(), optimize).unwrap()
+        let stages = &mut StageTimes::default();
+        cache.compile(cat, sql, &parse_query(sql).unwrap(), optimize, stages).unwrap()
     }
 
     const Q: &str = "SELECT X FROM a";
@@ -255,10 +257,11 @@ mod tests {
     fn errors_and_time_travel_are_never_stored() {
         let cache = PlanCache::default();
         let v1 = put(&CatalogSnapshot::default(), "A");
-        let missing = "SELECT X FROM nowhere";
-        assert!(cache.compile(&v1, missing, &parse_query(missing).unwrap(), true).is_err());
+        let (missing, stages) = ("SELECT X FROM nowhere", &mut StageTimes::default());
+        assert!(cache.compile(&v1, missing, &parse_query(missing).unwrap(), true, stages).is_err());
         let travel = "SELECT X FROM a AT(VERSION => 1)";
-        assert!(cache.compile(&Travels(&v1), travel, &parse_query(travel).unwrap(), true).is_ok());
+        let parsed = parse_query(travel).unwrap();
+        assert!(cache.compile(&Travels(&v1), travel, &parsed, true, stages).is_ok());
         assert!(cache.get(&v1, travel, true).is_none());
         assert_eq!(cache.len(), 0);
     }

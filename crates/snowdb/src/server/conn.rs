@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-use crate::engine::{QueryResult, StatementResult};
+use crate::engine::StatementResult;
 use crate::error::{Result, SnowError};
 use crate::govern::{panic_message, QueryGovernor};
 use crate::session::Session;
@@ -325,13 +325,14 @@ fn handle_statement(
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         session.ctx().run_text(sql, gov, |stmt| {
             analyzed = matches!(stmt, Statement::ExplainAnalyze(_));
+            Ok(())
         })
     }));
     cancel.statement_done();
     drop(permit); // Slot frees before we spend time serializing the result.
 
     let outcome = match outcome {
-        Ok(r) => r,
+        Ok(r) => r.map_err(SnowError::from),
         Err(payload) => {
             shared.note_panic();
             Err(SnowError::internal("server worker", panic_message(&*payload)))
@@ -339,7 +340,9 @@ fn handle_statement(
     };
 
     match outcome {
-        Ok(StatementResult::Rows(qr)) => stream_result(stream, &qr, queued_ms),
+        Ok(StatementResult::Rows(qr)) => {
+            stream_rows(stream, &qr.columns, &qr.rows, Done::of(&qr, queued_ms))
+        }
         Ok(StatementResult::Message(mut msg)) => {
             // Admission annotation on EXPLAIN ANALYZE: the profile's render
             // happens engine-side, so the service layer appends its own
@@ -365,19 +368,6 @@ fn is_show_server_status(sql: &str) -> bool {
         .filter(|w| !w.is_empty())
         .collect();
     words == ["SHOW", "SERVER", "STATUS"]
-}
-
-/// Streams a completed query: header, row batches, and the Done summary
-/// carrying the engine profile plus this statement's queue wait.
-fn stream_result(stream: &mut TcpStream, qr: &QueryResult, queued_ms: u64) -> bool {
-    let done = Done {
-        rows: qr.rows.len() as u64,
-        compile_us: qr.profile.compile_time.as_micros() as u64,
-        exec_us: qr.profile.exec_time.as_micros() as u64,
-        bytes_scanned: qr.profile.scan.bytes_scanned,
-        queued_ms,
-    };
-    stream_rows(stream, &qr.columns, &qr.rows, done)
 }
 
 /// Bytes of one response buffered before they go to the socket.

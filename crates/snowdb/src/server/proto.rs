@@ -30,6 +30,7 @@
 
 use std::io::{Read, Write};
 
+use crate::engine::QueryResult;
 use crate::error::{
     AdmissionTrip, DeadlineTrip, InternalTrip, ResourceTrip, Result, SnowError,
     WriteConflictTrip,
@@ -351,6 +352,20 @@ pub struct Done {
     pub exec_us: u64,
     pub bytes_scanned: u64,
     pub queued_ms: u64,
+}
+
+impl Done {
+    /// The summary of a completed query: its times and bytes scanned read
+    /// from the statement's record, plus the queue wait the server measured.
+    pub fn of(qr: &QueryResult, queued_ms: u64) -> Done {
+        Done {
+            rows: qr.rows.len() as u64,
+            compile_us: qr.profile.compile_time().as_micros() as u64,
+            exec_us: qr.profile.exec_time().as_micros() as u64,
+            bytes_scanned: qr.profile.scan.bytes_scanned,
+            queued_ms,
+        }
+    }
 }
 
 pub fn result_done(d: Done) -> Vec<u8> {

@@ -11,13 +11,15 @@
 //! re-run its logic on a fresh snapshot — replaying blindly would forfeit
 //! exactly the isolation the transaction promised).
 //!
-//! Every statement — typed at a bare [`Database`], at a [`Session`], or
+//! Every statement text — typed at a bare [`Database`], at a [`Session`], or
 //! arriving over the wire — enters through [`StatementCtx::run_text`], which
 //! runs a query text's cached plan if it is still valid and otherwise parses
-//! the text once and hands it to [`StatementCtx::run`], the only place that
-//! matches on statement kinds. The context names what the statement runs
-//! under: the parameter store in force, the transaction slot (if the caller
-//! has one), and the caller's governor.
+//! the text once: a query is compiled through the plan cache, anything else
+//! goes to [`StatementCtx::run`], the only place that matches on statement
+//! kinds. Either way a query ends in the one executor,
+//! [`Database::run_plan`]. The context names what the statement runs under:
+//! the parameter store in force, the transaction slot (if the caller has
+//! one), the caller's execution options, and the caller's governor.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -26,10 +28,11 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use crate::catalog::{CatalogSnapshot, TableWrite, WriteSet};
-use crate::engine::{Database, QueryOptions, QueryResult, StatementResult};
+use crate::engine::{Database, PlanSource, QueryOptions, QueryProfile, QueryResult, StatementResult};
 use crate::error::{Result, SnowError};
-use crate::govern::{QueryGovernor, QueryHandle, SessionParams};
-use crate::sql::{parse_statement, Statement};
+use crate::govern::{QueryFailure, QueryGovernor, QueryHandle, QueryOutcome, SessionParams};
+use crate::sql::ast::Query;
+use crate::sql::{parse_statement_hopped, Statement};
 use crate::storage::ColumnDef;
 use crate::travel::RETENTION_PARAM;
 
@@ -67,7 +70,8 @@ impl Session {
     }
 
     pub(crate) fn ctx(&self) -> StatementCtx<'_> {
-        StatementCtx { db: &self.db, params: &self.params, txn: Some(&self.txn) }
+        let opts = QueryOptions::default();
+        StatementCtx { db: &self.db, params: &self.params, txn: Some(&self.txn), opts }
     }
 
     /// Whether an explicit transaction is open.
@@ -88,23 +92,17 @@ impl Session {
     /// Runs a query against this session's read snapshot under this
     /// session's parameters.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let snap = self.ctx().read_snapshot();
-        let res = self.db.query_text_on(&snap, sql, &QueryOptions::default(), self.governor());
-        res.map_err(SnowError::from)
+        Ok(self.ctx().query_text(sql, self.governor())?)
     }
 
     /// Submits a query on a background thread, returning a cancellable
     /// [`QueryHandle`]. The governor is armed from this session's parameters
     /// at submit time; [`QueryHandle::cancel`] trips it at the next batch
-    /// boundary, and a failure carries the partial metrics tree.
+    /// boundary, and a failure carries the statement's record.
     pub fn submit(self: &Arc<Session>, sql: &str) -> QueryHandle {
         let gov = self.governor();
         let (session, g, sql) = (Arc::clone(self), gov.clone(), sql.to_string());
-        #[allow(clippy::result_large_err)]
-        let join = std::thread::spawn(move || {
-            let snap = session.ctx().read_snapshot();
-            session.db.query_text_on(&snap, &sql, &QueryOptions::default(), g)
-        });
+        let join = std::thread::spawn(move || session.ctx().query_text(&sql, g));
         QueryHandle::new(gov, join)
     }
 
@@ -112,14 +110,15 @@ impl Session {
     /// parameters. Queries, `EXPLAIN` and DML inside a transaction see the
     /// transaction's own writes.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        self.ctx().run_text(sql, self.governor(), |_| ())
+        Ok(self.ctx().run_text(sql, self.governor(), |_| Ok(()))?)
     }
 
     /// Executes an already-parsed statement: what [`Session::execute`] does
     /// after parsing, for callers that build the [`Statement`] themselves.
     /// Without a text there is no plan-cache key: a query compiles afresh.
     pub fn execute_statement(&self, stmt: Statement) -> Result<StatementResult> {
-        self.ctx().run(stmt, self.governor())
+        let gov = self.governor();
+        self.ctx().run(stmt, gov.clone(), QueryProfile::new(&gov))
     }
 }
 
@@ -133,6 +132,8 @@ pub(crate) struct StatementCtx<'a> {
     pub(crate) params: &'a RwLock<SessionParams>,
     /// The caller's transaction slot, if it can hold a transaction at all.
     pub(crate) txn: Option<&'a Mutex<Option<Txn>>>,
+    /// How the statement's plan runs.
+    pub(crate) opts: QueryOptions,
 }
 
 impl StatementCtx<'_> {
@@ -158,55 +159,90 @@ impl StatementCtx<'_> {
         })
     }
 
-    /// The one text entry point for statements: a query text whose cached
-    /// plan is still valid on this context's read snapshot runs at once;
-    /// anything else is parsed — `parsed` sees the statement — and a query
+    /// The one text entry point for statements, and the only place a text
+    /// becomes a plan: a query text whose cached plan is still valid on this
+    /// context's read snapshot runs at once; anything else is parsed and
+    /// shown to `parsed`, which may refuse it before it runs. A query is then
     /// compiled through the plan cache, every other statement dispatched by
-    /// [`StatementCtx::run`].
+    /// [`StatementCtx::run`]. A failure carries the statement's record.
     pub(crate) fn run_text(
         &self,
         sql: &str,
         gov: Arc<QueryGovernor>,
-        parsed: impl FnOnce(&Statement),
-    ) -> Result<StatementResult> {
-        let t0 = Instant::now();
-        let (db, opts, snap) = (self.db, QueryOptions::default(), self.read_snapshot());
-        let (plan, cached) = match db.plans.get(&snap, sql, opts.optimize) {
-            Some(plan) => (plan, true),
+        parsed: impl FnOnce(&Statement) -> Result<()>,
+    ) -> std::result::Result<StatementResult, QueryFailure> {
+        let (snap, mut profile) = (self.read_snapshot(), QueryProfile::new(&gov));
+        let t = Instant::now();
+        let cached = self.db.plans.get(&snap, sql, self.opts.optimize);
+        profile.stages.lookup = t.elapsed();
+        let source = match cached {
+            Some(plan) => {
+                profile.plan_cached = true;
+                PlanSource::Cached(plan)
+            }
             None => {
-                let stmt = parse_statement(sql)?;
-                parsed(&stmt);
-                let Statement::Query(query) = stmt else { return self.run(stmt, gov) };
-                (db.compile_text(&snap, sql, &query, opts.optimize)?, false)
+                let t = Instant::now();
+                let (stmt, hopped) = parse_statement_hopped(sql);
+                (profile.stages.parse, profile.parser_hop) = (t.elapsed(), hopped);
+                match stmt.and_then(|stmt| parsed(&stmt).map(|()| stmt)) {
+                    Ok(Statement::Query(query)) => PlanSource::Text(sql, query),
+                    Ok(stmt) => {
+                        let ran = self.run(stmt, gov.clone(), profile.clone());
+                        return ran.map_err(|e| profile.failed(e, &gov));
+                    }
+                    Err(error) => return Err(profile.failed(error, &gov)),
+                }
             }
         };
-        Ok(StatementResult::Rows(db.run_plan(&plan, t0.elapsed(), cached, &opts, gov)?))
+        let rows = self.db.run_plan(&snap, source, &self.opts, gov, profile)?;
+        Ok(StatementResult::Rows(rows))
+    }
+
+    /// [`StatementCtx::run_text`] for a text that must be a query: anything
+    /// else is refused before it runs.
+    pub(crate) fn query_text(&self, sql: &str, gov: Arc<QueryGovernor>) -> QueryOutcome {
+        let only_queries = |stmt: &Statement| match stmt {
+            Statement::Query(_) => Ok(()),
+            _ => Err(SnowError::Parse("expected a query; run other statements with execute".into())),
+        };
+        match self.run_text(sql, gov, only_queries)? {
+            StatementResult::Rows(rows) => Ok(rows),
+            StatementResult::Message(_) => unreachable!("the hook lets only a query through"),
+        }
+    }
+
+    /// The door of a parsed query: compiled cold against the read snapshot,
+    /// never through the plan cache, and run by the one executor.
+    fn run_parsed(&self, query: &Query, gov: Arc<QueryGovernor>, profile: QueryProfile) -> QueryOutcome {
+        self.db.run_plan(&self.read_snapshot(), PlanSource::Parsed(query), &self.opts, gov, profile)
     }
 
     /// The statement dispatcher: executes one parsed statement under this
-    /// context and `gov`.
+    /// context and `gov`, completing `profile`, its record so far.
     ///
     /// An open transaction accepts what reads only or fits its write set:
     /// queries, `EXPLAIN [ANALYZE]`, DML, ordinary `SET`/`UNSET`, the
     /// transaction verbs. The rest is rejected there — the catalog diff it
     /// would need is not worth its rarity (Snowflake auto-commits DDL for
     /// the same reason).
-    pub(crate) fn run(&self, stmt: Statement, gov: Arc<QueryGovernor>) -> Result<StatementResult> {
+    pub(crate) fn run(
+        &self,
+        stmt: Statement,
+        gov: Arc<QueryGovernor>,
+        profile: QueryProfile,
+    ) -> Result<StatementResult> {
         let db = self.db;
         let message = |m: String| Ok(StatementResult::Message(m));
         match stmt {
             Statement::Begin => self.begin(),
             Statement::Commit => self.commit(),
             Statement::Rollback => self.rollback(),
-            Statement::Query(q) => {
-                let opts = QueryOptions::default();
-                Ok(StatementResult::Rows(db.query_on(&self.read_snapshot(), &q, &opts, gov)?))
-            }
+            Statement::Query(q) => Ok(StatementResult::Rows(self.run_parsed(&q, gov, profile)?)),
             Statement::Explain(q) => {
                 message(crate::plan::explain(&db.compile_on(&self.read_snapshot(), &q, true)?))
             }
             Statement::ExplainAnalyze(q) => {
-                message(db.explain_analyze_on(&self.read_snapshot(), &q, gov)?)
+                message(crate::plan::explain_record(&self.run_parsed(&q, gov, profile)?))
             }
             Statement::Insert { table, rows } => {
                 self.write(&gov, |cat| db.plan_insert(cat, &table, &rows, &gov))

@@ -7,5 +7,5 @@ pub mod parser;
 pub mod statement;
 
 pub use ast::*;
-pub use parser::{hops, parse_query};
-pub use statement::{parse_statement, Statement};
+pub use parser::parse_query;
+pub use statement::{parse_statement, parse_statement_hopped, Statement};

@@ -22,26 +22,19 @@ const PARSER_STACK_BYTES: usize = 16 << 20;
 /// ADL reference queries are the deep end); since the dataframe layer merges
 /// each call into the `SELECT` it wraps, 19 of the 21 translated ADL/SSB
 /// queries nest 9–20 and translated ADL q6 31 (82 when every call wrapped).
-/// Translated ADL q8 (49, was 105) is the one translation past this, and
-/// [`hops`] is how a report asks.
+/// Translated ADL q8 (49, was 105) is the one translation past this; a
+/// statement's record says whether it hopped (`QueryProfile::parser_hop`).
 const INLINE_DEPTH: usize = 32;
 
 /// Parses one SQL query (an optional trailing `;` is allowed).
 pub fn parse_query(sql: &str) -> Result<Query> {
-    parse_with(sql, Parser::query)
-}
-
-/// Whether parsing `sql` as a query takes the parser-thread hop of
-/// [`parse_with`] — it nests deeper than [`INLINE_DEPTH`]. For reports: it
-/// costs one inline parse attempt.
-pub fn hops(sql: &str) -> bool {
-    parse_within(sql, Parser::query, INLINE_DEPTH).is_none()
+    parse_with(sql, Parser::query).0
 }
 
 /// The one way SQL text becomes a tree: where the caller is if the statement
 /// nests no deeper than [`INLINE_DEPTH`], and if that attempt finds it does,
 /// once more from the start on a dedicated thread with [`PARSER_STACK_BYTES`]
-/// of stack, to [`MAX_DEPTH`].
+/// of stack, to [`MAX_DEPTH`]. The flag says whether it hopped.
 ///
 /// Callers (REPL, worker pools, server connections, tests) have unknown —
 /// often 2 MiB — stacks, and hostile nesting must surface as a typed
@@ -57,12 +50,14 @@ pub fn hops(sql: &str) -> bool {
 pub(super) fn parse_with<'a, T: Send>(
     sql: &'a str,
     rule: fn(&mut Parser<'a>) -> Result<T>,
-) -> Result<T> {
-    parse_within(sql, rule, INLINE_DEPTH)
-        .or_else(|| on_parser_stack(|| parse_within(sql, rule, MAX_DEPTH)))
-        .unwrap_or_else(|| {
-            Err(SnowError::Parse(format!("query exceeds maximum nesting depth ({MAX_DEPTH})")))
-        })
+) -> (Result<T>, bool) {
+    if let Some(parsed) = parse_within(sql, rule, INLINE_DEPTH) {
+        return (parsed, false);
+    }
+    let parsed = on_parser_stack(|| parse_within(sql, rule, MAX_DEPTH)).unwrap_or_else(|| {
+        Err(SnowError::Parse(format!("query exceeds maximum nesting depth ({MAX_DEPTH})")))
+    });
+    (parsed, true)
 }
 
 /// Tokenize once, run `rule`, an optional `;` and the end-of-input check, on
@@ -839,17 +834,18 @@ mod tests {
         }
         for (parens, hopped) in [(1, false), (INLINE_DEPTH, false), (INLINE_DEPTH + 1, true)] {
             let sql = format!("{}{}", "(".repeat(parens), ")".repeat(parens));
-            assert_eq!(parse_with(&sql, level).unwrap(), vec![hopped; parens + 1], "{parens}");
+            let (levels, hop) = parse_with(&sql, level);
+            assert_eq!((levels.unwrap(), hop), (vec![hopped; parens + 1], hopped), "{parens}");
             // Each `SELECT` of nested derived tables is one level.
             let q = format!(
                 "{}SELECT * FROM t{}",
                 "SELECT * FROM (".repeat(parens - 1),
                 ")".repeat(parens - 1)
             );
-            assert_eq!(hops(&q), hopped, "{parens}");
+            assert_eq!(parse_with(&q, Parser::query).1, hopped, "{parens}");
         }
         let sql = format!("{}{}", "(".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
-        assert!(matches!(parse_with(&sql, level), Err(SnowError::Parse(m)) if m.contains("depth")));
+        assert!(matches!(parse_with(&sql, level).0, Err(SnowError::Parse(m)) if m.contains("depth")));
 
         // The same tree on either side of the boundary (`query` and `expr`
         // are levels 1 and 2), and an error after a deep part is the error.

@@ -565,11 +565,6 @@ impl Store {
         })
     }
 
-    /// Whether this store was opened read-only.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
     /// The committed catalog version.
     pub fn version(&self) -> u64 {
         self.state.lock().expect("store state lock").version

@@ -28,10 +28,10 @@ pub use report::{ConfigOutcome, Divergence, DivergenceDetail, Failure, Rows, Rul
 use std::sync::Arc;
 
 use crate::catalog::CatalogSnapshot;
-use crate::engine::{Database, QueryOptions};
+use crate::engine::{Database, PlanSource, QueryOptions, QueryProfile};
 use crate::error::{Result, SnowError};
 use crate::govern::chaos::ChaosSchedule;
-use crate::govern::QueryGovernor;
+use crate::govern::{QueryGovernor, QueryOutcome};
 use crate::sql::ast::Query;
 use crate::sql::parse_query;
 use crate::variant::Variant;
@@ -83,7 +83,8 @@ pub fn verify_sql(
 /// every configuration). `VERIFY` is one statement: every lattice run reads the same
 /// pinned `cat` and shares `gov` — one deadline, one cancel flag, cumulative
 /// budgets — and a governance trip ([`SnowError::is_governance`]) aborts it
-/// with the typed error instead of being scored as a disagreement.
+/// with the typed error instead of being scored as a disagreement. Each point
+/// compiles once, cold, and takes its plan and metrics from its record.
 pub(crate) fn verify_query(
     db: &Database,
     cat: &CatalogSnapshot,
@@ -93,38 +94,41 @@ pub(crate) fn verify_query(
     epsilon: f64,
     gov: &Arc<QueryGovernor>,
 ) -> Result<VerifyReport> {
-    let query = query.map_err(SnowError::clone);
     let mut report: Option<VerifyReport> = None;
     for cfg in configs {
-        let plan = query.clone().and_then(|q| db.compile_on(cat, q, cfg.optimize));
-        let ran = query
-            .clone()
-            .and_then(|q| db.query_on(cat, q, cfg, gov.clone()).map_err(SnowError::from));
-        let (result, metrics) = match ran {
-            Ok(r) => {
-                let metrics = match (&r.profile.metrics, &plan) {
-                    (Some(m), Ok(p)) => crate::plan::explain_analyze(p, m),
-                    _ => String::new(),
-                };
-                (Ok(canonical_rows(r.rows)), metrics)
-            }
-            Err(e) if e.is_governance() => return Err(e),
-            Err(e) => (Err(Failure::Engine(e)), String::new()),
+        let ran = match query {
+            Ok(q) => db.run_plan(cat, PlanSource::Parsed(q), cfg, gov.clone(), QueryProfile::new(gov)),
+            Err(e) => Err(QueryProfile::new(gov).failed(e.clone(), gov)),
         };
-        let point = ConfigOutcome {
-            plan: match &plan {
-                Ok(p) => crate::plan::explain(p),
-                Err(e) => format!("<explain failed: {e}>"),
-            },
-            metrics,
-            ..ConfigOutcome::new(cfg.label(), result)
-        };
+        if let Some(f) = ran.as_ref().err().filter(|f| f.error.is_governance()) {
+            return Err(f.error.clone());
+        }
+        let point = point(cfg.label(), ran);
         match &mut report {
             Some(r) => r.record(Rule::Same, 0, point, epsilon),
             None => report = Some(VerifyReport::new(text, point)),
         }
     }
     report.ok_or_else(|| SnowError::Exec("verify: empty configuration lattice".into()))
+}
+
+/// One point of a lattice, from its run's record: the canonical rows or the
+/// typed error, `EXPLAIN` of the plan and, when it ran, its (partial)
+/// metrics.
+fn point(label: String, ran: QueryOutcome) -> ConfigOutcome {
+    let (result, profile) = match ran {
+        Ok(r) => (Ok(canonical_rows(r.rows)), r.profile),
+        Err(f) => (Err(Failure::Engine(f.error)), *f.profile),
+    };
+    let (plan, metrics) = match (&profile.plan, &result) {
+        (Some(p), _) => (
+            crate::plan::explain(p),
+            profile.metrics.as_ref().map_or_else(String::new, |m| crate::plan::explain_analyze(p, m)),
+        ),
+        (None, Err(e)) => (format!("<explain failed: {e}>"), String::new()),
+        (None, Ok(_)) => unreachable!("rows come from a plan"),
+    };
+    ConfigOutcome { plan, metrics, ..ConfigOutcome::new(label, result) }
 }
 
 /// Drives `sql` through seeded fault-injection schedules at `threads`
@@ -139,6 +143,7 @@ pub(crate) fn verify_query(
 ///
 /// Both points carry the seed, so a divergence replays with
 /// `ChaosSchedule::new(seed)` under `QueryOptions { threads: Some(1), .. }`.
+/// Every point's plan is its own run's: nothing is compiled outside them.
 pub fn verify_sql_chaos(
     db: &Database,
     sql: &str,
@@ -147,14 +152,7 @@ pub fn verify_sql_chaos(
     epsilon: f64,
 ) -> VerifyReport {
     let opts = QueryOptions { threads: Some(threads), ..QueryOptions::default() };
-    let plan = db.explain(sql).unwrap_or_else(|e| format!("<explain failed: {e}>"));
-    let run = |label: String, gov: QueryGovernor| {
-        let result = db
-            .query_governed(sql, &opts, Arc::new(gov))
-            .map(|r| canonical_rows(r.rows))
-            .map_err(|f| Failure::Engine(f.error));
-        ConfigOutcome { plan: plan.clone(), ..ConfigOutcome::new(label, result) }
-    };
+    let run = |label: String, gov: QueryGovernor| point(label, db.query_governed(sql, &opts, Arc::new(gov)));
     let un_faulted = || QueryGovernor::from_params(&db.session_params());
     let mut report = VerifyReport::new(sql, run(format!("un-faulted/threads={threads}"), un_faulted()));
     for &seed in seeds {

@@ -179,7 +179,7 @@ fn cancellation_is_prompt_and_typed() {
                     "threads={threads}: expected Cancelled, got {:?}",
                     failure.error
                 );
-                assert!(failure.summary.cancelled);
+                assert!(failure.profile.governed.expect("a failure's record").cancelled);
             }
             Ok(_) => {
                 // The query beat the cancel to the finish line; legal but the
@@ -241,7 +241,7 @@ fn memory_budget_trips_deterministically_across_thread_counts() {
             ref other => panic!("threads={threads}: expected ResourceExhausted, got {other:?}"),
         }
         // The failure carries the partial metrics tree for post-mortems.
-        assert!(failure.partial_metrics.is_some());
+        assert!(failure.profile.metrics.is_some());
     }
 }
 
@@ -300,7 +300,7 @@ fn a_trip_in_the_middle_of_a_long_pipeline_arrives_within_one_piece() {
             SnowError::ResourceExhausted(ref t) => {
                 assert_eq!((t.resource.as_str(), t.limit), ("memory", limit));
                 // The charge that crossed the limit was one piece's.
-                let metrics = failure.partial_metrics.as_ref().expect("partial metrics");
+                let metrics = failure.profile.metrics.as_ref().expect("partial metrics");
                 let piece = metrics.operators().iter().map(|(_, m)| m.peak_mem_bytes).max().unwrap();
                 assert!(t.used - limit <= piece, "threads={threads}: {} over by more than {piece}", t.used);
             }

@@ -38,7 +38,7 @@ fn main() {
         let result = df.collect().expect("runs");
         println!(
             "translation {:?}, engine compile {:?}, execute {:?}",
-            translation, result.profile.compile_time, result.profile.exec_time
+            translation, result.profile.compile_time(), result.profile.exec_time()
         );
 
         // Render the {"value", "count"} histogram rows as ASCII bars.

@@ -54,8 +54,8 @@ fn main() {
     }
     println!(
         "\nEngine profile: compile {:?}, execute {:?}, {} bytes scanned",
-        result.profile.compile_time,
-        result.profile.exec_time,
+        result.profile.compile_time(),
+        result.profile.exec_time(),
         result.profile.scan.bytes_scanned
     );
 

@@ -388,7 +388,9 @@ fn execute_cancellable(session: &Arc<Session>, sql: &str) {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    match handle.join() {
+    // Both outcomes end in the statement's record: its id and stages, its
+    // governance accounting, and on a failure the partial metrics tree.
+    let (profile, failed) = match handle.join() {
         Ok(res) => {
             for row in &res.rows {
                 println!("{}", row[0]);
@@ -396,22 +398,24 @@ fn execute_cancellable(session: &Arc<Session>, sql: &str) {
             println!(
                 "({} rows; compile {:?}, execute {:?}, {} bytes scanned)",
                 res.rows.len(),
-                res.profile.compile_time,
-                res.profile.exec_time,
+                res.profile.compile_time(),
+                res.profile.exec_time(),
                 res.profile.scan.bytes_scanned
             );
-            if let Some(governed) = &res.profile.governed {
-                println!("({})", governed.render());
-            }
+            (res.profile, false)
         }
         Err(failure) => {
             println!("execution error: {}", failure.error);
-            println!("({})", failure.summary.render());
-            if let Some(metrics) = &failure.partial_metrics {
-                println!("partial metrics at interruption:");
-                println!("  {}", metrics.annotation());
-            }
+            (*failure.profile, true)
         }
+    };
+    println!("({})", profile.stages_line());
+    if let Some(governed) = &profile.governed {
+        println!("({})", governed.render());
+    }
+    if let Some(metrics) = profile.metrics.as_ref().filter(|_| failed) {
+        println!("partial metrics at interruption:");
+        println!("  {}", metrics.annotation());
     }
     sigint::reset();
 }

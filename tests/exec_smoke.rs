@@ -11,15 +11,23 @@
 //! groups, in order, at any thread count. A join on a dense integer key
 //! matches by value — `3.0` meets `3`, a key outside the range meets
 //! nothing — and a filter of three typed conjuncts keeps the rows the row
-//! evaluator keeps.
+//! evaluator keeps. Every door a query comes in by ends in one executor and
+//! one record: a query id, the plan, stage times taken inside the program,
+//! the metrics — on success and on failure alike.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use snowq::adl::{self, generator::AdlConfig};
+use snowq::snowdb::server::client::{Client, RemoteOutcome};
+use snowq::snowdb::server::proto::Done;
 use snowq::snowdb::StatementResult;
 use snowq::jsoniq_core::snowflake::{translate_query, NestedStrategy};
 use snowq::snowdb::storage::{ColumnDef, ColumnType};
-use snowq::snowdb::{Database, QueryOptions, QueryResult, SnowError, Variant};
+use snowq::snowdb::{
+    serve, Database, QueryOptions, QueryProfile, QueryResult, ServerConfig, Session, SnowError,
+    Variant,
+};
 
 fn run(db: &Database, sql: &str, vectorize: bool) -> Result<QueryResult, SnowError> {
     let opts = QueryOptions { vectorize, threads: Some(2), ..Default::default() };
@@ -309,4 +317,100 @@ fn a_three_conjunct_filter_over_typed_columns_keeps_its_rows() {
     .expect("loads");
     assert_eq!(agreed_rows(&db, "SELECT id FROM t WHERE d >= 1 AND d <= 3 AND q < 25"), "[[0], [6], [8]]");
     assert_eq!(agreed_rows(&db, "SELECT id FROM t WHERE d IS NULL OR (d > 2 AND q < 25)"), "[[2], [3], [9]]");
+}
+
+/// The sum of a record's stages: they do not overlap, so it is at most the
+/// wall clock of whoever waited for the statement.
+fn stages_sum(p: &QueryProfile) -> Duration {
+    let s = p.stages;
+    s.parse + s.lookup + s.bind + s.optimize + s.lower + s.execute + s.into_rows
+}
+
+/// The id on `EXPLAIN ANALYZE`'s `-- query <id>: compile …` line.
+fn analyzed_id(text: &str) -> u64 {
+    let line = text.lines().find_map(|l| l.strip_prefix("-- query ")).expect(text);
+    line.split(':').next().and_then(|id| id.parse().ok()).expect(line)
+}
+
+/// One statement through each door — `Database::query`, `Session::execute`,
+/// `Session::submit`, `EXPLAIN ANALYZE` and the wire — each described by one
+/// record: ids distinct and increasing, stages within the caller's own wall
+/// clock, `Done` reading its times from the record, and a budget trip
+/// failing with a record that carries the id, the plan and the partial
+/// metrics.
+#[test]
+fn every_door_ends_in_one_executor_and_one_record() {
+    let db = Arc::new(Database::new());
+    let rows = (0..64).map(|i| vec![Variant::Int(i)]);
+    db.load_table("t", vec![ColumnDef::new("X", ColumnType::Int)], rows, 16).expect("loads");
+    let sql = "SELECT SUM(x) FROM t WHERE x >= 8";
+    let session = Arc::new(Session::new(db.clone()));
+    let timed = |run: &dyn Fn() -> QueryResult| {
+        let t = Instant::now();
+        let r = run();
+        (r, t.elapsed())
+    };
+    let rows_of = |r| match r {
+        StatementResult::Rows(r) => r,
+        StatementResult::Message(m) => panic!("expected rows, got {m}"),
+    };
+
+    let (query, wall) = timed(&|| db.query(sql).expect("runs"));
+    assert!(stages_sum(&query.profile) <= wall, "{:?} > {wall:?}", query.profile.stages);
+    assert!(!query.profile.plan_cached && query.profile.plan.is_some() && query.profile.metrics.is_some());
+    let (executed, wall) = timed(&|| rows_of(session.execute(sql).expect("runs")));
+    assert!(stages_sum(&executed.profile) <= wall, "{:?} > {wall:?}", executed.profile.stages);
+    assert!(executed.profile.plan_cached, "one text door, one plan cache");
+    assert_eq!(executed.profile.stages.bind, Duration::ZERO, "a hit binds nothing");
+    let (submitted, wall) = timed(&|| session.submit(sql).join().expect("runs"));
+    assert!(stages_sum(&submitted.profile) <= wall, "{:?} > {wall:?}", submitted.profile.stages);
+    let StatementResult::Message(analyzed) = session.execute(&format!("EXPLAIN ANALYZE {sql}")).expect("runs")
+    else {
+        panic!("EXPLAIN ANALYZE renders a message")
+    };
+    assert!(analyzed.contains("-- 1 row(s) in"), "{analyzed}");
+
+    let server = serve(db.clone(), "127.0.0.1:0", ServerConfig::default()).expect("serves");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let t = Instant::now();
+    let RemoteOutcome::Rows(remote) = client.execute(sql).expect("runs") else { panic!("rows") };
+    let wall = t.elapsed().as_micros() as u64;
+    assert_eq!(remote.rows, query.rows);
+    assert!(remote.done.compile_us + remote.done.exec_us <= wall, "{:?} > {wall} µs", remote.done);
+    let RemoteOutcome::Message(remote_analyzed) =
+        client.execute(&format!("EXPLAIN ANALYZE {sql}")).expect("runs")
+    else {
+        panic!("EXPLAIN ANALYZE renders a message")
+    };
+    client.goodbye();
+    server.shutdown();
+
+    // The server's `Done` is the record's, not a clock of its own.
+    let done = Done::of(&query, 7);
+    assert_eq!(done.compile_us, query.profile.compile_time().as_micros() as u64);
+    assert_eq!(done.exec_us, query.profile.exec_time().as_micros() as u64);
+    assert_eq!((done.rows, done.bytes_scanned, done.queued_ms), (1, query.profile.scan.bytes_scanned, 7));
+
+    let ids = [
+        query.profile.query_id,
+        executed.profile.query_id,
+        submitted.profile.query_id,
+        analyzed_id(&analyzed),
+        analyzed_id(&remote_analyzed),
+    ];
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids {ids:?}");
+
+    session.execute("SET MAX_BYTES_SCANNED = 1").expect("sets");
+    let failure = session.submit(sql).join().expect_err("trips the budget");
+    assert!(
+        matches!(&failure.error, SnowError::ResourceExhausted(t) if t.resource == "bytes_scanned"),
+        "{:?}",
+        failure.error
+    );
+    let record = &failure.profile;
+    assert!(record.query_id > ids[4], "{} after {ids:?}", record.query_id);
+    assert!(record.plan.is_some(), "the plan was compiled before the trip");
+    let metrics = record.metrics.as_ref().expect("the partial metrics tree");
+    assert!(metrics.operators().iter().any(|(_, op)| op.name.starts_with("Scan")), "{metrics:?}");
+    assert_eq!(record.governed.expect("the governor's accounting").scan_limit, Some(1));
 }
