@@ -17,6 +17,7 @@
 //! SQL, and the baselines all see bit-identical data.
 
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,23 +127,62 @@ impl Sampler {
     }
 }
 
-fn particle(pt: f64, eta: f64, phi: f64, mass: f64, charge: i64) -> Variant {
+/// The field names, allocated once per generation: every object clones
+/// these `Arc`s instead of allocating its own copy of each key. The empty
+/// array is shared the same way.
+struct Keys {
+    pt: Arc<str>,
+    eta: Arc<str>,
+    phi: Arc<str>,
+    mass: Arc<str>,
+    charge: Arc<str>,
+    btag: Arc<str>,
+    isomu24: Arc<str>,
+    isomu17: Arc<str>,
+    empty: Variant,
+}
+
+impl Keys {
+    fn new() -> Keys {
+        Keys {
+            pt: Arc::from("PT"),
+            eta: Arc::from("ETA"),
+            phi: Arc::from("PHI"),
+            mass: Arc::from("MASS"),
+            charge: Arc::from("CHARGE"),
+            btag: Arc::from("BTAG"),
+            isomu24: Arc::from("ISOMU24"),
+            isomu17: Arc::from("ISOMU17_ETA2P1_LOOSEISOPFTAU20"),
+            empty: Variant::array(Vec::new()),
+        }
+    }
+
+    /// An array of `items`; every empty one is the one shared empty array.
+    fn array(&self, items: Vec<Variant>) -> Variant {
+        match items.is_empty() {
+            true => self.empty.clone(),
+            false => Variant::array(items),
+        }
+    }
+}
+
+fn particle(k: &Keys, pt: f64, eta: f64, phi: f64, mass: f64, charge: i64) -> Variant {
     let mut o = Object::with_capacity(5);
-    o.insert("PT", Variant::Float(round6(pt)));
-    o.insert("ETA", Variant::Float(round6(eta)));
-    o.insert("PHI", Variant::Float(round6(phi)));
-    o.insert("MASS", Variant::Float(round6(mass)));
-    o.insert("CHARGE", Variant::Int(charge));
+    o.insert(k.pt.clone(), Variant::Float(round6(pt)));
+    o.insert(k.eta.clone(), Variant::Float(round6(eta)));
+    o.insert(k.phi.clone(), Variant::Float(round6(phi)));
+    o.insert(k.mass.clone(), Variant::Float(round6(mass)));
+    o.insert(k.charge.clone(), Variant::Int(charge));
     Variant::object(o)
 }
 
-fn jet(s: &mut Sampler) -> Variant {
+fn jet(k: &Keys, s: &mut Sampler) -> Variant {
     let mut o = Object::with_capacity(5);
-    o.insert("PT", Variant::Float(round6(15.0 + s.exp(35.0))));
-    o.insert("ETA", Variant::Float(round6(s.eta())));
-    o.insert("PHI", Variant::Float(round6(s.phi())));
-    o.insert("MASS", Variant::Float(round6(3.0 + s.exp(7.0))));
-    o.insert("BTAG", Variant::Float(round6(s.rng.gen_range(0.0..1.0))));
+    o.insert(k.pt.clone(), Variant::Float(round6(15.0 + s.exp(35.0))));
+    o.insert(k.eta.clone(), Variant::Float(round6(s.eta())));
+    o.insert(k.phi.clone(), Variant::Float(round6(s.phi())));
+    o.insert(k.mass.clone(), Variant::Float(round6(3.0 + s.exp(7.0))));
+    o.insert(k.btag.clone(), Variant::Float(round6(s.rng.gen_range(0.0..1.0))));
     Variant::object(o)
 }
 
@@ -151,16 +191,16 @@ fn round6(x: f64) -> f64 {
 }
 
 /// Generates one event's row (one value per schema column).
-fn event_row(id: i64, s: &mut Sampler) -> Vec<Variant> {
+fn event_row(id: i64, s: &mut Sampler, k: &Keys) -> Vec<Variant> {
     // MET.
     let mut met = Object::with_capacity(2);
-    met.insert("PT", Variant::Float(round6(s.exp(25.0))));
-    met.insert("PHI", Variant::Float(round6(s.phi())));
+    met.insert(k.pt.clone(), Variant::Float(round6(s.exp(25.0))));
+    met.insert(k.phi.clone(), Variant::Float(round6(s.phi())));
 
     // Trigger flags.
     let mut hlt = Object::with_capacity(2);
-    hlt.insert("ISOMU24", Variant::Bool(s.rng.gen_bool(0.35)));
-    hlt.insert("ISOMU17_ETA2P1_LOOSEISOPFTAU20", Variant::Bool(s.rng.gen_bool(0.1)));
+    hlt.insert(k.isomu24.clone(), Variant::Bool(s.rng.gen_bool(0.35)));
+    hlt.insert(k.isomu17.clone(), Variant::Bool(s.rng.gen_bool(0.1)));
 
     // Muons: background plus an occasional resonant Z → μμ pair.
     let mut muons: Vec<Variant> = Vec::new();
@@ -182,56 +222,58 @@ fn event_row(id: i64, s: &mut Sampler) -> Vec<Variant> {
             phi2 -= 2.0 * PI;
         }
         let q = s.charge();
-        muons.push(particle(pt1, eta1, phi1, 0.105658, q));
-        muons.push(particle(pt2, eta2, phi2, 0.105658, -q));
+        muons.push(particle(k, pt1, eta1, phi1, 0.105658, q));
+        muons.push(particle(k, pt2, eta2, phi2, 0.105658, -q));
     }
     for _ in 0..s.multiplicity(0.7, 4) {
-        muons.push(particle(3.0 + s.exp(15.0), s.eta(), s.phi(), 0.105658, s.charge()));
+        muons.push(particle(k, 3.0 + s.exp(15.0), s.eta(), s.phi(), 0.105658, s.charge()));
     }
 
     // Electrons.
     let mut electrons: Vec<Variant> = Vec::new();
     for _ in 0..s.multiplicity(0.6, 4) {
-        electrons.push(particle(3.0 + s.exp(14.0), s.eta(), s.phi(), 0.000511, s.charge()));
+        electrons.push(particle(k, 3.0 + s.exp(14.0), s.eta(), s.phi(), 0.000511, s.charge()));
     }
 
     // Jets.
     let njets = s.multiplicity(2.2, 10);
-    let jets: Vec<Variant> = (0..njets).map(|_| jet(s)).collect();
+    let jets: Vec<Variant> = (0..njets).map(|_| jet(k, s)).collect();
 
     // Photons and taus (lighter use in the queries, still populated).
     let photons: Vec<Variant> = (0..s.multiplicity(0.5, 3))
-        .map(|_| particle(2.0 + s.exp(12.0), s.eta(), s.phi(), 0.0, 0))
+        .map(|_| particle(k, 2.0 + s.exp(12.0), s.eta(), s.phi(), 0.0, 0))
         .collect();
     let taus: Vec<Variant> = (0..s.multiplicity(0.3, 2))
-        .map(|_| particle(5.0 + s.exp(18.0), s.eta(), s.phi(), 1.77686, s.charge()))
+        .map(|_| particle(k, 5.0 + s.exp(18.0), s.eta(), s.phi(), 1.77686, s.charge()))
         .collect();
 
     vec![
         Variant::Int(id),
         Variant::object(met),
         Variant::object(hlt),
-        Variant::array(muons),
-        Variant::array(electrons),
-        Variant::array(jets),
-        Variant::array(photons),
-        Variant::array(taus),
+        k.array(muons),
+        k.array(electrons),
+        k.array(jets),
+        k.array(photons),
+        k.array(taus),
     ]
 }
 
 /// Generates all events for a configuration.
 pub fn generate_events(cfg: &AdlConfig) -> Vec<Vec<Variant>> {
     let mut s = Sampler { rng: StdRng::seed_from_u64(cfg.seed) };
-    (0..cfg.events).map(|i| event_row(i as i64, &mut s)).collect()
+    let keys = Keys::new();
+    (0..cfg.events).map(|i| event_row(i as i64, &mut s, &keys)).collect()
 }
 
 /// Generates and loads the dataset into a database table.
 pub fn load_into(db: &Database, table: &str, cfg: &AdlConfig) {
     let mut s = Sampler { rng: StdRng::seed_from_u64(cfg.seed) };
+    let keys = Keys::new();
     db.load_table(
         table,
         schema(),
-        (0..cfg.events).map(|i| event_row(i as i64, &mut s)),
+        (0..cfg.events).map(|i| event_row(i as i64, &mut s, &keys)),
         cfg.partition_rows,
     )
     .expect("schema arity is fixed");

@@ -698,8 +698,8 @@ pub fn coldscan(cfg: &Config) -> Report {
         "coldscan",
         &format!("Cost of a buffer-cache miss and misses per ADL cycle ({} events)", cfg.adl_events),
         &[
-            "column / cycle", "blocks", "bytes", "crc/block", "decode/block", "crc MB/s", "hits",
-            "misses", "not admitted", "evictions", "hit rate", "cycle",
+            "column / cycle", "encoding", "blocks", "bytes", "crc/block", "decode/block", "crc MB/s",
+            "hits", "misses", "not admitted", "evictions", "hit rate", "cycle",
         ],
     );
 
@@ -714,9 +714,23 @@ pub fn coldscan(cfg: &Config) -> Report {
     };
     for (i, def) in table.schema().iter().enumerate() {
         let (mut blocks, mut bytes, mut crc_s, mut decode_s) = (0usize, 0usize, 0.0, 0.0);
+        let mut encodings: Vec<String> = Vec::new();
         for part in table.partitions() {
             let ScanSource::Disk(disk) = &**part else { panic!("a reopened table is on disk") };
             let cm = &disk.meta().columns[i];
+            // MET, HLT and the particle arrays are flat records and arrays
+            // of them: every block must be shredded, never a plain VARIANT
+            // block.
+            assert!(
+                !(cm.ty == ColumnType::Variant && cm.encoding == format::BlockEncoding::Plain),
+                "{} reads back as a plain VARIANT block in {}",
+                def.name,
+                disk.file_name()
+            );
+            let encoding = format!("{:?}", cm.encoding);
+            if !encodings.contains(&encoding) {
+                encodings.push(encoding);
+            }
             let path = store.dir().join("parts").join(disk.file_name());
             let file = std::fs::read(path).expect("read the partition file");
             let block = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
@@ -731,6 +745,7 @@ pub fn coldscan(cfg: &Config) -> Report {
         let per = |s: f64| fmt_secs(s / blocks as f64);
         rep.row([
             def.name.clone(),
+            encodings.join("/"),
             blocks.to_string(),
             fmt_bytes(bytes as u64),
             per(crc_s),
@@ -759,6 +774,7 @@ pub fn coldscan(cfg: &Config) -> Report {
         let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
         rep.row([
             format!("q1-q5 cycle {cycle}"),
+            String::new(),
             String::new(),
             String::new(),
             String::new(),

@@ -20,7 +20,9 @@
 //! loads (`load_irregular`): an optional member in a nested FLWOR's
 //! predicate, a `let` over a nested FLWOR that filters out every item used
 //! in the outer `where`, nested queries whose every item is filtered out,
-//! and order comparisons on a field that mixes numbers and strings. Two
+//! order comparisons on a field that mixes numbers and strings, and nested
+//! queries over its arrays of flat records, which the engine stores
+//! shredded. Two
 //! things it never does, because the engine has one `NULL` for SQL `NULL`,
 //! JSON `null` and a missing member (`Variant::Null`) while the interpreter
 //! keeps them apart: it compares nothing with a `null` literal or with
@@ -169,7 +171,7 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
     let pt = rng.gen_range(0..150);
     // High enough to filter out every item, or not.
     let eta = if rng.gen_bool(0.5) { 1000 } else { rng.gen_range(-2..3) };
-    match rng.gen_range(0..5u32) {
+    match rng.gen_range(0..6u32) {
         0 => format!(
             r#"for $t in collection("{c}") where count(for $x in $t.XS[] where $x.PT {op} {pt} return $x) ge {} return $t.ID"#,
             rng.gen_range(1..3),
@@ -183,6 +185,12 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
         ),
         3 => format!(
             r#"for $t in collection("{c}") return {{"id": $t.ID, "n": count(for $x in $t.XS[] where $x.ETA gt {eta} return $x), "s": sum(for $x in $t.XS[] where $x.ETA gt {eta} return $x.ETA), "xs": [ for $x in $t.XS[] where $x.ETA gt {eta} return $x.ETA ]}}"#,
+        ),
+        // The regular arrays of records, which seal shredded.
+        4 => format!(
+            r#"for $t in collection("{c}") return {{"id": $t.ID, "n": count(for $r in $t.RS[] where $r.Q {op} {} return $r), "qs": [ for $r in $t.RS[] where $r.Q {op} {} return $r.Q ]}}"#,
+            rng.gen_range(0..20),
+            rng.gen_range(0..20),
         ),
         // Strings against a number fail in both; the ID filter may keep only
         // numbers.

@@ -4,10 +4,11 @@
 //! into its open partition, and stays shredded: the sealed
 //! [`MicroPartition`], the SNPT codec, the buffer cache and every execution
 //! batch hold the same [`ColumnVec`] — a dense typed vector plus a validity
-//! [`Bitmap`], a dictionary or run-length encoding of one, or boxed
-//! [`Variant`]s for genuinely mixed and nested data. A scan hands the
-//! executor [`ColumnVec::slice`]s of the stored column; nothing is converted
-//! in between.
+//! [`Bitmap`], a dictionary or run-length encoding of one, flat records or
+//! arrays of flat records shredded into typed child columns ([`Records`],
+//! [`RecordLists`]), or boxed [`Variant`]s for genuinely mixed and nested
+//! data. A scan hands the executor [`ColumnVec::slice`]s of the stored
+//! column; nothing is converted in between.
 //!
 //! ## Adaptivity contract
 //!
@@ -32,9 +33,11 @@
 //! [`TableBuilder`]: crate::storage::TableBuilder
 //! [`MicroPartition`]: crate::storage::MicroPartition
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::variant::{Key, Variant};
+use crate::variant::{Key, Object, Variant};
 
 /// Sentinel dictionary code marking a NULL row. Dictionaries are bounded by
 /// the partition row count, so the sentinel can never collide with a real
@@ -243,7 +246,245 @@ impl Bitmap {
 
     /// As [`Bitmap::gather`]; a `None` entry is a NULL row.
     fn gather_opt(&self, idx: &[Option<usize>]) -> Bitmap {
+        if self.all_valid() {
+            return Bitmap::from_fn(idx.len(), |j| idx[j].is_some());
+        }
         Bitmap::from_fn(idx.len(), |j| idx[j].is_some_and(|i| self.get(i)))
+    }
+}
+
+/// Flat records that share one key sequence, shredded into one plain column
+/// per key: field `k` of row `r` is row `r` of `fields[k]`. The fields of a
+/// NULL record are NULL, so a field pick is the field's column as it stands.
+#[derive(Clone, Debug)]
+pub struct Records {
+    /// The key sequence, shared by every slice and gather of the column.
+    pub keys: Arc<[Arc<str>]>,
+    /// One `Null`, `Int`, `Float`, `Bool` or `Str` column per key.
+    pub fields: Vec<ColumnVec>,
+    pub valid: Bitmap,
+}
+
+impl Records {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.valid.is_empty()
+    }
+
+    /// Row `i` rebuilt as the object that was shredded: its keys in their
+    /// order, each value in its own type.
+    pub fn get(&self, i: usize) -> Variant {
+        if !self.valid.get(i) {
+            return Variant::Null;
+        }
+        let fields = self.keys.iter().zip(&self.fields).map(|(k, f)| (k.clone(), f.get(i)));
+        Variant::object(Object::from_distinct(fields.collect()))
+    }
+
+    /// The column of field `key`; `None` when the records have no such key.
+    pub fn field(&self, key: &str) -> Option<&ColumnVec> {
+        self.keys.iter().position(|k| &**k == key).map(|k| &self.fields[k])
+    }
+
+    /// True when rows of `other` append field by field: the same key
+    /// sequence and, per key, the same representation — or an all-NULL
+    /// field on either side, which adapts.
+    pub fn same_shape(&self, other: &Records) -> bool {
+        (Arc::ptr_eq(&self.keys, &other.keys) || self.keys == other.keys)
+            && self.fields.iter().zip(&other.fields).all(|(a, b)| {
+                matches!(a, ColumnVec::Null(_))
+                    || matches!(b, ColumnVec::Null(_))
+                    || std::mem::discriminant(a) == std::mem::discriminant(b)
+            })
+    }
+
+    fn with_fields(&self, valid: Bitmap, f: impl FnMut(&ColumnVec) -> ColumnVec) -> Records {
+        Records { keys: self.keys.clone(), fields: self.fields.iter().map(f).collect(), valid }
+    }
+
+    /// `n` NULL records of this key sequence.
+    fn nulls_like(&self, n: usize) -> Records {
+        self.with_fields(Bitmap::nulls(n), |_| ColumnVec::Null(n))
+    }
+
+    pub fn gather(&self, idx: &[usize]) -> Records {
+        self.with_fields(self.valid.gather(idx), |f| f.gather(idx))
+    }
+
+    pub fn gather_opt(&self, idx: &[Option<usize>]) -> Records {
+        self.with_fields(self.valid.gather_opt(idx), |f| f.gather_opt(idx))
+    }
+
+    pub fn slice(&self, lo: usize, hi: usize) -> Records {
+        self.with_fields(self.valid.slice(lo, hi), |f| f.slice(lo, hi))
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.fields.iter_mut().for_each(|f| f.truncate(n));
+        self.valid.truncate(n);
+    }
+
+    /// Appends `other`, which must have [the same shape](Records::same_shape).
+    pub fn append(&mut self, other: Records) {
+        for (f, o) in self.fields.iter_mut().zip(other.fields) {
+            f.append(o);
+        }
+        self.valid.extend_from(&other.valid);
+    }
+
+    /// Copies row `i` of `other`, which must have the same shape.
+    fn push_from(&mut self, other: &Records, i: usize) {
+        for (f, o) in self.fields.iter_mut().zip(&other.fields) {
+            f.push_from(o, i);
+        }
+        self.valid.push(other.valid.get(i));
+    }
+
+    fn push_null(&mut self) {
+        self.fields.iter_mut().for_each(ColumnVec::push_null);
+        self.valid.push(false);
+    }
+
+    /// The keys once, the validity bits and the field columns.
+    fn estimated_size(&self) -> u64 {
+        self.keys.iter().map(|k| k.len() as u64 + 2).sum::<u64>()
+            + self.len().div_ceil(8) as u64
+            + self.fields.iter().map(ColumnVec::estimated_size).sum::<u64>()
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        self.len() as u64 / 8 + self.fields.iter().map(ColumnVec::approx_bytes).sum::<u64>()
+    }
+}
+
+/// Arrays of flat records: row `r` holds items `ranges[r].0..ranges[r].1` of
+/// `items`, and a NULL row holds none. The items are shared: a slice or a
+/// gather of the column copies ranges, never items, so a list carried through
+/// a join or a flatten costs two offsets a row. As sealed, the ranges tile
+/// the items in row order.
+#[derive(Clone, Debug)]
+pub struct RecordLists {
+    pub ranges: Vec<(u32, u32)>,
+    pub valid: Bitmap,
+    pub items: Arc<Records>,
+}
+
+impl RecordLists {
+    /// Lists whose row `r` holds items `offsets[r]..offsets[r + 1]`.
+    pub fn from_offsets(offsets: &[u32], valid: Bitmap, items: Records) -> RecordLists {
+        let ranges = offsets.windows(2).map(|w| (w[0], w[1])).collect();
+        RecordLists { ranges, valid, items: Arc::new(items) }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.valid.is_empty()
+    }
+
+    /// The items of row `r`.
+    pub fn range(&self, r: usize) -> Range<usize> {
+        let (lo, hi) = self.ranges[r];
+        lo as usize..hi as usize
+    }
+
+    /// Row `r` rebuilt as the array that was shredded.
+    pub fn get(&self, r: usize) -> Variant {
+        if !self.valid.get(r) {
+            return Variant::Null;
+        }
+        Variant::array(self.range(r).map(|i| self.items.get(i)).collect())
+    }
+
+    /// The items of every row in row order, and the offsets of the rows in
+    /// them: what a partition file stores. Lists whose ranges tile their
+    /// items in row order — every sealed one — lend their own items.
+    pub fn packed(&self) -> (Cow<'_, Records>, Vec<u32>) {
+        let mut offsets = Vec::with_capacity(self.len() + 1);
+        let (mut at, mut tiled) = (0u32, true);
+        offsets.push(0);
+        for &(lo, hi) in &self.ranges {
+            tiled &= lo == at;
+            at += hi - lo;
+            offsets.push(at);
+        }
+        if tiled && at as usize == self.items.len() {
+            return (Cow::Borrowed(&*self.items), offsets);
+        }
+        let idx: Vec<usize> = (0..self.len()).flat_map(|r| self.range(r)).collect();
+        (Cow::Owned(self.items.gather(&idx)), offsets)
+    }
+
+    fn with_ranges(&self, ranges: Vec<(u32, u32)>, valid: Bitmap) -> RecordLists {
+        RecordLists { ranges, valid, items: self.items.clone() }
+    }
+
+    pub fn gather(&self, idx: &[usize]) -> RecordLists {
+        self.with_ranges(idx.iter().map(|&r| self.ranges[r]).collect(), self.valid.gather(idx))
+    }
+
+    pub fn gather_opt(&self, idx: &[Option<usize>]) -> RecordLists {
+        let ranges = idx.iter().map(|&r| r.map_or((0, 0), |r| self.ranges[r])).collect();
+        self.with_ranges(ranges, self.valid.gather_opt(idx))
+    }
+
+    pub fn slice(&self, lo: usize, hi: usize) -> RecordLists {
+        self.with_ranges(self.ranges[lo..hi].to_vec(), self.valid.slice(lo, hi))
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.ranges.truncate(n);
+        self.valid.truncate(n);
+    }
+
+    /// `n` NULL rows over items of this shape.
+    fn nulls_like(&self, n: usize) -> RecordLists {
+        RecordLists {
+            ranges: vec![(0, 0); n],
+            valid: Bitmap::nulls(n),
+            items: Arc::new(self.items.nulls_like(0)),
+        }
+    }
+
+    /// Appends `other`, whose items must have the same shape: its ranges
+    /// as they are over shared items, else over a copy of its items.
+    fn append(&mut self, other: RecordLists) {
+        if !Arc::ptr_eq(&self.items, &other.items) {
+            let base = self.items.len() as u32;
+            let (items, offsets) = other.packed();
+            Arc::make_mut(&mut self.items).append(items.into_owned());
+            let shifted = offsets.windows(2).map(|w| (w[0] + base, w[1] + base));
+            self.ranges.extend(shifted);
+        } else {
+            self.ranges.extend_from_slice(&other.ranges);
+        }
+        self.valid.extend_from(&other.valid);
+    }
+
+    fn push_null(&mut self) {
+        self.ranges.push((0, 0));
+        self.valid.push(false);
+    }
+
+    /// Offsets, validity bits and the items: O(fields), not O(values).
+    fn estimated_size(&self) -> u64 {
+        self.ranges.len() as u64 * 8 + self.len().div_ceil(8) as u64 + self.items.estimated_size()
+    }
+
+    /// Offsets and the share of the items the rows hold.
+    fn approx_bytes(&self) -> u64 {
+        let held: u64 = self.ranges.iter().map(|&(lo, hi)| u64::from(hi - lo)).sum();
+        let per_item = self.items.approx_bytes() / self.items.len().max(1) as u64;
+        self.ranges.len() as u64 * 8 + held * per_item
     }
 }
 
@@ -273,6 +514,11 @@ pub enum ColumnVec {
     /// rows `ends[r-1]..ends[r]` and holds row `r` of `values` (a NULL run is
     /// a null value row).
     Runs { ends: Vec<u32>, values: Box<ColumnVec> },
+    /// Objects of one key sequence with scalar fields, shredded at seal time
+    /// (see [`crate::storage::encode`]).
+    Objects(Records),
+    /// Arrays of such objects, shredded at seal time.
+    List(RecordLists),
     /// Boxed fallback for mixed types and nested values.
     Var(Vec<Variant>),
 }
@@ -299,6 +545,8 @@ impl ColumnVec {
             ColumnVec::Str(v) => v.len(),
             ColumnVec::DictStr { codes, .. } => codes.len(),
             ColumnVec::Runs { ends, .. } => ends.last().map_or(0, |&e| e as usize),
+            ColumnVec::Objects(r) => r.len(),
+            ColumnVec::List(l) => l.len(),
             ColumnVec::Var(v) => v.len(),
         }
     }
@@ -345,6 +593,8 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Runs { ends, values } => values.get(run_index(ends, i)),
+            ColumnVec::Objects(r) => r.get(i),
+            ColumnVec::List(l) => l.get(i),
             ColumnVec::Var(v) => v[i].clone(),
         }
     }
@@ -359,6 +609,8 @@ impl ColumnVec {
             ColumnVec::Str(v) => v[i].is_none(),
             ColumnVec::DictStr { codes, .. } => codes[i] == NULL_CODE,
             ColumnVec::Runs { ends, values } => values.is_null_at(run_index(ends, i)),
+            ColumnVec::Objects(Records { valid, .. })
+            | ColumnVec::List(RecordLists { valid, .. }) => !valid.get(i),
             ColumnVec::Var(v) => v[i].is_null(),
         }
     }
@@ -398,6 +650,7 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Runs { ends, values } => values.key_at(run_index(ends, i)),
+            ColumnVec::Objects(_) | ColumnVec::List(_) => Key::of(&self.get(i)),
             ColumnVec::Var(v) => Key::of(&v[i]),
         }
     }
@@ -434,7 +687,15 @@ impl ColumnVec {
             (ColumnVec::Str(vals), Variant::Str(s)) => vals.push(Some(s)),
             (ColumnVec::Str(vals), Variant::Null) => vals.push(None),
             (ColumnVec::DictStr { codes, .. }, Variant::Null) => codes.push(NULL_CODE),
-            (ColumnVec::DictStr { .. } | ColumnVec::Runs { .. }, v) => {
+            (ColumnVec::Objects(r), Variant::Null) => r.push_null(),
+            (ColumnVec::List(l), Variant::Null) => l.push_null(),
+            (
+                ColumnVec::DictStr { .. }
+                | ColumnVec::Runs { .. }
+                | ColumnVec::Objects(_)
+                | ColumnVec::List(_),
+                v,
+            ) => {
                 // Encoded columns are scan-produced; a stray row push decodes
                 // in place and retries under the adaptive contract.
                 self.decode_in_place();
@@ -521,6 +782,10 @@ impl ColumnVec {
                 self.adapt_to(values);
                 return;
             }
+            // NULL records of the same keys, whose all-NULL fields adapt to
+            // the rows copied after them.
+            ColumnVec::Objects(r) => ColumnVec::Objects(r.nulls_like(n)),
+            ColumnVec::List(l) => ColumnVec::List(l.nulls_like(n)),
             ColumnVec::Var(_) => ColumnVec::Var(vec![Variant::Null; n]),
         };
     }
@@ -561,6 +826,10 @@ impl ColumnVec {
             ) if Arc::ptr_eq(dict, od) => codes.push(oc[i]),
             (ColumnVec::Str(vals), ColumnVec::DictStr { codes, dict }) => vals
                 .push((codes[i] != NULL_CODE).then(|| dict[codes[i] as usize].clone())),
+            (ColumnVec::Objects(r), ColumnVec::Objects(o)) if r.same_shape(o) => r.push_from(o, i),
+            (ColumnVec::List(l), ColumnVec::List(o)) if l.items.same_shape(&o.items) => {
+                l.append(o.slice(i, i + 1))
+            }
             (ColumnVec::Var(vals), ColumnVec::Var(ov)) => vals.push(ov[i].clone()),
             _ => self.push(other.get(i)),
         }
@@ -608,6 +877,8 @@ impl ColumnVec {
                     (c != NULL_CODE).then(|| dict[c as usize].clone())
                 }));
             }
+            (ColumnVec::Objects(r), ColumnVec::Objects(o)) if r.same_shape(&o) => r.append(o),
+            (ColumnVec::List(l), ColumnVec::List(o)) if l.items.same_shape(&o.items) => l.append(o),
             (ColumnVec::Var(vals), ColumnVec::Var(ov)) => vals.extend(ov),
             (_, other) => {
                 // Representation mismatch: row-wise pushes promote as needed.
@@ -656,6 +927,11 @@ impl ColumnVec {
                 }
                 ColumnVec::Runs { ends: tail_ends, values: Box::new(tail_values) }
             }
+            ColumnVec::Objects(_) | ColumnVec::List(_) => {
+                let tail = self.slice(at, self.len());
+                self.truncate(at);
+                tail
+            }
             ColumnVec::Var(v) => ColumnVec::Var(v.split_off(at)),
         }
     }
@@ -690,6 +966,8 @@ impl ColumnVec {
                     ends.truncate(r);
                 }
             }
+            ColumnVec::Objects(r) => r.truncate(n),
+            ColumnVec::List(l) => l.truncate(n),
             ColumnVec::Var(v) => v.truncate(n),
         }
     }
@@ -726,6 +1004,8 @@ impl ColumnVec {
                 }
                 out
             }
+            ColumnVec::Objects(r) => ColumnVec::Objects(r.gather(idx)),
+            ColumnVec::List(l) => ColumnVec::List(l.gather(idx)),
             ColumnVec::Var(v) => {
                 ColumnVec::Var(idx.iter().map(|&i| v[i].clone()).collect())
             }
@@ -766,6 +1046,8 @@ impl ColumnVec {
                 }
                 out
             }
+            ColumnVec::Objects(r) => ColumnVec::Objects(r.gather_opt(idx)),
+            ColumnVec::List(l) => ColumnVec::List(l.gather_opt(idx)),
             ColumnVec::Var(v) => ColumnVec::Var(
                 idx.iter()
                     .map(|&i| i.map_or(Variant::Null, |i| v[i].clone()))
@@ -805,18 +1087,27 @@ impl ColumnVec {
                     values: Box::new(values.slice(lo_r, hi_r)),
                 }
             }
+            ColumnVec::Objects(r) => ColumnVec::Objects(r.slice(lo, hi)),
+            ColumnVec::List(l) => ColumnVec::List(l.slice(lo, hi)),
             ColumnVec::Var(v) => ColumnVec::Var(v[lo..hi].to_vec()),
         }
     }
 
-    /// True when the column is an encoded (dictionary or run-length)
-    /// representation.
+    /// True when the column is an encoded (dictionary, run-length or
+    /// shredded) representation.
     pub fn is_encoded(&self) -> bool {
-        matches!(self, ColumnVec::DictStr { .. } | ColumnVec::Runs { .. })
+        matches!(
+            self,
+            ColumnVec::DictStr { .. }
+                | ColumnVec::Runs { .. }
+                | ColumnVec::Objects(_)
+                | ColumnVec::List(_)
+        )
     }
 
     /// Plain (decoded) copy of the column: `DictStr` materializes strings,
-    /// `Runs` expands to its typed form; plain columns clone.
+    /// `Runs` expands to its typed form, shredded records box into the
+    /// variants they were shredded from; plain columns clone.
     pub fn decoded(&self) -> ColumnVec {
         match self {
             ColumnVec::DictStr { codes, dict } => ColumnVec::Str(
@@ -857,6 +1148,9 @@ impl ColumnVec {
                     out
                 }
             },
+            ColumnVec::Objects(_) | ColumnVec::List(_) => {
+                ColumnVec::Var((0..self.len()).map(|i| self.get(i)).collect())
+            }
             other => other.clone(),
         }
     }
@@ -890,7 +1184,8 @@ impl ColumnVec {
     /// accounting for memory partitions, micro-partition sizing, and what the
     /// buffer cache and the governor charge for a decoded block. Encoded
     /// columns charge their encoded size — codes plus the shared dictionary,
-    /// or run offsets plus run values — never the materialized estimate.
+    /// run offsets plus run values, or offsets plus the record fields (summed
+    /// per field, never per record) — never the materialized estimate.
     pub fn estimated_size(&self) -> u64 {
         match self {
             ColumnVec::Null(n) => *n as u64,
@@ -906,6 +1201,8 @@ impl ColumnVec {
             ColumnVec::Runs { ends, values } => {
                 ends.len() as u64 * 4 + values.estimated_size()
             }
+            ColumnVec::Objects(r) => r.estimated_size(),
+            ColumnVec::List(l) => l.estimated_size(),
             ColumnVec::Var(v) => v.iter().map(Variant::estimated_size).sum(),
         }
     }
@@ -939,6 +1236,8 @@ impl ColumnVec {
             ColumnVec::Runs { ends, values } => {
                 ends.len() as u64 * 4 + values.approx_bytes()
             }
+            ColumnVec::Objects(r) => r.approx_bytes(),
+            ColumnVec::List(l) => l.approx_bytes(),
             ColumnVec::Var(v) => {
                 let flat = v.len() as u64 * std::mem::size_of::<Variant>() as u64;
                 let sample = v.first().map_or(0, Variant::estimated_size);
@@ -1314,6 +1613,71 @@ mod tests {
         let c = ColumnVec::from_variants(vals.clone());
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(c.key_at(i), Key::of(v));
+        }
+    }
+
+    /// Records and lists of records, shredded, and their boxed rows: every
+    /// operation gives the rows the same operation gives the boxed column.
+    #[test]
+    fn shredded_columns_move_rows_as_their_boxed_values() {
+        let record = |q: i64, pt: Option<f64>| {
+            let mut o = Object::new();
+            o.insert("Q", Variant::Int(q));
+            o.insert("PT", pt.map_or(Variant::Null, Variant::Float));
+            Variant::object(o)
+        };
+        let objects: Vec<Variant> = (0..9)
+            .map(|i| match i % 4 {
+                1 => Variant::Null,
+                _ => record(i, (i % 3 > 0).then_some(i as f64 / 2.0)),
+            })
+            .collect();
+        let lists: Vec<Variant> = (0..9)
+            .map(|i| match i % 4 {
+                1 => Variant::Null,
+                2 => Variant::array(Vec::new()),
+                _ => Variant::array(
+                    (0..i % 3 + 1).map(|j| record(i * 10 + j, Some(j as f64))).collect(),
+                ),
+            })
+            .collect();
+        let rows =
+            |c: &ColumnVec| (0..c.len()).map(|i| format!("{:?}", c.get(i))).collect::<Vec<_>>();
+        for boxed in [objects, lists] {
+            let col = crate::storage::encode::encode_column(ColumnVec::Var(boxed.clone()));
+            assert!(col.is_encoded(), "{col:?}");
+            let var = ColumnVec::Var(boxed);
+            assert_eq!(rows(&col), rows(&var));
+            assert_eq!(rows(&col.decoded()), rows(&var));
+            assert_eq!(rows(&col.slice(2, 7)), rows(&var.slice(2, 7)));
+            let idx = [8, 0, 3, 3, 1];
+            assert_eq!(rows(&col.gather(&idx)), rows(&var.gather(&idx)));
+            let opt = [Some(4), None, Some(1), Some(0)];
+            assert_eq!(rows(&col.gather_opt(&opt)), rows(&var.gather_opt(&opt)));
+            for at in [0, 3, 9] {
+                let (mut head, mut vhead) = (col.clone(), var.clone());
+                let (tail, vtail) = (head.split_off(at), vhead.split_off(at));
+                assert_eq!(rows(&head), rows(&vhead), "head at {at}");
+                assert_eq!(rows(&tail), rows(&vtail), "tail at {at}");
+                // Appending the tail of a gathered copy, and copying rows
+                // one by one into NULLs, keep the shape.
+                head.append(tail.gather(&(0..tail.len()).collect::<Vec<_>>()));
+                assert!(head.is_encoded());
+                assert_eq!(rows(&head), rows(&var));
+            }
+            let mut copied = ColumnVec::new();
+            copied.push_nulls(2);
+            for i in 0..col.len() {
+                copied.push_from(&col.slice(i, i + 1), 0);
+            }
+            assert!(copied.is_encoded(), "{copied:?}");
+            assert_eq!(rows(&copied)[2..], rows(&var)[..]);
+            let mut pushed = col.clone();
+            pushed.push_null();
+            assert!(pushed.is_encoded() && pushed.is_null_at(9));
+            pushed.push(Variant::Int(1));
+            assert!(matches!(pushed, ColumnVec::Var(_)));
+            assert!(col.estimated_size() < var.estimated_size());
         }
     }
 

@@ -65,6 +65,8 @@ fn count_valid(col: &ColumnVec) -> i64 {
             }
             n
         }
+        ColumnVec::Objects(r) => r.valid.count_valid() as i64,
+        ColumnVec::List(l) => l.valid.count_valid() as i64,
         ColumnVec::Var(v) => v.iter().filter(|x| !x.is_null()).count() as i64,
     }
 }
@@ -110,6 +112,40 @@ impl Accumulator {
     /// Feeds one input value (`Variant::Null` for `COUNT(*)`'s placeholder).
     pub fn update(&mut self, v: &Variant) -> Result<()> {
         self.update2(v, &Variant::Null)
+    }
+
+    /// Feeds row `r` of the argument column `v` (`None`: `COUNT(*)`) and of
+    /// the key column `k` of `MIN_BY`/`MAX_BY`, reading a cell only when the
+    /// state may keep it: `COUNT(*)` and a filled `ANY_VALUE` read nothing,
+    /// `COUNT` and `COUNT(DISTINCT)` test for NULL and key the row unboxed,
+    /// and a NULL argument or key — which every other state skips — is never
+    /// built. The updates and errors are those of [`Accumulator::update2`]
+    /// on the cells.
+    pub fn update_at(
+        &mut self,
+        v: Option<&ColumnVec>,
+        k: Option<&ColumnVec>,
+        r: usize,
+    ) -> Result<()> {
+        let null_at = |c: Option<&ColumnVec>| c.is_none_or(|c| c.is_null_at(r));
+        let cell = |c: Option<&ColumnVec>| c.map_or(Variant::Null, |c| c.get(r));
+        match self {
+            Accumulator::CountStar(n) => *n += 1,
+            Accumulator::AnyValue(Some(_)) => {}
+            Accumulator::AnyValue(None) => return self.update(&cell(v)),
+            Accumulator::MinBy { .. } | Accumulator::MaxBy { .. } => {
+                if !null_at(k) {
+                    return self.update2(&cell(v), &cell(k));
+                }
+            }
+            _ if null_at(v) => {}
+            Accumulator::Count(n) => *n += 1,
+            Accumulator::CountDistinct(set) => {
+                set.insert(v.expect("a non-NULL argument").key_at(r));
+            }
+            _ => return self.update(&cell(v)),
+        }
+        Ok(())
     }
 
     /// Feeds one input value plus the key for two-argument aggregates

@@ -40,7 +40,8 @@
 //! ([`KeyHasher::hash_rows`]): an `Int`, `Float` or `Bool` column is one pass
 //! over its values, a `Str` column hashes each string, a `DictStr` column each
 //! dictionary entry once (a row reads its code's hash), a `Runs` column each
-//! run once, and a `Var` column each boxed value, element by element. Every
+//! run once, a `Var` column each boxed value, element by element, and a
+//! shredded `Objects` or `List` column each value it rebuilds. Every
 //! representation of one [`Key`] hashes alike — an integral double as its
 //! integer, `-0.0` as `0`, every NaN as one NaN, a NULL as one NULL word — so
 //! `1` in an `Int` column meets `1.0` in a `Float` column. The mix is a folded
@@ -251,6 +252,15 @@ impl KeyHasher {
                     match v {
                         Variant::Null => out.mix_null(self, r),
                         v => out.hashes[r] = self.mix(out.hashes[r], self.value_word(v)),
+                    }
+                }
+            }
+            // Shredded records hash as the values they rebuild.
+            ColumnVec::Objects(_) | ColumnVec::List(_) => {
+                for r in 0..rows {
+                    match col.get(r) {
+                        Variant::Null => out.mix_null(self, r),
+                        v => out.hashes[r] = self.mix(out.hashes[r], self.value_word(&v)),
                     }
                 }
             }
@@ -706,6 +716,31 @@ mod tests {
         ]);
         let (arrays, _) = hashes(&h, &arrays);
         assert_eq!(arrays[0], arrays[1]);
+        // Shredded records and lists of them hash as their boxed values.
+        let record = |q: i64, pt: Variant| {
+            let mut o = crate::variant::Object::new();
+            o.insert("Q", Variant::Int(q));
+            o.insert("PT", pt);
+            Variant::object(o)
+        };
+        let objects = vec![
+            record(1, Variant::Float(2.5)),
+            Variant::Null,
+            record(1, Variant::Null),
+        ];
+        let lists = vec![
+            Variant::array(vec![objects[0].clone(), objects[2].clone()]),
+            Variant::Null,
+            Variant::array(Vec::new()),
+        ];
+        for boxed in [objects, lists] {
+            let shredded = crate::storage::encode::encode_column(ColumnVec::Var(boxed.clone()));
+            assert!(matches!(
+                shredded,
+                ColumnVec::Objects(_) | ColumnVec::List(_)
+            ));
+            assert_eq!(hashes(&h, &shredded), hashes(&h, &ColumnVec::Var(boxed)));
+        }
     }
 
     /// A NULL cell hashes as one NULL word in every representation, so NULL
@@ -733,6 +768,20 @@ mod tests {
                 values: Box::new(ColumnVec::Null(1)),
             },
             ColumnVec::Var(vec![Variant::Null]),
+            ColumnVec::Objects(crate::column::Records {
+                keys: vec![Arc::from("K")].into(),
+                fields: vec![ColumnVec::Null(1)],
+                valid: Bitmap::nulls(1),
+            }),
+            ColumnVec::List(crate::column::RecordLists::from_offsets(
+                &[0, 0],
+                Bitmap::nulls(1),
+                crate::column::Records {
+                    keys: vec![Arc::from("K")].into(),
+                    fields: vec![ColumnVec::Null(0)],
+                    valid: Bitmap::new(),
+                },
+            )),
         ];
         let want = h.hash_rows([&cols[0]], 1).hashes;
         for col in &cols {

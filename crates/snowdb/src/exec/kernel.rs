@@ -55,7 +55,7 @@ use std::cmp::Ordering;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::column::{Bitmap, ColumnVec, NULL_CODE};
+use crate::column::{Bitmap, ColumnVec, RecordLists, NULL_CODE};
 use crate::error::Result;
 use crate::plan::{CastType, FuncId, PStep};
 use crate::sql::BinOp;
@@ -420,10 +420,15 @@ impl<'d, 'a> BatchEval<'d, 'a> {
         }
     }
 
+    /// Counts the rows of dictionary and shredded operands a kernel without
+    /// a native loop for them is about to box.
     fn note_encoded_operands(&mut self, args: &[V<'a>]) {
         for a in args {
-            if let Some(ColumnVec::DictStr { codes, .. }) = a.col() {
-                self.materialized += codes.len() as u64;
+            if let Some(
+                c @ (ColumnVec::DictStr { .. } | ColumnVec::Objects(_) | ColumnVec::List(_)),
+            ) = a.col()
+            {
+                self.materialized += c.len() as u64;
             }
         }
     }
@@ -535,6 +540,9 @@ impl<'d, 'a> BatchEval<'d, 'a> {
 
     fn func(&mut self, f: FuncId, a: &[V<'a>], sel: &Sel) -> Option<V<'a>> {
         let n = self.n;
+        if let Some(c) = list_kernel(f, a) {
+            return own(c);
+        }
         if let (Some(g), [x]) = (expr::math1_fn(f), a) {
             if x.all_null() {
                 return own(ColumnVec::Null(n));
@@ -1138,6 +1146,7 @@ fn holds_of(c: &ColumnVec) -> Option<Holds> {
         ColumnVec::Str(_) | ColumnVec::DictStr { .. } => Some(Holds::Only(Class::Str)),
         ColumnVec::Bool { .. } => Some(Holds::Only(Class::Bool)),
         ColumnVec::Runs { values, .. } => holds_of(values),
+        ColumnVec::Objects(_) | ColumnVec::List(_) => Some(Holds::Only(Class::Nested)),
         ColumnVec::Var(_) => None,
     }
 }
@@ -1155,6 +1164,7 @@ fn class(v: &Val<'_>) -> Option<Class> {
             ColumnVec::Int { .. } | ColumnVec::Float { .. } => Some(Class::Num),
             ColumnVec::Str(_) | ColumnVec::DictStr { .. } => Some(Class::Str),
             ColumnVec::Bool { .. } => Some(Class::Bool),
+            ColumnVec::Objects(_) | ColumnVec::List(_) => Some(Class::Nested),
             ColumnVec::Runs { .. } | ColumnVec::Null(_) | ColumnVec::Var(_) => None,
         },
     }
@@ -1548,6 +1558,19 @@ impl<'d, 'a> BatchEval<'d, 'a> {
                 return only.val.clone();
             }
         }
+        // One shredded operand among NULLs — `IFF(flag, VALUE, NULL)`, the
+        // flag-column translation's shape — is that column where its rows
+        // were taken and NULL elsewhere: a gather, not a box per row.
+        let mut live = parts.iter().filter(|p| !p.val.all_null());
+        if let (Some(p), None) = (live.next(), live.next()) {
+            if let Some(col @ (ColumnVec::Objects(_) | ColumnVec::List(_))) = p.val.col() {
+                let mut idx = vec![None; n];
+                for_rows!(&p.sel, n, i => {
+                    idx[i] = Some(i);
+                });
+                return Rc::new(Val::Own(col.gather_opt(&idx)));
+            }
+        }
         let mut ty = Typed::Unknown;
         for p in &parts {
             let t = match &*p.val {
@@ -1706,6 +1729,24 @@ impl<'d, 'a> BatchEval<'d, 'a> {
     fn path(&mut self, steps: &[PStep], args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
         let n = self.n;
         let base = self.value(args[0], sel)?;
+        if args.len() == 1 {
+            let picked = match &*base {
+                Val::Col(c) => match pick_path(c, steps) {
+                    Some(Picked::Ref(p)) => Some(Val::Col(p)),
+                    Some(Picked::Own(p)) => Some(Val::Own(p)),
+                    None => None,
+                },
+                Val::Own(c) => pick_path(c, steps).map(|p| match p {
+                    Picked::Ref(p) => Val::Own(p.clone()),
+                    Picked::Own(p) => Val::Own(p),
+                }),
+                Val::Scalar(_) => None,
+            };
+            if let Some(v) = picked {
+                self.release(args[0]);
+                return Some(Rc::new(v));
+            }
+        }
         let spread;
         let boxed: &[Variant] = match &*base {
             Val::Scalar(s) if args.len() == 1 => {
@@ -1733,8 +1774,11 @@ impl<'d, 'a> BatchEval<'d, 'a> {
                     return Some(Rc::new(Val::Own(ColumnVec::Null(n))));
                 }
                 // ... but an index expression is still evaluated on their
-                // non-NULL rows, and may fail there.
+                // non-NULL rows, and may fail there. Shredded records box.
                 Some(typed) => {
+                    if typed.is_encoded() {
+                        self.materialized += typed.len() as u64;
+                    }
                     spread = typed.clone().into_variants();
                     &spread
                 }
@@ -1780,6 +1824,106 @@ impl<'d, 'a> BatchEval<'d, 'a> {
             self.release(a);
         }
         Some(Rc::new(Val::Own(out.finish())))
+    }
+}
+
+/// A path's result over a shredded column: a column of the input, or one
+/// built for the path.
+enum Picked<'c> {
+    Ref(&'c ColumnVec),
+    Own(ColumnVec),
+}
+
+/// Field and constant-index steps over shredded records, without boxing: a
+/// field of records is that field's column, element `i` of lists gathers
+/// item `i` of every row that has one, and every other step — a field of a
+/// list, an element of a record, anything of a scalar — is NULL, as the row
+/// evaluator's `field_ref`/`index_ref` say. `None` when the column is not
+/// shredded.
+fn pick_path<'c>(col: &'c ColumnVec, steps: &[PStep]) -> Option<Picked<'c>> {
+    let n = col.len();
+    let picked = match (col, steps.first()?) {
+        (ColumnVec::Objects(r), PStep::Field(f)) => match r.field(f) {
+            Some(field) => Picked::Ref(field),
+            None => Picked::Own(ColumnVec::Null(n)),
+        },
+        (ColumnVec::List(l), PStep::Index(i)) => {
+            let idx: Vec<Option<usize>> = (0..n)
+                .map(|r| {
+                    let range = l.range(r);
+                    usize::try_from(*i)
+                        .ok()
+                        .filter(|&i| i < range.len())
+                        .map(|i| range.start + i)
+                })
+                .collect();
+            Picked::Own(ColumnVec::Objects(l.items.gather_opt(&idx)))
+        }
+        (ColumnVec::Objects(_), PStep::Index(_)) | (ColumnVec::List(_), PStep::Field(_)) => {
+            Picked::Own(ColumnVec::Null(n))
+        }
+        _ => return None,
+    };
+    let rest = &steps[1..];
+    if rest.is_empty() {
+        return Some(picked);
+    }
+    let deeper = match picked {
+        Picked::Ref(c) => pick_path(c, rest),
+        Picked::Own(c) => pick_path(&c, rest).map(|p| match p {
+            Picked::Ref(p) => Picked::Own(p.clone()),
+            Picked::Own(p) => Picked::Own(p),
+        }),
+    };
+    // A scalar field has neither fields nor elements.
+    Some(deeper.unwrap_or(Picked::Own(ColumnVec::Null(n))))
+}
+
+/// `ARRAY_SIZE` of lists is a range length, and `ARRAY_CAT` of two
+/// lists whose items have one shape is a list: per row the first list's
+/// items, then the second's, one typed gather. `None` for any other operands.
+fn list_kernel(f: FuncId, a: &[V<'_>]) -> Option<ColumnVec> {
+    match (f, a) {
+        (FuncId::ArraySize, [x]) => {
+            let ColumnVec::List(l) = x.col()? else {
+                return None;
+            };
+            Some(ColumnVec::Int {
+                vals: (0..l.len()).map(|r| l.range(r).len() as i64).collect(),
+                valid: l.valid.clone(),
+            })
+        }
+        (FuncId::ArrayCat, [x, y]) => {
+            let (ColumnVec::List(p), ColumnVec::List(q)) = (x.col()?, y.col()?) else {
+                return None;
+            };
+            if !p.items.same_shape(&q.items) {
+                return None;
+            }
+            // The items both sides hold, first side first, then each row's
+            // two runs of them put next to each other.
+            let (mut both, p_at) = p.packed();
+            let (q_items, q_at) = q.packed();
+            both.to_mut().append(q_items.into_owned());
+            let base = p_at[p.len()];
+            let valid = p.valid.and(&q.valid);
+            let mut offsets = Vec::with_capacity(p.len() + 1);
+            let mut idx = Vec::with_capacity(both.len());
+            offsets.push(0u32);
+            for r in 0..p.len() {
+                if valid.get(r) {
+                    idx.extend(p_at[r] as usize..p_at[r + 1] as usize);
+                    idx.extend((base + q_at[r]) as usize..(base + q_at[r + 1]) as usize);
+                }
+                offsets.push(idx.len() as u32);
+            }
+            Some(ColumnVec::List(RecordLists::from_offsets(
+                &offsets,
+                valid,
+                both.gather(&idx),
+            )))
+        }
+        _ => None,
     }
 }
 
@@ -2116,6 +2260,100 @@ mod tests {
             )))],
         };
         assert!(checked(&bad_index, &inp).is_none());
+    }
+
+    /// Field and index picks, `ARRAY_SIZE`, `ARRAY_CAT` and a guard over
+    /// shredded columns answer what the row evaluator answers over the
+    /// values they rebuild, without boxing a row; a kernel with no shredded
+    /// loop boxes them and counts the rows.
+    #[test]
+    fn shredded_columns_pick_size_and_concatenate_natively() {
+        let record = |q: i64, pt: Variant| {
+            let mut o = crate::variant::Object::new();
+            o.insert("Q", Variant::Int(q));
+            o.insert("PT", pt);
+            Variant::object(o)
+        };
+        let lists: Vec<Variant> = (0..6)
+            .map(|i| match i % 3 {
+                0 => Variant::Null,
+                1 => Variant::array(Vec::new()),
+                _ => Variant::array(
+                    (0..i)
+                        .map(|j| record(j, Variant::Float(j as f64)))
+                        .collect(),
+                ),
+            })
+            .collect();
+        let objects: Vec<Variant> = (0..6)
+            .map(|i| {
+                if i == 3 {
+                    Variant::Null
+                } else {
+                    record(
+                        i,
+                        if i == 4 {
+                            Variant::Null
+                        } else {
+                            Variant::Float(0.5)
+                        },
+                    )
+                }
+            })
+            .collect();
+        let shred = |v: Vec<Variant>| crate::storage::encode::encode_column(ColumnVec::Var(v));
+        let inp = Chunk {
+            cols: vec![
+                shred(lists),
+                shred(objects),
+                ColumnVec::from_variants((0..6).map(|i| Variant::Bool(i % 2 == 0)).collect()),
+            ],
+            rows: 6,
+        };
+        assert!(
+            matches!(inp.cols[0], ColumnVec::List(_))
+                && matches!(inp.cols[1], ColumnVec::Objects(_))
+        );
+        let path = |c: usize, steps: Vec<PStep>| PExpr::Path {
+            base: Box::new(PExpr::Col(c)),
+            steps,
+        };
+        let field = |f: &str| PStep::Field(f.into());
+        for e in [
+            path(1, vec![field("PT")]),
+            path(1, vec![field("Q")]),
+            path(1, vec![field("NONE")]),
+            path(1, vec![PStep::Index(0)]),
+            path(0, vec![field("PT")]),
+            path(0, vec![PStep::Index(1), field("Q")]),
+            path(0, vec![PStep::Index(-1)]),
+            path(1, vec![field("Q"), field("X")]),
+            func(FuncId::ArraySize, vec![PExpr::Col(0)]),
+            func(FuncId::ArrayCat, vec![PExpr::Col(0), PExpr::Col(0)]),
+            func(
+                FuncId::Iff,
+                vec![PExpr::Col(2), PExpr::Col(1), lit(Variant::Null)],
+            ),
+        ] {
+            assert!(checked(&e, &inp).is_some(), "{e:?}");
+            let cell = crate::exec::metrics::OpMetricsCell::default();
+            ExprDag::compile([&e])
+                .eval(&inp, 0, Some(&cell))
+                .expect("evaluated");
+            assert_eq!(
+                cell.snapshot("t".into(), 1, Vec::new()).rows_materialized,
+                0,
+                "{e:?} boxed rows"
+            );
+        }
+        // `||` has no shredded loop: it boxes the lists, and says so.
+        let concat = bin(PExpr::Col(0), BinOp::Concat, lit("x"));
+        let cell = crate::exec::metrics::OpMetricsCell::default();
+        ExprDag::compile([&concat]).eval(&inp, 0, Some(&cell));
+        assert_eq!(
+            cell.snapshot("t".into(), 1, Vec::new()).rows_materialized,
+            6
+        );
     }
 
     #[test]

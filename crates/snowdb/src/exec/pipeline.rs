@@ -183,7 +183,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::column::{Bitmap, ColumnVec};
+use crate::column::{Bitmap, ColumnVec, RecordLists};
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
 use crate::plan::physical::{PhysNode, SharedSite};
@@ -963,6 +963,10 @@ fn flatten_stage(
     ctx.gov.checkpoint(op_tag(p))?;
     let start = Instant::now();
     let src = eval_exprs(p.dag()?, &inp, ctx, None, Some(&p.metrics)).complete()?;
+    // Shredded lists expand natively; any other encoded input boxes first.
+    if src[0].is_encoded() && !matches!(*src[0], ColumnVec::List(_)) {
+        p.metrics.add_materialized(src[0].len() as u64);
+    }
     let pieces = FlattenPieces::new(&src[0], outer, *emit_cols, &inp, base);
     emit_pieces(p, inp.rows, start, pieces, ctx, emit)
 }
@@ -1015,7 +1019,7 @@ fn emit_pieces(
 /// The output of flattening one batch, cut into pieces.
 struct FlattenPieces<'c> {
     /// The flatten input, one value per input row.
-    vals: Cow<'c, [Variant]>,
+    src: FlattenSource<'c>,
     /// Output rows each input row expands to.
     fan_out: Vec<usize>,
     inp: &'c Chunk,
@@ -1030,24 +1034,46 @@ struct FlattenPieces<'c> {
     item: usize,
 }
 
+/// What a flatten expands: boxed values, or shredded arrays of records,
+/// whose items are gathered typed and never boxed.
+enum FlattenSource<'c> {
+    Boxed(Cow<'c, [Variant]>),
+    Lists(&'c RecordLists),
+}
+
 impl<'c> FlattenPieces<'c> {
     /// A first pass over the source sizes the output: an array or object
-    /// expands to its items, anything else to one NULL row if `outer`.
+    /// expands to its items, anything else to one NULL row if `outer`. A
+    /// list's sizes are its ranges' lengths.
     fn new(src: &'c ColumnVec, outer: bool, emit: [bool; 5], inp: &'c Chunk, row_base: i64) -> Self {
-        let vals: Cow<'c, [Variant]> = match src {
-            ColumnVec::Var(vals) => Cow::Borrowed(vals),
-            typed => Cow::Owned((0..typed.len()).map(|r| typed.get(r)).collect()),
+        let (src, fan_out): (FlattenSource<'c>, Vec<usize>) = match src {
+            ColumnVec::List(lists) => {
+                let fan_out = (0..lists.len())
+                    .map(|r| match lists.range(r).len() {
+                        0 => usize::from(outer),
+                        k => k,
+                    })
+                    .collect();
+                (FlattenSource::Lists(lists), fan_out)
+            }
+            other => {
+                let vals: Cow<'c, [Variant]> = match other {
+                    ColumnVec::Var(vals) => Cow::Borrowed(vals),
+                    typed => Cow::Owned((0..typed.len()).map(|r| typed.get(r)).collect()),
+                };
+                let fan_out = vals
+                    .iter()
+                    .map(|v| match v {
+                        Variant::Array(items) if !items.is_empty() => items.len(),
+                        Variant::Object(obj) if !obj.is_empty() => obj.len(),
+                        _ => usize::from(outer),
+                    })
+                    .collect();
+                (FlattenSource::Boxed(vals), fan_out)
+            }
         };
-        let fan_out: Vec<usize> = vals
-            .iter()
-            .map(|v| match v {
-                Variant::Array(items) if !items.is_empty() => items.len(),
-                Variant::Object(obj) if !obj.is_empty() => obj.len(),
-                _ => usize::from(outer),
-            })
-            .collect();
         let remaining = fan_out.iter().sum();
-        FlattenPieces { vals, fan_out, inp, emit, row_base, remaining, row: 0, item: 0 }
+        FlattenPieces { src, fan_out, inp, emit, row_base, remaining, row: 0, item: 0 }
     }
 }
 
@@ -1057,7 +1083,8 @@ impl Iterator for FlattenPieces<'_> {
     /// The next at most [`BATCH_ROWS`] output rows. `repeat[j]` is the input
     /// row behind output row `j` of the piece: every input column is one
     /// typed gather, `SEQ` the same indices from `row_base`, `INDEX` a ramp
-    /// per array, and `VALUE` the items cloned into a vector sized up front.
+    /// per array, and `VALUE` the items — cloned into a vector sized up front,
+    /// or, for shredded lists, one typed gather of the item rows.
     fn next(&mut self) -> Option<Chunk> {
         let n = self.remaining.min(BATCH_ROWS);
         if n == 0 {
@@ -1067,72 +1094,123 @@ impl Iterator for FlattenPieces<'_> {
         let [want_value, want_index, want_key, want_seq, want_this] = self.emit;
         let mut repeat: Vec<usize> = Vec::with_capacity(n);
         let room = |wanted: bool| if wanted { n } else { 0 };
-        let mut value: Vec<Variant> = Vec::with_capacity(room(want_value));
         // (ramp, whether the row has an index at all: array items do)
         let mut index: (Vec<i64>, Vec<bool>) =
             (Vec::with_capacity(room(want_index)), Vec::with_capacity(room(want_index)));
-        let mut key = ColumnVec::new();
-        let mut this = ColumnVec::new();
-        while repeat.len() < n {
-            let v = &self.vals[self.row];
-            let take = (self.fan_out[self.row] - self.item).min(n - repeat.len());
-            let (lo, hi) = (self.item, self.item + take);
-            repeat.extend(std::iter::repeat_n(self.row, take));
-            match v {
-                _ if take == 0 => {}
-                Variant::Array(items) if !items.is_empty() => {
+        let (value, key, this) = match &self.src {
+            FlattenSource::Lists(lists) => {
+                let lists: &RecordLists = lists;
+                // The item behind each output row; `None` is OUTER's NULL row.
+                let mut items: Vec<Option<usize>> = Vec::with_capacity(room(want_value));
+                while repeat.len() < n {
+                    let take = (self.fan_out[self.row] - self.item).min(n - repeat.len());
+                    let (lo, hi) = (self.item, self.item + take);
+                    repeat.extend(std::iter::repeat_n(self.row, take));
+                    let range = lists.range(self.row);
+                    let real = !range.is_empty();
                     if want_value {
-                        value.extend_from_slice(&items[lo..hi]);
-                    }
-                    if want_index {
-                        index.0.extend(lo as i64..hi as i64);
-                        index.1.extend(std::iter::repeat_n(true, take));
-                    }
-                    key.push_nulls(take);
-                }
-                Variant::Object(obj) if !obj.is_empty() => {
-                    for (k, val) in obj.iter().skip(lo).take(take) {
-                        if want_value {
-                            value.push(val.clone());
-                        }
-                        if want_key {
-                            key.push(Variant::from(k));
+                        match real {
+                            true => items.extend((range.start + lo..range.start + hi).map(Some)),
+                            false => items.extend(std::iter::repeat_n(None, take)),
                         }
                     }
                     if want_index {
-                        index.0.extend(std::iter::repeat_n(0, take));
-                        index.1.extend(std::iter::repeat_n(false, take));
+                        match real {
+                            true => index.0.extend(lo as i64..hi as i64),
+                            false => index.0.extend(std::iter::repeat_n(0, take)),
+                        }
+                        index.1.extend(std::iter::repeat_n(real, take));
+                    }
+                    self.item = hi;
+                    if self.item == self.fan_out[self.row] {
+                        (self.row, self.item) = (self.row + 1, 0);
                     }
                 }
-                // The one NULL row of OUTER.
-                _ => {
-                    if want_value {
-                        value.push(Variant::Null);
+                // Items that follow each other in the item column — a
+                // stored list's, when OUTER adds no NULL row — are a slice.
+                let value = match items.iter().copied().collect::<Option<Vec<usize>>>() {
+                    _ if !want_value => ColumnVec::Null(n),
+                    Some(idx) if idx.windows(2).all(|w| w[1] == w[0] + 1) => {
+                        ColumnVec::Objects(lists.items.slice(idx[0], idx[0] + n))
                     }
-                    if want_index {
-                        index.0.push(0);
-                        index.1.push(false);
+                    Some(idx) => ColumnVec::Objects(lists.items.gather(&idx)),
+                    None => ColumnVec::Objects(lists.items.gather_opt(&items)),
+                };
+                let this = match want_this {
+                    true => ColumnVec::List(lists.gather(&repeat)),
+                    false => ColumnVec::Null(n),
+                };
+                // Array items have no key.
+                (value, ColumnVec::Null(n), this)
+            }
+            FlattenSource::Boxed(vals) => {
+                let vals: &[Variant] = vals;
+                let mut value: Vec<Variant> = Vec::with_capacity(room(want_value));
+                let mut key = ColumnVec::new();
+                let mut this = ColumnVec::new();
+                while repeat.len() < n {
+                    let v = &vals[self.row];
+                    let take = (self.fan_out[self.row] - self.item).min(n - repeat.len());
+                    let (lo, hi) = (self.item, self.item + take);
+                    repeat.extend(std::iter::repeat_n(self.row, take));
+                    match v {
+                        _ if take == 0 => {}
+                        Variant::Array(items) if !items.is_empty() => {
+                            if want_value {
+                                value.extend_from_slice(&items[lo..hi]);
+                            }
+                            if want_index {
+                                index.0.extend(lo as i64..hi as i64);
+                                index.1.extend(std::iter::repeat_n(true, take));
+                            }
+                            key.push_nulls(take);
+                        }
+                        Variant::Object(obj) if !obj.is_empty() => {
+                            for (k, val) in obj.iter().skip(lo).take(take) {
+                                if want_value {
+                                    value.push(val.clone());
+                                }
+                                if want_key {
+                                    key.push(Variant::from(k));
+                                }
+                            }
+                            if want_index {
+                                index.0.extend(std::iter::repeat_n(0, take));
+                                index.1.extend(std::iter::repeat_n(false, take));
+                            }
+                        }
+                        // The one NULL row of OUTER.
+                        _ => {
+                            if want_value {
+                                value.push(Variant::Null);
+                            }
+                            if want_index {
+                                index.0.push(0);
+                                index.1.push(false);
+                            }
+                            key.push_null();
+                        }
                     }
-                    key.push_null();
+                    if want_this {
+                        for _ in 0..take {
+                            this.push(v.clone());
+                        }
+                    }
+                    self.item = hi;
+                    if self.item == self.fan_out[self.row] {
+                        (self.row, self.item) = (self.row + 1, 0);
+                    }
                 }
+                // Nested items stay boxed; scalar items get their typed column.
+                let nested = |v: &Variant| matches!(v, Variant::Array(_) | Variant::Object(_));
+                let value = match value.iter().find(|v| !v.is_null()) {
+                    Some(v) if !nested(v) => ColumnVec::from_variants(value),
+                    _ => ColumnVec::Var(value),
+                };
+                (value, key, this)
             }
-            if want_this {
-                for _ in 0..take {
-                    this.push(v.clone());
-                }
-            }
-            self.item = hi;
-            if self.item == self.fan_out[self.row] {
-                (self.row, self.item) = (self.row + 1, 0);
-            }
-        }
-        let mut cols: Vec<ColumnVec> = self.inp.cols.iter().map(|c| c.gather(&repeat)).collect();
-        // Nested items stay boxed; scalar items get their typed column.
-        let nested = |v: &Variant| matches!(v, Variant::Array(_) | Variant::Object(_));
-        let value = match value.iter().find(|v| !v.is_null()) {
-            Some(v) if !nested(v) => ColumnVec::from_variants(value),
-            _ => ColumnVec::Var(value),
         };
+        let mut cols: Vec<ColumnVec> = self.inp.cols.iter().map(|c| c.gather(&repeat)).collect();
         let index = match index {
             (_, has) if !has.contains(&true) => ColumnVec::Null(n),
             (vals, has) if !has.contains(&false) => ColumnVec::Int { vals, valid: Bitmap::ones(n) },
@@ -1236,12 +1314,8 @@ impl AggState {
             })
             .collect();
         let update_row = |states: &mut [Accumulator], r: usize| -> Result<()> {
-            for (st, (v, k)) in states.iter_mut().zip(&acols) {
-                let v = v.map_or(Variant::Null, |c| c.get(r));
-                match k {
-                    Some(k) => st.update2(&v, &k.get(r))?,
-                    None => st.update(&v)?,
-                }
+            for (st, &(v, k)) in states.iter_mut().zip(&acols) {
+                st.update_at(v, k, r)?;
             }
             Ok(())
         };

@@ -2,11 +2,30 @@
 //!
 //! Micro-partitions encode columns when they are sealed: low-cardinality
 //! string columns become dictionaries ([`ColumnVec::DictStr`]), repetitive
-//! int/bool columns become run-length runs ([`ColumnVec::Runs`]). The encoded
-//! column is what the partition file writes (per-block encoding ids in the
-//! footer), what the buffer cache holds, and what the scan slices for the
-//! executor, whose kernels evaluate filters and group keys directly on
-//! dictionary codes.
+//! int/bool columns become run-length runs ([`ColumnVec::Runs`]), and boxed
+//! columns of flat records shred into typed fields ([`ColumnVec::Objects`],
+//! [`ColumnVec::List`]). The encoded column is what the partition file writes
+//! (per-block encoding ids in the footer: `DictStr` 1, `RleInt` 2, `RleBool`
+//! 3, `Shredded` 4, see [`crate::store::format`]), what the buffer cache
+//! holds, and what the scan slices for the executor, whose kernels evaluate
+//! filters and group keys directly on dictionary codes, and flatten, pick
+//! fields, size and concatenate shredded records without boxing them.
+//!
+//! ## Shredding
+//!
+//! A `VARIANT` column shreds when both of these hold:
+//! - every non-NULL row is an object with one key sequence (at least one
+//!   key), or an array of such objects (empty arrays allowed);
+//! - every field's non-NULL values have one scalar type: Int, Float, Bool or
+//!   Str (a field NULL on every row is allowed).
+//!
+//! Anything else — a missing key, a NULL or non-object item, Int mixed with
+//! Float, a nested field, a column of only empty arrays — stays boxed
+//! ([`ColumnVec::Var`]). A shredded column rebuilds each row exactly
+//! ([`ColumnVec::get`]: same keys in the same order, an Int stays an Int), so
+//! its statistics are the boxed column's; `ColumnStats::build` reads them off
+//! the fields without rebuilding a record. Shredded columns get no zone map,
+//! as boxed ones.
 //!
 //! ## Policy
 //!
@@ -23,7 +42,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::column::{Bitmap, ColumnVec, NULL_CODE};
+use crate::column::{Bitmap, ColumnVec, RecordLists, Records, NULL_CODE};
+use crate::variant::Variant;
 
 /// The process default for encoded execution (`SNOWDB_ENCODE`, on unless it
 /// says off).
@@ -41,12 +61,123 @@ pub(crate) fn encode_column(col: ColumnVec) -> ColumnVec {
             .map(|(ends, vals, valid)| (ends, ColumnVec::Int { vals, valid })),
         ColumnVec::Bool { vals, valid } => rle_encode(vals, valid, 5, 1)
             .map(|(ends, vals, valid)| (ends, ColumnVec::Bool { vals, valid })),
+        ColumnVec::Var(vals) => return shred(vals).unwrap_or(col),
         _ => None,
     };
     match runs {
         Some((ends, values)) => ColumnVec::Runs { ends, values: Box::new(values) },
         None => col,
     }
+}
+
+/// Shreds a boxed column of flat records or arrays of them (see the module
+/// docs), or `None` when its values do not all have that shape.
+fn shred(vals: &[Variant]) -> Option<ColumnVec> {
+    match vals.iter().find(|v| !v.is_null())? {
+        Variant::Object(_) => {
+            let mut records = RecordsBuilder::default();
+            for v in vals {
+                if !records.push(v) {
+                    return None;
+                }
+            }
+            records.finish().map(ColumnVec::Objects)
+        }
+        Variant::Array(_) => {
+            let (mut offsets, mut valid) = (Vec::with_capacity(vals.len() + 1), Bitmap::new());
+            offsets.push(0u32);
+            let mut items = RecordsBuilder::default();
+            for v in vals {
+                match v {
+                    Variant::Null => valid.push(false),
+                    Variant::Array(arr) => {
+                        for item in arr.iter() {
+                            if item.is_null() || !items.push(item) {
+                                return None;
+                            }
+                        }
+                        valid.push(true);
+                    }
+                    _ => return None,
+                }
+                offsets.push(u32::try_from(items.rows).ok()?);
+            }
+            Some(ColumnVec::List(RecordLists::from_offsets(&offsets, valid, items.finish()?)))
+        }
+        _ => None,
+    }
+}
+
+/// Shreds records row by row; `push` reports whether the value fits.
+#[derive(Default)]
+struct RecordsBuilder {
+    /// The key sequence, set by the first object.
+    keys: Option<Arc<[Arc<str>]>>,
+    fields: Vec<ColumnVec>,
+    valid: Bitmap,
+    rows: usize,
+}
+
+impl RecordsBuilder {
+    fn push(&mut self, v: &Variant) -> bool {
+        match v {
+            Variant::Null => self.fields.iter_mut().for_each(ColumnVec::push_null),
+            Variant::Object(obj) => {
+                let entries = obj.entries();
+                let keys = self.keys.get_or_insert_with(|| {
+                    entries.iter().map(|(k, _)| k.clone()).collect()
+                });
+                let same_keys = keys.len() == entries.len()
+                    && keys.iter().zip(entries).all(|(k, (e, _))| Arc::ptr_eq(k, e) || k == e);
+                if !same_keys || keys.is_empty() {
+                    return false;
+                }
+                if self.fields.is_empty() {
+                    self.fields = vec![ColumnVec::Null(self.rows); keys.len()];
+                }
+                for (field, (_, x)) in self.fields.iter_mut().zip(entries) {
+                    if !push_scalar(field, x) {
+                        return false;
+                    }
+                }
+            }
+            _ => return false,
+        }
+        self.valid.push(!v.is_null());
+        self.rows += 1;
+        true
+    }
+
+    /// The records; `None` when no row was an object.
+    fn finish(self) -> Option<Records> {
+        Some(Records { keys: self.keys?, fields: self.fields, valid: self.valid })
+    }
+}
+
+/// Pushes a field value when it keeps the field one plain scalar column.
+fn push_scalar(field: &mut ColumnVec, v: &Variant) -> bool {
+    match (&mut *field, v) {
+        (ColumnVec::Float { vals, valid }, Variant::Float(x)) => {
+            vals.push(*x);
+            valid.push(true);
+        }
+        (ColumnVec::Int { vals, valid }, Variant::Int(x)) => {
+            vals.push(*x);
+            valid.push(true);
+        }
+        (ColumnVec::Bool { vals, valid }, Variant::Bool(x)) => {
+            vals.push(*x);
+            valid.push(true);
+        }
+        (ColumnVec::Str(vals), Variant::Str(x)) => vals.push(Some(x.clone())),
+        (_, Variant::Null)
+        | (
+            ColumnVec::Null(_),
+            Variant::Int(_) | Variant::Float(_) | Variant::Bool(_) | Variant::Str(_),
+        ) => field.push(v.clone()),
+        _ => return false,
+    }
+    true
 }
 
 /// Dictionary-encodes a string column in first-appearance order, or `None`

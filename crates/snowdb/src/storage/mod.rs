@@ -89,7 +89,9 @@ pub fn stored_type(col: &ColumnVec) -> ColumnType {
         ColumnVec::Bool { .. } => ColumnType::Bool,
         ColumnVec::Str(_) | ColumnVec::DictStr { .. } => ColumnType::Str,
         ColumnVec::Runs { values, .. } => stored_type(values),
-        ColumnVec::Var(_) | ColumnVec::Null(_) => ColumnType::Variant,
+        ColumnVec::Objects(_) | ColumnVec::List(_) | ColumnVec::Var(_) | ColumnVec::Null(_) => {
+            ColumnType::Variant
+        }
     }
 }
 

@@ -23,8 +23,8 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use super::ScanSource;
-use crate::column::ColumnVec;
-use crate::variant::{cmp_variants, Variant};
+use crate::column::{ColumnVec, Records};
+use crate::variant::{cmp_f64, cmp_variants, Variant};
 
 /// Sketch size: distinct counts up to `KMV_K` are exact; beyond, the estimate
 /// has a relative standard error of about `1/√(k-2)` (~13% at 64).
@@ -39,10 +39,12 @@ pub const HISTOGRAM_BOUNDS: usize = 17;
 /// same). FNV-1a over a canonical byte encoding — stable across runs,
 /// platforms, and toolchains, so persisted sketches stay comparable.
 pub fn hash_variant(v: &Variant) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     mix_variant(v, &mut h);
     h
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn mix_bytes(bytes: &[u8], h: &mut u64) {
     for &b in bytes {
@@ -55,27 +57,8 @@ fn mix_variant(v: &Variant, h: &mut u64) {
     match v {
         Variant::Null => mix_bytes(&[0], h),
         Variant::Bool(b) => mix_bytes(&[1, u8::from(*b)], h),
-        Variant::Int(i) => {
-            mix_bytes(&[2], h);
-            mix_bytes(&i.to_le_bytes(), h);
-        }
-        Variant::Float(f) => {
-            // Canonicalize to the integer form when the value is exactly an
-            // i64 (cmp_variants treats Int(5) == Float(5.0)); -0.0 folds into
-            // 0; NaNs all hash as one value (NaN == NaN in this engine).
-            if f.is_nan() {
-                mix_bytes(&[3, 0xff], h);
-            } else if f.fract() == 0.0
-                && *f >= -9_223_372_036_854_775_808.0
-                && *f < 9_223_372_036_854_775_808.0
-            {
-                mix_bytes(&[2], h);
-                mix_bytes(&(*f as i64).to_le_bytes(), h);
-            } else {
-                mix_bytes(&[3], h);
-                mix_bytes(&f.to_bits().to_le_bytes(), h);
-            }
-        }
+        Variant::Int(i) => mix_int(*i, h),
+        Variant::Float(f) => mix_float(*f, h),
         Variant::Str(s) => {
             mix_bytes(&[4], h);
             mix_bytes(s.as_bytes(), h);
@@ -95,6 +78,67 @@ fn mix_variant(v: &Variant, h: &mut u64) {
             }
         }
     }
+}
+
+fn mix_int(i: i64, h: &mut u64) {
+    mix_bytes(&[2], h);
+    mix_bytes(&i.to_le_bytes(), h);
+}
+
+fn mix_float(f: f64, h: &mut u64) {
+    // Canonicalize to the integer form when the value is exactly an i64
+    // (cmp_variants treats Int(5) == Float(5.0)); -0.0 folds into 0; NaNs all
+    // hash as one value (NaN == NaN in this engine).
+    if f.is_nan() {
+        mix_bytes(&[3, 0xff], h);
+    } else if f.fract() == 0.0
+        && (-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&f)
+    {
+        mix_int(f as i64, h);
+    } else {
+        mix_bytes(&[3], h);
+        mix_bytes(&f.to_bits().to_le_bytes(), h);
+    }
+}
+
+/// [`mix_variant`] of row `r` of a scalar column, unboxed for numbers.
+fn mix_cell(col: &ColumnVec, r: usize, h: &mut u64) {
+    match col {
+        ColumnVec::Int { vals, valid } if valid.get(r) => mix_int(vals[r], h),
+        ColumnVec::Float { vals, valid } if valid.get(r) => mix_float(vals[r], h),
+        _ => mix_variant(&col.get(r), h),
+    }
+}
+
+/// [`mix_variant`] of the object record `r` rebuilds, read off its fields.
+fn mix_record(rec: &Records, r: usize, h: &mut u64) {
+    mix_bytes(&[6], h);
+    for (k, field) in rec.keys.iter().zip(&rec.fields) {
+        mix_bytes(k.as_bytes(), h);
+        mix_cell(field, r, h);
+    }
+}
+
+/// [`cmp_variants`] of rows `a` and `b` of a scalar column, unboxed for
+/// numbers.
+fn cmp_cells(col: &ColumnVec, a: usize, b: usize) -> Ordering {
+    match col {
+        ColumnVec::Int { vals, valid } if valid.get(a) && valid.get(b) => vals[a].cmp(&vals[b]),
+        ColumnVec::Float { vals, valid } if valid.get(a) && valid.get(b) => {
+            cmp_f64(vals[a], vals[b])
+        }
+        _ => cmp_variants(&col.get(a), &col.get(b)),
+    }
+}
+
+/// [`cmp_variants`] of the objects records `a` and `b` rebuild: one key
+/// sequence, so field by field.
+fn cmp_records(rec: &Records, a: usize, b: usize) -> Ordering {
+    rec.fields
+        .iter()
+        .map(|f| cmp_cells(f, a, b))
+        .find(|c| c.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 /// K-minimum-values distinct-count sketch: the `k` smallest distinct hashes
@@ -183,29 +227,94 @@ pub struct ColumnStats {
 
 impl ColumnStats {
     /// Computes statistics for a sealed column. One sort of the non-null
-    /// values per column per partition — seal-time work, never query-time.
+    /// values per column per partition — seal-time work, never query-time. A
+    /// boxed column lends its values, a shredded one is read off its fields,
+    /// any other reads its values back once.
     pub fn build(col: &ColumnVec) -> ColumnStats {
-        let rows = col.len() as u64;
+        match col {
+            ColumnVec::Var(vals) => ColumnStats::of_values(vals),
+            ColumnVec::Objects(rec) => ColumnStats::of_rows(
+                col,
+                |r, h| mix_record(rec, r, h),
+                |a, b| cmp_records(rec, a, b),
+            ),
+            ColumnVec::List(lists) => {
+                let mix = |r: usize, h: &mut u64| {
+                    mix_bytes(&[5], h);
+                    mix_bytes(&(lists.range(r).len() as u64).to_le_bytes(), h);
+                    lists.range(r).for_each(|i| mix_record(&lists.items, i, h));
+                };
+                // Item by item, then the shorter array first.
+                let cmp = |a: usize, b: usize| {
+                    let (x, y) = (lists.range(a), lists.range(b));
+                    x.clone()
+                        .zip(y.clone())
+                        .map(|(p, q)| cmp_records(&lists.items, p, q))
+                        .find(|c| c.is_ne())
+                        .unwrap_or_else(|| x.len().cmp(&y.len()))
+                };
+                let mut stats = ColumnStats::of_rows(col, mix, cmp);
+                for r in (0..col.len()).filter(|&r| lists.valid.get(r)) {
+                    stats.array_cells += 1;
+                    stats.array_elems += lists.range(r).len() as u64;
+                }
+                stats
+            }
+            _ => ColumnStats::of_values(&(0..col.len()).map(|i| col.get(i)).collect::<Vec<_>>()),
+        }
+    }
+
+    /// The statistics [`ColumnStats::of_values`] computes from the values a
+    /// shredded column rebuilds, computed from its rows: `mix` hashes row `r`
+    /// as [`hash_variant`] hashes its value and `cmp` orders two rows as
+    /// [`cmp_variants`] orders theirs. Only the histogram's rows are rebuilt.
+    /// Array counters are the caller's.
+    fn of_rows(
+        col: &ColumnVec,
+        mix: impl Fn(usize, &mut u64),
+        cmp: impl Fn(usize, usize) -> Ordering,
+    ) -> ColumnStats {
+        let mut present: Vec<usize> = (0..col.len()).filter(|&r| !col.is_null_at(r)).collect();
+        let mut ndv = KmvSketch::new();
+        for &r in &present {
+            let mut h = FNV_OFFSET;
+            mix(r, &mut h);
+            ndv.insert_hash(h);
+        }
+        // Stable, as the values' sort: equal rows keep their order.
+        present.sort_by(|&a, &b| cmp(a, b));
+        let histogram = bound_positions(present.len()).map(|p| col.get(present[p])).collect();
+        ColumnStats {
+            rows: col.len() as u64,
+            nulls: (col.len() - present.len()) as u64,
+            ndv,
+            histogram,
+            array_cells: 0,
+            array_elems: 0,
+        }
+    }
+
+    fn of_values(vals: &[Variant]) -> ColumnStats {
         let mut nulls = 0u64;
         let mut ndv = KmvSketch::new();
         let mut array_cells = 0u64;
         let mut array_elems = 0u64;
-        let mut values: Vec<Variant> = Vec::new();
-        for i in 0..col.len() {
-            let v = col.get(i);
+        let mut present: Vec<&Variant> = Vec::with_capacity(vals.len());
+        for v in vals {
             if v.is_null() {
                 nulls += 1;
                 continue;
             }
-            if let Variant::Array(items) = &v {
+            if let Variant::Array(items) = v {
                 array_cells += 1;
                 array_elems += items.len() as u64;
             }
-            ndv.insert(&v);
-            values.push(v);
+            ndv.insert(v);
+            present.push(v);
         }
-        values.sort_by(cmp_variants);
-        let histogram = sample_bounds(&values);
+        present.sort_by(|a, b| cmp_variants(a, b));
+        let histogram = sample_bounds(&present);
+        let rows = vals.len() as u64;
         ColumnStats { rows, nulls, ndv, histogram, array_cells, array_elems }
     }
 
@@ -289,17 +398,17 @@ impl ColumnStats {
     }
 }
 
-/// Samples up to [`HISTOGRAM_BOUNDS`] values at even quantiles of a sorted
-/// slice (first and last always included).
-fn sample_bounds(sorted: &[Variant]) -> Vec<Variant> {
-    if sorted.is_empty() {
-        return Vec::new();
-    }
-    let n = sorted.len();
+/// The positions of up to [`HISTOGRAM_BOUNDS`] values at even quantiles of
+/// `n` sorted values (first and last always included).
+fn bound_positions(n: usize) -> impl Iterator<Item = usize> {
     let b = HISTOGRAM_BOUNDS.min(n);
-    (0..b)
-        .map(|j| sorted[j * (n - 1) / (b - 1).max(1)].clone())
-        .collect()
+    (0..b).map(move |j| j * (n - 1) / (b - 1).max(1))
+}
+
+/// Samples up to [`HISTOGRAM_BOUNDS`] values at even quantiles of a sorted
+/// slice.
+fn sample_bounds<V: std::borrow::Borrow<Variant>>(sorted: &[V]) -> Vec<Variant> {
+    bound_positions(sorted.len()).map(|p| sorted[p].borrow().clone()).collect()
 }
 
 /// Lazily-aggregated statistics for a whole table: the per-partition records
@@ -436,6 +545,44 @@ mod tests {
         // Merged histogram still spans the full domain.
         assert_eq!(m.histogram.first(), Some(&Variant::Int(0)));
         assert_eq!(m.histogram.last(), Some(&Variant::Int(999)));
+    }
+
+    /// A shredded column's statistics, read off its fields, are the boxed
+    /// column's: NULL rows and fields, `-0.0`, NaN, integral doubles, ties,
+    /// strings and booleans, empty and unequal arrays.
+    #[test]
+    fn shredded_columns_have_the_boxed_columns_statistics() {
+        let state = std::cell::Cell::new(11u64);
+        let next = |n: u64| {
+            state.set(crate::govern::chaos::splitmix64(state.get()));
+            state.get() % n
+        };
+        let floats = [0.0, -0.0, 1.0, 2.5, f64::NAN, -3.0, 1e300];
+        let record = || {
+            let mut o = crate::variant::Object::new();
+            let pick = next(8) as usize;
+            o.insert("F", floats.get(pick).map_or(Variant::Null, |&f| Variant::Float(f)));
+            let i = next(4) as i64 - 2;
+            o.insert("I", if next(5) == 0 { Variant::Null } else { Variant::Int(i) });
+            o.insert("S", Variant::str(["a", "b", ""][next(3) as usize]));
+            o.insert("B", Variant::Bool(next(2) == 0));
+            Variant::object(o)
+        };
+        let objects: Vec<Variant> = (0..300)
+            .map(|_| if next(6) == 0 { Variant::Null } else { record() })
+            .collect();
+        let lists: Vec<Variant> = (0..300)
+            .map(|_| match next(7) {
+                0 => Variant::Null,
+                n => Variant::array((0..n % 4).map(|_| record()).collect()),
+            })
+            .collect();
+        for boxed in [objects, lists] {
+            let shredded = crate::storage::encode::encode_column(ColumnVec::Var(boxed.clone()));
+            assert!(matches!(shredded, ColumnVec::Objects(_) | ColumnVec::List(_)));
+            let want = ColumnStats::build(&ColumnVec::Var(boxed));
+            assert_eq!(format!("{:?}", ColumnStats::build(&shredded)), format!("{want:?}"));
+        }
     }
 
     #[test]

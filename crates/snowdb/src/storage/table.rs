@@ -46,9 +46,9 @@ impl MicroPartition {
     pub(crate) fn seal(columns: Vec<ColumnVec>) -> MicroPartition {
         // Seal-time encoding: each column independently picks the smaller of
         // its plain and encoded representations (dictionary for strings, runs
-        // for ints/bools). Everything downstream — zone maps, byte
-        // accounting, the partition file writer, the scan — sees the encoded
-        // column.
+        // for ints/bools, typed fields for flat records). Everything
+        // downstream — zone maps, statistics, byte accounting, the partition
+        // file writer, the scan — sees the encoded column.
         MicroPartition::from_arc_columns(
             columns.into_iter().map(|c| Arc::new(super::encode::encode_column(c))).collect(),
         )

@@ -36,6 +36,16 @@
 //!   then per row `varint code + 1` (`0` marks NULL);
 //! - `RleInt`/`RleBool` — varint run count, varint length per run, then the
 //!   per-run values as a plain `Int`/`Bool` block of `runs` rows;
+//! - `Shredded` (id 4, on a `Variant` column) — a shape byte, then:
+//!   objects (`0`) are a *records body* over the block's rows; lists (`1`)
+//!   are a validity bitmap, a varint item count per non-NULL row, then a
+//!   records body over the items. A records body is a validity bitmap, a
+//!   varint key count, per key its `varint len + bytes` and a field tag
+//!   (`0` all NULL, `1` Int, `2` Float, `3` Bool, `4` Str), then per field
+//!   that is not all NULL a plain block of the body's rows. Its depth is fixed
+//!   by the shape byte; a key count, an item total or a field the bytes
+//!   cannot hold, a repeated key, a field value on a NULL record or a NULL
+//!   list item is a typed error;
 //!
 //! and per-column optimizer statistics — NDV (KMV) sketch hashes, null
 //! counts, equi-depth histogram bounds, and array fan-out counters — so
@@ -59,7 +69,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::column::{Bitmap, ColumnVec, NULL_CODE};
+use crate::column::{Bitmap, ColumnVec, RecordLists, Records, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::storage::stats::{ColumnStats, KmvSketch};
 use crate::storage::{stored_type, ColumnDef, ColumnType, MicroPartition, ZoneMap};
@@ -88,6 +98,8 @@ pub enum BlockEncoding {
     RleInt,
     /// Run-length-coded bools.
     RleBool,
+    /// Objects or lists of objects shredded into typed field blocks.
+    Shredded,
 }
 
 impl BlockEncoding {
@@ -97,6 +109,7 @@ impl BlockEncoding {
             BlockEncoding::DictStr => 1,
             BlockEncoding::RleInt => 2,
             BlockEncoding::RleBool => 3,
+            BlockEncoding::Shredded => 4,
         }
     }
 
@@ -106,6 +119,7 @@ impl BlockEncoding {
             1 => Ok(BlockEncoding::DictStr),
             2 => Ok(BlockEncoding::RleInt),
             3 => Ok(BlockEncoding::RleBool),
+            4 => Ok(BlockEncoding::Shredded),
             t => Err(storage(format!("unknown column encoding id {t}"))),
         }
     }
@@ -121,6 +135,7 @@ impl BlockEncoding {
                 // decoded (see `encode_column`).
                 _ => BlockEncoding::Plain,
             },
+            ColumnVec::Objects(_) | ColumnVec::List(_) => BlockEncoding::Shredded,
             _ => BlockEncoding::Plain,
         }
     }
@@ -444,7 +459,122 @@ pub fn encode_column(col: &ColumnVec, out: &mut Vec<u8>) {
             // decoded so the block matches its Plain footer encoding.
             _ => encode_column(&col.decoded(), out),
         },
+        ColumnVec::Objects(r) => {
+            out.push(SHAPE_OBJECTS);
+            encode_records(r, out);
+        }
+        ColumnVec::List(l) => {
+            out.push(SHAPE_LIST);
+            put_validity(out, &l.valid);
+            for r in (0..l.len()).filter(|&r| l.valid.get(r)) {
+                put_varint(out, l.range(r).len() as u64);
+            }
+            encode_records(&l.packed().0, out);
+        }
     }
+}
+
+/// Shape byte of a `Shredded` block: objects, or lists of objects.
+const SHAPE_OBJECTS: u8 = 0;
+const SHAPE_LIST: u8 = 1;
+
+/// Tag of a records field that is NULL on every row; the four scalar types
+/// follow it as 1 to 4.
+const FIELD_NULLS: u8 = 0;
+
+fn field_tag(field: &ColumnVec) -> u8 {
+    match stored_type(field) {
+        ColumnType::Int => 1,
+        ColumnType::Float => 2,
+        ColumnType::Bool => 3,
+        ColumnType::Str => 4,
+        ColumnType::Variant => FIELD_NULLS,
+    }
+}
+
+fn field_type(tag: u8) -> Result<Option<ColumnType>> {
+    match tag {
+        FIELD_NULLS => Ok(None),
+        1 => Ok(Some(ColumnType::Int)),
+        2 => Ok(Some(ColumnType::Float)),
+        3 => Ok(Some(ColumnType::Bool)),
+        4 => Ok(Some(ColumnType::Str)),
+        t => Err(storage(format!("unknown shredded field tag {t}"))),
+    }
+}
+
+/// A records body: validity, keys with field tags, then the plain field
+/// blocks (an all-NULL field has none).
+fn encode_records(r: &Records, out: &mut Vec<u8>) {
+    put_validity(out, &r.valid);
+    put_varint(out, r.keys.len() as u64);
+    for (k, f) in r.keys.iter().zip(&r.fields) {
+        put_str(out, k);
+        out.push(field_tag(f));
+    }
+    for f in r.fields.iter().filter(|f| field_tag(f) != FIELD_NULLS) {
+        encode_column(&f.decoded(), out);
+    }
+}
+
+fn decode_shredded(rows: usize, cur: &mut Cur<'_>) -> Result<ColumnVec> {
+    match cur.u8()? {
+        SHAPE_OBJECTS => Ok(ColumnVec::Objects(decode_records(rows, cur)?)),
+        SHAPE_LIST => {
+            let valid = read_bitmap(cur, rows)?;
+            let mut offsets = Vec::with_capacity(rows + 1);
+            offsets.push(0u32);
+            let mut total = 0u32;
+            for r in 0..rows {
+                if valid.get(r) {
+                    let items = cur.varint()?;
+                    total = u32::try_from(items)
+                        .ok()
+                        .and_then(|n| total.checked_add(n))
+                        .ok_or_else(|| storage(format!("list item total past {total} + {items}")))?;
+                }
+                offsets.push(total);
+            }
+            let items = decode_records(total as usize, cur)?;
+            if !items.valid.all_valid() {
+                return Err(storage("shredded list holds a NULL item".to_string()));
+            }
+            Ok(ColumnVec::List(RecordLists::from_offsets(&offsets, valid, items)))
+        }
+        s => Err(storage(format!("unknown shredded shape {s}"))),
+    }
+}
+
+/// Reads a records body of `rows` rows. The validity bitmap comes first, so
+/// a row count the bytes cannot hold fails before anything is reserved.
+fn decode_records(rows: usize, cur: &mut Cur<'_>) -> Result<Records> {
+    let valid = read_bitmap(cur, rows)?;
+    let key_count = cur.varlen()?;
+    if key_count == 0 {
+        return Err(storage("shredded records without keys".to_string()));
+    }
+    let mut keys: Vec<Arc<str>> = Vec::with_capacity(key_count);
+    let mut types = Vec::with_capacity(key_count);
+    for _ in 0..key_count {
+        let key = decode_str(cur)?;
+        if keys.contains(&key) {
+            return Err(storage(format!("shredded records repeat key '{key}'")));
+        }
+        keys.push(key);
+        types.push(field_type(cur.u8()?)?);
+    }
+    let mut fields = Vec::with_capacity(key_count);
+    for ty in types {
+        let field = match ty {
+            None => ColumnVec::Null(rows),
+            Some(ty) => decode_plain(ty, rows, cur)?,
+        };
+        if (0..rows).any(|r| !valid.get(r) && !field.is_null_at(r)) {
+            return Err(storage("shredded field holds a value on a NULL record".to_string()));
+        }
+        fields.push(field);
+    }
+    Ok(Records { keys: keys.into(), fields, valid })
 }
 
 /// Decodes a plain (one value per row) block body from the cursor. No
@@ -573,6 +703,15 @@ pub fn decode_column(
             }
             let values = decode_plain(vty, run_count, &mut cur)?;
             ColumnVec::Runs { ends, values: Box::new(values) }
+        }
+        BlockEncoding::Shredded => {
+            if ty != ColumnType::Variant {
+                return Err(storage(format!(
+                    "shredded encoding on column type {}",
+                    ty.name()
+                )));
+            }
+            decode_shredded(rows, &mut cur)?
         }
     };
     cur.done()?;

@@ -63,6 +63,17 @@ impl Object {
         }
     }
 
+    /// An object of fields whose keys are known to be distinct — a record a
+    /// shredded column rebuilds — so no key is compared.
+    pub(crate) fn from_distinct(fields: Vec<(Arc<str>, Variant)>) -> Self {
+        Object { fields }
+    }
+
+    /// The fields with their shared key strings, in insertion order.
+    pub(crate) fn entries(&self) -> &[(Arc<str>, Variant)] {
+        &self.fields
+    }
+
     /// Looks a field up by key.
     pub fn get(&self, key: &str) -> Option<&Variant> {
         self.fields.iter().find(|(k, _)| &**k == key).map(|(_, v)| v)

@@ -80,17 +80,24 @@ pub fn adl_schema(table: &str) -> SqlSchema {
 ///   `Variant::Null` that also stands for SQL `NULL`;
 /// - `MIX`: an integer, a float or a string;
 /// - `XS`: an array of zero to four items: objects `{"ETA": …, "PT": …}`,
-///   objects missing `PT`, objects whose `PT` is `null`, and integers.
+///   objects missing `PT`, objects whose `PT` is `null`, and integers;
+/// - `RS`: the regular counterpart, `NULL` in one row in six and otherwise an
+///   array of zero to three records `{"Q": …, "PT": …}` whose `PT` is `null`
+///   in one in four — arrays of flat records, which a partition seals
+///   shredded unless none of its rows holds an item.
 ///
 /// `ETA` is present in every object, so a query may collect it into a
 /// nested result; `PT` may be missing or `null`.
 pub fn load_irregular(db: &Database, name: &str, rows: usize, seed: u64) -> Result<()> {
     let mut g = SqlGen::new(seed);
+    // Its own stream, so the other columns hold what they always held.
+    let mut h = SqlGen::new(!seed);
     let schema = vec![
         ColumnDef::new("ID", ColumnType::Int),
         ColumnDef::new("OPT", ColumnType::Variant),
         ColumnDef::new("MIX", ColumnType::Variant),
         ColumnDef::new("XS", ColumnType::Variant),
+        ColumnDef::new("RS", ColumnType::Variant),
     ];
     let data: Vec<Vec<Variant>> = (0..rows as i64)
         .map(|id| {
@@ -113,7 +120,22 @@ pub fn load_irregular(db: &Database, name: &str, rows: usize, seed: u64) -> Resu
                     }
                 })
                 .collect::<Vec<_>>();
-            vec![Variant::Int(id), opt, mix, Variant::array(xs)]
+            let rs = match h.below(6) {
+                0 => Variant::Null,
+                _ => Variant::array(
+                    (0..h.below(4))
+                        .map(|_| {
+                            let q = Variant::Int(h.below(20) as i64);
+                            let pt = match h.below(4) {
+                                0 => Variant::Null,
+                                _ => Variant::Float(h.below(600) as f64 / 4.0),
+                            };
+                            object([("Q", q), ("PT", pt)])
+                        })
+                        .collect(),
+                ),
+            };
+            vec![Variant::Int(id), opt, mix, Variant::array(xs), rs]
         })
         .collect();
     db.load_table(name, schema, data, 8)
@@ -338,11 +360,12 @@ impl SqlGen {
         }
     }
 
-    /// A query over the irregular table: `NULL`s, a mixed-type column, and
-    /// arrays with empty, member-less, `null`-member and scalar items.
+    /// A query over the irregular table: `NULL`s, a mixed-type column,
+    /// arrays with empty, member-less, `null`-member and scalar items, and
+    /// the regular arrays of records that seal shredded.
     fn irregular_sql(&mut self, t: &str) -> String {
         let k = 2 + self.below(4);
-        match self.below(6) {
+        match self.below(7) {
             0 => format!(
                 "SELECT ID, OPT, NVL(OPT, -1) AS N FROM {t} WHERE OPT IS NULL OR OPT > {}",
                 self.below(40)
@@ -364,12 +387,23 @@ impl SqlGen {
                  ARRAY_SIZE(ARRAY_AGG(X.VALUE:PT)) AS A FROM {t} T, \
                  LATERAL FLATTEN(INPUT => T.XS, OUTER => TRUE) X GROUP BY T.ID % {k}"
             ),
-            _ => format!(
+            5 => format!(
                 "SELECT ID, ARRAY_SIZE(XS) AS N, GET(XS, {}):PT AS P FROM {t} \
                  WHERE ARRAY_SIZE(XS) {} {}",
                 self.below(3),
                 self.pick(&["=", ">=", "<"]),
                 self.below(3)
+            ),
+            // Flatten, field picks, sizes, indexing and concatenation of the
+            // shredded lists, with their NULL rows and NULL fields.
+            _ => format!(
+                "SELECT T.ID, ARRAY_SIZE(T.RS) AS N, T.RS[{}]:PT AS P0, R.INDEX, R.VALUE, \
+                 R.VALUE:Q AS Q, R.VALUE:PT AS PT FROM {t} T, \
+                 LATERAL FLATTEN(INPUT => {}{}) R WHERE R.VALUE:Q IS NULL OR R.VALUE:Q > {}",
+                self.below(3),
+                self.pick(&["T.RS", "ARRAY_CAT(T.RS, T.RS)"]),
+                if self.below(2) == 0 { ", OUTER => TRUE" } else { "" },
+                self.below(20)
             ),
         }
     }
@@ -410,6 +444,13 @@ mod tests {
             ("scalar item", format!("SELECT COUNT(*) {flat} TYPEOF(X.VALUE) = 'INTEGER'")),
             ("null or missing PT", format!("SELECT COUNT(*) {flat} X.VALUE:ETA IS NOT NULL AND X.VALUE:PT IS NULL")),
             ("PT", format!("SELECT COUNT(*) {flat} X.VALUE:PT IS NOT NULL")),
+            ("null RS", "SELECT COUNT(*) FROM irr WHERE RS IS NULL".into()),
+            ("empty RS", "SELECT COUNT(*) FROM irr WHERE ARRAY_SIZE(RS) = 0".into()),
+            (
+                "null RS field",
+                "SELECT COUNT(*) FROM irr, LATERAL FLATTEN(INPUT => RS) R WHERE R.VALUE:PT IS NULL"
+                    .into(),
+            ),
         ] {
             assert!(count(&sql) > 0, "no {what}");
         }

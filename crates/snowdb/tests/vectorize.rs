@@ -86,6 +86,65 @@ fn adl_queries_never_fall_back_to_the_row_loop() {
     }
 }
 
+/// Operators that boxed rows of an encoded or shredded column, as
+/// `name (rows)`.
+fn materialized(m: &OpMetrics, out: &mut Vec<String>) {
+    if m.rows_materialized > 0 {
+        out.push(format!("{} ({} rows)", m.name, m.rows_materialized));
+    }
+    for c in &m.children {
+        materialized(c, out);
+    }
+}
+
+/// ADL's particle arrays seal shredded: the flattens of q2, q3 and q5 expand
+/// the stored offsets and their `VALUE:PT` picks take the field's column, so
+/// with encoded execution no operator boxes a row, in either formulation.
+#[test]
+fn adl_flattens_and_field_picks_never_box_shredded_rows() {
+    let db = Database::new();
+    adl::generator::load_into(
+        &db,
+        "hep",
+        &adl::AdlConfig {
+            events: 600,
+            seed: 42,
+            partition_rows: 128,
+        },
+    );
+    let db = Arc::new(db);
+    for q in adl::queries::queries("hep") {
+        if !["q2", "q3", "q5"].contains(&q.id) {
+            continue;
+        }
+        let translated = generated(&db, &q.jsoniq, NestedStrategy::FlagColumn);
+        for (form, sql) in [
+            ("handwritten", &q.handwritten_sql),
+            ("generated", &translated),
+        ] {
+            let opts = QueryOptions {
+                threads: Some(2),
+                vectorize: true,
+                encode: true,
+                ..Default::default()
+            };
+            let result = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{e}"));
+            let metrics = result
+                .profile
+                .metrics
+                .expect("a query reports its operators");
+            let mut boxed = Vec::new();
+            materialized(&metrics, &mut boxed);
+            assert!(
+                boxed.is_empty(),
+                "adl {} {form}: shredded rows boxed in {boxed:?}\n{}",
+                q.id,
+                explain_analyze(&db, sql)
+            );
+        }
+    }
+}
+
 #[test]
 fn ssb_queries_never_fall_back_to_the_row_loop() {
     let db = Database::new();
