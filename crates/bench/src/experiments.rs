@@ -14,6 +14,7 @@ use baselines::{DocStore, RumbleRunner};
 use jsoniq_core::ast::JsoniqError;
 use jsoniq_core::itertree;
 use jsoniq_core::snowflake::{NestedStrategy, Translator};
+use snowdb::exec::metrics::Grouping;
 use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::{Database, QueryOptions, Variant};
 use snowpark::Session;
@@ -417,6 +418,8 @@ pub fn ablation_nested_strategy(cfg: &Config) -> Report {
         "Nested-query strategy ablation: flag column vs JOIN-based (paper §IV-C)",
         &["query", "flag total", "join total", "flag bytes", "join bytes"],
     );
+    // Queries whose JOIN-based form scans more, and fewer, bytes.
+    let (mut more, mut fewer) = (Vec::new(), Vec::new());
     for q in adl::queries::queries("hep") {
         // Only queries with nested queries differ between strategies.
         if !["q4", "q5", "q6", "q7", "q8"].contains(&q.id) {
@@ -438,9 +441,23 @@ pub fn ablation_nested_strategy(cfg: &Config) -> Report {
         });
         let fb = db.query(&flag_sql).expect("flag runs").profile.scan.bytes_scanned;
         let jb = db.query(&join_sql).expect("join runs").profile.scan.bytes_scanned;
+        match jb.cmp(&fb) {
+            std::cmp::Ordering::Greater => more.push(q.id),
+            std::cmp::Ordering::Less => fewer.push(q.id),
+            std::cmp::Ordering::Equal => {}
+        }
         rep.row([q.id.to_string(), fmt_secs(f), fmt_secs(j), fmt_bytes(fb), fmt_bytes(jb)]);
     }
-    rep.note("the JOIN-based variant rescans inputs; the flag variant carries padding rows");
+    let bytes = if more.is_empty() && fewer.is_empty() {
+        "both variants scan the same bytes on every query".to_string()
+    } else {
+        format!(
+            "the JOIN-based variant scans more bytes on [{}] and fewer on [{}]",
+            more.join(", "),
+            fewer.join(", ")
+        )
+    };
+    rep.note(format!("{bytes}; the flag variant carries padding rows"));
     rep
 }
 
@@ -633,7 +650,7 @@ pub fn pipelines(cfg: &Config) -> Report {
         &format!("ADL q4-q8 pipeline by pipeline ({} events, 1 and {n} threads)", cfg.adl_events),
         &[
             "query", "sql", "threads", "exec", "operator", "busy", "rows out", "peak rows", "batches",
-            "pipe", "pipe wall", "morsels", "workers",
+            "pipe", "pipe wall", "morsels", "workers", "groups",
         ],
     );
     for q in adl::queries::queries("hep").into_iter().filter(|q| q.id >= "q4") {
@@ -646,6 +663,24 @@ pub fn pipelines(cfg: &Config) -> Report {
                     .expect("at least one run");
                 let metrics = best.metrics.as_ref().expect("operator metrics");
                 assert!(!metrics.pipelines().is_empty(), "{} {kind}: no pipeline in the profile", q.id);
+                // A generated query's outermost aggregate counts its
+                // histogram's bins; every one below it groups on a row id
+                // stamped in order, which must arrive in runs.
+                if kind == "generated" {
+                    let aggs = metrics
+                        .operators()
+                        .into_iter()
+                        .filter(|(_, m)| m.name.starts_with("Aggregate"));
+                    for (_, m) in aggs.skip(1) {
+                        assert_eq!(
+                            m.grouping,
+                            Some(Grouping::Runs),
+                            "{} generated at {threads} threads: {}",
+                            q.id,
+                            m.name
+                        );
+                    }
+                }
                 for (i, (depth, m)) in metrics.operators().iter().enumerate() {
                     let head = match i {
                         0 => [q.id.into(), kind.into(), threads.to_string(), fmt_secs(best.exec_time().as_secs_f64())],
@@ -663,13 +698,24 @@ pub fn pipelines(cfg: &Config) -> Report {
                         m.batches.to_string(),
                         if m.pipeline > 0 { m.pipeline.to_string() } else { String::new() },
                     ];
-                    rep.row(head.into_iter().chain(op).chain(pipe));
+                    let groups = match m.grouping {
+                        Some(Grouping::Runs) => "runs",
+                        Some(Grouping::Hashed) => "hashed",
+                        None => "",
+                    };
+                    rep.row(
+                        head.into_iter()
+                            .chain(op)
+                            .chain(pipe)
+                            .chain([groups.to_string()]),
+                    );
                 }
             }
         }
     }
     rep.note("exec: fastest execution (compile excluded) of warmup + max(runs, 3) runs; the rest is that run's profile");
     rep.note("busy is summed across workers; pipe wall, morsels and workers stand on the operator the pipeline ends at");
+    rep.note("groups: how an aggregate found its groups; every row-id aggregate of a generated query groups by runs");
     rep
 }
 

@@ -424,6 +424,20 @@ impl RecordLists {
         (Cow::Owned(self.items.gather(&idx)), offsets)
     }
 
+    /// The lists with every NULL row made a valid empty list.
+    pub fn filled(&self) -> RecordLists {
+        let ranges = (self.ranges.iter().enumerate())
+            .map(|(r, &(lo, hi))| {
+                if self.valid.get(r) {
+                    (lo, hi)
+                } else {
+                    (lo, lo)
+                }
+            })
+            .collect();
+        self.with_ranges(ranges, Bitmap::ones(self.len()))
+    }
+
     fn with_ranges(&self, ranges: Vec<(u32, u32)>, valid: Bitmap) -> RecordLists {
         RecordLists { ranges, valid, items: self.items.clone() }
     }

@@ -463,6 +463,11 @@ impl KeyTable {
         (n != NO_ENTRY).then_some(n)
     }
 
+    /// Number of entries.
+    pub(super) fn len(&self) -> usize {
+        self.next.len()
+    }
+
     /// The key columns, one cell per entry.
     pub(super) fn keys(&self) -> &[ColumnVec] {
         &self.keys

@@ -55,7 +55,7 @@ use std::cmp::Ordering;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::column::{Bitmap, ColumnVec, RecordLists, NULL_CODE};
+use crate::column::{Bitmap, ColumnVec, RecordLists, Records, NULL_CODE};
 use crate::error::Result;
 use crate::plan::{CastType, FuncId, PStep};
 use crate::sql::BinOp;
@@ -540,7 +540,7 @@ impl<'d, 'a> BatchEval<'d, 'a> {
 
     fn func(&mut self, f: FuncId, a: &[V<'a>], sel: &Sel) -> Option<V<'a>> {
         let n = self.n;
-        if let Some(c) = list_kernel(f, a) {
+        if let Some(c) = list_kernel(f, a, n) {
             return own(c);
         }
         if let (Some(g), [x]) = (expr::math1_fn(f), a) {
@@ -1459,8 +1459,26 @@ impl<'d, 'a> BatchEval<'d, 'a> {
     }
 
     /// `COALESCE`/`NVL`: each argument on the rows where all earlier ones
-    /// were NULL.
+    /// were NULL. Lists or an empty array — `NVL(list, [])`, the flag-column
+    /// translation's default for a nested query that kept nothing — stay a
+    /// list: its NULL rows become valid and empty.
     fn coalesce(&mut self, args: &[NodeId], sel: &Sel) -> Option<V<'a>> {
+        if let [list, empty] = *args {
+            let empty_array = matches!(self.dag.op(empty),
+                DagOp::Lit(v) if v.as_array().is_some_and(<[Variant]>::is_empty));
+            if empty_array {
+                let v = self.value(list, sel)?;
+                if let Some(ColumnVec::List(l)) = v.col() {
+                    let out = match l.valid.all_valid() {
+                        true => v.clone(),
+                        false => Rc::new(Val::Own(ColumnVec::List(l.filled()))),
+                    };
+                    self.release(list);
+                    self.release(empty);
+                    return Some(out);
+                }
+            }
+        }
         let mut open = sel.clone();
         let mut parts = Vec::with_capacity(args.len());
         for &a in args {
@@ -1881,9 +1899,43 @@ fn pick_path<'c>(col: &'c ColumnVec, steps: &[PStep]) -> Option<Picked<'c>> {
 
 /// `ARRAY_SIZE` of lists is a range length, and `ARRAY_CAT` of two
 /// lists whose items have one shape is a list: per row the first list's
-/// items, then the second's, one typed gather. `None` for any other operands.
-fn list_kernel(f: FuncId, a: &[V<'_>]) -> Option<ColumnVec> {
+/// items, then the second's, one typed gather. `OBJECT_CONSTRUCT` with
+/// distinct literal string keys over plain scalar columns or literals is
+/// records whose fields are those columns: a NULL value is a `key: null`
+/// field, as the row evaluator keeps it. `None` for any other operands.
+fn list_kernel(f: FuncId, a: &[V<'_>], n: usize) -> Option<ColumnVec> {
     match (f, a) {
+        (FuncId::ObjectConstruct, _) if a.len().is_multiple_of(2) => {
+            let mut keys: Vec<Arc<str>> = Vec::with_capacity(a.len() / 2);
+            let mut fields = Vec::with_capacity(a.len() / 2);
+            for pair in a.chunks_exact(2) {
+                let Val::Scalar(Variant::Str(key)) = &*pair[0] else {
+                    return None;
+                };
+                if keys.contains(key) {
+                    return None;
+                }
+                let field = match &*pair[1] {
+                    Val::Scalar(Variant::Array(_) | Variant::Object(_)) => return None,
+                    Val::Scalar(v) => broadcast(v, n),
+                    v => match v.col()? {
+                        c @ (ColumnVec::Null(_)
+                        | ColumnVec::Int { .. }
+                        | ColumnVec::Float { .. }
+                        | ColumnVec::Bool { .. }
+                        | ColumnVec::Str(_)) => c.clone(),
+                        _ => return None,
+                    },
+                };
+                keys.push(key.clone());
+                fields.push(field);
+            }
+            Some(ColumnVec::Objects(Records {
+                keys: keys.into(),
+                fields,
+                valid: Bitmap::ones(n),
+            }))
+        }
         (FuncId::ArraySize, [x]) => {
             let ColumnVec::List(l) = x.col()? else {
                 return None;
@@ -2354,6 +2406,106 @@ mod tests {
             cell.snapshot("t".into(), 1, Vec::new()).rows_materialized,
             6
         );
+    }
+
+    /// `OBJECT_CONSTRUCT` of literal keys over scalar columns is records,
+    /// also under a guard, and `NVL(list, [])` is a list: both answer what
+    /// the row evaluator answers. Any other key or value is boxed.
+    #[test]
+    fn object_construct_and_nvl_of_lists_stay_shredded() {
+        let lists: Vec<Variant> = (0..5)
+            .map(|i| match i % 2 {
+                0 => Variant::Null,
+                _ => Variant::array(vec![Variant::object({
+                    let mut o = crate::variant::Object::new();
+                    o.insert("Q", Variant::Int(i));
+                    o
+                })]),
+            })
+            .collect();
+        let inp = Chunk {
+            cols: vec![
+                crate::storage::encode::encode_column(ColumnVec::Var(lists)),
+                ColumnVec::from_variants(
+                    (0..5)
+                        .map(|i| {
+                            if i == 2 {
+                                Variant::Null
+                            } else {
+                                Variant::Float(i as f64)
+                            }
+                        })
+                        .collect(),
+                ),
+                ColumnVec::from_variants((0..5).map(|i| Variant::Bool(i % 2 == 0)).collect()),
+                ColumnVec::from_variants((0..5).map(|i| Variant::from(format!("s{i}"))).collect()),
+            ],
+            rows: 5,
+        };
+        assert!(matches!(inp.cols[0], ColumnVec::List(_)));
+        let object = |args: Vec<PExpr>| func(FuncId::ObjectConstruct, args);
+        let record = object(vec![
+            lit("D"),
+            PExpr::Col(1),
+            lit("S"),
+            PExpr::Col(3),
+            lit("F"),
+            lit(1i64),
+            lit("N"),
+            lit(Variant::Null),
+        ]);
+        let empty = lit(Variant::array(Vec::new()));
+        for (e, shredded) in [
+            (record.clone(), "records"),
+            (
+                func(
+                    FuncId::Iff,
+                    vec![PExpr::Col(2), record.clone(), lit(Variant::Null)],
+                ),
+                "records",
+            ),
+            (
+                func(FuncId::Nvl, vec![PExpr::Col(0), empty.clone()]),
+                "lists",
+            ),
+            (
+                func(FuncId::Coalesce, vec![PExpr::Col(0), empty.clone()]),
+                "lists",
+            ),
+            (
+                object(vec![lit("A"), PExpr::Col(1), lit("A"), PExpr::Col(3)]),
+                "boxed",
+            ),
+            (object(vec![PExpr::Col(3), PExpr::Col(1)]), "boxed"),
+            (object(vec![lit("L"), PExpr::Col(0)]), "boxed"),
+            (
+                object(vec![
+                    lit("A"),
+                    lit(Variant::array(Vec::new())),
+                    lit("B"),
+                    PExpr::Col(1),
+                ]),
+                "boxed",
+            ),
+            (
+                func(
+                    FuncId::Nvl,
+                    vec![PExpr::Col(0), lit(Variant::array(vec![Variant::Int(1)]))],
+                ),
+                "boxed",
+            ),
+        ] {
+            let col = checked(&e, &inp).expect("no row fails");
+            let got = match col {
+                ColumnVec::Objects(_) => "records",
+                ColumnVec::List(l) => {
+                    assert!(l.valid.all_valid(), "{e:?}");
+                    "lists"
+                }
+                _ => "boxed",
+            };
+            assert_eq!(got, shredded, "{e:?}");
+        }
     }
 
     #[test]

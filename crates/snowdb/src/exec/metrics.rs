@@ -6,7 +6,7 @@
 //! mirrors the plan shape; [`crate::engine::QueryProfile`] carries it and
 //! `EXPLAIN ANALYZE` renders it.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -42,6 +42,9 @@ pub struct OpMetricsCell {
     pipe_workers: AtomicU64,
     /// On a join, what its build made (see [`OpMetrics::join_build`]).
     join_build: Mutex<Option<JoinBuild>>,
+    /// On a grouping aggregate, how it found its groups: 0 unset, then
+    /// [`Grouping::Runs`] or [`Grouping::Hashed`] as 1 or 2.
+    grouping: AtomicU8,
 }
 
 impl OpMetricsCell {
@@ -127,6 +130,15 @@ impl OpMetricsCell {
         *self.join_build.lock().unwrap_or_else(|e| e.into_inner()) = Some(build);
     }
 
+    /// Records how a grouping aggregate found its groups.
+    pub fn set_grouping(&self, grouping: Grouping) {
+        let code = match grouping {
+            Grouping::Runs => 1,
+            Grouping::Hashed => 2,
+        };
+        self.grouping.store(code, Ordering::Relaxed);
+    }
+
     /// Immutable snapshot (taken after execution completes).
     pub fn snapshot(
         &self,
@@ -159,6 +171,11 @@ impl OpMetricsCell {
                 }),
             },
             join_build: *self.join_build.lock().unwrap_or_else(|e| e.into_inner()),
+            grouping: match self.grouping.load(Ordering::Relaxed) {
+                1 => Some(Grouping::Runs),
+                2 => Some(Grouping::Hashed),
+                _ => None,
+            },
             children,
         }
     }
@@ -180,6 +197,16 @@ pub enum TableIndex {
     /// value.
     Dense { lo: i64, hi: i64 },
     /// Hashed keys.
+    Hashed,
+}
+
+/// How a grouping aggregate found the group of each row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Grouping {
+    /// Its one `Int` key arrived in ascending runs: a group closed when the
+    /// key changed, and no key was hashed.
+    Runs,
+    /// Its keys were looked up in a key table.
     Hashed,
 }
 
@@ -239,6 +266,9 @@ pub struct OpMetrics {
     pub pipeline_run: Option<PipelineRun>,
     /// On a join, the table its build made; `None` elsewhere.
     pub join_build: Option<JoinBuild>,
+    /// On an aggregate or distinct with group keys, how it grouped; `None`
+    /// elsewhere.
+    pub grouping: Option<Grouping>,
     pub children: Vec<OpMetrics>,
 }
 
@@ -274,7 +304,7 @@ impl OpMetrics {
     /// The annotation `EXPLAIN ANALYZE` appends to a plan line.
     pub fn annotation(&self) -> String {
         format!(
-            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}{}",
+            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}{}{}",
             self.rows_out,
             self.batches,
             self.busy,
@@ -309,6 +339,11 @@ impl OpMetrics {
                 }
                 Some(JoinBuild { rows, index: None }) => format!(" build={rows}"),
                 None => String::new(),
+            },
+            match self.grouping {
+                Some(Grouping::Runs) => " groups=runs",
+                Some(Grouping::Hashed) => " groups=hashed",
+                None => "",
             },
             if self.pipeline > 0 {
                 format!(" pipe={}", self.pipeline)
@@ -362,6 +397,29 @@ mod tests {
         cell.set_join_build(JoinBuild { rows: 7, index: Some(TableIndex::Hashed) });
         let m = cell.snapshot("InnerJoin".into(), 1, Vec::new());
         assert!(m.annotation().ends_with(" table=hash build=7 pipe=3"), "{}", m.annotation());
+    }
+
+    #[test]
+    fn an_aggregate_line_says_how_it_grouped() {
+        let cell = OpMetricsCell::default();
+        cell.set_pipeline(2);
+        let m = cell.snapshot("Aggregate".into(), 1, Vec::new());
+        assert!(!m.annotation().contains("groups="), "{}", m.annotation());
+        cell.set_grouping(Grouping::Runs);
+        let m = cell.snapshot("Aggregate".into(), 1, Vec::new());
+        assert_eq!(m.grouping, Some(Grouping::Runs));
+        assert!(
+            m.annotation().ends_with(" groups=runs pipe=2"),
+            "{}",
+            m.annotation()
+        );
+        cell.set_grouping(Grouping::Hashed);
+        let m = cell.snapshot("Aggregate".into(), 1, Vec::new());
+        assert!(
+            m.annotation().ends_with(" groups=hashed pipe=2"),
+            "{}",
+            m.annotation()
+        );
     }
 
     #[test]

@@ -36,7 +36,10 @@
 //! executor's one key table ([`super::hash`]), the join's table type: a
 //! batch's key columns are hashed a column at a time, each row is one
 //! `find_or_insert`, and the table's key columns are the output's group
-//! columns. The other breakers take batch lists, and a sort's key evaluation
+//! columns — unless their one key is an `Int` that arrives in ascending runs,
+//! as a row id stamped before a flatten does: then a group closes when the
+//! key changes, and nothing is hashed ([`AggState`]). The other breakers
+//! take batch lists, and a sort's key evaluation
 //! and gather are per-batch maps ([`map_batches`], which the driver is built
 //! on too). A breaker's output is the source of the pipeline above it; an
 //! aggregate and a distinct emit their groups in batches of `MORSEL_ROWS`, so
@@ -83,7 +86,8 @@
 //! - An aggregate whose kinds merge exactly, and a distinct, keep one partial
 //!   state per worker over a *contiguous* range of morsels; the partials merge
 //!   in range order — a later partial's groups are looked up by their stored
-//!   keys and hashes, and [`Accumulator::merge`] folds the ones found — which
+//!   keys and hashes, and [`Accumulator::merge`] folds the ones found; run-mode
+//!   partials whose keys follow each other concatenate instead — which
 //!   preserves first-seen group order and cells, first-among-ties and
 //!   `ARRAY_AGG` order. `SUM`/`AVG` do not merge exactly (float addition is
 //!   not associative): the pipeline below runs in parallel into a batch list,
@@ -183,7 +187,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::column::{Bitmap, ColumnVec, RecordLists};
+use crate::column::{Bitmap, ColumnVec, RecordLists, Records};
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
 use crate::plan::physical::{PhysNode, SharedSite};
@@ -196,7 +200,7 @@ use super::dag::ExprDag;
 use super::hash::{KeyHasher, KeyTable};
 use super::join::JoinTable;
 use super::kernel::mask_keep;
-use super::metrics::{OpMetricsCell, PipelineRun};
+use super::metrics::{Grouping, OpMetricsCell, PipelineRun};
 use super::{cmp_sort_values, eval, Chunk, ExecCtx, RowView};
 
 /// Most rows a batch holds inside a pipeline: a scan cuts its partitions to
@@ -1234,16 +1238,239 @@ impl Iterator for FlattenPieces<'_> {
 // Pipeline breakers
 // ---------------------------------------------------------------------------
 
-/// Hash-aggregate state: the groups' keys in a [`KeyTable`] grown in
-/// first-seen order, and one accumulator row per group.
+/// How an aggregate finds the group of a row.
+enum Groups {
+    /// Run mode: the one key is an `Int` whose rows arrived in ascending
+    /// runs, so a group closes when the key changes. Entry `g` is the key of
+    /// group `g`; the keys ascend strictly.
+    Runs(Vec<i64>),
+    /// The groups' keys in a [`KeyTable`] grown in first-seen order.
+    Table(KeyTable),
+}
+
+/// One aggregate's outputs, a cell per group.
+enum AggOut {
+    /// Accumulators updated row-major: every aggregate on the table path,
+    /// and in run mode every one below that is not built column-wise.
+    Accs(Vec<Accumulator>),
+    /// `ANY_VALUE` in run mode: the first cell of each group's run,
+    /// gathered in the argument's representation.
+    First(ColumnVec),
+    /// `ARRAY_AGG` of records in run mode: group `g` holds items
+    /// `ends[g - 1]..ends[g]` of `items` (`None` until a batch brings
+    /// records), the non-NULL rows of its run in row order.
+    Items {
+        ends: Vec<u32>,
+        items: Option<Records>,
+    },
+}
+
+impl AggOut {
+    /// The run-mode output of an aggregate of `kind`.
+    fn for_runs(kind: AggKind) -> AggOut {
+        match kind {
+            AggKind::AnyValue => AggOut::First(ColumnVec::new()),
+            AggKind::ArrayAgg => AggOut::Items {
+                ends: Vec::new(),
+                items: None,
+            },
+            _ => AggOut::Accs(Vec::new()),
+        }
+    }
+
+    /// The outputs as the accumulators the table path would hold, adding
+    /// the cells boxed from an encoded column to `boxed`.
+    fn into_accs(self, boxed: &mut u64) -> Vec<Accumulator> {
+        match self {
+            AggOut::Accs(accs) => accs,
+            AggOut::First(col) => {
+                if boxes_cells(&col) {
+                    *boxed += col.len() as u64;
+                }
+                (0..col.len())
+                    .map(|g| Accumulator::AnyValue(Some(col.get(g))))
+                    .collect()
+            }
+            AggOut::Items { ends, items } => {
+                let mut lo = 0;
+                *boxed += items.as_ref().map_or(0, |i| i.len() as u64);
+                (ends.into_iter())
+                    .map(|hi| {
+                        let group = (lo..hi as usize).map(|i| items.as_ref().map(|r| r.get(i)));
+                        lo = hi as usize;
+                        Accumulator::ArrayAgg(group.flatten().collect())
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Boxes the outputs into accumulators in place (see
+    /// [`AggOut::into_accs`]) and returns them.
+    fn boxed_accs(&mut self, boxed: &mut u64) -> &mut Vec<Accumulator> {
+        if !matches!(self, AggOut::Accs(_)) {
+            let out = std::mem::replace(self, AggOut::Accs(Vec::new()));
+            *self = AggOut::Accs(out.into_accs(boxed));
+        }
+        match self {
+            AggOut::Accs(accs) => accs,
+            _ => unreachable!("boxed above"),
+        }
+    }
+
+    /// The accumulators of an output on the table path.
+    fn accs(&mut self) -> &mut Vec<Accumulator> {
+        match self {
+            AggOut::Accs(accs) => accs,
+            _ => unreachable!("the table path holds accumulators only"),
+        }
+    }
+
+    /// The output column.
+    fn into_column(self, groups: usize) -> ColumnVec {
+        let mut col = ColumnVec::new();
+        match self {
+            AggOut::Accs(accs) => accs.into_iter().for_each(|acc| col.push(acc.finish())),
+            AggOut::First(first) => col = first,
+            AggOut::Items {
+                ends,
+                items: Some(items),
+            } => {
+                let offsets: Vec<u32> = std::iter::once(0).chain(ends).collect();
+                let lists = RecordLists::from_offsets(&offsets, Bitmap::ones(groups), items);
+                col = ColumnVec::List(lists);
+            }
+            // No batch brought a record: every group's array is empty.
+            AggOut::Items { ends, items: None } => {
+                ends.iter()
+                    .for_each(|_| col.push(Variant::array(Vec::new())));
+            }
+        }
+        col
+    }
+}
+
+/// True for the representations whose cells are built to be read one at a
+/// time: dictionary strings and shredded records and lists.
+fn boxes_cells(col: &ColumnVec) -> bool {
+    matches!(
+        col,
+        ColumnVec::DictStr { .. } | ColumnVec::Objects(_) | ColumnVec::List(_)
+    )
+}
+
+/// The rows of an encoded argument an accumulator of `kind` boxes over
+/// `rows` rows: all of them, but for a count, which only asks whether a cell
+/// is NULL.
+fn boxed_rows(kind: AggKind, v: Option<&ColumnVec>, k: Option<&ColumnVec>, rows: usize) -> u64 {
+    let reads = !matches!(kind, AggKind::CountStar | AggKind::Count);
+    match reads && [v, k].into_iter().flatten().any(boxes_cells) {
+        true => rows as u64,
+        false => 0,
+    }
+}
+
+/// Appends `more` to `col`, returning the cells of encoded columns boxed
+/// when the two representations do not line up.
+fn append_cells(col: &mut ColumnVec, more: ColumnVec) -> u64 {
+    let held = [&*col, &more].map(|c| if boxes_cells(c) { c.len() as u64 } else { 0 });
+    col.append(more);
+    if boxes_cells(col) {
+        0
+    } else {
+        held.iter().sum()
+    }
+}
+
+/// The keys of a batch's first `rows` rows when they continue a run-mode
+/// state whose last key is `last`: one `Int` column with no NULL, not
+/// descending, whose first key is not below `last`.
+fn run_keys(col: &ColumnVec, rows: usize, last: Option<i64>) -> Option<&[i64]> {
+    let ColumnVec::Int { vals, valid } = col else {
+        return None;
+    };
+    let vals = &vals[..rows];
+    let ascending = valid.all_valid() && vals.windows(2).all(|w| w[0] <= w[1]);
+    (ascending && last.is_none_or(|l| vals[0] >= l)).then_some(vals)
+}
+
+/// The grouping state of an aggregate or a distinct: how rows find their
+/// groups, and one output per aggregate.
+///
+/// A state over one key starts in *run mode*. While every batch's key is an
+/// `Int` column with no NULL that does not descend, and starts at or above
+/// the last key seen, each key's rows are contiguous: a group closes when
+/// the key changes, nothing is hashed, and `ANY_VALUE` and `ARRAY_AGG` of
+/// records are built column-wise, as gathers and ranges of their argument.
+/// Any other batch replays the keys into a [`KeyTable`] — in order, which is
+/// first-seen order — boxes those outputs into accumulators and continues
+/// on the table path. Groups, their order and each group's rows are the
+/// table path's either way.
 struct AggState {
-    keys: KeyTable,
-    states: Vec<Vec<Accumulator>>,
+    hasher: KeyHasher,
+    groups: Groups,
+    outs: Vec<AggOut>,
+    /// Cells of encoded columns the accumulators boxed.
+    boxed: u64,
 }
 
 impl AggState {
-    fn new(hasher: KeyHasher, n_groups: usize) -> AggState {
-        AggState { keys: KeyTable::new(hasher, n_groups), states: Vec::new() }
+    fn new(hasher: KeyHasher, n_groups: usize, aggs: &[AggExpr]) -> AggState {
+        if n_groups != 1 {
+            return AggState::hashed(hasher, n_groups, aggs);
+        }
+        AggState {
+            hasher,
+            groups: Groups::Runs(Vec::new()),
+            outs: aggs.iter().map(|a| AggOut::for_runs(a.kind)).collect(),
+            boxed: 0,
+        }
+    }
+
+    /// A state on the table path from the start.
+    fn hashed(hasher: KeyHasher, n_groups: usize, aggs: &[AggExpr]) -> AggState {
+        AggState {
+            hasher,
+            groups: Groups::Table(KeyTable::new(hasher, n_groups)),
+            outs: aggs.iter().map(|_| AggOut::Accs(Vec::new())).collect(),
+            boxed: 0,
+        }
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        match &self.groups {
+            Groups::Runs(keys) => keys.len(),
+            Groups::Table(table) => table.len(),
+        }
+    }
+
+    fn grouping(&self) -> Grouping {
+        match self.groups {
+            Groups::Runs(_) => Grouping::Runs,
+            Groups::Table(_) => Grouping::Hashed,
+        }
+    }
+
+    /// Leaves run mode: the keys go into a table in group order, and the
+    /// column-wise outputs into accumulators.
+    fn leave_runs(&mut self) {
+        let Groups::Runs(keys) = &mut self.groups else {
+            return;
+        };
+        let n = keys.len();
+        let cols = [ColumnVec::Int {
+            vals: std::mem::take(keys),
+            valid: Bitmap::ones(n),
+        }];
+        let mut table = KeyTable::new(self.hasher, 1);
+        for (g, &hash) in table.hash(&cols, n).hashes.iter().enumerate() {
+            table.find_or_insert(&cols, g, hash);
+        }
+        self.groups = Groups::Table(table);
+        for out in &mut self.outs {
+            out.boxed_accs(&mut self.boxed);
+        }
     }
 
     /// Folds one batch into the state: its expression columns (without a
@@ -1270,29 +1497,14 @@ impl AggState {
         evaluated.err.map_or(Ok(()), Err)
     }
 
-    /// The slot of the group whose key is row `r` of `gcols`, hashed to
-    /// `hash`, created on first sight.
-    fn slot_of(
-        &mut self,
-        gcols: &[Cow<'_, ColumnVec>],
-        r: usize,
-        hash: u64,
-        aggs: &[AggExpr],
-    ) -> usize {
-        let (slot, fresh) = self.keys.find_or_insert(gcols, r, hash);
-        if fresh {
-            self.states.push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
-        }
-        slot
-    }
-
     /// Folds `rows` evaluated rows: `cols` holds the group keys, then each
     /// aggregate's arguments. The expressions cannot fail any more, so what
     /// remains of the serial error order is the order of accumulator
     /// updates, and every path below keeps it: a global
     /// aggregation folds whole columns only when no accumulator can fail on
     /// its column ([`column_eligible`], plus a numeric `SUM` state);
-    /// everything else updates row by row, aggregate by aggregate.
+    /// everything else updates row by row, aggregate by aggregate. The
+    /// outputs run mode builds column-wise never fail.
     fn fold_columns(
         &mut self,
         n_groups: usize,
@@ -1313,77 +1525,283 @@ impl AggState {
                 (take(a.arg.is_some()), take(a.arg2.is_some()))
             })
             .collect();
-        let update_row = |states: &mut [Accumulator], r: usize| -> Result<()> {
-            for (st, &(v, k)) in states.iter_mut().zip(&acols) {
-                st.update_at(v, k, r)?;
-            }
-            Ok(())
-        };
         if rows == 0 {
             return Ok(());
         }
+        if let Groups::Runs(keys) = &self.groups {
+            match run_keys(&gcols[0], rows, keys.last().copied()) {
+                Some(keys) => return self.fold_runs(aggs, &acols, keys),
+                None => self.leave_runs(),
+            }
+        }
+        for (a, &(v, k)) in aggs.iter().zip(&acols) {
+            self.boxed += boxed_rows(a.kind, v, k, rows);
+        }
+        let AggState {
+            groups: Groups::Table(table),
+            outs,
+            ..
+        } = self
+        else {
+            unreachable!("run mode was left above");
+        };
+        let update_row = |outs: &mut [AggOut], slot: usize, r: usize| -> Result<()> {
+            for (out, &(v, k)) in outs.iter_mut().zip(&acols) {
+                out.accs()[slot].update_at(v, k, r)?;
+            }
+            Ok(())
+        };
+        // The slot of the group whose key is row `r`, hashed to `hash`,
+        // created on first sight.
+        let slot_of = |table: &mut KeyTable, outs: &mut [AggOut], r: usize, hash: u64| {
+            let (slot, fresh) = table.find_or_insert(gcols, r, hash);
+            if fresh {
+                for (out, a) in outs.iter_mut().zip(aggs) {
+                    out.accs().push(Accumulator::new(a.kind));
+                }
+            }
+            slot
+        };
         if gcols.is_empty() {
-            let hash = self.keys.hash(gcols, 1).hashes[0];
-            let slot = self.slot_of(gcols, 0, hash, aggs);
+            let hash = table.hash(gcols, 1).hashes[0];
+            let slot = slot_of(table, outs, 0, hash);
             // A SUM accumulator holding a non-numeric value (stored unchecked
             // by an earlier row-by-row batch) fails on the next number.
-            let by_column = aggs.iter().zip(&acols).zip(&self.states[slot]).all(|((a, c), st)| {
+            let by_column = aggs.iter().zip(&acols).zip(outs.iter_mut()).all(|((a, c), out)| {
                 c.1.is_none()
                     && c.0.is_none_or(|col| column_eligible(a.kind, col))
-                    && !matches!(st, Accumulator::Sum { acc: Some(v) }
+                    && !matches!(&out.accs()[slot], Accumulator::Sum { acc: Some(v) }
                         if !matches!(v, Variant::Int(_) | Variant::Float(_)))
             });
             if by_column {
                 let nulls = ColumnVec::Null(rows);
-                for (st, (col, _)) in self.states[slot].iter_mut().zip(&acols) {
-                    st.update_column(col.unwrap_or(&nulls))?;
+                for (out, (col, _)) in outs.iter_mut().zip(&acols) {
+                    out.accs()[slot].update_column(col.unwrap_or(&nulls))?;
                 }
             } else {
                 for r in 0..rows {
-                    update_row(&mut self.states[slot], r)?;
+                    update_row(outs, slot, r)?;
                 }
             }
             return Ok(());
         }
-        let hashed = self.keys.hash(gcols, rows);
+        let hashed = table.hash(gcols, rows);
         for (r, &hash) in hashed.hashes.iter().enumerate() {
-            let slot = self.slot_of(gcols, r, hash, aggs);
-            update_row(&mut self.states[slot], r)?;
+            let slot = slot_of(table, outs, r, hash);
+            update_row(outs, slot, r)?;
         }
         Ok(())
     }
 
-    /// Merges a later partial into this one, in input order: its groups are
-    /// looked up by their stored keys and hashes; new groups append
-    /// (preserving global first-seen order), existing groups merge
-    /// accumulators.
-    fn merge(&mut self, other: AggState) -> Result<()> {
-        let AggState { keys, states } = other;
-        for (j, accs) in states.into_iter().enumerate() {
-            let (slot, fresh) = self.keys.find_or_insert(keys.keys(), j, keys.hash_of(j));
-            if fresh {
-                self.states.push(accs);
-                continue;
+    /// Folds a batch whose keys `keys` continue the runs: the rows of a key
+    /// equal to the last group's join it, every other key change opens a
+    /// group. `ANY_VALUE` gathers the first row of each opened group;
+    /// `ARRAY_AGG` over records appends the non-NULL rows to its items and
+    /// extends each group's range — any other argument boxes it into
+    /// accumulators, which update row-major with the rest.
+    fn fold_runs(
+        &mut self,
+        aggs: &[AggExpr],
+        acols: &[(Option<&ColumnVec>, Option<&ColumnVec>)],
+        keys: &[i64],
+    ) -> Result<()> {
+        let Groups::Runs(runs) = &mut self.groups else {
+            unreachable!("a run-mode state");
+        };
+        let rows = keys.len();
+        let continues = runs.last() == Some(&keys[0]);
+        let starts: Vec<usize> = (usize::from(continues)..rows)
+            .filter(|&r| r == 0 || keys[r] != keys[r - 1])
+            .collect();
+        // The group of row 0.
+        let first = runs.len() - usize::from(continues);
+        runs.extend(starts.iter().map(|&r| keys[r]));
+        let mut row_major = false;
+        for ((out, a), &(v, k)) in self.outs.iter_mut().zip(aggs).zip(acols) {
+            if let AggOut::Items { items, .. } = out {
+                let records = match v {
+                    Some(ColumnVec::Objects(r)) => items.as_ref().is_none_or(|i| i.same_shape(r)),
+                    Some(ColumnVec::Null(_)) => true,
+                    _ => false,
+                };
+                if !records {
+                    out.boxed_accs(&mut self.boxed);
+                }
             }
-            for (st, acc) in self.states[slot].iter_mut().zip(accs) {
-                st.merge(acc)?;
+            match out {
+                AggOut::First(col) => {
+                    let v = v.expect("ANY_VALUE has an argument");
+                    self.boxed += append_cells(col, v.gather(&starts));
+                }
+                AggOut::Items { ends, items } => {
+                    let valid = match v {
+                        Some(ColumnVec::Objects(r)) => Some(&r.valid),
+                        _ => None,
+                    };
+                    let mut next = starts.iter().peekable();
+                    let mut taken = Vec::new();
+                    for r in 0..rows {
+                        if next.next_if_eq(&&r).is_some() {
+                            ends.push(ends.last().copied().unwrap_or(0));
+                        }
+                        if valid.is_some_and(|ok| ok.get(r)) {
+                            *ends.last_mut().expect("row 0 has a group") += 1;
+                            taken.push(r);
+                        }
+                    }
+                    if let Some(ColumnVec::Objects(r)) = v {
+                        let gathered = r.gather(&taken);
+                        match items {
+                            Some(items) => items.append(gathered),
+                            None => *items = Some(gathered),
+                        }
+                    }
+                }
+                AggOut::Accs(accs) => {
+                    accs.extend(starts.iter().map(|_| Accumulator::new(a.kind)));
+                    self.boxed += boxed_rows(a.kind, v, k, rows);
+                    row_major = true;
+                }
+            }
+        }
+        if !row_major {
+            return Ok(());
+        }
+        let mut g = first;
+        for r in 0..rows {
+            g += usize::from(r > 0 && keys[r] != keys[r - 1]);
+            for (out, &(v, k)) in self.outs.iter_mut().zip(acols) {
+                if let AggOut::Accs(accs) = out {
+                    accs[g].update_at(v, k, r)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// The output: the key columns the table holds, then one column per
-    /// aggregate.
-    fn into_chunk(self, aggs: &[AggExpr]) -> Chunk {
-        let rows = self.states.len();
-        let mut cols = self.keys.into_keys();
-        let mut finished = vec![ColumnVec::new(); aggs.len()];
-        for st in self.states {
-            for (col, acc) in finished.iter_mut().zip(st) {
-                col.push(acc.finish());
+    /// Merges a later partial into this one, in input order. Two run-mode
+    /// partials whose keys follow each other concatenate: a group both hold
+    /// — the boundary key — merges its outputs, the rest append. Otherwise
+    /// both leave run mode and the later partial's groups are looked up by
+    /// their stored keys and hashes; new groups append (preserving global
+    /// first-seen order), existing groups merge accumulators.
+    fn merge(&mut self, mut other: AggState) -> Result<()> {
+        self.boxed += std::mem::take(&mut other.boxed);
+        if let (Groups::Runs(ours), Groups::Runs(theirs)) = (&self.groups, &other.groups) {
+            match (ours.last(), theirs.first()) {
+                (_, None) => return Ok(()),
+                (None, _) => {
+                    other.boxed = self.boxed;
+                    *self = other;
+                    return Ok(());
+                }
+                (Some(last), Some(first)) if first >= last => return self.concat(other),
+                _ => {}
             }
         }
-        cols.extend(finished);
+        self.leave_runs();
+        other.leave_runs();
+        let Groups::Table(keys) = other.groups else {
+            unreachable!("left run mode above");
+        };
+        let Groups::Table(table) = &mut self.groups else {
+            unreachable!("left run mode above");
+        };
+        let mut theirs: Vec<_> = other
+            .outs
+            .into_iter()
+            .map(|o| o.into_accs(&mut self.boxed).into_iter())
+            .collect();
+        for j in 0..keys.len() {
+            let (slot, fresh) = table.find_or_insert(keys.keys(), j, keys.hash_of(j));
+            for (out, accs) in self.outs.iter_mut().zip(&mut theirs) {
+                let acc = accs.next().expect("one accumulator per group");
+                match fresh {
+                    true => out.accs().push(acc),
+                    false => out.accs()[slot].merge(acc)?,
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the groups of a later run-mode partial whose first key is
+    /// not below this one's last.
+    fn concat(&mut self, other: AggState) -> Result<()> {
+        let (Groups::Runs(ours), Groups::Runs(theirs)) = (&mut self.groups, other.groups) else {
+            unreachable!("two run-mode partials");
+        };
+        let joined = usize::from(ours.last() == theirs.first());
+        ours.extend_from_slice(&theirs[joined..]);
+        for (out, more) in self.outs.iter_mut().zip(other.outs) {
+            match (out, more) {
+                (AggOut::First(col), AggOut::First(more)) => {
+                    let rest = more.slice(joined, more.len());
+                    self.boxed += append_cells(col, rest);
+                }
+                (
+                    AggOut::Items { ends, items },
+                    AggOut::Items {
+                        ends: more_ends,
+                        items: more_items,
+                    },
+                ) if items
+                    .as_ref()
+                    .zip(more_items.as_ref())
+                    .is_none_or(|(a, b)| a.same_shape(b)) =>
+                {
+                    let base = items.as_ref().map_or(0, |i| i.len() as u32);
+                    let mut shifted = more_ends.into_iter().map(|e| e + base);
+                    if joined == 1 {
+                        *ends.last_mut().expect("a boundary group") =
+                            shifted.next().expect("a boundary group");
+                    }
+                    ends.extend(shifted);
+                    if let Some(more) = more_items {
+                        match items {
+                            Some(items) => items.append(more),
+                            None => *items = Some(more),
+                        }
+                    }
+                }
+                (out, more) => {
+                    let accs = out.boxed_accs(&mut self.boxed);
+                    let mut more = more.into_accs(&mut self.boxed).into_iter();
+                    if joined == 1 {
+                        let boundary = more.next().expect("a boundary group");
+                        accs.last_mut().expect("a boundary group").merge(boundary)?;
+                    }
+                    accs.extend(more);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens one group with fresh accumulators: the one row of a global
+    /// aggregation over no rows.
+    fn push_empty_group(&mut self, aggs: &[AggExpr]) {
+        let Groups::Table(table) = &mut self.groups else {
+            unreachable!("a global aggregation has no key to run on");
+        };
+        let cols: [ColumnVec; 0] = [];
+        table.find_or_insert(&cols, 0, table.hash(&cols, 1).hashes[0]);
+        for (out, a) in self.outs.iter_mut().zip(aggs) {
+            out.accs().push(Accumulator::new(a.kind));
+        }
+    }
+
+    /// The output: the key column(s), then one column per aggregate.
+    fn into_chunk(self) -> Chunk {
+        let rows = self.len();
+        let mut cols = match self.groups {
+            Groups::Runs(vals) => vec![ColumnVec::Int {
+                vals,
+                valid: Bitmap::ones(rows),
+            }],
+            Groups::Table(table) => table.into_keys(),
+        };
+        cols.extend(self.outs.into_iter().map(|out| out.into_column(rows)));
         Chunk { cols, rows }
     }
 }
@@ -1409,7 +1827,7 @@ fn exec_aggregate(
         wctx.gov.checkpoint(op_tag(p))?;
         let start = Instant::now();
         let n_groups = groups.unwrap_or(batch.cols.len());
-        let state = state.get_or_insert_with(|| AggState::new(hasher, n_groups));
+        let state = state.get_or_insert_with(|| AggState::new(hasher, n_groups, aggs));
         let folded = state.fold_batch(dag, n_groups, aggs, &batch, wctx, &p.metrics);
         p.metrics.add_rows_in(batch.rows as u64);
         p.metrics.add_busy(start.elapsed());
@@ -1445,12 +1863,16 @@ fn exec_aggregate(
         end_pipeline(p, clock, morsels, 1);
         (state, Instant::now())
     };
-    let mut state = state.unwrap_or_else(|| AggState::new(hasher, groups.unwrap_or(0)));
+    let mut state = state.unwrap_or_else(|| AggState::new(hasher, groups.unwrap_or(0), aggs));
     // Global aggregation over zero rows still yields one row.
-    if groups == Some(0) && state.states.is_empty() {
-        state.states.push(aggs.iter().map(|a| Accumulator::new(a.kind)).collect());
+    if groups == Some(0) && state.len() == 0 {
+        state.push_empty_group(aggs);
     }
-    let out = state.into_chunk(aggs);
+    if groups != Some(0) {
+        p.metrics.set_grouping(state.grouping());
+    }
+    p.metrics.add_materialized(state.boxed);
+    let out = state.into_chunk();
     let n_out = out.rows;
     charge_batch(p, ctx, op_tag(p), &out)?;
     let batches = split_into_morsels(out);
@@ -1619,6 +2041,214 @@ mod tests {
         let ids: Vec<Variant> = batches.into_iter().flat_map(|c| c.cols[0].clone().into_variants()).collect();
         assert_eq!(ids, (0..rows as i64).map(Variant::Int).collect::<Vec<_>>());
         assert!(split_into_morsels(Chunk::empty(1)).is_empty());
+    }
+
+    /// Records `{Q, PT}` of `n` rows, NULL where `q` is; `pt` is the `PT`
+    /// field's column, NULL on a NULL record.
+    fn records(q: &[Option<i64>], pt: ColumnVec) -> ColumnVec {
+        let n = q.len();
+        let valid = Bitmap::from_fn(n, |i| q[i].is_some());
+        let keys: Arc<[Arc<str>]> = Arc::from(vec![Arc::<str>::from("Q"), Arc::from("PT")]);
+        let q = ColumnVec::Int {
+            vals: q.iter().map(|q| q.unwrap_or(0)).collect(),
+            valid: valid.clone(),
+        };
+        ColumnVec::Objects(Records {
+            keys,
+            fields: vec![q, pt],
+            valid,
+        })
+    }
+
+    /// `PT` as doubles, NULL on the NULL records of `q`.
+    fn floats(q: &[Option<i64>]) -> ColumnVec {
+        ColumnVec::Float {
+            vals: q.iter().map(|q| q.unwrap_or(0) as f64 / 2.0).collect(),
+            valid: Bitmap::from_fn(q.len(), |i| q[i].is_some()),
+        }
+    }
+
+    /// `ANY_VALUE`, `ARRAY_AGG` and `COUNT` of the argument, and a
+    /// row-major `MAX` of the key.
+    fn run_aggs() -> Vec<AggExpr> {
+        let agg = |kind, c| AggExpr {
+            kind,
+            arg: Some(PExpr::Col(c)),
+            arg2: None,
+        };
+        vec![
+            agg(AggKind::AnyValue, 1),
+            agg(AggKind::ArrayAgg, 1),
+            agg(AggKind::Count, 1),
+            agg(AggKind::Max, 0),
+        ]
+    }
+
+    /// Folds each partial's batches of (keys, argument) into its own state
+    /// — started in run mode, or hashed — merges the partials in order and
+    /// returns the output with how the merged state grouped and the cells
+    /// it boxed.
+    fn fold_partials(
+        partials: &[Vec<(Vec<i64>, ColumnVec)>],
+        runs: bool,
+    ) -> (Chunk, Grouping, u64) {
+        let aggs = run_aggs();
+        let hasher = KeyHasher::new();
+        let mut merged: Option<AggState> = None;
+        for batches in partials {
+            let mut state = match runs {
+                true => AggState::new(hasher, 1, &aggs),
+                false => AggState::hashed(hasher, 1, &aggs),
+            };
+            for (keys, arg) in batches {
+                let rows = keys.len();
+                let key = ColumnVec::Int {
+                    vals: keys.clone(),
+                    valid: Bitmap::ones(rows),
+                };
+                let cols = [&key, arg, arg, arg, &key].map(Cow::Borrowed);
+                state.fold_columns(1, &aggs, &cols, rows).unwrap();
+            }
+            match &mut merged {
+                None => merged = Some(state),
+                Some(m) => m.merge(state).unwrap(),
+            }
+        }
+        let state = merged.expect("a partial");
+        let (grouping, boxed) = (state.grouping(), state.boxed);
+        (state.into_chunk(), grouping, boxed)
+    }
+
+    fn rows_of(chunk: &Chunk) -> Vec<Vec<Variant>> {
+        (0..chunk.rows)
+            .map(|r| chunk.cols.iter().map(|c| c.get(r)).collect())
+            .collect()
+    }
+
+    /// Run mode and the key table fold the same batches into the same
+    /// groups, in the same order, with the same cells: runs straddling
+    /// batches and partials, a boundary key two partials share, keys that
+    /// leave run mode (a lower first key, a repeat after another key, a
+    /// descent within a batch, a partial that starts below the last), and
+    /// records whose `PT` field is all NULL in one batch and doubles or
+    /// integers in another.
+    #[test]
+    fn runs_and_the_key_table_fold_batches_alike() {
+        let q = |v: &[i64]| {
+            v.iter()
+                .map(|&x| (x % 3 != 0).then_some(x))
+                .collect::<Vec<_>>()
+        };
+        let recs = |v: &[i64]| records(&q(v), floats(&q(v)));
+        let null_pt = |v: &[i64]| records(&q(v), ColumnVec::Null(v.len()));
+        let int_pt = |v: &[i64]| {
+            let q = q(v);
+            let pt = ColumnVec::Int {
+                vals: v.to_vec(),
+                valid: Bitmap::from_fn(v.len(), |i| q[i].is_some()),
+            };
+            records(&q, pt)
+        };
+        let boxed = |v: &[i64]| ColumnVec::Var(recs(v).into_variants());
+        type Case = (&'static str, Vec<Vec<(Vec<i64>, ColumnVec)>>, Grouping);
+        let cases: Vec<Case> = vec![
+            (
+                "one partial, runs straddling batches",
+                vec![vec![
+                    (vec![0, 0, 1, 2], recs(&[1, 2, 3, 4])),
+                    (vec![2, 2, 3], null_pt(&[5, 6, 7])),
+                    (vec![3, 5], recs(&[8, 9])),
+                    (vec![5, 6], ColumnVec::Null(2)),
+                ]],
+                Grouping::Runs,
+            ),
+            (
+                "two partials sharing key 1",
+                vec![
+                    vec![(vec![0, 1, 1], recs(&[1, 2, 4]))],
+                    vec![(vec![1, 2, 3], null_pt(&[5, 7, 8])), (vec![3], recs(&[10]))],
+                    vec![],
+                    vec![(vec![3, 9], ColumnVec::Null(2))],
+                ],
+                Grouping::Runs,
+            ),
+            (
+                "a field of another representation and a boxed batch",
+                vec![
+                    vec![
+                        (vec![0, 1], null_pt(&[1, 2])),
+                        (vec![1, 2], int_pt(&[4, 5])),
+                    ],
+                    vec![
+                        (vec![2, 3], recs(&[7, 8])),
+                        (vec![3], boxed(&[10])),
+                        (vec![4], recs(&[11])),
+                    ],
+                ],
+                Grouping::Runs,
+            ),
+            (
+                "a lower first key",
+                vec![vec![
+                    (vec![0, 1, 2], recs(&[1, 2, 4])),
+                    (vec![1, 7], recs(&[5, 7])),
+                ]],
+                Grouping::Hashed,
+            ),
+            (
+                "1, 2, 1 within a batch",
+                vec![vec![
+                    (vec![0, 0], recs(&[1, 2])),
+                    (vec![1, 2, 1], null_pt(&[4, 5, 7])),
+                ]],
+                Grouping::Hashed,
+            ),
+            (
+                "a partial below the last",
+                vec![
+                    vec![(vec![5, 6], recs(&[1, 2]))],
+                    vec![(vec![1, 5], recs(&[4, 5])), (vec![6], recs(&[7]))],
+                ],
+                Grouping::Hashed,
+            ),
+        ];
+        for (what, partials, grouping) in cases {
+            let (runs, how, boxed_cells) = fold_partials(&partials, true);
+            let (table, hashed, _) = fold_partials(&partials, false);
+            assert_eq!(rows_of(&runs), rows_of(&table), "{what}");
+            assert_eq!((how, hashed), (grouping, Grouping::Hashed), "{what}");
+            if what.starts_with("one partial") || what.starts_with("two partials") {
+                assert!(
+                    matches!(runs.cols[1], ColumnVec::Objects(_)),
+                    "{what}: {:?}",
+                    runs.cols[1]
+                );
+                assert!(
+                    matches!(runs.cols[2], ColumnVec::List(_)),
+                    "{what}: {:?}",
+                    runs.cols[2]
+                );
+                assert_eq!(boxed_cells, 0, "{what}");
+            }
+        }
+    }
+
+    /// An all-NULL argument in every batch makes empty arrays, and no rows
+    /// make no groups, as on the table path.
+    #[test]
+    fn runs_without_records_or_rows_fold_like_the_table() {
+        for partials in [
+            vec![
+                vec![(vec![1, 1, 4], ColumnVec::Null(3))],
+                vec![(vec![4, 8], ColumnVec::Null(2))],
+            ],
+            vec![vec![(vec![], ColumnVec::Null(0))]],
+        ] {
+            let (runs, ..) = fold_partials(&partials, true);
+            let (table, ..) = fold_partials(&partials, false);
+            assert_eq!(rows_of(&runs), rows_of(&table));
+            assert_eq!(runs.cols.len(), table.cols.len());
+        }
     }
 
     #[test]

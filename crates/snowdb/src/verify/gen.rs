@@ -361,11 +361,13 @@ impl SqlGen {
     }
 
     /// A query over the irregular table: `NULL`s, a mixed-type column,
-    /// arrays with empty, member-less, `null`-member and scalar items, and
-    /// the regular arrays of records that seal shredded.
+    /// arrays with empty, member-less, `null`-member and scalar items, the
+    /// regular arrays of records that seal shredded, and aggregates over
+    /// `Int` keys that arrive in ascending runs — always, or in some
+    /// partitions only.
     fn irregular_sql(&mut self, t: &str) -> String {
         let k = 2 + self.below(4);
-        match self.below(7) {
+        match self.below(9) {
             0 => format!(
                 "SELECT ID, OPT, NVL(OPT, -1) AS N FROM {t} WHERE OPT IS NULL OR OPT > {}",
                 self.below(40)
@@ -394,6 +396,31 @@ impl SqlGen {
                 self.pick(&["=", ">=", "<"]),
                 self.below(3)
             ),
+            // The flag-column translation's shape: a row id stamped before
+            // the flatten, grouped on, with the nested query's kept records
+            // collected and the row's own list carried through.
+            7 => format!(
+                "SELECT RID, COUNT(R.INDEX) AS N, NVL(ANY_VALUE(T.RS), ARRAY_CONSTRUCT()) AS RS, \
+                 ARRAY_AGG(IFF(R.VALUE:Q > {}, OBJECT_CONSTRUCT('Q', R.VALUE:Q, 'PT', R.VALUE:PT), \
+                 NULL)) AS KEPT FROM (SELECT SEQ8() AS RID, RS FROM {t}) T, \
+                 LATERAL FLATTEN(INPUT => T.RS, OUTER => TRUE) R GROUP BY RID",
+                self.below(20)
+            ),
+            // A key that ascends in some partitions of 8 rows and descends
+            // in the others, or within one.
+            8 => {
+                let half = *self.pick(&[4, 8]);
+                let key = format!(
+                    "IFF((T.ID % {}) < {half}, T.ID, {} - T.ID)",
+                    2 * half,
+                    20 + self.below(60)
+                );
+                format!(
+                    "SELECT {key} AS K, COUNT(*) AS N, ANY_VALUE(T.RS) AS RS, \
+                     ARRAY_AGG(R.VALUE) AS VS FROM {t} T, \
+                     LATERAL FLATTEN(INPUT => T.RS, OUTER => TRUE) R GROUP BY {key}"
+                )
+            }
             // Flatten, field picks, sizes, indexing and concatenation of the
             // shredded lists, with their NULL rows and NULL fields.
             _ => format!(

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use jsoniq_core::snowflake::{translate_query, NestedStrategy};
+use snowdb::exec::metrics::Grouping;
 use snowdb::{Database, OpMetrics, QueryOptions, StatementResult};
 
 /// Operators that sent rows to the row loop, as `name (rows)`.
@@ -100,6 +101,10 @@ fn materialized(m: &OpMetrics, out: &mut Vec<String>) {
 /// ADL's particle arrays seal shredded: the flattens of q2, q3 and q5 expand
 /// the stored offsets and their `VALUE:PT` picks take the field's column, so
 /// with encoded execution no operator boxes a row, in either formulation.
+/// In generated q4-q8 every aggregate below the histogram's groups on a row
+/// id stamped before a flatten: it groups by runs, and its `ANY_VALUE` and
+/// records-valued `ARRAY_AGG` outputs are gathers and ranges, so none of
+/// those aggregates boxes a row either.
 #[test]
 fn adl_flattens_and_field_picks_never_box_shredded_rows() {
     let db = Database::new();
@@ -113,21 +118,46 @@ fn adl_flattens_and_field_picks_never_box_shredded_rows() {
         },
     );
     let db = Arc::new(db);
+    let opts = QueryOptions {
+        threads: Some(2),
+        vectorize: true,
+        encode: true,
+        ..Default::default()
+    };
     for q in adl::queries::queries("hep") {
+        let translated = generated(&db, &q.jsoniq, NestedStrategy::FlagColumn);
+        if q.id >= "q4" {
+            let result = db
+                .query_with(&translated, &opts)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let metrics = result
+                .profile
+                .metrics
+                .expect("a query reports its operators");
+            let row_id_aggs = metrics
+                .operators()
+                .into_iter()
+                .filter(|(_, m)| m.name.starts_with("Aggregate"))
+                .skip(1);
+            for (_, m) in row_id_aggs {
+                assert!(
+                    m.grouping == Some(Grouping::Runs) && m.rows_materialized == 0,
+                    "adl {} generated: {} grouped {:?}, boxed {} rows\n{}",
+                    q.id,
+                    m.name,
+                    m.grouping,
+                    m.rows_materialized,
+                    explain_analyze(&db, &translated)
+                );
+            }
+        }
         if !["q2", "q3", "q5"].contains(&q.id) {
             continue;
         }
-        let translated = generated(&db, &q.jsoniq, NestedStrategy::FlagColumn);
         for (form, sql) in [
             ("handwritten", &q.handwritten_sql),
             ("generated", &translated),
         ] {
-            let opts = QueryOptions {
-                threads: Some(2),
-                vectorize: true,
-                encode: true,
-                ..Default::default()
-            };
             let result = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{e}"));
             let metrics = result
                 .profile

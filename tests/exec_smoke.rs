@@ -251,6 +251,131 @@ fn distinct_returns_first_occurrences_in_order() {
     );
 }
 
+/// Group keys of 96 rows in 16-row partitions, by the order they arrive
+/// in, beside a records column `R` (NULL every fifth row).
+const KEY_SHAPES: [(&str, ColumnType); 8] = [
+    ("ASC", ColumnType::Int),
+    ("DESC", ColumnType::Int),
+    ("MOD7", ColumnType::Int),
+    ("REPEAT", ColumnType::Int),
+    ("NULLS", ColumnType::Variant),
+    ("FLOATS", ColumnType::Float),
+    ("ONE_SORTED", ColumnType::Int),
+    ("STRADDLE", ColumnType::Int),
+];
+
+fn key_shapes_row(i: i64) -> Vec<Variant> {
+    let record = match i % 5 {
+        0 => Variant::Null,
+        _ => {
+            let mut o = snowq::snowdb::variant::Object::new();
+            o.insert("Q", Variant::Int(i));
+            o.insert("PT", Variant::Float(i as f64 / 4.0));
+            Variant::object(o)
+        }
+    };
+    vec![
+        Variant::Int(i),
+        Variant::Int(i / 3),
+        Variant::Int(100 - i / 3),
+        Variant::Int(i % 7),
+        // 1, 2, 1, 2, … in runs of four.
+        Variant::Int((i / 4) % 2 + 1),
+        if i % 6 < 2 {
+            Variant::Null
+        } else {
+            Variant::Int(i / 6)
+        },
+        Variant::Float((i / 3) as f64),
+        // Ascending in the first partition only, then descending through it.
+        Variant::Int(if i < 16 { i / 2 } else { 50 - i / 2 }),
+        // One group across three partitions.
+        Variant::Int(i64::from(i >= 40)),
+        record,
+    ]
+}
+
+/// Whichever order its key arrives in, a grouped aggregate returns its
+/// groups in first-seen order with each group's first record and its
+/// records in row order — the rows computed here — at 1, 2 and 8 threads.
+/// Keys that ascend group by runs, the others in the key table.
+#[test]
+fn a_grouped_aggregate_returns_first_seen_groups_whatever_order_its_key_arrives_in() {
+    use snowq::snowdb::exec::metrics::Grouping;
+    let mut schema = vec![ColumnDef::new("ID", ColumnType::Int)];
+    schema.extend(
+        KEY_SHAPES
+            .iter()
+            .map(|&(name, ty)| ColumnDef::new(name, ty)),
+    );
+    schema.push(ColumnDef::new("R", ColumnType::Variant));
+    let table: Vec<Vec<Variant>> = (0..96).map(key_shapes_row).collect();
+    let db = Database::new();
+    db.load_table("t", schema, table.clone(), 16)
+        .expect("loads");
+    for (k, (key, _)) in KEY_SHAPES.iter().enumerate() {
+        // (key, count, first record, non-NULL records, lowest id) by first sight.
+        let mut want: Vec<(Variant, i64, Variant, Vec<Variant>, i64)> = Vec::new();
+        for row in &table {
+            let (id, kv, r) = (row[0].as_i64().expect("an id"), &row[k + 1], &row[9]);
+            let at = match want.iter().position(|g| &g.0 == kv) {
+                Some(at) => at,
+                None => {
+                    want.push((kv.clone(), 0, r.clone(), Vec::new(), id));
+                    want.len() - 1
+                }
+            };
+            want[at].1 += 1;
+            if !r.is_null() {
+                want[at].3.push(r.clone());
+            }
+        }
+        let want: Vec<Vec<Variant>> = want
+            .into_iter()
+            .map(|(kv, n, first, items, id)| {
+                vec![
+                    kv,
+                    Variant::Int(n),
+                    first,
+                    Variant::array(items),
+                    Variant::Int(id),
+                ]
+            })
+            .collect();
+        let sql = format!(
+            "SELECT {key}, COUNT(*), ANY_VALUE(R), ARRAY_AGG(R), MIN(ID) FROM t GROUP BY {key}"
+        );
+        for threads in [1, 2, 8] {
+            let result = db
+                .query_with(
+                    &sql,
+                    &QueryOptions {
+                        threads: Some(threads),
+                        ..Default::default()
+                    },
+                )
+                .expect("runs");
+            assert_eq!(
+                format!("{:?}", result.rows),
+                format!("{want:?}"),
+                "{key} at {threads} threads"
+            );
+            let metrics = result.profile.metrics.expect("operator metrics");
+            let grouping = metrics
+                .operators()
+                .into_iter()
+                .find_map(|(_, m)| m.grouping);
+            let runs = matches!(*key, "ASC" | "STRADDLE");
+            let expected = if runs {
+                Grouping::Runs
+            } else {
+                Grouping::Hashed
+            };
+            assert_eq!(grouping, Some(expected), "{key} at {threads} threads");
+        }
+    }
+}
+
 /// A left-outer join on a dense integer key: the build side holds a
 /// duplicate, a NULL and a negative key, the probe side a key past the range,
 /// a NULL, and `Float` keys that equal an integer (`3.0`, `-0.0`) or none
