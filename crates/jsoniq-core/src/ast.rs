@@ -6,11 +6,35 @@
 //! (paper §III-A2).
 
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use snowdb::Variant;
 
 /// A JSONiq item; the engine shares `snowdb`'s variant data model.
 pub type Item = Variant;
+
+/// A variable, field, key or function name in a tree. The parser copies a
+/// name out of the source once; every later copy — an inlined function body,
+/// the iterator tree, the translator's and the interpreter's scopes — shares
+/// it.
+pub type Name = Arc<str>;
+
+/// The deepest nesting the front end accepts. A node is one level, and a
+/// FLWOR is one level more per clause, because the iterator tree chains a
+/// FLWOR's clauses one inside the other; a parenthesis, bracket or brace is
+/// one level of the parser's own nesting even where it builds no node. The
+/// parser refuses a module nested deeper with [`JsoniqError::TooDeep`], and
+/// so does the rewrite for a tree that function inlining made deeper, so no
+/// stage — parse, rewrite, iterator tree, translation, interpreter — recurses
+/// deeper than the bound.
+///
+/// The bound is set by the stage with the largest frames in a debug build,
+/// on a 2 MiB stack (the size Rust gives spawned threads): there, the
+/// interpreter overflows at about 160 levels and the parser at about 200
+/// nested parentheses, so 96 keeps every stage under two thirds of the
+/// stack. The corpus queries nest at most 40 levels (ADL q6 after inlining),
+/// the oracle's generated ones at most 13.
+pub const MAX_DEPTH: usize = 96;
 
 /// A parsed main module: user-declared functions plus the body expression.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,8 +46,8 @@ pub struct Module {
 /// `declare function name($a, $b) { body };`
 #[derive(Clone, Debug, PartialEq)]
 pub struct FunctionDecl {
-    pub name: String,
-    pub params: Vec<String>,
+    pub name: Name,
+    pub params: Vec<Name>,
     pub body: Expr,
 }
 
@@ -57,28 +81,28 @@ pub enum BinaryOp {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Clause {
     For {
-        var: String,
+        var: Name,
         /// Positional variable from `at $i` (1-based).
-        at: Option<String>,
+        at: Option<Name>,
         expr: Expr,
         /// `allowing empty`: emit one tuple with an empty binding when the
         /// sequence is empty (the FLWOR analogue of an outer join).
         allowing_empty: bool,
     },
     Let {
-        var: String,
+        var: Name,
         expr: Expr,
     },
     Where(Expr),
     GroupBy {
         /// `group by $k := expr, ...`; a missing expr groups by the variable's
         /// current binding.
-        keys: Vec<(String, Option<Expr>)>,
+        keys: Vec<(Name, Option<Expr>)>,
     },
     OrderBy {
         keys: Vec<(Expr, bool)>, // (expr, descending)
     },
-    Count(String),
+    Count(Name),
 }
 
 /// A FLWOR expression: a clause chain ending in `return`.
@@ -92,9 +116,9 @@ pub struct Flwor {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     Literal(Item),
-    VarRef(String),
+    VarRef(Name),
     /// `{ "k": v, ... }`
-    ObjectConstructor(Vec<(String, Expr)>),
+    ObjectConstructor(Vec<(Name, Expr)>),
     /// `[ a, b, ... ]`
     ArrayConstructor(Vec<Expr>),
     /// `(a, b, c)` comma sequence (and `()` the empty sequence).
@@ -116,7 +140,7 @@ pub enum Expr {
     /// `$x.field`
     ObjectLookup {
         base: Box<Expr>,
-        field: String,
+        field: Name,
     },
     /// `$x[]` — array unboxing.
     ArrayUnbox {
@@ -133,7 +157,7 @@ pub enum Expr {
         pred: Box<Expr>,
     },
     FunctionCall {
-        name: String,
+        name: Name,
         args: Vec<Expr>,
     },
 }
@@ -142,6 +166,14 @@ impl Expr {
     /// Integer literal helper.
     pub fn int(i: i64) -> Expr {
         Expr::Literal(Variant::Int(i))
+    }
+
+    /// The levels this node adds above its deepest child (see [`MAX_DEPTH`]).
+    pub(crate) fn levels(&self) -> usize {
+        match self {
+            Expr::Flwor(fl) => 1 + fl.clauses.len(),
+            _ => 1,
+        }
     }
 
     /// Applies `f` to every node of the tree, pre-order.
@@ -273,7 +305,7 @@ impl Clause {
     /// The names the clause binds, in source order: `for` and its `at`,
     /// `let`, `count`, and the `group by` keys. The expressions of a clause
     /// are in the scope before it; later clauses and the `return` see these.
-    pub fn binders_mut(&mut self) -> Vec<&mut String> {
+    pub fn binders_mut(&mut self) -> Vec<&mut Name> {
         match self {
             Clause::For { var, at, .. } => std::iter::once(var).chain(at.as_mut()).collect(),
             Clause::Let { var, .. } | Clause::Count(var) => vec![var],
@@ -298,6 +330,15 @@ pub enum JsoniqError {
     Engine(String),
     /// Evaluation exceeded the configured deadline.
     Timeout,
+    /// The module nests deeper than [`MAX_DEPTH`].
+    TooDeep { limit: usize },
+}
+
+impl JsoniqError {
+    /// The error for a module nested deeper than [`MAX_DEPTH`].
+    pub fn too_deep() -> JsoniqError {
+        JsoniqError::TooDeep { limit: MAX_DEPTH }
+    }
 }
 
 impl std::fmt::Display for JsoniqError {
@@ -310,6 +351,9 @@ impl std::fmt::Display for JsoniqError {
             JsoniqError::Translate(m) => write!(f, "translation error: {m}"),
             JsoniqError::Engine(m) => write!(f, "engine error: {m}"),
             JsoniqError::Timeout => write!(f, "evaluation exceeded the deadline"),
+            JsoniqError::TooDeep { limit } => {
+                write!(f, "static error: the query nests deeper than {limit} levels")
+            }
         }
     }
 }

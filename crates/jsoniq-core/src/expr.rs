@@ -16,25 +16,29 @@ use snowdb::Variant;
 use crate::ast::*;
 
 /// Rewrites a module into a single expression tree.
+///
+/// The function table borrows the module's declarations; a body is copied
+/// only where a call inlines it. A tree that inlining makes deeper than
+/// [`MAX_DEPTH`] is refused with [`JsoniqError::TooDeep`].
 pub fn rewrite(module: &Module) -> JResult<Expr> {
-    let mut functions = HashMap::new();
+    let mut functions = HashMap::with_capacity(module.functions.len());
     for f in &module.functions {
-        if functions.insert(f.name.clone(), f.clone()).is_some() {
+        if functions.insert(&*f.name, f).is_some() {
             return Err(JsoniqError::Static(format!("duplicate function '{}'", f.name)));
         }
     }
-    let mut r = Rewriter { functions, fresh: 0, stack: Vec::new() };
+    let mut r = Rewriter { functions, fresh: 0, stack: Vec::new(), buf: String::new() };
     let mut e = module.body.clone();
-    r.inline(&mut e)?;
+    r.inline(&mut e, 0)?;
     fold(&mut e);
+    // Literal-let propagation, folding, and DCE enable each other; iterate
+    // until a round removes nothing. A round that only substitutes literals
+    // enables nothing further: the folding and elimination after it in the
+    // same round already see the substitutions.
     loop {
-        // Literal-let propagation, folding, and DCE enable each other;
-        // iterate to a (small) fixpoint.
-        let before = count_nodes(&e);
-        propagate_literal_lets(&mut e, &HashMap::new());
-        eliminate_dead_lets(&mut e);
-        fold(&mut e);
-        if count_nodes(&e) == before {
+        propagate_literal_lets(&mut e, &mut Vec::new());
+        let eliminated = eliminate_dead_lets(&mut e);
+        if !(fold(&mut e) | eliminated) {
             break;
         }
     }
@@ -44,33 +48,61 @@ pub fn rewrite(module: &Module) -> JResult<Expr> {
     Ok(e)
 }
 
-/// Counts AST nodes (used for fixpoint detection and complexity metrics).
+/// Counts AST nodes (a complexity metric: Table II's expression-tree size).
 pub fn count_nodes(e: &Expr) -> usize {
     let mut n = 0;
     e.walk(&mut |_| n += 1);
     n
 }
 
-struct Rewriter {
-    functions: HashMap<String, FunctionDecl>,
+struct Rewriter<'m> {
+    functions: HashMap<&'m str, &'m FunctionDecl>,
     fresh: usize,
     /// Inlining stack for recursion detection.
-    stack: Vec<String>,
+    stack: Vec<&'m str>,
+    /// Where a fresh name is written before it is shared.
+    buf: String,
 }
 
-impl Rewriter {
-    fn fresh_name(&mut self, base: &str) -> String {
+/// Variable renames in scope, innermost last: a name maps to the last entry
+/// that names it.
+type Scope<T> = Vec<(Name, T)>;
+
+fn lookup<'s, T>(scope: &'s Scope<T>, name: &str) -> Option<&'s T> {
+    scope.iter().rev().find(|(n, _)| **n == *name).map(|(_, t)| t)
+}
+
+impl<'m> Rewriter<'m> {
+    fn fresh_name(&mut self, base: &str) -> Name {
+        use std::fmt::Write;
         self.fresh += 1;
-        format!("{base}#{}", self.fresh)
+        self.buf.clear();
+        write!(self.buf, "{base}#{}", self.fresh).expect("writing to a String");
+        Name::from(self.buf.as_str())
     }
 
-    /// Inlines user-function calls bottom-up.
-    fn inline(&mut self, e: &mut Expr) -> JResult<()> {
+    /// Inlines user-function calls bottom-up. `depth` is how many levels
+    /// (see [`MAX_DEPTH`]) lie above `e` in the inlined tree.
+    fn inline(&mut self, e: &mut Expr, depth: usize) -> JResult<()> {
+        let decl = match e {
+            Expr::FunctionCall { name, .. } => self.functions.get(&**name).copied(),
+            _ => None,
+        };
+        // An inlined call with arguments becomes a FLWOR with one `let` per
+        // argument: its arguments sit that much deeper.
+        let levels = match (decl, &*e) {
+            (Some(_), Expr::FunctionCall { args, .. }) if !args.is_empty() => 1 + args.len(),
+            _ => e.levels(),
+        };
+        if depth + levels > MAX_DEPTH {
+            return Err(JsoniqError::too_deep());
+        }
         // First rewrite children, then handle the node itself.
-        e.try_for_each_child_mut(&mut |c| self.inline(c))?;
-        let Expr::FunctionCall { name, args } = e else { return Ok(()) };
-        let Some(decl) = self.functions.get(name.as_str()).cloned() else { return Ok(()) };
-        if self.stack.contains(name) {
+        e.try_for_each_child_mut(&mut |c| self.inline(c, depth + levels))?;
+        let (Some(decl), Expr::FunctionCall { name, args }) = (decl, &mut *e) else {
+            return Ok(());
+        };
+        if self.stack.contains(&&*decl.name) {
             return Err(JsoniqError::Static(format!(
                 "recursive function '{name}' is not supported"
             )));
@@ -82,54 +114,55 @@ impl Rewriter {
                 args.len()
             )));
         }
-        self.stack.push(name.clone());
-        // α-rename the body so nothing in it can capture caller names.
-        let mut renames = HashMap::new();
-        let mut param_names = Vec::with_capacity(decl.params.len());
+        self.stack.push(&decl.name);
+        // α-rename a copy of the body so nothing in it can capture caller
+        // names.
+        let mut renames = Scope::with_capacity(decl.params.len());
         for p in &decl.params {
             let fresh = self.fresh_name(p);
-            renames.insert(p.clone(), fresh.clone());
-            param_names.push(fresh);
+            renames.push((p.clone(), fresh));
         }
-        let mut body = decl.body;
-        self.alpha_rename(&mut body, &renames);
-        // Inline the (already-rewritten) body too, so nested calls resolve.
-        self.inline(&mut body)?;
+        let mut body = decl.body.clone();
+        self.alpha_rename(&mut body, &mut renames);
+        // Inline the body too, so nested calls resolve.
+        let body_depth = if args.is_empty() { depth } else { depth + levels };
+        self.inline(&mut body, body_depth)?;
         self.stack.pop();
         *e = if args.is_empty() {
             body
         } else {
-            let clauses = param_names
+            let clauses = renames
                 .into_iter()
                 .zip(std::mem::take(args))
-                .map(|(var, expr)| Clause::Let { var, expr })
+                .map(|((_, var), expr)| Clause::Let { var, expr })
                 .collect();
             Expr::Flwor(Flwor { clauses, return_expr: Box::new(body) })
         };
         Ok(())
     }
 
-    /// Renames free variables per `renames`, freshly renaming every binder in
+    /// Renames free variables per `scope`, freshly renaming every binder in
     /// the body so inlined code can never capture or be captured.
-    fn alpha_rename(&mut self, e: &mut Expr, renames: &HashMap<String, String>) {
+    fn alpha_rename(&mut self, e: &mut Expr, scope: &mut Scope<Name>) {
         match e {
             Expr::VarRef(v) => {
-                if let Some(fresh) = renames.get(v) {
+                if let Some(fresh) = lookup(scope, v) {
                     *v = fresh.clone();
                 }
             }
             Expr::Flwor(fl) => {
-                let mut scope = renames.clone();
+                let mark = scope.len();
                 for c in &mut fl.clauses {
-                    c.for_each_expr_mut(&mut |x| self.alpha_rename(x, &scope));
+                    c.for_each_expr_mut(&mut |x| self.alpha_rename(x, scope));
                     for v in c.binders_mut() {
                         let fresh = self.fresh_name(v);
-                        scope.insert(std::mem::replace(v, fresh.clone()), fresh);
+                        scope.push((std::mem::replace(v, fresh.clone()), fresh));
                     }
                 }
-                self.alpha_rename(&mut fl.return_expr, &scope);
+                self.alpha_rename(&mut fl.return_expr, scope);
+                scope.truncate(mark);
             }
-            _ => e.for_each_child_mut(&mut |c| self.alpha_rename(c, renames)),
+            _ => e.for_each_child_mut(&mut |c| self.alpha_rename(c, scope)),
         }
     }
 }
@@ -137,8 +170,10 @@ impl Rewriter {
 // ---- constant folding --------------------------------------------------
 
 /// Folds literal-only arithmetic, comparison, and boolean sub-expressions.
-fn fold(e: &mut Expr) {
-    e.for_each_child_mut(&mut fold);
+/// Whether it folded anything.
+fn fold(e: &mut Expr) -> bool {
+    let mut folded = false;
+    e.for_each_child_mut(&mut |c| folded |= fold(c));
     let replacement = match e {
         Expr::Binary { op, left, right } => match (&**left, &**right) {
             (Expr::Literal(a), Expr::Literal(b)) => fold_binary(*op, a, b),
@@ -157,15 +192,22 @@ fn fold(e: &mut Expr) {
             _ => None,
         },
         Expr::If { cond, then, else_ } => match &**cond {
-            Expr::Literal(Variant::Bool(true)) => Some((**then).clone()),
-            Expr::Literal(Variant::Bool(false)) => Some((**else_).clone()),
+            Expr::Literal(Variant::Bool(true)) => Some(take(then)),
+            Expr::Literal(Variant::Bool(false)) => Some(take(else_)),
             _ => None,
         },
         _ => None,
     };
     if let Some(r) = replacement {
         *e = r;
+        folded = true;
     }
+    folded
+}
+
+/// Moves a sub-expression out of a node about to be replaced.
+fn take(e: &mut Expr) -> Expr {
+    std::mem::replace(e, Expr::Sequence(Vec::new()))
 }
 
 fn fold_binary(op: BinaryOp, a: &Variant, b: &Variant) -> Option<Expr> {
@@ -234,14 +276,18 @@ fn fold_binary(op: BinaryOp, a: &Variant, b: &Variant) -> Option<Expr> {
 // ---- dead-let elimination ------------------------------------------------
 
 /// Removes `let` bindings whose variable is never referenced downstream.
-fn eliminate_dead_lets(e: &mut Expr) {
-    e.for_each_child_mut(&mut eliminate_dead_lets);
-    let Expr::Flwor(fl) = e else { return };
+/// Whether it removed any.
+fn eliminate_dead_lets(e: &mut Expr) -> bool {
+    let mut removed = false;
+    e.for_each_child_mut(&mut |c| removed |= eliminate_dead_lets(c));
+    let Expr::Flwor(fl) = e else { return removed };
     // A let is dead when its variable is not used by any later clause or the
     // return expression. Grouping re-binds all variables, so a FLWOR with a
     // group by keeps its lets.
-    if fl.clauses.iter().any(|c| matches!(c, Clause::GroupBy { .. })) {
-        return;
+    if fl.clauses.iter().any(|c| matches!(c, Clause::GroupBy { .. }))
+        || !fl.clauses.iter().any(|c| matches!(c, Clause::Let { .. }))
+    {
+        return removed;
     }
     let live: Vec<bool> = fl
         .clauses
@@ -256,45 +302,52 @@ fn eliminate_dead_lets(e: &mut Expr) {
             used
         })
         .collect();
+    let before = fl.clauses.len();
     let mut live = live.into_iter();
     fl.clauses.retain(|_| live.next().expect("one flag per clause"));
+    removed || fl.clauses.len() < before
 }
 
 /// Substitutes literal `let` bindings into the expressions in their scope.
 /// Only inlined function bodies are α-renamed, so a later clause of the main
 /// module, or a nested FLWOR, may bind the same name again: every binding
 /// clause (`for`, `at`, `let`, `count`, `group by`) ends the substitution of
-/// its names for the clauses after it and the `return`.
-fn propagate_literal_lets(e: &mut Expr, subs: &HashMap<String, Variant>) {
+/// its names for the clauses after it and the `return`. `scope` holds the
+/// literal bindings in scope, and `None` for a name bound to anything else.
+fn propagate_literal_lets(e: &mut Expr, scope: &mut Scope<Option<Variant>>) {
     match e {
         Expr::VarRef(v) => {
-            if let Some(val) = subs.get(v) {
+            if let Some(Some(val)) = lookup(scope, v) {
                 *e = Expr::Literal(val.clone());
             }
         }
         Expr::Flwor(fl) => {
-            let mut scope = subs.clone();
+            let mark = scope.len();
             let mut literals = Vec::new();
             for c in &mut fl.clauses {
-                c.for_each_expr_mut(&mut |x| propagate_literal_lets(x, &scope));
+                c.for_each_expr_mut(&mut |x| propagate_literal_lets(x, scope));
                 if matches!(c, Clause::GroupBy { .. }) {
                     // Grouping re-binds this FLWOR's earlier variables to
                     // sequences.
                     for v in literals.drain(..) {
-                        scope.remove(&v);
+                        scope.push((v, None));
                     }
                 }
                 for v in c.binders_mut() {
-                    scope.remove(v.as_str());
+                    // Only a name in scope needs hiding.
+                    if lookup(scope, v).is_some_and(Option::is_some) {
+                        scope.push((v.clone(), None));
+                    }
                 }
                 if let Clause::Let { var, expr: Expr::Literal(val) } = c {
-                    scope.insert(var.clone(), val.clone());
+                    scope.push((var.clone(), Some(val.clone())));
                     literals.push(var.clone());
                 }
             }
-            propagate_literal_lets(&mut fl.return_expr, &scope);
+            propagate_literal_lets(&mut fl.return_expr, scope);
+            scope.truncate(mark);
         }
-        _ => e.for_each_child_mut(&mut |c| propagate_literal_lets(c, subs)),
+        _ => e.for_each_child_mut(&mut |c| propagate_literal_lets(c, scope)),
     }
 }
 
@@ -303,7 +356,7 @@ fn collapse_empty_flwor(e: &mut Expr) {
     e.for_each_child_mut(&mut collapse_empty_flwor);
     if let Expr::Flwor(fl) = e {
         if fl.clauses.is_empty() {
-            *e = (*fl.return_expr).clone();
+            *e = take(&mut fl.return_expr);
         }
     }
 }
@@ -315,7 +368,7 @@ fn expr_uses_var(e: &Expr, var: &str) -> bool {
     let mut used = false;
     e.walk(&mut |x| {
         if let Expr::VarRef(v) = x {
-            if v == var {
+            if **v == *var {
                 used = true;
             }
         }

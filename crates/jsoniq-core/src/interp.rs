@@ -12,14 +12,14 @@ use std::rc::Rc;
 use snowdb::variant::{cmp_variants, Key, Object};
 use snowdb::Variant;
 
-use crate::ast::{BinaryOp, Item, JResult, JsoniqError};
+use crate::ast::{BinaryOp, Item, JResult, JsoniqError, Name};
 use crate::itertree::{compile, Builtin, RIter};
 
 /// A JSONiq value: a sequence of items.
 pub type Seq = Vec<Item>;
 
 /// A FLWOR tuple: variable bindings.
-pub type Env = HashMap<String, Rc<Seq>>;
+pub type Env = HashMap<Name, Rc<Seq>>;
 
 /// Source of named collections.
 pub trait CollectionProvider {
@@ -314,7 +314,7 @@ impl<'a> Interpreter<'a> {
                         1 => vv.into_iter().next().unwrap(),
                         _ => Variant::array(vv),
                     };
-                    obj.insert(k.as_str(), item);
+                    obj.insert(k.clone(), item);
                 }
                 Ok(vec![Variant::object(obj)])
             }

@@ -8,7 +8,7 @@
 //! and native Snowflake translation ([`crate::snowflake`], the paper's
 //! `processNativeSnowflake`).
 
-use crate::ast::{BinaryOp, Clause, Expr, Flwor, Item, JResult, JsoniqError};
+use crate::ast::{BinaryOp, Clause, Expr, Flwor, Item, JResult, JsoniqError, Name};
 
 /// Built-in functions resolved at iterator-tree construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,14 +111,14 @@ pub enum RIter {
     // ---- FLWOR clause iterators ----
     ForClause {
         left: Option<Box<RIter>>,
-        var: String,
-        at: Option<String>,
+        var: Name,
+        at: Option<Name>,
         allowing_empty: bool,
         expr: Box<RIter>,
     },
     LetClause {
         left: Option<Box<RIter>>,
-        var: String,
+        var: Name,
         expr: Box<RIter>,
     },
     WhereClause {
@@ -127,7 +127,7 @@ pub enum RIter {
     },
     GroupByClause {
         left: Box<RIter>,
-        keys: Vec<(String, Option<RIter>)>,
+        keys: Vec<(Name, Option<RIter>)>,
     },
     OrderByClause {
         left: Box<RIter>,
@@ -135,7 +135,7 @@ pub enum RIter {
     },
     CountClause {
         left: Box<RIter>,
-        var: String,
+        var: Name,
     },
     ReturnClause {
         left: Box<RIter>,
@@ -143,7 +143,7 @@ pub enum RIter {
     },
     // ---- non-FLWOR iterators ----
     Literal(Item),
-    VarRef(String),
+    VarRef(Name),
     Comparison { op: BinaryOp, left: Box<RIter>, right: Box<RIter> },
     Arithmetic { op: BinaryOp, left: Box<RIter>, right: Box<RIter> },
     Logical { op: BinaryOp, left: Box<RIter>, right: Box<RIter> },
@@ -151,16 +151,16 @@ pub enum RIter {
     Range { left: Box<RIter>, right: Box<RIter> },
     Not(Box<RIter>),
     Neg(Box<RIter>),
-    ObjectLookup { base: Box<RIter>, field: String },
+    ObjectLookup { base: Box<RIter>, field: Name },
     ArrayUnbox { base: Box<RIter> },
     ArrayLookup { base: Box<RIter>, index: Box<RIter> },
     Predicate { base: Box<RIter>, pred: Box<RIter> },
-    ObjectConstructor(Vec<(String, RIter)>),
+    ObjectConstructor(Vec<(Name, RIter)>),
     ArrayConstructor(Vec<RIter>),
     Sequence(Vec<RIter>),
     If { cond: Box<RIter>, then: Box<RIter>, else_: Box<RIter> },
     FunctionCall { func: Builtin, args: Vec<RIter> },
-    Collection(String),
+    Collection(Name),
 }
 
 /// Counts of iterator kinds, reproducing the paper's Table II split.
@@ -231,9 +231,9 @@ pub fn build(e: &Expr) -> JResult<RIter> {
             pred: Box::new(build(pred)?),
         },
         Expr::FunctionCall { name, args } => {
-            if name == "collection" {
+            if &**name == "collection" {
                 match args.as_slice() {
-                    [Expr::Literal(Item::Str(s))] => return Ok(RIter::Collection(s.to_string())),
+                    [Expr::Literal(Item::Str(s))] => return Ok(RIter::Collection(s.clone())),
                     _ => {
                         return Err(JsoniqError::Static(
                             "collection() requires one string literal argument".into(),

@@ -3,29 +3,36 @@
 //! JSONiq keywords are contextual (`for`, `where`, `eq`, ... are all plain
 //! names); the parser decides. Names are case-sensitive. Strings use JSON
 //! double-quote syntax with escapes. Comments are XQuery-style `(: ... :)`.
+//!
+//! Tokens borrow from the source: a name, a variable and a string literal
+//! without escapes are slices of it, so lexing allocates only the token
+//! vector and the text of literals that contain escapes.
+
+use std::borrow::Cow;
 
 use crate::ast::{JResult, JsoniqError};
 
-/// One JSONiq token.
+/// One JSONiq token, borrowing from the text it was read from.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+pub enum Tok<'a> {
     /// `$name`
-    Var(String),
+    Var(&'a str),
     /// Bare name (identifier or contextual keyword).
-    Name(String),
+    Name(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    /// A string literal's value: the source slice, or its unescaped copy.
+    Str(Cow<'a, str>),
     /// Punctuation: `{ } [ ] ( ) , : ; . := [[ ]] + - * = != < <= > >= ||`
     Sym(&'static str),
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// True when this token is the given bare name (exact case — JSONiq
     /// keywords are lowercase).
     pub fn is_name(&self, n: &str) -> bool {
-        matches!(self, Tok::Name(t) if t == n)
+        matches!(self, Tok::Name(t) if *t == n)
     }
 
     pub fn is_sym(&self, s: &str) -> bool {
@@ -34,7 +41,7 @@ impl Tok {
 }
 
 /// Tokenizes JSONiq source.
-pub fn tokenize(src: &str) -> JResult<Vec<Tok>> {
+pub fn tokenize(src: &str) -> JResult<Vec<Tok<'_>>> {
     let b = src.as_bytes();
     let mut out = Vec::with_capacity(src.len() / 4);
     let mut i = 0;
@@ -64,22 +71,22 @@ pub fn tokenize(src: &str) -> JResult<Vec<Tok>> {
             b'$' => {
                 i += 1;
                 let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
+                i = name_end(b, i);
                 if start == i {
                     return Err(JsoniqError::Lex(format!("empty variable name at byte {i}")));
                 }
-                out.push(Tok::Var(std::str::from_utf8(&b[start..i]).unwrap().to_string()));
+                out.push(Tok::Var(&src[start..i]));
             }
             b'"' => {
-                // Reuse the JSON string grammar via the snowdb parser by
-                // scanning to the closing quote, then unescaping.
-                let start = i;
+                let start = i + 1;
+                let mut escaped = false;
                 i += 1;
                 while i < b.len() {
                     match b[i] {
-                        b'\\' => i += 2,
+                        b'\\' => {
+                            escaped = true;
+                            i += 2;
+                        }
                         b'"' => break,
                         _ => i += 1,
                     }
@@ -87,15 +94,13 @@ pub fn tokenize(src: &str) -> JResult<Vec<Tok>> {
                 if i >= b.len() {
                     return Err(JsoniqError::Lex("unterminated string literal".into()));
                 }
+                let body = &src[start..i];
                 i += 1;
-                let raw = std::str::from_utf8(&b[start..i])
-                    .map_err(|_| JsoniqError::Lex("invalid utf-8 in string".into()))?;
-                let parsed = snowdb::variant::parse_json(raw)
-                    .map_err(|e| JsoniqError::Lex(format!("bad string literal: {e}")))?;
-                match parsed {
-                    snowdb::Variant::Str(s) => out.push(Tok::Str(s.to_string())),
-                    _ => return Err(JsoniqError::Lex("bad string literal".into())),
-                }
+                out.push(Tok::Str(if escaped {
+                    Cow::Owned(unescape(body, start)?)
+                } else {
+                    Cow::Borrowed(body)
+                }));
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -123,7 +128,7 @@ pub fn tokenize(src: &str) -> JResult<Vec<Tok>> {
                         }
                     }
                 }
-                let text = std::str::from_utf8(&b[start..i]).unwrap();
+                let text = &src[start..i];
                 if is_float {
                     out.push(Tok::Float(text.parse().map_err(|_| {
                         JsoniqError::Lex(format!("bad number '{text}'"))
@@ -136,10 +141,8 @@ pub fn tokenize(src: &str) -> JResult<Vec<Tok>> {
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                out.push(Tok::Name(std::str::from_utf8(&b[start..i]).unwrap().to_string()));
+                i = name_end(b, i);
+                out.push(Tok::Name(&src[start..i]));
             }
             _ => {
                 let two: &[u8] = if i + 1 < b.len() { &b[i..i + 2] } else { &b[i..i + 1] };
@@ -185,16 +188,83 @@ pub fn tokenize(src: &str) -> JResult<Vec<Tok>> {
                         i += 1;
                     }
                     None => {
+                        // `i` is on a character boundary: every token before
+                        // it ended on an ASCII byte.
+                        let c = src[i..].chars().next().expect("a character at a boundary");
                         return Err(JsoniqError::Lex(format!(
-                            "unexpected character '{}' at byte {i}",
-                            b[i] as char
-                        )))
+                            "unexpected character '{c}' at byte {i}"
+                        )));
                     }
                 }
             }
         }
     }
     out.push(Tok::Eof);
+    Ok(out)
+}
+
+/// The end of the name (`[A-Za-z0-9_]*`) that starts at `i`.
+fn name_end(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+        i += 1;
+    }
+    i
+}
+
+/// The value of a string literal's body (the text between its quotes, which
+/// starts at byte `at` of the source) under JSON's escapes: `\" \\ \/ \b
+/// \f \n \r \t` and `\uXXXX`, a surrogate pair as two of them.
+fn unescape(body: &str, at: usize) -> JResult<String> {
+    let bad = |what: &str, i: usize| {
+        JsoniqError::Lex(format!("bad string literal: {what} at byte {}", at + i))
+    };
+    let b = body.as_bytes();
+    let hex4 = |i: usize| -> JResult<u32> {
+        body.get(i..i + 4)
+            .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| bad("invalid \\u escape", i))
+    };
+    let mut out = String::with_capacity(body.len());
+    let mut i = 0;
+    while let Some(off) = body[i..].find('\\') {
+        out.push_str(&body[i..i + off]);
+        i += off + 1;
+        let c = match b.get(i) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let cp = hex4(i + 1)?;
+                i += 4;
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    // A high surrogate must be followed by an escaped low one.
+                    if !body[i + 1..].starts_with("\\u") {
+                        return Err(bad("invalid unicode escape", i));
+                    }
+                    let lo = hex4(i + 3)?;
+                    i += 6;
+                    if (0xDC00..0xE000).contains(&lo) {
+                        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                c.ok_or_else(|| bad("invalid unicode escape", i))?
+            }
+            _ => return Err(bad("invalid escape", i)),
+        };
+        out.push(c);
+        i += 1;
+    }
+    out.push_str(&body[i..]);
     Ok(out)
 }
 
@@ -205,9 +275,9 @@ mod tests {
     #[test]
     fn lexes_variables_and_names() {
         let t = tokenize("for $jet in collection").unwrap();
-        assert_eq!(t[0], Tok::Name("for".into()));
-        assert_eq!(t[1], Tok::Var("jet".into()));
-        assert_eq!(t[2], Tok::Name("in".into()));
+        assert_eq!(t[0], Tok::Name("for"));
+        assert_eq!(t[1], Tok::Var("jet"));
+        assert_eq!(t[2], Tok::Name("in"));
     }
 
     #[test]
@@ -243,6 +313,26 @@ mod tests {
         assert_eq!(t[0], Tok::Int(1));
         assert_eq!(t[1], Tok::Float(2.5));
         assert_eq!(t[2], Tok::Float(100.0));
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let t = tokenize(r#""plain" "a\u00e9\ud83d\ude00\n""#).unwrap();
+        assert!(matches!(&t[0], Tok::Str(Cow::Borrowed("plain"))));
+        assert_eq!(t[1], Tok::Str("a\u{e9}\u{1f600}\n".into()));
+        for bad in [r#""\q""#, r#""\u12""#, r#""\ud800x""#, r#""\ud800\u0041""#] {
+            assert!(matches!(tokenize(bad), Err(JsoniqError::Lex(_))), "{bad}");
+        }
+    }
+
+    /// A character outside ASCII is reported as itself, at its byte offset —
+    /// not as its first UTF-8 byte read as Latin-1.
+    #[test]
+    fn reports_a_non_ascii_character_and_its_offset() {
+        let err = tokenize("1 + é").unwrap_err();
+        assert_eq!(err, JsoniqError::Lex("unexpected character 'é' at byte 4".into()));
+        let err = tokenize("\"ü\" (: ß :) €").unwrap_err();
+        assert_eq!(err, JsoniqError::Lex("unexpected character '€' at byte 14".into()));
     }
 
     #[test]

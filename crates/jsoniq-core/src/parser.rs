@@ -1,4 +1,17 @@
 //! Recursive-descent JSONiq parser.
+//!
+//! The parser moves each token out of the token vector as it consumes it,
+//! and copies each distinct name once: every occurrence in the tree shares
+//! it. It keeps two depths against [`MAX_DEPTH`]: its own nesting (every
+//! `ExprSingle` — the inside of a `(`, `[` or `{`, an argument, a clause's
+//! expression — and every prefix operator), which bounds its recursion, and
+//! the height of every node it builds, which bounds the recursion of every
+//! later stage: a chain of `+` or of `.field` steps is built by a loop, not
+//! by recursion, and is as deep as it is long.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use snowdb::Variant;
 
@@ -8,7 +21,8 @@ use crate::lexer::{tokenize, Tok};
 /// Parses a JSONiq main module (optional function declarations + body).
 pub fn parse(src: &str) -> JResult<Module> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let names = HashMap::with_capacity_and_hasher(toks.len() / 4, Default::default());
+    let mut p = Parser { toks, pos: 0, nesting: 0, height: 0, names };
     let mut functions = Vec::new();
     while p.peek().is_name("declare") {
         functions.push(p.function_decl()?);
@@ -20,26 +34,68 @@ pub fn parse(src: &str) -> JResult<Module> {
     }
 }
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
+    /// How many nested constructs the parser is inside.
+    nesting: usize,
+    /// The height of the expression the last parsing method returned.
+    height: usize,
+    /// Every name read so far: a name the text repeats is copied once.
+    names: HashMap<&'a str, Name, BuildHasherDefault<Fnv>>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos]
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'a> {
         self.toks.get(self.pos + 1).unwrap_or(&Tok::Eof)
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].clone();
+    /// Consumes the current token, moving it out: the parser never looks
+    /// back. The final `Eof` stays in place.
+    fn next(&mut self) -> Tok<'a> {
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1], Tok::Eof)
+        } else {
+            Tok::Eof
         }
-        t
+    }
+
+    /// The shared copy of a name read from the source.
+    fn intern(&mut self, name: &'a str) -> Name {
+        self.names.entry(name).or_insert_with(|| name.into()).clone()
+    }
+
+    /// Runs `f` one construct deeper, refusing to nest past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> JResult<T>) -> JResult<T> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(JsoniqError::too_deep());
+        }
+        self.nesting += 1;
+        let out = f(self);
+        self.nesting -= 1;
+        out
+    }
+
+    /// Finishes `e`, whose deepest child is `below` levels high (0 for a
+    /// leaf), refusing a tree higher than [`MAX_DEPTH`].
+    fn node(&mut self, e: Expr, below: usize) -> JResult<Expr> {
+        let height = below + e.levels();
+        if height > MAX_DEPTH {
+            return Err(JsoniqError::too_deep());
+        }
+        self.height = height;
+        Ok(e)
+    }
+
+    /// Parses with `f` and returns the result with its height.
+    fn measured(&mut self, f: impl FnOnce(&mut Self) -> JResult<Expr>) -> JResult<(Expr, usize)> {
+        let e = f(self)?;
+        Ok((e, self.height))
     }
 
     fn eat_name(&mut self, n: &str) -> bool {
@@ -76,18 +132,47 @@ impl Parser {
         }
     }
 
-    fn var(&mut self) -> JResult<String> {
+    fn var(&mut self) -> JResult<Name> {
         match self.next() {
-            Tok::Var(v) => Ok(v),
+            Tok::Var(v) => Ok(self.intern(v)),
             t => Err(JsoniqError::Parse(format!("expected a $variable, found {t:?}"))),
         }
     }
 
-    fn name(&mut self) -> JResult<String> {
+    fn name(&mut self) -> JResult<Name> {
         match self.next() {
-            Tok::Name(n) => Ok(n),
+            Tok::Name(n) => Ok(self.intern(n)),
             t => Err(JsoniqError::Parse(format!("expected a name, found {t:?}"))),
         }
+    }
+
+    /// A name or a string literal: a field after `.`, an object key.
+    fn key(&mut self, what: &str) -> JResult<Name> {
+        match self.next() {
+            Tok::Name(n) => Ok(self.intern(n)),
+            Tok::Str(Cow::Borrowed(s)) => Ok(self.intern(s)),
+            Tok::Str(s) => Ok(s.into()),
+            t => Err(JsoniqError::Parse(format!("expected {what}, found {t:?}"))),
+        }
+    }
+
+    /// `ExprSingle ("," ExprSingle)*` up to `close`, which it consumes: the
+    /// items and the height of the highest.
+    fn list(&mut self, close: &str) -> JResult<(Vec<Expr>, usize)> {
+        let mut items = Vec::new();
+        let mut below = 0;
+        if !self.peek().is_sym(close) {
+            loop {
+                let (e, h) = self.measured(Self::expr_single)?;
+                items.push(e);
+                below = below.max(h);
+                if !self.eat_sym(",") {
+                    break;
+                }
+            }
+        }
+        self.expect_sym(close)?;
+        Ok((items, below))
     }
 
     fn function_decl(&mut self) -> JResult<FunctionDecl> {
@@ -115,37 +200,47 @@ impl Parser {
 
     /// Expr := ExprSingle ("," ExprSingle)*
     fn expr(&mut self) -> JResult<Expr> {
-        let first = self.expr_single()?;
+        let (first, h) = self.measured(Self::expr_single)?;
         if !self.peek().is_sym(",") {
             return Ok(first);
         }
         let mut items = vec![first];
+        let mut below = h;
         while self.eat_sym(",") {
-            items.push(self.expr_single()?);
+            let (e, h) = self.measured(Self::expr_single)?;
+            items.push(e);
+            below = below.max(h);
         }
-        Ok(Expr::Sequence(items))
+        self.node(Expr::Sequence(items), below)
     }
 
     fn expr_single(&mut self) -> JResult<Expr> {
-        match self.peek() {
+        self.nested(|p| match p.peek() {
             t if t.is_name("for") || t.is_name("let") => {
-                if matches!(self.peek2(), Tok::Var(_)) {
-                    return self.flwor();
+                if matches!(p.peek2(), Tok::Var(_)) {
+                    return p.flwor();
                 }
-                self.or_expr()
+                p.binary(OR)
             }
-            t if t.is_name("if") && self.peek2().is_sym("(") => self.if_expr(),
+            t if t.is_name("if") && p.peek2().is_sym("(") => p.if_expr(),
             t if (t.is_name("some") || t.is_name("every"))
-                && matches!(self.peek2(), Tok::Var(_)) =>
+                && matches!(p.peek2(), Tok::Var(_)) =>
             {
-                self.quantified()
+                p.quantified()
             }
-            _ => self.or_expr(),
-        }
+            _ => p.binary(OR),
+        })
     }
 
     fn flwor(&mut self) -> JResult<Expr> {
         let mut clauses = Vec::new();
+        // The height of the highest expression in the clauses so far.
+        let mut below = 0;
+        let sub = |p: &mut Self, below: &mut usize| -> JResult<Expr> {
+            let (e, h) = p.measured(Self::expr_single)?;
+            *below = (*below).max(h);
+            Ok(e)
+        };
         loop {
             if self.peek().is_name("for") && matches!(self.peek2(), Tok::Var(_)) {
                 self.pos += 1;
@@ -159,7 +254,7 @@ impl Parser {
                     };
                     let at = if self.eat_name("at") { Some(self.var()?) } else { None };
                     self.expect_name("in")?;
-                    let expr = self.expr_single()?;
+                    let expr = sub(self, &mut below)?;
                     clauses.push(Clause::For { var, at, expr, allowing_empty });
                     if !self.eat_sym(",") {
                         break;
@@ -170,7 +265,7 @@ impl Parser {
                 loop {
                     let var = self.var()?;
                     self.expect_sym(":=")?;
-                    let expr = self.expr_single()?;
+                    let expr = sub(self, &mut below)?;
                     clauses.push(Clause::Let { var, expr });
                     if !self.eat_sym(",") {
                         break;
@@ -178,14 +273,14 @@ impl Parser {
                 }
             } else if self.peek().is_name("where") {
                 self.pos += 1;
-                clauses.push(Clause::Where(self.expr_single()?));
+                clauses.push(Clause::Where(sub(self, &mut below)?));
             } else if self.peek().is_name("group") {
                 self.pos += 1;
                 self.expect_name("by")?;
                 let mut keys = Vec::new();
                 loop {
                     let var = self.var()?;
-                    let expr = if self.eat_sym(":=") { Some(self.expr_single()?) } else { None };
+                    let expr = if self.eat_sym(":=") { Some(sub(self, &mut below)?) } else { None };
                     keys.push((var, expr));
                     if !self.eat_sym(",") {
                         break;
@@ -197,7 +292,7 @@ impl Parser {
                 self.expect_name("by")?;
                 let mut keys = Vec::new();
                 loop {
-                    let e = self.expr_single()?;
+                    let e = sub(self, &mut below)?;
                     let desc = if self.eat_name("descending") {
                         true
                     } else {
@@ -215,7 +310,7 @@ impl Parser {
                 clauses.push(Clause::Count(self.var()?));
             } else if self.peek().is_name("return") {
                 self.pos += 1;
-                let ret = self.expr_single()?;
+                let ret = sub(self, &mut below)?;
                 if clauses.is_empty() {
                     return Err(JsoniqError::Parse(
                         "FLWOR requires at least one clause before return".into(),
@@ -226,12 +321,16 @@ impl Parser {
                         "FLWOR must start with a for or let clause".into(),
                     ));
                 }
-                return Ok(Expr::Flwor(Flwor { clauses, return_expr: Box::new(ret) }));
+                let fl = Expr::Flwor(Flwor { clauses, return_expr: Box::new(ret) });
+                return self.node(fl, below);
             } else {
                 return Err(JsoniqError::Parse(format!(
                     "expected a FLWOR clause or return, found {:?}",
                     self.peek()
                 )));
+            }
+            if clauses.len() + below >= MAX_DEPTH {
+                return Err(JsoniqError::too_deep());
             }
         }
     }
@@ -239,13 +338,14 @@ impl Parser {
     fn if_expr(&mut self) -> JResult<Expr> {
         self.expect_name("if")?;
         self.expect_sym("(")?;
-        let cond = self.expr()?;
+        let (cond, hc) = self.measured(Self::expr)?;
         self.expect_sym(")")?;
         self.expect_name("then")?;
-        let then = self.expr_single()?;
+        let (then, ht) = self.measured(Self::expr_single)?;
         self.expect_name("else")?;
-        let else_ = self.expr_single()?;
-        Ok(Expr::If { cond: Box::new(cond), then: Box::new(then), else_: Box::new(else_) })
+        let (else_, he) = self.measured(Self::expr_single)?;
+        let e = Expr::If { cond: Box::new(cond), then: Box::new(then), else_: Box::new(else_) };
+        self.node(e, hc.max(ht).max(he))
     }
 
     /// `some $x in E satisfies P` desugars to `exists(for $x in E where P return 1)`;
@@ -254,240 +354,146 @@ impl Parser {
         let every = self.peek().is_name("every");
         self.pos += 1;
         let mut vars = Vec::new();
+        let mut below = 0;
         loop {
             let v = self.var()?;
             self.expect_name("in")?;
-            let e = self.expr_single()?;
+            let (e, h) = self.measured(Self::expr_single)?;
+            below = below.max(h);
             vars.push((v, e));
             if !self.eat_sym(",") {
                 break;
             }
         }
         self.expect_name("satisfies")?;
-        let pred = self.expr_single()?;
-        let cond = if every { Expr::Not(Box::new(pred)) } else { pred };
+        let (pred, h) = self.measured(Self::expr_single)?;
+        let (cond, h) = if every { (Expr::Not(Box::new(pred)), h + 1) } else { (pred, h) };
+        let below = below.max(h);
         let mut clauses: Vec<Clause> = vars
             .into_iter()
             .map(|(var, expr)| Clause::For { var, at: None, expr, allowing_empty: false })
             .collect();
         clauses.push(Clause::Where(cond));
         let fl = Expr::Flwor(Flwor { clauses, return_expr: Box::new(Expr::int(1)) });
-        Ok(Expr::FunctionCall {
-            name: if every { "empty" } else { "exists" }.into(),
-            args: vec![fl],
-        })
+        let below = below + fl.levels();
+        self.node(
+            Expr::FunctionCall { name: if every { "empty" } else { "exists" }.into(), args: vec![fl] },
+            below,
+        )
     }
 
-    // ---- operator precedence chain ----
+    // ---- operators, by precedence climbing ----
 
-    fn or_expr(&mut self) -> JResult<Expr> {
-        let mut left = self.and_expr()?;
-        while self.peek().is_name("or") {
-            self.pos += 1;
-            let right = self.and_expr()?;
-            left = Expr::Binary { op: BinaryOp::Or, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> JResult<Expr> {
-        let mut left = self.not_expr()?;
-        while self.peek().is_name("and") {
-            self.pos += 1;
-            let right = self.not_expr()?;
-            left = Expr::Binary { op: BinaryOp::And, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> JResult<Expr> {
-        // `not` is an ordinary function in JSONiq; also accept prefix form when
-        // not followed by '(' as a function call.
-        if self.peek().is_name("not") && !self.peek2().is_sym("(") {
-            self.pos += 1;
-            return Ok(Expr::Not(Box::new(self.not_expr()?)));
-        }
-        self.comparison_expr()
-    }
-
-    fn comparison_expr(&mut self) -> JResult<Expr> {
-        let left = self.range_expr()?;
-        let op = match self.peek() {
-            Tok::Name(n) => match n.as_str() {
-                "eq" => Some(BinaryOp::Eq),
-                "ne" => Some(BinaryOp::Ne),
-                "lt" => Some(BinaryOp::Lt),
-                "le" => Some(BinaryOp::Le),
-                "gt" => Some(BinaryOp::Gt),
-                "ge" => Some(BinaryOp::Ge),
-                _ => None,
-            },
-            Tok::Sym("=") => Some(BinaryOp::Eq),
-            Tok::Sym("!=") => Some(BinaryOp::Ne),
-            Tok::Sym("<") => Some(BinaryOp::Lt),
-            Tok::Sym("<=") => Some(BinaryOp::Le),
-            Tok::Sym(">") => Some(BinaryOp::Gt),
-            Tok::Sym(">=") => Some(BinaryOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let right = self.range_expr()?;
-            return Ok(Expr::Binary { op, left: Box::new(left), right: Box::new(right) });
-        }
-        Ok(left)
-    }
-
-    fn range_expr(&mut self) -> JResult<Expr> {
-        let left = self.additive_expr()?;
-        if self.peek().is_name("to") {
-            self.pos += 1;
-            let right = self.additive_expr()?;
-            return Ok(Expr::Binary {
-                op: BinaryOp::To,
-                left: Box::new(left),
-                right: Box::new(right),
+    /// An operand and the binary operators binding at least as tightly as
+    /// `min`, left-associative except for the comparisons and `to`, which
+    /// take one operator each. A prefix `not` (not followed by `(`, which
+    /// calls the function) binds tighter than `and` and looser than a
+    /// comparison. An operator left over where a tighter one stopped — `eq`
+    /// after `a eq b`, or after `not a` — ends the expression, as it does in
+    /// a grammar with one rule per precedence level.
+    fn binary(&mut self, min: u8) -> JResult<Expr> {
+        let (mut left, mut below, mut last) =
+            if min <= NOT && self.peek().is_name("not") && !self.peek2().is_sym("(") {
+                self.pos += 1;
+                let (x, h) = self.nested(|p| p.measured(|p| p.binary(NOT)))?;
+                (self.node(Expr::Not(Box::new(x)), h)?, self.height, Some(NOT))
+            } else {
+                let (e, h) = self.measured(Self::unary_expr)?;
+                (e, h, None)
+            };
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            let left_over = last.is_some_and(|l| {
+                prec > l || (prec == l && (prec == COMPARISON || prec == RANGE))
             });
-        }
-        Ok(left)
-    }
-
-    fn additive_expr(&mut self) -> JResult<Expr> {
-        let mut left = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Sym("+") => BinaryOp::Add,
-                Tok::Sym("-") => BinaryOp::Sub,
-                Tok::Sym("||") => BinaryOp::Concat,
-                _ => break,
-            };
+            if prec < min || left_over {
+                break;
+            }
             self.pos += 1;
-            let right = self.multiplicative_expr()?;
+            let (right, h) = self.measured(|p| p.binary(prec + 1))?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
+            left = self.node(left, below.max(h))?;
+            below = self.height;
+            last = Some(prec);
         }
-        Ok(left)
-    }
-
-    fn multiplicative_expr(&mut self) -> JResult<Expr> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Sym("*") => BinaryOp::Mul,
-                Tok::Name(n) if n == "div" => BinaryOp::Div,
-                Tok::Name(n) if n == "idiv" => BinaryOp::IDiv,
-                Tok::Name(n) if n == "mod" => BinaryOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.unary_expr()?;
-            left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
-        }
+        self.height = below;
         Ok(left)
     }
 
     fn unary_expr(&mut self) -> JResult<Expr> {
         if self.eat_sym("-") {
-            return Ok(Expr::Neg(Box::new(self.unary_expr()?)));
+            let (x, h) = self.nested(|p| p.measured(Self::unary_expr))?;
+            return self.node(Expr::Neg(Box::new(x)), h);
         }
         if self.eat_sym("+") {
-            return self.unary_expr();
+            return self.nested(Self::unary_expr);
         }
         self.postfix_expr()
     }
 
     fn postfix_expr(&mut self) -> JResult<Expr> {
-        let mut e = self.primary()?;
+        let (mut e, mut below) = self.measured(Self::primary)?;
         loop {
-            if self.peek().is_sym(".") {
+            let step = if self.peek().is_sym(".") {
                 self.pos += 1;
-                let field = match self.next() {
-                    Tok::Name(n) => n,
-                    Tok::Str(s) => s,
-                    t => {
-                        return Err(JsoniqError::Parse(format!(
-                            "expected a field name after '.', found {t:?}"
-                        )))
-                    }
-                };
-                e = Expr::ObjectLookup { base: Box::new(e), field };
+                let field = self.key("a field name after '.'")?;
+                Expr::ObjectLookup { base: Box::new(e), field }
             } else if self.peek().is_sym("[[") {
                 self.pos += 1;
-                let idx = self.expr()?;
+                let (idx, h) = self.measured(Self::expr)?;
+                below = below.max(h);
                 self.expect_sym("]]")?;
-                e = Expr::ArrayLookup { base: Box::new(e), index: Box::new(idx) };
+                Expr::ArrayLookup { base: Box::new(e), index: Box::new(idx) }
             } else if self.peek().is_sym("[") {
                 self.pos += 1;
                 if self.eat_sym("]") {
-                    e = Expr::ArrayUnbox { base: Box::new(e) };
+                    Expr::ArrayUnbox { base: Box::new(e) }
                 } else {
-                    let pred = self.expr()?;
+                    let (pred, h) = self.measured(Self::expr)?;
+                    below = below.max(h);
                     self.expect_sym("]")?;
-                    e = Expr::Predicate { base: Box::new(e), pred: Box::new(pred) };
+                    Expr::Predicate { base: Box::new(e), pred: Box::new(pred) }
                 }
             } else {
                 break;
-            }
+            };
+            e = self.node(step, below)?;
+            below = self.height;
         }
+        self.height = below;
         Ok(e)
     }
 
     fn primary(&mut self) -> JResult<Expr> {
-        match self.peek().clone() {
-            Tok::Int(i) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Variant::Int(i)))
-            }
-            Tok::Float(f) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Variant::Float(f)))
-            }
-            Tok::Str(s) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Variant::str(s)))
-            }
+        let name_call = matches!(self.peek(), Tok::Name(_)) && self.peek2().is_sym("(");
+        match self.next() {
+            Tok::Int(i) => self.node(Expr::Literal(Variant::Int(i)), 0),
+            Tok::Float(f) => self.node(Expr::Literal(Variant::Float(f)), 0),
+            Tok::Str(s) => self.node(Expr::Literal(Variant::str(s)), 0),
             Tok::Var(v) => {
-                self.pos += 1;
-                Ok(Expr::VarRef(v))
+                let v = self.intern(v);
+                self.node(Expr::VarRef(v), 0)
             }
             Tok::Sym("(") => {
-                self.pos += 1;
                 if self.eat_sym(")") {
-                    return Ok(Expr::Sequence(Vec::new()));
+                    return self.node(Expr::Sequence(Vec::new()), 0);
                 }
                 let e = self.expr()?;
                 self.expect_sym(")")?;
                 Ok(e)
             }
             Tok::Sym("[") => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if !self.peek().is_sym("]") {
-                    loop {
-                        items.push(self.expr_single()?);
-                        if !self.eat_sym(",") {
-                            break;
-                        }
-                    }
-                }
-                self.expect_sym("]")?;
-                Ok(Expr::ArrayConstructor(items))
+                let (items, below) = self.list("]")?;
+                self.node(Expr::ArrayConstructor(items), below)
             }
             Tok::Sym("{") => {
-                self.pos += 1;
                 let mut pairs = Vec::new();
+                let mut below = 0;
                 if !self.peek().is_sym("}") {
                     loop {
-                        let key = match self.next() {
-                            Tok::Name(n) => n,
-                            Tok::Str(s) => s,
-                            t => {
-                                return Err(JsoniqError::Parse(format!(
-                                    "expected an object key, found {t:?}"
-                                )))
-                            }
-                        };
+                        let key = self.key("an object key")?;
                         self.expect_sym(":")?;
-                        let v = self.expr_single()?;
+                        let (v, h) = self.measured(Self::expr_single)?;
+                        below = below.max(h);
                         pairs.push((key, v));
                         if !self.eat_sym(",") {
                             break;
@@ -495,43 +501,71 @@ impl Parser {
                     }
                 }
                 self.expect_sym("}")?;
-                Ok(Expr::ObjectConstructor(pairs))
+                self.node(Expr::ObjectConstructor(pairs), below)
             }
-            Tok::Name(n) => {
-                match n.as_str() {
-                    "true" if !self.peek2().is_sym("(") => {
-                        self.pos += 1;
-                        return Ok(Expr::Literal(Variant::Bool(true)));
-                    }
-                    "false" if !self.peek2().is_sym("(") => {
-                        self.pos += 1;
-                        return Ok(Expr::Literal(Variant::Bool(false)));
-                    }
-                    "null" if !self.peek2().is_sym("(") => {
-                        self.pos += 1;
-                        return Ok(Expr::Literal(Variant::Null));
-                    }
-                    _ => {}
-                }
-                if self.peek2().is_sym("(") {
-                    self.pos += 2;
-                    let mut args = Vec::new();
-                    if !self.peek().is_sym(")") {
-                        loop {
-                            args.push(self.expr_single()?);
-                            if !self.eat_sym(",") {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect_sym(")")?;
-                    return Ok(Expr::FunctionCall { name: n, args });
-                }
-                Err(JsoniqError::Parse(format!("unexpected name '{n}' in expression")))
+            Tok::Name(n) if name_call => {
+                self.pos += 1;
+                let (args, below) = self.list(")")?;
+                let name = self.intern(n);
+                self.node(Expr::FunctionCall { name, args }, below)
             }
+            Tok::Name("true") => self.node(Expr::Literal(Variant::Bool(true)), 0),
+            Tok::Name("false") => self.node(Expr::Literal(Variant::Bool(false)), 0),
+            Tok::Name("null") => self.node(Expr::Literal(Variant::Null), 0),
+            Tok::Name(n) => Err(JsoniqError::Parse(format!("unexpected name '{n}' in expression"))),
             t => Err(JsoniqError::Parse(format!("unexpected token {t:?} in expression"))),
         }
     }
+}
+
+/// FNV-1a: names are short, and a keyed hash would cost more than the
+/// copy it saves.
+#[derive(Default)]
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let start = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
+        self.0 = bytes
+            .iter()
+            .fold(start, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+    }
+}
+
+/// Binary operator precedences, loosest first; `NOT` is the prefix `not`.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const COMPARISON: u8 = 4;
+const RANGE: u8 = 5;
+const ADDITIVE: u8 = 6;
+const MULTIPLICATIVE: u8 = 7;
+
+/// The binary operator a token stands for, and its precedence.
+fn binary_op(t: &Tok<'_>) -> Option<(BinaryOp, u8)> {
+    Some(match t {
+        Tok::Name("or") => (BinaryOp::Or, OR),
+        Tok::Name("and") => (BinaryOp::And, AND),
+        Tok::Name("eq") | Tok::Sym("=") => (BinaryOp::Eq, COMPARISON),
+        Tok::Name("ne") | Tok::Sym("!=") => (BinaryOp::Ne, COMPARISON),
+        Tok::Name("lt") | Tok::Sym("<") => (BinaryOp::Lt, COMPARISON),
+        Tok::Name("le") | Tok::Sym("<=") => (BinaryOp::Le, COMPARISON),
+        Tok::Name("gt") | Tok::Sym(">") => (BinaryOp::Gt, COMPARISON),
+        Tok::Name("ge") | Tok::Sym(">=") => (BinaryOp::Ge, COMPARISON),
+        Tok::Name("to") => (BinaryOp::To, RANGE),
+        Tok::Sym("+") => (BinaryOp::Add, ADDITIVE),
+        Tok::Sym("-") => (BinaryOp::Sub, ADDITIVE),
+        Tok::Sym("||") => (BinaryOp::Concat, ADDITIVE),
+        Tok::Sym("*") => (BinaryOp::Mul, MULTIPLICATIVE),
+        Tok::Name("div") => (BinaryOp::Div, MULTIPLICATIVE),
+        Tok::Name("idiv") => (BinaryOp::IDiv, MULTIPLICATIVE),
+        Tok::Name("mod") => (BinaryOp::Mod, MULTIPLICATIVE),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -552,7 +586,7 @@ mod tests {
             other => panic!("expected FLWOR, got {other:?}"),
         };
         assert_eq!(fl.clauses.len(), 2);
-        assert!(matches!(&fl.clauses[0], Clause::For { var, .. } if var == "jet"));
+        assert!(matches!(&fl.clauses[0], Clause::For { var, .. } if &**var == "jet"));
         assert!(matches!(&fl.clauses[1], Clause::Where(_)));
     }
 
@@ -564,7 +598,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.functions.len(), 1);
-        assert_eq!(m.functions[0].params, vec!["a", "b"]);
+        assert_eq!(m.functions[0].params, [Name::from("a"), Name::from("b")]);
     }
 
     #[test]
@@ -619,7 +653,7 @@ mod tests {
             Expr::Flwor(fl) => fl,
             other => panic!("{other:?}"),
         };
-        assert!(matches!(&fl.clauses[0], Clause::For { at: Some(i), .. } if i == "i"));
+        assert!(matches!(&fl.clauses[0], Clause::For { at: Some(i), .. } if &**i == "i"));
         assert!(matches!(&*fl.return_expr, Expr::ArrayLookup { .. }));
     }
 
@@ -628,7 +662,7 @@ mod tests {
         let m = parse(r#"some $x in (1, 2, 3) satisfies $x gt 2"#).unwrap();
         match &m.body {
             Expr::FunctionCall { name, args } => {
-                assert_eq!(name, "exists");
+                assert_eq!(&**name, "exists");
                 assert!(matches!(&args[0], Expr::Flwor(_)));
             }
             other => panic!("{other:?}"),
@@ -677,6 +711,6 @@ mod tests {
     #[test]
     fn string_object_keys() {
         let m = parse(r#"{"a b": 1}"#).unwrap();
-        assert!(matches!(&m.body, Expr::ObjectConstructor(p) if p[0].0 == "a b"));
+        assert!(matches!(&m.body, Expr::ObjectConstructor(p) if &*p[0].0 == "a b"));
     }
 }

@@ -18,12 +18,15 @@
 //! guarantees through the translation, positional predicates only, and
 //! `group by` inside nested queries is not translated.
 
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use snowdb::storage::Table;
 use snowpark::functions as f;
 use snowpark::{Col, DataFrame, JoinType, Session, SortOrder};
 
-use crate::ast::{BinaryOp, Item, JResult, JsoniqError};
+use crate::ast::{BinaryOp, Item, JResult, JsoniqError, Name};
 use crate::itertree::{compile, Builtin, RIter};
 
 /// Strategy for the erroneous-object-elimination problem (paper §IV-C).
@@ -42,8 +45,8 @@ pub enum NestedStrategy {
 #[derive(Clone, Debug)]
 enum Binding {
     /// Bound by `for $x in collection(...)`: the whole row; field lookups
-    /// resolve to table columns.
-    Row { columns: Vec<String> },
+    /// resolve to the table's columns.
+    Row(Arc<Table>),
     /// Bound to a single column expression of the current dataframe.
     /// `seq` marks sequence-valued bindings (nested-query results, unboxed
     /// arrays), whose SQL representation is an ARRAY column.
@@ -51,7 +54,12 @@ enum Binding {
     /// A non-key variable after `group by`: only usable inside aggregates.
     Grouped(Col),
     /// A non-key variable bound to a whole row after `group by`.
-    GroupedRow { columns: Vec<String> },
+    GroupedRow(Arc<Table>),
+}
+
+/// The names of a table's columns, in order.
+fn columns(table: &Table) -> impl Iterator<Item = &str> + '_ {
+    table.schema().iter().map(|c| c.name.as_str())
 }
 
 /// One pending SQL aggregate created while translating expressions above a
@@ -63,7 +71,8 @@ struct PendingAgg {
 
 struct Ctx {
     df: DataFrame,
-    bindings: Vec<(String, Binding)>,
+    /// Variables in scope, innermost last.
+    bindings: Vec<(Name, Binding)>,
     /// Current flag column (flag-column strategy, inside a nested query).
     keep: Option<Col>,
     /// Group-by state: key column names plus pending aggregates.
@@ -85,11 +94,11 @@ struct GroupCtx {
 
 impl Ctx {
     fn lookup(&self, var: &str) -> Option<&Binding> {
-        self.bindings.iter().rev().find(|(v, _)| v == var).map(|(_, b)| b)
+        self.bindings.iter().rev().find(|(v, _)| **v == *var).map(|(_, b)| b)
     }
 
-    fn bind(&mut self, var: &str, b: Binding) {
-        self.bindings.push((var.to_string(), b));
+    fn bind(&mut self, var: &Name, b: Binding) {
+        self.bindings.push((var.clone(), b));
     }
 }
 
@@ -113,7 +122,7 @@ enum AggMode {
 /// scanned bytes in line with the handwritten baseline (paper §V-E).
 #[derive(Clone, Debug)]
 enum RowUsage {
-    Fields(std::collections::HashSet<String>),
+    Fields(HashSet<Name>),
     Whole,
 }
 
@@ -122,7 +131,7 @@ pub struct Translator {
     session: Session,
     strategy: NestedStrategy,
     fresh: usize,
-    row_usage: std::collections::HashMap<String, RowUsage>,
+    row_usage: HashMap<Name, RowUsage>,
     /// Use the engine's native `ARRAY_FILTER` for simple nested queries
     /// instead of the flatten/reaggregate machinery — the paper's §VII-B
     /// future-work feature. Off by default, matching the deployed system.
@@ -140,7 +149,7 @@ impl Translator {
             session,
             strategy,
             fresh: 0,
-            row_usage: std::collections::HashMap::new(),
+            row_usage: HashMap::new(),
             native_array_filter: false,
             preserve_order: false,
         }
@@ -197,12 +206,14 @@ impl Translator {
 
     /// Sanitized SQL column name for a JSONiq variable.
     fn var_col(&mut self, var: &str) -> String {
-        let mut s: String = var
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_uppercase() } else { '_' })
-            .collect();
+        use std::fmt::Write;
+        let mut s = String::with_capacity(var.len() + 4);
+        s.extend(
+            var.chars()
+                .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_uppercase() } else { '_' }),
+        );
         self.fresh += 1;
-        s.push_str(&format!("_{}", self.fresh));
+        write!(s, "_{}", self.fresh).expect("writing to a String");
         s
     }
 
@@ -234,13 +245,24 @@ impl Translator {
         Ok((clauses, ret))
     }
 
+    /// Translates a chain of `let` clauses, first clause first.
+    fn lets(&mut self, last: &RIter, ctx: &mut Ctx) -> JResult<()> {
+        if let RIter::LetClause { left: Some(before), .. } = last {
+            self.lets(before, ctx)?;
+        }
+        self.clause(last, ctx)
+    }
+
     /// True when a FLWOR consists solely of `let` clauses (scalar computation).
     fn is_let_only(root: &RIter) -> bool {
-        match Self::chain(root) {
-            Ok((clauses, _)) => {
-                clauses.iter().all(|c| matches!(c, RIter::LetClause { .. }))
+        let RIter::ReturnClause { left, .. } = root else { return false };
+        let mut clause = left.as_ref();
+        loop {
+            match clause {
+                RIter::LetClause { left: Some(l), .. } => clause = l,
+                RIter::LetClause { left: None, .. } => return true,
+                _ => return false,
             }
-            Err(_) => false,
         }
     }
 
@@ -257,10 +279,48 @@ impl Translator {
     /// a fresh column bound to a hidden variable, and the expression is
     /// rewritten to reference that variable. This keeps sibling sub-expressions
     /// valid across the reaggregation that the machinery performs.
-    fn hoist(&mut self, e: &RIter, ctx: &mut Ctx) -> JResult<RIter> {
+    /// An expression with nothing to hoist is translated as it is, uncopied.
+    fn hoist<'e>(&mut self, e: &'e RIter, ctx: &mut Ctx) -> JResult<Cow<'e, RIter>> {
+        if !self.hoists(e, ctx) {
+            return Ok(Cow::Borrowed(e));
+        }
         let mut e = e.clone();
         self.hoist_in_place(&mut e, ctx)?;
-        Ok(e)
+        Ok(Cow::Owned(e))
+    }
+
+    /// The hoisting machinery of an aggregate call: a nested FLWOR argument,
+    /// or SUM/MIN/MAX/AVG over an array-valued value, which synthesizes a
+    /// flatten + reaggregate.
+    fn aggregate_runs_machinery(&self, func: Builtin, args: &[RIter], ctx: &Ctx) -> bool {
+        use Builtin::*;
+        matches!(func, Count | Sum | Min | Max | Avg | Exists | Empty)
+            && args.len() == 1
+            && (Self::is_nested_flwor(&args[0])
+                || (matches!(func, Sum | Min | Max | Avg)
+                    && matches!(
+                        &args[0],
+                        RIter::VarRef(_) | RIter::ObjectLookup { .. } | RIter::ArrayUnbox { .. }
+                    )
+                    && !self.uses_grouped_var(&args[0], ctx)))
+    }
+
+    /// Whether [`Translator::hoist_in_place`] would hoist anything out of `e`.
+    fn hoists(&self, e: &RIter, ctx: &Ctx) -> bool {
+        if let RIter::FunctionCall { func, args } = e {
+            if self.aggregate_runs_machinery(*func, args, ctx) {
+                return true;
+            }
+        }
+        if Self::is_nested_flwor(e) {
+            return true;
+        }
+        if e.is_flwor() {
+            return false;
+        }
+        let mut found = false;
+        e.for_each_child(&mut |c| found = found || self.hoists(c, ctx));
+        found
     }
 
     /// [`Translator::hoist`], rewriting `e` in place.
@@ -268,28 +328,13 @@ impl Translator {
         // Aggregate call directly over a nested FLWOR: run the machinery in
         // the aggregate's mode (the §V-D Q8 optimization), hoist the scalar.
         if let RIter::FunctionCall { func, args } = e {
-            use Builtin::*;
-            if matches!(func, Count | Sum | Min | Max | Avg | Exists | Empty)
-                && args.len() == 1
-            {
-                // Two cases must be evaluated (and stashed) up front because
-                // they run the reaggregation machinery, which would invalidate
-                // sibling sub-expressions rendered earlier:
-                // (a) the argument is a nested FLWOR;
-                // (b) SUM/MIN/MAX/AVG over an array-valued value, which
-                //     synthesizes a flatten + reaggregate.
-                let machinery = Self::is_nested_flwor(&args[0])
-                    || (matches!(func, Sum | Min | Max | Avg)
-                        && matches!(
-                            &args[0],
-                            RIter::VarRef(_) | RIter::ObjectLookup { .. } | RIter::ArrayUnbox { .. }
-                        )
-                        && !self.uses_grouped_var(&args[0], ctx));
-                if machinery {
-                    let col = self.function(*func, args, ctx)?;
-                    *e = self.stash(col, false, ctx);
-                    return Ok(());
-                }
+            // An aggregate that runs the reaggregation machinery is
+            // evaluated (and stashed) up front: the machinery would
+            // invalidate sibling sub-expressions rendered earlier.
+            if self.aggregate_runs_machinery(*func, args, ctx) {
+                let col = self.function(*func, args, ctx)?;
+                *e = self.stash(col, false, ctx);
+                return Ok(());
             }
         }
         if Self::is_nested_flwor(e) {
@@ -310,7 +355,7 @@ impl Translator {
     fn stash(&mut self, col: Col, seq: bool, ctx: &mut Ctx) -> RIter {
         let name = self.fresh_name("H");
         ctx.df = ctx.df.with_column(&name, &col);
-        let hidden = format!("#hoist{name}");
+        let hidden = Name::from(format!("#hoist{name}"));
         ctx.bind(&hidden, Binding::Value { col: f::col(&name), seq });
         RIter::VarRef(hidden)
     }
@@ -318,9 +363,9 @@ impl Translator {
     /// If `e` is a lookup/unbox chain rooted at `collection(...)` (e.g. the
     /// paper's `collection("adl").Jet[]`), returns the collection name and the
     /// chain rewritten over a variable.
-    fn extract_collection(e: &RIter, var: &str) -> Option<(String, RIter)> {
+    fn extract_collection(e: &RIter, var: &Name) -> Option<(Name, RIter)> {
         match e {
-            RIter::Collection(name) => Some((name.clone(), RIter::VarRef(var.to_string()))),
+            RIter::Collection(name) => Some((name.clone(), RIter::VarRef(var.clone()))),
             RIter::ObjectLookup { base, field } => {
                 let (name, nb) = Self::extract_collection(base, var)?;
                 Some((name, RIter::ObjectLookup { base: Box::new(nb), field: field.clone() }))
@@ -339,11 +384,12 @@ impl Translator {
 
     fn translate_flwor(&mut self, root: &RIter) -> JResult<DataFrame> {
         let (clauses, ret) = Self::chain(root)?;
-        let mut ctx: Option<Ctx> = None;
-        for clause in clauses {
-            ctx = Some(self.clause(clause, ctx)?);
+        let (first, rest) =
+            clauses.split_first().ok_or_else(|| JsoniqError::Translate("empty FLWOR".into()))?;
+        let mut ctx = self.first_clause(first)?;
+        for clause in rest {
+            self.clause(clause, &mut ctx)?;
         }
-        let mut ctx = ctx.ok_or_else(|| JsoniqError::Translate("empty FLWOR".into()))?;
 
         // `return`: translate the output expression (registering pending
         // aggregates when grouped), materialize the aggregation, sort, project.
@@ -351,7 +397,7 @@ impl Translator {
             // In grouped mode the return expression is translated as-is so
             // aggregate calls over grouped variables register pending SQL
             // aggregates rather than nested queries.
-            ret.clone()
+            Cow::Borrowed(ret)
         } else {
             self.hoist(ret, &mut ctx)?
         };
@@ -379,15 +425,29 @@ impl Translator {
         df.group_by(&keys).agg(items)
     }
 
-    fn clause(&mut self, clause: &RIter, ctx: Option<Ctx>) -> JResult<Ctx> {
+    /// Translates the clause a query starts with: a `for` over a collection.
+    fn first_clause(&mut self, clause: &RIter) -> JResult<Ctx> {
+        let what = match clause {
+            RIter::ForClause { var, at, expr, allowing_empty, .. } => {
+                return self.open_for(var, at.as_ref(), expr, *allowing_empty)
+            }
+            RIter::LetClause { .. } => "let cannot start a translated query",
+            RIter::WhereClause { .. } => "where cannot start a query",
+            RIter::GroupByClause { .. } => "group by cannot start a query",
+            RIter::OrderByClause { .. } => "order by cannot start a query",
+            RIter::CountClause { .. } => "count cannot start a query",
+            other => return Err(JsoniqError::Translate(format!("unexpected clause {other:?}"))),
+        };
+        Err(JsoniqError::Translate(what.into()))
+    }
+
+    /// Translates a clause after the first into `ctx`.
+    fn clause(&mut self, clause: &RIter, ctx: &mut Ctx) -> JResult<()> {
         match clause {
             RIter::ForClause { var, at, expr, allowing_empty, .. } => {
-                self.for_clause(var, at.as_deref(), expr, *allowing_empty, ctx)
+                self.for_clause(var, at.as_ref(), expr, *allowing_empty, ctx)
             }
             RIter::LetClause { var, expr, .. } => {
-                let mut ctx = ctx.ok_or_else(|| {
-                    JsoniqError::Translate("let cannot start a translated query".into())
-                })?;
                 if ctx.group.is_some() {
                     return Err(JsoniqError::Translate(
                         "let after group by is not supported by the translation".into(),
@@ -397,34 +457,31 @@ impl Translator {
                 // are represented as ARRAY columns and marked as sequences.
                 let (col, seq) = match expr.as_ref() {
                     RIter::ArrayUnbox { base } => {
-                        let base = self.hoist(base, &mut ctx)?;
-                        (self.value(&base, &mut ctx)?, true)
+                        let base = self.hoist(base, ctx)?;
+                        (self.value(&base, ctx)?, true)
                     }
                     RIter::ReturnClause { .. } if !Self::is_let_only(expr) => {
-                        (self.value(expr, &mut ctx)?, true)
+                        (self.value(expr, ctx)?, true)
                     }
                     _ => {
-                        let e = self.hoist(expr, &mut ctx)?;
-                        (self.value(&e, &mut ctx)?, false)
+                        let e = self.hoist(expr, ctx)?;
+                        (self.value(&e, ctx)?, false)
                     }
                 };
                 let name = self.var_col(var);
                 ctx.df = ctx.df.with_column(&name, &col);
                 ctx.bind(var, Binding::Value { col: f::col(&name), seq });
-                Ok(ctx)
+                Ok(())
             }
             RIter::WhereClause { pred, .. } => {
-                let mut ctx = ctx.ok_or_else(|| {
-                    JsoniqError::Translate("where cannot start a query".into())
-                })?;
                 if ctx.group.is_some() {
                     return Err(JsoniqError::Translate(
                         "where after group by is not supported by the translation".into(),
                     ));
                 }
-                let pred = self.hoist(pred, &mut ctx)?;
-                let cond = self.value(&pred, &mut ctx)?;
-                match ctx.keep.clone() {
+                let pred = self.hoist(pred, ctx)?;
+                let cond = self.value(&pred, ctx)?;
+                match &ctx.keep {
                     // Inside a flag-column nested query: fold the predicate
                     // into the KEEP flag instead of dropping rows (§IV-C1).
                     Some(keep) => {
@@ -437,12 +494,9 @@ impl Translator {
                         ctx.df = ctx.df.filter(&cond);
                     }
                 }
-                Ok(ctx)
+                Ok(())
             }
             RIter::GroupByClause { keys, .. } => {
-                let mut ctx = ctx.ok_or_else(|| {
-                    JsoniqError::Translate("group by cannot start a query".into())
-                })?;
                 if ctx.keep.is_some() {
                     return Err(JsoniqError::Translate(
                         "group by inside a nested query is not supported".into(),
@@ -452,8 +506,8 @@ impl Translator {
                 for (var, key_expr) in keys {
                     let col = match key_expr {
                         Some(e) => {
-                            let e = self.hoist(e, &mut ctx)?;
-                            self.value(&e, &mut ctx)?
+                            let e = self.hoist(e, ctx)?;
+                            self.value(&e, ctx)?
                         }
                         None => match ctx.lookup(var) {
                             Some(Binding::Value { col: c, .. }) => c.clone(),
@@ -470,135 +524,134 @@ impl Translator {
                 }
                 // Re-bind: keys become plain columns; every previous binding
                 // becomes grouped (only aggregates may touch it).
-                let mut new_bindings = Vec::with_capacity(ctx.bindings.len() + keys.len());
-                for (v, b) in &ctx.bindings {
-                    let nb = match b {
-                        Binding::Value { col: c, .. } => Binding::Grouped(c.clone()),
-                        Binding::Row { columns } => {
-                            Binding::GroupedRow { columns: columns.clone() }
-                        }
-                        other => other.clone(),
-                    };
-                    new_bindings.push((v.clone(), nb));
+                for (_, b) in &mut ctx.bindings {
+                    match b {
+                        Binding::Value { col: c, .. } => *b = Binding::Grouped(c.clone()),
+                        Binding::Row(t) => *b = Binding::GroupedRow(t.clone()),
+                        _ => {}
+                    }
                 }
                 for ((var, _), name) in keys.iter().zip(&key_cols) {
-                    new_bindings.push((var.clone(), Binding::Value { col: f::col(name), seq: false }));
+                    ctx.bind(var, Binding::Value { col: f::col(name), seq: false });
                 }
-                ctx.bindings = new_bindings;
                 ctx.group = Some(GroupCtx { key_cols, aggs: Vec::new() });
-                Ok(ctx)
+                Ok(())
             }
             RIter::OrderByClause { keys, .. } => {
-                let mut ctx = ctx.ok_or_else(|| {
-                    JsoniqError::Translate("order by cannot start a query".into())
-                })?;
                 let mut sort = Vec::with_capacity(keys.len());
                 for (e, desc) in keys {
-                    let e = self.hoist(e, &mut ctx)?;
-                    let col = self.value(&e, &mut ctx)?;
+                    let e = self.hoist(e, ctx)?;
+                    let col = self.value(&e, ctx)?;
                     sort.push((col, if *desc { SortOrder::Desc } else { SortOrder::Asc }));
                 }
                 ctx.pending_sort = sort;
-                Ok(ctx)
+                Ok(())
             }
             RIter::CountClause { var, .. } => {
-                let mut ctx = ctx.ok_or_else(|| {
-                    JsoniqError::Translate("count cannot start a query".into())
-                })?;
                 // Tuple numbering; the translation processes data unordered
                 // (paper §IV-E), so this numbering is arbitrary but unique.
                 let name = self.var_col(var);
                 ctx.df = ctx.df.with_column(&name, &f::seq8().add(&f::lit(1)));
                 ctx.bind(var, Binding::Value { col: f::col(&name), seq: false });
-                Ok(ctx)
+                Ok(())
             }
             other => Err(JsoniqError::Translate(format!("unexpected clause {other:?}"))),
         }
     }
 
-    fn for_clause(
+    /// The dataframe scanning a collection a `for` ranges over, and its
+    /// table.
+    fn collection(&self, name: &str, at: Option<&Name>) -> JResult<(DataFrame, Arc<Table>)> {
+        if at.is_some() {
+            return Err(JsoniqError::Translate(
+                "positional variables over collections are not supported".into(),
+            ));
+        }
+        let df = self.session.table(name);
+        let table = self.session.database().table(name);
+        let table =
+            table.ok_or_else(|| JsoniqError::Translate(format!("unknown collection '{name}'")))?;
+        Ok((df, table))
+    }
+
+    /// `for` as the first clause: it ranges over a collection, directly or
+    /// through a path (`collection("t").FIELD[]`), and opens the context.
+    fn open_for(
         &mut self,
-        var: &str,
-        at: Option<&str>,
+        var: &Name,
+        at: Option<&Name>,
         expr: &RIter,
         allowing_empty: bool,
-        ctx: Option<Ctx>,
     ) -> JResult<Ctx> {
+        let RIter::Collection(name) = expr else {
+            // Bind the collection to a hidden row variable first, then
+            // proceed with the rewritten chain.
+            let hidden = Name::from(self.fresh_name("#row"));
+            let (name, rewritten) = Self::extract_collection(expr, &hidden).ok_or_else(|| {
+                JsoniqError::Translate("a translated query must start with a collection".into())
+            })?;
+            let mut ctx = self.open_for(&hidden, None, &RIter::Collection(name), false)?;
+            self.for_clause(var, at, &rewritten, allowing_empty, &mut ctx)?;
+            return Ok(ctx);
+        };
+        let (df, table) = self.collection(name, at)?;
+        let mut ctx = Ctx {
+            df,
+            bindings: Vec::new(),
+            keep: None,
+            group: None,
+            pending_sort: Vec::new(),
+            rids: Vec::new(),
+            order_col: None,
+        };
+        if self.preserve_order {
+            let ord = self.fresh_name("ORD");
+            ctx.df = ctx.df.with_column(&ord, &f::seq8());
+            ctx.order_col = Some(ord);
+        }
+        ctx.bind(var, Binding::Row(table));
+        Ok(ctx)
+    }
+
+    /// A `for` after the first clause.
+    fn for_clause(
+        &mut self,
+        var: &Name,
+        at: Option<&Name>,
+        expr: &RIter,
+        allowing_empty: bool,
+        ctx: &mut Ctx,
+    ) -> JResult<()> {
         // `for $x in collection("t").FIELD[]`: bind the collection to a hidden
         // row variable first, then proceed with the rewritten chain.
         if !matches!(expr, RIter::Collection(_)) {
-            let hidden = self.fresh_name("#row");
+            let hidden = Name::from(self.fresh_name("#row"));
             if let Some((name, rewritten)) = Self::extract_collection(expr, &hidden) {
-                let ctx2 =
-                    self.for_clause(&hidden, None, &RIter::Collection(name), false, ctx)?;
-                return self.for_clause(var, at, &rewritten, allowing_empty, Some(ctx2));
+                self.for_clause(&hidden, None, &RIter::Collection(name), false, ctx)?;
+                return self.for_clause(var, at, &rewritten, allowing_empty, ctx);
             }
         }
         match expr {
             RIter::Collection(name) => {
-                if at.is_some() {
-                    return Err(JsoniqError::Translate(
-                        "positional variables over collections are not supported".into(),
-                    ));
-                }
-                let table_df = self.session.table(name);
-                let columns: Vec<String> = self
-                    .session
-                    .database()
-                    .table(name)
-                    .ok_or_else(|| {
-                        JsoniqError::Translate(format!("unknown collection '{name}'"))
-                    })?
-                    .schema()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect();
-                match ctx {
-                    None => {
-                        let mut ctx = Ctx {
-                            df: table_df,
-                            bindings: Vec::new(),
-                            keep: None,
-                            group: None,
-                            pending_sort: Vec::new(),
-                            rids: Vec::new(),
-                            order_col: None,
-                        };
-                        if self.preserve_order {
-                            let ord = self.fresh_name("ORD");
-                            ctx.df = ctx.df.with_column(&ord, &f::seq8());
-                            ctx.order_col = Some(ord);
-                        }
-                        ctx.bind(var, Binding::Row { columns });
-                        Ok(ctx)
-                    }
-                    Some(mut ctx) => {
-                        // Successive `for` over another collection = join
-                        // (paper §II-E); emitted as a cross join whose
-                        // predicates the engine optimizer moves into the ON
-                        // clause to form a hash join.
-                        ctx.df = ctx.df.cross_join(&table_df);
-                        ctx.bind(var, Binding::Row { columns });
-                        Ok(ctx)
-                    }
-                }
+                let (table_df, table) = self.collection(name, at)?;
+                // Successive `for` over another collection = join (paper
+                // §II-E); emitted as a cross join whose predicates the engine
+                // optimizer moves into the ON clause to form a hash join.
+                ctx.df = ctx.df.cross_join(&table_df);
+                ctx.bind(var, Binding::Row(table));
+                Ok(())
             }
             _ => {
-                let mut ctx = ctx.ok_or_else(|| {
-                    JsoniqError::Translate(
-                        "a translated query must start with a collection".into(),
-                    )
-                })?;
                 // Array-valued sources flatten; which expressions are
                 // array-valued is decided structurally (see DESIGN.md).
                 let target = match expr {
-                    RIter::ArrayUnbox { base } => self.value(base, &mut ctx)?,
+                    RIter::ArrayUnbox { base } => self.value(base, ctx)?,
                     RIter::VarRef(_)
                     | RIter::ObjectLookup { .. }
                     | RIter::ArrayLookup { .. }
                     | RIter::ReturnClause { .. }
                     | RIter::FunctionCall { .. }
-                    | RIter::If { .. } => self.value(expr, &mut ctx)?,
+                    | RIter::If { .. } => self.value(expr, ctx)?,
                     RIter::Range { .. } => {
                         return Err(JsoniqError::Translate(
                             "range iteration is not supported by the translation; use `at` \
@@ -608,7 +661,7 @@ impl Translator {
                     }
                     // Scalar expression: behaves like a singleton let.
                     other => {
-                        let col = self.value(other, &mut ctx)?;
+                        let col = self.value(other, ctx)?;
                         let name = self.var_col(var);
                         ctx.df = ctx.df.with_column(&name, &col);
                         ctx.bind(var, Binding::Value { col: f::col(&name), seq: false });
@@ -617,22 +670,18 @@ impl Translator {
                             ctx.df = ctx.df.with_column(&aname, &f::lit(1));
                             ctx.bind(a, Binding::Value { col: f::col(&aname), seq: false });
                         }
-                        return Ok(ctx);
+                        return Ok(());
                     }
                 };
                 let alias = self.fresh_name("F");
-                let in_nested = ctx.keep.is_some();
-                let outer = in_nested || allowing_empty;
+                let outer = ctx.keep.is_some() || allowing_empty;
                 ctx.df = ctx.df.flatten(&target, &alias, outer);
-                if in_nested {
-                    // Maintain the KEEP flag: padding rows produced by the
-                    // outer flatten must not contribute to reaggregation.
+                if let Some(keep) = &ctx.keep {
+                    // Inside a nested query, maintain the KEEP flag: padding
+                    // rows produced by the outer flatten must not contribute
+                    // to reaggregation.
                     let name = self.fresh_name("KEEP");
-                    let keep = ctx
-                        .keep
-                        .clone()
-                        .expect("nested context")
-                        .and(&f::flatten_index(&alias).is_not_null());
+                    let keep = keep.and(&f::flatten_index(&alias).is_not_null());
                     ctx.df = ctx.df.with_column(&name, &keep);
                     ctx.keep = Some(f::col(&name));
                 }
@@ -640,7 +689,7 @@ impl Translator {
                 if let Some(a) = at {
                     ctx.bind(a, Binding::Value { col: f::flatten_index(&alias).add(&f::lit(1)), seq: false });
                 }
-                Ok(ctx)
+                Ok(())
             }
         }
     }
@@ -689,7 +738,7 @@ impl Translator {
             return Ok(None);
         }
         // Every remaining clause must be a simple where over $var.
-        let mut filters: Vec<(Option<String>, &'static str, &RIter)> = Vec::new();
+        let mut filters: Vec<(Option<Name>, &'static str, &RIter)> = Vec::new();
         for c in &clauses[1..] {
             let pred = match c {
                 RIter::WhereClause { pred, .. } => pred,
@@ -753,47 +802,33 @@ impl Translator {
     /// column, so it survives reaggregation and join re-qualification.
     fn materialize_bindings(&mut self, ctx: &mut Ctx) {
         let mut adds: Vec<(String, Col)> = Vec::new();
-        let mut new_bindings = Vec::with_capacity(ctx.bindings.len());
-        for (v, b) in ctx.bindings.clone() {
-            match b {
-                Binding::Value { col: c, seq } => {
-                    let name = self.var_col(&v);
-                    adds.push((name.clone(), c));
-                    new_bindings.push((v, Binding::Value { col: f::col(&name), seq }));
-                }
-                other => new_bindings.push((v, other)),
+        for (v, b) in &mut ctx.bindings {
+            if let Binding::Value { col, .. } = b {
+                let name = self.var_col(v);
+                let plain = f::col(&name);
+                adds.push((name, std::mem::replace(col, plain)));
             }
         }
         for (name, c) in adds {
             ctx.df = ctx.df.with_column(&name, &c);
         }
-        ctx.bindings = new_bindings;
     }
 
     /// Table columns backing `Row` bindings that must survive reaggregation:
     /// only the columns the whole query references through each row variable
     /// (all of them when the variable is used as a whole object).
-    fn row_columns(&self, ctx: &Ctx) -> Vec<String> {
-        let mut cols = Vec::new();
+    fn row_columns<'c>(&self, ctx: &'c Ctx) -> Vec<&'c str> {
+        let mut cols: Vec<&str> = Vec::new();
         for (v, b) in &ctx.bindings {
-            if let Binding::Row { columns } = b {
-                match self.row_usage.get(v) {
-                    Some(RowUsage::Fields(fields)) => {
-                        for c in columns {
-                            if fields.iter().any(|f| f.eq_ignore_ascii_case(c))
-                                && !cols.contains(c)
-                            {
-                                cols.push(c.clone());
-                            }
-                        }
-                    }
-                    _ => {
-                        for c in columns {
-                            if !cols.contains(c) {
-                                cols.push(c.clone());
-                            }
-                        }
-                    }
+            let Binding::Row(table) = b else { continue };
+            let fields = match self.row_usage.get(&**v) {
+                Some(RowUsage::Fields(fields)) => Some(fields),
+                _ => None,
+            };
+            for c in columns(table) {
+                let used = fields.is_none_or(|fs| fs.iter().any(|f| f.eq_ignore_ascii_case(c)));
+                if used && !cols.contains(&c) {
+                    cols.push(c);
                 }
             }
         }
@@ -801,7 +836,7 @@ impl Translator {
     }
 
     /// `(variable, column)` pairs for all `Value` bindings.
-    fn value_columns(ctx: &Ctx) -> Vec<(String, Col)> {
+    fn value_columns(ctx: &Ctx) -> Vec<(Name, Col)> {
         let mut out = Vec::new();
         for (v, b) in &ctx.bindings {
             if let Binding::Value { col: c, .. } = b {
@@ -831,18 +866,6 @@ impl Translator {
         }
     }
 
-    fn blank_ctx(&self) -> Ctx {
-        Ctx {
-            df: self.session.sql("SELECT 1"),
-            bindings: Vec::new(),
-            keep: None,
-            group: None,
-            pending_sort: Vec::new(),
-            rids: Vec::new(),
-            order_col: None,
-        }
-    }
-
     /// Flag-column strategy (paper §IV-C1).
     fn nested_flag(&mut self, root: &RIter, mode: AggMode, ctx: &mut Ctx) -> JResult<Col> {
         let (clauses, ret) = Self::chain(root)?;
@@ -860,8 +883,7 @@ impl Translator {
         let bindings_before = ctx.bindings.len();
 
         for c in clauses {
-            let taken = std::mem::replace(ctx, self.blank_ctx());
-            *ctx = self.clause(c, Some(taken))?;
+            self.clause(c, ctx)?;
         }
         let ret = self.hoist(ret, ctx)?;
         let value = self.value(&ret, ctx)?;
@@ -874,7 +896,7 @@ impl Translator {
         // Bindings created inside the nested query go out of scope.
         ctx.bindings.truncate(bindings_before);
         for c in self.row_columns(ctx) {
-            items.push(f::any_value(&f::col(&c)).alias(&c));
+            items.push(f::any_value(&f::col(c)).alias(c));
         }
         let mut rebind = Vec::new();
         for (v, col) in Self::value_columns(ctx) {
@@ -936,8 +958,7 @@ impl Translator {
             order_col: ctx.order_col.clone(),
         };
         for c in clauses {
-            let taken = std::mem::replace(&mut inner, self.blank_ctx());
-            inner = self.clause(c, Some(taken))?;
+            self.clause(c, &mut inner)?;
         }
         let ret = self.hoist(ret, &mut inner)?;
         let value = self.value(&ret, &mut inner)?;
@@ -967,13 +988,12 @@ impl Translator {
             RIter::Literal(v) => literal(v),
             RIter::VarRef(v) => match ctx.lookup(v) {
                 Some(Binding::Value { col: c, .. }) => Ok(c.clone()),
-                Some(Binding::Row { columns }) => {
+                Some(Binding::Row(table)) => {
                     // Whole-row reference: reconstruct the object.
-                    let pairs: Vec<(&str, Col)> =
-                        columns.iter().map(|c| (c.as_str(), f::col(c))).collect();
+                    let pairs: Vec<(&str, Col)> = columns(table).map(|c| (c, f::col(c))).collect();
                     Ok(f::object_construct(&pairs))
                 }
-                Some(Binding::Grouped(_)) | Some(Binding::GroupedRow { .. }) => {
+                Some(Binding::Grouped(_)) | Some(Binding::GroupedRow(_)) => {
                     Err(JsoniqError::Translate(format!(
                         "grouped variable ${v} may only be used inside an aggregate function"
                     )))
@@ -981,21 +1001,20 @@ impl Translator {
                 None => Err(JsoniqError::Translate(format!("unbound variable ${v}"))),
             },
             RIter::ObjectLookup { base, field } => match base.as_ref() {
-                RIter::VarRef(v) => match ctx.lookup(v).cloned() {
-                    Some(Binding::Row { columns }) => {
-                        let name = columns
-                            .iter()
-                            .find(|c| c.eq_ignore_ascii_case(field))
-                            .cloned()
-                            .ok_or_else(|| {
-                                JsoniqError::Translate(format!(
-                                    "collection bound to ${v} has no column '{field}'"
-                                ))
-                            })?;
-                        Ok(f::col(&name))
+                RIter::VarRef(v) => match ctx.lookup(v) {
+                    Some(Binding::Row(table)) => {
+                        let name =
+                            columns(table).find(|c| c.eq_ignore_ascii_case(field)).ok_or_else(
+                                || {
+                                    JsoniqError::Translate(format!(
+                                        "collection bound to ${v} has no column '{field}'"
+                                    ))
+                                },
+                            )?;
+                        Ok(f::col(name))
                     }
                     Some(Binding::Value { col: c, .. }) => Ok(c.subfield(field)),
-                    Some(Binding::Grouped(_)) | Some(Binding::GroupedRow { .. }) => {
+                    Some(Binding::Grouped(_)) | Some(Binding::GroupedRow(_)) => {
                         Err(JsoniqError::Translate(format!(
                             "grouped variable ${v} may only be used inside an aggregate"
                         )))
@@ -1069,13 +1088,11 @@ impl Translator {
                 Ok(f::iff(&c, &t, &e))
             }
             RIter::ObjectConstructor(pairs) => {
-                let mut items: Vec<(String, Col)> = Vec::with_capacity(pairs.len());
+                let mut items: Vec<(&str, Col)> = Vec::with_capacity(pairs.len());
                 for (k, v) in pairs {
-                    items.push((k.clone(), self.value(v, ctx)?));
+                    items.push((k, self.value(v, ctx)?));
                 }
-                let refs: Vec<(&str, Col)> =
-                    items.iter().map(|(k, c)| (k.as_str(), c.clone())).collect();
-                Ok(f::object_construct(&refs))
+                Ok(f::object_construct(&items))
             }
             RIter::ArrayConstructor(items) => {
                 // Members that are themselves sequences/arrays concatenate via
@@ -1143,16 +1160,12 @@ impl Translator {
             RIter::Range { .. } => Err(JsoniqError::Translate(
                 "range expressions are not supported by the translation".into(),
             )),
-            RIter::ReturnClause { .. } => {
+            RIter::ReturnClause { left, expr } => {
                 if Self::is_let_only(it) {
                     // A let-only FLWOR (typically produced by function
                     // inlining) is a scalar computation, not a nested query.
-                    let (clauses, ret) = Self::chain(it)?;
-                    for c in clauses {
-                        let taken = std::mem::replace(ctx, self.blank_ctx());
-                        *ctx = self.clause(c, Some(taken))?;
-                    }
-                    self.value(ret, ctx)
+                    self.lets(left, ctx)?;
+                    self.value(expr, ctx)
                 } else {
                     self.nested_query(it, AggMode::Array, ctx)
                 }
@@ -1205,10 +1218,7 @@ impl Translator {
                 }
                 // Aggregate over a grouped variable (after group by).
                 RIter::VarRef(v)
-                    if matches!(
-                        ctx.lookup(v),
-                        Some(Binding::Grouped(_) | Binding::GroupedRow { .. })
-                    ) =>
+                    if matches!(ctx.lookup(v), Some(Binding::Grouped(_) | Binding::GroupedRow(_))) =>
                 {
                     let agg_expr = match (func, ctx.lookup(v).cloned()) {
                         (Count, _) => f::count_star(),
@@ -1324,7 +1334,7 @@ impl Translator {
     /// query `for $x in <expr> return $x` and reaggregating in the requested
     /// mode (there is no single-call SQL array-SUM).
     fn aggregate_array(&mut self, arg: &RIter, mode: AggMode, ctx: &mut Ctx) -> JResult<Col> {
-        let tmp = self.fresh_name("#agg");
+        let tmp = Name::from(self.fresh_name("#agg"));
         let fl = RIter::ReturnClause {
             left: Box::new(RIter::ForClause {
                 left: None,
@@ -1354,10 +1364,7 @@ impl Translator {
         let mut found = false;
         it.visit(&mut |n| {
             if let RIter::VarRef(v) = n {
-                if matches!(
-                    ctx.lookup(v),
-                    Some(Binding::Grouped(_) | Binding::GroupedRow { .. })
-                ) {
+                if matches!(ctx.lookup(v), Some(Binding::Grouped(_) | Binding::GroupedRow(_))) {
                     found = true;
                 }
             }
@@ -1375,9 +1382,7 @@ impl Translator {
                 Binding::Grouped(c) => {
                     *b = Binding::Value { col: c.clone(), seq: false }
                 }
-                Binding::GroupedRow { columns } => {
-                    *b = Binding::Row { columns: columns.clone() }
-                }
+                Binding::GroupedRow(t) => *b = Binding::Row(t.clone()),
                 _ => {}
             }
         }
@@ -1389,12 +1394,12 @@ impl Translator {
 
 /// Collects, for every variable, which fields the query looks up on it —
 /// or `Whole` when the variable occurs as a value itself (e.g. `return $e`).
-fn analyze_row_usage(it: &RIter, out: &mut std::collections::HashMap<String, RowUsage>) {
+fn analyze_row_usage(it: &RIter, out: &mut HashMap<Name, RowUsage>) {
     match it {
         RIter::ObjectLookup { base, field } => {
             if let RIter::VarRef(v) = base.as_ref() {
                 let usage =
-                    out.entry(v.clone()).or_insert_with(|| RowUsage::Fields(Default::default()));
+                    out.entry(v.clone()).or_insert_with(|| RowUsage::Fields(HashSet::new()));
                 if let RowUsage::Fields(set) = usage {
                     set.insert(field.clone());
                 }

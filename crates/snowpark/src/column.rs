@@ -1,35 +1,69 @@
 //! [`Col`]: a partial SQL sub-expression.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
-use crate::{push_ident, quote_ident, quote_str};
+use crate::{push_ident, push_str_lit};
 
 /// A column expression. Like Snowpark's `Column`, a `Col` is not bound to any
 /// dataset: it is a fragment of SQL logic that becomes meaningful when plugged
 /// into a [`crate::DataFrame`] method (paper §III-B1).
 ///
-/// Besides its text, a `Col` keeps what a dataframe needs to tell whether the
-/// expression may join the `SELECT` below it instead of wrapping it: the
-/// column names it reads (its operands that read any are kept), and whether
-/// it calls `SEQ8()` or an aggregate. Cloning one is a reference count.
-#[derive(Clone, Debug)]
-pub struct Col(Arc<Expr>);
+/// A `Col` is a node of an expression tree whose children are shared, so
+/// building one on top of others copies no text and cloning one is a
+/// reference count. The tree is rendered once, into the statement's text,
+/// when [`crate::DataFrame::sql`] asks. Each node also records what a
+/// dataframe needs to tell whether the expression may join the `SELECT`
+/// below it instead of wrapping it: whether it reads any column, calls
+/// `SEQ8()` or calls an aggregate.
+#[derive(Clone)]
+pub struct Col(Arc<Node>);
 
-#[derive(Debug)]
-struct Expr {
-    /// Rendered SQL for the expression (already parenthesized where needed).
-    sql: String,
-    /// For a reference, the name of the column, as given to
-    /// [`crate::functions::col`] / [`crate::functions::col_of`] (unquoted,
-    /// without the relation).
-    name: Option<String>,
-    /// The operands that read a column.
-    operands: Vec<Col>,
+struct Node {
+    kind: Kind,
+    /// Whether the expression reads a column: it is a reference, or an
+    /// operand reads one.
+    reads: bool,
     /// Whether the expression calls `SEQ8()`.
     seq8: bool,
     /// Whether the expression calls an aggregate function.
     aggregate: bool,
     path: Path,
+}
+
+/// What a node renders as.
+enum Kind {
+    /// Fixed text that reads no column: `NULL`, `TRUE`, `PI()`, `SEQ8()`,
+    /// `COUNT(*)`.
+    Text(&'static str),
+    Int(i64),
+    Float(f64),
+    /// A string literal, quoted when rendered.
+    Str(Box<str>),
+    /// A reference to the column `name`, qualified by `relation` if given.
+    Ref { relation: Option<Box<str>>, name: Box<str> },
+    /// `(a op b)`
+    Binary(&'static str, Col, Col),
+    /// `(op x)`
+    Prefix(&'static str, Col),
+    /// `(x op)`
+    Postfix(Col, &'static str),
+    /// `(x :: TYPE)`
+    Cast(Col, Box<str>),
+    /// `(x BETWEEN low AND high)`
+    Between(Col, Col, Col),
+    /// `(x IN (items))`
+    InList(Col, Box<[Col]>),
+    /// `NAME(args)`, `prefix` written before the first argument
+    /// (`COUNT(DISTINCT x)`).
+    Call { name: &'static str, prefix: &'static str, args: Box<[Col]> },
+    /// `OBJECT_CONSTRUCT('k1', v1, …)`
+    Object(Box<[(Box<str>, Col)]>),
+    /// A field step: `x:"NAME"` after a reference, `x."NAME"` after a path
+    /// step, `GET(x, 'NAME')` otherwise.
+    Field(Col, Box<str>),
+    /// An element step: `x[i]` after a path step, `GET(x, i)` otherwise.
+    Element(Col, i64),
 }
 
 /// How a field or element step extends an expression.
@@ -51,68 +85,247 @@ pub enum SortOrder {
     Desc,
 }
 
-impl Col {
-    fn new(expr: Expr) -> Col {
-        Col(Arc::new(expr))
+impl std::fmt::Debug for Col {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Col").field(&self.sql()).finish()
     }
+}
 
-    /// An expression that reads no column.
-    pub(crate) fn raw(sql: impl Into<String>) -> Col {
-        Col::over(sql.into(), &[])
-    }
-
-    /// A reference, rendered as `sql`, to the column called `name`.
-    pub(crate) fn reference(sql: String, name: &str) -> Col {
-        Col::new(Expr { name: Some(name.to_string()), path: Path::Column, ..Col::expr(sql, &[]) })
-    }
-
-    /// An expression rendered as `sql` over `operands`: it reads what they
-    /// read and calls what they call.
-    pub(crate) fn over(sql: String, operands: &[&Col]) -> Col {
-        Col::new(Col::expr(sql, operands))
-    }
-
-    fn expr(sql: String, operands: &[&Col]) -> Expr {
-        let reads = |c: &Col| c.0.name.is_some() || !c.0.operands.is_empty();
-        Expr {
-            sql,
-            name: None,
-            operands: operands.iter().filter(|c| reads(c)).map(|&c| c.clone()).collect(),
-            seq8: operands.iter().any(|c| c.0.seq8),
-            aggregate: operands.iter().any(|c| c.0.aggregate),
-            path: Path::None,
+impl Kind {
+    /// Calls `f` on each operand, in rendering order.
+    fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a Col)) {
+        match self {
+            Kind::Text(_) | Kind::Int(_) | Kind::Float(_) | Kind::Str(_) | Kind::Ref { .. } => {}
+            Kind::Binary(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            Kind::Prefix(_, x)
+            | Kind::Postfix(x, _)
+            | Kind::Cast(x, _)
+            | Kind::Field(x, _)
+            | Kind::Element(x, _) => f(x),
+            Kind::Between(x, lo, hi) => {
+                f(x);
+                f(lo);
+                f(hi);
+            }
+            Kind::InList(x, items) => {
+                f(x);
+                items.iter().for_each(f);
+            }
+            Kind::Call { args, .. } => args.iter().for_each(f),
+            Kind::Object(pairs) => pairs.iter().for_each(|(_, v)| f(v)),
         }
+    }
+}
+
+impl Col {
+    /// A node over its operands: it reads what they read and calls what
+    /// they call.
+    fn node(kind: Kind) -> Col {
+        let (mut reads, mut seq8, mut aggregate) = (matches!(kind, Kind::Ref { .. }), false, false);
+        kind.for_each_operand(|c| {
+            reads |= c.0.reads;
+            seq8 |= c.0.seq8;
+            aggregate |= c.0.aggregate;
+        });
+        let path = match &kind {
+            Kind::Ref { .. } => Path::Column,
+            Kind::Field(base, _) if base.0.path != Path::None => Path::Steps,
+            Kind::Element(base, _) if base.0.path == Path::Steps => Path::Steps,
+            _ => Path::None,
+        };
+        Col(Arc::new(Node { kind, reads, seq8, aggregate, path }))
+    }
+
+    /// Fixed text that reads no column.
+    pub(crate) fn text(sql: &'static str) -> Col {
+        Col::node(Kind::Text(sql))
+    }
+
+    pub(crate) fn int(v: i64) -> Col {
+        Col::node(Kind::Int(v))
+    }
+
+    pub(crate) fn float(v: f64) -> Col {
+        Col::node(Kind::Float(v))
+    }
+
+    pub(crate) fn string(v: &str) -> Col {
+        Col::node(Kind::Str(v.into()))
+    }
+
+    /// A reference to the column `name`, qualified by `relation` if given.
+    pub(crate) fn reference(relation: Option<&str>, name: &str) -> Col {
+        Col::node(Kind::Ref { relation: relation.map(Into::into), name: name.into() })
+    }
+
+    /// `NAME(args)`.
+    pub(crate) fn call(name: &'static str, args: &[&Col]) -> Col {
+        Col::node(Kind::Call { name, prefix: "", args: args.iter().map(|&c| c.clone()).collect() })
+    }
+
+    /// An aggregate call, `NAME(prefix x)`, or `fixed` text (`COUNT(*)`).
+    pub(crate) fn aggregate(name: &'static str, prefix: &'static str, x: Option<&Col>) -> Col {
+        let kind = match x {
+            Some(x) => Kind::Call { name, prefix, args: Box::new([x.clone()]) },
+            None => Kind::Text(name),
+        };
+        let mut c = Col::node(kind);
+        Arc::get_mut(&mut c.0).expect("a new node").aggregate = true;
+        c
     }
 
     /// `SEQ8()`.
     pub(crate) fn seq8() -> Col {
-        Col::new(Expr { seq8: true, ..Col::expr("SEQ8()".into(), &[]) })
+        let mut c = Col::text("SEQ8()");
+        Arc::get_mut(&mut c.0).expect("a new node").seq8 = true;
+        c
     }
 
-    /// An aggregate call rendered as `sql` over `operands`.
-    pub(crate) fn aggregate(sql: String, operands: &[&Col]) -> Col {
-        Col::new(Expr { aggregate: true, ..Col::expr(sql, operands) })
+    /// `OBJECT_CONSTRUCT('k1', v1, …)`.
+    pub(crate) fn object(pairs: &[(&str, Col)]) -> Col {
+        Col::node(Kind::Object(pairs.iter().map(|(k, v)| ((*k).into(), v.clone())).collect()))
     }
 
-    /// A path step rendered as `sql` over this expression.
-    fn step(&self, sql: String) -> Col {
-        Col::new(Expr { path: Path::Steps, ..Col::expr(sql, &[self]) })
-    }
-
-    /// The rendered SQL of this expression.
-    pub fn sql(&self) -> &str {
-        &self.0.sql
-    }
-
-    /// Names of the columns the expression reads, in order.
-    pub(crate) fn reads(&self) -> Vec<&str> {
-        fn go<'a>(c: &'a Col, out: &mut Vec<&'a str>) {
-            out.extend(c.0.name.as_deref());
-            c.0.operands.iter().for_each(|o| go(o, out));
-        }
-        let mut out = Vec::new();
-        go(self, &mut out);
+    /// The rendered SQL of this expression. A dataframe renders its
+    /// columns in place, into its statement's text; this renders one alone.
+    pub fn sql(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out);
         out
+    }
+
+    /// Appends the expression's SQL (parenthesized where needed) to `out`.
+    pub(crate) fn render(&self, out: &mut String) {
+        let list = |out: &mut String, items: &[Col]| {
+            for (i, c) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                c.render(out);
+            }
+        };
+        match &self.0.kind {
+            Kind::Text(t) => out.push_str(t),
+            Kind::Int(v) => write!(out, "{v}").expect("writing to a String"),
+            Kind::Float(v) if v.fract() == 0.0 && v.is_finite() => {
+                write!(out, "{v:.1}").expect("writing to a String")
+            }
+            Kind::Float(v) => write!(out, "{v}").expect("writing to a String"),
+            Kind::Str(v) => push_str_lit(out, v),
+            Kind::Ref { relation, name } => {
+                if let Some(r) = relation {
+                    push_ident(out, r);
+                    out.push('.');
+                }
+                push_ident(out, name);
+            }
+            Kind::Binary(op, a, b) => {
+                out.push('(');
+                a.render(out);
+                out.push(' ');
+                out.push_str(op);
+                out.push(' ');
+                b.render(out);
+                out.push(')');
+            }
+            Kind::Prefix(op, x) => {
+                out.push('(');
+                out.push_str(op);
+                out.push(' ');
+                x.render(out);
+                out.push(')');
+            }
+            Kind::Postfix(x, op) => {
+                out.push('(');
+                x.render(out);
+                out.push(' ');
+                out.push_str(op);
+                out.push(')');
+            }
+            Kind::Cast(x, ty) => {
+                out.push('(');
+                x.render(out);
+                out.push_str(" :: ");
+                out.push_str(ty);
+                out.push(')');
+            }
+            Kind::Between(x, lo, hi) => {
+                out.push('(');
+                x.render(out);
+                out.push_str(" BETWEEN ");
+                lo.render(out);
+                out.push_str(" AND ");
+                hi.render(out);
+                out.push(')');
+            }
+            Kind::InList(x, items) => {
+                out.push('(');
+                x.render(out);
+                out.push_str(" IN (");
+                list(out, items);
+                out.push_str("))");
+            }
+            Kind::Call { name, prefix, args } => {
+                out.push_str(name);
+                out.push('(');
+                out.push_str(prefix);
+                list(out, args);
+                out.push(')');
+            }
+            Kind::Object(pairs) => {
+                out.push_str("OBJECT_CONSTRUCT(");
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    push_str_lit(out, k);
+                    out.push_str(", ");
+                    v.render(out);
+                }
+                out.push(')');
+            }
+            Kind::Field(base, name) => match base.0.path {
+                Path::None => {
+                    out.push_str("GET(");
+                    base.render(out);
+                    out.push_str(", ");
+                    push_str_lit(out, name);
+                    out.push(')');
+                }
+                path => {
+                    base.render(out);
+                    out.push(if path == Path::Column { ':' } else { '.' });
+                    push_ident(out, name);
+                }
+            },
+            Kind::Element(base, index) => {
+                if base.0.path == Path::Steps {
+                    base.render(out);
+                    write!(out, "[{index}]").expect("writing to a String");
+                } else {
+                    out.push_str("GET(");
+                    base.render(out);
+                    write!(out, ", {index})").expect("writing to a String");
+                }
+            }
+        }
+    }
+
+    /// Whether `pred` holds for the name of a column the expression reads.
+    /// Walks only the operands that read a column, and allocates nothing.
+    pub(crate) fn reads_any(&self, pred: &mut impl FnMut(&str) -> bool) -> bool {
+        if !self.0.reads {
+            return false;
+        }
+        if let Kind::Ref { name, .. } = &self.0.kind {
+            return pred(name);
+        }
+        let mut found = false;
+        self.0.kind.for_each_operand(|c| found = found || c.reads_any(pred));
+        found
     }
 
     pub(crate) fn calls_seq8(&self) -> bool {
@@ -123,12 +336,8 @@ impl Col {
         self.0.aggregate
     }
 
-    fn binary(&self, op: &str, rhs: &Col) -> Col {
-        Col::over(format!("({} {op} {})", self.sql(), rhs.sql()), &[self, rhs])
-    }
-
-    fn unary(&self, sql: String) -> Col {
-        Col::over(sql, &[self])
+    fn binary(&self, op: &'static str, rhs: &Col) -> Col {
+        Col::node(Kind::Binary(op, self.clone(), rhs.clone()))
     }
 
     // ---- arithmetic ----
@@ -154,7 +363,7 @@ impl Col {
     }
 
     pub fn neg(&self) -> Col {
-        self.unary(format!("(- {})", self.sql()))
+        Col::node(Kind::Prefix("-", self.clone()))
     }
 
     // ---- comparison ----
@@ -184,22 +393,19 @@ impl Col {
     }
 
     pub fn between(&self, low: &Col, high: &Col) -> Col {
-        Col::over(format!("({} BETWEEN {} AND {})", self.sql(), low.sql(), high.sql()), &[self, low, high])
+        Col::node(Kind::Between(self.clone(), low.clone(), high.clone()))
     }
 
     pub fn in_list(&self, items: &[Col]) -> Col {
-        let list: Vec<&str> = items.iter().map(|c| c.sql()).collect();
-        let mut operands = vec![self];
-        operands.extend(items);
-        Col::over(format!("({} IN ({}))", self.sql(), list.join(", ")), &operands)
+        Col::node(Kind::InList(self.clone(), items.into()))
     }
 
     pub fn is_null(&self) -> Col {
-        self.unary(format!("({} IS NULL)", self.sql()))
+        Col::node(Kind::Postfix(self.clone(), "IS NULL"))
     }
 
     pub fn is_not_null(&self) -> Col {
-        self.unary(format!("({} IS NOT NULL)", self.sql()))
+        Col::node(Kind::Postfix(self.clone(), "IS NOT NULL"))
     }
 
     // ---- boolean ----
@@ -213,7 +419,7 @@ impl Col {
     }
 
     pub fn not(&self) -> Col {
-        self.unary(format!("(NOT {})", self.sql()))
+        Col::node(Kind::Prefix("NOT", self.clone()))
     }
 
     // ---- nested data access ----
@@ -223,28 +429,19 @@ impl Col {
     /// Emits Snowflake `:`/`.` path syntax when rooted at a column reference
     /// and a `GET` call otherwise.
     pub fn subfield(&self, name: &str) -> Col {
-        let sep = match self.0.path {
-            Path::None => return self.unary(format!("GET({}, {})", self.sql(), quote_str(name))),
-            Path::Column => ':',
-            Path::Steps => '.',
-        };
-        self.step(format!("{}{sep}{}", self.sql(), quote_ident(name)))
+        Col::node(Kind::Field(self.clone(), name.into()))
     }
 
     /// Accesses an array element by position.
     pub fn element(&self, index: i64) -> Col {
-        if self.0.path == Path::Steps {
-            self.step(format!("{}[{index}]", self.sql()))
-        } else {
-            self.unary(format!("GET({}, {index})", self.sql()))
-        }
+        Col::node(Kind::Element(self.clone(), index))
     }
 
     // ---- misc ----
 
     /// `expr :: TYPE`
     pub fn cast(&self, ty: &str) -> Col {
-        self.unary(format!("({} :: {ty})", self.sql()))
+        Col::node(Kind::Cast(self.clone(), ty.into()))
     }
 
     /// Renders `expr AS alias` for select lists.
@@ -262,7 +459,7 @@ pub struct AliasedCol {
 
 impl AliasedCol {
     pub(crate) fn render(&self, out: &mut String) {
-        out.push_str(self.col.sql());
+        self.col.render(out);
         if let Some(a) = &self.alias {
             out.push_str(" AS ");
             push_ident(out, a);
@@ -310,12 +507,21 @@ mod tests {
 
     #[test]
     fn reads_and_calls_are_recorded() {
+        let reads = |c: &crate::Col| {
+            let mut names = Vec::new();
+            c.reads_any(&mut |n| {
+                names.push(n.to_string());
+                false
+            });
+            names
+        };
         let e = f::iff(&f::col("A").gt(&f::seq8()), &f::col_of("F", "VALUE"), &f::lit(1));
-        assert_eq!(e.reads(), ["A", "VALUE"]);
+        assert_eq!(reads(&e), ["A", "VALUE"]);
         assert!(e.calls_seq8() && !e.is_aggregate());
         let s = f::sum(&f::col("B")).add(&f::lit(1));
         assert!(s.is_aggregate() && !s.calls_seq8());
-        assert_eq!(s.reads(), ["B"]);
+        assert_eq!(reads(&s), ["B"]);
+        assert!(!f::lit(1).add(&f::seq8()).reads_any(&mut |_| true));
     }
 
     #[test]

@@ -63,7 +63,7 @@ struct Select {
     /// names listed), `None` when it is `items` alone.
     star: Option<Vec<String>>,
     /// Select items after the `*`, or the whole list.
-    items: Vec<AliasedCol>,
+    items: Items,
     /// Shared between the frames that merged into this `SELECT`: only a
     /// bare one extends it.
     from: Arc<FromClause>,
@@ -71,6 +71,58 @@ struct Select {
     group_by: Vec<Col>,
     order_by: Vec<(Col, SortOrder)>,
     limit: Option<u64>,
+}
+
+/// A select list, shared between the frames that extend it: appending an
+/// item to a frame's list copies none of the items before it.
+#[derive(Clone, Debug, Default)]
+struct Items(Option<Arc<ItemNode>>);
+
+#[derive(Debug)]
+struct ItemNode {
+    item: AliasedCol,
+    /// The items before this one.
+    prev: Items,
+    /// Whether this item or one before it calls `SEQ8()`.
+    seq8: bool,
+}
+
+impl Items {
+    fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// This list with `item` appended.
+    fn push(&self, item: AliasedCol) -> Items {
+        let seq8 = item.col.calls_seq8() || self.calls_seq8();
+        Items(Some(Arc::new(ItemNode { item, prev: self.clone(), seq8 })))
+    }
+
+    fn calls_seq8(&self) -> bool {
+        self.0.as_ref().is_some_and(|n| n.seq8)
+    }
+
+    /// The items, last first.
+    fn rev(&self) -> impl Iterator<Item = &AliasedCol> + Clone {
+        std::iter::successors(self.0.as_deref(), |n| n.prev.0.as_deref()).map(|n| &n.item)
+    }
+
+    /// Appends the items in order, separated by commas.
+    fn render(&self, out: &mut String) {
+        if let Some(n) = &self.0 {
+            n.prev.render(out);
+            if !n.prev.is_empty() {
+                out.push_str(", ");
+            }
+            n.item.render(out);
+        }
+    }
+}
+
+impl<T: Into<AliasedCol>> FromIterator<T> for Items {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Items {
+        iter.into_iter().fold(Items::default(), |list, item| list.push(item.into()))
+    }
 }
 
 /// A FROM clause: a base relation, then lateral flattens and joins in order.
@@ -127,7 +179,7 @@ impl Select {
         Select {
             distinct: false,
             star: Some(Vec::new()),
-            items: Vec::new(),
+            items: Items::default(),
             from: Arc::new(FromClause { base, alias: None, steps: Vec::new() }),
             filter: None,
             group_by: Vec::new(),
@@ -158,16 +210,13 @@ impl Select {
     /// hides, nor adds a second `SEQ8()`, nor aggregates.
     fn takes_column(&self, expr: &Col) -> bool {
         let Some(excluded) = &self.star else { return false };
-        let names = excluded
-            .iter()
-            .map(String::as_str)
-            .chain(self.items.iter().filter_map(|i| i.alias.as_deref()));
-        let defined = |name: &str| names.clone().any(|d| d.eq_ignore_ascii_case(name));
-        let second_seq8 = expr.calls_seq8() && self.items.iter().any(|i| i.col.calls_seq8());
+        let aliases = self.items.rev().filter_map(|i| i.alias.as_deref());
+        let names = excluded.iter().map(String::as_str).chain(aliases);
+        let second_seq8 = expr.calls_seq8() && self.items.calls_seq8();
         self.ends_at_select_list()
             && !expr.is_aggregate()
             && !second_seq8
-            && !expr.reads().into_iter().any(defined)
+            && !expr.reads_any(&mut |name| names.clone().any(|d| d.eq_ignore_ascii_case(name)))
     }
 
     fn render(&self, out: &mut String) {
@@ -183,21 +232,21 @@ impl Select {
                 out.push_str(", ");
             }
         }
-        push_list(out, &self.items, |out, item| item.render(out));
+        self.items.render(out);
         out.push_str(" FROM ");
         self.from.render(out);
         if let Some(cond) = &self.filter {
             out.push_str(" WHERE ");
-            out.push_str(cond.sql());
+            cond.render(out);
         }
         if !self.group_by.is_empty() {
             out.push_str(" GROUP BY ");
-            push_list(out, &self.group_by, |out, key| out.push_str(key.sql()));
+            push_list(out, &self.group_by, |out, key| key.render(out));
         }
         if !self.order_by.is_empty() {
             out.push_str(" ORDER BY ");
             push_list(out, &self.order_by, |out, (key, order)| {
-                out.push_str(key.sql());
+                key.render(out);
                 out.push_str(if *order == SortOrder::Desc { " DESC" } else { " ASC" });
             });
         }
@@ -230,7 +279,7 @@ impl FromClause {
             match step {
                 Step::Flatten { input, outer, alias } => {
                     out.push_str(", LATERAL FLATTEN(INPUT => ");
-                    out.push_str(input.sql());
+                    input.render(out);
                     if *outer {
                         out.push_str(", OUTER => TRUE");
                     }
@@ -247,7 +296,7 @@ impl FromClause {
                     push_alias(out, alias.as_deref());
                     if let Some(on) = on {
                         out.push_str(" ON ");
-                        out.push_str(on.sql());
+                        on.render(out);
                     }
                 }
             }
@@ -330,7 +379,7 @@ impl DataFrame {
     /// Keeps all columns and appends one computed column.
     pub fn with_column(&self, name: &str, expr: &Col) -> DataFrame {
         let mut s = self.open(|s| s.takes_column(expr));
-        s.items.push(expr.alias(name));
+        s.items = s.items.push(expr.alias(name));
         self.derive(s)
     }
 
@@ -473,8 +522,7 @@ impl GroupedFrame {
     {
         let mut s = self.df.open(Select::selects_star);
         s.star = None;
-        s.items = self.keys.iter().map(AliasedCol::from).collect();
-        s.items.extend(aggs.into_iter().map(Into::into));
+        s.items = self.keys.iter().map(AliasedCol::from).chain(aggs.into_iter().map(Into::into)).collect();
         s.group_by = self.keys.clone();
         self.df.derive(s)
     }

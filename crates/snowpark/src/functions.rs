@@ -2,57 +2,47 @@
 //! of the paper).
 
 use crate::column::Col;
-use crate::{quote_ident, quote_str};
 
 /// Reference to a column by name.
 pub fn col(name: &str) -> Col {
-    Col::reference(quote_ident(name), name)
+    Col::reference(None, name)
 }
 
 /// Reference to a column qualified by a relation alias (`t."X"`).
 pub fn col_of(relation: &str, name: &str) -> Col {
-    Col::reference(format!("{}.{}", quote_ident(relation), quote_ident(name)), name)
+    Col::reference(Some(relation), name)
 }
 
 /// Integer literal.
 pub fn lit(v: i64) -> Col {
-    Col::raw(v.to_string())
+    Col::int(v)
 }
 
-/// Double literal.
+/// Double literal: a whole number keeps one decimal (`2.0`).
 pub fn lit_f(v: f64) -> Col {
-    if v.fract() == 0.0 && v.is_finite() {
-        Col::raw(format!("{v:.1}"))
-    } else {
-        Col::raw(format!("{v}"))
-    }
+    Col::float(v)
 }
 
 /// String literal.
 pub fn lit_s(v: &str) -> Col {
-    Col::raw(quote_str(v))
+    Col::string(v)
 }
 
 /// Boolean literal.
 pub fn lit_b(v: bool) -> Col {
-    Col::raw(if v { "TRUE" } else { "FALSE" })
+    Col::text(if v { "TRUE" } else { "FALSE" })
 }
 
 /// SQL NULL.
 pub fn null() -> Col {
-    Col::raw("NULL")
-}
-
-fn call(name: &str, args: &[&Col]) -> Col {
-    let rendered: Vec<&str> = args.iter().map(|c| c.sql()).collect();
-    Col::over(format!("{name}({})", rendered.join(", ")), args)
+    Col::text("NULL")
 }
 
 macro_rules! fn1 {
     ($(#[$doc:meta])* $rust:ident, $sql:literal) => {
         $(#[$doc])*
         pub fn $rust(x: &Col) -> Col {
-            call($sql, &[x])
+            Col::call($sql, &[x])
         }
     };
 }
@@ -60,7 +50,7 @@ macro_rules! fn1 {
 macro_rules! agg1 {
     ($rust:ident, $sql:literal) => {
         pub fn $rust(x: &Col) -> Col {
-            Col::aggregate(format!("{}({})", $sql, x.sql()), &[x])
+            Col::aggregate($sql, "", Some(x))
         }
     };
 }
@@ -69,7 +59,7 @@ macro_rules! fn2 {
     ($(#[$doc:meta])* $rust:ident, $sql:literal) => {
         $(#[$doc])*
         pub fn $rust(a: &Col, b: &Col) -> Col {
-            call($sql, &[a, b])
+            Col::call($sql, &[a, b])
         }
     };
 }
@@ -117,12 +107,12 @@ fn1!(array_size, "ARRAY_SIZE");
 /// `ARRAY_FILTER(arr, field_or_null, op, literal)` — the engine's restricted
 /// native array filter (paper §VII-B future work).
 pub fn array_filter(arr: &Col, field: &Col, op: &Col, literal: &Col) -> Col {
-    call("ARRAY_FILTER", &[arr, field, op, literal])
+    Col::call("ARRAY_FILTER", &[arr, field, op, literal])
 }
 
 /// `PI()`
 pub fn pi() -> Col {
-    Col::raw("PI()")
+    Col::text("PI()")
 }
 
 /// `SEQ8()` — per-query unique row number; the translation layer uses it to tag
@@ -133,38 +123,32 @@ pub fn seq8() -> Col {
 
 /// `IFF(cond, then, else)`
 pub fn iff(cond: &Col, then: &Col, otherwise: &Col) -> Col {
-    call("IFF", &[cond, then, otherwise])
+    Col::call("IFF", &[cond, then, otherwise])
 }
 
 /// `COALESCE(...)`
 pub fn coalesce(args: &[&Col]) -> Col {
-    call("COALESCE", args)
+    Col::call("COALESCE", args)
 }
 
 /// `GREATEST(...)`
 pub fn greatest(args: &[&Col]) -> Col {
-    call("GREATEST", args)
+    Col::call("GREATEST", args)
 }
 
 /// `LEAST(...)`
 pub fn least(args: &[&Col]) -> Col {
-    call("LEAST", args)
+    Col::call("LEAST", args)
 }
 
 /// `OBJECT_CONSTRUCT('k1', v1, 'k2', v2, ...)` with keep-null semantics.
 pub fn object_construct(pairs: &[(&str, Col)]) -> Col {
-    let mut parts = Vec::with_capacity(pairs.len() * 2);
-    for (k, v) in pairs {
-        parts.push(quote_str(k));
-        parts.push(v.sql().to_string());
-    }
-    let values: Vec<&Col> = pairs.iter().map(|(_, v)| v).collect();
-    Col::over(format!("OBJECT_CONSTRUCT({})", parts.join(", ")), &values)
+    Col::object(pairs)
 }
 
 /// `ARRAY_CONSTRUCT(...)`
 pub fn array_construct(items: &[&Col]) -> Col {
-    call("ARRAY_CONSTRUCT", items)
+    Col::call("ARRAY_CONSTRUCT", items)
 }
 
 // ---- aggregates ----
@@ -180,27 +164,27 @@ agg1!(count, "COUNT");
 
 /// `COUNT(*)`
 pub fn count_star() -> Col {
-    Col::aggregate("COUNT(*)".into(), &[])
+    Col::aggregate("COUNT(*)", "", None)
 }
 
 /// `COUNT(DISTINCT x)`
 pub fn count_distinct(x: &Col) -> Col {
-    Col::aggregate(format!("COUNT(DISTINCT {})", x.sql()), &[x])
+    Col::aggregate("COUNT", "DISTINCT ", Some(x))
 }
 
 /// `CONCAT(a, b)`
 pub fn concat2(a: &Col, b: &Col) -> Col {
-    call("CONCAT", &[a, b])
+    Col::call("CONCAT", &[a, b])
 }
 
 /// `SUBSTR(s, start)` (1-based).
 pub fn substr2(s: &Col, start: &Col) -> Col {
-    call("SUBSTR", &[s, start])
+    Col::call("SUBSTR", &[s, start])
 }
 
 /// `SUBSTR(s, start, len)` (1-based).
 pub fn substr3(s: &Col, start: &Col, len: &Col) -> Col {
-    call("SUBSTR", &[s, start, len])
+    Col::call("SUBSTR", &[s, start, len])
 }
 
 /// Reference to the `VALUE` column produced by a flatten with the given alias.

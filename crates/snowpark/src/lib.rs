@@ -27,35 +27,25 @@ pub use column::{Col, SortOrder};
 pub use dataframe::{DataFrame, GroupedFrame, JoinType};
 pub use session::Session;
 
-/// Quotes an identifier for SQL emission.
-pub(crate) fn quote_ident(name: &str) -> String {
-    let mut s = String::with_capacity(name.len() + 2);
-    push_ident(&mut s, name);
-    s
-}
-
 /// Appends `name` to `out`, quoted as an identifier.
 pub(crate) fn push_ident(out: &mut String, name: &str) {
-    out.push('"');
-    for c in name.chars() {
-        if c == '"' {
-            out.push('"');
+    push_quoted(out, name, '"');
+}
+
+/// Appends `value` to `out` as a string literal.
+pub(crate) fn push_str_lit(out: &mut String, value: &str) {
+    push_quoted(out, value, '\'');
+}
+
+/// Appends `text` between `quote`s, doubling each `quote` inside it.
+fn push_quoted(out: &mut String, text: &str, quote: char) {
+    out.reserve(text.len() + 2);
+    out.push(quote);
+    for c in text.chars() {
+        if c == quote {
+            out.push(quote);
         }
         out.push(c);
     }
-    out.push('"');
-}
-
-/// Quotes a string literal for SQL emission.
-pub(crate) fn quote_str(value: &str) -> String {
-    let mut s = String::with_capacity(value.len() + 2);
-    s.push('\'');
-    for c in value.chars() {
-        if c == '\'' {
-            s.push('\'');
-        }
-        s.push(c);
-    }
-    s.push('\'');
-    s
+    out.push(quote);
 }

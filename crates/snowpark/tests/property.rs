@@ -13,7 +13,7 @@ proptest! {
     fn column_references_always_parse(name in "[a-zA-Z\"'%_ \u{e9}]{1,12}") {
         let sql = format!("SELECT {} FROM T", f::col(&name).sql());
         // The reference must lex as exactly one identifier token.
-        let toks = snowdb::sql::lexer::tokenize(f::col(&name).sql()).unwrap();
+        let toks = snowdb::sql::lexer::tokenize(&f::col(&name).sql()).unwrap();
         prop_assert_eq!(toks.len(), 2, "ident + EOF for {:?}", name);
         let _ = sql;
     }
@@ -21,7 +21,7 @@ proptest! {
     /// String literals survive arbitrary content.
     #[test]
     fn string_literals_always_lex(value in "\\PC{0,20}") {
-        let toks = snowdb::sql::lexer::tokenize(f::lit_s(&value).sql());
+        let toks = snowdb::sql::lexer::tokenize(&f::lit_s(&value).sql());
         // Characters the SQL lexer cannot represent outside strings are fine
         // inside one; the literal must come back intact.
         let toks = toks.unwrap();
