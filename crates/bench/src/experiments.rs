@@ -679,7 +679,17 @@ pub fn pipelines(cfg: &Config) -> Report {
         ],
     );
     for q in adl::queries::queries("hep").into_iter().filter(|q| q.id >= "q4") {
+        // Rows into the innermost (row-id) aggregate, per side and thread count.
+        let mut row_id_input = Vec::new();
         for (kind, sql) in [("generated", translate(&db, &q)), ("handwritten", q.handwritten_sql.clone())] {
+            if kind == "generated" && matches!(q.id, "q4" | "q5") {
+                let plan = db.compile(&sql).expect("compiles");
+                assert!(
+                    !outer_flatten_below_row_id_aggregate(&plan),
+                    "{} generated: {plan:?}",
+                    q.id
+                );
+            }
             for threads in [1, n] {
                 let opts = QueryOptions { threads: Some(threads), ..Default::default() };
                 let best = (0..cfg.warmup + cfg.runs.max(3))
@@ -706,6 +716,11 @@ pub fn pipelines(cfg: &Config) -> Report {
                         );
                     }
                 }
+                let innermost = metrics
+                    .operators()
+                    .into_iter()
+                    .rfind(|(_, m)| m.name.starts_with("Aggregate"));
+                row_id_input.push(innermost.expect("a row-id aggregate").1.rows_in);
                 for (i, (depth, m)) in metrics.operators().iter().enumerate() {
                     let head = match i {
                         0 => [q.id.into(), kind.into(), threads.to_string(), fmt_secs(best.exec_time().as_secs_f64())],
@@ -737,11 +752,35 @@ pub fn pipelines(cfg: &Config) -> Report {
                 }
             }
         }
+        // The nested predicate of q4 and q5 rejects the empty group, so the
+        // generated row-id aggregate reads only the kept rows, as the
+        // handwritten one does.
+        if matches!(q.id, "q4" | "q5") {
+            let (generated, handwritten) = row_id_input.split_at(2);
+            for (threads, (g, h)) in [1, n].into_iter().zip(generated.iter().zip(handwritten)) {
+                assert!(g <= h, "{} at {threads} threads: generated row-id aggregate reads {g} rows, handwritten {h}", q.id);
+            }
+        }
     }
     rep.note("exec: fastest execution (compile excluded) of warmup + max(runs, 3) runs; the rest is that run's profile");
+    rep.note("generated q4 and q5: the row-id aggregate reads no OUTER flatten and no more rows than the handwritten one (DESIGN.md, \"Empty-group elimination\")");
     rep.note("busy is summed across workers; pipe wall, morsels and workers stand on the operator the pipeline ends at");
     rep.note("groups: how an aggregate found its groups; every row-id aggregate of a generated query groups by runs");
     rep
+}
+
+/// Whether an `OUTER` flatten feeds the innermost aggregate of `plan`.
+fn outer_flatten_below_row_id_aggregate(plan: &snowdb::plan::Node) -> bool {
+    use snowdb::plan::{Node, NodeKind};
+    fn innermost(n: &Node) -> Option<&Node> {
+        let below = n.kind.inputs().into_iter().find_map(innermost);
+        below.or(matches!(n.kind, NodeKind::Aggregate { .. }).then_some(n))
+    }
+    fn outer(n: &Node) -> bool {
+        matches!(n.kind, NodeKind::Flatten { outer: true, .. })
+            || n.kind.inputs().into_iter().any(outer)
+    }
+    innermost(plan).is_some_and(outer)
 }
 
 /// Where a buffer-cache miss is paid and how often misses happen. Part one:

@@ -183,19 +183,24 @@ impl Translator {
             RIter::ReturnClause { .. } => self.translate_flwor(it),
             _ => {
                 // Non-FLWOR top level: evaluate over a synthetic single row.
-                let df = self.session.sql("SELECT 1 AS \"$DUMMY\"");
-                let mut ctx = Ctx {
-                    df,
-                    bindings: Vec::new(),
-                    keep: None,
-                    group: None,
-                    pending_sort: Vec::new(),
-                    rids: Vec::new(),
-                    order_col: None,
-                };
+                let mut ctx = self.one_row();
                 let col = self.value(it, &mut ctx)?;
                 Ok(ctx.df.select([col.alias("RESULT")]))
             }
+        }
+    }
+
+    /// A context over one synthetic row with no bindings: what a query that
+    /// does not start with a `for` over a collection is evaluated on.
+    fn one_row(&self) -> Ctx {
+        Ctx {
+            df: self.session.sql("SELECT 1 AS \"$DUMMY\""),
+            bindings: Vec::new(),
+            keep: None,
+            group: None,
+            pending_sort: Vec::new(),
+            rids: Vec::new(),
+            order_col: None,
         }
     }
 
@@ -425,13 +430,18 @@ impl Translator {
         df.group_by(&keys).agg(items)
     }
 
-    /// Translates the clause a query starts with: a `for` over a collection.
+    /// Translates the clause a query starts with: a `for` over a collection,
+    /// or a `let` bound on the one-row frame of [`Translator::one_row`].
     fn first_clause(&mut self, clause: &RIter) -> JResult<Ctx> {
         let what = match clause {
             RIter::ForClause { var, at, expr, allowing_empty, .. } => {
                 return self.open_for(var, at.as_ref(), expr, *allowing_empty)
             }
-            RIter::LetClause { .. } => "let cannot start a translated query",
+            RIter::LetClause { .. } => {
+                let mut ctx = self.one_row();
+                self.clause(clause, &mut ctx)?;
+                return Ok(ctx);
+            }
             RIter::WhereClause { .. } => "where cannot start a query",
             RIter::GroupByClause { .. } => "group by cannot start a query",
             RIter::OrderByClause { .. } => "order by cannot start a query",

@@ -5,16 +5,20 @@
 //! reproducible offline (the `rand` shim is deterministic). The grammar stays
 //! inside the translator's supported dialect — each shape mirrors one of the
 //! ADL query skeletons (scalar filter-project, array iteration, group-by
-//! histogram, nested count / existential sub-FLWOR, a `let`-bound nested
-//! sequence read twice) so a divergence flagged by the oracle is an engine
-//! bug, not a dialect gap. Scalars and predicates draw on what the batch
+//! histogram, nested count / sum / existential / `empty` sub-FLWOR, a
+//! `let`-bound nested sequence read twice) so a divergence flagged by the
+//! oracle is an engine bug, not a dialect gap. Scalars and predicates draw
+//! on what the batch
 //! evaluator has kernels for — math builtins over paths, `if`/`then`/`else`
 //! guards (translated to `IFF`) around `div`, `size()` (`ARRAY_SIZE`),
 //! positional lookup (`GET`) — so the lattice's {vectorized, row} axis
-//! referees them. Some divisions go unguarded: the interpreter and every SQL
-//! point must then fail together. The two-argument aggregates have no JSONiq
-//! spelling the translator maps to them; `snowdb::verify::gen` writes those
-//! in SQL.
+//! referees them. Some divisions go unguarded, over an event's fields or an
+//! array element's: the interpreter and every SQL point must then fail
+//! together. The nested shapes draw bounds on both sides of what an empty
+//! nested query yields (`count(…) ge 0`, `sum(…) gt -3` hold for it), the
+//! boundary of the optimizer's empty-group elimination. The two-argument
+//! aggregates have no JSONiq spelling the translator maps to them;
+//! `snowdb::verify::gen` writes those in SQL.
 //!
 //! One shape in seven reads the irregular table `snowdb::verify::gen`
 //! loads (`load_irregular`): an optional member in a nested FLWOR's
@@ -107,10 +111,24 @@ fn event_pred(rng: &mut StdRng, s: &GenSchema) -> String {
 /// A predicate over an array-element variable `$x` with the given members.
 fn element_pred(rng: &mut StdRng, members: &[&'static str]) -> String {
     let field = pick(rng, members);
-    match rng.gen_range(0..4u32) {
+    match rng.gen_range(0..5u32) {
         0 if *field == "ETA" => format!("abs($x.ETA) lt {}", rng.gen_range(1..4)),
         1 => format!("sqrt($x.PT) {} {}", cmp_op(rng), rng.gen_range(2..8)),
         2 => format!("$x.PT * cos($x.PHI) {} {}", cmp_op(rng), rng.gen_range(-20..40)),
+        // A division by zero on some elements (a lepton of charge -1; a jet
+        // has no charge, so it divides by nothing): unguarded, every point
+        // fails together; guarded, it answers, but the optimizer still sees
+        // a division and must evaluate it on the same flattened rows.
+        3 => {
+            let division = "$x.PT div ($x.CHARGE + 1)";
+            let op = cmp_op(rng);
+            let c = rng.gen_range(1..40);
+            if rng.gen_bool(0.5) {
+                format!("{division} {op} {c}")
+            } else {
+                format!("(if ($x.CHARGE + 1 eq 0) then 0 else {division}) {op} {c}")
+            }
+        }
         _ => format!("$x.{field} {} {}", cmp_op(rng), rng.gen_range(5..60)),
     }
 }
@@ -232,15 +250,24 @@ pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
                 s.event_field,
             )
         }
-        // Nested count over a sub-FLWOR (ADL Q4 skeleton).
+        // Nested count or sum over a sub-FLWOR (ADL Q4 skeleton). `ge 0`
+        // and a sum above a negative bound hold for an event whose nested
+        // query is empty; the other bounds do not.
         3 => {
             let (arr, members) = pick(rng, &s.arrays);
-            format!(
-                r#"for $e in collection("{c}") where count(for $x in $e.{arr}[] where {} return $x) ge {} return $e.{}"#,
-                element_pred(rng, members),
-                rng.gen_range(1..3),
-                s.event_field,
-            )
+            let pred = element_pred(rng, members);
+            let nested = if rng.gen_bool(0.5) {
+                format!(
+                    "count(for $x in $e.{arr}[] where {pred} return $x) ge {}",
+                    rng.gen_range(0..3)
+                )
+            } else {
+                let field = pick(rng, members);
+                let bound =
+                    if rng.gen_bool(0.5) { -rng.gen_range(1..30) } else { rng.gen_range(0..60) };
+                format!("sum(for $x in $e.{arr}[] where {pred} return $x.{field}) gt {bound}")
+            };
+            format!(r#"for $e in collection("{c}") where {nested} return $e.{}"#, s.event_field)
         }
         // A `let`-bound nested sequence read by two sub-FLWORs (ADL Q6
         // skeleton): the JOIN-based strategy repeats the upstream query once
@@ -256,11 +283,12 @@ pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
                 s.event_field,
             )
         }
-        // Existential sub-FLWOR (ADL Q5 skeleton).
+        // Existential sub-FLWOR (ADL Q5 skeleton), or its negation.
         _ => {
             let (arr, members) = pick(rng, &s.arrays);
+            let quantifier = if rng.gen_bool(0.5) { "exists" } else { "empty" };
             format!(
-                r#"for $e in collection("{c}") where exists(for $x in $e.{arr}[] where {} return 1) return {}"#,
+                r#"for $e in collection("{c}") where {quantifier}(for $x in $e.{arr}[] where {} return 1) return {}"#,
                 element_pred(rng, members),
                 event_scalar(rng, s),
             )

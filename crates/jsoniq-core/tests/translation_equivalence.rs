@@ -423,3 +423,16 @@ fn an_inlined_group_by_key_sees_the_scope_before_the_clause() {
     answers(&format!("let $a := 10 {body}"), &ints(&[10, 10]), false);
     answers(&format!("declare function f($a) {{ {body} }}; f(10)"), &ints(&[10, 10]), false);
 }
+
+/// A top-level FLWOR may start with `let`: it binds on the one-row frame a
+/// query that is no FLWOR runs on, and a later `for` joins a collection to it.
+#[test]
+fn a_flwor_may_start_with_let() {
+    answers("let $x := abs(-1) return $x + 1", &ints(&[2]), true);
+    answers("let $x := 1 let $x := $x + 1 return $x", &ints(&[2]), true);
+    answers(
+        r#"let $k := 2 for $r in collection("t") where $r.X ge $k return $r.X * $k"#,
+        &ints(&[4, 6]),
+        true,
+    );
+}

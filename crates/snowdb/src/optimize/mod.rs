@@ -6,18 +6,23 @@
 //!    unions, and join inputs, and comparison / null-presence conjuncts
 //!    against base-table columns are copied into scans for zone-map
 //!    partition pruning;
-//! 3. **join reordering** ([`join_order`]) — Inner/Cross join clusters are
+//! 3. **empty-group elimination** ([`empty_group`]) — a filter that no
+//!    empty group of a row-id aggregate can pass moves the nested query's
+//!    `KEEP` flag below that aggregate as a filter; pushdown itself turns an
+//!    `OUTER` flatten or a left outer join inner under a filter that rejects
+//!    its padded rows;
+//! 4. **join reordering** ([`join_order`]) — Inner/Cross join clusters are
 //!    rebuilt in the order the cost model ([`cost`]) ranks cheapest, using
 //!    per-column statistics persisted in the catalog (NDV sketches,
 //!    histograms, null fractions), so raw SSB star joins and JSONiq
 //!    successive-`for` cross joins become selectivity-ordered hash joins;
-//! 4. **dead-column elimination** ([`narrow`]) — every operator keeps only
+//! 5. **dead-column elimination** ([`narrow`]) — every operator keeps only
 //!    the columns something above it reads: projections and aggregates drop
 //!    dead expressions, identity projections disappear, and scans materialize
 //!    only the table columns the query consumes, which both speeds execution
 //!    and makes the bytes-scanned metric reflect real column usage (paper
 //!    §V-E);
-//! 5. **subplan sharing** ([`share`]) — structurally identical subtrees with
+//! 6. **subplan sharing** ([`share`]) — structurally identical subtrees with
 //!    more than one reader get a share id and are executed once.
 //!
 //! Because the translation layer emits one SQL query per JSONiq query, these
@@ -25,6 +30,7 @@
 //! paper contrasts against UDF-based black boxes.
 
 pub mod cost;
+pub mod empty_group;
 pub mod join_order;
 pub mod narrow;
 pub mod share;
@@ -33,12 +39,15 @@ use crate::error::Result;
 use crate::exec::eval_const;
 use crate::plan::{col_cmp_lit, into_conjuncts, Field, FuncId, Node, NodeKind, PExpr, ScanPredicate};
 use crate::sql::{BinOp, JoinKind};
+use crate::variant::Variant;
+use empty_group::{fold_with, pads_rejected};
 
 /// Runs all optimizer passes.
 pub fn optimize(mut node: Node) -> Result<Node> {
     fold_node(&mut node);
     node = merge_projects(node);
     node = pushdown(node);
+    node = empty_group::eliminate(node);
     // Reordering runs after pushdown: by then single-table conjuncts sit on
     // their relations and cross-relation conjuncts have been folded into
     // join ON conditions, which is the input shape the reorderer pools.
@@ -259,6 +268,18 @@ fn fold_expr(e: &mut PExpr) {
     }
     // Children first, so that they are already folded.
     e.for_each_child_mut(&mut fold_expr);
+    // `NVL(NVL(x, c), c)` is `NVL(x, c)` for a literal `c`: a second default
+    // identical to the first never applies. (Not for any other `c`: it is
+    // evaluated only where `x` is NULL, and may raise or number rows; nor
+    // for `0` and `0.0`, which SQL equality does not tell apart.)
+    if let PExpr::Func { f: FuncId::Nvl, args } = e {
+        if let [PExpr::Func { f: FuncId::Nvl, args: inner }, PExpr::Lit(c)] = args.as_mut_slice() {
+            if matches!(inner.as_slice(), [_, PExpr::Lit(d)] if d.identical(c)) {
+                *e = args.swap_remove(0);
+                return;
+            }
+        }
+    }
     if !e.any(&mut |x| matches!(x, PExpr::Col(_))) && !e.is_volatile() {
         // Expressions that error at fold time (e.g. 1/0) are left in place so
         // the error surfaces at execution, matching engine semantics.
@@ -337,7 +358,19 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
             // SEQ8 row-id projection renumbered the left join keys while the
             // right side kept the unfiltered numbering, associating lepton
             // matches with the wrong jets.)
+            //
+            // A conjunct that reads only literal columns of the projection
+            // (the flag-column strategy's `TRUE AS "KEEP2"` beside its row
+            // id) is a constant: TRUE goes, anything else stays above too.
             if exprs.iter().any(PExpr::is_volatile) {
+                let literal = |c: usize| match &exprs[c] {
+                    PExpr::Lit(v) => Some(v.clone()),
+                    _ => None,
+                };
+                let parts = parts
+                    .into_iter()
+                    .filter(|p| !matches!(fold_with(p, literal), Some(Variant::Bool(true))))
+                    .collect();
                 let proj = Node::new(NodeKind::Project { input: pin, exprs }, fields.clone());
                 return wrap_filter(proj, parts, fields);
             }
@@ -353,6 +386,10 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
         }
         NodeKind::Flatten { input: fin, expr, outer, emit } => {
             let in_arity = fin.arity();
+            // A conjunct no pad row passes drops what OUTER adds: the flatten
+            // is inner. A pad row's VALUE, INDEX and KEY are NULL; its SEQ
+            // and THIS are those of the input row.
+            let outer = outer && !pads_rejected(&parts, |c| (in_arity..in_arity + 3).contains(&c));
             let mut movable = Vec::new();
             let mut stuck = Vec::new();
             for p in parts {
@@ -400,6 +437,12 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
         }
         NodeKind::Join { left, right, kind, on } => {
             let la = left.arity();
+            // A conjunct no NULL-extended row passes — every right column
+            // NULL — makes a left outer join inner.
+            let kind = match kind {
+                JoinKind::LeftOuter if pads_rejected(&parts, |c| c >= la) => JoinKind::Inner,
+                kind => kind,
+            };
             let mut left_parts = Vec::new();
             let mut right_parts = Vec::new();
             let mut into_on = Vec::new();

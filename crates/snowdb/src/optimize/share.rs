@@ -242,7 +242,7 @@ fn same_exprs(a: &[PExpr], b: &[PExpr]) -> bool {
 /// [`Variant`]'s SQL equality, under which `1 = 1.0`; two plans that differ
 /// only there return differently typed values, so the literals — which stand
 /// at the same places in both — must also be [`Variant::identical`].
-fn same_expr(a: &PExpr, b: &PExpr) -> bool {
+pub(super) fn same_expr(a: &PExpr, b: &PExpr) -> bool {
     a == b && {
         let mut theirs = Vec::new();
         b.visit(&mut |x| {

@@ -490,14 +490,26 @@ pub(crate) fn conjuncts(e: &PExpr) -> Vec<&PExpr> {
     out
 }
 
-/// As [`conjuncts`], taking the predicate apart.
+/// As [`conjuncts`], taking a predicate apart — a filter's or an ON
+/// condition's, which keep a row only where it is TRUE. So `IFF(c, TRUE,
+/// FALSE)`, the flag-column strategy's spelling of a nested `where`, is read
+/// as `c` and split in turn: `c` is evaluated either way.
 pub(crate) fn into_conjuncts(e: PExpr) -> Vec<PExpr> {
     fn go(e: PExpr, out: &mut Vec<PExpr>) {
-        if let PExpr::Binary { left, op: BinOp::And, right } = e {
-            go(*left, out);
-            go(*right, out);
-        } else {
-            out.push(e);
+        match e {
+            PExpr::Binary { left, op: BinOp::And, right } => {
+                go(*left, out);
+                go(*right, out);
+            }
+            PExpr::Func { f: FuncId::Iff, mut args }
+                if matches!(
+                    args.as_slice(),
+                    [_, PExpr::Lit(Variant::Bool(true)), PExpr::Lit(Variant::Bool(false))]
+                ) =>
+            {
+                go(args.swap_remove(0), out)
+            }
+            e => out.push(e),
         }
     }
     let mut out = Vec::new();

@@ -285,6 +285,100 @@ fn filter_does_not_cross_a_seq8_projection() {
 }
 
 #[test]
+fn literal_conjuncts_cross_a_seq8_projection() {
+    // A conjunct reading only a literal column beside the row id — the
+    // flag-column strategy's `TRUE AS KEEP` — is a constant: TRUE goes.
+    let db = flatten_db();
+    let sql = "SELECT RID FROM (SELECT *, SEQ8() AS RID, TRUE AS K FROM t) WHERE K";
+    assert!(!contains_filter(&db.compile(sql).unwrap()), "{}", db.explain(sql).unwrap());
+    assert_eq!(agreed_rows(&db, sql).len(), 8);
+    // Any other constant stays above, and so does every conjunct that reads
+    // another column.
+    let sql = "SELECT RID FROM (SELECT *, SEQ8() AS RID, FALSE AS K FROM t) WHERE K";
+    assert_filter_stays_above(&db, sql);
+    assert!(agreed_rows(&db, sql).is_empty());
+    let sql = "SELECT RID FROM (SELECT *, SEQ8() AS RID, TRUE AS K FROM t) WHERE K AND ID % 2 = 0";
+    assert_filter_stays_above(&db, sql);
+    assert_eq!(
+        agreed_rows(&db, sql),
+        [[Variant::Int(1)], [Variant::Int(3)], [Variant::Int(5)], [Variant::Int(7)]]
+    );
+}
+
+/// Whether the optimized plan of `sql` still has an `OUTER` flatten, after
+/// checking its rows against the raw plan's.
+fn keeps_outer_flatten(db: &Database, sql: &str) -> bool {
+    agreed_rows(db, sql);
+    find(&db.compile(sql).unwrap(), &|n| matches!(n.kind, NodeKind::Flatten { outer: true, .. }))
+        .is_some()
+}
+
+#[test]
+fn outer_flatten_turns_inner_under_a_filter_no_pad_row_passes() {
+    // `t` has empty arrays at ID 3 and 6: their pad rows carry NULL outputs.
+    let db = flatten_db();
+    let from = "SELECT ID, F.VALUE FROM t, LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F WHERE";
+    for pred in ["F.INDEX IS NOT NULL", "F.VALUE > 0", "IFF(F.VALUE >= 0, TRUE, FALSE) AND ID > 1"]
+    {
+        assert!(!keeps_outer_flatten(&db, &format!("{from} {pred}")), "{pred}");
+    }
+    // A pad row passes these (its `THIS` is its input's array); one conjunct
+    // can raise or numbers rows, and would no longer see the pad rows.
+    for pred in [
+        "F.INDEX IS NULL",
+        "F.THIS IS NOT NULL",
+        "F.SEQ >= 0 AND ARRAY_SIZE(F.THIS) = 0",
+        "NVL(F.VALUE, 0) >= 0",
+        "F.INDEX IS NOT NULL AND 10 / ID > 0",
+        "F.INDEX IS NOT NULL AND SEQ8() < 100",
+    ] {
+        assert!(keeps_outer_flatten(&db, &format!("{from} {pred}")), "{pred}");
+    }
+}
+
+#[test]
+fn left_outer_join_turns_inner_under_a_filter_no_null_extension_passes() {
+    let db = two_tables();
+    let joins = |sql: &str| {
+        agreed_rows(&db, sql);
+        let mut out = Vec::new();
+        find_joins(&db.compile(sql).unwrap(), &mut out);
+        out.into_iter().map(|(kind, _)| kind).collect::<Vec<_>>()
+    };
+    let from = "SELECT a.id, b.y FROM a LEFT OUTER JOIN b ON a.id = b.id AND b.y = 1 WHERE";
+    for pred in ["b.y >= 1", "NVL(NVL(b.y, 0), 0) >= 1", "b.y + a.x > 3"] {
+        // `b.y + a.x` reads the left side too: the rule does not fire.
+        let want = if pred.contains("a.x") { JoinKind::LeftOuter } else { JoinKind::Inner };
+        assert_eq!(joins(&format!("{from} {pred}")), [want], "{pred}");
+    }
+    for pred in ["b.y IS NULL", "NVL(b.y, 1) >= 1", "b.y >= 1 AND 10 / (a.x + 1) > 0"] {
+        assert_eq!(joins(&format!("{from} {pred}")), [JoinKind::LeftOuter], "{pred}");
+    }
+}
+
+#[test]
+fn nested_nvl_with_one_literal_default_folds() {
+    let db = flatten_db();
+    let plan = |sql: &str| {
+        agreed_rows(&db, sql);
+        db.explain(sql).unwrap()
+    };
+    let folded = plan(
+        "SELECT NVL(NVL(F.VALUE, 0), 0) FROM t, LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F",
+    );
+    assert!(folded.starts_with("Project [Nvl(#"), "{folded}");
+    assert_eq!(folded.matches("Nvl(").count(), 1, "{folded}");
+    // Not when the defaults differ, even only in type, or are no literals.
+    for sql in [
+        "SELECT NVL(NVL(F.VALUE, 0), 1) FROM t, LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F",
+        "SELECT NVL(NVL(F.VALUE, 0), 0.0) FROM t, LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F",
+        "SELECT NVL(NVL(F.VALUE, ID), ID) FROM t, LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F",
+    ] {
+        assert_eq!(plan(sql).matches("Nvl(").count(), 2, "{sql}");
+    }
+}
+
+#[test]
 fn null_sensitive_predicate_stays_above_outer_flatten() {
     let db = flatten_db();
     assert_filter_stays_above(
@@ -837,5 +931,73 @@ fn generated_ssb_joins_are_the_handwritten_joins() {
         }
         assert_eq!(joins(&below), joins(&hand), "{}:\n{below}\n{hand}", q.id);
         assert!(joins(&hand).len() >= 3, "{}", q.id);
+    }
+}
+
+/// ADL on 64 events, and the generated SQL of one query under `strategy`.
+fn adl_generated(
+    id: &str,
+    strategy: jsoniq_core::snowflake::NestedStrategy,
+) -> (std::sync::Arc<Database>, String) {
+    let db = std::sync::Arc::new(Database::new());
+    adl::load_into(&db, "hep", &adl::AdlConfig { events: 64, seed: 42, partition_rows: 16 });
+    let q = adl::queries::queries("hep").into_iter().find(|q| q.id == id).unwrap();
+    let sql = jsoniq_core::snowflake::translate_query(db.clone(), &q.jsoniq, strategy)
+        .unwrap()
+        .sql()
+        .to_string();
+    (db, sql)
+}
+
+/// `EXPLAIN` without the cost annotations.
+fn operators(db: &Database, sql: &str) -> String {
+    db.explain(sql)
+        .unwrap()
+        .lines()
+        .map(|l| format!("{}\n", l.split("  (est_rows").next().unwrap()))
+        .collect()
+}
+
+/// Generated ADL q4 under the paper's flag-column strategy: `count(…) ge 2`
+/// rejects the empty group, so the nested query's `KEEP` test filters below
+/// the row-id aggregate, the flatten under it is inner, and the aggregate
+/// reads what handwritten q4's does (DESIGN.md, "Empty-group elimination").
+#[test]
+fn generated_q4_filters_its_jets_below_the_row_id_aggregate() {
+    let (db, sql) = adl_generated("q4", jsoniq_core::snowflake::NestedStrategy::FlagColumn);
+    assert_eq!(
+        operators(&db, &sql),
+        "\
+Project [ObjectConstruct(\"value\", (0.0 + ((#0 + 0.5) * 4.0)), \"count\", Nvl(#1, 0))]
+  Sort [#0]
+    Aggregate group=[#0] aggs=[COUNT(*)]
+      Project [Floor(((Iff((#0 < 0.0), 0.0, Iff((#0 >= 200.0), 198.0, #0)) - 0.0) / 4.0))]
+        Project [#2:PT]
+          Filter (#1 >= 2)
+            Aggregate group=[#1] aggs=[COUNT(#2), ANY_VALUE(#0)]
+              Project [#0, #2, #3]
+                Filter ((#4 IS NOT NULL) AND (#3:PT > 40))
+                  Flatten input=#1 emit=[VALUE, INDEX]
+                    Project [#1, #5, Seq8()]
+                      Scan HEP cols=[MET, JET]
+"
+    );
+    agreed_rows(&db, &sql);
+}
+
+/// Under the JOIN-based strategy the same predicate turns q4's and q5's left
+/// outer join inner, and a count needs no `NVL`.
+#[test]
+fn generated_join_based_q4_and_q5_join_inner_on_a_bare_count() {
+    for id in ["q4", "q5"] {
+        let (db, sql) = adl_generated(id, jsoniq_core::snowflake::NestedStrategy::JoinBased);
+        let plan = operators(&db, &sql);
+        assert!(plan.contains("InnerJoin") && !plan.contains("LeftOuterJoin"), "{id}:\n{plan}");
+        let filter = plan
+            .lines()
+            .find(|l| l.trim_start().starts_with("Filter (#1"))
+            .unwrap_or_else(|| panic!("{id}:\n{plan}"));
+        assert!(!filter.contains("Nvl"), "{id}:\n{plan}");
+        agreed_rows(&db, &sql);
     }
 }

@@ -230,7 +230,7 @@ fn main() {
                         Err(e) => println!("explain error: {e}"),
                     }
                 }
-                Err(e) => println!("translation error: {e}"),
+                Err(e) => println!("{e}"),
             }
         } else {
             run_query(&session, &query, show_sql, interp_mode, strategy);
@@ -368,7 +368,7 @@ fn run_query(
             }
             execute_cancellable(session, df.sql());
         }
-        Err(e) => println!("translation error: {e}"),
+        Err(e) => println!("{e}"),
     }
 }
 
