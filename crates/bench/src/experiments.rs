@@ -579,7 +579,12 @@ pub fn futurework(cfg: &Config) -> Report {
 /// are boxed and the kernels have nothing typed to loop over; `dict` flips
 /// `encode` over a dictionary-coded string column. `filter3` is SSB q1.1's
 /// three-conjunct predicate shape; `dense-probe` probes a 1 000-row
-/// dimension keyed `0..999`, whose join table is indexed by value.
+/// dimension keyed `0..999`, whose join table is indexed by value. The
+/// grouped shapes: `group-float` is ADL's histogram (a `Float` bin,
+/// `COUNT(*)`), `group-multi` SSB's (a dictionary and an `Int` key, `SUM`),
+/// and `group-runs` the row-id aggregate of a nested query (an ascending
+/// `Int` key, `COUNT(IFF(…))`, `SUM` and `MIN`), over a table whose key
+/// comes in runs of four rows; `runs` flips `vectorize` like `typed`.
 pub fn kernels(cfg: &Config) -> Report {
     const PARTITION_ROWS: usize = 16_384;
     let rows = (cfg.adl_events as i64 * 16).min(262_144);
@@ -608,30 +613,42 @@ pub fn kernels(cfg: &Config) -> Report {
     let dict = table("t", [ColumnType::Str, ColumnType::Int, ColumnType::Float], &|i| {
         vec![Variant::str(CITIES[i as usize % CITIES.len()]), Variant::Int(i / 1000), x(i)]
     });
+    let runs = table("t", [ColumnType::Int, ColumnType::Int, ColumnType::Float], &|i| {
+        vec![Variant::Int(i / 4), Variant::Int(i % 17), x(i)]
+    });
 
-    const NUMERIC: [(&str, &str); 7] = [
+    const NUMERIC: [(&str, &str); 8] = [
         ("filter", "SELECT A FROM t WHERE A < 500 AND X >= 10.0"),
         ("filter3", "SELECT A FROM t WHERE A >= 100 AND A <= 300 AND X < 100.0"),
         ("dense-probe", "SELECT SUM(d.V) FROM t JOIN d ON t.A = d.K"),
         ("arith", "SELECT A + B * 2 - (X + A) * 3.5 FROM t WHERE B + 1 > 0"),
         ("global-agg", "SELECT SUM(A), AVG(X), COUNT(B), MIN(A), MAX(X) FROM t"),
         ("group-agg", "SELECT B, SUM(A), COUNT(*) FROM t GROUP BY B"),
+        ("group-float", "SELECT FLOOR(X / 2.5), COUNT(*) FROM t GROUP BY FLOOR(X / 2.5)"),
         ("join", "SELECT COUNT(*) FROM t l JOIN t r ON l.B = r.B WHERE l.A < 20 AND r.A < 20"),
     ];
-    const DICT: [(&str, &str); 3] = [
+    const DICT: [(&str, &str); 4] = [
         ("dict-filter", "SELECT B FROM t WHERE A = 'oslo'"),
         ("dict-in", "SELECT B FROM t WHERE A IN ('lima', 'seoul', 'dakar')"),
         ("dict-group-by", "SELECT A, COUNT(*), SUM(B) FROM t GROUP BY A"),
+        ("group-multi", "SELECT A, B, SUM(X) FROM t GROUP BY A, B"),
     ];
+    const RUNS: [(&str, &str); 1] = [(
+        "group-runs",
+        "SELECT A, COUNT(IFF(B > 8, 1, NULL)), SUM(X), MIN(X) FROM t GROUP BY A",
+    )];
     let mut rep = Report::new(
         "kernels",
         &format!("Kernel microbenchmark ({rows} rows, one thread)"),
         &["table", "query", "off", "on", "speedup"],
     );
     let serial = QueryOptions { threads: Some(1), ..Default::default() };
-    for (name, db, queries) in
-        [("typed", &typed, &NUMERIC[..]), ("mixed", &mixed, &NUMERIC[..]), ("dict", &dict, &DICT[..])]
-    {
+    for (name, db, queries) in [
+        ("typed", &typed, &NUMERIC[..]),
+        ("mixed", &mixed, &NUMERIC[..]),
+        ("dict", &dict, &DICT[..]),
+        ("runs", &runs, &RUNS[..]),
+    ] {
         for &(id, sql) in queries {
             let time = |on: bool| {
                 let opts = if name == "dict" {
@@ -653,7 +670,7 @@ pub fn kernels(cfg: &Config) -> Report {
             ]);
         }
     }
-    rep.note("typed, mixed: vectorize off / on (row producer / expression DAG); dict: encode off / on");
+    rep.note("typed, mixed, runs: vectorize off / on (row producer and row-by-row accumulators / expression DAG and typed aggregate states); dict: encode off / on");
     rep
 }
 
@@ -675,13 +692,16 @@ pub fn pipelines(cfg: &Config) -> Report {
         &format!("ADL q4-q8 pipeline by pipeline ({} events, 1 and {n} threads)", cfg.adl_events),
         &[
             "query", "sql", "threads", "exec", "operator", "busy", "rows out", "peak rows", "batches",
-            "pipe", "pipe wall", "morsels", "workers", "groups",
+            "pipe", "pipe wall", "morsels", "workers", "groups", "fold",
         ],
     );
     for q in adl::queries::queries("hep").into_iter().filter(|q| q.id >= "q4") {
         // Rows into the innermost (row-id) aggregate, per side and thread count.
         let mut row_id_input = Vec::new();
         for (kind, sql) in [("generated", translate(&db, &q)), ("handwritten", q.handwritten_sql.clone())] {
+            if kind == "generated" {
+                assert_typed_folds(&db, q.id, &sql);
+            }
             if kind == "generated" && matches!(q.id, "q4" | "q5") {
                 let plan = db.compile(&sql).expect("compiles");
                 assert!(
@@ -743,11 +763,15 @@ pub fn pipelines(cfg: &Config) -> Report {
                         Some(Grouping::Hashed) => "hashed",
                         None => "",
                     };
+                    let fold = match m.rows_folded_typed + m.rows_folded_boxed {
+                        0 => String::new(),
+                        _ => format!("{}/{}", m.rows_folded_typed, m.rows_folded_boxed),
+                    };
                     rep.row(
                         head.into_iter()
                             .chain(op)
                             .chain(pipe)
-                            .chain([groups.to_string()]),
+                            .chain([groups.to_string(), fold]),
                     );
                 }
             }
@@ -766,7 +790,29 @@ pub fn pipelines(cfg: &Config) -> Report {
     rep.note("generated q4 and q5: the row-id aggregate reads no OUTER flatten and no more rows than the handwritten one (DESIGN.md, \"Empty-group elimination\")");
     rep.note("busy is summed across workers; pipe wall, morsels and workers stand on the operator the pipeline ends at");
     rep.note("groups: how an aggregate found its groups; every row-id aggregate of a generated query groups by runs");
+    rep.note("fold: rows folded into typed states / into accumulators, a row once per aggregate; a generated query's histogram and row-id COUNT/SUM/MIN/MAX fold none boxed (DESIGN.md, \"Grouped aggregation\")");
     rep
+}
+
+/// Asserts that every aggregate of `sql` whose aggregates a typed state
+/// can fold — the histogram and the row-id `COUNT`/`SUM`/`MIN`/`MAX`, not an
+/// `ARRAY_AGG` of non-records or a `MIN_BY`/`MAX_BY` — folds no row boxed,
+/// as its `EXPLAIN ANALYZE` line's `fold=T/B` says.
+fn assert_typed_folds(db: &Database, id: &str, sql: &str) {
+    let text = match db.execute(&format!("EXPLAIN ANALYZE {sql}")).expect("explains") {
+        snowdb::StatementResult::Message(text) => text,
+        other => panic!("{id}: EXPLAIN ANALYZE answered {other:?}"),
+    };
+    for line in text.lines().filter(|l| l.contains("Aggregate ") && l.contains("aggs=[")) {
+        let boxes = ["ARRAY_AGG(", "_BY(", "COUNT(DISTINCT"].iter().any(|k| line.contains(k));
+        let boxed = line
+            .split(" fold=")
+            .nth(1)
+            .and_then(|f| f.split(|c: char| c == '/' || c.is_whitespace()).nth(1))
+            .and_then(|b| b.parse::<u64>().ok());
+        assert!(boxed.is_some(), "{id} generated: no fold= on {line}");
+        assert!(boxes || boxed == Some(0), "{id} generated folds rows boxed: {line}");
+    }
 }
 
 /// Whether an `OUTER` flatten feeds the innermost aggregate of `plan`.

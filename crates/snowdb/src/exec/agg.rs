@@ -1,75 +1,15 @@
-//! Aggregate accumulators for the hash aggregation operator.
+//! Aggregate states: typed per-group columns folded a column at a time
+//! ([`GroupStates`]), and the per-cell [`Accumulator`] that folds what no
+//! typed state takes.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use crate::column::ColumnVec;
+use crate::column::{Bitmap, ColumnVec, RecordLists, Records, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::plan::AggKind;
-use crate::variant::{cmp_variants, Key, Variant};
-
-/// True when [`Accumulator::update_column`] reproduces the serial row fold
-/// exactly for this column representation — same values *and* same errors.
-///
-/// Kinds that can raise a type error mid-fold (`SUM`, `AVG`, `BOOLAND_AGG`,
-/// `BOOLOR_AGG`) are only eligible when the column's type guarantees the
-/// serial fold cannot error, so column-major agg evaluation never reorders an
-/// error against another aggregate's row-major fold. Two-argument aggregates
-/// (`MIN_BY`/`MAX_BY`) always take the row path.
-pub fn column_eligible(kind: AggKind, col: &ColumnVec) -> bool {
-    // Run-length columns fold like their per-run value type; the fold
-    // decodes first (see `update_column`) so order-sensitive float sums stay
-    // bit-identical to the serial row order.
-    if let ColumnVec::Runs { values, .. } = col {
-        return column_eligible(kind, values);
-    }
-    match kind {
-        AggKind::CountStar
-        | AggKind::Count
-        | AggKind::CountDistinct
-        | AggKind::Min
-        | AggKind::Max
-        | AggKind::ArrayAgg
-        | AggKind::AnyValue => true,
-        AggKind::Sum | AggKind::Avg => matches!(
-            col,
-            ColumnVec::Null(_) | ColumnVec::Int { .. } | ColumnVec::Float { .. }
-        ),
-        AggKind::BoolAnd | AggKind::BoolOr => {
-            matches!(col, ColumnVec::Null(_) | ColumnVec::Bool { .. })
-        }
-        AggKind::MinBy | AggKind::MaxBy => false,
-    }
-}
-
-/// Non-null count of a column without materializing any [`Variant`].
-fn count_valid(col: &ColumnVec) -> i64 {
-    match col {
-        ColumnVec::Null(_) => 0,
-        ColumnVec::Int { valid, .. }
-        | ColumnVec::Float { valid, .. }
-        | ColumnVec::Bool { valid, .. } => valid.count_valid() as i64,
-        ColumnVec::Str(v) => v.iter().filter(|s| s.is_some()).count() as i64,
-        // Encoded columns count without materializing: codes against the
-        // NULL sentinel, runs by their lengths.
-        ColumnVec::DictStr { codes, .. } => {
-            codes.iter().filter(|&&c| c != crate::column::NULL_CODE).count() as i64
-        }
-        ColumnVec::Runs { ends, values } => {
-            let mut n = 0i64;
-            let mut start = 0u32;
-            for (r, &end) in ends.iter().enumerate() {
-                if !values.is_null_at(r) {
-                    n += i64::from(end - start);
-                }
-                start = end;
-            }
-            n
-        }
-        ColumnVec::Objects(r) => r.valid.count_valid() as i64,
-        ColumnVec::List(l) => l.valid.count_valid() as i64,
-        ColumnVec::Var(v) => v.iter().filter(|x| !x.is_null()).count() as i64,
-    }
-}
+use crate::variant::{cmp_f64, cmp_variants, Key, Variant};
 
 /// One running aggregate state.
 #[derive(Debug)]
@@ -250,128 +190,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Folds a whole column into the state, replicating the serial
-    /// row-at-a-time fold exactly (same values, same errors, same ties).
-    /// Callers must check [`column_eligible`] for this accumulator's kind
-    /// first; an ineligible column is an internal error.
-    pub fn update_column(&mut self, col: &ColumnVec) -> Result<()> {
-        // Run-length columns decode before folding: SUM/AVG float folds are
-        // order-sensitive, and the decoded fold replays the serial row order
-        // exactly. (Dictionary columns fold in place — every arm below goes
-        // through the generic accessors.)
-        if let ColumnVec::Runs { .. } = col {
-            return self.update_column(&col.decoded());
-        }
-        match self {
-            Accumulator::CountStar(n) => *n += col.len() as i64,
-            Accumulator::Count(n) => *n += count_valid(col),
-            Accumulator::CountDistinct(set) => {
-                for r in 0..col.len() {
-                    if !col.is_null_at(r) {
-                        set.insert(col.key_at(r));
-                    }
-                }
-            }
-            Accumulator::Sum { acc } => return sum_column(acc, col),
-            Accumulator::Avg { sum, n } => match col {
-                ColumnVec::Null(_) => {}
-                ColumnVec::Int { vals, valid } => {
-                    for (i, &x) in vals.iter().enumerate() {
-                        if valid.get(i) {
-                            *sum += x as f64;
-                            *n += 1;
-                        }
-                    }
-                }
-                ColumnVec::Float { vals, valid } => {
-                    for (i, &x) in vals.iter().enumerate() {
-                        if valid.get(i) {
-                            *sum += x;
-                            *n += 1;
-                        }
-                    }
-                }
-                _ => {
-                    return Err(SnowError::Exec(
-                        "internal: AVG column fold on non-numeric column".into(),
-                    ))
-                }
-            },
-            Accumulator::Min(m) => {
-                for r in 0..col.len() {
-                    let v = col.get(r);
-                    if !v.is_null()
-                        && m.as_ref()
-                            .is_none_or(|cur| cmp_variants(&v, cur) == std::cmp::Ordering::Less)
-                    {
-                        *m = Some(v);
-                    }
-                }
-            }
-            Accumulator::Max(m) => {
-                for r in 0..col.len() {
-                    let v = col.get(r);
-                    if !v.is_null()
-                        && m.as_ref().is_none_or(|cur| {
-                            cmp_variants(&v, cur) == std::cmp::Ordering::Greater
-                        })
-                    {
-                        *m = Some(v);
-                    }
-                }
-            }
-            Accumulator::ArrayAgg(items) => {
-                for r in 0..col.len() {
-                    if !col.is_null_at(r) {
-                        items.push(col.get(r));
-                    }
-                }
-            }
-            // The serial fold stores the first value even when it is NULL.
-            Accumulator::AnyValue(slot) => {
-                if slot.is_none() && !col.is_empty() {
-                    *slot = Some(col.get(0));
-                }
-            }
-            Accumulator::BoolAnd(b) => match col {
-                ColumnVec::Null(_) => {}
-                ColumnVec::Bool { vals, valid } => {
-                    for (i, &x) in vals.iter().enumerate() {
-                        if valid.get(i) {
-                            *b = Some(b.unwrap_or(true) && x);
-                        }
-                    }
-                }
-                _ => {
-                    return Err(SnowError::Exec(
-                        "internal: BOOLAND_AGG column fold on non-bool column".into(),
-                    ))
-                }
-            },
-            Accumulator::BoolOr(b) => match col {
-                ColumnVec::Null(_) => {}
-                ColumnVec::Bool { vals, valid } => {
-                    for (i, &x) in vals.iter().enumerate() {
-                        if valid.get(i) {
-                            *b = Some(b.unwrap_or(false) || x);
-                        }
-                    }
-                }
-                _ => {
-                    return Err(SnowError::Exec(
-                        "internal: BOOLOR_AGG column fold on non-bool column".into(),
-                    ))
-                }
-            },
-            Accumulator::MinBy { .. } | Accumulator::MaxBy { .. } => {
-                return Err(SnowError::Exec(
-                    "internal: column fold on a two-argument aggregate".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
     /// Folds another partial state of the same kind into this one.
     ///
     /// `other` must come from a *later* slice of the input than `self`:
@@ -504,54 +322,6 @@ impl Accumulator {
     }
 }
 
-/// Column-major `SUM` fold that is element-for-element identical to the
-/// serial `update` loop: first non-null stored as-is, `Int` additions
-/// checked-then-promoted to `Float` on overflow, mixed pairs coerced through
-/// the same `as f64` path as [`add`]. A non-numeric accumulator (possible
-/// when an earlier batch fell back row-major and stored a non-numeric first
-/// value) raises exactly the serial type error via [`add`].
-fn sum_column(acc: &mut Option<Variant>, col: &ColumnVec) -> Result<()> {
-    match col {
-        ColumnVec::Null(_) => Ok(()),
-        ColumnVec::Int { vals, valid } => {
-            for (i, &x) in vals.iter().enumerate() {
-                if !valid.get(i) {
-                    continue;
-                }
-                let next = match acc.take() {
-                    None => Variant::Int(x),
-                    Some(Variant::Int(cur)) => match cur.checked_add(x) {
-                        Some(v) => Variant::Int(v),
-                        None => Variant::Float(cur as f64 + x as f64),
-                    },
-                    Some(Variant::Float(f)) => Variant::Float(f + x as f64),
-                    Some(cur) => add(&cur, &Variant::Int(x))?,
-                };
-                *acc = Some(next);
-            }
-            Ok(())
-        }
-        ColumnVec::Float { vals, valid } => {
-            for (i, &x) in vals.iter().enumerate() {
-                if !valid.get(i) {
-                    continue;
-                }
-                let next = match acc.take() {
-                    None => Variant::Float(x),
-                    Some(Variant::Int(cur)) => Variant::Float(cur as f64 + x),
-                    Some(Variant::Float(f)) => Variant::Float(f + x),
-                    Some(cur) => add(&cur, &Variant::Float(x))?,
-                };
-                *acc = Some(next);
-            }
-            Ok(())
-        }
-        _ => Err(SnowError::Exec(
-            "internal: SUM column fold on non-numeric column".into(),
-        )),
-    }
-}
-
 fn add(a: &Variant, b: &Variant) -> Result<Variant> {
     use crate::variant::NumericPair;
     match NumericPair::coerce(a, b) {
@@ -565,6 +335,696 @@ fn add(a: &Variant, b: &Variant) -> Result<Variant> {
             a.type_name(),
             b.type_name()
         ))),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed states: one aggregate's state of every group, folded a column at a time
+// ---------------------------------------------------------------------------
+
+/// Where the rows of a batch fold: `slots` names the group of each row, or
+/// is `None` when every row folds into group 0 (a global aggregation);
+/// `fresh` lists the first row of each group the batch opened, in order.
+#[derive(Clone, Copy)]
+pub struct Fold<'s> {
+    pub rows: usize,
+    pub slots: Option<&'s [u32]>,
+    pub fresh: &'s [usize],
+}
+
+impl Fold<'_> {
+    /// Calls `f(group, row)` for every row that `valid` marks.
+    #[inline]
+    fn each_valid(&self, valid: &Bitmap, mut f: impl FnMut(usize, usize)) {
+        let all = valid.all_valid();
+        match self.slots {
+            None => (0..self.rows).filter(|&r| all || valid.get(r)).for_each(|r| f(0, r)),
+            Some(slots) => {
+                for (r, &g) in slots[..self.rows].iter().enumerate() {
+                    if all || valid.get(r) {
+                        f(g as usize, r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls `f(group, value)` for every valid value of a typed column.
+    #[inline]
+    fn each_value<T: Copy>(&self, vals: &[T], valid: &Bitmap, mut f: impl FnMut(usize, T)) {
+        let vals = &vals[..self.rows];
+        if valid.all_valid() {
+            match self.slots {
+                None => vals.iter().for_each(|&x| f(0, x)),
+                Some(slots) => vals.iter().zip(slots).for_each(|(&x, &g)| f(g as usize, x)),
+            }
+        } else {
+            self.each_valid(valid, |g, r| f(g, vals[r]));
+        }
+    }
+}
+
+/// The first row of each group a batch opened, in order, given the slot of
+/// each row: groups from `old` up are new, and a new group's first row is
+/// the first whose slot is the next one not seen yet (groups open in
+/// first-seen order).
+pub fn fresh_rows(slots: &[u32], old: usize) -> Vec<usize> {
+    let mut next = old;
+    let mut fresh = Vec::new();
+    for (r, &g) in slots.iter().enumerate() {
+        if g as usize == next {
+            fresh.push(r);
+            next += 1;
+        }
+    }
+    fresh
+}
+
+/// The running `SUM` of a group (`Null` before its first value): the first
+/// value as it came, then `Int` additions checked and promoted to `Float` on
+/// overflow, and mixed pairs added as `f64` — the steps of [`add`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Num {
+    Null,
+    Int(i64),
+    Float(f64),
+}
+
+impl Num {
+    #[inline]
+    fn add_int(self, x: i64) -> Num {
+        match self {
+            Num::Null => Num::Int(x),
+            Num::Int(c) => c.checked_add(x).map_or(Num::Float(c as f64 + x as f64), Num::Int),
+            Num::Float(f) => Num::Float(f + x as f64),
+        }
+    }
+
+    #[inline]
+    fn add_float(self, x: f64) -> Num {
+        match self {
+            Num::Null => Num::Float(x),
+            Num::Int(c) => Num::Float(c as f64 + x),
+            Num::Float(f) => Num::Float(f + x),
+        }
+    }
+
+    fn add(self, other: Num) -> Num {
+        match other {
+            Num::Null => self,
+            Num::Int(x) => self.add_int(x),
+            Num::Float(x) => self.add_float(x),
+        }
+    }
+
+    fn variant(self) -> Option<Variant> {
+        match self {
+            Num::Null => None,
+            Num::Int(i) => Some(Variant::Int(i)),
+            Num::Float(f) => Some(Variant::Float(f)),
+        }
+    }
+}
+
+/// The running `MIN` or `MAX` of each group, typed by the first column that
+/// brought a value; `None` while a group has none.
+#[derive(Debug)]
+pub enum Extremes {
+    /// No value yet in any group: the number of groups.
+    Unset(usize),
+    Int(Vec<Option<i64>>),
+    Float(Vec<Option<f64>>),
+    Bool(Vec<Option<bool>>),
+}
+
+/// The state of one aggregate in every group, indexed by group, for the
+/// kinds whose fold a typed column can drive (DESIGN.md, "Grouped
+/// aggregation"). Each is updated from a batch's [`Fold`] and its argument
+/// column a column at a time, and reproduces [`Accumulator::update2`] in
+/// serial row order: the same values, the same ties, and — as a state only
+/// takes a column on which that fold cannot raise ([`GroupStates::takes`]) —
+/// no error.
+#[derive(Debug)]
+pub enum GroupStates {
+    /// `COUNT(*)` (`star`) and `COUNT`, over any representation.
+    Count { star: bool, n: Vec<i64> },
+    /// `SUM` over `Int` and `Float` columns.
+    Sum(Vec<Num>),
+    /// `AVG` over `Int` and `Float` columns.
+    Avg { sum: Vec<f64>, n: Vec<i64> },
+    /// `MIN` (`max` false) or `MAX` over `Int`, `Float` or `Bool` columns,
+    /// under [`cmp_variants`]: NaN above every number, `-0.0` equal to
+    /// `0.0`, the first of equal values kept.
+    Extreme { max: bool, vals: Extremes },
+    /// `BOOLAND_AGG` (`and`) or `BOOLOR_AGG` over `Bool` columns.
+    Bool { and: bool, vals: Vec<Option<bool>> },
+    /// `ANY_VALUE`: the cell of each group's first row, gathered in the
+    /// argument's representation. NULL is a value like any other here.
+    First(ColumnVec),
+    /// `ARRAY_AGG` of shredded records: the non-NULL records folded, in row
+    /// order (`None` until a batch brings one), `of` the group of each, and
+    /// the number of groups. The output orders them by group, keeping row
+    /// order within one — in run mode they already are — as the ranges of
+    /// a [`RecordLists`] column.
+    Items {
+        items: Option<Records>,
+        of: Vec<u32>,
+        groups: usize,
+    },
+}
+
+/// The column a kernel reads: run-length columns are decoded first, so
+/// order-sensitive float sums replay the serial row order exactly.
+fn flat(col: &ColumnVec) -> Cow<'_, ColumnVec> {
+    match col {
+        ColumnVec::Runs { .. } => Cow::Owned(col.decoded()),
+        col => Cow::Borrowed(col),
+    }
+}
+
+/// The representation a column's values have, looking through runs.
+fn values_of(col: &ColumnVec) -> &ColumnVec {
+    match col {
+        ColumnVec::Runs { values, .. } => values,
+        col => col,
+    }
+}
+
+impl GroupStates {
+    /// The typed state of an aggregate of `kind`, or `None` for the kinds
+    /// only an [`Accumulator`] folds: `COUNT(DISTINCT)`, `MIN_BY` and
+    /// `MAX_BY`.
+    pub fn new(kind: AggKind) -> Option<GroupStates> {
+        Some(match kind {
+            AggKind::CountStar | AggKind::Count => GroupStates::Count {
+                star: kind == AggKind::CountStar,
+                n: Vec::new(),
+            },
+            AggKind::Sum => GroupStates::Sum(Vec::new()),
+            AggKind::Avg => GroupStates::Avg { sum: Vec::new(), n: Vec::new() },
+            AggKind::Min | AggKind::Max => GroupStates::Extreme {
+                max: kind == AggKind::Max,
+                vals: Extremes::Unset(0),
+            },
+            AggKind::BoolAnd | AggKind::BoolOr => GroupStates::Bool {
+                and: kind == AggKind::BoolAnd,
+                vals: Vec::new(),
+            },
+            AggKind::AnyValue => GroupStates::First(ColumnVec::new()),
+            AggKind::ArrayAgg => GroupStates::Items {
+                items: None,
+                of: Vec::new(),
+                groups: 0,
+            },
+            AggKind::CountDistinct | AggKind::MinBy | AggKind::MaxBy => return None,
+        })
+    }
+
+    /// Whether the state folds `col` (`None`: `COUNT(*)`'s) typed: a count
+    /// or a first cell any column, a sum or an average a numeric one, a
+    /// boolean aggregate a `Bool` one, an extreme a column of the type its
+    /// values have, an array records of the shape it holds — all NULL
+    /// columns always. Every column refused here is one on which the serial
+    /// fold may raise, one that would mix types in an extreme's state, or
+    /// one whose cells an array would have to box.
+    pub fn takes(&self, col: Option<&ColumnVec>) -> bool {
+        let Some(col) = col.map(values_of) else {
+            return matches!(self, GroupStates::Count { .. });
+        };
+        match (self, col) {
+            (GroupStates::Items { items, .. }, ColumnVec::Objects(r)) => {
+                items.as_ref().is_none_or(|i| i.same_shape(r))
+            }
+            (GroupStates::Items { .. }, c) => matches!(c, ColumnVec::Null(_)),
+            (GroupStates::Count { .. } | GroupStates::First(_), _) | (_, ColumnVec::Null(_)) => {
+                true
+            }
+            (GroupStates::Sum(_) | GroupStates::Avg { .. }, c) => {
+                matches!(c, ColumnVec::Int { .. } | ColumnVec::Float { .. })
+            }
+            (GroupStates::Bool { .. }, c) => matches!(c, ColumnVec::Bool { .. }),
+            (GroupStates::Extreme { vals, .. }, c) => matches!(
+                (vals, c),
+                (Extremes::Unset(_) | Extremes::Int(_), ColumnVec::Int { .. })
+                    | (Extremes::Unset(_) | Extremes::Float(_), ColumnVec::Float { .. })
+                    | (Extremes::Unset(_) | Extremes::Bool(_), ColumnVec::Bool { .. })
+            ),
+        }
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        match self {
+            GroupStates::Count { n, .. } | GroupStates::Avg { n, .. } => n.len(),
+            GroupStates::Sum(v) => v.len(),
+            GroupStates::Extreme { vals, .. } => match vals {
+                Extremes::Unset(n) => *n,
+                Extremes::Int(v) => v.len(),
+                Extremes::Float(v) => v.len(),
+                Extremes::Bool(v) => v.len(),
+            },
+            GroupStates::Bool { vals, .. } => vals.len(),
+            GroupStates::First(col) => col.len(),
+            GroupStates::Items { groups, .. } => *groups,
+        }
+    }
+
+    /// Opens groups up to `groups` with no value folded: a count of 0, a
+    /// NULL elsewhere — and a NULL first cell, which is what `ANY_VALUE`
+    /// over no rows returns.
+    pub fn resize(&mut self, groups: usize) {
+        match self {
+            GroupStates::Count { n, .. } => n.resize(groups, 0),
+            GroupStates::Sum(v) => v.resize(groups, Num::Null),
+            GroupStates::Avg { sum, n } => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            GroupStates::Extreme { vals, .. } => match vals {
+                Extremes::Unset(n) => *n = groups,
+                Extremes::Int(v) => v.resize(groups, None),
+                Extremes::Float(v) => v.resize(groups, None),
+                Extremes::Bool(v) => v.resize(groups, None),
+            },
+            GroupStates::Bool { vals, .. } => vals.resize(groups, None),
+            GroupStates::First(col) => col.push_nulls(groups - col.len()),
+            GroupStates::Items { groups: n, .. } => *n = groups,
+        }
+    }
+
+    /// Folds a batch's argument column `col` (`None` for `COUNT(*)`) into
+    /// `groups` groups, returning the cells of an encoded column a first
+    /// cell had to box to meet the cells before it. `col` must be one the
+    /// state [`takes`](GroupStates::takes).
+    pub fn fold(&mut self, groups: usize, b: &Fold<'_>, col: Option<&ColumnVec>) -> u64 {
+        if let GroupStates::First(first) = self {
+            let col = col.expect("ANY_VALUE has an argument");
+            return append_cells(first, col.gather(b.fresh));
+        }
+        self.resize(groups);
+        let Some(col) = col else {
+            let GroupStates::Count { n, .. } = self else {
+                unreachable!("only COUNT(*) has no argument");
+            };
+            match b.slots {
+                None => n[0] += b.rows as i64,
+                Some(slots) => slots[..b.rows].iter().for_each(|&g| n[g as usize] += 1),
+            }
+            return 0;
+        };
+        let col = flat(col);
+        match (self, &*col) {
+            (_, ColumnVec::Null(_)) => {}
+            (GroupStates::Count { n, .. }, col) => count_valid(n, b, col),
+            (GroupStates::Sum(s), ColumnVec::Int { vals, valid }) => {
+                b.each_value(vals, valid, |g, x| s[g] = s[g].add_int(x))
+            }
+            (GroupStates::Sum(s), ColumnVec::Float { vals, valid }) => {
+                b.each_value(vals, valid, |g, x| s[g] = s[g].add_float(x))
+            }
+            (GroupStates::Avg { sum, n }, ColumnVec::Int { vals, valid }) => {
+                b.each_value(vals, valid, |g, x| {
+                    sum[g] += x as f64;
+                    n[g] += 1;
+                })
+            }
+            (GroupStates::Avg { sum, n }, ColumnVec::Float { vals, valid }) => {
+                b.each_value(vals, valid, |g, x| {
+                    sum[g] += x;
+                    n[g] += 1;
+                })
+            }
+            (GroupStates::Bool { and, vals: v }, ColumnVec::Bool { vals, valid }) => {
+                let and = *and;
+                b.each_value(vals, valid, |g, x| {
+                    v[g] = Some(match and {
+                        true => v[g].unwrap_or(true) && x,
+                        false => v[g].unwrap_or(false) || x,
+                    })
+                })
+            }
+            (GroupStates::Items { items, of, .. }, ColumnVec::Objects(r)) => {
+                let mut taken = Vec::new();
+                b.each_valid(&r.valid, |g, row| {
+                    of.push(g as u32);
+                    taken.push(row);
+                });
+                let more = r.gather(&taken);
+                match items {
+                    Some(items) => items.append(more),
+                    None => *items = Some(more),
+                }
+            }
+            (GroupStates::Extreme { max, vals: state }, col) => {
+                let replaces = |o: Ordering| o == if *max { Ordering::Greater } else { Ordering::Less };
+                if let Extremes::Unset(n) = *state {
+                    *state = match col {
+                        ColumnVec::Int { .. } => Extremes::Int(vec![None; n]),
+                        ColumnVec::Float { .. } => Extremes::Float(vec![None; n]),
+                        _ => Extremes::Bool(vec![None; n]),
+                    };
+                }
+                match (state, col) {
+                    (Extremes::Int(s), ColumnVec::Int { vals, valid }) => {
+                        extreme(s, b, vals, valid, |x, c| replaces(x.cmp(&c)))
+                    }
+                    (Extremes::Float(s), ColumnVec::Float { vals, valid }) => {
+                        extreme(s, b, vals, valid, |x, c| replaces(cmp_f64(x, c)))
+                    }
+                    (Extremes::Bool(s), ColumnVec::Bool { vals, valid }) => {
+                        extreme(s, b, vals, valid, |x, c| replaces(x.cmp(&c)))
+                    }
+                    _ => unreachable!("an extreme takes its own type only"),
+                }
+            }
+            _ => unreachable!("a state takes only the columns it folds"),
+        }
+        0
+    }
+
+    /// Whether a later partial's states merge into these typed: an extreme
+    /// only with one of its own type, records only with records of their
+    /// shape.
+    pub fn merges(&self, other: &GroupStates) -> bool {
+        match (self, other) {
+            (GroupStates::Items { items: Some(a), .. }, GroupStates::Items { items: Some(b), .. }) => {
+                a.same_shape(b)
+            }
+            (GroupStates::Extreme { vals: a, .. }, GroupStates::Extreme { vals: b, .. }) => matches!(
+                (a, b),
+                (Extremes::Unset(_), _)
+                    | (_, Extremes::Unset(_))
+                    | (Extremes::Int(_), Extremes::Int(_))
+                    | (Extremes::Float(_), Extremes::Float(_))
+                    | (Extremes::Bool(_), Extremes::Bool(_))
+            ),
+            _ => true,
+        }
+    }
+
+    /// Merges the states of a partial over a *later* slice of the input:
+    /// its group `j` is this state's group `slots[j]`, `fresh` lists (in
+    /// order) the `j` of the groups new here, and `groups` is the number of
+    /// groups after the merge. An earlier value wins a tie and a first cell
+    /// stays first, so merging in input order gives the serial fold's
+    /// result; sums add as [`Accumulator::merge`] does. Returns the cells of
+    /// encoded first cells boxed.
+    pub fn merge(&mut self, other: GroupStates, groups: usize, slots: &[u32], fresh: &[usize]) -> u64 {
+        if let (GroupStates::First(first), GroupStates::First(more)) = (&mut *self, &other) {
+            return append_cells(first, more.gather(fresh));
+        }
+        if let GroupStates::Items { items, of, groups: n } = self {
+            let GroupStates::Items { items: more, of: more_of, .. } = other else {
+                unreachable!("partials of one aggregate have one kind of state");
+            };
+            *n = groups;
+            of.extend(more_of.into_iter().map(|j| slots[j as usize]));
+            match (items, more) {
+                (Some(items), Some(more)) => items.append(more),
+                (items, more) => *items = items.take().or(more),
+            }
+            return 0;
+        }
+        if let GroupStates::Extreme { vals: Extremes::Unset(_), .. } = self {
+            if !matches!(other, GroupStates::Extreme { vals: Extremes::Unset(_), .. }) {
+                // Take the other's type: its groups become the fresh ones.
+                let mut typed = other.empty_like();
+                typed.resize(groups);
+                *self = typed;
+            }
+        }
+        self.resize(groups);
+        let into = |j: usize| slots[j] as usize;
+        match (self, other) {
+            (GroupStates::Count { n, .. }, GroupStates::Count { n: m, .. }) => {
+                m.into_iter().enumerate().for_each(|(j, x)| n[into(j)] += x)
+            }
+            (GroupStates::Sum(s), GroupStates::Sum(t)) => {
+                t.into_iter().enumerate().for_each(|(j, x)| s[into(j)] = s[into(j)].add(x))
+            }
+            (GroupStates::Avg { sum, n }, GroupStates::Avg { sum: s2, n: n2 }) => {
+                for (j, (x, k)) in s2.into_iter().zip(n2).enumerate() {
+                    sum[into(j)] += x;
+                    n[into(j)] += k;
+                }
+            }
+            (GroupStates::Bool { and, vals }, GroupStates::Bool { vals: more, .. }) => {
+                for (j, x) in more.into_iter().enumerate() {
+                    if let Some(x) = x {
+                        let v = &mut vals[into(j)];
+                        *v = Some(if *and { v.unwrap_or(true) && x } else { v.unwrap_or(false) || x });
+                    }
+                }
+            }
+            (GroupStates::Extreme { max, vals }, GroupStates::Extreme { vals: more, .. }) => {
+                let replaces = |o: Ordering| o == if *max { Ordering::Greater } else { Ordering::Less };
+                match (vals, more) {
+                    (_, Extremes::Unset(_)) => {}
+                    (Extremes::Int(s), Extremes::Int(t)) => merge_extreme(s, t, into, |x, c| replaces(x.cmp(&c))),
+                    (Extremes::Float(s), Extremes::Float(t)) => {
+                        merge_extreme(s, t, into, |x, c| replaces(cmp_f64(x, c)))
+                    }
+                    (Extremes::Bool(s), Extremes::Bool(t)) => merge_extreme(s, t, into, |x, c| replaces(x.cmp(&c))),
+                    _ => unreachable!("merges() holds"),
+                }
+            }
+            _ => unreachable!("partials of one aggregate have one kind of state"),
+        }
+        0
+    }
+
+    /// A state of the same kind and type with no group.
+    fn empty_like(&self) -> GroupStates {
+        match self {
+            GroupStates::Count { star, .. } => GroupStates::Count { star: *star, n: Vec::new() },
+            GroupStates::Sum(_) => GroupStates::Sum(Vec::new()),
+            GroupStates::Avg { .. } => GroupStates::Avg { sum: Vec::new(), n: Vec::new() },
+            GroupStates::Extreme { max, vals } => GroupStates::Extreme {
+                max: *max,
+                vals: match vals {
+                    Extremes::Unset(_) => Extremes::Unset(0),
+                    Extremes::Int(_) => Extremes::Int(Vec::new()),
+                    Extremes::Float(_) => Extremes::Float(Vec::new()),
+                    Extremes::Bool(_) => Extremes::Bool(Vec::new()),
+                },
+            },
+            GroupStates::Bool { and, .. } => GroupStates::Bool { and: *and, vals: Vec::new() },
+            GroupStates::First(_) => GroupStates::First(ColumnVec::new()),
+            GroupStates::Items { .. } => GroupStates::Items {
+                items: None,
+                of: Vec::new(),
+                groups: 0,
+            },
+        }
+    }
+
+    /// The states as the accumulators a row-by-row fold would hold, adding
+    /// the cells boxed from an encoded first-cell column to `boxed`.
+    pub fn into_accs(self, boxed: &mut u64) -> Vec<Accumulator> {
+        match self {
+            GroupStates::Count { star: true, n } => n.into_iter().map(Accumulator::CountStar).collect(),
+            GroupStates::Count { star: false, n } => n.into_iter().map(Accumulator::Count).collect(),
+            GroupStates::Sum(s) => s.into_iter().map(|x| Accumulator::Sum { acc: x.variant() }).collect(),
+            GroupStates::Avg { sum, n } => {
+                sum.into_iter().zip(n).map(|(sum, n)| Accumulator::Avg { sum, n }).collect()
+            }
+            GroupStates::Extreme { max, vals } => {
+                let cells: Vec<Option<Variant>> = match vals {
+                    Extremes::Unset(n) => vec![None; n],
+                    Extremes::Int(v) => v.into_iter().map(|x| x.map(Variant::Int)).collect(),
+                    Extremes::Float(v) => v.into_iter().map(|x| x.map(Variant::Float)).collect(),
+                    Extremes::Bool(v) => v.into_iter().map(|x| x.map(Variant::Bool)).collect(),
+                };
+                let acc: fn(Option<Variant>) -> Accumulator = match max {
+                    true => Accumulator::Max,
+                    false => Accumulator::Min,
+                };
+                cells.into_iter().map(acc).collect()
+            }
+            GroupStates::Bool { and: true, vals } => vals.into_iter().map(Accumulator::BoolAnd).collect(),
+            GroupStates::Bool { and: false, vals } => vals.into_iter().map(Accumulator::BoolOr).collect(),
+            GroupStates::First(col) => {
+                if boxes_cells(&col) {
+                    *boxed += col.len() as u64;
+                }
+                (0..col.len()).map(|g| Accumulator::AnyValue(Some(col.get(g)))).collect()
+            }
+            GroupStates::Items { items, of, groups } => {
+                let mut lists: Vec<Vec<Variant>> = vec![Vec::new(); groups];
+                if let Some(items) = items {
+                    *boxed += items.len() as u64;
+                    of.iter().enumerate().for_each(|(i, &g)| lists[g as usize].push(items.get(i)));
+                }
+                lists.into_iter().map(Accumulator::ArrayAgg).collect()
+            }
+        }
+    }
+
+    /// The output column, a cell per group: what [`Accumulator::finish`]
+    /// returns for each.
+    pub fn into_column(self) -> ColumnVec {
+        let groups = self.len();
+        let typed = |col: ColumnVec, any: bool| if any { col } else { ColumnVec::Null(groups) };
+        match self {
+            GroupStates::Count { n, .. } => ColumnVec::Int { vals: n, valid: Bitmap::ones(groups) },
+            GroupStates::Sum(s) => {
+                let mut col = ColumnVec::new();
+                s.into_iter().for_each(|x| col.push(x.variant().unwrap_or(Variant::Null)));
+                col
+            }
+            GroupStates::Avg { sum, n } => {
+                let valid = Bitmap::from_fn(groups, |g| n[g] > 0);
+                let any = valid.count_valid() > 0;
+                let vals = sum.iter().zip(&n).map(|(&s, &n)| if n > 0 { s / n as f64 } else { 0.0 }).collect();
+                typed(ColumnVec::Float { vals, valid }, any)
+            }
+            GroupStates::Extreme { vals, .. } => match vals {
+                Extremes::Unset(n) => ColumnVec::Null(n),
+                Extremes::Int(v) => {
+                    let (vals, valid, any) = unzip_cells(&v);
+                    typed(ColumnVec::Int { vals, valid }, any)
+                }
+                Extremes::Float(v) => {
+                    let (vals, valid, any) = unzip_cells(&v);
+                    typed(ColumnVec::Float { vals, valid }, any)
+                }
+                Extremes::Bool(v) => {
+                    let (vals, valid, any) = unzip_cells(&v);
+                    typed(ColumnVec::Bool { vals, valid }, any)
+                }
+            },
+            GroupStates::Bool { vals: v, .. } => {
+                let (vals, valid, any) = unzip_cells(&v);
+                typed(ColumnVec::Bool { vals, valid }, any)
+            }
+            GroupStates::First(col) => col,
+            GroupStates::Items { items: Some(items), of, groups } => {
+                let (offsets, order) = by_group(&of, groups);
+                let items = match order {
+                    Some(order) => items.gather(&order),
+                    None => items,
+                };
+                ColumnVec::List(RecordLists::from_offsets(&offsets, Bitmap::ones(groups), items))
+            }
+            // No batch brought a record: every group's array is empty.
+            GroupStates::Items { items: None, groups, .. } => {
+                let mut col = ColumnVec::new();
+                (0..groups).for_each(|_| col.push(Variant::array(Vec::new())));
+                col
+            }
+        }
+    }
+}
+
+/// The ranges of `groups` groups over items whose groups are `of`, as
+/// offsets, and the order that sorts the items by group, keeping their
+/// order within one — `None` when they are sorted already.
+fn by_group(of: &[u32], groups: usize) -> (Vec<u32>, Option<Vec<usize>>) {
+    let mut offsets = vec![0u32; groups + 1];
+    of.iter().for_each(|&g| offsets[g as usize + 1] += 1);
+    for g in 0..groups {
+        offsets[g + 1] += offsets[g];
+    }
+    if of.windows(2).all(|w| w[0] <= w[1]) {
+        return (offsets, None);
+    }
+    let mut next: Vec<u32> = offsets[..groups].to_vec();
+    let mut order = vec![0; of.len()];
+    for (i, &g) in of.iter().enumerate() {
+        order[next[g as usize] as usize] = i;
+        next[g as usize] += 1;
+    }
+    (offsets, Some(order))
+}
+
+/// Values (a default where NULL), validity, and whether any cell is valid.
+fn unzip_cells<T: Copy + Default>(cells: &[Option<T>]) -> (Vec<T>, Bitmap, bool) {
+    let vals = cells.iter().map(|c| c.unwrap_or_default()).collect();
+    let valid = Bitmap::from_fn(cells.len(), |g| cells[g].is_some());
+    let any = cells.iter().any(Option::is_some);
+    (vals, valid, any)
+}
+
+/// Adds each group's non-NULL rows of `col` to its count, reading no cell.
+fn count_valid(n: &mut [i64], b: &Fold<'_>, col: &ColumnVec) {
+    match col {
+        ColumnVec::Int { valid, .. }
+        | ColumnVec::Float { valid, .. }
+        | ColumnVec::Bool { valid, .. }
+        | ColumnVec::Objects(Records { valid, .. })
+        | ColumnVec::List(RecordLists { valid, .. }) => match b.slots {
+            None if valid.len() == b.rows => n[0] += valid.count_valid() as i64,
+            _ => b.each_valid(valid, |g, _| n[g] += 1),
+        },
+        col => {
+            let mut each = |r: usize| match b.slots {
+                None => n[0] += 1,
+                Some(slots) => n[slots[r] as usize] += 1,
+            };
+            match col {
+                ColumnVec::Str(v) => (0..b.rows).filter(|&r| v[r].is_some()).for_each(&mut each),
+                ColumnVec::DictStr { codes, .. } => {
+                    (0..b.rows).filter(|&r| codes[r] != NULL_CODE).for_each(&mut each)
+                }
+                col => (0..b.rows).filter(|&r| !col.is_null_at(r)).for_each(&mut each),
+            }
+        }
+    }
+}
+
+/// Replaces each group's extreme by a valid value of `vals` that `better`
+/// says beats it; the first of equal values stays.
+#[inline]
+fn extreme<T: Copy>(
+    state: &mut [Option<T>],
+    b: &Fold<'_>,
+    vals: &[T],
+    valid: &Bitmap,
+    better: impl Fn(T, T) -> bool,
+) {
+    b.each_value(vals, valid, |g, x| {
+        if state[g].is_none_or(|c| better(x, c)) {
+            state[g] = Some(x);
+        }
+    })
+}
+
+/// Merges a later partial's extremes `more` into `state` (see
+/// [`GroupStates::merge`]).
+fn merge_extreme<T: Copy>(
+    state: &mut [Option<T>],
+    more: Vec<Option<T>>,
+    into: impl Fn(usize) -> usize,
+    better: impl Fn(T, T) -> bool,
+) {
+    for (j, x) in more.into_iter().enumerate() {
+        let s = &mut state[into(j)];
+        if let Some(x) = x {
+            if s.is_none_or(|c| better(x, c)) {
+                *s = Some(x);
+            }
+        }
+    }
+}
+
+/// True for the representations whose cells are built to be read one at a
+/// time: dictionary strings and shredded records and lists.
+pub fn boxes_cells(col: &ColumnVec) -> bool {
+    matches!(
+        col,
+        ColumnVec::DictStr { .. } | ColumnVec::Objects(_) | ColumnVec::List(_)
+    )
+}
+
+/// Appends `more` to `col`, returning the cells of encoded columns boxed
+/// when the two representations do not line up.
+pub fn append_cells(col: &mut ColumnVec, more: ColumnVec) -> u64 {
+    let held = [&*col, &more].map(|c| if boxes_cells(c) { c.len() as u64 } else { 0 });
+    col.append(more);
+    if boxes_cells(col) {
+        0
+    } else {
+        held.iter().sum()
     }
 }
 
@@ -686,72 +1146,134 @@ mod tests {
         assert_eq!(a.finish(), Variant::from("first"));
     }
 
+    /// Columns a typed state takes or refuses: NULLs, integers at the edge
+    /// of overflow, doubles with NaN, `-0.0` and integral values, booleans,
+    /// runs, dictionary strings, boxed mixed values and shredded records
+    /// with a NULL.
+    fn columns() -> Vec<ColumnVec> {
+        let f = Variant::Float;
+        let mut cols: Vec<ColumnVec> = [
+            vec![Variant::Int(4), Variant::Null, Variant::Int(1), Variant::Int(4), Variant::Int(-2), Variant::Int(9)],
+            vec![f(2.5), f(f64::NAN), Variant::Null, f(-0.0), f(0.0), f(3.0)],
+            vec![Variant::Int(i64::MAX), Variant::Int(i64::MAX), Variant::Int(1), Variant::Null, Variant::Int(-5), Variant::Int(i64::MIN)],
+            vec![Variant::Bool(true), Variant::Null, Variant::Bool(false), Variant::Bool(true), Variant::Null, Variant::Bool(false)],
+            vec![Variant::Null; 6],
+            vec![Variant::from("b"), Variant::Null, Variant::from("a"), Variant::from("b"), Variant::from("c"), Variant::Null],
+            vec![Variant::Int(1), f(1.0), Variant::Null, f(0.5), Variant::Int(-1), Variant::Int(2)],
+        ]
+        .into_iter()
+        .map(ColumnVec::from_variants)
+        .collect();
+        cols.push(ColumnVec::Runs {
+            ends: vec![2, 3, 6],
+            values: Box::new(ColumnVec::from_variants(vec![Variant::Int(7), Variant::Null, Variant::Int(3)])),
+        });
+        let keys: std::sync::Arc<[std::sync::Arc<str>]> = std::sync::Arc::from(vec![std::sync::Arc::<str>::from("PT")]);
+        let valid = Bitmap::from_fn(6, |r| r != 2);
+        let pt = ColumnVec::from_variants((0..6).map(|r| Variant::Float(r as f64 / 2.0)).collect());
+        cols.push(ColumnVec::Objects(Records { keys, fields: vec![pt], valid }));
+        cols
+    }
+
+    const TYPED: [AggKind; 10] = [
+        AggKind::CountStar,
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Avg,
+        AggKind::Min,
+        AggKind::Max,
+        AggKind::BoolAnd,
+        AggKind::BoolOr,
+        AggKind::AnyValue,
+        AggKind::ArrayAgg,
+    ];
+
+    /// Groups of the six rows of [`columns`].
+    const SLOTS: [u32; 6] = [0, 1, 0, 2, 1, 0];
+
+    /// Each group's serial row fold of `col`, or its error.
+    fn serial(kind: AggKind, col: &ColumnVec) -> Result<Vec<Variant>> {
+        let mut accs: Vec<Accumulator> = (0..3).map(|_| Accumulator::new(kind)).collect();
+        for (r, &g) in SLOTS.iter().enumerate() {
+            let arg = (kind != AggKind::CountStar).then_some(col);
+            accs[g as usize].update_at(arg, None, r)?;
+        }
+        Ok(accs.into_iter().map(Accumulator::finish).collect())
+    }
+
+    fn cells(col: &ColumnVec) -> String {
+        format!("{:?}", (0..col.len()).map(|g| col.get(g)).collect::<Vec<_>>())
+    }
+
+    /// A typed state of `kind` over rows `lo..hi` of `col` whose groups are
+    /// `slots`, or `None` when it does not take the column.
+    fn folded(kind: AggKind, col: &ColumnVec, parts: &[(usize, usize, &[u32])]) -> Option<GroupStates> {
+        let mut states = GroupStates::new(kind)?;
+        let arg = (kind != AggKind::CountStar).then_some(col);
+        states.takes(arg).then_some(())?;
+        let mut groups = 0;
+        for &(lo, hi, slots) in parts {
+            let part = col.slice(lo, hi);
+            let fresh = fresh_rows(slots, groups);
+            groups += fresh.len();
+            let b = Fold { rows: hi - lo, slots: Some(slots), fresh: &fresh };
+            states.fold(groups, &b, arg.map(|_| &part));
+        }
+        Some(states)
+    }
+
+    /// Every typed state reproduces the serial fold per group — values,
+    /// their types, ties — over batches split anywhere, and takes no column
+    /// on which the serial fold raises.
     #[test]
-    fn column_fold_matches_row_fold() {
-        let batches: Vec<Vec<Variant>> = vec![
-            vec![Variant::Int(4), Variant::Null, Variant::Int(1)],
-            vec![Variant::Float(2.5), Variant::Float(f64::NAN), Variant::Null],
-            vec![Variant::Int(i64::MAX), Variant::Int(i64::MAX)],
-            vec![Variant::Bool(true), Variant::Null, Variant::Bool(false)],
-            vec![Variant::Null, Variant::Null],
-        ];
-        for kind in [
-            AggKind::CountStar,
-            AggKind::Count,
-            AggKind::CountDistinct,
-            AggKind::Sum,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::Avg,
-            AggKind::ArrayAgg,
-            AggKind::AnyValue,
-            AggKind::BoolAnd,
-            AggKind::BoolOr,
-        ] {
-            for batch in &batches {
-                let col = ColumnVec::from_variants(batch.clone());
-                if !column_eligible(kind, &col) {
-                    continue;
-                }
-                let mut serial = Accumulator::new(kind);
-                let mut serial_err = None;
-                for v in batch {
-                    if let Err(e) = serial.update(v) {
-                        serial_err = Some(e);
-                        break;
-                    }
-                }
-                let mut columnar = Accumulator::new(kind);
-                let col_res = columnar.update_column(&col);
-                match (serial_err, col_res) {
-                    (None, Ok(())) => {
-                        assert_eq!(
-                            columnar.finish(),
-                            serial.finish(),
-                            "kind {kind:?} batch {batch:?}"
-                        );
-                    }
-                    (Some(_), Err(_)) => {}
-                    (s, c) => panic!("kind {kind:?}: serial {s:?} vs column {c:?}"),
+    fn typed_states_fold_as_the_serial_rows() {
+        for col in columns() {
+            for kind in TYPED {
+                for split in 0..=SLOTS.len() {
+                    let parts = [(0, split, &SLOTS[..split]), (split, 6, &SLOTS[split..])];
+                    let Some(states) = folded(kind, &col, &parts) else {
+                        continue;
+                    };
+                    let want = serial(kind, &col)
+                        .unwrap_or_else(|e| panic!("{kind:?} took {col:?}, on which rows raise {e}"));
+                    let got = cells(&states.into_column());
+                    assert_eq!(got, format!("{want:?}"), "{kind:?} over {col:?}, split {split}");
                 }
             }
         }
     }
 
+    /// A later partial merged in input order — typed, or boxed into
+    /// accumulators — gives the serial fold of the whole. The first partial
+    /// folds rows 0..3 (groups 0, 1), the second rows 3..6, whose groups
+    /// 2, 1, 0 it numbers 0, 1, 2.
     #[test]
-    fn sum_column_reproduces_serial_error_on_poisoned_accumulator() {
-        // A row-major batch can store a non-numeric first value unchecked;
-        // the column fold over a later numeric batch must raise the same
-        // type error the serial fold would.
-        let mut serial = Accumulator::new(AggKind::Sum);
-        serial.update(&Variant::from("oops")).unwrap();
-        let e1 = serial.update(&Variant::Int(1)).unwrap_err();
-        let mut columnar = Accumulator::new(AggKind::Sum);
-        columnar.update(&Variant::from("oops")).unwrap();
-        let e2 = columnar
-            .update_column(&ColumnVec::from_variants(vec![Variant::Int(1)]))
-            .unwrap_err();
-        assert_eq!(e1.to_string(), e2.to_string());
+    fn typed_partials_merge_as_the_serial_rows() {
+        for col in columns() {
+            for kind in TYPED {
+                let early = [(0, 3, &SLOTS[..3])];
+                let late: [(usize, usize, &[u32]); 1] = [(3, 6, &[0, 1, 2])];
+                let (Some(states), Some(more)) = (folded(kind, &col, &early), folded(kind, &col, &late)) else {
+                    continue;
+                };
+                let want = format!("{:?}", serial(kind, &col).expect("takes"));
+                let mut boxed = 0;
+                let mut accs = states.into_accs(&mut boxed);
+                for (j, acc) in more.into_accs(&mut boxed).into_iter().enumerate() {
+                    match [2usize, 1, 0][j] {
+                        g if g < accs.len() => accs[g].merge(acc).unwrap(),
+                        _ => accs.push(acc),
+                    }
+                }
+                let got: Vec<Variant> = accs.into_iter().map(Accumulator::finish).collect();
+                assert_eq!(format!("{got:?}"), want, "{kind:?} over {col:?}, boxed");
+                let (mut states, more) = (folded(kind, &col, &early).unwrap(), folded(kind, &col, &late).unwrap());
+                if states.merges(&more) {
+                    states.merge(more, 3, &[2, 1, 0], &[0]);
+                    assert_eq!(cells(&states.into_column()), want, "{kind:?} over {col:?}, typed");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   is build row `r`, a row with a NULL in its key is in no chain (NULL never
 //!   matches), and a chain lists its rows in ascending order, so the matches of
 //!   a probe row come out in right-row order — the order of a nested loop;
-//! - **grown** ([`KeyTable::find_or_insert`]) by an aggregate, one row at a
-//!   time: a key not yet in the table becomes the next entry, so entry indices
-//!   are first-seen order. NULL is a key like any other: NULL = NULL.
+//! - **grown** ([`KeyTable::grow`]) by an aggregate, a batch at a time: each
+//!   row's entry comes back as its slot, and a key not yet in the table
+//!   becomes the next entry, so entry indices are first-seen order. NULL is a
+//!   key like any other: NULL = NULL.
 //!
 //! # Layout
 //!
@@ -271,9 +272,26 @@ impl KeyHasher {
 /// The word of a double: an integral one is its integer's word, as its
 /// [`Key`] is that integer's.
 fn float_word(f: f64) -> u64 {
+    float_word_of(float_key(f))
+}
+
+/// The word of a double from its [`float_key`].
+#[inline]
+fn float_word_of((integral, word): (bool, u64)) -> u64 {
+    match integral {
+        true => word,
+        false => word ^ FLOAT_TAG,
+    }
+}
+
+/// A double's [`Key`] without building one: whether it is integral, and
+/// its integer's word or its canonical bits. Two doubles are equal keys
+/// exactly when these are equal.
+#[inline]
+fn float_key(f: f64) -> (bool, u64) {
     match Key::of_f64(f) {
-        Key::Int(i) => i as u64,
-        Key::Float(bits) => bits ^ FLOAT_TAG,
+        Key::Int(i) => (true, i as u64),
+        Key::Float(bits) => (false, bits),
         _ => unreachable!("a double's key is an Int or a Float"),
     }
 }
@@ -468,14 +486,9 @@ impl KeyTable {
         self.next.len()
     }
 
-    /// The key columns, one cell per entry.
-    pub(super) fn keys(&self) -> &[ColumnVec] {
-        &self.keys
-    }
-
-    /// The hash of entry `i`.
-    pub(super) fn hash_of(&self, i: usize) -> u64 {
-        self.hashes[i]
+    /// True when the table has no entry.
+    pub(super) fn is_empty(&self) -> bool {
+        self.next.is_empty()
     }
 
     /// Consumes the table into its key columns.
@@ -595,14 +608,161 @@ impl KeyTable {
         if let Some(i) = self.matches(cols, row, hash).next() {
             return (i, false);
         }
+        for (k, c) in self.keys.iter_mut().zip(cols) {
+            k.push_from(c.borrow(), row);
+        }
+        (self.add_entry(hash), true)
+    }
+
+    /// The entry of each of the first `rows` rows of `cols`, a key of this
+    /// table's arity, as one slot per row; a key not in the table yet
+    /// becomes the next entry, so entries stay in first-seen order. The
+    /// typed arms read no [`Key`]: one `Int` key is compared as integers, a
+    /// `Float` one through its canonical word ([`float_key`]), a `DictStr`
+    /// one is looked up once per code, and two or more `Int` keys compare
+    /// column by column. Any other key goes row by row through
+    /// [`KeyTable::find_or_insert`].
+    pub(super) fn grow<C: Borrow<ColumnVec>>(&mut self, cols: &[C], rows: usize) -> Vec<u32> {
+        let cols: Vec<&ColumnVec> = cols.iter().map(Borrow::borrow).collect();
+        let mut slots = Vec::with_capacity(rows);
+        // An empty table's key columns take the representation of the
+        // first batch, so that the typed arms below apply to it.
+        if self.is_empty() {
+            for (k, c) in self.keys.iter_mut().zip(&cols) {
+                *k = match c {
+                    ColumnVec::Int { .. } => ColumnVec::Int { vals: Vec::new(), valid: Bitmap::new() },
+                    ColumnVec::Float { .. } => ColumnVec::Float { vals: Vec::new(), valid: Bitmap::new() },
+                    _ => ColumnVec::new(),
+                };
+            }
+        }
+        fn all_int<C: Borrow<ColumnVec>>(cols: &[C]) -> bool {
+            cols.iter().all(|c| matches!(c.borrow(), ColumnVec::Int { .. }))
+        }
+        match &cols[..] {
+            [ColumnVec::Int { vals, valid }] if all_int(&self.keys) => {
+                let hashed = self.hasher.hash_rows(cols.iter().copied(), rows);
+                for (r, &h) in hashed.hashes.iter().enumerate() {
+                    let (x, ok) = (vals[r], valid.get(r));
+                    let [ColumnVec::Int { vals: kv, valid: kok }] = &self.keys[..] else {
+                        unreachable!("checked above");
+                    };
+                    let found = self.chain(h).find(|&i| kok.get(i) == ok && (!ok || kv[i] == x));
+                    slots.push(found.unwrap_or_else(|| {
+                        if let [ColumnVec::Int { vals, valid }] = &mut self.keys[..] {
+                            vals.push(x);
+                            valid.push(ok);
+                        }
+                        self.add_entry(h)
+                    }) as u32);
+                }
+            }
+            [ColumnVec::Float { vals, valid }]
+                if matches!(self.keys[..], [ColumnVec::Float { .. }]) =>
+            {
+                // A row's key and hash come from one `float_key`; a
+                // candidate with the row's bits is equal without one.
+                let null_hash = self.hasher.mix(self.hasher.seed, NULL_WORD);
+                for r in 0..rows {
+                    let (x, ok) = (vals[r], valid.get(r));
+                    let key = float_key(x);
+                    let h = match ok {
+                        true => self.hasher.mix(self.hasher.seed, float_word_of(key)),
+                        false => null_hash,
+                    };
+                    let [ColumnVec::Float { vals: kv, valid: kok }] = &self.keys[..] else {
+                        unreachable!("checked above");
+                    };
+                    let found = self.chain(h).find(|&i| {
+                        kok.get(i) == ok
+                            && (!ok || kv[i].to_bits() == x.to_bits() || float_key(kv[i]) == key)
+                    });
+                    slots.push(found.unwrap_or_else(|| {
+                        if let [ColumnVec::Float { vals, valid }] = &mut self.keys[..] {
+                            vals.push(x);
+                            valid.push(ok);
+                        }
+                        self.add_entry(h)
+                    }) as u32);
+                }
+            }
+            // A dictionary much larger than the batch (a filtered piece of
+            // a partition) would cost more to memoize than it saves.
+            [col @ ColumnVec::DictStr { codes, dict }] if dict.len() <= 4 * rows + 64 => {
+                // One lookup per code: slot `memo[code]`, the last for NULL.
+                let mut memo = vec![NO_ENTRY; dict.len() + 1];
+                for (r, &code) in codes[..rows].iter().enumerate() {
+                    let m = if code == NULL_CODE { dict.len() } else { code as usize };
+                    if memo[m] == NO_ENTRY {
+                        let word = match code {
+                            NULL_CODE => NULL_WORD,
+                            code => self.hasher.str_word(&dict[code as usize]),
+                        };
+                        let hash = self.hasher.mix(self.hasher.seed, word);
+                        memo[m] = self.find_or_insert(&[*col], r, hash).0 as u32;
+                    }
+                    slots.push(memo[m]);
+                }
+            }
+            _ if cols.len() > 1 && all_int(&cols) && all_int(&self.keys) => {
+                let hashed = self.hasher.hash_rows(cols.iter().copied(), rows);
+                fn ints(c: &ColumnVec) -> (&[i64], &Bitmap) {
+                    match c {
+                        ColumnVec::Int { vals, valid } => (vals, valid),
+                        _ => unreachable!("checked above"),
+                    }
+                }
+                let batch: Vec<(&[i64], &Bitmap)> = cols.iter().map(|c| ints(c)).collect();
+                for (r, &h) in hashed.hashes.iter().enumerate() {
+                    let found = self.chain(h).find(|&i| {
+                        self.keys.iter().zip(&batch).all(|(k, &(vals, valid))| {
+                            let (kv, kok) = ints(k);
+                            let ok = valid.get(r);
+                            kok.get(i) == ok && (!ok || kv[i] == vals[r])
+                        })
+                    });
+                    slots.push(found.unwrap_or_else(|| {
+                        for (k, c) in self.keys.iter_mut().zip(&cols) {
+                            k.push_from(c, r);
+                        }
+                        self.add_entry(h)
+                    }) as u32);
+                }
+            }
+            _ => {
+                let hashed = self.hasher.hash_rows(cols.iter().copied(), rows);
+                for (r, &h) in hashed.hashes.iter().enumerate() {
+                    slots.push(self.find_or_insert(&cols, r, h).0 as u32);
+                }
+            }
+        }
+        slots
+    }
+
+    /// The entries of the chain of `hash` whose hash is `hash`.
+    #[inline]
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut e = self.heads[self.bucket(hash)];
+        std::iter::from_fn(move || {
+            while e != NO_ENTRY {
+                let i = e as usize;
+                e = self.next[i];
+                if self.hashes[i] == hash {
+                    return Some(i);
+                }
+            }
+            None
+        })
+    }
+
+    /// Links the next entry, whose key cells were just pushed and whose
+    /// hash is `hash`, doubling the heads when more than half are taken.
+    fn add_entry(&mut self, hash: u64) -> usize {
         let i = self.hashes.len();
         let entry = u32::try_from(i)
             .ok()
             .filter(|&e| e != NO_ENTRY)
             .expect("a key table holds fewer than 2^32 - 1 keys");
-        for (k, c) in self.keys.iter_mut().zip(cols) {
-            k.push_from(c.borrow(), row);
-        }
         self.hashes.push(hash);
         self.next.push(NO_ENTRY);
         if self.hashes.len() * 2 > self.heads.len() {
@@ -613,7 +773,7 @@ impl KeyTable {
         } else {
             self.link(entry, hash);
         }
-        (i, true)
+        i
     }
 
     #[inline]
@@ -1017,5 +1177,49 @@ mod tests {
             matches!(cells[..], [Variant::Int(1), Variant::Null, Variant::Float(f)] if f == 2.5),
             "{cells:?}"
         );
+    }
+
+    /// `grow`'s typed arms — one `Int`, one `Float`, a dictionary, two
+    /// `Int`s — give every row the slot row-by-row `find_or_insert` gives
+    /// it, over batches whose first one fixes the table's representation
+    /// and whose later ones keep or change it: NULLs, `-0.0` = `0.0`, NaN,
+    /// `1.0` meeting `1`, two dictionaries.
+    #[test]
+    fn growing_a_batch_finds_the_slots_of_row_by_row_inserts() {
+        let f = Variant::Float;
+        let ints = |v: &[Option<i64>]| ColumnVec::from_variants(v.iter().map(|x| x.map_or(Variant::Null, Variant::Int)).collect());
+        let dict = |codes: Vec<u32>, words: &[&str]| ColumnVec::DictStr {
+            codes,
+            dict: Arc::new(words.iter().map(|w| Arc::<str>::from(*w)).collect()),
+        };
+        let cases: Vec<Vec<Vec<ColumnVec>>> = vec![
+            vec![vec![ints(&[Some(3), None, Some(3), Some(-1)])], vec![ints(&[None, Some(-1), Some(7)])]],
+            vec![
+                vec![ColumnVec::from_variants(vec![f(0.0), f(f64::NAN), Variant::Null, f(2.5)])],
+                vec![ColumnVec::from_variants(vec![f(-0.0), f(f64::NAN), f(2.5), f(1.0), Variant::Null])],
+                vec![ints(&[Some(1), Some(0)])],
+            ],
+            vec![
+                vec![dict(vec![0, 1, NULL_CODE, 0], &["a", "b"])],
+                vec![dict(vec![1, 0, 2, NULL_CODE], &["b", "c", "a"])],
+            ],
+            vec![
+                vec![ints(&[Some(1), Some(1), None, Some(2)]), ints(&[Some(5), Some(6), Some(5), Some(5)])],
+                vec![ints(&[Some(2), None, Some(1)]), ints(&[Some(5), Some(5), Some(6)])],
+            ],
+        ];
+        for batches in cases {
+            let arity = batches[0].len();
+            let (mut grown, mut rowwise) = (KeyTable::new(KeyHasher::new(), arity), KeyTable::new(KeyHasher::new(), arity));
+            for cols in &batches {
+                let rows = cols[0].len();
+                let hashed = rowwise.hash(cols, rows);
+                let want: Vec<u32> =
+                    (0..rows).map(|r| rowwise.find_or_insert(cols, r, hashed.hashes[r]).0 as u32).collect();
+                assert_eq!(grown.grow(cols, rows), want, "{cols:?}");
+            }
+            let cells = |t: KeyTable| format!("{:?}", t.into_keys().into_iter().map(ColumnVec::into_variants).collect::<Vec<_>>());
+            assert_eq!(cells(grown), cells(rowwise));
+        }
     }
 }

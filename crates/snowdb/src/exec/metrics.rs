@@ -33,6 +33,10 @@ pub struct OpMetricsCell {
     rows_on_codes: AtomicU64,
     /// Rows whose encoded columns were materialized before evaluation.
     rows_materialized: AtomicU64,
+    /// On an aggregate, rows folded into typed states and into
+    /// accumulators (see [`OpMetrics::rows_folded_typed`]).
+    rows_folded_typed: AtomicU64,
+    rows_folded_boxed: AtomicU64,
     /// The pipeline the operator ran in (see [`OpMetrics::pipeline`]).
     pipeline: AtomicU32,
     /// On the operator a pipeline ends at, that pipeline's run (see
@@ -105,6 +109,13 @@ impl OpMetricsCell {
         self.rows_materialized.fetch_add(rows, Ordering::Relaxed);
     }
 
+    /// Counts an aggregate's rows folded, summed over its aggregates, into
+    /// typed states and into accumulators.
+    pub fn add_folded(&self, typed: u64, boxed: u64) {
+        self.rows_folded_typed.fetch_add(typed, Ordering::Relaxed);
+        self.rows_folded_boxed.fetch_add(boxed, Ordering::Relaxed);
+    }
+
     /// Tags the operator with the pipeline it ran in.
     pub fn set_pipeline(&self, id: u32) {
         self.pipeline.store(id, Ordering::Relaxed);
@@ -158,6 +169,8 @@ impl OpMetricsCell {
             rows_fallback: self.rows_fallback.load(Ordering::Relaxed),
             rows_on_codes: self.rows_on_codes.load(Ordering::Relaxed),
             rows_materialized: self.rows_materialized.load(Ordering::Relaxed),
+            rows_folded_typed: self.rows_folded_typed.load(Ordering::Relaxed),
+            rows_folded_boxed: self.rows_folded_boxed.load(Ordering::Relaxed),
             expr_dag_nodes: 0,
             expr_tree_nodes: 0,
             parallelism,
@@ -249,6 +262,12 @@ pub struct OpMetrics {
     /// Rows whose encoded (dict/RLE) columns were materialized before
     /// evaluation because no code-level kernel applied.
     pub rows_materialized: u64,
+    /// On an aggregate, the rows its aggregates folded — a row counted once
+    /// per aggregate — into typed states, a column at a time, and into
+    /// accumulators, row by row (DESIGN.md, "Grouped aggregation").
+    /// Rendered as `fold=T/B`.
+    pub rows_folded_typed: u64,
+    pub rows_folded_boxed: u64,
     /// Nodes of the operator's compiled expression DAG — what a batch
     /// evaluates — and of the expression trees it was compiled from — what
     /// the row evaluator visits per row. Both 0 for operators without
@@ -304,7 +323,7 @@ impl OpMetrics {
     /// The annotation `EXPLAIN ANALYZE` appends to a plan line.
     pub fn annotation(&self) -> String {
         format!(
-            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}{}{}",
+            "rows={} batches={} time={:.3?} peak={} mem={}{}{}{}{}{}{}{}{}",
             self.rows_out,
             self.batches,
             self.busy,
@@ -322,6 +341,11 @@ impl OpMetrics {
             },
             if self.rows_on_codes + self.rows_materialized > 0 {
                 format!(" enc={}/{}", self.rows_on_codes, self.rows_materialized)
+            } else {
+                String::new()
+            },
+            if self.rows_folded_typed + self.rows_folded_boxed > 0 {
+                format!(" fold={}/{}", self.rows_folded_typed, self.rows_folded_boxed)
             } else {
                 String::new()
             },
@@ -367,6 +391,7 @@ mod tests {
         cell.add_fallback(10);
         cell.add_on_codes(70);
         cell.add_materialized(30);
+        cell.add_folded(120, 5);
         let m = cell.snapshot("Filter".into(), 4, Vec::new());
         assert_eq!(m.rows_in, 150);
         assert_eq!(m.rows_out, 100);
@@ -381,6 +406,7 @@ mod tests {
         assert!(m.annotation().contains("workers=4"));
         assert!(m.annotation().contains("vec=90/10"));
         assert!(m.annotation().contains("enc=70/30"));
+        assert!(m.annotation().contains("enc=70/30 fold=120/5 workers=4"));
         assert!(!m.annotation().contains("pipe="), "no pipeline ran it");
         assert!(!m.annotation().contains("table="), "no join built it");
     }
@@ -446,5 +472,6 @@ mod tests {
         let m = cell.snapshot("Scan".into(), 1, Vec::new());
         assert!(!m.annotation().contains("vec="));
         assert!(!m.annotation().contains("enc="));
+        assert!(!m.annotation().contains("fold="));
     }
 }

@@ -187,7 +187,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::column::{Bitmap, ColumnVec, RecordLists, Records};
+use crate::column::{Bitmap, ColumnVec, RecordLists};
 use crate::error::{Result, SnowError};
 use crate::govern::QueryGovernor;
 use crate::plan::physical::{PhysNode, SharedSite};
@@ -195,7 +195,7 @@ use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
 use crate::storage::morsel::try_parallel_indexed_governed;
 use crate::variant::Variant;
 
-use super::agg::{column_eligible, Accumulator};
+use super::agg::{boxes_cells, fresh_rows, Accumulator, Fold, GroupStates};
 use super::dag::ExprDag;
 use super::hash::{KeyHasher, KeyTable};
 use super::join::JoinTable;
@@ -1250,113 +1250,84 @@ enum Groups {
 
 /// One aggregate's outputs, a cell per group.
 enum AggOut {
-    /// Accumulators updated row-major: every aggregate on the table path,
-    /// and in run mode every one below that is not built column-wise.
+    /// Typed states folded a column at a time.
+    Typed(GroupStates),
+    /// Accumulators updated row by row: the fallback for arguments no
+    /// typed state takes, and every aggregate when vectorization is off.
     Accs(Vec<Accumulator>),
-    /// `ANY_VALUE` in run mode: the first cell of each group's run,
-    /// gathered in the argument's representation.
-    First(ColumnVec),
-    /// `ARRAY_AGG` of records in run mode: group `g` holds items
-    /// `ends[g - 1]..ends[g]` of `items` (`None` until a batch brings
-    /// records), the non-NULL rows of its run in row order.
-    Items {
-        ends: Vec<u32>,
-        items: Option<Records>,
-    },
 }
 
 impl AggOut {
-    /// The run-mode output of an aggregate of `kind`.
-    fn for_runs(kind: AggKind) -> AggOut {
-        match kind {
-            AggKind::AnyValue => AggOut::First(ColumnVec::new()),
-            AggKind::ArrayAgg => AggOut::Items {
-                ends: Vec::new(),
-                items: None,
-            },
-            _ => AggOut::Accs(Vec::new()),
+    /// The output of an aggregate of `kind`; `typed` false keeps every
+    /// aggregate on accumulators, the row-by-row reference.
+    fn new(kind: AggKind, typed: bool) -> AggOut {
+        match typed.then(|| GroupStates::new(kind)).flatten() {
+            Some(states) => AggOut::Typed(states),
+            None => AggOut::Accs(Vec::new()),
         }
     }
 
-    /// The outputs as the accumulators the table path would hold, adding
+    /// The outputs as the accumulators a row-by-row fold would hold, adding
     /// the cells boxed from an encoded column to `boxed`.
     fn into_accs(self, boxed: &mut u64) -> Vec<Accumulator> {
         match self {
             AggOut::Accs(accs) => accs,
-            AggOut::First(col) => {
-                if boxes_cells(&col) {
-                    *boxed += col.len() as u64;
-                }
-                (0..col.len())
-                    .map(|g| Accumulator::AnyValue(Some(col.get(g))))
-                    .collect()
-            }
-            AggOut::Items { ends, items } => {
-                let mut lo = 0;
-                *boxed += items.as_ref().map_or(0, |i| i.len() as u64);
-                (ends.into_iter())
-                    .map(|hi| {
-                        let group = (lo..hi as usize).map(|i| items.as_ref().map(|r| r.get(i)));
-                        lo = hi as usize;
-                        Accumulator::ArrayAgg(group.flatten().collect())
-                    })
-                    .collect()
-            }
+            AggOut::Typed(states) => states.into_accs(boxed),
         }
     }
 
     /// Boxes the outputs into accumulators in place (see
     /// [`AggOut::into_accs`]) and returns them.
     fn boxed_accs(&mut self, boxed: &mut u64) -> &mut Vec<Accumulator> {
-        if !matches!(self, AggOut::Accs(_)) {
+        if let AggOut::Typed(_) = self {
             let out = std::mem::replace(self, AggOut::Accs(Vec::new()));
             *self = AggOut::Accs(out.into_accs(boxed));
         }
         match self {
             AggOut::Accs(accs) => accs,
-            _ => unreachable!("boxed above"),
+            AggOut::Typed(_) => unreachable!("boxed above"),
         }
     }
 
-    /// The accumulators of an output on the table path.
-    fn accs(&mut self) -> &mut Vec<Accumulator> {
-        match self {
-            AggOut::Accs(accs) => accs,
-            _ => unreachable!("the table path holds accumulators only"),
+    /// Merges the outputs of a later partial whose group `j` is this one's
+    /// group `slots[j]`; `fresh` lists the `j` of the groups new here, in
+    /// order, and `groups` is the number of groups after the merge.
+    fn merge(
+        &mut self,
+        more: AggOut,
+        groups: usize,
+        slots: &[u32],
+        fresh: &[usize],
+        boxed: &mut u64,
+    ) -> Result<()> {
+        match (self, more) {
+            (AggOut::Typed(states), AggOut::Typed(more)) if states.merges(&more) => {
+                *boxed += states.merge(more, groups, slots, fresh);
+            }
+            (out, more) => {
+                let accs = out.boxed_accs(boxed);
+                for (j, acc) in more.into_accs(boxed).into_iter().enumerate() {
+                    match slots[j] as usize {
+                        g if g < accs.len() => accs[g].merge(acc)?,
+                        _ => accs.push(acc),
+                    }
+                }
+            }
         }
+        Ok(())
     }
 
     /// The output column.
-    fn into_column(self, groups: usize) -> ColumnVec {
-        let mut col = ColumnVec::new();
+    fn into_column(self) -> ColumnVec {
         match self {
-            AggOut::Accs(accs) => accs.into_iter().for_each(|acc| col.push(acc.finish())),
-            AggOut::First(first) => col = first,
-            AggOut::Items {
-                ends,
-                items: Some(items),
-            } => {
-                let offsets: Vec<u32> = std::iter::once(0).chain(ends).collect();
-                let lists = RecordLists::from_offsets(&offsets, Bitmap::ones(groups), items);
-                col = ColumnVec::List(lists);
-            }
-            // No batch brought a record: every group's array is empty.
-            AggOut::Items { ends, items: None } => {
-                ends.iter()
-                    .for_each(|_| col.push(Variant::array(Vec::new())));
+            AggOut::Typed(states) => states.into_column(),
+            AggOut::Accs(accs) => {
+                let mut col = ColumnVec::new();
+                accs.into_iter().for_each(|acc| col.push(acc.finish()));
+                col
             }
         }
-        col
     }
-}
-
-/// True for the representations whose cells are built to be read one at a
-/// time: dictionary strings and shredded records and lists.
-fn boxes_cells(col: &ColumnVec) -> bool {
-    matches!(
-        col,
-        ColumnVec::DictStr { .. } | ColumnVec::Objects(_) | ColumnVec::List(_)
-    )
 }
 
 /// The rows of an encoded argument an accumulator of `kind` boxes over
@@ -1367,18 +1338,6 @@ fn boxed_rows(kind: AggKind, v: Option<&ColumnVec>, k: Option<&ColumnVec>, rows:
     match reads && [v, k].into_iter().flatten().any(boxes_cells) {
         true => rows as u64,
         false => 0,
-    }
-}
-
-/// Appends `more` to `col`, returning the cells of encoded columns boxed
-/// when the two representations do not line up.
-fn append_cells(col: &mut ColumnVec, more: ColumnVec) -> u64 {
-    let held = [&*col, &more].map(|c| if boxes_cells(c) { c.len() as u64 } else { 0 });
-    col.append(more);
-    if boxes_cells(col) {
-        0
-    } else {
-        held.iter().sum()
     }
 }
 
@@ -1395,45 +1354,48 @@ fn run_keys(col: &ColumnVec, rows: usize, last: Option<i64>) -> Option<&[i64]> {
 }
 
 /// The grouping state of an aggregate or a distinct: how rows find their
-/// groups, and one output per aggregate.
+/// groups, and one output per aggregate (DESIGN.md, "Grouped aggregation").
 ///
-/// A state over one key starts in *run mode*. While every batch's key is an
-/// `Int` column with no NULL that does not descend, and starts at or above
-/// the last key seen, each key's rows are contiguous: a group closes when
-/// the key changes, nothing is hashed, and `ANY_VALUE` and `ARRAY_AGG` of
-/// records are built column-wise, as gathers and ranges of their argument.
-/// Any other batch replays the keys into a [`KeyTable`] — in order, which is
-/// first-seen order — boxes those outputs into accumulators and continues
-/// on the table path. Groups, their order and each group's rows are the
-/// table path's either way.
+/// A batch is folded in two steps. First every row finds its group, as one
+/// slot per row: in *run mode* from the key's run boundaries, else from
+/// [`KeyTable::grow`], and a global aggregation needs no slots (every row
+/// is group 0). A state over one key starts in run mode. While every
+/// batch's key is an `Int` column with no NULL that does not descend, and
+/// starts at or above the last key seen, each key's rows are contiguous: a
+/// group closes when the key changes, and nothing is hashed. Any other
+/// batch replays the keys into a [`KeyTable`] — in order, which is
+/// first-seen order — and continues on the table path. Groups, their order
+/// and each group's rows are the table path's either way.
+///
+/// Then each aggregate folds its argument column by the slots into typed
+/// states ([`GroupStates`]) when they take the column; any other output
+/// boxes into accumulators, which update row by row, aggregate by
+/// aggregate. The states are the same in every mode.
 struct AggState {
     hasher: KeyHasher,
     groups: Groups,
     outs: Vec<AggOut>,
     /// Cells of encoded columns the accumulators boxed.
     boxed: u64,
+    /// Rows folded, summed over the aggregates, into typed states and
+    /// into accumulators.
+    folded: (u64, u64),
 }
 
 impl AggState {
-    fn new(hasher: KeyHasher, n_groups: usize, aggs: &[AggExpr]) -> AggState {
-        if n_groups != 1 {
-            return AggState::hashed(hasher, n_groups, aggs);
-        }
+    /// A state over `n_groups` keys; `typed` false keeps every aggregate on
+    /// accumulators.
+    fn new(hasher: KeyHasher, n_groups: usize, aggs: &[AggExpr], typed: bool) -> AggState {
+        let runs = n_groups == 1;
         AggState {
             hasher,
-            groups: Groups::Runs(Vec::new()),
-            outs: aggs.iter().map(|a| AggOut::for_runs(a.kind)).collect(),
+            groups: match runs {
+                true => Groups::Runs(Vec::new()),
+                false => Groups::Table(KeyTable::new(hasher, n_groups)),
+            },
+            outs: aggs.iter().map(|a| AggOut::new(a.kind, typed)).collect(),
             boxed: 0,
-        }
-    }
-
-    /// A state on the table path from the start.
-    fn hashed(hasher: KeyHasher, n_groups: usize, aggs: &[AggExpr]) -> AggState {
-        AggState {
-            hasher,
-            groups: Groups::Table(KeyTable::new(hasher, n_groups)),
-            outs: aggs.iter().map(|_| AggOut::Accs(Vec::new())).collect(),
-            boxed: 0,
+            folded: (0, 0),
         }
     }
 
@@ -1452,8 +1414,8 @@ impl AggState {
         }
     }
 
-    /// Leaves run mode: the keys go into a table in group order, and the
-    /// column-wise outputs into accumulators.
+    /// Leaves run mode: the keys go into a table in group order. The
+    /// outputs stay: a group's index is the same in the table.
     fn leave_runs(&mut self) {
         let Groups::Runs(keys) = &mut self.groups else {
             return;
@@ -1464,21 +1426,16 @@ impl AggState {
             valid: Bitmap::ones(n),
         }];
         let mut table = KeyTable::new(self.hasher, 1);
-        for (g, &hash) in table.hash(&cols, n).hashes.iter().enumerate() {
-            table.find_or_insert(&cols, g, hash);
-        }
+        table.grow(&cols, n);
         self.groups = Groups::Table(table);
-        for out in &mut self.outs {
-            out.boxed_accs(&mut self.boxed);
-        }
     }
 
     /// Folds one batch into the state: its expression columns (without a
-    /// `dag`, the batch's own columns are the keys), then the accumulators
-    /// row by row. When an expression fails at row `r`, the rows before `r`
-    /// are folded first, so an accumulator error on an earlier row is the one
-    /// reported, as in serial row order. (Within row `r` itself an expression
-    /// error precedes any accumulator error.)
+    /// `dag`, the batch's own columns are the keys), then the aggregates.
+    /// When an expression fails at row `r`, the rows before `r` are folded
+    /// first, so an accumulator error on an earlier row is the one
+    /// reported, as in serial row order. (Within row `r` itself an
+    /// expression error precedes any accumulator error.)
     fn fold_batch(
         &mut self,
         dag: Option<&ExprDag<'_>>,
@@ -1497,14 +1454,59 @@ impl AggState {
         evaluated.err.map_or(Ok(()), Err)
     }
 
+    /// The slot of each of `rows` rows of the group keys `gcols` (`None` for
+    /// a global aggregation, whose one group opens on its first row) and
+    /// the first row of each group the rows opened.
+    fn find_groups(&mut self, gcols: &[Cow<'_, ColumnVec>], rows: usize) -> (Option<Vec<u32>>, Vec<usize>) {
+        let old = self.len();
+        if let Groups::Runs(runs) = &mut self.groups {
+            // A run-length key from a scan is its runs, row by row.
+            let key = match &*gcols[0] {
+                key @ ColumnVec::Runs { .. } => Cow::Owned(key.decoded()),
+                key => Cow::Borrowed(key),
+            };
+            match run_keys(&key, rows, runs.last().copied()) {
+                Some(keys) => {
+                    let slots: Vec<u32> = keys
+                        .iter()
+                        .map(|&k| {
+                            if runs.last() != Some(&k) {
+                                runs.push(k);
+                            }
+                            (runs.len() - 1) as u32
+                        })
+                        .collect();
+                    let fresh = fresh_rows(&slots, old);
+                    return (Some(slots), fresh);
+                }
+                None => self.leave_runs(),
+            }
+        }
+        let Groups::Table(table) = &mut self.groups else {
+            unreachable!("run mode was left above");
+        };
+        if gcols.is_empty() {
+            let fresh = match table.is_empty() {
+                true => {
+                    table.grow::<ColumnVec>(&[], 1);
+                    vec![0]
+                }
+                false => Vec::new(),
+            };
+            return (None, fresh);
+        }
+        let slots = table.grow(gcols, rows);
+        let fresh = fresh_rows(&slots, old);
+        (Some(slots), fresh)
+    }
+
     /// Folds `rows` evaluated rows: `cols` holds the group keys, then each
     /// aggregate's arguments. The expressions cannot fail any more, so what
     /// remains of the serial error order is the order of accumulator
-    /// updates, and every path below keeps it: a global
-    /// aggregation folds whole columns only when no accumulator can fail on
-    /// its column ([`column_eligible`], plus a numeric `SUM` state);
-    /// everything else updates row by row, aggregate by aggregate. The
-    /// outputs run mode builds column-wise never fail.
+    /// updates. Typed states take only columns on which the serial fold
+    /// cannot fail, and fold first, a column at a time; the
+    /// accumulators then update row by row, aggregate by aggregate, which is
+    /// the serial order among the only folds that can fail.
     fn fold_columns(
         &mut self,
         n_groups: usize,
@@ -1528,138 +1530,25 @@ impl AggState {
         if rows == 0 {
             return Ok(());
         }
-        if let Groups::Runs(keys) = &self.groups {
-            match run_keys(&gcols[0], rows, keys.last().copied()) {
-                Some(keys) => return self.fold_runs(aggs, &acols, keys),
-                None => self.leave_runs(),
-            }
-        }
-        for (a, &(v, k)) in aggs.iter().zip(&acols) {
-            self.boxed += boxed_rows(a.kind, v, k, rows);
-        }
-        let AggState {
-            groups: Groups::Table(table),
-            outs,
-            ..
-        } = self
-        else {
-            unreachable!("run mode was left above");
+        let (slots, fresh) = self.find_groups(gcols, rows);
+        let groups = self.len();
+        let b = Fold {
+            rows,
+            slots: slots.as_deref(),
+            fresh: &fresh,
         };
-        let update_row = |outs: &mut [AggOut], slot: usize, r: usize| -> Result<()> {
-            for (out, &(v, k)) in outs.iter_mut().zip(&acols) {
-                out.accs()[slot].update_at(v, k, r)?;
-            }
-            Ok(())
-        };
-        // The slot of the group whose key is row `r`, hashed to `hash`,
-        // created on first sight.
-        let slot_of = |table: &mut KeyTable, outs: &mut [AggOut], r: usize, hash: u64| {
-            let (slot, fresh) = table.find_or_insert(gcols, r, hash);
-            if fresh {
-                for (out, a) in outs.iter_mut().zip(aggs) {
-                    out.accs().push(Accumulator::new(a.kind));
-                }
-            }
-            slot
-        };
-        if gcols.is_empty() {
-            let hash = table.hash(gcols, 1).hashes[0];
-            let slot = slot_of(table, outs, 0, hash);
-            // A SUM accumulator holding a non-numeric value (stored unchecked
-            // by an earlier row-by-row batch) fails on the next number.
-            let by_column = aggs.iter().zip(&acols).zip(outs.iter_mut()).all(|((a, c), out)| {
-                c.1.is_none()
-                    && c.0.is_none_or(|col| column_eligible(a.kind, col))
-                    && !matches!(&out.accs()[slot], Accumulator::Sum { acc: Some(v) }
-                        if !matches!(v, Variant::Int(_) | Variant::Float(_)))
-            });
-            if by_column {
-                let nulls = ColumnVec::Null(rows);
-                for (out, (col, _)) in outs.iter_mut().zip(&acols) {
-                    out.accs()[slot].update_column(col.unwrap_or(&nulls))?;
-                }
-            } else {
-                for r in 0..rows {
-                    update_row(outs, slot, r)?;
-                }
-            }
-            return Ok(());
-        }
-        let hashed = table.hash(gcols, rows);
-        for (r, &hash) in hashed.hashes.iter().enumerate() {
-            let slot = slot_of(table, outs, r, hash);
-            update_row(outs, slot, r)?;
-        }
-        Ok(())
-    }
-
-    /// Folds a batch whose keys `keys` continue the runs: the rows of a key
-    /// equal to the last group's join it, every other key change opens a
-    /// group. `ANY_VALUE` gathers the first row of each opened group;
-    /// `ARRAY_AGG` over records appends the non-NULL rows to its items and
-    /// extends each group's range — any other argument boxes it into
-    /// accumulators, which update row-major with the rest.
-    fn fold_runs(
-        &mut self,
-        aggs: &[AggExpr],
-        acols: &[(Option<&ColumnVec>, Option<&ColumnVec>)],
-        keys: &[i64],
-    ) -> Result<()> {
-        let Groups::Runs(runs) = &mut self.groups else {
-            unreachable!("a run-mode state");
-        };
-        let rows = keys.len();
-        let continues = runs.last() == Some(&keys[0]);
-        let starts: Vec<usize> = (usize::from(continues)..rows)
-            .filter(|&r| r == 0 || keys[r] != keys[r - 1])
-            .collect();
-        // The group of row 0.
-        let first = runs.len() - usize::from(continues);
-        runs.extend(starts.iter().map(|&r| keys[r]));
         let mut row_major = false;
-        for ((out, a), &(v, k)) in self.outs.iter_mut().zip(aggs).zip(acols) {
-            if let AggOut::Items { items, .. } = out {
-                let records = match v {
-                    Some(ColumnVec::Objects(r)) => items.as_ref().is_none_or(|i| i.same_shape(r)),
-                    Some(ColumnVec::Null(_)) => true,
-                    _ => false,
-                };
-                if !records {
-                    out.boxed_accs(&mut self.boxed);
-                }
-            }
+        for ((out, a), &(v, k)) in self.outs.iter_mut().zip(aggs).zip(&acols) {
             match out {
-                AggOut::First(col) => {
-                    let v = v.expect("ANY_VALUE has an argument");
-                    self.boxed += append_cells(col, v.gather(&starts));
+                AggOut::Typed(states) if states.takes(v) => {
+                    self.boxed += states.fold(groups, &b, v);
+                    self.folded.0 += rows as u64;
                 }
-                AggOut::Items { ends, items } => {
-                    let valid = match v {
-                        Some(ColumnVec::Objects(r)) => Some(&r.valid),
-                        _ => None,
-                    };
-                    let mut next = starts.iter().peekable();
-                    let mut taken = Vec::new();
-                    for r in 0..rows {
-                        if next.next_if_eq(&&r).is_some() {
-                            ends.push(ends.last().copied().unwrap_or(0));
-                        }
-                        if valid.is_some_and(|ok| ok.get(r)) {
-                            *ends.last_mut().expect("row 0 has a group") += 1;
-                            taken.push(r);
-                        }
-                    }
-                    if let Some(ColumnVec::Objects(r)) = v {
-                        let gathered = r.gather(&taken);
-                        match items {
-                            Some(items) => items.append(gathered),
-                            None => *items = Some(gathered),
-                        }
-                    }
-                }
-                AggOut::Accs(accs) => {
-                    accs.extend(starts.iter().map(|_| Accumulator::new(a.kind)));
+                out => {
+                    let accs = out.boxed_accs(&mut self.boxed);
+                    accs.resize_with(groups, || Accumulator::new(a.kind));
                     self.boxed += boxed_rows(a.kind, v, k, rows);
+                    self.folded.1 += rows as u64;
                     row_major = true;
                 }
             }
@@ -1667,10 +1556,9 @@ impl AggState {
         if !row_major {
             return Ok(());
         }
-        let mut g = first;
         for r in 0..rows {
-            g += usize::from(r > 0 && keys[r] != keys[r - 1]);
-            for (out, &(v, k)) in self.outs.iter_mut().zip(acols) {
+            let g = b.slots.map_or(0, |s| s[r] as usize);
+            for (out, &(v, k)) in self.outs.iter_mut().zip(&acols) {
                 if let AggOut::Accs(accs) = out {
                     accs[g].update_at(v, k, r)?;
                 }
@@ -1679,115 +1567,70 @@ impl AggState {
         Ok(())
     }
 
-    /// Merges a later partial into this one, in input order. Two run-mode
-    /// partials whose keys follow each other concatenate: a group both hold
-    /// — the boundary key — merges its outputs, the rest append. Otherwise
-    /// both leave run mode and the later partial's groups are looked up by
-    /// their stored keys and hashes; new groups append (preserving global
-    /// first-seen order), existing groups merge accumulators.
+    /// Merges a later partial into this one, in input order. The later
+    /// partial's groups map to groups here: when both are in run mode and
+    /// its keys follow this one's, its groups append — but for the
+    /// boundary key both hold, which is this one's last; otherwise both
+    /// leave run mode and its keys grow this one's table. New groups append
+    /// (preserving global first-seen order), existing groups merge.
     fn merge(&mut self, mut other: AggState) -> Result<()> {
         self.boxed += std::mem::take(&mut other.boxed);
-        if let (Groups::Runs(ours), Groups::Runs(theirs)) = (&self.groups, &other.groups) {
-            match (ours.last(), theirs.first()) {
+        self.folded.0 += other.folded.0;
+        self.folded.1 += other.folded.1;
+        let follows = match (&self.groups, &other.groups) {
+            (Groups::Runs(ours), Groups::Runs(theirs)) => match (ours.last(), theirs.first()) {
                 (_, None) => return Ok(()),
                 (None, _) => {
-                    other.boxed = self.boxed;
+                    (other.boxed, other.folded) = (self.boxed, self.folded);
                     *self = other;
                     return Ok(());
                 }
-                (Some(last), Some(first)) if first >= last => return self.concat(other),
-                _ => {}
+                (Some(last), Some(first)) => first >= last,
+            },
+            _ => false,
+        };
+        let (old, theirs_len) = (self.len(), other.len());
+        let slots: Vec<u32> = match (&mut self.groups, other.groups) {
+            (Groups::Runs(ours), Groups::Runs(theirs)) if follows => {
+                let joined = usize::from(ours.last() == theirs.first());
+                ours.extend_from_slice(&theirs[joined..]);
+                (old - joined..ours.len()).map(|g| g as u32).collect()
             }
-        }
-        self.leave_runs();
-        other.leave_runs();
-        let Groups::Table(keys) = other.groups else {
-            unreachable!("left run mode above");
-        };
-        let Groups::Table(table) = &mut self.groups else {
-            unreachable!("left run mode above");
-        };
-        let mut theirs: Vec<_> = other
-            .outs
-            .into_iter()
-            .map(|o| o.into_accs(&mut self.boxed).into_iter())
-            .collect();
-        for j in 0..keys.len() {
-            let (slot, fresh) = table.find_or_insert(keys.keys(), j, keys.hash_of(j));
-            for (out, accs) in self.outs.iter_mut().zip(&mut theirs) {
-                let acc = accs.next().expect("one accumulator per group");
-                match fresh {
-                    true => out.accs().push(acc),
-                    false => out.accs()[slot].merge(acc)?,
-                }
+            (_, theirs) => {
+                self.leave_runs();
+                let keys = match theirs {
+                    Groups::Runs(keys) => {
+                        let n = keys.len();
+                        vec![ColumnVec::Int { vals: keys, valid: Bitmap::ones(n) }]
+                    }
+                    Groups::Table(table) => table.into_keys(),
+                };
+                let Groups::Table(table) = &mut self.groups else {
+                    unreachable!("left run mode above");
+                };
+                table.grow(&keys, theirs_len)
             }
-        }
-        Ok(())
-    }
-
-    /// Appends the groups of a later run-mode partial whose first key is
-    /// not below this one's last.
-    fn concat(&mut self, other: AggState) -> Result<()> {
-        let (Groups::Runs(ours), Groups::Runs(theirs)) = (&mut self.groups, other.groups) else {
-            unreachable!("two run-mode partials");
         };
-        let joined = usize::from(ours.last() == theirs.first());
-        ours.extend_from_slice(&theirs[joined..]);
+        let fresh = fresh_rows(&slots, old);
+        let groups = self.len();
         for (out, more) in self.outs.iter_mut().zip(other.outs) {
-            match (out, more) {
-                (AggOut::First(col), AggOut::First(more)) => {
-                    let rest = more.slice(joined, more.len());
-                    self.boxed += append_cells(col, rest);
-                }
-                (
-                    AggOut::Items { ends, items },
-                    AggOut::Items {
-                        ends: more_ends,
-                        items: more_items,
-                    },
-                ) if items
-                    .as_ref()
-                    .zip(more_items.as_ref())
-                    .is_none_or(|(a, b)| a.same_shape(b)) =>
-                {
-                    let base = items.as_ref().map_or(0, |i| i.len() as u32);
-                    let mut shifted = more_ends.into_iter().map(|e| e + base);
-                    if joined == 1 {
-                        *ends.last_mut().expect("a boundary group") =
-                            shifted.next().expect("a boundary group");
-                    }
-                    ends.extend(shifted);
-                    if let Some(more) = more_items {
-                        match items {
-                            Some(items) => items.append(more),
-                            None => *items = Some(more),
-                        }
-                    }
-                }
-                (out, more) => {
-                    let accs = out.boxed_accs(&mut self.boxed);
-                    let mut more = more.into_accs(&mut self.boxed).into_iter();
-                    if joined == 1 {
-                        let boundary = more.next().expect("a boundary group");
-                        accs.last_mut().expect("a boundary group").merge(boundary)?;
-                    }
-                    accs.extend(more);
-                }
-            }
+            out.merge(more, groups, &slots, &fresh, &mut self.boxed)?;
         }
         Ok(())
     }
 
-    /// Opens one group with fresh accumulators: the one row of a global
+    /// Opens one group with nothing folded: the one row of a global
     /// aggregation over no rows.
     fn push_empty_group(&mut self, aggs: &[AggExpr]) {
         let Groups::Table(table) = &mut self.groups else {
             unreachable!("a global aggregation has no key to run on");
         };
-        let cols: [ColumnVec; 0] = [];
-        table.find_or_insert(&cols, 0, table.hash(&cols, 1).hashes[0]);
+        table.grow::<ColumnVec>(&[], 1);
         for (out, a) in self.outs.iter_mut().zip(aggs) {
-            out.accs().push(Accumulator::new(a.kind));
+            match out {
+                AggOut::Typed(states) => states.resize(1),
+                out => out.boxed_accs(&mut self.boxed).push(Accumulator::new(a.kind)),
+            }
         }
     }
 
@@ -1801,7 +1644,7 @@ impl AggState {
             }],
             Groups::Table(table) => table.into_keys(),
         };
-        cols.extend(self.outs.into_iter().map(|out| out.into_column(rows)));
+        cols.extend(self.outs.into_iter().map(AggOut::into_column));
         Chunk { cols, rows }
     }
 }
@@ -1827,7 +1670,8 @@ fn exec_aggregate(
         wctx.gov.checkpoint(op_tag(p))?;
         let start = Instant::now();
         let n_groups = groups.unwrap_or(batch.cols.len());
-        let state = state.get_or_insert_with(|| AggState::new(hasher, n_groups, aggs));
+        let typed = wctx.vectorize;
+        let state = state.get_or_insert_with(|| AggState::new(hasher, n_groups, aggs, typed));
         let folded = state.fold_batch(dag, n_groups, aggs, &batch, wctx, &p.metrics);
         p.metrics.add_rows_in(batch.rows as u64);
         p.metrics.add_busy(start.elapsed());
@@ -1863,7 +1707,8 @@ fn exec_aggregate(
         end_pipeline(p, clock, morsels, 1);
         (state, Instant::now())
     };
-    let mut state = state.unwrap_or_else(|| AggState::new(hasher, groups.unwrap_or(0), aggs));
+    let mut state = state
+        .unwrap_or_else(|| AggState::new(hasher, groups.unwrap_or(0), aggs, ctx.vectorize));
     // Global aggregation over zero rows still yields one row.
     if groups == Some(0) && state.len() == 0 {
         state.push_empty_group(aggs);
@@ -1872,6 +1717,7 @@ fn exec_aggregate(
         p.metrics.set_grouping(state.grouping());
     }
     p.metrics.add_materialized(state.boxed);
+    p.metrics.add_folded(state.folded.0, state.folded.1);
     let out = state.into_chunk();
     let n_out = out.rows;
     charge_batch(p, ctx, op_tag(p), &out)?;
@@ -2001,6 +1847,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::column::Records;
     use crate::plan::physical::lower;
     use crate::storage::{ColumnDef, ColumnType};
     use crate::Database;
@@ -2084,22 +1931,30 @@ mod tests {
         ]
     }
 
+    /// How a test state starts: in run mode, on the table path, or on the
+    /// table path with every aggregate on accumulators.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Start {
+        Runs,
+        Table,
+        Boxed,
+    }
+
     /// Folds each partial's batches of (keys, argument) into its own state
-    /// — started in run mode, or hashed — merges the partials in order and
-    /// returns the output with how the merged state grouped and the cells
-    /// it boxed.
+    /// started as `start`, merges the partials in order and returns the
+    /// output with how the merged state grouped and the cells it boxed.
     fn fold_partials(
         partials: &[Vec<(Vec<i64>, ColumnVec)>],
-        runs: bool,
+        start: Start,
     ) -> (Chunk, Grouping, u64) {
         let aggs = run_aggs();
         let hasher = KeyHasher::new();
         let mut merged: Option<AggState> = None;
         for batches in partials {
-            let mut state = match runs {
-                true => AggState::new(hasher, 1, &aggs),
-                false => AggState::hashed(hasher, 1, &aggs),
-            };
+            let mut state = AggState::new(hasher, 1, &aggs, start != Start::Boxed);
+            if start != Start::Runs {
+                state.leave_runs();
+            }
             for (keys, arg) in batches {
                 let rows = keys.len();
                 let key = ColumnVec::Int {
@@ -2213,9 +2068,11 @@ mod tests {
             ),
         ];
         for (what, partials, grouping) in cases {
-            let (runs, how, boxed_cells) = fold_partials(&partials, true);
-            let (table, hashed, _) = fold_partials(&partials, false);
+            let (runs, how, boxed_cells) = fold_partials(&partials, Start::Runs);
+            let (table, hashed, _) = fold_partials(&partials, Start::Table);
+            let (boxed, ..) = fold_partials(&partials, Start::Boxed);
             assert_eq!(rows_of(&runs), rows_of(&table), "{what}");
+            assert_eq!(rows_of(&boxed), rows_of(&table), "{what}");
             assert_eq!((how, hashed), (grouping, Grouping::Hashed), "{what}");
             if what.starts_with("one partial") || what.starts_with("two partials") {
                 assert!(
@@ -2244,9 +2101,11 @@ mod tests {
             ],
             vec![vec![(vec![], ColumnVec::Null(0))]],
         ] {
-            let (runs, ..) = fold_partials(&partials, true);
-            let (table, ..) = fold_partials(&partials, false);
+            let (runs, ..) = fold_partials(&partials, Start::Runs);
+            let (table, ..) = fold_partials(&partials, Start::Table);
+            let (boxed, ..) = fold_partials(&partials, Start::Boxed);
             assert_eq!(rows_of(&runs), rows_of(&table));
+            assert_eq!(rows_of(&boxed), rows_of(&table));
             assert_eq!(runs.cols.len(), table.cols.len());
         }
     }

@@ -252,12 +252,15 @@ impl Key {
     /// `9.223372036854776e18` passed and the saturating cast collided it with
     /// `i64::MAX`). `-0.0` has zero fract and casts to `0`, unifying it with
     /// `0.0` and `0`; NaN canonicalizes to one bit pattern, matching the
-    /// NaN == NaN total order.
+    /// NaN == NaN total order. Within the bounds, a double is integral
+    /// exactly when truncating it to `i64` and back returns it, which is
+    /// what `fract() == 0.0` asks without a call to `trunc`.
+    #[inline]
     pub fn of_f64(f: f64) -> Key {
         if f.is_nan() {
             Key::Float(f64::NAN.to_bits())
-        } else if f.fract() == 0.0
-            && (-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&f)
+        } else if (-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&f)
+            && (f as i64) as f64 == f
         {
             Key::Int(f as i64)
         } else {

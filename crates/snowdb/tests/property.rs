@@ -1339,17 +1339,36 @@ mod join_table {
             .collect()
     }
 
-    /// Loads `rows` as `name` in partitions of `part` rows; the first
-    /// partition seals its string key as a dictionary and its run key as
-    /// runs.
-    pub(super) fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize) {
+    /// Which encodings the first partitions of a run's tables sealed.
+    #[derive(Default)]
+    pub(super) struct Sealed {
+        dict: bool,
+        runs: bool,
+    }
+
+    impl Sealed {
+        /// Asserts that some table of the run sealed its string key as a
+        /// dictionary and some its run key as runs. Storage encodes a column
+        /// only when that is smaller, so one seed's partition may keep plain
+        /// strings (many NULLs in few rows); across a run's seeds both
+        /// encodings must be met.
+        pub(super) fn assert_both(&self, suite: &str) {
+            assert!(self.dict, "{suite}: no table sealed a dictionary");
+            assert!(self.runs, "{suite}: no table sealed runs");
+        }
+    }
+
+    /// Loads `rows` as `name` in partitions of `part` rows, noting in
+    /// `sealed` whether the first partition sealed its string key as a
+    /// dictionary and its run key as runs.
+    pub(super) fn load(db: &Database, name: &str, rows: &[Vec<Variant>], part: usize, sealed: &mut Sealed) {
         let mut schema = vec![ColumnDef::new("ID", ColumnType::Int)];
         schema.extend(KEYS.iter().map(|(c, ty)| ColumnDef::new(*c, *ty)));
         db.load_table(name, schema, rows.iter().cloned(), part).unwrap();
         let table = db.table(name).unwrap();
         let first = &table.partitions()[0];
-        assert!(matches!(*first.read_column(3).unwrap(), ColumnVec::DictStr { .. }), "{name}: no dictionary");
-        assert!(matches!(*first.read_column(4).unwrap(), ColumnVec::Runs { .. }), "{name}: no runs");
+        sealed.dict |= matches!(*first.read_column(3).unwrap(), ColumnVec::DictStr { .. });
+        sealed.runs |= matches!(*first.read_column(4).unwrap(), ColumnVec::Runs { .. });
     }
 
     /// What the join returns as `(a.id, b.id)` pairs: per left row in
@@ -1422,15 +1441,16 @@ mod join_table {
     #[test]
     fn the_join_table_returns_the_nested_loops_rows() {
         let column = |c: &str| 1 + KEYS.iter().position(|(k, _)| k.eq_ignore_ascii_case(c)).unwrap();
+        let mut sealed = Sealed::default();
         for seed in 0..common::schedule_budget(6) as u64 {
             let _repro = common::schedule("join_table", seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let db = Database::new();
             let (nl, nr) = (rng.gen_range(40..80), rng.gen_range(20..50));
             let (l, r) = (rows(&mut rng, nl), rows(&mut rng, nr));
-            load(&db, "L", &l, rng.gen_range(10..20));
+            load(&db, "L", &l, rng.gen_range(10..20), &mut sealed);
             let r_part = if seed % 2 == 0 { r.len() } else { rng.gen_range(10..20) };
-            load(&db, "R", &r, r_part);
+            load(&db, "R", &r, r_part, &mut sealed);
             let mut matched = 0;
             for (left, lrows, rrows) in [("L", &l, &r), ("R", &r, &r)] {
                 for cond in CONDITIONS {
@@ -1454,6 +1474,7 @@ mod join_table {
             }
             assert!(matched > 1000, "seed {seed}: only {matched} pairs matched");
         }
+        sealed.assert_both("join_table");
     }
 
     /// Build-side keys whose non-NULL values span exactly 8 slots per build
@@ -1467,6 +1488,7 @@ mod join_table {
     #[test]
     fn a_dense_key_table_returns_the_nested_loops_rows() {
         use snowdb::exec::metrics::TableIndex;
+        let mut sealed = Sealed::default();
         for seed in 0..common::schedule_budget(4) as u64 {
             let _repro = common::schedule("dense_join_table", seed);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1538,8 +1560,8 @@ mod join_table {
                     })
                     .collect();
                 let db = Database::new();
-                load(&db, "A", &probe, rng.gen_range(10..20));
-                load(&db, "B", &build, build.len());
+                load(&db, "A", &probe, rng.gen_range(10..20), &mut sealed);
+                load(&db, "B", &build, build.len(), &mut sealed);
                 let mut matched = 0;
                 for (col, probe_col) in [("i", 1), ("f", 2), ("s", 3), ("r", 4), ("v", 5)] {
                     for (join, outer) in [("JOIN", false), ("LEFT OUTER JOIN", true)] {
@@ -1563,6 +1585,7 @@ mod join_table {
                 assert!(matched > 200, "seed {seed} {shape}: only {matched} pairs matched");
             }
         }
+        sealed.assert_both("dense_join_table");
     }
 
     /// One left batch that matches more than [`BATCH_ROWS`] rows: the
@@ -1610,10 +1633,11 @@ mod join_table {
 
 mod key_table {
     use rand::{Rng, SeedableRng, StdRng};
+    use snowdb::exec::metrics::Grouping;
     use snowdb::variant::Key;
     use snowdb::{Database, QueryOptions, Variant};
 
-    use super::join_table::{load, rows};
+    use super::join_table::{load, rows, Sealed};
     use crate::common;
 
     /// Group keys, each as SQL and as the cell it takes from a row `[id, i,
@@ -1622,10 +1646,17 @@ mod key_table {
     /// dictionary column (one dictionary per partition), run-length
     /// integers, boxed values (arrays, objects, mixed `Int`/`Float`), and
     /// `m`, which is `i` in the first half of the rows and `f` in the second,
-    /// so that `1` and `1.0` meet in one group across batches.
+    /// so that `1` and `1.0` meet in one group across batches; then an `Int`
+    /// key in ascending runs of three rows, which groups by runs, and one
+    /// that does so for the first 30 rows and then leaves run mode with
+    /// every aggregate's state open.
     type Cell = fn(&[Variant]) -> Variant;
 
-    const KEYS: [(&str, Cell); 8] = [
+    fn id(row: &[Variant]) -> i64 {
+        row[0].as_i64().expect("an id")
+    }
+
+    const KEYS: [(&str, Cell); 10] = [
         ("i", |row| row[1].clone()),
         ("f", |row| row[2].clone()),
         ("i > 1", |row| row[1].as_i64().map_or(Variant::Null, |i| Variant::Bool(i > 1))),
@@ -1637,7 +1668,17 @@ mod key_table {
         ("r", |row| row[4].clone()),
         ("v", |row| row[5].clone()),
         ("m", |row| row[6].clone()),
+        ("id - id % 3", |row| Variant::Int(id(row) - id(row) % 3)),
+        ("IFF(id < 30, id - id % 3, id % 4)", |row| {
+            let id = id(row);
+            Variant::Int(if id < 30 { id - id % 3 } else { id % 4 })
+        }),
     ];
+
+    /// The index in [`KEYS`] of the run-ordered key and of the key that
+    /// leaves run mode.
+    const RUN_KEY: usize = 8;
+    const LEAVING_KEY: usize = 9;
 
     /// A cell as compared: its `Debug` text, which tells `1` from `1.0`,
     /// and its type, which tells NaN from NULL.
@@ -1672,12 +1713,34 @@ mod key_table {
         out
     }
 
-    /// `COUNT(*), COUNT(v), ANY_VALUE(v), ARRAY_AGG(id), MAX(i), MIN(s)`,
-    /// which merge per worker.
+    /// The aggregates that merge per worker, as SQL.
+    const MERGED: &str = "COUNT(*), COUNT(v), ANY_VALUE(v), ARRAY_AGG(id), MAX(i), MIN(s), \
+                          MIN(f), MAX(f), BOOLAND_AGG(i > 1), BOOLOR_AGG(i > 1), COUNT(IFF(i > 1, 1, NULL))";
+
+    /// The extreme of the non-NULL doubles of `vals`: NaN above every
+    /// number, `-0.0` equal to `0.0`, the first of equal values kept.
+    fn extreme<'v>(vals: impl Iterator<Item = &'v Variant>, max: bool) -> Variant {
+        let want = if max { std::cmp::Ordering::Greater } else { std::cmp::Ordering::Less };
+        let mut best: Option<f64> = None;
+        for x in vals.filter_map(|v| match v {
+            Variant::Float(x) => Some(*x),
+            _ => None,
+        }) {
+            if best.is_none_or(|b| snowdb::variant::cmp_f64(x, b) == want) {
+                best = Some(x);
+            }
+        }
+        best.map_or(Variant::Null, Variant::Float)
+    }
+
+    /// [`MERGED`] of one group.
     fn folded(data: &[Vec<Variant>], g: &Group) -> Vec<Variant> {
         let col = |c: usize| g.rows.iter().map(move |&r| &data[r][c]);
         let max_i = col(1).filter_map(Variant::as_i64).max();
         let min_s = col(3).filter_map(|v| v.as_str()).min();
+        let big: Vec<bool> = col(1).filter_map(Variant::as_i64).map(|i| i > 1).collect();
+        let all_big = (!big.is_empty()).then(|| big.iter().all(|&b| b));
+        let any_big = (!big.is_empty()).then(|| big.iter().any(|&b| b));
         vec![
             Variant::Int(g.rows.len() as i64),
             Variant::Int(col(5).filter(|v| !v.is_null()).count() as i64),
@@ -1685,19 +1748,64 @@ mod key_table {
             Variant::array(col(0).cloned().collect()),
             max_i.map_or(Variant::Null, Variant::Int),
             min_s.map_or(Variant::Null, Variant::str),
+            extreme(col(2), false),
+            extreme(col(2), true),
+            all_big.map_or(Variant::Null, Variant::Bool),
+            any_big.map_or(Variant::Null, Variant::Bool),
+            Variant::Int(big.iter().filter(|&&b| b).count() as i64),
         ]
     }
 
-    /// `SUM(id)`, which folds serially.
-    fn summed(data: &[Vec<Variant>], g: &Group) -> Variant {
-        Variant::Int(g.rows.iter().filter_map(|&r| data[r][0].as_i64()).sum())
+    /// The aggregates that fold serially, as SQL: an integer sum, one that
+    /// overflows within a group, and a sum and an average of doubles.
+    const SUMMED: &str = "SUM(id), SUM(IFF(i > 1, 9223372036854775807, i)), SUM(f), AVG(f)";
+
+    /// A running sum as the engine keeps one: integers checked and promoted
+    /// to a double on overflow, doubles added in row order.
+    fn running_sum<'v>(vals: impl Iterator<Item = &'v Variant>) -> Variant {
+        vals.filter(|v| !v.is_null()).fold(Variant::Null, |acc, v| match (acc, v) {
+            (Variant::Null, v) => v.clone(),
+            (Variant::Int(a), Variant::Int(b)) => {
+                a.checked_add(*b).map_or(Variant::Float(a as f64 + *b as f64), Variant::Int)
+            }
+            (Variant::Int(a), Variant::Float(b)) => Variant::Float(a as f64 + b),
+            (Variant::Float(a), Variant::Int(b)) => Variant::Float(a + *b as f64),
+            (Variant::Float(a), Variant::Float(b)) => Variant::Float(a + b),
+            (a, b) => panic!("no sum of {a:?} and {b:?}"),
+        })
+    }
+
+    /// [`SUMMED`] of one group.
+    fn summed(data: &[Vec<Variant>], g: &Group) -> Vec<Variant> {
+        let col = |c: usize| g.rows.iter().map(move |&r| &data[r][c]);
+        let big: Vec<Variant> = col(1)
+            .map(|v| match v.as_i64() {
+                Some(i) if i > 1 => Variant::Int(i64::MAX),
+                _ => v.clone(),
+            })
+            .collect();
+        let floats: Vec<f64> = col(2).filter_map(Variant::as_f64).collect();
+        // An average's sum starts at `0.0`, so `-0.0` alone averages to `0.0`.
+        let avg = (!floats.is_empty()).then(|| floats.iter().fold(0.0, |a, x| a + x) / floats.len() as f64);
+        vec![
+            running_sum(col(0)),
+            running_sum(big.iter()),
+            running_sum(col(2)),
+            avg.map_or(Variant::Null, Variant::Float),
+        ]
     }
 
     /// The rows of `sql` at 1, 2 and 8 threads with vectorize on and off,
     /// all `cell`-identical, or a panic naming the configuration that
     /// differs.
     fn run(db: &Database, sql: &str) -> Vec<Vec<String>> {
-        let mut seen: Option<Vec<Vec<String>>> = None;
+        run_or_fail(db, sql).unwrap_or_else(|e| panic!("{sql}: {e}"))
+    }
+
+    /// [`run`], where every configuration may instead fail with the same
+    /// error text.
+    fn run_or_fail(db: &Database, sql: &str) -> Result<Vec<Vec<String>>, String> {
+        let mut seen: Option<Result<Vec<Vec<String>>, String>> = None;
         for threads in [1, 2, 8] {
             for vectorize in [true, false] {
                 let opts = QueryOptions {
@@ -1706,11 +1814,11 @@ mod key_table {
                     encode: true,
                     ..Default::default()
                 };
-                let rows = render(&db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}")).rows);
+                let got = db.query_with(sql, &opts).map(|r| render(&r.rows)).map_err(|e| e.to_string());
                 match &seen {
-                    None => seen = Some(rows),
+                    None => seen = Some(got),
                     Some(first) => {
-                        assert_eq!(&rows, first, "threads={threads} vectorize={vectorize}: {sql}")
+                        assert_eq!(&got, first, "threads={threads} vectorize={vectorize}: {sql}")
                     }
                 }
             }
@@ -1718,20 +1826,35 @@ mod key_table {
         seen.expect("ran")
     }
 
+    /// How the one aggregate of `sql` grouped on one thread.
+    fn grouping(db: &Database, sql: &str) -> Option<snowdb::exec::metrics::Grouping> {
+        let opts = QueryOptions { threads: Some(1), ..Default::default() };
+        let r = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let metrics = r.profile.metrics.expect("operator metrics");
+        let ops = metrics.operators();
+        ops.into_iter().find(|(_, m)| m.name.starts_with("Aggregate")).and_then(|(_, m)| m.grouping)
+    }
+
     /// Seeded tables in partitions of 10–19 rows, each with its own
     /// dictionary, grouped by one to three keys of every representation —
-    /// NULLs in every one — and the same keys under DISTINCT, against a
-    /// linear scan: groups in first-seen order, each keeping its first-seen
-    /// cells, at every thread count under either producer.
+    /// NULLs in every one, keys in runs and a key that leaves them — and the
+    /// same keys under DISTINCT, against a linear scan: groups in first-seen
+    /// order, each keeping its first-seen cells, and every aggregate a typed
+    /// state folds (counts, sums that overflow, extremes and averages of
+    /// NaN, `-0.0` and integral doubles, boolean aggregates) beside ones
+    /// only accumulators fold, at every thread count under either producer
+    /// and either fold. `SUM(s)` raises one error everywhere, exactly when a
+    /// group meets a second string.
     #[test]
     fn the_key_table_groups_as_a_linear_scan_over_keys() {
+        let mut sealed = Sealed::default();
         for seed in 0..common::schedule_budget(6) as u64 {
             let _repro = common::schedule("key_table", seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let db = Database::new();
             let n = rng.gen_range(60..120);
             let mut data = rows(&mut rng, n);
-            load(&db, "T", &data, rng.gen_range(10..20));
+            load(&db, "T", &data, rng.gen_range(10..20), &mut sealed);
             let half = n as i64 / 2;
             for row in &mut data {
                 let m = if row[0].as_i64().unwrap() < half { row[1].clone() } else { row[2].clone() };
@@ -1771,17 +1894,33 @@ mod key_table {
                         want.iter().map(|g| g.cells.iter().cloned().chain(more(g)).collect()).collect();
                     render(&rows)
                 };
-                let sql = format!(
-                    "SELECT {list}, COUNT(*), COUNT(v), ANY_VALUE(v), ARRAY_AGG(id), MAX(i), MIN(s) \
-                     FROM {from} GROUP BY {list}"
-                );
+                let sql = format!("SELECT {list}, {MERGED} FROM {from} GROUP BY {list}");
                 assert_eq!(run(&db, &sql), expect(&|g| folded(&data, g)), "seed {seed}: {sql}");
-                let sql = format!("SELECT {list}, SUM(id) FROM {from} GROUP BY {list}");
-                assert_eq!(run(&db, &sql), expect(&|g| vec![summed(&data, g)]), "seed {seed}: {sql}");
+                let sql = format!("SELECT {list}, {SUMMED} FROM {from} GROUP BY {list}");
+                assert_eq!(run(&db, &sql), expect(&|g| summed(&data, g)), "seed {seed}: {sql}");
+                let sql = format!("SELECT {list}, SUM(s) FROM {from} GROUP BY {list}");
+                let strings = |g: &Group| g.rows.iter().filter(|&&r| !data[r][3].is_null()).count();
+                match run_or_fail(&db, &sql) {
+                    Ok(got) => {
+                        assert!(want.iter().all(|g| strings(g) < 2), "seed {seed}: {sql} added strings");
+                        let first = |g: &Group| g.rows.iter().map(|&r| data[r][3].clone()).find(|v| !v.is_null());
+                        assert_eq!(got, expect(&|g| vec![first(g).unwrap_or(Variant::Null)]), "seed {seed}: {sql}");
+                    }
+                    Err(e) => {
+                        assert!(want.iter().any(|g| strings(g) >= 2), "seed {seed}: {sql}: {e}");
+                        assert!(e.contains("SUM expects numbers"), "seed {seed}: {sql}: {e}");
+                    }
+                }
+                if keys == &[RUN_KEY] || keys == &[LEAVING_KEY] {
+                    let sql = format!("SELECT {list}, {MERGED} FROM {from} GROUP BY {list}");
+                    let want = if keys == &[RUN_KEY] { Grouping::Runs } else { Grouping::Hashed };
+                    assert_eq!(grouping(&db, &sql), Some(want), "seed {seed}: {sql}");
+                }
                 let sql = format!("SELECT DISTINCT {list} FROM {from}");
                 assert_eq!(run(&db, &sql), expect(&|_| Vec::new()), "seed {seed}: {sql}");
             }
             assert!(merged_across_types, "seed {seed}: no group of `m` holds an Int and a Float row");
         }
+        sealed.assert_both("key_table");
     }
 }
