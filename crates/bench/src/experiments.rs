@@ -696,8 +696,10 @@ pub fn pipelines(cfg: &Config) -> Report {
         ],
     );
     for q in adl::queries::queries("hep").into_iter().filter(|q| q.id >= "q4") {
-        // Rows into the innermost (row-id) aggregate, per side and thread count.
+        // Rows into the innermost (row-id) aggregate, and the most rows a
+        // flatten emits, per side and thread count.
         let mut row_id_input = Vec::new();
+        let mut flatten_peak_out = Vec::new();
         for (kind, sql) in [("generated", translate(&db, &q)), ("handwritten", q.handwritten_sql.clone())] {
             if kind == "generated" {
                 assert_typed_folds(&db, q.id, &sql);
@@ -708,6 +710,15 @@ pub fn pipelines(cfg: &Config) -> Report {
                     !outer_flatten_below_row_id_aggregate(&plan),
                     "{} generated: {plan:?}",
                     q.id
+                );
+            }
+            if matches!(q.id, "q5" | "q6" | "q8") {
+                let plan = db.compile(&sql).expect("compiles");
+                assert!(
+                    !index_range_filtered_above_flatten(&plan),
+                    "{} {kind}: an INDEX range is filtered above its flatten:\n{}",
+                    q.id,
+                    db.explain(&sql).expect("explains")
                 );
             }
             for threads in [1, n] {
@@ -741,6 +752,15 @@ pub fn pipelines(cfg: &Config) -> Report {
                     .into_iter()
                     .rfind(|(_, m)| m.name.starts_with("Aggregate"));
                 row_id_input.push(innermost.expect("a row-id aggregate").1.rows_in);
+                flatten_peak_out.push(
+                    metrics
+                        .operators()
+                        .into_iter()
+                        .filter(|(_, m)| m.name == "Flatten")
+                        .map(|(_, m)| m.rows_out)
+                        .max()
+                        .unwrap_or(0),
+                );
                 for (i, (depth, m)) in metrics.operators().iter().enumerate() {
                     let head = match i {
                         0 => [q.id.into(), kind.into(), threads.to_string(), fmt_secs(best.exec_time().as_secs_f64())],
@@ -776,6 +796,16 @@ pub fn pipelines(cfg: &Config) -> Report {
                 }
             }
         }
+        // Generated q6's triplets: its last flatten starts each row's items
+        // past the middle one's index, so it emits no more rows than the
+        // row-id aggregate above it reads (at 8,192 events, 54,719 rather
+        // than 228,957).
+        if q.id == "q6" {
+            let generated = &flatten_peak_out[..2];
+            for (threads, (f, a)) in [1, n].into_iter().zip(generated.iter().zip(&row_id_input)) {
+                assert!(f <= a, "q6 at {threads} threads: a flatten emits {f}, the row-id aggregate reads {a}");
+            }
+        }
         // The nested predicate of q4 and q5 rejects the empty group, so the
         // generated row-id aggregate reads only the kept rows, as the
         // handwritten one does.
@@ -788,6 +818,7 @@ pub fn pipelines(cfg: &Config) -> Report {
     }
     rep.note("exec: fastest execution (compile excluded) of warmup + max(runs, 3) runs; the rest is that run's profile");
     rep.note("generated q4 and q5: the row-id aggregate reads no OUTER flatten and no more rows than the handwritten one (DESIGN.md, \"Empty-group elimination\")");
+    rep.note("q5, q6 and q8, generated and handwritten: no filter directly over a flatten tests its INDEX with IS NOT NULL, <, <=, > or >= (each is the flatten's from= bound); generated q6: no flatten emits more rows than the row-id aggregate reads (DESIGN.md, \"Index-bounded flatten\")");
     rep.note("busy is summed across workers; pipe wall, morsels and workers stand on the operator the pipeline ends at");
     rep.note("groups: how an aggregate found its groups; every row-id aggregate of a generated query groups by runs");
     rep.note("fold: rows folded into typed states / into accumulators, a row once per aggregate; a generated query's histogram and row-id COUNT/SUM/MIN/MAX fold none boxed (DESIGN.md, \"Grouped aggregation\")");
@@ -813,6 +844,34 @@ fn assert_typed_folds(db: &Database, id: &str, sql: &str) {
         assert!(boxed.is_some(), "{id} generated: no fold= on {line}");
         assert!(boxes || boxed == Some(0), "{id} generated folds rows boxed: {line}");
     }
+}
+
+/// Whether a filter directly over a flatten of `plan` still has a conjunct
+/// that the flatten's bound takes: `INDEX IS NOT NULL`, or an order
+/// comparison reading the flatten's `INDEX`. (`<>` is no range: q8's
+/// handwritten `L.INDEX <> PAIR:I1` stays.)
+fn index_range_filtered_above_flatten(plan: &snowdb::plan::Node) -> bool {
+    use snowdb::plan::{conjuncts, Node, NodeKind, PExpr};
+    use snowdb::sql::BinOp;
+    fn walk(n: &Node) -> bool {
+        if let NodeKind::Filter { input, pred } = &n.kind {
+            if let NodeKind::Flatten { input: below, .. } = &input.kind {
+                let index = PExpr::Col(below.arity() + 1);
+                let range = |p: &&PExpr| match p {
+                    PExpr::IsNull { expr, negated: true } => **expr == index,
+                    PExpr::Binary { op: BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq, .. } => {
+                        p.any(&mut |x| *x == index)
+                    }
+                    _ => false,
+                };
+                if conjuncts(pred).iter().any(range) {
+                    return true;
+                }
+            }
+        }
+        n.kind.inputs().into_iter().any(walk)
+    }
+    walk(plan)
 }
 
 /// Whether an `OUTER` flatten feeds the innermost aggregate of `plan`.

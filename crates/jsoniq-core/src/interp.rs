@@ -250,19 +250,15 @@ impl<'a> Interpreter<'a> {
                 }
                 Ok(out)
             }
+            // Items that are no array unbox to nothing, as the lookups skip
+            // items of the wrong kind (and as the translation's FLATTEN, which
+            // keeps array items only, does).
             RIter::ArrayUnbox { base } => {
                 let b = self.eval_in(base, env)?;
                 let mut out = Vec::new();
                 for item in &b {
-                    match item {
-                        Variant::Array(a) => out.extend(a.iter().cloned()),
-                        Variant::Null => {}
-                        other => {
-                            return Err(JsoniqError::Dynamic(format!(
-                                "cannot unbox {}",
-                                other.type_name()
-                            )))
-                        }
+                    if let Variant::Array(a) = item {
+                        out.extend(a.iter().cloned());
                     }
                 }
                 Ok(out)
@@ -967,6 +963,13 @@ mod tests {
             &[r#"{"M": [1, 2]}"#, r#"{"M": []}"#, r#"{"M": [3]}"#],
         );
         assert_eq!(r, vec![Variant::Int(1), Variant::Int(2), Variant::Int(3)]);
+        // An object, a scalar or null unboxes to nothing.
+        let r = run_with(
+            r#"for $m in collection("t").M[] return $m"#,
+            "t",
+            &[r#"{"M": {"a": 1}}"#, r#"{"M": 7}"#, r#"{"M": null}"#, r#"{"M": [4]}"#],
+        );
+        assert_eq!(r, vec![Variant::Int(4)]);
     }
 
     #[test]

@@ -20,13 +20,18 @@
 //! aggregates have no JSONiq spelling the translator maps to them;
 //! `snowdb::verify::gen` writes those in SQL.
 //!
-//! One shape in seven reads the irregular table `snowdb::verify::gen`
+//! Positional variables (`for $a at $i in … for $b at $j in … where $i lt
+//! $j`, every order comparison) pair the elements of an ADL array, as Q5
+//! and Q8 do, and of the irregular table's arrays.
+//!
+//! One shape in eight reads the irregular table `snowdb::verify::gen`
 //! loads (`load_irregular`): an optional member in a nested FLWOR's
 //! predicate, a `let` over a nested FLWOR that filters out every item used
 //! in the outer `where`, nested queries whose every item is filtered out,
-//! order comparisons on a field that mixes numbers and strings, and nested
+//! order comparisons on a field that mixes numbers and strings, nested
 //! queries over its arrays of flat records, which the engine stores
-//! shredded. Two
+//! shredded, and position pairs over a column that is an object in some
+//! rows, where `[]` yields nothing and a flatten yields members. Two
 //! things it never does, because the engine has one `NULL` for SQL `NULL`,
 //! JSON `null` and a missing member (`Variant::Null`) while the interpreter
 //! keeps them apart: it compares nothing with a `null` literal or with
@@ -189,7 +194,7 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
     let pt = rng.gen_range(0..150);
     // High enough to filter out every item, or not.
     let eta = if rng.gen_bool(0.5) { 1000 } else { rng.gen_range(-2..3) };
-    match rng.gen_range(0..6u32) {
+    match rng.gen_range(0..7u32) {
         0 => format!(
             r#"for $t in collection("{c}") where count(for $x in $t.XS[] where $x.PT {op} {pt} return $x) ge {} return $t.ID"#,
             rng.gen_range(1..3),
@@ -210,6 +215,16 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
             rng.gen_range(0..20),
             rng.gen_range(0..20),
         ),
+        // Pairs by position over a column that holds an array in some rows
+        // and an object in others (`[]` of an object is empty), over the
+        // irregular arrays and over the shredded lists.
+        6 => {
+            let col = pick(rng, &["OA", "OA", "XS", "RS"]);
+            format!(
+                r#"for $t in collection("{c}") return {{"id": $t.ID, "n": count(for $a at $i in $t.{col}[] for $b at $j in $t.{col}[] where $i {} $j return $b)}}"#,
+                cmp_op(rng),
+            )
+        }
         // Strings against a number fail in both; the ID filter may keep only
         // numbers.
         _ => format!(
@@ -220,12 +235,24 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
     }
 }
 
-/// Generates one random query: six shapes drawn from the ADL skeletons, and
-/// one over the irregular collection.
+/// Generates one random query: seven shapes drawn from the ADL skeletons,
+/// and one over the irregular collection.
 pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
     let c = &s.collection;
-    match rng.gen_range(0..7u32) {
+    match rng.gen_range(0..8u32) {
         6 => irregular_query(rng, &s.irregular),
+        // Pairs of one event's elements selected by position (ADL Q5 and Q8
+        // skeleton), with an element predicate on the second: the
+        // optimizer may make `$i lt $j` the second flatten's bound.
+        7 => {
+            let (arr, members) = pick(rng, &s.arrays);
+            let (op, pred) = (cmp_op(rng), element_pred(rng, members));
+            format!(
+                r#"for $e in collection("{c}") where count(for $a at $i in $e.{arr}[] for $x at $j in $e.{arr}[] where $i {op} $j and {pred} return 1) ge {} return $e.{}"#,
+                rng.gen_range(1..3),
+                s.event_field,
+            )
+        }
         // Scalar filter + project over whole events.
         0 => format!(
             r#"for $e in collection("{c}") where {} return {}"#,

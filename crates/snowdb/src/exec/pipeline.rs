@@ -788,9 +788,7 @@ impl<'b, 'a> Pipeline<'b, 'a> {
         let Some(Stage { node, table }) = self.stages.get(si) else { return sink(batch, wctx) };
         let mut next = |piece, wctx: &mut ExecCtx| self.push(si + 1, piece, 0, wctx, &mut *sink);
         match (&node.logical.kind, table) {
-            (NodeKind::Flatten { outer, emit, .. }, _) => {
-                flatten_stage(node, *outer, emit, batch, wctx, base, &mut next)
-            }
+            (NodeKind::Flatten { .. }, _) => flatten_stage(node, batch, wctx, base, &mut next),
             (_, Some(table)) => probe_stage(node, table, batch, wctx, &mut next),
             _ => {
                 let out = stage_batch(node, batch, wctx, base)?;
@@ -957,13 +955,14 @@ fn stage_batch(p: &PhysNode<'_>, mut inp: Chunk, ctx: &mut ExecCtx, base: i64) -
 /// row in the flatten's input, the base of the `SEQ` column.
 fn flatten_stage(
     p: &PhysNode<'_>,
-    outer: bool,
-    emit_cols: &[bool; 5],
     inp: Chunk,
     ctx: &mut ExecCtx,
     base: i64,
     emit: Emit<'_>,
 ) -> Result<()> {
+    let NodeKind::Flatten { outer, emit: emit_cols, from, .. } = &p.logical.kind else {
+        unreachable!("a flatten stage is a flatten")
+    };
     ctx.gov.checkpoint(op_tag(p))?;
     let start = Instant::now();
     let src = eval_exprs(p.dag()?, &inp, ctx, None, Some(&p.metrics)).complete()?;
@@ -971,7 +970,13 @@ fn flatten_stage(
     if src[0].is_encoded() && !matches!(*src[0], ColumnVec::List(_)) {
         p.metrics.add_materialized(src[0].len() as u64);
     }
-    let pieces = FlattenPieces::new(&src[0], outer, *emit_cols, &inp, base);
+    // A literal bound was not compiled: it is the same on every row.
+    let from = match from {
+        None => Bound::Unbounded,
+        Some(PExpr::Lit(v)) => Bound::Const(v.as_i64()),
+        Some(_) => Bound::of(&src[1]),
+    };
+    let pieces = FlattenPieces::new(&src[0], *outer, from, *emit_cols, &inp, base);
     emit_pieces(p, inp.rows, start, pieces, ctx, emit)
 }
 
@@ -1020,12 +1025,49 @@ fn emit_pieces(
     Ok(())
 }
 
+/// A flatten's item lower bound over one batch, read typed.
+enum Bound<'c> {
+    Unbounded,
+    /// The same bound on every row; `None` is NULL.
+    Const(Option<i64>),
+    /// One bound per row, NULL where the bitmap is clear.
+    Ints(&'c [i64], &'c Bitmap),
+    /// Any other column, read a row at a time. A planned bound is an
+    /// `INDEX` column plus a literal, which is `Ints` or all-NULL.
+    Column(&'c ColumnVec),
+}
+
+impl<'c> Bound<'c> {
+    fn of(col: &'c ColumnVec) -> Bound<'c> {
+        match col {
+            ColumnVec::Int { vals, valid } => Bound::Ints(vals, valid),
+            ColumnVec::Null(_) => Bound::Const(None),
+            other => Bound::Column(other),
+        }
+    }
+
+    /// The first item that row `r` emits of its array of `len` items: `len`
+    /// when it emits none.
+    fn first(&self, r: usize, len: usize) -> usize {
+        let bound = match self {
+            Bound::Unbounded => return 0,
+            Bound::Const(b) => *b,
+            Bound::Ints(vals, valid) => valid.get(r).then(|| vals[r]),
+            Bound::Column(col) => col.get(r).as_i64(),
+        };
+        bound.map_or(len, |b| b.clamp(0, len as i64) as usize)
+    }
+}
+
 /// The output of flattening one batch, cut into pieces.
 struct FlattenPieces<'c> {
     /// The flatten input, one value per input row.
     src: FlattenSource<'c>,
     /// Output rows each input row expands to.
     fan_out: Vec<usize>,
+    /// The first item each input row emits, for a bounded flatten; empty
+    /// (every row from its first item) otherwise.
+    skip: Vec<usize>,
     inp: &'c Chunk,
     /// Which of the five appended columns (VALUE, INDEX, KEY, SEQ, THIS) are
     /// read; the rest come out as all-NULL columns.
@@ -1048,12 +1090,32 @@ enum FlattenSource<'c> {
 impl<'c> FlattenPieces<'c> {
     /// A first pass over the source sizes the output: an array or object
     /// expands to its items, anything else to one NULL row if `outer`. A
-    /// list's sizes are its ranges' lengths.
-    fn new(src: &'c ColumnVec, outer: bool, emit: [bool; 5], inp: &'c Chunk, row_base: i64) -> Self {
+    /// list's sizes are its ranges' lengths. A bounded flatten (never
+    /// `outer`) expands an array to its items from the row's bound on, and
+    /// an object to nothing.
+    fn new(
+        src: &'c ColumnVec,
+        outer: bool,
+        from: Bound<'_>,
+        emit: [bool; 5],
+        inp: &'c Chunk,
+        row_base: i64,
+    ) -> Self {
+        let bounded = !matches!(from, Bound::Unbounded);
+        debug_assert!(!(bounded && outer), "a bounded flatten is inner");
+        let mut skip = Vec::with_capacity(if bounded { inp.rows } else { 0 });
+        // The items row `r` emits of its `len`.
+        let mut items_from = |r: usize, len: usize| {
+            let first = from.first(r, len);
+            if bounded {
+                skip.push(first);
+            }
+            len - first
+        };
         let (src, fan_out): (FlattenSource<'c>, Vec<usize>) = match src {
             ColumnVec::List(lists) => {
                 let fan_out = (0..lists.len())
-                    .map(|r| match lists.range(r).len() {
+                    .map(|r| match items_from(r, lists.range(r).len()) {
                         0 => usize::from(outer),
                         k => k,
                     })
@@ -1067,17 +1129,19 @@ impl<'c> FlattenPieces<'c> {
                 };
                 let fan_out = vals
                     .iter()
-                    .map(|v| match v {
-                        Variant::Array(items) if !items.is_empty() => items.len(),
-                        Variant::Object(obj) if !obj.is_empty() => obj.len(),
-                        _ => usize::from(outer),
+                    .enumerate()
+                    .map(|(r, v)| match v {
+                        Variant::Array(items) if !items.is_empty() => items_from(r, items.len()),
+                        Variant::Object(obj) if !obj.is_empty() && !bounded => obj.len(),
+                        // No items; the row still takes its slot in `skip`.
+                        _ => items_from(r, 0) + usize::from(outer),
                     })
                     .collect();
                 (FlattenSource::Boxed(vals), fan_out)
             }
         };
         let remaining = fan_out.iter().sum();
-        FlattenPieces { src, fan_out, inp, emit, row_base, remaining, row: 0, item: 0 }
+        FlattenPieces { src, fan_out, skip, inp, emit, row_base, remaining, row: 0, item: 0 }
     }
 }
 
@@ -1108,7 +1172,8 @@ impl Iterator for FlattenPieces<'_> {
                 let mut items: Vec<Option<usize>> = Vec::with_capacity(room(want_value));
                 while repeat.len() < n {
                     let take = (self.fan_out[self.row] - self.item).min(n - repeat.len());
-                    let (lo, hi) = (self.item, self.item + take);
+                    let skip = self.skip.get(self.row).copied().unwrap_or(0);
+                    let (lo, hi) = (skip + self.item, skip + self.item + take);
                     repeat.extend(std::iter::repeat_n(self.row, take));
                     let range = lists.range(self.row);
                     let real = !range.is_empty();
@@ -1125,7 +1190,7 @@ impl Iterator for FlattenPieces<'_> {
                         }
                         index.1.extend(std::iter::repeat_n(real, take));
                     }
-                    self.item = hi;
+                    self.item += take;
                     if self.item == self.fan_out[self.row] {
                         (self.row, self.item) = (self.row + 1, 0);
                     }
@@ -1155,7 +1220,8 @@ impl Iterator for FlattenPieces<'_> {
                 while repeat.len() < n {
                     let v = &vals[self.row];
                     let take = (self.fan_out[self.row] - self.item).min(n - repeat.len());
-                    let (lo, hi) = (self.item, self.item + take);
+                    let skip = self.skip.get(self.row).copied().unwrap_or(0);
+                    let (lo, hi) = (skip + self.item, skip + self.item + take);
                     repeat.extend(std::iter::repeat_n(self.row, take));
                     match v {
                         _ if take == 0 => {}
@@ -1200,7 +1266,7 @@ impl Iterator for FlattenPieces<'_> {
                             this.push(v.clone());
                         }
                     }
-                    self.item = hi;
+                    self.item += take;
                     if self.item == self.fan_out[self.row] {
                         (self.row, self.item) = (self.row + 1, 0);
                     }
@@ -2202,5 +2268,115 @@ mod tests {
         assert!(unwound.is_err());
         let err = slot.get(false, &gov, || unreachable!("readers never produce")).unwrap_err();
         assert!(matches!(err, SnowError::Internal(_)), "{err:?}");
+    }
+
+    /// Flattens `src` (one value per input row) under each of `bounds`, one
+    /// bound per row, and checks the output against the unbounded flatten
+    /// with the rows whose `INDEX` is below the row's bound — or whose
+    /// bound or `INDEX` is NULL — taken out: the same input rows, `VALUE`,
+    /// `INDEX`, `KEY`, `SEQ` and `THIS`, in the same order, cut into pieces
+    /// of one to [`BATCH_ROWS`] rows. Every bound is read typed, as any other
+    /// column, and — when all rows share it — as a literal. `THIS` (the
+    /// whole array on every row) is compared when `this`.
+    fn bounded_flatten_is_the_filtered_flatten(
+        src: &ColumnVec,
+        bounds: &[Option<i64>],
+        this: bool,
+    ) {
+        let rows = src.len();
+        let ids = ColumnVec::Int { vals: (0..rows as i64).collect(), valid: Bitmap::ones(rows) };
+        let inp = Chunk { cols: vec![ids], rows };
+        let (base, emit) = (1000, [true, true, true, true, this]);
+        let flatten = |bound: Bound<'_>| -> Vec<Vec<Variant>> {
+            let pieces: Vec<Chunk> =
+                FlattenPieces::new(src, false, bound, emit, &inp, base).collect();
+            assert!(pieces.iter().all(|p| (1..=BATCH_ROWS).contains(&p.rows)));
+            pieces.iter().flat_map(rows_of).collect()
+        };
+        let want: Vec<Vec<Variant>> = flatten(Bound::Unbounded)
+            .into_iter()
+            .filter(|row| match (bounds[row[0].as_i64().unwrap() as usize], &row[2]) {
+                (Some(b), Variant::Int(index)) => *index >= b,
+                _ => false,
+            })
+            .collect();
+        let typed = ColumnVec::Int {
+            vals: bounds.iter().map(|b| b.unwrap_or(0)).collect(),
+            valid: Bitmap::from_fn(rows, |r| bounds[r].is_some()),
+        };
+        let boxed =
+            ColumnVec::Var(bounds.iter().map(|b| b.map_or(Variant::Null, Variant::Int)).collect());
+        assert!(matches!(Bound::of(&typed), Bound::Ints(..)));
+        for bound in [Bound::of(&typed), Bound::of(&boxed)] {
+            assert_eq!(format!("{:?}", flatten(bound)), format!("{want:?}"));
+        }
+        if let Some(&same) = bounds.first().filter(|&&b| bounds.iter().all(|&x| x == b)) {
+            assert_eq!(format!("{:?}", flatten(Bound::Const(same))), format!("{want:?}"));
+        }
+    }
+
+    /// Bounds NULL, negative, zero, inside, at and past the array's length,
+    /// over arrays mixing scalars, records and NULL items, and over objects,
+    /// scalars, NULL and empty arrays, which a bounded flatten never expands;
+    /// and outputs of several pieces.
+    #[test]
+    fn a_bounded_flatten_emits_the_filtered_rows_of_boxed_values() {
+        use crate::variant::parse_json;
+        let mixed = parse_json(r#"[1, {"k": 2}, "three", null, 4.5, [6]]"#).unwrap();
+        let obj = parse_json(r#"{"a": 1, "b": 2}"#).unwrap();
+        let vals: Vec<Variant> = (0..12)
+            .map(|r| match r % 6 {
+                0 | 3 => mixed.clone(),
+                1 => obj.clone(),
+                2 => Variant::Int(7),
+                4 => Variant::Null,
+                _ => Variant::array(Vec::new()),
+            })
+            .collect();
+        let src = ColumnVec::Var(vals);
+        for bounds in [
+            vec![None, Some(-3), Some(0), Some(2), Some(6), Some(9)],
+            vec![Some(0); 6],
+            vec![Some(-1); 6],
+            vec![Some(5); 6],
+            vec![None; 6],
+        ] {
+            let bounds: Vec<Option<i64>> = bounds.iter().cycle().take(12).copied().collect();
+            bounded_flatten_is_the_filtered_flatten(&src, &bounds, true);
+        }
+        // 24 rows of 1,000 items: six pieces unbounded, fewer bounded.
+        let big = Variant::array((0..1000).map(Variant::Int).collect::<Vec<_>>());
+        let src = ColumnVec::Var(vec![big; 24]);
+        let bounds: Vec<Option<i64>> = (0..24).map(|r| (r % 5 != 4).then_some(r * 37)).collect();
+        bounded_flatten_is_the_filtered_flatten(&src, &bounds, false);
+        bounded_flatten_is_the_filtered_flatten(&src, &[Some(1); 24], false);
+    }
+
+    /// The same over shredded lists of records, NULL and empty lists among
+    /// them: items are gathered typed, never boxed.
+    #[test]
+    fn a_bounded_flatten_emits_the_filtered_rows_of_shredded_lists() {
+        use crate::variant::parse_json;
+        let item = |i: i64| parse_json(&format!(r#"{{"PT": {i}.5, "Q": {i}}}"#)).unwrap();
+        let list = |n: i64| Variant::array((0..n).map(item).collect::<Vec<_>>());
+        let shredded = |n: i64, items: i64| {
+            let vals: Vec<Variant> = (0..n)
+                .map(|r| if r % 7 == 3 { Variant::Null } else { list(r % 5 * items) })
+                .collect();
+            let src = crate::storage::encode::encode_column(ColumnVec::Var(vals));
+            assert!(matches!(src, ColumnVec::List(_)));
+            src
+        };
+        let bounds = |n: i64, items: i64| -> Vec<Option<i64>> {
+            (0..n).map(|r| (r % 6 != 5).then_some(r * 53 % (4 * items + 1) - items / 3)).collect()
+        };
+        let small = shredded(14, 3);
+        bounded_flatten_is_the_filtered_flatten(&small, &bounds(14, 3), true);
+        bounded_flatten_is_the_filtered_flatten(&small, &[Some(2); 14], true);
+        // Several pieces.
+        let big = shredded(40, 300);
+        bounded_flatten_is_the_filtered_flatten(&big, &bounds(40, 300), false);
+        bounded_flatten_is_the_filtered_flatten(&big, &[Some(0); 40], false);
+        bounded_flatten_is_the_filtered_flatten(&big, &[Some(1200); 40], false);
     }
 }

@@ -118,9 +118,16 @@ fn estimate_into(
                 .collect();
             Est { rows: in_est.rows, cost: in_est.cost + in_est.rows, cols }
         }
-        NodeKind::Flatten { input, expr, outer, .. } => {
+        NodeKind::Flatten { input, expr, outer, from, .. } => {
             let in_est = estimate_into(input, map, shared);
-            let fanout = flatten_fanout(expr, &in_est.cols, *outer);
+            // A bound keeps what the filter it replaced was estimated to:
+            // `INDEX IS NOT NULL` for `from=0`, a comparison otherwise.
+            let kept = match from {
+                None => 1.0,
+                Some(PExpr::Lit(_)) => 1.0 - DEFAULT_EQ_SEL,
+                Some(_) => DEFAULT_UNKNOWN_SEL,
+            };
+            let fanout = flatten_fanout(expr, &in_est.cols, *outer) * kept;
             let rows = in_est.rows * fanout;
             // Flatten appends VALUE/INDEX/KEY/SEQ/THIS columns with no
             // base-table statistics.

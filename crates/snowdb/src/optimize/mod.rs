@@ -10,7 +10,8 @@
 //!    empty group of a row-id aggregate can pass moves the nested query's
 //!    `KEEP` flag below that aggregate as a filter; pushdown itself turns an
 //!    `OUTER` flatten or a left outer join inner under a filter that rejects
-//!    its padded rows;
+//!    its padded rows, and makes the positional conjuncts over an inner
+//!    flatten its item range ([`flatten_bound`]);
 //! 4. **join reordering** ([`join_order`]) — Inner/Cross join clusters are
 //!    rebuilt in the order the cost model ([`cost`]) ranks cheapest, using
 //!    per-column statistics persisted in the catalog (NDV sketches,
@@ -31,6 +32,7 @@
 
 pub mod cost;
 pub mod empty_group;
+pub mod flatten_bound;
 pub mod join_order;
 pub mod narrow;
 pub mod share;
@@ -308,6 +310,22 @@ fn error_free(e: &PExpr) -> bool {
     !e.any(&mut can_raise)
 }
 
+/// Which of a filter's conjuncts may leave it — move below the operator under
+/// it, or into that operator — without the filter losing an effect on the
+/// rows they then drop. The filter evaluates its conjuncts left to right up
+/// to the first FALSE, and one that raises or numbers rows must still see
+/// every row it saw. So a conjunct leaves only from the prefix of
+/// [`error_free`], non-volatile ones; and where a conjunct that is neither
+/// follows, only if it is an `IS [NOT] NULL` test, which is never NULL: on a
+/// row where a conjunct is NULL the filter goes on to the ones after it.
+fn may_leave(parts: &[PExpr]) -> Vec<bool> {
+    let prefix = parts.iter().take_while(|p| error_free(p) && !p.is_volatile()).count();
+    let clean = prefix == parts.len();
+    (0..parts.len())
+        .map(|k| k < prefix && (clean || matches!(parts[k], PExpr::IsNull { .. })))
+        .collect()
+}
+
 /// The node itself — not its operands — can raise on valid values.
 fn can_raise(e: &PExpr) -> bool {
     match e {
@@ -384,15 +402,22 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
             }
             Node::new(NodeKind::Project { input: Box::new(below), exprs }, fields)
         }
-        NodeKind::Flatten { input: fin, expr, outer, emit } => {
+        NodeKind::Flatten { input: fin, expr, outer, emit, mut from } => {
             let in_arity = fin.arity();
             // A conjunct no pad row passes drops what OUTER adds: the flatten
             // is inner. A pad row's VALUE, INDEX and KEY are NULL; its SEQ
             // and THIS are those of the input row.
             let outer = outer && !pads_rejected(&parts, |c| (in_arity..in_arity + 3).contains(&c));
+            let leave = may_leave(&parts);
+            let bounded = !outer && !expr.is_volatile();
             let mut movable = Vec::new();
             let mut stuck = Vec::new();
-            for p in parts {
+            for (p, leave) in parts.into_iter().zip(leave) {
+                // Positional conjuncts of an inner flatten become its item
+                // range.
+                if leave && bounded && flatten_bound::absorb(&p, &fin, &mut from) {
+                    continue;
+                }
                 // A conjunct may move below the flatten only when all of:
                 //  - it references input columns exclusively (flatten outputs
                 //    do not exist below, and for an OUTER flatten they are the
@@ -411,13 +436,13 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
                 //    that accept NULL inputs (IS NULL, COALESCE, CASE, ...)
                 //    must see the post-flatten row, where the outer flatten's
                 //    NULL-preservation has already happened, or rows the outer
-                //    flatten would have preserved as NULL are dropped early.
+                //    flatten would have preserved as NULL are dropped early;
+                //  - it [may leave](may_leave) the filter, which asks the
+                //    two above of the conjunct itself and, besides, that the
+                //    conjuncts staying above lose no error or row number on
+                //    the rows it drops.
                 let input_only = !p.any(&mut |x| matches!(x, PExpr::Col(c) if *c >= in_arity));
-                if input_only
-                    && !expr.is_volatile()
-                    && !p.is_volatile()
-                    && error_free(&p)
-                    && !(outer && null_sensitive(&p))
+                if input_only && leave && !expr.is_volatile() && !(outer && null_sensitive(&p))
                 {
                     movable.push(p);
                 } else {
@@ -430,7 +455,7 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
                 below = push_filter(below, mp, inner_fields);
             }
             let fl = Node::new(
-                NodeKind::Flatten { input: Box::new(below), expr, outer, emit },
+                NodeKind::Flatten { input: Box::new(below), expr, outer, emit, from },
                 fields.clone(),
             );
             wrap_filter(fl, stuck, fields)

@@ -214,9 +214,12 @@ fn input_needs(node: &Node, required: &[bool], need: &mut impl FnMut(usize, usiz
             through(all, 0, need);
             cols(pred, 0, need);
         }
-        NodeKind::Flatten { input, expr, .. } => {
+        NodeKind::Flatten { input, expr, from, .. } => {
             through(0..input.arity(), 0, need);
             cols(expr, 0, need);
+            if let Some(from) = from {
+                cols(from, 0, need);
+            }
         }
         NodeKind::Aggregate { groups, aggs, .. } => {
             for g in groups {
@@ -327,15 +330,16 @@ fn rebuild(old: Node, required: &[bool], mut inputs: Vec<Narrowed>) -> Narrowed 
             let pred = renumber(pred, &input.map);
             (NodeKind::Filter { input: Box::new(input.node), pred }, input.map)
         }
-        (NodeKind::Flatten { expr, outer, mut emit, .. }, Some(input), _) => {
+        (NodeKind::Flatten { expr, outer, mut emit, from, .. }, Some(input), _) => {
             let (old_arity, arity) = (input.map.len(), input.node.arity());
             for (e, &r) in emit.iter_mut().zip(&required[old_arity..]) {
                 *e &= r;
             }
             let expr = renumber(expr, &input.map);
+            let from = from.map(|e| renumber(e, &input.map));
             let mut map = input.map;
             map.extend((arity..arity + 5).map(Some));
-            (NodeKind::Flatten { input: Box::new(input.node), expr, outer, emit }, map)
+            (NodeKind::Flatten { input: Box::new(input.node), expr, outer, emit, from }, map)
         }
         (NodeKind::Aggregate { groups, aggs, .. }, Some(input), _) => {
             let live = live_aggs(&aggs, &required[groups.len()..]);

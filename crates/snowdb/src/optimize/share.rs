@@ -167,7 +167,7 @@ fn hash_op(kind: &NodeKind, h: &mut DefaultHasher) {
         }
         NodeKind::Project { exprs, .. } => exprs.len().hash(h),
         NodeKind::Aggregate { groups, aggs, .. } => (groups.len(), aggs.len()).hash(h),
-        NodeKind::Flatten { outer, emit, .. } => (outer, emit).hash(h),
+        NodeKind::Flatten { outer, emit, from, .. } => (outer, emit, from.is_some()).hash(h),
         NodeKind::Limit { n, .. } => n.hash(h),
         _ => {}
     }
@@ -197,9 +197,9 @@ fn same_op(a: &NodeKind, b: &NodeKind) -> bool {
         }
         (NodeKind::Filter { pred: x, .. }, NodeKind::Filter { pred: y, .. }) => same_expr(x, y),
         (
-            NodeKind::Flatten { expr: x, outer: oa, emit: ea, .. },
-            NodeKind::Flatten { expr: y, outer: ob, emit: eb, .. },
-        ) => oa == ob && ea == eb && same_expr(x, y),
+            NodeKind::Flatten { expr: x, outer: oa, emit: ea, from: fa, .. },
+            NodeKind::Flatten { expr: y, outer: ob, emit: eb, from: fb, .. },
+        ) => oa == ob && ea == eb && same_expr(x, y) && same_opt(fa.as_ref(), fb.as_ref()),
         (
             NodeKind::Aggregate { groups: ga, aggs: aa, .. },
             NodeKind::Aggregate { groups: gb, aggs: ab, .. },

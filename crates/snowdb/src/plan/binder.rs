@@ -263,6 +263,7 @@ impl<'a> Binder<'a> {
                             expr,
                             outer: *outer,
                             emit: [true; 5],
+                            from: None,
                         },
                         fields,
                     );

@@ -150,13 +150,16 @@ fn node_line(node: &Node) -> String {
         NodeKind::Filter { pred, .. } => {
             let _ = write!(out, "Filter {}", expr_str(pred));
         }
-        NodeKind::Flatten { expr, outer, emit, .. } => {
+        NodeKind::Flatten { expr, outer, emit, from, .. } => {
             let _ = write!(
                 out,
                 "Flatten{} input={}",
                 if *outer { " OUTER" } else { "" },
                 expr_str(expr)
             );
+            if let Some(from) = from {
+                let _ = write!(out, " from={}", expr_str(from));
+            }
             if emit != &[true; 5] {
                 let read: Vec<&str> = super::binder::FLATTEN_FIELDS
                     .into_iter()

@@ -476,7 +476,7 @@ impl PExpr {
 }
 
 /// The conjuncts of `e`, left to right: `e` itself when it is no `AND`.
-pub(crate) fn conjuncts(e: &PExpr) -> Vec<&PExpr> {
+pub fn conjuncts(e: &PExpr) -> Vec<&PExpr> {
     fn go<'a>(e: &'a PExpr, out: &mut Vec<&'a PExpr>) {
         if let PExpr::Binary { left, op: BinOp::And, right } = e {
             go(left, out);
@@ -644,8 +644,11 @@ pub enum NodeKind {
     Filter { input: Box<Node>, pred: PExpr },
     /// `LATERAL FLATTEN`: appends VALUE, INDEX, KEY, SEQ, THIS columns.
     /// `emit[k]` is false for an appended column nothing reads; it is then
-    /// produced as all-NULL.
-    Flatten { input: Box<Node>, expr: PExpr, outer: bool, emit: [bool; 5] },
+    /// produced as all-NULL. `from`, only ever on an inner flatten, is an
+    /// integer expression over the input columns: a row emits the array
+    /// items whose `INDEX` is at least its value, none where it is NULL, and
+    /// none of an object or a scalar ([`crate::optimize::flatten_bound`]).
+    Flatten { input: Box<Node>, expr: PExpr, outer: bool, emit: [bool; 5], from: Option<PExpr> },
     Aggregate { input: Box<Node>, groups: Vec<PExpr>, aggs: Vec<AggExpr> },
     Join {
         left: Box<Node>,
@@ -696,7 +699,8 @@ impl NodeKind {
     }
 
     /// Every expression the operator evaluates, in the order lowering
-    /// compiles them: the projection list, the predicate, the flatten input,
+    /// compiles them: the projection list, the predicate, the flatten input
+    /// and its bound (a literal bound is read from the plan, not compiled),
     /// the sort keys, the ON condition; for an aggregate the group keys, then
     /// each aggregate's arguments (`arg`, then `arg2`).
     pub fn exprs(&self) -> Vec<&PExpr> {
@@ -707,7 +711,8 @@ impl NodeKind {
             | NodeKind::UnionAll { .. }
             | NodeKind::Distinct { .. } => Vec::new(),
             NodeKind::Project { exprs, .. } => exprs.iter().collect(),
-            NodeKind::Filter { pred: e, .. } | NodeKind::Flatten { expr: e, .. } => vec![e],
+            NodeKind::Filter { pred, .. } => vec![pred],
+            NodeKind::Flatten { expr, from, .. } => std::iter::once(expr).chain(from).collect(),
             NodeKind::Aggregate { groups, aggs, .. } => groups
                 .iter()
                 .chain(aggs.iter().flat_map(|a| a.arg.iter().chain(&a.arg2)))
@@ -726,7 +731,8 @@ impl NodeKind {
             | NodeKind::UnionAll { .. }
             | NodeKind::Distinct { .. } => Vec::new(),
             NodeKind::Project { exprs, .. } => exprs.iter_mut().collect(),
-            NodeKind::Filter { pred: e, .. } | NodeKind::Flatten { expr: e, .. } => vec![e],
+            NodeKind::Filter { pred, .. } => vec![pred],
+            NodeKind::Flatten { expr, from, .. } => std::iter::once(expr).chain(from).collect(),
             NodeKind::Aggregate { groups, aggs, .. } => groups
                 .iter_mut()
                 .chain(aggs.iter_mut().flat_map(|a| a.arg.iter_mut().chain(&mut a.arg2)))
@@ -750,8 +756,8 @@ impl Node {
             leaf @ (NodeKind::Scan { .. } | NodeKind::Values) => leaf,
             NodeKind::Project { input, exprs } => NodeKind::Project { input: b(input), exprs },
             NodeKind::Filter { input, pred } => NodeKind::Filter { input: b(input), pred },
-            NodeKind::Flatten { input, expr, outer, emit } => {
-                NodeKind::Flatten { input: b(input), expr, outer, emit }
+            NodeKind::Flatten { input, expr, outer, emit, from } => {
+                NodeKind::Flatten { input: b(input), expr, outer, emit, from }
             }
             NodeKind::Aggregate { input, groups, aggs } => {
                 NodeKind::Aggregate { input: b(input), groups, aggs }

@@ -85,9 +85,12 @@ fn compile_exprs(plan: &Node) -> OpExprs<'_> {
                 residual,
             })
         }
+        // A literal flatten bound is read from the plan, once per batch.
+        NodeKind::Flatten { expr, from, .. } => OpExprs::Dag(ExprDag::compile(
+            std::iter::once(expr).chain(from.iter().filter(|b| !matches!(b, PExpr::Lit(_)))),
+        )),
         NodeKind::Project { .. }
         | NodeKind::Filter { .. }
-        | NodeKind::Flatten { .. }
         | NodeKind::Sort { .. }
         | NodeKind::Aggregate { .. } => OpExprs::Dag(ExprDag::compile(plan.kind.exprs())),
         _ => OpExprs::None,

@@ -23,6 +23,12 @@
 //! Data shapes: [`load_irregular`] writes the table of heterogeneous nested
 //! values the ADL table never has, and [`SqlGen::random_sql`] queries it
 //! freely — every SQL point shares the engine's one-null semantics.
+//!
+//! Positions: pairs and triplets of flattened elements compared by `INDEX`
+//! (the ADL pair queries' `A.INDEX < B.INDEX`, in every spelling the
+//! optimizer turns into a flatten bound and some it must not), over ADL
+//! arrays and over the irregular columns, one of which holds objects in
+//! some rows — beside, before and after a conjunct that divides by zero.
 
 use crate::engine::Database;
 use crate::error::Result;
@@ -84,7 +90,10 @@ pub fn adl_schema(table: &str) -> SqlSchema {
 /// - `RS`: the regular counterpart, `NULL` in one row in six and otherwise an
 ///   array of zero to three records `{"Q": …, "PT": …}` whose `PT` is `null`
 ///   in one in four — arrays of flat records, which a partition seals
-///   shredded unless none of its rows holds an item.
+///   shredded unless none of its rows holds an item;
+/// - `OA`: an object of one to three integer members in one row in three,
+///   otherwise an array of zero to five integers — a flatten of it emits
+///   members, whose `INDEX` is NULL, beside array items.
 ///
 /// `ETA` is present in every object, so a query may collect it into a
 /// nested result; `PT` may be missing or `null`.
@@ -98,7 +107,10 @@ pub fn load_irregular(db: &Database, name: &str, rows: usize, seed: u64) -> Resu
         ColumnDef::new("MIX", ColumnType::Variant),
         ColumnDef::new("XS", ColumnType::Variant),
         ColumnDef::new("RS", ColumnType::Variant),
+        ColumnDef::new("OA", ColumnType::Variant),
     ];
+    // And `OA` its own, so that `RS` keeps its values too.
+    let mut k = SqlGen::new(seed.rotate_left(32));
     let data: Vec<Vec<Variant>> = (0..rows as i64)
         .map(|id| {
             // Two in five `null`, one in five absent: both are `Null` here.
@@ -135,7 +147,20 @@ pub fn load_irregular(db: &Database, name: &str, rows: usize, seed: u64) -> Resu
                         .collect(),
                 ),
             };
-            vec![Variant::Int(id), opt, mix, Variant::array(xs), rs]
+            let oa = match k.below(3) {
+                0 => {
+                    let mut o = Object::with_capacity(3);
+                    for key in ["A", "B", "C"].into_iter().take(1 + k.below(3) as usize) {
+                        o.insert(key, Variant::Int(k.below(10) as i64));
+                    }
+                    Variant::object(o)
+                }
+                _ => {
+                    let items = (0..k.below(6)).map(|_| Variant::Int(k.below(10) as i64));
+                    Variant::array(items.collect())
+                }
+            };
+            vec![Variant::Int(id), opt, mix, Variant::array(xs), rs, oa]
         })
         .collect();
     db.load_table(name, schema, data, 8)
@@ -268,12 +293,12 @@ impl SqlGen {
         }
     }
 
-    /// The next query of the stream: one in six over the irregular table.
+    /// The next query of the stream: one in seven over the irregular table.
     pub fn random_sql(&mut self, s: &SqlSchema) -> String {
         let t = &s.table;
         let id = s.int_col;
         let (arr, members) = self.pick(&s.arrays).clone();
-        match self.below(12) {
+        match self.below(14) {
             0 | 1 => format!(
                 "SELECT {id}, {} AS V FROM {t} WHERE {}",
                 self.row_scalar(s),
@@ -356,8 +381,97 @@ impl SqlGen {
                     2 + self.below(3),
                 )
             }
+            // Pairs and triplets of one event's elements, selected by
+            // position as the ADL pair queries are: the optimizer may make
+            // the comparisons flatten bounds, but not across a raising
+            // conjunct. Or pairs over the irregular table.
+            10 | 11 if self.below(2) == 0 => self.irregular_pairs(&s.irregular),
+            10 | 11 => {
+                let (arr2, members2) = match self.below(3) {
+                    0 => self.pick(&s.arrays).clone(),
+                    _ => (arr, members.clone()),
+                };
+                let triplet = self.below(3) == 0;
+                let mut conjuncts = vec![self.index_cmp("A", "B")];
+                if triplet {
+                    conjuncts.push(self.index_cmp("B", "C"));
+                }
+                conjuncts.push(format!(
+                    "{} > {}",
+                    self.member_expr("B.VALUE", &members2),
+                    self.below(30)
+                ));
+                let raising = format!("10 / (H.{id} % {}) > 0", 5 + self.below(40));
+                self.add_raising(&mut conjuncts, raising);
+                let third = match triplet {
+                    true => format!(", LATERAL FLATTEN(INPUT => H.{arr}) C"),
+                    false => String::new(),
+                };
+                format!(
+                    "SELECT H.{id}, A.INDEX, B.INDEX, {} AS V FROM {t} H, \
+                     LATERAL FLATTEN(INPUT => H.{arr}) A, LATERAL FLATTEN(INPUT => H.{arr2}) B{third} \
+                     WHERE {}",
+                    self.member_expr("B.VALUE", &members2),
+                    conjuncts.join(" AND "),
+                )
+            }
             _ => self.irregular_sql(&s.irregular),
         }
+    }
+
+    /// A comparison of the positions of two flatten aliases: `<`, `<=` and
+    /// their mirrors, bare or with JSONiq's `+ 1` on both sides, now and
+    /// then with different literals on the two sides or beside an
+    /// `INDEX IS NOT NULL`.
+    fn index_cmp(&mut self, a: &str, b: &str) -> String {
+        let (x, y) = (format!("{a}.INDEX"), format!("{b}.INDEX"));
+        let (x, y) = match self.below(4) {
+            0 => (format!("{x} + 1"), format!("{y} + 1")),
+            1 => (format!("{x} + 1"), format!("{y} + {}", self.below(3))),
+            _ => (x, y),
+        };
+        let cmp = match self.below(4) {
+            0 => format!("{x} < {y}"),
+            1 => format!("{x} <= {y}"),
+            2 => format!("{y} > {x}"),
+            _ => format!("{y} >= {x}"),
+        };
+        match self.below(6) {
+            0 => format!("{b}.INDEX IS NOT NULL AND {cmp}"),
+            1 => format!("{a}.INDEX IS NOT NULL AND {cmp}"),
+            _ => cmp,
+        }
+    }
+
+    /// Puts `raising`, a conjunct that raises on some rows, at the front of
+    /// `conjuncts` or at its end, or leaves them be.
+    fn add_raising(&mut self, conjuncts: &mut Vec<String>, raising: String) {
+        match self.below(4) {
+            0 => conjuncts.insert(0, raising),
+            1 | 2 => conjuncts.push(raising),
+            _ => {}
+        }
+    }
+
+    /// Pairs by position over the irregular table's arrays mixed with
+    /// objects (`OA`), its irregular arrays and its shredded lists, with a
+    /// division by zero on some rows, or on some rows whose value is an
+    /// object: there a comparison of positions is NULL, not FALSE, and the
+    /// filter goes on to the division.
+    fn irregular_pairs(&mut self, t: &str) -> String {
+        let col = *self.pick(&["OA", "OA", "OA", "OA", "XS", "RS"]);
+        let mut conjuncts = vec![self.index_cmp("A", "B")];
+        let m = 2 + self.below(6);
+        let raising = match self.below(3) {
+            0 => format!("10 / (T.ID % {m}) > 0"),
+            _ => format!("10 / IFF(TYPEOF(T.{col}) = 'OBJECT', T.ID % {m}, 1) > 0"),
+        };
+        self.add_raising(&mut conjuncts, raising);
+        format!(
+            "SELECT T.ID, A.INDEX, B.INDEX, B.VALUE FROM {t} T, \
+             LATERAL FLATTEN(INPUT => T.{col}) A, LATERAL FLATTEN(INPUT => T.{col}) B WHERE {}",
+            conjuncts.join(" AND ")
+        )
     }
 
     /// A query over the irregular table: `NULL`s, a mixed-type column,
@@ -367,7 +481,7 @@ impl SqlGen {
     /// partitions only.
     fn irregular_sql(&mut self, t: &str) -> String {
         let k = 2 + self.below(4);
-        match self.below(9) {
+        match self.below(11) {
             0 => format!(
                 "SELECT ID, OPT, NVL(OPT, -1) AS N FROM {t} WHERE OPT IS NULL OR OPT > {}",
                 self.below(40)
@@ -421,6 +535,7 @@ impl SqlGen {
                      LATERAL FLATTEN(INPUT => T.RS, OUTER => TRUE) R GROUP BY {key}"
                 )
             }
+            9 | 10 => self.irregular_pairs(t),
             // Flatten, field picks, sizes, indexing and concatenation of the
             // shredded lists, with their NULL rows and NULL fields.
             _ => format!(
@@ -472,6 +587,8 @@ mod tests {
             ("null or missing PT", format!("SELECT COUNT(*) {flat} X.VALUE:ETA IS NOT NULL AND X.VALUE:PT IS NULL")),
             ("PT", format!("SELECT COUNT(*) {flat} X.VALUE:PT IS NOT NULL")),
             ("null RS", "SELECT COUNT(*) FROM irr WHERE RS IS NULL".into()),
+            ("object OA", "SELECT COUNT(*) FROM irr WHERE TYPEOF(OA) = 'OBJECT'".into()),
+            ("array OA", "SELECT COUNT(*) FROM irr WHERE ARRAY_SIZE(OA) > 1".into()),
             ("empty RS", "SELECT COUNT(*) FROM irr WHERE ARRAY_SIZE(RS) = 0".into()),
             (
                 "null RS field",

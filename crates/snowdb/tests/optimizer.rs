@@ -962,6 +962,8 @@ fn operators(db: &Database, sql: &str) -> String {
 /// rejects the empty group, so the nested query's `KEEP` test filters below
 /// the row-id aggregate, the flatten under it is inner, and the aggregate
 /// reads what handwritten q4's does (DESIGN.md, "Empty-group elimination").
+/// Its `INDEX IS NOT NULL` is the flatten's `from=0`, which leaves `INDEX`
+/// unread (DESIGN.md, "Index-bounded flatten").
 #[test]
 fn generated_q4_filters_its_jets_below_the_row_id_aggregate() {
     let (db, sql) = adl_generated("q4", jsoniq_core::snowflake::NestedStrategy::FlagColumn);
@@ -976,8 +978,8 @@ Project [ObjectConstruct(\"value\", (0.0 + ((#0 + 0.5) * 4.0)), \"count\", Nvl(#
           Filter (#1 >= 2)
             Aggregate group=[#1] aggs=[COUNT(#2), ANY_VALUE(#0)]
               Project [#0, #2, #3]
-                Filter ((#4 IS NOT NULL) AND (#3:PT > 40))
-                  Flatten input=#1 emit=[VALUE, INDEX]
+                Filter (#3:PT > 40)
+                  Flatten input=#1 from=0 emit=[VALUE]
                     Project [#1, #5, Seq8()]
                       Scan HEP cols=[MET, JET]
 "
@@ -1000,4 +1002,240 @@ fn generated_join_based_q4_and_q5_join_inner_on_a_bare_count() {
         assert!(!filter.contains("Nvl"), "{id}:\n{plan}");
         agreed_rows(&db, &sql);
     }
+}
+
+// ---- index-bounded flatten ---------------------------------------------------
+//
+// A filter's positional conjuncts over an inner flatten become the flatten's
+// `from=` bound (`optimize::flatten_bound`; DESIGN.md, "Index-bounded
+// flatten"). Each firing case is pinned as `EXPLAIN` text and its rows are
+// checked against the raw plan's; each refusal leaves the conjunct in the
+// filter.
+
+/// `ID`; `XS` by `ID % 5`: an object (at `ID = 0` too), an array mixing an
+/// integer, an object, a string and a NULL, an integer, NULL, and a
+/// six-item array; `YS` = `[0 ..= ID % 4]`; a float `F`, a string `S` and
+/// an integer `N` that are no index.
+fn bound_db() -> Database {
+    use snowdb::variant::parse_json;
+    let db = Database::new();
+    db.load_table(
+        "t",
+        vec![
+            ColumnDef::new("ID", ColumnType::Int),
+            ColumnDef::new("XS", ColumnType::Variant),
+            ColumnDef::new("YS", ColumnType::Variant),
+            ColumnDef::new("F", ColumnType::Float),
+            ColumnDef::new("S", ColumnType::Str),
+            ColumnDef::new("N", ColumnType::Int),
+        ],
+        (0..15i64).map(|i| {
+            let xs = match i % 5 {
+                0 => format!("{{\"a\": {i}, \"b\": {}}}", -i),
+                1 => format!("[{i}, {{\"k\": {i}}}, \"s\", null]"),
+                2 => i.to_string(),
+                3 => "null".to_string(),
+                _ => "[1, 2, 3, 4, 5, 6]".to_string(),
+            };
+            vec![
+                Variant::Int(i),
+                parse_json(&xs).unwrap(),
+                Variant::array((0..=i % 4).map(Variant::Int).collect::<Vec<_>>()),
+                Variant::Float(i as f64 / 4.0),
+                Variant::from(i.to_string()),
+                Variant::Int(i % 3),
+            ]
+        }),
+        4,
+    )
+    .unwrap();
+    db
+}
+
+/// The two-flatten statement every bound test starts from.
+const PAIRS: &str = "SELECT ID, A.INDEX, B.INDEX, B.VALUE FROM t, \
+    LATERAL FLATTEN(INPUT => XS) A, LATERAL FLATTEN(INPUT => YS) B WHERE";
+
+/// The `from=` bounds of the optimized plan's flattens, bottom up.
+fn flatten_bounds(db: &Database, sql: &str) -> Vec<Option<String>> {
+    db.explain(sql)
+        .unwrap()
+        .lines()
+        .rev()
+        .filter(|l| l.trim_start().starts_with("Flatten"))
+        .map(|l| l.split(" from=").nth(1).map(|b| b.split(' ').next().unwrap().to_string()))
+        .collect()
+}
+
+#[test]
+fn a_strict_index_comparison_becomes_the_bound() {
+    let db = bound_db();
+    let sql = format!("{PAIRS} A.INDEX < B.INDEX");
+    assert_eq!(
+        operators(&db, &sql),
+        "\
+Project [#0, #7, #12, #11]
+  Flatten input=#2 from=(#7 + 1) emit=[VALUE, INDEX]
+    Flatten input=#1 emit=[INDEX]
+      Scan T cols=[ID, XS, YS]
+"
+    );
+    // The mirrored form, and JSONiq's 1-based positions, are the same bound.
+    for p in ["B.INDEX > A.INDEX", "A.INDEX + 1 < B.INDEX + 1", "B.INDEX + 1 > A.INDEX + 1"] {
+        let other = format!("{PAIRS} {p}");
+        assert_eq!(operators(&db, &other), operators(&db, &sql), "{p}");
+        assert_eq!(agreed_rows(&db, &other), agreed_rows(&db, &sql), "{p}");
+    }
+    // Array rows only: row 1's array against `YS` = [0, 1], items past the
+    // first; row 4's six items against five.
+    assert!(!agreed_rows(&db, &sql).is_empty());
+}
+
+#[test]
+fn a_non_strict_index_comparison_bounds_at_the_index_itself() {
+    let db = bound_db();
+    let sql = format!("{PAIRS} B.INDEX >= A.INDEX");
+    assert_eq!(
+        operators(&db, &sql),
+        "\
+Project [#0, #7, #12, #11]
+  Flatten input=#2 from=#7 emit=[VALUE, INDEX]
+    Flatten input=#1 emit=[INDEX]
+      Scan T cols=[ID, XS, YS]
+"
+    );
+    let other = format!("{PAIRS} A.INDEX + 1 <= B.INDEX + 1");
+    assert_eq!(operators(&db, &other), operators(&db, &sql));
+    assert_eq!(agreed_rows(&db, &other), agreed_rows(&db, &sql));
+}
+
+#[test]
+fn index_is_not_null_alone_bounds_at_zero() {
+    let db = bound_db();
+    let sql = "SELECT ID, A.VALUE FROM t, LATERAL FLATTEN(INPUT => XS) A WHERE A.INDEX IS NOT NULL";
+    assert_eq!(
+        operators(&db, sql),
+        "\
+Project [#0, #6]
+  Flatten input=#1 from=0 emit=[VALUE]
+    Scan T cols=[ID, XS]
+"
+    );
+    // Array items only: rows 1, 6, 11 (four items each) and 4, 9, 14 (six).
+    assert_eq!(agreed_rows(&db, sql).len(), 3 * 4 + 3 * 6);
+}
+
+#[test]
+fn index_is_not_null_beside_a_comparison_is_one_bound() {
+    let db = bound_db();
+    let sql = format!("{PAIRS} B.INDEX IS NOT NULL AND A.INDEX IS NOT NULL AND A.INDEX < B.INDEX");
+    assert_eq!(
+        operators(&db, &sql),
+        "\
+Project [#0, #7, #12, #11]
+  Flatten input=#2 from=(#7 + 1) emit=[VALUE, INDEX]
+    Flatten input=#1 from=0 emit=[INDEX]
+      Scan T cols=[ID, XS, YS]
+"
+    );
+    assert_eq!(agreed_rows(&db, &sql), agreed_rows(&db, &format!("{PAIRS} A.INDEX < B.INDEX")));
+}
+
+#[test]
+fn an_outer_flatten_that_stays_outer_takes_no_bound() {
+    // The raising conjunct keeps the pad rows (`pads_rejected` needs every
+    // conjunct error-free), and a bound is for inner flattens only.
+    let db = bound_db();
+    let sql = "SELECT ID, A.INDEX, B.INDEX FROM t, LATERAL FLATTEN(INPUT => XS) A, \
+               LATERAL FLATTEN(INPUT => YS, OUTER => TRUE) B WHERE A.INDEX < B.INDEX AND 10 / (ID + 1) > 0";
+    assert!(keeps_outer_flatten(&db, sql), "{}", db.explain(sql).unwrap());
+    assert_eq!(flatten_bounds(&db, sql), [None, None]);
+}
+
+#[test]
+fn a_bound_must_be_the_index_of_a_flatten_below() {
+    let db = bound_db();
+    // A float, a string, an integer column and a flatten's VALUE are no index;
+    // nor is anything computed from an index but `+ c` on both sides.
+    for x in ["F", "S", "N", "A.VALUE", "ABS(A.INDEX)", "A.INDEX * 1"] {
+        let sql = format!("{PAIRS} A.INDEX IS NOT NULL AND {x} < B.INDEX");
+        assert_eq!(flatten_bounds(&db, &sql), [Some("0".into()), None], "{x}");
+        match x {
+            // A string or an object against an integer raises.
+            "S" | "A.VALUE" => assert!(agreed_error(&db, &sql).contains("cannot compare"), "{x}"),
+            _ => assert!(!agreed_rows(&db, &sql).is_empty(), "{x}"),
+        }
+    }
+}
+
+#[test]
+fn different_literals_on_the_two_sides_are_no_bound() {
+    let db = bound_db();
+    for p in [
+        "A.INDEX + 1 < B.INDEX + 2",
+        "A.INDEX + 1 < B.INDEX",
+        "A.INDEX < B.INDEX - 1",
+        "A.INDEX + 1.0 < B.INDEX + 1.0",
+        "A.INDEX + 4294967296 < B.INDEX + 4294967296",
+    ] {
+        let sql = format!("{PAIRS} {p}");
+        assert_eq!(flatten_bounds(&db, &sql), [None, None], "{p}");
+        agreed_rows(&db, &sql);
+    }
+}
+
+/// The rows of `sql` under the optimized and the raw plan must both be this
+/// error; returns it.
+fn agreed_error(db: &Database, sql: &str) -> String {
+    let optimized = db.query(sql).map(|r| r.rows).unwrap_err().to_string();
+    let raw = db.query_with(sql, &QueryOptions { optimize: false, ..Default::default() });
+    assert_eq!(raw.map(|r| r.rows).unwrap_err().to_string(), optimized, "{sql}");
+    optimized
+}
+
+#[test]
+fn a_raising_conjunct_keeps_its_error() {
+    let db = bound_db();
+    // Before the comparison, `10 / ID` runs on every row the bound would
+    // drop; after it, on every row where the comparison is NULL (`ID = 0`
+    // flattens an object: its `INDEX` is NULL). Either way the comparison
+    // stays in the filter and `ID = 0` raises.
+    for p in ["10 / ID > 0 AND A.INDEX < B.INDEX", "A.INDEX < B.INDEX AND 10 / ID > 0"] {
+        let sql = format!("{PAIRS} {p}");
+        assert!(agreed_error(&db, &sql).contains("division by zero"), "{p}");
+        assert!(!db.explain(&sql).unwrap().contains("from="), "{p}");
+    }
+    // `INDEX IS NOT NULL` before the raising conjunct is FALSE on every row
+    // it drops, where the filter never reaches the division.
+    let sql = format!("{PAIRS} A.INDEX IS NOT NULL AND 10 / ID > 0");
+    assert_eq!(flatten_bounds(&db, &sql), [Some("0".into()), None]);
+    assert!(!agreed_rows(&db, &sql).is_empty());
+    // After it, the test neither bounds `A` nor moves below `B` as a
+    // filter: either way `ID = 0`'s object members would be gone before the
+    // division runs on them.
+    let sql = format!("{PAIRS} 10 / ID > 0 AND A.INDEX IS NOT NULL");
+    assert!(agreed_error(&db, &sql).contains("division by zero"));
+    assert!(!db.explain(&sql).unwrap().contains("from="));
+    assert_filter_stays_above(&db, &sql);
+}
+
+#[test]
+fn a_volatile_flatten_input_takes_no_bound() {
+    let db = bound_db();
+    let sql = "SELECT ID, A.INDEX, B.VALUE FROM t, LATERAL FLATTEN(INPUT => YS) A, \
+               LATERAL FLATTEN(INPUT => ARRAY_CONSTRUCT(SEQ8(), SEQ8())) B WHERE A.INDEX < B.INDEX";
+    assert_eq!(flatten_bounds(&db, sql), [None, None]);
+    assert!(!agreed_rows(&db, sql).is_empty());
+}
+
+#[test]
+fn a_flatten_takes_one_comparison_bound() {
+    let db = bound_db();
+    let sql = "SELECT ID, C.VALUE FROM t, LATERAL FLATTEN(INPUT => YS) A, \
+               LATERAL FLATTEN(INPUT => YS) B, LATERAL FLATTEN(INPUT => YS) C \
+               WHERE A.INDEX < C.INDEX AND B.INDEX < C.INDEX";
+    let plan = operators(&db, sql);
+    assert_eq!(flatten_bounds(&db, sql), [None, None, Some("(#7".into())], "{plan}");
+    assert!(plan.contains("Filter (#12 < #17)"), "{plan}");
+    assert!(!agreed_rows(&db, sql).is_empty());
 }

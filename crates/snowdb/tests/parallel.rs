@@ -738,11 +738,9 @@ mod pipelines {
         );
     }
 
-    /// The ADL q6 shape: three flattens of one array with filters between. A
-    /// partition blows up to 48 * 12^3 rows, and no stage ever holds more
-    /// than one piece of it.
-    #[test]
-    fn a_triple_self_flatten_never_holds_more_than_one_piece() {
+    /// `t`: 192 rows in four partitions, each with `ARR` = `[0 .. 12)`, whose
+    /// values are their indexes.
+    fn twelve_items() -> Database {
         let db = Database::new();
         db.load_table(
             "t",
@@ -753,9 +751,19 @@ mod pipelines {
             48,
         )
         .unwrap();
+        db
+    }
+
+    /// The ADL q6 shape: three flattens of one array with filters between. A
+    /// partition blows up to 48 * 12^3 rows, and no stage ever holds more
+    /// than one piece of it. The filters compare values, not indexes, so that
+    /// no flatten is bounded and the blow-up happens.
+    #[test]
+    fn a_triple_self_flatten_never_holds_more_than_one_piece() {
+        let db = twelve_items();
         let sql = "SELECT COUNT(*), MAX(a.value + b.value + c.value) FROM t, \
                    LATERAL FLATTEN(INPUT => arr) a, LATERAL FLATTEN(INPUT => arr) b, \
-                   LATERAL FLATTEN(INPUT => arr) c WHERE a.index < b.index AND b.index < c.index";
+                   LATERAL FLATTEN(INPUT => arr) c WHERE a.value < b.value AND b.value < c.value";
         for threads in [1, 2, 8] {
             let opts = QueryOptions { threads: Some(threads), ..Default::default() };
             let r = db.query_with(sql, &opts).unwrap();
@@ -776,6 +784,37 @@ mod pipelines {
             let runs = metrics.pipelines();
             assert_eq!(runs.len(), 1);
             assert_eq!((runs[0].1, runs[0].2.morsels, runs[0].2.workers), ("Aggregate", 4, threads.min(4)));
+        }
+    }
+
+    /// The same triples by index: each comparison is the bound of the
+    /// flatten it reads (`from=`), so the last flatten emits exactly the
+    /// 192 * C(12, 3) triples, the middle one the 192 * C(12, 2) pairs, and
+    /// no filter is left. The rows are the value form's, under either
+    /// producer, at 1, 2 and 8 threads, optimizer on and off.
+    #[test]
+    fn a_triple_self_flatten_by_index_emits_only_its_triples() {
+        let db = twelve_items();
+        let sql = "SELECT COUNT(*), MAX(a.value + b.value + c.value) FROM t, \
+                   LATERAL FLATTEN(INPUT => arr) a, LATERAL FLATTEN(INPUT => arr) b, \
+                   LATERAL FLATTEN(INPUT => arr) c WHERE a.index < b.index AND b.index < c.index";
+        let want = vec![vec![Variant::Int(192 * 220), Variant::Int(9 + 10 + 11)]];
+        for optimize in [true, false] {
+            assert_eq!(agreed(&db, sql, optimize).unwrap(), want, "optimize={optimize}");
+        }
+        let plan = db.explain(sql).unwrap();
+        assert_eq!(plan.matches(" from=(").count(), 2, "{plan}");
+        assert!(!plan.contains("Filter"), "{plan}");
+        for threads in [1, 2, 8] {
+            let opts = QueryOptions { threads: Some(threads), ..Default::default() };
+            let metrics = db.query_with(sql, &opts).unwrap().profile.metrics.unwrap();
+            let rows: Vec<u64> = metrics
+                .operators()
+                .into_iter()
+                .filter(|(_, m)| m.name == "Flatten")
+                .map(|(_, m)| m.rows_out)
+                .collect();
+            assert_eq!(rows, [192 * 220, 192 * 66, 192 * 12], "threads={threads}");
         }
     }
 
