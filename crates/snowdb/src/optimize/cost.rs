@@ -3,7 +3,8 @@
 //! The estimator walks a [`Node`] tree bottom-up, carrying per-column
 //! statistics ([`ColumnStats`]) alongside the row estimate so predicate and
 //! join-key selectivities downstream of projections still see base-table
-//! statistics. Everything is metadata-driven: table statistics come from
+//! statistics: a column has those of the column it copies
+//! ([`NodeKind::copies`]). Everything is metadata-driven: table statistics come from
 //! [`Table::stats`](crate::storage::Table::stats) (sealed partitions in
 //! memory, v3 footers on disk) and no column data is ever read to cost a
 //! plan.
@@ -85,41 +86,22 @@ fn estimate_into(
     if let Some(first) = node.share.and_then(|id| shared.get(&id)) {
         return Est { cost: 0.0, ..first.clone() };
     }
-    let est = match &node.kind {
-        NodeKind::Values => Est { rows: 1.0, cost: 1.0, cols: Vec::new() },
+    let ins: Vec<Est> =
+        node.kind.inputs().into_iter().map(|i| estimate_into(i, map, shared)).collect();
+    let (rows, cost) = match &node.kind {
+        NodeKind::Values => (1.0, 1.0),
+        // Pushed predicates are advisory copies of the Filter above; the
+        // Filter applies their selectivity, so the scan reports raw table
+        // cardinality to avoid double-counting.
         NodeKind::Scan { table, .. } => {
-            // Pushed predicates are advisory copies of the Filter above; the
-            // Filter applies their selectivity, so the scan reports raw table
-            // cardinality to avoid double-counting.
-            let stats = table.stats();
-            Est {
-                rows: stats.rows as f64,
-                cost: stats.rows as f64,
-                cols: stats.columns.clone(),
-            }
+            let rows = table.stats().rows as f64;
+            (rows, rows)
         }
-        NodeKind::Filter { input, pred } => {
-            let in_est = estimate_into(input, map, shared);
-            let sel = pred_selectivity(pred, &in_est.cols);
-            Est {
-                rows: in_est.rows * sel,
-                cost: in_est.cost + in_est.rows,
-                cols: in_est.cols,
-            }
+        NodeKind::Filter { pred, .. } => {
+            (ins[0].rows * pred_selectivity(pred, &ins[0].cols), ins[0].cost + ins[0].rows)
         }
-        NodeKind::Project { input, exprs } => {
-            let in_est = estimate_into(input, map, shared);
-            let cols = exprs
-                .iter()
-                .map(|e| match e {
-                    PExpr::Col(i) => in_est.cols.get(*i).cloned().flatten(),
-                    _ => None,
-                })
-                .collect();
-            Est { rows: in_est.rows, cost: in_est.cost + in_est.rows, cols }
-        }
-        NodeKind::Flatten { input, expr, outer, from, .. } => {
-            let in_est = estimate_into(input, map, shared);
+        NodeKind::Project { .. } => (ins[0].rows, ins[0].cost + ins[0].rows),
+        NodeKind::Flatten { expr, outer, from, .. } => {
             // A bound keeps what the filter it replaced was estimated to:
             // `INDEX IS NOT NULL` for `from=0`, a comparison otherwise.
             let kept = match from {
@@ -127,21 +109,15 @@ fn estimate_into(
                 Some(PExpr::Lit(_)) => 1.0 - DEFAULT_EQ_SEL,
                 Some(_) => DEFAULT_UNKNOWN_SEL,
             };
-            let fanout = flatten_fanout(expr, &in_est.cols, *outer) * kept;
-            let rows = in_est.rows * fanout;
-            // Flatten appends VALUE/INDEX/KEY/SEQ/THIS columns with no
-            // base-table statistics.
-            let mut cols = in_est.cols;
-            cols.resize(node.arity(), None);
-            Est { rows, cost: in_est.cost + rows.max(in_est.rows), cols }
+            let rows = ins[0].rows * (flatten_fanout(expr, &ins[0].cols, *outer) * kept);
+            (rows, ins[0].cost + rows.max(ins[0].rows))
         }
-        NodeKind::Join { left, right, kind, on } => {
-            let l = estimate_into(left, map, shared);
-            let r = estimate_into(right, map, shared);
-            join_estimate(&l, &r, *kind, on.as_ref(), left.arity())
+        NodeKind::Join { left, kind, on, .. } => {
+            let j = join_estimate(&ins[0], &ins[1], *kind, on.as_ref(), left.arity());
+            (j.rows, j.cost)
         }
-        NodeKind::Aggregate { input, groups, .. } => {
-            let in_est = estimate_into(input, map, shared);
+        NodeKind::Aggregate { groups, .. } => {
+            let in_est = &ins[0];
             let rows = if groups.is_empty() {
                 1.0
             } else {
@@ -158,59 +134,39 @@ fn estimate_into(
                 }
                 distinct.min(in_est.rows).max(if in_est.rows > 0.0 { 1.0 } else { 0.0 })
             };
-            Est {
-                rows,
-                cost: in_est.cost + in_est.rows,
-                cols: vec![None; node.arity()],
-            }
+            (rows, in_est.cost + in_est.rows)
         }
-        NodeKind::Sort { input, .. } => {
-            let in_est = estimate_into(input, map, shared);
-            let n = in_est.rows.max(1.0);
-            Est {
-                rows: in_est.rows,
-                cost: in_est.cost + n * n.log2().max(1.0),
-                cols: in_est.cols,
-            }
+        NodeKind::Sort { .. } => {
+            let n = ins[0].rows.max(1.0);
+            (ins[0].rows, ins[0].cost + n * n.log2().max(1.0))
         }
-        NodeKind::Limit { input, n } => {
-            let in_est = estimate_into(input, map, shared);
-            Est {
-                rows: in_est.rows.min(*n as f64),
-                cost: in_est.cost,
-                cols: in_est.cols,
-            }
+        NodeKind::Limit { n, .. } => (ins[0].rows.min(*n as f64), ins[0].cost),
+        // No whole-row NDV statistic: assume moderate duplication.
+        NodeKind::Distinct { .. } => {
+            ((ins[0].rows / 2.0).max(ins[0].rows.min(1.0)), ins[0].cost + ins[0].rows)
         }
-        NodeKind::Distinct { input } => {
-            let in_est = estimate_into(input, map, shared);
-            // No whole-row NDV statistic: assume moderate duplication.
-            Est {
-                rows: (in_est.rows / 2.0).max(in_est.rows.min(1.0)),
-                cost: in_est.cost + in_est.rows,
-                cols: in_est.cols,
-            }
-        }
-        NodeKind::UnionAll { left, right } => {
-            let l = estimate_into(left, map, shared);
-            let r = estimate_into(right, map, shared);
-            // Column stats survive only when both branches agree; merging
-            // them keeps NDV/null fractions usable above the union.
-            let cols = l
-                .cols
-                .iter()
-                .zip(r.cols.iter().chain(std::iter::repeat(&None)))
-                .map(|(a, b)| match (a, b) {
-                    (Some(a), Some(b)) => {
-                        let mut m = (**a).clone();
-                        m.merge(b);
-                        Some(Arc::new(m))
-                    }
-                    _ => None,
-                })
-                .collect();
-            Est { rows: l.rows + r.rows, cost: l.cost + r.cost, cols }
-        }
+        NodeKind::UnionAll { .. } => (ins[0].rows + ins[1].rows, ins[0].cost + ins[1].cost),
     };
+    // A column's statistics are those of the column it copies
+    // (`NodeKind::copies`); a computed column has none.
+    let cols = match &node.kind {
+        NodeKind::Scan { table, .. } => table.stats().columns.clone(),
+        // Column stats survive a union only when both branches have them;
+        // merging them keeps NDV/null fractions usable above it.
+        NodeKind::UnionAll { .. } => (ins[0].cols.iter())
+            .zip(ins[1].cols.iter().chain(std::iter::repeat(&None)))
+            .map(|(a, b)| {
+                let (a, b) = (a.as_deref()?, b.as_deref()?);
+                let mut m = a.clone();
+                m.merge(b);
+                Some(Arc::new(m))
+            })
+            .collect(),
+        kind => (0..node.arity())
+            .map(|c| kind.copies(c).and_then(|(k, c)| ins[k].cols.get(c).cloned().flatten()))
+            .collect(),
+    };
+    let est = Est { rows, cost, cols };
     if let Some(m) = map {
         m.insert(node as *const Node as usize, (est.rows, est.cost));
     }

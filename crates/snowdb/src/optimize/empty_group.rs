@@ -1,62 +1,37 @@
 //! Empty-group elimination: a predicate that no empty group can pass filters
-//! below the aggregate that would build that group.
-//!
-//! The flag-column translation of a nested FLWOR (paper §IV-C1) keeps every
-//! row of the enclosing query alive through the nested query: it stamps a
-//! row id with `SEQ8()`, flattens `OUTER => TRUE`, carries a `KEEP` flag
-//! instead of filtering, aggregates `AGG(IFF(KEEP, x, NULL))` per row id and
-//! restores the outer columns with `ANY_VALUE`. A row whose nested query is
-//! empty becomes an *empty group*: every gated aggregate sees only NULLs.
-//! When the predicate above the aggregate (`count(…) ge 2`, `exists(…)`)
-//! cannot be TRUE on that group's row, building the group is waste, and so
-//! is every flattened row with `KEEP` false.
+//! below the aggregate that would build that group (DESIGN.md, "Empty-group
+//! elimination").
 //!
 //! One question decides the rule wherever it fires: **can this predicate be
 //! TRUE on the row that an empty group, a NULL extension or an `OUTER`
 //! flatten pad produces?** [`rejects`] answers it by substituting that row's
 //! known values and constant-folding with [`eval_const`]; FALSE or NULL is
 //! "no", anything else — a column left over, an error, a volatile call — is
-//! "maybe", and the rule does not fire. It fires in three places:
+//! "maybe", and the rule does not fire. The rejecting conjunct must besides
+//! [may leave](super::may_leave) its filter: the rows it removes must lose no
+//! error or row number the filter gave them. It fires in three places:
 //!
 //! 1. `Filter(P) → Aggregate group=[rid]` ([`eliminate`]): every gated
 //!    aggregate is `AGG(IFF(keep, x, NULL))` with one shared, non-volatile
-//!    `keep`; every other aggregate is `ANY_VALUE` of a column constant per
-//!    `rid`; and some conjunct of `P` rejects the empty group's row (`COUNT`
-//!    0, `ARRAY_AGG` `[]`, every other aggregate NULL). The plan becomes
-//!    `Filter(P) → Aggregate(AGG(x)) → Filter(keep)`, and the new filter is
-//!    pushed down from where the `keep` column was read with
-//!    [`push_filter`], whose guards decide what moves further.
-//! 2. An `OUTER` flatten under a filter with a conjunct that rejects the pad
-//!    row (`VALUE`, `INDEX` and `KEY` NULL; its `SEQ` and `THIS` are those
-//!    of its input row) becomes an inner flatten
-//!    ([`push_filter`]'s flatten arm, through [`pads_rejected`]).
-//! 3. A `LEFT OUTER` join under a filter with a conjunct that rejects the
-//!    NULL-extended row (every right column NULL) becomes an inner join
-//!    ([`push_filter`]'s join arm, the same way).
+//!    `keep`, every other one `ANY_VALUE` of a column constant per `rid`, and
+//!    a conjunct of `P` rejects the empty group's row (`COUNT` 0, `ARRAY_AGG`
+//!    `[]`, every other aggregate NULL). The plan becomes `Filter(P) →
+//!    Aggregate(AGG(x)) → Filter(keep)`, the new filter pushed down from
+//!    where `keep` was read with [`push_filter`].
+//! 2. An `OUTER` flatten under a filter that rejects its pad row (`VALUE`,
+//!    `INDEX` and `KEY` NULL) becomes inner ([`pads_rejected`]).
+//! 3. A `LEFT OUTER` join under a filter that rejects its NULL extension
+//!    becomes inner, the same way.
 //!
-//! "Constant per `rid`" is a functional dependency read off the plan: the
-//! columns of the projection that stamps `SEQ8()` are constant per the row id
-//! it stamps, and a `FLATTEN` copies its input columns onto every row it
-//! emits, so a column that walks down through projections (plain column
-//! references), filters and flatten inputs to the stamp is constant per
-//! `rid` ([`stamp_of`]).
-//!
-//! Refusals: an aggregate that is neither gated nor such an `ANY_VALUE`
-//! (an ungated `COUNT(*)`, `ANY_VALUE` of a flatten output, a gated
-//! `ANY_VALUE`, `MIN_BY`/`MAX_BY`), two different `keep`s, a volatile `keep`,
-//! a predicate that some empty group passes (`count(…) ge 0`, `empty(…)`),
-//! and a predicate that can raise: it would no longer run on the eliminated
-//! groups. In places 2 and 3 every conjunct must be [`error_free`] for the
-//! same reason — the pad rows and NULL-extended rows it would have run on are
-//! gone — and not volatile, since `SEQ8()` would number fewer rows.
+//! "Constant per `rid`" is read off the plan's lineage ([`Node::lineage`]):
+//! `rid`'s chain ends at a projection's `SEQ8()`, the stamp, and a column
+//! whose chain passes that stamp is a function of the stamped row.
 //!
 //! Besides, a `NVL` over a `COUNT` output in a filter directly over its
-//! aggregate is dropped: a count is never NULL. That is what leaves the
-//! JOIN-based strategy's `NVL(count, 0) >= 2` as `count >= 2` once place 3
-//! has made its join inner.
+//! aggregate is dropped: a count is never NULL.
 
 use super::share::same_expr;
-use super::{error_free, push_filter};
+use super::{may_leave, push_filter};
 use crate::exec::eval_const;
 use crate::plan::{conjuncts, AggExpr, AggKind, FuncId, Node, NodeKind, PExpr};
 use crate::variant::Variant;
@@ -67,14 +42,16 @@ fn rejects(p: &PExpr, value: impl Fn(usize) -> Option<Variant>) -> bool {
     matches!(fold_with(p, value), Some(Variant::Null | Variant::Bool(false)))
 }
 
-/// True when the conjuncts `parts` of a filter reject every row whose
-/// `padded` columns are NULL — an `OUTER` flatten's pad, a left outer join's
-/// NULL extension — so that the operator below need not make them. Every
-/// conjunct must be error-free and not volatile: removing those rows changes
-/// where the others run, and how `SEQ8()` numbers them.
-pub(super) fn pads_rejected(parts: &[PExpr], padded: impl Fn(usize) -> bool) -> bool {
-    parts.iter().all(|p| error_free(p) && !p.is_volatile())
-        && parts.iter().any(|p| rejects(p, |c| padded(c).then_some(Variant::Null)))
+/// True when a conjunct of `parts` that may leave the filter (`leave`, by
+/// [`may_leave`]) rejects every row whose `padded` columns are NULL — an
+/// `OUTER` flatten's pad, a left outer join's NULL extension — so that the
+/// operator below need not make them.
+pub(super) fn pads_rejected(
+    parts: &[PExpr],
+    leave: &[bool],
+    padded: impl Fn(usize) -> bool,
+) -> bool {
+    parts.iter().zip(leave).any(|(p, &l)| l && rejects(p, |c| padded(c).then_some(Variant::Null)))
 }
 
 /// `p` with every column that `value` names replaced by its value, folded;
@@ -148,7 +125,7 @@ fn empty_group_rejected(
     aggs: &[AggExpr],
 ) -> Option<PExpr> {
     let [PExpr::Col(rid)] = groups else { return None };
-    let stamp = stamp_of(input, *rid).filter(|(stamp, c)| {
+    let (stamp, _) = input.lineage(*rid).last().filter(|(stamp, c)| {
         matches!(&stamp.kind, NodeKind::Project { exprs, .. }
             if matches!(&exprs[*c], PExpr::Func { f: FuncId::Seq8, .. }))
     })?;
@@ -157,7 +134,7 @@ fn empty_group_rejected(
     for (a, slot) in aggs.iter().zip(&mut empty) {
         match (a.kind, &a.arg, &a.arg2) {
             (AggKind::AnyValue, Some(PExpr::Col(c)), None) => {
-                stamp_of(input, *c).filter(|(s, _)| std::ptr::eq(*s, stamp.0))?;
+                input.lineage(*c).any(|(n, _)| std::ptr::eq(n, stamp)).then_some(())?;
             }
             (kind, Some(PExpr::Func { f: FuncId::Iff, args }), None) if gateable(kind) => {
                 let [k, _, PExpr::Lit(Variant::Null)] = args.as_slice() else { return None };
@@ -176,10 +153,10 @@ fn empty_group_rejected(
     }
     let keep = keep?;
     let n = groups.len();
-    let rejected = error_free(pred)
-        && conjuncts(pred)
-            .into_iter()
-            .any(|p| rejects(p, |c| c.checked_sub(n).and_then(|a| empty[a].clone())));
+    let parts = conjuncts(pred);
+    let rejected = parts.iter().zip(may_leave(parts.iter().copied())).any(|(p, leave)| {
+        leave && rejects(p, |c| c.checked_sub(n).and_then(|a| empty[a].clone()))
+    });
     rejected.then(|| keep.clone())
 }
 
@@ -198,27 +175,6 @@ fn gateable(kind: AggKind) -> bool {
             | AggKind::BoolAnd
             | AggKind::BoolOr
     )
-}
-
-/// The projection that stamps a row id below `node`, and the position there
-/// of `node`'s column `col`, when the column walks down to it unchanged:
-/// through column references of projections, filters and a flatten's input
-/// columns. The stamp is the first projection computing a `SEQ8()`.
-fn stamp_of(node: &Node, col: usize) -> Option<(&Node, usize)> {
-    match &node.kind {
-        NodeKind::Project { exprs, .. }
-            if exprs.iter().any(|e| matches!(e, PExpr::Func { f: FuncId::Seq8, .. })) =>
-        {
-            Some((node, col))
-        }
-        NodeKind::Project { input, exprs } => match exprs[col] {
-            PExpr::Col(c) => stamp_of(input, c),
-            _ => None,
-        },
-        NodeKind::Filter { input, .. } => stamp_of(input, col),
-        NodeKind::Flatten { input, .. } if col < input.arity() => stamp_of(input, col),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -363,16 +319,21 @@ mod tests {
     }
 
     #[test]
-    fn a_raising_predicate_refuses_and_a_raising_keep_keeps_the_flatten_outer() {
+    fn a_raising_predicate_refuses_and_a_raising_keep_turns_inner_after_the_index_test() {
         let aggs = ["COUNT(IFF(KEEP, V, NULL))", "ANY_VALUE(ID)"];
         // `10 / B` raises on the empty group of ID = 0: it must still run there.
         assert_eq!(check(&flag_sql(KEEP, &aggs, "A >= 1 AND 10 / B > 0")), (false, true));
         // An element predicate that can raise moves below the aggregate with
-        // `keep` but not below the flatten, and the flatten stays OUTER: it
-        // runs on the same flattened rows. `V - 5` is never 0 here; `V` is.
+        // `keep` but not below the flatten: it runs on the same flattened
+        // rows. After `F.INDEX IS NOT NULL`, which the pad rows fail first,
+        // the flatten turns inner; before it, it stays OUTER. `V - 5` is never
+        // 0 here; `V` is.
         for div in ["F.VALUE - 5", "F.VALUE"] {
-            let raising = format!("F.INDEX IS NOT NULL AND IFF(10 / ({div}) > 1, TRUE, FALSE)");
-            assert_eq!(check(&flag_sql(&raising, &aggs, "A >= 1")), (true, true), "{div}");
+            let raising = format!("IFF(10 / ({div}) > 1, TRUE, FALSE)");
+            let after = format!("F.INDEX IS NOT NULL AND {raising}");
+            assert_eq!(check(&flag_sql(&after, &aggs, "A >= 1")), (true, false), "{div}");
+            let before = format!("{raising} AND F.INDEX IS NOT NULL");
+            assert_eq!(check(&flag_sql(&before, &aggs, "A >= 1")), (true, true), "{div}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Index-bounded flatten: a filter's positional conjuncts become the item
-//! range of the inner flatten below it.
+//! range of the inner flatten below it (DESIGN.md, "Index-bounded flatten").
 //!
 //! Pair and triplet loops (`for $a at $i in …[] for $b at $j in …[] where
 //! $i lt $j`, SQL `A.INDEX < B.INDEX`) flatten every ordered combination and
@@ -12,34 +12,18 @@
 //!   `X + c <= INDEX + c` as `from=X`, and the mirrored `>` and `>=` forms
 //!   the same way.
 //!
-//! `X` must be the `INDEX` of a flatten further down, traced through
-//! column-copying projections, filters, flatten inputs and both sides of
-//! joins ([`index_below`]): it is an integer or NULL, and `X + 1` cannot
-//! overflow. `c` is one integer literal, the same on both sides, small
-//! enough that neither sum overflows (the translator writes JSONiq's
-//! 1-based positions as `INDEX + 1`). A NULL `X` rejects the row in the
+//! `X` is a column whose lineage ([`Node::lineage`]) ends at the `INDEX` of a
+//! flatten further down ([`ends_at_index`]): an integer or NULL, so `X + 1`
+//! cannot overflow. `c` is one integer literal, the same on both sides, small
+//! enough that neither sum overflows. A NULL `X` rejects the row in the
 //! filter, and a NULL bound emits nothing: the same rows go.
 //!
-//! What the filter did to the rows the bound drops must stay unobservable,
-//! so a conjunct is absorbed only if it [may leave](super::may_leave) the
-//! filter, as one moved below the flatten must: the filter evaluates its
-//! conjuncts left to right up to the first FALSE.
-//!
-//! - Only from the filter's prefix of [`error_free`](super::error_free),
-//!   non-volatile conjuncts: on a dropped row the filter evaluated each of
-//!   them, and one that raises or numbers rows would lose its error or
-//!   shift its counter.
-//! - `INDEX IS NOT NULL` is FALSE, never NULL, on the rows it drops, so the
-//!   conjuncts after it never ran there. A comparison is NULL where `X` or
-//!   `INDEX` is (an object member), and the filter then goes on to the
-//!   conjuncts after it; so a comparison is absorbed only when every
-//!   conjunct of the filter is error-free and not volatile.
-//! - A flatten takes one comparison bound; any other comparison stays in
-//!   the filter. `from=0` gives way to a comparison, which implies it.
-//!
-//! The caller refuses an `OUTER` flatten (its pad rows have a NULL `INDEX`
-//! and are kept) and a volatile flatten input, whose `SEQ8()` numbers the
-//! rows the flatten reads.
+//! A conjunct is absorbed only if it [may leave](super::may_leave) the
+//! filter, as one moved below the flatten must, and a flatten takes one
+//! comparison bound: any other stays in the filter, and `from=0` gives way to
+//! a comparison, which implies it. The caller refuses an `OUTER` flatten (its
+//! pad rows have a NULL `INDEX` and are kept) and a volatile flatten input,
+//! whose `SEQ8()` numbers the rows the flatten reads.
 
 use crate::plan::{Node, NodeKind, PExpr};
 use crate::sql::BinOp;
@@ -89,7 +73,7 @@ fn comparison_bound(p: &PExpr, index: usize, input: &Node) -> Option<PExpr> {
         _ => return None,
     };
     let PExpr::Col(c) = *x else { return None };
-    if c >= input.arity() || !index_below(input, c) {
+    if c >= input.arity() || !ends_at_index(input, c) {
         return None;
     }
     Some(match strict {
@@ -111,25 +95,11 @@ fn small_int(e: &PExpr) -> Option<i64> {
     }
 }
 
-/// True when column `col` of `node` is the `INDEX` of a flatten below it,
-/// copied up unchanged through projections, filters, flatten inputs and
-/// joins.
-pub(super) fn index_below(node: &Node, col: usize) -> bool {
-    match &node.kind {
-        NodeKind::Project { input, exprs } => {
-            matches!(exprs[col], PExpr::Col(c) if index_below(input, c))
-        }
-        NodeKind::Filter { input, .. } => index_below(input, col),
-        NodeKind::Flatten { input, .. } => match col.checked_sub(input.arity()) {
-            Some(appended) => appended == 1,
-            None => index_below(input, col),
-        },
-        NodeKind::Join { left, right, .. } => match col.checked_sub(left.arity()) {
-            Some(c) => index_below(right, c),
-            None => index_below(left, col),
-        },
-        _ => false,
-    }
+/// True when the lineage of column `col` of `node` ends at a flatten's
+/// `INDEX`.
+fn ends_at_index(node: &Node, col: usize) -> bool {
+    let (end, c) = node.lineage(col).last().expect("a lineage starts at its node");
+    matches!(&end.kind, NodeKind::Flatten { input, .. } if c == input.arity() + 1)
 }
 
 #[cfg(test)]
@@ -176,19 +146,20 @@ mod tests {
     fn an_index_is_traced_through_copies_filters_flattens_and_joins() {
         // Columns 0 and 1, then VALUE 2, INDEX 3, KEY 4, SEQ 5, THIS 6.
         let f = flatten(leaf(2));
-        assert!(index_below(&f, 3));
-        assert!(![0, 2, 4, 5, 6].iter().any(|&c| index_below(&f, c)));
+        assert!(ends_at_index(&f, 3));
+        assert!(![0, 2, 4, 5, 6].iter().any(|&c| ends_at_index(&f, c)));
         let project = |exprs: Vec<PExpr>| {
             let fields = (0..exprs.len()).map(|i| Field::bare(format!("P{i}"))).collect();
             Node::new(NodeKind::Project { input: Box::new(f.clone()), exprs }, fields)
         };
         let p = project(vec![col(3), bin(col(3), BinOp::Add, int(0)), col(2)]);
-        assert_eq!((0..3).map(|c| index_below(&p, c)).collect::<Vec<_>>(), [true, false, false]);
+        let traced: Vec<bool> = (0..3).map(|c| ends_at_index(&p, c)).collect();
+        assert_eq!(traced, [true, false, false]);
         let kind = NodeKind::Filter { input: Box::new(p.clone()), pred: int(1) };
         let filter = Node::new(kind, p.fields.clone());
-        assert!(index_below(&filter, 0));
+        assert!(ends_at_index(&filter, 0));
         // Through the input columns of a flatten above.
-        assert!(index_below(&flatten(filter), 0));
+        assert!(ends_at_index(&flatten(filter), 0));
         let join = |left: Node, right: Node| {
             let mut fields = left.fields.clone();
             fields.extend(right.fields.iter().cloned());
@@ -196,12 +167,22 @@ mod tests {
             let kind = NodeKind::Join { left, right, kind: JoinKind::LeftOuter, on: None };
             Node::new(kind, fields)
         };
-        assert!(index_below(&join(f.clone(), leaf(1)), 3));
-        assert!(index_below(&join(leaf(1), f.clone()), 4));
-        assert!(!index_below(&join(leaf(1), f.clone()), 3));
+        assert!(ends_at_index(&join(f.clone(), leaf(1)), 3));
+        assert!(ends_at_index(&join(leaf(1), f.clone()), 4));
+        assert!(!ends_at_index(&join(leaf(1), f.clone()), 3));
+        // Through a sort, a limit and a distinct; not through an aggregate
+        // or a union.
+        let over = |kind: fn(Box<Node>) -> NodeKind| {
+            Node::new(kind(Box::new(f.clone())), f.fields.clone())
+        };
+        assert!(ends_at_index(&over(|input| NodeKind::Sort { input, keys: Vec::new() }), 3));
+        assert!(ends_at_index(&over(|input| NodeKind::Limit { input, n: 1 }), 3));
+        assert!(ends_at_index(&over(|input| NodeKind::Distinct { input }), 3));
+        let union = |input: Box<Node>| NodeKind::UnionAll { right: input.clone(), left: input };
+        assert!(!ends_at_index(&over(union), 3));
         let input = Box::new(f.clone());
         let agg = NodeKind::Aggregate { input, groups: vec![col(3)], aggs: Vec::new() };
-        assert!(!index_below(&Node::new(agg, vec![Field::bare("G")]), 0));
+        assert!(!ends_at_index(&Node::new(agg, vec![Field::bare("G")]), 0));
     }
 
     #[test]

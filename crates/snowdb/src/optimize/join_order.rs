@@ -20,10 +20,14 @@
 //!    projection when the chosen order permuted it.
 //!
 //! Soundness: only `Inner`/`Cross` joins participate (they commute and
-//! associate freely); a cluster is left untouched unless every pooled
-//! conjunct is non-volatile and error-free, mirroring the pushdown gates —
-//! moving a conjunct to an earlier join makes it run on row combinations the
-//! original plan never evaluated it on. The costing never changes semantics:
+//! associate freely); a cluster, with every join in it, is left as written
+//! unless every pooled conjunct is non-volatile and error-free — moving a
+//! conjunct to an earlier join makes it run on row combinations the original
+//! plan never evaluated it on, and reordering the joins below it changes
+//! which row it raises on first and how `SEQ8()` numbers the rows. The same
+//! holds for a cluster directly under a filter that raises or numbers rows,
+//! whose conjuncts stay there by the movement rule (`super::may_leave`).
+//! The costing never changes semantics:
 //! the differential oracle runs every corpus query with this pass on and off.
 
 use crate::optimize::cost::{estimate, join_estimate, Est};
@@ -38,12 +42,26 @@ const MIN_RELATIONS: usize = 3;
 
 /// Reorders every eligible join cluster in the plan, bottom-up.
 pub fn reorder_joins(node: Node) -> Node {
-    // Eligibility is decided on a borrow, *before* the tree is consumed: an
-    // ineligible cluster keeps its authored shape exactly (only its child
-    // relations are visited), so volatile or erroring ON predicates never
-    // move.
-    if !cluster_eligible(&node) {
-        return node.map_inputs(reorder_joins);
+    // Eligibility is decided on a borrow, *before* the tree is consumed. A
+    // conjunct that raises or numbers rows, in an ON of the cluster or in a
+    // filter directly over it, keeps the whole cluster as written: it must
+    // see the same row combinations in the same order (which row raises
+    // first, which number `SEQ8()` gives each), so it never moves and no
+    // join below it is reordered.
+    match &node.kind {
+        NodeKind::Filter { pred, .. } if raises_or_numbers(pred) => {
+            return node.map_inputs(keep_cluster)
+        }
+        NodeKind::Join { kind: JoinKind::Inner | JoinKind::Cross, .. } => {}
+        _ => return node.map_inputs(reorder_joins),
+    }
+    match cluster_size(&node) {
+        None => return keep_cluster(node),
+        // At most 64 relations: the predicate bitmask width.
+        Some(rels) if !(MIN_RELATIONS..=64).contains(&rels) => {
+            return node.map_inputs(reorder_joins)
+        }
+        Some(_) => {}
     }
 
     // Flatten the maximal Inner/Cross cluster rooted here.
@@ -56,41 +74,36 @@ pub fn reorder_joins(node: Node) -> Node {
     build_ordered(rels, preds, order, fields)
 }
 
-/// True when the Inner/Cross join cluster rooted at `node` may be reordered:
-/// at least [`MIN_RELATIONS`] base relations (at most 64 — the predicate
-/// bitmask width), and every pooled ON conjunct non-volatile and error-free
-/// (moving a conjunct to an earlier join evaluates it on row combinations
-/// the authored plan never built — the same gates pushdown applies).
-fn cluster_eligible(node: &Node) -> bool {
-    if !matches!(
-        node.kind,
-        NodeKind::Join { kind: JoinKind::Inner | JoinKind::Cross, .. }
-    ) {
-        return false;
-    }
-    fn walk(node: &Node, rels: &mut usize, ok: &mut bool) {
-        match &node.kind {
-            NodeKind::Join {
-                left,
-                right,
-                kind: JoinKind::Inner | JoinKind::Cross,
-                on,
-            } => {
-                walk(left, rels, ok);
-                walk(right, rels, ok);
-                for p in on.iter().flat_map(conjuncts) {
-                    if p.is_volatile() || !error_free(p) {
-                        *ok = false;
-                    }
-                }
+/// True when `p` can raise or numbers rows: it may not move to another join,
+/// nor see the cluster's rows in another order.
+fn raises_or_numbers(p: &PExpr) -> bool {
+    p.is_volatile() || !error_free(p)
+}
+
+/// The number of base relations of the Inner/Cross join cluster rooted at
+/// `node` (1 for any other node), or `None` when one of its ON conjuncts
+/// raises or numbers rows.
+fn cluster_size(node: &Node) -> Option<usize> {
+    match &node.kind {
+        NodeKind::Join { left, right, kind: JoinKind::Inner | JoinKind::Cross, on } => {
+            if on.iter().flat_map(conjuncts).any(raises_or_numbers) {
+                return None;
             }
-            _ => *rels += 1,
+            Some(cluster_size(left)? + cluster_size(right)?)
         }
+        _ => Some(1),
     }
-    let mut rels = 0;
-    let mut ok = true;
-    walk(node, &mut rels, &mut ok);
-    ok && (MIN_RELATIONS..=64).contains(&rels)
+}
+
+/// Keeps the `Inner`/`Cross` join cluster rooted at `node` as written,
+/// reordering only inside its relations.
+fn keep_cluster(node: Node) -> Node {
+    match node.kind {
+        NodeKind::Join { kind: JoinKind::Inner | JoinKind::Cross, .. } => {
+            node.map_inputs(keep_cluster)
+        }
+        _ => reorder_joins(node),
+    }
 }
 
 /// Recursively flattens `Inner`/`Cross` joins into `rels` (each child
@@ -413,7 +426,7 @@ mod tests {
     /// Every reorderable cluster of `sql`'s plan as the reorderer receives it.
     fn clusters(db: &Database, sql: &str) -> Vec<(Vec<Node>, Vec<PExpr>)> {
         fn find(node: &Node, out: &mut Vec<(Vec<Node>, Vec<PExpr>)>) {
-            if cluster_eligible(node) {
+            if cluster_size(node).is_some_and(|n| (MIN_RELATIONS..=64).contains(&n)) {
                 let (mut rels, mut preds) = (Vec::new(), Vec::new());
                 flatten_cluster(node.clone(), 0, &mut rels, &mut preds);
                 out.push((rels, preds));

@@ -39,7 +39,9 @@ pub mod share;
 
 use crate::error::Result;
 use crate::exec::eval_const;
-use crate::plan::{col_cmp_lit, into_conjuncts, Field, FuncId, Node, NodeKind, PExpr, ScanPredicate};
+use crate::plan::{
+    col_cmp_lit, conjuncts, into_conjuncts, Field, FuncId, Node, NodeKind, PExpr, ScanPredicate,
+};
 use crate::sql::{BinOp, JoinKind};
 use crate::variant::Variant;
 use empty_group::{fold_with, pads_rejected};
@@ -311,14 +313,16 @@ fn error_free(e: &PExpr) -> bool {
 }
 
 /// Which of a filter's conjuncts may leave it — move below the operator under
-/// it, or into that operator — without the filter losing an effect on the
-/// rows they then drop. The filter evaluates its conjuncts left to right up
-/// to the first FALSE, and one that raises or numbers rows must still see
-/// every row it saw. So a conjunct leaves only from the prefix of
+/// it, into that operator, or act for it by removing rows — without the
+/// filter losing an effect on the rows they then drop: the one movement rule
+/// (DESIGN.md, "The movement rule"). The filter evaluates its conjuncts left
+/// to right up to the first FALSE, and one that raises or numbers rows must
+/// still see every row it saw. So a conjunct leaves only from the prefix of
 /// [`error_free`], non-volatile ones; and where a conjunct that is neither
 /// follows, only if it is an `IS [NOT] NULL` test, which is never NULL: on a
 /// row where a conjunct is NULL the filter goes on to the ones after it.
-fn may_leave(parts: &[PExpr]) -> Vec<bool> {
+fn may_leave<'a>(parts: impl IntoIterator<Item = &'a PExpr>) -> Vec<bool> {
+    let parts: Vec<&PExpr> = parts.into_iter().collect();
     let prefix = parts.iter().take_while(|p| error_free(p) && !p.is_volatile()).count();
     let clean = prefix == parts.len();
     (0..parts.len())
@@ -407,8 +411,9 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
             // A conjunct no pad row passes drops what OUTER adds: the flatten
             // is inner. A pad row's VALUE, INDEX and KEY are NULL; its SEQ
             // and THIS are those of the input row.
-            let outer = outer && !pads_rejected(&parts, |c| (in_arity..in_arity + 3).contains(&c));
             let leave = may_leave(&parts);
+            let outer =
+                outer && !pads_rejected(&parts, &leave, |c| (in_arity..in_arity + 3).contains(&c));
             let bounded = !outer && !expr.is_volatile();
             let mut movable = Vec::new();
             let mut stuck = Vec::new();
@@ -462,17 +467,27 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
         }
         NodeKind::Join { left, right, kind, on } => {
             let la = left.arity();
+            // The ON condition runs before the filter, on every pair: a
+            // conjunct that moves below or into the join runs before it.
+            let before: Vec<&PExpr> = on.iter().flat_map(conjuncts).collect();
+            let leave = may_leave(before.iter().copied().chain(&parts)).split_off(before.len());
             // A conjunct no NULL-extended row passes — every right column
             // NULL — makes a left outer join inner.
             let kind = match kind {
-                JoinKind::LeftOuter if pads_rejected(&parts, |c| c >= la) => JoinKind::Inner,
+                JoinKind::LeftOuter if pads_rejected(&parts, &leave, |c| c >= la) => {
+                    JoinKind::Inner
+                }
                 kind => kind,
             };
             let mut left_parts = Vec::new();
             let mut right_parts = Vec::new();
             let mut into_on = Vec::new();
             let mut stuck = Vec::new();
-            for p in parts {
+            for (p, leave) in parts.into_iter().zip(leave) {
+                if !leave {
+                    stuck.push(p);
+                    continue;
+                }
                 let mut cols = Vec::new();
                 p.collect_cols(&mut cols);
                 let all_left = !cols.is_empty() && cols.iter().all(|&c| c < la);

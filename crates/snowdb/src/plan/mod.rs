@@ -741,6 +741,33 @@ impl NodeKind {
             NodeKind::Sort { keys, .. } => keys.iter_mut().map(|k| &mut k.expr).collect(),
         }
     }
+
+    /// The input column that output column `col` copies unchanged, as its
+    /// input's position in [`NodeKind::inputs`] and its column there: a
+    /// projection's bare `Col`, every column of a filter, sort, limit or
+    /// distinct, a flatten's input columns and both sides of a join. An
+    /// aggregate's and a union's outputs are new values, and copy nothing.
+    pub fn copies(&self, col: usize) -> Option<(usize, usize)> {
+        match self {
+            NodeKind::Project { exprs, .. } => match exprs[col] {
+                PExpr::Col(c) => Some((0, c)),
+                _ => None,
+            },
+            NodeKind::Filter { .. }
+            | NodeKind::Sort { .. }
+            | NodeKind::Limit { .. }
+            | NodeKind::Distinct { .. } => Some((0, col)),
+            NodeKind::Flatten { input, .. } => (col < input.arity()).then_some((0, col)),
+            NodeKind::Join { left, .. } => match col.checked_sub(left.arity()) {
+                Some(c) => Some((1, c)),
+                None => Some((0, col)),
+            },
+            NodeKind::Scan { .. }
+            | NodeKind::Values
+            | NodeKind::Aggregate { .. }
+            | NodeKind::UnionAll { .. } => None,
+        }
+    }
 }
 
 impl Node {
@@ -778,6 +805,15 @@ impl Node {
     /// Number of output columns.
     pub fn arity(&self) -> usize {
         self.fields.len()
+    }
+
+    /// The lineage of column `col`: this node and column, then each
+    /// [`NodeKind::copies`] edge down to the node that computes the value.
+    pub fn lineage(&self, col: usize) -> impl Iterator<Item = (&Node, usize)> {
+        std::iter::successors(Some((self, col)), |&(node, col)| {
+            let (input, c) = node.kind.copies(col)?;
+            Some((node.kind.inputs()[input], c))
+        })
     }
 
     /// Counts plan nodes, a rough complexity metric used in tests and the

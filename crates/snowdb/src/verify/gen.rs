@@ -24,6 +24,13 @@
 //! values the ADL table never has, and [`SqlGen::random_sql`] queries it
 //! freely — every SQL point shares the engine's one-null semantics.
 //!
+//! Joins: the ADL table joined inner, cross or left to the irregular one,
+//! and now and then to a third relation, with a conjunct over both sides
+//! that divides by zero or names the pair it fails on, beside, before and
+//! after one-sided conjuncts and a `SEQ8()` test, in `WHERE` and in `ON` —
+//! what the optimizer may move below or into the join, and which joins it
+//! may reorder, and what not.
+//!
 //! Positions: pairs and triplets of flattened elements compared by `INDEX`
 //! (the ADL pair queries' `A.INDEX < B.INDEX`, in every spelling the
 //! optimizer turns into a flatten bound and some it must not), over ADL
@@ -298,7 +305,7 @@ impl SqlGen {
         let t = &s.table;
         let id = s.int_col;
         let (arr, members) = self.pick(&s.arrays).clone();
-        match self.below(14) {
+        match self.below(16) {
             0 | 1 => format!(
                 "SELECT {id}, {} AS V FROM {t} WHERE {}",
                 self.row_scalar(s),
@@ -415,7 +422,78 @@ impl SqlGen {
                     conjuncts.join(" AND "),
                 )
             }
+            14 | 15 => self.raising_join(s),
             _ => self.irregular_sql(&s.irregular),
+        }
+    }
+
+    /// The ADL table joined inner, cross or left to the irregular one, with
+    /// a conjunct over both sides that raises on some pairs — on pairs a
+    /// one-sided conjunct rejects, now and then — beside that one-sided
+    /// conjunct, a two-sided one that may never hold, a key, a division over
+    /// one side and a `SEQ8()` test, in any order, each in `WHERE` or in
+    /// `ON`, and now and then a third relation keyed to the second. Where a
+    /// conjunct is NULL the filter goes on to the ones after it.
+    fn raising_join(&mut self, s: &SqlSchema) -> String {
+        let l = format!("L.{}", s.int_col);
+        let r = "R.ID";
+        let k = 2 + self.below(3);
+        let one_sided = match self.below(4) {
+            0 => format!("({r} % {k}) = {}", self.below(k)),
+            1 => format!("({l} % {k}) = {}", self.below(k)),
+            2 => format!("R.OPT > {}", self.below(40)),
+            _ => "R.OPT IS NOT NULL".to_string(),
+        };
+        let d = self.below(20) as i64 - 10;
+        let both = match self.below(3) {
+            0 => format!("{} >= 0", self.raising_int(r, &format!("({l} - {r}) = {d}"))),
+            1 => format!("10 / ({l} - {r} + {d} + 1000 * IFF({one_sided}, 1, 0)) > 0"),
+            _ => format!("10 / ({l} - {r} + {d}) > 0"),
+        };
+        let mut conjuncts = vec![both, one_sided];
+        match self.below(4) {
+            0 => conjuncts.push(format!("{l} - {r} = {}", self.below(240) as i64 - 60)),
+            1 => conjuncts.push(format!("({l} % {k}) = ({r} % {k})")),
+            _ => {}
+        }
+        if self.below(2) == 0 {
+            conjuncts.push(format!("10 / ({r} - {}) > 0", self.below(40)));
+        }
+        if self.below(4) == 0 {
+            conjuncts.push(format!("SEQ8() % {} = 0", 2 + self.below(5)));
+        }
+        // A third relation, now and then: a cluster the reorderer may rebuild.
+        let third = self.below(3) == 0;
+        if third {
+            conjuncts.push(format!("S.ID = {r}"));
+        }
+        for i in (1..conjuncts.len()).rev() {
+            conjuncts.swap(i, self.below(i as u64 + 1) as usize);
+        }
+        let kind = *self.pick(&["JOIN", "CROSS JOIN", "LEFT JOIN"]);
+        let (mut on, mut wh) = (Vec::new(), Vec::new());
+        for c in conjuncts {
+            match kind != "CROSS JOIN" && !c.starts_with("S.") && self.below(3) == 0 {
+                true => on.push(c),
+                false => wh.push(c),
+            }
+        }
+        let on = match (kind, on.is_empty()) {
+            ("CROSS JOIN", _) => String::new(),
+            (_, true) => " ON TRUE".to_string(),
+            _ => format!(" ON {}", on.join(" AND ")),
+        };
+        let wh = match wh.is_empty() {
+            true => String::new(),
+            false => format!(" WHERE {}", wh.join(" AND ")),
+        };
+        let (t, irr) = (&s.table, &s.irregular);
+        match third {
+            true => format!(
+                "SELECT {l}, {r}, R.OPT, S.ID FROM {t} L {kind} {irr} R{on} \
+                 CROSS JOIN (SELECT ID FROM {irr} WHERE ID < 10) S{wh}"
+            ),
+            false => format!("SELECT {l}, {r}, R.OPT FROM {t} L {kind} {irr} R{on}{wh}"),
         }
     }
 

@@ -318,19 +318,32 @@ fn outer_flatten_turns_inner_under_a_filter_no_pad_row_passes() {
     // `t` has empty arrays at ID 3 and 6: their pad rows carry NULL outputs.
     let db = flatten_db();
     let from = "SELECT ID, F.VALUE FROM t, LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F WHERE";
-    for pred in ["F.INDEX IS NOT NULL", "F.VALUE > 0", "IFF(F.VALUE >= 0, TRUE, FALSE) AND ID > 1"]
-    {
+    for pred in [
+        "F.INDEX IS NOT NULL",
+        "F.VALUE > 0",
+        "IFF(F.VALUE >= 0, TRUE, FALSE) AND ID > 1",
+        // `INDEX IS NOT NULL` is FALSE on a pad row, so the filter never
+        // reaches a conjunct after it there: one that raises or numbers rows
+        // sees the same rows from an inner flatten.
+        "F.INDEX IS NOT NULL AND 10 / ID > 0",
+        "F.INDEX IS NOT NULL AND SEQ8() % 2 = 0",
+    ] {
         assert!(!keeps_outer_flatten(&db, &format!("{from} {pred}")), "{pred}");
     }
-    // A pad row passes these (its `THIS` is its input's array); one conjunct
-    // can raise or numbers rows, and would no longer see the pad rows.
+    // Every other one of the 9 array items: a pad row numbered by `SEQ8()`
+    // would shift the numbering of the rows after it.
+    let sql = format!("{from} F.INDEX IS NOT NULL AND SEQ8() % 2 = 0");
+    assert_eq!(agreed_rows(&db, &sql).len(), 5);
+    // A pad row passes these (its `THIS` is its input's array), or the
+    // rejecting conjunct follows one that can raise: it may not leave the
+    // filter, and the pad rows stay.
     for pred in [
         "F.INDEX IS NULL",
         "F.THIS IS NOT NULL",
         "F.SEQ >= 0 AND ARRAY_SIZE(F.THIS) = 0",
         "NVL(F.VALUE, 0) >= 0",
-        "F.INDEX IS NOT NULL AND 10 / ID > 0",
-        "F.INDEX IS NOT NULL AND SEQ8() < 100",
+        "10 / ID > 0 AND F.INDEX IS NOT NULL",
+        "SEQ8() < 100 AND F.INDEX IS NOT NULL",
     ] {
         assert!(keeps_outer_flatten(&db, &format!("{from} {pred}")), "{pred}");
     }
@@ -354,6 +367,50 @@ fn left_outer_join_turns_inner_under_a_filter_no_null_extension_passes() {
     for pred in ["b.y IS NULL", "NVL(b.y, 1) >= 1", "b.y >= 1 AND 10 / (a.x + 1) > 0"] {
         assert_eq!(joins(&format!("{from} {pred}")), [JoinKind::LeftOuter], "{pred}");
     }
+}
+
+/// `ta(ID)` = 0..4 and `tb(X, Y)` with Y = 0..4 and X = Y % 2.
+fn raising_join_db() -> Database {
+    let db = Database::new();
+    let ints = |vs: Vec<i64>| vs.into_iter().map(Variant::Int).collect::<Vec<_>>();
+    db.load_table("ta", vec![ColumnDef::new("ID", ColumnType::Int)], (0..5).map(|i| ints(vec![i])), 4)
+        .unwrap();
+    let tb = vec![ColumnDef::new("X", ColumnType::Int), ColumnDef::new("Y", ColumnType::Int)];
+    db.load_table("tb", tb, (0..5).map(|y| ints(vec![y % 2, y])), 4).unwrap();
+    db
+}
+
+#[test]
+fn a_one_sided_conjunct_stays_beside_a_raising_conjunct_over_both_sides() {
+    // The division runs on every pair and raises where `ID = Y` and `X = 0`;
+    // `tb.X = 1` below the join would keep it from those pairs. The join's
+    // `ON` runs on every pair before the filter, so it holds there too.
+    let db = raising_join_db();
+    let div = "10 / (ta.ID - tb.Y + 10 * tb.X) > 0";
+    for (sql, plan) in [
+        (
+            format!("SELECT ta.ID, tb.Y FROM ta CROSS JOIN tb WHERE {div} AND tb.X = 1"),
+            "Filter (((10 / ((#0 - #2) + (10 * #1))) > 0) AND (#1 = 1))\n    CrossJoin on=\n",
+        ),
+        (
+            format!("SELECT ta.ID, tb.Y FROM ta JOIN tb ON {div} WHERE tb.X = 1"),
+            "Filter (#1 = 1)\n    InnerJoin on=((10 / ((#0 - #2) + (10 * #1))) > 0)\n",
+        ),
+    ] {
+        assert!(agreed_error(&db, &sql).contains("division by zero"), "{sql}");
+        assert!(operators(&db, &sql).contains(plan), "{}", operators(&db, &sql));
+    }
+}
+
+#[test]
+fn a_raising_one_sided_conjunct_stays_after_a_conjunct_over_both_sides() {
+    // `ID - Y = 7` is FALSE on every pair, so the filter never divides; on
+    // `ta` alone the division would raise at `ID = 2`.
+    let db = raising_join_db();
+    let sql = "SELECT ta.ID, tb.Y FROM ta CROSS JOIN tb WHERE ta.ID - tb.Y = 7 AND 10 / (ta.ID - 2) > 0";
+    assert!(agreed_rows(&db, sql).is_empty());
+    let plan = "Filter (((#0 - #2) = 7) AND ((10 / (#0 - 2)) > 0))\n    CrossJoin on=\n";
+    assert!(operators(&db, sql).contains(plan), "{}", operators(&db, sql));
 }
 
 #[test]
@@ -564,13 +621,17 @@ fn erroring_join_condition_blocks_reordering() {
 #[test]
 fn pushed_single_relation_error_predicate_travels_with_its_relation() {
     let db = star_db();
-    // A single-relation erroring predicate is placed on its relation by
-    // pushdown before the reorderer runs; the cluster is then safe to
-    // reorder and results must match unoptimized execution exactly
-    // (dima.av = 0 exists, so 100/av errors iff the row is ever evaluated —
-    // both plans evaluate it against all DIMA rows).
+    // The single-relation erroring predicate follows the two join
+    // conjuncts: where one of them is NULL the filter goes on to the
+    // division, so by the movement rule (`optimize::may_leave`) none of the
+    // three leaves the filter. The cross joins keep no hash keys, and
+    // results must match unoptimized execution exactly (dima.av = 0 exists,
+    // so 100/av errors iff the row is ever evaluated — both plans evaluate
+    // it on the same pairs).
     let sql = "SELECT COUNT(*) FROM dima CROSS JOIN dimb CROSS JOIN fact \
                WHERE fact.fa = dima.ak AND fact.fb = dimb.bk AND 100 / dima.av > 0";
+    let plan = operators(&db, sql);
+    assert!(plan.contains("Filter ((#4 = #0) AND ((#5 = #2) AND ((100 / #1) > 0)))\n"), "{plan}");
     let optimized = db.query(sql);
     let raw = db.query_with(sql, &QueryOptions { optimize: false, ..Default::default() });
     match (optimized, raw) {
@@ -581,6 +642,25 @@ fn pushed_single_relation_error_predicate_travels_with_its_relation() {
             a.map(|r| r.rows),
             b.map(|r| r.rows)
         ),
+    }
+}
+
+#[test]
+fn a_volatile_conjunct_keeps_the_joins_below_it_as_written() {
+    // `SEQ8()` numbers the rows in the order the joins make them, so a
+    // reordered cluster — the whole one under a filter, or the one below a
+    // join's ON — would pick other rows.
+    let db = star_db();
+    let from = "SELECT dima.ak, dimb.bk, b2.bk FROM dima CROSS JOIN dimb CROSS JOIN dimb b2";
+    for sql in [
+        format!("{from} WHERE SEQ8() % 101 = 0"),
+        format!("{from} JOIN dimb b3 ON SEQ8() % 101 = 0"),
+    ] {
+        // As written, `dima` is the first relation; reordered, `dimb` would be.
+        let plan = operators(&db, &sql);
+        let first = plan.lines().find(|l| l.contains("Scan ")).unwrap();
+        assert!(first.trim() == "Scan DIMA cols=[AK]", "{plan}");
+        assert!(!agreed_rows(&db, &sql).is_empty());
     }
 }
 
@@ -1143,8 +1223,9 @@ Project [#0, #7, #12, #11]
 
 #[test]
 fn an_outer_flatten_that_stays_outer_takes_no_bound() {
-    // The raising conjunct keeps the pad rows (`pads_rejected` needs every
-    // conjunct error-free), and a bound is for inner flattens only.
+    // The comparison that rejects the pad rows is followed by a raising
+    // conjunct, so it may not leave the filter (`optimize::may_leave`): the
+    // pad rows stay, and a bound is for inner flattens only.
     let db = bound_db();
     let sql = "SELECT ID, A.INDEX, B.INDEX FROM t, LATERAL FLATTEN(INPUT => XS) A, \
                LATERAL FLATTEN(INPUT => YS, OUTER => TRUE) B WHERE A.INDEX < B.INDEX AND 10 / (ID + 1) > 0";
