@@ -194,7 +194,29 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
     let pt = rng.gen_range(0..150);
     // High enough to filter out every item, or not.
     let eta = if rng.gen_bool(0.5) { 1000 } else { rng.gen_range(-2..3) };
-    match rng.gen_range(0..7u32) {
+    match rng.gen_range(0..8u32) {
+        // A `let`-bound aggregate of pairs by position that no predicate
+        // rejects — every row keeps its group, the KEEP gate's shape — over
+        // `OA` (empty arrays, objects whose `[]` is empty) or `XS` (empty
+        // arrays), a selective conjunct and, before or after the others, a
+        // division by zero on some items.
+        7 => {
+            let (col, item) = if rng.gen_bool(0.5) { ("OA", "$b") } else { ("XS", "$b.PT") };
+            let mut conjuncts = vec![
+                format!("$i {} $j", cmp_op(rng)),
+                format!("{item} {op} {}", rng.gen_range(0..if col == "OA" { 8 } else { 120 })),
+            ];
+            if rng.gen_bool(0.5) {
+                let division = format!("10 div ({item} - {}) gt 0", rng.gen_range(0..6));
+                let at = if rng.gen_bool(0.5) { 0 } else { conjuncts.len() };
+                conjuncts.insert(at, division);
+            }
+            let agg = pick(rng, &["count", "sum", "max"]);
+            format!(
+                r#"for $t in collection("{c}") let $m := {agg}(for $a at $i in $t.{col}[] for $b at $j in $t.{col}[] where {} return {item}) return {{"id": $t.ID, "m": $m}}"#,
+                conjuncts.join(" and "),
+            )
+        }
         0 => format!(
             r#"for $t in collection("{c}") where count(for $x in $t.XS[] where $x.PT {op} {pt} return $x) ge {} return $t.ID"#,
             rng.gen_range(1..3),
@@ -235,12 +257,32 @@ fn irregular_query(rng: &mut StdRng, c: &str) -> String {
     }
 }
 
-/// Generates one random query: seven shapes drawn from the ADL skeletons,
+/// Generates one random query: eight shapes drawn from the ADL skeletons,
 /// and one over the irregular collection.
 pub fn random_query(rng: &mut StdRng, s: &GenSchema) -> String {
     let c = &s.collection;
-    match rng.gen_range(0..8u32) {
+    match rng.gen_range(0..9u32) {
         6 => irregular_query(rng, &s.irregular),
+        // A `let`-bound aggregate over pairs by position that no outer
+        // predicate rejects (ADL Q7 and Q8 under the flag-column strategy:
+        // the KEEP gate copies the positional and the selective conjuncts
+        // below the row-id aggregate), the element predicate — which may
+        // divide by zero — before or after the positional one.
+        8 => {
+            let (arr, members) = pick(rng, &s.arrays);
+            let field = pick(rng, members);
+            let (positional, pred) = (format!("$i {} $j", cmp_op(rng)), element_pred(rng, members));
+            let conjuncts = if rng.gen_bool(0.5) {
+                format!("{positional} and {pred}")
+            } else {
+                format!("{pred} and {positional}")
+            };
+            let agg = pick(rng, &["count", "sum", "min"]);
+            format!(
+                r#"for $e in collection("{c}") let $m := {agg}(for $a at $i in $e.{arr}[] for $x at $j in $e.{arr}[] where {conjuncts} return $x.{field}) return {{"id": $e.{}, "m": $m}}"#,
+                s.event_field,
+            )
+        }
         // Pairs of one event's elements selected by position (ADL Q5 and Q8
         // skeleton), with an element predicate on the second: the
         // optimizer may make `$i lt $j` the second flatten's bound.

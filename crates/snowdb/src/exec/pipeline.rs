@@ -891,7 +891,7 @@ fn stage_batch(p: &PhysNode<'_>, mut inp: Chunk, ctx: &mut ExecCtx, base: i64) -
     let (dag, cell) = (p.dag()?, Some(&p.metrics));
     let rows_in = inp.rows as u64;
     let out = match &p.logical.kind {
-        NodeKind::Filter { .. } => {
+        NodeKind::Filter { per, .. } => {
             let keep = {
                 let mask = eval_exprs(dag, &inp, ctx, None, cell);
                 // A value that is no boolean raises at its row, which comes
@@ -900,7 +900,10 @@ fn stage_batch(p: &PhysNode<'_>, mut inp: Chunk, ctx: &mut ExecCtx, base: i64) -
                 if let Some(e) = mask.err {
                     return Err(e);
                 }
-                keep
+                match per {
+                    Some(rid) => keep_per_run(&keep, &inp.cols[*rid]),
+                    None => keep,
+                }
             };
             if keep.len() == inp.rows {
                 inp
@@ -947,6 +950,39 @@ fn stage_batch(p: &PhysNode<'_>, mut inp: Chunk, ctx: &mut ExecCtx, base: i64) -
     p.metrics.record_batch(rows_in, out.rows as u64, start.elapsed());
     charge_batch(p, ctx, op, &out)?;
     Ok(out)
+}
+
+/// `keep`, the ascending rows of a batch that a filter's predicate passes,
+/// and besides the first row of every run of equal `rid` values that has
+/// none of them: what a run-preserving filter passes.
+fn keep_per_run(keep: &[usize], rid: &ColumnVec) -> Vec<usize> {
+    let rows = rid.len();
+    if keep.len() == rows {
+        return keep.to_vec();
+    }
+    let ints = match rid {
+        ColumnVec::Int { vals, valid } if valid.all_valid() => Some(vals),
+        _ => None,
+    };
+    let same = |a: usize, b: usize| match ints {
+        Some(vals) => vals[a] == vals[b],
+        None => rid.get(a) == rid.get(b),
+    };
+    let mut out = Vec::with_capacity(keep.len());
+    let mut kept = keep.iter().copied().peekable();
+    let mut start = 0;
+    while start < rows {
+        let end = (start + 1..rows).find(|&r| !same(start, r)).unwrap_or(rows);
+        let before = out.len();
+        while let Some(r) = kept.next_if(|&r| r < end) {
+            out.push(r);
+        }
+        if out.len() == before {
+            out.push(start);
+        }
+        start = end;
+    }
+    out
 }
 
 /// One batch through a flatten: its output goes to `emit` in pieces of at
@@ -1090,9 +1126,9 @@ enum FlattenSource<'c> {
 impl<'c> FlattenPieces<'c> {
     /// A first pass over the source sizes the output: an array or object
     /// expands to its items, anything else to one NULL row if `outer`. A
-    /// list's sizes are its ranges' lengths. A bounded flatten (never
-    /// `outer`) expands an array to its items from the row's bound on, and
-    /// an object to nothing.
+    /// list's sizes are its ranges' lengths. A bounded flatten expands an
+    /// array to its items from the row's bound on, and an object to
+    /// nothing; where that is nothing, `outer` makes it one NULL row.
     fn new(
         src: &'c ColumnVec,
         outer: bool,
@@ -1102,7 +1138,6 @@ impl<'c> FlattenPieces<'c> {
         row_base: i64,
     ) -> Self {
         let bounded = !matches!(from, Bound::Unbounded);
-        debug_assert!(!(bounded && outer), "a bounded flatten is inner");
         let mut skip = Vec::with_capacity(if bounded { inp.rows } else { 0 });
         // The items row `r` emits of its `len`.
         let mut items_from = |r: usize, len: usize| {
@@ -1131,7 +1166,12 @@ impl<'c> FlattenPieces<'c> {
                     .iter()
                     .enumerate()
                     .map(|(r, v)| match v {
-                        Variant::Array(items) if !items.is_empty() => items_from(r, items.len()),
+                        Variant::Array(items) if !items.is_empty() => {
+                            match items_from(r, items.len()) {
+                                0 => usize::from(outer),
+                                k => k,
+                            }
+                        }
                         Variant::Object(obj) if !obj.is_empty() && !bounded => obj.len(),
                         // No items; the row still takes its slot in `skip`.
                         _ => items_from(r, 0) + usize::from(outer),
@@ -1160,6 +1200,7 @@ impl Iterator for FlattenPieces<'_> {
         }
         self.remaining -= n;
         let [want_value, want_index, want_key, want_seq, want_this] = self.emit;
+        let bounded = !self.skip.is_empty();
         let mut repeat: Vec<usize> = Vec::with_capacity(n);
         let room = |wanted: bool| if wanted { n } else { 0 };
         // (ramp, whether the row has an index at all: array items do)
@@ -1176,7 +1217,8 @@ impl Iterator for FlattenPieces<'_> {
                     let (lo, hi) = (skip + self.item, skip + self.item + take);
                     repeat.extend(std::iter::repeat_n(self.row, take));
                     let range = lists.range(self.row);
-                    let real = !range.is_empty();
+                    // Items, or OUTER's one NULL row.
+                    let real = skip < range.len();
                     if want_value {
                         match real {
                             true => items.extend((range.start + lo..range.start + hi).map(Some)),
@@ -1225,7 +1267,7 @@ impl Iterator for FlattenPieces<'_> {
                     repeat.extend(std::iter::repeat_n(self.row, take));
                     match v {
                         _ if take == 0 => {}
-                        Variant::Array(items) if !items.is_empty() => {
+                        Variant::Array(items) if skip < items.len() => {
                             if want_value {
                                 value.extend_from_slice(&items[lo..hi]);
                             }
@@ -1235,7 +1277,7 @@ impl Iterator for FlattenPieces<'_> {
                             }
                             key.push_nulls(take);
                         }
-                        Variant::Object(obj) if !obj.is_empty() => {
+                        Variant::Object(obj) if !obj.is_empty() && !bounded => {
                             for (k, val) in obj.iter().skip(lo).take(take) {
                                 if want_value {
                                     value.push(val.clone());
@@ -2270,6 +2312,18 @@ mod tests {
         assert!(matches!(err, SnowError::Internal(_)), "{err:?}");
     }
 
+    #[test]
+    fn a_run_preserving_filter_keeps_the_first_row_of_each_run_it_would_empty() {
+        let ids = [0i64, 0, 1, 1, 2, 2, 2, 3];
+        let ints = ColumnVec::Int { vals: ids.to_vec(), valid: Bitmap::ones(ids.len()) };
+        let boxed = ColumnVec::Var(ids.iter().map(|&i| Variant::Int(i)).collect());
+        for rid in [&ints, &boxed] {
+            assert_eq!(keep_per_run(&[1, 5], rid), [1, 2, 5, 7]);
+            assert_eq!(keep_per_run(&[], rid), [0, 2, 4, 7]);
+            assert_eq!(keep_per_run(&[0, 1, 2, 3, 4, 5, 6, 7], rid), [0, 1, 2, 3, 4, 5, 6, 7]);
+        }
+    }
+
     /// Flattens `src` (one value per input row) under each of `bounds`, one
     /// bound per row, and checks the output against the unbounded flatten
     /// with the rows whose `INDEX` is below the row's bound — or whose
@@ -2277,29 +2331,53 @@ mod tests {
     /// `INDEX`, `KEY`, `SEQ` and `THIS`, in the same order, cut into pieces
     /// of one to [`BATCH_ROWS`] rows. Every bound is read typed, as any other
     /// column, and — when all rows share it — as a literal. `THIS` (the
-    /// whole array on every row) is compared when `this`.
+    /// whole array on every row) is compared when `this`. Bounded `OUTER`,
+    /// an input row left with no row emits its one NULL row instead.
     fn bounded_flatten_is_the_filtered_flatten(
         src: &ColumnVec,
         bounds: &[Option<i64>],
         this: bool,
     ) {
+        for outer in [false, true] {
+            bounded_flatten_is_the_filtered_flatten_at(src, bounds, this, outer);
+        }
+    }
+
+    fn bounded_flatten_is_the_filtered_flatten_at(
+        src: &ColumnVec,
+        bounds: &[Option<i64>],
+        this: bool,
+        outer: bool,
+    ) {
         let rows = src.len();
         let ids = ColumnVec::Int { vals: (0..rows as i64).collect(), valid: Bitmap::ones(rows) };
         let inp = Chunk { cols: vec![ids], rows };
         let (base, emit) = (1000, [true, true, true, true, this]);
-        let flatten = |bound: Bound<'_>| -> Vec<Vec<Variant>> {
+        let flatten = |bound: Bound<'_>, outer: bool| -> Vec<Vec<Variant>> {
             let pieces: Vec<Chunk> =
-                FlattenPieces::new(src, false, bound, emit, &inp, base).collect();
+                FlattenPieces::new(src, outer, bound, emit, &inp, base).collect();
             assert!(pieces.iter().all(|p| (1..=BATCH_ROWS).contains(&p.rows)));
             pieces.iter().flat_map(rows_of).collect()
         };
-        let want: Vec<Vec<Variant>> = flatten(Bound::Unbounded)
+        let kept: Vec<Vec<Variant>> = flatten(Bound::Unbounded, false)
             .into_iter()
             .filter(|row| match (bounds[row[0].as_i64().unwrap() as usize], &row[2]) {
                 (Some(b), Variant::Int(index)) => *index >= b,
                 _ => false,
             })
             .collect();
+        let mut want = Vec::new();
+        for r in 0..rows {
+            let of_r: Vec<_> = kept.iter().filter(|row| row[0] == Variant::Int(r as i64)).collect();
+            want.extend(of_r.iter().map(|row| (*row).clone()));
+            if outer && of_r.is_empty() {
+                let this = if this { src.get(r) } else { Variant::Null };
+                let seq = Variant::Int(base + r as i64);
+                let null = Variant::Null;
+                let id = Variant::Int(r as i64);
+                want.push(vec![id, null.clone(), null.clone(), null, seq, this]);
+            }
+        }
         let typed = ColumnVec::Int {
             vals: bounds.iter().map(|b| b.unwrap_or(0)).collect(),
             valid: Bitmap::from_fn(rows, |r| bounds[r].is_some()),
@@ -2308,17 +2386,18 @@ mod tests {
             ColumnVec::Var(bounds.iter().map(|b| b.map_or(Variant::Null, Variant::Int)).collect());
         assert!(matches!(Bound::of(&typed), Bound::Ints(..)));
         for bound in [Bound::of(&typed), Bound::of(&boxed)] {
-            assert_eq!(format!("{:?}", flatten(bound)), format!("{want:?}"));
+            assert_eq!(format!("{:?}", flatten(bound, outer)), format!("{want:?}"), "{outer}");
         }
         if let Some(&same) = bounds.first().filter(|&&b| bounds.iter().all(|&x| x == b)) {
-            assert_eq!(format!("{:?}", flatten(Bound::Const(same))), format!("{want:?}"));
+            let got = flatten(Bound::Const(same), outer);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{outer}");
         }
     }
 
     /// Bounds NULL, negative, zero, inside, at and past the array's length,
     /// over arrays mixing scalars, records and NULL items, and over objects,
-    /// scalars, NULL and empty arrays, which a bounded flatten never expands;
-    /// and outputs of several pieces.
+    /// scalars, NULL and empty arrays, which a bounded flatten never expands
+    /// (bounded `OUTER` pads them); and outputs of several pieces.
     #[test]
     fn a_bounded_flatten_emits_the_filtered_rows_of_boxed_values() {
         use crate::variant::parse_json;

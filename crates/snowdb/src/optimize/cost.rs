@@ -354,6 +354,7 @@ mod tests {
                     op: BinOp::Eq,
                     right: Box::new(PExpr::Lit(Variant::Int(3))),
                 },
+                per: None,
             },
             vec![Field::bare("K"), Field::bare("V")],
         );

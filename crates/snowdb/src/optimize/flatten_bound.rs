@@ -21,16 +21,19 @@
 //! A conjunct is absorbed only if it [may leave](super::may_leave) the
 //! filter, as one moved below the flatten must, and a flatten takes one
 //! comparison bound: any other stays in the filter, and `from=0` gives way to
-//! a comparison, which implies it. The caller refuses an `OUTER` flatten (its
-//! pad rows have a NULL `INDEX` and are kept) and a volatile flatten input,
-//! whose `SEQ8()` numbers the rows the flatten reads.
+//! a comparison, which implies it. The caller refuses a volatile flatten
+//! input, whose `SEQ8()` numbers the rows the flatten reads, and an `OUTER`
+//! flatten under a plain filter (its pad rows have a NULL `INDEX` and are
+//! kept); under the `KEEP` gate's run-preserving copy an `OUTER` flatten
+//! takes the bound and emits its pad row for an input row left with no item
+//! ([`super::keep_gate`]).
 
 use crate::plan::{Node, NodeKind, PExpr};
 use crate::sql::BinOp;
 use crate::variant::Variant;
 
 /// Makes `p`, a conjunct that [may leave](super::may_leave) the filter
-/// directly over an inner flatten of `input`, part of the flatten's bound
+/// directly over a flatten of `input` that takes a bound, part of its bound
 /// `from` when it is one of the module's forms; true when it did.
 pub(super) fn absorb(p: &PExpr, input: &Node, from: &mut Option<PExpr>) -> bool {
     let index = input.arity() + 1;
@@ -155,7 +158,7 @@ mod tests {
         let p = project(vec![col(3), bin(col(3), BinOp::Add, int(0)), col(2)]);
         let traced: Vec<bool> = (0..3).map(|c| ends_at_index(&p, c)).collect();
         assert_eq!(traced, [true, false, false]);
-        let kind = NodeKind::Filter { input: Box::new(p.clone()), pred: int(1) };
+        let kind = NodeKind::Filter { input: Box::new(p.clone()), pred: int(1), per: None };
         let filter = Node::new(kind, p.fields.clone());
         assert!(ends_at_index(&filter, 0));
         // Through the input columns of a flatten above.

@@ -210,9 +210,12 @@ fn input_needs(node: &Node, required: &[bool], need: &mut impl FnMut(usize, usiz
                 }
             }
         }
-        NodeKind::Filter { pred, .. } => {
+        NodeKind::Filter { pred, per, .. } => {
             through(all, 0, need);
             cols(pred, 0, need);
+            if let Some(rid) = per {
+                need(0, *rid);
+            }
         }
         NodeKind::Flatten { input, expr, from, .. } => {
             through(0..input.arity(), 0, need);
@@ -326,9 +329,10 @@ fn rebuild(old: Node, required: &[bool], mut inputs: Vec<Narrowed>) -> Narrowed 
         (NodeKind::Project { exprs, .. }, Some(input), _) => {
             return rebuild_project(exprs, old.fields, required, input);
         }
-        (NodeKind::Filter { pred, .. }, Some(input), _) => {
+        (NodeKind::Filter { pred, per, .. }, Some(input), _) => {
             let pred = renumber(pred, &input.map);
-            (NodeKind::Filter { input: Box::new(input.node), pred }, input.map)
+            let per = per.map(|rid| input.map[rid].expect("a filter keeps its row id"));
+            (NodeKind::Filter { input: Box::new(input.node), pred, per }, input.map)
         }
         (NodeKind::Flatten { expr, outer, mut emit, from, .. }, Some(input), _) => {
             let (old_arity, arity) = (input.map.len(), input.node.arity());

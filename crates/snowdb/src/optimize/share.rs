@@ -195,7 +195,9 @@ fn same_op(a: &NodeKind, b: &NodeKind) -> bool {
         (NodeKind::Project { exprs: x, .. }, NodeKind::Project { exprs: y, .. }) => {
             same_exprs(x, y)
         }
-        (NodeKind::Filter { pred: x, .. }, NodeKind::Filter { pred: y, .. }) => same_expr(x, y),
+        (NodeKind::Filter { pred: x, per: a, .. }, NodeKind::Filter { pred: y, per: b, .. }) => {
+            a == b && same_expr(x, y)
+        }
         (
             NodeKind::Flatten { expr: x, outer: oa, emit: ea, from: fa, .. },
             NodeKind::Flatten { expr: y, outer: ob, emit: eb, from: fb, .. },

@@ -129,7 +129,8 @@ impl<'a> Binder<'a> {
             }
             let bound = bind_expr(pred, &node.fields)?;
             let fields = node.fields.clone();
-            node = Node::new(NodeKind::Filter { input: Box::new(node), pred: bound }, fields);
+            let kind = NodeKind::Filter { input: Box::new(node), pred: bound, per: None };
+            node = Node::new(kind, fields);
         }
 
         let has_aggs = !s.group_by.is_empty()
@@ -242,7 +243,8 @@ impl<'a> Binder<'a> {
             Node::new(NodeKind::Aggregate { input: Box::new(input), groups, aggs }, agg_fields);
         if let Some(h) = having {
             let fields = node.fields.clone();
-            node = Node::new(NodeKind::Filter { input: Box::new(node), pred: h }, fields);
+            let kind = NodeKind::Filter { input: Box::new(node), pred: h, per: None };
+            node = Node::new(kind, fields);
         }
         Ok(Node::new(NodeKind::Project { input: Box::new(node), exprs: out_exprs }, out_fields))
     }

@@ -147,8 +147,11 @@ fn node_line(node: &Node) -> String {
             let rendered: Vec<String> = exprs.iter().map(expr_str).collect();
             let _ = write!(out, "Project [{}]", rendered.join(", "));
         }
-        NodeKind::Filter { pred, .. } => {
+        NodeKind::Filter { pred, per, .. } => {
             let _ = write!(out, "Filter {}", expr_str(pred));
+            if let Some(rid) = per {
+                let _ = write!(out, " per=#{rid}");
+            }
         }
         NodeKind::Flatten { expr, outer, emit, from, .. } => {
             let _ = write!(

@@ -641,13 +641,19 @@ pub enum NodeKind {
     /// A single row with no columns; basis for `SELECT` without `FROM`.
     Values,
     Project { input: Box<Node>, exprs: Vec<PExpr> },
-    Filter { input: Box<Node>, pred: PExpr },
+    /// Passes the rows on which `pred` is TRUE. A run-preserving filter
+    /// (`per` names a row-id column) besides passes one row of each run of
+    /// equal `per` values in a batch that has no such row: it only ever
+    /// holds a copy of a gated aggregate's `KEEP` conjuncts
+    /// ([`crate::optimize::keep_gate`]).
+    Filter { input: Box<Node>, pred: PExpr, per: Option<usize> },
     /// `LATERAL FLATTEN`: appends VALUE, INDEX, KEY, SEQ, THIS columns.
     /// `emit[k]` is false for an appended column nothing reads; it is then
-    /// produced as all-NULL. `from`, only ever on an inner flatten, is an
+    /// produced as all-NULL. `from` is an
     /// integer expression over the input columns: a row emits the array
     /// items whose `INDEX` is at least its value, none where it is NULL, and
-    /// none of an object or a scalar ([`crate::optimize::flatten_bound`]).
+    /// none of an object or a scalar ([`crate::optimize::flatten_bound`]);
+    /// an `OUTER` flatten emits one pad row instead of none.
     Flatten { input: Box<Node>, expr: PExpr, outer: bool, emit: [bool; 5], from: Option<PExpr> },
     Aggregate { input: Box<Node>, groups: Vec<PExpr>, aggs: Vec<AggExpr> },
     Join {
@@ -782,7 +788,9 @@ impl Node {
         let kind = match self.kind {
             leaf @ (NodeKind::Scan { .. } | NodeKind::Values) => leaf,
             NodeKind::Project { input, exprs } => NodeKind::Project { input: b(input), exprs },
-            NodeKind::Filter { input, pred } => NodeKind::Filter { input: b(input), pred },
+            NodeKind::Filter { input, pred, per } => {
+                NodeKind::Filter { input: b(input), pred, per }
+            }
             NodeKind::Flatten { input, expr, outer, emit, from } => {
                 NodeKind::Flatten { input: b(input), expr, outer, emit, from }
             }

@@ -16,7 +16,9 @@
 //! (`CAST(IFF(<pred on key>, 'e' || <key>, <key>) AS INTEGER)` fails with
 //! `cannot cast 'e3' to INTEGER`) and type-raising aggregate arguments (`SUM`
 //! over a string, `BOOLAND_AGG` over a number), in join keys, in filters
-//! above and below a `FLATTEN`, in group keys and in aggregate arguments.
+//! above and below a `FLATTEN`, in group keys and in aggregate arguments;
+//! divisions by zero in a subquery's select list and in a flatten's input
+//! under an outer `WHERE`, and in `HAVING` conjuncts over the aggregates.
 //! Every configuration must fail with the same error, the one of the first
 //! failing row. [`RAISED`] lists every error the stream can raise.
 //!
@@ -305,7 +307,9 @@ impl SqlGen {
         let t = &s.table;
         let id = s.int_col;
         let (arr, members) = self.pick(&s.arrays).clone();
-        match self.below(16) {
+        match self.below(18) {
+            16 => self.raising_below_a_filter(s),
+            17 => self.raising_having(s),
             0 | 1 => format!(
                 "SELECT {id}, {} AS V FROM {t} WHERE {}",
                 self.row_scalar(s),
@@ -425,6 +429,46 @@ impl SqlGen {
             14 | 15 => self.raising_join(s),
             _ => self.irregular_sql(&s.irregular),
         }
+    }
+
+    /// A division that raises on the rows where `ID % k = 0`, computed in a
+    /// subquery's select list or in a flatten's input, under an outer
+    /// `WHERE` that rejects exactly those rows — or some other rows: the
+    /// projection and the flatten hold the filter above them, so the
+    /// division still sees every row.
+    fn raising_below_a_filter(&mut self, s: &SqlSchema) -> String {
+        let (t, id) = (&s.table, s.int_col);
+        let k = 2 + self.below(5);
+        let pred = match self.below(2) {
+            0 => format!("({id} % {k}) <> 0"),
+            _ => self.key_pred(id),
+        };
+        let f = *self.pick(&s.float_paths);
+        if self.below(2) == 0 {
+            format!(
+                "SELECT Y, {id} FROM (SELECT {f} / ({id} % {k}) AS Y, {id} FROM {t}) WHERE {pred} ORDER BY {id}"
+            )
+        } else {
+            format!(
+                "SELECT {id}, F.INDEX AS I, F.VALUE AS V FROM {t}, \
+                 LATERAL FLATTEN(INPUT => ARRAY_CONSTRUCT(10 / ({id} % {k}), {id})) F WHERE {pred} ORDER BY {id}, I"
+            )
+        }
+    }
+
+    /// A grouped aggregate under a `HAVING` whose conjuncts over the
+    /// aggregates divide by zero on some groups, before or after a
+    /// selective one.
+    fn raising_having(&mut self, s: &SqlSchema) -> String {
+        let (t, id) = (&s.table, s.int_col);
+        let k = 3 + self.below(8);
+        let mut conjuncts = vec![format!("COUNT(*) > {}", self.below(20))];
+        let raising = format!("10 / (MIN({id}) % {}) > 0", 2 + self.below(5));
+        self.add_raising(&mut conjuncts, raising);
+        format!(
+            "SELECT {id} % {k} AS G, COUNT(*) AS N FROM {t} GROUP BY {id} % {k} HAVING {} ORDER BY G",
+            conjuncts.join(" AND ")
+        )
     }
 
     /// The ADL table joined inner, cross or left to the irregular one, with

@@ -1025,3 +1025,45 @@ mod join_tables {
         }
     }
 }
+
+/// The `KEEP` gate's run-preserving filters (`per=` in `EXPLAIN`) pass a
+/// row of every run of a row id in each batch, so where a run spans a batch
+/// boundary more rows pass at one thread count than at another, and its
+/// bounded `OUTER` flattens pad the rows left with no item: generated
+/// ADL q7, q8 and q6 under the flag-column strategy must answer alike at 1,
+/// 2 and 8 threads, under either producer, with the optimizer on and off.
+mod keep_gate {
+    use std::sync::Arc;
+
+    use jsoniq_core::snowflake::{translate_query, NestedStrategy};
+    use snowdb::{Database, QueryOptions};
+
+    #[test]
+    fn gated_adl_queries_answer_alike_at_every_thread_count_producer_and_optimizer() {
+        let db = Database::new();
+        let events = adl::AdlConfig { events: 300, seed: 7, partition_rows: 32 };
+        adl::generator::load_into(&db, "hep", &events);
+        let db = Arc::new(db);
+        for q in adl::queries::queries("hep").into_iter().filter(|q| ["q6", "q7", "q8"].contains(&q.id)) {
+            let sql = translate_query(db.clone(), &q.jsoniq, NestedStrategy::FlagColumn)
+                .unwrap()
+                .sql()
+                .to_string();
+            let plan = db.explain(&sql).unwrap();
+            assert!(plan.contains(" per=#") || plan.contains("Flatten OUTER input=#0 from=("), "{}: no KEEP gate", q.id);
+            let mut want = None;
+            for optimize in [true, false] {
+                for vectorize in [true, false] {
+                    for threads in [1, 2, 8] {
+                        let opts =
+                            QueryOptions { optimize, vectorize, threads: Some(threads), ..Default::default() };
+                        let cfg = format!("{} optimize={optimize} vectorize={vectorize} threads={threads}", q.id);
+                        let rows = db.query_with(&sql, &opts).unwrap_or_else(|e| panic!("{cfg}: {e}")).rows;
+                        assert!(!rows.is_empty(), "{cfg}");
+                        assert_eq!(&rows, want.get_or_insert_with(|| rows.clone()), "{cfg}");
+                    }
+                }
+            }
+        }
+    }
+}
