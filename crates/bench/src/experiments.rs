@@ -188,7 +188,7 @@ pub fn fig7_compile_time(cfg: &Config) -> Report {
     let mut rep = Report::new(
         "fig7",
         "Query compilation time in the engine (parse + bind + optimize)",
-        &["query", "generated", "handwritten", "gen SELECTs", "gen SQL bytes", "gen parser hop"],
+        &["query", "generated", "handwritten", "gen SELECTs", "gen SQL bytes"],
     );
     for q in adl::queries::queries("hep") {
         let gen_sql = translate(&db, &q);
@@ -204,10 +204,8 @@ pub fn fig7_compile_time(cfg: &Config) -> Report {
             fmt_secs(h),
             gen_sql.matches("SELECT").count().to_string(),
             gen_sql.len().to_string(),
-            if snowdb::sql::parse_statement_hopped(&gen_sql).1 { "yes" } else { "no" }.to_string(),
         ]);
     }
-    rep.note("parser hop: the statement nests past the parser's inline depth and is parsed on a dedicated big-stack thread");
     rep
 }
 

@@ -47,8 +47,6 @@ pub struct QueryProfile {
     /// Whether a text entry point ran a plan from the plan cache instead of
     /// compiling the text (DESIGN.md, "Plan cache").
     pub plan_cached: bool,
-    /// Whether the parse hopped to the parser's big-stack thread.
-    pub parser_hop: bool,
     pub stages: StageTimes,
     pub scan: ScanStats,
     /// Per-operator metrics tree mirroring the executed plan (rows in/out,
@@ -65,7 +63,7 @@ pub struct QueryProfile {
 /// do not overlap; a stage the statement skipped is zero.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimes {
-    /// Tokenize and parse, the parser-thread hop included.
+    /// Tokenize and parse.
     pub parse: Duration,
     /// The plan cache's lookup and, on a hit, its validation.
     pub lookup: Duration,
@@ -102,13 +100,12 @@ impl QueryProfile {
     }
 
     /// The id and the stages on one line: `query 7: compile 41.2µs (parse
-    /// 12.5µs inline, plan cache miss 1.1µs, bind …, optimize …), exec …`.
+    /// 12.5µs, plan cache miss 1.1µs, bind …, optimize …), exec …`.
     pub fn stages_line(&self) -> String {
         let s = &self.stages;
-        let hop = if self.parser_hop { "hopped" } else { "inline" };
         let hit = if self.plan_cached { "hit" } else { "miss" };
         format!(
-            "query {}: compile {:.1?} (parse {:.1?} {hop}, plan cache {hit} {:.1?}, bind {:.1?}, \
+            "query {}: compile {:.1?} (parse {:.1?}, plan cache {hit} {:.1?}, bind {:.1?}, \
              optimize {:.1?}), exec {:.1?} (lower {:.1?}, execute {:.1?}), into_rows {:.1?}",
             self.query_id, self.compile_time(), s.parse, s.lookup, s.bind, s.optimize,
             self.exec_time(), s.lower, s.execute, s.into_rows,
@@ -509,7 +506,7 @@ impl Database {
         let seed = crate::govern::chaos::splitmix64(
             self.commit_seq.fetch_add(1, AtomicOrd::Relaxed).wrapping_add(0x5EED),
         );
-        retry::run(&RetryPolicy::commit_default(seed), |attempt| {
+        retry::run(&RetryPolicy { seed }, |attempt| {
             if attempt > 0 {
                 gov.checkpoint("Commit")?;
             }

@@ -126,28 +126,25 @@
 //!
 //! An optimized plan is a DAG ([`crate::optimize::share`]): a subtree several
 //! parents read is lowered once and owns a [`SharedSlot`]. Its first site in
-//! execution order executes it and publishes the batches; every other site takes a
-//! copy from the slot, waiting — with governor checkpoints, so cancellation
-//! and deadlines stay prompt — if the result is not there yet. The last
-//! reader takes the stored batches themselves, which frees the slot. A
-//! failure is published like a result: every reader gets the same typed
-//! error. Scan statistics, governor budgets and operator metrics are charged
-//! where the work happens, at the producing site, once. A shared operator
-//! ends the pipeline below it — its batches must reach the slot, not only one
-//! reader — and a reader is the source of the pipeline above it. This rests
-//! on the contract above: the output of a subtree is a function of the
-//! subtree alone (`SEQ8()` restarts in every projection), so reading one
-//! result twice equals computing it twice.
+//! execution order executes it and publishes the batches; every other site
+//! takes a copy from the slot. The last reader takes the stored batches
+//! themselves, which frees the slot. A failure is published like a result:
+//! every reader gets the same typed error. Scan statistics, governor budgets
+//! and operator metrics are charged where the work happens, at the producing
+//! site, once. A shared operator ends the pipeline below it — its batches
+//! must reach the slot, not only one reader — and a reader is the source of
+//! the pipeline above it. This rests on the contract above: the output of a
+//! subtree is a function of the subtree alone (`SEQ8()` restarts in every
+//! projection), so reading one result twice equals computing it twice.
 //!
-//! Pipelines run one after the other and the producing site is the first in
-//! execution order — lowering visits a join's build side before its probe
-//! side, as execution does ([`crate::plan::physical`]) —: a reader always
-//! finds the result published and never waits. The waiting path is kept, and
-//! driven by this module's unit tests from hand-spawned threads, because the
-//! slot's contract must not depend on that schedule — a join that runs its
-//! two sides concurrently would put a reader ahead of its producer — and
-//! because a reader that could hang or miss a cancellation there would only
-//! be found when that lands.
+//! Pipelines run one after the other on the statement's thread, and the
+//! producing site is the first in execution order — lowering visits a join's
+//! build side before its probe side, as execution does
+//! ([`crate::plan::physical`]) —: a reader always finds the result
+//! published, and nothing waits. A reader that finds the slot empty is a
+//! typed internal error, not a wait. A producing site that unwinds unwinds
+//! the statement, so no reader runs after it; `Database::run_plan` catches
+//! the panic.
 //!
 //! # One body per operator, two producers of its columns
 //!
@@ -184,12 +181,11 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::column::{Bitmap, ColumnVec, RecordLists};
 use crate::error::{Result, SnowError};
-use crate::govern::QueryGovernor;
 use crate::plan::physical::{PhysNode, SharedSite};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
 use crate::storage::morsel::try_parallel_indexed_governed;
@@ -224,10 +220,7 @@ const MORSEL_ROWS: usize = 1024;
 pub fn execute_physical(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     match &p.shared {
         None => execute_op(p, ctx),
-        Some(SharedSite { slot, producer }) => {
-            let gov = ctx.gov.clone();
-            slot.get(*producer, &gov, || execute_op(p, ctx))
-        }
+        Some(SharedSite { slot, producer }) => slot.get(*producer, || execute_op(p, ctx)),
     }
 }
 
@@ -251,30 +244,22 @@ fn execute_op(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
 }
 
 /// The one result of a shared subtree (see the module docs): produced at the
-/// first of its sites in execution order, read at every other.
+/// first of its sites in execution order, read at every other. Workers share
+/// the physical plan, so the slot is `Sync`: a `Mutex`, never contended.
 #[derive(Debug, Default)]
 pub struct SharedSlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
+    state: Mutex<Option<Published>>,
     /// Sites lowered for the subtree, the producing one included.
     sites: AtomicUsize,
 }
 
-#[derive(Debug, Default)]
-enum SlotState {
-    #[default]
-    Empty,
-    Running,
-    /// `unread` sites, the producing one included, have yet to take their
-    /// copy.
-    Done { result: Result<Vec<Chunk>>, unread: usize },
+/// A published result; `unread` sites, the producing one included, have yet
+/// to take their copy.
+#[derive(Debug)]
+struct Published {
+    result: Result<Vec<Chunk>>,
+    unread: usize,
 }
-
-/// Operator name a slot reports to the governor and in errors.
-const SLOT_OP: &str = "Shared";
-
-/// How long a waiting reader sleeps between governor checkpoints.
-const SLOT_POLL: Duration = Duration::from_millis(10);
 
 impl SharedSlot {
     /// Registers one more site of the subtree (called while lowering).
@@ -282,66 +267,42 @@ impl SharedSlot {
         self.sites.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The state is only ever replaced whole, so it is valid even if a
-    /// holder of the lock panicked.
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn publish(&self, result: Result<Vec<Chunk>>) {
-        let unread = self.sites.load(Ordering::Relaxed);
-        *self.lock() = SlotState::Done { result, unread };
-        self.ready.notify_all();
-    }
-
-    /// Returns this site's copy of the result: runs `produce` at the producing
-    /// site, waits for it at the others.
+    /// Returns this site's copy of the result: runs `produce` and publishes
+    /// its result at the producing site, takes a copy at the others — the
+    /// last one takes the batches themselves, which frees the slot. A reader
+    /// that finds nothing published ran before its producer, which lowering
+    /// rules out: that is a typed internal error.
     fn get(
         &self,
         producer: bool,
-        gov: &QueryGovernor,
         produce: impl FnOnce() -> Result<Vec<Chunk>>,
     ) -> Result<Vec<Chunk>> {
-        /// Publishes a failure if the producing site unwinds, so that no
-        /// reader waits for a result that will never come.
-        struct Abandon<'a>(&'a SharedSlot);
-        impl Drop for Abandon<'_> {
-            fn drop(&mut self) {
-                self.0.publish(Err(SnowError::internal(SLOT_OP, "the producing site panicked")));
-            }
-        }
-
-        gov.slot_checkpoint(SLOT_OP)?;
-        let mut state = self.lock();
-        if producer && matches!(*state, SlotState::Empty) {
-            *state = SlotState::Running;
-            drop(state);
-            let abandon = Abandon(self);
+        if producer {
             let result = produce();
-            std::mem::forget(abandon);
-            self.publish(result);
-            state = self.lock();
+            let unread = self.sites.load(Ordering::Relaxed);
+            *self.lock() = Some(Published { result, unread });
         }
-        loop {
-            if let SlotState::Done { result, unread } = &mut *state {
-                *unread = unread.saturating_sub(1);
-                if *unread > 0 {
-                    return result.clone();
-                }
-                let SlotState::Done { result, .. } = std::mem::take(&mut *state) else {
-                    unreachable!("matched just above")
-                };
-                return result;
+        let mut state = self.lock();
+        match state.take() {
+            None => Err(SnowError::internal(SLOT_OP, "a reader ran before its producing site")),
+            Some(Published { result, unread: ..=1 }) => result,
+            Some(Published { result, unread }) => {
+                let copy = result.clone();
+                *state = Some(Published { result, unread: unread - 1 });
+                copy
             }
-            gov.slot_checkpoint(SLOT_OP)?;
-            state = self
-                .ready
-                .wait_timeout(state, SLOT_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
         }
     }
+
+    /// The state is only ever replaced whole, so it is valid even if a
+    /// holder of the lock panicked.
+    fn lock(&self) -> MutexGuard<'_, Option<Published>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
+
+/// Operator name a slot reports in errors.
+const SLOT_OP: &str = "Shared";
 
 /// Total rows across a batch list.
 pub fn total_rows(batches: &[Chunk]) -> usize {
@@ -2259,57 +2220,19 @@ mod tests {
     }
 
     #[test]
-    fn cancelling_a_waiting_reader_is_prompt_and_typed() {
-        let (db, sql) = self_join_db(-1);
-        let plan = db.compile(&sql).unwrap();
-        let phys = lower(&plan, 2);
-        let (_, reader) = sites(&phys);
-        let gov = Arc::new(QueryGovernor::unbounded());
-        // Nobody produces: the reader waits until the governor trips.
-        let err = std::thread::scope(|s| {
-            let waiting = s.spawn(|| {
-                let mut ctx = ExecCtx::with_governor(gov.clone());
-                execute_physical(reader, &mut ctx)
-            });
-            gov.cancel();
-            waiting.join().expect("the reader must not panic").unwrap_err()
-        });
-        assert!(matches!(&err, SnowError::Cancelled { op } if op == SLOT_OP), "{err:?}");
-    }
-
-    #[test]
-    fn a_budget_trip_at_the_producer_wakes_a_waiting_reader() {
+    fn a_reader_before_its_producer_is_a_typed_internal_error() {
         let (db, sql) = self_join_db(-1);
         let plan = db.compile(&sql).unwrap();
         let phys = lower(&plan, 2);
         let (producer, reader) = sites(&phys);
-        let gov = Arc::new(QueryGovernor::unbounded().with_memory_limit(64));
-        let (read, produced) = std::thread::scope(|s| {
-            let waiting = s.spawn(|| {
-                let mut ctx = ExecCtx::with_governor(gov.clone());
-                execute_physical(reader, &mut ctx)
-            });
-            let mut ctx = ExecCtx::with_governor(gov.clone());
-            let produced = execute_physical(producer, &mut ctx);
-            (waiting.join().expect("the reader must not panic"), produced)
-        });
-        let (read, produced) = (read.unwrap_err(), produced.unwrap_err());
-        assert!(matches!(produced, SnowError::ResourceExhausted(_)), "{produced:?}");
-        assert_eq!(read.to_string(), produced.to_string());
-    }
-
-    #[test]
-    fn a_panicking_producer_fails_its_readers() {
-        let slot = SharedSlot::default();
-        slot.add_site();
-        slot.add_site();
-        let gov = QueryGovernor::unbounded();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slot.get(true, &gov, || panic!("{}: producer", crate::govern::chaos::CHAOS_PANIC_MARKER))
-        }));
-        assert!(unwound.is_err());
-        let err = slot.get(false, &gov, || unreachable!("readers never produce")).unwrap_err();
-        assert!(matches!(err, SnowError::Internal(_)), "{err:?}");
+        let mut ctx = ExecCtx::default();
+        let err = execute_physical(reader, &mut ctx).unwrap_err();
+        assert!(matches!(&err, SnowError::Internal(_)), "{err:?}");
+        assert!(err.to_string().contains(SLOT_OP), "{err}");
+        assert_eq!(ctx.stats.bytes_scanned, 0, "a reader never produces");
+        // The producing site still runs, and the slot still serves its reader.
+        assert_eq!(total_rows(&execute_physical(producer, &mut ctx).unwrap()), 64);
+        assert_eq!(total_rows(&execute_physical(reader, &mut ctx).unwrap()), 64);
     }
 
     #[test]

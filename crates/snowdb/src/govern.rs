@@ -217,14 +217,6 @@ impl QueryGovernor {
         self.check_at(op, ChaosSite::StoreRead)
     }
 
-    /// Checkpoint variant for a site of a shared subplan touching its result
-    /// slot: once on arrival and once per poll while it waits for the
-    /// producing site (distinct chaos site; identical governance checks).
-    #[inline]
-    pub fn slot_checkpoint(&self, op: &str) -> Result<()> {
-        self.check_at(op, ChaosSite::SharedSlot)
-    }
-
     fn check_at(&self, op: &str, site: ChaosSite) -> Result<()> {
         if self.cancel.load(Ordering::Relaxed) {
             return Err(SnowError::Cancelled { op: op.to_string() });

@@ -6,8 +6,6 @@
 //! - [`ChaosSite::PartitionClaim`] — a morsel worker claiming a partition;
 //! - [`ChaosSite::BatchStage`] — an operator's batch-boundary checkpoint;
 //! - [`ChaosSite::BudgetAccount`] — a memory / bytes-scanned charge;
-//! - [`ChaosSite::SharedSlot`] — a site of a shared subplan producing,
-//!   awaiting or reading the subplan's one result;
 //! - [`ChaosSite::StoreRead`] — a lazy column-block read from a persistent
 //!   partition file (rides in the query's governor like the sites above);
 //! - [`ChaosSite::ManifestCommit`] — a step of the store's atomic catalog
@@ -66,9 +64,6 @@ pub enum ChaosSite {
     BatchStage,
     /// A budget-accounting site (memory or bytes-scanned charge).
     BudgetAccount,
-    /// A site of a shared subplan at its result slot. A fault here must
-    /// reach the query as a typed error — never as a reader left waiting.
-    SharedSlot,
     /// A lazy column-block read from a persistent partition file.
     StoreRead,
     /// A step of the store's atomic manifest commit (temp-write / rename).
@@ -88,7 +83,6 @@ impl ChaosSite {
             ChaosSite::PartitionClaim => 0x9E37_79B9,
             ChaosSite::BatchStage => 0x85EB_CA6B,
             ChaosSite::BudgetAccount => 0xC2B2_AE35,
-            ChaosSite::SharedSlot => 0x3C6E_F372,
             ChaosSite::StoreRead => 0x27D4_EB2F,
             ChaosSite::ManifestCommit => 0x1656_67B1,
             ChaosSite::GcUnlink => 0x7FEB_352D,

@@ -15,41 +15,32 @@ use std::time::Duration;
 use super::chaos::splitmix64;
 use crate::error::SnowError;
 
-/// A bounded, seeded backoff schedule for [`SnowError::WriteConflict`] retries.
+/// A bounded, seeded backoff schedule for [`SnowError::WriteConflict`] retries:
+/// up to [`RetryPolicy::MAX_ATTEMPTS`] attempts, slots [`RetryPolicy::BASE`] ·
+/// 2^k capped at [`RetryPolicy::CAP`] — enough to ride out a burst of
+/// contending writers, bounded well under any statement timeout.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Jitter seed; schedules with equal seeds are identical.
     pub seed: u64,
-    /// Total attempts (first try included). `1` disables retrying.
-    pub max_attempts: u32,
-    /// Backoff slot for the first retry; doubles per subsequent retry.
-    pub base: Duration,
-    /// Upper bound on the (pre-jitter) slot.
-    pub cap: Duration,
 }
 
 impl RetryPolicy {
-    /// The commit path's default: up to 8 attempts, slots 1ms · 2^k capped at
-    /// 32ms — enough to ride out a burst of contending writers, bounded well
-    /// under any statement timeout.
-    pub fn commit_default(seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            seed,
-            max_attempts: 8,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(32),
-        }
-    }
+    /// Total attempts (first try included).
+    pub const MAX_ATTEMPTS: u32 = 8;
+    /// Backoff slot for the first retry; doubles per subsequent retry.
+    pub const BASE: Duration = Duration::from_millis(1);
+    /// Upper bound on the (pre-jitter) slot.
+    pub const CAP: Duration = Duration::from_millis(32);
 
     /// The delay to sleep after failed attempt `attempt` (0-based). Pure in
-    /// `(seed, attempt)`: the exponential slot `base · 2^attempt` is capped at
-    /// `cap`, then scaled by a jitter factor in [1/2, 1] drawn from
+    /// `(seed, attempt)`: the exponential slot `BASE · 2^attempt` is capped at
+    /// `CAP`, then scaled by a jitter factor in [1/2, 1] drawn from
     /// `splitmix64(seed ^ attempt)`.
     pub fn delay(&self, attempt: u32) -> Duration {
-        let slot = self
-            .base
+        let slot = Self::BASE
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .min(self.cap);
+            .min(Self::CAP);
         let h = splitmix64(self.seed ^ u64::from(attempt));
         // 512..=1023 out of 1024: jitter keeps at least half the slot so the
         // exponential shape survives, while desynchronizing equal policies
@@ -59,9 +50,9 @@ impl RetryPolicy {
     }
 
     /// The full backoff schedule: one delay per retry (so
-    /// `max_attempts - 1` entries).
+    /// `MAX_ATTEMPTS - 1` entries).
     pub fn schedule(&self) -> Vec<Duration> {
-        (0..self.max_attempts.saturating_sub(1)).map(|a| self.delay(a)).collect()
+        (0..Self::MAX_ATTEMPTS - 1).map(|a| self.delay(a)).collect()
     }
 }
 
@@ -72,7 +63,7 @@ pub fn run<T>(
     policy: &RetryPolicy,
     mut f: impl FnMut(u32) -> crate::error::Result<T>,
 ) -> crate::error::Result<T> {
-    let attempts = policy.max_attempts.max(1);
+    let attempts = RetryPolicy::MAX_ATTEMPTS;
     for attempt in 0..attempts {
         match f(attempt) {
             Err(SnowError::WriteConflict(mut trip)) => {
@@ -96,17 +87,12 @@ mod tests {
     /// delays from first principles and require exact equality.
     #[test]
     fn schedule_is_exact_for_a_fixed_seed() {
-        let policy = RetryPolicy {
-            seed: 0xDEC0DE,
-            max_attempts: 6,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(8),
-        };
+        let policy = RetryPolicy { seed: 0xDEC0DE };
         let got = policy.schedule();
-        assert_eq!(got.len(), 5);
-        let expected: Vec<Duration> = (0..5u32)
+        assert_eq!(got.len(), 7);
+        let expected: Vec<Duration> = (0..7u32)
             .map(|a| {
-                let slot = Duration::from_millis(1 << a).min(Duration::from_millis(8));
+                let slot = Duration::from_millis(1 << a).min(Duration::from_millis(32));
                 let num = 512 + (splitmix64(0xDEC0DE ^ u64::from(a)) & 511);
                 slot.mul_f64(num as f64 / 1024.0)
             })
@@ -114,43 +100,35 @@ mod tests {
         assert_eq!(got, expected);
         // Deterministic across calls; different per seed.
         assert_eq!(got, policy.schedule());
-        let other = RetryPolicy { seed: 0xFACE, ..policy };
-        assert_ne!(got, other.schedule());
+        assert_ne!(got, RetryPolicy { seed: 0xFACE }.schedule());
     }
 
     #[test]
     fn delays_stay_within_half_open_slot_and_respect_cap() {
-        let policy = RetryPolicy::commit_default(42);
-        for a in 0..policy.max_attempts {
+        let policy = RetryPolicy { seed: 42 };
+        for a in 0..RetryPolicy::MAX_ATTEMPTS + 4 {
             let d = policy.delay(a);
-            let slot = Duration::from_millis(1)
-                .saturating_mul(1 << a.min(10))
-                .min(Duration::from_millis(32));
+            let slot = RetryPolicy::BASE.saturating_mul(1 << a).min(RetryPolicy::CAP);
             assert!(d >= slot.mul_f64(0.5), "attempt {a}: {d:?} below half slot {slot:?}");
             assert!(d <= slot, "attempt {a}: {d:?} above slot {slot:?}");
         }
         // Huge attempt indices must not overflow.
-        let _ = policy.delay(u32::MAX);
+        assert!(policy.delay(u32::MAX) <= RetryPolicy::CAP);
     }
 
     #[test]
     fn run_retries_conflicts_only_and_patches_attempts() {
-        let policy = RetryPolicy {
-            seed: 1,
-            max_attempts: 3,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(10),
-        };
-        // Conflict every time: surfaces after exactly max_attempts tries.
+        let policy = RetryPolicy { seed: 1 };
+        // Conflict every time: surfaces after exactly MAX_ATTEMPTS tries.
         let mut calls = 0;
         let err = run(&policy, |_| -> crate::error::Result<()> {
             calls += 1;
             Err(SnowError::write_conflict("T", 1, 2, "always"))
         })
         .unwrap_err();
-        assert_eq!(calls, 3);
+        assert_eq!(calls, RetryPolicy::MAX_ATTEMPTS);
         match err {
-            SnowError::WriteConflict(trip) => assert_eq!(trip.attempts, 3),
+            SnowError::WriteConflict(trip) => assert_eq!(trip.attempts, RetryPolicy::MAX_ATTEMPTS),
             other => panic!("{other}"),
         }
         // Success on a later attempt stops retrying.

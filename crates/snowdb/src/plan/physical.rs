@@ -16,9 +16,12 @@
 //! and produces the class's [`SharedSlot`]; every other site is a childless
 //! reader of that slot. Lowering visits the sites in the order the executor
 //! runs them — a join's right (build) input before its left (probe) input,
-//! every other operator's inputs in order — so the producing site has always
-//! run before a reader asks. The physical plan is therefore the DAG itself —
-//! [`PhysNode::op_count`] and the metrics tree see each shared operator once.
+//! every other operator's inputs in order — and the executor runs them one
+//! after the other on the statement's thread, so the producing site has
+//! always finished before a reader asks: a reader never waits, and one that
+//! found the slot empty would fail with a typed internal error. The physical
+//! plan is therefore the DAG itself — [`PhysNode::op_count`] and the metrics
+//! tree see each shared operator once.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -32,7 +32,7 @@ use crate::engine::{Database, PlanSource, QueryOptions, QueryProfile, QueryResul
 use crate::error::{Result, SnowError};
 use crate::govern::{QueryFailure, QueryGovernor, QueryHandle, QueryOutcome, SessionParams};
 use crate::sql::ast::Query;
-use crate::sql::{parse_statement_hopped, Statement};
+use crate::sql::{parse_statement, Statement};
 use crate::storage::ColumnDef;
 use crate::travel::RETENTION_PARAM;
 
@@ -182,8 +182,8 @@ impl StatementCtx<'_> {
             }
             None => {
                 let t = Instant::now();
-                let (stmt, hopped) = parse_statement_hopped(sql);
-                (profile.stages.parse, profile.parser_hop) = (t.elapsed(), hopped);
+                let stmt = parse_statement(sql);
+                profile.stages.parse = t.elapsed();
                 match stmt.and_then(|stmt| parsed(&stmt).map(|()| stmt)) {
                     Ok(Statement::Query(query)) => PlanSource::Text(sql, query),
                     Ok(stmt) => {

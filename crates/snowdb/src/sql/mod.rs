@@ -8,4 +8,4 @@ pub mod statement;
 
 pub use ast::*;
 pub use parser::parse_query;
-pub use statement::{parse_statement, parse_statement_hopped, Statement};
+pub use statement::{parse_statement, Statement};

@@ -5,96 +5,25 @@ use super::lexer::{tokenize_spanned, Token};
 use crate::error::{Result, SnowError};
 use crate::variant::Variant;
 
-/// Stack reserved for the parsing thread. Recursive descent costs up to
-/// ~20 KiB of stack per nesting level in unoptimized builds, so the guard can
-/// consume `MAX_DEPTH * 20 KiB` before tripping; the reservation leaves that
-/// a generous margin so the typed [`MAX_DEPTH`] error always fires before the
-/// stack runs out.
-const PARSER_STACK_BYTES: usize = 16 << 20;
-
-/// How deep a statement may nest and still be parsed on its caller's stack:
-/// 32 levels of the hungriest cycle (`F(F(…` or `CASE WHEN CASE WHEN …`) fit
-/// 512 KiB in an unoptimized build and 96 KiB in an optimized one (measured
-/// by parsing on threads of shrinking stack) — a quarter of the smallest
-/// stack anything here runs on, and less than the binder and the optimizer,
-/// which recurse over the finished tree on that same stack, take for a tree
-/// [`MAX_DEPTH`] deep. DML, DDL and handwritten queries nest 1–22 levels (the
-/// ADL reference queries are the deep end); since the dataframe layer merges
-/// each call into the `SELECT` it wraps, 19 of the 21 translated ADL/SSB
-/// queries nest 9–20 and translated ADL q6 31 (82 when every call wrapped).
-/// Translated ADL q8 (49, was 105) is the one translation past this; a
-/// statement's record says whether it hopped (`QueryProfile::parser_hop`).
-const INLINE_DEPTH: usize = 32;
-
 /// Parses one SQL query (an optional trailing `;` is allowed).
 pub fn parse_query(sql: &str) -> Result<Query> {
-    parse_with(sql, Parser::query).0
+    parse_with(sql, Parser::query)
 }
 
-/// The one way SQL text becomes a tree: where the caller is if the statement
-/// nests no deeper than [`INLINE_DEPTH`], and if that attempt finds it does,
-/// once more from the start on a dedicated thread with [`PARSER_STACK_BYTES`]
-/// of stack, to [`MAX_DEPTH`]. The flag says whether it hopped.
-///
-/// Callers (REPL, worker pools, server connections, tests) have unknown —
-/// often 2 MiB — stacks, and hostile nesting must surface as a typed
-/// [`SnowError::Parse`] on any of them, never a stack-overflow abort. But the
-/// hop is a spawn and a join, two cross-core wake-ups, and costs what the
-/// host's idle-wake latency costs: 12–17 µs in a tight loop beside a busy
-/// core, 70–90 µs when the other vCPU has to be woken, ≈ 195 µs a statement
-/// measured inside the serving process of `wire_churn` on a 2-vCPU VM — 15 %
-/// of a 1.2 ms statement, and a part that moved with the host from run to
-/// run. So a statement pays it at most once, and only if its nesting asks for
-/// the stack; the abandoned attempt (a prefix of the statement, tokenized and
-/// parsed twice) is a fraction of a hop.
-pub(super) fn parse_with<'a, T: Send>(
+/// The one way SQL text becomes a tree, on the caller's stack: tokenize once
+/// (a lexical error is `SnowError::Lex` and never reaches the parser), run
+/// `rule`, an optional `;` and the end-of-input check. A statement that nests
+/// deeper than [`MAX_DEPTH`] is a typed [`SnowError::Parse`].
+pub(super) fn parse_with<'a, T>(
     sql: &'a str,
     rule: fn(&mut Parser<'a>) -> Result<T>,
-) -> (Result<T>, bool) {
-    if let Some(parsed) = parse_within(sql, rule, INLINE_DEPTH) {
-        return (parsed, false);
-    }
-    let parsed = on_parser_stack(|| parse_within(sql, rule, MAX_DEPTH)).unwrap_or_else(|| {
-        Err(SnowError::Parse(format!("query exceeds maximum nesting depth ({MAX_DEPTH})")))
-    });
-    (parsed, true)
-}
-
-/// Tokenize once, run `rule`, an optional `;` and the end-of-input check, on
-/// the current stack. `None`: the statement nests deeper than `max_depth`.
-fn parse_within<'a, T>(
-    sql: &'a str,
-    rule: fn(&mut Parser<'a>) -> Result<T>,
-    max_depth: usize,
-) -> Option<Result<T>> {
-    let (tokens, starts) = match tokenize_spanned(sql) {
-        Ok(spanned) => spanned,
-        Err(e) => return Some(Err(e)),
-    };
-    let mut p = Parser { sql, tokens, starts, pos: 0, depth: 0, max_depth, too_deep: false };
-    let parsed = rule(&mut p).and_then(|parsed| {
-        p.eat_sym(";");
-        p.expect_eof()?;
-        Ok(parsed)
-    });
-    (!p.too_deep).then_some(parsed)
-}
-
-/// Runs `f` on a dedicated thread with [`PARSER_STACK_BYTES`] of stack.
-fn on_parser_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|s| {
-        let handle = std::thread::Builder::new()
-            .name("snowdb-parser".into())
-            .stack_size(PARSER_STACK_BYTES)
-            .spawn_scoped(s, f)
-            .expect("failed to spawn parser thread");
-        match handle.join() {
-            Ok(r) => r,
-            // A parser bug that panics keeps panicking on the caller's thread
-            // with its original payload.
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
+) -> Result<T> {
+    let (tokens, starts) = tokenize_spanned(sql)?;
+    let mut p = Parser { sql, tokens, starts, pos: 0, depth: 0 };
+    let parsed = rule(&mut p)?;
+    p.eat_sym(";");
+    p.expect_eof()?;
+    Ok(parsed)
 }
 
 /// Keywords that terminate an implicit (AS-less) alias position.
@@ -105,12 +34,15 @@ const RESERVED: &[&str] = &[
     "DISTINCT", "EXCLUDE", "ALL", "ASC", "DESC", "NULLS", "FIRST", "LAST", "LIKE",
 ];
 
-/// Maximum expression/subquery nesting depth. Parsing is recursive-descent,
-/// so unbounded nesting (e.g. `((((...1...))))`) would otherwise overflow the
-/// stack — an abort, not a catchable error. Generated queries (e.g. the
-/// JSONiq translator's ADL output) legitimately nest past 64 levels, so the
-/// bound is generous and [`PARSER_STACK_BYTES`] is sized to fit it.
-const MAX_DEPTH: usize = 256;
+/// Most levels a statement may nest (`Parser::nested`). Parsing, binding,
+/// optimizing, lowering and execution all recurse over the tree on the
+/// caller's stack, so the bound is what keeps hostile nesting a typed error
+/// rather than a stack-overflow abort on a 2 MiB thread. At the bound the
+/// hungriest shapes (nested calls, `CASE WHEN`, derived tables) run end to
+/// end in 1 MiB of stack in an unoptimized build and in 176 KiB in an
+/// optimized one; the deepest generated statement, translated ADL q8, nests
+/// 49 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// The one recursive-descent parser, over the one token stream: the query
 /// grammar lives here, the statement grammar in [`super::statement`].
@@ -122,19 +54,16 @@ pub(super) struct Parser<'a> {
     starts: Vec<usize>,
     pos: usize,
     depth: usize,
-    /// Levels this attempt may nest, and whether the statement asked for more.
-    max_depth: usize,
-    too_deep: bool,
 }
 
 impl Parser<'_> {
     /// Runs `rule` one nesting level down: every recursion cycle of the
     /// grammar goes through here, so bounding `depth` bounds the stack.
     fn nested<T>(&mut self, rule: fn(&mut Self) -> Result<T>) -> Result<T> {
-        if self.depth == self.max_depth {
-            self.too_deep = true;
-            // Unwinds the attempt; `parse_with` decides what the caller sees.
-            return Err(SnowError::Parse("nesting".into()));
+        if self.depth == MAX_DEPTH {
+            return Err(SnowError::Parse(format!(
+                "query exceeds maximum nesting depth ({MAX_DEPTH})"
+            )));
         }
         self.depth += 1;
         let parsed = rule(self);
@@ -794,67 +723,42 @@ mod tests {
 
     #[test]
     fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let bound = format!("depth ({MAX_DEPTH})");
+        let too_deep = |sql: &str| matches!(parse_query(sql), Err(SnowError::Parse(m)) if m.contains(&bound));
         // Parenthesised expressions re-enter `expr` recursively.
         let parens = format!("SELECT {}1{}", "(".repeat(100_000), ")".repeat(100_000));
-        assert!(matches!(parse_query(&parens), Err(SnowError::Parse(_))));
+        assert!(too_deep(&parens));
         // NOT chains recurse through `not_expr`.
         let nots = format!("SELECT {} TRUE", "NOT ".repeat(100_000));
-        assert!(matches!(parse_query(&nots), Err(SnowError::Parse(_))));
-        // Unary minus chains recurse through `unary_expr`.
-        let negs = format!("SELECT {}1", "-".repeat(100_000));
-        assert!(matches!(parse_query(&negs), Err(SnowError::Parse(_))));
+        assert!(too_deep(&nots));
+        // Unary minus chains recurse through `unary_expr` (`--` would open a
+        // comment).
+        let negs = format!("SELECT {}1", "- ".repeat(100_000));
+        assert!(too_deep(&negs));
         // Nested derived tables re-enter `query`.
         let subs = format!(
             "SELECT * FROM {}t{}",
             "(SELECT * FROM ".repeat(100_000),
             ")".repeat(100_000)
         );
-        assert!(matches!(parse_query(&subs), Err(SnowError::Parse(_))));
-        // Nesting inside the bound stays accepted — including depths that
-        // would overflow a default 2 MiB stack without the dedicated
-        // big-stack parser thread.
-        let ok = format!("SELECT {}1{}", "(".repeat(200), ")".repeat(200));
-        assert!(parse_query(&ok).is_ok());
-        let ok_nots = format!("SELECT {} TRUE", "NOT ".repeat(200));
-        assert!(parse_query(&ok_nots).is_ok());
-    }
+        assert!(too_deep(&subs));
+        // `query` and `expr` are levels 1 and 2: nesting up to the bound is
+        // accepted, one level more is the typed error.
+        let parens = |n: usize| format!("SELECT {}1{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_query(&parens(MAX_DEPTH - 2)).is_ok());
+        assert!(too_deep(&parens(MAX_DEPTH - 1)));
+        let nots = |n: usize| format!("SELECT {} TRUE", "NOT ".repeat(n));
+        assert!(parse_query(&nots(MAX_DEPTH - 2)).is_ok());
+        assert!(too_deep(&nots(MAX_DEPTH - 1)));
 
-    #[test]
-    fn only_statements_nested_past_the_inline_depth_leave_the_callers_thread() {
-        // One level per `(`, each noting the thread it runs on.
-        fn level(p: &mut Parser) -> Result<Vec<bool>> {
-            let hopped = std::thread::current().name() == Some("snowdb-parser");
-            let mut levels = Vec::new();
-            if p.eat_sym("(") {
-                levels = p.nested(level)?;
-                p.expect_sym(")")?;
-            }
-            levels.push(hopped);
-            Ok(levels)
-        }
-        for (parens, hopped) in [(1, false), (INLINE_DEPTH, false), (INLINE_DEPTH + 1, true)] {
-            let sql = format!("{}{}", "(".repeat(parens), ")".repeat(parens));
-            let (levels, hop) = parse_with(&sql, level);
-            assert_eq!((levels.unwrap(), hop), (vec![hopped; parens + 1], hopped), "{parens}");
-            // Each `SELECT` of nested derived tables is one level.
-            let q = format!(
-                "{}SELECT * FROM t{}",
-                "SELECT * FROM (".repeat(parens - 1),
-                ")".repeat(parens - 1)
-            );
-            assert_eq!(parse_with(&q, Parser::query).1, hopped, "{parens}");
-        }
-        let sql = format!("{}{}", "(".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
-        assert!(matches!(parse_with(&sql, level).0, Err(SnowError::Parse(m)) if m.contains("depth")));
-
-        // The same tree on either side of the boundary (`query` and `expr`
-        // are levels 1 and 2), and an error after a deep part is the error.
-        for parens in INLINE_DEPTH - 4..INLINE_DEPTH + 2 {
+        // The same tree at any depth up to the bound, and an error after a
+        // deep part is the error.
+        for parens in MAX_DEPTH - 6..=MAX_DEPTH - 2 {
             let (open, close) = ("(".repeat(parens), ")".repeat(parens));
             let q = parse_query(&format!("SELECT {open}1{close}, {open}x + 2{close}")).unwrap();
             assert_eq!(q, parse_query("SELECT 1, x + 2").unwrap(), "{parens} parentheses");
             let bad = parse_query(&format!("SELECT {open}1{close} FROM"));
-            assert!(matches!(bad, Err(SnowError::Parse(m)) if !m.contains("nesting")), "{parens}");
+            assert!(matches!(bad, Err(SnowError::Parse(m)) if !m.contains("depth")), "{parens}");
         }
     }
 

@@ -56,12 +56,6 @@ pub enum Statement {
 
 /// Parses one statement (an optional trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    parse_statement_hopped(sql).0
-}
-
-/// [`parse_statement`], and whether it took the parser-thread hop (the
-/// statement nests too deep for its caller's stack).
-pub fn parse_statement_hopped(sql: &str) -> (Result<Statement>, bool) {
     parse_with(sql, Parser::statement)
 }
 

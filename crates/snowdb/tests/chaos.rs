@@ -61,8 +61,8 @@ fn corpus_sql(
 /// under a distinct slice of the seeded-schedule budget, four worker threads
 /// (the racy regime). ADL Q6 is in the corpus twice: flag-column like the
 /// rest, and JOIN-based as in the paper — that plan reads one shared upstream
-/// from several sites, which puts the shared-slot checkpoints in the
-/// schedules' reach.
+/// from several sites, so a fault at the producing site must reach every
+/// reader as the same typed error.
 #[test]
 fn chaos_corpus_is_sound() {
     quiet_injected_panics();

@@ -888,7 +888,7 @@ mod pipelines {
     /// ADL q6 and q7 under the JOIN-based strategy read one shared upstream
     /// on both sides of a join. The build side runs first, so it is where the upstream is
     /// produced; were the producer the probe side, the build side would
-    /// wait for it until the statement timeout.
+    /// find the slot empty and fail with a typed internal error.
     #[test]
     fn join_based_adl_queries_stream_over_their_shared_upstream() {
         use std::sync::Arc;

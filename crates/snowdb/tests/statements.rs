@@ -183,3 +183,71 @@ fn catalog_mutations_and_verify_inside_a_transaction_are_rejected() {
     assert!(s.in_transaction());
     s.execute("ROLLBACK").unwrap();
 }
+
+/// A statement over `t(a)` that nests exactly `levels` parser levels
+/// (`sql::parser::MAX_DEPTH`): `query` and every `expr` count one each, and
+/// so do a `NOT` and a unary minus.
+fn nested(shape: &str, levels: usize) -> String {
+    // Below the `SELECT`'s `query` and its item's `expr`.
+    let n = levels - 2;
+    // Below the one `expr` of a `VALUES` tuple or a `SET` target.
+    let m = levels - 1;
+    match shape {
+        "parentheses" => format!("SELECT {}a{} FROM t", "(".repeat(n), ")".repeat(n)),
+        "nested calls" => format!("SELECT {}a{} FROM t", "ABS(".repeat(n), ")".repeat(n)),
+        "CASE WHEN" => format!(
+            "SELECT {}a{} FROM t",
+            "CASE WHEN a > 0 THEN ".repeat(n),
+            " ELSE 0 END".repeat(n)
+        ),
+        "NOT" => format!("SELECT {}a > 0 FROM t", "NOT ".repeat(n)),
+        "unary minus" => format!("SELECT {}a FROM t", "- ".repeat(n)),
+        "derived tables" => format!(
+            "SELECT * FROM {}t{}",
+            "(SELECT * FROM ".repeat(levels - 1),
+            ")".repeat(levels - 1)
+        ),
+        "INSERT VALUES" => format!("INSERT INTO t VALUES ({}4{})", "(".repeat(m), ")".repeat(m)),
+        "UPDATE SET" => format!("UPDATE t SET a = {}a + 1{}", "(".repeat(m), ")".repeat(m)),
+        _ => unreachable!("{shape}"),
+    }
+}
+
+/// Every statement runs on its caller's thread: on the 2 MiB stack Rust gives
+/// a spawned thread, in a debug build, each shape at the parser's bound is
+/// parsed, bound, optimized and executed, and one level past it — or ten
+/// thousand — is `SnowError::Parse` naming the bound, never a stack overflow.
+#[test]
+fn nesting_at_the_bound_runs_on_a_small_stack_and_past_it_is_a_typed_error() {
+    use snowdb::sql::parser::MAX_DEPTH;
+    let run = || {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (a INT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        let bound = format!("depth ({MAX_DEPTH})");
+        let too_deep =
+            |sql: &str| matches!(db.execute(sql), Err(SnowError::Parse(m)) if m.contains(&bound));
+        let ints = |vals: &[i64]| vals.iter().map(|&v| vec![Variant::Int(v)]).collect::<Vec<_>>();
+        for shape in ["parentheses", "nested calls", "CASE WHEN", "NOT", "unary minus", "derived tables"] {
+            let answer = rows(db.execute(&nested(shape, MAX_DEPTH)).unwrap());
+            assert_eq!(answer, rows(db.execute(&nested(shape, 2)).unwrap()), "{shape}");
+            assert_eq!(answer.len(), 3, "{shape}");
+            assert!(too_deep(&nested(shape, MAX_DEPTH + 1)), "{shape}");
+            assert!(too_deep(&nested(shape, 10_000)), "{shape}");
+        }
+        assert!(too_deep(&nested("INSERT VALUES", MAX_DEPTH + 1)));
+        msg(db.execute(&nested("INSERT VALUES", MAX_DEPTH)).unwrap());
+        assert!(too_deep(&nested("UPDATE SET", MAX_DEPTH + 1)));
+        msg(db.execute(&nested("UPDATE SET", MAX_DEPTH)).unwrap());
+        assert_eq!(rows(db.execute("SELECT a FROM t ORDER BY a").unwrap()), ints(&[2, 3, 4, 5]));
+        // Refused by the parser, not handed to the passes after it, whose
+        // recursion over 140 derived tables would overflow this stack.
+        assert!(too_deep(&nested("derived tables", 140)));
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .expect("spawn a thread")
+        .join()
+        .expect("no stack overflow, no panic");
+}
