@@ -65,17 +65,27 @@ impl Config {
     }
 }
 
-/// Times `f` over warmup + timed runs; returns mean seconds of the timed runs.
-pub fn time_mean<F: FnMut()>(runs: usize, warmup: usize, mut f: F) -> f64 {
+/// Times `f` over warmup + timed runs; returns the median seconds of the
+/// timed runs, each timed on its own, so a few runs slowed by the host do
+/// not move the figure. Every figure times through this one helper.
+pub fn time_median<F: FnMut()>(runs: usize, warmup: usize, mut f: F) -> f64 {
     for _ in 0..warmup {
         f();
     }
-    let runs = runs.max(1);
-    let t0 = Instant::now();
-    for _ in 0..runs {
-        f();
+    let mut times: Vec<f64> = (0..runs.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let mid = times.len() / 2;
+    if times.len() % 2 == 1 {
+        times[mid]
+    } else {
+        (times[mid - 1] + times[mid]) / 2.0
     }
-    t0.elapsed().as_secs_f64() / runs as f64
 }
 
 /// Builds the ADL database at an event count.
@@ -120,10 +130,10 @@ pub fn fig6_translation_time(cfg: &Config) -> Report {
     let db = adl_db(256); // translation time is independent of data size (§V-A)
     let mut rep = Report::new(
         "fig6",
-        "Query translation time (JSONiq to SQL), mean of 100 runs after 10 warmup",
+        "Query translation time (JSONiq to SQL), median of 100 runs after 10 warmup",
         &["query", "lex", "parse", "rewrite", "iterator tree", "dataframe", "translation time", "sql bytes"],
     );
-    let mean = |f: &mut dyn FnMut()| time_mean(100, 10, f);
+    let median = |f: &mut dyn FnMut()| time_median(100, 10, f);
     for q in adl::queries::queries("hep") {
         let text = q.jsoniq.as_str();
         let module = parser::parse(text).expect("parses");
@@ -136,15 +146,15 @@ pub fn fig6_translation_time(cfg: &Config) -> Report {
             .to_string();
         assert_eq!(staged, translate(&db, &q), "{}: staged and one-call SQL differ", q.id);
 
-        let lex = mean(&mut || drop(lexer::tokenize(text)));
-        let parse = mean(&mut || drop(parser::parse(text))) - lex;
-        let rewrite = mean(&mut || drop(expr::rewrite(&module)));
-        let build = mean(&mut || drop(itertree::build(&tree)));
-        let frame = mean(&mut || {
+        let lex = median(&mut || drop(lexer::tokenize(text)));
+        let parse = median(&mut || drop(parser::parse(text))) - lex;
+        let rewrite = median(&mut || drop(expr::rewrite(&module)));
+        let build = median(&mut || drop(itertree::build(&tree)));
+        let frame = median(&mut || {
             let mut t = Translator::new(Session::new(db.clone()), strategy(&q));
             drop(t.translate_iter(&iter).map(|df| df.sql().len()));
         });
-        let total = mean(&mut || drop(translate(&db, &q)));
+        let total = median(&mut || drop(translate(&db, &q)));
         let mut cells = vec![q.id.to_string()];
         cells.extend([lex, parse.max(0.0), rewrite, build, frame, total].map(fmt_secs));
         cells.push(staged.len().to_string());
@@ -187,15 +197,15 @@ pub fn fig7_compile_time(cfg: &Config) -> Report {
     let db = adl_db(cfg.adl_events);
     let mut rep = Report::new(
         "fig7",
-        "Query compilation time in the engine (parse + bind + optimize)",
+        "Query compilation time in the engine (parse + bind + optimize), median of the timed runs",
         &["query", "generated", "handwritten", "gen SELECTs", "gen SQL bytes"],
     );
     for q in adl::queries::queries("hep") {
         let gen_sql = translate(&db, &q);
-        let g = time_mean(cfg.runs, cfg.warmup, || {
+        let g = time_median(cfg.runs, cfg.warmup, || {
             db.compile(&gen_sql).expect("generated SQL compiles");
         });
-        let h = time_mean(cfg.runs, cfg.warmup, || {
+        let h = time_median(cfg.runs, cfg.warmup, || {
             db.compile(&q.handwritten_sql).expect("handwritten SQL compiles");
         });
         rep.row([
@@ -225,12 +235,12 @@ pub fn fig8_exec_time(cfg: &Config) -> Report {
         // hit's, like the profile's subtracted below.
         db.query(&gen_sql).expect("generated runs");
         db.query(&q.handwritten_sql).expect("handwritten runs");
-        let g = time_mean(cfg.runs, cfg.warmup, || {
+        let g = time_median(cfg.runs, cfg.warmup, || {
             let r = db.query(&gen_sql).expect("generated runs");
             std::hint::black_box(r.rows.len());
         });
         let gc = db.query(&gen_sql).expect("generated runs").profile;
-        let h = time_mean(cfg.runs, cfg.warmup, || {
+        let h = time_median(cfg.runs, cfg.warmup, || {
             let r = db.query(&q.handwritten_sql).expect("handwritten runs");
             std::hint::black_box(r.rows.len());
         });
@@ -273,11 +283,11 @@ pub fn end_to_end_all_systems(
     });
 
     let gen_sql = translate(db, q);
-    let g = time_mean(cfg.runs, cfg.warmup, || {
+    let g = time_median(cfg.runs, cfg.warmup, || {
         let r = db.query(&gen_sql).expect("generated runs");
         std::hint::black_box(r.rows.len());
     });
-    let h = time_mean(cfg.runs, cfg.warmup, || {
+    let h = time_median(cfg.runs, cfg.warmup, || {
         let r = db.query(&q.handwritten_sql).expect("handwritten runs");
         std::hint::black_box(r.rows.len());
     });
@@ -391,11 +401,11 @@ pub fn fig11a_ssb_parity(cfg: &Config) -> Report {
     for q in ssb::queries() {
         let mut t = Translator::new(Session::new(db.clone()), NestedStrategy::FlagColumn);
         let gen_sql = t.translate(&q.jsoniq).expect("translates").sql().to_string();
-        let g = time_mean(cfg.runs, cfg.warmup, || {
+        let g = time_median(cfg.runs, cfg.warmup, || {
             let r = db.query(&gen_sql).expect("translated runs");
             std::hint::black_box(r.rows.len());
         });
-        let h = time_mean(cfg.runs, cfg.warmup, || {
+        let h = time_median(cfg.runs, cfg.warmup, || {
             let r = db.query(&q.sql).expect("handwritten runs");
             std::hint::black_box(r.rows.len());
         });
@@ -418,11 +428,11 @@ pub fn fig11b_ssb_scaling(cfg: &Config) -> Report {
             let q = ssb::query(id);
             let mut t = Translator::new(Session::new(db.clone()), NestedStrategy::FlagColumn);
             let gen_sql = t.translate(&q.jsoniq).expect("translates").sql().to_string();
-            let g = time_mean(cfg.runs, cfg.warmup, || {
+            let g = time_median(cfg.runs, cfg.warmup, || {
                 let r = db.query(&gen_sql).expect("translated runs");
                 std::hint::black_box(r.rows.len());
             });
-            let h = time_mean(cfg.runs, cfg.warmup, || {
+            let h = time_median(cfg.runs, cfg.warmup, || {
                 let r = db.query(&q.sql).expect("handwritten runs");
                 std::hint::black_box(r.rows.len());
             });
@@ -454,11 +464,11 @@ pub fn ablation_nested_strategy(cfg: &Config) -> Report {
         };
         let flag_sql = sql_of(NestedStrategy::FlagColumn);
         let join_sql = sql_of(NestedStrategy::JoinBased);
-        let f = time_mean(cfg.runs, cfg.warmup, || {
+        let f = time_median(cfg.runs, cfg.warmup, || {
             let r = db.query(&flag_sql).expect("flag runs");
             std::hint::black_box(r.rows.len());
         });
-        let j = time_mean(cfg.runs, cfg.warmup, || {
+        let j = time_median(cfg.runs, cfg.warmup, || {
             let r = db.query(&join_sql).expect("join runs");
             std::hint::black_box(r.rows.len());
         });
@@ -497,13 +507,13 @@ pub fn futurework(cfg: &Config) -> Report {
 
     // Translation cache (paper §V-B): repeated translation of Q8.
     let q8 = adl::queries::q8("hep");
-    let cold = time_mean(20, 2, || {
+    let cold = time_median(20, 2, || {
         let mut t = Translator::new(Session::new(db.clone()), NestedStrategy::FlagColumn);
         std::hint::black_box(t.translate(&q8.jsoniq).expect("translates").sql().len());
     });
     let cache = CachingTranslator::new(Session::new(db.clone()));
     cache.translate(&q8.jsoniq, NestedStrategy::FlagColumn).expect("translates");
-    let warm = time_mean(20, 2, || {
+    let warm = time_median(20, 2, || {
         std::hint::black_box(
             cache
                 .translate(&q8.jsoniq, NestedStrategy::FlagColumn)
@@ -530,10 +540,10 @@ pub fn futurework(cfg: &Config) -> Report {
             .with_native_array_filter(true);
         t.translate(&q4.jsoniq).expect("translates").sql().to_string()
     };
-    let plain = time_mean(cfg.runs, cfg.warmup, || {
+    let plain = time_median(cfg.runs, cfg.warmup, || {
         std::hint::black_box(db.query(&sql_plain).expect("runs").rows.len());
     });
-    let native = time_mean(cfg.runs, cfg.warmup, || {
+    let native = time_median(cfg.runs, cfg.warmup, || {
         std::hint::black_box(db.query(&sql_native).expect("runs").rows.len());
     });
     rep.row([
@@ -554,10 +564,10 @@ pub fn futurework(cfg: &Config) -> Report {
             .with_order_preservation(true);
         t.translate(&q3.jsoniq).expect("translates").sql().to_string()
     };
-    let base = time_mean(cfg.runs, cfg.warmup, || {
+    let base = time_median(cfg.runs, cfg.warmup, || {
         std::hint::black_box(db.query(&sql_base).expect("runs").rows.len());
     });
-    let ordered = time_mean(cfg.runs, cfg.warmup, || {
+    let ordered = time_median(cfg.runs, cfg.warmup, || {
         std::hint::black_box(db.query(&sql_ordered).expect("runs").rows.len());
     });
     rep.row([
@@ -654,7 +664,7 @@ pub fn kernels(cfg: &Config) -> Report {
                 } else {
                     QueryOptions { vectorize: on, ..serial }
                 };
-                time_mean(cfg.runs.max(3), cfg.warmup.max(1), || {
+                time_median(cfg.runs.max(3), cfg.warmup.max(1), || {
                     std::hint::black_box(db.query_with(sql, &opts).expect("runs").rows.len());
                 })
             };
@@ -977,7 +987,7 @@ fn outer_flatten_below_row_id_aggregate(plan: &snowdb::plan::Node) -> bool {
 
 /// Where a buffer-cache miss is paid and how often misses happen. Part one:
 /// per `HEP` column, its blocks read back from the files of a persisted copy,
-/// with the CRC and the decode timed apart (best of `max(runs, 3)` per
+/// with the CRC and the decode timed apart (median of `max(runs, 3)` per
 /// block). Part two: generated ADL q1–q5 run as a cycle against a cache a
 /// quarter of `HEP`'s bytes — the fraction snowbench's `wire_churn` serves
 /// from — with the hits, misses, refused admissions and evictions of each
@@ -1005,44 +1015,36 @@ pub fn coldscan(cfg: &Config) -> Report {
         ],
     );
 
-    let best = |f: &mut dyn FnMut()| {
-        (0..cfg.runs.max(3))
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
+    let median = |f: &mut dyn FnMut()| time_median(cfg.runs.max(3), 0, f);
     for (i, def) in table.schema().iter().enumerate() {
         let (mut blocks, mut bytes, mut crc_s, mut decode_s) = (0usize, 0usize, 0.0, 0.0);
         let mut encodings: Vec<String> = Vec::new();
         for part in table.partitions() {
             let ScanSource::Disk(disk) = &**part else { panic!("a reopened table is on disk") };
-            let cm = &disk.meta().columns[i];
+            let (cm, block) = (&disk.meta().columns[i], &disk.meta().blocks[i]);
             // MET, HLT and the particle arrays are flat records and arrays
             // of them: every block must be shredded, never a plain VARIANT
             // block.
             assert!(
-                !(cm.ty == ColumnType::Variant && cm.encoding == format::BlockEncoding::Plain),
+                !(cm.ty == ColumnType::Variant && block.encoding == format::BlockEncoding::Plain),
                 "{} reads back as a plain VARIANT block in {}",
                 def.name,
                 disk.file_name()
             );
-            let encoding = format!("{:?}", cm.encoding);
+            let encoding = format!("{:?}", block.encoding);
             if !encodings.contains(&encoding) {
                 encodings.push(encoding);
             }
             let path = store.dir().join("parts").join(disk.file_name());
             let file = std::fs::read(path).expect("read the partition file");
-            let block = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
-            crc_s += best(&mut || assert_eq!(format::crc32(block), cm.crc));
-            decode_s += best(&mut || {
-                let col = format::decode_column(cm.ty, cm.encoding, disk.row_count(), block);
+            let data = &file[block.offset as usize..(block.offset + cm.bytes) as usize];
+            crc_s += median(&mut || assert_eq!(format::crc32(data), block.crc));
+            decode_s += median(&mut || {
+                let col = format::decode_column(cm.ty, block.encoding, disk.row_count(), data);
                 std::hint::black_box(col.expect("the block decodes"));
             });
             blocks += 1;
-            bytes += block.len();
+            bytes += data.len();
         }
         let per = |s: f64| fmt_secs(s / blocks as f64);
         rep.row([
@@ -1157,10 +1159,19 @@ mod tests {
     }
 
     #[test]
-    fn time_mean_is_positive() {
-        let t = time_mean(2, 1, || {
+    fn time_median_is_positive_and_the_middle_run() {
+        let t = time_median(2, 1, || {
             std::hint::black_box(1 + 1);
         });
         assert!(t >= 0.0);
+        // Timed runs of 0, 1, 2, 3 and 60 ms: the median is the 2 ms run,
+        // where the mean would be 13 ms.
+        let mut run = 0;
+        let t = time_median(5, 1, || {
+            let ms = [0, 0, 1, 2, 3, 60][run];
+            run += 1;
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        });
+        assert!((0.002..0.012).contains(&t), "{t}");
     }
 }

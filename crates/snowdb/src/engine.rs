@@ -179,7 +179,8 @@ struct GovernedSink {
 
 impl PartitionSink for GovernedSink {
     fn flush(&self, part: MicroPartition) -> Result<Arc<ScanSource>> {
-        self.gov.charge_memory(part.total_bytes(), "Ingest")?;
+        let bytes = part.columns().iter().map(|c| c.bytes).sum();
+        self.gov.charge_memory(bytes, "Ingest")?;
         self.inner.flush(part)
     }
 }
@@ -340,7 +341,7 @@ impl Database {
     }
 
     /// Seals what `fill` pushes into fresh partitions of `partition_rows`
-    /// rows through the one builder (type validation, stats, zone maps),
+    /// rows through the one builder (type validation, column records),
     /// into the sink [`Database::governed_sink`] picks. Every writer of
     /// table data — loads, JSONL ingest, `INSERT`, `UPDATE`, `DELETE`,
     /// compaction — builds its partitions here.
@@ -864,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn zone_map_pruning_skips_partitions() {
+    fn pruning_by_column_bounds_skips_partitions() {
         let db = Database::new();
         db.load_table(
             "t",

@@ -774,16 +774,15 @@ fn scan_partition(
     let part = &table.partitions()[pi];
     let op = scan.op_name();
     wctx.stats.partitions_total += 1;
-    // Zone-map pruning: skip the partition when any pushed predicate
-    // proves no row can match.
-    let prunable = pushed
-        .iter()
-        .any(|p| part.zone_map(p.col).is_some_and(|zm| !zm.may_match(p.cmp, &p.lit)));
+    // Pruning: skip the partition when any pushed predicate proves, from
+    // its column's bounds and null count, that no row can match.
+    let columns = part.columns();
+    let prunable = pushed.iter().any(|p| !columns[p.col].may_match(p.cmp, &p.lit));
     if prunable {
         wctx.stats.partitions_pruned += 1;
-        for (i, m) in materialize.iter().enumerate() {
+        for (c, m) in columns.iter().zip(materialize) {
             if *m {
-                wctx.stats.bytes_skipped += part.column_bytes(i);
+                wctx.stats.bytes_skipped += c.bytes;
             }
         }
         return Ok(());

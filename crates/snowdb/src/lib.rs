@@ -7,8 +7,8 @@
 //!
 //! - a [`variant::Variant`] data type for schema-less nested data, with a first-party
 //!   JSON parser/serializer;
-//! - micro-partitioned, columnar [`storage`] with per-partition zone maps, partition
-//!   pruning, and scanned-bytes accounting;
+//! - micro-partitioned, columnar [`storage`] with one metadata record per partition
+//!   column, partition pruning from its statistics, and scanned-bytes accounting;
 //! - a persistent micro-partition [`store`]: immutable columnar partition files,
 //!   a versioned catalog with atomic commit, lazy column-granular reads, and a
 //!   shared buffer cache — so `bytes_scanned` is actual file I/O and databases

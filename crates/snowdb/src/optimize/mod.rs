@@ -4,8 +4,8 @@
 //! 1. **constant folding** — pure literal sub-expressions are evaluated once;
 //! 2. **predicate pushdown** — filters move through projections, flattens,
 //!    unions, and join inputs, and comparison / null-presence conjuncts
-//!    against base-table columns are copied into scans for zone-map
-//!    partition pruning;
+//!    against base-table columns are copied into scans for partition
+//!    pruning from column statistics;
 //! 3. **empty-group elimination** ([`empty_group`]) — a filter that no
 //!    empty group of a row-id aggregate can pass moves the nested query's
 //!    `KEEP` flag below that aggregate as a filter; pushdown itself turns an
@@ -608,13 +608,14 @@ fn wrap_filter(node: Node, parts: Vec<PExpr>, fields: Vec<Field>) -> Node {
     }
 }
 
-/// A conjunct zone maps can decide, for pruning: [`col_cmp_lit`]'s forms,
-/// a comparison only against a literal that is not NULL.
+/// A conjunct a partition's column statistics can decide, for pruning:
+/// [`col_cmp_lit`]'s forms, a comparison only against a literal that is not
+/// NULL.
 fn scan_predicate(p: &PExpr) -> Option<ScanPredicate> {
     let (col, cmp, lit) = col_cmp_lit(p)?;
-    // Null-presence predicates prune via ZoneMap::null_count: an all-null
-    // partition can't satisfy IS NOT NULL and a null-free one can't satisfy
-    // IS NULL.
+    // Null-presence predicates prune via the null count and the bounds: an
+    // all-null partition can't satisfy IS NOT NULL and a null-free one can't
+    // satisfy IS NULL.
     (matches!(p, PExpr::IsNull { .. }) || !lit.is_null())
         .then(|| ScanPredicate { col, cmp, lit: lit.clone() })
 }

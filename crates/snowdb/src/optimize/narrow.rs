@@ -318,8 +318,8 @@ fn rebuild(old: Node, required: &[bool], mut inputs: Vec<Narrowed>) -> Narrowed 
         (NodeKind::Values, ..) => (NodeKind::Values, Vec::new()),
         (NodeKind::Scan { table, pushed, .. }, ..) => {
             let mut materialize = required.to_vec();
-            // Pruning predicates read zone maps, not column data, but keep the
-            // column materialized for the exact filter above.
+            // Pruning predicates read column statistics, not column data,
+            // but keep the column materialized for the exact filter above.
             for p in &pushed {
                 materialize[p.col] = true;
             }

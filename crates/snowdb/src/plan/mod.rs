@@ -559,8 +559,8 @@ pub(crate) fn split_join_on(on: &PExpr, left_arity: usize) -> (Vec<(&PExpr, &PEx
 
 /// Recognizes `col <cmp> literal`, `literal <cmp> col` (the comparison
 /// flipped so that the column stands left) and `col IS [NOT] NULL` (against
-/// a NULL literal): the predicates zone maps and column statistics can decide,
-/// spelled the way [`crate::storage::ZoneMap::may_match`] and
+/// a NULL literal): the predicates column statistics can decide, spelled the
+/// way [`crate::storage::ColumnStats::may_match`] and
 /// [`crate::storage::ColumnStats::selectivity`] take them.
 pub(crate) fn col_cmp_lit(p: &PExpr) -> Option<(usize, &'static str, &Variant)> {
     match p {
@@ -591,7 +591,7 @@ pub(crate) fn col_cmp_lit(p: &PExpr) -> Option<(usize, &'static str, &Variant)> 
     }
 }
 
-/// A predicate pushed into a scan for zone-map pruning: `column <cmp> literal`.
+/// A predicate pushed into a scan for partition pruning: `column <cmp> literal`.
 ///
 /// Pruning predicates are advisory — the original `Filter` stays in the plan, so
 /// pruning can never change results, only skip partitions that provably cannot

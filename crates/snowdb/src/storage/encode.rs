@@ -24,8 +24,8 @@
 //! ([`ColumnVec::Var`]). A shredded column rebuilds each row exactly
 //! ([`ColumnVec::get`]: same keys in the same order, an Int stays an Int), so
 //! its statistics are the boxed column's; `ColumnStats::build` reads them off
-//! the fields without rebuilding a record. Shredded columns get no zone map,
-//! as boxed ones.
+//! the fields without rebuilding a record. Shredded columns, as boxed ones,
+//! are never pruned on.
 //!
 //! ## Policy
 //!

@@ -8,8 +8,9 @@
 //!   are kept as parsed values; both are [`ColumnVec`]s — the column type the
 //!   partition file codec, the buffer cache and the executor also hold, so a
 //!   scan slices the stored column instead of converting it;
-//! - each partition keeps zone maps (min/max) per column, which the executor uses
-//!   to prune partitions;
+//! - each partition keeps one metadata record per column ([`ColumnMeta`]:
+//!   stored type, byte cost, statistics), whose bounds and null count the
+//!   executor uses to prune partitions;
 //! - every scan accounts the bytes of the columns it actually touches, which is
 //!   the quantity reported in the paper's §V-E.
 
@@ -27,7 +28,6 @@ pub use table::{
     DEFAULT_PARTITION_ROWS,
 };
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::column::ColumnVec;
@@ -35,7 +35,7 @@ use crate::error::Result;
 use crate::govern::QueryGovernor;
 use crate::store::cache::CacheOutcome;
 use crate::store::DiskPartition;
-use crate::variant::{cmp_variants, Variant};
+use crate::variant::Variant;
 
 /// Declared type of a table column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,91 +95,39 @@ pub fn stored_type(col: &ColumnVec) -> ColumnType {
     }
 }
 
-/// Per-column min/max statistics for one micro-partition ("zone map").
-///
-/// Only kept for scalar-typed columns; `VARIANT` columns report `None` and are
-/// never pruned on, matching the paper's note that pruning works on
-/// micro-partition-level metadata for addressable columns.
-#[derive(Clone, Debug)]
-pub struct ZoneMap {
-    pub min: Variant,
-    pub max: Variant,
-    pub null_count: usize,
+/// What a partition knows of one column without reading it: the one
+/// metadata record per partition column, built at seal
+/// ([`MicroPartition`]) and decoded from the partition file's footer
+/// ([`DiskPartition`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ColumnMeta {
+    /// The type the column stores ([`stored_type`]).
+    pub ty: ColumnType,
+    /// Cost of reading the column: its estimated in-memory size (memory) or
+    /// its exact encoded block length (disk). This is what a scan *saves* by
+    /// pruning the partition or skipping the column.
+    pub bytes: u64,
+    /// Row and null counts, distinct-value sketch and histogram.
+    pub stats: ColumnStats,
 }
 
-impl ZoneMap {
-    /// Builds the zone map for a column, or `None` for variant columns and
-    /// empty columns. An all-null scalar column *does* get a zone map — with
-    /// `Variant::Null` bounds — so `IS NULL` / `IS NOT NULL` pruning can see
-    /// its null count (a `None` here means "no metadata, never prune").
-    pub fn build(col: &ColumnVec) -> Option<ZoneMap> {
-        if stored_type(col) == ColumnType::Variant || col.is_empty() {
-            return None;
+impl ColumnMeta {
+    /// The record of a sealed column.
+    pub fn of(col: &ColumnVec) -> ColumnMeta {
+        ColumnMeta {
+            ty: stored_type(col),
+            bytes: col.estimated_size(),
+            stats: ColumnStats::build(col),
         }
-        let mut min: Option<Variant> = None;
-        let mut max: Option<Variant> = None;
-        let mut null_count = 0usize;
-        for i in 0..col.len() {
-            let v = col.get(i);
-            if v.is_null() {
-                null_count += 1;
-                continue;
-            }
-            match &min {
-                Some(m) if cmp_variants(&v, m) == Ordering::Less => min = Some(v.clone()),
-                None => min = Some(v.clone()),
-                _ => {}
-            }
-            match &max {
-                Some(m) if cmp_variants(&v, m) == Ordering::Greater => max = Some(v),
-                None => max = Some(v),
-                _ => {}
-            }
-        }
-        Some(ZoneMap {
-            min: min.unwrap_or(Variant::Null),
-            max: max.unwrap_or(Variant::Null),
-            null_count,
-        })
     }
 
-    /// Can a value in `[min, max]` possibly satisfy `value <cmp> literal`?
-    ///
-    /// `cmp` is one of `=`, `<`, `<=`, `>`, `>=`, `<>`, `IS NULL`,
-    /// `IS NOT NULL`; returns `true` when the partition cannot be excluded.
-    ///
-    /// Comparisons between the zone-map bounds and the literal go through
-    /// [`cmp_variants`], whose (Int, Float) arm is the exact `cmp_i64_f64`
-    /// path — never an `i64 as f64` cast — so an `Int` zone map compared
-    /// against a `Float` literal is decided correctly even for values
-    /// straddling 2^53 (see `zone_map_int_bounds_vs_float_literal_is_exact`).
+    /// Can a row of this column satisfy `value <cmp> lit`? Only a scalar
+    /// column with rows is decided ([`ColumnStats::may_match`]); a `VARIANT`
+    /// column or an empty one always may — it is never pruned on, matching
+    /// the paper's note that pruning works on micro-partition-level metadata
+    /// for addressable columns.
     pub fn may_match(&self, cmp: &str, lit: &Variant) -> bool {
-        use Ordering::*;
-        match cmp {
-            // Null-presence predicates read only the null count / bounds:
-            // a partition with no NULLs cannot satisfy IS NULL; an all-null
-            // partition (Null bounds) cannot satisfy IS NOT NULL.
-            "IS NULL" => return self.null_count > 0,
-            "IS NOT NULL" => return !self.min.is_null(),
-            _ => {}
-        }
-        // All-null partition: no value comparison can succeed. Without this
-        // guard, Null (which sorts above every value) would make `>` / `>=`
-        // wrongly keep the partition.
-        if self.min.is_null() {
-            return false;
-        }
-        let min_c = cmp_variants(&self.min, lit);
-        let max_c = cmp_variants(&self.max, lit);
-        match cmp {
-            "=" => min_c != Greater && max_c != Less,
-            "<" => min_c == Less,
-            "<=" => min_c != Greater,
-            ">" => max_c == Greater,
-            ">=" => max_c != Less,
-            "<>" => !(min_c == Equal && max_c == Equal),
-            _ => true,
-        }
+        self.ty == ColumnType::Variant || self.stats.rows == 0 || self.stats.may_match(cmp, lit)
     }
 }
 
@@ -188,9 +136,9 @@ impl ZoneMap {
 /// one column block at a time.
 ///
 /// This is the abstraction that makes pruning *real*: the executor consults
-/// only [`ScanSource::zone_map`] and [`ScanSource::column_bytes`] — both
-/// metadata, free of data I/O — to decide what to read, and then fetches
-/// exactly the surviving columns via [`ScanSource::read_column_governed`].
+/// only [`ScanSource::columns`] — metadata, free of data I/O — to decide what
+/// to read, and then fetches exactly the surviving columns via
+/// [`ScanSource::read_column_governed`].
 /// For a disk partition, a pruned partition or an unprojected column
 /// therefore contributes **zero** file bytes to `bytes_scanned`.
 #[derive(Debug)]
@@ -220,48 +168,33 @@ pub struct ColumnRead {
 }
 
 impl ScanSource {
+    /// The metadata record of every column, in schema order: sealed with a
+    /// memory partition, decoded from a disk partition's footer.
+    pub fn columns(&self) -> &[ColumnMeta] {
+        match self {
+            ScanSource::Mem(p) => p.columns(),
+            ScanSource::Disk(p) => &p.meta().columns,
+        }
+    }
+
     /// Number of rows in the partition.
     pub fn row_count(&self) -> usize {
-        match self {
-            ScanSource::Mem(p) => p.row_count(),
-            ScanSource::Disk(p) => p.row_count(),
-        }
+        self.columns().first().map_or(0, |c| c.stats.rows as usize)
     }
 
-    /// Zone map for column `i`, when available. Metadata-only for both
-    /// arms: disk partitions carry zone maps in their footer.
-    pub fn zone_map(&self, i: usize) -> Option<&ZoneMap> {
-        match self {
-            ScanSource::Mem(p) => p.zone_map(i),
-            ScanSource::Disk(p) => p.zone_map(i),
-        }
-    }
-
-    /// Optimizer statistics for column `i`. Metadata-only: disk partitions
-    /// carry stats in their footer.
+    /// Optimizer statistics for column `i`.
     pub fn column_stats(&self, i: usize) -> &ColumnStats {
-        match self {
-            ScanSource::Mem(p) => p.column_stats(i),
-            ScanSource::Disk(p) => p.column_stats(i),
-        }
+        &self.columns()[i].stats
     }
 
-    /// Cost of reading column `i`: estimated in-memory bytes (memory) or
-    /// exact encoded block length (disk). This is what a scan *saves* by
-    /// pruning the partition or skipping the column.
+    /// Cost of reading column `i` ([`ColumnMeta::bytes`]).
     pub fn column_bytes(&self, i: usize) -> u64 {
-        match self {
-            ScanSource::Mem(p) => p.column_bytes(i),
-            ScanSource::Disk(p) => p.column_bytes(i),
-        }
+        self.columns()[i].bytes
     }
 
     /// Sum of [`ScanSource::column_bytes`] over all columns.
     pub fn total_bytes(&self) -> u64 {
-        match self {
-            ScanSource::Mem(p) => p.total_bytes(),
-            ScanSource::Disk(p) => p.total_bytes(),
-        }
+        self.columns().iter().map(|c| c.bytes).sum()
     }
 
     /// True for disk-backed partitions.
@@ -290,7 +223,7 @@ impl ScanSource {
         match self {
             ScanSource::Mem(p) => Ok(ColumnRead {
                 data: p.column_arc(i),
-                io_bytes: p.column_bytes(i),
+                io_bytes: self.column_bytes(i),
                 mem_bytes: 0,
                 cache: None,
             }),
@@ -330,9 +263,9 @@ pub struct ScanStats {
     pub bytes_scanned: u64,
     /// Total partitions considered across all scans.
     pub partitions_total: u64,
-    /// Partitions actually read after zone-map pruning.
+    /// Partitions actually read after pruning.
     pub partitions_scanned: u64,
-    /// Partitions excluded by zone-map pruning (`total - scanned`, kept
+    /// Partitions excluded by pruning (`total - scanned`, kept
     /// explicitly so merged multi-scan stats stay interpretable).
     pub partitions_pruned: u64,
     /// Column blocks of scanned partitions skipped by projection pruning.
@@ -385,105 +318,280 @@ impl ScanStats {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+
     use super::*;
     use crate::column::Bitmap;
+    use crate::variant::{cmp_variants, Object};
+
+    const CMPS: [&str; 8] = ["=", "<", "<=", ">", ">=", "<>", "IS NULL", "IS NOT NULL"];
 
     #[test]
-    fn zone_map_bounds() {
+    fn the_record_holds_the_bounds_with_nulls() {
         let mut c = ColumnVec::new();
         for v in [3.0, -1.0, 7.5] {
             c.push(Variant::Float(v));
         }
         c.push(Variant::Null);
-        let zm = ZoneMap::build(&c).unwrap();
-        assert_eq!(zm.min, Variant::Float(-1.0));
-        assert_eq!(zm.max, Variant::Float(7.5));
-        assert_eq!(zm.null_count, 1);
+        let meta = ColumnMeta::of(&c);
+        assert_eq!(meta.ty, ColumnType::Float);
+        assert_eq!(meta.bytes, c.estimated_size());
+        let h = &meta.stats.histogram;
+        assert_eq!((h.first(), h.last()), (Some(&Variant::Float(-1.0)), Some(&Variant::Float(7.5))));
+        assert_eq!(meta.stats.nulls, 1);
     }
 
     #[test]
-    fn zone_map_pruning_decisions() {
-        let zm = ZoneMap { min: Variant::Int(10), max: Variant::Int(20), null_count: 0 };
-        assert!(zm.may_match("=", &Variant::Int(15)));
-        assert!(!zm.may_match("=", &Variant::Int(25)));
-        assert!(!zm.may_match("<", &Variant::Int(10)));
-        assert!(zm.may_match("<", &Variant::Int(11)));
-        assert!(!zm.may_match(">", &Variant::Int(20)));
-        assert!(zm.may_match(">=", &Variant::Int(20)));
-        assert!(!zm.may_match(">=", &Variant::Int(21)));
-        assert!(zm.may_match("<>", &Variant::Int(15)));
-        let point = ZoneMap { min: Variant::Int(5), max: Variant::Int(5), null_count: 0 };
-        assert!(!point.may_match("<>", &Variant::Int(5)));
+    fn variant_and_empty_columns_never_prune() {
+        let var = ColumnMeta::of(&ColumnVec::Var(vec![Variant::Int(1)]));
+        let empty = ColumnMeta::of(&ColumnVec::Int { vals: Vec::new(), valid: Bitmap::new() });
+        let nulls = ColumnMeta::of(&ColumnVec::Null(3));
+        for meta in [var, empty, nulls] {
+            for cmp in CMPS {
+                for lit in [Variant::Int(1), Variant::Int(-7), Variant::Null] {
+                    assert!(meta.may_match(cmp, &lit), "{meta:?} {cmp} {lit:?}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn no_zone_map_for_variant_columns() {
-        assert!(ZoneMap::build(&ColumnVec::Var(vec![Variant::Int(1)])).is_none());
-    }
-
-    #[test]
-    fn all_null_column_gets_null_bounded_zone_map() {
+    fn an_all_null_typed_column_has_null_bounds() {
         let c = ColumnVec::Int { vals: vec![0, 0], valid: Bitmap::nulls(2) };
-        let zm = ZoneMap::build(&c).unwrap();
-        assert!(zm.min.is_null() && zm.max.is_null());
-        assert_eq!(zm.null_count, 2);
+        let meta = ColumnMeta::of(&c);
+        assert!(meta.stats.histogram.is_empty());
+        assert_eq!(meta.stats.nulls, 2);
         // No comparison can match an all-null partition...
         for cmp in ["=", "<", "<=", ">", ">=", "<>"] {
-            assert!(!zm.may_match(cmp, &Variant::Int(0)), "{cmp} kept all-null");
+            assert!(!meta.may_match(cmp, &Variant::Int(0)), "{cmp} kept all-null");
         }
         // ...but IS NULL must keep it, and IS NOT NULL must prune it.
-        assert!(zm.may_match("IS NULL", &Variant::Null));
-        assert!(!zm.may_match("IS NOT NULL", &Variant::Null));
-        // Empty columns still have no zone map.
-        let empty = ColumnVec::Int { vals: Vec::new(), valid: Bitmap::new() };
-        assert!(ZoneMap::build(&empty).is_none());
+        assert!(meta.may_match("IS NULL", &Variant::Null));
+        assert!(!meta.may_match("IS NOT NULL", &Variant::Null));
     }
 
-    #[test]
-    fn null_presence_pruning_uses_null_count() {
-        let no_nulls = ZoneMap { min: Variant::Int(1), max: Variant::Int(9), null_count: 0 };
-        assert!(!no_nulls.may_match("IS NULL", &Variant::Null));
-        assert!(no_nulls.may_match("IS NOT NULL", &Variant::Null));
-        let some_nulls = ZoneMap { min: Variant::Int(1), max: Variant::Int(9), null_count: 3 };
-        assert!(some_nulls.may_match("IS NULL", &Variant::Null));
-        assert!(some_nulls.may_match("IS NOT NULL", &Variant::Null));
+    /// The bounds and null count of a pass over the cells under
+    /// [`cmp_variants`]: the reference the record must equal.
+    struct Reference {
+        min: Option<Variant>,
+        max: Option<Variant>,
+        nulls: u64,
+        cells: Vec<Variant>,
     }
 
+    impl Reference {
+        fn of(col: &ColumnVec) -> Reference {
+            let cells: Vec<Variant> = (0..col.len()).map(|i| col.get(i)).collect();
+            let present = cells.iter().filter(|v| !v.is_null());
+            Reference {
+                min: present.clone().min_by(|a, b| cmp_variants(a, b)).cloned(),
+                max: present.max_by(|a, b| cmp_variants(a, b)).cloned(),
+                nulls: cells.iter().filter(|v| v.is_null()).count() as u64,
+                cells,
+            }
+        }
+
+        /// The pruning decision on the reference bounds: a scalar column
+        /// with rows is decided from its bounds and null count, any other
+        /// column always may match.
+        fn may_match(&self, ty: ColumnType, cmp: &str, lit: &Variant) -> bool {
+            use Ordering::*;
+            if ty == ColumnType::Variant || self.cells.is_empty() {
+                return true;
+            }
+            let (Some(min), Some(max)) = (&self.min, &self.max) else {
+                return cmp == "IS NULL";
+            };
+            let (lo, hi) = (cmp_variants(min, lit), cmp_variants(max, lit));
+            match cmp {
+                "IS NULL" => self.nulls > 0,
+                "IS NOT NULL" => true,
+                "=" => lo != Greater && hi != Less,
+                "<" => lo == Less,
+                "<=" => lo != Greater,
+                ">" => hi == Greater,
+                ">=" => hi != Less,
+                "<>" => !(lo == Equal && hi == Equal),
+                _ => unreachable!("{cmp}"),
+            }
+        }
+
+        /// Does some cell satisfy `cell <cmp> lit`?
+        fn some_row_matches(&self, cmp: &str, lit: &Variant) -> bool {
+            self.cells.iter().any(|v| match cmp {
+                "IS NULL" => v.is_null(),
+                "IS NOT NULL" => !v.is_null(),
+                _ if v.is_null() || lit.is_null() => false,
+                _ => {
+                    let c = cmp_variants(v, lit);
+                    match cmp {
+                        "=" => c.is_eq(),
+                        "<" => c.is_lt(),
+                        "<=" => c.is_le(),
+                        ">" => c.is_gt(),
+                        ">=" => c.is_ge(),
+                        _ => c.is_ne(),
+                    }
+                }
+            })
+        }
+    }
+
+    /// Literals at, just below and just above `v`, of its type and across
+    /// numeric types.
+    fn around(v: &Variant) -> Vec<Variant> {
+        match v {
+            Variant::Int(i) => vec![
+                Variant::Int(*i),
+                Variant::Int(i.saturating_sub(1)),
+                Variant::Int(i.saturating_add(1)),
+                Variant::Float(*i as f64),
+                Variant::Float(*i as f64 - 0.5),
+                Variant::Float(*i as f64 + 0.5),
+            ],
+            Variant::Float(f) => vec![
+                Variant::Float(*f),
+                Variant::Float(f.next_down()),
+                Variant::Float(f.next_up()),
+                Variant::Int(f.floor() as i64),
+                Variant::Int(f.ceil() as i64),
+            ],
+            Variant::Bool(b) => vec![Variant::Bool(*b), Variant::Bool(!*b)],
+            Variant::Str(s) => vec![
+                v.clone(),
+                Variant::str(format!("{s}\0")),
+                Variant::str(&s[..s.char_indices().last().map_or(0, |(i, _)| i)]),
+            ],
+            other => vec![other.clone()],
+        }
+    }
+
+    /// Every `ColumnVec` representation on random data: the record's bounds
+    /// and null count equal a pass over the cells, and for every comparison
+    /// against literals around those bounds (and a few fixed ones) the
+    /// pruning decision equals the reference's and never drops a partition
+    /// holding a matching row.
     #[test]
-    fn zone_map_int_bounds_vs_float_literal_is_exact() {
-        // 2^53 is where f64 loses integer precision: 2^53 and 2^53 + 1 cast
-        // to the same double. The zone-map comparisons must distinguish them.
-        let p53 = 1i64 << 53;
-        let zm = ZoneMap {
-            min: Variant::Int(p53 + 1),
-            max: Variant::Int(p53 + 1),
-            null_count: 0,
+    fn pruning_from_the_record_equals_a_pass_over_the_cells() {
+        let state = std::cell::Cell::new(0x5eed_u64);
+        let next = |n: u64| {
+            state.set(crate::govern::chaos::splitmix64(state.get()));
+            state.get() % n
         };
-        // A lossy `min as f64` comparison would call these equal and keep /
-        // prune the partition wrongly.
-        assert!(!zm.may_match("=", &Variant::Float(p53 as f64)));
-        assert!(zm.may_match(">", &Variant::Float(p53 as f64)));
-        assert!(!zm.may_match("<=", &Variant::Float(p53 as f64)));
-        assert!(zm.may_match("<>", &Variant::Float(p53 as f64)));
+        let floats = [0.0, -0.0, 1.5, -2.25, f64::NAN, 1e300, -1e300, 3.0];
+        let strs = ["", "a", "ab", "b", "zz", "é"];
+        for round in 0..40 {
+            let rows = [1, 2, 7, 33, 200][round % 5];
+            let valid = |p: u64| Bitmap::from_fn(rows, |_| next(p) != 0);
+            let mut cols: Vec<(&str, ColumnVec)> = Vec::new();
+            let ints: Vec<i64> = (0..rows)
+                .map(|_| match next(6) {
+                    0 => i64::MAX,
+                    1 => i64::MIN,
+                    2 => (1 << 53) + next(3) as i64,
+                    _ => next(40) as i64 - 20,
+                })
+                .collect();
+            cols.push(("Int", ColumnVec::Int { vals: ints, valid: valid(4) }));
+            let fs = (0..rows).map(|_| floats[next(8) as usize]).collect();
+            cols.push(("Float", ColumnVec::Float { vals: fs, valid: valid(4) }));
+            let bs = (0..rows).map(|_| next(2) == 0).collect();
+            cols.push(("Bool", ColumnVec::Bool { vals: bs, valid: valid(3) }));
+            let str_at = |_| (next(5) != 0).then(|| Arc::from(strs[next(6) as usize]));
+            cols.push(("Str", ColumnVec::Str((0..rows).map(str_at).collect())));
+            let dict: Vec<Arc<str>> = strs.iter().map(|&s| Arc::from(s)).collect();
+            let codes = (0..rows)
+                .map(|_| if next(5) == 0 { crate::column::NULL_CODE } else { next(6) as u32 })
+                .collect();
+            cols.push(("DictStr", ColumnVec::DictStr { codes, dict: Arc::new(dict) }));
+            let mut ends = Vec::new();
+            let mut end = 0;
+            while end < rows {
+                end = (end + 1 + next(4) as usize).min(rows);
+                ends.push(end as u32);
+            }
+            let runs = ends.len();
+            let run_ints = (0..runs).map(|_| next(10) as i64 - 5).collect();
+            let run_valid = Bitmap::from_fn(runs, |_| next(4) != 0);
+            let int_runs = ColumnVec::Int { vals: run_ints, valid: run_valid.clone() };
+            let int_runs = ColumnVec::Runs { ends: ends.clone(), values: Box::new(int_runs) };
+            cols.push(("Runs(Int)", int_runs));
+            let run_bools = (0..runs).map(|_| next(2) == 0).collect();
+            let bool_runs = ColumnVec::Bool { vals: run_bools, valid: run_valid };
+            cols.push(("Runs(Bool)", ColumnVec::Runs { ends, values: Box::new(bool_runs) }));
+            let all_null = ColumnVec::Float { vals: vec![0.0; rows], valid: Bitmap::nulls(rows) };
+            cols.push(("all-NULL Float", all_null));
+            cols.push(("Null(n)", ColumnVec::Null(rows)));
+            let var = (0..rows)
+                .map(|_| match next(4) {
+                    0 => Variant::Null,
+                    1 => Variant::Int(next(9) as i64),
+                    2 => Variant::str(strs[next(6) as usize]),
+                    _ => Variant::array(vec![Variant::Int(next(3) as i64)]),
+                })
+                .collect();
+            cols.push(("Var", ColumnVec::Var(var)));
+            let record = |next: &dyn Fn(u64) -> u64| {
+                let mut o = Object::new();
+                o.insert("I", Variant::Int(next(7) as i64 - 3));
+                o.insert("S", Variant::str(strs[next(6) as usize]));
+                Variant::object(o)
+            };
+            let objects = (0..rows)
+                .map(|r| if r > 0 && next(5) == 0 { Variant::Null } else { record(&next) })
+                .collect();
+            let lists = (0..rows)
+                .map(|r| match next(4) {
+                    0 if r > 0 => Variant::Null,
+                    n => Variant::array((0..=n).map(|_| record(&next)).collect()),
+                })
+                .collect();
+            for (name, boxed) in [("Objects", objects), ("List", lists)] {
+                let shredded = encode::encode_column(ColumnVec::Var(boxed));
+                assert!(
+                    matches!(shredded, ColumnVec::Objects(_) | ColumnVec::List(_)),
+                    "{name} did not shred"
+                );
+                cols.push((name, shredded));
+            }
 
-        let zm_lo = ZoneMap {
-            min: Variant::Int(-p53 - 1),
-            max: Variant::Int(-p53 - 1),
-            null_count: 0,
-        };
-        assert!(!zm_lo.may_match("=", &Variant::Float(-(p53 as f64))));
-        assert!(zm_lo.may_match("<", &Variant::Float(-(p53 as f64))));
-        assert!(!zm_lo.may_match(">=", &Variant::Float(-(p53 as f64))));
-
-        // Above 2^63 every i64 sorts below the float.
-        let zm_max = ZoneMap {
-            min: Variant::Int(i64::MAX),
-            max: Variant::Int(i64::MAX),
-            null_count: 0,
-        };
-        assert!(zm_max.may_match("<", &Variant::Float(9.223372036854776e18)));
-        assert!(!zm_max.may_match(">=", &Variant::Float(9.223372036854776e18)));
+            for (name, col) in &cols {
+                let meta = ColumnMeta::of(col);
+                let want = Reference::of(col);
+                let h = &meta.stats.histogram;
+                let same = |a: Option<&Variant>, b: &Option<Variant>| match (a, b) {
+                    (Some(a), Some(b)) => cmp_variants(a, b).is_eq(),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                assert!(same(h.first(), &want.min), "{name}: min {:?} vs {:?}", h.first(), want.min);
+                assert!(same(h.last(), &want.max), "{name}: max {:?} vs {:?}", h.last(), want.max);
+                assert_eq!(meta.stats.nulls, want.nulls, "{name}: nulls");
+                assert_eq!(meta.stats.rows, rows as u64, "{name}: rows");
+                let mut lits = vec![
+                    Variant::Null,
+                    Variant::Int(0),
+                    Variant::Float(f64::NAN),
+                    Variant::Float(-0.0),
+                    Variant::str("b"),
+                    Variant::Bool(true),
+                ];
+                for bound in want.min.iter().chain(&want.max) {
+                    lits.extend(around(bound));
+                }
+                for cmp in CMPS {
+                    for lit in &lits {
+                        let got = meta.may_match(cmp, lit);
+                        assert_eq!(got, want.may_match(meta.ty, cmp, lit), "{name} {cmp} {lit:?}");
+                        assert!(
+                            got || !want.some_row_matches(cmp, lit),
+                            "{name}: {cmp} {lit:?} pruned a matching row"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! The scheduling model follows morsel-driven parallelism: instead of
 //! statically slicing the partition list per worker, every worker claims the
 //! next unprocessed index from a shared atomic cursor, so a worker that lands
-//! on cheap (e.g. zone-map-pruned) partitions immediately steals more work
+//! on cheap (e.g. pruned) partitions immediately steals more work
 //! rather than idling at the barrier. Results are reassembled in index order,
 //! which is what lets the parallel executor produce byte-identical output to
 //! the serial one.

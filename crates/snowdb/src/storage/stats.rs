@@ -1,8 +1,9 @@
 //! Per-column statistics for cost-based optimization.
 //!
-//! Zone maps answer "can this partition contain a match?"; the statistics
-//! here answer "*how many* rows will match?". Each sealed micro-partition
-//! computes, per column:
+//! The statistics here answer two questions: "can this partition contain a
+//! match?" ([`ColumnStats::may_match`], which prunes partitions) and "*how
+//! many* rows will match?" ([`ColumnStats::selectivity`], which costs
+//! plans). Each sealed micro-partition computes, per column:
 //!
 //! - a **KMV (k-minimum-values) NDV sketch** — the `k` smallest 64-bit hashes
 //!   of the distinct values. Below `k` distinct values the count is exact;
@@ -11,13 +12,15 @@
 //!   aggregation over partitions is lossless with respect to the sketch;
 //! - the **null count** (null fraction = nulls / rows);
 //! - a small **equi-depth histogram**: values sampled at even quantiles of
-//!   the sorted non-null column, used for range-predicate selectivity;
+//!   the sorted non-null column, used for range-predicate selectivity. Its
+//!   first and last bounds are the column's minimum and maximum, the bounds
+//!   pruning reads;
 //! - **array cardinality** counters (cells holding arrays and their total
 //!   element count) for `VARIANT` columns, which cost FLATTEN fan-out.
 //!
 //! Everything here is metadata: statistics persist in the partition-file
-//! footer (format v3) next to the zone maps and aggregate lazily per table,
-//! so the optimizer never touches column data to cost a plan.
+//! footer (format v4) and aggregate lazily per table, so neither pruning nor
+//! the optimizer touches column data.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -377,10 +380,38 @@ impl ColumnStats {
         hits / n
     }
 
+    /// Can a row covered by this record satisfy `value <cmp> lit`? Reads
+    /// only the bounds — the histogram's first and last values, `NULL` when
+    /// it is empty — and the null count; `false` excludes the partition.
+    /// `cmp` is spelled as in [`ColumnStats::selectivity`].
+    ///
+    /// The bounds and the literal compare under [`cmp_variants`], whose
+    /// (Int, Float) arm is exact — never an `i64 as f64` cast — so an `Int`
+    /// column against a `Float` literal is decided correctly even for values
+    /// straddling 2^53.
+    pub fn may_match(&self, cmp: &str, lit: &Variant) -> bool {
+        use Ordering::*;
+        let (Some(min), Some(max)) = (self.histogram.first(), self.histogram.last()) else {
+            // All NULL: only IS NULL can hold, and only over rows.
+            return cmp == "IS NULL" && self.nulls > 0;
+        };
+        let (min_c, max_c) = (cmp_variants(min, lit), cmp_variants(max, lit));
+        match cmp {
+            "IS NULL" => self.nulls > 0,
+            "IS NOT NULL" => true,
+            "=" => min_c != Greater && max_c != Less,
+            "<" => min_c == Less,
+            "<=" => min_c != Greater,
+            ">" => max_c == Greater,
+            ">=" => max_c != Less,
+            "<>" => !(min_c == Equal && max_c == Equal),
+            _ => true,
+        }
+    }
+
     /// Estimated selectivity of `value <cmp> lit` over this column's rows
-    /// (NULL rows never satisfy a comparison). `cmp` uses the same strings as
-    /// [`ZoneMap::may_match`](super::ZoneMap::may_match), plus
-    /// `IS NULL` / `IS NOT NULL`.
+    /// (NULL rows never satisfy a comparison). `cmp` is one of `=`, `<`,
+    /// `<=`, `>`, `>=`, `<>`, `IS NULL`, `IS NOT NULL`.
     pub fn selectivity(&self, cmp: &str, lit: &Variant) -> f64 {
         let non_null = 1.0 - self.null_fraction();
         let sel = match cmp {
@@ -531,6 +562,63 @@ mod tests {
         let eq = s.selectivity("=", &Variant::Int(7));
         assert!((eq - (100.0 / 102.0) / ndv).abs() < 1e-12, "{eq}");
         assert!((s.selectivity("IS NULL", &Variant::Null) - 2.0 / 102.0).abs() < 1e-12);
+    }
+
+    /// A record whose bounds are `min` and `max`, over `nulls` NULLs more.
+    fn bounded(min: Variant, max: Variant, nulls: u64) -> ColumnStats {
+        let histogram = vec![min, max];
+        ColumnStats { rows: 2 + nulls, nulls, histogram, ..ColumnStats::build(&ColumnVec::new()) }
+    }
+
+    #[test]
+    fn pruning_decisions_read_the_bounds() {
+        let s = bounded(Variant::Int(10), Variant::Int(20), 0);
+        assert!(s.may_match("=", &Variant::Int(15)));
+        assert!(!s.may_match("=", &Variant::Int(25)));
+        assert!(!s.may_match("<", &Variant::Int(10)));
+        assert!(s.may_match("<", &Variant::Int(11)));
+        assert!(s.may_match("<=", &Variant::Int(10)));
+        assert!(!s.may_match("<=", &Variant::Int(9)));
+        assert!(!s.may_match(">", &Variant::Int(20)));
+        assert!(s.may_match(">=", &Variant::Int(20)));
+        assert!(!s.may_match(">=", &Variant::Int(21)));
+        assert!(s.may_match("<>", &Variant::Int(15)));
+        let point = bounded(Variant::Int(5), Variant::Int(5), 0);
+        assert!(!point.may_match("<>", &Variant::Int(5)));
+    }
+
+    #[test]
+    fn null_presence_pruning_reads_the_null_count() {
+        let no_nulls = bounded(Variant::Int(1), Variant::Int(9), 0);
+        assert!(!no_nulls.may_match("IS NULL", &Variant::Null));
+        assert!(no_nulls.may_match("IS NOT NULL", &Variant::Null));
+        let some_nulls = bounded(Variant::Int(1), Variant::Int(9), 3);
+        assert!(some_nulls.may_match("IS NULL", &Variant::Null));
+        assert!(some_nulls.may_match("IS NOT NULL", &Variant::Null));
+    }
+
+    #[test]
+    fn int_bounds_against_a_float_literal_are_exact() {
+        // 2^53 is where f64 loses integer precision: 2^53 and 2^53 + 1 cast
+        // to the same double. The comparisons must distinguish them.
+        let p53 = 1i64 << 53;
+        let s = bounded(Variant::Int(p53 + 1), Variant::Int(p53 + 1), 0);
+        // A lossy `min as f64` comparison would call these equal and keep /
+        // prune the partition wrongly.
+        assert!(!s.may_match("=", &Variant::Float(p53 as f64)));
+        assert!(s.may_match(">", &Variant::Float(p53 as f64)));
+        assert!(!s.may_match("<=", &Variant::Float(p53 as f64)));
+        assert!(s.may_match("<>", &Variant::Float(p53 as f64)));
+
+        let lo = bounded(Variant::Int(-p53 - 1), Variant::Int(-p53 - 1), 0);
+        assert!(!lo.may_match("=", &Variant::Float(-(p53 as f64))));
+        assert!(lo.may_match("<", &Variant::Float(-(p53 as f64))));
+        assert!(!lo.may_match(">=", &Variant::Float(-(p53 as f64))));
+
+        // 2^63 as a double is above every i64.
+        let top = bounded(Variant::Int(i64::MAX), Variant::Int(i64::MAX), 0);
+        assert!(top.may_match("<", &Variant::Float(9.223372036854776e18)));
+        assert!(!top.may_match(">=", &Variant::Float(9.223372036854776e18)));
     }
 
     #[test]

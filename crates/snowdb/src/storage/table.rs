@@ -3,8 +3,8 @@
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
-use super::stats::{ColumnStats, TableStats};
-use super::{stored_type, ColumnType, ScanSource, ZoneMap};
+use super::stats::TableStats;
+use super::{stored_type, ColumnMeta, ColumnType, ScanSource};
 use crate::column::{Bitmap, ColumnVec};
 use crate::error::{Result, SnowError};
 use crate::variant::{cmp_variants, Variant};
@@ -36,10 +36,7 @@ impl ColumnDef {
 #[derive(Clone, Debug)]
 pub struct MicroPartition {
     columns: Vec<Arc<ColumnVec>>,
-    zone_maps: Vec<Option<ZoneMap>>,
-    stats: Vec<ColumnStats>,
-    column_bytes: Vec<u64>,
-    row_count: usize,
+    meta: Vec<ColumnMeta>,
 }
 
 impl MicroPartition {
@@ -47,7 +44,7 @@ impl MicroPartition {
         // Seal-time encoding: each column independently picks the smaller of
         // its plain and encoded representations (dictionary for strings, runs
         // for ints/bools, typed fields for flat records). Everything
-        // downstream — zone maps, statistics, byte accounting, the partition
+        // downstream — the column records, the partition
         // file writer, the scan — sees the encoded column.
         MicroPartition::from_arc_columns(
             columns.into_iter().map(|c| Arc::new(super::encode::encode_column(c))).collect(),
@@ -58,19 +55,17 @@ impl MicroPartition {
     /// (the store rewrites a table's partitions this way without copying the
     /// data; tests build plain partitions of encodable data with it).
     pub fn from_arc_columns(columns: Vec<Arc<ColumnVec>>) -> MicroPartition {
-        let row_count = columns.first().map_or(0, |c| c.len());
-        debug_assert!(columns.iter().all(|c| c.len() == row_count));
-        let zone_maps = columns.iter().map(|c| ZoneMap::build(c)).collect();
-        // Optimizer statistics (NDV sketch, null fraction, histogram, array
-        // fan-out) are computed once here, at seal time, like zone maps.
-        let stats = columns.iter().map(|c| ColumnStats::build(c)).collect();
-        let column_bytes = columns.iter().map(|c| c.estimated_size()).collect();
-        MicroPartition { columns, zone_maps, stats, column_bytes, row_count }
+        debug_assert!(columns.windows(2).all(|w| w[0].len() == w[1].len()));
+        // Each column's record — byte cost and statistics, whose bounds and
+        // null count also decide pruning — is computed once here, at seal
+        // time, never at query time.
+        let meta = columns.iter().map(|c| ColumnMeta::of(c)).collect();
+        MicroPartition { columns, meta }
     }
 
     /// Number of rows in the partition.
     pub fn row_count(&self) -> usize {
-        self.row_count
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Column data by position.
@@ -83,24 +78,9 @@ impl MicroPartition {
         self.columns[i].clone()
     }
 
-    /// Zone map for column `i`, when available.
-    pub fn zone_map(&self, i: usize) -> Option<&ZoneMap> {
-        self.zone_maps[i].as_ref()
-    }
-
-    /// Optimizer statistics for column `i`.
-    pub fn column_stats(&self, i: usize) -> &ColumnStats {
-        &self.stats[i]
-    }
-
-    /// Estimated bytes of column `i`.
-    pub fn column_bytes(&self, i: usize) -> u64 {
-        self.column_bytes[i]
-    }
-
-    /// Total estimated bytes across all columns.
-    pub fn total_bytes(&self) -> u64 {
-        self.column_bytes.iter().sum()
+    /// The metadata record of every column, in schema order.
+    pub fn columns(&self) -> &[ColumnMeta] {
+        &self.meta
     }
 }
 
@@ -466,16 +446,18 @@ mod tests {
     }
 
     #[test]
-    fn partition_zone_maps_cover_their_rows_only() {
+    fn partition_bounds_cover_their_rows_only() {
         let mut b = builder(vec![int_col("a")], 2);
         for i in [1, 2, 100, 200] {
             b.push_row(&[Variant::Int(i)]).unwrap();
         }
         let t = b.finish().unwrap();
-        let zm0 = t.partitions()[0].zone_map(0).unwrap();
-        let zm1 = t.partitions()[1].zone_map(0).unwrap();
-        assert_eq!(zm0.max, Variant::Int(2));
-        assert_eq!(zm1.min, Variant::Int(100));
+        let h0 = &t.partitions()[0].column_stats(0).histogram;
+        let h1 = &t.partitions()[1].column_stats(0).histogram;
+        assert_eq!(h0.last(), Some(&Variant::Int(2)));
+        assert_eq!(h1.first(), Some(&Variant::Int(100)));
+        assert!(!t.partitions()[0].columns()[0].may_match(">", &Variant::Int(2)));
+        assert!(t.partitions()[1].columns()[0].may_match(">", &Variant::Int(199)));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct CompactionPolicy {
     /// Minimum number of candidate partitions before a pass rewrites anything
     /// (merging one partition with itself is pure churn).
     pub min_inputs: usize,
-    /// Column to re-sort merged rows on, restoring clustering (and zone-map
+    /// Column to re-sort merged rows on, restoring clustering (and partition
     /// pruning) that interleaved micro-commits destroyed. `None` keeps
     /// arrival order.
     pub cluster_by: Option<String>,

@@ -18,8 +18,9 @@
 //! ```
 //!
 //! The footer carries the schema (column names and types), row count, and for
-//! every column its on-disk byte range, a CRC32 of the block, and the zone map
-//! (min/max/null-count) — so partition pruning needs *zero* block bytes.
+//! every column its on-disk byte range, a CRC32 of the block, and its
+//! statistics, whose bounds and null count decide pruning — so partition
+//! pruning needs *zero* block bytes.
 //!
 //! Block encodings (all little-endian, varints are LEB128):
 //! - `Int`    — validity bitmap, then zigzag-varint per non-null value;
@@ -47,17 +48,21 @@
 //!   cannot hold, a repeated key, a field value on a NULL record or a NULL
 //!   list item is a typed error;
 //!
-//! and per-column optimizer statistics — NDV (KMV) sketch hashes, null
-//! counts, equi-depth histogram bounds, and array fan-out counters — so
-//! cost-based planning over a reopened database is a metadata-only read, like
-//! zone-map pruning.
+//! and per-column statistics — NDV (KMV) sketch hashes, null counts,
+//! equi-depth histogram bounds (the first and last are the column's minimum
+//! and maximum), and array fan-out counters — so both pruning and cost-based
+//! planning over a reopened database are metadata-only reads. A column's
+//! type, block length and statistics decode into the same
+//! [`ColumnMeta`](crate::storage::ColumnMeta) a memory partition seals.
 //!
 //! Blocks decode straight into [`ColumnVec`], the column type the buffer
 //! cache holds and the executor slices: a validity bitmap on disk becomes the
 //! column's [`Bitmap`] words, encoded blocks stay encoded.
 //!
-//! This is format version 3, the only one ever written to a database that
-//! still exists; the reader accepts no other.
+//! This is format version 4, the only one ever written to a database that
+//! still exists; the reader accepts no other. (Version 3 also stored each
+//! scalar column's minimum, maximum and null count in a block of its own,
+//! which the statistics already held.)
 //!
 //! Every decode path is cursor-based and returns a typed
 //! [`SnowError::Storage`] on truncation, bad magic, unsupported version,
@@ -72,14 +77,14 @@ use std::sync::Arc;
 use crate::column::{Bitmap, ColumnVec, RecordLists, Records, NULL_CODE};
 use crate::error::{Result, SnowError};
 use crate::storage::stats::{ColumnStats, KmvSketch};
-use crate::storage::{stored_type, ColumnDef, ColumnType, MicroPartition, ZoneMap};
+use crate::storage::{stored_type, ColumnDef, ColumnMeta, ColumnType, MicroPartition};
 use crate::variant::codec::{self, put_str, put_varint, unzigzag, zigzag};
 use crate::variant::Variant;
 
 /// File magic, present both in the 8-byte header and the 4-byte trailer.
 pub const MAGIC: [u8; 4] = *b"SNPT";
 /// The format version; readers reject any other with a typed error.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 /// Fixed byte length of the header (`magic + version + padding`).
 pub const HEADER_LEN: u64 = 8;
 /// Fixed byte length of the trailer (`footer crc + footer len + magic`).
@@ -141,42 +146,35 @@ impl BlockEncoding {
     }
 }
 
-/// Footer entry for one column: identity, on-disk block range, and stats.
+/// The file-only half of a column's footer entry: its name and where and
+/// how its block is stored. The block's length is the column record's
+/// [`ColumnMeta::bytes`] — the exact I/O cost of reading the column, and the
+/// unit `bytes_scanned` accounts for disk scans.
 #[derive(Clone, Debug)]
-pub struct ColumnMeta {
+pub struct BlockRef {
     pub name: String,
-    pub ty: ColumnType,
     /// How the block bytes are encoded.
     pub encoding: BlockEncoding,
     /// Absolute byte offset of the block from the start of the file.
     pub offset: u64,
-    /// Encoded block length in bytes — the exact I/O cost of reading the
-    /// column, and the unit `bytes_scanned` accounts for disk scans.
-    pub len: u64,
     /// CRC32 (IEEE) of the encoded block.
     pub crc: u32,
-    /// Zone map, when the column type supports one.
-    pub zone_map: Option<ZoneMap>,
-    /// Optimizer statistics.
-    pub stats: ColumnStats,
 }
 
-/// Decoded footer of a partition file.
+/// Decoded footer of a partition file: per column, its record and its block,
+/// indexed alike.
 #[derive(Clone, Debug)]
 pub struct PartitionMeta {
     pub row_count: usize,
     pub columns: Vec<ColumnMeta>,
+    pub blocks: Vec<BlockRef>,
 }
 
 impl PartitionMeta {
     /// The schema as recorded in the footer.
     pub fn schema(&self) -> Vec<ColumnDef> {
-        self.columns.iter().map(|c| ColumnDef::new(c.name.clone(), c.ty)).collect()
-    }
-
-    /// Sum of all encoded block lengths (the file's data bytes).
-    pub fn total_block_bytes(&self) -> u64 {
-        self.columns.iter().map(|c| c.len).sum()
+        let def = |(b, c): (&BlockRef, &ColumnMeta)| ColumnDef::new(b.name.clone(), c.ty);
+        self.blocks.iter().zip(&self.columns).map(def).collect()
     }
 }
 
@@ -747,22 +745,13 @@ fn encode_footer(meta: &PartitionMeta) -> Vec<u8> {
     let mut out = Vec::new();
     put_varint(&mut out, meta.row_count as u64);
     put_varint(&mut out, meta.columns.len() as u64);
-    for c in &meta.columns {
-        put_str(&mut out, &c.name);
+    for (b, c) in meta.blocks.iter().zip(&meta.columns) {
+        put_str(&mut out, &b.name);
         out.push(ty_tag(c.ty));
-        out.push(c.encoding.tag());
-        put_varint(&mut out, c.offset);
-        put_varint(&mut out, c.len);
-        out.extend_from_slice(&c.crc.to_le_bytes());
-        match &c.zone_map {
-            None => out.push(0),
-            Some(zm) => {
-                out.push(1);
-                codec::encode(&zm.min, &mut out);
-                codec::encode(&zm.max, &mut out);
-                put_varint(&mut out, zm.null_count as u64);
-            }
-        }
+        out.push(b.encoding.tag());
+        put_varint(&mut out, b.offset);
+        put_varint(&mut out, c.bytes);
+        out.extend_from_slice(&b.crc.to_le_bytes());
         let s = &c.stats;
         out.push(1); // statistics present
         put_varint(&mut out, s.rows);
@@ -786,28 +775,25 @@ fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
     let row_count = cur.varsize()?;
     let col_count = cur.varlen()?;
     let mut columns = Vec::with_capacity(col_count.min(4096));
+    let mut blocks = Vec::with_capacity(col_count.min(4096));
     for _ in 0..col_count {
         let name = decode_str(&mut cur)?.to_string();
         let ty = ty_from_tag(cur.u8()?)?;
         let encoding = BlockEncoding::from_tag(cur.u8()?)?;
         let offset = cur.varint()?;
-        let len = cur.varint()?;
+        let bytes = cur.varint()?;
         let crc = cur.u32()?;
-        let zone_map = match cur.u8()? {
-            0 => None,
-            1 => {
-                let min = decode_variant(&mut cur)?;
-                let max = decode_variant(&mut cur)?;
-                let null_count = cur.varsize()?;
-                Some(ZoneMap { min, max, null_count })
-            }
-            f => return Err(storage(format!("bad zone-map flag {f}"))),
-        };
         let flag = cur.u8()?;
         if flag != 1 {
             return Err(storage(format!("bad column-stats flag {flag}")));
         }
+        // A scan reads the partition's row count off the first column's
+        // statistics: every column must cover as many rows.
         let rows = cur.varint()?;
+        if let Some(first) = columns.first().filter(|c: &&ColumnMeta| c.stats.rows != rows) {
+            let first = first.stats.rows;
+            return Err(storage(format!("column '{name}' covers {rows} rows, the first {first}")));
+        }
         let nulls = cur.varint()?;
         let hash_count = cur.varlen()?;
         if hash_count > crate::storage::stats::KMV_K {
@@ -841,10 +827,11 @@ fn decode_footer(bytes: &[u8]) -> Result<PartitionMeta> {
             array_cells,
             array_elems,
         };
-        columns.push(ColumnMeta { name, ty, encoding, offset, len, crc, zone_map, stats });
+        columns.push(ColumnMeta { ty, bytes, stats });
+        blocks.push(BlockRef { name, encoding, offset, crc });
     }
     cur.done()?;
-    Ok(PartitionMeta { row_count, columns })
+    Ok(PartitionMeta { row_count, columns, blocks })
 }
 
 // ---------------------------------------------------------------------------
@@ -862,26 +849,21 @@ pub fn encode_partition(schema: &[ColumnDef], part: &MicroPartition) -> (Vec<u8>
     debug_assert_eq!(buf.len() as u64, HEADER_LEN);
 
     let mut columns = Vec::with_capacity(schema.len());
+    let mut blocks = Vec::with_capacity(schema.len());
     for (i, def) in schema.iter().enumerate() {
         let offset = buf.len() as u64;
         encode_column(part.column(i), &mut buf);
-        let len = buf.len() as u64 - offset;
+        let bytes = buf.len() as u64 - offset;
         let crc = crc32(&buf[offset as usize..]);
-        // Record the type the block was *encoded* with, not the declared
-        // schema type: a column that drifted mid-ingest is promoted to
-        // Variant storage, and the decoder keys off this footer field.
-        columns.push(ColumnMeta {
-            name: def.name.clone(),
-            ty: stored_type(part.column(i)),
-            encoding: BlockEncoding::of(part.column(i)),
-            offset,
-            len,
-            crc,
-            zone_map: part.zone_map(i).cloned(),
-            stats: part.column_stats(i).clone(),
-        });
+        // The record keeps the type the block was *encoded* with, not the
+        // declared schema type: a column that drifted mid-ingest is promoted
+        // to Variant storage, and the decoder keys off this footer field. On
+        // disk its cost is the block's length.
+        columns.push(ColumnMeta { bytes, ..part.columns()[i].clone() });
+        let encoding = BlockEncoding::of(part.column(i));
+        blocks.push(BlockRef { name: def.name.clone(), encoding, offset, crc });
     }
-    let meta = PartitionMeta { row_count: part.row_count(), columns };
+    let meta = PartitionMeta { row_count: part.row_count(), columns, blocks };
 
     let footer = encode_footer(&meta);
     buf.extend_from_slice(&footer);
@@ -943,38 +925,49 @@ pub fn read_footer(path: &Path) -> Result<PartitionMeta> {
     }
 
     let meta = decode_footer(&footer).map_err(|e| with_path(path, e))?;
-    for c in &meta.columns {
-        if c.offset < HEADER_LEN || c.offset + c.len > footer_end - footer_len {
+    for (b, c) in meta.blocks.iter().zip(&meta.columns) {
+        let end = b.offset.saturating_add(c.bytes);
+        if b.offset < HEADER_LEN || end > footer_end - footer_len {
             return Err(storage(format!(
-                "{}: column '{}' block range [{}, {}) escapes the data section",
+                "{}: column '{}' block range [{}, {end}) escapes the data section",
                 path.display(),
-                c.name,
-                c.offset,
-                c.offset + c.len
+                b.name,
+                b.offset
             )));
         }
     }
     Ok(meta)
 }
 
-/// Reads, CRC-checks, and decodes one column block. This is the *only* data
-/// I/O a disk scan performs, and it reads exactly `meta.len` bytes.
-pub fn read_column(path: &Path, meta: &ColumnMeta, rows: usize) -> Result<ColumnVec> {
+/// Reads, CRC-checks, and decodes column `i`'s block. This is the *only*
+/// data I/O a disk scan performs, and it reads exactly the block's bytes.
+pub fn read_column(path: &Path, meta: &PartitionMeta, i: usize) -> Result<ColumnVec> {
+    let (b, c) = (&meta.blocks[i], &meta.columns[i]);
     let mut f = std::fs::File::open(path).map_err(|e| io_err(path, "open", e))?;
-    let mut block = vec![0u8; meta.len as usize];
-    f.seek(SeekFrom::Start(meta.offset))
+    let mut block = vec![0u8; c.bytes as usize];
+    f.seek(SeekFrom::Start(b.offset))
         .map_err(|e| io_err(path, "seek block", e))?;
     f.read_exact(&mut block)
-        .map_err(|e| io_err(path, &format!("read column '{}'", meta.name), e))?;
-    if crc32(&block) != meta.crc {
+        .map_err(|e| io_err(path, &format!("read column '{}'", b.name), e))?;
+    if crc32(&block) != b.crc {
         return Err(storage(format!(
             "{}: column '{}' block checksum mismatch",
             path.display(),
-            meta.name
+            b.name
         )));
     }
-    decode_column(meta.ty, meta.encoding, rows, &block)
-        .map_err(|e| with_path(path, with_ctx(&format!("column '{}'", meta.name), e)))
+    let col = decode_column(c.ty, b.encoding, meta.row_count, &block)
+        .map_err(|e| with_path(path, with_ctx(&format!("column '{}'", b.name), e)))?;
+    if col.len() as u64 != c.stats.rows {
+        return Err(storage(format!(
+            "{}: column '{}' holds {} rows, its statistics cover {}",
+            path.display(),
+            b.name,
+            col.len(),
+            c.stats.rows
+        )));
+    }
+    Ok(col)
 }
 
 fn with_ctx(prefix: &str, e: SnowError) -> SnowError {
@@ -1045,15 +1038,16 @@ mod tests {
         let footer = read_footer(&path).unwrap();
         assert_eq!(footer.row_count, 13);
         assert_eq!(footer.schema(), schema);
-        // Zone maps round-trip through the footer.
+        // The bounds pruning reads round-trip through the footer.
         // Col 0 is Int(i - 6) with every i % 4 == 0 null: min at i=1, max at i=11.
-        let zm = footer.columns[0].zone_map.as_ref().unwrap();
-        assert_eq!(zm.min, Variant::Int(-5));
-        assert_eq!(zm.max, Variant::Int(5));
-        assert!(footer.columns[4].zone_map.is_none());
+        let h = &footer.columns[0].stats.histogram;
+        assert_eq!((h.first(), h.last()), (Some(&Variant::Int(-5)), Some(&Variant::Int(5))));
+        assert!(!footer.columns[0].may_match(">", &Variant::Int(5)));
+        // The VARIANT column is never pruned on.
+        assert!(footer.columns[4].may_match("IS NULL", &Variant::Null));
 
-        for (i, cm) in footer.columns.iter().enumerate() {
-            let col = read_column(&path, cm, footer.row_count).unwrap();
+        for i in 0..footer.columns.len() {
+            let col = read_column(&path, &footer, i).unwrap();
             for r in 0..footer.row_count {
                 assert_eq!(col.get(r), part.column(i).get(r), "col {i} row {r}");
             }
@@ -1062,7 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn float_zone_maps_roundtrip_bit_exact() {
+    fn float_bounds_roundtrip_bit_exact() {
         let schema = vec![ColumnDef::new("F", ColumnType::Float)];
         let mut b = TableBuilder::new("t", schema.clone(), 8, Box::new(MemSink)).unwrap();
         for v in [-0.0f64, 1.0e-300, f64::MAX] {
@@ -1070,12 +1064,16 @@ mod tests {
         }
         let t = b.finish().unwrap();
         let part = t.partitions()[0].as_mem().unwrap().clone();
-        let path = temp_path("floatzm");
+        let path = temp_path("floatbounds");
         write_to(&path, &schema, &part);
         let footer = read_footer(&path).unwrap();
-        let zm = footer.columns[0].zone_map.as_ref().unwrap();
-        assert_eq!(zm.min, Variant::Float(-0.0));
-        assert_eq!(zm.max, Variant::Float(f64::MAX));
+        let bits = |v: Option<&Variant>| match v {
+            Some(Variant::Float(f)) => f.to_bits(),
+            other => panic!("not a float bound: {other:?}"),
+        };
+        let h = &footer.columns[0].stats.histogram;
+        assert_eq!(bits(h.first()), (-0.0f64).to_bits());
+        assert_eq!(bits(h.last()), f64::MAX.to_bits());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1086,11 +1084,11 @@ mod tests {
         let meta = write_to(&path, &schema, &part);
         // Flip one byte inside the first column's block.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[meta.columns[0].offset as usize] ^= 0xFF;
+        bytes[meta.blocks[0].offset as usize] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         // Footer still validates; the damaged block does not.
         let footer = read_footer(&path).unwrap();
-        let err = read_column(&path, &footer.columns[0], footer.row_count).unwrap_err();
+        let err = read_column(&path, &footer, 0).unwrap_err();
         assert!(
             matches!(err, SnowError::Storage(ref m) if m.contains("checksum")),
             "{err}"
@@ -1123,9 +1121,9 @@ mod tests {
         let err = read_footer(&path).unwrap_err();
         assert!(matches!(err, SnowError::Storage(ref m) if m.contains("magic")), "{err}");
 
-        // Anything but the current version is refused, the two retired
+        // Anything but the current version is refused, the three retired
         // generations included.
-        for version in [0xFE, 1, 2] {
+        for version in [0xFE, 1, 2, 3] {
             let mut bad_version = good.clone();
             bad_version[4] = version;
             std::fs::write(&path, &bad_version).unwrap();
@@ -1182,17 +1180,17 @@ mod tests {
         let (schema, part) = encoded_partition();
         let path = temp_path("encoded");
         let meta = write_to(&path, &schema, &part);
-        assert_eq!(meta.columns[0].encoding, BlockEncoding::DictStr);
-        assert_eq!(meta.columns[1].encoding, BlockEncoding::RleInt);
-        assert_eq!(meta.columns[2].encoding, BlockEncoding::RleBool);
+        assert_eq!(meta.blocks[0].encoding, BlockEncoding::DictStr);
+        assert_eq!(meta.blocks[1].encoding, BlockEncoding::RleInt);
+        assert_eq!(meta.blocks[2].encoding, BlockEncoding::RleBool);
 
         let footer = read_footer(&path).unwrap();
-        for (i, cm) in footer.columns.iter().enumerate() {
-            let col = read_column(&path, cm, footer.row_count).unwrap();
+        for (i, b) in footer.blocks.iter().enumerate() {
+            let col = read_column(&path, &footer, i).unwrap();
             // Encoded blocks stay encoded in memory.
             assert_eq!(
                 BlockEncoding::of(&col),
-                cm.encoding,
+                b.encoding,
                 "column {i} lost its encoding on read"
             );
             for r in 0..footer.row_count {
@@ -1206,24 +1204,27 @@ mod tests {
         );
         let plain_path = temp_path("plain");
         let plain_meta = write_to(&plain_path, &schema, &plain_part);
+        let block_bytes = |m: &PartitionMeta| m.columns.iter().map(|c| c.bytes).sum::<u64>();
         assert!(
-            meta.total_block_bytes() < plain_meta.total_block_bytes(),
+            block_bytes(&meta) < block_bytes(&plain_meta),
             "encoded {} >= plain {}",
-            meta.total_block_bytes(),
-            plain_meta.total_block_bytes()
+            block_bytes(&meta),
+            block_bytes(&plain_meta)
         );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&plain_path).ok();
     }
 
     #[test]
-    fn column_stats_roundtrip_through_v3_footer() {
+    fn column_records_roundtrip_through_the_footer() {
         let (schema, part) = sample_partition();
         let path = temp_path("stats");
-        write_to(&path, &schema, &part);
+        let written = write_to(&path, &schema, &part);
         let footer = read_footer(&path).unwrap();
         for (i, cm) in footer.columns.iter().enumerate() {
-            assert_eq!(&cm.stats, part.column_stats(i), "col {i} stats diverge after roundtrip");
+            // The record is the sealed one, its cost the block's length.
+            let want = ColumnMeta { bytes: written.columns[i].bytes, ..part.columns()[i].clone() };
+            assert_eq!(cm, &want, "col {i} record diverges after roundtrip");
         }
         // The Variant column's array fan-out counters survive persistence.
         let v = &footer.columns[4].stats;
@@ -1232,18 +1233,57 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Rewrites the footer of the partition file at `path` as `meta`, with a
+    /// valid footer checksum.
+    fn reseal_footer(path: &Path, meta: &PartitionMeta) {
+        let bytes = std::fs::read(path).unwrap();
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 8..n - 4].try_into().unwrap()) as usize;
+        let mut out = bytes[..n - TRAILER_LEN as usize - footer_len].to_vec();
+        let footer = encode_footer(meta);
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&crc32(&footer).to_le_bytes());
+        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        out.extend_from_slice(&MAGIC);
+        std::fs::write(path, out).unwrap();
+    }
+
+    /// A scan reads the row count off the first column's statistics, so
+    /// statistics whose row counts disagree with each other, or with the
+    /// rows a block decodes to, are typed errors, never a short column.
+    #[test]
+    fn statistics_covering_other_row_counts_fail_typed() {
+        let (schema, part) = sample_partition();
+        let path = temp_path("rows");
+        let good = write_to(&path, &schema, &part);
+
+        let mut one_off = good.clone();
+        one_off.columns[2].stats.rows += 1;
+        reseal_footer(&path, &one_off);
+        let err = read_footer(&path).unwrap_err();
+        assert!(matches!(err, SnowError::Storage(ref m) if m.contains("covers 14 rows")), "{err}");
+
+        let mut all_off = good;
+        all_off.columns.iter_mut().for_each(|c| c.stats.rows = 12);
+        reseal_footer(&path, &all_off);
+        let footer = read_footer(&path).unwrap();
+        let err = read_column(&path, &footer, 0).unwrap_err();
+        assert!(matches!(err, SnowError::Storage(ref m) if m.contains("holds 13 rows")), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn corrupt_dict_block_fails_with_typed_checksum_error() {
         let (schema, part) = encoded_partition();
         let path = temp_path("dictflip");
         let meta = write_to(&path, &schema, &part);
-        assert_eq!(meta.columns[0].encoding, BlockEncoding::DictStr);
+        assert_eq!(meta.blocks[0].encoding, BlockEncoding::DictStr);
         // Flip one byte inside the dictionary block.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[meta.columns[0].offset as usize + 2] ^= 0x40;
+        bytes[meta.blocks[0].offset as usize + 2] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let footer = read_footer(&path).unwrap();
-        let err = read_column(&path, &footer.columns[0], footer.row_count).unwrap_err();
+        let err = read_column(&path, &footer, 0).unwrap_err();
         assert!(
             matches!(err, SnowError::Storage(ref m) if m.contains("checksum")),
             "{err}"
@@ -1415,7 +1455,7 @@ mod tests {
         let path = temp_path("keys");
         write_to(&path, &schema, &part);
         let footer = read_footer(&path).unwrap();
-        let col = read_column(&path, &footer.columns[4], footer.row_count).unwrap();
+        let col = read_column(&path, &footer, 4).unwrap();
         let ColumnVec::Var(rows) = &col else { panic!("a VARIANT block decodes boxed") };
         let key_ptrs = |v: &Variant| match v {
             Variant::Object(o) => o.iter().map(|(k, _)| k.as_ptr()).collect::<Vec<_>>(),

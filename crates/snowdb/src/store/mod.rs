@@ -42,11 +42,11 @@ use std::sync::{Arc, Mutex, Weak};
 use crate::error::{Result, SnowError};
 use crate::govern::chaos::{ChaosSchedule, ChaosSite};
 use crate::govern::QueryGovernor;
-use crate::storage::{ColumnDef, ColumnRead, MicroPartition, ScanSource, Table, ZoneMap};
+use crate::storage::{ColumnDef, ColumnRead, MicroPartition, ScanSource, Table};
 
 pub use cache::{BufferCache, CacheOutcome, CacheStats, DEFAULT_CACHE_BYTES};
 pub use compact::{compact_table_once, CompactionPolicy, CompactionReport, Compactor, CompactorStats};
-pub use format::{ColumnMeta, PartitionMeta};
+pub use format::{BlockRef, PartitionMeta};
 pub use manifest::{Manifest, PartRef, TableManifest, VersionRecord, DEFAULT_RETENTION};
 
 fn storage(msg: impl Into<String>) -> SnowError {
@@ -71,10 +71,11 @@ impl VersionPin {
     }
 }
 
-/// One disk-backed micro-partition: a path, the decoded footer (schema, zone
-/// maps, block ranges), and a handle on the store's shared buffer cache.
-/// All metadata questions are answered from the footer without touching
-/// block bytes; data reads go through [`DiskPartition::read_column_governed`].
+/// One disk-backed micro-partition: a path, the decoded footer (schema,
+/// column records, block ranges), and a handle on the store's shared buffer
+/// cache. All metadata questions are answered from the footer without
+/// touching block bytes; data reads go through
+/// [`DiskPartition::read_column_governed`].
 #[derive(Debug)]
 pub struct DiskPartition {
     path: PathBuf,
@@ -97,25 +98,6 @@ impl DiskPartition {
     /// used when a copy-on-write rewrite removes this partition.
     pub fn file_name(&self) -> String {
         format!("p{}.part", self.file_id)
-    }
-
-    pub fn zone_map(&self, i: usize) -> Option<&ZoneMap> {
-        self.meta.columns[i].zone_map.as_ref()
-    }
-
-    /// Optimizer statistics from the footer. Metadata-only, like `zone_map`.
-    pub fn column_stats(&self, i: usize) -> &crate::storage::ColumnStats {
-        &self.meta.columns[i].stats
-    }
-
-    /// Exact encoded length of column `i`'s block — the I/O cost of reading
-    /// it, and the savings of skipping it.
-    pub fn column_bytes(&self, i: usize) -> u64 {
-        self.meta.columns[i].len
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.meta.total_block_bytes()
     }
 
     /// The decoded footer.
@@ -146,12 +128,12 @@ impl DiskPartition {
                 cache: Some(CacheOutcome { hit: true, ..CacheOutcome::default() }),
             });
         }
-        let cm = &self.meta.columns[i];
-        let data = Arc::new(format::read_column(&self.path, cm, self.meta.row_count)?);
+        let data = Arc::new(format::read_column(&self.path, &self.meta, i)?);
         let mem_bytes = data.estimated_size();
         let outcome = self.cache.insert(key, data.clone(), mem_bytes);
         gov.charge_memory(mem_bytes, op)?;
-        Ok(ColumnRead { data, io_bytes: cm.len, mem_bytes, cache: Some(outcome) })
+        let io_bytes = self.meta.columns[i].bytes;
+        Ok(ColumnRead { data, io_bytes, mem_bytes, cache: Some(outcome) })
     }
 }
 

@@ -48,10 +48,10 @@ impl PartialEq for Variant {
                 cmp_i64_f64(*y, *x) == Ordering::Equal
             }
             // Equality is the Equal case of the same total order that
-            // drives sorting, MIN/MAX, and zone maps: NaN equals itself
+            // drives sorting, MIN/MAX, and pruning: NaN equals itself
             // (and sorts after every other number, Snowflake's rule).
             // IEEE `==` would make `eq` disagree with `cmp_variants`, and
-            // zone-map pruning built on the total order would then drop
+            // pruning built on the total order would then drop
             // partitions whose rows the equality-based filter keeps.
             (Variant::Float(x), Variant::Float(y)) => {
                 cmp_f64(*x, *y) == Ordering::Equal
@@ -110,13 +110,13 @@ impl Variant {
     }
 }
 
-/// Total order over variants, used by `ORDER BY`, `MIN`/`MAX`, and zone maps.
+/// Total order over variants, used by `ORDER BY`, `MIN`/`MAX`, and pruning.
 ///
 /// Type rank: numbers < strings < booleans < arrays < objects < NULL, so that an
 /// ascending sort puts `NULL`s last (Snowflake's default). `NaN` equals itself
 /// and sorts after all other numbers (Snowflake's rule); [`PartialEq`] above is
 /// exactly the `Equal` case of this order, so equality filters, hash keys, sort
-/// order, and zone-map pruning can never disagree about NaN. Cross-type numeric
+/// order, and partition pruning can never disagree about NaN. Cross-type numeric
 /// values compare numerically.
 pub fn cmp_variants(a: &Variant, b: &Variant) -> Ordering {
     fn rank(v: &Variant) -> u8 {

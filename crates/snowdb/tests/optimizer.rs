@@ -680,7 +680,8 @@ fn two_way_joins_keep_authored_build_side() {
 #[test]
 fn null_presence_predicates_prune_partitions() {
     // Satellite: IS NULL / IS NOT NULL reach the scan and prune using
-    // ZoneMap::null_count. One partition is entirely NULL, three have none.
+    // the null count of each partition's column statistics. One partition is
+    // entirely NULL, three have none.
     let db = Database::new();
     db.load_table(
         "t",

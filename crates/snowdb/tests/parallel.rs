@@ -3,8 +3,8 @@
 //! The determinism contract: for any query, running with `threads = 1`
 //! (fully inline, no threads spawned) and with any `threads > 1` must
 //! produce byte-identical result rows *and* byte-identical scan accounting
-//! (`partitions_total` / `partitions_scanned` / `bytes_scanned`). Zone-map
-//! pruning decisions are made per micro-partition before any worker touches
+//! (`partitions_total` / `partitions_scanned` / `bytes_scanned`). Pruning
+//! decisions are made per micro-partition before any worker touches
 //! its columns, so pruned partitions contribute exactly zero bytes no matter
 //! how many workers race over the partition cursor.
 
@@ -15,8 +15,8 @@ use snowdb::{Database, Variant};
 
 const THREADS: &[usize] = &[2, 4, 8];
 
-/// 100 int rows split into 10 micro-partitions of 10 rows each, so zone maps
-/// give each partition a disjoint `[lo, hi]` range.
+/// 100 int rows split into 10 micro-partitions of 10 rows each, so column
+/// bounds give each partition a disjoint `[lo, hi]` range.
 fn prunable_db() -> Database {
     let db = Database::new();
     db.load_table(

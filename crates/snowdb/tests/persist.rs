@@ -212,16 +212,11 @@ fn disk_scan_bytes_scanned_is_exact_file_io() {
     assert_eq!(table.partitions().len(), 10);
 
     // Expected I/O, from footer metadata alone: the X block of every
-    // partition whose zone map may contain a match. PAD is never projected.
+    // partition whose X record may hold a match. PAD is never projected.
     let lit = Variant::Int(950);
-    let expected: u64 = table
-        .partitions()
-        .iter()
-        .filter(|p| p.zone_map(0).unwrap().may_match(">=", &lit))
-        .map(|p| p.column_bytes(0))
-        .sum();
-    let skipped_parts =
-        table.partitions().iter().filter(|p| !p.zone_map(0).unwrap().may_match(">=", &lit)).count();
+    let x_records = || table.partitions().iter().map(|p| &p.columns()[0]);
+    let expected: u64 = x_records().filter(|x| x.may_match(">=", &lit)).map(|x| x.bytes).sum();
+    let skipped_parts = x_records().filter(|x| !x.may_match(">=", &lit)).count();
     assert!(expected > 0 && skipped_parts > 0, "fixture must exercise pruning");
 
     let cold = db.query("SELECT x FROM t WHERE x >= 950 ORDER BY x").unwrap();

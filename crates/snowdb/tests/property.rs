@@ -330,8 +330,8 @@ proptest! {
                 .join(format!("snowdb-property-{}-slice.part", std::process::id()));
             std::fs::write(&path, format::encode_partition(&schema, part).0).unwrap();
             let footer = format::read_footer(&path).unwrap();
-            for (c, meta) in footer.columns.iter().enumerate() {
-                let col = format::read_column(&path, meta, footer.row_count).unwrap();
+            for c in 0..footer.columns.len() {
+                let col = format::read_column(&path, &footer, c).unwrap();
                 prop_assert_eq!(col.len(), n);
                 for (r, row) in rows.iter().enumerate() {
                     prop_assert_eq!(&col.get(r), &row[c], "column {} row {}", c, r);
@@ -499,7 +499,7 @@ proptest! {
         );
     }
 
-    /// Zone-map pruning never changes results: a partitioned table filtered by
+    /// Partition pruning never changes results: a partitioned table filtered by
     /// a range predicate returns the same rows as an unpartitioned one.
     #[test]
     fn pruning_preserves_results(values in prop::collection::vec(-1000i64..1000, 1..60),

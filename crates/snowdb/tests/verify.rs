@@ -302,12 +302,12 @@ fn verify_null_sensitive_predicates_and_outer_flatten() {
 }
 
 /// NaN coherence across the lattice: NaN equals itself and sorts after every
-/// number (Snowflake semantics), and the zone-map/filter/aggregate paths must
+/// number (Snowflake semantics), and the pruning/filter/aggregate paths must
 /// apply the same total order whether or not pruning runs.
 #[test]
 fn verify_nan_agrees_across_lattice() {
     let d = Database::new();
-    // One partition is entirely NaN so zone-map pruning sees NaN min/max.
+    // One partition is entirely NaN so pruning sees NaN min/max.
     d.load_table(
         "t",
         vec![

@@ -76,7 +76,7 @@ fn adl_columns_seal_shredded_and_read_back_as_generated() {
                 assert!(identical(&col.get(r), want), "column {c} row {}", first + r);
             }
             assert_eq!(
-                part.column_stats(c),
+                &part.columns()[c].stats,
                 &ColumnStats::build(&ColumnVec::Var(boxed)),
                 "column {c} of the partition at row {first}"
             );
@@ -93,11 +93,11 @@ fn shredded_blocks_round_trip_through_the_partition_file() {
     let table = db.table("HEP").expect("loaded");
     let part = table.partitions()[0].as_mem().expect("in memory");
     let (bytes, meta) = format::encode_partition(table.schema(), part);
-    let encodings: Vec<_> = meta.columns.iter().map(|c| c.encoding).collect();
+    let encodings: Vec<_> = meta.blocks.iter().map(|b| b.encoding).collect();
     assert_eq!(encodings[1..], [BlockEncoding::Shredded; 7]);
-    for (c, cm) in meta.columns.iter().enumerate() {
-        let block = &bytes[cm.offset as usize..(cm.offset + cm.len) as usize];
-        let col = format::decode_column(cm.ty, cm.encoding, meta.row_count, block)
+    for (c, (cm, b)) in meta.columns.iter().zip(&meta.blocks).enumerate() {
+        let block = &bytes[b.offset as usize..(b.offset + cm.bytes) as usize];
+        let col = format::decode_column(cm.ty, b.encoding, meta.row_count, block)
             .unwrap_or_else(|e| panic!("column {c}: {e}"));
         assert_eq!(shape(&col), shape(part.column(c)), "column {c}");
         for r in 0..meta.row_count {

@@ -27,7 +27,7 @@ fn part_with_column(dir: &Path, column: &str) -> PathBuf {
     std::fs::read_dir(dir.join("parts"))
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| format::read_footer(p).is_ok_and(|m| m.columns[0].name == column))
+        .find(|p| format::read_footer(p).is_ok_and(|m| m.blocks[0].name == column))
         .unwrap_or_else(|| panic!("no partition file holds column {column}"))
 }
 
@@ -58,11 +58,11 @@ fn reseal(path: &Path, data: &[u8], footer: &[u8]) {
 fn forge_overflowing_varint(dir: &Path) {
     let path = part_with_column(dir, "OV");
     let meta = format::read_footer(&path).unwrap();
-    let block = &meta.columns[0];
+    let block = &meta.blocks[0];
     let bytes = std::fs::read(&path).unwrap();
     let (data, footer) = split_footer(&bytes);
     let mut data = data.to_vec();
-    let last = (block.offset + block.len - 1) as usize;
+    let last = (block.offset + meta.columns[0].bytes - 1) as usize;
     assert_eq!(
         data[last], 0x01,
         "i64::MIN ends in a tenth varint byte of 1"
