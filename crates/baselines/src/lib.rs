@@ -2,6 +2,7 @@
 //! a document-store engine (AsterixDB stand-in) that re-parses serialized JSON
 //! documents on every scan, and a RumbleDB-like runner that executes the JSONiq
 //! iterator tree row at a time.
+#![deny(unsafe_code)]
 
 pub mod docstore;
 pub mod rumble;

@@ -10,6 +10,7 @@
 //! comes off the committed partition files. `check` exits non-zero on any
 //! divergence and prints per-suite cache traffic so the artifact shows how
 //! much of the corpus was served from disk versus the warm cache.
+#![deny(unsafe_code)]
 
 use std::process::exit;
 use std::sync::Arc;

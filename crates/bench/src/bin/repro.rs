@@ -7,6 +7,7 @@
 //!   repro coldscan   (buffer-cache miss cost and hit rate: not part of `all`)
 //!
 //! Results print to stdout and are also written to `results/<id>.txt`.
+#![deny(unsafe_code)]
 
 use std::fs;
 use std::time::Duration;

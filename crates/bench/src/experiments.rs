@@ -15,6 +15,7 @@ use jsoniq_core::ast::JsoniqError;
 use jsoniq_core::{expr, itertree, lexer, parser};
 use jsoniq_core::snowflake::{NestedStrategy, Translator};
 use snowdb::exec::metrics::Grouping;
+use snowdb::storage::morsel::try_parallel_indexed_governed;
 use snowdb::storage::{ColumnDef, ColumnType, DEFAULT_PARTITION_ROWS};
 use snowdb::{Database, QueryOptions, Variant};
 use snowpark::Session;
@@ -592,7 +593,9 @@ pub fn futurework(cfg: &Config) -> Report {
 /// `COUNT(*)`), `group-multi` SSB's (a dictionary and an `Int` key, `SUM`),
 /// and `group-runs` the row-id aggregate of a nested query (an ascending
 /// `Int` key, `COUNT(IFF(…))`, `SUM` and `MIN`), over a table whose key
-/// comes in runs of four rows; `runs` flips `vectorize` like `typed`.
+/// comes in runs of four rows; `runs` flips `vectorize` like `typed`. The
+/// `pool` rows time the morsel dispatch alone: one call over 2 or 8 trivial
+/// morsels, inline against through the pool at two threads.
 pub fn kernels(cfg: &Config) -> Report {
     const PARTITION_ROWS: usize = 16_384;
     let rows = (cfg.adl_events as i64 * 16).min(262_144);
@@ -647,7 +650,7 @@ pub fn kernels(cfg: &Config) -> Report {
     )];
     let mut rep = Report::new(
         "kernels",
-        &format!("Kernel microbenchmark ({rows} rows, one thread)"),
+        &format!("Kernel microbenchmark ({rows} rows, one thread; pool: two)"),
         &["table", "query", "off", "on", "speedup"],
     );
     let serial = QueryOptions { threads: Some(1), ..Default::default() };
@@ -678,7 +681,36 @@ pub fn kernels(cfg: &Config) -> Report {
             ]);
         }
     }
+    // The dispatch itself: one call over trivial morsels, inline (one
+    // thread) and through the pool (two threads), per call.
+    for morsels in [2, 8] {
+        const CALLS: usize = 1_000;
+        let per_call = |threads: usize| {
+            let calls = || {
+                for _ in 0..CALLS {
+                    let d = try_parallel_indexed_governed(
+                        morsels,
+                        threads,
+                        || Ok(()),
+                        |_, _| (),
+                        |i| Ok(std::hint::black_box(i)),
+                    );
+                    std::hint::black_box(d.results.expect("no error"));
+                }
+            };
+            time_median(cfg.runs.max(3), cfg.warmup.max(1), calls) / CALLS as f64
+        };
+        let (off, on) = (per_call(1), per_call(2));
+        rep.row([
+            "pool".to_string(),
+            format!("dispatch-{morsels}"),
+            format!("{:.2}us", off * 1e6),
+            format!("{:.2}us", on * 1e6),
+            format!("{:.2}x", off / on.max(1e-12)),
+        ]);
+    }
     rep.note("typed, mixed, runs: vectorize off / on (row producer and row-by-row accumulators / expression DAG and typed aggregate states); dict: encode off / on");
+    rep.note("pool: time per try_parallel_indexed_governed call over 2 or 8 trivial morsels, inline at one thread / through the morsel pool at two threads");
     rep
 }
 
@@ -700,7 +732,7 @@ pub fn pipelines(cfg: &Config) -> Report {
         &format!("ADL q4-q8 pipeline by pipeline ({} events, 1 and {n} threads)", cfg.adl_events),
         &[
             "query", "sql", "threads", "exec", "operator", "busy", "rows out", "peak rows", "batches",
-            "pipe", "pipe wall", "morsels", "workers", "groups", "fold",
+            "pipe", "pipe wall", "joined", "morsels", "workers", "groups", "fold",
         ],
     );
     for q in adl::queries::queries("hep").into_iter().filter(|q| q.id >= "q4") {
@@ -775,7 +807,12 @@ pub fn pipelines(cfg: &Config) -> Report {
                         _ => Default::default(),
                     };
                     let pipe = match m.pipeline_run {
-                        Some(run) => [fmt_secs(run.wall.as_secs_f64()), run.morsels.to_string(), run.workers.to_string()],
+                        Some(run) => [
+                            fmt_secs(run.wall.as_secs_f64()),
+                            run.joined.to_string(),
+                            run.morsels.to_string(),
+                            run.workers.to_string(),
+                        ],
                         None => Default::default(),
                     };
                     let op = [
@@ -833,7 +870,8 @@ pub fn pipelines(cfg: &Config) -> Report {
     rep.note("generated q4 and q5: the row-id aggregate reads no OUTER flatten and no more rows than the handwritten one (DESIGN.md, \"Empty-group elimination\")");
     rep.note("q5, q6 and q8, generated and handwritten: no filter directly over a flatten tests its INDEX with IS NOT NULL, <, <=, > or >= (each is the flatten's from= bound); generated q6: no flatten emits more rows than the row-id aggregate reads (DESIGN.md, \"Index-bounded flatten\")");
     rep.note("q6, q7 and q8 generated under the flag-column strategy: every OUTER flatten has a JOIN-based partner (the flatten of the same table columns) and emits no more rows than it plus one pad row per input row (DESIGN.md, \"Empty-group elimination\", the KEEP gate)");
-    rep.note("busy is summed across workers; pipe wall, morsels and workers stand on the operator the pipeline ends at");
+    rep.note("busy is summed across workers; pipe wall, joined, morsels and workers stand on the operator the pipeline ends at");
+    rep.note("joined: morsel-pool helpers that claimed a morsel besides the calling thread; workers: the planned degree");
     rep.note("groups: how an aggregate found its groups; every row-id aggregate of a generated query groups by runs");
     rep.note("fold: rows folded into typed states / into accumulators, a row once per aggregate; a generated query's histogram and row-id COUNT/SUM/MIN/MAX fold none boxed (DESIGN.md, \"Grouped aggregation\")");
     rep

@@ -2,6 +2,7 @@
 //! lowers queries through an AST, an expression tree, and an iterator tree, and
 //! then either interprets them locally (the RumbleDB-like baseline) or
 //! translates them into a single native SQL query via the `snowpark` API.
+#![deny(unsafe_code)]
 
 pub mod ast;
 pub mod cache;

@@ -1399,10 +1399,11 @@ impl<'d, 'a> BatchEval<'d, 'a> {
     /// What node `id` holds on this batch when evaluating it cannot fail on
     /// any row and has no effect; `None` when it might fail. Such a node is
     /// a tree of `=`, `<>`, `<`, `<=`, `>`, `>=`, `AND`, `OR`, `NOT` and `IS
-    /// [NOT] NULL` over scalar literals and unboxed columns — a run-length
-    /// column by the class of its values — whose ordering comparisons stay
-    /// within one class: the kernels decline no row of it, and the row
-    /// evaluator fails on none.
+    /// [NOT] NULL` over scalar literals, unboxed columns — a run-length
+    /// column by the class of its values — and one-key field steps into
+    /// shredded records (`V:PT`, by its field column), whose ordering
+    /// comparisons stay within one class: the kernels decline no row of it,
+    /// and the row evaluator fails on none.
     fn cannot_fail(&self, id: NodeId) -> Option<Holds> {
         let args = self.dag.args(id);
         match self.dag.op(id) {
@@ -1431,6 +1432,15 @@ impl<'d, 'a> BatchEval<'d, 'a> {
                 x.is_condition().then_some(Holds::Only(Class::Bool))
             }
             DagOp::IsNull { .. } => self.cannot_fail(args[0]).map(|_| Holds::Only(Class::Bool)),
+            // One field of shredded records is a column of the input, or
+            // NULL where the records lack the key.
+            DagOp::Path([PStep::Field(f)]) if args.len() == 1 => match self.dag.op(args[0]) {
+                DagOp::Col(i) => match self.inp.cols.get(i)? {
+                    ColumnVec::Objects(r) => r.field(f).map_or(Some(Holds::Nulls), holds_of),
+                    _ => None,
+                },
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -2747,6 +2757,55 @@ mod tests {
         }
         // Row 0 compares an integer with a string: the row loop fails there.
         assert!(checked(&across, &inp).is_none());
+    }
+
+    /// A one-key field step into shredded records holds its field column's
+    /// class, or NULL for a key the records lack: `K AND V:PT > 30` combines
+    /// its two columns without a row selection. A boxed base, an index step
+    /// and a path of two steps may fail, and narrow.
+    #[test]
+    fn a_field_of_shredded_records_cannot_fail() {
+        let record = |pt: Variant| {
+            let mut o = crate::variant::Object::new();
+            o.insert("PT", pt);
+            o.insert("ETA", Variant::Int(1));
+            Variant::object(o)
+        };
+        let jets: Vec<Variant> = [Variant::Float(41.5), Variant::Null, Variant::Float(12.0)]
+            .into_iter()
+            .map(record)
+            .chain([Variant::Null, record(Variant::Float(30.0))])
+            .collect();
+        let boxed = jets.clone();
+        let inp = Chunk {
+            cols: vec![
+                ColumnVec::from_variants(
+                    [true, true, false, true, true].map(Variant::Bool).to_vec(),
+                ),
+                crate::storage::encode::encode_column(ColumnVec::Var(jets)),
+                ColumnVec::Var(boxed),
+            ],
+            rows: 5,
+        };
+        assert!(matches!(inp.cols[1], ColumnVec::Objects(_)));
+        let gated = |base: usize, steps: Vec<PStep>| {
+            bin(
+                PExpr::Col(0),
+                BinOp::And,
+                bin(PExpr::Path { base: Box::new(PExpr::Col(base)), steps }, BinOp::Gt, lit(30i64)),
+            )
+        };
+        let field = |f: &str| PStep::Field(f.into());
+        for e in [gated(1, vec![field("PT")]), gated(1, vec![field("M")])] {
+            assert_eq!(narrowed(&e, &inp), 0, "{e:?}");
+        }
+        for e in [
+            gated(2, vec![field("PT")]),
+            gated(1, vec![PStep::Index(0)]),
+            gated(1, vec![field("PT"), field("X")]),
+        ] {
+            assert_eq!(narrowed(&e, &inp), 1, "{e:?}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub struct OpMetricsCell {
     /// On the operator a pipeline ends at, that pipeline's run (see
     /// [`PipelineRun`]); `pipe_workers` is 0 everywhere else.
     pipe_wall_nanos: AtomicU64,
+    pipe_joined: AtomicU64,
     pipe_morsels: AtomicU64,
     pipe_workers: AtomicU64,
     /// On a join, what its build made (see [`OpMetrics::join_build`]).
@@ -125,6 +126,7 @@ impl OpMetricsCell {
     pub fn record_pipeline(&self, id: u32, run: PipelineRun) {
         self.set_pipeline(id);
         self.pipe_wall_nanos.store(run.wall.as_nanos() as u64, Ordering::Relaxed);
+        self.pipe_joined.store(run.joined as u64, Ordering::Relaxed);
         self.pipe_morsels.store(run.morsels, Ordering::Relaxed);
         self.pipe_workers.store(run.workers as u64, Ordering::Relaxed);
     }
@@ -179,6 +181,7 @@ impl OpMetricsCell {
                 0 => None,
                 workers => Some(PipelineRun {
                     wall: Duration::from_nanos(self.pipe_wall_nanos.load(Ordering::Relaxed)),
+                    joined: self.pipe_joined.load(Ordering::Relaxed) as usize,
                     morsels: self.pipe_morsels.load(Ordering::Relaxed),
                     workers: workers as usize,
                 }),
@@ -230,9 +233,12 @@ pub enum Grouping {
 pub struct PipelineRun {
     /// Wall time from the first morsel claimed to the last result merged.
     pub wall: Duration,
+    /// Pool helpers that claimed at least one morsel besides the calling
+    /// thread: at most `workers - 1`, and 0 when the caller did it all.
+    pub joined: usize,
     /// Source morsels (scan partitions or input batches) the pipeline took.
     pub morsels: u64,
-    /// Workers the morsels were spread over.
+    /// Workers the morsels were planned to spread over.
     pub workers: usize,
 }
 
@@ -450,7 +456,7 @@ mod tests {
 
     #[test]
     fn pipeline_runs_are_listed_in_run_order() {
-        let run = |ms| PipelineRun { wall: Duration::from_millis(ms), morsels: 8, workers: 2 };
+        let run = |ms| PipelineRun { wall: Duration::from_millis(ms), joined: 1, morsels: 8, workers: 2 };
         let scan = OpMetricsCell::default();
         scan.set_pipeline(1);
         let filter = OpMetricsCell::default();

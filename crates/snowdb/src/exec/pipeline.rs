@@ -188,7 +188,7 @@ use crate::column::{Bitmap, ColumnVec, RecordLists};
 use crate::error::{Result, SnowError};
 use crate::plan::physical::{PhysNode, SharedSite};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
-use crate::storage::morsel::try_parallel_indexed_governed;
+use crate::storage::morsel::{try_parallel_indexed_governed, Dispatched};
 use crate::variant::Variant;
 
 use super::agg::{boxes_cells, fresh_rows, Accumulator, Fold, GroupStates};
@@ -405,9 +405,16 @@ fn begin_pipeline(ctx: &mut ExecCtx) -> (u32, Instant) {
     (ctx.pipelines, Instant::now())
 }
 
-/// Records on `top`, the operator the pipeline ends at, how it ran.
-fn end_pipeline(top: &PhysNode<'_>, (id, start): (u32, Instant), morsels: usize, workers: usize) {
-    let run = PipelineRun { wall: start.elapsed(), morsels: morsels as u64, workers };
+/// Records on `top`, the operator the pipeline ends at, how it ran:
+/// `joined` pool helpers took part besides the caller.
+fn end_pipeline(
+    top: &PhysNode<'_>,
+    (id, start): (u32, Instant),
+    joined: usize,
+    morsels: usize,
+    workers: usize,
+) {
+    let run = PipelineRun { wall: start.elapsed(), joined, morsels: morsels as u64, workers };
     top.metrics.record_pipeline(id, run);
 }
 
@@ -516,7 +523,7 @@ fn map_batches<R: Send>(
     threaded: bool,
     ctx: &mut ExecCtx,
     work: impl Fn(usize, &mut ExecCtx) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
+) -> Dispatched<R, SnowError> {
     let op = op_tag(p);
     let gov = ctx.gov.clone();
     let (vectorize, encode) = (ctx.vectorize, ctx.encode);
@@ -681,7 +688,7 @@ impl<'b, 'a> Pipeline<'b, 'a> {
         let workers = if self.serial { 1 } else { top.parallelism.min(morsels).max(1) };
         let tasks = if per_worker { workers.min(morsels) } else { morsels };
         let clock @ (id, _) = begin_pipeline(ctx);
-        let locals = map_batches(top, tasks, self.serial, ctx, |task, wctx| {
+        let dispatched = map_batches(top, tasks, self.serial, ctx, |task, wctx| {
             let mut local = L::default();
             for mi in task * morsels / tasks..(task + 1) * morsels / tasks {
                 self.morsel(mi, wctx, &mut |batch, wctx| sink(&mut local, batch, wctx))?;
@@ -694,10 +701,10 @@ impl<'b, 'a> Pipeline<'b, 'a> {
         if let Source::Scan(scan) = &self.source {
             scan.metrics.set_pipeline(id);
         }
-        end_pipeline(top, clock, morsels, workers);
+        end_pipeline(top, clock, dispatched.joined, morsels, workers);
         top.metrics.add_pipeline_wall(self.built_in);
         let mut out = Vec::with_capacity(tasks);
-        for (local, stats) in locals? {
+        for (local, stats) in dispatched.results? {
             // Summed in morsel order: exact, whatever the worker count.
             ctx.stats.merge(&stats);
             out.push(local);
@@ -1772,7 +1779,7 @@ fn exec_aggregate(
         for batch in input {
             fold(&mut state, batch, ctx)?;
         }
-        end_pipeline(p, clock, morsels, 1);
+        end_pipeline(p, clock, 0, morsels, 1);
         (state, Instant::now())
     };
     let mut state = state
@@ -1809,14 +1816,15 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
     // batch after batch); each result is key-major. Busy time is counted
     // once per phase and worker: each batch here, the serial sort, each
     // gathered batch.
-    let key_cols: Vec<Vec<Vec<Variant>>> =
-        map_batches(p, input.len(), dag.is_volatile(), ctx, |bi, wctx| {
-            let t0 = Instant::now();
-            let cols = eval_exprs(dag, &input[bi], wctx, None, Some(&p.metrics)).complete()?;
-            let keys = cols.into_iter().map(|c| c.into_owned().into_variants()).collect();
-            p.metrics.add_busy(t0.elapsed());
-            Ok(keys)
-        })?;
+    let keyed = map_batches(p, input.len(), dag.is_volatile(), ctx, |bi, wctx| {
+        let t0 = Instant::now();
+        let cols = eval_exprs(dag, &input[bi], wctx, None, Some(&p.metrics)).complete()?;
+        let keys: Vec<Vec<Variant>> =
+            cols.into_iter().map(|c| c.into_owned().into_variants()).collect();
+        p.metrics.add_busy(t0.elapsed());
+        Ok(keys)
+    });
+    let key_cols = keyed.results?;
 
     // Global merge: one stable sort over (batch, row) in input order, so the
     // permutation — and therefore tie order — does not depend on batching.
@@ -1843,7 +1851,7 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
     // Parallel gather into output batches.
     let arity = batches_arity(&input, &p.children[0]);
     let n_batches = in_rows.div_ceil(BATCH_ROWS);
-    let batches = map_batches(p, n_batches, false, ctx, |ob, wctx| {
+    let gathered = map_batches(p, n_batches, false, ctx, |ob, wctx| {
         let t0 = Instant::now();
         let lo = ob * BATCH_ROWS;
         let hi = (lo + BATCH_ROWS).min(in_rows);
@@ -1857,8 +1865,9 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         p.metrics.record_batch(0, out.rows as u64, t0.elapsed());
         charge_batch(p, wctx, "Sort", &out)?;
         Ok(out)
-    })?;
-    end_pipeline(p, clock, input.len(), p.parallelism);
+    });
+    let batches = gathered.results?;
+    end_pipeline(p, clock, keyed.joined.max(gathered.joined), input.len(), p.parallelism);
     Ok(batches)
 }
 
@@ -1889,7 +1898,7 @@ fn exec_limit(p: &PhysNode<'_>, n: u64, ctx: &mut ExecCtx) -> Result<Vec<Chunk>>
         out.push(c);
     }
     p.metrics.add_busy(clock.1.elapsed());
-    end_pipeline(p, clock, morsels, 1);
+    end_pipeline(p, clock, 0, morsels, 1);
     Ok(out)
 }
 
@@ -1906,7 +1915,7 @@ fn exec_union(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     p.metrics.add_rows_in(rows);
     p.metrics.add_output(rows, l.len() as u64);
     p.metrics.add_busy(clock.1.elapsed());
-    end_pipeline(p, clock, l.len(), 1);
+    end_pipeline(p, clock, 0, l.len(), 1);
     Ok(l)
 }
 

@@ -29,6 +29,7 @@
 //!   compare-and-swap (losers surface as typed [`SnowError::WriteConflict`]s),
 //!   and [`session::Session`]s layer explicit `BEGIN`/`COMMIT`/`ROLLBACK`
 //!   transactions with snapshot isolation on top.
+#![deny(unsafe_code)]
 
 pub mod catalog;
 pub mod column;

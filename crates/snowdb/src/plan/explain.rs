@@ -36,8 +36,8 @@ pub fn explain_analyze(node: &Node, metrics: &OpMetrics) -> String {
     for (id, top, run) in metrics.pipelines() {
         let _ = writeln!(
             out,
-            "-- pipeline {id} ({top}): wall={:.3?} morsels={} workers={}",
-            run.wall, run.morsels, run.workers
+            "-- pipeline {id} ({top}): wall={:.3?} joined={} morsels={} workers={}",
+            run.wall, run.joined, run.morsels, run.workers
         );
     }
     out

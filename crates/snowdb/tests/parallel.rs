@@ -220,6 +220,33 @@ fn explain_analyze_reports_operator_metrics() {
     assert!(m.op_count() >= 3, "expected scan+filter+project+aggregate, got {}", m.op_count());
 }
 
+/// `joined=` counts the morsel-pool helpers that claimed a morsel besides
+/// the calling thread: none inline, at most `workers - 1` otherwise, and
+/// always printed before `morsels=`.
+#[test]
+fn pipeline_runs_count_the_helpers_that_joined() {
+    let db = prunable_db();
+    let sql = "SELECT x % 7 AS g, COUNT(*) AS c FROM t WHERE x >= 20 GROUP BY x % 7";
+    for threads in [1, 2, 4, 8] {
+        db.set_threads(Some(threads));
+        let m = db.query(sql).unwrap().profile.metrics.expect("operator metrics");
+        for (id, top, run) in m.pipelines() {
+            assert!(run.workers <= threads, "pipeline {id} ({top}) at {threads}: {run:?}");
+            assert!(run.joined < run.workers, "pipeline {id} ({top}) at {threads}: {run:?}");
+        }
+        let rendered = common::msg(db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap());
+        let lines: Vec<&str> = rendered.lines().filter(|l| l.starts_with("-- pipeline")).collect();
+        assert!(!lines.is_empty(), "{rendered}");
+        for line in lines {
+            let joined = line.find(" joined=").expect("joined= on every pipeline line");
+            assert!(joined < line.find(" morsels=").unwrap(), "{line}");
+            if threads == 1 {
+                assert!(line.contains(" joined=0 "), "{line}");
+            }
+        }
+    }
+}
+
 /// 40 rows, 8-row partitions; K carries heavy ties (5 distinct values).
 fn ties_db() -> Database {
     let db = Database::new();

@@ -17,6 +17,7 @@
 //! `SELECT COUNT(DISTINCT …) FROM "ORDERS" WHERE …` rather than the nested
 //! `SELECT`s of Fig. 2b; the engine receives the shape handwritten SQL gives
 //! it.
+#![deny(unsafe_code)]
 
 mod column;
 mod dataframe;

@@ -1,6 +1,7 @@
 //! `ssb` — the Star Schema Benchmark substrate: data generators for the
 //! lineorder fact table and four dimensions, plus the thirteen benchmark
 //! queries in both handwritten SQL and JSONiq.
+#![deny(unsafe_code)]
 
 pub mod generator;
 pub mod queries;

@@ -3,6 +3,7 @@
 //! benchmark plots — including the Z-boson mass peak that query Q5 selects.
 //!
 //! Run with: `cargo run --release --example hep_analysis`
+#![deny(unsafe_code)]
 
 use std::sync::Arc;
 use std::time::Instant;

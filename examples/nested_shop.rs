@@ -8,6 +8,7 @@
 //! both and shows the SQL they generate.
 //!
 //! Run with: `cargo run --example nested_shop`
+#![deny(unsafe_code)]
 
 use std::sync::Arc;
 

@@ -2,6 +2,7 @@
 //! the translation layer, and inspect the single SQL query it produces.
 //!
 //! Run with: `cargo run --example quickstart`
+#![deny(unsafe_code)]
 
 use std::sync::Arc;
 

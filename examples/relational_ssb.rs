@@ -5,6 +5,7 @@
 //! translation runs them as ordinary hash joins, on par with handwritten SQL.
 //!
 //! Run with: `cargo run --release --example relational_ssb`
+#![deny(unsafe_code)]
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -5,6 +5,7 @@
 //! wrapper over `std::sync`. Poisoning is collapsed into the inner value
 //! (`parking_lot` locks do not poison): a panic while holding the lock
 //! propagates the panic to the next acquirer.
+#![deny(unsafe_code)]
 
 use std::sync::{
     Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,

@@ -10,6 +10,7 @@
 //! Differences from real proptest: no shrinking (a failing case reports its
 //! inputs instead), and the RNG is seeded from the test name, so runs are
 //! reproducible without a persistence file.
+#![deny(unsafe_code)]
 
 mod pattern;
 

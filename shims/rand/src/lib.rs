@@ -6,6 +6,7 @@
 //! generator of the real `StdRng`, but statistically solid for synthetic data
 //! generation, and fully deterministic for a given seed, which is all the ADL
 //! and SSB generators rely on.
+#![deny(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -33,6 +33,7 @@
 //! frame, and `\stats` shows the server's admission counters
 //! (`SHOW SERVER STATUS`). This doubles as a manual test client for the
 //! service layer.
+#![deny(unsafe_code)]
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::Ordering;
@@ -66,6 +67,7 @@ mod sigint {
     }
 
     #[cfg(unix)]
+    #[allow(unsafe_code)] // FFI: the SIGINT handler's `_exit`
     extern "C" fn handler(_: i32) {
         // Only async-signal-safe operations here: an atomic bump, and on the
         // second press an immediate `_exit` (no unwinding, no allocation).
@@ -76,6 +78,7 @@ mod sigint {
 
     pub fn install() {
         #[cfg(unix)]
+        #[allow(unsafe_code)] // FFI: installing the SIGINT handler
         unsafe {
             ffi::signal(ffi::SIGINT, handler);
         }

@@ -18,6 +18,7 @@
 //! Ctrl-C shuts down gracefully: new statements are rejected with typed
 //! errors, in-flight ones drain (or are cancelled at the drain deadline), and
 //! every committed write is on disk before exit.
+#![deny(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,6 +40,7 @@ mod ffi {
 }
 
 #[cfg(unix)]
+#[allow(unsafe_code)] // FFI: the SIGINT handler's `_exit`
 extern "C" fn on_sigint(_: i32) {
     // Async-signal-safe only: first press requests graceful shutdown, the
     // second exits immediately.
@@ -57,6 +59,7 @@ fn usage() -> ! {
 
 fn main() {
     #[cfg(unix)]
+    #[allow(unsafe_code)] // FFI: installing the SIGINT handler
     unsafe {
         ffi::signal(ffi::SIGINT, on_sigint);
     }

@@ -9,6 +9,7 @@
 //! first error. Without `-e`, statements (terminated by `;`) are read from
 //! stdin — pipe a script in, or type interactively. `SHOW SERVER STATUS`
 //! works in both modes and reports the server's admission counters.
+#![deny(unsafe_code)]
 
 use std::io::BufRead;
 

@@ -6,6 +6,7 @@
 //! - [`snowdb`]: the Snowflake-like columnar engine substrate.
 //! - [`adl`] / [`ssb`]: benchmark substrates.
 //! - [`baselines`]: RumbleDB-like and AsterixDB-like comparator engines.
+#![deny(unsafe_code)]
 
 pub use adl;
 pub use baselines;
