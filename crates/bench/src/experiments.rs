@@ -851,7 +851,7 @@ pub fn pipelines(cfg: &Config) -> Report {
                 assert!(f <= a, "q6 at {threads} threads: a flatten emits {f}, the row-id aggregate reads {a}");
             }
         }
-        // The KEEP gate: under the flag-column strategy, generated q6, q7
+        // The KEEP pass's copy: under the flag-column strategy, generated q6, q7
         // and q8 flatten about what the JOIN-based translation does.
         if matches!(q.id, "q6" | "q7" | "q8") {
             assert_gate_narrows(&db, &q);
@@ -869,7 +869,7 @@ pub fn pipelines(cfg: &Config) -> Report {
     rep.note("exec: fastest execution (compile excluded) of warmup + max(runs, 3) runs; the rest is that run's profile");
     rep.note("generated q4 and q5: the row-id aggregate reads no OUTER flatten and no more rows than the handwritten one (DESIGN.md, \"Empty-group elimination\")");
     rep.note("q5, q6 and q8, generated and handwritten: no filter directly over a flatten tests its INDEX with IS NOT NULL, <, <=, > or >= (each is the flatten's from= bound); generated q6: no flatten emits more rows than the row-id aggregate reads (DESIGN.md, \"Index-bounded flatten\")");
-    rep.note("q6, q7 and q8 generated under the flag-column strategy: every OUTER flatten has a JOIN-based partner (the flatten of the same table columns) and emits no more rows than it plus one pad row per input row (DESIGN.md, \"Empty-group elimination\", the KEEP gate)");
+    rep.note("q6, q7 and q8 generated under the flag-column strategy: every OUTER flatten has a JOIN-based partner (the flatten of the same table columns) and emits no more rows than it plus one pad row per input row (DESIGN.md, \"Empty-group elimination\", the KEEP pass's copy)");
     rep.note("busy is summed across workers; pipe wall, joined, morsels and workers stand on the operator the pipeline ends at");
     rep.note("joined: morsel-pool helpers that claimed a morsel besides the calling thread; workers: the planned degree");
     rep.note("groups: how an aggregate found its groups; every row-id aggregate of a generated query groups by runs");
@@ -880,7 +880,7 @@ pub fn pipelines(cfg: &Config) -> Report {
 /// Asserts that each `OUTER` flatten of `q` translated under the
 /// flag-column strategy — every one sits under a gated row-id aggregate —
 /// emits at most the rows of its partner in the JOIN-based translation plus
-/// one pad row per row it reads: the `KEEP` gate narrowed it. Partners
+/// one pad row per row it reads: the `KEEP` pass's copy narrowed it. Partners
 /// flatten the same table columns ([`flattened_columns`]), the k-th such
 /// flatten of one plan (top down) the k-th of the other; an `OUTER` flatten
 /// with no partner fails. Both run at the database's thread count.

@@ -1867,7 +1867,10 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         Ok(out)
     });
     let batches = gathered.results?;
-    end_pipeline(p, clock, keyed.joined.max(gathered.joined), input.len(), p.parallelism);
+    // As in `Pipeline::run`: the workers the batches can keep busy, one for
+    // a single batch, which `map_batches` runs inline.
+    let workers = p.parallelism.min(input.len()).max(1);
+    end_pipeline(p, clock, keyed.joined.max(gathered.joined), input.len(), workers);
     Ok(batches)
 }
 

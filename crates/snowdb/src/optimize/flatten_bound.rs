@@ -24,9 +24,9 @@
 //! a comparison, which implies it. The caller refuses a volatile flatten
 //! input, whose `SEQ8()` numbers the rows the flatten reads, and an `OUTER`
 //! flatten under a plain filter (its pad rows have a NULL `INDEX` and are
-//! kept); under the `KEEP` gate's run-preserving copy an `OUTER` flatten
+//! kept); under the `KEEP` pass's run-preserving copy an `OUTER` flatten
 //! takes the bound and emits its pad row for an input row left with no item
-//! ([`super::keep_gate`]).
+//! ([`super::keep`]).
 
 use crate::plan::{Node, NodeKind, PExpr};
 use crate::sql::BinOp;

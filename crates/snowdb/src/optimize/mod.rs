@@ -6,12 +6,13 @@
 //!    unions, and join inputs, and comparison / null-presence conjuncts
 //!    against base-table columns are copied into scans for partition
 //!    pruning from column statistics;
-//! 3. **empty-group elimination** ([`empty_group`]) — a filter that no
-//!    empty group of a row-id aggregate can pass moves the nested query's
-//!    `KEEP` flag below that aggregate as a filter; pushdown itself turns an
-//!    `OUTER` flatten or a left outer join inner under a filter that rejects
-//!    its padded rows, and makes the positional conjuncts over an inner
-//!    flatten its item range ([`flatten_bound`]);
+//! 3. **the `KEEP` pass** ([`keep`]) — a flag-column nested query's `KEEP`
+//!    flag moves below its row-id aggregate when the filter above rejects
+//!    the empty group, else is copied into a run-preserving filter lowered
+//!    below the `OUTER` flattens that build the rows it drops; pushdown
+//!    itself turns an `OUTER` flatten or a left outer join inner under a
+//!    filter that rejects its padded rows, and makes the positional
+//!    conjuncts over an inner flatten its item range ([`flatten_bound`]);
 //! 4. **join reordering** ([`join_order`]) — Inner/Cross join clusters are
 //!    rebuilt in the order the cost model ([`cost`]) ranks cheapest, using
 //!    per-column statistics persisted in the catalog (NDV sketches,
@@ -23,11 +24,7 @@
 //!    only the table columns the query consumes, which both speeds execution
 //!    and makes the bytes-scanned metric reflect real column usage (paper
 //!    §V-E);
-//! 6. **the `KEEP` gate** ([`keep_gate`]) — a gated row-id aggregate's
-//!    `KEEP` conjuncts are copied into a run-preserving filter that keeps a
-//!    row of every row id and is lowered into and below the `OUTER`
-//!    flattens that build the rows it drops;
-//! 7. **subplan sharing** ([`share`]) — structurally identical subtrees with
+//! 6. **subplan sharing** ([`share`]) — structurally identical subtrees with
 //!    more than one reader get a share id and are executed once.
 //!
 //! Because the translation layer emits one SQL query per JSONiq query, these
@@ -35,10 +32,9 @@
 //! paper contrasts against UDF-based black boxes.
 
 pub mod cost;
-pub mod empty_group;
 pub mod flatten_bound;
 pub mod join_order;
-pub mod keep_gate;
+pub mod keep;
 pub mod narrow;
 pub mod share;
 
@@ -49,14 +45,13 @@ use crate::plan::{
 };
 use crate::sql::{BinOp, JoinKind};
 use crate::variant::Variant;
-use empty_group::{fold_with, pads_rejected};
 
 /// Runs all optimizer passes.
 pub fn optimize(mut node: Node) -> Result<Node> {
     fold_node(&mut node);
     node = merge_projects(node);
     node = pushdown(node);
-    node = empty_group::eliminate(node);
+    keep::place(&mut node);
     // Reordering runs after pushdown: by then single-table conjuncts sit on
     // their relations and cross-relation conjuncts have been folded into
     // join ON conditions, which is the input shape the reorderer pools.
@@ -66,9 +61,6 @@ pub fn optimize(mut node: Node) -> Result<Node> {
     fold_node(&mut node);
     node = merge_projects(node);
     node = narrow::narrow(node);
-    // The gate reads the narrowed aggregates: an `ANY_VALUE` nothing reads
-    // no longer stands in its way.
-    keep_gate::gate(&mut node);
     // Sharing goes last so it fingerprints final shapes and never stands
     // between a subtree and a rewrite.
     share::mark_shared(&mut node);
@@ -402,19 +394,8 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
             // the left join keys while the right side kept the unfiltered
             // numbering, associating lepton matches with the wrong jets.) One
             // that raises (`10 / X`) would not see the rows the filter drops.
-            //
-            // A conjunct that reads only literal columns of the projection
-            // (the flag-column strategy's `TRUE AS "KEEP2"` beside its row
-            // id) is a constant: TRUE goes, anything else stays above too.
             if holds(&exprs) {
-                let literal = |c: usize| match &exprs[c] {
-                    PExpr::Lit(v) => Some(v.clone()),
-                    _ => None,
-                };
-                let parts = parts
-                    .into_iter()
-                    .filter(|p| !matches!(fold_with(p, literal), Some(Variant::Bool(true))))
-                    .collect();
+                let parts = drop_literal_true(parts, &exprs);
                 let proj = Node::new(NodeKind::Project { input: pin, exprs }, fields.clone());
                 return wrap_filter(proj, parts, fields);
             }
@@ -599,6 +580,49 @@ fn push_filter(input: Node, pred: PExpr, fields: Vec<Field>) -> Node {
             wrap_filter(node, parts, fields)
         }
     }
+}
+
+/// `parts` without the conjuncts that fold to TRUE over the literal columns
+/// of a projection computing `exprs` (the flag-column strategy's `TRUE AS
+/// "KEEP2"` beside its row id): a filter that stays above it needs none.
+fn drop_literal_true(mut parts: Vec<PExpr>, exprs: &[PExpr]) -> Vec<PExpr> {
+    let literal = |c: usize| match &exprs[c] {
+        PExpr::Lit(v) => Some(v.clone()),
+        _ => None,
+    };
+    parts.retain(|p| !matches!(fold_with(p, literal), Some(Variant::Bool(true))));
+    parts
+}
+
+/// True when `p` cannot be TRUE on a row where every column that `value`
+/// names holds that value — an empty group, a pad row, a NULL extension
+/// (DESIGN.md, "Empty-group elimination"): substituted, it folds to FALSE or NULL.
+fn rejects(p: &PExpr, value: impl Fn(usize) -> Option<Variant>) -> bool {
+    matches!(fold_with(p, value), Some(Variant::Null | Variant::Bool(false)))
+}
+
+/// True when a conjunct of `parts` that may leave the filter (`leave`, by
+/// [`may_leave`]) rejects every row whose `pad` columns are NULL — an `OUTER`
+/// flatten's pad row, a left outer join's NULL extension.
+fn pads_rejected(parts: &[PExpr], leave: &[bool], pad: impl Fn(usize) -> bool) -> bool {
+    parts.iter().zip(leave).any(|(p, &l)| l && rejects(p, |c| pad(c).then_some(Variant::Null)))
+}
+
+/// `p` with every column that `value` names replaced by its value, folded;
+/// `None` when a column is left over, `p` is volatile, or it raises.
+fn fold_with(p: &PExpr, value: impl Fn(usize) -> Option<Variant>) -> Option<Variant> {
+    fn sub(e: &mut PExpr, value: &impl Fn(usize) -> Option<Variant>) {
+        match e {
+            PExpr::Col(c) => *e = PExpr::Lit(value(*c).expect("every column has a value")),
+            _ => e.for_each_child_mut(&mut |c| sub(c, value)),
+        }
+    }
+    if p.is_volatile() || p.any(&mut |x| matches!(x, PExpr::Col(c) if value(*c).is_none())) {
+        return None;
+    }
+    let mut e = p.clone();
+    sub(&mut e, &value);
+    eval_const(&e, &mut 0).ok()
 }
 
 fn wrap_filter(node: Node, parts: Vec<PExpr>, fields: Vec<Field>) -> Node {

@@ -645,7 +645,7 @@ pub enum NodeKind {
     /// (`per` names a row-id column) besides passes one row of each run of
     /// equal `per` values in a batch that has no such row: it only ever
     /// holds a copy of a gated aggregate's `KEEP` conjuncts
-    /// ([`crate::optimize::keep_gate`]).
+    /// ([`crate::optimize::keep`]).
     Filter { input: Box<Node>, pred: PExpr, per: Option<usize> },
     /// `LATERAL FLATTEN`: appends VALUE, INDEX, KEY, SEQ, THIS columns.
     /// `emit[k]` is false for an appended column nothing reads; it is then

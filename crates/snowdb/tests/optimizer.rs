@@ -1382,7 +1382,7 @@ fn a_literal_divisor_lets_a_modulo_key_become_a_hash_join() {
 // A gated row-id aggregate — every aggregate `AGG(IFF(keep, x, NULL))` with
 // one `keep`, or `ANY_VALUE` of a column constant per the row id — gets a
 // copy of `keep`'s conjuncts as a run-preserving filter (`per=`) that keeps
-// a row of every row id (`optimize::keep_gate`; DESIGN.md, "Empty-group
+// a row of every row id (`optimize::keep`; DESIGN.md, "Empty-group
 // elimination"). It is kept where it moved below a flatten or an aggregate,
 // or bounded a flatten by a comparison. No filter above rejects the empty
 // group here, so only the gate narrows the rows.
@@ -1482,6 +1482,33 @@ fn a_raising_keep_conjunct_before_or_after_refuses_the_gate() {
         assert!(agreed_error(&db, &sql).contains("division by zero"), "{keep}");
         assert!(!gated_plan(&db, &sql), "{keep}");
     }
+}
+
+#[test]
+fn an_unread_any_value_of_a_flatten_output_refuses_the_gate() {
+    // The `KEEP` pass decides before dead columns go: `ANY_VALUE(V)` is not
+    // constant per `RID`, so the aggregate is not gated, although nothing
+    // reads `B` and the narrowed plan no longer computes it.
+    let db = flatten_db();
+    let sql = "SELECT RID, A FROM (\
+                 SELECT RID, COUNT(IFF(KEEP, V, NULL)) AS A, ANY_VALUE(V) AS B FROM (\
+                   SELECT *, (F.INDEX IS NOT NULL AND IFF(F.VALUE > 0, TRUE, FALSE)) AS KEEP, F.VALUE AS V \
+                   FROM (SELECT *, SEQ8() AS RID FROM t), LATERAL FLATTEN(INPUT => XS, OUTER => TRUE) AS F) \
+                 GROUP BY RID) \
+               ORDER BY RID";
+    assert_eq!(
+        operators(&db, sql),
+        "\
+Sort [#0]
+  Aggregate group=[#0] aggs=[COUNT(Iff(#1, #2, null))]
+    Project [#1, ((#3 IS NOT NULL) AND Iff((#2 > 0), true, false)), #2]
+      Flatten OUTER input=#0 emit=[VALUE, INDEX]
+        Project [#1, Seq8()]
+          Scan T cols=[XS]
+"
+    );
+    let rows = agreed_rows(&db, sql);
+    assert_eq!(rows.len(), 8);
 }
 
 /// Two nested row-id aggregates over `t`'s `XS` flattened twice, the shape

@@ -247,6 +247,22 @@ fn pipeline_runs_count_the_helpers_that_joined() {
     }
 }
 
+/// A sort over one batch evaluates its keys and gathers inline: its
+/// pipeline reports one worker, as a scan pipeline over one morsel does.
+#[test]
+fn a_one_batch_sort_reports_one_worker() {
+    let db = Database::new();
+    let rows = (0..10).rev().map(|i| vec![Variant::Int(i)]);
+    db.load_table("t", vec![ColumnDef::new("X", ColumnType::Int)], rows, 100).unwrap();
+    for threads in [1, 2, 8] {
+        db.set_threads(Some(threads));
+        let m = db.query("SELECT X FROM t ORDER BY X").unwrap().profile.metrics.expect("metrics");
+        let sorts: Vec<_> = m.pipelines().into_iter().filter(|(_, top, _)| *top == "Sort").collect();
+        let [(_, _, run)] = sorts.as_slice() else { panic!("one sort pipeline: {sorts:?}") };
+        assert_eq!((run.morsels, run.workers, run.joined), (1, 1, 0), "threads={threads}");
+    }
+}
+
 /// 40 rows, 8-row partitions; K carries heavy ties (5 distinct values).
 fn ties_db() -> Database {
     let db = Database::new();
